@@ -11,9 +11,9 @@ GO ?= go
 # just without the race detector's ~10x slowdown.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet lint build test race docs churn-smoke alert-smoke bench bench-json bench-smoke fuzz-smoke
+.PHONY: ci fmt vet lint build test race docs churn-smoke alert-smoke bench bench-json bench-smoke bench-check fuzz-smoke
 
-ci: fmt vet lint build test race docs churn-smoke alert-smoke bench-smoke fuzz-smoke
+ci: fmt vet lint build test race docs churn-smoke alert-smoke bench-smoke bench-check fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -64,6 +64,7 @@ bench:
 	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleRetrain|EnsembleSelect' -benchmem .
 	$(GO) test -run xxx -bench ServeForecast -benchmem ./internal/serve
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
+	$(GO) test -run xxx -bench RunFlat -benchmem ./internal/kmeans
 
 # Perf trajectory: run the six tracked benchmark families and write the
 # committed machine-readable baseline. Bump BENCH_OUT when cutting a new
@@ -83,8 +84,16 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -short -out $(BENCH_SMOKE_JSON)
 	$(GO) run ./cmd/benchjson -compare $(BENCH_OUT) $(BENCH_SMOKE_JSON)
 
+# Repository benchmark check: bench/ is a module of its own (orcf/bench,
+# `replace orcf => ../`) that imports orcf/internal/..., so the root
+# `./...` targets above never compile it. Vet, test and lint it here so an
+# internal API change cannot break `bash bench/run.sh` unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
+
 # Fuzz smoke: a short coverage-guided run of each native fuzz target (wire
-# decoders, recovery readers) from its committed seed corpus. go test allows
+# decoders, recovery readers, the K-means reference differential) from its
+# committed seed corpus. go test allows
 # one -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -93,3 +102,4 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadWAL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)

@@ -152,8 +152,8 @@ func benchPipelineStep(b *testing.B, nodes, steps, workers, churnEvery int, opts
 	benchPipelineStepD(b, nodes, 2, steps, workers, churnEvery, opts...)
 }
 
-// benchPipelineStepD is benchPipelineStep with the measurement dimensionality
-// d exposed, for the vectorized-assignment variants.
+// benchPipelineStepD is benchPipelineStep with the number of resources d
+// exposed; the resources are clustered one by one unless opts say otherwise.
 func benchPipelineStepD(b *testing.B, nodes, resources, steps, workers, churnEvery int, opts ...Option) {
 	b.Helper()
 	ds, err := GenerateTrace(GeneratorConfig{
@@ -212,6 +212,8 @@ func benchPipelineStepD(b *testing.B, nodes, resources, steps, workers, churnEve
 //   - N=10000-churn: incremental under membership churn (8 of 10000 members
 //     replaced every 8th step, outside the timer), paying the full-refit
 //     fallback on churn steps.
+//   - N=10000-d4 and N=10000-d4-joint: four resources with a full refit per
+//     step, as four scalar clusterings and as one joint 4-dimensional one.
 func BenchmarkPipelineStep(b *testing.B) {
 	b.Run("N=256", func(b *testing.B) { benchPipelineStep(b, 256, 64, 0, 0) })
 	b.Run("N=10000", func(b *testing.B) {
@@ -221,11 +223,16 @@ func BenchmarkPipelineStep(b *testing.B) {
 	b.Run("N=10000-churn", func(b *testing.B) {
 		benchPipelineStep(b, 10000, 24, 0, 8, WithIncrementalRefit(0))
 	})
-	// d=4 doubles the flat-layout row width, exercising the blocked distance
-	// loop in kmeans.AssignFlat (d=1 takes a scalar fast path and d=2 rows
-	// are too narrow to show blocking effects at full strength).
+	// Four resources, still clustered per resource: four scalar trackers,
+	// each paying a full d=1 K-means refit per step (no incremental refits).
 	b.Run("N=10000-d4", func(b *testing.B) {
 		benchPipelineStepD(b, 10000, 4, 24, 0, 0)
+	})
+	// The same fleet clustered jointly: one tracker over 4-dimensional
+	// points, a full d=4 K-means refit per step — the vector distance path
+	// and the shape of the repository benchmark's step_joint_d4 workload.
+	b.Run("N=10000-d4-joint", func(b *testing.B) {
+		benchPipelineStepD(b, 10000, 4, 24, 0, 0, WithJointClustering())
 	})
 }
 

@@ -4,7 +4,8 @@ package kmeans
 // verbatim, as the reference oracle for the differential tests that pin the
 // flat Runner bit-identical (same assignments, centroids, inertia, iteration
 // count, and RNG draw sequence). Do not "fix" or optimize it: its exact
-// arithmetic order is the contract.
+// arithmetic order is the contract. The one edit since is the iteration
+// counter, which used to report MaxIterations+1 when Lloyd hit the cap.
 
 import (
 	"math"
@@ -25,8 +26,9 @@ func refRun(points [][]float64, cfg Config, rng *rand.Rand) (*Result, error) {
 	centroids := refSeedPlusPlus(points, k, rng)
 	assign := make([]int, n)
 	prev := make([][]float64, k)
-	var iter int
-	for iter = 1; iter <= cfg.MaxIterations; iter++ {
+	iter := 0
+	for iter < cfg.MaxIterations {
+		iter++
 		// Assignment step.
 		for i, p := range points {
 			assign[i] = nearest(p, centroids)

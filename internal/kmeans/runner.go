@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // Runner executes K-means over a flat struct-of-arrays point layout with
@@ -11,19 +12,34 @@ import (
 // step) allocate nothing after the first. The package-level Run wraps a
 // fresh Runner; long-lived callers keep one.
 //
-// The arithmetic is ordered exactly like the historical slice-of-rows
-// implementation — same RNG draw sequence, same summation and comparison
-// order — so RunFlat is bit-identical to Run on the same inputs and RNG
-// state (pinned by TestRunnerMatchesReferenceExactly). A Runner is not safe
-// for concurrent use.
+// RunFlat is Lloyd's algorithm with Hamerly-style distance bounds: per point
+// it keeps an upper bound on the distance to the assigned centroid and a
+// lower bound on the distance to every other centroid, shifts both by the
+// centroid movements after each update step, and rescans the K centroids
+// only for points whose bounds cannot prove the winner unchanged (see
+// assignStep). The pruning is exact: every distance that is evaluated uses
+// the arithmetic order of sqDist, the winner is the strict-<, ascending-index
+// one, the update step sums points in ascending order and the RNG is drawn
+// from at the same places, so RunFlat is bit-identical to the historical
+// slice-of-rows Lloyd on the same inputs and RNG state — assignments,
+// centroids, inertia, iteration count and draw sequence (pinned against the
+// preserved implementation by TestRunnerMatchesReferenceExactly and
+// FuzzRunFlatMatchesReference). A Runner is not safe for concurrent use.
 type Runner struct {
 	cents   []float64 // k×d row-major centroids of the last run
 	prev    []float64 // k×d previous-iteration centroids (convergence check)
-	d2      []float64 // per-point squared distance to nearest seed
+	d2      []float64 // per point: squared distance to nearest seed, then the upper bound
+	lower   []float64 // per point: lower bound on the distance to every other centroid
 	counts  []int     // per-cluster member counts
+	shift   []float64 // per centroid: upper bound on its movement in the last update step
+	others  []float64 // per centroid: the largest entry of shift among the other centroids
+	half    []float64 // per centroid: lower bound on half the distance to the nearest other
 	k, d    int
 	inertia float64
 	iters   int
+	scans   int // full K-way scans of the last run; n·(iterations+1) without pruning
+
+	up, down float64 // outward-rounding factors of the bounds, 1 ± a few ulps
 }
 
 // NewRunner returns an empty Runner; buffers are sized on first use.
@@ -42,6 +58,7 @@ func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, as
 			n, d, cfg.K, len(pts), len(assign), ErrBadInput)
 	}
 	k := cfg.K
+	r.scans = 0
 	if k >= n {
 		r.k, r.d = n, d
 		r.cents = append(r.cents[:0], pts[:n*d]...)
@@ -54,33 +71,46 @@ func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, as
 
 	r.k, r.d = k, d
 	r.sizeScratch(n, d, k)
+	// A computed sqDist is the true squared distance within a factor
+	// (1±2⁻⁵³)^(d+2), so its square root is off by about (d+2)/2 ulps; the
+	// remaining ulps cover the roundings of the bound arithmetic itself.
+	slack := float64(d+16) * 0x1p-53
+	r.up, r.down = 1+slack, 1-slack
 	r.seedPlusPlus(pts, n, d, k, rng)
 
-	var iter int
-	for iter = 1; iter <= cfg.MaxIterations; iter++ {
+	// settled: the last assignment step ran against the final centroids, so
+	// the final pass would only recompute what assign already holds.
+	iters, settled := 0, false
+	for iters < cfg.MaxIterations {
+		iters++
 		// Assignment step.
-		assignBlocked(pts, n, d, r.cents, k, assign)
+		r.assignStep(pts, n, d, k, assign, iters > 1)
 		// Update step.
-		copy(r.prev[:k*d], r.cents[:k*d])
-		r.recompute(pts, n, d, k, assign)
-		r.repairEmpty(pts, n, d, k, assign, rng)
-		// Convergence check.
-		moved := 0.0
-		for j := 0; j < k; j++ {
-			moved = math.Max(moved, sqDist(r.cents[j*d:(j+1)*d], r.prev[j*d:(j+1)*d]))
+		copy(r.prev, r.cents)
+		repaired := r.recompute(pts, n, d, k, assign)
+		if repaired {
+			r.repairEmpty(pts, n, d, k, assign, rng)
 		}
+		// Convergence check.
+		moved := r.movements(k, d)
 		if moved <= cfg.Tolerance {
+			// moved == 0 alone does not make the centroids equal (a squared
+			// difference can underflow), and a repair rewrites assign after
+			// the assignment step.
+			settled = moved == 0 && !repaired && slices.Equal(r.cents, r.prev)
 			break
 		}
 	}
 	// Final assignment against the converged centroids. The inertia sum runs
 	// over points in ascending order, exactly like the historical fused loop.
-	assignBlocked(pts, n, d, r.cents, k, assign)
+	if !settled {
+		r.assignStep(pts, n, d, k, assign, iters > 0)
+	}
 	inertia := 0.0
 	for i := 0; i < n; i++ {
-		inertia += sqDist(pts[i*d:(i+1)*d], r.cents[assign[i]*d:(assign[i]+1)*d])
+		inertia += sqDistFlat(pts[i*d:(i+1)*d], r.cents[assign[i]*d:(assign[i]+1)*d])
 	}
-	r.inertia, r.iters = inertia, iter
+	r.inertia, r.iters = inertia, iters
 	return nil
 }
 
@@ -97,37 +127,154 @@ func (r *Runner) Centroid(j int) []float64 {
 // Inertia returns the last run's sum of squared point-to-centroid distances.
 func (r *Runner) Inertia() float64 { return r.inertia }
 
-// Iterations returns the last run's Lloyd iteration count.
+// Iterations returns the number of Lloyd iterations the last run executed.
 func (r *Runner) Iterations() int { return r.iters }
 
 func (r *Runner) sizeScratch(n, d, k int) {
 	if cap(r.cents) < k*d {
 		r.cents = make([]float64, k*d)
+	}
+	if cap(r.prev) < k*d { // sized apart: a trivial K ≥ n run grows cents alone
 		r.prev = make([]float64, k*d)
 	}
 	r.cents = r.cents[:k*d]
 	r.prev = r.prev[:k*d]
 	if cap(r.d2) < n {
 		r.d2 = make([]float64, n)
+		r.lower = make([]float64, n)
 	}
 	r.d2 = r.d2[:n]
+	r.lower = r.lower[:n]
 	if cap(r.counts) < k {
 		r.counts = make([]int, k)
+		r.shift = make([]float64, k)
+		r.others = make([]float64, k)
+		r.half = make([]float64, k)
 	}
 	r.counts = r.counts[:k]
+	r.shift = r.shift[:k]
+	r.others = r.others[:k]
+	r.half = r.half[:k]
+}
+
+// boundTiny covers what a relative slack cannot: squared differences that
+// underflow put an absolute error of up to d·2⁻¹⁰⁷⁴ on a computed sqDist,
+// and the square root of that is far below 2⁻⁵⁰⁰.
+const boundTiny = 0x1p-500
+
+// upperDist returns an upper bound on the true Euclidean distance between
+// two float64 vectors whose computed squared distance is sq. +Inf and NaN
+// pass through; neither ever satisfies the skip test of assignStep.
+func (r *Runner) upperDist(sq float64) float64 {
+	return math.Sqrt(sq)*r.up + boundTiny
+}
+
+// lowerDist is the matching lower bound. A sq that overflowed says nothing
+// about the true distance, so it yields the trivial bound.
+func (r *Runner) lowerDist(sq float64) float64 {
+	if sq > math.MaxFloat64 {
+		return 0
+	}
+	return math.Sqrt(sq)*r.down - boundTiny
+}
+
+// assignStep is the assignment step: assign[i] becomes the strict-<,
+// ascending-index nearest centroid of point i, exactly as a scan of all K
+// computed distances would choose it.
+//
+// With bounded false it is that scan for every point, and it initialises the
+// bounds u = r.d2[i] ≥ dist(pᵢ, c_assign[i]) and l = r.lower[i] ≤ dist(pᵢ, cⱼ)
+// for every j ≠ assign[i], as true distances between the stored vectors.
+// With bounded true it first carries the bounds over the last update step —
+// u grows by the movement of its centroid, l shrinks by the largest movement
+// among the others, both rounded outward — and then skips point i when
+//
+//	u·up + boundTiny < max(l, half the distance from c_assign[i] to its nearest other centroid)
+//
+// By the triangle inequality the right-hand side is a lower bound on the
+// distance to every other centroid, and the slack on the left is wider than
+// the rounding error of two computed squared distances, so for a skipped
+// point the computed distance to its own centroid is strictly below every
+// other computed distance: the scan would return assign[i] again. Every
+// other point is scanned, which also makes both of its bounds tight again.
+// NaN bounds fail every test.
+func (r *Runner) assignStep(pts []float64, n, d, k int, assign []int, bounded bool) {
+	u, l, cents := r.d2, r.lower, r.cents
+	up, down := r.up, r.down
+	shift, half, others := r.shift, r.half, r.others
+	if bounded {
+		for a := range half {
+			half[a] = math.Inf(1)
+		}
+		for a := 0; a < k; a++ {
+			for j := a + 1; j < k; j++ {
+				h := r.lowerDist(sqDistFlat(cents[a*d:(a+1)*d], cents[j*d:(j+1)*d])) / 2
+				half[a], half[j] = min(half[a], h), min(half[j], h)
+			}
+		}
+	}
+	scans := 0
+	for i := 0; i < n; i++ {
+		if bounded {
+			a := assign[i]
+			ui := (u[i] + shift[a]) * up
+			li := (l[i] - others[a]) * down
+			u[i], l[i] = ui, li
+			if x := ui*up + boundTiny; x < li || x < half[a] {
+				continue
+			}
+		}
+		best, bestD, otherD := nearestTwo(pts[i*d:(i+1)*d], cents, k)
+		scans++
+		assign[i] = best
+		u[i] = r.upperDist(bestD)
+		l[i] = r.lowerDist(otherD)
+	}
+	r.scans += scans
+}
+
+// movements is the convergence check: it returns the largest computed
+// squared movement of a centroid in the last update step. For the next
+// assignStep it also records an upper bound on every centroid's movement
+// and, per centroid, the largest of the bounds of the others.
+func (r *Runner) movements(k, d int) float64 {
+	moved := 0.0
+	big, second, bigAt := 0.0, 0.0, -1
+	for j := 0; j < k; j++ {
+		mj := sqDistFlat(r.cents[j*d:(j+1)*d], r.prev[j*d:(j+1)*d])
+		moved = math.Max(moved, mj)
+		s := r.upperDist(mj)
+		r.shift[j] = s
+		switch {
+		case s > big:
+			big, second, bigAt = s, big, j
+		case s > second:
+			second = s
+		case math.IsNaN(s):
+			big, second = s, s // a NaN movement voids every lower bound
+		}
+	}
+	for j := range r.others {
+		r.others[j] = big
+	}
+	if bigAt >= 0 {
+		r.others[bigAt] = second
+	}
+	return moved
 }
 
 // seedPlusPlus is the flat-layout k-means++ seeding; draw-for-draw identical
 // to the reference implementation.
 func (r *Runner) seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand) {
+	d2 := r.d2[:n]
 	first := rng.IntN(n)
 	copy(r.cents[0:d], pts[first*d:(first+1)*d])
-	for i := 0; i < n; i++ {
-		r.d2[i] = sqDist(pts[i*d:(i+1)*d], r.cents[0:d])
+	for i := range d2 {
+		d2[i] = sqDistFlat(pts[i*d:(i+1)*d], r.cents[0:d])
 	}
 	for have := 1; have < k; have++ {
 		total := 0.0
-		for _, v := range r.d2 {
+		for _, v := range d2 {
 			total += v
 		}
 		var idx int
@@ -138,7 +285,7 @@ func (r *Runner) seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand) {
 			rr := rng.Float64() * total
 			acc := 0.0
 			idx = n - 1
-			for i, v := range r.d2 {
+			for i, v := range d2 {
 				acc += v
 				if acc >= rr {
 					idx = i
@@ -148,15 +295,19 @@ func (r *Runner) seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand) {
 		}
 		c := r.cents[have*d : (have+1)*d]
 		copy(c, pts[idx*d:(idx+1)*d])
-		for i := 0; i < n; i++ {
-			if dd := sqDist(pts[i*d:(i+1)*d], c); dd < r.d2[i] {
-				r.d2[i] = dd
+		for i := range d2 {
+			if dd := sqDistFlat(pts[i*d:(i+1)*d], c); dd < d2[i] {
+				d2[i] = dd
 			}
 		}
 	}
 }
 
-func (r *Runner) recompute(pts []float64, n, d, k int, assign []int) {
+// recompute is the update step: each centroid becomes the mean of its
+// members, summed in ascending point order. It leaves the member counts in
+// r.counts and reports whether a cluster came out empty (its centroid is
+// then left for repairEmpty).
+func (r *Runner) recompute(pts []float64, n, d, k int, assign []int) (empty bool) {
 	cents := r.cents[:k*d]
 	for i := range cents {
 		cents[i] = 0
@@ -176,7 +327,8 @@ func (r *Runner) recompute(pts []float64, n, d, k int, assign []int) {
 	}
 	for j := 0; j < k; j++ {
 		if counts[j] == 0 {
-			continue // repaired by repairEmpty
+			empty = true
+			continue
 		}
 		inv := 1 / float64(counts[j])
 		cj := cents[j*d : (j+1)*d]
@@ -184,18 +336,16 @@ func (r *Runner) recompute(pts []float64, n, d, k int, assign []int) {
 			cj[t] *= inv
 		}
 	}
+	return empty
 }
 
 // repairEmpty relocates centroids of empty clusters to the point currently
-// farthest from its assigned centroid (see the reference implementation).
+// farthest from its assigned centroid (see the reference implementation),
+// starting from the member counts recompute left in r.counts. A moved point
+// changes cluster outside the assignment step, so its bounds are reset to
+// the trivial ones.
 func (r *Runner) repairEmpty(pts []float64, n, d, k int, assign []int, rng *rand.Rand) {
 	counts := r.counts[:k]
-	for j := range counts {
-		counts[j] = 0
-	}
-	for _, a := range assign[:n] {
-		counts[a]++
-	}
 	for j := 0; j < k; j++ {
 		if counts[j] > 0 {
 			continue
@@ -206,7 +356,7 @@ func (r *Runner) repairEmpty(pts []float64, n, d, k int, assign []int, rng *rand
 				continue // do not empty another cluster
 			}
 			a := assign[i]
-			if dd := sqDist(pts[i*d:(i+1)*d], r.cents[a*d:(a+1)*d]); dd > farDist {
+			if dd := sqDistFlat(pts[i*d:(i+1)*d], r.cents[a*d:(a+1)*d]); dd > farDist {
 				far, farDist = i, dd
 			}
 		}
@@ -217,6 +367,7 @@ func (r *Runner) repairEmpty(pts []float64, n, d, k int, assign []int, rng *rand
 		assign[far] = j
 		counts[j] = 1
 		copy(r.cents[j*d:(j+1)*d], pts[far*d:(far+1)*d])
+		r.d2[far], r.lower[far] = math.Inf(1), 0
 	}
 }
 

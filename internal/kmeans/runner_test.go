@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -45,6 +46,13 @@ func genPoints(rng *rand.Rand, n, d, mode int) [][]float64 {
 	return pts
 }
 
+// sameFloat is bitwise equality, except that any NaN equals any NaN: which
+// payload an addition of two NaNs keeps depends on the operand order the
+// compiler picked, not on the program.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
 func sameResult(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
 	if len(got.Assignments) != len(want.Assignments) {
@@ -61,12 +69,12 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 	for j := range want.Centroids {
 		for tt := range want.Centroids[j] {
 			g, w := got.Centroids[j][tt], want.Centroids[j][tt]
-			if math.Float64bits(g) != math.Float64bits(w) {
+			if !sameFloat(g, w) {
 				t.Fatalf("%s: centroid[%d][%d] = %v, want %v (bitwise)", tag, j, tt, g, w)
 			}
 		}
 	}
-	if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+	if !sameFloat(got.Inertia, want.Inertia) {
 		t.Fatalf("%s: inertia %v, want %v (bitwise)", tag, got.Inertia, want.Inertia)
 	}
 	if got.Iterations != want.Iterations {
@@ -74,48 +82,234 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 	}
 }
 
-// TestRunnerMatchesReferenceExactly is the differential pin for the SoA
-// rewrite: across randomized and degenerate workloads, Run (flat Runner
-// underneath) must reproduce the preserved slice-of-rows implementation
-// bit for bit — including the RNG draw sequence, checked by comparing
-// post-run draws from the two generators.
-func TestRunnerMatchesReferenceExactly(t *testing.T) {
-	shapes := rand.New(rand.NewPCG(8, 80))
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + shapes.IntN(40)
-		if trial%8 == 0 {
-			// Cross the blocked assignment loop's 64-point boundary: partial
-			// final blocks, exact multiples, and multi-block runs.
-			n = assignBlock - 1 + shapes.IntN(3*assignBlock)
+// diffAgainstReference runs refRun and Run on the same points from the same
+// RNG state and requires bit-identical results and — by comparing post-run
+// draws — the same number of RNG values consumed in the same order.
+func diffAgainstReference(t *testing.T, tag string, pts [][]float64, cfg Config, seed uint64) {
+	t.Helper()
+	rngRef := rand.New(rand.NewPCG(seed, 2))
+	rngNew := rand.New(rand.NewPCG(seed, 2))
+	want, errRef := refRun(pts, cfg, rngRef)
+	got, errNew := Run(pts, cfg, rngNew)
+	if (errRef == nil) != (errNew == nil) {
+		t.Fatalf("%s: err mismatch ref=%v new=%v", tag, errRef, errNew)
+	}
+	if errRef != nil {
+		return
+	}
+	sameResult(t, tag, got, want)
+	for draw := 0; draw < 3; draw++ {
+		if a, b := rngRef.Uint64(), rngNew.Uint64(); a != b {
+			t.Fatalf("%s: RNG stream diverged at post-run draw %d", tag, draw)
 		}
-		d := 1 + shapes.IntN(4)
-		k := 1 + shapes.IntN(10)
-		mode := shapes.IntN(4)
-		if mode == 3 {
-			d = 1
-		}
-		cfg := Config{K: k, MaxIterations: shapes.IntN(8), Tolerance: float64(shapes.IntN(2)) * 1e-9}
-		seed := shapes.Uint64()
-		pts := genPoints(rand.New(rand.NewPCG(seed, 1)), n, d, mode)
+	}
+}
 
-		rngRef := rand.New(rand.NewPCG(seed, 2))
-		rngNew := rand.New(rand.NewPCG(seed, 2))
-		want, errRef := refRun(pts, cfg, rngRef)
-		got, errNew := Run(pts, cfg, rngNew)
-		if (errRef == nil) != (errNew == nil) {
-			t.Fatalf("trial %d: err mismatch ref=%v new=%v", trial, errRef, errNew)
+// TestRunnerMatchesReferenceExactly is the differential pin for the flat,
+// bound-pruned Runner: across randomized, degenerate and adversarial
+// workloads, Run (Runner underneath) must reproduce the preserved
+// slice-of-rows Lloyd bit for bit, including the RNG draw sequence.
+func TestRunnerMatchesReferenceExactly(t *testing.T) {
+	t.Run("random", func(t *testing.T) {
+		shapes := rand.New(rand.NewPCG(8, 80))
+		for trial := 0; trial < 400; trial++ {
+			n := 1 + shapes.IntN(40)
+			if trial%8 == 0 {
+				// Cross the blocked assignment loop's 64-point boundary: partial
+				// final blocks, exact multiples, and multi-block runs.
+				n = assignBlock - 1 + shapes.IntN(3*assignBlock)
+			}
+			d := 1 + shapes.IntN(4)
+			k := 1 + shapes.IntN(10)
+			mode := shapes.IntN(4)
+			if mode == 3 {
+				d = 1
+			}
+			cfg := Config{K: k, MaxIterations: shapes.IntN(8), Tolerance: float64(shapes.IntN(2)) * 1e-9}
+			seed := shapes.Uint64()
+			pts := genPoints(rand.New(rand.NewPCG(seed, 1)), n, d, mode)
+			diffAgainstReference(t, fmt.Sprintf("trial %d", trial), pts, cfg, seed)
 		}
-		if errRef != nil {
-			continue
-		}
-		sameResult(t, "trial", got, want)
-		// Identical post-run draws prove both paths consumed the same
-		// number of RNG values in the same order.
-		for draw := 0; draw < 3; draw++ {
-			if a, b := rngRef.Uint64(), rngNew.Uint64(); a != b {
-				t.Fatalf("trial %d: RNG stream diverged at post-run draw %d", trial, draw)
+	})
+	// The shapes a wrong skip would show on: exact distance ties, duplicates,
+	// coincident seeds, empty-cluster repairs, K = n−1, every kernel width,
+	// early stops by iteration cap and by tolerance, and coordinates whose
+	// squared differences overflow, underflow or are not numbers.
+	for _, kind := range adversarialKinds {
+		t.Run(kind, func(t *testing.T) {
+			shapes := rand.New(rand.NewPCG(13, 130))
+			for _, d := range []int{1, 2, 3, 4, 5, 8} {
+				for _, maxIter := range []int{1, 2, 50} {
+					for _, tol := range []float64{0, 1e-3} {
+						n := 24 + shapes.IntN(200)
+						for _, k := range []int{2, 3, 7, n - 1} {
+							seed := shapes.Uint64()
+							pts := adversarialPoints(rand.New(rand.NewPCG(seed, 1)), n, d, kind)
+							cfg := Config{K: k, MaxIterations: maxIter, Tolerance: tol}
+							tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d tol=%g", n, d, k, maxIter, tol)
+							diffAgainstReference(t, tag, pts, cfg, seed)
+						}
+					}
+				}
+			}
+		})
+	}
+	// A tie that only shows after the bounds were carried over an update
+	// step. From the seeds (0, 8) point 5 joins centroid 1; the update moves
+	// the centroids to 1 and 9, both exactly as far from 5 as the carried
+	// bounds say (in one dimension the triangle inequality is tight), and the
+	// lower index must win it back. Under a random affine map the same tie is
+	// only as exact as rounding leaves it, which is what the slack is for.
+	// Roughly one seed in twenty draws those two seeds in that order.
+	t.Run("carried-tie", func(t *testing.T) {
+		shapes := rand.New(rand.NewPCG(14, 140))
+		for trial := 0; trial < 400; trial++ {
+			scale, offset := 1.0, 0.0
+			if trial > 0 {
+				scale, offset = 0.1+shapes.Float64(), 4*shapes.Float64()
+			}
+			d := 1 + trial%5
+			pts := make([][]float64, 0, 5)
+			for _, x := range []float64{0, 2, 8, 5, 14} {
+				p := make([]float64, d)
+				for c := range p {
+					p[c] = offset
+				}
+				p[0] += x * scale
+				pts = append(pts, p)
+			}
+			for seed := uint64(0); seed < 32; seed++ {
+				tag := fmt.Sprintf("trial %d d=%d seed=%d", trial, d, seed)
+				diffAgainstReference(t, tag, pts, Config{K: 2}, seed)
 			}
 		}
+	})
+	// Small integer lattices scaled by 2⁻⁵³²: squared distances are subnormal
+	// and keep only a few significant bits, so a relative slack alone would
+	// not cover their error.
+	t.Run("underflow-lattice", func(t *testing.T) {
+		shapes := rand.New(rand.NewPCG(15, 150))
+		for trial := 0; trial < 8000; trial++ {
+			n, d, k := 4+shapes.IntN(12), 1+shapes.IntN(2), 2+shapes.IntN(3)
+			seed := shapes.Uint64()
+			rng := rand.New(rand.NewPCG(seed, 1))
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = make([]float64, d)
+				for c := range pts[i] {
+					pts[i][c] = float64(rng.IntN(16)) * 0x1p-532
+				}
+			}
+			diffAgainstReference(t, fmt.Sprintf("trial %d", trial), pts, Config{K: k}, seed)
+		}
+	})
+}
+
+var adversarialKinds = []string{"grid", "duplicates", "identical", "two-values", "blobs", "extreme", "non-finite"}
+
+// adversarialPoints builds the fixtures of the adversarial differential:
+//
+//   - grid: coordinates on {0, ¼, …, 1¾}, so exact distance ties between
+//     centroids are common;
+//   - duplicates: a handful of distinct points repeated, so clusters empty
+//     and get repaired;
+//   - identical: one point repeated (seeding takes the total ≤ 0 branch and
+//     every cluster but one is empty);
+//   - two-values: two distinct points, so seeds coincide for K > 2;
+//   - blobs: overlapping Gaussian blobs that take Lloyd many iterations, so
+//     most assignment steps run on carried bounds;
+//   - extreme: blobs scaled to 1e155 and 1e-165 per coordinate pair, so
+//     squared differences overflow to +Inf or underflow to 0;
+//   - non-finite: blobs with NaN and ±Inf coordinates sprinkled in.
+func adversarialPoints(rng *rand.Rand, n, d int, kind string) [][]float64 {
+	pts := make([][]float64, n)
+	blob := func() []float64 {
+		p := make([]float64, d)
+		c := float64(rng.IntN(4))
+		for t := range p {
+			p[t] = c + rng.NormFloat64()*0.8
+		}
+		return p
+	}
+	var bases [][]float64
+	switch kind {
+	case "duplicates":
+		bases = make([][]float64, 2+rng.IntN(4))
+	case "identical":
+		bases = make([][]float64, 1)
+	case "two-values":
+		bases = make([][]float64, 2)
+	}
+	for b := range bases {
+		bases[b] = blob()
+	}
+	for i := range pts {
+		switch kind {
+		case "grid":
+			p := make([]float64, d)
+			for t := range p {
+				p[t] = float64(rng.IntN(8)) / 4
+			}
+			pts[i] = p
+		case "duplicates", "identical", "two-values":
+			pts[i] = cloneVec(bases[rng.IntN(len(bases))])
+		case "extreme":
+			p := blob()
+			scale := 1e155
+			if i%2 == 0 {
+				scale = 1e-165
+			}
+			for t := range p {
+				p[t] *= scale
+			}
+			pts[i] = p
+		case "non-finite":
+			p := blob()
+			if i%7 == 0 {
+				p[rng.IntN(d)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.IntN(3)]
+			}
+			pts[i] = p
+		default:
+			pts[i] = blob()
+		}
+	}
+	return pts
+}
+
+// TestIterationsCountsExecutedIterations pins the iteration counter at the
+// cap: a run stopped by MaxIterations used to report MaxIterations+1.
+func TestIterationsCountsExecutedIterations(t *testing.T) {
+	const n, d = 10000, 4
+	frame := traceFrames(t, n, d, 1)[0]
+	r := NewRunner()
+	assign := make([]int, n)
+	if err := r.RunFlat(frame, n, d, Config{K: 3, MaxIterations: 2}, testRNG(5), assign); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Iterations(); got != 2 {
+		t.Fatalf("Iterations() = %d after a run capped at 2", got)
+	}
+}
+
+// TestRunFlatPrunesScans keeps the pruning honest: results stay bit-identical
+// with it switched off, so only a count can show that it is still on. On
+// clustered fleet frames Lloyd without bounds scans every point once per
+// iteration; the Runner must need at most a third of that.
+func TestRunFlatPrunesScans(t *testing.T) {
+	const n, d = 10000, 4
+	r := NewRunner()
+	rng := testRNG(6)
+	assign := make([]int, n)
+	scans, lloyd := 0, 0
+	for _, frame := range traceFrames(t, n, d, 4) {
+		if err := r.RunFlat(frame, n, d, Config{K: 3}, rng, assign); err != nil {
+			t.Fatal(err)
+		}
+		scans += r.scans
+		lloyd += n * r.Iterations()
+	}
+	if scans < n || 3*scans > lloyd {
+		t.Fatalf("%d full scans for %d point-iterations: pruning is off or broken", scans, lloyd)
 	}
 }
 
@@ -158,6 +352,20 @@ func TestRunnerScratchReuse(t *testing.T) {
 	}
 }
 
+// TestRunnerTrivialThenFullRun pins the scratch sizing across the K ≥ n
+// shortcut: it grows the centroid buffer alone, and the next full run (a
+// fleet of K nodes gaining one more) used to slice the still-empty
+// previous-centroid buffer and panic.
+func TestRunnerTrivialThenFullRun(t *testing.T) {
+	r := NewRunner()
+	pts := []float64{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, n := range []int{3, 8} {
+		if err := r.RunFlat(pts[:n], n, 1, Config{K: 3}, testRNG(1), make([]int, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRunFlatRejectsBadInput(t *testing.T) {
 	r := NewRunner()
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -177,6 +385,40 @@ func TestRunFlatRejectsBadInput(t *testing.T) {
 		err := r.RunFlat(tc.pts, tc.n, tc.d, Config{K: tc.k}, rng, make([]int, tc.assignLen))
 		if err == nil {
 			t.Fatalf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestKernelsMatchSqDist pins the unrolled kernels to the generic loop: the
+// same bits from sqDistFlat as from sqDist, and from nearestTwo the winner
+// and distance of nearestFlat plus the smallest of the remaining distances,
+// at every specialised width and past it, ties included (mode-2 duplicates).
+func TestKernelsMatchSqDist(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 160))
+	for d := 1; d <= 8; d++ {
+		for trial := 0; trial < 200; trial++ {
+			k := 1 + rng.IntN(6)
+			rows := genPoints(rng, k+1, d, trial%3)
+			p, cents := rows[0], rows[1:]
+			var flat []float64
+			for _, c := range cents {
+				flat = append(flat, c...)
+			}
+			wantBest, wantOther := nearestFlat(p, flat, k), math.Inf(1)
+			for j, c := range cents {
+				want := sqDist(p, c)
+				if got := sqDistFlat(p, c); !sameFloat(got, want) {
+					t.Fatalf("d=%d: sqDistFlat = %v, sqDist = %v", d, got, want)
+				}
+				if j != wantBest && want < wantOther {
+					wantOther = want
+				}
+			}
+			best, bestD, otherD := nearestTwo(p, flat, k)
+			if best != wantBest || !sameFloat(bestD, sqDist(p, cents[wantBest])) || !sameFloat(otherD, wantOther) {
+				t.Fatalf("d=%d k=%d: nearestTwo = (%d, %v, %v), want (%d, %v, %v)",
+					d, k, best, bestD, otherD, wantBest, sqDist(p, cents[wantBest]), wantOther)
+			}
 		}
 	}
 }

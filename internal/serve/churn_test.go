@@ -243,6 +243,8 @@ func TestStoreStepperZeroReplayRecovery(t *testing.T) {
 	}
 
 	rec := newChurnEnv(t, dir) // cfg.Nodes is still 4; the roster says 5
+	// Stop the background checkpointer before TempDir removes dir under it.
+	defer rec.mgr.Close()
 	sys := rec.stepper.System()
 	if sys.Steps() != churnJoinTick+2 || sys.LiveNodes() != 5 {
 		t.Fatalf("recovered to step %d with %d members, want %d/5", sys.Steps(), sys.LiveNodes(), churnJoinTick+2)
