@@ -65,6 +65,7 @@ bench:
 	$(GO) test -run xxx -bench ServeForecast -benchmem ./internal/serve
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
 	$(GO) test -run xxx -bench RunFlat -benchmem ./internal/kmeans
+	$(GO) test -run xxx -bench '^Benchmark(AutoARIMAFit|CSSResiduals)$$' -benchmem ./internal/forecast
 
 # Perf trajectory: run the six tracked benchmark families and write the
 # committed machine-readable baseline. Bump BENCH_OUT when cutting a new
@@ -92,8 +93,8 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
 # Fuzz smoke: a short coverage-guided run of each native fuzz target (wire
-# decoders, recovery readers, the K-means reference differential) from its
-# committed seed corpus. go test allows
+# decoders, recovery readers, the K-means and ARIMA-fit reference
+# differentials) from its committed seed corpus. go test allows
 # one -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -103,3 +104,4 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)

@@ -55,19 +55,29 @@ func DefaultGrid() Grid {
 	return Grid{MaxP: 3, MaxD: 1, MaxQ: 2}
 }
 
+// effective returns the grid actually searched: without a seasonal period
+// (Season ≤ 1) the seasonal axes collapse.
+func (g Grid) effective() Grid {
+	if g.Season <= 1 {
+		g.MaxSP, g.MaxSD, g.MaxSQ = 0, 0, 0
+	}
+	return g
+}
+
 // orders enumerates every valid order in the grid.
 func (g Grid) orders() []Order {
-	var out []Order
-	maxSP, maxSD, maxSQ := g.MaxSP, g.MaxSD, g.MaxSQ
-	if g.Season <= 1 {
-		maxSP, maxSD, maxSQ = 0, 0, 0
+	g = g.effective()
+	size := (g.MaxP + 1) * (g.MaxD + 1) * (g.MaxQ + 1) * (g.MaxSP + 1) * (g.MaxSD + 1) * (g.MaxSQ + 1)
+	if size <= 0 {
+		return nil
 	}
+	out := make([]Order, 0, size)
 	for p := 0; p <= g.MaxP; p++ {
 		for d := 0; d <= g.MaxD; d++ {
 			for q := 0; q <= g.MaxQ; q++ {
-				for sp := 0; sp <= maxSP; sp++ {
-					for sd := 0; sd <= maxSD; sd++ {
-						for sq := 0; sq <= maxSQ; sq++ {
+				for sp := 0; sp <= g.MaxSP; sp++ {
+					for sd := 0; sd <= g.MaxSD; sd++ {
+						for sq := 0; sq <= g.MaxSQ; sq++ {
 							o := Order{P: p, D: d, Q: q, SP: sp, SD: sd, SQ: sq, Season: g.Season}
 							if o.valid() {
 								out = append(out, o)
@@ -88,6 +98,12 @@ func (g Grid) orders() []Order {
 // (Σ|coef| < 1 per polynomial) keeps forecasts bounded, trading a slightly
 // reduced parameter space for robustness — the AICc grid search then selects
 // among the guarded fits, mirroring the paper's statsmodels setup.
+//
+// Fit is a pure function of the series it is given: persisted ensembles carry
+// no coefficients and rebuild their models by refitting (see EnsembleState),
+// so the same series must always produce the same bits. A fitted model keeps
+// only what Update and Forecast read — lag-sized tails of the differencing
+// levels, of the differenced series and of the residuals.
 type ARIMA struct {
 	order Order
 
@@ -97,16 +113,28 @@ type ARIMA struct {
 	sphi     []float64 // seasonal AR
 	stheta   []float64 // seasonal MA
 
-	// Expanded polynomial coefficient arrays (see expandPolynomials).
+	// Expanded polynomial coefficient arrays (see fitWorkspace.expand).
 	arLag []float64
 	maLag []float64
 
-	origin []float64 // full (or windowed) original series
-	w      []float64 // differenced series
-	resid  []float64 // CSS residuals aligned with w
+	// Most recent values, oldest first: levels[i].tail holds the last lag
+	// values of the series after i differences (level 0 is the original
+	// series), wTail the last len(arLag) values of the fully differenced
+	// series and eTail the last len(maLag) CSS residuals.
+	levels []diffLevel
+	wTail  []float64
+	eTail  []float64
+
 	rss    float64
 	aicc   float64
 	fitted bool
+}
+
+// diffLevel is the state needed to extend or undo one differencing step
+// x_t − x_{t−lag}.
+type diffLevel struct {
+	lag  int
+	tail []float64
 }
 
 var _ Model = (*ARIMA)(nil)
@@ -122,7 +150,8 @@ func NewARIMA(order Order) (*ARIMA, error) {
 // OrderUsed returns the model's order.
 func (m *ARIMA) OrderUsed() Order { return m.order }
 
-// AICc returns the corrected Akaike criterion of the last fit, or +Inf.
+// AICc returns the corrected Akaike criterion of the last fit (−Inf for a
+// fit with zero residuals), or +Inf before the first fit.
 func (m *ARIMA) AICc() float64 {
 	if !m.fitted {
 		return math.Inf(1)
@@ -130,102 +159,64 @@ func (m *ARIMA) AICc() float64 {
 	return m.aicc
 }
 
-// minObservations is the shortest series an order can be fitted on.
-func (m *ARIMA) minObservations() int {
-	o := m.order
-	need := o.D + o.SD*o.Season + // differencing
+// minObservations is the shortest series the order can be fitted on. It
+// leaves the differenced series longer than every recursion lag.
+func (o Order) minObservations() int {
+	return o.D + o.SD*o.Season + // differencing
 		max(o.P+o.SP*o.Season, o.Q+o.SQ*o.Season) + // recursion warmup
 		o.numParams() + 4
-	return need
 }
 
 // Fit implements Model: difference, optimize CSS over the parameter vector,
-// then store residual state for forecasting.
+// then store the state forecasting needs. A failed fit leaves the model as
+// it was.
 func (m *ARIMA) Fit(series []float64) error {
-	if len(series) < m.minObservations() {
-		return fmt.Errorf("forecast: %v needs ≥ %d observations, got %d: %w",
-			m.order, m.minObservations(), len(series), ErrBadInput)
-	}
-	m.origin = append([]float64(nil), series...)
-	w := difference(series, m.order)
-	if len(w) < m.order.numParams()+2 {
-		return fmt.Errorf("forecast: differenced series too short (%d): %w", len(w), ErrBadInput)
-	}
-	m.w = w
-
-	nParams := m.order.numParams()
-	objective := func(x []float64) float64 {
-		params := unpackParams(x, m.order)
-		if !params.stable() {
-			return math.Inf(1)
-		}
-		arLag, maLag := params.expandPolynomials(m.order)
-		rss, _ := cssResiduals(w, params.constant, arLag, maLag, nil)
-		return rss
-	}
-
-	// Start from zeros with the constant at the differenced-series mean;
-	// Nelder–Mead handles the rest.
-	x0 := make([]float64, nParams)
-	x0[0] = stat.Mean(w)
-	res, err := optimize.NelderMead(objective, x0, optimize.Options{
-		MaxEvaluations: 400 * nParams,
-		Tolerance:      1e-10,
-		InitialStep:    0.2,
-	})
+	o := m.order
+	ws := newFitWorkspace(series, Grid{MaxP: o.P, MaxD: o.D, MaxQ: o.Q,
+		MaxSP: o.SP, MaxSD: o.SD, MaxSQ: o.SQ, Season: o.Season})
+	x, _, err := ws.fit(o)
 	if err != nil {
-		return fmt.Errorf("forecast: CSS optimization: %w", err)
+		return err
 	}
-	if math.IsInf(res.F, 1) {
-		return fmt.Errorf("forecast: CSS optimization found no feasible fit for %v: %w", m.order, ErrBadInput)
-	}
-	params := unpackParams(res.X, m.order)
-	m.constant = params.constant
-	m.phi, m.theta = params.phi, params.theta
-	m.sphi, m.stheta = params.sphi, params.stheta
-	m.arLag, m.maLag = params.expandPolynomials(m.order)
-
-	m.resid = make([]float64, len(w))
-	m.rss, _ = cssResiduals(w, m.constant, m.arLag, m.maLag, m.resid)
-	effN := len(w)
-	m.aicc = stat.AICc(effN, nParams+1, m.rss) // +1 for innovation variance
-	m.fitted = true
+	ws.finish(m, o, x)
 	return nil
 }
 
-// Update implements Model: append the observation and extend the differenced
-// series and residuals incrementally.
+// push appends v to a most-recent-last tail, dropping its oldest value.
+func push(tail []float64, v float64) {
+	if n := len(tail); n > 0 {
+		copy(tail, tail[1:])
+		tail[n-1] = v
+	}
+}
+
+// Update implements Model: difference the observation through the level
+// tails and extend the residual recursion by one step, in time independent
+// of how many observations the model has seen.
 func (m *ARIMA) Update(y float64) {
 	if !m.fitted {
 		return
 	}
-	m.origin = append(m.origin, y)
-	w := difference(m.origin, m.order)
-	if len(w) == 0 {
-		return
+	v := y
+	for _, lv := range m.levels {
+		next := v - lv.tail[0]
+		push(lv.tail, v)
+		v = next
 	}
-	// Extend m.w / residuals for any newly available differenced values.
-	for len(m.w) < len(w) {
-		t := len(m.w)
-		m.w = append(m.w, w[t])
-		e := m.w[t] - m.constant
-		for i, c := range m.arLag {
-			if idx := t - i - 1; idx >= 0 {
-				e -= c * m.w[idx]
-			}
-		}
-		for j, c := range m.maLag {
-			if idx := t - j - 1; idx >= 0 {
-				e -= c * m.resid[idx]
-			}
-		}
-		m.resid = append(m.resid, e)
+	e := v - m.constant
+	for i, c := range m.arLag {
+		e -= c * m.wTail[len(m.wTail)-1-i]
 	}
+	for j, c := range m.maLag {
+		e -= c * m.eTail[len(m.eTail)-1-j]
+	}
+	push(m.wTail, v)
+	push(m.eTail, e)
 }
 
 // Forecast implements Model: iterate the ARMA recursion on the differenced
 // scale with future innovations set to zero, then integrate the differencing
-// back to the original scale.
+// back to the original scale. The only allocation is the result.
 func (m *ARIMA) Forecast(h int) ([]float64, error) {
 	if !m.fitted {
 		return nil, ErrNotFitted
@@ -233,123 +224,308 @@ func (m *ARIMA) Forecast(h int) ([]float64, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("forecast: horizon %d < 1: %w", h, ErrBadInput)
 	}
-	wHist := append([]float64(nil), m.w...)
-	eHist := append([]float64(nil), m.resid...)
-	wf := make([]float64, h)
-	for s := 0; s < h; s++ {
-		t := len(wHist)
+	out := make([]float64, h)
+	for s := range out {
 		v := m.constant
 		for i, c := range m.arLag {
-			if idx := t - i - 1; idx >= 0 {
-				v += c * wHist[idx]
+			if k := s - 1 - i; k >= 0 {
+				v += c * out[k]
+			} else {
+				v += c * m.wTail[len(m.wTail)+k]
 			}
 		}
 		for j, c := range m.maLag {
-			if idx := t - j - 1; idx >= 0 {
-				v += c * eHist[idx]
+			var e float64 // future innovations are zero
+			if k := s - 1 - j; k < 0 {
+				e = m.eTail[len(m.eTail)+k]
 			}
+			v += c * e
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			v = m.constant
 		}
-		wf[s] = v
-		wHist = append(wHist, v)
-		eHist = append(eHist, 0)
+		out[s] = v
 	}
-	return integrate(m.origin, wf, m.order), nil
+	integrate(m.levels, out)
+	return out, nil
+}
+
+// integrate inverts the differencing in place: vals enters as forecasts on
+// the fully differenced scale and leaves on the original scale. Each level
+// is undone from the deepest up; the value lag steps back is read from the
+// level's tail until the forecasts themselves reach that far.
+func integrate(levels []diffLevel, vals []float64) {
+	for li := len(levels) - 1; li >= 0; li-- {
+		lv := levels[li]
+		for s, dv := range vals {
+			var base float64
+			if s < lv.lag {
+				base = lv.tail[s]
+			} else {
+				base = vals[s-lv.lag]
+			}
+			vals[s] = base + dv
+		}
+	}
 }
 
 // Name implements Model.
 func (m *ARIMA) Name() string { return m.order.String() }
 
-// params bundles the flat optimizer vector in structured form.
-type arimaParams struct {
-	constant float64
-	phi      []float64
-	theta    []float64
-	sphi     []float64
-	stheta   []float64
-}
-
-func unpackParams(x []float64, o Order) arimaParams {
-	var p arimaParams
-	i := 0
-	p.constant = x[i]
-	i++
-	take := func(n int) []float64 {
-		out := x[i : i+n]
-		i += n
-		return out
-	}
-	p.phi = take(o.P)
-	p.theta = take(o.Q)
-	p.sphi = take(o.SP)
-	p.stheta = take(o.SQ)
-	return p
-}
-
-// stable applies the sufficient stationarity/invertibility condition
-// Σ|coef| < 1 to each polynomial independently.
-func (p arimaParams) stable() bool {
-	for _, coefs := range [][]float64{p.phi, p.theta, p.sphi, p.stheta} {
+// stableParams applies the sufficient stationarity/invertibility condition
+// Σ|coef| < 1 to each polynomial of the packed parameter vector
+// x = (constant, φ…, θ…, Φ…, Θ…) independently.
+func stableParams(x []float64, o Order) bool {
+	i := 1
+	for _, n := range [4]int{o.P, o.Q, o.SP, o.SQ} {
 		var s float64
-		for _, c := range coefs {
+		for _, c := range x[i : i+n] {
 			s += math.Abs(c)
 		}
 		if s >= 0.995 {
 			return false
 		}
+		i += n
 	}
 	return true
 }
 
-// expandPolynomials multiplies the non-seasonal and seasonal polynomials into
-// flat lag arrays: arLag[i] is the coefficient of w_{t-1-i} on the right-hand
-// side of the recursion, maLag[j] the coefficient of ε_{t-1-j}.
+// fitWorkspace is the scratch memory of one Fit or AutoARIMA call: the
+// Nelder–Mead simplex, the residual and lag-coefficient buffers the CSS
+// objective writes, and the differenced series shared by every order of the
+// grid. It is sized once for the largest order, so evaluating the objective
+// allocates nothing. It lives as long as the call and is never retained by
+// a model.
+type fitWorkspace struct {
+	series []float64
+	bounds Grid
+	nm     *optimize.Workspace
+	obj    optimize.Objective // ws.objective, bound once
+
+	// diffs memoizes the series after d regular then sd seasonal differences
+	// at index d·(MaxSD+1)+sd; entry 0 is the series itself.
+	diffs [][]float64
+
+	// The fit in progress.
+	order Order
+	w     []float64
+
+	x0    []float64
+	resid []float64
+	ar    []float64 // expanded AR lag coefficients, capacity for the largest order
+	ma    []float64
+	arWin []float64 // the same, reversed (see windowed)
+	maWin []float64
+	// Dense polynomial scratch of the seasonal expansion.
+	polyA, polyB, prod []float64
+}
+
+// newFitWorkspace sizes a workspace for every order within bounds.
+func newFitWorkspace(series []float64, bounds Grid) *fitWorkspace {
+	maxParams := bounds.MaxP + bounds.MaxQ + bounds.MaxSP + bounds.MaxSQ + 1
+	arLags := bounds.MaxP + bounds.MaxSP*bounds.Season
+	maLags := bounds.MaxQ + bounds.MaxSQ*bounds.Season
+	ws := &fitWorkspace{
+		series: series,
+		bounds: bounds,
+		nm:     optimize.NewWorkspace(maxParams),
+		diffs:  make([][]float64, (bounds.MaxD+1)*(bounds.MaxSD+1)),
+	}
+	ws.obj = ws.objective
+	ws.diffs[0] = series
+	slab := make([]float64, maxParams+len(series)+2*(arLags+maLags))
+	take := func(n int) []float64 {
+		out := slab[:n:n]
+		slab = slab[n:]
+		return out
+	}
+	ws.x0, ws.resid = take(maxParams), take(len(series))
+	ws.ar, ws.ma = take(arLags), take(maLags)
+	ws.arWin, ws.maWin = take(arLags), take(maLags)
+	if bounds.MaxSP > 0 || bounds.MaxSQ > 0 {
+		a := max(bounds.MaxP, bounds.MaxQ) + 1
+		b := max(bounds.MaxSP, bounds.MaxSQ)*bounds.Season + 1
+		poly := make([]float64, 2*(a+b)-1)
+		ws.polyA, ws.polyB, ws.prod = poly[:a:a], poly[a:a+b:a+b], poly[a+b:]
+	}
+	return ws
+}
+
+// differenced returns the series after d regular and then sd seasonal
+// differences, computing each level at most once per workspace.
+func (ws *fitWorkspace) differenced(d, sd int) []float64 {
+	idx := d*(ws.bounds.MaxSD+1) + sd
+	if ws.diffs[idx] == nil {
+		if sd > 0 {
+			ws.diffs[idx] = stat.Diff(ws.differenced(d, sd-1), ws.bounds.Season)
+		} else {
+			ws.diffs[idx] = stat.Diff(ws.differenced(d-1, 0), 1)
+		}
+	}
+	return ws.diffs[idx]
+}
+
+// fit optimizes the CSS objective for one order. The returned parameter
+// vector aliases the workspace and is valid until the next fit; rss is the
+// objective at it.
+func (ws *fitWorkspace) fit(o Order) (x []float64, rss float64, err error) {
+	if need := o.minObservations(); len(ws.series) < need {
+		return nil, 0, fmt.Errorf("forecast: %v needs ≥ %d observations, got %d: %w",
+			o, need, len(ws.series), ErrBadInput)
+	}
+	ws.order, ws.w = o, ws.differenced(o.D, o.SD)
+
+	// Start from zeros with the constant at the differenced-series mean;
+	// Nelder–Mead handles the rest.
+	nParams := o.numParams()
+	x0 := ws.x0[:nParams]
+	for i := range x0 {
+		x0[i] = 0
+	}
+	x0[0] = stat.Mean(ws.w)
+	res, err := ws.nm.NelderMead(ws.obj, x0, optimize.Options{
+		MaxEvaluations: 400 * nParams,
+		Tolerance:      1e-10,
+		InitialStep:    0.2,
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("forecast: CSS optimization: %w", err)
+	}
+	if math.IsInf(res.F, 1) {
+		return nil, 0, fmt.Errorf("forecast: CSS optimization found no feasible fit for %v: %w", o, ErrBadInput)
+	}
+	return res.X, res.F, nil
+}
+
+// objective is the CSS residual sum of squares of the fit in progress at the
+// packed parameter vector x, +Inf outside the stability region.
+func (ws *fitWorkspace) objective(x []float64) float64 {
+	if !stableParams(x, ws.order) {
+		return math.Inf(1)
+	}
+	arLag, maLag := ws.expand(x, ws.order)
+	if len(arLag) <= 3 && len(maLag) <= 2 {
+		return cssSmall(ws.w, x[0], arLag, maLag)
+	}
+	arWin, maWin := ws.windowed(arLag, maLag)
+	return cssResiduals(ws.w, x[0], arWin, maWin, ws.resid)
+}
+
+// windowed reverses the lag arrays into the workspace's window-aligned
+// buffers, the layout cssResiduals reads.
+func (ws *fitWorkspace) windowed(arLag, maLag []float64) (arWin, maWin []float64) {
+	arWin, maWin = ws.arWin[:len(arLag)], ws.maWin[:len(maLag)]
+	for i, c := range arLag {
+		arWin[len(arLag)-1-i] = c
+	}
+	for j, c := range maLag {
+		maWin[len(maLag)-1-j] = c
+	}
+	return arWin, maWin
+}
+
+// finish turns the optimum x of a fit of order o into a fitted model: one
+// more residual pass (the only one whose residuals are kept), then copies of
+// the coefficients and of the lag-sized tails Update and Forecast read.
+func (ws *fitWorkspace) finish(m *ARIMA, o Order, x []float64) {
+	w := ws.differenced(o.D, o.SD)
+	arLag, maLag := ws.expand(x, o)
+	arWin, maWin := ws.windowed(arLag, maLag)
+	rss := cssResiduals(w, x[0], arWin, maWin, ws.resid)
+
+	state := make([]float64, len(x)+2*(len(arLag)+len(maLag)))
+	take := func(src []float64) []float64 {
+		out := state[:len(src):len(src)]
+		state = state[len(src):]
+		copy(out, src)
+		return out
+	}
+	coef := take(x)
+	*m = ARIMA{
+		order:    o,
+		constant: coef[0],
+		phi:      coef[1 : 1+o.P],
+		theta:    coef[1+o.P : 1+o.P+o.Q],
+		sphi:     coef[1+o.P+o.Q : 1+o.P+o.Q+o.SP],
+		stheta:   coef[1+o.P+o.Q+o.SP:],
+		arLag:    take(arLag),
+		maLag:    take(maLag),
+		levels:   ws.levelTails(o),
+		wTail:    take(w[len(w)-len(arLag):]),
+		eTail:    take(ws.resid[len(w)-len(maLag) : len(w)]),
+		rss:      rss,
+		aicc:     stat.AICc(len(w), len(x)+1, rss), // +1 for innovation variance
+		fitted:   true,
+	}
+}
+
+// levelTails copies, for each differencing step of o (regular first, then
+// seasonal), the last lag values of the series that step is applied to.
+func (ws *fitWorkspace) levelTails(o Order) []diffLevel {
+	levels := make([]diffLevel, o.D+o.SD)
+	tails := make([]float64, o.D+o.SD*o.Season)
+	for i := range levels {
+		lag, level := 1, ws.differenced(min(i, o.D), max(i-o.D, 0))
+		if i >= o.D {
+			lag = o.Season
+		}
+		levels[i] = diffLevel{lag: lag, tail: tails[:lag:lag]}
+		copy(levels[i].tail, level[len(level)-lag:])
+		tails = tails[lag:]
+	}
+	return levels
+}
+
+// expand multiplies the non-seasonal and seasonal polynomials of the packed
+// parameter vector into the workspace's flat lag arrays: arLag[i] is the
+// coefficient of w_{t-1-i} on the right-hand side of the recursion, maLag[j]
+// the coefficient of ε_{t-1-j}.
 //
 // AR side: (1 − Σφ_i B^i)(1 − ΣΦ_k B^{ks}) w_t = ... ⇒
 // w_t = Σ a_m w_{t−m} + ... with a = expansion of the product minus the
 // leading 1, sign-flipped. MA side: (1 + Σθ B^i)(1 + ΣΘ B^{ks}) keeps signs.
-func (p arimaParams) expandPolynomials(o Order) (arLag, maLag []float64) {
-	// Represent polynomials as coefficient arrays indexed by lag, poly[0]=1.
-	arPoly := polyFromCoefs(p.phi, 1, -1)          // 1 − φ₁B − …
-	sarPoly := polyFromCoefs(p.sphi, o.Season, -1) // 1 − Φ₁B^s − …
-	arProd := polyMul(arPoly, sarPoly)
+func (ws *fitWorkspace) expand(x []float64, o Order) (arLag, maLag []float64) {
+	phi, theta := x[1:1+o.P], x[1+o.P:1+o.P+o.Q]
+	arLag, maLag = ws.ar[:o.P+o.SP*o.Season], ws.ma[:o.Q+o.SQ*o.Season]
+	if o.SP == 0 && o.SQ == 0 {
+		// No seasonal factor: the product is the polynomial itself. The
+		// dense product below turns a zero coefficient of either sign into
+		// −0 on the AR side and +0 on the MA side; keep those signs.
+		for i, c := range phi {
+			if c == 0 {
+				c = math.Copysign(0, -1)
+			}
+			arLag[i] = c
+		}
+		for j, c := range theta {
+			if c == 0 {
+				c = 0
+			}
+			maLag[j] = c
+		}
+		return arLag, maLag
+	}
+	sphi, stheta := x[1+o.P+o.Q:1+o.P+o.Q+o.SP], x[1+o.P+o.Q+o.SP:]
 	// Move to RHS: w_t = Σ_{m≥1} (−arProd[m]) w_{t−m} + c + MA terms.
-	if len(arProd) > 1 {
-		arLag = make([]float64, len(arProd)-1)
-		for mIdx := 1; mIdx < len(arProd); mIdx++ {
-			arLag[mIdx-1] = -arProd[mIdx]
-		}
+	arProd := ws.polyProduct(phi, sphi, o.Season, -1) // (1 − φ₁B − …)(1 − Φ₁B^s − …)
+	for m := range arLag {
+		arLag[m] = -arProd[m+1]
 	}
-	maPoly := polyFromCoefs(p.theta, 1, 1)          // 1 + θ₁B + …
-	smaPoly := polyFromCoefs(p.stheta, o.Season, 1) // 1 + Θ₁B^s + …
-	maProd := polyMul(maPoly, smaPoly)
-	if len(maProd) > 1 {
-		maLag = make([]float64, len(maProd)-1)
-		for mIdx := 1; mIdx < len(maProd); mIdx++ {
-			maLag[mIdx-1] = maProd[mIdx]
-		}
-	}
+	maProd := ws.polyProduct(theta, stheta, o.Season, 1) // (1 + θ₁B + …)(1 + Θ₁B^s + …)
+	copy(maLag, maProd[1:])
 	return arLag, maLag
 }
 
-// polyFromCoefs builds 1 + sign·c₁B^step + sign·c₂B^{2·step} + … as a dense
-// coefficient array.
-func polyFromCoefs(coefs []float64, step int, sign float64) []float64 {
-	if len(coefs) == 0 {
-		return []float64{1}
+// polyProduct multiplies 1 + sign·Σ coefs_i B^i by
+// 1 + sign·Σ scoefs_k B^{k·season} as dense coefficient arrays indexed by
+// lag; the result aliases ws.prod.
+func (ws *fitWorkspace) polyProduct(coefs, scoefs []float64, season int, sign float64) []float64 {
+	a := densePoly(ws.polyA[:len(coefs)+1], coefs, 1, sign)
+	b := densePoly(ws.polyB[:len(scoefs)*season+1], scoefs, season, sign)
+	out := ws.prod[:len(a)+len(b)-1]
+	for i := range out {
+		out[i] = 0
 	}
-	out := make([]float64, len(coefs)*step+1)
-	out[0] = 1
-	for i, c := range coefs {
-		out[(i+1)*step] = sign * c
-	}
-	return out
-}
-
-func polyMul(a, b []float64) []float64 {
-	out := make([]float64, len(a)+len(b)-1)
 	for i, av := range a {
 		if av == 0 {
 			continue
@@ -361,123 +537,211 @@ func polyMul(a, b []float64) []float64 {
 	return out
 }
 
-// cssResiduals runs the conditional-sum-of-squares recursion
-// e_t = w_t − c − Σ ar·w_{t−m} − Σ ma·e_{t−m} with zero initial conditions.
-// When residOut is non-nil it receives the residuals. Returns the residual
-// sum of squares over the post-warmup region and the warmup length.
-func cssResiduals(w []float64, constant float64, arLag, maLag []float64, residOut []float64) (rss float64, warmup int) {
-	warmup = len(arLag)
-	resid := residOut
-	if resid == nil {
-		resid = make([]float64, len(w))
+// densePoly fills dst with 1 + sign·c₁B^step + sign·c₂B^{2·step} + ….
+func densePoly(dst, coefs []float64, step int, sign float64) []float64 {
+	for i := range dst {
+		dst[i] = 0
 	}
-	for t := 0; t < len(w); t++ {
+	dst[0] = 1
+	for i, c := range coefs {
+		dst[(i+1)*step] = sign * c
+	}
+	return dst
+}
+
+// cssResiduals runs the conditional-sum-of-squares recursion
+// e_t = w_t − c − Σ ar·w_{t−m} − Σ ma·e_{t−m} with zero initial conditions,
+// writes the residuals to resid[:len(w)] and returns their sum of squares
+// over t ≥ len(arWin). The coefficient arrays are window-aligned (see
+// fitWorkspace.windowed): arWin[k] multiplies w[t−p+k], so each lines up with
+// the slice of the last p (or q) values and the inner loops need no bounds
+// checks. w must be longer than both.
+//
+// The subtraction order (AR lags ascending, then MA lags ascending, i.e. each
+// window walked backwards) and the sequential sum are part of the contract:
+// fits must reproduce bit for bit.
+func cssResiduals(w []float64, constant float64, arWin, maWin, resid []float64) (rss float64) {
+	p, q := len(arWin), len(maWin)
+	head := max(p, q)
+	// Head: lags reaching before the start of the series are skipped.
+	for t := 0; t < head; t++ {
 		e := w[t] - constant
-		for i, c := range arLag {
-			if idx := t - i - 1; idx >= 0 {
-				e -= c * w[idx]
-			}
+		for i := 0; i < min(p, t); i++ {
+			e -= arWin[p-1-i] * w[t-1-i]
 		}
-		for j, c := range maLag {
-			if idx := t - j - 1; idx >= 0 {
-				e -= c * resid[idx]
-			}
+		for j := 0; j < min(q, t); j++ {
+			e -= maWin[q-1-j] * resid[t-1-j]
 		}
 		resid[t] = e
-		if t >= warmup {
+		if t >= p {
 			rss += e * e
 		}
 	}
-	if warmup >= len(w) {
-		// Degenerate: all warmup; fall back to full RSS so the objective is
-		// still informative.
-		rss = 0
-		for _, e := range resid {
+	for t := head; t < len(w); t++ {
+		e := w[t] - constant
+		win := w[t-p : t]
+		win = win[:len(arWin)]
+		for k := len(arWin) - 1; k >= 0; k-- {
+			e -= arWin[k] * win[k]
+		}
+		win = resid[t-q : t]
+		win = win[:len(maWin)]
+		for k := len(maWin) - 1; k >= 0; k-- {
+			e -= maWin[k] * win[k]
+		}
+		resid[t] = e
+		rss += e * e
+	}
+	return rss
+}
+
+// cssSmall returns what cssResiduals returns, for at most three AR and two MA
+// lags, without storing residuals: the lagged values ride in registers, so
+// the recursion e_{t−1} → e_t is not routed through memory and the loop body
+// has no bounds checks. Pure AR orders, whose steps do not depend on each
+// other, get fully unrolled bodies; with MA terms the loop runs at the
+// latency of the recursion and selecting the AR terms inside it is free.
+func cssSmall(w []float64, constant float64, arLag, maLag []float64) (rss float64) {
+	p, q := len(arLag), len(maLag)
+	head := max(p, q)
+	// Head, as in cssResiduals, with the residuals kept in eh.
+	var eh [3]float64
+	for t := 0; t < head; t++ {
+		e := w[t] - constant
+		for i := 0; i < min(p, t); i++ {
+			e -= arLag[i] * w[t-1-i]
+		}
+		for j := 0; j < min(q, t); j++ {
+			e -= maLag[j] * eh[t-1-j]
+		}
+		eh[t] = e
+		if t >= p {
 			rss += e * e
 		}
 	}
-	return rss, warmup
-}
-
-// difference applies d regular and SD seasonal differences.
-func difference(series []float64, o Order) []float64 {
-	w := append([]float64(nil), series...)
-	for i := 0; i < o.D; i++ {
-		w = stat.Diff(w, 1)
+	// a, m: coefficients by lag; w1..w3, e1..e2: values that many steps back.
+	var a [3]float64
+	var m [2]float64
+	copy(a[:], arLag)
+	copy(m[:], maLag)
+	var w1, w2, w3, e1, e2 float64
+	if head >= 1 {
+		w1, e1 = w[head-1], eh[head-1]
 	}
-	for i := 0; i < o.SD; i++ {
-		w = stat.Diff(w, o.Season)
+	if head >= 2 {
+		w2, e2 = w[head-2], eh[head-2]
 	}
-	return w
-}
-
-// integrate inverts the differencing: given the original series and forecasts
-// on the differenced scale, reconstruct forecasts on the original scale.
-func integrate(origin []float64, wf []float64, o Order) []float64 {
-	// Build the intermediate series stack: level 0 is the original, level i
-	// is level i−1 after one more difference. Regular differences first,
-	// then seasonal, matching difference() above.
-	type level struct {
-		lag  int
-		tail []float64 // enough history of this level to undo the next one
+	if head >= 3 {
+		w3 = w[head-3]
 	}
-	levels := []level{}
-	cur := append([]float64(nil), origin...)
-	for i := 0; i < o.D; i++ {
-		levels = append(levels, level{lag: 1, tail: cur})
-		cur = stat.Diff(cur, 1)
-	}
-	for i := 0; i < o.SD; i++ {
-		levels = append(levels, level{lag: o.Season, tail: cur})
-		cur = stat.Diff(cur, o.Season)
-	}
-	// wf lives at the deepest level; walk back up.
-	vals := append([]float64(nil), wf...)
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
-		hist := append([]float64(nil), lv.tail...)
-		up := make([]float64, len(vals))
-		for s, dv := range vals {
-			base := hist[len(hist)-lv.lag]
-			up[s] = base + dv
-			hist = append(hist, up[s])
+	body := w[head:]
+	switch {
+	case q == 0 && p == 0:
+		for _, x := range body {
+			e := x - constant
+			rss += e * e
 		}
-		vals = up
+	case q == 0 && p == 1:
+		for _, x := range body {
+			e := x - constant
+			e -= a[0] * w1
+			w1 = x
+			rss += e * e
+		}
+	case q == 0 && p == 2:
+		for _, x := range body {
+			e := x - constant
+			e -= a[0] * w1
+			e -= a[1] * w2
+			w2, w1 = w1, x
+			rss += e * e
+		}
+	case q == 0:
+		for _, x := range body {
+			e := x - constant
+			e -= a[0] * w1
+			e -= a[1] * w2
+			e -= a[2] * w3
+			w3, w2, w1 = w2, w1, x
+			rss += e * e
+		}
+	case q == 1:
+		for _, x := range body {
+			e := x - constant
+			e = subAR(e, p, &a, w1, w2, w3)
+			e -= m[0] * e1
+			w3, w2, w1 = w2, w1, x
+			e1 = e
+			rss += e * e
+		}
+	default:
+		for _, x := range body {
+			e := x - constant
+			e = subAR(e, p, &a, w1, w2, w3)
+			e -= m[0] * e1
+			e -= m[1] * e2
+			w3, w2, w1 = w2, w1, x
+			e2, e1 = e1, e
+			rss += e * e
+		}
 	}
-	return vals
+	return rss
+}
+
+// subAR subtracts the first p ≤ 3 AR terms from e in lag order.
+func subAR(e float64, p int, a *[3]float64, w1, w2, w3 float64) float64 {
+	switch p {
+	case 1:
+		e -= a[0] * w1
+	case 2:
+		e -= a[0] * w1
+		e -= a[1] * w2
+	case 3:
+		e -= a[0] * w1
+		e -= a[1] * w2
+		e -= a[2] * w3
+	}
+	return e
 }
 
 // AutoARIMA selects the best order from the grid by AICc, as in §VI-A3. It
-// returns the fitted winner. The candidates are fitted independently; ties
-// break toward fewer parameters (enumeration order is ascending).
+// returns the fitted winner. All orders are fitted in one workspace and share
+// the differenced series; ties break toward the first order in enumeration
+// order, which is ascending in parameter count.
 func AutoARIMA(series []float64, grid Grid) (*ARIMA, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("forecast: empty series: %w", ErrBadInput)
 	}
-	var best *ARIMA
-	bestAICc := math.Inf(1)
-	var lastErr error
-	for _, o := range grid.orders() {
-		m, err := NewARIMA(o)
+	grid = grid.effective()
+	orders := grid.orders()
+	if len(orders) == 0 {
+		return nil, fmt.Errorf("forecast: empty grid: %w", ErrBadInput)
+	}
+	ws := newFitWorkspace(series, grid)
+	var (
+		found    bool
+		best     Order
+		bestAICc float64
+		bestX    = make([]float64, 0, len(ws.x0))
+		lastErr  error
+	)
+	for _, o := range orders {
+		x, rss, err := ws.fit(o)
 		if err != nil {
-			continue
-		}
-		if err := m.Fit(series); err != nil {
 			lastErr = err
 			continue
 		}
-		if m.AICc() < bestAICc {
-			best = m
-			bestAICc = m.AICc()
+		if aicc := stat.AICc(len(ws.w), len(x)+1, rss); !found || aicc < bestAICc {
+			found, best, bestAICc = true, o, aicc
+			bestX = append(bestX[:0], x...)
 		}
 	}
-	if best == nil {
-		if lastErr != nil {
-			return nil, fmt.Errorf("forecast: no ARIMA candidate fitted: %w", lastErr)
-		}
-		return nil, fmt.Errorf("forecast: empty grid: %w", ErrBadInput)
+	if !found {
+		return nil, fmt.Errorf("forecast: no ARIMA candidate fitted: %w", lastErr)
 	}
-	return best, nil
+	m := &ARIMA{}
+	ws.finish(m, best, bestX)
+	return m, nil
 }
 
 // AutoARIMAModel adapts AutoARIMA to the Builder interface: each Fit call

@@ -157,14 +157,21 @@ func TestARIMASeasonalDifferencingRoundTrip(t *testing.T) {
 		{D: 2, SD: 1, Season: 7},
 	}
 	for _, o := range orders {
-		w := difference(series, o)
+		bounds := Grid{MaxD: o.D, MaxSD: o.SD, Season: o.Season}
+		w := newFitWorkspace(series, bounds).differenced(o.D, o.SD)
+		if ref := refDifference(series, o); !equalBits(w, ref) {
+			t.Fatalf("%v: differenced series diverges from the reference", o)
+		}
 		// Pretend the last few differenced values were "forecasts": undoing
 		// the differencing from a truncated origin must recover the true
 		// series values.
 		k := 5
 		origin := series[:len(series)-k]
-		wTail := w[len(w)-k:]
-		got := integrate(origin, wTail, o)
+		got := append([]float64(nil), w[len(w)-k:]...)
+		integrate(newFitWorkspace(origin, bounds).levelTails(o), got)
+		if ref := refIntegrate(origin, w[len(w)-k:], o); !equalBits(got, ref) {
+			t.Fatalf("%v: integrate diverges from the reference: %v vs %v", o, got, ref)
+		}
 		for i := 0; i < k; i++ {
 			want := series[len(series)-k+i]
 			if math.Abs(got[i]-want) > 1e-9 {
@@ -346,8 +353,9 @@ func TestPaperGridSize(t *testing.T) {
 func TestExpandPolynomials(t *testing.T) {
 	t.Parallel()
 	// (1 − 0.5B)(1 − 0.3B²) = 1 − 0.5B − 0.3B² + 0.15B³
-	p := arimaParams{phi: []float64{0.5}, sphi: []float64{0.3}}
-	arLag, maLag := p.expandPolynomials(Order{P: 1, SP: 1, Season: 2})
+	o := Order{P: 1, SP: 1, Season: 2}
+	ws := newFitWorkspace(nil, Grid{MaxP: 1, MaxSP: 1, Season: 2})
+	arLag, maLag := ws.expand([]float64{0, 0.5, 0.3}, o)
 	wantAR := []float64{0.5, 0.3, -0.15}
 	if len(arLag) != 3 {
 		t.Fatalf("arLag = %v", arLag)
@@ -357,12 +365,13 @@ func TestExpandPolynomials(t *testing.T) {
 			t.Fatalf("arLag[%d] = %v, want %v", i, arLag[i], w)
 		}
 	}
-	if maLag != nil {
+	if len(maLag) != 0 {
 		t.Fatalf("maLag = %v, want empty", maLag)
 	}
 	// MA side keeps positive signs: (1+0.4B)(1+0.2B³).
-	p2 := arimaParams{theta: []float64{0.4}, stheta: []float64{0.2}}
-	_, ma2 := p2.expandPolynomials(Order{Q: 1, SQ: 1, Season: 3})
+	o2 := Order{Q: 1, SQ: 1, Season: 3}
+	ws2 := newFitWorkspace(nil, Grid{MaxQ: 1, MaxSQ: 1, Season: 3})
+	_, ma2 := ws2.expand([]float64{0, 0.4, 0.2}, o2)
 	wantMA := []float64{0.4, 0, 0.2, 0.08}
 	for i, w := range wantMA {
 		if math.Abs(ma2[i]-w) > 1e-12 {
@@ -373,16 +382,17 @@ func TestExpandPolynomials(t *testing.T) {
 
 func TestStabilityGuard(t *testing.T) {
 	t.Parallel()
-	stable := arimaParams{phi: []float64{0.5, 0.4}}
-	if !stable.stable() {
+	if !stableParams([]float64{0, 0.5, 0.4}, Order{P: 2}) {
 		t.Fatal("|0.5|+|0.4| < 1 should be stable")
 	}
-	unstable := arimaParams{phi: []float64{0.9, 0.3}}
-	if unstable.stable() {
+	if stableParams([]float64{0, 0.9, 0.3}, Order{P: 2}) {
 		t.Fatal("|0.9|+|0.3| ≥ 1 should be rejected")
 	}
-	unstableMA := arimaParams{theta: []float64{-1.2}}
-	if unstableMA.stable() {
+	if stableParams([]float64{0, -1.2}, Order{Q: 1}) {
 		t.Fatal("MA coefficient ≥ 1 should be rejected")
+	}
+	// Each polynomial is judged on its own: 0.6 + 0.6 across AR and MA passes.
+	if !stableParams([]float64{7, 0.6, 0.6}, Order{P: 1, Q: 1}) {
+		t.Fatal("the constant and other polynomials must not count toward a polynomial's sum")
 	}
 }

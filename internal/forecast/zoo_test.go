@@ -688,3 +688,55 @@ func TestTrimExportRestoreBitIdentical(t *testing.T) {
 		t.Fatalf("over-trimmed state accepted: %v", err)
 	}
 }
+
+// TestZooARIMAFlatClusterRefitAndRestore is the ensemble-level regression for
+// flat centroid series: an idle cluster (all zeros) and a cluster clamped at
+// 1.0 sit beside a moving one in a zoo containing the arima family. Every
+// ARIMA order fits a flat window perfectly, which used to fail the refit —
+// and with it the whole step — as "empty grid". The run crosses the initial
+// fit and a refit, then a restore (which refits) must resume bit-identically.
+func TestZooARIMAFlatClusterRefitAndRestore(t *testing.T) {
+	mk := func() *Ensemble {
+		return zooEnsemble(t, []string{"sample-and-hold", "arima"}, SelectionConfig{}, 3, 1, 60, 25)
+	}
+	cents := func(step int) [][]float64 {
+		return [][]float64{{0}, {1}, {0.5 + 0.1*math.Sin(float64(step)/7)}}
+	}
+	live := mk()
+	for step := 0; step < 95; step++ {
+		if err := live.Observe(cents(step)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if _, runs := live.TrainingTime(); runs != 2 {
+		t.Fatalf("%d training rounds, want the initial fit and one refit", runs)
+	}
+	f, err := live.Forecast(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, want := range []float64{0, 1} {
+		for s, v := range f[j][0] {
+			if math.Abs(v-want) > 1e-9 {
+				t.Fatalf("flat cluster %d forecast step %d = %v, want %v", j, s, v, want)
+			}
+		}
+	}
+	restored := mk()
+	if err := restored.RestoreState(live.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	for step := 95; step < 130; step++ {
+		if err := live.Observe(cents(step)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if err := restored.Observe(cents(step)); err != nil {
+			t.Fatalf("restored, step %d: %v", step, err)
+		}
+		lf, _ := live.Forecast(3)
+		rf, _ := restored.Forecast(3)
+		if !reflect.DeepEqual(lf, rf) || !reflect.DeepEqual(live.Selection(), restored.Selection()) {
+			t.Fatalf("restored ensemble diverges at step %d", step)
+		}
+	}
+}

@@ -3,6 +3,15 @@
 // The objective may be non-smooth or defined only inside a stability region
 // (return +Inf outside), which Nelder–Mead tolerates and gradient methods do
 // not.
+//
+// The simplex is updated in place in a Workspace: a run allocates nothing
+// per evaluation, and a caller that minimizes many objectives in a row (one
+// per order of the ARIMA grid) reuses one workspace for all of them. A run is
+// a pure function of its objective, start point and options — the workspace's
+// history never shows in the result — which the ARIMA layer relies on to refit
+// persisted models bit-identically. reference_test.go keeps the allocating
+// implementation this replaced as the oracle that pins evaluation points,
+// their order and the result bits.
 package optimize
 
 import (
@@ -66,13 +75,58 @@ type Result struct {
 
 // NelderMead minimizes f starting from x0 using the standard simplex method
 // with reflection, expansion, contraction and shrink steps (coefficients
-// 1, 2, 0.5, 0.5).
+// 1, 2, 0.5, 0.5). It is Workspace.NelderMead on a fresh workspace.
 func NelderMead(f Objective, x0 []float64, opts Options) (*Result, error) {
+	var ws Workspace
+	res, err := ws.NelderMead(f, x0, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// Workspace holds the vertex storage of a Nelder–Mead run so that a caller
+// minimizing many objectives in a row (the ARIMA grid search fits one per
+// order) pays for the simplex once. The zero value is ready to use and grows
+// on demand; a Workspace must not be shared between concurrent runs.
+type Workspace struct {
+	buf     []float64   // dim+4 vertices of dim coordinates each
+	simplex [][]float64 // dim+1 vertices, reordered by swapping headers
+	fvals   []float64
+}
+
+// NewWorkspace returns a workspace presized for problems of up to maxDim
+// dimensions.
+func NewWorkspace(maxDim int) *Workspace {
+	ws := &Workspace{}
+	ws.reserve(maxDim)
+	return ws
+}
+
+func (ws *Workspace) reserve(dim int) {
+	if cap(ws.buf) < (dim+4)*dim {
+		ws.buf = make([]float64, (dim+4)*dim)
+	}
+	if cap(ws.simplex) < dim+1 {
+		ws.simplex = make([][]float64, dim+1)
+		ws.fvals = make([]float64, dim+1)
+	}
+}
+
+// NelderMead is the package-level NelderMead running in the workspace's
+// storage: apart from growing the workspace it allocates nothing, however
+// many evaluations it takes. Result.X aliases the workspace and is
+// overwritten by the next run.
+//
+// The run is a pure function of (f, x0, opts): vertices are combined with
+// the same a·x + b·y arithmetic and evaluated in the same order whatever
+// the workspace held before, so results do not depend on its history.
+func (ws *Workspace) NelderMead(f Objective, x0 []float64, opts Options) (Result, error) {
 	if len(x0) == 0 {
-		return nil, fmt.Errorf("optimize: empty start point: %w", ErrBadInput)
+		return Result{}, fmt.Errorf("optimize: empty start point: %w", ErrBadInput)
 	}
 	if f == nil {
-		return nil, fmt.Errorf("optimize: nil objective: %w", ErrBadInput)
+		return Result{}, fmt.Errorf("optimize: nil objective: %w", ErrBadInput)
 	}
 	dim := len(x0)
 	opts = opts.withDefaults(dim)
@@ -87,19 +141,28 @@ func NelderMead(f Objective, x0 []float64, opts Options) (*Result, error) {
 		return v
 	}
 
+	ws.reserve(dim)
+	vertex := func(i int) []float64 { return ws.buf[i*dim : (i+1)*dim : (i+1)*dim] }
+	simplex, fvals := ws.simplex[:dim+1], ws.fvals[:dim+1]
+	for i := range simplex {
+		simplex[i] = vertex(i)
+	}
+	// Three spare vertices: the centroid, the reflected point and the
+	// expanded-or-contracted point. An accepted point is swapped into the
+	// simplex and the worst vertex it displaces becomes the spare.
+	cent, refl, trial := vertex(dim+1), vertex(dim+2), vertex(dim+3)
+
 	// Build initial simplex: x0 plus a step along each axis.
-	simplex := make([][]float64, dim+1)
-	fvals := make([]float64, dim+1)
-	simplex[0] = append([]float64(nil), x0...)
+	copy(simplex[0], x0)
 	fvals[0] = eval(simplex[0])
 	for i := 0; i < dim; i++ {
-		p := append([]float64(nil), x0...)
+		p := simplex[i+1]
+		copy(p, x0)
 		step := opts.InitialStep
 		if p[i] != 0 {
 			step = opts.InitialStep * math.Max(math.Abs(p[i]), 1)
 		}
 		p[i] += step
-		simplex[i+1] = p
 		fvals[i+1] = eval(p)
 	}
 
@@ -121,7 +184,9 @@ func NelderMead(f Objective, x0 []float64, opts Options) (*Result, error) {
 			break
 		}
 		// Centroid of all but the worst vertex.
-		cent := make([]float64, dim)
+		for j := range cent {
+			cent[j] = 0
+		}
 		for _, v := range simplex[:dim] {
 			for j := range cent {
 				cent[j] += v[j]
@@ -132,55 +197,52 @@ func NelderMead(f Objective, x0 []float64, opts Options) (*Result, error) {
 		}
 		worst := simplex[dim]
 
-		refl := combine(cent, worst, 1+alpha, -alpha)
+		combine(refl, cent, worst, 1+alpha, -alpha)
 		fRefl := eval(refl)
 		switch {
 		case fRefl < fvals[0]:
 			// Try expanding further in the same direction.
-			exp := combine(cent, worst, 1+alpha*beta, -alpha*beta)
-			if fExp := eval(exp); fExp < fRefl {
-				simplex[dim], fvals[dim] = exp, fExp
+			combine(trial, cent, worst, 1+alpha*beta, -alpha*beta)
+			if fExp := eval(trial); fExp < fRefl {
+				simplex[dim], trial, fvals[dim] = trial, worst, fExp
 			} else {
-				simplex[dim], fvals[dim] = refl, fRefl
+				simplex[dim], refl, fvals[dim] = refl, worst, fRefl
 			}
 		case fRefl < fvals[dim-1]:
-			simplex[dim], fvals[dim] = refl, fRefl
+			simplex[dim], refl, fvals[dim] = refl, worst, fRefl
 		default:
 			// Contract toward the better of worst/reflected.
-			var contr []float64
 			if fRefl < fvals[dim] {
-				contr = combine(cent, refl, 1-gamma, gamma)
+				combine(trial, cent, refl, 1-gamma, gamma)
 			} else {
-				contr = combine(cent, worst, 1-gamma, gamma)
+				combine(trial, cent, worst, 1-gamma, gamma)
 			}
-			fContr := eval(contr)
+			fContr := eval(trial)
 			if fContr < math.Min(fRefl, fvals[dim]) {
-				simplex[dim], fvals[dim] = contr, fContr
+				simplex[dim], trial, fvals[dim] = trial, worst, fContr
 			} else {
 				// Shrink everything toward the best vertex.
 				for i := 1; i <= dim; i++ {
-					simplex[i] = combine(simplex[0], simplex[i], 1-delta, delta)
+					combine(simplex[i], simplex[0], simplex[i], 1-delta, delta)
 					fvals[i] = eval(simplex[i])
 				}
 			}
 		}
 	}
 	sortSimplex(simplex, fvals)
-	return &Result{
-		X:           append([]float64(nil), simplex[0]...),
+	return Result{
+		X:           simplex[0],
 		F:           fvals[0],
 		Evaluations: evals,
 		Converged:   converged,
 	}, nil
 }
 
-// combine returns a·x + b·y elementwise.
-func combine(x, y []float64, a, b float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range out {
-		out[i] = a*x[i] + b*y[i]
+// combine sets dst to a·x + b·y elementwise; dst may alias x or y.
+func combine(dst, x, y []float64, a, b float64) {
+	for i := range dst {
+		dst[i] = a*x[i] + b*y[i]
 	}
-	return out
 }
 
 func sortSimplex(simplex [][]float64, fvals []float64) {

@@ -181,16 +181,18 @@ func MSE(pred, truth []float64) float64 {
 // model with n observations, k estimated parameters, and residual sum of
 // squares rss. When the correction term denominator n−k−1 is non-positive the
 // criterion is +Inf, which makes over-parameterized models lose any model
-// selection they take part in.
+// selection they take part in. A perfect fit (rss = 0) is −Inf, the limit of
+// the n·log(rss/n) term, so it wins rather than ranking with the invalid
+// (negative rss) at +Inf.
 func AICc(n, k int, rss float64) float64 {
-	if n <= 0 || rss <= 0 {
+	denom := float64(n - k - 1)
+	if n <= 0 || rss < 0 || denom <= 0 {
 		return math.Inf(1)
+	}
+	if rss == 0 {
+		return math.Inf(-1)
 	}
 	aic := float64(n)*math.Log(rss/float64(n)) + 2*float64(k)
-	denom := float64(n - k - 1)
-	if denom <= 0 {
-		return math.Inf(1)
-	}
 	return aic + 2*float64(k)*float64(k+1)/denom
 }
 

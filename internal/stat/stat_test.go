@@ -202,6 +202,16 @@ func TestAICc(t *testing.T) {
 	if got := AICc(0, 1, 1); !math.IsInf(got, 1) {
 		t.Fatalf("AICc n=0 = %v, want +Inf", got)
 	}
+	// A perfect fit beats every imperfect one, unless it is saturated.
+	if got := AICc(100, 2, 0); !math.IsInf(got, -1) {
+		t.Fatalf("AICc rss=0 = %v, want -Inf", got)
+	}
+	if got := AICc(5, 5, 0); !math.IsInf(got, 1) {
+		t.Fatalf("AICc saturated rss=0 = %v, want +Inf", got)
+	}
+	if got := AICc(100, 2, -1); !math.IsInf(got, 1) {
+		t.Fatalf("AICc rss<0 = %v, want +Inf", got)
+	}
 }
 
 func TestNormalizeRoundTrip(t *testing.T) {
