@@ -1,145 +1,56 @@
 // Command collectd is the standalone central collector: it listens for node
-// agents over TCP, maintains the latest measurement per node, and
-// periodically prints the dynamic clustering summary (K centroids per
-// resource) built from whatever has been received so far, plus the realized
-// per-node transmission frequency the store has accounted (eq. 5) — the
-// central-side check that the agents' adaptive policies hold their budgets.
-// For the full pipeline with forecasting and an HTTP query API, use
-// cmd/forecastd instead.
+// agents over TCP, steps the collection → clustering pipeline on the latest
+// measurement per node at a fixed cadence (the serve.StoreStepper loop
+// cmd/forecastd runs, with no query API), and logs the K centroids per
+// resource plus the realized per-node transmission frequency the store has
+// accounted (eq. 5) — the central-side check that the agents' adaptive
+// policies hold their budgets.
 //
-// Usage:
+// Usage (pair it with cmd/nodeagent instances):
 //
 //	collectd -listen 127.0.0.1:7777 -k 3 -resources 2 -interval 2s
 //
-// Pair it with cmd/nodeagent instances feeding a trace through the adaptive
-// transmission policy.
+// Fleet membership is elastic: stepping starts once K nodes have reported,
+// a newly heard node joins at the next tick without disturbing existing
+// cluster identities, and with -absence-ticks a node silent (no measurements,
+// no heartbeats) for that many ticks is evicted; a later rejoin starts fresh.
 //
-// Fleet membership is elastic: each newly heard node joins the clustering
-// roster at the next tick without disturbing existing cluster identities
-// (its slot is masked until it has a value), and with -absence-ticks set, a
-// node that goes silent for that many ticks is evicted — its slot is
-// recycled and its history masked, so a later rejoin starts fresh.
-//
-// With -state-dir the clustering state (membership roster, assignment
-// history, centroid series, and the K-means RNG position) is checkpointed
-// periodically and on SIGTERM, and restored on boot with the roster
-// reconciled — cluster identities survive a collector restart even when the
-// fleet changed while it was down (nodes missing from the new fleet simply
-// age out; new ones join).
-//
-// collectd has no query API of its own, so -debug-addr is the way to watch
-// it: the opt-in debug server exposes net/http/pprof profiles, expvar, a
-// /debug/obs JSON metrics dump, and /metrics with the transport ingest and
-// store series. Logs are structured (log/slog) with tick correlation fields.
+// With -state-dir the pipeline is durable exactly as forecastd's is: every
+// tick goes to a write-ahead log, the state is checkpointed in the
+// background and on SIGTERM, and boot restores the newest valid checkpoint
+// and replays the WAL tail — roster, cluster identities and RNG position
+// survive a restart. -debug-addr is the way to watch it: pprof, expvar,
+// /debug/obs and /metrics with the ingest and store series.
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
+	"io"
 	"log/slog"
 	"math"
-	"math/rand/v2"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"orcf/internal/cluster"
+	"orcf/internal/core"
 	"orcf/internal/obs"
 	"orcf/internal/persist"
+	"orcf/internal/serve"
 	"orcf/internal/transport"
 )
 
 func main() {
-	os.Exit(run())
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], stop, os.Stderr))
 }
 
-// trackerState is the durable clustering state of collectd: the membership
-// roster plus one tracker and RNG per resource, valid only for the recorded
-// K/resources/seed.
-type trackerState struct {
-	K, Resources int
-	Seed         uint64
-	// Roster is the slot → node-ID binding; AliveSlots flags live members
-	// (tombstoned slots await reuse).
-	Roster     []int
-	AliveSlots []bool
-	RNGs       [][]byte
-	Trackers   []*cluster.State
-}
-
-// saveInterval is how many reporting ticks pass between state saves.
-const saveInterval = 15
-
-// fleet is collectd's membership bookkeeping: the dense slot layout the
-// trackers address, with joins, absence tracking, and eviction mirroring
-// what core.System does for the full pipeline.
-type fleet struct {
-	roster    []int
-	alive     []bool
-	slotOf    map[int]int
-	free      []int // ascending
-	silent    []int
-	lastClock map[int]int
-}
-
-func newFleet() *fleet {
-	return &fleet{slotOf: make(map[int]int), lastClock: make(map[int]int)}
-}
-
-// join binds a node ID to a slot (recycling the lowest tombstone first).
-func (f *fleet) join(id int) int {
-	var slot int
-	if len(f.free) > 0 {
-		slot = f.free[0]
-		f.free = f.free[1:]
-		f.roster[slot] = id
-		f.alive[slot] = true
-		f.silent[slot] = 0
-	} else {
-		slot = len(f.roster)
-		f.roster = append(f.roster, id)
-		f.alive = append(f.alive, true)
-		f.silent = append(f.silent, 0)
-	}
-	f.slotOf[id] = slot
-	return slot
-}
-
-// evict tombstones a live member's slot and returns it. The clock
-// watermark is dropped too: a rejoining agent that restarted its local
-// step counter must not be stuck under the old high-water mark.
-func (f *fleet) evict(id int) int {
-	slot := f.slotOf[id]
-	delete(f.slotOf, id)
-	delete(f.lastClock, id)
-	f.alive[slot] = false
-	f.silent[slot] = 0
-	at := len(f.free)
-	for at > 0 && f.free[at-1] > slot {
-		at--
-	}
-	f.free = append(f.free, 0)
-	copy(f.free[at+1:], f.free[at:])
-	f.free[at] = slot
-	return slot
-}
-
-// logFrequencies reports the realized per-node transmission frequency the
-// store has accounted (eq. 5: accepted updates over the node's local step
-// count), so the summary shows what the agents' budgets actually delivered
-// alongside the clustering. Per-node values are listed for small fleets and
-// summarized as mean/min/max for large ones. nodes must already be sorted so
-// the per_node field (and with it the whole line) is deterministic.
+// logFrequencies reports the realized transmission frequency the store has
+// accounted per node (eq. 5: accepted updates over the node's local step
+// count): mean/min/max, plus each value for small fleets, in slot order.
 func logFrequencies(log *slog.Logger, tick int, nodes []int, stats map[int]transport.NodeStat) {
 	mean, minF, maxF := 0.0, math.Inf(1), math.Inf(-1)
 	for _, id := range nodes {
@@ -148,61 +59,36 @@ func logFrequencies(log *slog.Logger, tick int, nodes []int, stats map[int]trans
 		minF = math.Min(minF, f)
 		maxF = math.Max(maxF, f)
 	}
-	mean /= float64(len(nodes))
-	args := []any{"tick", tick, "mean", mean, "min", minF, "max", maxF}
+	args := []any{"tick", tick, "mean", mean / float64(len(nodes)), "min", minF, "max", maxF}
 	if len(nodes) <= 16 {
-		var b strings.Builder
+		per := make([]string, len(nodes))
 		for i, id := range nodes {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%d:%.2f", id, stats[id].Frequency)
+			per[i] = fmt.Sprintf("%d:%.2f", id, stats[id].Frequency)
 		}
-		args = append(args, "per_node", b.String())
+		args = append(args, "per_node", strings.Join(per, " "))
 	}
 	log.Info("transmit frequencies", args...)
 }
 
-func run() int {
+// run is main with its arguments, stop signal and log destination injected.
+func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
+	fs := flag.NewFlagSet("collectd", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7777", "address to listen on")
-		k         = flag.Int("k", 3, "number of clusters")
-		resources = flag.Int("resources", 2, "measurement dimensionality")
-		interval  = flag.Duration("interval", 2*time.Second, "clustering/reporting period")
-		seed      = flag.Uint64("seed", 1, "clustering seed")
-		stateDir  = flag.String("state-dir", "", "directory for durable clustering state (empty = in-memory only)")
-		idleTmo   = flag.Duration("idle-timeout", 5*time.Minute, "drop agent connections silent for this long (0 = never)")
-		absence   = flag.Int("absence-ticks", 0, "evict a node after this many silent ticks (0 = never)")
-		debugAddr = flag.String("debug-addr", "", "optional address for the debug server (pprof, expvar, /debug/obs, /metrics); empty = disabled")
+		listen    = fs.String("listen", "127.0.0.1:7777", "address to listen on")
+		k         = fs.Int("k", 3, "number of clusters")
+		resources = fs.Int("resources", 2, "measurement dimensionality")
+		interval  = fs.Duration("interval", 2*time.Second, "clustering/reporting period")
+		seed      = fs.Uint64("seed", 1, "clustering seed")
+		stateDir  = fs.String("state-dir", "", "directory for durable checkpoints + WAL (empty = in-memory only)")
+		idleTmo   = fs.Duration("idle-timeout", 5*time.Minute, "drop agent connections silent for this long (0 = never)")
+		absence   = fs.Int("absence-ticks", 0, "evict a node after this many silent ticks (0 = never)")
+		debugAddr = fs.String("debug-addr", "", "optional address for the debug server (pprof, expvar, /debug/obs, /metrics); empty = disabled")
 	)
-	flag.Parse()
-	// Correlation fields are passed in a fixed order (tick first) so log
-	// lines diff cleanly across runs.
-	log := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "collectd")
-
-	var saved *trackerState
-	statePath := ""
-	if *stateDir != "" {
-		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
-			log.Error("state dir", "err", err)
-			return 1
-		}
-		statePath = filepath.Join(*stateDir, "collectd-trackers.state")
-		payload, err := persist.ReadBlob(statePath, persist.KindAux)
-		switch {
-		case err == nil:
-			st := new(trackerState)
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-				log.Warn("ignoring undecodable state", "path", statePath, "err", err)
-			} else {
-				saved = st
-			}
-		case errors.Is(err, fs.ErrNotExist):
-			// Fresh state dir.
-		default:
-			log.Warn("ignoring unreadable state", "path", statePath, "err", err)
-		}
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	log := slog.New(slog.NewTextHandler(logw, nil)).With("component", "collectd")
 
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg)
@@ -221,250 +107,94 @@ func run() int {
 		return 1
 	}
 	defer srv.Close()
-	log.Info("listening", "addr", addr, "k", *k)
 
-	var ds *http.Server
+	cfg := core.Config{AbsenceTimeout: *absence, Resources: *resources, K: *k, Seed: *seed}
+	stepper, err := serve.NewStoreStepper(store, cfg)
+	if err != nil {
+		log.Error("pipeline construction", "err", err)
+		return 1
+	}
+	sys := stepper.System()
+
+	var mgr *persist.Manager
+	if *stateDir != "" {
+		if mgr, err = persist.New(sys, cfg, persist.Options{Dir: *stateDir}); err != nil {
+			log.Error("persistence setup", "err", err)
+			return 1
+		}
+		info, err := mgr.Recover(stepper.Replay)
+		if err != nil {
+			log.Error("recovery", "err", err)
+			return 1
+		}
+		defer mgr.Close()
+		stepper.SetLog(mgr)
+		log.Info("recovered durable state", "step", info.Steps,
+			"checkpoint_step", info.CheckpointStep, "replayed_steps", info.ReplayedSteps,
+			"torn_tail", info.TornTail, "members", fmt.Sprint(sys.Members()))
+	}
+
 	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+		ds, err := obs.ServeDebug(*debugAddr, reg, log)
 		if err != nil {
 			log.Error("debug listen", "err", err)
 			return 1
 		}
-		ds = &http.Server{Handler: obs.DebugMux(reg)}
-		go func() {
-			if err := ds.Serve(dln); err != nil && err != http.ErrServerClosed {
-				log.Error("debug server", "err", err)
-			}
-		}()
 		defer ds.Close()
-		log.Info("debug server listening", "addr", dln.Addr().String())
 	}
+	log.Info("listening", "addr", addr, "k", *k)
 
-	trackers := make([]*cluster.Tracker, *resources)
-	pcgs := make([]*rand.PCG, *resources)
-	for r := range trackers {
-		pcgs[r] = rand.NewPCG(*seed, uint64(r))
-		tr, err := cluster.NewTracker(cluster.Config{K: *k}, rand.New(pcgs[r]))
-		if err != nil {
-			log.Error("tracker construction", "err", err)
-			return 1
-		}
-		trackers[r] = tr
-	}
-
-	members := newFleet()
-	// Reconcile saved state: adopt the recorded roster (tombstones
-	// included) and restore the trackers over it, so cluster identities
-	// continue across the restart. Members of the old fleet that no longer
-	// report will age out through the absence timeout; anything new joins
-	// on top. A saved state for a different K/resources/seed is unusable
-	// and discarded with a log line instead of silently.
-	if saved != nil {
-		switch {
-		case saved.K != *k || saved.Resources != *resources || saved.Seed != *seed:
-			log.Warn("discarding saved state (config mismatch)",
-				"saved_k", saved.K, "saved_resources", saved.Resources, "saved_seed", saved.Seed,
-				"want_k", *k, "want_resources", *resources, "want_seed", *seed)
-		case len(saved.Roster) != len(saved.AliveSlots) || len(saved.RNGs) != *resources ||
-			len(saved.Trackers) != *resources:
-			log.Warn("discarding saved state (inconsistent shape)")
-		default:
-			restored := true
-			for r := range trackers {
-				if err := trackers[r].RestoreState(saved.Trackers[r]); err != nil {
-					log.Warn("discarding saved state", "err", err)
-					restored = false
-					break
-				}
-				if err := pcgs[r].UnmarshalBinary(saved.RNGs[r]); err != nil {
-					log.Warn("discarding saved state", "err", err)
-					restored = false
-					break
-				}
-			}
-			if !restored {
-				// Rebuild clean trackers; the half-restored ones are unusable.
-				for r := range trackers {
-					pcgs[r] = rand.NewPCG(*seed, uint64(r))
-					tr, err := cluster.NewTracker(cluster.Config{K: *k}, rand.New(pcgs[r]))
-					if err != nil {
-						log.Error("tracker construction", "err", err)
-						return 1
-					}
-					trackers[r] = tr
-				}
-				break
-			}
-			kept, tombs := 0, 0
-			for slot, id := range saved.Roster {
-				members.roster = append(members.roster, id)
-				members.alive = append(members.alive, saved.AliveSlots[slot])
-				members.silent = append(members.silent, 0)
-				if saved.AliveSlots[slot] {
-					members.slotOf[id] = slot
-					kept++
-				} else {
-					members.free = append(members.free, slot)
-					tombs++
-				}
-			}
-			log.Info("resumed clustering; roster reconciled",
-				"step", trackers[0].Steps(), "state_path", statePath,
-				"kept_members", kept, "reusable_tombstones", tombs)
-		}
-		saved = nil
-	}
-
-	save := func() {
-		if statePath == "" {
-			return
-		}
-		st := &trackerState{
-			K: *k, Resources: *resources, Seed: *seed,
-			Roster:     append([]int(nil), members.roster...),
-			AliveSlots: append([]bool(nil), members.alive...),
-			RNGs:       make([][]byte, len(trackers)),
-			Trackers:   make([]*cluster.State, len(trackers)),
-		}
-		for r, tr := range trackers {
-			rng, err := pcgs[r].MarshalBinary()
-			if err != nil {
-				log.Error("state save", "err", err)
-				return
-			}
-			st.RNGs[r] = rng
-			st.Trackers[r] = tr.ExportState()
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-			log.Error("state save", "err", err)
-			return
-		}
-		if err := persist.WriteBlobAtomic(statePath, persist.KindAux, buf.Bytes()); err != nil {
-			log.Error("state save", "err", err)
-		}
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
-
-	ticks := 0
 	for {
 		select {
 		case <-stop:
 			log.Info("shutting down")
-			save()
+			if mgr != nil {
+				if err := mgr.Checkpoint(); err != nil {
+					log.Error("final checkpoint", "err", err)
+				} else {
+					log.Info("final checkpoint written", "step", sys.Steps())
+				}
+			}
 			return 0
 		case <-ticker.C:
-			stats := store.Stats()
-			// Join newly heard nodes that have at least one stored
-			// measurement; a node known solely through heartbeats (v2 clock
-			// carriage before its first accepted sample) has no value to
-			// cluster yet. Sorted for deterministic slot binding.
-			var joiners []int
-			for id, st := range stats {
-				if _, known := members.slotOf[id]; !known && len(st.Latest.Values) > 0 {
-					joiners = append(joiners, id)
-				}
+			before := sys.Roster()
+			res, ok, err := stepper.Tick()
+			if err != nil {
+				// The state is undefined now: keep the last good checkpoint + WAL.
+				log.Error("pipeline tick", "err", err)
+				return 1
 			}
-			sort.Ints(joiners)
-			for _, id := range joiners {
-				slot := members.join(id)
-				for _, tr := range trackers {
-					tr.ForgetSlot(slot) // recycled slots must not inherit history
-				}
-				log.Info("joined node", "tick", ticks, "node", id, "slot", slot)
+			if !ok {
+				log.Info("waiting for quorum", "reporting", store.Len(), "k", *k)
+				continue
 			}
-
-			// Absence accounting: a member whose local clock stopped
-			// advancing takes a silent tick; at the timeout it is evicted
-			// and its store entry released.
-			if *absence > 0 {
-				// Snapshot and sort the membership first: eviction order
-				// decides which freed slots get recycled by which future
-				// joiners, and evict() mutates slotOf mid-scan — iterating
-				// the map directly would make both follow Go's randomized
-				// map order.
-				ids := make([]int, 0, len(members.slotOf))
-				for id := range members.slotOf {
-					ids = append(ids, id)
+			roster := sys.Roster()
+			var nodes []int // members clustered this tick, in slot order
+			for slot, present := range res.Present {
+				id, live := roster.IDAt(slot)
+				if _, was := before.SlotOf(id); live && !was {
+					log.Info("joined node", "tick", res.T, "node", id, "slot", slot)
 				}
-				sort.Ints(ids)
-				for _, id := range ids {
-					slot := members.slotOf[id]
-					clock := stats[id].LocalStep
-					if clock > members.lastClock[id] {
-						members.lastClock[id] = clock
-						members.silent[slot] = 0
-						continue
-					}
-					members.silent[slot]++
-					if members.silent[slot] >= *absence {
-						freed := members.evict(id)
-						for _, tr := range trackers {
-							tr.ForgetSlot(freed)
-						}
-						store.Forget(id)
-						log.Info("evicted node",
-							"tick", ticks, "node", id, "silent_ticks", *absence, "recycled_slot", freed)
-					}
-				}
-			}
-
-			present := make([]bool, len(members.roster))
-			nodes := make([]int, 0, len(members.slotOf))
-			for slot, id := range members.roster {
-				if members.alive[slot] && len(stats[id].Latest.Values) > 0 {
-					present[slot] = true
+				if live && present {
 					nodes = append(nodes, id)
 				}
 			}
-			if len(nodes) < *k {
-				log.Info("waiting for quorum", "reporting", len(nodes), "k", *k)
-				continue
+			for _, id := range res.Evicted {
+				log.Info("evicted node", "tick", res.T, "node", id, "silent_ticks", *absence)
 			}
-			sort.Ints(nodes)
-			ticks++
-			if ticks%saveInterval == 0 {
-				save()
+			for r, pr := range res.PerResource {
+				cents := make([]string, len(pr.Centroids))
+				for i, c := range pr.Centroids {
+					cents[i] = fmt.Sprintf("%.3f", c[0])
+				}
+				log.Info("clustering", "tick", res.T, "resource", r,
+					"nodes", len(nodes), "centroids", strings.Join(cents, " "))
 			}
-			for r := 0; r < *resources; r++ {
-				points := make([][]float64, len(members.roster))
-				mask := append([]bool(nil), present...)
-				clustered := 0
-				for slot, id := range members.roster {
-					if !mask[slot] {
-						continue
-					}
-					vals := stats[id].Latest.Values
-					if r >= len(vals) {
-						mask[slot] = false
-						continue
-					}
-					points[slot] = []float64{vals[r]}
-					clustered++
-				}
-				if clustered < *k {
-					continue
-				}
-				step, err := trackers[r].UpdateMasked(points, mask)
-				if err != nil {
-					log.Error("clustering", "tick", ticks, "resource", r, "err", err)
-					continue
-				}
-				var b strings.Builder
-				for i, c := range step.Centroids {
-					if i > 0 {
-						b.WriteByte(' ')
-					}
-					fmt.Fprintf(&b, "%.3f", c[0])
-				}
-				log.Info("clustering",
-					"tick", ticks, "resource", r, "nodes", clustered, "centroids", b.String())
+			if len(nodes) > 0 {
+				logFrequencies(log, res.T, nodes, store.Stats())
 			}
-			logFrequencies(log, ticks, nodes, stats)
 		}
 	}
 }

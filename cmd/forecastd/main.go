@@ -297,18 +297,10 @@ func run() int {
 
 	var ds *http.Server
 	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
+		if ds, err = obs.ServeDebug(*debugAddr, reg, log); err != nil {
 			log.Error("debug listen", "err", err)
 			return 1
 		}
-		ds = &http.Server{Handler: obs.DebugMux(reg)}
-		go func() {
-			if err := ds.Serve(dln); err != nil && err != http.ErrServerClosed {
-				log.Error("debug server", "err", err)
-			}
-		}()
-		log.Info("debug server listening", "addr", dln.Addr().String())
 	}
 
 	log.Info("listening",

@@ -9,12 +9,12 @@
 // runs agents for nodes 0..7, each with an independent trace column and its
 // own Lyapunov policy instance.
 //
-// By default agents speak the batched v2 wire protocol (-proto v2):
-// measurements coalesce into frames flushed by -batch size or the -linger
+// Measurements coalesce into frames flushed by -batch size or the -linger
 // interval, the bounded -queue surfaces backpressure instead of blocking,
 // and the local step clock rides along so the collector's eq. 5 accounting
-// stays exact. -proto v1 keeps the legacy per-measurement gob stream for
-// collectors that predate the framing.
+// stays exact. An agent outlives its collector: when the connection dies it
+// redials with jittered backoff, counting the steps in between as
+// suppressed, and reports how often it reconnected when it finishes.
 package main
 
 import (
@@ -46,20 +46,15 @@ func run() int {
 		tick      = flag.Duration("tick", 100*time.Millisecond, "measurement period")
 		steps     = flag.Int("steps", 0, "stop after this many steps (0 = run forever)")
 		seed      = flag.Uint64("seed", 1, "trace seed (shared across agents)")
-		proto     = flag.String("proto", "v2", "wire protocol: v2 (batched framing) or v1 (per-measurement gob)")
-		batch     = flag.Int("batch", transport.DefaultBatchSize, "v2: records per batch flush")
-		linger    = flag.Duration("linger", transport.DefaultLinger, "v2: max batching delay (also the heartbeat cadence)")
-		queue     = flag.Int("queue", transport.DefaultMaxPending, "v2: bounded send queue (backpressure past it)")
-		compress  = flag.Bool("compress", false, "v2: DEFLATE-compress batch bodies")
-		writeTmo  = flag.Duration("write-deadline", transport.DefaultWriteTimeout, "per-write network deadline")
+		batch     = flag.Int("batch", transport.DefaultBatchSize, "records per batch flush")
+		linger    = flag.Duration("linger", transport.DefaultLinger, "max batching delay (also the heartbeat cadence)")
+		queue     = flag.Int("queue", transport.DefaultMaxPending, "bounded send queue (backpressure past it)")
+		compress  = flag.Bool("compress", false, "DEFLATE-compress batch bodies")
+		writeTmo  = flag.Duration("write-deadline", transport.DefaultWriteTimeout, "per-write network deadline (also bounds each dial)")
 	)
 	flag.Parse()
 	if *count < 1 {
 		fmt.Fprintln(os.Stderr, "nodeagent: -count must be ≥ 1")
-		return 2
-	}
-	if *proto != "v1" && *proto != "v2" {
-		fmt.Fprintln(os.Stderr, "nodeagent: -proto must be v1 or v2")
 		return 2
 	}
 
@@ -86,43 +81,23 @@ func run() int {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, *count)
-	// dial returns the protocol-appropriate sender: the v2 batch client
-	// (bounded queue, clock carriage) or the legacy v1 gob client with a
-	// write deadline so a stalled collector cannot wedge the loop.
-	dial := func(node int) (agent.Sender, func() error, error) {
-		if *proto == "v1" {
-			c, err := transport.Dial(*collector, node)
-			if err != nil {
-				return nil, nil, err
-			}
-			c.SetWriteTimeout(*writeTmo)
-			return c, c.Close, nil
-		}
-		c, err := transport.DialBatch(*collector, node, transport.BatchOptions{
-			BatchSize:    *batch,
-			Linger:       *linger,
-			MaxPending:   *queue,
-			WriteTimeout: *writeTmo,
-			Compress:     *compress,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return c, c.Close, nil
+	opts := transport.BatchOptions{
+		BatchSize:    *batch,
+		Linger:       *linger,
+		MaxPending:   *queue,
+		WriteTimeout: *writeTmo,
+		Compress:     *compress,
 	}
 
 	for i := 0; i < *count; i++ {
 		node := *firstNode + i
-		client, closeClient, err := dial(node)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nodeagent: node %d: %v\n", node, err)
-			cancel()
-			break
-		}
+		// Lazily dialed: a collector that is not up yet is an outage to ride
+		// out like any other, not a start-up failure.
+		client := transport.NewReconnectingClient(*collector, node, opts)
 		policy, err := transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: *budget})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nodeagent: node %d: %v\n", node, err)
-			_ = closeClient()
+			_ = client.Close()
 			cancel()
 			break
 		}
@@ -140,7 +115,7 @@ func run() int {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nodeagent: node %d: %v\n", node, err)
-			_ = closeClient()
+			_ = client.Close()
 			cancel()
 			break
 		}
@@ -148,9 +123,9 @@ func run() int {
 		go func() {
 			defer wg.Done()
 			err := a.Run(ctx)
-			// Close after the run so a v2 client flushes its pending batch
+			// Close after the run so the client flushes its pending batch
 			// and final clock before the process exits.
-			if cerr := closeClient(); cerr != nil && err == nil {
+			if cerr := client.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
 			if err != nil {
@@ -158,8 +133,8 @@ func run() int {
 				cancel()
 				return
 			}
-			fmt.Printf("node %d: done after %d steps, frequency %.3f (budget %.2f, %d backpressure drops)\n",
-				node, a.Steps(), a.Frequency(), *budget, a.Dropped())
+			fmt.Printf("node %d: done after %d steps, frequency %.3f (budget %.2f, %d backpressure/outage drops, %d reconnects)\n",
+				node, a.Steps(), a.Frequency(), *budget, a.Dropped(), client.Reconnects())
 		}()
 	}
 	wg.Wait()

@@ -20,15 +20,15 @@ type (
 	MeasurementStore = transport.Store
 	// CollectorServer accepts agent connections and fills a store.
 	CollectorServer = transport.Server
-	// AgentClient is a node's TCP connection to the collector.
-	AgentClient = transport.Client
-	// ReconnectingAgentClient redials automatically across collector
-	// restarts (lossy, monitoring-grade semantics).
+	// ReconnectingAgentClient is a BatchAgentClient that redials
+	// automatically across collector restarts (lossy, monitoring-grade
+	// semantics: records queued on a connection that dies are dropped and
+	// counted).
 	ReconnectingAgentClient = transport.ReconnectingClient
-	// BatchAgentClient is the v2 framed-protocol client: it coalesces
-	// measurements into CRC-checked batches, bounds its send queue
-	// (surfacing backpressure instead of blocking), and carries the node's
-	// local clock for exact central eq. 5 accounting.
+	// BatchAgentClient is a node's TCP connection to the collector: it
+	// coalesces measurements into CRC-checked batches, bounds its send
+	// queue (surfacing backpressure instead of blocking), and carries the
+	// node's local clock for exact central eq. 5 accounting.
 	BatchAgentClient = transport.BatchClient
 	// BatchOptions tunes a BatchAgentClient (batch size, linger,
 	// queue bound, write deadline, compression, multiplexing).
@@ -52,22 +52,16 @@ func NewCollectorServer(store *MeasurementStore, onUpdate func(Measurement)) (*C
 	return transport.NewServer(store, onUpdate)
 }
 
-// DialCollector connects a node agent to a collector address with the v1
-// per-measurement protocol.
-func DialCollector(addr string, node int) (*AgentClient, error) {
-	return transport.Dial(addr, node)
-}
-
-// DialBatchCollector connects a node agent with the batched v2 framed
-// protocol; the zero BatchOptions selects sensible defaults.
+// DialBatchCollector connects a node agent to a collector address; the zero
+// BatchOptions selects sensible defaults.
 func DialBatchCollector(addr string, node int, opts BatchOptions) (*BatchAgentClient, error) {
 	return transport.DialBatch(addr, node, opts)
 }
 
 // NewReconnectingCollectorClient prepares a lazily-dialed, auto-redialing
-// client for the node.
+// client for the node, with the default BatchOptions.
 func NewReconnectingCollectorClient(addr string, node int) *ReconnectingAgentClient {
-	return transport.NewReconnectingClient(addr, node)
+	return transport.NewReconnectingClient(addr, node, BatchOptions{})
 }
 
 // NewAgent validates and builds the node-side loop.

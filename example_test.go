@@ -56,11 +56,10 @@ func ExampleNewCollectorServer() {
 	}
 	defer srv.Close()
 
-	client, err := orcf.DialCollector(addr, 0)
+	client, err := orcf.DialBatchCollector(addr, 0, orcf.BatchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer client.Close()
 	policy, err := orcf.NewAdaptiveTransmitPolicy(1.0) // B=1: send everything
 	if err != nil {
 		log.Fatal(err)
@@ -76,6 +75,9 @@ func ExampleNewCollectorServer() {
 		log.Fatal(err)
 	}
 	if err := a.Run(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	if err := client.Close(); err != nil { // flushes the pending batch
 		log.Fatal(err)
 	}
 	// Wait for the asynchronous server to drain the stream.

@@ -1,13 +1,11 @@
 // Livecollect: the collection plane running for real — a central TCP
 // collector and a fleet of in-process node agents, each filtering its
-// measurements through the adaptive transmission policy before sending.
-// The fleet is mixed-version on purpose: even-numbered nodes speak the
-// legacy v1 per-measurement gob stream, odd-numbered nodes the batched v2
-// framing (with local-clock carriage), and the collector serves both on one
-// port by peeking the first connection byte. The central side clusters
-// whatever it has received and prints the evolving centroids plus the
-// realized per-node frequencies the store accounted (eq. 5) — exact for v2
-// nodes, last-accepted-step approximations for v1 nodes.
+// measurements through the adaptive transmission policy before sending
+// them as batched frames that also carry the node's local clock. The
+// central side steps the pipeline on whatever the store holds
+// (serve.StoreStepper, the loop cmd/collectd and cmd/forecastd run) and
+// prints the evolving centroids plus the realized per-node frequencies the
+// store accounted (eq. 5), which the carried clock makes exact.
 //
 // Run with:
 //
@@ -17,12 +15,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand/v2"
 	"sync"
 	"time"
 
 	"orcf"
-	"orcf/internal/cluster"
+	"orcf/internal/core"
+	"orcf/internal/serve"
 	"orcf/internal/transmit"
 	"orcf/internal/transport"
 )
@@ -33,12 +31,6 @@ const (
 	budget = 0.3
 	k      = 3
 )
-
-// sender is the common surface of the v1 and v2 clients.
-type sender interface {
-	Send(step int, values []float64) error
-	Close() error
-}
 
 func main() {
 	ds, err := orcf.GenerateTrace(orcf.GeneratorConfig{
@@ -59,7 +51,7 @@ func main() {
 		log.Fatalf("listening: %v", err)
 	}
 	defer server.Close()
-	fmt.Printf("collector listening on %s (mixed v1 gob + v2 framed fleet)\n", addr)
+	fmt.Printf("collector listening on %s\n", addr)
 
 	// Node agents: each owns a TCP connection and an adaptive policy. A
 	// step barrier keeps the demo deterministic-ish: all agents process
@@ -74,25 +66,12 @@ func main() {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			var client sender
-			var clock interface{ Advance(int) }
-			if node%2 == 0 {
-				c, err := transport.Dial(addr, node)
-				if err != nil {
-					log.Printf("node %d: dial v1: %v", node, err)
-					return
-				}
-				c.SetWriteTimeout(5 * time.Second)
-				client = c
-			} else {
-				c, err := transport.DialBatch(addr, node, transport.BatchOptions{
-					BatchSize: 8, Linger: 2 * time.Millisecond,
-				})
-				if err != nil {
-					log.Printf("node %d: dial v2: %v", node, err)
-					return
-				}
-				client, clock = c, c
+			client, err := transport.DialBatch(addr, node, transport.BatchOptions{
+				BatchSize: 8, Linger: 2 * time.Millisecond,
+			})
+			if err != nil {
+				log.Printf("node %d: dial: %v", node, err)
+				return
 			}
 			defer client.Close()
 			policy, err := transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: budget})
@@ -103,9 +82,7 @@ func main() {
 			var stored []float64
 			for t := range stepBarrier[node] {
 				x := ds.At(t, node)
-				if clock != nil {
-					clock.Advance(t + 1) // v2: suppressed steps advance eq. 5 too
-				}
+				client.Advance(t + 1) // suppressed steps advance eq. 5 too
 				if policy.Decide(t+1, x, stored) {
 					if err := client.Send(t+1, x); err != nil {
 						log.Printf("node %d: send: %v", node, err)
@@ -119,9 +96,11 @@ func main() {
 		}(i)
 	}
 
-	tracker, err := cluster.NewTracker(cluster.Config{K: k}, rand.New(rand.NewPCG(5, 5)))
+	stepper, err := serve.NewStoreStepper(store, core.Config{
+		Nodes: nodes, Resources: ds.NumResources(), K: k, Seed: 5,
+	})
 	if err != nil {
-		log.Fatalf("tracker: %v", err)
+		log.Fatalf("stepper: %v", err)
 	}
 
 	for t := 0; t < steps; t++ {
@@ -131,25 +110,22 @@ func main() {
 		for i := 0; i < nodes; i++ {
 			<-doneBarrier[i]
 		}
-		// Central side: cluster the latest stored CPU values. Nodes that
-		// have not transmitted yet keep their previous value, which is the
-		// "intermittent measurements" property from the paper. (v2 batches
-		// may still be in flight — also intermittency, by design.)
-		if store.Len() < nodes {
-			continue // first steps until everyone said hello+sent once
+		// Central side: one pipeline tick on the latest stored values. Nodes
+		// that did not transmit keep their previous value, which is the
+		// "intermittent measurements" property from the paper (batches may
+		// still be in flight — also intermittency, by design). Only the very
+		// first tick waits: it is refused until every node's first
+		// measurement (the policy always sends step 1) has been delivered.
+		for wait := time.Now().Add(5 * time.Second); store.Len() < nodes && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
 		}
-		points := make([][]float64, nodes)
-		for i := 0; i < nodes; i++ {
-			m, _ := store.Latest(i)
-			points[i] = []float64{m.Values[0]}
-		}
-		step, err := tracker.Update(points)
+		res, ok, err := stepper.Tick()
 		if err != nil {
-			log.Fatalf("clustering at %d: %v", t, err)
+			log.Fatalf("tick at %d: %v", t, err)
 		}
-		if (t+1)%80 == 0 {
+		if ok && (t+1)%80 == 0 {
 			fmt.Printf("step %3d | CPU centroids:", t+1)
-			for _, c := range step.Centroids {
+			for _, c := range res.PerResource[0].Centroids {
 				fmt.Printf(" %.3f", c[0])
 			}
 			fmt.Println()
@@ -158,7 +134,7 @@ func main() {
 	for i := 0; i < nodes; i++ {
 		close(stepBarrier[i])
 	}
-	wg.Wait() // agents close their clients: v2 batches + final clocks flush
+	wg.Wait() // agents close their clients: pending batches + final clocks flush
 
 	var tx int
 	for _, n := range totalTx {
@@ -167,23 +143,27 @@ func main() {
 	fmt.Printf("total transmissions: %d of %d possible (%.1f%%, budget %.0f%%)\n",
 		tx, nodes*steps, 100*float64(tx)/float64(nodes*steps), budget*100)
 
-	// eq. 5 as the collector accounted it: v2 nodes (odd) carry their local
-	// clock, so their central frequency denominator is the true step count.
+	// eq. 5 as the collector accounted it: every node carries its local
+	// clock, so the central frequency denominator is the true step count.
 	deadline := time.Now().Add(5 * time.Second)
-	for store.Stats()[1].LocalStep < steps && time.Now().Before(deadline) {
+	caughtUp := func() bool {
+		stats := store.Stats()
+		for i := 0; i < nodes; i++ {
+			if stats[i].LocalStep < steps {
+				return false
+			}
+		}
+		return true
+	}
+	for !caughtUp() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	stats := store.Stats()
-	var v1f, v2f float64
+	var mean float64
 	for i := 0; i < nodes; i++ {
-		if i%2 == 0 {
-			v1f += stats[i].Frequency
-		} else {
-			v2f += stats[i].Frequency
-		}
+		mean += stats[i].Frequency
 	}
-	fmt.Printf("central eq. 5 mean frequency | v1 nodes %.3f (denominator: last accepted step) | v2 nodes %.3f (exact local clock)\n",
-		v1f/(nodes/2), v2f/(nodes/2))
+	fmt.Printf("central eq. 5 mean frequency %.3f (exact local clock)\n", mean/nodes)
 	if n := server.ProtocolErrors(); n != 0 {
 		log.Fatalf("%d protocol errors in a clean run", n)
 	}

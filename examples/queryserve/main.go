@@ -93,7 +93,7 @@ func main() {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			client, err := transport.Dial(addr, node)
+			client, err := transport.DialBatch(addr, node, transport.BatchOptions{Linger: time.Millisecond})
 			if err != nil {
 				log.Printf("node %d: dial: %v", node, err)
 				return
@@ -108,6 +108,7 @@ func main() {
 			for t := range stepc[node] {
 				x := ds.At(t-1, node)
 				sentAt := 0
+				client.Advance(t)
 				if policy.Decide(t, x, stored) {
 					if err := client.Send(t, x); err != nil {
 						log.Printf("node %d: send: %v", node, err)

@@ -4,8 +4,8 @@
 // cmd/nodeagent and the livecollect example are thin wrappers around it.
 //
 // The transport is abstracted behind the Sender interface so the same loop
-// runs over real TCP (transport.Client), in-process fakes in tests, or any
-// future transport.
+// runs over real TCP (transport.BatchClient, or transport.ReconnectingClient
+// to outlive collector restarts) and over in-process fakes in tests.
 //
 // Fleet lifecycle: an agent needs no join or leave protocol. Its first
 // delivered measurement makes the collector add the node to the fleet
@@ -35,16 +35,18 @@ var ErrBadConfig = errors.New("agent: invalid configuration")
 // agent's run cleanly.
 type Source func(step int) ([]float64, bool)
 
-// Sender ships one measurement to the collector. transport.Client and
-// transport.BatchClient satisfy this interface.
+// Sender ships one measurement to the collector. transport.BatchClient and
+// transport.ReconnectingClient satisfy this interface.
 //
-// A Sender may additionally implement Clock and/or report backpressure by
-// returning transport.ErrBacklogged; see Agent.Run for how the loop reacts.
+// A Sender may additionally implement Clock, and may report a transient
+// rejection by returning transport.ErrBacklogged (queue full) or
+// transport.ErrBackoff (collector outage being ridden out); see Agent.Run
+// for how the loop reacts.
 type Sender interface {
 	Send(step int, values []float64) error
 }
 
-// Clock is optionally implemented by senders (transport.BatchClient) that
+// Clock is optionally implemented by senders (both transport clients) that
 // can carry the node's local step count to the collector independently of
 // measurements. The agent advances it on every sampled step, so the
 // central eq. 5 frequency accounting sees suppressed steps too.

@@ -214,7 +214,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	agents := make([]*Agent, nodes)
 	errs := make(chan error, nodes)
 	for n := 0; n < nodes; n++ {
-		client, err := transport.Dial(addr, n)
+		client, err := transport.DialBatch(addr, n, transport.BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,11 @@ func TestEndToEndOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- a.Run(context.Background())
+			err := a.Run(context.Background())
+			if err == nil {
+				err = client.Flush()
+			}
+			errs <- err
 		}()
 	}
 	wg.Wait()
@@ -407,5 +411,84 @@ func TestCentralFrequencyMatchesMeterUnderAdaptivePolicy(t *testing.T) {
 	}
 	if math.Abs(st.Frequency-budget) > 0.05 {
 		t.Fatalf("frequency %v far from budget %v", st.Frequency, budget)
+	}
+}
+
+// TestRunSurvivesCollectorRestart is the nodeagent regression: with a plain
+// BatchClient a collector restart made Run return the terminal write error
+// and the process tore itself down. Over a ReconnectingClient the outage is
+// a stretch of suppressed steps, and the restarted collector ends up with
+// the agent's last step.
+func TestRunSurvivesCollectorRestart(t *testing.T) {
+	t.Parallel()
+	const node, steps = 2, 400
+	listen := func(addr string) (*transport.Server, *transport.Store, string) {
+		store := transport.NewStore()
+		srv, err := transport.NewServer(store, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bound string
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			if bound, err = srv.Listen(addr); err == nil {
+				return srv, store, bound
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("binding %s: %v", addr, err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	srv1, store1, addr := listen("127.0.0.1:0")
+
+	client := transport.NewReconnectingClient(addr, node, transport.BatchOptions{Linger: time.Millisecond})
+	client.SetBackoff(time.Millisecond, 5*time.Millisecond)
+	a, err := New(Config{
+		Node:     node,
+		Policy:   transmit.Always{},
+		Source:   LoopSource(rows(5, func(i int) float64 { return float64(i) / 5 })),
+		Sender:   client,
+		Interval: time.Millisecond,
+		MaxSteps: steps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Run(context.Background()) }()
+
+	arrived := func(s *transport.Store) bool { _, ok := s.Latest(node); return ok }
+	for deadline := time.Now().Add(5 * time.Second); !arrived(store1); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("agent never reached the first collector")
+		}
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, store2, _ := listen(addr)
+	defer srv2.Close()
+
+	if err := <-done; err != nil {
+		t.Fatalf("collector restart ended the run: %v", err)
+	}
+	if err := client.Close(); err != nil { // flushes the last batch and clock
+		t.Fatal(err)
+	}
+	if a.Steps() != steps {
+		t.Fatalf("agent stopped after %d of %d steps", a.Steps(), steps)
+	}
+	if n := client.Reconnects(); n != 1 {
+		t.Fatalf("reconnects = %d, want 1", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := store2.Stats()[node]
+		if st.Latest.Step == steps && st.LocalStep == steps {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted collector holds %+v, want step %d", st, steps)
+		}
 	}
 }

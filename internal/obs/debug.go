@@ -3,6 +3,9 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
+	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 )
@@ -37,4 +40,22 @@ func DebugMux(r *Registry) *http.ServeMux {
 		_ = r.WritePrometheus(w)
 	})
 	return mux
+}
+
+// ServeDebug binds addr and serves DebugMux(r) on it in the background,
+// logging the bound address (and a serve failure, should one happen). The
+// caller stops the returned server with Close or Shutdown.
+func ServeDebug(addr string, r *Registry, log *slog.Logger) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
+	}
+	srv := &http.Server{Handler: DebugMux(r)}
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			log.Error("debug server", "err", err)
+		}
+	}()
+	log.Info("debug server listening", "addr", ln.Addr().String())
+	return srv, nil
 }

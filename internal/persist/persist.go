@@ -48,7 +48,8 @@ const (
 	KindCheckpoint uint8 = 1
 	// KindWAL marks a write-ahead-log file.
 	KindWAL uint8 = 2
-	// KindAux marks auxiliary blobs (e.g. cmd/collectd tracker state).
+	// KindAux marks auxiliary blobs that are neither checkpoint nor WAL
+	// (examples/crashrecover stores its result in one).
 	KindAux uint8 = 3
 )
 

@@ -1,10 +1,9 @@
 package serve
 
-// Regression for the wire-protocol overhaul: the StoreStepper's
-// arrival-mirroring (central eq. 5 accounting) must be insensitive to HOW
-// measurements reached the store — one v1 gob envelope at a time, or
-// coalesced v2 batches. Identical store states at each tick must produce a
-// bit-identical pipeline.
+// The StoreStepper's arrival-mirroring (central eq. 5 accounting) must be
+// insensitive to HOW measurements reached the store — applied one at a time,
+// or coalesced into batches over TCP. Identical store states at each tick
+// must produce a bit-identical pipeline.
 
 import (
 	"reflect"
@@ -37,7 +36,7 @@ func TestStoreStepperBatchedDeliveryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Networked run: the same measurements travel as v2 batches over TCP.
+	// Networked run: the same measurements travel as batches over TCP.
 	netStore := transport.NewStore()
 	collector, err := transport.NewServer(netStore, nil)
 	if err != nil {

@@ -84,6 +84,9 @@ func newChurnEnv(t *testing.T, dir string) *churnEnv {
 	if _, err := mgr.Recover(stepper.Replay); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	// Stop the background checkpointer before TempDir removes dir under it
+	// (cleanups run last-registered first, and dir was made before this).
+	t.Cleanup(func() { _ = mgr.Close() })
 	stepper.SetLog(mgr)
 	return &churnEnv{store: store, stepper: stepper, mgr: mgr}
 }
@@ -243,8 +246,6 @@ func TestStoreStepperZeroReplayRecovery(t *testing.T) {
 	}
 
 	rec := newChurnEnv(t, dir) // cfg.Nodes is still 4; the roster says 5
-	// Stop the background checkpointer before TempDir removes dir under it.
-	defer rec.mgr.Close()
 	sys := rec.stepper.System()
 	if sys.Steps() != churnJoinTick+2 || sys.LiveNodes() != 5 {
 		t.Fatalf("recovered to step %d with %d members, want %d/5", sys.Steps(), sys.LiveNodes(), churnJoinTick+2)

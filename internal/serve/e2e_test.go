@@ -78,11 +78,11 @@ func TestEndToEndCollectAndServe(t *testing.T) {
 	defer hs.Close()
 
 	// Edge side: one TCP client + adaptive policy per node.
-	clients := make([]*transport.Client, nodes)
+	clients := make([]*transport.BatchClient, nodes)
 	policies := make([]transmit.Policy, nodes)
 	stored := make([][]float64, nodes)
 	for i := range clients {
-		if clients[i], err = transport.Dial(addr, i); err != nil {
+		if clients[i], err = transport.DialBatch(addr, i, transport.BatchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		defer clients[i].Close()
@@ -100,6 +100,9 @@ func TestEndToEndCollectAndServe(t *testing.T) {
 				continue
 			}
 			if err := clients[i].Send(step, x[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := clients[i].Flush(); err != nil {
 				t.Fatal(err)
 			}
 			stored[i] = append(stored[i][:0], x[i]...)

@@ -251,10 +251,8 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 		// With liveness tracking off (no AbsenceTimeout), a quiet member
 		// keeps being fed its last stored values — the pre-churn behavior.
 		// With it on, a member whose local clock stalled (no measurements
-		// and no heartbeats) takes an absence tick instead; note a v1 agent
-		// only advances its clock on accepted measurements, so its
-		// suppressed quiet periods look like absence — budget the timeout
-		// accordingly or run v2 agents (which heartbeat).
+		// and no heartbeats — agents heartbeat through suppressed steps)
+		// takes an absence tick instead.
 		fresh := stat.Latest.Step > st.lastStep[id]
 		contacted := fresh || stat.LocalStep > st.lastClock[id] || !st.started || st.absence == 0
 		if fresh {

@@ -53,6 +53,9 @@ func newStepperEnv(t *testing.T, dir string) *stepperEnv {
 	if info.Steps != stepper.System().Steps() {
 		t.Fatalf("recovery info steps %d, system at %d", info.Steps, stepper.System().Steps())
 	}
+	// Stop the background checkpointer before TempDir removes dir under it
+	// (cleanups run last-registered first, and dir was made before this).
+	t.Cleanup(func() { _ = mgr.Close() })
 	stepper.SetLog(mgr)
 	return &stepperEnv{store: store, stepper: stepper, mgr: mgr}
 }

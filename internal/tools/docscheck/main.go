@@ -272,7 +272,9 @@ func registeredFlags() (map[string][]string, []string) {
 					if !ok || !flagFuncs[sel.Sel.Name] || len(call.Args) == 0 {
 						return true
 					}
-					if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "flag" {
+					// The flag package itself, or a FlagSet named fs (cmd/collectd's
+					// run takes its arguments as a parameter).
+					if recv, ok := sel.X.(*ast.Ident); !ok || (recv.Name != "flag" && recv.Name != "fs") {
 						return true
 					}
 					lit, ok := call.Args[0].(*ast.BasicLit)

@@ -13,8 +13,7 @@ import (
 // node samples. The measurement is dropped; callers should treat the step
 // as not transmitted (the agent loop records it as a suppressed step, so
 // the adaptive policy's budget accounting stays truthful) and simply try
-// again on the next sample. This is the backpressure signal that replaces
-// the v1 behavior of blocking forever inside a write.
+// again on the next sample. Send never blocks inside a network write.
 var ErrBacklogged = errors.New("transport: send queue full (backpressure)")
 
 // Default BatchOptions values.
@@ -25,7 +24,7 @@ const (
 	DefaultWriteTimeout = 10 * time.Second
 )
 
-// BatchOptions tunes a v2 batching client. The zero value selects the
+// BatchOptions tunes a batching client. The zero value selects the
 // defaults above.
 type BatchOptions struct {
 	// BatchSize flushes the queue as soon as this many records are
@@ -39,9 +38,9 @@ type BatchOptions struct {
 	// MaxPending bounds the send queue; Send returns ErrBacklogged beyond
 	// it instead of blocking.
 	MaxPending int
-	// WriteTimeout is the per-flush write deadline. A collector that stops
-	// draining fails the flush within this bound instead of wedging the
-	// client forever.
+	// WriteTimeout is the per-flush write deadline, and bounds the dial. A
+	// collector that stops draining (or never answers the connect) fails
+	// within this bound instead of wedging the client forever.
 	WriteTimeout time.Duration
 	// Compress DEFLATE-compresses batch bodies (cheapest level). Worth it
 	// for large batches over slow links; off by default.
@@ -72,12 +71,12 @@ func (o BatchOptions) withDefaults() BatchOptions {
 	return o
 }
 
-// BatchClient is the v2 protocol client: it coalesces measurements into
+// BatchClient is the wire-protocol client: it coalesces measurements into
 // framed batches flushed by size or linger, keeps the connection's send
 // queue bounded (surfacing backpressure through ErrBacklogged), and carries
 // the node's local clock so the collector's eq. 5 accounting stays exact
-// even when the policy suppresses every sample. It satisfies the same
-// Send/Close surface as Client; agent.Agent additionally uses Advance.
+// even when the policy suppresses every sample. One BatchClient is one
+// connection: a write error is terminal. ReconnectingClient redials.
 //
 // All methods are safe for concurrent use.
 type BatchClient struct {
@@ -101,14 +100,14 @@ type BatchClient struct {
 	done    chan struct{} // writer exited
 }
 
-// DialBatch connects to the collector with the v2 framed protocol and sends
-// the hello for this node.
+// DialBatch connects to the collector and sends the hello for this node. The
+// connect and the hello write are each bounded by opts.WriteTimeout.
 func DialBatch(addr string, node int, opts BatchOptions) (*BatchClient, error) {
 	if node < 0 {
 		return nil, fmt.Errorf("transport: negative node %d: %w", node, ErrProtocol)
 	}
 	opts = opts.withDefaults()
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, opts.WriteTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
@@ -197,11 +196,21 @@ func (c *BatchClient) Advance(step int) {
 	c.mu.Unlock()
 }
 
-// Dropped returns how many measurements Send rejected with ErrBacklogged.
+// Dropped returns how many measurements were lost on this client: rejected
+// by Send with ErrBacklogged, or still queued when a write failed and the
+// connection died under them.
 func (c *BatchClient) Dropped() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dropped
+}
+
+// writeErr returns the terminal write error, nil while the connection is
+// usable.
+func (c *BatchClient) writeErr() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // Flush synchronously writes everything pending (including a bare clock
@@ -317,26 +326,15 @@ func (c *BatchClient) flush(enc *batchEncoder, all bool) error {
 		frame = appendFrame(enc.frame[:0], frameHeartbeat, enc.raw)
 	} else {
 		payload, err := enc.encode(headerClock, recs)
-		if err == nil {
-			frame = appendFrame(enc.frame[:0], frameBatch, payload)
-		} else {
-			c.mu.Lock()
-			c.err = err
-			c.mu.Unlock()
-			return err
+		if err != nil {
+			return c.fail(err, len(recs))
 		}
+		frame = appendFrame(enc.frame[:0], frameBatch, payload)
 	}
 	enc.frame = frame
 	_ = c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
 	if _, err := c.conn.Write(frame); err != nil {
-		err = fmt.Errorf("transport: batch write: %w", err)
-		c.mu.Lock()
-		if c.closed {
-			err = ErrClosed
-		}
-		c.err = err
-		c.mu.Unlock()
-		return err
+		return c.fail(fmt.Errorf("transport: batch write: %w", err), len(recs))
 	}
 	c.metrics.FramesOut.Inc()
 	c.metrics.BytesOut.Add(int64(len(frame)))
@@ -355,4 +353,20 @@ func (c *BatchClient) flush(enc *batchEncoder, all bool) error {
 	}
 	c.mu.Unlock()
 	return nil
+}
+
+// fail makes err the client's terminal error (ErrClosed when Close caused
+// it) and counts what the dead connection takes with it: the inFlight
+// records of the failed flush plus everything still queued — Send enqueues
+// nothing once the error is set.
+func (c *BatchClient) fail(err error, inFlight int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		err = ErrClosed
+	}
+	c.err = err
+	c.dropped += int64(inFlight + len(c.pending))
+	c.pending = nil
+	return err
 }

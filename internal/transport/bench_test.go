@@ -2,9 +2,7 @@ package transport
 
 // BenchmarkTransportIngest measures end-to-end collection-plane throughput
 // over real TCP on loopback: messages sent by one agent until they are
-// applied to the central store. The v1 case is the per-measurement gob
-// stream, the v2 cases the framed batching protocol — the batch=64 case is
-// the acceptance bar for the wire-protocol overhaul (≥ 3× v1 msgs/sec).
+// applied to the central store, at several batch sizes and with DEFLATE.
 //
 //	go test -run xxx -bench TransportIngest -benchmem ./internal/transport
 
@@ -17,12 +15,7 @@ import (
 	"time"
 )
 
-type ingestSender interface {
-	Send(step int, values []float64) error
-	Close() error
-}
-
-func benchIngest(b *testing.B, dial func(addr string) (ingestSender, error), flush func(ingestSender) error) {
+func benchIngest(b *testing.B, opts BatchOptions) {
 	store := NewStore()
 	var received atomic.Int64
 	srv, err := NewServer(store, func(Measurement) { received.Add(1) })
@@ -35,7 +28,7 @@ func benchIngest(b *testing.B, dial func(addr string) (ingestSender, error), flu
 	}
 	defer srv.Close()
 
-	c, err := dial(addr)
+	c, err := DialBatch(addr, 0, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,10 +51,8 @@ func benchIngest(b *testing.B, dial func(addr string) (ingestSender, error), flu
 			runtime.Gosched()
 		}
 	}
-	if flush != nil {
-		if err := flush(c); err != nil {
-			b.Fatal(err)
-		}
+	if err := c.Flush(); err != nil {
+		b.Fatal(err)
 	}
 	for received.Load() < int64(b.N) {
 		time.Sleep(50 * time.Microsecond)
@@ -77,22 +68,13 @@ func benchIngest(b *testing.B, dial func(addr string) (ingestSender, error), flu
 }
 
 func BenchmarkTransportIngest(b *testing.B) {
-	b.Run("v1gob", func(b *testing.B) {
-		benchIngest(b, func(addr string) (ingestSender, error) {
-			return Dial(addr, 0)
-		}, nil)
-	})
 	for _, batch := range []int{16, 64, 256} {
 		batch := batch
 		b.Run("v2batch"+strconv.Itoa(batch), func(b *testing.B) {
-			benchIngest(b, func(addr string) (ingestSender, error) {
-				return DialBatch(addr, 0, BatchOptions{BatchSize: batch, Linger: 5 * time.Millisecond})
-			}, func(c ingestSender) error { return c.(*BatchClient).Flush() })
+			benchIngest(b, BatchOptions{BatchSize: batch, Linger: 5 * time.Millisecond})
 		})
 	}
 	b.Run("v2batch64compressed", func(b *testing.B) {
-		benchIngest(b, func(addr string) (ingestSender, error) {
-			return DialBatch(addr, 0, BatchOptions{BatchSize: 64, Linger: 5 * time.Millisecond, Compress: true})
-		}, func(c ingestSender) error { return c.(*BatchClient).Flush() })
+		benchIngest(b, BatchOptions{BatchSize: 64, Linger: 5 * time.Millisecond, Compress: true})
 	})
 }

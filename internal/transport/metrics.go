@@ -18,16 +18,15 @@ type ServerMetrics struct {
 	// Reconnects counts hellos from node ids already seen on an earlier
 	// connection — the collector-side view of agent redials.
 	Reconnects obs.Counter
-	// BytesIn counts bytes read off agent connections (both protocol
-	// generations, framing included).
+	// BytesIn counts bytes read off agent connections, framing included.
 	BytesIn obs.Counter
-	// FramesIn counts decoded v2 frames of any type.
+	// FramesIn counts decoded frames of any type.
 	FramesIn obs.Counter
-	// BatchesIn counts v2 batch frames.
+	// BatchesIn counts batch frames.
 	BatchesIn obs.Counter
-	// HeartbeatsIn counts v2 heartbeat frames.
+	// HeartbeatsIn counts heartbeat frames.
 	HeartbeatsIn obs.Counter
-	// RecordsIn counts measurements delivered to the store (v1 and v2).
+	// RecordsIn counts measurements delivered to the store.
 	RecordsIn obs.Counter
 	// CompressedBatches counts batch frames that arrived DEFLATE-compressed.
 	CompressedBatches obs.Counter
@@ -56,13 +55,13 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("orcf_ingest_bytes_total",
 		"Bytes read off agent connections, framing included.", &m.BytesIn)
 	reg.Counter("orcf_ingest_frames_total",
-		"Decoded v2 frames of any type.", &m.FramesIn)
+		"Decoded frames of any type.", &m.FramesIn)
 	reg.Counter("orcf_ingest_batches_total",
-		"Decoded v2 batch frames.", &m.BatchesIn)
+		"Decoded batch frames.", &m.BatchesIn)
 	reg.Counter("orcf_ingest_heartbeats_total",
-		"Decoded v2 heartbeat frames.", &m.HeartbeatsIn)
+		"Decoded heartbeat frames.", &m.HeartbeatsIn)
 	reg.Counter("orcf_ingest_records_total",
-		"Measurements delivered to the store (both protocol generations).", &m.RecordsIn)
+		"Measurements delivered to the store.", &m.RecordsIn)
 	reg.Counter("orcf_ingest_compressed_batches_total",
 		"Batch frames that arrived DEFLATE-compressed.", &m.CompressedBatches)
 	reg.Counter("orcf_ingest_batch_wire_bytes_total",
@@ -79,7 +78,7 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			return float64(m.BatchRawBytes.Value()) / float64(wire)
 		})
 	reg.CounterFunc("orcf_ingest_protocol_errors_total",
-		"Connections dropped for protocol violations (malformed frames, CRC mismatches, spoofed ids).",
+		"Connections dropped for protocol violations (foreign preamble, malformed frames, CRC mismatches, spoofed ids).",
 		func() float64 { return float64(s.ProtocolErrors()) })
 }
 
@@ -119,7 +118,7 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("orcf_store_stale_total",
 		"Measurements rejected as stale duplicates (equal-or-newer step already stored).", &m.Stale)
 	reg.Counter("orcf_store_clock_advances_total",
-		"Clock-only advances from v2 batch headers and heartbeats.", &m.Advances)
+		"Clock-only advances from batch headers and heartbeats.", &m.Advances)
 	reg.Counter("orcf_store_forgotten_total",
 		"Evicted members whose store entries were released.", &m.Forgotten)
 	reg.GaugeFunc("orcf_store_nodes",
@@ -127,7 +126,7 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.Len()) })
 }
 
-// BatchClientMetrics holds a v2 batching client's egress instrumentation.
+// BatchClientMetrics holds a batching client's egress instrumentation.
 type BatchClientMetrics struct {
 	// FramesOut counts frames written (batches and heartbeats).
 	FramesOut obs.Counter

@@ -92,13 +92,15 @@ func TestServerMetricsV2(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same node reconnecting is counted as a redial (v1 this time — the
-	// counter spans both generations).
-	c1, err := Dial(addr, 3)
+	// Same node reconnecting is counted as a redial.
+	c1, err := DialBatch(addr, 3, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c1.Send(1, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return m.Reconnects.Value() == 1 }, 5*time.Second, "reconnect noticed")
@@ -133,7 +135,7 @@ func TestReconnectingClientCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rc := NewReconnectingClient(addr, 1)
+	rc := NewReconnectingClient(addr, 1, BatchOptions{Linger: time.Millisecond})
 	rc.SetBackoff(time.Millisecond, 2*time.Millisecond)
 	defer rc.Close()
 	if err := rc.Send(1, []float64{1}); err != nil {

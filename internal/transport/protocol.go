@@ -1,13 +1,11 @@
 package transport
 
-// Wire protocol v2: versioned binary framing for the collection plane.
+// The wire protocol: versioned binary framing for the collection plane.
 //
-// A v2 connection opens with a 5-byte magic — 0x00 'O' 'R' 'C' followed by
-// the protocol version byte — and then carries a sequence of frames. The
-// leading 0x00 is what makes version negotiation work: a gob stream (the v1
-// protocol) always starts with a non-zero uvarint message length, so the
-// server can peek one byte and route the connection to the right decoder.
-// v1 agents keep connecting unchanged.
+// A connection opens with a 5-byte preamble — 0x00 'O' 'R' 'C' followed by
+// the protocol version byte (2; version 1 was a gob stream and is no longer
+// spoken) — and then carries a sequence of frames. There is no negotiation:
+// the server drops a connection whose first five bytes are anything else.
 //
 // Frame layout (multi-byte integers big-endian):
 //
@@ -46,17 +44,8 @@ import (
 	"math"
 )
 
-const (
-	// magicByte opens every v2 connection. Gob streams never start with
-	// 0x00 (a zero message length is invalid), so this byte alone
-	// disambiguates the two protocol generations.
-	magicByte = 0x00
-	// protoV2 is the current framed-protocol version.
-	protoV2 = 0x02
-)
-
-// magicV2 is the connection preamble: magicByte, "ORC", version.
-var magicV2 = [5]byte{magicByte, 'O', 'R', 'C', protoV2}
+// magicV2 is the connection preamble: 0x00, "ORC", protocol version 2.
+var magicV2 = [5]byte{0x00, 'O', 'R', 'C', 0x02}
 
 // Frame types.
 const (
@@ -173,7 +162,7 @@ func (e *batchEncoder) encode(localStep int, recs []Measurement) ([]byte, error)
 	return e.comp.Bytes(), nil
 }
 
-// frameReader reads v2 frames from a buffered connection, reusing one
+// frameReader reads frames from a buffered connection, reusing one
 // buffer across frames.
 type frameReader struct {
 	br  *bufio.Reader

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -130,21 +129,6 @@ func TestBatchDecodeHostileDimsDoesNotPanic(t *testing.T) {
 	}
 }
 
-// TestGobStreamNeverStartsWithMagicByte pins the assumption the version
-// negotiation rests on: the first byte of a v1 connection (a gob-encoded
-// Envelope stream) is a non-zero message length, so peeking 0x00 uniquely
-// identifies v2.
-func TestGobStreamNeverStartsWithMagicByte(t *testing.T) {
-	t.Parallel()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Envelope{Hello: &Hello{Node: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 || buf.Bytes()[0] == magicByte {
-		t.Fatalf("gob stream starts with %#x", buf.Bytes()[0])
-	}
-}
-
 func TestServerV2SpoofedNodeDropped(t *testing.T) {
 	t.Parallel()
 	store := NewStore()
@@ -232,10 +216,11 @@ func TestServerV2CorruptFrameCountsProtocolError(t *testing.T) {
 		"protocol error not counted")
 }
 
-// TestMixedVersionFleet is the compatibility regression: a v1 gob agent and
-// a v2 batched agent share one collector, and the store must end up exactly
+// TestFleetMatchesSerialStore: two batched agents on different cadences —
+// one that only ever sends, one that also advances its clock through
+// suppressed steps — share one collector, and the store must end up exactly
 // as if every measurement had been applied serially.
-func TestMixedVersionFleet(t *testing.T) {
+func TestFleetMatchesSerialStore(t *testing.T) {
 	t.Parallel()
 	store := NewStore()
 	srv, err := NewServer(store, nil)
@@ -251,39 +236,39 @@ func TestMixedVersionFleet(t *testing.T) {
 	const steps = 50
 	want := NewStore() // serial expectation, fed directly
 
-	v1, err := Dial(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	v2, err := DialBatch(addr, 1, BatchOptions{BatchSize: 8, Linger: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	var clients [2]*BatchClient
+	for n := range clients {
+		clients[n], err = DialBatch(addr, n, BatchOptions{BatchSize: 8, Linger: 2 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for step := 1; step <= steps; step++ {
-		val1 := []float64{float64(step) / steps, 0.5}
-		val2 := []float64{1 - float64(step)/steps, 0.25}
-		if step%2 == 1 { // v1 transmits odd steps
-			if err := v1.Send(step, val1); err != nil {
+		val0 := []float64{float64(step) / steps, 0.5}
+		val1 := []float64{1 - float64(step)/steps, 0.25}
+		if step%2 == 1 { // node 0 transmits odd steps and never advances
+			if err := clients[0].Send(step, val0); err != nil {
 				t.Fatal(err)
 			}
-			want.Apply(Measurement{Node: 0, Step: step, Values: append([]float64(nil), val1...)})
+			want.Apply(Measurement{Node: 0, Step: step, Values: append([]float64(nil), val0...)})
 		}
-		if step%3 == 0 { // v2 transmits every third step
-			if err := v2.Send(step, val2); err != nil {
+		if step%3 == 0 { // node 1 transmits every third step
+			if err := clients[1].Send(step, val1); err != nil {
 				t.Fatal(err)
 			}
-			want.Apply(Measurement{Node: 1, Step: step, Values: append([]float64(nil), val2...)})
+			want.Apply(Measurement{Node: 1, Step: step, Values: append([]float64(nil), val1...)})
 		}
-		v2.Advance(step)
+		clients[1].Advance(step)
 		want.Advance(1, step)
 	}
-	if err := v2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Close(); err != nil {
-		t.Fatal(err)
+	for _, c := range clients {
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	waitFor(t, func() bool {
@@ -291,19 +276,15 @@ func TestMixedVersionFleet(t *testing.T) {
 		return len(got) == 2 && got[1].LocalStep == steps &&
 			got[0].Latest.Step == want.Stats()[0].Latest.Step &&
 			got[1].Updates == want.Stats()[1].Updates
-	}, 5*time.Second, "mixed fleet never converged")
+	}, 5*time.Second, "fleet never converged")
 
-	got, exp := store.Stats(), want.Stats()
-	if !reflect.DeepEqual(got[1], exp[1]) {
-		t.Fatalf("v2 node stats\n got %+v\nwant %+v", got[1], exp[1])
-	}
-	// The v1 node's clock only advances on accepted measurements — the
-	// last odd step — matching the serial expectation exactly as well.
-	if !reflect.DeepEqual(got[0], exp[0]) {
-		t.Fatalf("v1 node stats\n got %+v\nwant %+v", got[0], exp[0])
+	// Node 0's clock only advanced with its measurements — the last odd
+	// step — node 1's through every step; both match the serial store.
+	if got, exp := store.Stats(), want.Stats(); !reflect.DeepEqual(got, exp) {
+		t.Fatalf("store stats\n got %+v\nwant %+v", got, exp)
 	}
 	if n := srv.ProtocolErrors(); n != 0 {
-		t.Fatalf("%d protocol errors in a clean mixed run", n)
+		t.Fatalf("%d protocol errors in a clean run", n)
 	}
 }
 
@@ -372,25 +353,18 @@ func TestServerIdleTimeoutDropsSilentConn(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for name, dial := range map[string]func() (io.Closer, error){
-		"v1": func() (io.Closer, error) { return Dial(addr, 0) },
-		"v2": func() (io.Closer, error) {
-			return DialBatch(addr, 1, BatchOptions{Linger: time.Hour}) // no heartbeats
-		},
-	} {
-		c, err := dial()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		defer c.Close()
+	c, err := DialBatch(addr, 1, BatchOptions{Linger: time.Hour}) // no heartbeats
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Both connections said hello and then went silent; within a few idle
-	// windows the server must have dropped them.
+	defer c.Close()
+	// The connection said hello and then went silent; within a few idle
+	// windows the server must have dropped it.
 	waitFor(t, func() bool {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		return len(srv.conns) == 0
-	}, 10*time.Second, "silent connections never dropped")
+	}, 10*time.Second, "silent connection never dropped")
 	if n := srv.ProtocolErrors(); n != 0 {
 		t.Fatalf("idle drop counted as %d protocol errors", n)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"orcf/internal/obs"
@@ -21,15 +20,21 @@ import (
 // accounted as suppressed and the loop continues).
 var ErrBackoff = errors.New("transport: redial backing off")
 
-// ReconnectingClient wraps Client with automatic redial. Monitoring
+// ReconnectingClient wraps BatchClient with automatic redial. Monitoring
 // semantics make this simple: measurements are idempotent snapshots keyed by
 // (node, step) and the store keeps only the newest, so losing a few samples
-// during an outage is acceptable — the client never buffers, it just
-// re-establishes the stream and lets the adaptive policy's future
-// transmissions repair staleness.
+// during an outage is acceptable — records queued on a connection that dies
+// are dropped and counted (Dropped), the client re-establishes the stream,
+// and the adaptive policy's future transmissions repair staleness.
 //
-// Send attempts one redial per call when the connection is down, with a
-// capped, jittered exponential backoff between redial attempts: the backoff
+// A BatchClient learns that its connection is dead from a failed write, and
+// it writes only when it has a record or a clock advance to carry. Send and
+// Advance both check for that terminal error, so a node whose policy
+// suppresses every sample for a long stretch still notices the outage (its
+// heartbeats fail) and redials instead of staying silently disconnected.
+//
+// One redial is attempted per call while the connection is down, with a
+// capped, jittered exponential backoff between attempts: the backoff
 // ceiling doubles per consecutive failure, and the actual wait is drawn
 // uniformly from [ceiling/2, ceiling]. Without the jitter a collector
 // restart would make every agent redial in lockstep (they all failed at the
@@ -38,16 +43,16 @@ var ErrBackoff = errors.New("transport: redial backing off")
 type ReconnectingClient struct {
 	addr string
 	node int
+	opts BatchOptions
 
-	// closed and active live outside mu so Close can interrupt a Send that
-	// is stalled inside the lock (e.g. blocked on a non-draining
-	// collector): it flags the client closed and closes the live
-	// connection without waiting for mu.
-	closed atomic.Bool
-	active atomic.Pointer[Client]
-
+	// mu is never held across a record write: BatchClient.Send only
+	// enqueues. It is held across a redial, which DialBatch bounds by
+	// opts.WriteTimeout.
 	mu          sync.Mutex
-	client      *Client
+	client      *BatchClient
+	closed      bool
+	clock       int // highest local step seen, carried over to a new connection
+	lost        int64
 	nextAttempt time.Time
 	backoff     time.Duration
 	rng         *rand.Rand
@@ -63,17 +68,14 @@ type ReconnectingClient struct {
 	dialFailures obs.Counter
 }
 
-var _ interface {
-	Send(step int, values []float64) error
-	Close() error
-} = (*ReconnectingClient)(nil)
-
-// NewReconnectingClient prepares a lazily-dialed client for the node. No
-// connection is attempted until the first Send.
-func NewReconnectingClient(addr string, node int) *ReconnectingClient {
+// NewReconnectingClient prepares a lazily-dialed client for the node; opts
+// are handed to DialBatch on every (re)dial. No connection is attempted
+// until the first Send or Advance.
+func NewReconnectingClient(addr string, node int, opts BatchOptions) *ReconnectingClient {
 	return &ReconnectingClient{
 		addr:       addr,
 		node:       node,
+		opts:       opts,
 		rng:        rand.New(rand.NewPCG(rand.Uint64(), uint64(node))),
 		minBackoff: 50 * time.Millisecond,
 		maxBackoff: 5 * time.Second,
@@ -92,64 +94,67 @@ func (r *ReconnectingClient) SetBackoff(minB, maxB time.Duration) {
 	}
 }
 
-// setClient updates the live connection under mu, mirroring it into the
-// atomic pointer Close reads.
-func (r *ReconnectingClient) setClient(c *Client) {
-	r.client = c
-	r.active.Store(c)
-}
-
-// Send transmits one measurement, redialing if necessary. It returns an
-// error when the measurement could not be delivered in this call; callers
-// may simply try again on their next sample. While the redial backoff
-// window is open the error matches ErrBackoff.
+// Send enqueues one measurement, redialing first if the connection is down.
+// ErrBacklogged (the live connection's queue is full) is passed through and
+// never causes a redial. Any other error means the measurement was not
+// accepted in this call; callers may simply try again on their next sample.
+// While the redial backoff window is open the error matches ErrBackoff.
 func (r *ReconnectingClient) Send(step int, values []float64) error {
-	if r.closed.Load() {
-		return ErrClosed
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed.Load() {
-		return ErrClosed
+	if step > r.clock {
+		r.clock = step
 	}
-	if r.client == nil {
-		if err := r.redialLocked(); err != nil {
+	var err error
+	// Two rounds: a writer that fails between connLocked's check and the
+	// enqueue costs one immediate redial, not the sample.
+	for round := 0; round < 2; round++ {
+		var c *BatchClient
+		if c, err = r.connLocked(); err != nil {
 			return err
 		}
+		if err = c.Send(step, values); err == nil || errors.Is(err, ErrBacklogged) {
+			return err
+		}
+		r.retireLocked()
 	}
-	// The nested Client.Send arms its own write deadline around the encode,
-	// and Close never takes r.mu — it flips the atomic and closes the conn,
-	// which interrupts an in-flight write — so holding r.mu here is bounded.
-	//orcflint:ignore lockio Client.Send arms its own write deadline; Close interrupts via conn close without r.mu
-	if err := r.client.Send(step, values); err != nil {
-		// Connection went bad: drop it and try one immediate redial.
-		_ = r.client.Close()
-		r.setClient(nil)
-		if r.closed.Load() {
-			return ErrClosed
-		}
-		if err := r.redialLocked(); err != nil {
-			return fmt.Errorf("transport: send failed and redial pending: %w", err)
-		}
-		//orcflint:ignore lockio Client.Send arms its own write deadline; Close interrupts via conn close without r.mu
-		if err := r.client.Send(step, values); err != nil {
-			_ = r.client.Close()
-			r.setClient(nil)
-			return fmt.Errorf("transport: send after redial: %w", err)
-		}
-	}
-	return nil
+	return fmt.Errorf("transport: send after redial: %w: %w", err, ErrBackoff)
 }
 
-// redialLocked attempts to establish a connection, honoring the backoff
-// window. The caller holds r.mu.
-func (r *ReconnectingClient) redialLocked() error {
+// Advance moves the node's local clock forward without a measurement (see
+// BatchClient.Advance), redialing first if the connection is down. With no
+// connection the step is only remembered; the next successful dial carries
+// it.
+func (r *ReconnectingClient) Advance(step int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if step > r.clock {
+		r.clock = step
+	}
+	if c, err := r.connLocked(); err == nil {
+		c.Advance(step)
+	}
+}
+
+// connLocked returns the live connection: it retires one whose writer hit a
+// terminal error and dials when there is none, honoring the backoff window.
+// The caller holds r.mu.
+func (r *ReconnectingClient) connLocked() (*BatchClient, error) {
+	if r.closed {
+		return nil, ErrClosed
+	}
+	if r.client != nil {
+		if r.client.writeErr() == nil {
+			return r.client, nil
+		}
+		r.retireLocked()
+	}
 	now := time.Now()
 	if now.Before(r.nextAttempt) {
-		return fmt.Errorf("transport: redial backoff until %s: %w",
+		return nil, fmt.Errorf("transport: redial backoff until %s: %w",
 			r.nextAttempt.Format(time.RFC3339Nano), ErrBackoff)
 	}
-	c, err := Dial(r.addr, r.node)
+	c, err := DialBatch(r.addr, r.node, r.opts)
 	if err != nil {
 		r.dialFailures.Inc()
 		if r.backoff == 0 {
@@ -163,19 +168,23 @@ func (r *ReconnectingClient) redialLocked() error {
 		r.nextAttempt = now.Add(r.jitterLocked(r.backoff))
 		// The failed dial opens (or extends) the backoff window, so this
 		// too is the transient backing-off state, not a dead client.
-		return fmt.Errorf("transport: redial %s: %w: %w", r.addr, err, ErrBackoff)
+		return nil, fmt.Errorf("transport: redial %s: %w: %w", r.addr, err, ErrBackoff)
 	}
-	r.setClient(c)
+	r.client = c
 	r.dials.Inc()
 	r.backoff = 0
 	r.nextAttempt = time.Time{}
-	if r.closed.Load() {
-		// Close raced the dial; don't leak the fresh connection.
-		_ = c.Close()
-		r.setClient(nil)
-		return ErrClosed
-	}
-	return nil
+	c.Advance(r.clock)
+	return c, nil
+}
+
+// retireLocked discards the current connection, keeping its loss count.
+// Its writer has already failed, so Close returns at once. The caller holds
+// r.mu.
+func (r *ReconnectingClient) retireLocked() {
+	_ = r.client.Close()
+	r.lost += r.client.Dropped()
+	r.client = nil
 }
 
 // jitterLocked draws the actual redial wait uniformly from [b/2, b] ("equal
@@ -199,23 +208,38 @@ func (r *ReconnectingClient) Reconnects() int64 {
 // extended) the backoff window.
 func (r *ReconnectingClient) BackoffFailures() int64 { return r.dialFailures.Value() }
 
-// Connected reports whether a live connection is currently held.
-func (r *ReconnectingClient) Connected() bool {
-	if r.closed.Load() {
-		return false
+// Dropped reports how many measurements were lost across all connections:
+// backpressure rejections plus records queued on a connection when it died.
+func (r *ReconnectingClient) Dropped() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.client != nil {
+		return r.lost + r.client.Dropped()
 	}
-	return r.active.Load() != nil
+	return r.lost
 }
 
-// Close tears down the connection; subsequent Sends fail with ErrClosed.
-// It does not wait for an in-flight Send — it interrupts it by closing the
-// underlying connection (Client.Close is itself non-blocking).
+// Connected reports whether a live connection is currently held.
+func (r *ReconnectingClient) Connected() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.client != nil
+}
+
+// Close flushes and tears down the connection (see BatchClient.Close);
+// subsequent Sends fail with ErrClosed. Safe to call more than once.
 func (r *ReconnectingClient) Close() error {
-	if r.closed.Swap(true) {
+	r.mu.Lock()
+	c := r.client
+	r.client, r.closed = nil, true
+	r.mu.Unlock()
+	if c == nil {
 		return nil
 	}
-	if c := r.active.Load(); c != nil {
-		return c.Close()
-	}
-	return nil
+	// Outside mu: the final flush may take BatchClient.Close's grace window.
+	err := c.Close()
+	r.mu.Lock()
+	r.lost += c.Dropped()
+	r.mu.Unlock()
+	return err
 }

