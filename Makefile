@@ -89,8 +89,9 @@ bench-json:
 # informational (no -threshold); `benchjson -compare -threshold N old new`
 # is available for real regression gating between full baselines. A case the
 # baseline has and the run no longer does (BENCH_0009's
-# BenchmarkTransportIngest/v1gob, deleted with wire protocol v1) is printed
-# as "(gone)" and does not fail the step.
+# BenchmarkTransportIngest/v1gob, deleted with wire protocol v1, and
+# BenchmarkServeForecast/{cold,cached}, deleted with the forecast cache) is
+# printed as "(gone)" and does not fail the step.
 BENCH_SMOKE_JSON ?= /tmp/orcf-bench-smoke.json
 bench-smoke:
 	$(GO) run ./cmd/benchjson -short -out $(BENCH_SMOKE_JSON)
@@ -104,7 +105,7 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
 # Fuzz smoke: a short coverage-guided run of each native fuzz target (wire
-# decoders, recovery readers, the K-means and ARIMA-fit reference
+# decoders, recovery readers, the K-means, ARIMA-fit and JSON-float reference
 # differentials) from its committed seed corpus. go test allows
 # one -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 10s
@@ -116,3 +117,4 @@ fuzz-smoke:
 	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)

@@ -15,8 +15,9 @@
 //
 // The six families cover the pipeline hot paths: PipelineStep,
 // EnsembleRetrain, and EnsembleSelect (ingest/refit/model-zoo scoring),
-// ForecastQuery (eq. 12 reconstruction), ServeForecast (query plane cache),
-// and TransportIngest (the wire protocol, by batch size).
+// ForecastQuery (eq. 12 reconstruction), ServeForecast (query plane: one
+// node, first and repeat fleet request of a generation), and TransportIngest
+// (the wire protocol, by batch size).
 // Output is deterministic modulo the measurements themselves: results are
 // sorted by package and benchmark name, and no timestamp is recorded.
 package main

@@ -3,8 +3,8 @@
 // the collection → clustering → forecasting pipeline at a fixed cadence, and
 // serves forecasts and cluster state over HTTP. Queries read atomically
 // swapped immutable snapshots, so any number of concurrent clients never
-// contend with ingest, and a single-flight cache keyed by (snapshot
-// generation, horizon) collapses identical concurrent forecast queries.
+// contend with ingest; per-node forecasts are read off the snapshot's
+// centroid forecasts plus that node's eq. (12) offset, never a fleet tensor.
 //
 // Usage:
 //
@@ -19,7 +19,7 @@
 //	GET /v1/models                 model-zoo champions and rolling accuracy
 //	GET /v1/alerts                 firing alert instances + engine accounting
 //	GET /v1/recommendations        forecast-driven per-cluster scaling deltas
-//	GET /v1/stats                  pipeline + cache + request statistics
+//	GET /v1/stats                  pipeline + forecast-plan + request statistics
 //	GET /metrics                   Prometheus text format
 //
 // By default every cluster is forecast by one pinned model family

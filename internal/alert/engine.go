@@ -109,7 +109,8 @@ type Config struct {
 	// Sinks receive every transition event, in order. Optional.
 	Sinks []Sink
 	// Workers bounds the per-node fan-out of the one forecast computation a
-	// generation with node-scope rules needs (0 = GOMAXPROCS).
+	// generation with node-scope rules needs — building the snapshot's
+	// forecast plan, if no reader has yet (0 = GOMAXPROCS).
 	Workers int
 	// MaxHorizon, when positive, rejects rule sets whose rules look further
 	// ahead than the snapshots will serve (core.Config.SnapshotHorizon).
@@ -184,8 +185,8 @@ func (e *Engine) Rules() *RuleSet { return e.rules }
 // order, then ascending target). It is a no-op for a nil snapshot, a
 // generation at or below the newest one already evaluated, or a snapshot
 // whose models are not trained yet. The returned events are the caller's to
-// keep; the error reports a failed forecast computation (the affected
-// generation is then skipped without touching any streak).
+// keep. Reading forecasts off a published snapshot cannot fail, so the error
+// is always nil; it stays in the signature for the callers that check it.
 func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 	if snap == nil {
 		return nil, nil
@@ -200,24 +201,6 @@ func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 		return nil, nil
 	}
 
-	// One forecast computation covers every node-scope rule this generation;
-	// computed lazily so cluster-only rule sets never pay for it.
-	var nodeF [][][]float64
-	nodeH := 0
-	for i := range e.rules.Rules {
-		r := &e.rules.Rules[i]
-		if r.Scope == ScopeNode && r.Horizon <= snap.MaxHorizon() && r.Horizon > nodeH {
-			nodeH = r.Horizon
-		}
-	}
-	if nodeH > 0 {
-		f, err := snap.Forecast(nodeH, e.cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("alert: forecasting for node rules: %w", err)
-		}
-		nodeF = f
-	}
-
 	var events []Event
 	for i := range e.rules.Rules {
 		r := &e.rules.Rules[i]
@@ -229,7 +212,7 @@ func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 		case ScopeCluster:
 			events = e.evalClusterRule(snap, r, events)
 		case ScopeNode:
-			events = e.evalNodeRule(snap, r, nodeF, events)
+			events = e.evalNodeRule(snap, r, events)
 		}
 	}
 	events = append(events, e.dropDeparted(snap)...)
@@ -245,11 +228,6 @@ func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 // evalClusterRule evaluates one cluster-scope rule against the snapshot's
 // precomputed centroid forecasts.
 func (e *Engine) evalClusterRule(snap *core.Snapshot, r *Rule, events []Event) []Event {
-	cf := snap.CentroidForecasts(r.Tracker)
-	if cf == nil {
-		e.targetErr++
-		return events
-	}
 	lo, hi := 0, snap.Clusters()
 	if r.Cluster >= 0 {
 		if r.Cluster >= snap.Clusters() {
@@ -259,49 +237,48 @@ func (e *Engine) evalClusterRule(snap *core.Snapshot, r *Rule, events []Event) [
 		lo, hi = r.Cluster, r.Cluster+1
 	}
 	for j := lo; j < hi; j++ {
-		if r.Dim >= len(cf[j]) {
+		first, okFirst := snap.CentroidForecastAt(r.Tracker, j, r.Dim, 0)
+		at, okAt := snap.CentroidForecastAt(r.Tracker, j, r.Dim, r.Horizon-1)
+		if !okFirst || !okAt {
 			e.targetErr++
 			continue
 		}
-		v := e.ruleValue(r, cf[j][r.Dim])
-		events = e.observe(snap, r, j, -1, v, events)
+		events = e.observe(snap, r, j, -1, e.ruleValue(r, first, at), events)
 	}
 	return events
 }
 
-// evalNodeRule evaluates one node-scope rule against the per-node forecast
-// tensor (nil when no node rule fit the snapshot horizon).
-func (e *Engine) evalNodeRule(snap *core.Snapshot, r *Rule, nodeF [][][]float64, events []Event) []Event {
-	if nodeF == nil || r.Dim >= snap.Resources() {
+// evalNodeRule evaluates one node-scope rule against the per-node forecasts:
+// eq. (12) makes each the centroid forecast plus the node's offset, read
+// through the snapshot's forecast plan (built once per generation, shared
+// with the serving plane) at the one or two horizons the rule needs.
+func (e *Engine) evalNodeRule(snap *core.Snapshot, r *Rule, events []Event) []Event {
+	if r.Dim >= snap.Resources() {
 		e.targetErr++
 		return events
 	}
+	plan, _ := snap.Plan(e.cfg.Workers)
 	roster := snap.Roster()
-	series := make([]float64, r.Horizon)
 	for slot := 0; slot < snap.Nodes(); slot++ {
 		id, live := roster.IDAt(slot)
 		if !live {
 			continue
 		}
-		for hi := 0; hi < r.Horizon; hi++ {
-			series[hi] = nodeF[hi][slot][r.Dim]
-		}
-		v := e.ruleValue(r, series)
+		v := e.ruleValue(r, plan.At(slot, r.Dim, 0), plan.At(slot, r.Dim, r.Horizon-1))
 		events = e.observe(snap, r, -1, id, v, events)
 	}
 	return events
 }
 
-// ruleValue turns one forecast series (indexed by horizon-1, at least
-// Horizon long) into the rule's evaluated value: the value at the horizon
-// for threshold rules, the per-hour slope across the horizon for trend
-// rules. NaN propagates (a warming row stays a skip).
-func (e *Engine) ruleValue(r *Rule, series []float64) float64 {
-	at := series[r.Horizon-1]
+// ruleValue turns the two ends of one forecast series — the values at
+// horizon 1 and at the rule's horizon — into the rule's evaluated value: the
+// value at the horizon for threshold rules, the per-hour slope across the
+// horizon for trend rules. NaN propagates (a warming row stays a skip).
+func (e *Engine) ruleValue(r *Rule, first, at float64) float64 {
 	if r.Kind == KindThreshold {
 		return at
 	}
-	return (at - series[0]) / float64(r.Horizon-1) * float64(e.rules.StepsPerHour)
+	return (at - first) / float64(r.Horizon-1) * float64(e.rules.StepsPerHour)
 }
 
 // observe feeds one evaluated value to the (rule, target) instance, creating

@@ -100,21 +100,17 @@ func Recommend(snap *core.Snapshot, cfg RecommendConfig) ([]Recommendation, erro
 		return nil, fmt.Errorf("alert: recommend tracker %d / horizon %d beyond snapshot (%d trackers, horizon %d): %w",
 			cfg.Tracker, cfg.Horizon, snap.Trackers(), snap.MaxHorizon(), ErrBadRule)
 	}
-	cf := snap.CentroidForecasts(cfg.Tracker)
 	cents := snap.Centroids(cfg.Tracker)
 	sizes := snap.ClusterSizes(cfg.Tracker)
-	if cf == nil {
-		return nil, core.ErrNotReady
-	}
 	target := (cfg.TargetLow + cfg.TargetHigh) / 2
 	out := make([]Recommendation, snap.Clusters())
 	for j := range out {
-		if cfg.Dim >= len(cf[j]) {
+		fut, ok := snap.CentroidForecastAt(cfg.Tracker, j, cfg.Dim, cfg.Horizon-1)
+		if !ok {
 			return nil, fmt.Errorf("alert: recommend dim %d beyond tracker dims %d: %w",
-				cfg.Dim, len(cf[j]), ErrBadRule)
+				cfg.Dim, len(cents[j]), ErrBadRule)
 		}
 		now := cents[j][cfg.Dim]
-		fut := cf[j][cfg.Dim][cfg.Horizon-1]
 		rec := Recommendation{
 			Cluster:     j,
 			Nodes:       sizes[j],

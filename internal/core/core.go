@@ -1241,88 +1241,18 @@ func (s *System) Forecast(h int) ([][][]float64, error) {
 		return nil, err
 	}
 
-	return reconstruct(s.reconEnv(), centF, h, s.cfg.Workers)
+	return reconstruct(s.reconEnv(), centF, h, s.cfg.Workers), nil
 }
 
-// reconstruct applies §V-C over an env's look-back window: forecasted
-// centroid of each node's mode cluster plus the α-scaled offset of eq. (12),
-// both computed over the steps the node was present at (the per-node
-// presence mask of an elastic fleet). Slots that are dead, or whose member
-// has no presence in the window yet (a joiner still warming up), forecast
-// as NaN. centF is indexed [tracker][cluster][dim][hi] and must cover
-// hi < h. The h×N×d result shares one flat backing and one row-header array
-// instead of h·N small slices; nodes fan out on the worker pool and each
-// node writes only its own output rows, so the result is identical for any
-// worker count.
-func reconstruct(env *reconEnv, centF [][][][]float64, h, workers int) ([][][]float64, error) {
-	n, d := env.nodes, env.resources
-	flat := make([]float64, h*n*d)
-	rows := make([][]float64, h*n)
-	out := make([][][]float64, h)
-	for hi := range out {
-		out[hi] = rows[hi*n : (hi+1)*n : (hi+1)*n]
-		for i := 0; i < n; i++ {
-			off := (hi*n + i) * d
-			out[hi][i] = flat[off : off+d : off+d]
-		}
-	}
-
-	scratches := make([]fcScratch, parallel.Workers(workers))
-	err := parallel.ForEachWorker(workers, n, func(w, i int) error {
-		sc := &scratches[w]
-		if sc.counts == nil {
-			sc.counts = make([]int, env.k)
-			sc.offset = make([]float64, env.dims)
-			sc.zi = make([]float64, env.dims)
-			sc.delta = make([]float64, env.dims)
-		}
-		if !env.aliveAt(i) {
-			nanRow(out, i, h, d)
-			return nil
-		}
-		for tr := 0; tr < env.nTracker; tr++ {
-			jStar := env.modeCluster(sc, tr, i)
-			if jStar < 0 {
-				// No presence in the window yet: NaN-masked warm-up.
-				nanRow(out, i, h, d)
-				return nil
-			}
-			offset := env.offset(sc, tr, i, jStar)
-			for d := 0; d < env.dims; d++ {
-				resIdx := tr
-				if env.joint {
-					resIdx = d
-				}
-				for hi := 0; hi < h; hi++ {
-					v := centF[tr][jStar][d][hi] + offset[d]
-					if !env.disableClamp {
-						if v < 0 {
-							v = 0
-						}
-						if v > 1 {
-							v = 1
-						}
-					}
-					out[hi][i][resIdx] = v
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// nanRow fills node i's output rows at every horizon with NaN.
-func nanRow(out [][][]float64, i, h, d int) {
-	nan := math.NaN()
-	for hi := 0; hi < h; hi++ {
-		for r := 0; r < d; r++ {
-			out[hi][i][r] = nan
-		}
-	}
+// reconstruct applies §V-C over an env's look-back window in its two halves:
+// plan the h-independent part (mode cluster and eq. (12) offset per slot, over
+// the steps the node was present at), then evaluate it against the centroid
+// forecasts at every horizon. Slots that are dead, or whose member has no
+// presence in the window yet (a joiner still warming up), forecast as NaN.
+// centF is indexed [tracker][cluster][dim][hi] and must cover hi < h. The
+// result is identical for any worker count.
+func reconstruct(env *reconEnv, centF [][][][]float64, h, workers int) [][][]float64 {
+	return env.plan(centF, 0, env.nodes, workers).tensor(h, workers)
 }
 
 // modeCluster returns the cluster node i belonged to most often within the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"orcf/internal/forecast"
@@ -21,8 +22,10 @@ import (
 // horizon on the same Snapshot return identical values, and they are
 // bit-identical to calling System.Forecast(h) at the step the Snapshot was
 // published (both run the same reconstruction over the same window). That
-// purity is what makes (Generation, horizon) a sound cache key for the
-// serving plane.
+// purity covers the fleet ForecastPlan too: it is built lazily, at most
+// once, behind a sync.Once — the one write to a Snapshot after publication —
+// and is a function of the published fields alone, so every reader sees the
+// same plan whichever of them happened to build it.
 type Snapshot struct {
 	gen        uint64
 	t          int
@@ -56,6 +59,11 @@ type Snapshot struct {
 	joint             bool
 	disableClamp      bool
 	disableAlphaClamp bool
+
+	// fleetPlan is the h-independent half of §V-C for every slot, written
+	// once by buildPlan under planOnce on the first Plan call.
+	planOnce  sync.Once
+	fleetPlan *ForecastPlan
 }
 
 // Snapshot returns the most recently published read-only view, or nil when
@@ -195,8 +203,7 @@ func (s *System) forecastSnapshot(snap *Snapshot) error {
 }
 
 // Generation is the snapshot's monotonically increasing publication counter
-// (one per successful Step). Forecasts are pure per generation, so it keys
-// the serving plane's forecast cache.
+// (one per successful Step).
 func (sn *Snapshot) Generation() uint64 { return sn.gen }
 
 // Steps is the number of steps the system had processed at publication.
@@ -321,6 +328,19 @@ func (sn *Snapshot) CentroidForecasts(tracker int) [][][]float64 {
 	return out
 }
 
+// CentroidForecastAt returns one value of CentroidForecasts(tracker) —
+// [cluster][dim][hi] — without the copy. ok is false when the system has not
+// completed initial training or an index is out of range.
+func (sn *Snapshot) CentroidForecastAt(tracker, cluster, dim, hi int) (v float64, ok bool) {
+	if !sn.ready || tracker < 0 || tracker >= len(sn.centF) ||
+		cluster < 0 || cluster >= len(sn.centF[tracker]) ||
+		dim < 0 || dim >= len(sn.centF[tracker][cluster]) ||
+		hi < 0 || hi >= len(sn.centF[tracker][cluster][dim]) {
+		return 0, false
+	}
+	return sn.centF[tracker][cluster][dim][hi], true
+}
+
 // ClusterSizes returns how many present slots each of a tracker's K clusters
 // holds at the snapshot's step, or nil when the tracker is out of range.
 func (sn *Snapshot) ClusterSizes(tracker int) []int {
@@ -371,8 +391,10 @@ func (sn *Snapshot) ModelSwitchesTotal() int {
 // / WindowFill to distinguish). It reads only immutable data, so any number
 // of calls may run concurrently with each other and with the System's
 // ingest loop. workers bounds the per-node fan-out (0 = GOMAXPROCS, 1 =
-// serial); the result is identical for any value. It fails with ErrNotReady
-// before initial training and ErrBadInput when h exceeds MaxHorizon.
+// serial); the result is identical for any value, and Forecast(h) is a
+// prefix of Forecast(h') for h < h'. It fails with ErrNotReady before
+// initial training and ErrBadInput when h exceeds MaxHorizon. Readers that
+// need only some of the values use Plan or PlanNode and skip the tensor.
 func (sn *Snapshot) Forecast(h, workers int) ([][][]float64, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("core: horizon %d < 1: %w", h, ErrBadInput)
@@ -384,7 +406,34 @@ func (sn *Snapshot) Forecast(h, workers int) ([][][]float64, error) {
 	if !sn.ready {
 		return nil, ErrNotReady
 	}
-	return reconstruct(sn.reconEnv(), sn.centF, h, workers)
+	p, _ := sn.Plan(workers)
+	return p.tensor(h, workers), nil
+}
+
+// Plan returns the snapshot's fleet ForecastPlan, covering every slot. The
+// first call builds it — fanning the slots out over workers (0 = GOMAXPROCS,
+// 1 = serial) — and concurrent first calls wait for that one build; built
+// reports whether this call was the one that did the work. Before initial
+// training every slot's forecast is undefined.
+func (sn *Snapshot) Plan(workers int) (p *ForecastPlan, built bool) {
+	sn.planOnce.Do(func() {
+		sn.buildPlan(workers)
+		built = true
+	})
+	return sn.fleetPlan, built
+}
+
+// buildPlan is the one sanctioned write to a published Snapshot; only Plan
+// calls it, under planOnce.
+func (sn *Snapshot) buildPlan(workers int) {
+	sn.fleetPlan = sn.reconEnv().plan(sn.centF, 0, sn.nodes, workers)
+}
+
+// PlanNode returns a ForecastPlan covering the one slot, computed from that
+// slot's look-back alone: O((M′+h)·d) for a node's whole forecast, without
+// building or touching the fleet plan. slot must be in [0, Nodes).
+func (sn *Snapshot) PlanNode(slot int) *ForecastPlan {
+	return sn.reconEnv().plan(sn.centF, slot, 1, 1)
 }
 
 func (sn *Snapshot) reconEnv() *reconEnv {

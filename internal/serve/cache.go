@@ -1,90 +1,35 @@
 package serve
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// flightCache is the single-flight forecast cache of the query plane.
-//
-// Forecasts are pure functions of (snapshot generation, horizon): the
-// snapshot is immutable and the reconstruction is deterministic. That makes
-// the pair a sound cache key — concurrent identical queries coalesce into
-// one computation (later arrivals block on the in-flight entry instead of
-// recomputing), and a repeat query is a map lookup until the next published
-// generation invalidates the cache.
-//
-// Only one generation is retained at a time: the serving plane fetches the
-// latest snapshot per request, so in steady state every query carries the
-// same generation and any change simply replaces the cache. Keying on exact
-// equality (rather than assuming monotonic growth) means a replaced Source —
-// e.g. failing over to a rebuilt System whose generations restart at 1 —
-// keeps caching; the cost is a rare extra recompute when requests holding
-// different snapshots interleave across a publication boundary.
-type flightCache struct {
-	mu      sync.Mutex
-	gen     uint64
-	entries map[int]*flightEntry // horizon → entry, current generation only
-
+// planCounter accounts for the one piece of forecast work that is shared
+// between requests: the fleet ForecastPlan a snapshot builds lazily, at most
+// once (core.Snapshot.Plan is the single-flight point — concurrent first
+// readers wait for one build). A fleet request that built its generation's
+// plan is a miss; one that found it built (or waited for the build) is a hit.
+// ?node= requests never touch the fleet plan and are not counted.
+type planCounter struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// flightEntry is one in-flight or completed computation. done is closed when
-// val/err are final.
-type flightEntry struct {
-	done chan struct{}
-	val  [][][]float64
-	err  error
-}
-
-func newFlightCache() *flightCache {
-	return &flightCache{entries: make(map[int]*flightEntry)}
-}
-
-// get returns the forecast for (gen, h), running compute at most once per
-// key: the first caller computes, concurrent callers for the same key wait
-// for that result. A generation change drops all previous entries; failed
-// computations are retracted so a later query retries instead of serving a
-// cached error.
-func (c *flightCache) get(gen uint64, h int, compute func() ([][][]float64, error)) ([][][]float64, error) {
-	c.mu.Lock()
-	if gen != c.gen {
-		c.gen = gen
-		clear(c.entries)
-	}
-	if e, ok := c.entries[h]; ok {
-		c.mu.Unlock()
+func (c *planCounter) observe(built bool) {
+	if built {
+		c.misses.Add(1)
+	} else {
 		c.hits.Add(1)
-		<-e.done
-		return e.val, e.err
 	}
-	e := &flightEntry{done: make(chan struct{})}
-	c.entries[h] = e
-	c.mu.Unlock()
-
-	c.misses.Add(1)
-	e.val, e.err = compute()
-	close(e.done)
-	if e.err != nil {
-		c.mu.Lock()
-		if c.entries[h] == e {
-			delete(c.entries, h)
-		}
-		c.mu.Unlock()
-	}
-	return e.val, e.err
 }
 
-// CacheStats reports cumulative cache effectiveness. A "hit" includes
-// coalescing onto an in-flight computation.
+// CacheStats reports how often fleet forecast requests reused their
+// generation's forecast plan (hit) rather than building it (miss).
 type CacheStats struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
 	HitRatio float64 `json:"hit_ratio"`
 }
 
-func (c *flightCache) stats() CacheStats {
+func (c *planCounter) stats() CacheStats {
 	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 	if total := s.Hits + s.Misses; total > 0 {
 		s.HitRatio = Finite64(float64(s.Hits) / float64(total))

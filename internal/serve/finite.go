@@ -54,21 +54,3 @@ func FiniteRows(rows [][]float64) [][]float64 {
 	}
 	return rows
 }
-
-// FiniteForecast applies FiniteRows to every horizon of a forecast tensor,
-// copying the outer slice only when repair was needed.
-func FiniteForecast(f [][][]float64) [][][]float64 {
-	for i, rows := range f {
-		fixed := FiniteRows(rows)
-		if len(rows) == 0 || &fixed[0] == &rows[0] {
-			continue
-		}
-		out := append([][][]float64(nil), f...)
-		out[i] = fixed
-		for j := i + 1; j < len(out); j++ {
-			out[j] = FiniteRows(out[j])
-		}
-		return out
-	}
-	return f
-}

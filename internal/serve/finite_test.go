@@ -76,17 +76,4 @@ func TestFiniteGuards(t *testing.T) {
 	if got := FiniteRows(cleanRows); &got[0] != &cleanRows[0] {
 		t.Error("FiniteRows copied already-finite rows (empty row mishandled?)")
 	}
-
-	f := [][][]float64{{{1, 2}}, {{math.NaN(), 4}}}
-	fixedF := FiniteForecast(f)
-	if !math.IsNaN(f[1][0][0]) {
-		t.Error("FiniteForecast mutated its argument")
-	}
-	if fixedF[1][0][0] != 0 || fixedF[0][0][1] != 2 {
-		t.Errorf("FiniteForecast = %v", fixedF)
-	}
-	cleanF := [][][]float64{{{1}}, {{2}}}
-	if got := FiniteForecast(cleanF); &got[0] != &cleanF[0] {
-		t.Error("FiniteForecast copied an already-finite tensor")
-	}
 }

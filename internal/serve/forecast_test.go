@@ -1,0 +1,364 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"orcf/internal/core"
+	"orcf/internal/forecast"
+)
+
+// referenceForecastBody is the pre-streaming /v1/forecast handler body, kept
+// as the oracle: materialise the fleet tensor with Snapshot.Forecast, select
+// the defined rows, fence them through FiniteRows and hand the struct to
+// encoding/json. node < 0 asks for the fleet response.
+func referenceForecastBody(t *testing.T, snap *core.Snapshot, h, node int) []byte {
+	t.Helper()
+	f, err := snap.Forecast(h, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := ForecastResponse{Generation: snap.Generation(), Step: snap.Steps(), Horizon: h}
+	resp.Forecast = make([][][]float64, h)
+	if node >= 0 {
+		slot, ok := snap.SlotOf(node)
+		if !ok {
+			t.Fatalf("node %d unknown", node)
+		}
+		for hi := range resp.Forecast {
+			resp.Forecast[hi] = FiniteRows([][]float64{f[hi][slot]})
+		}
+		resp.Node = &node
+	} else {
+		roster := snap.Roster()
+		resp.Nodes = make([]int, 0, roster.Live())
+		var slots []int
+		for i := 0; i < snap.Nodes(); i++ {
+			id, live := roster.IDAt(i)
+			if !live || math.IsNaN(f[0][i][0]) {
+				continue
+			}
+			resp.Nodes = append(resp.Nodes, id)
+			slots = append(slots, i)
+		}
+		for hi := range resp.Forecast {
+			rows := make([][]float64, len(slots))
+			for e, i := range slots {
+				rows[e] = f[hi][i]
+			}
+			resp.Forecast[hi] = FiniteRows(rows)
+		}
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// seriesModel is a forecast.Model whose forecast is a fixed series, whatever
+// it was fitted on: it puts chosen values — including ones no real model
+// emits — at chosen horizons of the centroid forecasts.
+type seriesModel struct{ series []float64 }
+
+func (m seriesModel) Fit([]float64) error { return nil }
+func (m seriesModel) Update(float64)      {}
+func (m seriesModel) Name() string        { return "series" }
+func (m seriesModel) Forecast(h int) ([]float64, error) {
+	return append([]float64(nil), m.series[:h]...), nil
+}
+
+// seriesSystem builds a ready nine-node fleet of three tight groups whose
+// every centroid forecast is series. Each node sits exactly on its centroid
+// (dyadic levels, so the means are exact), which makes every eq. (12) offset
+// zero and every node forecast the series itself, clamped or not.
+func seriesSystem(t *testing.T, series []float64, disableClamp bool) *core.System {
+	t.Helper()
+	sys, err := core.NewSystem(core.Config{
+		Nodes: 9, Resources: 2, K: 3, MPrime: 3, InitialCollection: 10,
+		Policy: alwaysPolicy, Seed: 7, SnapshotHorizon: len(series),
+		DisableClamp: disableClamp,
+		Model:        func() forecast.Model { return seriesModel{series} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([][]float64, 9)
+	for i := range x {
+		level := 0.25 * float64(1+i/3)
+		x[i] = []float64{level, level}
+	}
+	for step := 0; step < 14; step++ {
+		if _, err := sys.Step(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sys.Ready() {
+		t.Fatal("series system not ready")
+	}
+	return sys
+}
+
+// churnedSystem is a ready fleet with a tombstoned slot (node 3 removed), a
+// joiner still warming up (node 100, silent since it joined into the
+// recycled slot of node 5) and everyone else forecasting normally.
+func churnedSystem(t *testing.T) *core.System {
+	t.Helper()
+	const nodes = 10
+	sys, rng := readySystem(t, nodes, 6, 30)
+	if err := sys.RemoveNodes(3, 5); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		x := testStep(rng, nodes)
+		for i := range x {
+			if id, live := sys.Roster().IDAt(i); !live || id == 100 {
+				x[i] = nil
+			}
+		}
+		if _, err := sys.Step(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if err := sys.AddNodes(100); err != nil {
+		t.Fatal(err)
+	}
+	step()
+	step()
+	snap := sys.Snapshot()
+	if slot, ok := snap.SlotOf(100); !ok || snap.WindowFill(slot) != 0 {
+		t.Fatalf("joiner 100: slot ok=%v, want a member with an empty window", ok)
+	}
+	return sys
+}
+
+// TestForecastBodyMatchesEncodingJSON pins the streamed /v1/forecast bodies
+// — fleet and ?node=, every horizon — byte for byte against the struct +
+// encoding/json path they replaced.
+func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
+	t.Parallel()
+	inf := math.Inf(1)
+	cases := []struct {
+		name string
+		sys  func(t *testing.T) *core.System
+		// want lists substrings the h = MaxHorizon fleet body must contain,
+		// so the case keeps producing the values it is there for.
+		want []string
+	}{
+		{name: "plain", sys: func(t *testing.T) *core.System {
+			sys, _ := readySystem(t, 10, 6, 30)
+			return sys
+		}},
+		{name: "tombstone and warming joiner", sys: churnedSystem, want: []string{`"nodes":[0,1,2,4,6,7,8,9]`}},
+		{name: "clamped to exactly 0 and 1, exponent form", sys: func(t *testing.T) *core.System {
+			return seriesSystem(t, []float64{0.5, -3, 7, 1e-7, 0, 1}, false)
+		}, want: []string{`[0.5,0.5]`, `[0,0]`, `[1,1]`, `[1e-7,1e-7]`}},
+		{name: "unclamped negatives, >1, huge and non-finite", sys: func(t *testing.T) *core.System {
+			return seriesSystem(t, []float64{0.5, -0.5, 1.5, inf, -inf, math.NaN(), 2.5e-9, 1e21, 123456789012345680000}, true)
+		}, want: []string{`[-0.5,-0.5]`, `[1.5,1.5]`, `[0,0]`, `[2.5e-9,2.5e-9]`, `[1e+21,1e+21]`, `[123456789012345680000,123456789012345680000]`}},
+		{name: "every node undefined at horizon 1", sys: func(t *testing.T) *core.System {
+			return seriesSystem(t, []float64{math.NaN(), 0.5, 0.25}, true)
+		}, want: []string{`"horizon":3,"forecast":[[],[],[]]}`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sys := tc.sys(t)
+			srv, err := New(Config{Source: sys, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := sys.Snapshot()
+			body := func(path string) []byte {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET %s: %d (%s)", path, rec.Code, rec.Body.String())
+				}
+				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+					t.Fatalf("GET %s: content type %q", path, ct)
+				}
+				return rec.Body.Bytes()
+			}
+			for h := 1; h <= snap.MaxHorizon(); h++ {
+				got := body(fmt.Sprintf("/v1/forecast?h=%d", h))
+				if want := referenceForecastBody(t, snap, h, -1); !bytes.Equal(got, want) {
+					t.Fatalf("fleet h=%d:\n got %s\nwant %s", h, got, want)
+				}
+				if h == snap.MaxHorizon() {
+					for _, sub := range tc.want {
+						if !bytes.Contains(got, []byte(sub)) {
+							t.Errorf("fleet h=%d body lacks %s:\n%s", h, sub, got)
+						}
+					}
+				}
+				roster := snap.Roster()
+				for slot := 0; slot < snap.Nodes(); slot++ {
+					id, live := roster.IDAt(slot)
+					if !live || snap.WindowFill(slot) == 0 {
+						continue
+					}
+					got := body(fmt.Sprintf("/v1/forecast?h=%d&node=%d", h, id))
+					if want := referenceForecastBody(t, snap, h, id); !bytes.Equal(got, want) {
+						t.Fatalf("node %d h=%d:\n got %s\nwant %s", id, h, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestForecastBodySpansTasks streams a fleet body several formatting tasks
+// long, for worker counts that leave full, partial and single-task waves, so
+// the task boundaries and the write order are under the byte-identity check.
+func TestForecastBodySpansTasks(t *testing.T) {
+	t.Parallel()
+	sys, _ := readySystem(t, 1500, 6, 25)
+	want := referenceForecastBody(t, sys.Snapshot(), 6, -1)
+	if tasks := 6 * 1500 * 2 / taskValues; tasks < 8 {
+		t.Fatalf("body is only %d tasks long", tasks)
+	}
+	for _, workers := range []int{1, 2, 3, 4, 0} {
+		srv, err := New(Config{Source: sys, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=6", nil))
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("workers=%d: streamed fleet body differs from the encoding/json body", workers)
+		}
+	}
+}
+
+// TestForecastBodyLargeRoster: a fleet whose "nodes" list alone outgrows one
+// buffer is spilled mid-list and still matches byte for byte.
+func TestForecastBodyLargeRoster(t *testing.T) {
+	t.Parallel()
+	sys, _ := readySystem(t, 13000, 2, 22)
+	srv, err := New(Config{Source: sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=1", nil))
+	want := referenceForecastBody(t, sys.Snapshot(), 1, -1)
+	if list := bytes.Index(want, []byte(`],"forecast"`)); list < bufSize {
+		t.Fatalf("nodes list ends at byte %d, inside the first %d-byte buffer", list, bufSize)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatal("large-roster fleet body differs from the encoding/json body")
+	}
+}
+
+// failingWriter accepts okWrites Writes and fails every later one.
+type failingWriter struct {
+	discardWriter
+	okWrites, writes int
+}
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > f.okWrites {
+		return 0, errors.New("client went away")
+	}
+	return len(p), nil
+}
+
+// TestForecastStopsAfterFailedWrite: once the client is gone the handler
+// stops formatting and writing instead of pushing the rest of the body at it.
+func TestForecastStopsAfterFailedWrite(t *testing.T) {
+	t.Parallel()
+	sys, _ := readySystem(t, 1500, 6, 25)
+	srv, err := New(Config{Source: sys, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, okWrites := range []int{0, 1, 3} {
+		// Write 1 is the header, the later ones are formatting tasks.
+		w := &failingWriter{discardWriter: discardWriter{header: make(http.Header)}, okWrites: okWrites}
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=6", nil))
+		if w.writes != okWrites+1 {
+			t.Fatalf("%d Writes after allowing %d, want the failed one to be the last", w.writes, okWrites)
+		}
+	}
+}
+
+// TestNodeForecastAllocsIndependentOfFleetSize guards the point of the
+// per-node path: a ?node= request does the same work — here, the same number
+// of allocations — whether the fleet has 256 members or 4096.
+func TestNodeForecastAllocsIndependentOfFleetSize(t *testing.T) {
+	allocs := func(nodes int) float64 {
+		sys, _ := readySystem(t, nodes, 12, 25)
+		srv, err := New(Config{Source: sys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &discardWriter{header: make(http.Header)}
+		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/forecast?h=12&node=%d", nodes-1), nil)
+		return testing.AllocsPerRun(200, func() { srv.ServeHTTP(w, req) })
+	}
+	small, large := allocs(256), allocs(4096)
+	if small != large {
+		t.Fatalf("?node= request: %v allocations at N=256, %v at N=4096", small, large)
+	}
+	t.Logf("?node= request: %v allocations at either fleet size", small)
+}
+
+// TestPlanCounter pins what /v1/stats' cache block counts now: a fleet
+// request that built its generation's plan is a miss, one that reused it a
+// hit, and ?node= requests (which never touch the fleet plan) are neither.
+func TestPlanCounter(t *testing.T) {
+	t.Parallel()
+	sys, rng := readySystem(t, 8, 6, 30)
+	srv, err := New(Config{Source: sys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := func(when string, hits, misses int64) {
+		t.Helper()
+		if st := srv.Stats().Cache; st.Hits != hits || st.Misses != misses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", when, st.Hits, st.Misses, hits, misses)
+		}
+	}
+	get(t, srv, "/v1/forecast?h=2&node=3", http.StatusOK, nil)
+	expect("after a node request", 0, 0)
+	get(t, srv, "/v1/forecast?h=2", http.StatusOK, nil)
+	expect("after the first fleet request", 0, 1)
+	get(t, srv, "/v1/forecast?h=5", http.StatusOK, nil)
+	get(t, srv, "/v1/forecast?h=2&node=3", http.StatusOK, nil)
+	expect("after another horizon of the same generation", 1, 1)
+	if _, err := sys.Step(testStep(rng, 8)); err != nil {
+		t.Fatal(err)
+	}
+	get(t, srv, "/v1/forecast?h=5", http.StatusOK, nil)
+	expect("after a new generation", 1, 2)
+}
+
+// FuzzAppendJSONFloat holds the hand-rolled float encoder to encoding/json
+// on every float64 bit pattern (non-finite values go through the same fence
+// on both sides).
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 9.999999999999999e-7, 1e-7,
+		1e21, 9.999999999999999e20, 1e-9, 1e-10, 1.5e-300, 1e100, 5e-324, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), 0.30000000000000004} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		want, err := json.Marshal(Finite64(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("bits %#x (%g): appendJSONFloat %q, encoding/json %q", bits, v, got, want)
+		}
+	})
+}

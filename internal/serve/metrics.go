@@ -52,9 +52,9 @@ func (s *Server) registerMetrics() {
 		stat(func(st *StatsResponse) float64 { return float64(st.TrainingRuns) }))
 	s.reg.CounterFunc("orcf_training_seconds_total", "Cumulative (re)training wall time.",
 		stat(func(st *StatsResponse) float64 { return st.TrainingSeconds }))
-	s.reg.CounterFunc("orcf_forecast_cache_hits_total", "Forecast cache hits (incl. coalesced in-flight waits).",
+	s.reg.CounterFunc("orcf_forecast_cache_hits_total", "Fleet forecast requests that reused their generation's forecast plan.",
 		stat(func(st *StatsResponse) float64 { return float64(st.Cache.Hits) }))
-	s.reg.CounterFunc("orcf_forecast_cache_misses_total", "Forecast cache misses.",
+	s.reg.CounterFunc("orcf_forecast_cache_misses_total", "Fleet forecast requests that built their generation's forecast plan.",
 		stat(func(st *StatsResponse) float64 { return float64(st.Cache.Misses) }))
 	s.reg.CounterFunc("orcf_http_requests_total", "HTTP requests received.",
 		stat(func(st *StatsResponse) float64 { return float64(st.Requests.Total) }))

@@ -2,9 +2,12 @@
 // live core.System. It reads exclusively through the system's published
 // snapshots (core.Snapshot — immutable, swapped atomically once per step), so
 // any number of concurrent queries proceed without contending with the
-// ingest/step hot path, and a single-flight cache keyed by (snapshot
-// generation, horizon) collapses identical concurrent forecast queries into
-// one computation.
+// ingest/step hot path. Forecasts are never materialised as a fleet tensor:
+// eq. (12) makes a node's forecast its cluster's centroid forecast (computed
+// once per generation, at publish) plus that node's offset, so ?node=I is
+// answered from that node's look-back alone, and a fleet response is streamed
+// value by value from the snapshot's forecast plan, which is built at most
+// once per generation however many requests ask.
 //
 // Endpoints:
 //
@@ -14,7 +17,7 @@
 //	GET /v1/models                 model-zoo champions and rolling accuracy
 //	GET /v1/alerts                 firing alert instances + engine accounting
 //	GET /v1/recommendations        forecast-driven per-cluster scaling deltas
-//	GET /v1/stats                  pipeline + cache + request statistics
+//	GET /v1/stats                  pipeline + forecast-plan + request statistics
 //	GET /metrics                   Prometheus text format
 //
 // cmd/forecastd composes this with the TCP collection plane into a runnable
@@ -25,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -54,8 +56,10 @@ type Config struct {
 	// Source supplies snapshots; required. Its Snapshot method must be safe
 	// for concurrent use (core.System's is).
 	Source Source
-	// Workers bounds the per-node fan-out of one forecast computation
-	// (reusing the internal/parallel pool). Zero means GOMAXPROCS.
+	// Workers bounds the fan-out of one fleet forecast request — the
+	// once-per-generation plan build over the nodes, and the formatting of
+	// the response body in node-range chunks — reusing the internal/parallel
+	// pool. Zero means GOMAXPROCS. The body is the same for any value.
 	Workers int
 	// MaxInFlight caps concurrently served requests; excess requests are
 	// rejected immediately with 503. Zero means 256.
@@ -126,7 +130,7 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	sem   chan struct{}
-	cache *flightCache
+	cache planCounter
 	reg   *obs.Registry
 
 	requests atomic.Int64
@@ -154,11 +158,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	obs.RegisterBuildInfo(reg)
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		sem:   make(chan struct{}, cfg.MaxInFlight),
-		cache: newFlightCache(),
-		reg:   reg,
+		cfg: cfg,
+		mux: http.NewServeMux(),
+		sem: make(chan struct{}, cfg.MaxInFlight),
+		reg: reg,
 	}
 	s.registerMetrics()
 	if cfg.Alerts != nil {
@@ -201,7 +204,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // whose stable ID is Nodes[e] — members still warming up behind the
 // presence mask (and tombstoned slots) are omitted, so entries track fleet
 // membership across churn. With ?node= it holds exactly one entry per
-// horizon and Node records which member.
+// horizon and Node records which member. The handler streams this shape
+// without building it (see writeForecast); the struct is what clients decode
+// into.
 type ForecastResponse struct {
 	Generation uint64        `json:"generation"`
 	Step       int           `json:"step"`
@@ -384,104 +389,6 @@ func (s *Server) snapshotOr503(w http.ResponseWriter) *core.Snapshot {
 		writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 	}
 	return snap
-}
-
-func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshotOr503(w)
-	if snap == nil {
-		return
-	}
-	h := 1
-	if q := r.URL.Query().Get("h"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "h must be an integer")
-			return
-		}
-		h = v
-	}
-	if maxH := s.horizonCap(snap); h < 1 || h > maxH {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("h must be in [1, %d]", maxH))
-		return
-	}
-	// Validate the node filter before touching the cache: a malformed,
-	// unknown, or still-warming node must not trigger (or wait on) a
-	// full-fleet computation. The filter takes a stable node ID, which
-	// survives fleet churn.
-	node, slot := -1, -1
-	if q := r.URL.Query().Get("node"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "node must be an integer (stable node ID)")
-			return
-		}
-		sl, ok := snap.SlotOf(v)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("node %d unknown", v))
-			return
-		}
-		if snap.WindowFill(sl) == 0 {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("node %d is warming up (no look-back presence yet)", v))
-			return
-		}
-		node, slot = v, sl
-	}
-	if !snap.Ready() {
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("models not trained yet (step %d)", snap.Steps()))
-		return
-	}
-
-	f, err := s.cache.get(snap.Generation(), h, func() ([][][]float64, error) {
-		return snap.Forecast(h, s.cfg.Workers)
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	resp := ForecastResponse{
-		Generation: snap.Generation(),
-		Step:       snap.Steps(),
-		Horizon:    h,
-	}
-	if node >= 0 {
-		// Slice the cached full result down to one member; the cache entry
-		// itself is shared and must not be mutated.
-		one := make([][][]float64, h)
-		for hi := range one {
-			one[hi] = [][]float64{f[hi][slot]}
-		}
-		resp.Node = &node
-		resp.Forecast = FiniteForecast(one)
-		writeJSON(w, resp)
-		return
-	}
-	// Full-fleet response: include the live members whose forecasts are
-	// defined (NaN rows — warming joiners — are omitted; tombstoned slots
-	// always are), keyed by the Nodes list of stable IDs.
-	roster := snap.Roster()
-	resp.Nodes = make([]int, 0, roster.Live())
-	slots := make([]int, 0, roster.Live())
-	for i := 0; i < snap.Nodes(); i++ {
-		id, live := roster.IDAt(i)
-		if !live || math.IsNaN(f[0][i][0]) {
-			continue
-		}
-		resp.Nodes = append(resp.Nodes, id)
-		slots = append(slots, i)
-	}
-	resp.Forecast = make([][][]float64, h)
-	for hi := range resp.Forecast {
-		rows := make([][]float64, len(slots))
-		for e, i := range slots {
-			rows[e] = f[hi][i]
-		}
-		resp.Forecast[hi] = FiniteRows(rows)
-	}
-	writeJSON(w, resp)
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {

@@ -145,7 +145,7 @@ func TestForecastEndpointMatchesSystemForecast(t *testing.T) {
 		}
 	}
 
-	// Single-node filter slices the same cached result.
+	// The single-node filter reads the same forecast off that node alone.
 	var one ForecastResponse
 	get(t, srv, "/v1/forecast?h=4&node=7", http.StatusOK, &one)
 	if one.Node == nil || *one.Node != 7 || len(one.Forecast[0]) != 1 {
@@ -264,8 +264,9 @@ func TestConcurrencyLimitRejects(t *testing.T) {
 
 // TestConcurrentQueriesWhileStepping is the acceptance scenario: ≥64 reader
 // goroutines hammer every endpoint while the ingest loop keeps stepping the
-// system. Run under -race this proves snapshot isolation; afterwards the
-// cache must show hits (repeat (generation, horizon) queries were O(1)).
+// system. Run under -race this proves snapshot isolation (and that the
+// lazily built plan is safely shared); afterwards the plan counter must show
+// reuse: repeat fleet queries of a generation did not rebuild its plan.
 func TestConcurrentQueriesWhileStepping(t *testing.T) {
 	t.Parallel()
 	const nodes = 16
@@ -326,7 +327,7 @@ func TestConcurrentQueriesWhileStepping(t *testing.T) {
 
 	st := srv.Stats()
 	if st.Cache.Hits == 0 {
-		t.Fatalf("expected cache hits under concurrent identical queries, stats %+v", st.Cache)
+		t.Fatalf("expected plan reuse under concurrent fleet queries, stats %+v", st.Cache)
 	}
 	if st.Cache.HitRatio <= 0 || st.Cache.HitRatio >= 1 {
 		t.Fatalf("hit ratio %v not in (0,1)", st.Cache.HitRatio)

@@ -2,6 +2,7 @@ package orcflint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"reflect"
 	"strings"
@@ -14,7 +15,10 @@ import (
 // single NaN reaching a response struct is a silent availability bug (the
 // PR 5 class). Assignments and composite-literal entries for float-bearing
 // fields of structs with json tags must be constants, integer conversions,
-// or calls to a Finite* guard.
+// or calls to a Finite* guard. Bodies written without a struct — floats
+// formatted straight into the response with strconv.AppendFloat — are held to
+// the same rule at the AppendFloat call: its operand must be guarded, or a
+// local variable that only ever holds guarded values.
 var NaNJSON = &Analyzer{
 	Name: "nanjson",
 	Doc:  "unguarded float reaching a JSON-marshaled field in the serving plane",
@@ -48,7 +52,59 @@ func runNaNJSON(pass *Pass) error {
 			return true
 		})
 	}
+	for _, fd := range funcDecls(pass.Files) {
+		checkAppendFloat(pass, fd)
+	}
 	return nil
+}
+
+// checkAppendFloat flags strconv.AppendFloat calls in fd whose float operand
+// is neither finite-guarded nor a guarded local.
+func checkAppendFloat(pass *Pass, fd *ast.FuncDecl) {
+	guarded := guardedLocals(pass, fd)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) < 2 {
+			return true
+		}
+		if pkg, name := pkgFunc(pass.Info, call); pkg != "strconv" || name != "AppendFloat" {
+			return true
+		}
+		operand := ast.Unparen(call.Args[1])
+		if id, ok := operand.(*ast.Ident); ok && guarded[pass.Info.Uses[id]] {
+			return true
+		}
+		if !finiteGuarded(pass, operand) {
+			pass.Reportf(operand.Pos(), "unguarded float formatted by strconv.AppendFloat; wrap with a Finite* guard")
+		}
+		return true
+	})
+}
+
+// guardedLocals returns the variables fd defines with := from a
+// finite-guarded expression and never assigns anything else.
+func guardedLocals(pass *Pass, fd *ast.FuncDecl) map[types.Object]bool {
+	guarded := map[types.Object]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			ok = len(as.Lhs) == len(as.Rhs) && finiteGuarded(pass, as.Rhs[i])
+			if obj := pass.Info.Defs[id]; obj != nil && as.Tok == token.DEFINE {
+				guarded[obj] = ok
+			} else if obj := pass.Info.Uses[id]; guarded[obj] {
+				guarded[obj] = as.Tok == token.ASSIGN && ok
+			}
+		}
+		return true
+	})
+	return guarded
 }
 
 // jsonFloatField reports the JSON-tagged float field an lvalue writes

@@ -26,13 +26,16 @@ var frozenTypes = map[[2]string]bool{
 }
 
 // snapPublishers may write frozen fields, and only inside internal/core: the
-// snapshot builders and the roster constructor.
+// snapshot builders, the roster constructor, and buildPlan — the one write
+// after publication, which Snapshot.Plan runs at most once under a sync.Once
+// and which stores a pure function of the published fields.
 var snapPublishers = map[string]bool{
 	"buildSnapshot":    true,
 	"assembleSnapshot": true,
 	"forecastSnapshot": true,
 	"republish":        true,
 	"roster":           true,
+	"buildPlan":        true,
 }
 
 func runSnapFreeze(pass *Pass) error {

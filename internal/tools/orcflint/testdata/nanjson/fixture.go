@@ -1,6 +1,9 @@
 package serve
 
-import "math"
+import (
+	"math"
+	"strconv"
+)
 
 // statsResponse mimics a wire-facing response type: json tags mark it as a
 // marshaling sink.
@@ -58,4 +61,23 @@ func buildGood(mean float64, row []float64, n int) statsResponse {
 
 func untagged(s *internalStats, v float64) {
 	s.mean = v
+}
+
+// appendGood formats floats straight into a response body, bypassing struct
+// fields: every AppendFloat operand is a Finite* call or a local that only
+// ever held one.
+func appendGood(b []byte, v float64) []byte {
+	f := Finite64(v)
+	b = strconv.AppendFloat(b, f, 'f', -1, 64)
+	b = strconv.AppendFloat(b, 0.5, 'f', -1, 64)
+	return strconv.AppendFloat(b, Finite64(v), 'e', -1, 64)
+}
+
+// appendBad lets a raw float reach the body: as a parameter, and through a
+// local that was guarded once and then reassigned.
+func appendBad(b []byte, v float64) []byte {
+	f := Finite64(v)
+	f = v * 2
+	b = strconv.AppendFloat(b, f, 'f', -1, 64)    // want "unguarded float formatted by strconv.AppendFloat"
+	return strconv.AppendFloat(b, v, 'f', -1, 64) // want "unguarded float formatted by strconv.AppendFloat"
 }

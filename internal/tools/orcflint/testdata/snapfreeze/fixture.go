@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 type ringSlot struct {
 	tail int
 }
@@ -10,6 +12,9 @@ type Snapshot struct {
 	gen   int
 	freq  []float64
 	slots []*ringSlot
+
+	planOnce sync.Once
+	plan     []int32
 }
 
 // Roster mimics core.Roster, the frozen membership view.
@@ -30,6 +35,27 @@ func buildSnapshot(n int) *Snapshot {
 // republish is the other allow-listed publisher.
 func republish(snap *Snapshot) {
 	snap.gen++
+}
+
+// buildPlan is the allow-listed lazy builder: the one sanctioned write after
+// publication, reached only through the snapshot's sync.Once.
+func (snap *Snapshot) buildPlan() {
+	snap.plan = make([]int32, len(snap.freq))
+}
+
+// lazyPlan runs the builder under the Once and only reads the field itself.
+func (snap *Snapshot) lazyPlan() []int32 {
+	snap.planOnce.Do(snap.buildPlan)
+	return snap.plan
+}
+
+// inlinePlan writes the field from its own closure: a Once does not make an
+// arbitrary function a publisher.
+func (snap *Snapshot) inlinePlan() []int32 {
+	snap.planOnce.Do(func() {
+		snap.plan = make([]int32, len(snap.freq)) // want "write through frozen Snapshot field"
+	})
+	return snap.plan
 }
 
 // mutate reintroduces the PR 5 stale-tail class: post-publication writes
