@@ -11,9 +11,9 @@ GO ?= go
 # just without the race detector's ~10x slowdown.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet lint build test race flake docs churn-smoke alert-smoke bench bench-json bench-smoke bench-check fuzz-smoke
+.PHONY: ci fmt vet lint build test race flake docs churn-smoke alert-smoke bench bench-check fuzz-smoke
 
-ci: fmt vet lint build test race docs churn-smoke alert-smoke bench-smoke bench-check fuzz-smoke
+ci: fmt vet lint build test race docs churn-smoke alert-smoke bench-check fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -68,34 +68,15 @@ alert-smoke:
 	$(GO) run ./cmd/loadgen -chaos flap -nodes 16
 	$(GO) run ./cmd/loadgen -chaos rack -nodes 16
 
+# Micro-benchmarks to work with; performance claims are measured with
+# `bash bench/run.sh` (see bench/README.md).
 bench:
 	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleRetrain|EnsembleSelect' -benchmem .
+	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem ./internal/serve
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
 	$(GO) test -run xxx -bench RunFlat -benchmem ./internal/kmeans
 	$(GO) test -run xxx -bench '^Benchmark(AutoARIMAFit|CSSResiduals)$$' -benchmem ./internal/forecast
-
-# Perf trajectory: run the six tracked benchmark families and write the
-# committed machine-readable baseline. Bump BENCH_OUT when cutting a new
-# baseline file for a PR.
-BENCH_OUT ?= BENCH_0009.json
-bench-json:
-	$(GO) run ./cmd/benchjson -out $(BENCH_OUT)
-
-# One-iteration smoke of the same tool: keeps cmd/benchjson and the six
-# benchmark families compiling and parseable without paying full bench time,
-# then prints the delta table against the committed baseline. The smoke run
-# is a single iteration, far too noisy to gate on, so the comparison is
-# informational (no -threshold); `benchjson -compare -threshold N old new`
-# is available for real regression gating between full baselines. A case the
-# baseline has and the run no longer does (BENCH_0009's
-# BenchmarkTransportIngest/v1gob, deleted with wire protocol v1, and
-# BenchmarkServeForecast/{cold,cached}, deleted with the forecast cache) is
-# printed as "(gone)" and does not fail the step.
-BENCH_SMOKE_JSON ?= /tmp/orcf-bench-smoke.json
-bench-smoke:
-	$(GO) run ./cmd/benchjson -short -out $(BENCH_SMOKE_JSON)
-	$(GO) run ./cmd/benchjson -compare $(BENCH_OUT) $(BENCH_SMOKE_JSON)
 
 # Repository benchmark check: bench/ is a module of its own (orcf/bench,
 # `replace orcf => ../`) that imports orcf/internal/..., so the root
@@ -104,10 +85,11 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each native fuzz target (wire
-# decoders, recovery readers, the K-means, ARIMA-fit and JSON-float reference
-# differentials) from its committed seed corpus. go test allows
-# one -fuzz pattern per invocation, hence the loop.
+# Fuzz smoke: a short coverage-guided run of each of the nine native fuzz
+# targets (wire decoders, recovery readers, alert rules, and the K-means,
+# cluster-tracker, ARIMA-fit and JSON-float reference differentials) from its
+# committed seed corpus. go test allows one -fuzz pattern per invocation,
+# hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
@@ -116,5 +98,6 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)

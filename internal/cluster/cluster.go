@@ -146,10 +146,22 @@ type Step struct {
 // Slots vs nodes: the tracker addresses points positionally by "slot". A
 // fixed fleet uses slot == node index; an elastic fleet (core.System with
 // membership churn) keeps slots stable across joins and leaves by passing a
-// presence mask to UpdateMasked — absent slots carry assignment -1 and take
-// no part in K-means or the eq. (10) matching. The slot count may grow
-// between updates (new joiners are appended) but never shrink; departed
-// slots are masked out and their history erased with ForgetSlot.
+// presence mask — absent slots carry assignment -1 and take no part in
+// K-means or the eq. (10) matching. The slot count may grow between updates
+// (new joiners are appended) but never shrink; departed slots are masked out
+// and their history erased with ForgetSlot.
+//
+// One update walks the slots three times. Pass A assigns every present point
+// (kmeans.AssignFlat against the previous centroids on a warm step, a full
+// kmeans.Runner.RunFlat otherwise) and tallies, from the per-slot run-length
+// counters, the K×K tables the step is decided on: the eq. (10) intersection
+// counts, the fresh-cluster × previous-cluster counts that give the warm
+// step's churn, and the cluster sizes that reveal an emptied cluster. The
+// K×K Hungarian of eq. (11) follows. Pass B writes each slot's stable index
+// straight into the next history row, accumulates the eq. (1) sums in
+// ascending slot order and advances the run-length counters. Nothing the
+// tracker keeps is written before pass B, so an update that fails leaves it
+// as it was.
 type Tracker struct {
 	cfg Config
 	rng *rand.Rand
@@ -165,42 +177,38 @@ type Tracker struct {
 	histHead int
 	histLen  int
 
-	// Per-slot run-length counters realizing eq. (10) incrementally: slot i
-	// has held stable cluster streakVal[i] for the last streak[i]
-	// consecutive steps (capped at M — deeper runs are indistinguishable to
-	// the matching). Replaces the O(N·M) history scan per step.
-	streak    []int
-	streakVal []int
+	// Per-slot run-length counters realizing eq. (10) incrementally; see run.
+	runs []run
 
 	// centroidSeries[j][dim] is the full centroid history for stable
 	// cluster j and one dimension; indexed [j][d][t].
 	centroidSeries [][][]float64
 
-	// Previous step's stable centroids (K×dim row-major), seeding
-	// warm-started incremental refits.
-	prevCents []float64
+	// cents holds the latest step's stable centroids (K×dim row-major): the
+	// result of that step and the seed of the next warm start.
+	cents []float64
 
 	warmSteps int // warm-started refits accepted
 	fullSteps int // full K-means refits run
 
-	// Reusable scratch, sized lazily: the packed SoA point frame with its
-	// slot mapping and assignment buffers, the K-means runner, the K×K
-	// similarity matrices, and the centroid accumulator. Hoisted here so a
-	// steady-state UpdateMasked allocates only its returned Step.
-	packF      *mat.Frame
-	packIdx    []int
-	packAssign []int
-	raw        []int
-	stable     []int
-	runner     *kmeans.Runner
-	inter      []float64 // K×K intersection counts, row-major
-	jacc       []float64 // K×K Jaccard weights, row-major
-	wRows      [][]float64
-	rawSize    []float64
-	coreSize   []float64
-	centsFlat  []float64 // K×dim centroid accumulator
-	centCounts []int
+	// Reusable scratch, sized lazily, so a steady-state update allocates
+	// nothing but the small K×K matching solve.
+	packF   *mat.Frame     // present points compacted (masked updates only)
+	rowsF   *mat.Frame     // UpdateMasked's flat copy of its rows
+	raw     []int          // fresh cluster of each present point, in slot order
+	runner  *kmeans.Runner // full refits
+	tallies []int          // inter | prev (K×K each) | rawSize (K)
+	weights []float64      // K×K similarity handed to the matching
+	wRows   [][]float64    // row views of weights
+	ident   []int          // identity mapping (first step, matching disabled)
+	sizes   []int          // per-cluster member counts of pass B
 }
+
+// run is one slot's run-length counter: the slot has held stable cluster val
+// for the last n consecutive steps, n capped at M (deeper runs are
+// indistinguishable to the matching). val is -1, and n 0, for a slot that
+// was absent at the last step, so val doubles as the previous assignment.
+type run struct{ val, n int32 }
 
 // NewTracker builds a Tracker. The rng drives K-means seeding; passing the
 // same seed and inputs reproduces identical cluster evolutions.
@@ -235,201 +243,362 @@ func (tr *Tracker) Update(points [][]float64) (*Step, error) {
 // matching, and the centroid means; they come back with assignment -1. The
 // present count must be ≥ K. A nil mask means all slots are present. The
 // slot count may grow between calls (joiners append) but never shrink.
+//
+// It is the rows-of-slices adapter of UpdateFlat: the rows are copied into
+// one flat frame and the result out of the tracker's buffers, so the
+// returned Step is the caller's to keep.
 func (tr *Tracker) UpdateMasked(points [][]float64, present []bool) (*Step, error) {
-	if err := tr.checkPoints(points, present); err != nil {
+	n := len(points)
+	if present != nil && len(present) != n {
+		return nil, fmt.Errorf("cluster: %d mask entries for %d points: %w", len(present), n, ErrBadInput)
+	}
+	dim := tr.dim
+	for i, p := range points {
+		if present != nil && !present[i] {
+			continue
+		}
+		if p == nil {
+			return nil, fmt.Errorf("cluster: present slot %d has nil point: %w", i, ErrBadInput)
+		}
+		if dim == 0 {
+			dim = len(p)
+		}
+		if len(p) != dim {
+			return nil, fmt.Errorf("cluster: point %d has dim %d, want %d: %w", i, len(p), dim, ErrBadInput)
+		}
+	}
+	if tr.rowsF == nil || tr.rowsF.Cols() != dim {
+		tr.rowsF = mat.NewFrame(n, dim)
+	}
+	tr.rowsF.Grow(n)
+	flat := tr.rowsF.Data()
+	for i, p := range points {
+		if present == nil || present[i] {
+			copy(flat[i*dim:(i+1)*dim], p)
+		}
+	}
+	assign, cents, err := tr.UpdateFlat(flat, n, dim, present)
+	if err != nil {
 		return nil, err
 	}
-	pn := tr.packPoints(points, present)
+	step := &Step{T: tr.t, Assignments: append([]int(nil), assign...), Centroids: make([][]float64, tr.cfg.K)}
+	out := append([]float64(nil), cents...)
+	for j := range step.Centroids {
+		step.Centroids[j] = out[j*dim : (j+1)*dim : (j+1)*dim]
+	}
+	return step, nil
+}
 
-	warm := tr.canWarmStart(points, present, pn) && tr.tryWarmStep(len(points), pn)
+// UpdateFlat is the tracker's one update path. data holds the n slots'
+// points row-major (n×dim, dim ≥ 1); present marks the slots that take part,
+// nil meaning all of them, and the rows of absent slots are never read. It
+// returns the stable assignment per slot (-1 for absent slots) and the K
+// stable centroids (K×dim row-major, eq. 1) as views of the tracker's own
+// buffers — the new history row and the next warm start's seed — valid
+// until the next update, ForgetSlot or RestoreState. The present count must
+// be ≥ K, dim must match earlier updates, and n may grow but never shrink.
+// On error the tracker is unchanged.
+func (tr *Tracker) UpdateFlat(data []float64, n, dim int, present []bool) (assign []int, cents []float64, err error) {
+	pn, err := tr.checkUpdate(data, n, dim, present)
+	if err != nil {
+		return nil, nil, err
+	}
+	pts := data[:n*dim]
+	if pn == n {
+		present = nil
+	} else {
+		pts = tr.pack(data, n, dim, present, pn)
+	}
+	for len(tr.runs) < n {
+		tr.runs = append(tr.runs, run{val: -1})
+	}
+	tr.raw = growInts(tr.raw, pn)
+
+	mapping, warm := tr.warmStart(pts, n, pn, dim, present)
 	if warm {
 		tr.warmSteps++
 	} else {
-		if err := tr.fullRefit(len(points), pn); err != nil {
-			return nil, err
+		if mapping, err = tr.fullRefit(pts, n, pn, dim, present); err != nil {
+			return nil, nil, err
 		}
 		tr.fullSteps++
 	}
-
-	k, dim := tr.cfg.K, tr.dim
-	tr.centroidsInto(pn)
+	tr.dim, tr.n = dim, n
+	assign = tr.commit(pts, n, dim, present, mapping)
 	tr.t++
-	tr.pushHistory(tr.stable)
 	tr.appendCentroids()
-	if cap(tr.prevCents) < k*dim {
-		tr.prevCents = make([]float64, k*dim)
-	}
-	tr.prevCents = tr.prevCents[:k*dim]
-	copy(tr.prevCents, tr.centsFlat)
-
-	assignCopy := make([]int, len(points))
-	copy(assignCopy, tr.stable)
-	flat := make([]float64, k*dim)
-	copy(flat, tr.centsFlat)
-	cents := make([][]float64, k)
-	for j := range cents {
-		cents[j] = flat[j*dim : (j+1)*dim : (j+1)*dim]
-	}
-	return &Step{T: tr.t, Assignments: assignCopy, Centroids: cents}, nil
+	return assign, tr.cents, nil
 }
 
-// fullRefit runs the K-means refit over the packed points and stabilizes the
-// result, the reference path every optimization is pinned against.
-func (tr *Tracker) fullRefit(nSlots, pn int) error {
-	if tr.runner == nil {
-		tr.runner = kmeans.NewRunner()
+// checkUpdate validates an update's shape without touching the tracker and
+// returns the present count.
+func (tr *Tracker) checkUpdate(data []float64, n, dim int, present []bool) (pn int, err error) {
+	if n < 1 {
+		return 0, fmt.Errorf("cluster: no points: %w", ErrBadInput)
 	}
-	tr.packAssign = growInts(tr.packAssign, pn)
-	err := tr.runner.RunFlat(tr.packF.Data()[:pn*tr.dim], pn, tr.dim, kmeans.Config{
-		K:             tr.cfg.K,
-		MaxIterations: tr.cfg.KMeansIterations,
-	}, tr.rng, tr.packAssign)
-	if err != nil {
-		return fmt.Errorf("cluster: kmeans failed: %w", err)
-	}
-	tr.scatterRaw(nSlots, pn)
-	return tr.stabilize(nSlots)
-}
-
-// canWarmStart reports whether this step may skip the full K-means refit:
-// incremental mode on, previous centroids available, more present points
-// than clusters, and exactly the same slots present as at the last step (a
-// join, leave, or rejoin always forces a full refit).
-func (tr *Tracker) canWarmStart(points [][]float64, present []bool, pn int) bool {
-	if !tr.cfg.Incremental || tr.t == 0 || tr.cfg.IncrementalChurn < 0 {
-		return false
-	}
-	if pn <= tr.cfg.K || len(tr.prevCents) != tr.cfg.K*tr.dim {
-		return false
-	}
-	h0 := tr.hist[tr.histHead] // histAt(0, ·), hoisted out of the O(N) scan
-	for i := range points {
-		p := present == nil || present[i]
-		if p != (i < len(h0) && h0[i] >= 0) {
-			return false
+	pn = n
+	if present != nil {
+		if len(present) != n {
+			return 0, fmt.Errorf("cluster: %d mask entries for %d points: %w", len(present), n, ErrBadInput)
+		}
+		pn = 0
+		for _, p := range present {
+			if p {
+				pn++
+			}
 		}
 	}
-	return true
+	if pn < tr.cfg.K {
+		return 0, fmt.Errorf("cluster: %d present points < K=%d: %w", pn, tr.cfg.K, ErrBadInput)
+	}
+	if dim < 1 || (tr.dim != 0 && dim != tr.dim) {
+		return 0, fmt.Errorf("cluster: points have dim %d, want %d: %w", dim, max(tr.dim, 1), ErrBadInput)
+	}
+	if len(data) < n*dim {
+		return 0, fmt.Errorf("cluster: %d values for %d points of dim %d: %w", len(data), n, dim, ErrBadInput)
+	}
+	if n < tr.n {
+		return 0, fmt.Errorf("cluster: slot count shrank %d → %d: %w", tr.n, n, ErrBadInput)
+	}
+	return pn, nil
 }
 
-// tryWarmStep assigns the packed points to the previous stable centroids
-// (consuming no randomness), restabilizes through the usual eq. (10)/(11)
-// matching, and accepts the step iff no cluster went empty and the fraction
-// of slots that changed stable cluster stays within the churn threshold. It
-// returns false to demand a full refit.
-func (tr *Tracker) tryWarmStep(nSlots, pn int) bool {
-	k, dim := tr.cfg.K, tr.dim
-	tr.packAssign = growInts(tr.packAssign, pn)
-	kmeans.AssignFlat(tr.packF.Data()[:pn*dim], pn, dim, tr.prevCents, k, tr.packAssign)
-	// A cluster emptied by drift needs K-means' empty-cluster repair.
-	counts := growInts(tr.centCounts, k)
-	tr.centCounts = counts
-	for j := range counts {
-		counts[j] = 0
+// pack compacts the pn present points into the tracker's own frame, in slot
+// order, for the kernels that want their points contiguous.
+func (tr *Tracker) pack(data []float64, n, dim int, present []bool, pn int) []float64 {
+	if tr.packF == nil || tr.packF.Cols() != dim {
+		tr.packF = mat.NewFrame(pn, dim)
 	}
-	for _, a := range tr.packAssign {
-		counts[a]++
+	tr.packF.Grow(pn)
+	pts := tr.packF.Data()[:pn*dim]
+	pi := 0
+	for i, p := range present {
+		if !p {
+			continue
+		}
+		if dim == 1 {
+			pts[pi] = data[i]
+		} else {
+			copy(pts[pi*dim:(pi+1)*dim], data[i*dim:(i+1)*dim])
+		}
+		pi++
 	}
-	for _, c := range counts {
+	return pts
+}
+
+// warmStart tries to skip the full K-means refit: it assigns the present
+// points to the previous stable centroids (consuming no randomness), matches
+// the result against history, and accepts iff incremental mode is on, exactly
+// the same slots are present as at the last step (a join, leave, or rejoin
+// always forces a full refit), no cluster went empty and the fraction of
+// slots that changed stable cluster stays within the churn threshold. It
+// returns the eq. (11) mapping of the accepted step, or false to demand a
+// full refit.
+func (tr *Tracker) warmStart(pts []float64, n, pn, dim int, present []bool) (mapping []int, ok bool) {
+	k := tr.cfg.K
+	if !tr.cfg.Incremental || tr.t == 0 || tr.cfg.IncrementalChurn < 0 ||
+		pn <= k || len(tr.cents) != k*dim {
+		return nil, false
+	}
+	kmeans.AssignFlat(pts, pn, dim, tr.cents, k, tr.raw)
+	if !tr.tally(n, present) {
+		return nil, false
+	}
+	prev, rawSize := tr.tallies[k*k:2*k*k], tr.tallies[2*k*k:]
+	for _, c := range rawSize {
 		if c == 0 {
-			return false
+			return nil, false // a cluster emptied by drift needs K-means' repair
 		}
 	}
-	tr.scatterRaw(nSlots, pn)
-	if err := tr.stabilize(nSlots); err != nil {
-		return false
+	mapping, err := tr.match()
+	if err != nil {
+		return nil, false
 	}
 	thr := tr.cfg.IncrementalChurn
 	if thr == 0 {
 		thr = DefaultIncrementalChurn
 	}
-	changed := 0
-	h0 := tr.hist[tr.histHead] // histAt(0, ·), hoisted out of the O(N) scan
-	for _, slot := range tr.packIdx {
-		prev := -1
-		if slot < len(h0) {
-			prev = h0[slot]
-		}
-		if tr.stable[slot] != prev {
-			changed++
-		}
+	changed := pn
+	for kk, j := range mapping {
+		changed -= prev[kk*k+j]
 	}
-	return float64(changed) <= thr*float64(pn)
+	return mapping, float64(changed) <= thr*float64(pn)
 }
 
-// scatterRaw spreads the packed assignments back onto the slot layout in
-// tr.raw; absent slots stay -1.
-func (tr *Tracker) scatterRaw(nSlots, pn int) {
-	tr.raw = growInts(tr.raw, nSlots)
-	for i := range tr.raw {
-		tr.raw[i] = -1
+// fullRefit runs the K-means refit over the present points, the reference
+// path every optimization is pinned against, and matches it against history.
+func (tr *Tracker) fullRefit(pts []float64, n, pn, dim int, present []bool) (mapping []int, err error) {
+	if tr.runner == nil {
+		tr.runner = kmeans.NewRunner()
 	}
-	for pi := 0; pi < pn; pi++ {
-		tr.raw[tr.packIdx[pi]] = tr.packAssign[pi]
-	}
-}
-
-// stabilize re-indexes tr.raw into tr.stable via the eq. (11) matching (or a
-// plain copy on the first step / with matching disabled).
-func (tr *Tracker) stabilize(nSlots int) error {
-	tr.stable = growInts(tr.stable, nSlots)
-	if tr.t == 0 || tr.cfg.DisableMatching {
-		copy(tr.stable, tr.raw)
-		return nil
-	}
-	mapping, err := tr.matchToHistory(tr.raw)
+	err = tr.runner.RunFlat(pts, pn, dim, kmeans.Config{
+		K:             tr.cfg.K,
+		MaxIterations: tr.cfg.KMeansIterations,
+	}, tr.rng, tr.raw)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("cluster: kmeans failed: %w", err)
 	}
-	for i, k := range tr.raw {
-		if k < 0 {
-			tr.stable[i] = -1
-			continue
-		}
-		tr.stable[i] = mapping[k]
+	if tr.t > 0 && !tr.cfg.DisableMatching {
+		tr.tally(n, present)
 	}
-	return nil
+	return tr.match()
 }
 
-// centroidsInto computes eq. (1) into the tracker's flat K×dim scratch,
-// accumulating present slots in ascending order — the same summation order
-// as CentroidsFor, so the means are bitwise identical to the historical
-// per-call path.
-func (tr *Tracker) centroidsInto(pn int) {
-	k, dim := tr.cfg.K, tr.dim
-	if cap(tr.centsFlat) < k*dim {
-		tr.centsFlat = make([]float64, k*dim)
-	}
-	tr.centsFlat = tr.centsFlat[:k*dim]
-	clear(tr.centsFlat)
-	counts := growInts(tr.centCounts, k)
-	tr.centCounts = counts
-	for j := range counts {
-		counts[j] = 0
-	}
-	data := tr.packF.Data()
-	for pi := 0; pi < pn; pi++ {
-		j := tr.stable[tr.packIdx[pi]]
-		if j < 0 {
+// tally is the counting half of pass A. It walks the fresh assignment in
+// tr.raw once and fills tr.tallies: inter[k][j] = |C'_k ∩ X_j|, the eq. (10)
+// intersection of fresh cluster k with the nodes that stayed in stable
+// cluster j throughout the last M steps (slot i is in X_j iff its run of j is
+// at least min(M, t) long — exactly the historical all-of-the-last-M-rows
+// scan, without the O(N·M) walk; a slot absent at any of those steps has no
+// core cluster); prev[k][j], the same against the previous step alone, from
+// which a warm step's churn follows once the mapping is known; and the
+// fresh-cluster sizes. The core-set sizes are the column sums of inter. It
+// reports whether exactly the slots present at the last step are present
+// now.
+func (tr *Tracker) tally(n int, present []bool) (sameMembers bool) {
+	k := tr.cfg.K
+	tr.tallies = growInts(tr.tallies, 2*k*k+k)
+	clear(tr.tallies)
+	inter, prev, rawSize := tr.tallies[:k*k], tr.tallies[k*k:2*k*k], tr.tallies[2*k*k:]
+	lookback := int32(min(tr.cfg.M, tr.t))
+	sameMembers = true
+	pi := 0
+	for i, r := range tr.runs[:n] {
+		if present != nil && !present[i] {
+			sameMembers = sameMembers && r.val < 0
 			continue
 		}
-		counts[j]++
-		row := data[pi*dim : (pi+1)*dim]
-		cj := tr.centsFlat[j*dim : (j+1)*dim]
-		for t, v := range row {
-			cj[t] += v
-		}
-	}
-	for j := 0; j < k; j++ {
-		if counts[j] == 0 {
+		kk := tr.raw[pi]
+		pi++
+		if r.val < 0 {
+			rawSize[kk]++ // a member new this step
+			sameMembers = false
 			continue
 		}
-		inv := 1 / float64(counts[j])
-		cj := tr.centsFlat[j*dim : (j+1)*dim]
+		prev[kk*k+int(r.val)]++
+		if r.n >= lookback {
+			inter[kk*k+int(r.val)]++
+		}
+	}
+	for kk := 0; kk < k; kk++ {
+		for j := 0; j < k; j++ {
+			rawSize[kk] += prev[kk*k+j]
+		}
+	}
+	return sameMembers
+}
+
+// match solves eq. (11) on the tallied similarity by maximum-weight matching
+// and returns mapping[k] = stable index j (the identity on the first step
+// and with matching disabled).
+func (tr *Tracker) match() ([]int, error) {
+	k := tr.cfg.K
+	if tr.t == 0 || tr.cfg.DisableMatching {
+		for len(tr.ident) < k {
+			tr.ident = append(tr.ident, len(tr.ident))
+		}
+		return tr.ident, nil
+	}
+	if cap(tr.weights) < k*k {
+		tr.weights = make([]float64, k*k)
+		tr.wRows = make([][]float64, k)
+	}
+	weights := tr.weights[:k*k]
+	inter, rawSize := tr.tallies[:k*k], tr.tallies[2*k*k:]
+	for kk := 0; kk < k; kk++ {
+		for j := 0; j < k; j++ {
+			w := float64(inter[kk*k+j])
+			if tr.cfg.Similarity == SimilarityJaccard {
+				coreSize := 0 // |X_j|: the column sum of inter
+				for f := 0; f < k; f++ {
+					coreSize += inter[f*k+j]
+				}
+				if union := rawSize[kk] + coreSize - inter[kk*k+j]; union > 0 {
+					w /= float64(union)
+				} else {
+					w = 0
+				}
+			}
+			weights[kk*k+j] = w
+		}
+	}
+	w := tr.wRows[:k]
+	for kk := range w {
+		w[kk] = weights[kk*k : (kk+1)*k : (kk+1)*k]
+	}
+	mapping, _, err := hungarian.MaxWeightMatch(w)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: matching failed: %w", err)
+	}
+	return mapping, nil
+}
+
+// commit is pass B: it re-indexes the fresh assignment through the mapping
+// straight into the next history row, accumulates eq. (1) over the present
+// slots in ascending order — the summation order of CentroidsFor, so the
+// means are bitwise those of the historical per-call path — and advances the
+// run-length counters. It returns the new history row.
+func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []int) []int {
+	k, m := tr.cfg.K, int32(tr.cfg.M)
+	depth := tr.cfg.HistoryDepth
+	if tr.hist == nil {
+		tr.hist = make([][]int, depth)
+		tr.histHead = depth - 1
+	}
+	tr.histHead = (tr.histHead + 1) % depth
+	row := growInts(tr.hist[tr.histHead], n)
+	tr.hist[tr.histHead] = row
+	if tr.histLen < depth {
+		tr.histLen++
+	}
+
+	if cap(tr.cents) < k*dim {
+		tr.cents = make([]float64, k*dim)
+	}
+	cents := tr.cents[:k*dim]
+	tr.cents = cents
+	clear(cents)
+	sizes := growInts(tr.sizes, k)
+	tr.sizes = sizes
+	clear(sizes)
+
+	pi := 0
+	for i := range row {
+		r := &tr.runs[i]
+		if present != nil && !present[i] {
+			row[i] = -1
+			*r = run{val: -1}
+			continue
+		}
+		j := mapping[tr.raw[pi]]
+		row[i] = j
+		sizes[j]++
+		if dim == 1 {
+			cents[j] += pts[pi]
+		} else {
+			cj := cents[j*dim : (j+1)*dim]
+			for t, v := range pts[pi*dim : (pi+1)*dim] {
+				cj[t] += v
+			}
+		}
+		pi++
+		if r.val != int32(j) {
+			*r = run{val: int32(j), n: 1}
+		} else if r.n < m {
+			r.n++
+		}
+	}
+	for j, c := range sizes {
+		if c == 0 {
+			continue
+		}
+		inv := 1 / float64(c)
+		cj := cents[j*dim : (j+1)*dim]
 		for t := range cj {
 			cj[t] *= inv
 		}
 	}
+	return row
 }
 
 // growInts returns buf resized to n, reallocating only when capacity is
@@ -439,66 +608,6 @@ func growInts(buf []int, n int) []int {
 		return make([]int, n)
 	}
 	return buf[:n]
-}
-
-func (tr *Tracker) checkPoints(points [][]float64, present []bool) error {
-	if len(points) == 0 {
-		return fmt.Errorf("cluster: no points: %w", ErrBadInput)
-	}
-	if present != nil && len(present) != len(points) {
-		return fmt.Errorf("cluster: %d mask entries for %d points: %w",
-			len(present), len(points), ErrBadInput)
-	}
-	n := 0
-	for i, p := range points {
-		if present != nil && !present[i] {
-			continue
-		}
-		n++
-		if p == nil {
-			return fmt.Errorf("cluster: present slot %d has nil point: %w", i, ErrBadInput)
-		}
-		if tr.dim == 0 {
-			tr.dim = len(p)
-		}
-		if len(p) != tr.dim {
-			return fmt.Errorf("cluster: point %d has dim %d, want %d: %w", i, len(p), tr.dim, ErrBadInput)
-		}
-	}
-	if n < tr.cfg.K {
-		return fmt.Errorf("cluster: %d present points < K=%d: %w", n, tr.cfg.K, ErrBadInput)
-	}
-	if len(points) < tr.n {
-		return fmt.Errorf("cluster: slot count shrank %d → %d: %w", tr.n, len(points), ErrBadInput)
-	}
-	tr.n = len(points)
-	for len(tr.streak) < tr.n {
-		tr.streak = append(tr.streak, 0)
-		tr.streakVal = append(tr.streakVal, -1)
-	}
-	return nil
-}
-
-// packPoints compacts the present points into the tracker's flat SoA frame,
-// reusing its backing across steps; packIdx maps packed index → slot. It
-// returns the present count.
-func (tr *Tracker) packPoints(points [][]float64, present []bool) int {
-	if tr.packF == nil {
-		tr.packF = mat.NewFrame(0, tr.dim)
-	}
-	tr.packF.Grow(len(points))
-	tr.packIdx = tr.packIdx[:0]
-	data := tr.packF.Data()
-	pn := 0
-	for i, p := range points {
-		if present != nil && !present[i] {
-			continue
-		}
-		copy(data[pn*tr.dim:(pn+1)*tr.dim], p)
-		tr.packIdx = append(tr.packIdx, i)
-		pn++
-	}
-	return pn
 }
 
 // histAt reads the assignment of a slot `ago` steps back (0 = most recent;
@@ -527,115 +636,8 @@ func (tr *Tracker) ForgetSlot(slot int) {
 			tr.hist[m][slot] = -1
 		}
 	}
-	if slot < len(tr.streak) {
-		tr.streak[slot] = 0
-		tr.streakVal[slot] = -1
-	}
-}
-
-// matchToHistory computes the similarity matrix between fresh K-means
-// clusters and stable clusters, then solves eq. (11) via maximum-weight
-// matching. It returns mapping[k] = stable index j. Slots with raw
-// assignment -1 (absent this step) contribute nothing; a slot that was
-// absent at any of the last M steps has no core cluster, which realizes the
-// eq. (10) intersection over a churning fleet.
-func (tr *Tracker) matchToHistory(raw []int) ([]int, error) {
-	k := tr.cfg.K
-	lookback := min(tr.cfg.M, tr.t)
-
-	// The core set ⋂_{m=1..M} C_{j,t−m} of eq. (10) is read off the
-	// incremental run-length counters: slot i is in stable cluster j's core
-	// iff it has held j for at least `lookback` consecutive steps. This is
-	// exactly the historical all-of-the-last-M-rows scan, without the O(N·M)
-	// walk.
-	if cap(tr.inter) < k*k {
-		tr.inter = make([]float64, k*k)
-	}
-	inter := tr.inter[:k*k] // |C'_k ∩ X_j|, row-major
-	clear(inter)
-	if cap(tr.rawSize) < k {
-		tr.rawSize = make([]float64, k)
-		tr.coreSize = make([]float64, k)
-	}
-	rawSize := tr.rawSize[:k]
-	coreSize := tr.coreSize[:k]
-	clear(rawSize)
-	clear(coreSize)
-	for i, kk := range raw {
-		if kk < 0 {
-			continue // absent slot
-		}
-		rawSize[kk]++
-		if tr.streak[i] >= lookback {
-			j := tr.streakVal[i]
-			coreSize[j]++
-			inter[kk*k+j]++
-		}
-	}
-
-	wFlat := inter
-	if tr.cfg.Similarity == SimilarityJaccard {
-		if cap(tr.jacc) < k*k {
-			tr.jacc = make([]float64, k*k)
-		}
-		jacc := tr.jacc[:k*k]
-		for kk := 0; kk < k; kk++ {
-			for j := 0; j < k; j++ {
-				union := rawSize[kk] + coreSize[j] - inter[kk*k+j]
-				if union > 0 {
-					jacc[kk*k+j] = inter[kk*k+j] / union
-				} else {
-					jacc[kk*k+j] = 0 // scratch is reused; overwrite stale values
-				}
-			}
-		}
-		wFlat = jacc
-	}
-
-	if cap(tr.wRows) < k {
-		tr.wRows = make([][]float64, k)
-	}
-	w := tr.wRows[:k]
-	for kk := range w {
-		w[kk] = wFlat[kk*k : (kk+1)*k : (kk+1)*k]
-	}
-	mapping, _, err := hungarian.MaxWeightMatch(w)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: matching failed: %w", err)
-	}
-	return mapping, nil
-}
-
-func (tr *Tracker) pushHistory(assign []int) {
-	depth := tr.cfg.HistoryDepth
-	if tr.hist == nil {
-		tr.hist = make([][]int, depth)
-		tr.histHead = depth - 1
-	}
-	tr.histHead = (tr.histHead + 1) % depth
-	row := tr.hist[tr.histHead]
-	if cap(row) < len(assign) {
-		row = make([]int, len(assign))
-	}
-	row = row[:len(assign)]
-	copy(row, assign)
-	tr.hist[tr.histHead] = row
-	if tr.histLen < depth {
-		tr.histLen++
-	}
-	for i, v := range assign {
-		switch {
-		case v >= 0 && v == tr.streakVal[i]:
-			if tr.streak[i] < tr.cfg.M {
-				tr.streak[i]++
-			}
-		case v >= 0:
-			tr.streakVal[i] = v
-			tr.streak[i] = 1
-		default:
-			tr.streakVal[i] = -1
-			tr.streak[i] = 0
-		}
+	if slot < len(tr.runs) {
+		tr.runs[slot] = run{val: -1}
 	}
 }
 
@@ -648,7 +650,7 @@ func (tr *Tracker) appendCentroids() {
 	}
 	for j := 0; j < tr.cfg.K; j++ {
 		for d := 0; d < tr.dim; d++ {
-			tr.centroidSeries[j][d] = append(tr.centroidSeries[j][d], tr.centsFlat[j*tr.dim+d])
+			tr.centroidSeries[j][d] = append(tr.centroidSeries[j][d], tr.cents[j*tr.dim+d])
 		}
 	}
 }

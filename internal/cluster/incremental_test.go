@@ -464,8 +464,8 @@ func TestStreakCountersMatchHistoryScan(t *testing.T) {
 					}
 				}
 				got := -1
-				if tr.streak[i] >= lookback {
-					got = tr.streakVal[i]
+				if int(tr.runs[i].n) >= lookback {
+					got = int(tr.runs[i].val)
 				}
 				if got != want {
 					t.Fatalf("M=%d step %d slot %d: streak core %d, scan core %d", m, step, i, got, want)

@@ -115,10 +115,10 @@ func (tr *Tracker) RestoreState(st *State) error {
 		}
 	}
 	// Re-seed warm incremental refits from the last recorded centroids.
-	tr.prevCents = make([]float64, tr.cfg.K*tr.dim)
+	tr.cents = make([]float64, tr.cfg.K*tr.dim)
 	for j, byDim := range st.CentroidSeries {
 		for d, series := range byDim {
-			tr.prevCents[j*tr.dim+d] = series[st.T-1]
+			tr.cents[j*tr.dim+d] = series[st.T-1]
 		}
 	}
 	return nil
@@ -129,20 +129,18 @@ func (tr *Tracker) RestoreState(st *State) error {
 // the counters the tracker would have maintained online: a run can never
 // exceed t, histLen ≥ min(M, t), and both paths cap runs at M.
 func (tr *Tracker) rebuildStreaks() {
-	tr.streak = make([]int, tr.n)
-	tr.streakVal = make([]int, tr.n)
+	tr.runs = make([]run, tr.n)
 	limit := min(tr.cfg.M, tr.histLen)
-	for i := 0; i < tr.n; i++ {
+	for i := range tr.runs {
 		j := tr.histAt(0, i)
 		if j < 0 {
-			tr.streakVal[i] = -1
+			tr.runs[i] = run{val: -1}
 			continue
 		}
-		run := 1
+		length := 1
 		for m := 1; m < limit && tr.histAt(m, i) == j; m++ {
-			run++
+			length++
 		}
-		tr.streak[i] = run
-		tr.streakVal[i] = j
+		tr.runs[i] = run{val: int32(j), n: int32(length)}
 	}
 }

@@ -11,24 +11,23 @@
 // against ground truth.
 //
 // The steady-state path is allocation-free where the paper's structure
-// allows it: the eq. (12) look-back is a ring buffer with reused backing
-// arrays, cluster-input projections reuse per-tracker buffers, and the
-// independent per-resource trackers run on a bounded worker pool
-// (Config.Workers). Results are bit-identical for any worker count because
-// every tracker owns its RNG, ensemble, and output slots outright.
+// allows it: the central store and the eq. (12) look-back ring are flat
+// frames with reused backing arrays (see zFrame), each tracker clusters its
+// block of the store in place, and the independent per-resource trackers run
+// on a bounded worker pool (Config.Workers). Results are bit-identical for
+// any worker count because every tracker owns its RNG, ensemble, and output
+// slots outright.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
 	"orcf/internal/cluster"
 	"orcf/internal/forecast"
-	"orcf/internal/mat"
 	"orcf/internal/parallel"
 	"orcf/internal/transmit"
 )
@@ -188,7 +187,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ResourceStep is the per-tracker clustering outcome of one step.
+// ResourceStep is the per-tracker clustering outcome of one step. Both
+// fields are views of System-owned buffers; see StepResult for how long they
+// stay valid.
 type ResourceStep struct {
 	// Assignments maps slot → stable cluster index, or -1 for slots that
 	// were absent from clustering (dead, or alive but not yet stored).
@@ -199,6 +200,14 @@ type ResourceStep struct {
 }
 
 // StepResult reports what happened in one time step.
+//
+// Lifetime: T and Evicted belong to the caller. Transmitted, Present and the
+// PerResource entries' Assignments and Centroids are views of buffers the
+// System owns — the look-back slot the step committed and a transmit-flag
+// buffer reused every step — so a step of a large fleet allocates nothing
+// fleet-sized. They are valid until the next call to Step, AddNodes,
+// RemoveNodes, ReconcileRoster or RestoreState on the same System, and must
+// not be written to; copy what has to outlive that.
 type StepResult struct {
 	// T is the 1-based step index.
 	T int
@@ -215,34 +224,6 @@ type StepResult struct {
 	PerResource []ResourceStep
 }
 
-// ringSlot is one slot of the look-back ring used by eq. (12). All backing
-// arrays are allocated in NewSystem and overwritten in place; they grow in
-// place when the fleet grows. (The immutable per-step copies published for
-// concurrent readers reuse the same layout but may be shorter than the
-// current fleet if it grew after their publication — see Snapshot and the
-// *At accessors.)
-type ringSlot struct {
-	zf          *mat.Frame    // N×d stored measurements (flat row-major backing)
-	z           [][]float64   // row views into zf
-	assignments [][]int       // [tracker][slot]; -1 = absent
-	centroids   [][][]float64 // [tracker][cluster][dim]
-	present     []bool        // slots clustered at this step
-}
-
-// retiredSlot is one arena entry of the snapshot slot free list: a window
-// slot that dropped out of the published window, stamped with the generation
-// whose publish dropped it (see Config.SnapshotKeep).
-type retiredSlot struct {
-	gen  uint64
-	slot *ringSlot
-}
-
-// presentAt reports slot i's presence, treating slots beyond the recorded
-// fleet size (the fleet grew after this slot was written) as absent.
-func (slot *ringSlot) presentAt(i int) bool {
-	return i < len(slot.present) && slot.present[i]
-}
-
 // System is the end-to-end pipeline. Fleet membership is elastic: per-node
 // state lives in dense "slots" addressed positionally by Step and Forecast,
 // while AddNodes/RemoveNodes (and the absence timeout) bind and unbind
@@ -255,27 +236,37 @@ type System struct {
 	dims      int // point dimensionality per tracker (1, or d for joint)
 	policies  []transmit.Policy
 	meters    []transmit.Meter
-	z         [][]float64 // rows into zf once a node first transmits
-	zf        *mat.Frame  // N×d flat backing for z
 	trackers  []*cluster.Tracker
 	pcgs      []*rand.PCG // per-tracker K-means RNG sources (for state export)
 	ensembles []*forecast.Ensemble
 
+	// The central store z_t: store holds slot i's last transmitted
+	// measurement once stored[i] is set (rows of slots that hold none are
+	// zero). zrow is the scratch row a slot's measurement is gathered into
+	// for its policy, transmitted the per-step transmit flags that
+	// StepResult.Transmitted views, centRows the K row views per tracker
+	// into the in-flight step's centroids that the ensembles observe and
+	// ResourceStep.Centroids returns.
+	store       zFrame
+	stored      []bool
+	zrow        []float64
+	transmitted []bool
+	centRows    [][]float64
+
 	// Fleet roster: ids[i] is the stable ID bound to slot i, alive[i]
 	// whether the slot holds a live member, absentFor[i] the member's
 	// consecutive report-less steps, free the dead slots available for
-	// reuse (ascending). byID indexes live members only. presentBuf is the
-	// per-step clustering mask (alive ∧ stored). rosterGen bumps on every
-	// membership change so snapshots can share an immutable roster copy.
-	ids        []int
-	byID       map[int]int
-	alive      []bool
-	absentFor  []int
-	free       []int
-	presentBuf []bool
-	evictions  uint64
-	rosterGen  uint64
-	pubRoster  *Roster // immutable copy shared by published snapshots
+	// reuse (ascending). byID indexes live members only. rosterGen bumps on
+	// every membership change so snapshots can share an immutable roster
+	// copy.
+	ids       []int
+	byID      map[int]int
+	alive     []bool
+	absentFor []int
+	free      []int
+	evictions uint64
+	rosterGen uint64
+	pubRoster *Roster // immutable copy shared by published snapshots
 
 	// ring is the eq. (12) look-back of depth M′+1; ring[head] is the
 	// current step, ringLen the number of valid slots. stage is the spare
@@ -309,11 +300,7 @@ type System struct {
 	retired     []retiredSlot
 	dropPending []*ringSlot
 
-	// Reusable K-means input buffers for scalar clustering: pts[tr][i] is a
-	// length-1 row view into the N×1 frame ptsF[tr]. Joint clustering feeds
-	// z directly.
-	ptsF []*mat.Frame
-	pts  [][][]float64
+	phases phaseTimer
 
 	t int
 }
@@ -340,12 +327,14 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: snapshot keep %d without snapshot horizon: %w", cfg.SnapshotKeep, ErrBadConfig)
 	}
 	s := &System{cfg: cfg, byID: make(map[int]int)}
+	s.phases.ob = cfg.PhaseObserver
 	s.policies = make([]transmit.Policy, cfg.Nodes)
 	s.meters = make([]transmit.Meter, cfg.Nodes)
 	s.ids = make([]int, cfg.Nodes)
 	s.alive = make([]bool, cfg.Nodes)
 	s.absentFor = make([]int, cfg.Nodes)
-	s.presentBuf = make([]bool, cfg.Nodes)
+	s.stored = make([]bool, cfg.Nodes)
+	s.transmitted = make([]bool, cfg.Nodes)
 	for i := range s.policies {
 		p, err := cfg.Policy(i)
 		if err != nil {
@@ -359,8 +348,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.alive[i] = true
 		s.byID[i] = i
 	}
-	s.z = make([][]float64, cfg.Nodes)
-	s.zf = mat.NewFrame(cfg.Nodes, cfg.Resources)
 
 	s.nTrackers = cfg.Resources
 	s.dims = 1
@@ -368,6 +355,9 @@ func NewSystem(cfg Config) (*System, error) {
 		s.nTrackers = 1
 		s.dims = cfg.Resources
 	}
+	s.store = newZFrame(cfg.Nodes, s.nTrackers, s.dims)
+	s.zrow = make([]float64, cfg.Resources)
+	s.centRows = make([][]float64, s.nTrackers*cfg.K)
 	histDepth := max(cfg.M, cfg.MPrime+1)
 	// The per-tracker fan-out in Step/Forecast nests the ensembles' model
 	// fan-out, so the worker budget is split across trackers to keep total
@@ -411,88 +401,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.ring[si] = s.newRingSlot()
 	}
 	s.stage = s.newRingSlot()
-
-	if !cfg.JointClustering {
-		s.ptsF = make([]*mat.Frame, s.nTrackers)
-		s.pts = make([][][]float64, s.nTrackers)
-		for tr := range s.pts {
-			s.ptsF[tr] = mat.NewFrame(cfg.Nodes, 1)
-			s.pts[tr] = s.ptsF[tr].RowViews(nil)
-		}
-	}
 	return s, nil
-}
-
-// newRingSlot allocates one empty look-back slot shaped for the current
-// fleet size.
-func (s *System) newRingSlot() ringSlot {
-	var slot ringSlot
-	n := len(s.ids)
-	slot.zf = mat.NewFrame(n, s.cfg.Resources)
-	slot.z = slot.zf.RowViews(nil)
-	slot.assignments = make([][]int, s.nTrackers)
-	slot.centroids = make([][][]float64, s.nTrackers)
-	slot.present = make([]bool, n)
-	for tr := range slot.assignments {
-		slot.assignments[tr] = make([]int, n)
-		for i := range slot.assignments[tr] {
-			slot.assignments[tr][i] = -1
-		}
-		slot.centroids[tr] = newMatrix(s.cfg.K, s.dims)
-	}
-	return slot
-}
-
-// maskSlot erases one node's trace from a live look-back slot: absent
-// presence and -1 assignments (its z values are unreachable once masked).
-// Never called on published snapshot slots, which stay immutable.
-func maskSlot(slot *ringSlot, i int) {
-	slot.present[i] = false
-	for tr := range slot.assignments {
-		slot.assignments[tr][i] = -1
-	}
-}
-
-// growSlot extends a slot's per-node arrays to n entries in place (new
-// entries are absent). Never called on slots inside a published snapshot
-// window, which stay immutable at the size they were written (a retiree
-// recycled through the arena is grown here after its retention expires).
-func growSlot(slot *ringSlot, n, nTrackers int) {
-	if slot.zf.Rows() < n {
-		slot.zf.Grow(n)
-		slot.z = slot.zf.RowViews(slot.z)
-	}
-	for len(slot.present) < n {
-		slot.present = append(slot.present, false)
-	}
-	for tr := 0; tr < nTrackers; tr++ {
-		for len(slot.assignments[tr]) < n {
-			slot.assignments[tr] = append(slot.assignments[tr], -1)
-		}
-	}
-}
-
-// copyFrom overwrites the slot's contents with src's. Both slots must be
-// shaped by the same system (newRingSlot) at the same fleet size.
-func (slot *ringSlot) copyFrom(src *ringSlot) {
-	copy(slot.zf.Data(), src.zf.Data())
-	copy(slot.present, src.present)
-	for tr := range src.assignments {
-		copy(slot.assignments[tr], src.assignments[tr])
-		for j, c := range src.centroids[tr] {
-			copy(slot.centroids[tr][j], c)
-		}
-	}
-}
-
-// newMatrix allocates an n×d matrix whose rows share one backing array.
-func newMatrix(n, d int) [][]float64 {
-	flat := make([]float64, n*d)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
-	}
-	return rows
 }
 
 // Roster is an immutable point-in-time view of fleet membership: the slot →
@@ -707,16 +616,16 @@ func (s *System) addSlotAt(i, id int) error {
 		s.ids = append(s.ids, 0)
 		s.alive = append(s.alive, false)
 		s.absentFor = append(s.absentFor, 0)
-		s.presentBuf = append(s.presentBuf, false)
+		s.stored = append(s.stored, false)
+		s.transmitted = append(s.transmitted, false)
 		s.policies = append(s.policies, nil)
 		s.meters = append(s.meters, transmit.Meter{})
-		s.z = append(s.z, nil)
-		s.growBacking()
 		n := len(s.ids)
+		s.store.grow(n)
 		for si := range s.ring {
-			growSlot(&s.ring[si], n, s.nTrackers)
+			growSlot(&s.ring[si], n)
 		}
-		growSlot(&s.stage, n, s.nTrackers)
+		growSlot(&s.stage, n)
 	default:
 		at := -1
 		for fi, f := range s.free {
@@ -754,27 +663,8 @@ func (s *System) addSlotAt(i, id int) error {
 	s.ids[i] = id
 	s.alive[i] = true
 	s.absentFor[i] = 0
-	s.z[i] = nil
 	s.byID[id] = i
 	return nil
-}
-
-// growBacking grows the flat z frame (and the scalar-clustering point
-// frames) after the slot count grew, re-pointing the row views.
-func (s *System) growBacking() {
-	n := len(s.ids)
-	s.zf.Grow(n)
-	for i := range s.z {
-		if s.z[i] != nil {
-			s.z[i] = s.zf.Row(i)
-		}
-	}
-	if !s.cfg.JointClustering {
-		for tr := range s.pts {
-			s.ptsF[tr].Grow(n)
-			s.pts[tr] = s.ptsF[tr].RowViews(s.pts[tr])
-		}
-	}
 }
 
 // evictSlot departs the member occupying slot i: the stable ID is retired,
@@ -785,7 +675,8 @@ func (s *System) evictSlot(i int) {
 	delete(s.byID, s.ids[i])
 	s.alive[i] = false
 	s.absentFor[i] = 0
-	s.z[i] = nil
+	s.stored[i] = false
+	s.store.clearRow(i)
 	s.policies[i] = nil
 	s.meters[i] = transmit.Meter{}
 	for si := range s.ring {
@@ -853,10 +744,10 @@ func (s *System) MeanFrequency() float64 {
 // Stored returns a copy of the measurements currently held at the central
 // node (z_t). Entries are nil for nodes that never transmitted.
 func (s *System) Stored() [][]float64 {
-	out := make([][]float64, len(s.z))
-	for i, zi := range s.z {
-		if zi != nil {
-			out[i] = append([]float64(nil), zi...)
+	out := make([][]float64, len(s.stored))
+	for i, set := range s.stored {
+		if set {
+			out[i] = s.store.row(i, make([]float64, s.cfg.Resources))
 		}
 	}
 	return out
@@ -925,53 +816,118 @@ func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
 // is evicted; evictions that would shrink the clustered set below K are
 // deferred, in slot order, until replacements report). It runs transmission
 // decisions, clustering, and model maintenance, and returns the step
-// outcome. On error the look-back ring is
-// untouched, but trackers/ensembles may have advanced unevenly (how far
+// outcome (see StepResult for the lifetime of its slices). Malformed input
+// is rejected before anything changes. On a later error the look-back ring
+// is untouched, but trackers/ensembles may have advanced unevenly (how far
 // depends on the worker schedule) — discard the System instead of stepping
 // it further.
+//
+// Step is the one place rows-of-slices enter the pipeline, and a sequence of
+// per-phase calls: checkStep, then ingest (layer 1: decide, write the store,
+// stage it), clusterAndRefit (layers 2+3, one cluster and one refit call per
+// tracker), and — with publishing on — assembleSnapshot and
+// forecastSnapshot, then commit. Each call runs under the phase timer, so
+// the PhaseObserver sees calls, not regions of this function.
 func (s *System) Step(x [][]float64) (*StepResult, error) {
+	if err := s.checkStep(x); err != nil {
+		return nil, err
+	}
+	s.t++
+	pt := &s.phases
+	pt.reset()
+
+	var mask []bool
+	var evicted []int
+	err := pt.run(PhaseIngest, func() (err error) {
+		mask, evicted, err = s.ingest(x)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	pt.report(PhaseIngest)
+
+	if err := s.clusterAndRefit(mask); err != nil {
+		return nil, err
+	}
+	pt.report(PhaseCluster)
+	pt.report(PhaseRefit)
+
+	// Build the next published Snapshot (if enabled) before committing, so a
+	// failed publish leaves both the ring and the published view untouched.
+	// Assembly counts toward the publish phase, the centroid-forecast
+	// precompute is the forecast phase.
+	var pub *Snapshot
+	if s.cfg.SnapshotHorizon > 0 {
+		_ = pt.run(PhasePublish, func() error {
+			pub = s.assembleSnapshot()
+			return nil
+		})
+		if err := pt.run(PhaseForecast, func() error { return s.forecastSnapshot(pub) }); err != nil {
+			return nil, err
+		}
+	}
+	pt.report(PhaseForecast)
+
+	var res *StepResult
+	_ = pt.run(PhasePublish, func() error {
+		res = s.commit(pub, evicted)
+		return nil
+	})
+	pt.report(PhasePublish)
+	return res, nil
+}
+
+// checkStep validates a step's input against the fleet layout without
+// changing anything.
+func (s *System) checkStep(x [][]float64) error {
 	if len(x) != len(s.ids) {
-		return nil, fmt.Errorf("core: %d rows in step, want %d fleet slots: %w", len(x), len(s.ids), ErrBadInput)
+		return fmt.Errorf("core: %d rows in step, want %d fleet slots: %w", len(x), len(s.ids), ErrBadInput)
 	}
 	for i, xi := range x {
 		if xi == nil {
 			continue
 		}
 		if !s.alive[i] {
-			return nil, fmt.Errorf("core: slot %d holds no live member but got a report: %w", i, ErrBadInput)
+			return fmt.Errorf("core: slot %d holds no live member but got a report: %w", i, ErrBadInput)
 		}
 		if len(xi) != s.cfg.Resources {
-			return nil, fmt.Errorf("core: node %d has dim %d, want %d: %w",
+			return fmt.Errorf("core: node %d has dim %d, want %d: %w",
 				i, len(xi), s.cfg.Resources, ErrBadInput)
 		}
 		for d, v := range xi {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("core: node %d resource %d is %v: %w",
+			if v-v != 0 { // NaN or ±Inf
+				return fmt.Errorf("core: node %d resource %d is %v: %w",
 					i, d, v, ErrBadInput)
 			}
 		}
 	}
-	s.t++
-	res := &StepResult{
-		T:           s.t,
-		Transmitted: make([]bool, len(x)),
-		Present:     make([]bool, len(x)),
-		PerResource: make([]ResourceStep, s.nTrackers),
-	}
-	ob := s.cfg.PhaseObserver
-	var tIngest time.Time
-	if ob != nil {
-		tIngest = time.Now()
-	}
+	return nil
+}
 
-	// Layer 1: transmission decisions update the central store in place;
-	// silent live members accrue absence. Members at the timeout are only
-	// marked for eviction here — the roster mutation happens after the
-	// present-count check below, so a step that fails it has not half-
-	// departed anyone (and never loses its Evicted report).
+// ingest is layer 1 of a step: one walk over the slots makes the
+// transmission decisions, writes accepted measurements into the central
+// store, accrues absence for silent members and derives the presence mask —
+// live members with a stored measurement take part in clustering; joiners
+// whose policies have not transmitted yet stay masked (warm-up), as do
+// members departing this step. It then applies the absence-timeout
+// evictions and stages the store into the spare look-back slot with one
+// copy; that slot only enters the eq. (12) ring when the whole step
+// succeeds. It returns the clustering mask — nil when every slot takes part,
+// which lets the trackers cluster their block of the store in place — and
+// the stable IDs evicted this step.
+func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
+	present := s.stage.present
+	nPresent := 0
+	// Members at the timeout are only marked for eviction in the walk — the
+	// roster mutation happens after the present-count check below, so a step
+	// that fails it has not half-departed anyone (and never loses its
+	// Evicted report).
 	var evict []int
 	for i, xi := range x {
+		s.transmitted[i] = false
 		if !s.alive[i] {
+			present[i] = false
 			continue
 		}
 		if xi == nil {
@@ -979,26 +935,20 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 			if s.cfg.AbsenceTimeout > 0 && s.absentFor[i] >= s.cfg.AbsenceTimeout {
 				evict = append(evict, i)
 			}
-			continue
-		}
-		s.absentFor[i] = 0
-		if s.policies[i].Decide(s.t, xi, s.z[i]) {
-			if s.z[i] == nil {
-				s.z[i] = s.zf.Row(i)
+		} else {
+			s.absentFor[i] = 0
+			var zi []float64
+			if s.stored[i] {
+				zi = s.store.row(i, s.zrow)
 			}
-			copy(s.z[i], xi)
-			res.Transmitted[i] = true
+			if s.policies[i].Decide(s.t, xi, zi) {
+				s.store.set(i, xi)
+				s.stored[i] = true
+				s.transmitted[i] = true
+			}
+			s.meters[i].Observe(s.transmitted[i])
 		}
-		s.meters[i].Observe(res.Transmitted[i])
-	}
-
-	// Presence mask: live members with a stored measurement take part in
-	// clustering; joiners whose policies have not transmitted yet stay
-	// masked (warm-up), as do members departing this step.
-	present := s.presentBuf
-	nPresent := 0
-	for i := range present {
-		present[i] = s.alive[i] && s.z[i] != nil
+		present[i] = s.stored[i]
 		if present[i] {
 			nPresent++
 		}
@@ -1006,7 +956,7 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 	if nPresent < s.cfg.K {
 		// No eviction has happened yet, so the roster is untouched by a
 		// step that fails here (candidates are simply retried later).
-		return nil, fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
+		return nil, nil, fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
 			"or wait for first transmissions before stepping: %w", nPresent, s.cfg.K, ErrBadInput)
 	}
 	// Evictions never shrink the clustered set below K: when a mass outage
@@ -1020,106 +970,68 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 			if nPresent <= s.cfg.K {
 				continue // deferred: absentFor stays past the timeout
 			}
-			present[i] = false
 			nPresent--
 		}
-		res.Evicted = append(res.Evicted, s.ids[i])
-		s.evictSlot(i)
+		evicted = append(evicted, s.ids[i])
+		s.evictSlot(i) // masks the staged slot too
 	}
-	copy(res.Present, present)
-
-	// Record the store's state into the staging slot; it only enters the
-	// eq. (12) look-back ring when the whole step succeeds.
-	snap := &s.stage
-	for i, zi := range s.z {
-		if zi != nil {
-			copy(snap.z[i], zi)
-		}
+	s.stage.z.copyFrom(&s.store)
+	if nPresent < len(x) {
+		mask = present
 	}
-	copy(snap.present, present)
+	return mask, evicted, nil
+}
 
-	if ob != nil {
-		ob.ObserveStepPhase(PhaseIngest, time.Since(tIngest))
-	}
-
-	// Layers 2+3: per-tracker clustering and model maintenance. Trackers are
-	// independent — each owns its RNG, ensemble, and the tr-indexed slots
-	// written below — so the fan-out is deterministic. Phase timing sums CPU
-	// time across trackers through atomics (integer adds commute, so the
-	// worker schedule cannot perturb the total).
-	var clusterNanos, refitNanos atomic.Int64
-	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
-		var t0 time.Time
-		if ob != nil {
-			t0 = time.Now()
+// clusterAndRefit runs layers 2+3 for every tracker on the worker pool.
+// Trackers are independent — each owns its RNG, its ensemble, its block of
+// the store and the tr-indexed parts of the staged slot — so the fan-out is
+// deterministic. The two phases' times are CPU time summed across trackers
+// (integer adds commute, so the worker schedule cannot perturb the total).
+func (s *System) clusterAndRefit(mask []bool) error {
+	return parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+		if err := s.phases.run(PhaseCluster, func() error { return s.cluster(tr, mask) }); err != nil {
+			return err
 		}
-		step, err := s.trackers[tr].UpdateMasked(s.trackerPoints(tr), present)
-		if err != nil {
-			return fmt.Errorf("core: tracker %d: %w", tr, err)
-		}
-		var t1 time.Time
-		if ob != nil {
-			t1 = time.Now()
-			clusterNanos.Add(int64(t1.Sub(t0)))
-		}
-		if err := s.ensembles[tr].Observe(step.Centroids); err != nil {
-			return fmt.Errorf("core: ensemble %d: %w", tr, err)
-		}
-		if ob != nil {
-			refitNanos.Add(int64(time.Since(t1)))
-		}
-		res.PerResource[tr] = ResourceStep{
-			Assignments: step.Assignments,
-			Centroids:   step.Centroids,
-		}
-		copy(snap.assignments[tr], step.Assignments)
-		for j, c := range step.Centroids {
-			copy(snap.centroids[tr][j], c)
-		}
-		return nil
+		return s.phases.run(PhaseRefit, func() error { return s.refit(tr) })
 	})
+}
+
+// cluster is layer 2 for one tracker: update the tracker on its block of the
+// store and move the outcome into the staged look-back slot.
+func (s *System) cluster(tr int, mask []bool) error {
+	assign, cents, err := s.trackers[tr].UpdateFlat(s.store.points(tr), len(s.ids), s.dims, mask)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: tracker %d: %w", tr, err)
 	}
-	if ob != nil {
-		ob.ObserveStepPhase(PhaseCluster, time.Duration(clusterNanos.Load()))
-		ob.ObserveStepPhase(PhaseRefit, time.Duration(refitNanos.Load()))
+	copy(s.stage.assignments[tr], assign)
+	staged := s.stage.centroids(tr)
+	copy(staged, cents)
+	for j := 0; j < s.cfg.K; j++ {
+		s.centRows[tr*s.cfg.K+j] = staged[j*s.dims : (j+1)*s.dims : (j+1)*s.dims]
 	}
+	return nil
+}
 
-	// Build the next published Snapshot (if enabled) before committing, so a
-	// failed publish leaves both the ring and the published view untouched.
-	// Assembly and the forecast precompute are timed separately so the two
-	// phase series stay attributable; the split mirrors buildSnapshot.
-	var pub *Snapshot
-	var assembleDur, forecastDur time.Duration
-	if s.cfg.SnapshotHorizon > 0 {
-		var tA time.Time
-		if ob != nil {
-			tA = time.Now()
-		}
-		pub = s.assembleSnapshot()
-		var tF time.Time
-		if ob != nil {
-			tF = time.Now()
-			assembleDur = tF.Sub(tA)
-		}
-		if err := s.forecastSnapshot(pub); err != nil {
-			return nil, err
-		}
-		if ob != nil {
-			forecastDur = time.Since(tF)
-		}
+// refit is layer 3 for one tracker: its ensemble observes the step's
+// centroids, (re)training models when due.
+func (s *System) refit(tr int) error {
+	if err := s.ensembles[tr].Observe(s.trackerCentroids(tr)); err != nil {
+		return fmt.Errorf("core: ensemble %d: %w", tr, err)
 	}
-	if ob != nil {
-		ob.ObserveStepPhase(PhaseForecast, forecastDur)
-	}
+	return nil
+}
 
-	// Commit: swap the staged slot with the oldest ring slot (slice headers
-	// only — no copying), making it the current look-back entry.
-	var tCommit time.Time
-	if ob != nil {
-		tCommit = time.Now()
-	}
+// trackerCentroids returns the row views of tracker tr's centroids of the
+// latest (in-flight or committed) step.
+func (s *System) trackerCentroids(tr int) [][]float64 {
+	return s.centRows[tr*s.cfg.K : (tr+1)*s.cfg.K]
+}
+
+// commit makes the step visible: the staged slot is swapped with the oldest
+// ring slot (slice headers only — no copying), becoming the current
+// look-back entry, the assembled snapshot (if any) is published, and the
+// step's result is built as views of the slot just committed.
+func (s *System) commit(pub *Snapshot, evicted []int) *StepResult {
 	s.head = (s.head + 1) % len(s.ring)
 	if s.ringLen < len(s.ring) {
 		s.ringLen++
@@ -1139,31 +1051,22 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 		s.dropPending = s.dropPending[:0]
 		s.snap.Store(pub)
 	}
-	if ob != nil {
-		ob.ObserveStepPhase(PhasePublish, assembleDur+time.Since(tCommit))
-	}
-	return res, nil
-}
 
-// trackerPoints projects the stored measurements into the point space of
-// tracker tr: scalars of resource tr (reusing the per-tracker buffer), or
-// the stored vectors themselves for joint clustering (the tracker reads the
-// points but never retains them). Rows of slots without a stored
-// measurement are zero/nil — the presence mask keeps them out of
-// clustering.
-func (s *System) trackerPoints(tr int) [][]float64 {
-	if s.cfg.JointClustering {
-		return s.z
+	cur := &s.ring[s.head]
+	res := &StepResult{
+		T:           s.t,
+		Transmitted: s.transmitted,
+		Present:     cur.present,
+		Evicted:     evicted,
+		PerResource: make([]ResourceStep, s.nTrackers),
 	}
-	flat := s.ptsF[tr].Data()
-	for i, zi := range s.z {
-		if zi == nil {
-			flat[i] = 0
-			continue
+	for tr := range res.PerResource {
+		res.PerResource[tr] = ResourceStep{
+			Assignments: cur.assignments[tr],
+			Centroids:   s.trackerCentroids(tr),
 		}
-		flat[i] = zi[tr]
 	}
-	return s.pts[tr]
+	return res
 }
 
 // snapAt returns the ring slot from `ago` steps back (0 = current step);
@@ -1171,47 +1074,6 @@ func (s *System) trackerPoints(tr int) [][]float64 {
 func (s *System) snapAt(ago int) *ringSlot {
 	n := len(s.ring)
 	return &s.ring[(s.head-ago+n)%n]
-}
-
-// reconEnv bundles everything the §V-C per-node reconstruction reads: the
-// look-back window (newest first) plus the shape and ablation parameters.
-// Both the live System (over its mutable ring) and a published Snapshot
-// (over its immutable slot window) reconstruct through the same env, which
-// is what keeps served forecasts bit-identical to System.Forecast.
-type reconEnv struct {
-	slotAt            func(ago int) *ringSlot
-	aliveAt           func(slot int) bool
-	window            int // number of valid look-back slots
-	nodes, resources  int
-	k, dims, nTracker int
-	joint             bool
-	disableClamp      bool
-	disableAlphaClamp bool
-}
-
-func (s *System) reconEnv() *reconEnv {
-	return &reconEnv{
-		slotAt:            s.snapAt,
-		aliveAt:           func(i int) bool { return s.alive[i] },
-		window:            s.ringLen,
-		nodes:             len(s.ids),
-		resources:         s.cfg.Resources,
-		k:                 s.cfg.K,
-		dims:              s.dims,
-		nTracker:          s.nTrackers,
-		joint:             s.cfg.JointClustering,
-		disableClamp:      s.cfg.DisableClamp,
-		disableAlphaClamp: s.cfg.DisableAlphaClamp,
-	}
-}
-
-// fcScratch is the per-worker scratch of Forecast: reused across the nodes
-// one worker processes so the per-node path allocates nothing.
-type fcScratch struct {
-	counts []int     // membership counts, len K
-	offset []float64 // eq. (12) accumulator, len dims
-	zi     []float64 // scalar-projection view, len dims
-	delta  []float64 // MaxAlphaInCell scratch, len dims
 }
 
 // Forecast produces per-node forecasts for horizons 1..h:
@@ -1242,143 +1104,4 @@ func (s *System) Forecast(h int) ([][][]float64, error) {
 	}
 
 	return reconstruct(s.reconEnv(), centF, h, s.cfg.Workers), nil
-}
-
-// reconstruct applies §V-C over an env's look-back window in its two halves:
-// plan the h-independent part (mode cluster and eq. (12) offset per slot, over
-// the steps the node was present at), then evaluate it against the centroid
-// forecasts at every horizon. Slots that are dead, or whose member has no
-// presence in the window yet (a joiner still warming up), forecast as NaN.
-// centF is indexed [tracker][cluster][dim][hi] and must cover hi < h. The
-// result is identical for any worker count.
-func reconstruct(env *reconEnv, centF [][][][]float64, h, workers int) [][][]float64 {
-	return env.plan(centF, 0, env.nodes, workers).tensor(h, workers)
-}
-
-// modeCluster returns the cluster node i belonged to most often within the
-// look-back window [t−M′, t] for tracker tr (§V-C), counting only the steps
-// the node was present at. Ties break toward the newest present membership
-// when it participates in the tie, and otherwise toward the smaller cluster
-// index, keeping the choice deterministic. It returns -1 when the node was
-// present at no step of the window.
-func (env *reconEnv) modeCluster(sc *fcScratch, tr, node int) int {
-	counts := sc.counts
-	for j := range counts {
-		counts[j] = 0
-	}
-	newest := -1
-	for ago := 0; ago < env.window; ago++ {
-		slot := env.slotAt(ago)
-		if !slot.presentAt(node) {
-			continue
-		}
-		a := slot.assignments[tr][node]
-		if a < 0 {
-			continue
-		}
-		counts[a]++
-		if newest < 0 {
-			newest = a
-		}
-	}
-	if newest < 0 {
-		return -1
-	}
-	best := newest // newest present membership
-	bestCount := counts[best]
-	for j, c := range counts {
-		if c > bestCount {
-			best, bestCount = j, c
-		}
-	}
-	return best
-}
-
-// offset computes eq. (12): the averaged α-scaled deviation of node i from
-// the centroid of cluster jStar over the look-back steps the node was
-// present at. α is 1 when the node belonged to jStar at that step;
-// otherwise it shrinks the deviation just enough that centroid+α·deviation
-// still falls in jStar's cell. The returned slice is the scratch
-// accumulator, valid until the next call with the same scratch.
-func (env *reconEnv) offset(sc *fcScratch, tr, node, jStar int) []float64 {
-	out := sc.offset[:env.dims]
-	for d := range out {
-		out[d] = 0
-	}
-	seen := 0
-	for ago := 0; ago < env.window; ago++ {
-		slot := env.slotAt(ago)
-		if !slot.presentAt(node) {
-			continue
-		}
-		seen++
-		c := slot.centroids[tr][jStar]
-		var zi []float64
-		if env.joint {
-			zi = slot.z[node]
-		} else {
-			sc.zi[0] = slot.z[node][tr]
-			zi = sc.zi[:1]
-		}
-		alpha := 1.0
-		if !env.disableAlphaClamp && slot.assignments[tr][node] != jStar {
-			alpha = maxAlphaInCell(zi, jStar, slot.centroids[tr], sc.delta)
-		}
-		for d := 0; d < env.dims; d++ {
-			out[d] += alpha * (zi[d] - c[d])
-		}
-	}
-	if seen == 0 {
-		return out
-	}
-	inv := 1 / float64(seen)
-	for d := range out {
-		out[d] *= inv
-	}
-	return out
-}
-
-// MaxAlphaInCell returns the largest α ∈ [0,1] such that c_j + α(z−c_j)
-// remains closest to centroid j among all centroids (i.e. stays inside
-// cluster j's Voronoi cell). For each other centroid j′ with u = c_j′ − c_j
-// and δ = z − c_j, the boundary constraint is α·(2δ·u) ≤ ‖u‖².
-func MaxAlphaInCell(z []float64, j int, centroids [][]float64) float64 {
-	return maxAlphaInCell(z, j, centroids, make([]float64, len(z)))
-}
-
-// maxAlphaInCell is MaxAlphaInCell with a caller-provided δ scratch of
-// length ≥ len(z), so the Forecast hot path runs allocation-free.
-func maxAlphaInCell(z []float64, j int, centroids [][]float64, delta []float64) float64 {
-	cj := centroids[j]
-	delta = delta[:len(z)]
-	var deltaNorm float64
-	for d := range z {
-		delta[d] = z[d] - cj[d]
-		deltaNorm += delta[d] * delta[d]
-	}
-	if deltaNorm == 0 {
-		return 1
-	}
-	alpha := 1.0
-	for jp, cjp := range centroids {
-		if jp == j {
-			continue
-		}
-		var dot, uNorm float64
-		for d := range z {
-			u := cjp[d] - cj[d]
-			dot += delta[d] * u
-			uNorm += u * u
-		}
-		if dot <= 0 {
-			continue // moving away from this boundary
-		}
-		if bound := uNorm / (2 * dot); bound < alpha {
-			alpha = bound
-		}
-	}
-	if alpha < 0 {
-		alpha = 0
-	}
-	return alpha
 }

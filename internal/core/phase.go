@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // StepPhase identifies one sub-phase of System.Step for instrumentation.
 // Phases partition a step's wall-clock work; the two fan-out phases
@@ -56,4 +59,42 @@ func (p StepPhase) String() string {
 type PhaseObserver interface {
 	// ObserveStepPhase records one completed sub-phase.
 	ObserveStepPhase(phase StepPhase, d time.Duration)
+}
+
+// phaseTimer attributes the time of Step's per-phase calls to the
+// PhaseObserver: run times one call and adds it to its phase's total, report
+// hands a finished phase's total to the observer. Totals are atomics because
+// the cluster and refit calls of different trackers run concurrently. With
+// no observer attached nothing reads the clock.
+type phaseTimer struct {
+	ob    PhaseObserver
+	nanos [NumStepPhases]atomic.Int64
+}
+
+// reset forgets what an earlier, failed step left unreported.
+func (pt *phaseTimer) reset() {
+	if pt.ob == nil {
+		return
+	}
+	for p := range pt.nanos {
+		pt.nanos[p].Store(0)
+	}
+}
+
+// run calls fn as part of phase p.
+func (pt *phaseTimer) run(p StepPhase, fn func() error) error {
+	if pt.ob == nil {
+		return fn()
+	}
+	t0 := time.Now()
+	err := fn()
+	pt.nanos[p].Add(int64(time.Since(t0)))
+	return err
+}
+
+// report hands phase p's total to the observer.
+func (pt *phaseTimer) report(p StepPhase) {
+	if pt.ob != nil {
+		pt.ob.ObserveStepPhase(p, time.Duration(pt.nanos[p].Load()))
+	}
 }

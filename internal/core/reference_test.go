@@ -1,13 +1,23 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"orcf/internal/cluster"
+	"orcf/internal/forecast"
+	"orcf/internal/mat"
 	"orcf/internal/parallel"
+	"orcf/internal/transmit"
 )
 
 // referenceReconstruct is the pre-plan reconstruct, kept verbatim as the
@@ -40,7 +50,6 @@ func referenceReconstruct(env *reconEnv, centF [][][][]float64, h, workers int) 
 		if sc.counts == nil {
 			sc.counts = make([]int, env.k)
 			sc.offset = make([]float64, env.dims)
-			sc.zi = make([]float64, env.dims)
 			sc.delta = make([]float64, env.dims)
 		}
 		if !env.aliveAt(i) {
@@ -275,5 +284,968 @@ func TestPlanBeforeTraining(t *testing.T) {
 		if v := snap.PlanNode(slot).At(slot, 1, 1); !math.IsNaN(v) {
 			t.Fatalf("node plan slot %d = %v before training, want NaN", slot, v)
 		}
+	}
+}
+
+// referenceSystem is the step pipeline as it was before the flat store: a
+// z [][]float64 store with nil holes, per-tracker projection buffers, the
+// rows-of-slices Tracker.UpdateMasked, and a StepResult of fresh copies. It
+// carries the roster, the look-back ring and the state export — everything
+// TestStepMatchesReferenceExactly compares — and leaves out snapshot
+// publishing, which reads the ring but never feeds back into a step. The
+// method bodies below the constructor are the pre-change code, with type
+// and helper names prefixed.
+type referenceSystem struct {
+	cfg       Config
+	nTrackers int
+	dims      int
+	policies  []transmit.Policy
+	meters    []transmit.Meter
+	z         [][]float64
+	zf        *mat.Frame
+	trackers  []*cluster.Tracker
+	pcgs      []*rand.PCG
+	ensembles []*forecast.Ensemble
+
+	ids        []int
+	byID       map[int]int
+	alive      []bool
+	absentFor  []int
+	free       []int
+	presentBuf []bool
+	evictions  uint64
+	rosterGen  uint64
+
+	ring    []referenceSlot
+	stage   referenceSlot
+	head    int
+	ringLen int
+
+	ptsF []*mat.Frame
+	pts  [][][]float64
+
+	t int
+}
+
+func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	s := &referenceSystem{cfg: cfg, byID: make(map[int]int)}
+	s.policies = make([]transmit.Policy, cfg.Nodes)
+	s.meters = make([]transmit.Meter, cfg.Nodes)
+	s.ids = make([]int, cfg.Nodes)
+	s.alive = make([]bool, cfg.Nodes)
+	s.absentFor = make([]int, cfg.Nodes)
+	s.presentBuf = make([]bool, cfg.Nodes)
+	for i := range s.policies {
+		p, err := cfg.Policy(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.policies[i] = p
+		s.ids[i] = i
+		s.alive[i] = true
+		s.byID[i] = i
+	}
+	s.z = make([][]float64, cfg.Nodes)
+	s.zf = mat.NewFrame(cfg.Nodes, cfg.Resources)
+
+	s.nTrackers = cfg.Resources
+	s.dims = 1
+	if cfg.JointClustering {
+		s.nTrackers = 1
+		s.dims = cfg.Resources
+	}
+	histDepth := max(cfg.M, cfg.MPrime+1)
+	ensembleWorkers := max(1, parallel.Workers(cfg.Workers)/s.nTrackers)
+	for tr := 0; tr < s.nTrackers; tr++ {
+		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
+		s.pcgs = append(s.pcgs, pcg)
+		tracker, err := cluster.NewTracker(cluster.Config{
+			K:                cfg.K,
+			M:                cfg.M,
+			Similarity:       cfg.Similarity,
+			HistoryDepth:     histDepth,
+			DisableMatching:  cfg.DisableMatching,
+			Incremental:      cfg.IncrementalRefit,
+			IncrementalChurn: cfg.IncrementalChurn,
+		}, rand.New(pcg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.trackers = append(s.trackers, tracker)
+		ens, err := forecast.NewEnsemble(forecast.EnsembleConfig{
+			Clusters:          cfg.K,
+			Dims:              s.dims,
+			InitialCollection: cfg.InitialCollection,
+			RetrainEvery:      cfg.RetrainEvery,
+			FitWindow:         cfg.FitWindow,
+			Builder:           cfg.Model,
+			Candidates:        cfg.Zoo,
+			Selection:         cfg.Selection,
+			Workers:           ensembleWorkers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ensembles = append(s.ensembles, ens)
+	}
+	s.ring = make([]referenceSlot, cfg.MPrime+1)
+	for si := range s.ring {
+		s.ring[si] = s.newRingSlot()
+	}
+	s.stage = s.newRingSlot()
+	if !cfg.JointClustering {
+		s.ptsF = make([]*mat.Frame, s.nTrackers)
+		s.pts = make([][][]float64, s.nTrackers)
+		for tr := range s.pts {
+			s.ptsF[tr] = mat.NewFrame(cfg.Nodes, 1)
+			s.pts[tr] = s.ptsF[tr].RowViews(nil)
+		}
+	}
+	return s
+}
+
+func (s *referenceSystem) RefitStats() (warm, full int) {
+	for _, tr := range s.trackers {
+		w, f := tr.RefitStats()
+		warm += w
+		full += f
+	}
+	return warm, full
+}
+
+// ---- The pre-flat-store Step pipeline, verbatim (names prefixed) ----
+
+// referenceSlot is one slot of the look-back ring used by eq. (12). All backing
+// arrays are allocated in NewSystem and overwritten in place; they grow in
+// place when the fleet grows. (The immutable per-step copies published for
+// concurrent readers reuse the same layout but may be shorter than the
+// current fleet if it grew after their publication — see Snapshot and the
+// *At accessors.)
+type referenceSlot struct {
+	zf          *mat.Frame    // N×d stored measurements (flat row-major backing)
+	z           [][]float64   // row views into zf
+	assignments [][]int       // [tracker][slot]; -1 = absent
+	centroids   [][][]float64 // [tracker][cluster][dim]
+	present     []bool        // slots clustered at this step
+}
+
+// presentAt reports slot i's presence, treating slots beyond the recorded
+// fleet size (the fleet grew after this slot was written) as absent.
+func (slot *referenceSlot) presentAt(i int) bool {
+	return i < len(slot.present) && slot.present[i]
+}
+
+// newRingSlot allocates one empty look-back slot shaped for the current
+// fleet size.
+func (s *referenceSystem) newRingSlot() referenceSlot {
+	var slot referenceSlot
+	n := len(s.ids)
+	slot.zf = mat.NewFrame(n, s.cfg.Resources)
+	slot.z = slot.zf.RowViews(nil)
+	slot.assignments = make([][]int, s.nTrackers)
+	slot.centroids = make([][][]float64, s.nTrackers)
+	slot.present = make([]bool, n)
+	for tr := range slot.assignments {
+		slot.assignments[tr] = make([]int, n)
+		for i := range slot.assignments[tr] {
+			slot.assignments[tr][i] = -1
+		}
+		slot.centroids[tr] = referenceMatrix(s.cfg.K, s.dims)
+	}
+	return slot
+}
+
+// maskSlot erases one node's trace from a live look-back slot: absent
+// presence and -1 assignments (its z values are unreachable once masked).
+// Never called on published snapshot slots, which stay immutable.
+func referenceMaskSlot(slot *referenceSlot, i int) {
+	slot.present[i] = false
+	for tr := range slot.assignments {
+		slot.assignments[tr][i] = -1
+	}
+}
+
+// growSlot extends a slot's per-node arrays to n entries in place (new
+// entries are absent). Never called on slots inside a published snapshot
+// window, which stay immutable at the size they were written (a retiree
+// recycled through the arena is grown here after its retention expires).
+func referenceGrowSlot(slot *referenceSlot, n, nTrackers int) {
+	if slot.zf.Rows() < n {
+		slot.zf.Grow(n)
+		slot.z = slot.zf.RowViews(slot.z)
+	}
+	for len(slot.present) < n {
+		slot.present = append(slot.present, false)
+	}
+	for tr := 0; tr < nTrackers; tr++ {
+		for len(slot.assignments[tr]) < n {
+			slot.assignments[tr] = append(slot.assignments[tr], -1)
+		}
+	}
+}
+
+// newMatrix allocates an n×d matrix whose rows share one backing array.
+func referenceMatrix(n, d int) [][]float64 {
+	flat := make([]float64, n*d)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return rows
+}
+
+// AddNodes joins new members to the fleet, one per stable ID. Each joiner
+// gets a fresh policy and meter and an empty history: it is masked out of
+// clustering until its first stored measurement and out of eq. (12) windows
+// until presence accumulates, so existing members' assignments and
+// forecasts are unperturbed. Departed slots are recycled (lowest slot
+// first) before the fleet grows; a previously evicted ID may rejoin and
+// never inherits its old history. IDs must be non-negative and not already
+// live. Call it from the stepping goroutine, between Steps.
+func (s *referenceSystem) AddNodes(ids ...int) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	seen := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if id < 0 {
+			return fmt.Errorf("core: node ID %d < 0: %w", id, ErrBadConfig)
+		}
+		if _, live := s.byID[id]; live || seen[id] {
+			return fmt.Errorf("core: node %d already a member: %w", id, ErrBadConfig)
+		}
+		seen[id] = true
+	}
+	for _, id := range ids {
+		if err := s.addSlot(id); err != nil {
+			return err
+		}
+	}
+	s.rosterGen++
+	return nil
+}
+
+// RemoveNodes departs live members immediately (the administrative
+// counterpart of the absence timeout): their slots are tombstoned, their
+// history masked, and their IDs retired until a future AddNodes rejoins
+// them fresh. Surviving members are unperturbed. Call it from the stepping
+// goroutine, between Steps.
+func (s *referenceSystem) RemoveNodes(ids ...int) error {
+	for _, id := range ids {
+		if _, ok := s.byID[id]; !ok {
+			return fmt.Errorf("core: node %d is not a live member: %w", id, ErrBadConfig)
+		}
+	}
+	for _, id := range ids {
+		s.evictSlot(s.byID[id])
+	}
+	return nil
+}
+
+// addSlot binds one new member to a slot: the lowest free (tombstoned) slot
+// when one exists, else a freshly appended one.
+func (s *referenceSystem) addSlot(id int) error {
+	i := len(s.ids)
+	if len(s.free) > 0 {
+		i = s.free[0]
+	}
+	return s.addSlotAt(i, id)
+}
+
+// addSlotAt binds a new member to a specific slot — a tombstoned one or the
+// next append position (used by addSlot and by roster reconciliation during
+// WAL replay, which must reproduce the original slot layout exactly).
+func (s *referenceSystem) addSlotAt(i, id int) error {
+	switch {
+	case i == len(s.ids):
+		s.ids = append(s.ids, 0)
+		s.alive = append(s.alive, false)
+		s.absentFor = append(s.absentFor, 0)
+		s.presentBuf = append(s.presentBuf, false)
+		s.policies = append(s.policies, nil)
+		s.meters = append(s.meters, transmit.Meter{})
+		s.z = append(s.z, nil)
+		s.growBacking()
+		n := len(s.ids)
+		for si := range s.ring {
+			referenceGrowSlot(&s.ring[si], n, s.nTrackers)
+		}
+		referenceGrowSlot(&s.stage, n, s.nTrackers)
+	default:
+		at := -1
+		for fi, f := range s.free {
+			if f == i {
+				at = fi
+				break
+			}
+		}
+		if at < 0 {
+			return fmt.Errorf("core: slot %d is not free: %w", i, ErrBadConfig)
+		}
+		s.free = append(s.free[:at], s.free[at+1:]...)
+		// The slot's ring history was masked at eviction; mask again
+		// defensively and drop published-window sharing — old published
+		// slots still show the previous occupant as present, so the next
+		// snapshot must rebuild its window from the live ring.
+		for si := range s.ring {
+			referenceMaskSlot(&s.ring[si], i)
+		}
+		referenceMaskSlot(&s.stage, i)
+		for _, tr := range s.trackers {
+			tr.ForgetSlot(i)
+		}
+	}
+	p, err := s.cfg.Policy(i)
+	if err != nil {
+		return fmt.Errorf("core: policy for node %d (slot %d): %w", id, i, err)
+	}
+	if p == nil {
+		return fmt.Errorf("core: nil policy for node %d: %w", id, ErrBadConfig)
+	}
+	s.policies[i] = p
+	s.meters[i] = transmit.Meter{}
+	s.ids[i] = id
+	s.alive[i] = true
+	s.absentFor[i] = 0
+	s.z[i] = nil
+	s.byID[id] = i
+	return nil
+}
+
+// growBacking grows the flat z frame (and the scalar-clustering point
+// frames) after the slot count grew, re-pointing the row views.
+func (s *referenceSystem) growBacking() {
+	n := len(s.ids)
+	s.zf.Grow(n)
+	for i := range s.z {
+		if s.z[i] != nil {
+			s.z[i] = s.zf.Row(i)
+		}
+	}
+	if !s.cfg.JointClustering {
+		for tr := range s.pts {
+			s.ptsF[tr].Grow(n)
+			s.pts[tr] = s.ptsF[tr].RowViews(s.pts[tr])
+		}
+	}
+}
+
+// evictSlot departs the member occupying slot i: the stable ID is retired,
+// the slot tombstoned for reuse, and every trace of the member masked out
+// of the live look-back (so a later occupant of the slot starts blank and
+// the member itself forecasts as NaN immediately).
+func (s *referenceSystem) evictSlot(i int) {
+	delete(s.byID, s.ids[i])
+	s.alive[i] = false
+	s.absentFor[i] = 0
+	s.z[i] = nil
+	s.policies[i] = nil
+	s.meters[i] = transmit.Meter{}
+	for si := range s.ring {
+		referenceMaskSlot(&s.ring[si], i)
+	}
+	referenceMaskSlot(&s.stage, i)
+	for _, tr := range s.trackers {
+		tr.ForgetSlot(i)
+	}
+	// Keep the free list ascending so slot reuse is deterministic.
+	at := len(s.free)
+	for at > 0 && s.free[at-1] > i {
+		at--
+	}
+	s.free = append(s.free, 0)
+	copy(s.free[at+1:], s.free[at:])
+	s.free[at] = i
+	s.evictions++
+	s.rosterGen++
+}
+
+// Stored returns a copy of the measurements currently held at the central
+// node (z_t). Entries are nil for nodes that never transmitted.
+func (s *referenceSystem) Stored() [][]float64 {
+	out := make([][]float64, len(s.z))
+	for i, zi := range s.z {
+		if zi != nil {
+			out[i] = append([]float64(nil), zi...)
+		}
+	}
+	return out
+}
+
+func (s *referenceSystem) Step(x [][]float64) (*StepResult, error) {
+	if len(x) != len(s.ids) {
+		return nil, fmt.Errorf("core: %d rows in step, want %d fleet slots: %w", len(x), len(s.ids), ErrBadInput)
+	}
+	for i, xi := range x {
+		if xi == nil {
+			continue
+		}
+		if !s.alive[i] {
+			return nil, fmt.Errorf("core: slot %d holds no live member but got a report: %w", i, ErrBadInput)
+		}
+		if len(xi) != s.cfg.Resources {
+			return nil, fmt.Errorf("core: node %d has dim %d, want %d: %w",
+				i, len(xi), s.cfg.Resources, ErrBadInput)
+		}
+		for d, v := range xi {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: node %d resource %d is %v: %w",
+					i, d, v, ErrBadInput)
+			}
+		}
+	}
+	s.t++
+	res := &StepResult{
+		T:           s.t,
+		Transmitted: make([]bool, len(x)),
+		Present:     make([]bool, len(x)),
+		PerResource: make([]ResourceStep, s.nTrackers),
+	}
+	ob := s.cfg.PhaseObserver
+	var tIngest time.Time
+	if ob != nil {
+		tIngest = time.Now()
+	}
+
+	// Layer 1: transmission decisions update the central store in place;
+	// silent live members accrue absence. Members at the timeout are only
+	// marked for eviction here — the roster mutation happens after the
+	// present-count check below, so a step that fails it has not half-
+	// departed anyone (and never loses its Evicted report).
+	var evict []int
+	for i, xi := range x {
+		if !s.alive[i] {
+			continue
+		}
+		if xi == nil {
+			s.absentFor[i]++
+			if s.cfg.AbsenceTimeout > 0 && s.absentFor[i] >= s.cfg.AbsenceTimeout {
+				evict = append(evict, i)
+			}
+			continue
+		}
+		s.absentFor[i] = 0
+		if s.policies[i].Decide(s.t, xi, s.z[i]) {
+			if s.z[i] == nil {
+				s.z[i] = s.zf.Row(i)
+			}
+			copy(s.z[i], xi)
+			res.Transmitted[i] = true
+		}
+		s.meters[i].Observe(res.Transmitted[i])
+	}
+
+	// Presence mask: live members with a stored measurement take part in
+	// clustering; joiners whose policies have not transmitted yet stay
+	// masked (warm-up), as do members departing this step.
+	present := s.presentBuf
+	nPresent := 0
+	for i := range present {
+		present[i] = s.alive[i] && s.z[i] != nil
+		if present[i] {
+			nPresent++
+		}
+	}
+	if nPresent < s.cfg.K {
+		// No eviction has happened yet, so the roster is untouched by a
+		// step that fails here (candidates are simply retried later).
+		return nil, fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
+			"or wait for first transmissions before stepping: %w", nPresent, s.cfg.K, ErrBadInput)
+	}
+	// Evictions never shrink the clustered set below K: when a mass outage
+	// would (e.g. every agent silent after a collector restart), the excess
+	// members are retained — still present with their last-known values —
+	// and retried next step, so the pipeline degrades to serving stale
+	// forecasts instead of failing. Deferral is by slot order
+	// (deterministic, so WAL replay reproduces it).
+	for _, i := range evict {
+		if present[i] {
+			if nPresent <= s.cfg.K {
+				continue // deferred: absentFor stays past the timeout
+			}
+			present[i] = false
+			nPresent--
+		}
+		res.Evicted = append(res.Evicted, s.ids[i])
+		s.evictSlot(i)
+	}
+	copy(res.Present, present)
+
+	// Record the store's state into the staging slot; it only enters the
+	// eq. (12) look-back ring when the whole step succeeds.
+	snap := &s.stage
+	for i, zi := range s.z {
+		if zi != nil {
+			copy(snap.z[i], zi)
+		}
+	}
+	copy(snap.present, present)
+
+	if ob != nil {
+		ob.ObserveStepPhase(PhaseIngest, time.Since(tIngest))
+	}
+
+	// Layers 2+3: per-tracker clustering and model maintenance. Trackers are
+	// independent — each owns its RNG, ensemble, and the tr-indexed slots
+	// written below — so the fan-out is deterministic. Phase timing sums CPU
+	// time across trackers through atomics (integer adds commute, so the
+	// worker schedule cannot perturb the total).
+	var clusterNanos, refitNanos atomic.Int64
+	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+		var t0 time.Time
+		if ob != nil {
+			t0 = time.Now()
+		}
+		step, err := s.trackers[tr].UpdateMasked(s.trackerPoints(tr), present)
+		if err != nil {
+			return fmt.Errorf("core: tracker %d: %w", tr, err)
+		}
+		var t1 time.Time
+		if ob != nil {
+			t1 = time.Now()
+			clusterNanos.Add(int64(t1.Sub(t0)))
+		}
+		if err := s.ensembles[tr].Observe(step.Centroids); err != nil {
+			return fmt.Errorf("core: ensemble %d: %w", tr, err)
+		}
+		if ob != nil {
+			refitNanos.Add(int64(time.Since(t1)))
+		}
+		res.PerResource[tr] = ResourceStep{
+			Assignments: step.Assignments,
+			Centroids:   step.Centroids,
+		}
+		copy(snap.assignments[tr], step.Assignments)
+		for j, c := range step.Centroids {
+			copy(snap.centroids[tr][j], c)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if ob != nil {
+		ob.ObserveStepPhase(PhaseCluster, time.Duration(clusterNanos.Load()))
+		ob.ObserveStepPhase(PhaseRefit, time.Duration(refitNanos.Load()))
+	}
+
+	// Commit: swap the staged slot with the oldest ring slot (slice headers
+	// only — no copying), making it the current look-back entry.
+	var tCommit time.Time
+	if ob != nil {
+		tCommit = time.Now()
+	}
+	s.head = (s.head + 1) % len(s.ring)
+	if s.ringLen < len(s.ring) {
+		s.ringLen++
+	}
+	s.ring[s.head], s.stage = s.stage, s.ring[s.head]
+
+	if ob != nil {
+		ob.ObserveStepPhase(PhasePublish, time.Since(tCommit))
+	}
+	return res, nil
+}
+
+// trackerPoints projects the stored measurements into the point space of
+// tracker tr: scalars of resource tr (reusing the per-tracker buffer), or
+// the stored vectors themselves for joint clustering (the tracker reads the
+// points but never retains them). Rows of slots without a stored
+// measurement are zero/nil — the presence mask keeps them out of
+// clustering.
+func (s *referenceSystem) trackerPoints(tr int) [][]float64 {
+	if s.cfg.JointClustering {
+		return s.z
+	}
+	flat := s.ptsF[tr].Data()
+	for i, zi := range s.z {
+		if zi == nil {
+			flat[i] = 0
+			continue
+		}
+		flat[i] = zi[tr]
+	}
+	return s.pts[tr]
+}
+
+// snapAt returns the ring slot from `ago` steps back (0 = current step);
+// ago must be < ringLen.
+func (s *referenceSystem) snapAt(ago int) *referenceSlot {
+	n := len(s.ring)
+	return &s.ring[(s.head-ago+n)%n]
+}
+
+func (s *referenceSystem) ExportState() (*State, error) {
+	st := &State{
+		Version:     StateVersion,
+		Fingerprint: s.cfg.Fingerprint(),
+		T:           s.t,
+		IDs:         append([]int(nil), s.ids...),
+		Alive:       append([]bool(nil), s.alive...),
+		AbsentFor:   append([]int(nil), s.absentFor...),
+		Evictions:   s.evictions,
+	}
+
+	st.Policies = make([][]byte, len(s.policies))
+	for i, p := range s.policies {
+		if p == nil {
+			continue // tombstoned slot
+		}
+		pp, ok := p.(transmit.Persistent)
+		if !ok {
+			return nil, fmt.Errorf("core: node %d policy %T: %w", i, p, ErrNotPersistent)
+		}
+		b, err := pp.MarshalState()
+		if err != nil {
+			return nil, fmt.Errorf("core: node %d policy state: %w", i, err)
+		}
+		st.Policies[i] = b
+	}
+
+	st.Meters = make([]MeterState, len(s.meters))
+	for i := range s.meters {
+		st.Meters[i] = MeterState{Steps: s.meters[i].Steps(), Transmits: s.meters[i].Transmits()}
+	}
+
+	st.ZSet = make([]bool, len(s.z))
+	st.Z = make([][]float64, len(s.z))
+	for i, zi := range s.z {
+		if zi != nil {
+			st.ZSet[i] = true
+			st.Z[i] = append([]float64(nil), zi...)
+		}
+	}
+
+	st.Window = make([]SlotState, s.ringLen)
+	for ago := 0; ago < s.ringLen; ago++ {
+		st.Window[ago] = referenceExportSlot(s.snapAt(ago))
+	}
+
+	st.Trackers = make([]*cluster.State, s.nTrackers)
+	st.Ensembles = make([]*forecast.EnsembleState, s.nTrackers)
+	st.TrackerRNGs = make([][]byte, s.nTrackers)
+	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+		st.Trackers[tr] = s.trackers[tr].ExportState()
+		st.Ensembles[tr] = s.ensembles[tr].ExportState()
+		rng, err := s.pcgs[tr].MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("core: tracker %d rng: %w", tr, err)
+		}
+		st.TrackerRNGs[tr] = rng
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// exportSlot deep-copies one look-back slot.
+func referenceExportSlot(slot *referenceSlot) SlotState {
+	out := SlotState{
+		Z:           make([][]float64, len(slot.z)),
+		Assignments: make([][]int, len(slot.assignments)),
+		Centroids:   make([][][]float64, len(slot.centroids)),
+		Present:     append([]bool(nil), slot.present...),
+	}
+	for i, zi := range slot.z {
+		out.Z[i] = append([]float64(nil), zi...)
+	}
+	for tr := range slot.assignments {
+		out.Assignments[tr] = append([]int(nil), slot.assignments[tr]...)
+		out.Centroids[tr] = make([][]float64, len(slot.centroids[tr]))
+		for j, c := range slot.centroids[tr] {
+			out.Centroids[tr][j] = append([]float64(nil), c...)
+		}
+	}
+	return out
+}
+
+// coreStateDigest fingerprints an exported State, floats by bit pattern.
+// Three things are left out: the snapshot generation (the reference does not
+// publish), the ensembles' wall-clock training time, and the stored values a
+// look-back slot holds for members that were not present at its step —
+// nothing reads those, and the two pipelines leave different leftovers there
+// (the reference whatever the recycled ring slot last held, the flat store a
+// copy of the central store).
+func coreStateDigest(st *State) uint64 {
+	h := fnv.New64a()
+	u64 := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	ints := func(vs []int) {
+		u64(uint64(len(vs)))
+		for _, v := range vs {
+			u64(uint64(int64(v)))
+		}
+	}
+	bools := func(vs []bool) {
+		u64(uint64(len(vs)))
+		for _, v := range vs {
+			if v {
+				u64(1)
+			} else {
+				u64(0)
+			}
+		}
+	}
+	floats := func(vs []float64) {
+		u64(uint64(len(vs)))
+		for _, v := range vs {
+			u64(math.Float64bits(v))
+		}
+	}
+	u64(uint64(st.Version))
+	u64(st.Fingerprint)
+	u64(uint64(st.T))
+	ints(st.IDs)
+	bools(st.Alive)
+	ints(st.AbsentFor)
+	u64(st.Evictions)
+	bools(st.ZSet)
+	for _, z := range st.Z {
+		floats(z)
+	}
+	u64(uint64(len(st.Window)))
+	for _, w := range st.Window {
+		bools(w.Present)
+		for i, z := range w.Z {
+			if w.Present[i] {
+				floats(z)
+			}
+		}
+		for _, a := range w.Assignments {
+			ints(a)
+		}
+		for _, tr := range w.Centroids {
+			for _, c := range tr {
+				floats(c)
+			}
+		}
+	}
+	for _, m := range st.Meters {
+		u64(uint64(m.Steps))
+		u64(uint64(m.Transmits))
+	}
+	for _, p := range st.Policies {
+		u64(uint64(len(p)))
+		h.Write(p)
+	}
+	for _, r := range st.TrackerRNGs {
+		h.Write(r)
+	}
+	for _, tr := range st.Trackers {
+		u64(uint64(tr.T))
+		u64(uint64(tr.Dim))
+		u64(uint64(tr.N))
+		for _, row := range tr.Hist {
+			ints(row)
+		}
+		for _, cl := range tr.CentroidSeries {
+			for _, series := range cl {
+				floats(series)
+			}
+		}
+	}
+	for _, e := range st.Ensembles {
+		u64(uint64(e.T))
+		u64(uint64(e.LastRefit))
+		u64(uint64(e.TrainRuns))
+		u64(uint64(e.SeriesStart))
+		bools([]bool{e.Ready})
+		for _, cl := range e.Series {
+			for _, series := range cl {
+				floats(series)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// referenceFleetInput builds step's input rows for the scenario of
+// TestStepMatchesReferenceExactly: smooth per-node signals, except that at
+// step 40 every node reports one of two values (previous centroids cannot
+// keep three clusters populated: the emptied-cluster fallback) and at step 46
+// the nodes trade levels (churn past any threshold).
+func referenceFleetInput(roster *Roster, step int, silent map[int]bool) [][]float64 {
+	x := make([][]float64, roster.Slots())
+	for i := range x {
+		id, live := roster.IDAt(i)
+		if !live || silent[id] {
+			continue
+		}
+		x[i] = churnRow(id, step, 2)
+		switch step {
+		case 40:
+			x[i] = []float64{0.1 + 0.8*float64(id%2), 0.9 - 0.8*float64(id%2)}
+		case 46:
+			x[i] = churnRow(id+1, step+15, 2)
+		}
+	}
+	return x
+}
+
+// sameClusterings compares two results' per-tracker outcomes: equal
+// assignment vectors, centroids equal bit for bit.
+func sameClusterings(t *testing.T, step int, got, want *StepResult) {
+	t.Helper()
+	if len(got.PerResource) != len(want.PerResource) {
+		t.Fatalf("step %d: %d trackers, reference %d", step, len(got.PerResource), len(want.PerResource))
+	}
+	for tr, w := range want.PerResource {
+		g := got.PerResource[tr]
+		if !slices.Equal(g.Assignments, w.Assignments) {
+			t.Fatalf("step %d tracker %d: assignments %v, reference %v", step, tr, g.Assignments, w.Assignments)
+		}
+		if len(g.Centroids) != len(w.Centroids) {
+			t.Fatalf("step %d tracker %d: %d centroids, reference %d", step, tr, len(g.Centroids), len(w.Centroids))
+		}
+		for j := range w.Centroids {
+			if len(g.Centroids[j]) != len(w.Centroids[j]) {
+				t.Fatalf("step %d tracker %d: centroid %d has dim %d, reference %d",
+					step, tr, j, len(g.Centroids[j]), len(w.Centroids[j]))
+			}
+			for d, wv := range w.Centroids[j] {
+				if gv := g.Centroids[j][d]; math.Float64bits(gv) != math.Float64bits(wv) {
+					t.Fatalf("step %d tracker %d: centroid %d dim %d = %v, reference %v (bitwise)", step, tr, j, d, gv, wv)
+				}
+			}
+		}
+	}
+}
+
+// TestStepMatchesReferenceExactly is the differential oracle of the flat
+// step path: the same inputs and membership changes go through the
+// pre-change pipeline (referenceSystem) and the System, and after every step
+// the result, the central store, the refit counts and the exported state
+// must be identical — over scalar and joint clustering, full refits, warm
+// starts and their forced fallbacks, serial and pooled trackers, with and
+// without publishing, on a fleet with an absence-timeout eviction, an
+// administrative removal, recycled slots, a tombstone, growth and a joiner
+// that is a member before its first report.
+func TestStepMatchesReferenceExactly(t *testing.T) {
+	t.Parallel()
+	type variant struct {
+		joint    bool
+		inc      bool
+		churn    float64
+		workers  int
+		always   bool
+		snapshot int
+	}
+	var variants []variant
+	for _, joint := range []bool{false, true} {
+		for _, workers := range []int{1, 0} {
+			for _, always := range []bool{false, true} {
+				variants = append(variants,
+					variant{joint, false, 0, workers, always, 0},
+					variant{joint, true, 0, workers, always, 3},
+					variant{joint, true, 0.9, workers, always, 0},
+					variant{joint, true, -1, workers, always, 3})
+			}
+		}
+	}
+	var warmSeen, fullSeen, maskedSeen, evictedSeen atomic.Int64
+	t.Run("variants", func(t *testing.T) {
+		for _, v := range variants {
+			t.Run(fmt.Sprintf("%+v", v), func(t *testing.T) {
+				t.Parallel()
+				cfg := churnConfig(10)
+				cfg.AbsenceTimeout = 3
+				cfg.JointClustering = v.joint
+				cfg.IncrementalRefit = v.inc
+				cfg.IncrementalChurn = v.churn
+				cfg.Workers = v.workers
+				if v.always {
+					cfg.Policy = func(int) (transmit.Policy, error) { return transmit.Always{}, nil }
+				}
+				ref := newReferenceSystem(t, cfg)
+				cfg.SnapshotHorizon = v.snapshot
+				sys, err := NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				both := func(op string, fn func(add, remove func(ids ...int) error) error) {
+					t.Helper()
+					if err := fn(ref.AddNodes, ref.RemoveNodes); err != nil {
+						t.Fatalf("%s: reference: %v", op, err)
+					}
+					if err := fn(sys.AddNodes, sys.RemoveNodes); err != nil {
+						t.Fatalf("%s: %v", op, err)
+					}
+				}
+				silent := map[int]bool{}
+				for step := 1; step <= 60; step++ {
+					switch step {
+					case 14:
+						silent[2] = true // evicted by the absence timeout at step 16
+					case 20:
+						both("remove", func(_, remove func(...int) error) error { return remove(5) })
+					case 24: // recycles slot 2
+						both("join", func(add, _ func(...int) error) error { return add(100) })
+					case 28: // 101 recycles slot 5, 102 grows the fleet and reports from step 30
+						both("join", func(add, _ func(...int) error) error { return add(101, 102) })
+						silent[102] = true
+					case 30:
+						delete(silent, 102)
+					case 50: // a tombstone that stays
+						both("remove", func(_, remove func(...int) error) error { return remove(7) })
+					}
+					x := referenceFleetInput(sys.Roster(), step, silent)
+					want, err := ref.Step(x)
+					if err != nil {
+						t.Fatalf("step %d: reference: %v", step, err)
+					}
+					got, err := sys.Step(x)
+					if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if got.T != want.T || !slices.Equal(got.Transmitted, want.Transmitted) ||
+						!slices.Equal(got.Present, want.Present) || !slices.Equal(got.Evicted, want.Evicted) {
+						t.Fatalf("step %d: result header differs:\n got %+v\nwant %+v", step, got, want)
+					}
+					sameClusterings(t, step, got, want)
+					if !reflect.DeepEqual(sys.Stored(), ref.Stored()) {
+						t.Fatalf("step %d: central stores differ", step)
+					}
+					gw, gf := sys.RefitStats()
+					ww, wf := ref.RefitStats()
+					if gw != ww || gf != wf {
+						t.Fatalf("step %d: RefitStats (%d,%d), reference (%d,%d)", step, gw, gf, ww, wf)
+					}
+					gotState, err := sys.ExportState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantState, err := ref.ExportState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := coreStateDigest(gotState), coreStateDigest(wantState); g != w {
+						t.Fatalf("step %d: ExportState digest %016x, reference %016x", step, g, w)
+					}
+					if slices.Contains(got.Present, false) {
+						maskedSeen.Add(1)
+					}
+					evictedSeen.Add(int64(len(got.Evicted)))
+				}
+				warm, full := sys.RefitStats()
+				if accepts := v.inc && v.churn >= 0; (warm > 0) != accepts {
+					t.Fatalf("%d warm tracker steps, incremental accepts=%v", warm, accepts)
+				}
+				warmSeen.Add(int64(warm))
+				fullSeen.Add(int64(full))
+			})
+		}
+	})
+	t.Logf("covered: %d warm and %d full tracker steps, %d masked steps, %d timeout evictions",
+		warmSeen.Load(), fullSeen.Load(), maskedSeen.Load(), evictedSeen.Load())
+	if warmSeen.Load() == 0 || fullSeen.Load() == 0 || maskedSeen.Load() == 0 || evictedSeen.Load() == 0 {
+		t.Fatalf("scenario lost coverage: warm=%d full=%d masked steps=%d evictions=%d",
+			warmSeen.Load(), fullSeen.Load(), maskedSeen.Load(), evictedSeen.Load())
 	}
 }

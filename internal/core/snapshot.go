@@ -177,7 +177,7 @@ func (s *System) arenaSlot() *ringSlot {
 			// Dequeue by shifting in place: the list stays ~SnapshotKeep
 			// entries long, so this never reallocates in steady state.
 			s.retired = s.retired[:copy(s.retired, s.retired[1:])]
-			growSlot(r.slot, len(s.ids), s.nTrackers)
+			growSlot(r.slot, len(s.ids))
 			return r.slot
 		}
 	}
@@ -270,7 +270,7 @@ func (sn *Snapshot) Latest(node int) []float64 {
 	if node < 0 || node >= sn.nodes || !sn.slots[0].presentAt(node) {
 		return nil
 	}
-	return append([]float64(nil), sn.slots[0].z[node]...)
+	return sn.slots[0].z.row(node, make([]float64, sn.resources))
 }
 
 // Assignment returns the slot's cluster index under a tracker at the
@@ -301,11 +301,7 @@ func (sn *Snapshot) Centroids(tracker int) [][]float64 {
 	if tracker < 0 || tracker >= sn.nTracker {
 		return nil
 	}
-	out := newMatrix(sn.k, sn.dims)
-	for j, c := range sn.slots[0].centroids[tracker] {
-		copy(out[j], c)
-	}
-	return out
+	return rowViews(append([]float64(nil), sn.slots[0].centroids(tracker)...), sn.dims)
 }
 
 // CentroidForecasts returns a deep copy of a tracker's centroid forecasts at

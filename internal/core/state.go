@@ -7,7 +7,6 @@ import (
 
 	"orcf/internal/cluster"
 	"orcf/internal/forecast"
-	"orcf/internal/mat"
 	"orcf/internal/parallel"
 	"orcf/internal/transmit"
 )
@@ -186,18 +185,17 @@ func (s *System) ExportState() (*State, error) {
 		st.Meters[i] = MeterState{Steps: s.meters[i].Steps(), Transmits: s.meters[i].Transmits()}
 	}
 
-	st.ZSet = make([]bool, len(s.z))
-	st.Z = make([][]float64, len(s.z))
-	for i, zi := range s.z {
-		if zi != nil {
-			st.ZSet[i] = true
-			st.Z[i] = append([]float64(nil), zi...)
+	st.ZSet = append([]bool(nil), s.stored...)
+	st.Z = make([][]float64, len(s.stored))
+	for i, set := range s.stored {
+		if set {
+			st.Z[i] = s.store.row(i, make([]float64, s.cfg.Resources))
 		}
 	}
 
 	st.Window = make([]SlotState, s.ringLen)
 	for ago := 0; ago < s.ringLen; ago++ {
-		st.Window[ago] = exportSlot(s.snapAt(ago))
+		st.Window[ago] = s.exportSlot(s.snapAt(ago))
 	}
 
 	st.Trackers = make([]*cluster.State, s.nTrackers)
@@ -219,23 +217,22 @@ func (s *System) ExportState() (*State, error) {
 	return st, nil
 }
 
-// exportSlot deep-copies one look-back slot.
-func exportSlot(slot *ringSlot) SlotState {
+// exportSlot deep-copies one look-back slot into its serialized form.
+func (s *System) exportSlot(slot *ringSlot) SlotState {
+	n, d := len(slot.present), s.cfg.Resources
 	out := SlotState{
-		Z:           make([][]float64, len(slot.z)),
-		Assignments: make([][]int, len(slot.assignments)),
-		Centroids:   make([][][]float64, len(slot.centroids)),
+		Z:           make([][]float64, n),
+		Assignments: make([][]int, s.nTrackers),
+		Centroids:   make([][][]float64, s.nTrackers),
 		Present:     append([]bool(nil), slot.present...),
 	}
-	for i, zi := range slot.z {
-		out.Z[i] = append([]float64(nil), zi...)
+	flat := make([]float64, n*d)
+	for i := range out.Z {
+		out.Z[i] = slot.z.row(i, flat[i*d:(i+1)*d:(i+1)*d])
 	}
-	for tr := range slot.assignments {
+	for tr := range out.Assignments {
 		out.Assignments[tr] = append([]int(nil), slot.assignments[tr]...)
-		out.Centroids[tr] = make([][]float64, len(slot.centroids[tr]))
-		for j, c := range slot.centroids[tr] {
-			out.Centroids[tr][j] = append([]float64(nil), c...)
-		}
+		out.Centroids[tr] = rowViews(append([]float64(nil), slot.centroids(tr)...), s.dims)
 	}
 	return out
 }
@@ -261,14 +258,13 @@ func (s *System) RestoreState(st *State) error {
 	// Adopt the recorded roster: rebuild every per-slot structure at the
 	// recorded fleet size, constructing fresh policies for the live slots.
 	n := len(st.IDs)
-	d := s.cfg.Resources
 	s.ids = append([]int(nil), st.IDs...)
 	s.alive = append([]bool(nil), st.Alive...)
 	s.absentFor = append([]int(nil), st.AbsentFor...)
 	s.evictions = st.Evictions
 	s.byID = make(map[int]int, n)
 	s.free = nil
-	s.presentBuf = make([]bool, n)
+	s.transmitted = make([]bool, n)
 	s.policies = make([]transmit.Policy, n)
 	s.meters = make([]transmit.Meter, n)
 	s.pubRoster = nil
@@ -299,19 +295,11 @@ func (s *System) RestoreState(st *State) error {
 		}
 	}
 
-	s.z = make([][]float64, n)
-	s.zf = mat.NewFrame(n, d)
-	for i := range st.ZSet {
-		if !st.ZSet[i] {
-			continue
-		}
-		s.z[i] = s.zf.Row(i)
-		copy(s.z[i], st.Z[i])
-	}
-	if !s.cfg.JointClustering {
-		for tr := range s.pts {
-			s.ptsF[tr] = mat.NewFrame(n, 1)
-			s.pts[tr] = s.ptsF[tr].RowViews(nil)
+	s.store = newZFrame(n, s.nTrackers, s.dims)
+	s.stored = append([]bool(nil), st.ZSet...)
+	for i, set := range st.ZSet {
+		if set {
+			s.store.set(i, st.Z[i])
 		}
 	}
 
@@ -457,14 +445,15 @@ func (s *System) validateSlot(slot *SlotState, n int) error {
 
 // restoreSlot copies a serialized slot into a live ring slot.
 func restoreSlot(dst *ringSlot, src *SlotState) {
-	for i := range src.Z {
-		copy(dst.z[i], src.Z[i])
+	for i, zi := range src.Z {
+		dst.z.set(i, zi)
 	}
 	copy(dst.present, src.Present)
 	for tr := range src.Assignments {
 		copy(dst.assignments[tr], src.Assignments[tr])
+		cents := dst.centroids(tr)
 		for j, c := range src.Centroids[tr] {
-			copy(dst.centroids[tr][j], c)
+			copy(cents[j*len(c):], c)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"orcf/internal/forecast"
@@ -58,13 +59,33 @@ type stepObs struct {
 	Gen      uint64
 }
 
+// cloneStepResult deep-copies a step result out of the System's buffers, for
+// tests that keep results across later steps.
+func cloneStepResult(res *StepResult) *StepResult {
+	out := &StepResult{
+		T:           res.T,
+		Transmitted: slices.Clone(res.Transmitted),
+		Present:     slices.Clone(res.Present),
+		Evicted:     slices.Clone(res.Evicted),
+		PerResource: make([]ResourceStep, len(res.PerResource)),
+	}
+	for tr, rs := range res.PerResource {
+		out.PerResource[tr].Assignments = slices.Clone(rs.Assignments)
+		out.PerResource[tr].Centroids = make([][]float64, len(rs.Centroids))
+		for j, c := range rs.Centroids {
+			out.PerResource[tr].Centroids[j] = slices.Clone(c)
+		}
+	}
+	return out
+}
+
 func observeStep(t *testing.T, s *System, x [][]float64) stepObs {
 	t.Helper()
 	res, err := s.Step(x)
 	if err != nil {
 		t.Fatalf("step: %v", err)
 	}
-	obs := stepObs{Res: res}
+	obs := stepObs{Res: cloneStepResult(res)}
 	if s.Ready() {
 		f, err := s.Forecast(4)
 		if err != nil {

@@ -58,7 +58,9 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 
 // ForEachWorker is ForEach with the worker id (in [0, Workers(workers)))
 // passed through, so callers can reuse per-worker scratch buffers without
-// synchronization.
+// synchronization. The calling goroutine is worker 0 and takes its share of
+// the items itself; only the other w−1 workers are spawned, so a two-item
+// fan-out costs one goroutine, not two and a parked caller.
 func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -83,39 +85,40 @@ func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
 		errIdx int = n
 		firstE error
 	)
-	record := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if i < errIdx {
-			errIdx, firstE = i, err
+	work := func(worker int) {
+		for {
+			// Check the stop flag before claiming so every claimed index
+			// runs: claims are issued in increasing order, which is what
+			// guarantees the lowest failing index always executes and
+			// records its error (a post-claim check could skip it).
+			if failed.Load() {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(worker, i); err != nil {
+				failed.Store(true)
+				mu.Lock()
+				if i < errIdx {
+					errIdx, firstE = i, err
+				}
+				mu.Unlock()
+				return
+			}
 		}
-		mu.Unlock()
 	}
 
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for worker := 0; worker < w; worker++ {
+	wg.Add(w - 1)
+	for worker := 1; worker < w; worker++ {
 		go func(worker int) {
 			defer wg.Done()
-			for {
-				// Check the stop flag before claiming so every claimed index
-				// runs: claims are issued in increasing order, which is what
-				// guarantees the lowest failing index always executes and
-				// records its error (a post-claim check could skip it).
-				if failed.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(worker, i); err != nil {
-					record(i, err)
-					return
-				}
-			}
+			work(worker)
 		}(worker)
 	}
+	work(0)
 	wg.Wait()
 	return firstE
 }

@@ -144,3 +144,90 @@ func TestForEachWorkerIDsAreDistinctScratchSlots(t *testing.T) {
 		t.Fatalf("ran %d items, want 500", total.Load())
 	}
 }
+
+// TestForEachWorkerCallerTakesAShare pins the fan-out's cost model: the
+// calling goroutine is one of the w workers, so w concurrently running items
+// mean exactly w−1 spawned goroutines. Not parallel: it counts goroutines.
+func TestForEachWorkerCallerTakesAShare(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		base := runtime.NumGoroutine()
+		var started atomic.Int32
+		release := make(chan struct{})
+		var extra atomic.Int32
+		err := ForEachWorker(workers, workers, func(w, _ int) error {
+			// Every worker holds one item until all of them have one, so
+			// the pool is at full width when the goroutines are counted.
+			if int(started.Add(1)) == workers {
+				extra.Store(int32(runtime.NumGoroutine() - base))
+				close(release)
+			}
+			<-release
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(extra.Load()); got != workers-1 {
+			t.Fatalf("workers=%d: %d goroutines beyond the caller at full width, want %d", workers, got, workers-1)
+		}
+	}
+}
+
+// TestForEachWorkerClaimsInIncreasingOrder pins the claim order the
+// lowest-failing-index guarantee rests on: ids stay in [0, w), every worker
+// (the caller included) sees strictly increasing indices, and together they
+// see each index once.
+func TestForEachWorkerClaimsInIncreasingOrder(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{2, 3, 8} {
+		const n = 2000
+		seen := make([][]int, workers)
+		err := ForEachWorker(workers, n, func(w, i int) error {
+			if w < 0 || w >= workers {
+				return fmt.Errorf("worker id %d outside [0,%d)", w, workers)
+			}
+			seen[w] = append(seen[w], i) // exclusive per worker id; -race checks
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var visited [n]bool
+		for w, idx := range seen {
+			for k, i := range idx {
+				if k > 0 && i <= idx[k-1] {
+					t.Fatalf("workers=%d: worker %d claimed %d after %d", workers, w, i, idx[k-1])
+				}
+				if visited[i] {
+					t.Fatalf("workers=%d: index %d claimed twice", workers, i)
+				}
+				visited[i] = true
+			}
+		}
+		for i, v := range visited {
+			if !v {
+				t.Fatalf("workers=%d: index %d never claimed", workers, i)
+			}
+		}
+	}
+}
+
+// TestForEachWorkerLowestErrorUnderContention repeats the lowest-failing-
+// index property with the failures spread so that either the caller or a
+// spawned worker may hit the first one.
+func TestForEachWorkerLowestErrorUnderContention(t *testing.T) {
+	t.Parallel()
+	for rep := 0; rep < 200; rep++ {
+		first := rep % 7
+		err := ForEachWorker(4, 64, func(_, i int) error {
+			if i >= first && (i-first)%5 == 0 {
+				return fmt.Errorf("boom %d", i)
+			}
+			runtime.Gosched()
+			return nil
+		})
+		if want := fmt.Sprintf("boom %d", first); err == nil || err.Error() != want {
+			t.Fatalf("rep %d: err = %v, want %s", rep, err, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"orcf/internal/core"
+	"orcf/internal/mat"
 	"orcf/internal/transmit"
 	"orcf/internal/transport"
 )
@@ -52,10 +53,14 @@ type StoreStepper struct {
 	lastStep  map[int]int
 	lastClock map[int]int
 
-	// Dense per-slot buffers, regrown as the fleet grows.
+	// Dense per-slot buffers, regrown as the fleet grows: x[i] is nil or
+	// rows[i], the view of slot i's row in the one frame every tick reads
+	// the store into.
 	arrived []bool
 	x       [][]float64
-	rows    [][]float64 // backing rows reused across ticks
+	frame   *mat.Frame
+	rows    [][]float64
+	joiners []transport.NodeStat // newly heard nodes of the tick in flight
 }
 
 // StepLog records completed steps for durability. persist.Manager satisfies
@@ -88,6 +93,7 @@ func NewStoreStepper(store *transport.Store, cfg core.Config) (*StoreStepper, er
 		absence:   cfg.AbsenceTimeout,
 		lastStep:  make(map[int]int),
 		lastClock: make(map[int]int),
+		frame:     mat.NewFrame(0, dims),
 	}
 	cfg.Policy = func(node int) (transmit.Policy, error) {
 		return arrivalMirror{stepper: st, node: node}, nil
@@ -104,13 +110,17 @@ func NewStoreStepper(store *transport.Store, cfg core.Config) (*StoreStepper, er
 
 // grow extends the dense per-slot buffers to n entries.
 func (st *StoreStepper) grow(n int) {
-	for len(st.arrived) < n {
-		st.arrived = append(st.arrived, false)
+	if n <= len(st.x) {
+		return
 	}
 	for len(st.x) < n {
+		st.arrived = append(st.arrived, false)
 		st.x = append(st.x, nil)
-		st.rows = append(st.rows, make([]float64, st.dims))
 	}
+	// Growing may move the frame's backing; every row fed to Step is written
+	// afresh each tick, so only the views need re-taking.
+	st.frame.Grow(n)
+	st.rows = st.frame.RowViews(st.rows)
 }
 
 // arrivalMirror reports a node as transmitting exactly when the stepper saw
@@ -176,6 +186,10 @@ func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64,
 // values (nil — an absence-timeout tick — when the member's local clock has
 // not advanced since the previous tick), and reports evictions in the step
 // result. A measurement with a mismatched dimensionality fails the tick.
+//
+// The store is read in place, under its lock, straight into the stepper's
+// frame: one walk over the nodes that have reported, no per-tick copy of the
+// store.
 func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	// The system may have been restored (roster and all) by a recovery that
 	// replayed zero WAL records, bypassing Replay: resync the dense buffers
@@ -184,91 +198,60 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	if !st.started && st.sys.Steps() > 0 {
 		st.started = true
 	}
-	stats := st.store.Stats()
-
-	// Join new reporters: IDs the system does not know that have delivered
-	// at least one measurement (heartbeat-only nodes wait). A stale entry
-	// of an evicted member cannot resurrect it because eviction releases
-	// the member's store entry — only genuinely new data re-registers an
-	// ID. Sorted for deterministic slot binding.
-	var joiners []int
-	for id, stat := range stats {
-		if id < 0 || st.sys.HasNode(id) || len(stat.Latest.Values) == 0 {
-			continue
-		}
-		joiners = append(joiners, id)
+	if !st.started && !st.gateOpen() {
+		return nil, false, nil
 	}
-	sort.Ints(joiners)
 
-	if !st.started {
-		// Bootstrap gate: every pre-registered member must report, and the
-		// reporting fleet must at least reach K (the empty-roster elastic
-		// start waits for K joiners).
-		memberReported := 0
-		for _, id := range st.sys.Members() {
-			if stat, ok := stats[id]; ok && len(stat.Latest.Values) > 0 {
-				memberReported++
-			}
+	// Members are fed as the walk meets them. IDs the system does not know
+	// that have delivered at least one measurement are new reporters
+	// (heartbeat-only nodes wait); they are kept aside and joined after the
+	// walk. A stale entry of an evicted member cannot resurrect it because
+	// eviction releases the member's store entry — only genuinely new data
+	// re-registers an ID. Of several malformed members the one in the lowest
+	// slot is reported, whatever order the store yields them in.
+	n := st.sys.Slots()
+	clear(st.x[:n])
+	clear(st.arrived[:n])
+	st.joiners = st.joiners[:0]
+	var feedErr error
+	errSlot := n
+	st.store.EachReported(func(stat transport.NodeStat) {
+		id := stat.Latest.Node
+		if id < 0 || len(stat.Latest.Values) == 0 {
+			return
 		}
-		if memberReported < st.sys.LiveNodes() || memberReported+len(joiners) < st.k {
-			return nil, false, nil
+		slot, member := st.sys.SlotOf(id)
+		if !member {
+			st.joiners = append(st.joiners, stat)
+			return
 		}
+		if err := st.feed(slot, stat); err != nil && slot < errSlot {
+			feedErr, errSlot = err, slot
+		}
+	})
+	if feedErr != nil {
+		return nil, st.started, feedErr
 	}
-	if len(joiners) > 0 {
-		if err := st.sys.AddNodes(joiners...); err != nil {
+	if len(st.joiners) > 0 {
+		// Sorted for deterministic slot binding.
+		sort.Slice(st.joiners, func(a, b int) bool { return st.joiners[a].Latest.Node < st.joiners[b].Latest.Node })
+		ids := make([]int, len(st.joiners))
+		for j, stat := range st.joiners {
+			ids[j] = stat.Latest.Node
+		}
+		if err := st.sys.AddNodes(ids...); err != nil {
 			return nil, st.started, fmt.Errorf("serve: joining nodes: %w", err)
 		}
 		st.grow(st.sys.Slots())
+		for _, stat := range st.joiners {
+			slot, _ := st.sys.SlotOf(stat.Latest.Node)
+			if err := st.feed(slot, stat); err != nil {
+				return nil, st.started, err
+			}
+		}
 	}
 
 	roster := st.sys.Roster()
-	for i := 0; i < roster.Slots(); i++ {
-		st.x[i] = nil
-		st.arrived[i] = false
-		id, live := roster.IDAt(i)
-		if !live {
-			continue
-		}
-		stat, ok := stats[id]
-		if !ok || len(stat.Latest.Values) == 0 {
-			continue // pre-registered, never reported: absence tick
-		}
-		if len(stat.Latest.Values) != st.dims {
-			return nil, st.started, fmt.Errorf("serve: node %d sent %d values, want %d: %w",
-				id, len(stat.Latest.Values), st.dims, core.ErrBadInput)
-		}
-		// Reject non-finite measurements at the door: a NaN admitted here
-		// poisons every window mean, centroid, and forecast it touches, and
-		// encoding/json cannot marshal it on the way back out. This is the
-		// primary defense; the Finite* guards on response assembly are the
-		// belt-and-braces fence.
-		for _, v := range stat.Latest.Values {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, st.started, fmt.Errorf("serve: node %d sent non-finite value %v: %w",
-					id, v, core.ErrBadInput)
-			}
-		}
-		// With liveness tracking off (no AbsenceTimeout), a quiet member
-		// keeps being fed its last stored values — the pre-churn behavior.
-		// With it on, a member whose local clock stalled (no measurements
-		// and no heartbeats — agents heartbeat through suppressed steps)
-		// takes an absence tick instead.
-		fresh := stat.Latest.Step > st.lastStep[id]
-		contacted := fresh || stat.LocalStep > st.lastClock[id] || !st.started || st.absence == 0
-		if fresh {
-			st.lastStep[id] = stat.Latest.Step
-		}
-		if stat.LocalStep > st.lastClock[id] {
-			st.lastClock[id] = stat.LocalStep
-		}
-		if !contacted {
-			continue // clock stalled: absence tick for this member
-		}
-		st.arrived[i] = fresh
-		copy(st.rows[i], stat.Latest.Values)
-		st.x[i] = st.rows[i]
-	}
-
 	res, err := st.sys.Step(st.x[:roster.Slots()])
 	if err != nil {
 		return nil, true, err
@@ -289,4 +272,63 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 		}
 	}
 	return res, true, nil
+}
+
+// gateOpen is the bootstrap gate: every pre-registered member must have
+// reported, and the reporting fleet must at least reach K (the empty-roster
+// elastic start waits for K joiners).
+func (st *StoreStepper) gateOpen() bool {
+	members, newcomers := 0, 0
+	st.store.EachReported(func(stat transport.NodeStat) {
+		switch id := stat.Latest.Node; {
+		case len(stat.Latest.Values) == 0:
+		case st.sys.HasNode(id):
+			members++
+		case id >= 0:
+			newcomers++
+		}
+	})
+	return members >= st.sys.LiveNodes() && members+newcomers >= st.k
+}
+
+// feed validates the member in slot's latest measurement and, unless the
+// member takes an absence tick, copies it into the slot's frame row for the
+// step.
+func (st *StoreStepper) feed(slot int, stat transport.NodeStat) error {
+	id, values := stat.Latest.Node, stat.Latest.Values
+	if len(values) != st.dims {
+		return fmt.Errorf("serve: node %d sent %d values, want %d: %w",
+			id, len(values), st.dims, core.ErrBadInput)
+	}
+	// Reject non-finite measurements at the door: a NaN admitted here
+	// poisons every window mean, centroid, and forecast it touches, and
+	// encoding/json cannot marshal it on the way back out. This is the
+	// primary defense; the Finite* guards on response assembly are the
+	// belt-and-braces fence.
+	for _, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("serve: node %d sent non-finite value %v: %w",
+				id, v, core.ErrBadInput)
+		}
+	}
+	// With liveness tracking off (no AbsenceTimeout), a quiet member
+	// keeps being fed its last stored values — the pre-churn behavior.
+	// With it on, a member whose local clock stalled (no measurements
+	// and no heartbeats — agents heartbeat through suppressed steps)
+	// takes an absence tick instead.
+	fresh := stat.Latest.Step > st.lastStep[id]
+	contacted := fresh || stat.LocalStep > st.lastClock[id] || !st.started || st.absence == 0
+	if fresh {
+		st.lastStep[id] = stat.Latest.Step
+	}
+	if stat.LocalStep > st.lastClock[id] {
+		st.lastClock[id] = stat.LocalStep
+	}
+	if !contacted {
+		return nil // clock stalled: absence tick for this member
+	}
+	st.arrived[slot] = fresh
+	copy(st.rows[slot], values)
+	st.x[slot] = st.rows[slot]
+	return nil
 }

@@ -164,21 +164,39 @@ func (s *Store) Stats() map[int]NodeStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[int]NodeStat, len(s.clock))
-	for node, step := range s.clock {
-		st := NodeStat{Latest: s.latest[node], Updates: s.updates[node], LocalStep: step}
-		if st.LocalStep > 0 {
-			st.Frequency = float64(st.Updates) / float64(st.LocalStep)
-		}
-		out[node] = st
+	for node := range s.clock {
+		out[node] = s.statLocked(node)
 	}
 	// Nodes whose only measurements carried non-positive steps have no
 	// clock entry but still belong in the accounting (frequency unknown).
-	for node, m := range s.latest {
+	for node := range s.latest {
 		if _, ok := out[node]; !ok {
-			out[node] = NodeStat{Latest: m, Updates: s.updates[node]}
+			out[node] = s.statLocked(node)
 		}
 	}
 	return out
+}
+
+// EachReported calls fn with the accounting of every node that has delivered
+// at least one measurement, in no particular order, while holding the
+// store's read lock — the stepping loop's per-tick read, which copies
+// nothing. fn must not call back into the Store; Latest.Values aliases the
+// store's copy, as it does in Stats, and is read-only.
+func (s *Store) EachReported(fn func(NodeStat)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for node := range s.latest {
+		fn(s.statLocked(node))
+	}
+}
+
+// statLocked assembles one node's accounting; the caller holds the lock.
+func (s *Store) statLocked(node int) NodeStat {
+	st := NodeStat{Latest: s.latest[node], Updates: s.updates[node], LocalStep: s.clock[node]}
+	if st.LocalStep > 0 {
+		st.Frequency = float64(st.Updates) / float64(st.LocalStep)
+	}
+	return st
 }
 
 // Server is the central collector endpoint.

@@ -48,9 +48,14 @@ import (
 // (the implementing packages are internal).
 type (
 	// StepResult reports one processed time step (transmissions and the
-	// per-resource clustering outcome).
+	// per-resource clustering outcome). Its fleet-sized slices — Transmitted,
+	// Present and each ResourceStep's Assignments and Centroids — are
+	// read-only views of buffers the System reuses: they are valid until
+	// the next Step, AddNodes or RemoveNodes on the same System, so copy
+	// what has to outlive that. T and Evicted are the caller's to keep.
 	StepResult = core.StepResult
-	// ResourceStep is the clustering outcome for one resource tracker.
+	// ResourceStep is the clustering outcome for one resource tracker; its
+	// slices share StepResult's lifetime.
 	ResourceStep = core.ResourceStep
 	// Snapshot is the immutable read-only view published per step when
 	// snapshots are enabled (WithSnapshotHorizon); see System.Snapshot.
@@ -578,7 +583,8 @@ func New(nodes, resources int, opts ...Option) (*System, error) {
 // per slot (see Roster), where x[i] is the slot's d-dimensional measurement
 // and a nil row means "no report this step" (mandatory for departed slots;
 // for live members it counts toward the absence timeout). Returns what
-// happened, including any members evicted this step. With WithAlertRules the
+// happened, including any members evicted this step (the result's slices are
+// views valid until the next Step; see StepResult). With WithAlertRules the
 // published snapshot is then evaluated against the rules and transition
 // events go to the sinks; an evaluation failure is returned alongside the
 // (already applied) step result.
