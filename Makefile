@@ -75,7 +75,7 @@ bench:
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem ./internal/serve
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
-	$(GO) test -run xxx -bench RunFlat -benchmem ./internal/kmeans
+	$(GO) test -run xxx -bench 'RunFlat|AssignFlat' -benchmem ./internal/kmeans
 	$(GO) test -run xxx -bench '^Benchmark(AutoARIMAFit|CSSResiduals)$$' -benchmem ./internal/forecast
 
 # Repository benchmark check: bench/ is a module of its own (orcf/bench,
@@ -85,10 +85,10 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the nine native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the ten native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
-# cluster-tracker, ARIMA-fit and JSON-float reference differentials) from its
-# committed seed corpus. go test allows one -fuzz pattern per invocation,
+# nearest-centroid-kernel, cluster-tracker, ARIMA-fit and JSON-float reference
+# differentials) from its committed seed corpus. go test allows one -fuzz pattern per invocation,
 # hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -98,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzNearestKernelsMatchReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)

@@ -55,3 +55,63 @@ func BenchmarkRunFlat(b *testing.B) {
 		})
 	}
 }
+
+// balancedClusters returns n d-dimensional points in three balanced, well
+// separated clusters and their three centroids, row-major. Sorted, the
+// points come cluster by cluster; shuffled, the cluster of one point says
+// nothing about the cluster of the next.
+func balancedClusters(n, d int, shuffled bool) (pts, cents []float64) {
+	rng := rand.New(rand.NewPCG(7, 70))
+	cents = make([]float64, 3*d)
+	for j := 0; j < 3; j++ {
+		for t := 0; t < d; t++ {
+			cents[j*d+t] = 0.2 + 0.3*float64(j)
+		}
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i * 3 / n
+	}
+	if shuffled {
+		rng.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
+	}
+	pts = make([]float64, n*d)
+	for i, j := range order {
+		for t := 0; t < d; t++ {
+			pts[i*d+t] = cents[j*d+t] + 0.05*rng.NormFloat64()
+		}
+	}
+	return pts, cents
+}
+
+// BenchmarkAssignFlat is one warm-path assignment pass per op: N = 10 000
+// points against K = 3 centroids of three balanced clusters. The sorted and
+// shuffled cases do the same arithmetic on the same multiset of points; they
+// differ only in whether "which centroid wins" is predictable from the
+// previous point. A kernel that selects the winner with a branch is several
+// times slower shuffled than sorted (a mispredict per point); the integer
+// compare-and-select kernels of kernels.go are not. A sorted/shuffled gap
+// in this benchmark therefore means a data-dependent branch is back in the
+// nearest-centroid loop.
+func BenchmarkAssignFlat(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		d        int
+		shuffled bool
+	}{
+		{"N=10000-d1-sorted", 1, false},
+		{"N=10000-d1-shuffled", 1, true},
+		{"N=10000-d4-shuffled", 4, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const n = 10000
+			pts, cents := balancedClusters(n, tc.d, tc.shuffled)
+			assign := make([]int, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AssignFlat(pts, n, tc.d, cents, 3, assign)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/point")
+		})
+	}
+}

@@ -1,7 +1,9 @@
 package kmeans
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -35,5 +37,33 @@ func FuzzRunFlatMatchesReference(f *testing.F) {
 		}
 		tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d tol=%g", n, d, cfg.K, cfg.MaxIterations, cfg.Tolerance)
 		diffAgainstReference(t, tag, pts, cfg, seed)
+	})
+}
+
+// FuzzNearestKernelsMatchReference is the kernel differential under raw
+// float64 bit patterns: every eight input bytes become one coordinate
+// verbatim, so NaN of both signs, ±Inf, ±0, subnormals and magnitudes whose
+// squares overflow or underflow — none of which the grid of the target above
+// can produce — reach AssignFlat (d = 1…8) and nearestTwo. The first K·d
+// values are the centroids, the rest the points. The seed corpus holds one
+// file per class of special value.
+func FuzzNearestKernelsMatchReference(f *testing.F) {
+	ordinary := make([]byte, 0, 8*8)
+	for _, v := range []float64{0.25, 0.75, 0.5, 0.1, 0.9, 0.5, 0.5, 0.74} {
+		ordinary = binary.LittleEndian.AppendUint64(ordinary, math.Float64bits(v))
+	}
+	f.Add(ordinary, uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, dSel, kSel uint8) {
+		d, k := 1+int(dSel%8), 1+int(kSel%6)
+		vals := make([]float64, min(len(data)/8, 2048))
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		n := (len(vals) - k*d) / d
+		if n < 1 {
+			return
+		}
+		cents, pts := vals[:k*d], vals[k*d:]
+		checkKernelsMatchReference(t, fmt.Sprintf("n=%d d=%d K=%d", n, d, k), pts, n, d, cents, k)
 	})
 }

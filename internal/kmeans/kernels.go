@@ -6,6 +6,37 @@ import "math"
 // unrolled; the accumulation keeps its order, s = d₀², s += d₁², …, so every
 // kernel returns the bits sqDist returns (pinned by TestKernelsMatchSqDist
 // and, end to end, by the reference differential).
+//
+// The nearest-centroid loops pick their winner without a float compare. "Is
+// this centroid closer than the best so far" is, per point, a coin toss over
+// K balanced clusters: as a float compare-and-assign it compiles to a branch
+// that mispredicts about once per point, and that costs more than the
+// arithmetic. They compare the distances' bit patterns as unsigned integers
+// instead, which the compiler turns into conditional moves. The order is the
+// same one, by the following argument.
+//
+//   - A computed squared distance is s = d₀·d₀, s += d₁·d₁, …: a square is
+//     never negative and never −0 (−0·−0 = +0), and a sum of such terms is
+//     neither. So a squared distance is in [+0, +Inf] or is NaN.
+//   - On [+0, +Inf] the IEEE-754 encoding is monotone: a < b exactly when
+//     Float64bits(a) < Float64bits(b), and equal values have equal bits.
+//   - Every NaN, of either sign, has bits above infBits (+Inf).
+//   - A running minimum starts at infBits and is replaced only by a b with
+//     b < minimum, so it never leaves [+0, +Inf]: it is never NaN, a NaN
+//     distance never passes b < minimum (it is above +Inf), and min(minimum,
+//     b) keeps the minimum — the same outcome as the float test dd < bestD,
+//     which is false for NaN.
+//
+// Hence `if b < bestB { best = j }; bestB = min(bestB, b)` selects the
+// strict-<, ascending-index, NaN-never-wins winner of the float loop it
+// replaced, and bestB holds that winner's exact distance bits; there is no
+// tolerance and no fallback path. The float scan is kept as the oracle in
+// reference_test.go (refNearestTwo), and BenchmarkAssignFlat's sorted and
+// shuffled cases show a branch coming back.
+
+// infBits is Float64bits(+Inf): the start value of a running minimum, and
+// the largest bit pattern that is not a NaN among non-negative floats.
+const infBits = 0x7FF0000000000000
 
 // sqDistFlat is sqDist specialised by len(a).
 func sqDistFlat(a, b []float64) float64 {
@@ -40,23 +71,25 @@ func sqDistFlat(a, b []float64) float64 {
 
 // nearestTwo scans the k row-major centroids in cents for point p. It
 // returns the strict-<, ascending-index nearest centroid and its computed
-// squared distance — the winner and distance nearestFlat finds — plus the
-// smallest computed squared distance among the other centroids (+Inf when
-// there is none; NaN distances never win and are not counted).
+// squared distance, plus the smallest computed squared distance among the
+// other centroids (+Inf when there is none; NaN distances never win and are
+// not counted). With bestB ≤ otherB as the invariant, max(b, bestB) is the
+// loser of this round — the old best when b wins, b otherwise, a NaN b
+// included, which then fails min(otherB, ·).
 func nearestTwo(p, cents []float64, k int) (best int, bestD, otherD float64) {
-	bestD, otherD = math.Inf(1), math.Inf(1)
+	bestB, otherB := uint64(infBits), uint64(infBits)
 	switch len(p) {
 	case 1:
 		p0 := p[0]
 		for j, c := range cents[:k] {
 			d0 := p0 - c
 			dd := d0 * d0
-			if dd < bestD {
-				otherD = bestD
-				best, bestD = j, dd
-			} else if dd < otherD {
-				otherD = dd
+			b := math.Float64bits(dd)
+			if b < bestB {
+				best = j
 			}
+			otherB = min(otherB, max(b, bestB))
+			bestB = min(bestB, b)
 		}
 	case 2:
 		p0, p1 := p[0], p[1]
@@ -65,12 +98,12 @@ func nearestTwo(p, cents []float64, k int) (best int, bestD, otherD float64) {
 			d0, d1 := p0-c[0], p1-c[1]
 			dd := d0 * d0
 			dd += d1 * d1
-			if dd < bestD {
-				otherD = bestD
-				best, bestD = j, dd
-			} else if dd < otherD {
-				otherD = dd
+			b := math.Float64bits(dd)
+			if b < bestB {
+				best = j
 			}
+			otherB = min(otherB, max(b, bestB))
+			bestB = min(bestB, b)
 		}
 	case 3:
 		p0, p1, p2 := p[0], p[1], p[2]
@@ -80,12 +113,12 @@ func nearestTwo(p, cents []float64, k int) (best int, bestD, otherD float64) {
 			dd := d0 * d0
 			dd += d1 * d1
 			dd += d2 * d2
-			if dd < bestD {
-				otherD = bestD
-				best, bestD = j, dd
-			} else if dd < otherD {
-				otherD = dd
+			b := math.Float64bits(dd)
+			if b < bestB {
+				best = j
 			}
+			otherB = min(otherB, max(b, bestB))
+			bestB = min(bestB, b)
 		}
 	case 4:
 		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
@@ -96,24 +129,24 @@ func nearestTwo(p, cents []float64, k int) (best int, bestD, otherD float64) {
 			dd += d1 * d1
 			dd += d2 * d2
 			dd += d3 * d3
-			if dd < bestD {
-				otherD = bestD
-				best, bestD = j, dd
-			} else if dd < otherD {
-				otherD = dd
+			b := math.Float64bits(dd)
+			if b < bestB {
+				best = j
 			}
+			otherB = min(otherB, max(b, bestB))
+			bestB = min(bestB, b)
 		}
 	default:
 		d := len(p)
 		for j := 0; j < k; j++ {
 			dd := sqDist(p, cents[j*d:(j+1)*d])
-			if dd < bestD {
-				otherD = bestD
-				best, bestD = j, dd
-			} else if dd < otherD {
-				otherD = dd
+			b := math.Float64bits(dd)
+			if b < bestB {
+				best = j
 			}
+			otherB = min(otherB, max(b, bestB))
+			bestB = min(bestB, b)
 		}
 	}
-	return best, bestD, otherD
+	return best, math.Float64frombits(bestB), math.Float64frombits(otherB)
 }

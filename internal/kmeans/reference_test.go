@@ -6,6 +6,10 @@ package kmeans
 // count, and RNG draw sequence). Do not "fix" or optimize it: its exact
 // arithmetic order is the contract. The one edit since is the iteration
 // counter, which used to report MaxIterations+1 when Lloyd hit the cap.
+//
+// refNearestTwo, at the end, is the float-compare centroid scan the kernels
+// ran before they compared distances as integers: the oracle for AssignFlat
+// and nearestTwo, which must not share code with either.
 
 import (
 	"math"
@@ -176,4 +180,23 @@ func refRepairEmpty(points [][]float64, assign []int, centroids [][]float64, rng
 		counts[j] = 1
 		centroids[j] = cloneVec(points[far])
 	}
+}
+
+// refNearestTwo scans the k row-major centroids in cents for point p with
+// float compares: the strict-<, ascending-index nearest centroid, its sqDist,
+// and the smallest sqDist among the others (+Inf when there is none). A NaN
+// distance fails both tests, so it never wins and is not counted.
+func refNearestTwo(p, cents []float64, k int) (best int, bestD, otherD float64) {
+	d := len(p)
+	bestD, otherD = math.Inf(1), math.Inf(1)
+	for j := 0; j < k; j++ {
+		dd := sqDist(p, cents[j*d:(j+1)*d])
+		if dd < bestD {
+			otherD = bestD
+			best, bestD = j, dd
+		} else if dd < otherD {
+			otherD = dd
+		}
+	}
+	return best, bestD, otherD
 }

@@ -295,9 +295,12 @@ func (r *Runner) seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand) {
 		}
 		c := r.cents[have*d : (have+1)*d]
 		copy(c, pts[idx*d:(idx+1)*d])
-		for i := range d2 {
-			if dd := sqDistFlat(pts[i*d:(i+1)*d], c); dd < d2[i] {
-				d2[i] = dd
+		for i, cur := range d2 {
+			// A current minimum that is NaN (it started as a computed
+			// distance, not at +Inf) stays: no float compares below it.
+			if cb := math.Float64bits(cur); cb <= infBits {
+				b := math.Float64bits(sqDistFlat(pts[i*d:(i+1)*d], c))
+				d2[i] = math.Float64frombits(min(cb, b))
 			}
 		}
 	}
@@ -371,81 +374,44 @@ func (r *Runner) repairEmpty(pts []float64, n, d, k int, assign []int, rng *rand
 	}
 }
 
-// nearestFlat returns the index of the centroid (k row-major rows in cents)
-// closest to p, comparing in index order like nearest.
-func nearestFlat(p, cents []float64, k int) int {
-	d := len(p)
-	best, bestD := 0, math.Inf(1)
-	for j := 0; j < k; j++ {
-		if dd := sqDist(p, cents[j*d:(j+1)*d]); dd < bestD {
-			best, bestD = j, dd
-		}
-	}
-	return best
-}
-
-// NearestFlat returns the index of the nearest of the k row-major centroids
-// in cents to point p — the flat-layout counterpart of Nearest.
-func NearestFlat(p, cents []float64, k int) int { return nearestFlat(p, cents, k) }
-
 // AssignFlat maps each of the n d-dimensional row-major points in pts to its
-// nearest of the k row-major centroids in cents, writing assign[i]. It
-// consumes no randomness; the incremental cluster tracker uses it as the
-// warm-start pass seeded from the previous step's centroids.
+// nearest of the k row-major centroids in cents, writing assign[i]: the
+// strict-<, ascending-index winner over the computed squared distances, as
+// nearestTwo picks it (a point all of whose distances are NaN or +Inf goes to
+// centroid 0). It consumes no randomness; the incremental cluster tracker
+// uses it as the warm-start pass seeded from the previous step's centroids.
+//
+// It requires k ≥ 1, d ≥ 1, len(pts) ≥ n·d, len(cents) ≥ k·d and
+// len(assign) ≥ n, and panics before writing anything otherwise: a caller
+// with no centroid to assign to has a bug, not an input problem.
 func AssignFlat(pts []float64, n, d int, cents []float64, k int, assign []int) {
-	if d == 1 {
-		// Scalar fast path: the per-resource trackers cluster 1-dimensional
-		// points, where the generic path spends more time slicing than
-		// computing. Same subtraction, square, and strict-< comparison in
-		// the same index order as nearestFlat, so the winner is identical.
-		cents = cents[:k]
-		for i, x := range pts[:n] {
-			best, bestD := 0, math.Inf(1)
-			for j, c := range cents {
-				diff := x - c
-				if dd := diff * diff; dd < bestD {
-					best, bestD = j, dd
-				}
-			}
-			assign[i] = best
+	if k < 1 || d < 1 {
+		panic(fmt.Sprintf("kmeans: AssignFlat with k=%d d=%d", k, d))
+	}
+	// The reslices enforce the length preconditions once, and let the
+	// compiler drop the bounds checks inside the loops.
+	pts, cents, assign = pts[:n*d], cents[:k*d], assign[:n]
+	if d > 1 {
+		for i := range assign {
+			assign[i], _, _ = nearestTwo(pts[i*d:(i+1)*d], cents, k)
 		}
 		return
 	}
-	assignBlocked(pts, n, d, cents, k, assign)
-}
-
-// assignBlock is the point-block size of the d > 1 assignment loop: 64 points
-// of best-distance/best-index state fit in two cache lines' worth of stack
-// scratch while each centroid row gets reused across the whole block.
-const assignBlock = 64
-
-// assignBlocked is the d > 1 nearest-centroid loop, blocked over points so
-// that each centroid row is streamed once per 64-point block instead of once
-// per point. Per (point, centroid) pair it performs the identical sqDist
-// arithmetic and strict-< ascending-centroid comparison as nearestFlat — only
-// the loop nest is reordered, never the floating-point evaluation within a
-// pair — so every winning index is bit-identical to the naive loop (pinned by
-// TestAssignFlatMatchesNearestFlat and the runner differential).
-func assignBlocked(pts []float64, n, d int, cents []float64, k int, assign []int) {
-	var bd [assignBlock]float64
-	var bi [assignBlock]int
-	for i0 := 0; i0 < n; i0 += assignBlock {
-		m := min(assignBlock, n-i0)
-		for t := 0; t < m; t++ {
-			bd[t] = math.Inf(1)
-			bi[t] = 0
-		}
-		block := pts[i0*d:]
-		for j := 0; j < k; j++ {
-			c := cents[j*d : (j+1)*d]
-			for t := 0; t < m; t++ {
-				if dd := sqDist(block[t*d:(t+1)*d], c); dd < bd[t] {
-					bd[t], bi[t] = dd, j
-				}
+	// Scalar fast path: the per-resource trackers cluster 1-dimensional
+	// points, where a call and a slice per point cost more than the
+	// arithmetic. Same subtraction and square in the same index order as
+	// nearestTwo, and the same integer select (see kernels.go).
+	assign = assign[:len(pts)]
+	for i, x := range pts {
+		best, bestB := 0, uint64(infBits)
+		for j, c := range cents {
+			diff := x - c
+			b := math.Float64bits(diff * diff)
+			if b < bestB {
+				best = j
 			}
+			bestB = min(bestB, b)
 		}
-		for t := 0; t < m; t++ {
-			assign[i0+t] = bi[t]
-		}
+		assign[i] = best
 	}
 }

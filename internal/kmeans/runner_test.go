@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -115,9 +116,8 @@ func TestRunnerMatchesReferenceExactly(t *testing.T) {
 		for trial := 0; trial < 400; trial++ {
 			n := 1 + shapes.IntN(40)
 			if trial%8 == 0 {
-				// Cross the blocked assignment loop's 64-point boundary: partial
-				// final blocks, exact multiples, and multi-block runs.
-				n = assignBlock - 1 + shapes.IntN(3*assignBlock)
+				// Larger fleets, where bounds get carried over several iterations.
+				n = 63 + shapes.IntN(192)
 			}
 			d := 1 + shapes.IntN(4)
 			k := 1 + shapes.IntN(10)
@@ -276,6 +276,38 @@ func adversarialPoints(rng *rand.Rand, n, d int, kind string) [][]float64 {
 	return pts
 }
 
+// TestSeedingKeepsNaNMinimum pins the one running minimum of the package that
+// can be NaN: seedPlusPlus starts d2[i] at a computed distance, not at +Inf.
+// When the first seed is the +Inf point, its own d2 is NaN (Inf − Inf); no
+// float compares below NaN, so it must stay NaN through every later seed,
+// which keeps the sampling total NaN and makes every later seed the last
+// point. An integer minimum alone would replace it by the +Inf distance to
+// the second seed, the total would be +Inf, and the third seed would be the
+// first point whose d2 is +Inf: the 1e200 point. Empty-cluster repair happens
+// to undo that difference in a full run, so the seeds themselves are compared
+// with the reference seeding. No point has a NaN coordinate, which would hide
+// all of this behind a NaN total of its own.
+func TestSeedingKeepsNaNMinimum(t *testing.T) {
+	const k = 3
+	for d := 1; d <= 5; d++ {
+		var pts [][]float64
+		for _, x := range []float64{1e200, math.Inf(1), 0, 1, 2, 3, 12} {
+			p := make([]float64, d)
+			p[d-1] = x
+			pts = append(pts, p)
+		}
+		for seed := uint64(0); seed < 64; seed++ {
+			want := refSeedPlusPlus(pts, k, rand.New(rand.NewPCG(seed, 2)))
+			r := NewRunner()
+			r.sizeScratch(len(pts), d, k)
+			r.seedPlusPlus(flatten(pts), len(pts), d, k, rand.New(rand.NewPCG(seed, 2)))
+			if got := r.cents; !slices.EqualFunc(got, flatten(want), sameFloat) {
+				t.Fatalf("d=%d seed=%d: seeds %v, want %v", d, seed, got, want)
+			}
+		}
+	}
+}
+
 // TestIterationsCountsExecutedIterations pins the iteration counter at the
 // cap: a run stopped by MaxIterations used to report MaxIterations+1.
 func TestIterationsCountsExecutedIterations(t *testing.T) {
@@ -389,10 +421,42 @@ func TestRunFlatRejectsBadInput(t *testing.T) {
 	}
 }
 
+// checkKernelsMatchReference runs AssignFlat over the n row-major points and
+// nearestTwo on each of them, and requires what the preserved float-compare
+// scan (refNearestTwo) finds: its winner from both, and from nearestTwo its
+// best and second-best distance bit for bit (neither is ever NaN).
+func checkKernelsMatchReference(t testing.TB, tag string, pts []float64, n, d int, cents []float64, k int) {
+	t.Helper()
+	assign := make([]int, n)
+	AssignFlat(pts, n, d, cents, k, assign)
+	for i := 0; i < n; i++ {
+		p := pts[i*d : (i+1)*d]
+		want, wantD, wantOther := refNearestTwo(p, cents, k)
+		if assign[i] != want {
+			t.Fatalf("%s: AssignFlat assign[%d] = %d, want %d (p=%v cents=%v)", tag, i, assign[i], want, p, cents)
+		}
+		best, bestD, otherD := nearestTwo(p, cents, k)
+		if best != want || math.Float64bits(bestD) != math.Float64bits(wantD) ||
+			math.Float64bits(otherD) != math.Float64bits(wantOther) {
+			t.Fatalf("%s: nearestTwo(point %d) = (%d, %v, %v), want (%d, %v, %v) (p=%v cents=%v)",
+				tag, i, best, bestD, otherD, want, wantD, wantOther, p, cents)
+		}
+	}
+}
+
+// flatten packs rows into one row-major slice.
+func flatten(rows [][]float64) []float64 {
+	var flat []float64
+	for _, r := range rows {
+		flat = append(flat, r...)
+	}
+	return flat
+}
+
 // TestKernelsMatchSqDist pins the unrolled kernels to the generic loop: the
-// same bits from sqDistFlat as from sqDist, and from nearestTwo the winner
-// and distance of nearestFlat plus the smallest of the remaining distances,
-// at every specialised width and past it, ties included (mode-2 duplicates).
+// same bits from sqDistFlat as from sqDist, and from nearestTwo the winner,
+// distance and smallest remaining distance of the reference scan, at every
+// specialised width and past it, ties included (mode-2 duplicates).
 func TestKernelsMatchSqDist(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 160))
 	for d := 1; d <= 8; d++ {
@@ -400,86 +464,137 @@ func TestKernelsMatchSqDist(t *testing.T) {
 			k := 1 + rng.IntN(6)
 			rows := genPoints(rng, k+1, d, trial%3)
 			p, cents := rows[0], rows[1:]
-			var flat []float64
 			for _, c := range cents {
-				flat = append(flat, c...)
-			}
-			wantBest, wantOther := nearestFlat(p, flat, k), math.Inf(1)
-			for j, c := range cents {
-				want := sqDist(p, c)
-				if got := sqDistFlat(p, c); !sameFloat(got, want) {
+				if got, want := sqDistFlat(p, c), sqDist(p, c); !sameFloat(got, want) {
 					t.Fatalf("d=%d: sqDistFlat = %v, sqDist = %v", d, got, want)
 				}
-				if j != wantBest && want < wantOther {
-					wantOther = want
-				}
 			}
-			best, bestD, otherD := nearestTwo(p, flat, k)
-			if best != wantBest || !sameFloat(bestD, sqDist(p, cents[wantBest])) || !sameFloat(otherD, wantOther) {
-				t.Fatalf("d=%d k=%d: nearestTwo = (%d, %v, %v), want (%d, %v, %v)",
-					d, k, best, bestD, otherD, wantBest, sqDist(p, cents[wantBest]), wantOther)
-			}
+			checkKernelsMatchReference(t, fmt.Sprintf("d=%d k=%d", d, k), p, 1, d, flatten(cents), k)
 		}
 	}
 }
 
-// TestAssignFlatMatchesNearestFlat pins the blocked d > 1 assignment loop
-// against the naive per-point scan at sizes straddling the block boundary:
-// the reordered loop nest must pick bit-identical winners, including exact
-// sqDist ties (mode-2 duplicated points), for every block-remainder shape.
-func TestAssignFlatMatchesNearestFlat(t *testing.T) {
+// TestAssignFlatMatchesReference pins the scalar loop and the d > 1 loop of
+// AssignFlat against the per-point reference scan: identical winners,
+// including exact sqDist ties (mode-2 duplicated points), at every kernel
+// width and past it.
+func TestAssignFlatMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 120))
-	for _, n := range []int{1, assignBlock - 1, assignBlock, assignBlock + 1, 3 * assignBlock, 200} {
-		for _, d := range []int{2, 3, 4} {
+	for _, n := range []int{1, 2, 7, 200} {
+		for _, d := range []int{1, 2, 3, 4, 6} {
 			for mode := 0; mode < 3; mode++ {
 				k := 1 + rng.IntN(7)
-				pts := genPoints(rng, n, d, mode)
-				cents := genPoints(rng, k, d, 0)
-				flatP := make([]float64, 0, n*d)
-				for _, p := range pts {
-					flatP = append(flatP, p...)
-				}
-				flatC := make([]float64, 0, k*d)
-				for _, c := range cents {
-					flatC = append(flatC, c...)
-				}
-				assign := make([]int, n)
-				AssignFlat(flatP, n, d, flatC, k, assign)
-				for i := 0; i < n; i++ {
-					want := nearestFlat(flatP[i*d:(i+1)*d], flatC, k)
-					if assign[i] != want {
-						t.Fatalf("n=%d d=%d mode=%d: assign[%d] = %d, want %d",
-							n, d, mode, i, assign[i], want)
-					}
-				}
+				pts := flatten(genPoints(rng, n, d, mode))
+				cents := flatten(genPoints(rng, k, d, 0))
+				checkKernelsMatchReference(t, fmt.Sprintf("n=%d d=%d mode=%d", n, d, mode), pts, n, d, cents, k)
 			}
 		}
 	}
 }
 
+// specialValues are the coordinates on which an integer order and the float
+// order could part: NaN of both signs, both infinities, both zeros,
+// subnormals, and magnitudes whose squares overflow or underflow.
+var specialValues = []float64{
+	math.NaN(), math.Float64frombits(0xFFF8000000000001), math.Float64frombits(0x7FF0000000000001),
+	math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1023,
+	1e300, -1e300, 1e-300, -1e-300, math.MaxFloat64, -math.MaxFloat64,
+	1, -1, 0.5, 1.0000000000000002,
+}
+
+// TestKernelsMatchReferenceOnSpecialValues feeds the kernels every pairing
+// of the special coordinates (d = 1: each value as a point against each
+// prefix of a centroid triple) and random mixtures of them at d = 1…8: a NaN
+// distance must never win or be counted,
+// +Inf must lose to anything finite and tie with itself by index, and −0,
+// subnormal and overflowing squares must order as the float compare orders
+// them.
+func TestKernelsMatchReferenceOnSpecialValues(t *testing.T) {
+	sv := specialValues
+	for a := range sv {
+		for b := range sv {
+			for _, third := range []float64{math.NaN(), math.Inf(1), 0, 1} {
+				cents := []float64{sv[a], sv[b], third}
+				for k := 1; k <= 3; k++ {
+					checkKernelsMatchReference(t, fmt.Sprintf("pairs k=%d", k), sv, len(sv), 1, cents, k)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(17, 170))
+	draw := func(count int) []float64 {
+		out := make([]float64, count)
+		for i := range out {
+			if rng.IntN(3) == 0 {
+				out[i] = rng.NormFloat64()
+			} else {
+				out[i] = sv[rng.IntN(len(sv))]
+			}
+		}
+		return out
+	}
+	for d := 1; d <= 8; d++ {
+		for _, n := range []int{1, 7, 131} {
+			for k := 1; k <= 5; k++ {
+				checkKernelsMatchReference(t, fmt.Sprintf("mixed n=%d d=%d k=%d", n, d, k), draw(n*d), n, d, draw(k*d), k)
+			}
+		}
+	}
+}
+
+// TestAssignFlatMatchesNearest checks AssignFlat against the slice-of-rows
+// lookup callers outside the package use.
 func TestAssignFlatMatchesNearest(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 44))
 	for trial := 0; trial < 50; trial++ {
 		n, d, k := 1+rng.IntN(20), 1+rng.IntN(3), 1+rng.IntN(5)
 		pts := genPoints(rng, n, d, trial%3)
 		cents := genPoints(rng, k, d, 0)
-		flatP := make([]float64, 0, n*d)
-		for _, p := range pts {
-			flatP = append(flatP, p...)
-		}
-		flatC := make([]float64, 0, k*d)
-		for _, c := range cents {
-			flatC = append(flatC, c...)
-		}
 		assign := make([]int, n)
-		AssignFlat(flatP, n, d, flatC, k, assign)
+		AssignFlat(flatten(pts), n, d, flatten(cents), k, assign)
 		for i, p := range pts {
 			if want := Nearest(p, cents); assign[i] != want {
 				t.Fatalf("trial %d: assign[%d] = %d, want %d", trial, i, assign[i], want)
 			}
-			if got := NearestFlat(p, flatC, k); got != assign[i] {
-				t.Fatalf("trial %d: NearestFlat disagrees: %d vs %d", trial, got, assign[i])
-			}
 		}
+	}
+}
+
+// TestAssignFlatPreconditions pins that a call with no centroid to assign to,
+// or with a slice shorter than n, d and k say, panics before it writes
+// anything — k = 0 used to assign every point to a centroid 0 that does not
+// exist.
+func TestAssignFlatPreconditions(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		pts, cents, assigns int
+		n, d, k             int
+	}{
+		{"k=0", 4, 0, 4, 4, 1, 0},
+		{"d=0", 4, 2, 4, 4, 0, 2},
+		{"short cents d=1", 4, 1, 4, 4, 1, 2},
+		{"short cents d=2", 8, 3, 4, 4, 2, 2},
+		{"short assign", 4, 2, 3, 4, 1, 2},
+		{"short pts d=1", 3, 2, 4, 4, 1, 2},
+		{"short pts d=2", 7, 4, 4, 4, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			assign := make([]int, tc.assigns)
+			for i := range assign {
+				assign[i] = -1
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("AssignFlat did not panic")
+				}
+				for i, a := range assign {
+					if a != -1 {
+						t.Fatalf("assign[%d] = %d written before the panic", i, a)
+					}
+				}
+			}()
+			AssignFlat(make([]float64, tc.pts), tc.n, tc.d, make([]float64, tc.cents), tc.k, assign)
+		})
 	}
 }
