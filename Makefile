@@ -72,6 +72,7 @@ alert-smoke:
 # `bash bench/run.sh` (see bench/README.md).
 bench:
 	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleRetrain|EnsembleSelect' -benchmem .
+	$(GO) test -run xxx -bench '^BenchmarkIngest$$' -benchmem ./internal/core
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem ./internal/serve
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
@@ -85,11 +86,11 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the ten native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the eleven native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
-# nearest-centroid-kernel, cluster-tracker, ARIMA-fit and JSON-float reference
-# differentials) from its committed seed corpus. go test allows one -fuzz pattern per invocation,
-# hence one line each.
+# nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel, ARIMA-fit
+# and JSON-float reference differentials) from its committed seed corpus. go
+# test allows one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
@@ -100,5 +101,6 @@ fuzz-smoke:
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzNearestKernelsMatchReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideKernelMatchesPolicy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)

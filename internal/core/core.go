@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
@@ -243,7 +244,8 @@ type System struct {
 	// The central store z_t: store holds slot i's last transmitted
 	// measurement once stored[i] is set (rows of slots that hold none are
 	// zero). zrow is the scratch row a slot's measurement is gathered into
-	// for its policy, transmitted the per-step transmit flags that
+	// for a policy ingest does not decide inline (Adaptive policies read the
+	// store in place), transmitted the per-step transmit flags that
 	// StepResult.Transmitted views, centRows the K row views per tracker
 	// into the in-flight step's centroids that the ensembles observe and
 	// ResourceStep.Centroids returns.
@@ -884,21 +886,30 @@ func (s *System) checkStep(x [][]float64) error {
 	if len(x) != len(s.ids) {
 		return fmt.Errorf("core: %d rows in step, want %d fleet slots: %w", len(x), len(s.ids), ErrBadInput)
 	}
+	d, alive := s.cfg.Resources, s.alive[:len(x)]
 	for i, xi := range x {
 		if xi == nil {
 			continue
 		}
-		if !s.alive[i] {
+		if !alive[i] {
 			return fmt.Errorf("core: slot %d holds no live member but got a report: %w", i, ErrBadInput)
 		}
-		if len(xi) != s.cfg.Resources {
+		if len(xi) != d {
 			return fmt.Errorf("core: node %d has dim %d, want %d: %w",
-				i, len(xi), s.cfg.Resources, ErrBadInput)
+				i, len(xi), d, ErrBadInput)
 		}
-		for d, v := range xi {
-			if v-v != 0 { // NaN or ±Inf
-				return fmt.Errorf("core: node %d resource %d is %v: %w",
-					i, d, v, ErrBadInput)
+		// One test per row: v−v is 0 for a finite v and NaN for NaN or ±Inf,
+		// and a NaN stays in the sum.
+		var acc float64
+		for _, v := range xi {
+			acc += v - v
+		}
+		if acc != 0 {
+			for r, v := range xi {
+				if v-v != 0 {
+					return fmt.Errorf("core: node %d resource %d is %v: %w",
+						i, r, v, ErrBadInput)
+				}
 			}
 		}
 	}
@@ -916,8 +927,27 @@ func (s *System) checkStep(x [][]float64) error {
 // succeeds. It returns the clustering mask — nil when every slot takes part,
 // which lets the trackers cluster their block of the store in place — and
 // the stable IDs evicted this step.
+//
+// The decision is the walk's only polymorphic step. An Adaptive policy is
+// decided inline: its eq. 7 penalty is taken straight off x[i] and the store
+// and handed to DecidePenalty, the same eq. 8–9 code Adaptive.Decide runs.
+// Every other policy gets Decide(t, x[i], z) through the interface, with z
+// the stored row gathered into zrow (nil before the first store), in slot
+// order on the calling goroutine. The walk stays serial: it is bound by the
+// memory it streams, so a fan-out adds CPU time and no speed, and policies
+// may share state.
 func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
-	present := s.stage.present
+	n := len(x)
+	// Everything the walk indexes by slot, cut to n once so that the loop
+	// body carries no bounds checks for them.
+	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stored[:n], s.transmitted[:n]
+	policies, meters := s.policies[:n], s.meters[:n]
+	// Resource r of slot i is data[i*si+r*sr] in either layout of the store.
+	data, si, sr := s.store.strided()
+	fd := float64(s.cfg.Resources)
+	// (t+1)^γ of the run of Adaptive policies the walk is in; NaN equals no
+	// γ, so the first one takes it.
+	gamma, pow := math.NaN(), 0.0
 	nPresent := 0
 	// Members at the timeout are only marked for eviction in the walk — the
 	// roster mutation happens after the present-count check below, so a step
@@ -925,34 +955,80 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 	// Evicted report).
 	var evict []int
 	for i, xi := range x {
-		s.transmitted[i] = false
-		if !s.alive[i] {
-			present[i] = false
-			continue
-		}
-		if xi == nil {
-			s.absentFor[i]++
-			if s.cfg.AbsenceTimeout > 0 && s.absentFor[i] >= s.cfg.AbsenceTimeout {
+		send := false
+		switch {
+		case !alive[i]:
+		case xi == nil:
+			absentFor[i]++
+			if timeout := s.cfg.AbsenceTimeout; timeout > 0 && absentFor[i] >= timeout {
 				evict = append(evict, i)
 			}
-		} else {
-			s.absentFor[i] = 0
-			var zi []float64
-			if s.stored[i] {
-				zi = s.store.row(i, s.zrow)
+		default:
+			absentFor[i] = 0
+			off := i * si
+			switch p := policies[i].(type) {
+			case *transmit.Adaptive:
+				// Eq. 7, bit for bit transmit's staleness(x[i], z): the same
+				// differences summed in the same order (0 + d0² is exact, so
+				// the sum may start at the first square) and divided by d,
+				// unrolled for d ≤ 4 with one statement per term as in the
+				// loop, so that a compiler that fuses s += a·a fuses both.
+				penalty := math.Inf(1)
+				if stored[i] {
+					var sum float64
+					switch len(xi) {
+					case 1:
+						d0 := xi[0] - data[off]
+						sum = d0 * d0
+					case 2:
+						d0, d1 := xi[0]-data[off], xi[1]-data[off+sr]
+						sum = d0 * d0
+						sum += d1 * d1
+					case 3:
+						d0, d1, d2 := xi[0]-data[off], xi[1]-data[off+sr], xi[2]-data[off+2*sr]
+						sum = d0 * d0
+						sum += d1 * d1
+						sum += d2 * d2
+					case 4:
+						d0, d1, d2, d3 := xi[0]-data[off], xi[1]-data[off+sr], xi[2]-data[off+2*sr], xi[3]-data[off+3*sr]
+						sum = d0 * d0
+						sum += d1 * d1
+						sum += d2 * d2
+						sum += d3 * d3
+					default:
+						for r, v := range xi {
+							dr := v - data[off+r*sr]
+							sum += dr * dr
+						}
+					}
+					penalty = sum / fd
+				}
+				if g := p.Gamma(); g != gamma {
+					gamma, pow = g, transmit.StepPow(s.t, g)
+				}
+				send = p.DecidePenalty(pow, penalty)
+			default:
+				var zi []float64
+				if stored[i] {
+					zi = s.store.row(i, s.zrow)
+				}
+				send = p.Decide(s.t, xi, zi)
 			}
-			if s.policies[i].Decide(s.t, xi, zi) {
+			if send {
 				s.store.set(i, xi)
-				s.stored[i] = true
-				s.transmitted[i] = true
+				stored[i] = true
 			}
-			s.meters[i].Observe(s.transmitted[i])
+			meters[i].Observe(send)
 		}
-		present[i] = s.stored[i]
-		if present[i] {
+		transmitted[i] = send
+		if stored[i] {
 			nPresent++
 		}
 	}
+	// Live members with a stored measurement take part in clustering;
+	// tombstones are never stored (evictSlot clears the flag).
+	present := s.stage.present
+	copy(present, stored)
 	if nPresent < s.cfg.K {
 		// No eviction has happened yet, so the roster is untouched by a
 		// step that fails here (candidates are simply retried later).

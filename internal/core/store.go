@@ -33,32 +33,30 @@ func (z *zFrame) vec(tr, i int) []float64 {
 	return z.f.Data()[off : off+dims : off+dims]
 }
 
+// strided returns the backing array with the index steps of a slot and of a
+// resource: resource r of slot i is data[i*slot+r*res] — column r of the
+// per-resource layout, row i of the joint one.
+func (z *zFrame) strided() (data []float64, slot, res int) {
+	if dims := z.f.Cols(); dims > 1 {
+		return z.f.Data(), dims, 1
+	}
+	return z.f.Data(), 1, z.n
+}
+
 // set stores slot i's measurement x (len trackers·dims).
 func (z *zFrame) set(i int, x []float64) {
-	data, dims := z.f.Data(), z.f.Cols()
-	if dims == 1 {
-		for tr, v := range x[:z.trackers] {
-			data[tr*z.n+i] = v
-		}
-		return
-	}
-	for tr := 0; tr < z.trackers; tr++ {
-		copy(z.vec(tr, i), x[tr*dims:(tr+1)*dims])
+	data, slot, res := z.strided()
+	for r, v := range x {
+		data[i*slot+r*res] = v
 	}
 }
 
 // row gathers slot i's measurement into dst (len trackers·dims) and returns
 // dst.
 func (z *zFrame) row(i int, dst []float64) []float64 {
-	data, dims := z.f.Data(), z.f.Cols()
-	if dims == 1 {
-		for tr := range dst[:z.trackers] {
-			dst[tr] = data[tr*z.n+i]
-		}
-		return dst
-	}
-	for tr := 0; tr < z.trackers; tr++ {
-		copy(dst[tr*dims:(tr+1)*dims], z.vec(tr, i))
+	data, slot, res := z.strided()
+	for r := range dst {
+		dst[r] = data[i*slot+r*res]
 	}
 	return dst
 }

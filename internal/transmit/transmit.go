@@ -48,6 +48,15 @@ type Persistent interface {
 // arrays between steps — so implementations must copy any values they want
 // to keep. Implementations may keep internal state and are not safe for
 // concurrent use; each node owns its own Policy instance.
+//
+// What core.System.Step guarantees a policy it does not know: exactly one
+// Decide per step in which the node reports (none for a silent step), called
+// on the stepping goroutine in ascending slot order, with x the reported row
+// and z the row stored for the node, nil until its first transmission. A
+// *Adaptive is the one policy Step decides without this call — it computes
+// the eq. 7 penalty from its store in place and calls DecidePenalty — so a
+// type that wraps or embeds an Adaptive is decided through Decide, with the
+// same result.
 type Policy interface {
 	// Decide returns true when the node should transmit at step t.
 	Decide(t int, x, z []float64) bool
@@ -104,8 +113,11 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.Gamma == 0 {
 		cfg.Gamma = 0.65
 	}
-	if cfg.V0 < 0 || cfg.Gamma < 0 || cfg.Gamma >= 1 {
-		return nil, fmt.Errorf("transmit: V0 %v / gamma %v invalid (need V0 > 0, 0 < gamma < 1): %w",
+	// Written so that NaN fails: a NaN or infinite weight silences the node
+	// for good (queue < NaN is never true; Inf·0 on an unchanged measurement
+	// is NaN).
+	if !(cfg.V0 > 0 && cfg.V0 <= math.MaxFloat64 && cfg.Gamma > 0 && cfg.Gamma < 1) {
+		return nil, fmt.Errorf("transmit: V0 %v / gamma %v invalid (need finite V0 > 0, 0 < gamma < 1): %w",
 			cfg.V0, cfg.Gamma, ErrBadConfig)
 	}
 	return &Adaptive{budget: cfg.Budget, v0: cfg.V0, gamma: cfg.Gamma}, nil
@@ -125,9 +137,11 @@ type vtMemo struct {
 
 var lastVt atomic.Pointer[vtMemo]
 
-// stepPow returns (t+1)^γ, serving repeats of the previous (t, γ) from the
-// memo.
-func stepPow(t int, gamma float64) float64 {
+// StepPow returns (t+1)^γ, the time-varying factor of the penalty weight
+// V_t = V0·(t+1)^γ, serving repeats of the previous (t, γ) from a memo. It is
+// what DecidePenalty takes as pow; a caller deciding many policies at one
+// step takes it once per run of equal γ.
+func StepPow(t int, gamma float64) float64 {
 	if m := lastVt.Load(); m != nil && m.t == t && m.gamma == gamma {
 		return m.pow
 	}
@@ -136,14 +150,24 @@ func stepPow(t int, gamma float64) float64 {
 	return p
 }
 
-// Decide implements Policy using the drift-plus-penalty rule of eq. (7)-(9).
+// Decide implements Policy: the staleness penalty of eq. (7), then the
+// drift-plus-penalty rule of eq. (8)-(9) in DecidePenalty.
 func (a *Adaptive) Decide(t int, x, z []float64) bool {
-	penalty := staleness(x, z) // F_t(0); F_t(1) is 0 by definition
-	vt := a.v0 * stepPow(t, a.gamma)
+	penalty := staleness(x, z)
+	return a.DecidePenalty(StepPow(t, a.gamma), penalty)
+}
 
+// DecidePenalty is the drift-plus-penalty rule of eq. (8)-(9) — the one
+// place a decision is taken and the virtual queue moves — given the
+// staleness penalty F_t(0) = (1/d)‖z−x‖² of eq. (7) (+Inf while the central
+// node holds nothing; F_t(1) is 0 by definition) and pow = StepPow(t,
+// Gamma()). Decide computes both and calls it; core's ingest walk calls it
+// directly with the penalty it takes straight off its store, so the two
+// routes cannot drift apart. Small enough to inline into either.
+func (a *Adaptive) DecidePenalty(pow, penalty float64) bool {
 	// Cost(β=0) = V_t·F − Q·B ; Cost(β=1) = Q·(1−B).
 	// Transmitting wins iff Q(1−B) < V_t·F − Q·B ⇔ Q < V_t·F.
-	transmit := a.queue < vt*penalty
+	transmit := a.queue < a.v0*pow*penalty
 
 	// Virtual queue update Q ← Q + (β − B).
 	if transmit {
@@ -153,6 +177,9 @@ func (a *Adaptive) Decide(t int, x, z []float64) bool {
 	}
 	return transmit
 }
+
+// Gamma returns the exponent γ of V_t = V0·(t+1)^γ (defaults applied).
+func (a *Adaptive) Gamma() float64 { return a.gamma }
 
 // Queue exposes the current virtual queue length, used by tests and the
 // experiment harness to verify queue stability (Q(t)/t → 0).

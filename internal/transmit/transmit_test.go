@@ -25,6 +25,11 @@ func TestNewAdaptiveValidation(t *testing.T) {
 		{"NaN budget", AdaptiveConfig{Budget: math.NaN()}, false},
 		{"gamma too big", AdaptiveConfig{Budget: 0.3, Gamma: 1.0}, false},
 		{"negative V0", AdaptiveConfig{Budget: 0.3, V0: -1}, false},
+		{"negative gamma", AdaptiveConfig{Budget: 0.3, Gamma: -0.5}, false},
+		{"NaN V0", AdaptiveConfig{Budget: 0.3, V0: math.NaN()}, false},
+		{"infinite V0", AdaptiveConfig{Budget: 0.3, V0: math.Inf(1)}, false},
+		{"NaN gamma", AdaptiveConfig{Budget: 0.3, Gamma: math.NaN()}, false},
+		{"largest finite V0", AdaptiveConfig{Budget: 0.3, V0: math.MaxFloat64}, true},
 	}
 	for _, tt := range tests {
 		tt := tt

@@ -147,7 +147,12 @@ func WithBudget(b float64) Option {
 }
 
 // WithAdaptivePolicy installs the adaptive policy with explicit Lyapunov
-// control parameters V0 and γ (paper defaults 1e-12 and 0.65).
+// control parameters V0 and γ of the penalty weight V_t = V0·(t+1)^γ. A zero
+// v0 selects 0.5, the operating point for measurements normalized to [0,1]
+// (the paper's literal 1e-12 is for raw-scale data and has to be passed
+// explicitly; AdaptiveConfig in internal/transmit has the argument), a zero
+// gamma the paper's 0.65. Negative or non-finite values, and gamma ≥ 1, make
+// New fail.
 func WithAdaptivePolicy(budget, v0, gamma float64) Option {
 	return func(c *config) error {
 		c.Policy = func(int) (transmit.Policy, error) {
