@@ -40,11 +40,11 @@ test:
 race:
 	$(GO) test -race -short $(RACE_PKGS)
 
-# Flake hunt: the four packages whose tests lean on goroutines, sockets and
+# Flake hunt: the five packages whose tests lean on goroutines, sockets and
 # timers, twenty times under the race detector. Several minutes, so it is not
 # part of `ci:`; run it by hand on any change to reconnect, recovery or
 # webhook code (see "Hunting a flaky test" in docs/OPERATIONS.md).
-FLAKE_PKGS = ./internal/serve ./internal/persist ./internal/transport ./internal/alert
+FLAKE_PKGS = ./internal/serve ./internal/persist ./internal/transport ./internal/alert ./cmd/forecastd
 flake:
 	$(GO) test -race -count=20 $(FLAKE_PKGS)
 

@@ -11,6 +11,13 @@
 //	forecastd -nodes 8 -ingest 127.0.0.1:7777 -http 127.0.0.1:8080 \
 //	    -resources 2 -k 3 -interval 2s -horizon 48 -initial 50 -retrain 100
 //
+// The query plane is optional: -http "" runs the same loop as a collector
+// only — no listener, no snapshot published per step (unless -rules needs
+// them) — and the log is the output: joins and evictions with their slots,
+// and every 25th step the K centroids per resource and the realized per-node
+// transmission frequency the store has accounted (eq. 5), the central-side
+// check that the agents' adaptive policies hold their budgets.
+//
 // Endpoints:
 //
 //	GET /v1/forecast?h=H[&node=I]  per-node forecasts for horizons 1..H
@@ -65,8 +72,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -85,7 +96,9 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], stop, os.Stderr))
 }
 
 // persistStats adapts persist.Manager accounting to the serving plane's
@@ -111,38 +124,73 @@ func persistStats(mgr *persist.Manager) serve.PersistStats {
 	}
 }
 
-func run() int {
+// stepSummary renders what a collector shows for a step: the K centroids of
+// every resource, and the realized transmission frequency the store has
+// accounted (eq. 5: accepted updates over the node's local step count) over
+// the members clustered this step, in slot order.
+func stepSummary(res *core.StepResult, roster *core.Roster, stats map[int]transport.NodeStat) []any {
+	centroids := make([][]string, len(res.PerResource))
+	for r, pr := range res.PerResource {
+		for _, c := range pr.Centroids {
+			centroids[r] = append(centroids[r], fmt.Sprintf("%.3f", c[0]))
+		}
+	}
+	clustered, sum, minF, maxF := 0, 0.0, math.Inf(1), math.Inf(-1)
+	for slot, present := range res.Present {
+		if id, live := roster.IDAt(slot); live && present {
+			f := stats[id].Frequency
+			clustered++
+			sum += f
+			minF, maxF = math.Min(minF, f), math.Max(maxF, f)
+		}
+	}
+	args := []any{"clustered", clustered, "centroids", fmt.Sprint(centroids)}
+	if clustered > 0 {
+		args = append(args, "tx_mean", sum/float64(clustered), "tx_min", minF, "tx_max", maxF)
+	}
+	return args
+}
+
+// run is main with its arguments, stop signal and log destination injected.
+func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
+	fs := flag.NewFlagSet("forecastd", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	var (
-		ingest      = flag.String("ingest", "127.0.0.1:7777", "TCP address for node-agent ingest")
-		httpAddr    = flag.String("http", "127.0.0.1:8080", "HTTP address for the query API")
-		nodes       = flag.Int("nodes", 0, "pre-registered node IDs 0..N-1 gating the first step (0 = fully elastic: start once K nodes report)")
-		resources   = flag.Int("resources", 2, "measurement dimensionality d")
-		k           = flag.Int("k", 3, "number of clusters / forecasting models")
-		interval    = flag.Duration("interval", 2*time.Second, "pipeline step period")
-		horizon     = flag.Int("horizon", 48, "maximum servable forecast horizon")
-		initial     = flag.Int("initial", 50, "initial collection steps before first training")
-		retrain     = flag.Int("retrain", 100, "retraining period in steps")
-		seed        = flag.Uint64("seed", 1, "clustering seed")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		maxInFlight = flag.Int("max-inflight", 256, "max concurrently served HTTP requests")
-		stateDir    = flag.String("state-dir", "", "directory for durable checkpoints + WAL (empty = in-memory only)")
-		ckptEvery   = flag.Int("checkpoint-every", 64, "steps between background checkpoints (0 = persist default 256, negative = only on shutdown)")
-		fsyncWAL    = flag.Bool("fsync-wal", false, "fsync the WAL after every step (single-step durability)")
-		idleTmo     = flag.Duration("idle-timeout", 5*time.Minute, "drop agent connections silent for this long (0 = never)")
-		absence     = flag.Int("absence-ticks", 0, "evict a fleet member after this many silent pipeline ticks (0 = never)")
-		debugAddr   = flag.String("debug-addr", "", "optional address for the debug server (pprof, expvar, /debug/obs, /metrics); empty = disabled")
-		models      = flag.String("models", "", "comma-separated model-zoo families with online champion selection (empty = single sample-and-hold family)")
-		selWindow   = flag.Int("select-window", 0, "rolling accuracy window in evaluations (0 = default 64)")
-		selMargin   = flag.Float64("select-margin", 0, "challenger must beat the champion by this error margin")
-		selStreak   = flag.Int("select-streak", 0, "consecutive winning evaluations required to dethrone a champion (0 = default 3)")
-		selMetric   = flag.String("select-metric", "", "selection metric: mae or rmse (empty = mae)")
-		rulesPath   = flag.String("rules", "", "JSON alerting rules file; enables /v1/alerts and /v1/recommendations (empty = alerting disabled)")
-		webhook     = flag.String("webhook", "", "URL POSTed every alert transition event (requires -rules)")
+		ingest      = fs.String("ingest", "127.0.0.1:7777", "TCP address for node-agent ingest")
+		httpAddr    = fs.String("http", "127.0.0.1:8080", "HTTP address for the query API (empty = collector only: no query plane)")
+		nodes       = fs.Int("nodes", 0, "pre-registered node IDs 0..N-1 gating the first step (0 = fully elastic: start once K nodes report)")
+		resources   = fs.Int("resources", 2, "measurement dimensionality d")
+		k           = fs.Int("k", 3, "number of clusters / forecasting models")
+		interval    = fs.Duration("interval", 2*time.Second, "pipeline step period")
+		horizon     = fs.Int("horizon", 48, "maximum servable forecast horizon")
+		initial     = fs.Int("initial", 50, "initial collection steps before first training")
+		retrain     = fs.Int("retrain", 100, "retraining period in steps")
+		seed        = fs.Uint64("seed", 1, "clustering seed")
+		workers     = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		maxInFlight = fs.Int("max-inflight", 256, "max concurrently served HTTP requests")
+		stateDir    = fs.String("state-dir", "", "directory for durable checkpoints + WAL (empty = in-memory only)")
+		ckptEvery   = fs.Int("checkpoint-every", 64, "steps between background checkpoints (0 = persist default 256, negative = only on shutdown)")
+		fsyncWAL    = fs.Bool("fsync-wal", false, "fsync the WAL after every step (single-step durability)")
+		idleTmo     = fs.Duration("idle-timeout", 5*time.Minute, "drop agent connections silent for this long (0 = never)")
+		absence     = fs.Int("absence-ticks", 0, "evict a fleet member after this many silent pipeline ticks (0 = never)")
+		debugAddr   = fs.String("debug-addr", "", "optional address for the debug server (pprof, expvar, /debug/obs, /metrics); empty = disabled")
+		models      = fs.String("models", "", "comma-separated model-zoo families with online champion selection (empty = single sample-and-hold family)")
+		selWindow   = fs.Int("select-window", 0, "rolling accuracy window in evaluations (0 = default 64)")
+		selMargin   = fs.Float64("select-margin", 0, "challenger must beat the champion by this error margin")
+		selStreak   = fs.Int("select-streak", 0, "consecutive winning evaluations required to dethrone a champion (0 = default 3)")
+		selMetric   = fs.String("select-metric", "", "selection metric: mae or rmse (empty = mae)")
+		rulesPath   = fs.String("rules", "", "JSON alerting rules file; enables /v1/alerts and /v1/recommendations (empty = alerting disabled)")
+		webhook     = fs.String("webhook", "", "URL POSTed every alert transition event (requires -rules)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	// Correlation fields are passed in a fixed order (step, generation first)
 	// so log lines diff cleanly across runs.
-	log := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "forecastd")
+	log := slog.New(slog.NewTextHandler(logw, nil)).With("component", "forecastd")
 	if *nodes < 0 {
 		log.Error("-nodes must be ≥ 0")
 		return 2
@@ -176,8 +224,12 @@ func run() int {
 		RetrainEvery:      *retrain,
 		Seed:              *seed,
 		Workers:           *workers,
-		SnapshotHorizon:   *horizon,
 		PhaseObserver:     serve.NewStepTimings(reg),
+	}
+	// Snapshots are published for their readers, the query plane and the
+	// alert engine; a collector without either steps without assembling one.
+	if *httpAddr != "" || *rulesPath != "" {
+		cfg.SnapshotHorizon = *horizon
 	}
 	if *models != "" {
 		zoo, err := forecast.Zoo(strings.Split(*models, ",")...)
@@ -197,6 +249,8 @@ func run() int {
 		log.Error("pipeline construction", "err", err)
 		return 1
 	}
+	stepper.RegisterMetrics(reg)
+	sys := stepper.System()
 
 	// Alerting: parse the rules file, attach sinks (structured log always,
 	// webhook when configured), and evaluate every published snapshot from
@@ -242,7 +296,7 @@ func run() int {
 	// then log every step through the stepper.
 	var mgr *persist.Manager
 	if *stateDir != "" {
-		mgr, err = persist.New(stepper.System(), cfg, persist.Options{
+		mgr, err = persist.New(sys, cfg, persist.Options{
 			Dir:             *stateDir,
 			CheckpointEvery: *ckptEvery,
 			Fsync:           *fsyncWAL,
@@ -264,36 +318,43 @@ func run() int {
 		default:
 			log.Info("recovered durable state",
 				"step", info.Steps, "checkpoint_step", info.CheckpointStep,
-				"replayed_steps", info.ReplayedSteps, "torn_tail", info.TornTail)
+				"replayed_steps", info.ReplayedSteps, "torn_tail", info.TornTail,
+				"members", fmt.Sprint(sys.Members()))
 		}
 	}
 
-	serveCfg := serve.Config{
-		Source:      stepper.System(),
-		Workers:     *workers,
-		MaxInFlight: *maxInFlight,
-		Registry:    reg,
+	// The query plane, unless -http "" asks for a collector only.
+	var query *serve.Server
+	var hs *http.Server
+	var httpDone chan error // stays nil, and never ready, without a query plane
+	listenAddr := ""
+	if *httpAddr != "" {
+		serveCfg := serve.Config{
+			Source:      sys,
+			Workers:     *workers,
+			MaxInFlight: *maxInFlight,
+			Registry:    reg,
+		}
+		if mgr != nil {
+			serveCfg.PersistStats = func() serve.PersistStats { return persistStats(mgr) }
+		}
+		if engine != nil {
+			serveCfg.Alerts = engine
+		}
+		if query, err = serve.New(serveCfg); err != nil {
+			log.Error("query server construction", "err", err)
+			return 1
+		}
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			log.Error("http listen", "err", err)
+			return 1
+		}
+		listenAddr = ln.Addr().String()
+		hs = &http.Server{Handler: query}
+		httpDone = make(chan error, 1)
+		go func() { httpDone <- hs.Serve(ln) }()
 	}
-	if mgr != nil {
-		serveCfg.PersistStats = func() serve.PersistStats { return persistStats(mgr) }
-	}
-	if engine != nil {
-		serveCfg.Alerts = engine
-	}
-	query, err := serve.New(serveCfg)
-	if err != nil {
-		log.Error("query server construction", "err", err)
-		return 1
-	}
-
-	ln, err := net.Listen("tcp", *httpAddr)
-	if err != nil {
-		log.Error("http listen", "err", err)
-		return 1
-	}
-	hs := &http.Server{Handler: query}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- hs.Serve(ln) }()
 
 	var ds *http.Server
 	if *debugAddr != "" {
@@ -304,12 +365,10 @@ func run() int {
 	}
 
 	log.Info("listening",
-		"ingest", ingestAddr, "http", ln.Addr().String(),
+		"ingest", ingestAddr, "http", listenAddr,
 		"nodes", *nodes, "resources", *resources, "k", *k,
 		"horizon", *horizon, "interval", *interval)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
 
@@ -322,13 +381,15 @@ func run() int {
 			if err := mgr.Checkpoint(); err != nil {
 				log.Error("final checkpoint", "err", err)
 			} else {
-				log.Info("final checkpoint written", "step", stepper.System().Steps())
+				log.Info("final checkpoint written", "step", sys.Steps())
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Error("http shutdown", "err", err)
+		if hs != nil {
+			if err := hs.Shutdown(ctx); err != nil {
+				log.Error("http shutdown", "err", err)
+			}
 		}
 		if ds != nil {
 			if err := ds.Shutdown(ctx); err != nil {
@@ -341,7 +402,6 @@ func run() int {
 		return 0
 	}
 
-	sys := stepper.System()
 	wasReady := false
 	for {
 		select {
@@ -351,6 +411,7 @@ func run() int {
 			log.Error("http server", "err", err)
 			return 1
 		case <-ticker.C:
+			before := sys.Roster()
 			res, ok, err := stepper.Tick()
 			if err != nil {
 				// A step error leaves the pipeline in an undefined state; the
@@ -372,21 +433,35 @@ func run() int {
 					}
 				}
 			}
+			roster := sys.Roster()
+			if roster != before { // one immutable value until membership changes
+				for slot := 0; slot < roster.Slots(); slot++ {
+					id, live := roster.IDAt(slot)
+					if _, was := before.SlotOf(id); live && !was {
+						log.Info("joined node", "step", res.T, "generation", gen, "node", id, "slot", slot)
+					}
+				}
+			}
 			for _, id := range res.Evicted {
 				log.Info("evicted node",
 					"step", res.T, "generation", gen, "node", id, "silent_ticks", *absence)
 			}
 			if sys.Ready() && !wasReady {
 				wasReady = true
-				log.Info("models trained; /v1/forecast is live", "step", res.T, "generation", gen)
+				log.Info("models trained", "step", res.T, "generation", gen)
 			}
 			if res.T%25 == 0 {
-				st := query.Stats()
-				log.Info("pipeline step",
-					"step", res.T, "generation", gen, "ready", st.Ready,
-					"live_nodes", st.Nodes, "evictions", st.Evictions,
-					"mean_freq", st.MeanFrequency, "cache_hit_ratio", st.Cache.HitRatio,
-					"requests", st.Requests.Total)
+				line := []any{
+					"step", res.T, "generation", gen, "ready", sys.Ready(),
+					"live_nodes", sys.LiveNodes(), "evictions", sys.Evictions(),
+					"mean_freq", sys.MeanFrequency(),
+				}
+				line = append(line, stepSummary(res, roster, store.Stats())...)
+				if query != nil {
+					st := query.Stats()
+					line = append(line, "cache_hit_ratio", st.Cache.HitRatio, "requests", st.Requests.Total)
+				}
+				log.Info("pipeline step", line...)
 			}
 		}
 	}

@@ -1,0 +1,300 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"regexp"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"orcf/internal/transport"
+)
+
+// logBuf is a goroutine-safe log sink the test can read while run writes.
+type logBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *logBuf) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuf) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// daemon is one forecastd run started on ephemeral ports.
+type daemon struct {
+	log    *logBuf
+	stop   chan os.Signal
+	exit   chan int
+	ingest string
+	http   string // `""` in the log when the query plane is off
+}
+
+// start runs forecastd on the state directory; httpAddr "" makes it a
+// collector only.
+func start(t *testing.T, stateDir, httpAddr string, interval time.Duration) *daemon {
+	t.Helper()
+	d := &daemon{log: new(logBuf), stop: make(chan os.Signal, 1), exit: make(chan int, 1)}
+	go func() {
+		d.exit <- run([]string{
+			"-ingest", "127.0.0.1:0", "-http", httpAddr, "-k", "3", "-resources", "2",
+			"-interval", interval.String(), "-initial", "20", "-retrain", "50", "-horizon", "8",
+			"-state-dir", stateDir, "-absence-ticks", "10",
+		}, d.stop, d.log)
+	}()
+	t.Cleanup(func() { // a failed test must not leave the daemon ticking
+		select {
+		case d.stop <- os.Interrupt:
+		default:
+		}
+	})
+	m := d.await(t, nil, `msg=listening \S+ ingest=(\S+) http=(\S+)`)
+	d.ingest, d.http = m[1], m[2]
+	return d
+}
+
+// await calls pump (the fleet's next samples; nil to just wait) until the
+// log matches re, and returns the submatches.
+func (d *daemon) await(t *testing.T, pump func(), re string) []string {
+	t.Helper()
+	rx := regexp.MustCompile(re)
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if m := rx.FindStringSubmatch(d.log.String()); m != nil {
+			return m
+		}
+		select {
+		case code := <-d.exit:
+			t.Fatalf("forecastd exited with %d waiting for %q:\n%s", code, re, d.log.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("log never matched %q:\n%s", re, d.log.String())
+		}
+		if pump != nil {
+			pump()
+		}
+	}
+}
+
+// shutdown interrupts the daemon, which must exit 0 after its final
+// checkpoint, and returns the step it stopped at.
+func (d *daemon) shutdown(t *testing.T) string {
+	t.Helper()
+	d.stop <- os.Interrupt
+	select {
+	case code := <-d.exit:
+		if code != 0 {
+			t.Fatalf("forecastd exited with %d:\n%s", code, d.log.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("forecastd did not stop:\n%s", d.log.String())
+	}
+	m := regexp.MustCompile(`msg="final checkpoint written" \S+ step=(\d+)`).FindStringSubmatch(d.log.String())
+	if m == nil || m[1] == "0" {
+		t.Fatalf("no final checkpoint at a positive step:\n%s", d.log.String())
+	}
+	return m[1]
+}
+
+// get fetches a query-plane path and returns the body with the generation
+// and step it was served at.
+func (d *daemon) get(t *testing.T, path string) (body []byte, generation uint64, step string) {
+	t.Helper()
+	resp, err := http.Get("http://" + d.http + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s: %s", path, resp.Status, body)
+	}
+	var at struct {
+		Generation uint64
+		Step       int
+	}
+	if err := json.Unmarshal(body, &at); err != nil {
+		t.Fatalf("GET %s: %v: %s", path, err, body)
+	}
+	return body, at.Generation, strconv.Itoa(at.Step)
+}
+
+// rosterFromLog replays the joined/evicted lines into the slot → node
+// binding and renders the live members in slot order, the way the recovery
+// line prints them.
+func rosterFromLog(t *testing.T, log string) string {
+	t.Helper()
+	rx := regexp.MustCompile(`msg="(joined|evicted) node" component=forecastd step=\d+ generation=\d+ node=(\d+)(?: slot=(\d+))?`)
+	var slots []int // node per slot, -1 = tombstone
+	for _, m := range rx.FindAllStringSubmatch(log, -1) {
+		node, _ := strconv.Atoi(m[2])
+		if m[1] == "evicted" {
+			for i, id := range slots {
+				if id == node {
+					slots[i] = -1
+				}
+			}
+			continue
+		}
+		slot, _ := strconv.Atoi(m[3])
+		for len(slots) <= slot {
+			slots = append(slots, -1)
+		}
+		slots[slot] = node
+	}
+	var members []int
+	for _, id := range slots {
+		if id >= 0 {
+			members = append(members, id)
+		}
+	}
+	return fmt.Sprint(members)
+}
+
+// summaryOf5 matches the periodic step line once five members are clustered:
+// K centroids for each of the two resources and the store-accounted eq. 5
+// frequencies.
+const summaryOf5 = `msg="pipeline step" [^\n]* clustered=5 centroids="\[\[\S+ \S+ \S+\] \[\S+ \S+ \S+\]\]" tx_mean=\S+ tx_min=\S+ tx_max=\S+`
+
+// TestChurnThenRestartRecoversRoster drives a real forecastd, as a collector
+// only and with the query plane: K+2 agents join, one goes silent until the
+// absence timeout evicts it and then rejoins, the daemon is stopped and
+// restarted on the same state directory, and the recovery line must report
+// the step it stopped at and the roster it stopped with. With the query plane
+// on, the restarted daemon must also serve, at the generation it stopped at,
+// the very bytes that generation was served with before the stop.
+func TestChurnThenRestartRecoversRoster(t *testing.T) {
+	t.Run("collector only", func(t *testing.T) { churnThenRestart(t, "") })
+	t.Run("query plane", func(t *testing.T) { churnThenRestart(t, "127.0.0.1:0") })
+}
+
+func churnThenRestart(t *testing.T, httpAddr string) {
+	const fleet = 5 // K + 2
+	dir := t.TempDir()
+	d := start(t, dir, httpAddr, 10*time.Millisecond)
+
+	clients := make([]*transport.BatchClient, fleet)
+	dial := func(node int) {
+		c, err := transport.DialBatch(d.ingest, node, transport.BatchOptions{Linger: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[node] = c
+	}
+	for node := range clients {
+		dial(node)
+	}
+	defer func() {
+		for _, c := range clients {
+			if c != nil {
+				_ = c.Close()
+			}
+		}
+	}()
+	step := 0
+	pump := func() { // every live agent samples and transmits
+		step++
+		for node, c := range clients {
+			if c == nil {
+				continue
+			}
+			if err := c.Send(step, []float64{float64(node) / fleet, 0.5}); err != nil {
+				t.Fatalf("node %d: %v", node, err)
+			}
+		}
+	}
+
+	d.await(t, pump, summaryOf5)
+	for node := 0; node < fleet; node++ {
+		d.await(t, pump, fmt.Sprintf(`msg="joined node" \S+ step=\d+ generation=\d+ node=%d slot=\d+`, node))
+	}
+
+	// Node 1 goes silent, is evicted, and comes back as a fresh member.
+	_ = clients[1].Close()
+	clients[1] = nil
+	d.await(t, pump, `msg="evicted node" \S+ step=\d+ generation=\d+ node=1 silent_ticks=10`)
+	dial(1)
+	d.await(t, pump, `(?s)msg="evicted node".*msg="joined node" \S+ step=\d+ generation=\d+ node=1 slot=\d+`)
+	d.await(t, pump, `(?s)msg="evicted node".*`+summaryOf5)
+	d.await(t, pump, `msg="models trained"`)
+
+	stopped := d.shutdown(t)
+	want := rosterFromLog(t, d.log.String())
+
+	recovered := func(d *daemon, stopped string) {
+		t.Helper()
+		got := d.await(t, nil, `msg="recovered durable state" \S+ step=(\d+) .* members="([^"]*)"`)
+		if got[1] != stopped {
+			t.Fatalf("recovered to step %s, stopped at %s", got[1], stopped)
+		}
+		if got[2] != want {
+			t.Fatalf("recovered roster %s, stopped with %s", got[2], want)
+		}
+	}
+	if httpAddr == "" {
+		d2 := start(t, dir, httpAddr, 10*time.Millisecond)
+		recovered(d2, stopped)
+		d2.shutdown(t)
+		return
+	}
+
+	// A slow second run takes live steps past the recovered generation; read
+	// the forecast one of them published and stop before the next. (Should a
+	// tick slip in between the read and the stop, go around again.)
+	var before []byte
+	var generation uint64
+	for attempt := 1; ; attempt++ {
+		d2 := start(t, dir, httpAddr, 250*time.Millisecond)
+		recovered(d2, stopped)
+		_, restored, _ := d2.get(t, "/v1/forecast?h=4")
+		var servedAt string
+		for generation = restored; generation == restored; time.Sleep(5 * time.Millisecond) {
+			before, generation, servedAt = d2.get(t, "/v1/forecast?h=4")
+		}
+		if stopped = d2.shutdown(t); stopped == servedAt {
+			break
+		}
+		if attempt == 3 {
+			t.Fatalf("no forecast read at the generation the daemon stopped at in %d runs", attempt)
+		}
+	}
+
+	// The third run never ticks: what it serves is what restore republished.
+	d3 := start(t, dir, httpAddr, time.Hour)
+	recovered(d3, stopped)
+	after, restored, _ := d3.get(t, "/v1/forecast?h=4")
+	if restored != generation {
+		t.Fatalf("restart serves generation %d, stopped at %d", restored, generation)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("forecast served after the restart differs from the one served before the stop:\n got %s\nwant %s", after, before)
+	}
+	stats, _, _ := d3.get(t, "/v1/stats")
+	var st struct {
+		Persist *struct {
+			RecoveredStep int `json:"recovered_step"`
+		}
+	}
+	if err := json.Unmarshal(stats, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Persist == nil || strconv.Itoa(st.Persist.RecoveredStep) != stopped {
+		t.Fatalf("/v1/stats persist block %+v, want recovered_step %s:\n%s", st.Persist, stopped, stats)
+	}
+	d3.shutdown(t)
+}

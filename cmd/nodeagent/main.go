@@ -1,6 +1,6 @@
 // Command nodeagent simulates one (or several) local machines: it replays a
 // synthetic utilization trace through the adaptive transmission policy and
-// streams the surviving measurements to a collectd instance over TCP.
+// streams the surviving measurements to a forecastd instance over TCP.
 //
 // Usage:
 //
@@ -39,7 +39,7 @@ func main() {
 
 func run() int {
 	var (
-		collector = flag.String("collector", "127.0.0.1:7777", "collectd address")
+		collector = flag.String("collector", "127.0.0.1:7777", "forecastd ingest address")
 		firstNode = flag.Int("node", 0, "first node id")
 		count     = flag.Int("count", 1, "number of agents to run")
 		budget    = flag.Float64("budget", 0.3, "transmission frequency budget B")

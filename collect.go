@@ -3,7 +3,7 @@ package orcf
 // Public surface of the distributed collection plane: the TCP collector,
 // node-agent clients, and the per-node agent runtime. These are thin
 // re-exports of internal/transport and internal/agent so that deployments
-// outside this repository can run the same plane the cmd/collectd and
+// outside this repository can run the same plane the cmd/forecastd and
 // cmd/nodeagent binaries use.
 
 import (

@@ -1,7 +1,7 @@
 // Package agent provides the node-side runtime of the collection plane: a
 // loop that samples a measurement source, filters through a transmission
 // policy (§V-A), and ships surviving measurements to the central collector.
-// cmd/nodeagent and the livecollect example are thin wrappers around it.
+// cmd/nodeagent is a thin wrapper around it.
 //
 // The transport is abstracted behind the Sender interface so the same loop
 // runs over real TCP (transport.BatchClient, or transport.ReconnectingClient

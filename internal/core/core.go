@@ -862,7 +862,7 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 	var pub *Snapshot
 	if s.cfg.SnapshotHorizon > 0 {
 		_ = pt.run(PhasePublish, func() error {
-			pub = s.assembleSnapshot()
+			pub = s.assembleSnapshot(s.gen+1, s.stepWindow())
 			return nil
 		})
 		if err := pt.run(PhaseForecast, func() error { return s.forecastSnapshot(pub) }); err != nil {

@@ -72,25 +72,15 @@ type Snapshot struct {
 // never changes after publication.
 func (s *System) Snapshot() *Snapshot { return s.snap.Load() }
 
-// buildSnapshot assembles the next Snapshot from the staged (not yet
-// committed) step state. It is called before the ring commit so a failed
-// centroid-forecast pass leaves both the ring and the published view
-// untouched. Step calls the two halves (assembleSnapshot, forecastSnapshot)
-// directly so each gets its own phase timer; restore paths use this wrapper.
-func (s *System) buildSnapshot() (*Snapshot, error) {
-	snap := s.assembleSnapshot()
-	if err := s.forecastSnapshot(snap); err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// assembleSnapshot builds everything in the next Snapshot except the
-// centroid forecasts: the look-back window, frequencies, roster, and
-// dimensions. Deep copies come from the slot arena: with SnapshotKeep > 0
-// the slots dropped from the published window are recycled once their
-// retention expires, so steady-state publishing allocates no new windows.
-func (s *System) assembleSnapshot() *Snapshot {
+// stepWindow builds the look-back window of the Snapshot a Step is about to
+// publish, newest first, from the staged (not yet committed) step state: a
+// deep copy of the staged slot in front of the previous publication's shared
+// tail. It is called before the ring commit so a failed centroid-forecast
+// pass leaves both the ring and the published view untouched. Deep copies
+// come from the slot arena: with SnapshotKeep > 0 the slots dropped from the
+// published window are recycled once their retention expires, so
+// steady-state publishing allocates no new windows.
+func (s *System) stepWindow() []*ringSlot {
 	s.dropPending = s.dropPending[:0]
 	slot := s.arenaSlot()
 	slot.copyFrom(&s.stage)
@@ -120,9 +110,17 @@ func (s *System) assembleSnapshot() *Snapshot {
 			s.dropPending = append(s.dropPending, prev[kept:]...)
 		}
 	}
+	return slots
+}
 
+// assembleSnapshot builds everything in generation gen's Snapshot except the
+// centroid forecasts — frequencies, roster, training and selection state,
+// dimensions — around the given look-back window. Step hands it stepWindow
+// and the next generation, restore the window rebuilt from the recovered ring
+// and the recorded generation; forecastSnapshot completes either.
+func (s *System) assembleSnapshot(gen uint64, slots []*ringSlot) *Snapshot {
 	snap := &Snapshot{
-		gen:               s.gen + 1,
+		gen:               gen,
 		t:                 s.t,
 		ready:             s.Ready(),
 		maxHorizon:        s.cfg.SnapshotHorizon,

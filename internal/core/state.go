@@ -476,57 +476,9 @@ func (s *System) republish() error {
 		return nil
 	}
 
-	snap := &Snapshot{
-		gen:               s.gen,
-		t:                 s.t,
-		ready:             s.Ready(),
-		maxHorizon:        s.cfg.SnapshotHorizon,
-		slots:             win,
-		freq:              make([]float64, len(s.ids)),
-		roster:            s.roster(),
-		evictions:         s.evictions,
-		nodes:             len(s.ids),
-		resources:         s.cfg.Resources,
-		k:                 s.cfg.K,
-		dims:              s.dims,
-		nTracker:          s.nTrackers,
-		joint:             s.cfg.JointClustering,
-		disableClamp:      s.cfg.DisableClamp,
-		disableAlphaClamp: s.cfg.DisableAlphaClamp,
-	}
-	var sum float64
-	live := 0
-	for i := range snap.freq {
-		if !s.alive[i] {
-			continue
-		}
-		live++
-		snap.freq[i] = s.meters[i].Frequency()
-		sum += snap.freq[i]
-	}
-	if live > 0 {
-		snap.meanFreq = sum / float64(live)
-	}
-	snap.trainTime, snap.trainRuns = s.TrainingTime()
-	if len(s.cfg.Zoo) > 0 {
-		snap.selection = make([]*forecast.SelectionInfo, s.nTrackers)
-		for tr := range snap.selection {
-			snap.selection[tr] = s.ensembles[tr].Selection()
-		}
-	}
-	if snap.ready {
-		snap.centF = make([][][][]float64, s.nTrackers)
-		err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
-			f, err := s.ensembles[tr].Forecast(s.cfg.SnapshotHorizon)
-			if err != nil {
-				return fmt.Errorf("core: tracker %d republish forecast: %w", tr, err)
-			}
-			snap.centF[tr] = f
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	snap := s.assembleSnapshot(s.gen, win)
+	if err := s.forecastSnapshot(snap); err != nil {
+		return err
 	}
 	s.snap.Store(snap)
 	return nil

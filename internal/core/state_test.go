@@ -134,6 +134,17 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 			cfg.Policy = func(int) (transmit.Policy, error) { return transmit.NewUniform(0.4) }
 			return cfg
 		}(),
+		"zoo": func() Config {
+			cfg := stateTestConfig()
+			cfg.Model = nil
+			zoo, err := forecast.Zoo("ses", "holt", "sample-and-hold")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Zoo = zoo
+			cfg.Selection = forecast.SelectionConfig{Window: 8, Streak: 2}
+			return cfg
+		}(),
 		"current-step-only-fitwindow": func() Config {
 			cfg := stateTestConfig()
 			cfg.MPrime = -1
@@ -205,12 +216,32 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 }
 
 // comparePublished checks that a restored system republishes the pre-crash
-// snapshot: same generation and bit-identical served forecasts.
+// snapshot: same generation, frequencies, training-run count and zoo
+// selection state, and bit-identical served forecasts.
 func comparePublished(t *testing.T, c int, pre, post *Snapshot) {
 	t.Helper()
 	if pre.Generation() != post.Generation() || pre.Steps() != post.Steps() || pre.Ready() != post.Ready() {
 		t.Fatalf("crash %d: republished snapshot gen/steps/ready %d/%d/%v, want %d/%d/%v",
 			c, post.Generation(), post.Steps(), post.Ready(), pre.Generation(), pre.Steps(), pre.Ready())
+	}
+	if pre.MeanFrequency() != post.MeanFrequency() {
+		t.Fatalf("crash %d: republished mean frequency %v, want %v", c, post.MeanFrequency(), pre.MeanFrequency())
+	}
+	for i := 0; i < pre.Nodes(); i++ {
+		if pre.Frequency(i) != post.Frequency(i) {
+			t.Fatalf("crash %d: republished frequency of node %d is %v, want %v", c, i, post.Frequency(i), pre.Frequency(i))
+		}
+	}
+	// Training wall time is a measurement of the exporting process; the run
+	// count is state.
+	_, preRuns := pre.TrainingTime()
+	if _, postRuns := post.TrainingTime(); postRuns != preRuns {
+		t.Fatalf("crash %d: republished snapshot counts %d training runs, want %d", c, postRuns, preRuns)
+	}
+	for tr := 0; tr < pre.Trackers(); tr++ {
+		if got, want := post.ModelSelection(tr), pre.ModelSelection(tr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("crash %d: republished selection of tracker %d:\n got %+v\nwant %+v", c, tr, got, want)
+		}
 	}
 	if !pre.Ready() {
 		return
@@ -223,9 +254,7 @@ func comparePublished(t *testing.T, c int, pre, post *Snapshot) {
 	if err != nil {
 		t.Fatalf("crash %d: republished snapshot forecast: %v", c, err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("crash %d: republished snapshot forecast diverged", c)
-	}
+	forecastBits(t, got, want, "republished snapshot", c)
 }
 
 func TestExportStateRejectsNonPersistentPolicy(t *testing.T) {

@@ -22,8 +22,7 @@
 // stall the ingest loop.
 //
 // The Manager ties it together for a live system; the blob helpers
-// (WriteBlobAtomic, ReadBlob) are also used standalone by cmd/collectd for
-// its lighter tracker-state checkpoints.
+// (WriteBlobAtomic, ReadBlob) also stand alone for small auxiliary files.
 package persist
 
 import (

@@ -7,6 +7,7 @@ import (
 
 	"orcf/internal/core"
 	"orcf/internal/mat"
+	"orcf/internal/obs"
 	"orcf/internal/transmit"
 	"orcf/internal/transport"
 )
@@ -44,14 +45,15 @@ type StoreStepper struct {
 	absence int // cfg.AbsenceTimeout: 0 = no liveness tracking
 	started bool
 
-	// Per-member delivery tracking, keyed by stable node ID. lastStep is
-	// the newest measurement step consumed; lastClock the newest local
-	// clock observed (measurements or heartbeats). Entries are dropped at
-	// eviction, together with the store entry, so a rejoining agent that
+	// Per-node delivery tracking, keyed by stable node ID. lastStep is the
+	// newest measurement step consumed or rejected; lastClock the newest
+	// local clock observed (measurements or heartbeats). Entries are dropped
+	// at eviction, together with the store entry, so a rejoining agent that
 	// restarted its local step counter is not stuck under a stale
 	// watermark.
 	lastStep  map[int]int
 	lastClock map[int]int
+	rejected  obs.Counter // malformed records kept out of the pipeline
 
 	// Dense per-slot buffers, regrown as the fleet grows: x[i] is nil or
 	// rows[i], the view of slot i's row in the one frame every tick reads
@@ -185,7 +187,14 @@ func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64,
 // joins newly heard node IDs, feeds every live member its latest stored
 // values (nil — an absence-timeout tick — when the member's local clock has
 // not advanced since the previous tick), and reports evictions in the step
-// result. A measurement with a mismatched dimensionality fails the tick.
+// result.
+//
+// A malformed record — the wrong dimensionality, a NaN or an infinity; the
+// wire decoder admits any float bits — never enters the pipeline and never
+// fails the tick: it counts as if the node had not reported (a member takes
+// an absence tick, a new node is not joined) until the node's next record
+// replaces it, and is counted once in orcf_ingest_rejected_records_total.
+// Tick fails only when the step itself or its logging does.
 //
 // The store is read in place, under its lock, straight into the stepper's
 // frame: one walk over the nodes that have reported, no per-tick copy of the
@@ -207,31 +216,21 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	// (heartbeat-only nodes wait); they are kept aside and joined after the
 	// walk. A stale entry of an evicted member cannot resurrect it because
 	// eviction releases the member's store entry — only genuinely new data
-	// re-registers an ID. Of several malformed members the one in the lowest
-	// slot is reported, whatever order the store yields them in.
+	// re-registers an ID.
 	n := st.sys.Slots()
 	clear(st.x[:n])
 	clear(st.arrived[:n])
 	st.joiners = st.joiners[:0]
-	var feedErr error
-	errSlot := n
 	st.store.EachReported(func(stat transport.NodeStat) {
-		id := stat.Latest.Node
-		if id < 0 || len(stat.Latest.Values) == 0 {
+		if !st.admit(stat) {
 			return
 		}
-		slot, member := st.sys.SlotOf(id)
-		if !member {
+		if slot, member := st.sys.SlotOf(stat.Latest.Node); member {
+			st.feed(slot, stat)
+		} else {
 			st.joiners = append(st.joiners, stat)
-			return
-		}
-		if err := st.feed(slot, stat); err != nil && slot < errSlot {
-			feedErr, errSlot = err, slot
 		}
 	})
-	if feedErr != nil {
-		return nil, st.started, feedErr
-	}
 	if len(st.joiners) > 0 {
 		// Sorted for deterministic slot binding.
 		sort.Slice(st.joiners, func(a, b int) bool { return st.joiners[a].Latest.Node < st.joiners[b].Latest.Node })
@@ -245,9 +244,7 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 		st.grow(st.sys.Slots())
 		for _, stat := range st.joiners {
 			slot, _ := st.sys.SlotOf(stat.Latest.Node)
-			if err := st.feed(slot, stat); err != nil {
-				return nil, st.started, err
-			}
+			st.feed(slot, stat)
 		}
 	}
 
@@ -280,37 +277,53 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 func (st *StoreStepper) gateOpen() bool {
 	members, newcomers := 0, 0
 	st.store.EachReported(func(stat transport.NodeStat) {
-		switch id := stat.Latest.Node; {
-		case len(stat.Latest.Values) == 0:
-		case st.sys.HasNode(id):
+		switch {
+		case !st.admit(stat):
+		case st.sys.HasNode(stat.Latest.Node):
 			members++
-		case id >= 0:
+		default:
 			newcomers++
 		}
 	})
 	return members >= st.sys.LiveNodes() && members+newcomers >= st.k
 }
 
-// feed validates the member in slot's latest measurement and, unless the
-// member takes an absence tick, copies it into the slot's frame row for the
-// step.
-func (st *StoreStepper) feed(slot int, stat transport.NodeStat) error {
+// admit reports whether a node's latest record may enter the pipeline: it
+// must come from a real node ID and carry dims finite values. A record that
+// does not is counted the first time it is met (the store keeps it as the
+// node's latest until a newer one arrives, and lastStep remembers it).
+func (st *StoreStepper) admit(stat transport.NodeStat) bool {
 	id, values := stat.Latest.Node, stat.Latest.Values
-	if len(values) != st.dims {
-		return fmt.Errorf("serve: node %d sent %d values, want %d: %w",
-			id, len(values), st.dims, core.ErrBadInput)
+	if id < 0 || len(values) == 0 {
+		return false // no node, or heartbeats only so far
 	}
-	// Reject non-finite measurements at the door: a NaN admitted here
-	// poisons every window mean, centroid, and forecast it touches, and
-	// encoding/json cannot marshal it on the way back out. This is the
-	// primary defense; the Finite* guards on response assembly are the
-	// belt-and-braces fence.
+	ok := len(values) == st.dims
+	// A NaN admitted here poisons every window mean, centroid, and forecast
+	// it touches, and encoding/json cannot marshal it on the way back out.
+	// This is the primary defense; the Finite* guards on response assembly
+	// are the belt-and-braces fence.
 	for _, v := range values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("serve: node %d sent non-finite value %v: %w",
-				id, v, core.ErrBadInput)
+			ok = false
 		}
 	}
+	if !ok && stat.Latest.Step > st.lastStep[id] {
+		st.lastStep[id] = stat.Latest.Step
+		st.rejected.Inc()
+	}
+	return ok
+}
+
+// RegisterMetrics exposes the stepper's rejected-record counter on reg.
+func (st *StoreStepper) RegisterMetrics(reg *obs.Registry) {
+	reg.Counter("orcf_ingest_rejected_records_total",
+		"Malformed measurements (wrong dimensionality, NaN, ±Inf) kept out of the pipeline.", &st.rejected)
+}
+
+// feed copies the member in slot's admitted latest measurement into the
+// slot's frame row for the step, unless the member takes an absence tick.
+func (st *StoreStepper) feed(slot int, stat transport.NodeStat) {
+	id := stat.Latest.Node
 	// With liveness tracking off (no AbsenceTimeout), a quiet member
 	// keeps being fed its last stored values — the pre-churn behavior.
 	// With it on, a member whose local clock stalled (no measurements
@@ -325,10 +338,9 @@ func (st *StoreStepper) feed(slot int, stat transport.NodeStat) error {
 		st.lastClock[id] = stat.LocalStep
 	}
 	if !contacted {
-		return nil // clock stalled: absence tick for this member
+		return // clock stalled: absence tick for this member
 	}
 	st.arrived[slot] = fresh
-	copy(st.rows[slot], values)
+	copy(st.rows[slot], stat.Latest.Values)
 	st.x[slot] = st.rows[slot]
-	return nil
 }

@@ -272,7 +272,7 @@ func registeredFlags() (map[string][]string, []string) {
 					if !ok || !flagFuncs[sel.Sel.Name] || len(call.Args) == 0 {
 						return true
 					}
-					// The flag package itself, or a FlagSet named fs (cmd/collectd's
+					// The flag package itself, or a FlagSet named fs (cmd/forecastd's
 					// run takes its arguments as a parameter).
 					if recv, ok := sel.X.(*ast.Ident); !ok || (recv.Name != "flag" && recv.Name != "fs") {
 						return true

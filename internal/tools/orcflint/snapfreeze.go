@@ -30,10 +30,8 @@ var frozenTypes = map[[2]string]bool{
 // after publication, which Snapshot.Plan runs at most once under a sync.Once
 // and which stores a pure function of the published fields.
 var snapPublishers = map[string]bool{
-	"buildSnapshot":    true,
 	"assembleSnapshot": true,
 	"forecastSnapshot": true,
-	"republish":        true,
 	"roster":           true,
 	"buildPlan":        true,
 }

@@ -22,8 +22,8 @@ type Roster struct {
 	byID map[int]int
 }
 
-// buildSnapshot is an allow-listed publisher: it may write fields freely.
-func buildSnapshot(n int) *Snapshot {
+// assembleSnapshot is an allow-listed publisher: it may write fields freely.
+func assembleSnapshot(n int) *Snapshot {
 	snap := &Snapshot{freq: make([]float64, n)}
 	snap.gen = 1
 	for i := range snap.freq {
@@ -32,8 +32,8 @@ func buildSnapshot(n int) *Snapshot {
 	return snap
 }
 
-// republish is the other allow-listed publisher.
-func republish(snap *Snapshot) {
+// forecastSnapshot is the other allow-listed publisher.
+func forecastSnapshot(snap *Snapshot) {
 	snap.gen++
 }
 

@@ -1,8 +1,7 @@
 // Package transport implements the distributed collection plane: local node
 // agents stream their (adaptively filtered) measurements to the central
 // collector over TCP. The in-process simulator bypasses this layer; the
-// livecollect example and the cmd/collectd + cmd/nodeagent binaries run it
-// for real.
+// cmd/forecastd + cmd/nodeagent binaries run it for real.
 //
 // There is one wire protocol: after a fixed preamble a connection carries
 // length-prefixed, CRC-checked frames — a hello identifying the node, then
