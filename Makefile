@@ -74,7 +74,8 @@ bench:
 	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleRetrain|EnsembleSelect' -benchmem .
 	$(GO) test -run xxx -bench '^BenchmarkIngest$$' -benchmem ./internal/core
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
-	$(GO) test -run xxx -bench ServeForecast -benchmem ./internal/serve
+	$(GO) test -run xxx -bench ServeForecast -benchmem -cpu 1,2 ./internal/serve
+	$(GO) test -run xxx -bench AppendJSONFloat ./internal/serve
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
 	$(GO) test -run xxx -bench 'RunFlat|AssignFlat' -benchmem ./internal/kmeans
 	$(GO) test -run xxx -bench '^Benchmark(AutoARIMAFit|CSSResiduals)$$' -benchmem ./internal/forecast
@@ -86,10 +87,11 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the eleven native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the twelve native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
 # nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel, ARIMA-fit
-# and JSON-float reference differentials) from its committed seed corpus. go
+# and JSON-float reference differentials — the last twice, over all float64
+# bits and over the served range [1e-6, 1)) from its committed seed corpus. go
 # test allows one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -104,3 +106,4 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideKernelMatchesPolicy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloatServedRange$$' -fuzztime $(FUZZTIME)

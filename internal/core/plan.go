@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"orcf/internal/parallel"
 )
@@ -36,11 +38,28 @@ type ForecastPlan struct {
 	joint, disableClamp bool
 }
 
+// planBlock is the number of slots one pass of the plan kernel covers. A
+// block's counters — K+2 int32 per slot — stay in L1 while the window's
+// presence, membership and z rows for those slots stream past.
+const planBlock = 128
+
+// planScratch is the plan kernel's per-block working set: membership counts
+// [slot][cluster], the newest present membership and the number of present
+// look-back steps per slot, and maxAlphaInCell's δ. Multi-slot builds take
+// it from planScratches and give it back, so a fleet plan build allocates
+// only the plan.
+type planScratch struct {
+	counts, newest, seen []int32
+	delta                []float64
+}
+
+var planScratches = sync.Pool{New: func() any { return new(planScratch) }}
+
 // plan builds the h-independent half of §V-C for slots [first, first+count)
-// of the env's look-back window. Slots fan out on the worker pool; each
-// writes only its own entries, so the plan is identical for any worker
-// count. A nil centF (models not trained yet) plans every slot as undefined
-// without scanning the window.
+// of the env's look-back window. Blocks of planBlock slots fan out on the
+// worker pool; each writes only its own entries, so the plan is identical for
+// any worker count. A nil centF (models not trained yet) plans every slot as
+// undefined without scanning the window.
 func (env *reconEnv) plan(centF [][][][]float64, first, count, workers int) *ForecastPlan {
 	p := &ForecastPlan{
 		centF:        centF,
@@ -59,41 +78,127 @@ func (env *reconEnv) plan(centF [][][][]float64, first, count, workers int) *For
 		}
 		return p
 	}
-	scratches := make([]fcScratch, min(parallel.Workers(workers), count))
-	// The per-slot function cannot fail, so neither can the fan-out.
-	_ = parallel.ForEachWorker(workers, count, func(w, k int) error {
-		sc := &scratches[w]
-		if sc.counts == nil {
-			sc.counts = make([]int, env.k)
-			sc.offset = make([]float64, env.dims)
-			sc.delta = make([]float64, env.dims)
-		}
-		env.planSlot(sc, first+k,
-			p.mode[k*env.nTracker:(k+1)*env.nTracker],
-			p.offset[k*env.resources:(k+1)*env.resources])
+	if count == 1 {
+		// One slot (PlanNode) needs only K+2 counters and a δ of d values,
+		// so it takes fresh scratch: that keeps a ?node= request off the
+		// pool and its allocation count exact, -race or not.
+		env.planSlots(p, new(planScratch), first, first+1)
+		return p
+	}
+	// The block kernel cannot fail, so neither can the fan-out.
+	_ = parallel.ForEach(workers, (count+planBlock-1)/planBlock, func(b int) error {
+		sc := planScratches.Get().(*planScratch)
+		lo := first + b*planBlock
+		env.planSlots(p, sc, lo, min(lo+planBlock, first+count))
+		planScratches.Put(sc)
 		return nil
 	})
 	return p
 }
 
-// planSlot computes one slot's mode clusters and eq. (12) offsets into the
-// given plan rows (len nTracker and len resources). A dead slot, or one with
-// no presence in the window under some tracker, is marked undefined in every
-// tracker.
-func (env *reconEnv) planSlot(sc *fcScratch, slot int, mode []int32, offset []float64) {
-	defined := env.aliveAt(slot)
-	for tr := 0; defined && tr < env.nTracker; tr++ {
-		jStar := env.modeCluster(sc, tr, slot)
-		if jStar < 0 {
-			defined = false
-			break
+// planSlots plans slots [lo, hi) into p, slot-major. Per tracker, one pass
+// over the window counts each slot's memberships at the steps it was present
+// at, and the mode rule picks j* (§V-C): the cluster the slot belonged to most
+// often, ties broken toward the newest present membership when it takes part
+// in the tie and otherwise toward the smaller cluster index. A dead slot, or
+// one with no counted membership under some tracker, is undefined in every
+// tracker. Then one more pass per tracker sums eq. (12) straight into the
+// plan's offset rows: per present step the α-scaled deviation from j*'s
+// centroid — α is 1 when the slot belonged to j*, otherwise the largest
+// shrink that keeps centroid + α·deviation in j*'s cell — averaged over the
+// present steps. Each slot's sum runs newest step first, as the per-slot
+// reconstruction kept in reference_test.go does, so the result is the same to
+// the bit.
+func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
+	n, k, nT, dims, res := hi-lo, env.k, env.nTracker, env.dims, env.resources
+	sc.counts = slices.Grow(sc.counts[:0], n*k)[:n*k]
+	sc.newest = slices.Grow(sc.newest[:0], n)[:n]
+	sc.seen = slices.Grow(sc.seen[:0], n)[:n]
+	sc.delta = slices.Grow(sc.delta[:0], dims)[:dims]
+	counts, newest, seen := sc.counts, sc.newest, sc.seen
+	mode := p.mode[(lo-p.first)*nT : (hi-p.first)*nT]
+	offset := p.offset[(lo-p.first)*res : (hi-p.first)*res]
+
+	for tr := 0; tr < nT; tr++ {
+		clear(counts)
+		clear(seen)
+		for b := range newest {
+			newest[b] = -1
 		}
-		mode[tr] = int32(jStar)
-		copy(offset[tr*env.dims:], env.offset(sc, tr, slot, jStar))
+		for _, slot := range env.slots {
+			// Slots beyond a step's recorded fleet size (the fleet grew
+			// since) were absent at it.
+			present, end := slot.present, min(hi, len(slot.present))
+			assign := slot.assignments[tr]
+			for i := lo; i < end; i++ {
+				if !present[i] {
+					continue
+				}
+				b := i - lo
+				seen[b]++
+				if a := assign[i]; a >= 0 {
+					counts[b*k+a]++
+					if newest[b] < 0 {
+						newest[b] = int32(a)
+					}
+				}
+			}
+		}
+		for b, best := range newest {
+			if best >= 0 {
+				c := counts[b*k : (b+1)*k]
+				bestCount := c[best]
+				for j, cj := range c {
+					if cj > bestCount {
+						best, bestCount = int32(j), cj
+					}
+				}
+			}
+			mode[b*nT+tr] = best
+		}
 	}
-	if !defined {
-		for tr := range mode {
-			mode[tr] = -1
+	for b := 0; b < n; b++ {
+		m := mode[b*nT : (b+1)*nT]
+		if i := lo + b; i >= len(env.alive) || !env.alive[i] || slices.Contains(m, -1) {
+			for tr := range m {
+				m[tr] = -1
+			}
+		}
+	}
+
+	for tr := 0; tr < nT; tr++ {
+		for _, slot := range env.slots {
+			present, end := slot.present, min(hi, len(slot.present))
+			assign := slot.assignments[tr]
+			cents := slot.centroids(tr)
+			z := slot.z.points(tr)
+			for i := lo; i < end; i++ {
+				b := i - lo
+				j := int(mode[b*nT+tr])
+				if !present[i] || j < 0 {
+					continue
+				}
+				c := cents[j*dims : (j+1)*dims]
+				zi := z[i*dims : (i+1)*dims]
+				alpha := 1.0
+				if !env.disableAlphaClamp && assign[i] != j {
+					alpha = maxAlphaInCell(zi, j, cents, sc.delta)
+				}
+				out := offset[b*res+tr*dims : b*res+(tr+1)*dims]
+				for d := range out {
+					out[d] += alpha * (zi[d] - c[d])
+				}
+			}
+		}
+	}
+	for b, s := range seen {
+		if mode[b*nT] < 0 {
+			continue
+		}
+		inv := 1 / float64(s)
+		out := offset[b*res : (b+1)*res]
+		for d := range out {
+			out[d] *= inv
 		}
 	}
 }
@@ -114,7 +219,39 @@ func (p *ForecastPlan) At(slot, resource, hi int) float64 {
 	if j < 0 {
 		return math.NaN()
 	}
-	v := p.centF[tr][j][dim][hi] + p.offset[k*p.resources+resource]
+	return p.clamp(p.centF[tr][j][dim][hi] + p.offset[k*p.resources+resource])
+}
+
+// Row writes At(slot, r, hi) for every resource r into dst, which must have
+// room for Resources values, and returns dst[:Resources]: one slot's row of
+// a horizon with the slot's plan entries looked up once.
+func (p *ForecastPlan) Row(slot, hi int, dst []float64) []float64 {
+	k := slot - p.first
+	mode := p.mode[k*p.nTracker : (k+1)*p.nTracker]
+	offset := p.offset[k*p.resources : (k+1)*p.resources]
+	dst = dst[:p.resources]
+	if mode[0] < 0 {
+		for r := range dst {
+			dst[r] = math.NaN()
+		}
+		return dst
+	}
+	if p.joint {
+		cf := p.centF[0][mode[0]]
+		for r := range dst {
+			dst[r] = p.clamp(cf[r][hi] + offset[r])
+		}
+		return dst
+	}
+	for r := range dst {
+		dst[r] = p.clamp(p.centF[r][mode[r]][0][hi] + offset[r])
+	}
+	return dst
+}
+
+// clamp fences a reconstructed value to [0, 1] unless the clamp ablation is
+// on.
+func (p *ForecastPlan) clamp(v float64) float64 {
 	if !p.disableClamp {
 		if v < 0 {
 			v = 0
@@ -144,10 +281,7 @@ func (p *ForecastPlan) tensor(h, workers int) [][][]float64 {
 	}
 	_ = parallel.ForEach(workers, n, func(i int) error {
 		for hi := 0; hi < h; hi++ {
-			row := out[hi][i]
-			for r := range row {
-				row[r] = p.At(p.first+i, r, hi)
-			}
+			p.Row(p.first+i, hi, out[hi][i])
 		}
 		return nil
 	})
@@ -155,14 +289,14 @@ func (p *ForecastPlan) tensor(h, workers int) [][][]float64 {
 }
 
 // reconEnv bundles everything the §V-C per-node reconstruction reads: the
-// look-back window (newest first) plus the shape and ablation parameters.
-// Both the live System (over its mutable ring) and a published Snapshot
-// (over its immutable slot window) reconstruct through the same env, which
-// is what keeps served forecasts bit-identical to System.Forecast.
+// look-back window (newest first), which slots are live, and the shape and
+// ablation parameters. Both the live System (over its mutable ring) and a
+// published Snapshot (over its immutable slot window) reconstruct through
+// the same env, which is what keeps served forecasts bit-identical to
+// System.Forecast.
 type reconEnv struct {
-	slotAt            func(ago int) *ringSlot
-	aliveAt           func(slot int) bool
-	window            int // number of valid look-back slots
+	slots             []*ringSlot // the valid look-back slots, newest first
+	alive             []bool      // slots past its end are dead
 	nodes, resources  int
 	k, dims, nTracker int
 	joint             bool
@@ -171,10 +305,13 @@ type reconEnv struct {
 }
 
 func (s *System) reconEnv() *reconEnv {
+	slots := make([]*ringSlot, s.ringLen)
+	for ago := range slots {
+		slots[ago] = s.snapAt(ago)
+	}
 	return &reconEnv{
-		slotAt:            s.snapAt,
-		aliveAt:           func(i int) bool { return s.alive[i] },
-		window:            s.ringLen,
+		slots:             slots,
+		alive:             s.alive,
 		nodes:             len(s.ids),
 		resources:         s.cfg.Resources,
 		k:                 s.cfg.K,
@@ -186,14 +323,6 @@ func (s *System) reconEnv() *reconEnv {
 	}
 }
 
-// fcScratch is the per-worker scratch of Forecast: reused across the nodes
-// one worker processes so the per-node path allocates nothing.
-type fcScratch struct {
-	counts []int     // membership counts, len K
-	offset []float64 // eq. (12) accumulator, len dims
-	delta  []float64 // MaxAlphaInCell scratch, len dims
-}
-
 // reconstruct applies §V-C over an env's look-back window in its two halves:
 // plan the h-independent part (mode cluster and eq. (12) offset per slot, over
 // the steps the node was present at), then evaluate it against the centroid
@@ -203,84 +332,6 @@ type fcScratch struct {
 // result is identical for any worker count.
 func reconstruct(env *reconEnv, centF [][][][]float64, h, workers int) [][][]float64 {
 	return env.plan(centF, 0, env.nodes, workers).tensor(h, workers)
-}
-
-// modeCluster returns the cluster node i belonged to most often within the
-// look-back window [t−M′, t] for tracker tr (§V-C), counting only the steps
-// the node was present at. Ties break toward the newest present membership
-// when it participates in the tie, and otherwise toward the smaller cluster
-// index, keeping the choice deterministic. It returns -1 when the node was
-// present at no step of the window.
-func (env *reconEnv) modeCluster(sc *fcScratch, tr, node int) int {
-	counts := sc.counts
-	for j := range counts {
-		counts[j] = 0
-	}
-	newest := -1
-	for ago := 0; ago < env.window; ago++ {
-		slot := env.slotAt(ago)
-		if !slot.presentAt(node) {
-			continue
-		}
-		a := slot.assignments[tr][node]
-		if a < 0 {
-			continue
-		}
-		counts[a]++
-		if newest < 0 {
-			newest = a
-		}
-	}
-	if newest < 0 {
-		return -1
-	}
-	best := newest // newest present membership
-	bestCount := counts[best]
-	for j, c := range counts {
-		if c > bestCount {
-			best, bestCount = j, c
-		}
-	}
-	return best
-}
-
-// offset computes eq. (12): the averaged α-scaled deviation of node i from
-// the centroid of cluster jStar over the look-back steps the node was
-// present at. α is 1 when the node belonged to jStar at that step;
-// otherwise it shrinks the deviation just enough that centroid+α·deviation
-// still falls in jStar's cell. The returned slice is the scratch
-// accumulator, valid until the next call with the same scratch.
-func (env *reconEnv) offset(sc *fcScratch, tr, node, jStar int) []float64 {
-	out := sc.offset[:env.dims]
-	for d := range out {
-		out[d] = 0
-	}
-	seen := 0
-	for ago := 0; ago < env.window; ago++ {
-		slot := env.slotAt(ago)
-		if !slot.presentAt(node) {
-			continue
-		}
-		seen++
-		cents := slot.centroids(tr)
-		c := cents[jStar*env.dims : (jStar+1)*env.dims]
-		zi := slot.z.vec(tr, node)
-		alpha := 1.0
-		if !env.disableAlphaClamp && slot.assignments[tr][node] != jStar {
-			alpha = maxAlphaInCell(zi, jStar, cents, sc.delta)
-		}
-		for d := 0; d < env.dims; d++ {
-			out[d] += alpha * (zi[d] - c[d])
-		}
-	}
-	if seen == 0 {
-		return out
-	}
-	inv := 1 / float64(seen)
-	for d := range out {
-		out[d] *= inv
-	}
-	return out
 }
 
 // MaxAlphaInCell returns the largest α ∈ [0,1] such that c_j + α(z−c_j)

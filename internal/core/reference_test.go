@@ -52,18 +52,18 @@ func referenceReconstruct(env *reconEnv, centF [][][][]float64, h, workers int) 
 			sc.offset = make([]float64, env.dims)
 			sc.delta = make([]float64, env.dims)
 		}
-		if !env.aliveAt(i) {
+		if i >= len(env.alive) || !env.alive[i] {
 			referenceNanRow(out, i, h, d)
 			return nil
 		}
 		for tr := 0; tr < env.nTracker; tr++ {
-			jStar := env.modeCluster(sc, tr, i)
+			jStar := referenceModeCluster(env, sc, tr, i)
 			if jStar < 0 {
 				// No presence in the window yet: NaN-masked warm-up.
 				referenceNanRow(out, i, h, d)
 				return nil
 			}
-			offset := env.offset(sc, tr, i, jStar)
+			offset := referenceOffset(env, sc, tr, i, jStar)
 			for d := 0; d < env.dims; d++ {
 				resIdx := tr
 				if env.joint {
@@ -89,6 +89,95 @@ func referenceReconstruct(env *reconEnv, centF [][][][]float64, h, workers int) 
 		return nil, err
 	}
 	return out, nil
+}
+
+// fcScratch is the per-worker scratch of referenceReconstruct: reused across
+// the nodes one worker processes so the per-node path allocates nothing.
+type fcScratch struct {
+	counts []int     // membership counts, len K
+	offset []float64 // eq. (12) accumulator, len dims
+	delta  []float64 // MaxAlphaInCell scratch, len dims
+}
+
+// referenceModeCluster is the per-node modeCluster the slot-major plan
+// kernel replaced, kept verbatim over env.slots: it returns the cluster node
+// i belonged to most often within the look-back window [t−M′, t] for tracker
+// tr (§V-C), counting only the steps the node was present at. Ties break
+// toward the newest present membership when it participates in the tie, and
+// otherwise toward the smaller cluster index, keeping the choice
+// deterministic. It returns -1 when the node was present at no step of the
+// window.
+func referenceModeCluster(env *reconEnv, sc *fcScratch, tr, node int) int {
+	counts := sc.counts
+	for j := range counts {
+		counts[j] = 0
+	}
+	newest := -1
+	for ago := 0; ago < len(env.slots); ago++ {
+		slot := env.slots[ago]
+		if !slot.presentAt(node) {
+			continue
+		}
+		a := slot.assignments[tr][node]
+		if a < 0 {
+			continue
+		}
+		counts[a]++
+		if newest < 0 {
+			newest = a
+		}
+	}
+	if newest < 0 {
+		return -1
+	}
+	best := newest // newest present membership
+	bestCount := counts[best]
+	for j, c := range counts {
+		if c > bestCount {
+			best, bestCount = j, c
+		}
+	}
+	return best
+}
+
+// referenceOffset is the per-node eq. (12) offset the slot-major plan kernel
+// replaced, kept verbatim over env.slots: the averaged α-scaled deviation of
+// node i from the centroid of cluster jStar over the look-back steps the
+// node was present at. α is 1 when the node belonged to jStar at that step;
+// otherwise it shrinks the deviation just enough that centroid+α·deviation
+// still falls in jStar's cell. The returned slice is the scratch
+// accumulator, valid until the next call with the same scratch.
+func referenceOffset(env *reconEnv, sc *fcScratch, tr, node, jStar int) []float64 {
+	out := sc.offset[:env.dims]
+	for d := range out {
+		out[d] = 0
+	}
+	seen := 0
+	for ago := 0; ago < len(env.slots); ago++ {
+		slot := env.slots[ago]
+		if !slot.presentAt(node) {
+			continue
+		}
+		seen++
+		cents := slot.centroids(tr)
+		c := cents[jStar*env.dims : (jStar+1)*env.dims]
+		zi := slot.z.vec(tr, node)
+		alpha := 1.0
+		if !env.disableAlphaClamp && slot.assignments[tr][node] != jStar {
+			alpha = maxAlphaInCell(zi, jStar, cents, sc.delta)
+		}
+		for d := 0; d < env.dims; d++ {
+			out[d] += alpha * (zi[d] - c[d])
+		}
+	}
+	if seen == 0 {
+		return out
+	}
+	inv := 1 / float64(seen)
+	for d := range out {
+		out[d] *= inv
+	}
+	return out
 }
 
 // referenceNanRow fills node i's output rows at every horizon with NaN.
@@ -149,70 +238,162 @@ func oracleFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 	}
 }
 
+// blockEdgeFleet drives a fleet several plan blocks wide whose block edge at
+// slot planBlock carries both special cases: node planBlock-1 and node
+// planBlock are removed, joiner 9000 recycles slot planBlock-1 (the last of
+// the first block) and stays silent, so it is still warming at the end, and
+// slot planBlock (the first of the second block) stays a tombstone.
+func blockEdgeFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
+	t.Helper()
+	cfg.Nodes = 3*planBlock + 17
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := map[int]bool{9000: true}
+	for step := 1; step <= 24; step++ {
+		switch step {
+		case 14:
+			if err := sys.RemoveNodes(planBlock-1, planBlock); err != nil {
+				t.Fatal(err)
+			}
+		case 16:
+			if err := sys.AddNodes(9000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stepFleet(t, sys, step, silent)
+		if sys.Ready() {
+			visit(step, sys)
+		}
+	}
+	roster := sys.Roster()
+	if slot, ok := roster.SlotOf(9000); !ok || slot != planBlock-1 {
+		t.Fatalf("joiner 9000 at slot %d (ok=%v), want recycled slot %d", slot, ok, planBlock-1)
+	}
+	if _, live := roster.IDAt(planBlock); live {
+		t.Fatalf("slot %d was recycled; the scenario lost its tombstone", planBlock)
+	}
+}
+
+// grownFleet drives a fleet that grows across the first block edge after
+// older window slots were written: five joiners take the new slots
+// planBlock-2 … planBlock+2, so every published slot from before the join
+// records fewer slots than the snapshot has (the presentAt clamp), and the
+// second block starts beyond all of them. The joiners stay silent for their
+// first steps.
+func grownFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
+	t.Helper()
+	cfg.Nodes = planBlock - 2
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiners := []int{9000, 9001, 9002, 9003, 9004}
+	silent := map[int]bool{}
+	for step := 1; step <= 24; step++ {
+		switch step {
+		case 16:
+			if err := sys.AddNodes(joiners...); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range joiners {
+				silent[id] = true
+			}
+		case 18:
+			clear(silent)
+		}
+		stepFleet(t, sys, step, silent)
+		if sys.Ready() {
+			visit(step, sys)
+		}
+	}
+	if slot, ok := sys.Roster().SlotOf(joiners[4]); !ok || slot != planBlock+2 {
+		t.Fatalf("joiner %d at slot %d (ok=%v), want appended slot %d", joiners[4], slot, ok, planBlock+2)
+	}
+}
+
 // TestPlanMatchesReferenceReconstruct is the differential oracle of the
 // plan/fill split: for every horizon, clustering mode, ablation and worker
-// count, System.Forecast, Snapshot.Forecast and the per-node plan produce
-// the float bits of the pre-split reconstruct, on a fleet with a tombstone,
-// a recycled slot and a warming joiner.
+// count, System.Forecast, Snapshot.Forecast and the per-node plan of every
+// slot produce the float bits of the pre-split reconstruct — on a small
+// fleet with a tombstone, a recycled slot and a warming joiner, on one whose
+// tombstone and warming joiner sit on a plan block edge, and on one that grew
+// across a block edge after older window slots were written.
 func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 	t.Parallel()
 	const maxH = 6
-	for _, joint := range []bool{false, true} {
-		for _, noClamp := range []bool{false, true} {
-			for _, noAlpha := range []bool{false, true} {
-				for _, workers := range []int{1, 0} {
-					name := fmt.Sprintf("joint=%v/noclamp=%v/noalpha=%v/workers=%d", joint, noClamp, noAlpha, workers)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						cfg := churnConfig(8)
-						cfg.JointClustering = joint
-						cfg.DisableClamp = noClamp
-						cfg.DisableAlphaClamp = noAlpha
-						cfg.Workers = workers
-						cfg.SnapshotHorizon = maxH
-						sawNaN := false
-						oracleFleet(t, cfg, func(step int, sys *System) {
-							snap := sys.Snapshot()
-							full, err := snap.Forecast(maxH, workers)
-							if err != nil {
-								t.Fatalf("step %d: %v", step, err)
-							}
-							for h := 1; h <= maxH; h++ {
-								want, err := referenceReconstruct(snap.reconEnv(), snap.centF, h, workers)
-								if err != nil {
-									t.Fatal(err)
+	fleets := []struct {
+		name  string
+		drive func(t *testing.T, cfg Config, visit func(step int, sys *System))
+	}{{"churn", oracleFleet}, {"block-edge", blockEdgeFleet}, {"grown", grownFleet}}
+	for _, fleet := range fleets {
+		for _, joint := range []bool{false, true} {
+			for _, noClamp := range []bool{false, true} {
+				for _, noAlpha := range []bool{false, true} {
+					for _, workers := range []int{1, 0} {
+						if testing.Short() && fleet.name != "churn" && (noClamp || noAlpha) {
+							continue // the race pass: the ablations on the small fleet only
+						}
+						name := fmt.Sprintf("%s/joint=%v/noclamp=%v/noalpha=%v/workers=%d", fleet.name, joint, noClamp, noAlpha, workers)
+						t.Run(name, func(t *testing.T) {
+							t.Parallel()
+							cfg := churnConfig(8)
+							cfg.JointClustering = joint
+							cfg.DisableClamp = noClamp
+							cfg.DisableAlphaClamp = noAlpha
+							cfg.Workers = workers
+							cfg.SnapshotHorizon = maxH
+							sawNaN, sawShort := false, false
+							fleet.drive(t, cfg, func(step int, sys *System) {
+								snap := sys.Snapshot()
+								for _, slot := range snap.slots {
+									sawShort = sawShort || len(slot.present) < snap.Nodes()
 								}
-								got, err := snap.Forecast(h, workers)
+								full, err := snap.Forecast(maxH, workers)
 								if err != nil {
-									t.Fatalf("step %d h %d: %v", step, h, err)
+									t.Fatalf("step %d: %v", step, err)
 								}
-								forecastBits(t, got, want, "snapshot vs reference", step)
-								forecastBits(t, got, full[:h], "Forecast(h) vs prefix of Forecast(H)", step)
+								for h := 1; h <= maxH; h++ {
+									want, err := referenceReconstruct(snap.reconEnv(), snap.centF, h, workers)
+									if err != nil {
+										t.Fatal(err)
+									}
+									got, err := snap.Forecast(h, workers)
+									if err != nil {
+										t.Fatalf("step %d h %d: %v", step, h, err)
+									}
+									forecastBits(t, got, want, "snapshot vs reference", step)
+									forecastBits(t, got, full[:h], "Forecast(h) vs prefix of Forecast(H)", step)
 
-								live, err := sys.Forecast(h)
-								if err != nil {
-									t.Fatalf("step %d h %d: %v", step, h, err)
+									live, err := sys.Forecast(h)
+									if err != nil {
+										t.Fatalf("step %d h %d: %v", step, h, err)
+									}
+									forecastBits(t, live, want, "system vs reference", step)
 								}
-								forecastBits(t, live, want, "system vs reference", step)
-							}
-							for slot := 0; slot < snap.Nodes(); slot++ {
-								p := snap.PlanNode(slot)
-								for hi := 0; hi < maxH; hi++ {
-									for r := 0; r < snap.Resources(); r++ {
-										got, want := p.At(slot, r, hi), full[hi][slot][r]
-										if math.Float64bits(got) != math.Float64bits(want) {
-											t.Fatalf("step %d: PlanNode(%d).At(r%d, h%d) = %v, fleet row has %v",
-												step, slot, r, hi, got, want)
+								for slot := 0; slot < snap.Nodes(); slot++ {
+									p := snap.PlanNode(slot)
+									for hi := 0; hi < maxH; hi++ {
+										for r := 0; r < snap.Resources(); r++ {
+											got, want := p.At(slot, r, hi), full[hi][slot][r]
+											if math.Float64bits(got) != math.Float64bits(want) {
+												t.Fatalf("step %d: PlanNode(%d).At(r%d, h%d) = %v, fleet row has %v",
+													step, slot, r, hi, got, want)
+											}
+											sawNaN = sawNaN || math.IsNaN(want)
 										}
-										sawNaN = sawNaN || math.IsNaN(want)
 									}
 								}
+							})
+							if !sawNaN {
+								t.Fatal("scenario lost coverage: no NaN row was ever compared")
+							}
+							if fleet.name == "grown" && !sawShort {
+								t.Fatal("scenario lost coverage: no window slot was shorter than the fleet")
 							}
 						})
-						if !sawNaN {
-							t.Fatal("scenario lost coverage: no NaN row was ever compared")
-						}
-					})
+					}
 				}
 			}
 		}

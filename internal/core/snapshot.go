@@ -432,11 +432,8 @@ func (sn *Snapshot) PlanNode(slot int) *ForecastPlan {
 
 func (sn *Snapshot) reconEnv() *reconEnv {
 	return &reconEnv{
-		slotAt: func(ago int) *ringSlot { return sn.slots[ago] },
-		aliveAt: func(i int) bool {
-			return i < len(sn.roster.alive) && sn.roster.alive[i]
-		},
-		window:            len(sn.slots),
+		slots:             sn.slots,
+		alive:             sn.roster.alive,
 		nodes:             sn.nodes,
 		resources:         sn.resources,
 		k:                 sn.k,

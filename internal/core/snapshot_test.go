@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -261,4 +263,55 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestFleetPlanAllocations pins what a fleet plan build allocates: the plan
+// and its mode/offset arrays plus the fan-out's constant — the block scratch
+// comes back from planScratches — so the object count is the same at N = 256
+// (two blocks) as at N = 4096, and the bytes beyond the two arrays stay under
+// 1 KiB. The plan is built on every step that feeds the alert rules, where
+// scratch allocated per build, even per worker, shows up at once. GC is off
+// while measuring, since a collection empties the pool.
+func TestFleetPlanAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the block scratch comes from a sync.Pool, which -race makes drop items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	build := func(n, workers int) (objects, extraBytes float64) {
+		cfg := churnConfig(n)
+		cfg.SnapshotHorizon = 4
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 1; !sys.Ready(); step++ {
+			stepFleet(t, sys, step, nil)
+		}
+		snap := sys.Snapshot()
+		env := snap.reconEnv()
+		run := func() { env.plan(snap.centF, 0, snap.nodes, workers) }
+		objects = testing.AllocsPerRun(50, run)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		arrays := n * (4*snap.nTracker + 8*snap.resources)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc)/runs - float64(arrays)
+	}
+	for _, workers := range []int{1, 2} {
+		small, smallExtra := build(256, workers)
+		large, largeExtra := build(4096, workers)
+		t.Logf("workers=%d: %v objects per fleet plan build at either fleet size, %v/%v bytes beyond the plan's arrays",
+			workers, small, smallExtra, largeExtra)
+		if small != large {
+			t.Fatalf("workers=%d: a fleet plan build allocates %v objects at N=256, %v at N=4096", workers, small, large)
+		}
+		if smallExtra > 1024 || largeExtra > 1024 {
+			t.Fatalf("workers=%d: a fleet plan build allocates %v bytes at N=256 and %v at N=4096 beyond its mode/offset arrays, want < 1 KiB",
+				workers, smallExtra, largeExtra)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -88,7 +89,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 // taskValues how many forecast values one formatting task covers: at up to
 // ~21 bytes a value a task's output stays under bufSize — large enough to
 // amortise the hand-off and the Write call, small enough that a fleet
-// response never holds more than one such buffer per worker.
+// response holds at most two such buffers per worker (see streamTasks).
 const (
 	bufSize    = 64 << 10
 	taskValues = 2048
@@ -160,40 +161,87 @@ func writeForecast(w http.ResponseWriter, snap *core.Snapshot, plan *core.Foreca
 	}
 	*buf = b
 	bodyBufs.Put(buf)
-	if !small && err == nil {
-		streamRows(w, plan, slots, resources, rows, perTask, workers)
+	if small || err != nil {
+		return
 	}
+	// A large body's rows, and its closing "]}\n", go out in tasks of
+	// perTask rows.
+	tasks := (rows + perTask - 1) / perTask
+	streamTasks(w, tasks, workers, func(b []byte, t int) []byte {
+		lo := t * perTask
+		b = appendRows(b, plan, slots, resources, lo, min(lo+perTask, rows))
+		if t == tasks-1 {
+			b = append(b, "]}\n"...)
+		}
+		return b
+	})
 }
 
-// streamRows writes the rows of a large body and its closing "]}\n": the rows
-// are cut into tasks of perTask rows that up to workers goroutines format
-// side by side, one pooled buffer each, a wave at a time, and each wave is
-// written in order.
-func streamRows(w http.ResponseWriter, plan *core.ForecastPlan, slots []int, resources, rows, perTask, workers int) {
-	tasks := (rows + perTask - 1) / perTask
-	bufs := make([]*[]byte, min(parallel.Workers(workers), tasks))
-	for k := range bufs {
-		bufs[k] = bodyBufs.Get().(*[]byte)
-	}
-	var err error
-	for start := 0; start < tasks && err == nil; start += len(bufs) {
-		wave := min(len(bufs), tasks-start)
-		// Formatting cannot fail, so neither can the fan-out.
-		_ = parallel.ForEach(len(bufs), wave, func(k int) error {
-			lo := (start + k) * perTask
-			b := appendRows((*bufs[k])[:0], plan, slots, resources, lo, min(lo+perTask, rows))
-			if start+k == tasks-1 {
-				b = append(b, "]}\n"...)
+// streamTasks writes tasks 0…tasks−1 to w in order, task t being what
+// format appends for it to an empty pooled buffer. With one worker the
+// caller formats and writes each task inline with one pooled buffer, so
+// Workers = 1 stays the serial escape hatch. Otherwise there is one fan-out
+// for the whole body: up to workers goroutines format into a ring of
+// 2·workers pooled buffers, task t into entry t mod len(ring), while the
+// caller writes the finished tasks in order. The caller hands out the task
+// numbers, and hands out t+len(ring) only after writing t, so an entry
+// holds one task at a time and no task overtakes the one it follows in its
+// entry. A failed Write stops the writing and the hand-out.
+func streamTasks(w io.Writer, tasks, workers int, format func(b []byte, t int) []byte) {
+	nw := min(parallel.Workers(workers), tasks)
+	if nw == 1 {
+		buf := bodyBufs.Get().(*[]byte)
+		for t := 0; t < tasks; t++ {
+			*buf = format((*buf)[:0], t)
+			if _, err := w.Write(*buf); err != nil {
+				break
 			}
-			*bufs[k] = b
-			return nil
-		})
-		for k := 0; k < wave && err == nil; k++ {
-			_, err = w.Write(*bufs[k])
+		}
+		bodyBufs.Put(buf)
+		return
+	}
+
+	// todo carries the handed-out task numbers in increasing order, at most
+	// len(ring) of them, and an entry's done each task formatted into it.
+	type entry struct {
+		buf  *[]byte
+		done chan struct{}
+	}
+	ring := make([]entry, min(2*nw, tasks))
+	todo := make(chan int, len(ring))
+	for k := range ring {
+		ring[k] = entry{bodyBufs.Get().(*[]byte), make(chan struct{}, 1)}
+		todo <- k
+	}
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for range nw {
+		go func() {
+			defer wg.Done()
+			for t := range todo {
+				e := &ring[t%len(ring)]
+				*e.buf = format((*e.buf)[:0], t)
+				e.done <- struct{}{}
+			}
+		}()
+	}
+	for t := 0; t < tasks; t++ {
+		e := &ring[t%len(ring)]
+		<-e.done
+		if _, err := w.Write(*e.buf); err != nil {
+			break
+		}
+		if next := t + len(ring); next < tasks {
+			todo <- next
 		}
 	}
-	for _, buf := range bufs {
-		bodyBufs.Put(buf)
+	close(todo)
+	for range todo {
+		// After a failed Write, drop the tasks no worker has taken yet.
+	}
+	wg.Wait()
+	for _, e := range ring {
+		bodyBufs.Put(e.buf)
 	}
 }
 
@@ -201,6 +249,11 @@ func streamRows(w http.ResponseWriter, plan *core.ForecastPlan, slots []int, res
 // row i is entry i mod len(slots) of horizon i div len(slots), written
 // [v,…] — with the separators and horizon brackets that fall between them.
 func appendRows(b []byte, plan *core.ForecastPlan, slots []int, resources, lo, end int) []byte {
+	var row [4]float64 // d ≤ 4 rows stay on the stack
+	vals := row[:]
+	if resources > len(row) {
+		vals = make([]float64, resources)
+	}
 	n := len(slots)
 	for i := lo; i < end; i++ {
 		hi, e := i/n, i%n
@@ -213,11 +266,11 @@ func appendRows(b []byte, plan *core.ForecastPlan, slots []int, resources, lo, e
 			b = append(b, '[')
 		}
 		b = append(b, '[')
-		for r := 0; r < resources; r++ {
+		for r, v := range plan.Row(slots[e], hi, vals) {
 			if r > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONFloat(b, plan.At(slots[e], r, hi))
+			b = appendJSONFloat(b, v)
 		}
 		b = append(b, ']')
 		if e == n-1 {
@@ -231,8 +284,22 @@ func appendRows(b []byte, plan *core.ForecastPlan, slots []int, resources, lo, e
 // round-trip digits, ES6 style: plain decimals except below 1e-6 or from
 // 1e21, where the exponent form is used with its exponent unpadded — after
 // fencing NaN/±Inf to 0 (see Finite64), which encoding/json would refuse.
+// +0, 1 and [1e-6, 1) — what a clamped plan emits, bar the rare value in
+// (0, 1e-6) — are written directly, the last through the Ryū specialised to
+// that range in appendUnitFloat; everything else, including the negatives
+// and values above 1 that only the clamp ablation serves, goes through
+// strconv.
 func appendJSONFloat(b []byte, v float64) []byte {
 	f := Finite64(v)
+	if 1e-6 <= f && f < 1 {
+		return appendUnitFloat(b, math.Float64bits(f))
+	}
+	if f == 1 {
+		return append(b, '1')
+	}
+	if math.Float64bits(f) == 0 { // +0 only: -0 is written "-0"
+		return append(b, '0')
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"testing"
 
 	"orcf/internal/core"
@@ -215,9 +218,10 @@ func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestForecastBodySpansTasks streams a fleet body several formatting tasks
-// long, for worker counts that leave full, partial and single-task waves, so
-// the task boundaries and the write order are under the byte-identity check.
+// TestForecastBodySpansTasks streams a fleet body nine formatting tasks long,
+// serially and with buffer rings of 4, 6 and 8 entries that it wraps, so the
+// task boundaries, the ring reuse and the write order are under the
+// byte-identity check.
 func TestForecastBodySpansTasks(t *testing.T) {
 	t.Parallel()
 	sys, _ := readySystem(t, 1500, 6, 25)
@@ -234,6 +238,38 @@ func TestForecastBodySpansTasks(t *testing.T) {
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=6", nil))
 		if !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Fatalf("workers=%d: streamed fleet body differs from the encoding/json body", workers)
+		}
+	}
+}
+
+// TestStreamTasksPastStalledWorker holds the worker of one task until the
+// others have formatted the len(ring)−1 tasks after it — as far ahead as
+// the fan-out lets them run — with more workers than CPUs, and checks that
+// the tasks still come out whole and in order.
+func TestStreamTasksPastStalledWorker(t *testing.T) {
+	t.Parallel()
+	const tasks = 200
+	var want bytes.Buffer
+	for task := 0; task < tasks; task++ {
+		fmt.Fprintf(&want, "<%d>", task)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		ringLen := 2 * workers
+		stalled := ringLen + 1
+		var ahead sync.WaitGroup
+		ahead.Add(ringLen - 1)
+		var got bytes.Buffer
+		streamTasks(&got, tasks, workers, func(b []byte, task int) []byte {
+			switch {
+			case task == stalled:
+				ahead.Wait()
+			case task > stalled && task < stalled+ringLen:
+				defer ahead.Done()
+			}
+			return fmt.Appendf(b, "<%d>", task)
+		})
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("workers=%d: tasks written out of order:\n%s", workers, got.Bytes())
 		}
 	}
 }
@@ -361,4 +397,83 @@ func FuzzAppendJSONFloat(f *testing.F) {
 			t.Fatalf("bits %#x (%g): appendJSONFloat %q, encoding/json %q", bits, v, got, want)
 		}
 	})
+}
+
+// servedLo and servedHi bound the bit patterns of [1e-6, 1): with +0 and 1,
+// every value a clamped plan serves.
+var servedLo, servedHi = math.Float64bits(1e-6), math.Float64bits(1)
+
+// servedValue folds a raw bit pattern into [1e-6, 1), keeping one already
+// inside unchanged.
+func servedValue(bits uint64) float64 {
+	if bits < servedLo || bits >= servedHi {
+		bits = servedLo + bits%(servedHi-servedLo)
+	}
+	return math.Float64frombits(bits)
+}
+
+// FuzzAppendJSONFloatServedRange is FuzzAppendJSONFloat confined to the
+// range every served value lives in, where uniform raw bits land ≈ 1 % of
+// the time: 20 of the 2048 binary exponents. Its committed corpus holds 1e-6,
+// 1 − ulp, 2^−1 … 2^−19 (the asymmetric rounding interval), short decimals
+// ± 1 ulp and 0.75, whose exact scaled digits end in zeros; 1e-6's
+// predecessor, the largest value left to strconv, is in FuzzAppendJSONFloat's.
+func FuzzAppendJSONFloatServedRange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := servedValue(bits)
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("bits %#x (%g): appendJSONFloat %q, encoding/json %q", bits, v, got, want)
+		}
+	})
+}
+
+// TestAppendJSONFloatServedRange holds appendJSONFloat to strconv — which
+// encoding/json calls with these arguments for every value in [1e-6, 1) —
+// over the classes where shortest-digit algorithms go wrong and ten million
+// seeded values spread evenly over the range's bit patterns (200 000 under
+// -short).
+func TestAppendJSONFloatServedRange(t *testing.T) {
+	t.Parallel()
+	var got, want []byte
+	check := func(v float64) {
+		if v != 0 && (v < 1e-6 || v > 1) {
+			return // served values are +0, 1 and [1e-6, 1)
+		}
+		got = appendJSONFloat(got[:0], v)
+		want = strconv.AppendFloat(want[:0], v, 'f', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("bits %#x: appendJSONFloat %q, strconv %q", math.Float64bits(v), got, want)
+		}
+	}
+	around := func(v float64) {
+		check(math.Nextafter(v, 0))
+		check(v)
+		check(math.Nextafter(v, 1))
+	}
+	check(0)
+	around(1e-6)
+	around(1)
+	// Powers of two: the asymmetric rounding interval below each.
+	for k := 1; k <= 20; k++ {
+		around(math.Ldexp(1, -k))
+	}
+	// Short decimals k/10^n, which strconv must print as typed, and their
+	// neighbours, whose shortest forms run to 16–17 digits.
+	for n, pow := 1, 10.0; n <= 6; n, pow = n+1, pow*10 {
+		for k := 1.0; k < pow; k++ {
+			around(k / pow)
+		}
+	}
+	values := 10_000_000
+	if testing.Short() {
+		values = 200_000
+	}
+	rng := rand.New(rand.NewPCG(21, 0))
+	for i := 0; i < values; i++ {
+		check(math.Float64frombits(servedLo + rng.Uint64N(servedHi-servedLo)))
+	}
 }
