@@ -11,9 +11,9 @@ GO ?= go
 # just without the race detector's ~10x slowdown.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet lint build test race flake docs churn-smoke alert-smoke bench bench-check fuzz-smoke
+.PHONY: ci fmt vet lint build test race flake docs churn-smoke alert-smoke repro-golden bench bench-check fuzz-smoke
 
-ci: fmt vet lint build test race docs churn-smoke alert-smoke bench-check fuzz-smoke
+ci: fmt vet lint build test race docs churn-smoke alert-smoke repro-golden bench-check fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -67,6 +67,17 @@ alert-smoke:
 	$(GO) run ./cmd/loadgen -chaos burst -nodes 16
 	$(GO) run ./cmd/loadgen -chaos flap -nodes 16
 	$(GO) run ./cmd/loadgen -chaos rack -nodes 16
+
+# Reproduction goldens: `repro` output for Fig. 9 and Fig. 10 at a small
+# scale, minus its wall-time line, must equal the committed files byte for
+# byte (it does not depend on -workers). Every column of both figures runs
+# through core.Config.Model. The goldens are linux/amd64 output, the platform
+# CI runs on; regenerate them with the same commands only in a change meant
+# to move them, and say so.
+REPRO_STRIP = sed '/^(.* completed in .*)$$/d'
+repro-golden:
+	$(GO) run ./cmd/repro -exp fig10 -nodes 40 -steps 800 -warmup 300 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig10.golden -
+	$(GO) run ./cmd/repro -exp fig9 -nodes 24 -steps 600 -warmup 300 -lstm-epochs 2 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig9.golden -
 
 # Micro-benchmarks to work with; performance claims are measured with
 # `bash bench/run.sh` (see bench/README.md).

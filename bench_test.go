@@ -281,11 +281,12 @@ func BenchmarkForecastQuerySerial(b *testing.B) { benchForecastQuery(b, 1) }
 func benchEnsembleRetrain(b *testing.B, workers int) {
 	b.Helper()
 	const warm = 192
+	arima := func() forecast.Model { return forecast.NewAutoARIMA(DefaultARIMAGrid()) }
 	ens, err := forecast.NewEnsemble(forecast.EnsembleConfig{
 		Clusters: 3, Dims: 2,
 		InitialCollection: warm,
 		RetrainEvery:      1, // every post-warmup Observe retrains all models
-		Builder:           func() forecast.Model { return forecast.NewAutoARIMA(DefaultARIMAGrid()) },
+		Candidates:        []forecast.Candidate{{Name: "arima", Builder: arima}},
 		Workers:           workers,
 	})
 	if err != nil {

@@ -30,12 +30,14 @@
 //	GET /metrics                   Prometheus text format
 //
 // By default every cluster is forecast by one pinned model family
-// (sample-and-hold). With -models a comma-separated model zoo is run
-// instead: every named family trains per (cluster, resource) cell, rolling
-// 1-step accuracy is scored online, and forecasts are served by the per-cell
-// champion, with challengers promoted under hysteresis (tune with
-// -select-window, -select-margin, -select-streak, -select-metric). See the
-// model-family table in docs/OPERATIONS.md for the registered names.
+// (sample-and-hold); -models with one name pins that family instead. With
+// two or more comma-separated names a model zoo is run: every named family
+// trains per (cluster, resource) cell, rolling 1-step accuracy is scored
+// online, and forecasts are served by the per-cell champion, with
+// challengers promoted under hysteresis (tune with -select-window,
+// -select-margin, -select-streak, -select-metric; they are rejected without
+// such a zoo). See the model-family table in docs/OPERATIONS.md for the
+// registered names.
 //
 // Fleet membership is elastic: -nodes N pre-registers node IDs 0..N-1 and
 // the pipeline starts stepping once all of them have reported (with
@@ -174,7 +176,7 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		idleTmo     = fs.Duration("idle-timeout", 5*time.Minute, "drop agent connections silent for this long (0 = never)")
 		absence     = fs.Int("absence-ticks", 0, "evict a fleet member after this many silent pipeline ticks (0 = never)")
 		debugAddr   = fs.String("debug-addr", "", "optional address for the debug server (pprof, expvar, /debug/obs, /metrics); empty = disabled")
-		models      = fs.String("models", "", "comma-separated model-zoo families with online champion selection (empty = single sample-and-hold family)")
+		models      = fs.String("models", "", "comma-separated model families: one pins that family, two or more run a zoo with online champion selection tuned by the -select-* flags (empty = sample-and-hold)")
 		selWindow   = fs.Int("select-window", 0, "rolling accuracy window in evaluations (0 = default 64)")
 		selMargin   = fs.Float64("select-margin", 0, "challenger must beat the champion by this error margin")
 		selStreak   = fs.Int("select-streak", 0, "consecutive winning evaluations required to dethrone a champion (0 = default 3)")
@@ -194,6 +196,20 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	if *nodes < 0 {
 		log.Error("-nodes must be ≥ 0")
 		return 2
+	}
+	// The selection flags tune the champion selector, which exists only for
+	// a zoo of two or more families; anywhere else they would do nothing.
+	if len(strings.Split(*models, ",")) < 2 {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "select-") {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			log.Error("selection flags require -models with two or more families", "flags", strings.Join(set, " "))
+			return 2
+		}
 	}
 
 	reg := obs.NewRegistry()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +171,38 @@ func rosterFromLog(t *testing.T, log string) string {
 // K centroids for each of the two resources and the store-accounted eq. 5
 // frequencies.
 const summaryOf5 = `msg="pipeline step" [^\n]* clustered=5 centroids="\[\[\S+ \S+ \S+\] \[\S+ \S+ \S+\]\]" tx_mean=\S+ tx_min=\S+ tx_max=\S+`
+
+// TestSelectionFlagsRequireZoo pins that the -select-* flags, which tune the
+// champion selector of a zoo of two or more families, exit 2 with one log
+// line anywhere else instead of being silently ignored — and that their
+// defaults, or an explicit value under a real zoo, never trip the check.
+func TestSelectionFlagsRequireZoo(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-select-window", "16"}, 2},
+		{[]string{"-models", "ses", "-select-metric", "rmse"}, 2},
+		{[]string{"-models", "ses", "-select-margin", "0", "-select-streak", "3"}, 2},
+		{[]string{"-models", "ses,ar", "-select-streak", "5"}, 0},
+		{[]string{"-models", "ses"}, 0},
+		{nil, 0},
+	} {
+		log := new(logBuf)
+		stop := make(chan os.Signal, 1)
+		stop <- os.Interrupt // a daemon that starts stops at once
+		args := append([]string{"-ingest", "127.0.0.1:0", "-http", "", "-interval", "1h"}, tc.args...)
+		if got := run(args, stop, log); got != tc.want {
+			t.Fatalf("%q: exit %d, want %d:\n%s", tc.args, got, tc.want, log)
+		}
+		rejected := regexp.MustCompile(`level=ERROR msg="selection flags require -models with two or more families"`).
+			FindAllString(log.String(), -1)
+		lines := strings.Count(log.String(), "\n")
+		if (tc.want == 2 && (len(rejected) != 1 || lines != 1)) || (tc.want == 0 && len(rejected) != 0) {
+			t.Fatalf("%q: %d rejection lines:\n%s", tc.args, len(rejected), log)
+		}
+	}
+}
 
 // TestChurnThenRestartRecoversRoster drives a real forecastd, as a collector
 // only and with the query plane: K+2 agents join, one goes silent until the

@@ -80,16 +80,21 @@ type Config struct {
 	// policy with B=0.3 and paper defaults.
 	Policy PolicyFactory
 	// Model builds each (cluster, resource) forecasting model. Nil means
-	// sample-and-hold. Mutually exclusive with Zoo.
+	// sample-and-hold. It is a one-family Zoo spelled differently: NewSystem
+	// runs it as the single candidate named Model().Name(). Mutually
+	// exclusive with Zoo.
 	Model forecast.Builder
-	// Zoo, when non-empty, runs a model zoo instead of a single family: every
-	// candidate trains on each (cluster, resource) centroid series and the
-	// per-(cluster, resource) champion — chosen online by rolling forecast
-	// accuracy with hysteresis (see Selection) — serves the forecasts.
-	// Resolve names via forecast.Zoo. Model must be nil when Zoo is set.
+	// Zoo lists the model families to run (resolve names via forecast.Zoo):
+	// every candidate trains on each (cluster, resource) centroid series.
+	// With two or more, the per-(cluster, resource) champion — chosen online
+	// by rolling forecast accuracy with hysteresis (see Selection) — serves
+	// the forecasts. A one-family Zoo has nothing to select and runs exactly
+	// like Model; only its Fingerprint differs, because it names the family.
+	// Model must be nil when Zoo is set.
 	Zoo []forecast.Candidate
-	// Selection tunes the zoo's champion/challenger selector; ignored unless
-	// Zoo is set. Zero values select the forecast package defaults.
+	// Selection tunes the champion/challenger selector of a Zoo of two or
+	// more families; ignored otherwise. Zero values select the forecast
+	// package defaults.
 	Selection forecast.SelectionConfig
 	// JointClustering clusters full d-dimensional vectors instead of
 	// per-resource scalars (the Table I ablation). Default false — the
@@ -328,6 +333,13 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.SnapshotKeep > 0 && cfg.SnapshotHorizon == 0 {
 		return nil, fmt.Errorf("core: snapshot keep %d without snapshot horizon: %w", cfg.SnapshotKeep, ErrBadConfig)
 	}
+	if cfg.Model != nil && len(cfg.Zoo) > 0 {
+		return nil, fmt.Errorf("core: both Model and Zoo set: %w", ErrBadConfig)
+	}
+	candidates := cfg.Zoo
+	if len(candidates) == 0 {
+		candidates = []forecast.Candidate{{Name: cfg.Model().Name(), Builder: cfg.Model}}
+	}
 	s := &System{cfg: cfg, byID: make(map[int]int)}
 	s.phases.ob = cfg.PhaseObserver
 	s.policies = make([]transmit.Policy, cfg.Nodes)
@@ -387,8 +399,7 @@ func NewSystem(cfg Config) (*System, error) {
 			InitialCollection: cfg.InitialCollection,
 			RetrainEvery:      cfg.RetrainEvery,
 			FitWindow:         cfg.FitWindow,
-			Builder:           cfg.Model,
-			Candidates:        cfg.Zoo,
+			Candidates:        candidates,
 			Selection:         cfg.Selection,
 			Workers:           ensembleWorkers,
 		})
@@ -782,19 +793,10 @@ func (s *System) TrainingTime() (time.Duration, int) {
 	return total, runs
 }
 
-// Model exposes the forecasting model of (tracker, cluster, dim) for
-// experiment introspection.
-func (s *System) Model(tracker, clusterIdx, dim int) forecast.Model {
-	if tracker < 0 || tracker >= len(s.ensembles) {
-		return nil
-	}
-	return s.ensembles[tracker].Model(clusterIdx, dim)
-}
-
 // ModelSelection returns a deep-copied view of a tracker ensemble's zoo
 // selection state — per-(cluster, dim) champions, rolling accuracies, and
-// switch counts — or nil for an out-of-range tracker or a single-family
-// (Config.Model) system.
+// switch counts — or nil for an out-of-range tracker or a system running
+// one model family (Config.Model or a one-family Zoo).
 func (s *System) ModelSelection(tracker int) *forecast.SelectionInfo {
 	if tracker < 0 || tracker >= len(s.ensembles) {
 		return nil

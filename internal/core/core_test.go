@@ -395,9 +395,6 @@ func TestCentroidSeriesExposure(t *testing.T) {
 	if s.CentroidSeries(5, 0, 0) != nil {
 		t.Fatal("out-of-range tracker should give nil")
 	}
-	if s.Model(0, 0, 0) == nil || s.Model(7, 0, 0) != nil {
-		t.Fatal("model accessor bounds wrong")
-	}
 }
 
 func TestForecastClamping(t *testing.T) {

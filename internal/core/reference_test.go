@@ -555,14 +555,17 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 			t.Fatal(err)
 		}
 		s.trackers = append(s.trackers, tracker)
+		candidates := cfg.Zoo
+		if len(candidates) == 0 {
+			candidates = []forecast.Candidate{{Name: cfg.Model().Name(), Builder: cfg.Model}}
+		}
 		ens, err := forecast.NewEnsemble(forecast.EnsembleConfig{
 			Clusters:          cfg.K,
 			Dims:              s.dims,
 			InitialCollection: cfg.InitialCollection,
 			RetrainEvery:      cfg.RetrainEvery,
 			FitWindow:         cfg.FitWindow,
-			Builder:           cfg.Model,
-			Candidates:        cfg.Zoo,
+			Candidates:        candidates,
 			Selection:         cfg.Selection,
 			Workers:           ensembleWorkers,
 		})

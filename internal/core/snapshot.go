@@ -151,7 +151,7 @@ func (s *System) assembleSnapshot(gen uint64, slots []*ringSlot) *Snapshot {
 		snap.meanFreq = sum / float64(live)
 	}
 	snap.trainTime, snap.trainRuns = s.TrainingTime()
-	if len(s.cfg.Zoo) > 0 {
+	if len(s.cfg.Zoo) > 1 {
 		snap.selection = make([]*forecast.SelectionInfo, s.nTrackers)
 		for tr := range snap.selection {
 			snap.selection[tr] = s.ensembles[tr].Selection()
@@ -358,8 +358,8 @@ func (sn *Snapshot) TrainingTime() (time.Duration, int) {
 
 // ModelSelection returns a tracker's zoo champion/challenger state at
 // publication — per-(cluster, dim) champions, rolling accuracies, streaks,
-// and switch counts — or nil for an out-of-range tracker or a single-family
-// system. The returned value is immutable and shared by all callers.
+// and switch counts — or nil for an out-of-range tracker or a system running
+// one model family. The returned value is immutable and shared by all callers.
 func (sn *Snapshot) ModelSelection(tracker int) *forecast.SelectionInfo {
 	if tracker < 0 || tracker >= len(sn.selection) {
 		return nil

@@ -2,19 +2,18 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"orcf/internal/forecast"
 )
 
-// TestZooSingleCandidateMatchesLegacy is the compatibility differential for
-// the model-zoo refactor: a one-candidate zoo must reproduce the legacy
-// single-Builder path bit for bit — per-step results, forecasts, K-means RNG
-// streams, and persisted ensemble series — across model families and both
-// clustering modes. The zoo path additionally runs accuracy scoring against
-// the candidate's own cached forecasts, which must never perturb the models
-// (Forecast is pure) nor consume RNG.
+// TestZooSingleCandidateMatchesLegacy is the Config.Model ≡ one-family
+// Config.Zoo differential: both spellings must run bit for bit alike —
+// per-step results, forecasts, K-means RNG streams, and persisted ensemble
+// series — across model families and both clustering modes, and neither
+// keeps selection state.
 func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
 	t.Parallel()
 	const (
@@ -114,6 +113,9 @@ func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
 					}
 					if !reflect.DeepEqual(el.Series, ez.Series) {
 						t.Fatalf("tracker %d ensemble series diverge", tr)
+					}
+					if len(ez.Families) != 0 || zoo.ModelSelection(tr) != nil {
+						t.Fatalf("tracker %d: one-family zoo keeps selection state", tr)
 					}
 				}
 			})
@@ -342,7 +344,41 @@ func TestZooRejectsModelAndZoo(t *testing.T) {
 		Model: func() forecast.Model { return forecast.NewSampleAndHold() },
 		Zoo:   cands,
 	})
-	if err == nil {
-		t.Fatal("Model+Zoo accepted")
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Model+Zoo: %v, want ErrBadConfig", err)
+	}
+}
+
+// TestFingerprintsPinned pins Config.Fingerprint to literal values computed
+// at commit a7a1d79, before Config.Model became a one-candidate zoo: every
+// state directory written under one of these configurations must keep
+// restoring, so no change to how a Model or Zoo is run may move a hash.
+func TestFingerprintsPinned(t *testing.T) {
+	t.Parallel()
+	zoo := func(names ...string) []forecast.Candidate {
+		c, err := forecast.Zoo(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ses, _ := forecast.Lookup("ses")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"default", Config{}, 0x786b26d1a1ef9c7e},
+		{"model=ses", Config{Model: ses}, 0x786b26d1a1ef9c7e},
+		{"zoo=ses", Config{Zoo: zoo("ses")}, 0xb680e4599a68f2fb},
+		{"zoo=ses,ar/selection", Config{Zoo: zoo("ses", "ar"),
+			Selection: forecast.SelectionConfig{Window: 16, Margin: 0.01, Streak: 5, Metric: "rmse"}}, 0x00fdf80d95ffd640},
+		{"incremental", Config{IncrementalRefit: true}, 0xce000bc95b0920bb},
+		{"incremental/churn", Config{IncrementalRefit: true, IncrementalChurn: 0.1}, 0x24c2720aed8439fa},
+		{"joint", Config{Resources: 4, JointClustering: true}, 0x66abc32e866d3848},
+	} {
+		if got := tc.cfg.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }

@@ -26,17 +26,15 @@ type EnsembleConfig struct {
 	// retained series after each refit to the portion future refits and
 	// restores can still need, bounding memory in long-running deployments.
 	FitWindow int
-	// Builder constructs each model — the single-family path. Required
-	// unless Candidates is set (exactly one of the two must be provided).
-	Builder Builder
-	// Candidates enables zoo mode: one model instance per candidate per
-	// (cluster, dim), all trained and updated on the same series, with the
-	// champion per (cluster, dim) selected online by rolling accuracy (see
-	// Selection). A single-candidate zoo behaves bit-identically to the
-	// equivalent Builder configuration, plus the accuracy bookkeeping.
+	// Candidates are the model families: one instance per candidate per
+	// (cluster, dim), all trained and updated on the same series. At least
+	// one is required; names must be non-empty and unique. With two or more,
+	// the champion per (cluster, dim) is selected online by rolling accuracy
+	// (see Selection); with one there is nothing to select, so the ensemble
+	// neither scores forecasts nor keeps selection state.
 	Candidates []Candidate
-	// Selection tunes the champion/challenger selector; ignored unless
-	// Candidates is set. Zero values select the defaults (window 64,
+	// Selection tunes the champion/challenger selector; ignored with fewer
+	// than two Candidates. Zero values select the defaults (window 64,
 	// margin 0, streak 3, metric "mae").
 	Selection SelectionConfig
 	// Workers bounds the concurrency of per-model fitting and forecasting
@@ -56,30 +54,27 @@ func (c EnsembleConfig) withDefaults() EnsembleConfig {
 	if c.RetrainEvery == 0 {
 		c.RetrainEvery = 288
 	}
-	if len(c.Candidates) > 0 {
-		c.Selection = c.Selection.WithDefaults()
-	}
+	c.Selection = c.Selection.WithDefaults()
 	return c
 }
 
 // Ensemble manages the forecasting models over the evolving centroid series:
 // it buffers the initial collection phase, trains models at the end of it,
 // feeds every new centroid to the transient state, and retrains periodically
-// — exactly the schedule in §VI-A3. In zoo mode (Candidates) it runs every
-// candidate family in lockstep, scores each candidate's previous 1-step
-// forecast against the newly observed centroid, and serves Forecast from the
+// — exactly the schedule in §VI-A3. It runs every candidate family in
+// lockstep; with two or more it scores each candidate's previous 1-step
+// forecast against the newly observed centroid and serves Forecast from the
 // per-(cluster, dim) champion chosen by the hysteresis selector.
 type Ensemble struct {
 	cfg    EnsembleConfig
-	names  []string      // candidate names; exactly one in single-family mode
+	names  []string      // candidate names, in Candidates order
 	models [][][]Model   // [candidate][cluster][dim]
 	series [][][]float64 // [cluster][dim][t − start]
 	start  int           // logical step index of series[j][d][0] (trimming)
 	t      int
 	ready  bool
 
-	// Zoo-mode selection state (nil/false in single-family mode).
-	zoo    bool
+	// Selection state, present iff there are at least two candidates.
 	acc    *Accuracy
 	sel    *selector
 	pred   []float64 // cached 1-step forecasts [(c·Clusters+j)·Dims+d]
@@ -96,44 +91,21 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 	if cfg.Clusters < 1 {
 		return nil, fmt.Errorf("forecast: %d clusters: %w", cfg.Clusters, ErrBadInput)
 	}
-	e := &Ensemble{cfg: cfg, zoo: len(cfg.Candidates) > 0}
-	switch {
-	case e.zoo:
-		if cfg.Builder != nil {
-			return nil, fmt.Errorf("forecast: both Builder and Candidates set: %w", ErrBadInput)
-		}
-		if err := cfg.Selection.Validate(); err != nil {
-			return nil, err
-		}
-		seen := make(map[string]bool, len(cfg.Candidates))
-		for _, cand := range cfg.Candidates {
-			if cand.Name == "" || cand.Builder == nil {
-				return nil, fmt.Errorf("forecast: candidate %q with nil builder or empty name: %w",
-					cand.Name, ErrBadInput)
-			}
-			if seen[cand.Name] {
-				return nil, fmt.Errorf("forecast: duplicate candidate %q: %w", cand.Name, ErrBadInput)
-			}
-			seen[cand.Name] = true
-			e.names = append(e.names, cand.Name)
-		}
-		cells := cfg.Clusters * cfg.Dims
-		acc, err := NewAccuracy(cfg.Clusters, cfg.Dims, len(cfg.Candidates), cfg.Selection.Window)
-		if err != nil {
-			return nil, err
-		}
-		e.acc = acc
-		e.sel = newSelector(cells, len(cfg.Candidates), cfg.Selection.Streak, cfg.Selection.Margin)
-	case cfg.Builder == nil:
-		return nil, fmt.Errorf("forecast: nil model builder: %w", ErrBadInput)
+	if len(cfg.Candidates) == 0 {
+		return nil, fmt.Errorf("forecast: no model candidates: %w", ErrBadInput)
 	}
-
-	builders := cfg.Candidates
-	if !e.zoo {
-		builders = []Candidate{{Builder: cfg.Builder}}
-	}
-	e.models = make([][][]Model, len(builders))
-	for c, cand := range builders {
+	e := &Ensemble{cfg: cfg, models: make([][][]Model, len(cfg.Candidates))}
+	seen := make(map[string]bool, len(cfg.Candidates))
+	for c, cand := range cfg.Candidates {
+		if cand.Name == "" || cand.Builder == nil {
+			return nil, fmt.Errorf("forecast: candidate %q with nil builder or empty name: %w",
+				cand.Name, ErrBadInput)
+		}
+		if seen[cand.Name] {
+			return nil, fmt.Errorf("forecast: duplicate candidate %q: %w", cand.Name, ErrBadInput)
+		}
+		seen[cand.Name] = true
+		e.names = append(e.names, cand.Name)
 		e.models[c] = make([][]Model, cfg.Clusters)
 		for j := range e.models[c] {
 			e.models[c][j] = make([]Model, cfg.Dims)
@@ -142,8 +114,16 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 			}
 		}
 	}
-	if !e.zoo {
-		e.names = []string{e.models[0][0][0].Name()}
+	if len(e.names) > 1 {
+		if err := cfg.Selection.Validate(); err != nil {
+			return nil, err
+		}
+		acc, err := NewAccuracy(cfg.Clusters, cfg.Dims, len(e.names), cfg.Selection.Window)
+		if err != nil {
+			return nil, err
+		}
+		e.acc = acc
+		e.sel = newSelector(cfg.Clusters*cfg.Dims, len(e.names), cfg.Selection.Streak, cfg.Selection.Margin)
 	}
 	e.series = make([][][]float64, cfg.Clusters)
 	for j := range e.series {
@@ -154,11 +134,12 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 
 // Observe ingests this step's centroids (Clusters × Dims). It triggers the
 // initial training at the end of the collection phase and retraining every
-// RetrainEvery steps thereafter. In zoo mode it first scores every
-// candidate's cached 1-step forecast against the new centroids and runs one
-// champion/challenger evaluation per (cluster, dim), then recomputes the
+// RetrainEvery steps thereafter. With two or more candidates it first scores
+// every candidate's cached 1-step forecast against the new centroids and runs
+// one champion/challenger evaluation per (cluster, dim), then recomputes the
 // 1-step forecasts for the next scoring round; Forecast is pure for every
-// model family, so the scoring never perturbs the models themselves.
+// model family, so the scoring never perturbs the models themselves. With one
+// candidate it makes no Forecast call.
 func (e *Ensemble) Observe(centroids [][]float64) error {
 	if len(centroids) != e.cfg.Clusters {
 		return fmt.Errorf("forecast: %d centroids, want %d: %w",
@@ -170,7 +151,7 @@ func (e *Ensemble) Observe(centroids [][]float64) error {
 				j, len(c), e.cfg.Dims, ErrBadInput)
 		}
 	}
-	if e.zoo && e.predOK {
+	if e.predOK {
 		e.score(centroids)
 	}
 	for j, c := range centroids {
@@ -194,7 +175,7 @@ func (e *Ensemble) Observe(centroids [][]float64) error {
 			return err
 		}
 	}
-	if e.zoo && e.ready {
+	if e.sel != nil && e.ready {
 		return e.refreshPred()
 	}
 	return nil
@@ -317,7 +298,7 @@ func (e *Ensemble) Steps() int { return e.t }
 
 // championIdx returns the candidate index serving (cluster j, dim d).
 func (e *Ensemble) championIdx(j, d int) int {
-	if !e.zoo {
+	if e.sel == nil {
 		return 0
 	}
 	return e.sel.champ[j*e.cfg.Dims+d]
@@ -371,16 +352,6 @@ func (e *Ensemble) SeriesStart() int { return e.start }
 // fitting cost, see e.g. the ARIMA/LSTM FitDuration accessors).
 func (e *Ensemble) TrainingTime() (time.Duration, int) { return e.trainTime, e.trainRuns }
 
-// Model returns the champion model for a (cluster, dim) pair, or nil out of
-// range. It is exposed for inspection in experiments (e.g. reading the
-// selected ARIMA order).
-func (e *Ensemble) Model(j, d int) Model {
-	if j < 0 || j >= e.cfg.Clusters || d < 0 || d >= e.cfg.Dims {
-		return nil
-	}
-	return e.models[e.championIdx(j, d)][j][d]
-}
-
 // CandidateAccuracy is one candidate's rolling accuracy inside a
 // (cluster, dim) selection cell.
 type CandidateAccuracy struct {
@@ -427,10 +398,10 @@ type SelectionInfo struct {
 	Cells [][]CellSelection
 }
 
-// Selection returns a deep-copied view of the zoo selection state, or nil in
-// single-family mode. The result shares no memory with the ensemble.
+// Selection returns a deep-copied view of the selection state, or nil with
+// fewer than two candidates. The result shares no memory with the ensemble.
 func (e *Ensemble) Selection() *SelectionInfo {
-	if !e.zoo {
+	if e.sel == nil {
 		return nil
 	}
 	dims := e.cfg.Dims

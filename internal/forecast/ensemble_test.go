@@ -8,11 +8,11 @@ import (
 
 func TestNewEnsembleValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := NewEnsemble(EnsembleConfig{Clusters: 0, Builder: func() Model { return NewSampleAndHold() }}); !errors.Is(err, ErrBadInput) {
+	if _, err := NewEnsemble(EnsembleConfig{Clusters: 0, Candidates: only(sahBuilder)}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("0 clusters: want ErrBadInput, got %v", err)
 	}
 	if _, err := NewEnsemble(EnsembleConfig{Clusters: 2}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("nil builder: want ErrBadInput, got %v", err)
+		t.Fatalf("no candidates: want ErrBadInput, got %v", err)
 	}
 }
 
@@ -23,7 +23,7 @@ func TestEnsembleInitialCollectionGate(t *testing.T) {
 		Dims:              1,
 		InitialCollection: 10,
 		RetrainEvery:      5,
-		Builder:           func() Model { return NewSampleAndHold() },
+		Candidates:        only(sahBuilder),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestEnsembleRetrainSchedule(t *testing.T) {
 		Clusters:          1,
 		InitialCollection: 4,
 		RetrainEvery:      3,
-		Builder:           func() Model { return NewSampleAndHold() },
+		Candidates:        only(sahBuilder),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestEnsembleObserveValidation(t *testing.T) {
 	t.Parallel()
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: 2, Dims: 2, InitialCollection: 5,
-		Builder: func() Model { return NewSampleAndHold() },
+		Candidates: only(sahBuilder),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestEnsembleUpdatePathBetweenRetrains(t *testing.T) {
 		Clusters:          1,
 		InitialCollection: 5,
 		RetrainEvery:      1000, // no retrain within this test
-		Builder:           func() Model { return NewSampleAndHold() },
+		Candidates:        only(sahBuilder),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,11 +128,11 @@ func TestEnsembleUpdatePathBetweenRetrains(t *testing.T) {
 	}
 }
 
-func TestEnsembleSeriesAndModelAccessors(t *testing.T) {
+func TestEnsembleSeriesAccessors(t *testing.T) {
 	t.Parallel()
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: 2, InitialCollection: 3,
-		Builder: func() Model { return NewSampleAndHold() },
+		Candidates: only(sahBuilder),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +149,6 @@ func TestEnsembleSeriesAndModelAccessors(t *testing.T) {
 	if e.Series(5, 0) != nil || e.Series(0, 2) != nil {
 		t.Fatal("out-of-range series should be nil")
 	}
-	if e.Model(0, 0) == nil || e.Model(9, 0) != nil {
-		t.Fatal("model accessor bounds wrong")
-	}
 	if e.Steps() != 4 {
 		t.Fatalf("steps = %d, want 4", e.Steps())
 	}
@@ -163,13 +160,13 @@ func TestEnsembleWithARIMAForecastsTrend(t *testing.T) {
 		Clusters:          1,
 		InitialCollection: 120,
 		RetrainEvery:      1000,
-		Builder: func() Model {
+		Candidates: only(func() Model {
 			m, err := NewARIMA(Order{P: 1, D: 1})
 			if err != nil {
 				panic(err)
 			}
 			return m
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,9 +197,9 @@ func TestEnsembleFitWindowCapsHistory(t *testing.T) {
 		InitialCollection: 30,
 		RetrainEvery:      10,
 		FitWindow:         12,
-		Builder: func() Model {
+		Candidates: only(func() Model {
 			return &probeModel{onFit: func(n int) { lengths = append(lengths, n) }}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

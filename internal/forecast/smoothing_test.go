@@ -234,7 +234,7 @@ func TestSmoothingModelsInEnsemble(t *testing.T) {
 	}
 	for _, builder := range builders {
 		e, err := NewEnsemble(EnsembleConfig{
-			Clusters: 2, InitialCollection: 20, RetrainEvery: 50, Builder: builder,
+			Clusters: 2, InitialCollection: 20, RetrainEvery: 50, Candidates: only(builder),
 		})
 		if err != nil {
 			t.Fatal(err)

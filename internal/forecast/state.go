@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"orcf/internal/parallel"
@@ -14,8 +15,8 @@ import (
 // refitting on the history up to the last (re)training step and replaying
 // the per-step Updates that followed it. That keeps the format independent
 // of which model family is configured — persisting an ARIMA ensemble and an
-// LSTM ensemble takes the same bytes-per-step, and a zoo adds only the
-// compact selection bookkeeping below.
+// LSTM ensemble takes the same bytes-per-step, and a zoo of two or more
+// families adds only the compact selection bookkeeping below.
 type EnsembleState struct {
 	// T is the number of observed steps.
 	T int
@@ -36,10 +37,13 @@ type EnsembleState struct {
 	// before trimming existed, which restores the old full-history behavior.
 	SeriesStart int
 
-	// Zoo-mode selection state; all empty/zero in single-family mode.
+	// Selection state; all empty/zero with fewer than two candidates.
 
 	// Families lists the candidate family names in zoo order; restore
-	// requires an exact match with the restoring ensemble's candidates.
+	// requires an exact match with the restoring ensemble's candidates. A
+	// one-candidate ensemble accepts an empty list or its own family's name
+	// (a one-family zoo exported before one-candidate ensembles stopped
+	// selecting) and ignores the selection fields below.
 	Families []string
 	// Champions holds the per-(cluster, dim) champion candidate index,
 	// flattened [cluster·Dims + dim].
@@ -78,7 +82,7 @@ func (e *Ensemble) ExportState() *EnsembleState {
 			st.Series[j][d] = append([]float64(nil), series...)
 		}
 	}
-	if e.zoo {
+	if e.sel != nil {
 		st.Families = append([]string(nil), e.names...)
 		st.Champions = append([]int(nil), e.sel.champ...)
 		st.Streaks = append([]int(nil), e.sel.streak...)
@@ -105,12 +109,12 @@ func (e *Ensemble) ExportState() *EnsembleState {
 // exported one and reconstructs every model deterministically: each model is
 // refit on its series truncated to the last training step (honoring
 // FitWindow exactly as the live refit did), then fed the observations that
-// arrived after it via Update. In zoo mode the selection state (champions,
-// streaks, switch counts, accuracy windows) is restored verbatim and the
-// 1-step scoring forecasts are recomputed, so selection resumes
-// bit-identically mid-streak. The ensemble must not have observed any step
-// yet. Fits run on the configured worker pool; the refit does not count
-// toward the restored TrainTime/TrainRuns accounting.
+// arrived after it via Update. With two or more candidates the selection
+// state (champions, streaks, switch counts, accuracy windows) is restored
+// verbatim and the 1-step scoring forecasts are recomputed, so selection
+// resumes bit-identically mid-streak. The ensemble must not have observed
+// any step yet. Fits run on the configured worker pool; the refit does not
+// count toward the restored TrainTime/TrainRuns accounting.
 func (e *Ensemble) RestoreState(st *EnsembleState) error {
 	if e.t != 0 {
 		return fmt.Errorf("forecast: restore into ensemble with %d steps: %w", e.t, ErrBadInput)
@@ -170,7 +174,7 @@ func (e *Ensemble) RestoreState(st *EnsembleState) error {
 	e.trainTime = st.TrainTime
 	e.trainRuns = st.TrainRuns
 	e.start = st.SeriesStart
-	if e.zoo {
+	if e.sel != nil {
 		copy(e.sel.champ, st.Champions)
 		copy(e.sel.streak, st.Streaks)
 		copy(e.sel.switches, st.Switches)
@@ -212,31 +216,22 @@ func (e *Ensemble) RestoreState(st *EnsembleState) error {
 	if err != nil {
 		return err
 	}
-	if e.zoo {
+	if e.sel != nil {
 		return e.refreshPred()
 	}
 	return nil
 }
 
-// validateSelectionState checks the shape and candidate-roster agreement of
-// the zoo selection fields before any mutation.
+// validateSelectionState checks the candidate-roster agreement and the shape
+// of the selection fields before any mutation. A one-candidate ensemble also
+// takes a state that names no family, and ignores its selection fields.
 func (e *Ensemble) validateSelectionState(st *EnsembleState) error {
-	if !e.zoo {
-		if len(st.Families) != 0 {
-			return fmt.Errorf("forecast: zoo state (%d families) for single-family ensemble: %w",
-				len(st.Families), ErrBadInput)
-		}
+	if !slices.Equal(st.Families, e.names) && (e.sel != nil || len(st.Families) > 0) {
+		return fmt.Errorf("forecast: state families %q, ensemble has %q: %w",
+			st.Families, e.names, ErrBadInput)
+	}
+	if e.sel == nil {
 		return nil
-	}
-	if len(st.Families) != len(e.names) {
-		return fmt.Errorf("forecast: state has %d families, ensemble has %d: %w",
-			len(st.Families), len(e.names), ErrBadInput)
-	}
-	for i, name := range st.Families {
-		if name != e.names[i] {
-			return fmt.Errorf("forecast: state family %d is %q, ensemble has %q: %w",
-				i, name, e.names[i], ErrBadInput)
-		}
 	}
 	nc := len(e.names)
 	cells := e.cfg.Clusters * e.cfg.Dims

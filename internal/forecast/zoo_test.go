@@ -5,11 +5,16 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 )
 
 var sahBuilder = func() Model { return NewSampleAndHold() }
+
+// only is the Candidates of a one-candidate ensemble running b.
+func only(b Builder) []Candidate { return []Candidate{{Name: b().Name(), Builder: b}} }
 
 // --- registry ---
 
@@ -387,9 +392,9 @@ func zooEnsemble(t *testing.T, names []string, sel SelectionConfig, clusters, di
 }
 
 func TestZooConfigValidation(t *testing.T) {
-	cands, _ := Zoo("ses")
+	cands, _ := Zoo("ses", "ar")
 	bad := []EnsembleConfig{
-		{Clusters: 1, Candidates: cands, Builder: sahBuilder},                   // both set
+		{Clusters: 1}, // no candidates
 		{Clusters: 1, Candidates: []Candidate{{Name: "", Builder: sahBuilder}}}, // empty name
 		{Clusters: 1, Candidates: []Candidate{{Name: "x", Builder: nil}}},       // nil builder
 		{Clusters: 1, Candidates: []Candidate{
@@ -439,66 +444,179 @@ func TestZooRegimeChangeSwitchesChampion(t *testing.T) {
 		t.Fatalf("cell switches %d != total %d (single cell)",
 			info.Cells[0][0].Switches, info.SwitchTotal)
 	}
-	// The champion also serves Forecast and Model.
-	if name := e.Model(0, 0).Name(); name != "sample-and-hold" {
-		t.Fatalf("Model() is %q", name)
+	// The champion serves Forecast: it equals the champion family's own
+	// forecast, which differs from the deposed family's.
+	champ := info.Cells[0][0].ChampionIdx
+	served, err := e.Forecast(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := e.models[champ][0][0].Forecast(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deposed, err := e.models[1-champ][0][0].Forecast(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(served[0][0], own) || reflect.DeepEqual(own, deposed) {
+		t.Fatalf("served %v, champion's own %v, deposed %v", served[0][0], own, deposed)
 	}
 }
 
-// TestZooSingleCandidateMatchesLegacy pins the compatibility contract: a
-// one-candidate zoo produces bit-identical forecasts and series to the
-// legacy single-Builder ensemble under the same observation stream.
+// TestZooSingleCandidateMatchesLegacy pins the one-candidate ensemble to the
+// §VI-A3 schedule driven by hand: one bare Model per (cluster, dim) is fit on
+// the FitWindow suffix at InitialCollection and every RetrainEvery steps
+// after it, and fed every observation in between through Update. Forecasts
+// must agree bit for bit at every ready step, as must the retained series
+// and the number of training rounds; the ensemble keeps no selection state.
 func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
+	const (
+		clusters, dims = 2, 2
+		initial        = 30
+		retrain        = 7
+		fitWindow      = 24
+	)
 	for _, name := range []string{"ses", "ar", "lagged-ridge"} {
 		builder, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("missing family %q", name)
 		}
-		legacy, err := NewEnsemble(EnsembleConfig{
-			Clusters: 2, Dims: 2, InitialCollection: 30, RetrainEvery: 7,
-			Builder: builder, Workers: 1,
+		e, err := NewEnsemble(EnsembleConfig{
+			Clusters: clusters, Dims: dims, InitialCollection: initial,
+			RetrainEvery: retrain, FitWindow: fitWindow,
+			Candidates: []Candidate{{Name: name, Builder: builder}}, Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		zoo := zooEnsemble(t, []string{name}, SelectionConfig{}, 2, 2, 30, 7)
+		if e.Selection() != nil {
+			t.Fatalf("%s: one-candidate ensemble exposes selection state", name)
+		}
+		oracle := make([][]Model, clusters)
+		series := make([][][]float64, clusters)
+		for j := range oracle {
+			oracle[j] = make([]Model, dims)
+			series[j] = make([][]float64, dims)
+			for d := range oracle[j] {
+				oracle[j][d] = builder()
+			}
+		}
+		ready, lastFit, fits := false, 0, 0
 		rng := rand.New(rand.NewSource(42))
-		for step := 0; step < 90; step++ {
+		for step := 1; step <= 90; step++ {
 			cent := [][]float64{
 				{math.Sin(float64(step) / 5), rng.Float64()},
 				{0.2 + 0.01*float64(step), rng.NormFloat64() * 0.1},
 			}
-			if err := legacy.Observe(cent); err != nil {
-				t.Fatalf("%s legacy step %d: %v", name, step, err)
+			if err := e.Observe(cent); err != nil {
+				t.Fatalf("%s step %d: %v", name, step, err)
 			}
-			if err := zoo.Observe(cent); err != nil {
-				t.Fatalf("%s zoo step %d: %v", name, step, err)
+			fit := (!ready && step >= initial) || (ready && step-lastFit >= retrain)
+			for j := range oracle {
+				for d, v := range cent[j] {
+					series[j][d] = append(series[j][d], v)
+					switch {
+					case fit:
+						s := series[j][d]
+						if err := oracle[j][d].Fit(s[max(0, len(s)-fitWindow):]); err != nil {
+							t.Fatalf("%s step %d: oracle fit: %v", name, step, err)
+						}
+					case ready:
+						oracle[j][d].Update(v)
+					}
+				}
 			}
-			if legacy.Ready() != zoo.Ready() {
-				t.Fatalf("%s step %d: ready %t vs %t", name, step, legacy.Ready(), zoo.Ready())
+			if fit {
+				ready, lastFit = true, step
+				fits++
 			}
-			if !legacy.Ready() {
+			if e.Ready() != ready {
+				t.Fatalf("%s step %d: ready %t, oracle %t", name, step, e.Ready(), ready)
+			}
+			if !ready {
 				continue
 			}
-			lf, err1 := legacy.Forecast(5)
-			zf, err2 := zoo.Forecast(5)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s step %d: forecast errors %v / %v", name, step, err1, err2)
+			got, err := e.Forecast(5)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", name, step, err)
 			}
-			if !reflect.DeepEqual(lf, zf) {
-				t.Fatalf("%s step %d: forecasts diverge", name, step)
+			for j := range oracle {
+				for d := range oracle[j] {
+					want, err := oracle[j][d].Forecast(5)
+					if err != nil {
+						t.Fatalf("%s step %d: oracle forecast: %v", name, step, err)
+					}
+					for h := range want {
+						if math.Float64bits(got[j][d][h]) != math.Float64bits(want[h]) {
+							t.Fatalf("%s step %d cell (%d,%d) h=%d: %v, oracle %v",
+								name, step, j, d, h+1, got[j][d][h], want[h])
+						}
+					}
+				}
 			}
 		}
-		_, lruns := legacy.TrainingTime()
-		_, zruns := zoo.TrainingTime()
-		if lruns != zruns {
-			t.Fatalf("%s: train runs %d vs %d", name, lruns, zruns)
+		if _, runs := e.TrainingTime(); runs != fits {
+			t.Fatalf("%s: %d training rounds, oracle %d", name, runs, fits)
 		}
-		for j := 0; j < 2; j++ {
-			for d := 0; d < 2; d++ {
-				if !reflect.DeepEqual(legacy.Series(j, d), zoo.Series(j, d)) {
+		for j := range series {
+			for d, s := range series[j] {
+				if !reflect.DeepEqual(e.Series(j, d), s[e.SeriesStart():]) {
 					t.Fatalf("%s: series (%d,%d) diverge", name, j, d)
 				}
+			}
+		}
+	}
+}
+
+// countingModel is sample-and-hold that counts its Forecast calls.
+type countingModel struct {
+	SampleAndHold
+	calls *atomic.Int64
+}
+
+func (m *countingModel) Forecast(h int) ([]float64, error) {
+	m.calls.Add(1)
+	return m.SampleAndHold.Forecast(h)
+}
+
+// TestObserveForecastCalls pins what selection costs per step: with one
+// candidate Observe makes no Forecast call at all, with c ≥ 2 it refreshes
+// every candidate's 1-step forecast in every (cluster, dim) cell — K·d·c
+// calls per ready step, the training steps included.
+func TestObserveForecastCalls(t *testing.T) {
+	const clusters, dims, initial, retrain = 3, 2, 5, 4
+	for _, c := range []int{1, 2, 3} {
+		var calls atomic.Int64
+		cands := make([]Candidate, c)
+		for i := range cands {
+			cands[i] = Candidate{Name: string(rune('a' + i)),
+				Builder: func() Model { return &countingModel{calls: &calls} }}
+		}
+		e, err := NewEnsemble(EnsembleConfig{
+			Clusters: clusters, Dims: dims, InitialCollection: initial,
+			RetrainEvery: retrain, Candidates: cands,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(clusters * dims * c)
+		if c == 1 {
+			want = 0
+		}
+		cent := [][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}}
+		for step := 1; step <= 20; step++ {
+			before := calls.Load()
+			if err := e.Observe(cent); err != nil {
+				t.Fatal(err)
+			}
+			wantStep := want
+			if !e.Ready() {
+				wantStep = 0
+			}
+			if got := calls.Load() - before; got != wantStep {
+				t.Fatalf("c=%d step %d (ready %t): %d Forecast calls, want %d",
+					c, step, e.Ready(), got, wantStep)
 			}
 		}
 	}
@@ -565,12 +683,22 @@ func TestZooRestoreRejectsFamilyMismatch(t *testing.T) {
 	if err := wrongOrder.RestoreState(st); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("family order mismatch accepted: %v", err)
 	}
-	single, err := NewEnsemble(EnsembleConfig{Clusters: 1, InitialCollection: 5, Builder: sahBuilder})
-	if err != nil {
-		t.Fatal(err)
+	// A one-candidate ensemble takes a state naming no family or its own
+	// one, and rejects a two-family state or one naming another family.
+	ses := func() *Ensemble { return zooEnsemble(t, []string{"ses"}, SelectionConfig{}, 1, 1, 5, 10) }
+	for _, fams := range [][]string{{"ar"}, {"ses", "ses"}, nil, {"ses"}} {
+		one := ses().ExportState()
+		one.Families = fams
+		err := ses().RestoreState(one)
+		if ok := len(fams) == 0 || slices.Equal(fams, []string{"ses"}); ok != (err == nil) {
+			t.Fatalf("families %q into a one-candidate ses ensemble: %v", fams, err)
+		}
+		if err != nil && !errors.Is(err, ErrBadInput) {
+			t.Fatalf("families %q: %v, want ErrBadInput", fams, err)
+		}
 	}
-	if err := single.RestoreState(st); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("zoo state accepted by single-family ensemble: %v", err)
+	if err := ses().RestoreState(st); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("two-family zoo state accepted by one-candidate ensemble: %v", err)
 	}
 }
 
@@ -579,7 +707,7 @@ func TestZooRestoreRejectsFamilyMismatch(t *testing.T) {
 func TestTrimBoundsRetainedSeries(t *testing.T) {
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: 1, InitialCollection: 10, RetrainEvery: 5, FitWindow: 8,
-		Builder: sahBuilder, Workers: 1,
+		Candidates: only(sahBuilder), Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -611,7 +739,7 @@ func TestTrimBoundsRetainedSeries(t *testing.T) {
 func TestTrimSteadyStateAllocs(t *testing.T) {
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: 2, Dims: 2, InitialCollection: 10, RetrainEvery: 4, FitWindow: 16,
-		Builder: sahBuilder, Workers: 1,
+		Candidates: only(sahBuilder), Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -642,7 +770,7 @@ func TestTrimExportRestoreBitIdentical(t *testing.T) {
 	mk := func() *Ensemble {
 		m, err := NewEnsemble(EnsembleConfig{
 			Clusters: 1, InitialCollection: 12, RetrainEvery: 6, FitWindow: 10,
-			Builder: func() Model { m, _ := NewSES(0.4); return m }, Workers: 1,
+			Candidates: only(func() Model { m, _ := NewSES(0.4); return m }), Workers: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

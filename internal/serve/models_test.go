@@ -141,32 +141,55 @@ func TestModelsEndpointRegimeChange(t *testing.T) {
 	}
 }
 
-// TestModelsEndpointSingleFamily checks the single-family (legacy) read shape:
-// mode "single", no roster, zero-valued zoo metrics, no stats models block.
+// TestModelsEndpointSingleFamily checks the single-family read shape — mode
+// "single", no roster, zero-valued zoo metrics, no stats models block — for
+// a pinned core.Config.Model and for a one-family zoo, which has nothing to
+// select and reads the same.
 func TestModelsEndpointSingleFamily(t *testing.T) {
 	t.Parallel()
-	sys, _ := readySystem(t, 8, 6, 25)
-	srv, err := New(Config{Source: sys})
+	pinned, _ := readySystem(t, 8, 6, 25)
+	ses, err := forecast.Zoo("ses")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var models ModelsResponse
-	get(t, srv, "/v1/models", http.StatusOK, &models)
-	if models.Mode != "single" {
-		t.Fatalf("mode %q, want single", models.Mode)
+	oneFamily, err := core.NewSystem(core.Config{
+		Nodes: 9, K: 2, InitialCollection: 10, Zoo: ses, Seed: 7, SnapshotHorizon: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(models.Families) != 0 || len(models.Trackers) != 0 || models.SwitchesTotal != 0 {
-		t.Fatalf("single-family response carries zoo state: %+v", models)
+	for step := 0; step < 30; step++ {
+		if _, err := oneFamily.Step(zooStep(9, step)); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
-	var stats StatsResponse
-	get(t, srv, "/v1/stats", http.StatusOK, &stats)
-	if stats.Models != nil {
-		t.Fatalf("single-family stats carries models block: %+v", stats.Models)
-	}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), "orcf_forecast_candidates 0\n") {
-		t.Fatal("single-family scrape should report zero candidates")
+	for _, tc := range []struct {
+		name string
+		sys  *core.System
+	}{{"model", pinned}, {"one-family zoo", oneFamily}} {
+		name := tc.name
+		srv, err := New(Config{Source: tc.sys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var models ModelsResponse
+		get(t, srv, "/v1/models", http.StatusOK, &models)
+		if models.Mode != "single" {
+			t.Fatalf("%s: mode %q, want single", name, models.Mode)
+		}
+		if len(models.Families) != 0 || len(models.Trackers) != 0 || models.SwitchesTotal != 0 {
+			t.Fatalf("%s: single-family response carries zoo state: %+v", name, models)
+		}
+		var stats StatsResponse
+		get(t, srv, "/v1/stats", http.StatusOK, &stats)
+		if stats.Models != nil {
+			t.Fatalf("%s: single-family stats carries models block: %+v", name, stats.Models)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if !strings.Contains(rec.Body.String(), "orcf_forecast_candidates 0\n") {
+			t.Fatalf("%s: single-family scrape should report zero candidates", name)
+		}
 	}
 }
 

@@ -274,9 +274,10 @@ type TrackerModels struct {
 }
 
 // ModelsResponse is the /v1/models payload. Mode is "zoo" when the pipeline
-// runs a model zoo with online champion/challenger selection, else "single"
-// (a single configured family; Families, selection tuning, and Trackers are
-// then empty — the snapshot does not record the family's name).
+// runs a model zoo of two or more families with online champion/challenger
+// selection, else "single" (one family, pinned by core.Config.Model or a
+// one-family zoo; Families, selection tuning, and Trackers are then empty —
+// the snapshot does not record the family's name).
 type ModelsResponse struct {
 	Generation    uint64          `json:"generation"`
 	Step          int             `json:"step"`
@@ -290,8 +291,8 @@ type ModelsResponse struct {
 	Trackers      []TrackerModels `json:"trackers,omitempty"`
 }
 
-// ModelStats is the /v1/stats model-zoo block (nil for single-family
-// deployments).
+// ModelStats is the /v1/stats model-zoo block (nil when one family is
+// pinned, including a one-family zoo).
 type ModelStats struct {
 	// Families lists the candidate family names in zoo order.
 	Families []string `json:"families"`

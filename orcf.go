@@ -291,9 +291,10 @@ func WithHoltWinters(period int) Option {
 // candidate's 1-step forecasts are scored online against the next observed
 // centroid, and forecasts are served by the per-cell champion, which a
 // challenger dethrones only after beating it by a margin for a sustained
-// streak of evaluations (hysteresis; tune with WithSelection). Names must be
-// registered families (see ModelFamilies). Mutually exclusive with the
-// single-model options (WithSES, WithARIMA, WithModelBuilder, ...).
+// streak of evaluations (hysteresis; tune with WithSelection). One name has
+// nothing to select: it pins that family. Names must be registered families
+// (see ModelFamilies). Mutually exclusive with the single-model options
+// (WithSES, WithARIMA, WithModelBuilder, ...).
 func WithModelZoo(names ...string) Option {
 	return func(c *config) error {
 		zoo, err := forecast.Zoo(names...)
@@ -307,7 +308,7 @@ func WithModelZoo(names ...string) Option {
 
 // WithSelection tunes the champion/challenger selector used by WithModelZoo
 // (zero fields select the defaults: window 64, margin 0, streak 3, metric
-// "mae"). Ignored unless WithModelZoo is also set.
+// "mae"). Ignored unless WithModelZoo names two or more families.
 func WithSelection(cfg SelectionConfig) Option {
 	return func(c *config) error {
 		if err := cfg.WithDefaults().Validate(); err != nil {
@@ -323,8 +324,8 @@ func WithSelection(cfg SelectionConfig) Option {
 func ModelFamilies() []string { return forecast.Families() }
 
 // ModelSelection returns a deep copy of one tracker's champion/challenger
-// state, or nil when the system runs a single pinned family or the tracker
-// index is out of range. Call it between Steps (for lock-free concurrent
+// state, or nil when the system runs one pinned family (a one-family zoo
+// included) or the tracker index is out of range. Call it between Steps (for lock-free concurrent
 // reads use Snapshot.ModelSelection).
 func (s *System) ModelSelection(tracker int) *SelectionInfo {
 	return s.inner.ModelSelection(tracker)
