@@ -43,10 +43,13 @@ race:
 # Flake hunt: the five packages whose tests lean on goroutines, sockets and
 # timers, twenty times under the race detector. Several minutes, so it is not
 # part of `ci:`; run it by hand on any change to reconnect, recovery or
-# webhook code (see "Hunting a flaky test" in docs/OPERATIONS.md).
+# webhook code (see "Hunting a flaky test" in docs/OPERATIONS.md). -short
+# shrinks the two CPU-bound differential sweeps in internal/serve, which hunt
+# no race: at full size the JSON-float sweep alone takes ~40 s per run under
+# -race, and twenty runs exceed go test's ten-minute timeout.
 FLAKE_PKGS = ./internal/serve ./internal/persist ./internal/transport ./internal/alert ./cmd/forecastd
 flake:
-	$(GO) test -race -count=20 $(FLAKE_PKGS)
+	$(GO) test -race -short -count=20 $(FLAKE_PKGS)
 
 # Docs gate: markdown links in README/docs must resolve, exported
 # identifiers in the gated packages must carry doc comments, and every
@@ -98,12 +101,13 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the twelve native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the thirteen native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
-# nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel, ARIMA-fit
-# and JSON-float reference differentials — the last twice, over all float64
-# bits and over the served range [1e-6, 1)) from its committed seed corpus. go
-# test allows one -fuzz pattern per invocation, hence one line each.
+# nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel, ARIMA-fit,
+# JSON-float and collector-store reference differentials — the JSON-float one
+# twice, over all float64 bits and over the served range [1e-6, 1)) from its
+# committed seed corpus. go test allows one -fuzz pattern per invocation,
+# hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
@@ -118,3 +122,4 @@ fuzz-smoke:
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloatServedRange$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzStoreStepperMatchesOracle$$' -fuzztime $(FUZZTIME)

@@ -11,13 +11,13 @@ import (
 )
 
 // TestTickRejectsMalformedMeasurement pins what a record the pipeline cannot
-// digest costs: the wire decoder admits any float bits and any width, so a
-// NaN, an infinity or a wrong-dims record reaches the store as a node's
-// latest. The tick succeeds, the sender goes without a row for as long as
-// the record stays its latest, the record is counted once however many ticks
-// meet it, a node whose first record is malformed is not joined — and every
-// step result and forecast equals, bit for bit, those of a run in which the
-// bad agent sent nothing at all.
+// digest costs: the wire decoder admits any float bits and any width, zero
+// included, so a NaN, an infinity or a wrong-dims record reaches the store
+// as a node's latest. The tick succeeds, the sender goes without a row for
+// as long as the record stays its latest, the record is counted once however
+// many ticks meet it, a node whose first record is malformed is not joined —
+// and every step result and forecast equals, bit for bit, those of a run in
+// which the bad agent sent nothing at all.
 func TestTickRejectsMalformedMeasurement(t *testing.T) {
 	t.Parallel()
 	const (
@@ -36,6 +36,7 @@ func TestTickRejectsMalformedMeasurement(t *testing.T) {
 		"-Inf":       {0.3, math.Inf(-1)},
 		"dims short": {0.3},
 		"dims long":  {0.3, 0.3, 0.3},
+		"dims zero":  {},
 	} {
 		// run steps a fleet through the scenario; with malformed the bad
 		// agents send bad, without they stay silent.

@@ -36,6 +36,15 @@ import (
 //
 // Tick must be called from a single goroutine (it steps the System); the
 // published snapshots make the results readable concurrently.
+//
+// The stepper keeps no map. What it remembers per node between ticks is a
+// watermark column indexed by the store's entries (see
+// transport.Store.EachReported): the newest measurement step consumed or
+// rejected, the newest local clock seen, and the node's roster slot, each
+// tagged with the entry generation it belongs to — a changed generation
+// resets the watermark, so eviction only has to Forget the store entry —
+// and the slot also with the roster it was looked up in, so SlotOf runs only
+// for a node first seen or after a membership change.
 type StoreStepper struct {
 	sys     *core.System
 	store   *transport.Store
@@ -45,15 +54,10 @@ type StoreStepper struct {
 	absence int // cfg.AbsenceTimeout: 0 = no liveness tracking
 	started bool
 
-	// Per-node delivery tracking, keyed by stable node ID. lastStep is the
-	// newest measurement step consumed or rejected; lastClock the newest
-	// local clock observed (measurements or heartbeats). Entries are dropped
-	// at eviction, together with the store entry, so a rejoining agent that
-	// restarted its local step counter is not stuck under a stale
-	// watermark.
-	lastStep  map[int]int
-	lastClock map[int]int
-	rejected  obs.Counter // malformed records kept out of the pipeline
+	marks    []watermark  // per store entry, grown as the store grows
+	roster   *core.Roster // the membership cached slots were looked up in
+	epoch    uint32       // bumped with every new roster; marks' slots of another epoch are stale
+	rejected obs.Counter  // malformed records kept out of the pipeline
 
 	// Dense per-slot buffers, regrown as the fleet grows: x[i] is nil or
 	// rows[i], the view of slot i's row in the one frame every tick reads
@@ -62,7 +66,22 @@ type StoreStepper struct {
 	x       [][]float64
 	frame   *mat.Frame
 	rows    [][]float64
-	joiners []transport.NodeStat // newly heard nodes of the tick in flight
+	joiners []joiner // newly heard nodes of the tick in flight
+}
+
+// watermark is the stepper's delivery state for one store entry.
+type watermark struct {
+	gen   uint32 // the store entry generation the fields below belong to
+	epoch uint32 // the roster epoch slot belongs to; 0 = not looked up
+	step  int    // newest measurement step consumed or rejected
+	clock int    // newest local clock observed (measurements or heartbeats)
+	slot  int    // the node's roster slot, -1 when it is not a member
+}
+
+// joiner is a newly heard node of the tick in flight and its store entry.
+type joiner struct {
+	entry int
+	stat  transport.NodeStat
 }
 
 // StepLog records completed steps for durability. persist.Manager satisfies
@@ -90,12 +109,10 @@ func NewStoreStepper(store *transport.Store, cfg core.Config) (*StoreStepper, er
 		dims = 1
 	}
 	st := &StoreStepper{
-		store:     store,
-		dims:      dims,
-		absence:   cfg.AbsenceTimeout,
-		lastStep:  make(map[int]int),
-		lastClock: make(map[int]int),
-		frame:     mat.NewFrame(0, dims),
+		store:   store,
+		dims:    dims,
+		absence: cfg.AbsenceTimeout,
+		frame:   mat.NewFrame(0, dims),
 	}
 	cfg.Policy = func(node int) (transmit.Policy, error) {
 		return arrivalMirror{stepper: st, node: node}, nil
@@ -197,8 +214,9 @@ func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64,
 // Tick fails only when the step itself or its logging does.
 //
 // The store is read in place, under its lock, straight into the stepper's
-// frame: one walk over the nodes that have reported, no per-tick copy of the
-// store.
+// frame: one walk over the store's entries, no per-tick copy of the store and
+// no map lookup for a node whose entry and roster slot the stepper already
+// knows.
 func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	// The system may have been restored (roster and all) by a recovery that
 	// replayed zero WAL records, bypassing Replay: resync the dense buffers
@@ -207,6 +225,7 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	if !st.started && st.sys.Steps() > 0 {
 		st.started = true
 	}
+	st.syncRoster()
 	if !st.started && !st.gateOpen() {
 		return nil, false, nil
 	}
@@ -221,30 +240,33 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	clear(st.x[:n])
 	clear(st.arrived[:n])
 	st.joiners = st.joiners[:0]
-	st.store.EachReported(func(stat transport.NodeStat) {
-		if !st.admit(stat) {
+	st.store.EachReported(func(entry int, gen uint32, stat transport.NodeStat) {
+		w := st.mark(entry, gen)
+		if !st.admit(w, stat.Latest) {
 			return
 		}
-		if slot, member := st.sys.SlotOf(stat.Latest.Node); member {
-			st.feed(slot, stat)
+		if slot := st.slotOf(w, stat.Latest.Node); slot >= 0 {
+			st.feed(slot, w, stat)
 		} else {
-			st.joiners = append(st.joiners, stat)
+			st.joiners = append(st.joiners, joiner{entry: entry, stat: stat})
 		}
 	})
 	if len(st.joiners) > 0 {
 		// Sorted for deterministic slot binding.
-		sort.Slice(st.joiners, func(a, b int) bool { return st.joiners[a].Latest.Node < st.joiners[b].Latest.Node })
+		sort.Slice(st.joiners, func(a, b int) bool {
+			return st.joiners[a].stat.Latest.Node < st.joiners[b].stat.Latest.Node
+		})
 		ids := make([]int, len(st.joiners))
-		for j, stat := range st.joiners {
-			ids[j] = stat.Latest.Node
+		for j, jn := range st.joiners {
+			ids[j] = jn.stat.Latest.Node
 		}
 		if err := st.sys.AddNodes(ids...); err != nil {
 			return nil, st.started, fmt.Errorf("serve: joining nodes: %w", err)
 		}
 		st.grow(st.sys.Slots())
-		for _, stat := range st.joiners {
-			slot, _ := st.sys.SlotOf(stat.Latest.Node)
-			st.feed(slot, stat)
+		for _, jn := range st.joiners {
+			slot, _ := st.sys.SlotOf(jn.stat.Latest.Node)
+			st.feed(slot, &st.marks[jn.entry], jn.stat)
 		}
 	}
 
@@ -254,14 +276,13 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 		return nil, true, err
 	}
 	st.started = true
-	// Release evicted members' store entries and delivery watermarks so the
-	// stepper does not grow without bound under churn; a rejoining node
-	// (whose restarted agent may well restart its step counter) re-registers
-	// itself with its next measurement and starts fresh accounting.
+	// Release evicted members' store entries so the store does not grow
+	// without bound under churn. Their watermarks go with them: the next
+	// tenant of a freed entry (a rejoining node whose restarted agent may
+	// well restart its step counter, or another node) carries a new entry
+	// generation, and mark resets the watermark when it sees one.
 	for _, id := range res.Evicted {
 		st.store.Forget(id)
-		delete(st.lastStep, id)
-		delete(st.lastClock, id)
 	}
 	if st.log != nil {
 		if err := st.log.LogStep(res.T, roster, st.x[:roster.Slots()], st.arrived[:roster.Slots()]); err != nil {
@@ -271,15 +292,54 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	return res, true, nil
 }
 
+// syncRoster starts a new slot-cache epoch when the membership changed since
+// the last walk. A roster is immutable and the system hands out the same one
+// until its membership changes, so pointer identity is the test; holding the
+// pointer keeps it from being recycled into a false match.
+func (st *StoreStepper) syncRoster() {
+	if r := st.sys.Roster(); r != st.roster {
+		st.roster = r
+		st.epoch++
+	}
+}
+
+// mark returns the watermark of a store entry, reset when the entry has
+// changed hands since the stepper last saw it.
+func (st *StoreStepper) mark(entry int, gen uint32) *watermark {
+	if entry >= len(st.marks) {
+		st.marks = append(st.marks, make([]watermark, entry+1-len(st.marks))...)
+	}
+	w := &st.marks[entry]
+	if w.gen != gen {
+		*w = watermark{gen: gen}
+	}
+	return w
+}
+
+// slotOf returns the roster slot of the entry's node, -1 when it is not a
+// member, looking it up only when the cached answer belongs to an older
+// roster.
+func (st *StoreStepper) slotOf(w *watermark, id int) int {
+	if w.epoch != st.epoch {
+		slot, ok := st.roster.SlotOf(id)
+		if !ok {
+			slot = -1
+		}
+		w.slot, w.epoch = slot, st.epoch
+	}
+	return w.slot
+}
+
 // gateOpen is the bootstrap gate: every pre-registered member must have
 // reported, and the reporting fleet must at least reach K (the empty-roster
 // elastic start waits for K joiners).
 func (st *StoreStepper) gateOpen() bool {
 	members, newcomers := 0, 0
-	st.store.EachReported(func(stat transport.NodeStat) {
+	st.store.EachReported(func(entry int, gen uint32, stat transport.NodeStat) {
+		w := st.mark(entry, gen)
 		switch {
-		case !st.admit(stat):
-		case st.sys.HasNode(stat.Latest.Node):
+		case !st.admit(w, stat.Latest):
+		case st.slotOf(w, stat.Latest.Node) >= 0:
 			members++
 		default:
 			newcomers++
@@ -290,25 +350,25 @@ func (st *StoreStepper) gateOpen() bool {
 
 // admit reports whether a node's latest record may enter the pipeline: it
 // must come from a real node ID and carry dims finite values. A record that
-// does not is counted the first time it is met (the store keeps it as the
-// node's latest until a newer one arrives, and lastStep remembers it).
-func (st *StoreStepper) admit(stat transport.NodeStat) bool {
-	id, values := stat.Latest.Node, stat.Latest.Values
-	if id < 0 || len(values) == 0 {
-		return false // no node, or heartbeats only so far
+// does not — a zero-width one included — is counted the first time it is met
+// (the store keeps it as the node's latest until a newer one arrives, and the
+// watermark remembers it).
+func (st *StoreStepper) admit(w *watermark, m transport.Measurement) bool {
+	if m.Node < 0 {
+		return false
 	}
-	ok := len(values) == st.dims
+	ok := len(m.Values) == st.dims
 	// A NaN admitted here poisons every window mean, centroid, and forecast
 	// it touches, and encoding/json cannot marshal it on the way back out.
 	// This is the primary defense; the Finite* guards on response assembly
 	// are the belt-and-braces fence.
-	for _, v := range values {
+	for _, v := range m.Values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			ok = false
 		}
 	}
-	if !ok && stat.Latest.Step > st.lastStep[id] {
-		st.lastStep[id] = stat.Latest.Step
+	if !ok && m.Step > w.step {
+		w.step = m.Step
 		st.rejected.Inc()
 	}
 	return ok
@@ -322,20 +382,19 @@ func (st *StoreStepper) RegisterMetrics(reg *obs.Registry) {
 
 // feed copies the member in slot's admitted latest measurement into the
 // slot's frame row for the step, unless the member takes an absence tick.
-func (st *StoreStepper) feed(slot int, stat transport.NodeStat) {
-	id := stat.Latest.Node
+func (st *StoreStepper) feed(slot int, w *watermark, stat transport.NodeStat) {
 	// With liveness tracking off (no AbsenceTimeout), a quiet member
 	// keeps being fed its last stored values — the pre-churn behavior.
 	// With it on, a member whose local clock stalled (no measurements
 	// and no heartbeats — agents heartbeat through suppressed steps)
 	// takes an absence tick instead.
-	fresh := stat.Latest.Step > st.lastStep[id]
-	contacted := fresh || stat.LocalStep > st.lastClock[id] || !st.started || st.absence == 0
+	fresh := stat.Latest.Step > w.step
+	contacted := fresh || stat.LocalStep > w.clock || !st.started || st.absence == 0
 	if fresh {
-		st.lastStep[id] = stat.Latest.Step
+		w.step = stat.Latest.Step
 	}
-	if stat.LocalStep > st.lastClock[id] {
-		st.lastClock[id] = stat.LocalStep
+	if stat.LocalStep > w.clock {
+		w.clock = stat.LocalStep
 	}
 	if !contacted {
 		return // clock stalled: absence tick for this member

@@ -44,23 +44,61 @@ type Measurement struct {
 
 // Store holds the most recent measurement of every node, i.e. the central
 // node's z_t, plus per-node ingest accounting. It is safe for concurrent
-// use.
+// use: one RWMutex, writers (Apply, Advance, Forget) exclusive, readers
+// shared.
+//
+// Layout: one map from node ID to an entry index, consulted only by Apply,
+// Advance, Forget and Latest, over one dense slice of entries — per entry
+// the latest measurement, the update count, the local clock, whether a
+// measurement is held, and a generation. Forget frees an entry onto a free
+// list; the next new ID reuses it with its generation bumped, so a reader
+// that keeps per-entry state between walks (StoreStepper's watermarks) can
+// tell a reused entry from the one it saw. A node is known to the store —
+// listed by Stats — from its first measurement or first positive clock
+// advance until Forget.
 type Store struct {
 	metrics StoreMetrics
 
-	mu      sync.RWMutex
-	latest  map[int]Measurement
-	updates map[int]int
-	clock   map[int]int // highest known local step per node (≥ latest.Step)
+	mu       sync.RWMutex
+	index    map[int]int // node ID → entry
+	entries  []entry
+	free     []int // entries released by Forget, reused last in first out
+	reported int   // entries holding a measurement
+}
+
+// entry is one node's slot in the store. A freed entry is zero but for its
+// generation.
+type entry struct {
+	latest  Measurement
+	updates int
+	// clock is the highest known local step, ≥ latest.Step when positive.
+	// Only positive steps are ever recorded, so 0 is "unknown" — the value
+	// a missing node reads as.
+	clock    int
+	gen      uint32
+	reported bool // latest holds a measurement
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		latest:  make(map[int]Measurement),
-		updates: make(map[int]int),
-		clock:   make(map[int]int),
+	return &Store{index: make(map[int]int)}
+}
+
+// entryLocked returns the node's entry, taking a fresh or freed one for a
+// node the store does not know; the caller holds the write lock.
+func (s *Store) entryLocked(node int) *entry {
+	i, ok := s.index[node]
+	if !ok {
+		if n := len(s.free); n > 0 {
+			i, s.free = s.free[n-1], s.free[:n-1]
+			s.entries[i].gen++
+		} else {
+			i = len(s.entries)
+			s.entries = append(s.entries, entry{})
+		}
+		s.index[node] = i
 	}
+	return &s.entries[i]
 }
 
 // Apply records a measurement, keeping only the newest step per node.
@@ -69,15 +107,20 @@ func NewStore() *Store {
 func (s *Store) Apply(m Measurement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m.Step > s.clock[m.Node] {
-		s.clock[m.Node] = m.Step
+	e := s.entryLocked(m.Node)
+	if m.Step > e.clock {
+		e.clock = m.Step
 	}
-	if prev, ok := s.latest[m.Node]; ok && prev.Step >= m.Step {
+	if e.reported && e.latest.Step >= m.Step {
 		s.metrics.Stale.Inc()
 		return
 	}
-	s.latest[m.Node] = m
-	s.updates[m.Node]++
+	if !e.reported {
+		e.reported = true
+		s.reported++
+	}
+	e.latest = m
+	e.updates++
 	s.metrics.Applied.Inc()
 }
 
@@ -88,43 +131,59 @@ func (s *Store) Apply(m Measurement) {
 func (s *Store) Advance(node, step int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if step > s.clock[node] {
-		s.clock[node] = step
-		s.metrics.Advances.Inc()
+	i, ok := s.index[node]
+	switch {
+	case ok && step > s.entries[i].clock:
+		s.entries[i].clock = step
+	case !ok && step > 0:
+		s.entryLocked(node).clock = step
+	default:
+		return
 	}
+	s.metrics.Advances.Inc()
 }
 
 // Forget drops everything the store holds for a node — its latest
 // measurement, update count, and local clock. The collection plane calls it
 // when a fleet member is evicted, so a churning fleet does not grow the
 // store without bound; if the node later reports again it re-registers as
-// new (its accounting restarts).
+// new (its accounting restarts, in an entry of a new generation).
 func (s *Store) Forget(node int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.latest[node]; ok {
-		s.metrics.Forgotten.Inc()
+	i, ok := s.index[node]
+	if !ok {
+		return
 	}
-	delete(s.latest, node)
-	delete(s.updates, node)
-	delete(s.clock, node)
+	e := &s.entries[i]
+	if e.reported {
+		s.metrics.Forgotten.Inc()
+		s.reported--
+	}
+	*e = entry{gen: e.gen}
+	delete(s.index, node)
+	s.free = append(s.free, i)
 }
 
 // Latest returns the most recent measurement of a node.
 func (s *Store) Latest(node int) (Measurement, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m, ok := s.latest[node]
-	return m, ok
+	if i, ok := s.index[node]; ok && s.entries[i].reported {
+		return s.entries[i].latest, true
+	}
+	return Measurement{}, false
 }
 
 // Snapshot returns the latest measurement of every node that has reported.
 func (s *Store) Snapshot() map[int]Measurement {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[int]Measurement, len(s.latest))
-	for k, v := range s.latest {
-		out[k] = v
+	out := make(map[int]Measurement, s.reported)
+	for node, i := range s.index {
+		if e := &s.entries[i]; e.reported {
+			out[node] = e.latest
+		}
 	}
 	return out
 }
@@ -133,7 +192,7 @@ func (s *Store) Snapshot() map[int]Measurement {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.latest)
+	return s.reported
 }
 
 // NodeStat is one node's ingest accounting.
@@ -162,36 +221,38 @@ type NodeStat struct {
 func (s *Store) Stats() map[int]NodeStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[int]NodeStat, len(s.clock))
-	for node := range s.clock {
-		out[node] = s.statLocked(node)
-	}
-	// Nodes whose only measurements carried non-positive steps have no
-	// clock entry but still belong in the accounting (frequency unknown).
-	for node := range s.latest {
-		if _, ok := out[node]; !ok {
-			out[node] = s.statLocked(node)
-		}
+	out := make(map[int]NodeStat, len(s.index))
+	for node, i := range s.index {
+		out[node] = s.entries[i].stat()
 	}
 	return out
 }
 
 // EachReported calls fn with the accounting of every node that has delivered
-// at least one measurement, in no particular order, while holding the
-// store's read lock — the stepping loop's per-tick read, which copies
-// nothing. fn must not call back into the Store; Latest.Values aliases the
-// store's copy, as it does in Stats, and is read-only.
-func (s *Store) EachReported(fn func(NodeStat)) {
+// at least one measurement, in entry order, while holding the store's read
+// lock — the stepping loop's per-tick read: one pass over the dense entries,
+// no map lookup, nothing copied but the NodeStat. Along with it fn gets the
+// node's entry index and that entry's generation, which together name this
+// node's tenancy of the entry: per-entry state a caller keeps between walks
+// is stale once the generation differs (Forget freed the entry and another
+// node, or the same one afresh, took it). Entries are never moved, so an
+// index stays below the number of entries the store ever held. fn must not
+// call back into the Store; Latest.Values aliases the store's copy, as it
+// does in Stats, and is read-only.
+func (s *Store) EachReported(fn func(entry int, gen uint32, stat NodeStat)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for node := range s.latest {
-		fn(s.statLocked(node))
+	for i := range s.entries {
+		if e := &s.entries[i]; e.reported {
+			fn(i, e.gen, e.stat())
+		}
 	}
 }
 
-// statLocked assembles one node's accounting; the caller holds the lock.
-func (s *Store) statLocked(node int) NodeStat {
-	st := NodeStat{Latest: s.latest[node], Updates: s.updates[node], LocalStep: s.clock[node]}
+// stat assembles the entry's accounting; the caller holds the lock. A node
+// known only through clock advances has a zero Latest.
+func (e *entry) stat() NodeStat {
+	st := NodeStat{Latest: e.latest, Updates: e.updates, LocalStep: e.clock}
 	if st.LocalStep > 0 {
 		st.Frequency = float64(st.Updates) / float64(st.LocalStep)
 	}
