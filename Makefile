@@ -11,9 +11,9 @@ GO ?= go
 # just without the race detector's ~10x slowdown.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet lint build test race flake docs churn-smoke alert-smoke repro-golden bench bench-check fuzz-smoke
+.PHONY: ci fmt vet lint build test race flake docs churn-smoke repro-golden bench bench-check fuzz-smoke
 
-ci: fmt vet lint build test race docs churn-smoke alert-smoke repro-golden bench-check fuzz-smoke
+ci: fmt vet lint build test race docs churn-smoke repro-golden bench-check fuzz-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -61,15 +61,6 @@ docs:
 # live in-process collector, verified bit-for-bit (exit 1 on mismatch).
 churn-smoke:
 	$(GO) run ./cmd/loadgen -nodes 64 -conns 4 -steps 40 -churn 1.5
-
-# Alert smoke: the three chaos scenarios replayed against the full serving
-# and alerting pipeline — burst must complete a fire → webhook → resolve
-# lifecycle, flap and rack must finish with zero false fires (exit 1
-# otherwise). See the Alerting section of docs/OPERATIONS.md.
-alert-smoke:
-	$(GO) run ./cmd/loadgen -chaos burst -nodes 16
-	$(GO) run ./cmd/loadgen -chaos flap -nodes 16
-	$(GO) run ./cmd/loadgen -chaos rack -nodes 16
 
 # Reproduction goldens: `repro` output for Fig. 9 and Fig. 10 at a small
 # scale, minus its wall-time line, must equal the committed files byte for

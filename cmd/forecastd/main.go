@@ -299,7 +299,7 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 			sinks = append(sinks, hook)
 		}
 		engine, err = alert.New(alert.Config{
-			Rules: rs, Sinks: sinks, Workers: *workers, MaxHorizon: *horizon,
+			Rules: rs, Sinks: sinks, MaxHorizon: *horizon,
 		})
 		if err != nil {
 			log.Error("alert engine construction", "err", err)
@@ -347,7 +347,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	if *httpAddr != "" {
 		serveCfg := serve.Config{
 			Source:      sys,
-			Workers:     *workers,
 			MaxInFlight: *maxInFlight,
 			Registry:    reg,
 		}

@@ -21,24 +21,17 @@
 // verification) covers every node that ever lived, including ones long
 // departed by the end of the run.
 //
-// With -chaos the tool changes role entirely: instead of soaking the
-// transport it replays a named chaos scenario (burst, flap, or rack) against
-// the full serving pipeline — central store, StoreStepper, alert engine,
-// webhook sink — and verifies the alert plane end to end: the burst scenario
-// must complete a fire → webhook delivery → resolve lifecycle, and the churn
-// scenarios must finish with zero false fires from warming or absent
-// members. See the "Alerting" section of docs/OPERATIONS.md.
-//
 // Usage:
 //
 //	loadgen -nodes 10000 -conns 64 -steps 30 -budget 0.3 -batch 64
 //	loadgen -nodes 10000 -conns 64 -steps 60 -churn 50
-//	loadgen -chaos burst -nodes 16
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -52,7 +45,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // value is the deterministic synthetic utilization of (node, step,
@@ -61,27 +54,31 @@ func value(node, step, r int) float64 {
 	return 0.5 + 0.4*math.Sin(float64(step)/9+float64(node)*0.7+float64(r)*1.3)
 }
 
-func run() int {
+// run is main with its arguments and output streams injected.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		nodes     = flag.Int("nodes", 10000, "fleet size")
-		conns     = flag.Int("conns", 64, "TCP connections (nodes are multiplexed across them)")
-		steps     = flag.Int("steps", 30, "local steps per node")
-		resources = flag.Int("resources", 2, "measurement dimensionality")
-		budget    = flag.Float64("budget", 0.3, "per-node transmission frequency budget B")
-		batch     = flag.Int("batch", transport.DefaultBatchSize, "records per batch flush")
-		linger    = flag.Duration("linger", 5*time.Millisecond, "max batching delay")
-		compress  = flag.Bool("compress", false, "DEFLATE-compress batch bodies")
-		idle      = flag.Duration("idle-timeout", time.Minute, "collector idle read deadline")
-		churn     = flag.Float64("churn", 0, "expected Poisson joins (and leaves) per step — rolls fleet membership mid-run (0 = static fleet)")
-		churnSeed = flag.Uint64("churn-seed", 1, "seed of the deterministic churn schedule")
-		chaos     = flag.String("chaos", "", "replay a chaos scenario against the full alerting pipeline instead of the transport soak: burst, flap, or rack")
+		nodes     = fs.Int("nodes", 10000, "fleet size")
+		conns     = fs.Int("conns", 64, "TCP connections (nodes are multiplexed across them)")
+		steps     = fs.Int("steps", 30, "local steps per node")
+		resources = fs.Int("resources", 2, "measurement dimensionality")
+		budget    = fs.Float64("budget", 0.3, "per-node transmission frequency budget B")
+		batch     = fs.Int("batch", transport.DefaultBatchSize, "records per batch flush")
+		linger    = fs.Duration("linger", 5*time.Millisecond, "max batching delay")
+		compress  = fs.Bool("compress", false, "DEFLATE-compress batch bodies")
+		idle      = fs.Duration("idle-timeout", time.Minute, "collector idle read deadline")
+		churn     = fs.Float64("churn", 0, "expected Poisson joins (and leaves) per step — rolls fleet membership mid-run (0 = static fleet)")
+		churnSeed = fs.Uint64("churn-seed", 1, "seed of the deterministic churn schedule")
 	)
-	flag.Parse()
-	if *chaos != "" {
-		return runChaos(*chaos, *nodes)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	if *nodes < 1 || *conns < 1 || *conns > *nodes || *steps < 1 || *churn < 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: need nodes ≥ conns ≥ 1, steps ≥ 1, churn ≥ 0")
+		fmt.Fprintln(stderr, "loadgen: need nodes ≥ conns ≥ 1, steps ≥ 1, churn ≥ 0")
 		return 2
 	}
 
@@ -123,20 +120,20 @@ func run() int {
 	store := transport.NewStore()
 	srv, err := transport.NewServer(store, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
+		fmt.Fprintln(stderr, "loadgen:", err)
 		return 1
 	}
 	srv.SetIdleTimeout(*idle)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
+		fmt.Fprintln(stderr, "loadgen:", err)
 		return 1
 	}
 	defer srv.Close()
-	fmt.Printf("loadgen: %d nodes over %d mux connections → %s | %d steps | budget %.2f | batch %d linger %s compress %v\n",
+	fmt.Fprintf(stdout, "loadgen: %d nodes over %d mux connections → %s | %d steps | budget %.2f | batch %d linger %s compress %v\n",
 		*nodes, *conns, addr, *steps, *budget, *batch, *linger, *compress)
 	if *churn > 0 {
-		fmt.Printf("loadgen: churn λ=%.2f → %d joins, %d leaves over the run (%d nodes ever lived)\n",
+		fmt.Fprintf(stdout, "loadgen: churn λ=%.2f → %d joins, %d leaves over the run (%d nodes ever lived)\n",
 			*churn, joins, leaves, total)
 	}
 
@@ -242,7 +239,7 @@ func run() int {
 	}
 	wg.Wait()
 	if perr := fleetErr.Load(); perr != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", *perr)
+		fmt.Fprintln(stderr, "loadgen:", *perr)
 		return 1
 	}
 
@@ -280,15 +277,15 @@ func run() int {
 			bad++
 		}
 	}
-	fmt.Printf("loadgen: delivered %d msgs in %s (%.0f msgs/s) | backpressure retries %d\n",
+	fmt.Fprintf(stdout, "loadgen: delivered %d msgs in %s (%.0f msgs/s) | backpressure retries %d\n",
 		delivered, elapsed.Round(time.Millisecond), float64(delivered)/elapsed.Seconds(), retries.Load())
-	fmt.Printf("loadgen: verification vs serial expectation: %d/%d nodes mismatched | protocol errors %d\n",
+	fmt.Fprintf(stdout, "loadgen: verification vs serial expectation: %d/%d nodes mismatched | protocol errors %d\n",
 		bad, total, srv.ProtocolErrors())
 	if bad != 0 || srv.ProtocolErrors() != 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: FAILED")
+		fmt.Fprintln(stderr, "loadgen: FAILED")
 		return 1
 	}
-	fmt.Println("loadgen: OK — store bit-identical to unbatched serial delivery, zero protocol errors")
+	fmt.Fprintln(stdout, "loadgen: OK — store bit-identical to unbatched serial delivery, zero protocol errors")
 	return 0
 }
 

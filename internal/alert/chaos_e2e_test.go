@@ -1,13 +1,16 @@
 // End-to-end chaos plane: these tests compose the real distributed stack —
 // transport store, StoreStepper pipeline, alert engine, webhook sink, and
-// the HTTP query plane — and drive it through the chaos scenarios cmd/loadgen
-// replays (utilization burst, flapping node, correlated rack outage),
-// asserting the full fire → webhook → resolve lifecycle and, under churn,
-// the absence of any false fire from warming or tombstoned forecast rows.
+// the HTTP query plane — and drive it through the three chaos scenarios
+// (utilization burst, flapping node, correlated rack outage), each at a
+// small fleet and at 16 nodes, asserting the full fire → webhook → resolve
+// lifecycle and, under churn, that absent members are evicted and that no
+// warming or tombstoned forecast row ever fires. Run them with
+// `go test -run Chaos ./internal/alert`.
 package alert_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -132,13 +135,26 @@ func flat(nodes int, v float64) map[int]float64 {
 	return m
 }
 
+// forFleets runs a chaos scenario as one parallel subtest per fleet size.
+func forFleets(t *testing.T, sizes []int, scenario func(t *testing.T, nodes int)) {
+	for _, nodes := range sizes {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			t.Parallel()
+			scenario(t, nodes)
+		})
+	}
+}
+
 // TestChaosBurstFireWebhookResolve is the full lifecycle: a utilization
 // burst fires the cluster rule, the webhook sink records every transition,
 // the query plane reports the firing instances and a scale-up
 // recommendation, and the alert resolves once the load subsides.
 func TestChaosBurstFireWebhookResolve(t *testing.T) {
 	t.Parallel()
-	const nodes = 6
+	forFleets(t, []int{6, 16}, chaosBurst)
+}
+
+func chaosBurst(t *testing.T, nodes int) {
 	rig := newChaosRig(t, nodes, core.Config{
 		Resources: 1, K: 2, InitialCollection: 8, RetrainEvery: 200,
 		MPrime: 3, Seed: 11, SnapshotHorizon: 6,
@@ -233,13 +249,16 @@ func TestChaosBurstFireWebhookResolve(t *testing.T) {
 
 // TestChaosFlappingAndRackOutageNoFalseFires drives the two churn scenarios:
 // a flapping node (repeatedly evicted by absence timeout and rejoining with
-// an empty window) and a correlated rack outage (a contiguous block of
-// nodes vanishing and returning together). Warming members' forecast rows
-// are NaN; the engine must skip them without ever firing the hair-trigger
-// node rule.
+// an empty window) and a correlated rack outage (the upper half of the
+// fleet vanishing and returning together, every member of it evicted).
+// Warming members' forecast rows are NaN; the engine must skip them without
+// ever firing the hair-trigger node rule.
 func TestChaosFlappingAndRackOutageNoFalseFires(t *testing.T) {
 	t.Parallel()
-	const nodes = 8
+	forFleets(t, []int{8, 16}, chaosChurn)
+}
+
+func chaosChurn(t *testing.T, nodes int) {
 	// AbsenceTimeout exceeds the look-back window (MPrime+1 slots): a silent
 	// member's window fully drains (forecast rows go NaN) while it is still
 	// live, so the engine must evaluate — and skip — genuinely warming rows
@@ -259,17 +278,17 @@ func TestChaosFlappingAndRackOutageNoFalseFires(t *testing.T) {
 	}
 	evictionsAt := func() uint64 { return rig.stepper.System().Snapshot().Evictions() }
 
-	// Provisioned-ahead capacity: node 8 is pre-registered before its agent
-	// comes up. An absent member that HAS reported stays present with its
-	// sample-held value, so the only warming (NaN) forecast rows the store
-	// path can produce are a live member's before its first report — the
-	// engine must skip them, never instantiate the rule against them.
+	// Provisioned-ahead capacity: node `nodes` is pre-registered before its
+	// agent comes up. An absent member that HAS reported stays present with
+	// its sample-held value, so the only warming (NaN) forecast rows the
+	// store path can produce are a live member's before its first report —
+	// the engine must skip them, never instantiate the rule against them.
 	if err := rig.stepper.System().AddNodes(nodes); err != nil {
 		t.Fatal(err)
 	}
 	preSkips := rig.engine.Stats().NaNSkips
 	for i := 0; i < 3; i++ {
-		rig.tick(t, flat(nodes, 0.3)) // node 8 still silent: NaN rows
+		rig.tick(t, flat(nodes, 0.3)) // the new node still silent: NaN rows
 	}
 	if rig.engine.Stats().NaNSkips == preSkips {
 		t.Fatal("warming pre-registered node produced no NaN skips")
@@ -279,13 +298,16 @@ func TestChaosFlappingAndRackOutageNoFalseFires(t *testing.T) {
 		rig.tick(t, flat(fleet, 0.3))
 	}
 
-	// Flap: node 7 goes silent past the absence timeout (evicted), reports
-	// again (rejoins, warming), and repeats. Values stay calm throughout.
+	// Flap: the last original node goes silent past the absence timeout
+	// (evicted), reports again (rejoins, warming), and repeats. Values stay
+	// calm throughout. The eviction checks below report and carry on, so a
+	// broken eviction path shows in both scenarios.
+	flapping := nodes - 1
 	base := evictionsAt()
 	for cycle := 0; cycle < 3; cycle++ {
 		for i := 0; i < 6; i++ { // silent long enough to drain the window and be evicted
 			m := flat(fleet, 0.3)
-			delete(m, 7)
+			delete(m, flapping)
 			rig.tick(t, m)
 		}
 		for i := 0; i < 3; i++ { // back, warming behind the presence mask
@@ -293,16 +315,22 @@ func TestChaosFlappingAndRackOutageNoFalseFires(t *testing.T) {
 		}
 	}
 	if evictionsAt() == base {
-		t.Fatal("flap scenario never evicted the flapping node")
+		t.Error("flap scenario never evicted the flapping node")
 	}
 
-	// Rack outage: nodes 4..7 vanish together, then return together.
+	// Rack outage: the upper half of the original nodes vanishes together,
+	// past the absence timeout, then returns together.
+	rack := nodes / 2
+	base = evictionsAt()
 	for i := 0; i < 6; i++ {
 		m := flat(fleet, 0.3)
-		for id := 4; id < 8; id++ {
+		for id := rack; id < nodes; id++ {
 			delete(m, id)
 		}
 		rig.tick(t, m)
+	}
+	if got, block := evictionsAt()-base, uint64(nodes-rack); got < block {
+		t.Errorf("rack outage evicted %d of %d block members", got, block)
 	}
 	for i := 0; i < 6; i++ {
 		rig.tick(t, flat(fleet, 0.3))

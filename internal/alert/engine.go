@@ -108,10 +108,6 @@ type Config struct {
 	Rules *RuleSet
 	// Sinks receive every transition event, in order. Optional.
 	Sinks []Sink
-	// Workers bounds the per-node fan-out of the one forecast computation a
-	// generation with node-scope rules needs — building the snapshot's
-	// forecast plan, if no reader has yet (0 = GOMAXPROCS).
-	Workers int
 	// MaxHorizon, when positive, rejects rule sets whose rules look further
 	// ahead than the snapshots will serve (core.Config.SnapshotHorizon).
 	MaxHorizon int
@@ -162,9 +158,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if err := cfg.Rules.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("alert: negative workers: %w", ErrBadRule)
 	}
 	if cfg.MaxHorizon > 0 && cfg.Rules.MaxHorizon() > cfg.MaxHorizon {
 		return nil, fmt.Errorf("alert: rule horizon %d exceeds snapshot horizon %d: %w",
@@ -257,7 +250,7 @@ func (e *Engine) evalNodeRule(snap *core.Snapshot, r *Rule, events []Event) []Ev
 		e.targetErr++
 		return events
 	}
-	plan, _ := snap.Plan(e.cfg.Workers)
+	plan, _ := snap.Plan()
 	roster := snap.Roster()
 	for slot := 0; slot < snap.Nodes(); slot++ {
 		id, live := roster.IDAt(slot)

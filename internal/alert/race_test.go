@@ -18,6 +18,7 @@ func TestEngineConcurrentWithSteppingAndChurn(t *testing.T) {
 	const steps = 120
 	sys := newTestSystem(t, 6, func(c *core.Config) {
 		c.InitialCollection = 5
+		c.Workers = 2
 	})
 	engine, err := New(Config{
 		Rules: &RuleSet{StepsPerHour: 1, Rules: []Rule{
@@ -26,7 +27,7 @@ func TestEngineConcurrentWithSteppingAndChurn(t *testing.T) {
 			{Name: "node-hot", Kind: KindThreshold, Scope: ScopeNode,
 				Above: true, Threshold: 0.6, FireStreak: 2, ClearStreak: 2, ClearMargin: 0.05, Horizon: 3},
 		}},
-		Sinks: []Sink{&CollectorSink{}}, Workers: 2, MaxHorizon: 8,
+		Sinks: []Sink{&CollectorSink{}}, MaxHorizon: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

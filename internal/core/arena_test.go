@@ -116,11 +116,11 @@ func TestSnapshotKeepDifferential(t *testing.T) {
 			t.Fatalf("step %d: readiness diverged", step)
 		}
 		if a.Ready() {
-			fa, err := a.Forecast(4, 1)
+			fa, err := a.Forecast(4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb, err := b.Forecast(4, 1)
+			fb, err := b.Forecast(4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestSnapshotKeepRetentionWindow(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot()
-	want, err := snap.Forecast(3, 1)
+	want, err := snap.Forecast(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSnapshotKeepRetentionWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := snap.Forecast(3, 1)
+	got, err := snap.Forecast(3)
 	if err != nil {
 		t.Fatal(err)
 	}

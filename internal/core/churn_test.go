@@ -430,7 +430,7 @@ func TestChurnConcurrentWithSnapshotQueries(t *testing.T) {
 					snap.Assignment(0, i)
 				}
 				if snap.Ready() {
-					if _, err := snap.Forecast(2, 2); err != nil {
+					if _, err := snap.Forecast(2); err != nil {
 						t.Errorf("snapshot forecast: %v", err)
 						return
 					}

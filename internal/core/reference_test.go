@@ -350,7 +350,7 @@ func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 								for _, slot := range snap.slots {
 									sawShort = sawShort || len(slot.present) < snap.Nodes()
 								}
-								full, err := snap.Forecast(maxH, workers)
+								full, err := snap.Forecast(maxH)
 								if err != nil {
 									t.Fatalf("step %d: %v", step, err)
 								}
@@ -359,7 +359,7 @@ func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 									if err != nil {
 										t.Fatal(err)
 									}
-									got, err := snap.Forecast(h, workers)
+									got, err := snap.Forecast(h)
 									if err != nil {
 										t.Fatalf("step %d h %d: %v", step, h, err)
 									}
@@ -420,7 +420,7 @@ func TestPlanBuiltOncePerSnapshot(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			p, built := snap.Plan(0)
+			p, built := snap.Plan()
 			if built {
 				builds.Add(1)
 			}
@@ -437,7 +437,7 @@ func TestPlanBuiltOncePerSnapshot(t *testing.T) {
 			t.Fatalf("reader %d got plan %p, reader 0 got %p", g, p, plans[0])
 		}
 	}
-	if _, built := snap.Plan(0); built {
+	if _, built := snap.Plan(); built {
 		t.Fatal("a later Plan call rebuilt the plan")
 	}
 }
@@ -457,7 +457,7 @@ func TestPlanBeforeTraining(t *testing.T) {
 	if snap.Ready() {
 		t.Fatal("ready after one step")
 	}
-	fleet, _ := snap.Plan(1)
+	fleet, _ := snap.Plan()
 	for slot := 0; slot < snap.Nodes(); slot++ {
 		if v := fleet.At(slot, 0, 0); !math.IsNaN(v) {
 			t.Fatalf("fleet plan slot %d = %v before training, want NaN", slot, v)

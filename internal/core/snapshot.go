@@ -24,13 +24,15 @@ import (
 // published (both run the same reconstruction over the same window). That
 // purity covers the fleet ForecastPlan too: it is built lazily, at most
 // once, behind a sync.Once — the one write to a Snapshot after publication —
-// and is a function of the published fields alone, so every reader sees the
-// same plan whichever of them happened to build it.
+// with the publishing System's worker budget, and is a function of the
+// published fields alone, so every reader sees the same plan whichever of
+// them happened to build it.
 type Snapshot struct {
 	gen        uint64
 	t          int
 	ready      bool
 	maxHorizon int
+	workers    int
 
 	// slots is the look-back window, newest first. Slots are immutable and
 	// shared across consecutive Snapshots: each publish deep-copies only the
@@ -124,6 +126,7 @@ func (s *System) assembleSnapshot(gen uint64, slots []*ringSlot) *Snapshot {
 		t:                 s.t,
 		ready:             s.Ready(),
 		maxHorizon:        s.cfg.SnapshotHorizon,
+		workers:           s.cfg.Workers,
 		slots:             slots,
 		freq:              make([]float64, len(s.ids)),
 		roster:            s.roster(),
@@ -212,6 +215,10 @@ func (sn *Snapshot) Ready() bool { return sn.ready }
 
 // MaxHorizon is the largest horizon this snapshot can serve.
 func (sn *Snapshot) MaxHorizon() int { return sn.maxHorizon }
+
+// Workers is the publishing System's Config.Workers: the bound on every
+// fan-out over this snapshot's slots (0 = GOMAXPROCS, 1 = serial).
+func (sn *Snapshot) Workers() int { return sn.workers }
 
 // Nodes returns the dense slot count N at publication (live members plus
 // tombstones); see Roster for membership.
@@ -302,29 +309,10 @@ func (sn *Snapshot) Centroids(tracker int) [][]float64 {
 	return rowViews(append([]float64(nil), sn.slots[0].centroids(tracker)...), sn.dims)
 }
 
-// CentroidForecasts returns a deep copy of a tracker's centroid forecasts at
-// the snapshot's step, indexed [cluster][dim][horizon-1] for horizons
-// 1..MaxHorizon. It returns nil when the tracker is out of range or the
-// system has not completed initial training (check Ready). The alert plane
-// reads cluster-scope rules through this accessor.
-func (sn *Snapshot) CentroidForecasts(tracker int) [][][]float64 {
-	if !sn.ready || tracker < 0 || tracker >= len(sn.centF) {
-		return nil
-	}
-	src := sn.centF[tracker]
-	out := make([][][]float64, len(src))
-	for j, dims := range src {
-		out[j] = make([][]float64, len(dims))
-		for d, series := range dims {
-			out[j][d] = append([]float64(nil), series...)
-		}
-	}
-	return out
-}
-
-// CentroidForecastAt returns one value of CentroidForecasts(tracker) —
-// [cluster][dim][hi] — without the copy. ok is false when the system has not
-// completed initial training or an index is out of range.
+// CentroidForecastAt returns one value of a tracker's centroid forecasts at
+// the snapshot's step, indexed [cluster][dim][hi] for horizons 1..MaxHorizon
+// (hi = horizon−1). ok is false when the system has not completed initial
+// training or an index is out of range. Cluster-scope alert rules read it.
 func (sn *Snapshot) CentroidForecastAt(tracker, cluster, dim, hi int) (v float64, ok bool) {
 	if !sn.ready || tracker < 0 || tracker >= len(sn.centF) ||
 		cluster < 0 || cluster >= len(sn.centF[tracker]) ||
@@ -384,12 +372,12 @@ func (sn *Snapshot) ModelSwitchesTotal() int {
 // joiners with no presence in the look-back window yet are NaN (use Present
 // / WindowFill to distinguish). It reads only immutable data, so any number
 // of calls may run concurrently with each other and with the System's
-// ingest loop. workers bounds the per-node fan-out (0 = GOMAXPROCS, 1 =
-// serial); the result is identical for any value, and Forecast(h) is a
-// prefix of Forecast(h') for h < h'. It fails with ErrNotReady before
-// initial training and ErrBadInput when h exceeds MaxHorizon. Readers that
-// need only some of the values use Plan or PlanNode and skip the tensor.
-func (sn *Snapshot) Forecast(h, workers int) ([][][]float64, error) {
+// ingest loop. The per-node fan-out is bounded by Workers; the result is
+// identical for any value, and Forecast(h) is a prefix of Forecast(h') for
+// h < h'. It fails with ErrNotReady before initial training and ErrBadInput
+// when h exceeds MaxHorizon. Readers that need only some of the values use
+// Plan or PlanNode and skip the tensor.
+func (sn *Snapshot) Forecast(h int) ([][][]float64, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("core: horizon %d < 1: %w", h, ErrBadInput)
 	}
@@ -400,18 +388,18 @@ func (sn *Snapshot) Forecast(h, workers int) ([][][]float64, error) {
 	if !sn.ready {
 		return nil, ErrNotReady
 	}
-	p, _ := sn.Plan(workers)
-	return p.tensor(h, workers), nil
+	p, _ := sn.Plan()
+	return p.tensor(h, sn.workers), nil
 }
 
 // Plan returns the snapshot's fleet ForecastPlan, covering every slot. The
-// first call builds it — fanning the slots out over workers (0 = GOMAXPROCS,
-// 1 = serial) — and concurrent first calls wait for that one build; built
-// reports whether this call was the one that did the work. Before initial
-// training every slot's forecast is undefined.
-func (sn *Snapshot) Plan(workers int) (p *ForecastPlan, built bool) {
+// first call builds it — fanning the slots out over Workers — and concurrent
+// first calls wait for that one build; built reports whether this call was
+// the one that did the work. Before initial training every slot's forecast
+// is undefined.
+func (sn *Snapshot) Plan() (p *ForecastPlan, built bool) {
 	sn.planOnce.Do(func() {
-		sn.buildPlan(workers)
+		sn.buildPlan()
 		built = true
 	})
 	return sn.fleetPlan, built
@@ -419,8 +407,8 @@ func (sn *Snapshot) Plan(workers int) (p *ForecastPlan, built bool) {
 
 // buildPlan is the one sanctioned write to a published Snapshot; only Plan
 // calls it, under planOnce.
-func (sn *Snapshot) buildPlan(workers int) {
-	sn.fleetPlan = sn.reconEnv().plan(sn.centF, 0, sn.nodes, workers)
+func (sn *Snapshot) buildPlan() {
+	sn.fleetPlan = sn.reconEnv().plan(sn.centF, 0, sn.nodes, sn.workers)
 }
 
 // PlanNode returns a ForecastPlan covering the one slot, computed from that

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -27,12 +28,16 @@ func noisyStep(rng *rand.Rand, n int) [][]float64 {
 	return x
 }
 
-func newSnapshotSystem(t *testing.T, horizon int) *System {
-	t.Helper()
-	s, err := NewSystem(Config{
+func snapshotConfig(horizon int) Config {
+	return Config{
 		Nodes: 12, Resources: 2, K: 2, InitialCollection: 20, RetrainEvery: 15,
 		MPrime: 3, Policy: alwaysPolicy, Seed: 3, SnapshotHorizon: horizon,
-	})
+	}
+}
+
+func newSnapshotSystem(t *testing.T, horizon int) *System {
+	t.Helper()
+	s, err := NewSystem(snapshotConfig(horizon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +89,15 @@ func TestSnapshotForecastMatchesSystemForecast(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				served, err := snap.Forecast(h, workers)
-				if err != nil {
-					t.Fatal(err)
+			served, err := snap.Forecast(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The same plan kernel at explicit worker counts: the published
+			// snapshot's own count is the config's (0).
+			for _, workers := range []int{0, 1, 4} {
+				if workers > 0 {
+					served = snap.reconEnv().plan(snap.centF, 0, snap.nodes, workers).tensor(h, workers)
 				}
 				for hi := range direct {
 					for i := range direct[hi] {
@@ -107,6 +117,71 @@ func TestSnapshotForecastMatchesSystemForecast(t *testing.T) {
 	}
 }
 
+// TestSnapshotFollowsConfigWorkers checks that a published snapshot carries
+// its System's Config.Workers and that the fleet plan its public Forecast
+// builds with that count is bit-identical to the one built at the default.
+func TestSnapshotFollowsConfigWorkers(t *testing.T) {
+	t.Parallel()
+	const steps, h = 35, 8
+	ref := newSnapshotSystem(t, h)
+	rng := rand.New(rand.NewPCG(17, 0))
+	inputs := make([][][]float64, steps)
+	want := make([][][][]float64, steps)
+	for step := range inputs {
+		inputs[step] = noisyStep(rng, 12)
+		if _, err := ref.Step(inputs[step]); err != nil {
+			t.Fatal(err)
+		}
+		if snap := ref.Snapshot(); snap.Ready() {
+			f, err := snap.Forecast(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[step] = f
+		}
+	}
+	if want[steps-1] == nil {
+		t.Fatal("reference system never became ready")
+	}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Parallel()
+			cfg := snapshotConfig(h)
+			cfg.Workers = workers
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step, x := range inputs {
+				if _, err := s.Step(x); err != nil {
+					t.Fatal(err)
+				}
+				snap := s.Snapshot()
+				if snap.Workers() != workers {
+					t.Fatalf("step %d: snapshot has %d workers, want %d", step+1, snap.Workers(), workers)
+				}
+				if want[step] == nil {
+					continue
+				}
+				got, err := snap.Forecast(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for hi := range want[step] {
+					for i := range want[step][hi] {
+						for d, v := range want[step][hi][i] {
+							if math.Float64bits(got[hi][i][d]) != math.Float64bits(v) {
+								t.Fatalf("step %d: forecast [%d][%d][%d]=%v, workers 0 gives %v",
+									step+1, hi, i, d, got[hi][i][d], v)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSnapshotIsolationFromLaterSteps(t *testing.T) {
 	t.Parallel()
 	s := newSnapshotSystem(t, 4)
@@ -117,7 +192,7 @@ func TestSnapshotIsolationFromLaterSteps(t *testing.T) {
 		}
 	}
 	old := s.Snapshot()
-	before, err := old.Forecast(4, 1)
+	before, err := old.Forecast(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +205,7 @@ func TestSnapshotIsolationFromLaterSteps(t *testing.T) {
 	if s.Snapshot() == old {
 		t.Fatal("later steps must publish new snapshots")
 	}
-	after, err := old.Forecast(4, 1)
+	after, err := old.Forecast(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +236,7 @@ func TestSnapshotErrorsAndAccessors(t *testing.T) {
 	if snap.Ready() {
 		t.Fatal("snapshot before warmup must not be ready")
 	}
-	if _, err := snap.Forecast(1, 1); !errors.Is(err, ErrNotReady) {
+	if _, err := snap.Forecast(1); !errors.Is(err, ErrNotReady) {
 		t.Fatalf("want ErrNotReady, got %v", err)
 	}
 	for s.Steps() < 20 {
@@ -173,10 +248,10 @@ func TestSnapshotErrorsAndAccessors(t *testing.T) {
 	if !snap.Ready() {
 		t.Fatal("snapshot after warmup must be ready")
 	}
-	if _, err := snap.Forecast(0, 1); !errors.Is(err, ErrBadInput) {
+	if _, err := snap.Forecast(0); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("h=0: want ErrBadInput, got %v", err)
 	}
-	if _, err := snap.Forecast(5, 1); !errors.Is(err, ErrBadInput) {
+	if _, err := snap.Forecast(5); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("h>max: want ErrBadInput, got %v", err)
 	}
 	if snap.MaxHorizon() != 4 || snap.Nodes() != 12 || snap.Resources() != 2 ||
@@ -248,7 +323,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 					t.Error("nil snapshot after warm start")
 					return
 				}
-				if _, err := snap.Forecast(1+r%6, 2); err != nil {
+				if _, err := snap.Forecast(1 + r%6); err != nil {
 					t.Errorf("reader forecast: %v", err)
 					return
 				}

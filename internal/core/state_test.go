@@ -188,7 +188,12 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 				}
 				st = gobRoundTrip(t, st)
 
-				restored, err := NewSystem(cfg)
+				// Workers is a runtime knob outside the fingerprint: the
+				// restoring process may pick another, and its republished
+				// snapshot follows it.
+				rcfg := cfg
+				rcfg.Workers = 3
+				restored, err := NewSystem(rcfg)
 				if err != nil {
 					t.Fatalf("restored system: %v", err)
 				}
@@ -202,6 +207,9 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 					t.Fatalf("crash %d: snapshot presence diverged (pre %v, post %v)", c, pre != nil, post != nil)
 				} else if pre != nil {
 					comparePublished(t, c, pre, post)
+					if post.Workers() != rcfg.Workers {
+						t.Fatalf("crash %d: republished snapshot has %d workers, want %d", c, post.Workers(), rcfg.Workers)
+					}
 				}
 				for step := c + 1; step <= total; step++ {
 					got := observeStep(t, restored, stateTestInput(cfg.Nodes, cfg.Resources, step))
@@ -246,11 +254,11 @@ func comparePublished(t *testing.T, c int, pre, post *Snapshot) {
 	if !pre.Ready() {
 		return
 	}
-	want, err := pre.Forecast(pre.MaxHorizon(), 1)
+	want, err := pre.Forecast(pre.MaxHorizon())
 	if err != nil {
 		t.Fatalf("crash %d: pre-crash snapshot forecast: %v", c, err)
 	}
-	got, err := post.Forecast(post.MaxHorizon(), 1)
+	got, err := post.Forecast(post.MaxHorizon())
 	if err != nil {
 		t.Fatalf("crash %d: republished snapshot forecast: %v", c, err)
 	}

@@ -361,9 +361,6 @@ func (m *Model) NewInferrer(monitors []int) (*Inferrer, error) {
 	return inf, nil
 }
 
-// Monitors returns the monitor indices (sorted copies).
-func (inf *Inferrer) Monitors() []int { return append([]int(nil), inf.monitors...) }
-
 // Infer reconstructs the full N-vector: monitors keep their observed values,
 // others get the conditional mean. observed[j] corresponds to monitors[j].
 func (inf *Inferrer) Infer(observed []float64) ([]float64, error) {

@@ -36,27 +36,6 @@ func New(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewFromData returns a rows×cols matrix backed by a copy of data, which must
-// have exactly rows*cols elements in row-major order.
-func NewFromData(rows, cols int, data []float64) (*Dense, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("mat: data length %d does not match %d×%d: %w",
-			len(data), rows, cols, ErrShape)
-	}
-	m := New(rows, cols)
-	copy(m.data, data)
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -95,18 +74,6 @@ func (m *Dense) Row(i int) []float64 {
 	}
 	out := make([]float64, m.cols)
 	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of bounds for %d×%d", j, m.rows, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
 	return out
 }
 
@@ -190,15 +157,6 @@ func Sub(a, b *Dense) (*Dense, error) {
 		out.data[i] -= b.data[i]
 	}
 	return out, nil
-}
-
-// Scale returns s·a.
-func Scale(s float64, a *Dense) *Dense {
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
 }
 
 // Submatrix returns the matrix formed by the given row and column index sets,
@@ -306,15 +264,6 @@ func RegularizeSPD(a *Dense, jitter float64) *Dense {
 		out.data[i*out.cols+i] += jitter
 	}
 	return out
-}
-
-// LogDetCholesky returns log det(a) given the lower Cholesky factor L of a.
-func LogDetCholesky(l *Dense) float64 {
-	var s float64
-	for i := 0; i < l.rows; i++ {
-		s += math.Log(l.data[i*l.cols+i])
-	}
-	return 2 * s
 }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between a

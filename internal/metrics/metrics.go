@@ -1,7 +1,6 @@
-// Package metrics implements the paper's evaluation quantities: RMSE(t,h)
-// (eq. 3), time-averaged RMSE over T steps (eq. 4), the combined objective of
-// eq. 5, the "intermediate RMSE" of §VI-C (distance between data and their
-// cluster centroids), and transmission-frequency accounting.
+// Package metrics implements the paper's evaluation aggregates: the
+// time-averaged RMSE over T steps (eq. 4) of per-step RMSE(t,h) values
+// (eq. 3) and the combined objective over horizons of eq. 5.
 package metrics
 
 import (
@@ -12,27 +11,6 @@ import (
 
 // ErrBadInput reports mismatched vector shapes.
 var ErrBadInput = errors.New("metrics: invalid input")
-
-// StepRMSE computes eq. (3) for one time step: the root of the mean (over
-// nodes) squared Euclidean distance between forecast and truth vectors.
-func StepRMSE(forecast, truth [][]float64) (float64, error) {
-	if len(forecast) != len(truth) || len(forecast) == 0 {
-		return 0, fmt.Errorf("metrics: %d forecasts vs %d truths: %w",
-			len(forecast), len(truth), ErrBadInput)
-	}
-	var sum float64
-	for i := range forecast {
-		if len(forecast[i]) != len(truth[i]) {
-			return 0, fmt.Errorf("metrics: node %d dim %d vs %d: %w",
-				i, len(forecast[i]), len(truth[i]), ErrBadInput)
-		}
-		for d := range forecast[i] {
-			diff := forecast[i][d] - truth[i][d]
-			sum += diff * diff
-		}
-	}
-	return math.Sqrt(sum / float64(len(forecast))), nil
-}
 
 // Accumulator aggregates per-step RMSE values into the time average of
 // eq. (4): the square root of the mean squared per-step RMSE.
@@ -95,9 +73,6 @@ func (s *HorizonSet) At(h int) float64 {
 	return s.accs[h].Value()
 }
 
-// MaxH returns the largest tracked horizon.
-func (s *HorizonSet) MaxH() int { return len(s.accs) - 1 }
-
 // Objective combines all horizons into eq. (5): the root of the mean (over
 // h ∈ [0,H]) squared time-averaged RMSE. Horizons with no observations are
 // skipped.
@@ -116,31 +91,4 @@ func (s *HorizonSet) Objective() float64 {
 		return math.NaN()
 	}
 	return math.Sqrt(sum / float64(n))
-}
-
-// IntermediateRMSE computes §VI-C's clustering quality for one step: the RMSE
-// between each node's true measurement and the centroid of the cluster the
-// node is assigned to. assignments[i] indexes centroids.
-func IntermediateRMSE(assignments []int, centroids [][]float64, truth [][]float64) (float64, error) {
-	if len(assignments) != len(truth) || len(truth) == 0 {
-		return 0, fmt.Errorf("metrics: %d assignments vs %d truths: %w",
-			len(assignments), len(truth), ErrBadInput)
-	}
-	var sum float64
-	for i, j := range assignments {
-		if j < 0 || j >= len(centroids) {
-			return 0, fmt.Errorf("metrics: node %d assigned to %d of %d clusters: %w",
-				i, j, len(centroids), ErrBadInput)
-		}
-		c := centroids[j]
-		if len(c) != len(truth[i]) {
-			return 0, fmt.Errorf("metrics: centroid dim %d vs truth dim %d: %w",
-				len(c), len(truth[i]), ErrBadInput)
-		}
-		for d := range c {
-			diff := c[d] - truth[i][d]
-			sum += diff * diff
-		}
-	}
-	return math.Sqrt(sum / float64(len(truth))), nil
 }

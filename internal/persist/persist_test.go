@@ -366,7 +366,7 @@ func TestCheckpointDoesNotBlockStepping(t *testing.T) {
 			default:
 			}
 			if snap := m.System().Snapshot(); snap != nil && snap.Ready() {
-				if _, err := snap.Forecast(2, 1); err != nil {
+				if _, err := snap.Forecast(2); err != nil {
 					t.Errorf("concurrent snapshot forecast: %v", err)
 					return
 				}

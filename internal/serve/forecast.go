@@ -69,7 +69,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	// Full-fleet response: include the live members whose forecasts are
 	// defined (NaN rows — warming joiners — are omitted; tombstoned slots
 	// always are), keyed by the Nodes list of stable IDs.
-	plan, built := snap.Plan(s.cfg.Workers)
+	plan, built := snap.Plan()
 	s.cache.observe(built)
 	roster := snap.Roster()
 	ids := make([]int, 0, roster.Live())
@@ -82,7 +82,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		ids = append(ids, id)
 		slots = append(slots, i)
 	}
-	writeForecast(w, snap, plan, h, -1, ids, slots, s.cfg.Workers)
+	writeForecast(w, snap, plan, h, -1, ids, slots, snap.Workers())
 }
 
 // bufSize is the capacity the pooled body buffers start with, and

@@ -23,7 +23,7 @@ import (
 // encoding/json. node < 0 asks for the fleet response.
 func referenceForecastBody(t *testing.T, snap *core.Snapshot, h, node int) []byte {
 	t.Helper()
-	f, err := snap.Forecast(h, 1)
+	f, err := snap.Forecast(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			sys := tc.sys(t)
-			srv, err := New(Config{Source: sys, Workers: 2})
+			srv, err := New(Config{Source: sys})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,13 +224,14 @@ func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
 // byte-identity check.
 func TestForecastBodySpansTasks(t *testing.T) {
 	t.Parallel()
-	sys, _ := readySystem(t, 1500, 6, 25)
+	sys, _ := readySystem(t, 1500, 6, 25, withWorkers(1))
 	want := referenceForecastBody(t, sys.Snapshot(), 6, -1)
 	if tasks := 6 * 1500 * 2 / taskValues; tasks < 8 {
 		t.Fatalf("body is only %d tasks long", tasks)
 	}
 	for _, workers := range []int{1, 2, 3, 4, 0} {
-		srv, err := New(Config{Source: sys, Workers: workers})
+		sys, _ := readySystem(t, 1500, 6, 25, withWorkers(workers))
+		srv, err := New(Config{Source: sys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,8 +313,8 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 // stops formatting and writing instead of pushing the rest of the body at it.
 func TestForecastStopsAfterFailedWrite(t *testing.T) {
 	t.Parallel()
-	sys, _ := readySystem(t, 1500, 6, 25)
-	srv, err := New(Config{Source: sys, Workers: 2})
+	sys, _ := readySystem(t, 1500, 6, 25, withWorkers(2))
+	srv, err := New(Config{Source: sys})
 	if err != nil {
 		t.Fatal(err)
 	}

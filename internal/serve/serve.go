@@ -56,11 +56,6 @@ type Config struct {
 	// Source supplies snapshots; required. Its Snapshot method must be safe
 	// for concurrent use (core.System's is).
 	Source Source
-	// Workers bounds the fan-out of one fleet forecast request — the
-	// once-per-generation plan build over the nodes, and the formatting of
-	// the response body in node-range chunks — reusing the internal/parallel
-	// pool. Zero means GOMAXPROCS. The body is the same for any value.
-	Workers int
 	// MaxInFlight caps concurrently served requests; excess requests are
 	// rejected immediately with 503. Zero means 256.
 	MaxInFlight int
@@ -146,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("serve: nil source: %w", ErrBadConfig)
 	}
-	if cfg.MaxInFlight < 0 || cfg.MaxHorizon < 0 || cfg.Workers < 0 {
+	if cfg.MaxInFlight < 0 || cfg.MaxHorizon < 0 {
 		return nil, fmt.Errorf("serve: negative limit: %w", ErrBadConfig)
 	}
 	if cfg.MaxInFlight == 0 {

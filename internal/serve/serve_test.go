@@ -38,12 +38,16 @@ func testStep(rng *rand.Rand, n int) [][]float64 {
 
 // readySystem builds a snapshot-publishing system stepped past its initial
 // collection phase.
-func readySystem(t testing.TB, nodes, horizon, steps int) (*core.System, *rand.Rand) {
+func readySystem(t testing.TB, nodes, horizon, steps int, opts ...func(*core.Config)) (*core.System, *rand.Rand) {
 	t.Helper()
-	s, err := core.NewSystem(core.Config{
+	cfg := core.Config{
 		Nodes: nodes, Resources: 2, K: 3, InitialCollection: 20, RetrainEvery: 25,
 		MPrime: 3, Policy: alwaysPolicy, Seed: 42, SnapshotHorizon: horizon,
-	})
+	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	s, err := core.NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +58,12 @@ func readySystem(t testing.TB, nodes, horizon, steps int) (*core.System, *rand.R
 		}
 	}
 	return s, rng
+}
+
+// withWorkers sets the System's worker budget, which its snapshots' fleet
+// plan build and the server's body formatting follow.
+func withWorkers(n int) func(*core.Config) {
+	return func(c *core.Config) { c.Workers = n }
 }
 
 func get(t *testing.T, srv *Server, path string, wantCode int, out any) {
@@ -117,8 +127,8 @@ func TestServerNotReadyYet(t *testing.T) {
 
 func TestForecastEndpointMatchesSystemForecast(t *testing.T) {
 	t.Parallel()
-	sys, _ := readySystem(t, 10, 6, 30)
-	srv, err := New(Config{Source: sys, Workers: 2})
+	sys, _ := readySystem(t, 10, 6, 30, withWorkers(2))
+	srv, err := New(Config{Source: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +280,8 @@ func TestConcurrencyLimitRejects(t *testing.T) {
 func TestConcurrentQueriesWhileStepping(t *testing.T) {
 	t.Parallel()
 	const nodes = 16
-	sys, rng := readySystem(t, nodes, 6, 25)
-	srv, err := New(Config{Source: sys, Workers: 2, MaxInFlight: 1024})
+	sys, rng := readySystem(t, nodes, 6, 25, withWorkers(2))
+	srv, err := New(Config{Source: sys, MaxInFlight: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package stat provides the statistical primitives shared across the
-// repository: moments, covariance and correlation, empirical CDFs, quantiles,
-// information criteria, and RMSE helpers.
+// repository: moments, covariance and correlation, empirical CDFs,
+// information criteria, normalization and differencing, and RMSE.
 //
 // All functions are pure and operate on float64 slices. Functions that are
 // undefined on empty input return NaN rather than panicking, mirroring the
@@ -130,25 +130,6 @@ func (e *ECDF) At(x float64) float64 {
 // Len returns the number of samples backing the ECDF.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the sample using the
-// nearest-rank method. It returns NaN for empty samples or q outside [0,1].
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	if q == 0 {
-		return e.sorted[0]
-	}
-	rank := int(math.Ceil(q*float64(len(e.sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(e.sorted) {
-		rank = len(e.sorted) - 1
-	}
-	return e.sorted[rank]
-}
-
 // RMSE returns the root mean square error between predictions and truth. It
 // returns NaN when lengths differ or the input is empty.
 func RMSE(pred, truth []float64) float64 {
@@ -161,20 +142,6 @@ func RMSE(pred, truth []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(pred)))
-}
-
-// MSE returns the mean square error between predictions and truth, or NaN on
-// degenerate input.
-func MSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
 }
 
 // AICc returns the corrected Akaike information criterion for a Gaussian
@@ -211,20 +178,6 @@ func Normalize(xs []float64) (normalized []float64, mean, std float64) {
 	return normalized, mean, std
 }
 
-// Denormalize inverts Normalize for a single value.
-func Denormalize(x, mean, std float64) float64 { return x*std + mean }
-
-// Clamp limits v to the interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Diff returns the lag-k difference of xs: out[i] = xs[i+k] − xs[i], with
 // length len(xs)−k. It returns nil when xs is shorter than k+1.
 func Diff(xs []float64, k int) []float64 {
@@ -236,24 +189,4 @@ func Diff(xs []float64, k int) []float64 {
 		out[i] = xs[i+k] - xs[i]
 	}
 	return out
-}
-
-// Autocorrelation returns the lag-k sample autocorrelation of xs, or NaN for
-// degenerate input.
-func Autocorrelation(xs []float64, k int) float64 {
-	if k < 0 || len(xs) <= k {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < len(xs)-k; i++ {
-		num += (xs[i] - m) * (xs[i+k] - m)
-	}
-	for _, x := range xs {
-		den += (x - m) * (x - m)
-	}
-	if den == 0 {
-		return math.NaN()
-	}
-	return num / den
 }

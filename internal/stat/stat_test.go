@@ -151,24 +151,7 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	t.Parallel()
-	e := NewECDF([]float64{1, 2, 3, 4})
-	if got := e.Quantile(0); got != 1 {
-		t.Fatalf("Q(0) = %v, want 1", got)
-	}
-	if got := e.Quantile(0.5); got != 2 {
-		t.Fatalf("Q(0.5) = %v, want 2", got)
-	}
-	if got := e.Quantile(1); got != 4 {
-		t.Fatalf("Q(1) = %v, want 4", got)
-	}
-	if got := e.Quantile(1.5); !math.IsNaN(got) {
-		t.Fatalf("Q(1.5) = %v, want NaN", got)
-	}
-}
-
-func TestRMSEAndMSE(t *testing.T) {
+func TestRMSE(t *testing.T) {
 	t.Parallel()
 	pred := []float64{1, 2, 3}
 	truth := []float64{1, 2, 3}
@@ -178,9 +161,6 @@ func TestRMSEAndMSE(t *testing.T) {
 	pred2 := []float64{2, 3, 4}
 	if got := RMSE(pred2, truth); !almostEqual(got, 1, 1e-12) {
 		t.Fatalf("RMSE = %v, want 1", got)
-	}
-	if got := MSE(pred2, truth); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("MSE = %v, want 1", got)
 	}
 	if got := RMSE(pred, truth[:2]); !math.IsNaN(got) {
 		t.Fatalf("RMSE mismatched lengths = %v, want NaN", got)
@@ -222,7 +202,7 @@ func TestNormalizeRoundTrip(t *testing.T) {
 		t.Fatalf("normalized mean = %v, want 0", Mean(norm))
 	}
 	for i := range xs {
-		if got := Denormalize(norm[i], mean, std); !almostEqual(got, xs[i], 1e-9) {
+		if got := norm[i]*std + mean; !almostEqual(got, xs[i], 1e-9) {
 			t.Fatalf("round trip at %d: %v vs %v", i, got, xs[i])
 		}
 	}
@@ -232,21 +212,8 @@ func TestNormalizeRoundTrip(t *testing.T) {
 	if s2 != 1 {
 		t.Fatalf("constant series std = %v, want 1", s2)
 	}
-	if got := Denormalize(norm2[0], m2, s2); !almostEqual(got, 2, 1e-12) {
+	if got := norm2[0]*s2 + m2; !almostEqual(got, 2, 1e-12) {
 		t.Fatalf("constant round trip = %v, want 2", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	t.Parallel()
-	if got := Clamp(-0.5, 0, 1); got != 0 {
-		t.Fatalf("Clamp low = %v", got)
-	}
-	if got := Clamp(1.5, 0, 1); got != 1 {
-		t.Fatalf("Clamp high = %v", got)
-	}
-	if got := Clamp(0.5, 0, 1); got != 0.5 {
-		t.Fatalf("Clamp mid = %v", got)
 	}
 }
 
@@ -268,21 +235,5 @@ func TestDiff(t *testing.T) {
 	}
 	if Diff(xs, 0) != nil {
 		t.Fatal("Diff lag 0 should be nil")
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	t.Parallel()
-	// Perfectly periodic series has autocorrelation 1 at its period... use
-	// lag-0 = 1 and check lag-1 of alternating series is negative.
-	alt := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	if got := Autocorrelation(alt, 0); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("lag-0 autocorrelation = %v, want 1", got)
-	}
-	if got := Autocorrelation(alt, 1); got >= 0 {
-		t.Fatalf("lag-1 autocorrelation of alternating = %v, want negative", got)
-	}
-	if got := Autocorrelation([]float64{1, 1}, 1); !math.IsNaN(got) {
-		t.Fatalf("constant series autocorrelation = %v, want NaN", got)
 	}
 }

@@ -569,7 +569,6 @@ func New(nodes, resources int, opts ...Option) (*System, error) {
 		engine, err = alert.New(alert.Config{
 			Rules:      cfg.rules,
 			Sinks:      cfg.sinks,
-			Workers:    cfg.Workers,
 			MaxHorizon: cfg.SnapshotHorizon,
 		})
 		if err != nil {
