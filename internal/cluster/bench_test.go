@@ -27,25 +27,26 @@ func benchFleet(n, dim int, masked bool) (flat []float64, rows [][]float64, pres
 	return flat, rows, present
 }
 
-// benchCases are the warm-path shapes of the two step workloads' trackers.
-func benchCases(b *testing.B, run func(b *testing.B, n, dim int, masked bool)) {
+// benchCases are the shapes of the step workloads' trackers: the warm path
+// (Incremental) at d = 1 and 4, all present and with 1 % masked, and the full
+// K-means refit every step at d = 1 (ingest_serve's per-resource trackers)
+// and d = 4 (step_joint_d4's joint tracker).
+func benchCases(b *testing.B, run func(b *testing.B, n, dim int, masked bool, cfg Config)) {
 	for _, dim := range []int{1, 4} {
-		for _, masked := range []bool{false, true} {
-			name := fmt.Sprintf("n10000/d%d/all-present", dim)
-			if masked {
-				name = fmt.Sprintf("n10000/d%d/masked-1pct", dim)
-			}
-			b.Run(name, func(b *testing.B) { run(b, 10000, dim, masked) })
-		}
+		warm := Config{K: 3, Incremental: true}
+		b.Run(fmt.Sprintf("n10000/d%d/all-present", dim), func(b *testing.B) { run(b, 10000, dim, false, warm) })
+		b.Run(fmt.Sprintf("n10000/d%d/masked-1pct", dim), func(b *testing.B) { run(b, 10000, dim, true, warm) })
+		b.Run(fmt.Sprintf("n10000/d%d/full-refit", dim), func(b *testing.B) { run(b, 10000, dim, false, Config{K: 3}) })
 	}
 }
 
-// BenchmarkTrackerUpdate times one warm-started UpdateFlat — the call
-// core.System.Step makes per tracker.
+// BenchmarkTrackerUpdate times one UpdateFlat — the call core.System.Step
+// makes per tracker — warm-started or, in the full-refit cases, with a
+// K-means refit and the eq. (1) means of its clusters.
 func BenchmarkTrackerUpdate(b *testing.B) {
-	benchCases(b, func(b *testing.B, n, dim int, masked bool) {
+	benchCases(b, func(b *testing.B, n, dim int, masked bool, cfg Config) {
 		flat, _, present := benchFleet(n, dim, masked)
-		tr, err := NewTracker(Config{K: 3, Incremental: true}, testRNG(1))
+		tr, err := NewTracker(cfg, testRNG(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func BenchmarkTrackerUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if warm, _ := tr.RefitStats(); warm < b.N {
+		if warm, _ := tr.RefitStats(); cfg.Incremental && warm < b.N {
 			b.Fatalf("%d of %d timed steps were warm", warm, b.N)
 		}
 	})
@@ -67,9 +68,9 @@ func BenchmarkTrackerUpdate(b *testing.B) {
 // BenchmarkReferenceTrackerUpdate is the same step through the preserved
 // pre-change tracker, so one command prints before and after.
 func BenchmarkReferenceTrackerUpdate(b *testing.B) {
-	benchCases(b, func(b *testing.B, n, dim int, masked bool) {
+	benchCases(b, func(b *testing.B, n, dim int, masked bool, cfg Config) {
 		_, rows, present := benchFleet(n, dim, masked)
-		tr, err := newReferenceTracker(Config{K: 3, Incremental: true}, testRNG(1))
+		tr, err := newReferenceTracker(cfg, testRNG(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -73,7 +73,8 @@ type Config struct {
 	// (≥ M). The membership-forecast window M′ of §V-C reads from this
 	// history, so it must cover max(M, M′+1). Zero means max(M, 8).
 	HistoryDepth int
-	// KMeansIterations bounds Lloyd iterations per step. Zero means 50.
+	// KMeansIterations bounds Lloyd iterations per step. Zero means 50;
+	// negative is rejected.
 	KMeansIterations int
 	// DisableMatching skips the Hungarian re-indexing step, leaving the raw
 	// (arbitrary) K-means cluster order of each step. Only for ablation:
@@ -126,6 +127,9 @@ func (c Config) validate() error {
 	}
 	if math.IsNaN(c.IncrementalChurn) {
 		return fmt.Errorf("cluster: NaN incremental churn threshold: %w", ErrBadConfig)
+	}
+	if c.KMeansIterations < 0 {
+		return fmt.Errorf("cluster: KMeansIterations = %d: %w", c.KMeansIterations, ErrBadConfig)
 	}
 	return nil
 }
@@ -537,7 +541,11 @@ func (tr *Tracker) match() ([]int, error) {
 // straight into the next history row, accumulates eq. (1) over the present
 // slots in ascending order — the summation order of CentroidsFor, so the
 // means are bitwise those of the historical per-call path — and advances the
-// run-length counters. It returns the new history row.
+// run-length counters. It returns the new history row. The sum has the
+// bodies of the K-means update step (kmeans.Runner's recompute): unrolled for
+// dim ≤ 4 with the same adds in the same order, a loop above. It stays fused
+// into the slot walk: a second pass over the slots costs more at dim = 1 than
+// the add it would move.
 func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []int) []int {
 	k, m := tr.cfg.K, int32(tr.cfg.M)
 	depth := tr.cfg.HistoryDepth
@@ -576,9 +584,27 @@ func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []i
 		if dim == 1 {
 			cents[j] += pts[pi]
 		} else {
-			cj := cents[j*dim : (j+1)*dim]
-			for t, v := range pts[pi*dim : (pi+1)*dim] {
-				cj[t] += v
+			switch dim {
+			case 2:
+				c, p := cents[2*j:2*j+2], pts[2*pi:2*pi+2]
+				c[0] += p[0]
+				c[1] += p[1]
+			case 3:
+				c, p := cents[3*j:3*j+3], pts[3*pi:3*pi+3]
+				c[0] += p[0]
+				c[1] += p[1]
+				c[2] += p[2]
+			case 4:
+				c, p := cents[4*j:4*j+4], pts[4*pi:4*pi+4]
+				c[0] += p[0]
+				c[1] += p[1]
+				c[2] += p[2]
+				c[3] += p[3]
+			default:
+				cj := cents[j*dim : (j+1)*dim]
+				for t, v := range pts[pi*dim : (pi+1)*dim] {
+					cj[t] += v
+				}
 			}
 		}
 		pi++

@@ -40,6 +40,31 @@ func TestNewTrackerValidation(t *testing.T) {
 	}
 }
 
+// TestNewTrackerRejectsBadKMeansIterations pins that a negative
+// KMeansIterations is refused up front: it used to reach kmeans unchecked,
+// run no Lloyd iteration and commit the k-means++ seeds as the clustering.
+func TestNewTrackerRejectsBadKMeansIterations(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		iters int
+		ok    bool
+	}{
+		{-1, false},
+		{math.MinInt, false},
+		{0, true},
+		{1, true},
+		{50, true},
+	} {
+		_, err := NewTracker(Config{K: 2, KMeansIterations: tc.iters}, testRNG(1))
+		if tc.ok && err != nil {
+			t.Errorf("KMeansIterations=%d: %v", tc.iters, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadConfig) {
+			t.Errorf("KMeansIterations=%d: want ErrBadConfig, got %v", tc.iters, err)
+		}
+	}
+}
+
 func TestTrackerStableIndicesAcrossSteps(t *testing.T) {
 	t.Parallel()
 	tr, err := NewTracker(Config{K: 2, M: 1}, testRNG(2))
@@ -277,6 +302,47 @@ func TestCentroidsFor(t *testing.T) {
 	}
 	if CentroidsFor(nil, 2, nil) != nil {
 		t.Fatal("no points should yield nil")
+	}
+}
+
+// TestTrackerMeansMatchCentroidsFor pins commit's width-specialised eq. (1)
+// sum to CentroidsFor's generic loop bit for bit, at every unrolled width and
+// past it, over a masked fleet whose coordinates span many magnitudes (so
+// the order of the adds shows in the last bits).
+func TestTrackerMeansMatchCentroidsFor(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewPCG(21, 210))
+	for dim := 1; dim <= 6; dim++ {
+		tr, err := NewTracker(Config{K: 3}, testRNG(uint64(dim)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 6; step++ {
+			points := make([][]float64, 200)
+			present := make([]bool, len(points))
+			for i := range points {
+				present[i] = rng.IntN(10) != 0
+				if !present[i] {
+					continue
+				}
+				points[i] = make([]float64, dim)
+				for d := range points[i] {
+					points[i][d] = float64(i%3) + rng.NormFloat64()*math.Pow(10, float64(rng.IntN(9)-4))
+				}
+			}
+			s, err := tr.UpdateMasked(points, present)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := CentroidsFor(s.Assignments, 3, points)
+			for j := range want {
+				for d := range want[j] {
+					if g, w := s.Centroids[j][d], want[j][d]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("dim=%d step %d: centroid[%d][%d] = %v, CentroidsFor %v", dim, step, j, d, g, w)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -29,15 +29,19 @@ func traceFrames(tb testing.TB, n, d, steps int) [][]float64 {
 }
 
 // BenchmarkRunFlat is one full K=3 refit per op on a long-lived Runner, at
-// the two shapes the repository benchmark reaches RunFlat with: the joint
+// the two shapes the repository benchmark reaches RunFlat with — the joint
 // d=4 fleet of step_joint_d4 and the scalar per-resource fleet of
-// ingest_serve.
+// ingest_serve — and at d=2 between them. Besides ns/op it reports the time
+// per point-iteration (n × Lloyd iterations, so a change in the iteration
+// count does not pass for a change in speed) and the share of
+// point-iterations that reached a full K-way scan (the pruning).
 func BenchmarkRunFlat(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		n, d int
 	}{
 		{"N=10000-d4", 10000, 4},
+		{"N=10000-d2", 10000, 2},
 		{"N=4096-d1", 4096, 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -45,13 +49,18 @@ func BenchmarkRunFlat(b *testing.B) {
 			r := NewRunner()
 			rng := rand.New(rand.NewPCG(1, 2))
 			assign := make([]int, tc.n)
+			pointIters, scans := 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := r.RunFlat(frames[i%len(frames)], tc.n, tc.d, Config{K: 3}, rng, assign); err != nil {
 					b.Fatal(err)
 				}
+				pointIters += tc.n * r.Iterations()
+				scans += r.scans
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pointIters), "ns/point-iter")
+			b.ReportMetric(float64(scans)/float64(pointIters), "scans/point-iter")
 		})
 	}
 }

@@ -40,6 +40,42 @@ func FuzzRunFlatMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzRunFlatRawMatchesReference is the reference differential under raw
+// float64 bit patterns: every eight input bytes become one coordinate
+// verbatim, so NaN of both signs, ±Inf, ±0, subnormals and magnitudes whose
+// squares overflow or underflow — which the grid of FuzzRunFlatMatchesReference
+// cannot produce — reach the seeding pass, the bound and scan passes and the
+// update step at every width, d = 1…8 (the unrolled bodies for d ≤ 4 and the
+// generic loop above). The seed corpus holds one file per class of special
+// value.
+func FuzzRunFlatRawMatchesReference(f *testing.F) {
+	ordinary := make([]byte, 0, 8*12)
+	for _, v := range []float64{0, 0.25, 2, 2.25, 0.5, 9, 9.5, 0.1, 2.1, 8.75, 0.3, 1.9} {
+		ordinary = binary.LittleEndian.AppendUint64(ordinary, math.Float64bits(v))
+	}
+	f.Add(ordinary, uint64(5), uint8(2), uint8(0), uint8(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, kSel, dSel, iterSel uint8, tol bool) {
+		d := 1 + int(dSel%8)
+		n := min(len(data)/(8*d), 256)
+		if n == 0 {
+			return
+		}
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = make([]float64, d)
+			for c := range pts[i] {
+				pts[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*(i*d+c):]))
+			}
+		}
+		cfg := Config{K: 1 + int(kSel)%min(n, 12), MaxIterations: int(iterSel % 6)}
+		if tol {
+			cfg.Tolerance = 1e-3
+		}
+		tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d tol=%g", n, d, cfg.K, cfg.MaxIterations, cfg.Tolerance)
+		diffAgainstReference(t, tag, pts, cfg, seed)
+	})
+}
+
 // FuzzNearestKernelsMatchReference is the kernel differential under raw
 // float64 bit patterns: every eight input bytes become one coordinate
 // verbatim, so NaN of both signs, ±Inf, ±0, subnormals and magnitudes whose

@@ -69,6 +69,56 @@ func sqDistFlat(a, b []float64) float64 {
 	return sqDist(a, b)
 }
 
+// sqDistsTo sets out[i] to sqDistFlat(point i, c) for the len(out)
+// d-dimensional row-major points in pts, with the coordinate loop unrolled
+// like sqDistFlat's for d ≤ 4 and no call per point.
+func sqDistsTo(pts []float64, d int, c, out []float64) {
+	pts = pts[:len(out)*d]
+	switch d {
+	case 1:
+		c0 := c[0]
+		pts = pts[:len(out)]
+		for i, x := range pts {
+			d0 := x - c0
+			out[i] = d0 * d0
+		}
+	case 2:
+		c0, c1 := c[0], c[1]
+		for i := range out {
+			p := pts[2*i : 2*i+2 : 2*i+2]
+			d0, d1 := p[0]-c0, p[1]-c1
+			s := d0 * d0
+			s += d1 * d1
+			out[i] = s
+		}
+	case 3:
+		c0, c1, c2 := c[0], c[1], c[2]
+		for i := range out {
+			p := pts[3*i : 3*i+3 : 3*i+3]
+			d0, d1, d2 := p[0]-c0, p[1]-c1, p[2]-c2
+			s := d0 * d0
+			s += d1 * d1
+			s += d2 * d2
+			out[i] = s
+		}
+	case 4:
+		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+		for i := range out {
+			p := pts[4*i : 4*i+4 : 4*i+4]
+			d0, d1, d2, d3 := p[0]-c0, p[1]-c1, p[2]-c2, p[3]-c3
+			s := d0 * d0
+			s += d1 * d1
+			s += d2 * d2
+			s += d3 * d3
+			out[i] = s
+		}
+	default:
+		for i := range out {
+			out[i] = sqDist(pts[i*d:(i+1)*d], c)
+		}
+	}
+}
+
 // nearestTwo scans the k row-major centroids in cents for point p. It
 // returns the strict-<, ascending-index nearest centroid and its computed
 // squared distance, plus the smallest computed squared distance among the

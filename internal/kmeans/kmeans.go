@@ -36,10 +36,12 @@ type Result struct {
 type Config struct {
 	// K is the number of clusters; required, 1 ≤ K.
 	K int
-	// MaxIterations bounds Lloyd iterations. Zero means the default of 50.
+	// MaxIterations bounds Lloyd iterations. Zero means the default of 50;
+	// negative is rejected.
 	MaxIterations int
 	// Tolerance stops iteration when no centroid moves more than this
-	// (squared Euclidean). Zero means exact convergence required.
+	// (squared Euclidean). Zero means exact convergence required; negative
+	// and NaN are rejected.
 	Tolerance float64
 }
 

@@ -16,20 +16,25 @@ import (
 // it keeps an upper bound on the distance to the assigned centroid and a
 // lower bound on the distance to every other centroid, shifts both by the
 // centroid movements after each update step, and rescans the K centroids
-// only for points whose bounds cannot prove the winner unchanged (see
-// assignStep). The pruning is exact: every distance that is evaluated uses
-// the arithmetic order of sqDist, the winner is the strict-<, ascending-index
-// one, the update step sums points in ascending order and the RNG is drawn
-// from at the same places, so RunFlat is bit-identical to the historical
-// slice-of-rows Lloyd on the same inputs and RNG state — assignments,
-// centroids, inertia, iteration count and draw sequence (pinned against the
-// preserved implementation by TestRunnerMatchesReferenceExactly and
-// FuzzRunFlatMatchesReference). A Runner is not safe for concurrent use.
+// only for points whose bounds cannot prove the winner unchanged. Each
+// assignment step after the first is two passes (see assignStep): a bound
+// pass over every point that carries the bounds over the update and lists
+// the points it cannot prove, and a scan pass over that list alone. The
+// update step (recompute) is unrolled for d ≤ 4. The pruning is exact: every
+// distance that is evaluated uses the arithmetic order of sqDist, the winner
+// is the strict-<, ascending-index one, the update step sums points in
+// ascending order and the RNG is drawn from at the same places, so RunFlat is
+// bit-identical to the historical slice-of-rows Lloyd on the same inputs and
+// RNG state — assignments, centroids, inertia, iteration count and draw
+// sequence (pinned against the preserved implementation by
+// TestRunnerMatchesReferenceExactly, FuzzRunFlatMatchesReference and
+// FuzzRunFlatRawMatchesReference). A Runner is not safe for concurrent use.
 type Runner struct {
 	cents   []float64 // k×d row-major centroids of the last run
 	prev    []float64 // k×d previous-iteration centroids (convergence check)
 	d2      []float64 // per point: squared distance to nearest seed, then the upper bound
-	lower   []float64 // per point: lower bound on the distance to every other centroid
+	lower   []float64 // per point: seeding scratch, then a lower bound on the distance to every other centroid
+	scan    []int32   // the points the last bound pass could not prove, ascending
 	counts  []int     // per-cluster member counts
 	shift   []float64 // per centroid: upper bound on its movement in the last update step
 	others  []float64 // per centroid: the largest entry of shift among the other centroids
@@ -50,12 +55,16 @@ func NewRunner() *Runner { return &Runner{} }
 // assign (length n). When K ≥ n every point becomes its own centroid with
 // zero inertia, consuming no randomness (the trivial case of Run). The
 // resulting centroids, inertia, and iteration count stay readable on the
-// Runner until the next run.
+// Runner until the next run. A negative MaxIterations, or a Tolerance that is
+// negative or NaN, is rejected with ErrBadInput.
 func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, assign []int) error {
 	cfg = cfg.withDefaults()
 	if cfg.K < 1 || n < 1 || d < 1 || len(pts) < n*d || len(assign) != n {
 		return fmt.Errorf("kmeans: flat run n=%d d=%d K=%d with %d values, %d assign slots: %w",
 			n, d, cfg.K, len(pts), len(assign), ErrBadInput)
+	}
+	if cfg.MaxIterations < 0 || !(cfg.Tolerance >= 0) {
+		return fmt.Errorf("kmeans: MaxIterations %d, Tolerance %g: %w", cfg.MaxIterations, cfg.Tolerance, ErrBadInput)
 	}
 	k := cfg.K
 	r.scans = 0
@@ -81,18 +90,29 @@ func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, as
 	// settled: the last assignment step ran against the final centroids, so
 	// the final pass would only recompute what assign already holds.
 	iters, settled := 0, false
+	// repaired and moved describe the previous iteration's update step.
+	repaired, moved := false, 0.0
 	for iters < cfg.MaxIterations {
 		iters++
 		// Assignment step.
-		r.assignStep(pts, n, d, k, assign, iters > 1)
+		changed := r.assignStep(pts, n, d, k, assign, iters > 1)
+		// When no point changed cluster and the last update step was a plain
+		// mean of these same assignments, this update step would return the
+		// same bits. A finite last movement means finite centroids, each at
+		// computed distance 0 from itself, so the convergence check below
+		// would find moved = 0 ≤ Tolerance and equal centroids: settled.
+		if !changed && !repaired && moved <= math.MaxFloat64 {
+			settled = true
+			break
+		}
 		// Update step.
 		copy(r.prev, r.cents)
-		repaired := r.recompute(pts, n, d, k, assign)
+		repaired = r.recompute(pts, n, d, k, assign)
 		if repaired {
 			r.repairEmpty(pts, n, d, k, assign, rng)
 		}
 		// Convergence check.
-		moved := r.movements(k, d)
+		moved = r.movements(k, d)
 		if moved <= cfg.Tolerance {
 			// moved == 0 alone does not make the centroids equal (a squared
 			// difference can underflow), and a repair rewrites assign after
@@ -145,6 +165,10 @@ func (r *Runner) sizeScratch(n, d, k int) {
 	}
 	r.d2 = r.d2[:n]
 	r.lower = r.lower[:n]
+	if cap(r.scan) < n {
+		r.scan = make([]int32, n)
+	}
+	r.scan = r.scan[:n]
 	if cap(r.counts) < k {
 		r.counts = make([]int, k)
 		r.shift = make([]float64, k)
@@ -198,39 +222,80 @@ func (r *Runner) lowerDist(sq float64) float64 {
 // other computed distance: the scan would return assign[i] again. Every
 // other point is scanned, which also makes both of its bounds tight again.
 // NaN bounds fail every test.
-func (r *Runner) assignStep(pts []float64, n, d, k int, assign []int, bounded bool) {
-	u, l, cents := r.d2, r.lower, r.cents
-	up, down := r.up, r.down
-	shift, half, others := r.shift, r.half, r.others
-	if bounded {
-		for a := range half {
-			half[a] = math.Inf(1)
+//
+// The bounded step is two passes. The bound pass carries u and l over the
+// update for every point and appends each point the skip test does not prove
+// to r.scan; the append is a store plus a conditional increment, so the pass
+// has no branch that depends on the data. The scan pass then runs nearestTwo
+// over the list alone. A point's carried bounds and its scan depend on no
+// other point, so this scans exactly the points, in the same order and with
+// the same results, as one pass testing and scanning point by point.
+//
+// It reports whether any scan moved a point to another cluster; the unbounded
+// step, which starts from no assignment, always reports true.
+func (r *Runner) assignStep(pts []float64, n, d, k int, assign []int, bounded bool) (changed bool) {
+	u, l, cents := r.d2[:n], r.lower[:n], r.cents[:k*d]
+	assign = assign[:n]
+	if !bounded {
+		for i := range assign {
+			best, bestD, otherD := nearestTwo(pts[i*d:(i+1)*d], cents, k)
+			assign[i] = best
+			u[i] = r.upperDist(bestD)
+			l[i] = r.lowerDist(otherD)
 		}
-		for a := 0; a < k; a++ {
-			for j := a + 1; j < k; j++ {
-				h := r.lowerDist(sqDistFlat(cents[a*d:(a+1)*d], cents[j*d:(j+1)*d])) / 2
-				half[a], half[j] = min(half[a], h), min(half[j], h)
-			}
+		r.scans += n
+		return true
+	}
+	half := r.half[:k]
+	for a := range half {
+		half[a] = math.Inf(1)
+	}
+	for a := 0; a < k; a++ {
+		for j := a + 1; j < k; j++ {
+			h := r.lowerDist(sqDistFlat(cents[a*d:(a+1)*d], cents[j*d:(j+1)*d])) / 2
+			half[a], half[j] = min(half[a], h), min(half[j], h)
 		}
 	}
-	scans := 0
-	for i := 0; i < n; i++ {
-		if bounded {
-			a := assign[i]
-			ui := (u[i] + shift[a]) * up
-			li := (l[i] - others[a]) * down
-			u[i], l[i] = ui, li
-			if x := ui*up + boundTiny; x < li || x < half[a] {
-				continue
-			}
-		}
+	list := r.boundPass(assign, u, l)
+	// Scan pass.
+	moves := 0
+	for _, i32 := range list {
+		i := int(i32)
 		best, bestD, otherD := nearestTwo(pts[i*d:(i+1)*d], cents, k)
-		scans++
+		moves |= best ^ assign[i]
 		assign[i] = best
 		u[i] = r.upperDist(bestD)
 		l[i] = r.lowerDist(otherD)
 	}
-	r.scans += scans
+	r.scans += len(list)
+	return moves != 0
+}
+
+// boundPass is the first pass of a bounded assignment step: it carries the
+// bounds u and l of every point over the last update step and returns, as a
+// prefix of r.scan, the points the skip test does not prove.
+func (r *Runner) boundPass(assign []int, u, l []float64) []int32 {
+	u, l = u[:len(assign)], l[:len(assign)]
+	// Cut to one length, so that one bounds check on a covers all three.
+	shift, others, half := r.shift, r.others[:len(r.shift)], r.half[:len(r.shift)]
+	up, down := r.up, r.down
+	list, m := r.scan[:len(assign)], 0
+	for i, a := range assign {
+		ui := (u[i] + shift[a]) * up
+		li := (l[i] - others[a]) * down
+		u[i], l[i] = ui, li
+		x := ui*up + boundTiny
+		keep := 1
+		if x < li {
+			keep = 0
+		}
+		if x < half[a] {
+			keep = 0
+		}
+		list[m] = int32(i)
+		m += keep
+	}
+	return list[:m]
 }
 
 // movements is the convergence check: it returns the largest computed
@@ -264,18 +329,33 @@ func (r *Runner) movements(k, d int) float64 {
 }
 
 // seedPlusPlus is the flat-layout k-means++ seeding; draw-for-draw identical
-// to the reference implementation.
+// to the reference implementation. Each round computes every point's
+// distance to the newest seed into r.lower (scratch until the first
+// assignment step), then makes one pass over d2 — the distances to the first
+// seed, then the running minimum with the newest one — that also sums the
+// sampling total, adding the same values in the same ascending order as the
+// reference's separate loop. There is no pass after the last seed: the first
+// assignment step overwrites every entry of d2.
 func (r *Runner) seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand) {
-	d2 := r.d2[:n]
+	d2, dist := r.d2[:n], r.lower[:n]
 	first := rng.IntN(n)
-	copy(r.cents[0:d], pts[first*d:(first+1)*d])
-	for i := range d2 {
-		d2[i] = sqDistFlat(pts[i*d:(i+1)*d], r.cents[0:d])
-	}
+	c := r.cents[0:d]
+	copy(c, pts[first*d:(first+1)*d])
 	for have := 1; have < k; have++ {
+		sqDistsTo(pts, d, c, dist)
 		total := 0.0
-		for _, v := range d2 {
-			total += v
+		for i, b := range dist {
+			cur := b
+			if have > 1 {
+				// A current minimum that is NaN (it started as a computed
+				// distance, not at +Inf) stays: no float compares below it.
+				cur = d2[i]
+				if cb := math.Float64bits(cur); cb <= infBits {
+					cur = math.Float64frombits(min(cb, math.Float64bits(b)))
+				}
+			}
+			d2[i] = cur
+			total += cur
 		}
 		var idx int
 		if total <= 0 {
@@ -293,47 +373,75 @@ func (r *Runner) seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand) {
 				}
 			}
 		}
-		c := r.cents[have*d : (have+1)*d]
+		c = r.cents[have*d : (have+1)*d]
 		copy(c, pts[idx*d:(idx+1)*d])
-		for i, cur := range d2 {
-			// A current minimum that is NaN (it started as a computed
-			// distance, not at +Inf) stays: no float compares below it.
-			if cb := math.Float64bits(cur); cb <= infBits {
-				b := math.Float64bits(sqDistFlat(pts[i*d:(i+1)*d], c))
-				d2[i] = math.Float64frombits(min(cb, b))
-			}
-		}
 	}
 }
 
 // recompute is the update step: each centroid becomes the mean of its
-// members, summed in ascending point order. It leaves the member counts in
-// r.counts and reports whether a cluster came out empty (its centroid is
-// then left for repairEmpty).
+// members, summed in ascending point order from +0 and scaled by 1/count, the
+// arithmetic of the reference. For d ≤ 4 the coordinate loop is unrolled with
+// the same adds in the same order, and the slices are cut once so that only
+// the data-dependent cluster index is bounds-checked; d ≥ 5 keeps the loop.
+// It leaves the member counts in r.counts and reports whether a cluster came
+// out empty (its centroid is then left for repairEmpty).
 func (r *Runner) recompute(pts []float64, n, d, k int, assign []int) (empty bool) {
-	cents := r.cents[:k*d]
-	for i := range cents {
-		cents[i] = 0
-	}
-	counts := r.counts[:k]
-	for j := range counts {
-		counts[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		j := assign[i]
-		counts[j]++
-		row := pts[i*d : (i+1)*d]
-		cj := cents[j*d : (j+1)*d]
-		for t, v := range row {
-			cj[t] += v
+	pts, assign = pts[:n*d], assign[:n]
+	cents, counts := r.cents[:k*d], r.counts[:k]
+	clear(cents)
+	clear(counts)
+	switch d {
+	case 1:
+		pts = pts[:len(assign)]
+		for i, j := range assign {
+			counts[j]++
+			cents[j] += pts[i]
+		}
+	case 2:
+		for len(assign) > 0 && len(pts) >= 2 {
+			j := assign[0]
+			counts[j]++
+			c := cents[2*j : 2*j+2]
+			c[0] += pts[0]
+			c[1] += pts[1]
+			pts, assign = pts[2:], assign[1:]
+		}
+	case 3:
+		for len(assign) > 0 && len(pts) >= 3 {
+			j := assign[0]
+			counts[j]++
+			c := cents[3*j : 3*j+3]
+			c[0] += pts[0]
+			c[1] += pts[1]
+			c[2] += pts[2]
+			pts, assign = pts[3:], assign[1:]
+		}
+	case 4:
+		for len(assign) > 0 && len(pts) >= 4 {
+			j := assign[0]
+			counts[j]++
+			c := cents[4*j : 4*j+4]
+			c[0] += pts[0]
+			c[1] += pts[1]
+			c[2] += pts[2]
+			c[3] += pts[3]
+			pts, assign = pts[4:], assign[1:]
+		}
+	default:
+		for i, j := range assign {
+			counts[j]++
+			c := cents[j*d : (j+1)*d]
+			for t, v := range pts[i*d : (i+1)*d] {
+				c[t] += v
+			}
 		}
 	}
-	for j := 0; j < k; j++ {
-		if counts[j] == 0 {
+	for j, c := range counts {
+		if c == 0 {
 			empty = true
 			continue
 		}
-		inv := 1 / float64(counts[j])
+		inv := 1 / float64(c)
 		cj := cents[j*d : (j+1)*d]
 		for t := range cj {
 			cj[t] *= inv

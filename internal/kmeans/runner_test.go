@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -308,6 +309,37 @@ func TestSeedingKeepsNaNMinimum(t *testing.T) {
 	}
 }
 
+// TestRunnerSettlesOnlyAfterPlainUpdate pins the conditions under which
+// RunFlat skips an update step as settled: the assignment step moved no
+// point, and the previous update was a plain mean — no empty-cluster repair,
+// which moves a point out of its donor cluster without taking the donor's
+// mean again — of finite centroids. The first case is such a repair: the
+// step after it moves no point, but the update the reference runs next still
+// moves the donor's centroid, 14 → 12.5, and takes a fourth iteration. The
+// sweep over small integer lattices, with K close to n/2 so that clusters
+// empty and get repaired often, finds more of them.
+func TestRunnerSettlesOnlyAfterPlainUpdate(t *testing.T) {
+	var pts [][]float64
+	for _, x := range []float64{7, 6, 3, 17, 13, 2, 7, 12, 2} {
+		pts = append(pts, []float64{x})
+	}
+	diffAgainstReference(t, "repair then no move", pts, Config{K: 4}, 5865742951672970985)
+
+	shapes := rand.New(rand.NewPCG(25, 250))
+	for trial := 0; trial < 20000; trial++ {
+		n, d, k := 3+shapes.IntN(8), 1+shapes.IntN(2), 2+shapes.IntN(3)
+		lim := 1 + shapes.IntN(20)
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = make([]float64, d)
+			for c := range pts[i] {
+				pts[i][c] = float64(shapes.IntN(lim))
+			}
+		}
+		diffAgainstReference(t, fmt.Sprintf("lattice trial %d", trial), pts, Config{K: k}, shapes.Uint64())
+	}
+}
+
 // TestIterationsCountsExecutedIterations pins the iteration counter at the
 // cap: a run stopped by MaxIterations used to report MaxIterations+1.
 func TestIterationsCountsExecutedIterations(t *testing.T) {
@@ -326,22 +358,35 @@ func TestIterationsCountsExecutedIterations(t *testing.T) {
 // TestRunFlatPrunesScans keeps the pruning honest: results stay bit-identical
 // with it switched off, so only a count can show that it is still on. On
 // clustered fleet frames Lloyd without bounds scans every point once per
-// iteration; the Runner must need at most a third of that.
+// iteration; the Runner must need at most a third of that. The totals are
+// pinned exactly, to the counts of the one-pass assignment step that tested
+// and scanned point by point: the bound pass must list, and the scan pass
+// scan, exactly the points that step scanned.
 func TestRunFlatPrunesScans(t *testing.T) {
-	const n, d = 10000, 4
-	r := NewRunner()
-	rng := testRNG(6)
-	assign := make([]int, n)
-	scans, lloyd := 0, 0
-	for _, frame := range traceFrames(t, n, d, 4) {
-		if err := r.RunFlat(frame, n, d, Config{K: 3}, rng, assign); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		n, d         int
+		scans, iters int
+	}{
+		{10000, 4, 148670, 55},
+		{4096, 1, 35396, 39},
+	} {
+		r := NewRunner()
+		rng := testRNG(6)
+		assign := make([]int, tc.n)
+		scans, iters := 0, 0
+		for _, frame := range traceFrames(t, tc.n, tc.d, 4) {
+			if err := r.RunFlat(frame, tc.n, tc.d, Config{K: 3}, rng, assign); err != nil {
+				t.Fatal(err)
+			}
+			scans += r.scans
+			iters += r.Iterations()
 		}
-		scans += r.scans
-		lloyd += n * r.Iterations()
-	}
-	if scans < n || 3*scans > lloyd {
-		t.Fatalf("%d full scans for %d point-iterations: pruning is off or broken", scans, lloyd)
+		if scans < tc.n || 3*scans > tc.n*iters {
+			t.Errorf("n=%d d=%d: %d full scans for %d point-iterations: pruning is off or broken", tc.n, tc.d, scans, tc.n*iters)
+		}
+		if scans != tc.scans || iters != tc.iters {
+			t.Errorf("n=%d d=%d: %d scans in %d iterations, want %d in %d", tc.n, tc.d, scans, iters, tc.scans, tc.iters)
+		}
 	}
 }
 
@@ -421,6 +466,49 @@ func TestRunFlatRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRunFlatRejectsBadConfig pins the iteration and tolerance values that
+// used to change behaviour without an error: a negative MaxIterations ran no
+// Lloyd iteration and returned the k-means++ seeds as the clustering, and a
+// negative or NaN Tolerance meant "never converge". RunFlat and Run (which
+// delegates to it) reject them with ErrBadInput before writing anything.
+func TestRunFlatRejectsBadConfig(t *testing.T) {
+	pts := [][]float64{{0}, {1}, {5}, {6}, {9}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"MaxIterations=-1", Config{K: 2, MaxIterations: -1}, false},
+		{"MaxIterations=minint", Config{K: 2, MaxIterations: math.MinInt}, false},
+		{"Tolerance=-1e-9", Config{K: 2, Tolerance: -1e-9}, false},
+		{"Tolerance=-Inf", Config{K: 2, Tolerance: math.Inf(-1)}, false},
+		{"Tolerance=NaN", Config{K: 2, Tolerance: math.NaN()}, false},
+		{"Tolerance=-0", Config{K: 2, Tolerance: math.Copysign(0, -1)}, true},
+		{"Tolerance=+Inf", Config{K: 2, Tolerance: math.Inf(1)}, true},
+		{"defaults", Config{K: 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			assign := []int{-1, -1, -1, -1, -1}
+			err := NewRunner().RunFlat(flatten(pts), len(pts), 1, tc.cfg, testRNG(3), assign)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("RunFlat: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrBadInput) {
+				t.Fatalf("RunFlat: want ErrBadInput, got %v", err)
+			}
+			if !slices.Equal(assign, []int{-1, -1, -1, -1, -1}) {
+				t.Fatalf("RunFlat wrote %v before rejecting", assign)
+			}
+			if _, err := Run(pts, tc.cfg, testRNG(3)); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("Run: want ErrBadInput, got %v", err)
+			}
+		})
+	}
+}
+
 // checkKernelsMatchReference runs AssignFlat over the n row-major points and
 // nearestTwo on each of them, and requires what the preserved float-compare
 // scan (refNearestTwo) finds: its winner from both, and from nearestTwo its
@@ -454,9 +542,9 @@ func flatten(rows [][]float64) []float64 {
 }
 
 // TestKernelsMatchSqDist pins the unrolled kernels to the generic loop: the
-// same bits from sqDistFlat as from sqDist, and from nearestTwo the winner,
-// distance and smallest remaining distance of the reference scan, at every
-// specialised width and past it, ties included (mode-2 duplicates).
+// same bits from sqDistFlat and sqDistsTo as from sqDist, and from nearestTwo
+// the winner, distance and smallest remaining distance of the reference scan,
+// at every specialised width and past it, ties included (mode-2 duplicates).
 func TestKernelsMatchSqDist(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 160))
 	for d := 1; d <= 8; d++ {
@@ -464,9 +552,14 @@ func TestKernelsMatchSqDist(t *testing.T) {
 			k := 1 + rng.IntN(6)
 			rows := genPoints(rng, k+1, d, trial%3)
 			p, cents := rows[0], rows[1:]
-			for _, c := range cents {
+			dists := make([]float64, k)
+			sqDistsTo(flatten(cents), d, p, dists)
+			for j, c := range cents {
 				if got, want := sqDistFlat(p, c), sqDist(p, c); !sameFloat(got, want) {
 					t.Fatalf("d=%d: sqDistFlat = %v, sqDist = %v", d, got, want)
+				}
+				if got, want := dists[j], sqDist(c, p); !sameFloat(got, want) {
+					t.Fatalf("d=%d: sqDistsTo = %v, sqDist = %v", d, got, want)
 				}
 			}
 			checkKernelsMatchReference(t, fmt.Sprintf("d=%d k=%d", d, k), p, 1, d, flatten(cents), k)
