@@ -92,13 +92,13 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the fourteen native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the fifteen native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
 # nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel, ARIMA-fit,
-# JSON-float and collector-store reference differentials — the K-means one
-# twice, on a coordinate grid and on raw float64 bits, and the JSON-float one
-# twice, over all float64 bits and over the served range [1e-6, 1)) from its
-# committed seed corpus. go test allows one -fuzz pattern per invocation,
+# two-lane CSS kernel, JSON-float and collector-store reference differentials —
+# the K-means one twice, on a coordinate grid and on raw float64 bits, and the
+# JSON-float one twice, over all float64 bits and over the served range
+# [1e-6, 1)) from its committed seed corpus. go test allows one -fuzz pattern per invocation,
 # hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideKernelMatchesPolicy$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzCSSLanesMatchSolo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloatServedRange$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzStoreStepperMatchesOracle$$' -fuzztime $(FUZZTIME)

@@ -779,9 +779,11 @@ func (s *System) RefitStats() (warm, full int) {
 }
 
 // TrainingTime aggregates the wall-clock time and count of (re)training
-// rounds across all trackers. Rounds run their model fits on the worker
-// pool, so the duration is what the pipeline actually stalls on maintenance
-// and shrinks with Workers/cores.
+// rounds across all trackers. Each tracker's ensemble fits its models on
+// Workers / trackers goroutines (at least one) while the trackers run side
+// by side, so the duration is per-tracker stall time summed over trackers,
+// and more Workers shorten it only once there are more Workers than
+// trackers.
 func (s *System) TrainingTime() (time.Duration, int) {
 	var total time.Duration
 	var runs int

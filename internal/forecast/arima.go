@@ -1,8 +1,10 @@
 package forecast
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"orcf/internal/optimize"
@@ -26,6 +28,9 @@ func (o Order) String() string {
 }
 
 func (o Order) numParams() int { return o.P + o.Q + o.SP + o.SQ + 1 } // +1 constant
+
+// hasMA reports whether the order has MA terms (1) or not (0).
+func (o Order) hasMA() int { return min(o.Q+o.SQ, 1) }
 
 func (o Order) valid() bool {
 	return o.P >= 0 && o.D >= 0 && o.Q >= 0 &&
@@ -113,7 +118,7 @@ type ARIMA struct {
 	sphi     []float64 // seasonal AR
 	stheta   []float64 // seasonal MA
 
-	// Expanded polynomial coefficient arrays (see fitWorkspace.expand).
+	// Expanded polynomial coefficient arrays (see fitLane.expand).
 	arLag []float64
 	maLag []float64
 
@@ -169,16 +174,16 @@ func (o Order) minObservations() int {
 
 // Fit implements Model: difference, optimize CSS over the parameter vector,
 // then store the state forecasting needs. A failed fit leaves the model as
-// it was.
+// it was. It is the grid search's driver on a one-order queue.
 func (m *ARIMA) Fit(series []float64) error {
 	o := m.order
 	ws := newFitWorkspace(series, Grid{MaxP: o.P, MaxD: o.D, MaxQ: o.Q,
-		MaxSP: o.SP, MaxSD: o.SD, MaxSQ: o.SQ, Season: o.Season})
-	x, _, err := ws.fit(o)
-	if err != nil {
-		return err
+		MaxSP: o.SP, MaxSD: o.SD, MaxSQ: o.SQ, Season: o.Season}, 1)
+	fit := ws.fitAll([]Order{o})[0]
+	if fit.err != nil {
+		return fit.err
 	}
-	ws.finish(m, o, x)
+	ws.finish(m, o, fit.x)
 	return nil
 }
 
@@ -290,63 +295,94 @@ func stableParams(x []float64, o Order) bool {
 	return true
 }
 
-// fitWorkspace is the scratch memory of one Fit or AutoARIMA call: the
-// Nelder–Mead simplex, the residual and lag-coefficient buffers the CSS
-// objective writes, and the differenced series shared by every order of the
-// grid. It is sized once for the largest order, so evaluating the objective
-// allocates nothing. It lives as long as the call and is never retained by
-// a model.
+// fitLanes is how many orders a search fits at once. Within one objective
+// evaluation the CSS recursion runs at the latency of its e_{t−1} → e_t
+// chain, and no reordering inside an evaluation is allowed (fits must
+// reproduce bit for bit), so independent evaluations are the only
+// parallelism: two Nelder–Mead runs advance in lockstep and their points are
+// evaluated together by cssSmall2.
+const fitLanes = 2
+
+// fitWorkspace is the scratch memory of one Fit or AutoARIMA call. The
+// shared part is the series, its memoized differences and the residual
+// buffer; each lane holds one order's Nelder–Mead run and the lag scratch
+// its objective writes. Everything is sized once for the largest order, so
+// evaluating the objective allocates nothing. It lives as long as the call
+// and is never retained by a model.
 type fitWorkspace struct {
 	series []float64
 	bounds Grid
-	nm     *optimize.Workspace
-	obj    optimize.Objective // ws.objective, bound once
 
 	// diffs memoizes the series after d regular then sd seasonal differences
 	// at index d·(MaxSD+1)+sd; entry 0 is the series itself.
 	diffs [][]float64
 
-	// The fit in progress.
-	order Order
-	w     []float64
-
 	x0    []float64
 	resid []float64
-	ar    []float64 // expanded AR lag coefficients, capacity for the largest order
-	ma    []float64
-	arWin []float64 // the same, reversed (see windowed)
-	maWin []float64
+	lanes []fitLane
+}
+
+// fitLane is one order's fit in progress.
+type fitLane struct {
+	nm    *optimize.Workspace
+	run   *optimize.Run // nil while the lane is idle
+	order Order
+	slot  int       // the order's index in the search
+	w     []float64 // the order's differenced series
+
+	// The point waiting for a cssSmall pass: its constant and its lag
+	// coefficients, which alias ar and ma.
+	constant     float64
+	arLag, maLag []float64
+
+	ar, ma       []float64 // expanded AR and MA lag coefficients (see expand)
+	arWin, maWin []float64 // the same, reversed (see windowed)
 	// Dense polynomial scratch of the seasonal expansion.
 	polyA, polyB, prod []float64
 }
 
-// newFitWorkspace sizes a workspace for every order within bounds.
-func newFitWorkspace(series []float64, bounds Grid) *fitWorkspace {
+// orderFit is the outcome of fitting one order of a search.
+type orderFit struct {
+	x     []float64 // the CSS optimum
+	aicc  float64
+	evals int // objective evaluations spent
+	err   error
+}
+
+// newFitWorkspace sizes a workspace with the given number of lanes for every
+// order within bounds.
+func newFitWorkspace(series []float64, bounds Grid, lanes int) *fitWorkspace {
 	maxParams := bounds.MaxP + bounds.MaxQ + bounds.MaxSP + bounds.MaxSQ + 1
 	arLags := bounds.MaxP + bounds.MaxSP*bounds.Season
 	maLags := bounds.MaxQ + bounds.MaxSQ*bounds.Season
 	ws := &fitWorkspace{
 		series: series,
 		bounds: bounds,
-		nm:     optimize.NewWorkspace(maxParams),
 		diffs:  make([][]float64, (bounds.MaxD+1)*(bounds.MaxSD+1)),
+		lanes:  make([]fitLane, lanes),
 	}
-	ws.obj = ws.objective
 	ws.diffs[0] = series
-	slab := make([]float64, maxParams+len(series)+2*(arLags+maLags))
+	var a, b, poly int // dense polynomial scratch of the seasonal expansion
+	if bounds.MaxSP > 0 || bounds.MaxSQ > 0 {
+		a = max(bounds.MaxP, bounds.MaxQ) + 1
+		b = max(bounds.MaxSP, bounds.MaxSQ)*bounds.Season + 1
+		poly = a + b + (a + b - 1)
+	}
+	slab := make([]float64, maxParams+len(series)+lanes*(2*(arLags+maLags)+poly))
 	take := func(n int) []float64 {
 		out := slab[:n:n]
 		slab = slab[n:]
 		return out
 	}
 	ws.x0, ws.resid = take(maxParams), take(len(series))
-	ws.ar, ws.ma = take(arLags), take(maLags)
-	ws.arWin, ws.maWin = take(arLags), take(maLags)
-	if bounds.MaxSP > 0 || bounds.MaxSQ > 0 {
-		a := max(bounds.MaxP, bounds.MaxQ) + 1
-		b := max(bounds.MaxSP, bounds.MaxSQ)*bounds.Season + 1
-		poly := make([]float64, 2*(a+b)-1)
-		ws.polyA, ws.polyB, ws.prod = poly[:a:a], poly[a:a+b:a+b], poly[a+b:]
+	for i := range ws.lanes {
+		ln := &ws.lanes[i]
+		ln.nm = optimize.NewWorkspace(maxParams)
+		ln.ar, ln.ma = take(arLags), take(maLags)
+		ln.arWin, ln.maWin = take(arLags), take(maLags)
+		if poly > 0 {
+			ln.polyA, ln.polyB, ln.prod = take(a), take(b), take(a+b-1)
+		}
 	}
 	return ws
 }
@@ -365,15 +401,99 @@ func (ws *fitWorkspace) differenced(d, sd int) []float64 {
 	return ws.diffs[idx]
 }
 
-// fit optimizes the CSS objective for one order. The returned parameter
-// vector aliases the workspace and is valid until the next fit; rss is the
-// objective at it.
-func (ws *fitWorkspace) fit(o Order) (x []float64, rss float64, err error) {
-	if need := o.minObservations(); len(ws.series) < need {
-		return nil, 0, fmt.Errorf("forecast: %v needs ≥ %d observations, got %d: %w",
-			o, need, len(ws.series), ErrBadInput)
+// fitAll optimizes the CSS objective of every order and returns the
+// outcomes in the orders' order. The lanes take orders from a queue: orders
+// with MA terms first, whose evaluations gain from running in pairs, and
+// within each group most parameters first — the Nelder–Mead budget and run
+// length grow with the parameter count — so that the lanes run out of MA
+// orders close together. Each round advances every lane to its next point
+// that needs a cssSmall pass (see next) and evaluates those points together
+// (see evaluate). A lane's run sees exactly the points and values it would
+// see alone, so each outcome is the order's solo fit, bit for bit, and the
+// caller reduces them in enumeration order as if they had been fitted one
+// after another.
+func (ws *fitWorkspace) fitAll(orders []Order) []orderFit {
+	fits := make([]orderFit, len(orders))
+	params := 0
+	for _, o := range orders {
+		params += o.numParams()
 	}
-	ws.order, ws.w = o, ws.differenced(o.D, o.SD)
+	xs := make([]float64, params)
+	for i, o := range orders {
+		n := o.numParams()
+		fits[i].x, xs = xs[:n:n], xs[n:]
+	}
+	queue := make([]int, len(orders))
+	for i := range queue {
+		queue[i] = i
+	}
+	slices.SortStableFunc(queue, func(i, j int) int {
+		return cmp.Or(
+			cmp.Compare(orders[j].hasMA(), orders[i].hasMA()),
+			cmp.Compare(orders[j].numParams(), orders[i].numParams()))
+	})
+
+	var busy [fitLanes]bool
+	for {
+		idle := true
+		for l := range ws.lanes {
+			busy[l] = ws.next(&ws.lanes[l], orders, fits, &queue)
+			idle = idle && !busy[l]
+		}
+		if idle {
+			return fits
+		}
+		ws.evaluate(busy)
+	}
+}
+
+// next advances the lane to its next point that needs a cssSmall pass and
+// leaves the point's constant and lag coefficients on the lane; false means
+// the lane is idle and the queue empty. Every other evaluation is done on
+// the way: a point outside the stability region is told +Inf, and one with
+// more lags than cssSmall takes runs through cssResiduals alone. A finished
+// run is settled into its outcome and the lane takes the next order from
+// the queue (an order refused before optimizing is settled at once).
+func (ws *fitWorkspace) next(ln *fitLane, orders []Order, fits []orderFit, queue *[]int) bool {
+	for {
+		if ln.run == nil {
+			if len(*queue) == 0 {
+				return false
+			}
+			i := (*queue)[0]
+			*queue = (*queue)[1:]
+			ws.start(ln, i, orders[i], &fits[i])
+			continue
+		}
+		x, ok := ln.run.Next()
+		if !ok {
+			ws.settle(ln, &fits[ln.slot])
+			continue
+		}
+		if !stableParams(x, ln.order) {
+			ln.run.Tell(math.Inf(1))
+			continue
+		}
+		arLag, maLag := ln.expand(x, ln.order)
+		if len(arLag) > 3 || len(maLag) > 2 {
+			arWin, maWin := ln.windowed(arLag, maLag)
+			ln.run.Tell(cssResiduals(ln.w, x[0], arWin, maWin, ws.resid))
+			continue
+		}
+		ln.constant, ln.arLag, ln.maLag = x[0], arLag, maLag
+		return true
+	}
+}
+
+// start begins the fit of order o (slot i of the search) on the lane, or
+// records why o cannot be fitted.
+func (ws *fitWorkspace) start(ln *fitLane, i int, o Order, fit *orderFit) {
+	if need := o.minObservations(); len(ws.series) < need {
+		fit.err = fmt.Errorf("forecast: %v needs ≥ %d observations, got %d: %w",
+			o, need, len(ws.series), ErrBadInput)
+		return
+	}
+	ln.order, ln.slot, ln.w = o, i, ws.differenced(o.D, o.SD)
 
 	// Start from zeros with the constant at the differenced-series mean;
 	// Nelder–Mead handles the rest.
@@ -382,39 +502,60 @@ func (ws *fitWorkspace) fit(o Order) (x []float64, rss float64, err error) {
 	for i := range x0 {
 		x0[i] = 0
 	}
-	x0[0] = stat.Mean(ws.w)
-	res, err := ws.nm.NelderMead(ws.obj, x0, optimize.Options{
+	x0[0] = stat.Mean(ln.w)
+	run, err := ln.nm.Start(x0, optimize.Options{
 		MaxEvaluations: 400 * nParams,
 		Tolerance:      1e-10,
 		InitialStep:    0.2,
 	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("forecast: CSS optimization: %w", err)
+		fit.err = fmt.Errorf("forecast: CSS optimization: %w", err)
+		return
 	}
+	ln.run = run
+}
+
+// settle records the outcome of the lane's finished run and idles the lane.
+func (ws *fitWorkspace) settle(ln *fitLane, fit *orderFit) {
+	res := ln.run.Result()
+	ln.run = nil
+	fit.evals = res.Evaluations
 	if math.IsInf(res.F, 1) {
-		return nil, 0, fmt.Errorf("forecast: CSS optimization found no feasible fit for %v: %w", o, ErrBadInput)
+		fit.err = fmt.Errorf("forecast: CSS optimization found no feasible fit for %v: %w", ln.order, ErrBadInput)
+		return
 	}
-	return res.X, res.F, nil
+	copy(fit.x, res.X)
+	fit.aicc = stat.AICc(len(ln.w), len(res.X)+1, res.F) // +1 for innovation variance
 }
 
-// objective is the CSS residual sum of squares of the fit in progress at the
-// packed parameter vector x, +Inf outside the stability region.
-func (ws *fitWorkspace) objective(x []float64) float64 {
-	if !stableParams(x, ws.order) {
-		return math.Inf(1)
+// evaluate runs cssSmall at the point waiting on each busy lane and tells
+// the lane's run the residual sum of squares. When both lanes are busy and
+// at least one point has MA terms, the two run interleaved through
+// cssSmall2. Two pure AR points run one after the other: their recursions
+// have no chain to hide, and cssSmall's unrolled bodies beat the two-lane
+// loop.
+func (ws *fitWorkspace) evaluate(busy [fitLanes]bool) {
+	if busy[0] && busy[1] {
+		a, b := &ws.lanes[0], &ws.lanes[1]
+		if len(a.maLag)+len(b.maLag) > 0 {
+			fa, fb := cssSmall2(a.w, a.constant, a.arLag, a.maLag, b.w, b.constant, b.arLag, b.maLag)
+			a.run.Tell(fa)
+			b.run.Tell(fb)
+			return
+		}
 	}
-	arLag, maLag := ws.expand(x, ws.order)
-	if len(arLag) <= 3 && len(maLag) <= 2 {
-		return cssSmall(ws.w, x[0], arLag, maLag)
+	for l, ok := range busy {
+		if ok {
+			ln := &ws.lanes[l]
+			ln.run.Tell(cssSmall(ln.w, ln.constant, ln.arLag, ln.maLag))
+		}
 	}
-	arWin, maWin := ws.windowed(arLag, maLag)
-	return cssResiduals(ws.w, x[0], arWin, maWin, ws.resid)
 }
 
-// windowed reverses the lag arrays into the workspace's window-aligned
-// buffers, the layout cssResiduals reads.
-func (ws *fitWorkspace) windowed(arLag, maLag []float64) (arWin, maWin []float64) {
-	arWin, maWin = ws.arWin[:len(arLag)], ws.maWin[:len(maLag)]
+// windowed reverses the lag arrays into the lane's window-aligned buffers,
+// the layout cssResiduals reads.
+func (ln *fitLane) windowed(arLag, maLag []float64) (arWin, maWin []float64) {
+	arWin, maWin = ln.arWin[:len(arLag)], ln.maWin[:len(maLag)]
 	for i, c := range arLag {
 		arWin[len(arLag)-1-i] = c
 	}
@@ -429,8 +570,9 @@ func (ws *fitWorkspace) windowed(arLag, maLag []float64) (arWin, maWin []float64
 // the coefficients and of the lag-sized tails Update and Forecast read.
 func (ws *fitWorkspace) finish(m *ARIMA, o Order, x []float64) {
 	w := ws.differenced(o.D, o.SD)
-	arLag, maLag := ws.expand(x, o)
-	arWin, maWin := ws.windowed(arLag, maLag)
+	ln := &ws.lanes[0]
+	arLag, maLag := ln.expand(x, o)
+	arWin, maWin := ln.windowed(arLag, maLag)
 	rss := cssResiduals(w, x[0], arWin, maWin, ws.resid)
 
 	state := make([]float64, len(x)+2*(len(arLag)+len(maLag)))
@@ -477,16 +619,16 @@ func (ws *fitWorkspace) levelTails(o Order) []diffLevel {
 }
 
 // expand multiplies the non-seasonal and seasonal polynomials of the packed
-// parameter vector into the workspace's flat lag arrays: arLag[i] is the
+// parameter vector into the lane's flat lag arrays: arLag[i] is the
 // coefficient of w_{t-1-i} on the right-hand side of the recursion, maLag[j]
 // the coefficient of ε_{t-1-j}.
 //
 // AR side: (1 − Σφ_i B^i)(1 − ΣΦ_k B^{ks}) w_t = ... ⇒
 // w_t = Σ a_m w_{t−m} + ... with a = expansion of the product minus the
 // leading 1, sign-flipped. MA side: (1 + Σθ B^i)(1 + ΣΘ B^{ks}) keeps signs.
-func (ws *fitWorkspace) expand(x []float64, o Order) (arLag, maLag []float64) {
+func (ln *fitLane) expand(x []float64, o Order) (arLag, maLag []float64) {
 	phi, theta := x[1:1+o.P], x[1+o.P:1+o.P+o.Q]
-	arLag, maLag = ws.ar[:o.P+o.SP*o.Season], ws.ma[:o.Q+o.SQ*o.Season]
+	arLag, maLag = ln.ar[:o.P+o.SP*o.Season], ln.ma[:o.Q+o.SQ*o.Season]
 	if o.SP == 0 && o.SQ == 0 {
 		// No seasonal factor: the product is the polynomial itself. The
 		// dense product below turns a zero coefficient of either sign into
@@ -507,22 +649,22 @@ func (ws *fitWorkspace) expand(x []float64, o Order) (arLag, maLag []float64) {
 	}
 	sphi, stheta := x[1+o.P+o.Q:1+o.P+o.Q+o.SP], x[1+o.P+o.Q+o.SP:]
 	// Move to RHS: w_t = Σ_{m≥1} (−arProd[m]) w_{t−m} + c + MA terms.
-	arProd := ws.polyProduct(phi, sphi, o.Season, -1) // (1 − φ₁B − …)(1 − Φ₁B^s − …)
+	arProd := ln.polyProduct(phi, sphi, o.Season, -1) // (1 − φ₁B − …)(1 − Φ₁B^s − …)
 	for m := range arLag {
 		arLag[m] = -arProd[m+1]
 	}
-	maProd := ws.polyProduct(theta, stheta, o.Season, 1) // (1 + θ₁B + …)(1 + Θ₁B^s + …)
+	maProd := ln.polyProduct(theta, stheta, o.Season, 1) // (1 + θ₁B + …)(1 + Θ₁B^s + …)
 	copy(maLag, maProd[1:])
 	return arLag, maLag
 }
 
 // polyProduct multiplies 1 + sign·Σ coefs_i B^i by
 // 1 + sign·Σ scoefs_k B^{k·season} as dense coefficient arrays indexed by
-// lag; the result aliases ws.prod.
-func (ws *fitWorkspace) polyProduct(coefs, scoefs []float64, season int, sign float64) []float64 {
-	a := densePoly(ws.polyA[:len(coefs)+1], coefs, 1, sign)
-	b := densePoly(ws.polyB[:len(scoefs)*season+1], scoefs, season, sign)
-	out := ws.prod[:len(a)+len(b)-1]
+// lag; the result aliases ln.prod.
+func (ln *fitLane) polyProduct(coefs, scoefs []float64, season int, sign float64) []float64 {
+	a := densePoly(ln.polyA[:len(coefs)+1], coefs, 1, sign)
+	b := densePoly(ln.polyB[:len(scoefs)*season+1], scoefs, season, sign)
+	out := ln.prod[:len(a)+len(b)-1]
 	for i := range out {
 		out[i] = 0
 	}
@@ -553,7 +695,7 @@ func densePoly(dst, coefs []float64, step int, sign float64) []float64 {
 // e_t = w_t − c − Σ ar·w_{t−m} − Σ ma·e_{t−m} with zero initial conditions,
 // writes the residuals to resid[:len(w)] and returns their sum of squares
 // over t ≥ len(arWin). The coefficient arrays are window-aligned (see
-// fitWorkspace.windowed): arWin[k] multiplies w[t−p+k], so each lines up with
+// fitLane.windowed): arWin[k] multiplies w[t−p+k], so each lines up with
 // the slice of the last p (or q) values and the inner loops need no bounds
 // checks. w must be longer than both.
 //
@@ -601,10 +743,53 @@ func cssResiduals(w []float64, constant float64, arWin, maWin, resid []float64) 
 // has no bounds checks. Pure AR orders, whose steps do not depend on each
 // other, get fully unrolled bodies; with MA terms the loop runs at the
 // latency of the recursion and selecting the AR terms inside it is free.
-func cssSmall(w []float64, constant float64, arLag, maLag []float64) (rss float64) {
+// A series no longer than the head (max(p, q) points) is all head.
+func cssSmall(w []float64, constant float64, arLag, maLag []float64) float64 {
+	var s cssLane
+	s.start(w, constant, arLag, maLag)
+	s.run(len(w))
+	return s.rss
+}
+
+// cssSmall2 returns cssSmall of two lanes, bit for bit, in one interleaved
+// pass: each lane runs its head (and, if the head is shorter, the points
+// before w[3]) alone, both step together over the body length they share,
+// and each finishes its own tail. Every lane performs cssSmall's operations
+// in cssSmall's order; the interleaving only gives the processor a second,
+// independent recursion chain to issue while the first waits on e_{t−1}, so
+// a pair costs about as much as its slower lane.
+func cssSmall2(wa []float64, ca float64, arA, maA []float64, wb []float64, cb float64, arB, maB []float64) (rssA, rssB float64) {
+	var a, b cssLane
+	a.start(wa, ca, arA, maA)
+	b.start(wb, cb, arB, maB)
+	a.run(min(3, len(wa)))
+	b.run(min(3, len(wb)))
+	if n := min(len(wa)-a.t, len(wb)-b.t); n > 0 {
+		cssStep2(&a, &b, n)
+	}
+	a.run(len(wa))
+	b.run(len(wb))
+	return a.rss, b.rss
+}
+
+// cssLane is cssSmall's recursion paused before w[t]: the coefficients by lag
+// (a, m), the residuals one and two steps back and the sum of squares so far.
+type cssLane struct {
+	w        []float64
+	t        int
+	constant float64
+	p, q     int
+	a        [3]float64
+	m        [2]float64
+	e1, e2   float64
+	rss      float64
+}
+
+// start runs the head of the recursion, as in cssResiduals, and pauses
+// before the first point of the body.
+func (s *cssLane) start(w []float64, constant float64, arLag, maLag []float64) {
 	p, q := len(arLag), len(maLag)
-	head := max(p, q)
-	// Head, as in cssResiduals, with the residuals kept in eh.
+	head := min(max(p, q), len(w))
 	var eh [3]float64
 	for t := 0; t < head; t++ {
 		e := w[t] - constant
@@ -616,25 +801,39 @@ func cssSmall(w []float64, constant float64, arLag, maLag []float64) (rss float6
 		}
 		eh[t] = e
 		if t >= p {
-			rss += e * e
+			s.rss += e * e
 		}
 	}
-	// a, m: coefficients by lag; w1..w3, e1..e2: values that many steps back.
-	var a [3]float64
-	var m [2]float64
-	copy(a[:], arLag)
-	copy(m[:], maLag)
-	var w1, w2, w3, e1, e2 float64
+	s.w, s.t, s.constant, s.p, s.q = w, head, constant, p, q
+	copy(s.a[:], arLag)
+	copy(s.m[:], maLag)
 	if head >= 1 {
-		w1, e1 = w[head-1], eh[head-1]
+		s.e1 = eh[head-1]
 	}
 	if head >= 2 {
-		w2, e2 = w[head-2], eh[head-2]
+		s.e2 = eh[head-2]
 	}
-	if head >= 3 {
-		w3 = w[head-3]
+}
+
+// run advances the recursion alone up to w[end] (a no-op if it is there).
+func (s *cssLane) run(end int) {
+	if end <= s.t {
+		return
 	}
-	body := w[head:]
+	// a, m: coefficients by lag; w1..w3, e1..e2: values that many steps back.
+	constant, a, m, rss := s.constant, &s.a, &s.m, s.rss
+	p, q, e1, e2 := s.p, s.q, s.e1, s.e2
+	var w1, w2, w3 float64
+	if s.t >= 1 {
+		w1 = s.w[s.t-1]
+	}
+	if s.t >= 2 {
+		w2 = s.w[s.t-2]
+	}
+	if s.t >= 3 {
+		w3 = s.w[s.t-3]
+	}
+	body := s.w[s.t:end]
 	switch {
 	case q == 0 && p == 0:
 		for _, x := range body {
@@ -668,7 +867,7 @@ func cssSmall(w []float64, constant float64, arLag, maLag []float64) (rss float6
 	case q == 1:
 		for _, x := range body {
 			e := x - constant
-			e = subAR(e, p, &a, w1, w2, w3)
+			e = subAR(e, p, a, w1, w2, w3)
 			e -= m[0] * e1
 			w3, w2, w1 = w2, w1, x
 			e1 = e
@@ -677,7 +876,7 @@ func cssSmall(w []float64, constant float64, arLag, maLag []float64) (rss float6
 	default:
 		for _, x := range body {
 			e := x - constant
-			e = subAR(e, p, &a, w1, w2, w3)
+			e = subAR(e, p, a, w1, w2, w3)
 			e -= m[0] * e1
 			e -= m[1] * e2
 			w3, w2, w1 = w2, w1, x
@@ -685,7 +884,56 @@ func cssSmall(w []float64, constant float64, arLag, maLag []float64) (rss float6
 			rss += e * e
 		}
 	}
-	return rss
+	s.t, s.e1, s.e2, s.rss = end, e1, e2, rss
+}
+
+// cssStep2 advances two lanes, each at least three points in, together over
+// their next n points. The lagged series values are read from memory rather
+// than shifted through registers, through one window per lane that starts
+// three points back, so lag k of point i is w[i−k] with no bounds check:
+// off the recursion chain the loads cost nothing, and the registers they
+// free keep both chains out of memory.
+func cssStep2(a, b *cssLane, n int) {
+	wa := a.w[a.t-3 : a.t+n]
+	wb := b.w[b.t-3 : b.t+n]
+	wb = wb[:len(wa)]
+	ca, pa, qa, aa, ma, rssA := a.constant, a.p, a.q, &a.a, &a.m, a.rss
+	cb, pb, qb, ab, mb, rssB := b.constant, b.p, b.q, &b.a, &b.m, b.rss
+	ea1, ea2, eb1, eb2 := a.e1, a.e2, b.e1, b.e2
+	for i := 3; i < len(wa); i++ {
+		ea := wa[i] - ca
+		switch pa {
+		case 1:
+			ea -= aa[0] * wa[i-1]
+		case 2:
+			ea -= aa[0] * wa[i-1]
+			ea -= aa[1] * wa[i-2]
+		case 3:
+			ea -= aa[0] * wa[i-1]
+			ea -= aa[1] * wa[i-2]
+			ea -= aa[2] * wa[i-3]
+		}
+		eb := wb[i] - cb
+		switch pb {
+		case 1:
+			eb -= ab[0] * wb[i-1]
+		case 2:
+			eb -= ab[0] * wb[i-1]
+			eb -= ab[1] * wb[i-2]
+		case 3:
+			eb -= ab[0] * wb[i-1]
+			eb -= ab[1] * wb[i-2]
+			eb -= ab[2] * wb[i-3]
+		}
+		ea = subMA(ea, qa, ma, ea1, ea2)
+		eb = subMA(eb, qb, mb, eb1, eb2)
+		ea2, ea1 = ea1, ea
+		eb2, eb1 = eb1, eb
+		rssA += ea * ea
+		rssB += eb * eb
+	}
+	a.t, a.e1, a.e2, a.rss = a.t+n, ea1, ea2, rssA
+	b.t, b.e1, b.e2, b.rss = b.t+n, eb1, eb2, rssB
 }
 
 // subAR subtracts the first p ≤ 3 AR terms from e in lag order.
@@ -704,10 +952,24 @@ func subAR(e float64, p int, a *[3]float64, w1, w2, w3 float64) float64 {
 	return e
 }
 
+// subMA subtracts the first q ≤ 2 MA terms from e in lag order.
+func subMA(e float64, q int, m *[2]float64, e1, e2 float64) float64 {
+	switch q {
+	case 1:
+		e -= m[0] * e1
+	case 2:
+		e -= m[0] * e1
+		e -= m[1] * e2
+	}
+	return e
+}
+
 // AutoARIMA selects the best order from the grid by AICc, as in §VI-A3. It
-// returns the fitted winner. All orders are fitted in one workspace and share
-// the differenced series; ties break toward the first order in enumeration
-// order, which is ascending in parameter count.
+// returns the fitted winner. All orders are fitted in one workspace, two at
+// a time (see fitAll), and share the differenced series; the outcomes are
+// then compared in enumeration order, so ties break toward the first order
+// enumerated, which is ascending in parameter count, and a failed search
+// reports the last order's error.
 func AutoARIMA(series []float64, grid Grid) (*ARIMA, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("forecast: empty series: %w", ErrBadInput)
@@ -717,30 +979,27 @@ func AutoARIMA(series []float64, grid Grid) (*ARIMA, error) {
 	if len(orders) == 0 {
 		return nil, fmt.Errorf("forecast: empty grid: %w", ErrBadInput)
 	}
-	ws := newFitWorkspace(series, grid)
+	ws := newFitWorkspace(series, grid, min(fitLanes, len(orders)))
 	var (
-		found    bool
-		best     Order
+		best     = -1
 		bestAICc float64
-		bestX    = make([]float64, 0, len(ws.x0))
 		lastErr  error
 	)
-	for _, o := range orders {
-		x, rss, err := ws.fit(o)
-		if err != nil {
-			lastErr = err
+	fits := ws.fitAll(orders)
+	for i, fit := range fits {
+		if fit.err != nil {
+			lastErr = fit.err
 			continue
 		}
-		if aicc := stat.AICc(len(ws.w), len(x)+1, rss); !found || aicc < bestAICc {
-			found, best, bestAICc = true, o, aicc
-			bestX = append(bestX[:0], x...)
+		if best < 0 || fit.aicc < bestAICc {
+			best, bestAICc = i, fit.aicc
 		}
 	}
-	if !found {
+	if best < 0 {
 		return nil, fmt.Errorf("forecast: no ARIMA candidate fitted: %w", lastErr)
 	}
 	m := &ARIMA{}
-	ws.finish(m, best, bestX)
+	ws.finish(m, orders[best], fits[best].x)
 	return m, nil
 }
 

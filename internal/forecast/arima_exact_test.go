@@ -293,23 +293,72 @@ func TestCSSResidualsMatchesReference(t *testing.T) {
 }
 
 // TestAutoARIMAMatchesReferenceExactly checks the grid search end to end:
-// selected order, coefficients and forecasts equal the reference's.
+// selected order, coefficients and forecasts equal the reference's. The
+// search fits two orders at a time and reduces their outcomes afterwards,
+// so it runs on DefaultGrid (every order through the two-lane kernel), on a
+// mixed seasonal grid (seasonal orders take cssResiduals beside lanes that
+// pair), and on windows too short for the larger orders, where the winner
+// must come from the orders that fit and a search nothing fits must fail
+// with the reference's last error. -short (the race pass) samples the
+// corpus.
 func TestAutoARIMAMatchesReferenceExactly(t *testing.T) {
 	t.Parallel()
-	for _, s := range exactSeries(t, 200) {
-		want, err := refAutoARIMA(s.series, DefaultGrid())
-		if err != nil {
-			t.Fatalf("%s: reference: %v", s.name, err)
-		}
-		got, err := AutoARIMA(s.series, DefaultGrid())
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		if got.OrderUsed() != want.order {
-			t.Fatalf("%s: selected %v, want %v", s.name, got.OrderUsed(), want.order)
-		}
-		compareModels(t, s.name, want, got)
+	mixed := Grid{MaxP: 2, MaxD: 1, MaxQ: 2, MaxSP: 1, MaxSQ: 1, Season: 4}
+	corpus := exactSeries(t, 200)
+	full, short := corpus, corpus[:5]
+	if testing.Short() {
+		full, short = []namedSeries{corpus[0], corpus[4], corpus[7], corpus[10]}, corpus[:2]
 	}
+	for _, grid := range []Grid{DefaultGrid(), mixed} {
+		for _, s := range full {
+			autoPair(t, fmt.Sprintf("%s %+v", s.name, grid), s.series, grid)
+		}
+		for _, s := range short {
+			for _, n := range []int{5, 8, 11, 14, 17, 20} {
+				autoPair(t, fmt.Sprintf("%s[:%d] %+v", s.name, n, grid), s.series[:n], grid)
+			}
+		}
+	}
+}
+
+// autoPair runs the reference and the production grid search on one series
+// and fails unless they select the same order and fitted model, or both fail
+// on the same last error. Every order the search fitted must also match the
+// reference's fit of that order — optimum, AICc or refusal — since a lane
+// that drifts by an ulp can leave the winner untouched.
+func autoPair(t *testing.T, label string, series []float64, grid Grid) {
+	t.Helper()
+	orders := grid.orders()
+	for i, fit := range newFitWorkspace(series, grid, fitLanes).fitAll(orders) {
+		ref, _ := refNewARIMA(orders[i])
+		if err := ref.Fit(series); err != nil || fit.err != nil {
+			if err == nil || fit.err == nil || err.Error() != fit.err.Error() {
+				t.Fatalf("%s %v: search error %v, reference %v", label, orders[i], fit.err, err)
+			}
+			continue
+		}
+		x := append([]float64{ref.constant}, ref.phi...)
+		x = append(append(append(x, ref.theta...), ref.sphi...), ref.stheta...)
+		if !equalBits(fit.x, x) || !sameBits(fit.aicc, ref.aicc) {
+			t.Fatalf("%s %v: search optimum %v (AICc %v), reference %v (AICc %v)",
+				label, orders[i], fit.x, fit.aicc, x, ref.aicc)
+		}
+	}
+	want, refErr := refAutoARIMA(series, grid)
+	got, err := AutoARIMA(series, grid)
+	if refErr != nil || err != nil {
+		// The reference's own message names refARIMA; the wrapped last
+		// error is the one both searches must agree on.
+		if refErr == nil || err == nil || !errors.Is(err, ErrBadInput) ||
+			errors.Unwrap(err).Error() != errors.Unwrap(refErr).Error() {
+			t.Fatalf("%s: error %v, reference %v", label, err, refErr)
+		}
+		return
+	}
+	if got.OrderUsed() != want.order {
+		t.Fatalf("%s: selected %v, want %v", label, got.OrderUsed(), want.order)
+	}
+	compareModels(t, label, want, got)
 }
 
 // TestAutoARIMAFlatSeries is the regression for the idle-cluster failure: on

@@ -158,7 +158,7 @@ func TestARIMASeasonalDifferencingRoundTrip(t *testing.T) {
 	}
 	for _, o := range orders {
 		bounds := Grid{MaxD: o.D, MaxSD: o.SD, Season: o.Season}
-		w := newFitWorkspace(series, bounds).differenced(o.D, o.SD)
+		w := newFitWorkspace(series, bounds, 1).differenced(o.D, o.SD)
 		if ref := refDifference(series, o); !equalBits(w, ref) {
 			t.Fatalf("%v: differenced series diverges from the reference", o)
 		}
@@ -168,7 +168,7 @@ func TestARIMASeasonalDifferencingRoundTrip(t *testing.T) {
 		k := 5
 		origin := series[:len(series)-k]
 		got := append([]float64(nil), w[len(w)-k:]...)
-		integrate(newFitWorkspace(origin, bounds).levelTails(o), got)
+		integrate(newFitWorkspace(origin, bounds, 1).levelTails(o), got)
 		if ref := refIntegrate(origin, w[len(w)-k:], o); !equalBits(got, ref) {
 			t.Fatalf("%v: integrate diverges from the reference: %v vs %v", o, got, ref)
 		}
@@ -354,8 +354,8 @@ func TestExpandPolynomials(t *testing.T) {
 	t.Parallel()
 	// (1 − 0.5B)(1 − 0.3B²) = 1 − 0.5B − 0.3B² + 0.15B³
 	o := Order{P: 1, SP: 1, Season: 2}
-	ws := newFitWorkspace(nil, Grid{MaxP: 1, MaxSP: 1, Season: 2})
-	arLag, maLag := ws.expand([]float64{0, 0.5, 0.3}, o)
+	ws := newFitWorkspace(nil, Grid{MaxP: 1, MaxSP: 1, Season: 2}, 1)
+	arLag, maLag := ws.lanes[0].expand([]float64{0, 0.5, 0.3}, o)
 	wantAR := []float64{0.5, 0.3, -0.15}
 	if len(arLag) != 3 {
 		t.Fatalf("arLag = %v", arLag)
@@ -370,8 +370,8 @@ func TestExpandPolynomials(t *testing.T) {
 	}
 	// MA side keeps positive signs: (1+0.4B)(1+0.2B³).
 	o2 := Order{Q: 1, SQ: 1, Season: 3}
-	ws2 := newFitWorkspace(nil, Grid{MaxQ: 1, MaxSQ: 1, Season: 3})
-	_, ma2 := ws2.expand([]float64{0, 0.4, 0.2}, o2)
+	ws2 := newFitWorkspace(nil, Grid{MaxQ: 1, MaxSQ: 1, Season: 3}, 1)
+	_, ma2 := ws2.lanes[0].expand([]float64{0, 0.4, 0.2}, o2)
 	wantMA := []float64{0.4, 0, 0.2, 0.08}
 	for i, w := range wantMA {
 		if math.Abs(ma2[i]-w) > 1e-12 {

@@ -234,8 +234,11 @@ func (e *Ensemble) refreshPred() error {
 
 // refit trains every model on the accumulated series, tracking wall time.
 // The candidates×K×Dims fits are independent (each model owns its state and
-// reads its own series), so they run on the worker pool; ARIMA grid search
-// and LSTM epochs dominate retraining wall time and scale with cores.
+// reads its own series), so they run on a pool of Workers goroutines. Under
+// core.System that budget is the System's Workers split across its trackers
+// (at least 1 each), so with as many trackers as cores an ensemble fits its
+// cells one after another; ARIMA grid searches and LSTM epochs dominate the
+// round.
 func (e *Ensemble) refit() error {
 	start := time.Now()
 	dims := e.cfg.Dims
@@ -346,10 +349,10 @@ func (e *Ensemble) Series(j, d int) []float64 {
 func (e *Ensemble) SeriesStart() int { return e.start }
 
 // TrainingTime returns the cumulative wall-clock time of the (re)training
-// rounds and their count. Rounds fit their models on the worker pool, so the
-// duration shrinks with Workers/cores — it measures what the system actually
-// stalls on maintenance, not summed per-model CPU time (for a single model's
-// fitting cost, see e.g. the ARIMA/LSTM FitDuration accessors).
+// rounds and their count. Rounds fit their models on the ensemble's Workers
+// budget (see refit), so the duration is what the ensemble stalls on
+// maintenance with that budget, not summed per-model CPU time (for a single
+// model's fitting cost, see e.g. the ARIMA/LSTM FitDuration accessors).
 func (e *Ensemble) TrainingTime() (time.Duration, int) { return e.trainTime, e.trainRuns }
 
 // CandidateAccuracy is one candidate's rolling accuracy inside a

@@ -116,6 +116,47 @@ func TestNelderMeadErrors(t *testing.T) {
 	}
 }
 
+// TestNelderMeadRejectsBadOptions pins the option checks: zeros select the
+// defaults, but a negative budget (which returned the initial simplex
+// unconverged), a negative or NaN tolerance (which ran to the budget) and a
+// non-finite initial step are errors, from Start and from NelderMead alike.
+func TestNelderMeadRejectsBadOptions(t *testing.T) {
+	t.Parallel()
+	f := func(x []float64) float64 { return x[0] * x[0] }
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, opts := range []Options{
+		{MaxEvaluations: -1},
+		{MaxEvaluations: math.MinInt},
+		{Tolerance: -1e-8},
+		{Tolerance: nan},
+		{Tolerance: math.Copysign(nan, -1)},
+		{ToleranceX: -1e-6},
+		{ToleranceX: nan},
+		{InitialStep: nan},
+		{InitialStep: inf},
+		{InitialStep: -inf},
+	} {
+		var ws Workspace
+		if r, err := ws.Start([]float64{1}, opts); !errors.Is(err, ErrBadInput) || r != nil {
+			t.Fatalf("Start(%+v): want ErrBadInput and no run, got %v", opts, err)
+		}
+		if _, err := NelderMead(f, []float64{1}, opts); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("NelderMead(%+v): want ErrBadInput, got %v", opts, err)
+		}
+	}
+	// Values that mean something stay accepted: +Inf tolerances stop at the
+	// first check, a negative step builds the simplex the other way.
+	for _, opts := range []Options{
+		{Tolerance: inf, ToleranceX: inf},
+		{InitialStep: -0.5},
+		{MaxEvaluations: 1},
+	} {
+		if _, err := NelderMead(f, []float64{1}, opts); err != nil {
+			t.Fatalf("NelderMead(%+v): %v", opts, err)
+		}
+	}
+}
+
 func TestNelderMeadAllInfeasibleStops(t *testing.T) {
 	t.Parallel()
 	f := func([]float64) float64 { return math.Inf(1) }
@@ -191,17 +232,11 @@ func TestNelderMeadMatchesReference(t *testing.T) {
 	ws := NewWorkspace(2)
 	for _, tc := range nmCases() {
 		var wantTrace, gotTrace []float64
-		record := func(trace *[]float64) Objective {
-			return func(x []float64) float64 {
-				*trace = append(*trace, x...)
-				return tc.f(x)
-			}
-		}
-		want, err := refNelderMead(record(&wantTrace), tc.x0, tc.opts)
+		want, err := refNelderMead(traced(tc.f, &wantTrace), tc.x0, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
-		got, err := ws.NelderMead(record(&gotTrace), tc.x0, tc.opts)
+		got, err := ws.NelderMead(traced(tc.f, &gotTrace), tc.x0, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -235,9 +270,90 @@ func TestNelderMeadMatchesReference(t *testing.T) {
 	}
 }
 
+// traced wraps f so that every evaluation point is appended to *trace.
+func traced(f Objective, trace *[]float64) Objective {
+	return func(x []float64) float64 {
+		*trace = append(*trace, x...)
+		return f(x)
+	}
+}
+
+// TestNelderMeadRunsInLockstep drives three runs, each on its own workspace,
+// through one interleaved Next/Tell schedule — the shape the ARIMA grid
+// search uses to evaluate two orders' points together — and requires each to
+// reproduce the reference's evaluation points, result and count. The
+// schedule is uneven (run k advances k+1 evaluations per round), so the runs
+// end at different rounds and meet each other in every phase.
+func TestNelderMeadRunsInLockstep(t *testing.T) {
+	t.Parallel()
+	all := nmCases()
+	cases := []nmCase{all[1], all[2], all[9]} // rosenbrock-defaults, sphere-6d, plateau-shrinks
+	type lane struct {
+		tc    nmCase
+		run   *Run
+		f     Objective
+		trace []float64
+	}
+	lanes := make([]lane, len(cases))
+	for k, tc := range cases {
+		var err error
+		lanes[k].tc = tc
+		lanes[k].f = traced(tc.f, &lanes[k].trace)
+		if lanes[k].run, err = new(Workspace).Start(tc.x0, tc.opts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	for busy := true; busy; {
+		busy = false
+		for k := range lanes {
+			for step := 0; step <= k; step++ {
+				x, ok := lanes[k].run.Next()
+				if !ok {
+					break
+				}
+				busy = true
+				lanes[k].run.Tell(lanes[k].f(x))
+			}
+		}
+	}
+	for _, ln := range lanes {
+		var wantTrace []float64
+		want, err := refNelderMead(traced(ln.tc.f, &wantTrace), ln.tc.x0, ln.tc.opts)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", ln.tc.name, err)
+		}
+		got := ln.run.Result()
+		if got.Evaluations != want.Evaluations || got.Converged != want.Converged || !sameBits(got.F, want.F) {
+			t.Fatalf("%s: got F=%v evals=%d converged=%v, want F=%v evals=%d converged=%v", ln.tc.name,
+				got.F, got.Evaluations, got.Converged, want.F, want.Evaluations, want.Converged)
+		}
+		for i := range want.X {
+			if !sameBits(got.X[i], want.X[i]) {
+				t.Fatalf("%s: X[%d] = %v, want %v", ln.tc.name, i, got.X[i], want.X[i])
+			}
+		}
+		if len(ln.trace) != len(wantTrace) {
+			t.Fatalf("%s: evaluated %d coordinates, want %d", ln.tc.name, len(ln.trace), len(wantTrace))
+		}
+		for i := range wantTrace {
+			if !sameBits(ln.trace[i], wantTrace[i]) {
+				t.Fatalf("%s: evaluation point coordinate %d = %v, want %v", ln.tc.name, i, ln.trace[i], wantTrace[i])
+			}
+		}
+		if x, ok := ln.run.Next(); ok || x != nil {
+			t.Fatalf("%s: Next after the end = %v, %v", ln.tc.name, x, ok)
+		}
+		ln.run.Tell(0) // ignored once done
+		if after := ln.run.Result(); after.Evaluations != got.Evaluations || !sameBits(after.F, got.F) {
+			t.Fatalf("%s: Tell after the end changed the result", ln.tc.name)
+		}
+	}
+}
+
 // TestNelderMeadAllocations pins the allocation contract: a run on a sized
-// workspace allocates nothing, and the package-level convenience allocates a
-// constant handful of objects however many evaluations the run takes.
+// workspace allocates nothing, whether NelderMead calls the objective or the
+// caller drives Start/Next/Tell, and the package-level convenience allocates
+// a constant handful of objects however many evaluations the run takes.
 func TestNelderMeadAllocations(t *testing.T) {
 	f := func(x []float64) float64 {
 		a := 1 - x[0]
@@ -252,6 +368,20 @@ func TestNelderMeadAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Workspace.NelderMead allocates %v objects per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		r, err := ws.Start(x0, Options{MaxEvaluations: 5000, Tolerance: 1e-12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x, ok := r.Next(); ok; x, ok = r.Next() {
+			r.Tell(f(x))
+		}
+		if r.Result().Evaluations < 100 {
+			t.Fatalf("driven run took %d evaluations", r.Result().Evaluations)
+		}
+	}); n != 0 {
+		t.Fatalf("a driven run allocates %v objects, want 0", n)
 	}
 	perRun := func(budget int) (allocs float64, evals int) {
 		allocs = testing.AllocsPerRun(20, func() {

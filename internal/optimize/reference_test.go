@@ -10,6 +10,24 @@ import (
 // ref). TestNelderMeadMatchesReference requires the production minimizer to
 // evaluate the same points in the same order and return the same bits.
 
+// refWithDefaults is Options.withDefaults as of the reference: zeros become
+// defaults and every other value passes through unchecked.
+func refWithDefaults(o Options, dim int) Options {
+	if o.MaxEvaluations == 0 {
+		o.MaxEvaluations = 200 * dim
+	}
+	if o.Tolerance == 0 {
+		o.Tolerance = 1e-8
+	}
+	if o.ToleranceX == 0 {
+		o.ToleranceX = 1e-6
+	}
+	if o.InitialStep == 0 {
+		o.InitialStep = 0.1
+	}
+	return o
+}
+
 // refNelderMead minimizes f starting from x0 using the standard simplex method
 // with reflection, expansion, contraction and shrink steps (coefficients
 // 1, 2, 0.5, 0.5).
@@ -21,7 +39,7 @@ func refNelderMead(f Objective, x0 []float64, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("optimize: nil objective: %w", ErrBadInput)
 	}
 	dim := len(x0)
-	opts = opts.withDefaults(dim)
+	opts = refWithDefaults(opts, dim)
 
 	evals := 0
 	eval := func(x []float64) float64 {
