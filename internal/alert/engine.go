@@ -243,14 +243,15 @@ func (e *Engine) evalClusterRule(snap *core.Snapshot, r *Rule, events []Event) [
 
 // evalNodeRule evaluates one node-scope rule against the per-node forecasts:
 // eq. (12) makes each the centroid forecast plus the node's offset, read
-// through the snapshot's forecast plan (built once per generation, shared
-// with the serving plane) at the one or two horizons the rule needs.
+// through the snapshot's forecast plan (built when the snapshot was
+// published, shared with the serving plane) at the one or two horizons the
+// rule needs.
 func (e *Engine) evalNodeRule(snap *core.Snapshot, r *Rule, events []Event) []Event {
 	if r.Dim >= snap.Resources() {
 		e.targetErr++
 		return events
 	}
-	plan, _ := snap.Plan()
+	plan := snap.Plan()
 	roster := snap.Roster()
 	for slot := 0; slot < snap.Nodes(); slot++ {
 		id, live := roster.IDAt(slot)

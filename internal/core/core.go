@@ -111,21 +111,12 @@ type Config struct {
 	// be discarded rather than stepped further.
 	Workers int
 	// SnapshotHorizon enables the read-only serving plane: when > 0, every
-	// successful Step publishes an immutable Snapshot (look-back window,
-	// latest z_t, memberships, transmit frequencies, and centroid forecasts
-	// up to this horizon) that concurrent readers access lock-free via
-	// System.Snapshot. Zero (the default) disables publishing, keeping the
-	// steady-state ingest path allocation-free.
+	// successful Step publishes an immutable Snapshot (latest z_t,
+	// memberships, transmit frequencies, centroid forecasts up to this
+	// horizon and the fleet forecast plan) that concurrent readers access
+	// lock-free via System.Snapshot. Zero (the default) disables publishing,
+	// keeping the steady-state ingest path allocation-free.
 	SnapshotHorizon int
-	// SnapshotKeep bounds snapshot retention so the per-step deep copies can
-	// be recycled: a look-back slot that drops out of the published window is
-	// reused for a new snapshot once more than SnapshotKeep further
-	// generations have been published. Readers must therefore stop using a
-	// Snapshot of generation g before generation g+SnapshotKeep is published.
-	// Zero (the default) never recycles — every Snapshot stays valid forever —
-	// at the cost of one window-slot allocation per step. Requires
-	// SnapshotHorizon > 0; negative is invalid.
-	SnapshotKeep int
 	// IncrementalRefit enables warm-started clustering: when fleet membership
 	// is unchanged since the previous step and reassigning the stored
 	// measurements to the previous centroids moves at most
@@ -286,26 +277,10 @@ type System struct {
 	ringLen int
 
 	// Snapshot publishing (Config.SnapshotHorizon > 0): gen counts published
-	// generations, pubWin is the previous snapshot's immutable slot window
-	// (newest first), and snap holds the latest published Snapshot for
+	// generations, and snap holds the latest published Snapshot for
 	// lock-free concurrent readers.
-	gen    uint64
-	pubWin []*ringSlot
-	snap   atomic.Pointer[Snapshot]
-	// pubWinStale forces the next publish to rebuild its window from the
-	// live ring instead of sharing the previous window's tail: set when a
-	// tombstoned slot is recycled, because shared slots still show the
-	// previous occupant as present.
-	pubWinStale bool
-	// Snapshot slot arena (Config.SnapshotKeep > 0): retired holds the
-	// deep-copied window slots that dropped out of the published window,
-	// stamped with the generation whose publish dropped them (FIFO, stamps
-	// monotone). Once more than SnapshotKeep further generations have been
-	// published, a retiree is recycled for the next snapshot instead of
-	// allocating a fresh slot. dropPending stages the slots the in-flight
-	// publish would drop; they enter retired only when the step commits.
-	retired     []retiredSlot
-	dropPending []*ringSlot
+	gen  uint64
+	snap atomic.Pointer[Snapshot]
 
 	phases phaseTimer
 
@@ -326,12 +301,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.SnapshotHorizon < 0 {
 		return nil, fmt.Errorf("core: snapshot horizon %d < 0: %w", cfg.SnapshotHorizon, ErrBadConfig)
-	}
-	if cfg.SnapshotKeep < 0 {
-		return nil, fmt.Errorf("core: snapshot keep %d < 0: %w", cfg.SnapshotKeep, ErrBadConfig)
-	}
-	if cfg.SnapshotKeep > 0 && cfg.SnapshotHorizon == 0 {
-		return nil, fmt.Errorf("core: snapshot keep %d without snapshot horizon: %w", cfg.SnapshotKeep, ErrBadConfig)
 	}
 	if cfg.Model != nil && len(cfg.Zoo) > 0 {
 		return nil, fmt.Errorf("core: both Model and Zoo set: %w", ErrBadConfig)
@@ -652,9 +621,7 @@ func (s *System) addSlotAt(i, id int) error {
 		}
 		s.free = append(s.free[:at], s.free[at+1:]...)
 		// The slot's ring history was masked at eviction; mask again
-		// defensively and drop published-window sharing — old published
-		// slots still show the previous occupant as present, so the next
-		// snapshot must rebuild its window from the live ring.
+		// defensively.
 		for si := range s.ring {
 			maskSlot(&s.ring[si], i)
 		}
@@ -662,7 +629,6 @@ func (s *System) addSlotAt(i, id int) error {
 		for _, tr := range s.trackers {
 			tr.ForgetSlot(i)
 		}
-		s.pubWinStale = true
 	}
 	p, err := s.cfg.Policy(i)
 	if err != nil {
@@ -832,8 +798,8 @@ func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
 // per-phase calls: checkStep, then ingest (layer 1: decide, write the store,
 // stage it), clusterAndRefit (layers 2+3, one cluster and one refit call per
 // tracker), and — with publishing on — assembleSnapshot and
-// forecastSnapshot, then commit. Each call runs under the phase timer, so
-// the PhaseObserver sees calls, not regions of this function.
+// forecastSnapshot, then commit, which publishes. Each call runs under the
+// phase timer, so the PhaseObserver sees calls, not regions of this function.
 func (s *System) Step(x [][]float64) (*StepResult, error) {
 	if err := s.checkStep(x); err != nil {
 		return nil, err
@@ -859,14 +825,14 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 	pt.report(PhaseCluster)
 	pt.report(PhaseRefit)
 
-	// Build the next published Snapshot (if enabled) before committing, so a
-	// failed publish leaves both the ring and the published view untouched.
-	// Assembly counts toward the publish phase, the centroid-forecast
-	// precompute is the forecast phase.
+	// Start the next published Snapshot (if enabled) before committing, so a
+	// failed centroid-forecast pass leaves both the ring and the published
+	// view untouched. Assembly and the publish in commit count toward the
+	// publish phase, the centroid-forecast precompute is the forecast phase.
 	var pub *Snapshot
 	if s.cfg.SnapshotHorizon > 0 {
 		_ = pt.run(PhasePublish, func() error {
-			pub = s.assembleSnapshot(s.gen+1, s.stepWindow())
+			pub = s.assembleSnapshot(s.gen + 1)
 			return nil
 		})
 		if err := pt.run(PhaseForecast, func() error { return s.forecastSnapshot(pub) }); err != nil {
@@ -1109,8 +1075,9 @@ func (s *System) trackerCentroids(tr int) [][]float64 {
 
 // commit makes the step visible: the staged slot is swapped with the oldest
 // ring slot (slice headers only — no copying), becoming the current
-// look-back entry, the assembled snapshot (if any) is published, and the
-// step's result is built as views of the slot just committed.
+// look-back entry, the assembled snapshot (if any) is completed from the
+// ring and published, and the step's result is built as views of the slot
+// just committed.
 func (s *System) commit(pub *Snapshot, evicted []int) *StepResult {
 	s.head = (s.head + 1) % len(s.ring)
 	if s.ringLen < len(s.ring) {
@@ -1119,17 +1086,7 @@ func (s *System) commit(pub *Snapshot, evicted []int) *StepResult {
 	s.ring[s.head], s.stage = s.stage, s.ring[s.head]
 
 	if pub != nil {
-		s.gen = pub.gen
-		s.pubWin = pub.slots
-		s.pubWinStale = false
-		// The slots this publish dropped from the window become reusable
-		// once SnapshotKeep further generations are published (readers of
-		// the older snapshots that still share them must be gone by then).
-		for _, dropped := range s.dropPending {
-			s.retired = append(s.retired, retiredSlot{gen: pub.gen, slot: dropped})
-		}
-		s.dropPending = s.dropPending[:0]
-		s.snap.Store(pub)
+		s.publish(pub)
 	}
 
 	cur := &s.ring[s.head]

@@ -9,31 +9,33 @@ import (
 )
 
 // ForecastPlan is the horizon-independent half of the §V-C reconstruction
-// for a contiguous range of slots: per (slot, tracker) the mode cluster j*
-// of the look-back window, and per (slot, resource) the eq. (12) offset.
+// for every slot of the fleet: per (slot, tracker) the mode cluster j* of
+// the look-back window, and per (slot, resource) the eq. (12) offset.
 // Together with the centroid forecasts it makes a per-node forecast a
 // lookup and an add (At), so readers that need a few values — one node's
 // series, an alert rule's two horizons, a streamed response body — never
 // materialise the fleet-wide [h][N][d] tensor.
 //
-// A plan is immutable once built and safe for concurrent use. Plans come
-// from Snapshot.Plan (the whole fleet, built at most once per snapshot) and
-// Snapshot.PlanNode (one slot, computed on the spot).
+// A plan is immutable once built and safe for concurrent use. Each published
+// Snapshot carries the one built when it was published (Snapshot.Plan);
+// System.Forecast builds one per call.
 type ForecastPlan struct {
 	// centF is indexed [tracker][cluster][dim][hi]; nil before the models
 	// finish initial training, in which case every mode entry is -1.
 	centF [][][][]float64
-	// mode holds j* at [(slot-first)*nTracker + tracker]; -1 in every
+	// mode holds j* at [slot*nTracker + tracker]; -1 in every
 	// tracker of a slot whose forecast is undefined (tombstone, or a joiner
 	// with no presence in the look-back window yet).
 	mode []int32
-	// offset holds eq. (12) at [(slot-first)*resources + resource]. Under
+	// offset holds eq. (12) at [slot*resources + resource]. Under
 	// scalar clustering resource r is tracker r's only dimension, under
 	// joint clustering it is dimension r of the one tracker, so
 	// tracker*dims + dim == resource either way.
 	offset []float64
+	// fill holds, per slot, the number of look-back steps the slot was
+	// present at (Snapshot.WindowFill); counted before training too.
+	fill []int32
 
-	first, count        int // the planned slots are [first, first+count)
 	nTracker, resources int
 	joint, disableClamp bool
 }
@@ -44,99 +46,94 @@ type ForecastPlan struct {
 const planBlock = 128
 
 // planScratch is the plan kernel's per-block working set: membership counts
-// [slot][cluster], the newest present membership and the number of present
-// look-back steps per slot, and maxAlphaInCell's δ. Multi-slot builds take
-// it from planScratches and give it back, so a fleet plan build allocates
-// only the plan.
+// [slot][cluster], the newest present membership per slot, and
+// maxAlphaInCell's δ. Blocks take it from planScratches and give it back, so
+// a plan build allocates only the plan.
 type planScratch struct {
-	counts, newest, seen []int32
-	delta                []float64
+	counts, newest []int32
+	delta          []float64
 }
 
 var planScratches = sync.Pool{New: func() any { return new(planScratch) }}
 
-// plan builds the h-independent half of §V-C for slots [first, first+count)
-// of the env's look-back window. Blocks of planBlock slots fan out on the
-// worker pool; each writes only its own entries, so the plan is identical for
-// any worker count. A nil centF (models not trained yet) plans every slot as
-// undefined without scanning the window.
-func (env *reconEnv) plan(centF [][][][]float64, first, count, workers int) *ForecastPlan {
+// plan builds the h-independent half of §V-C for every slot of the env's
+// look-back window. Blocks of planBlock slots fan out on the worker pool;
+// each writes only its own entries, so the plan is identical for any worker
+// count. A nil centF (models not trained yet) plans every slot as undefined
+// and only counts the window fill.
+func (env *reconEnv) plan(centF [][][][]float64, workers int) *ForecastPlan {
+	n := env.nodes
 	p := &ForecastPlan{
 		centF:        centF,
-		mode:         make([]int32, count*env.nTracker),
-		offset:       make([]float64, count*env.resources),
-		first:        first,
-		count:        count,
+		mode:         make([]int32, n*env.nTracker),
+		offset:       make([]float64, n*env.resources),
+		fill:         make([]int32, n),
 		nTracker:     env.nTracker,
 		resources:    env.resources,
 		joint:        env.joint,
 		disableClamp: env.disableClamp,
 	}
-	if centF == nil {
-		for i := range p.mode {
-			p.mode[i] = -1
-		}
-		return p
-	}
-	if count == 1 {
-		// One slot (PlanNode) needs only K+2 counters and a δ of d values,
-		// so it takes fresh scratch: that keeps a ?node= request off the
-		// pool and its allocation count exact, -race or not.
-		env.planSlots(p, new(planScratch), first, first+1)
-		return p
-	}
 	// The block kernel cannot fail, so neither can the fan-out.
-	_ = parallel.ForEach(workers, (count+planBlock-1)/planBlock, func(b int) error {
+	_ = parallel.ForEach(workers, (n+planBlock-1)/planBlock, func(b int) error {
 		sc := planScratches.Get().(*planScratch)
-		lo := first + b*planBlock
-		env.planSlots(p, sc, lo, min(lo+planBlock, first+count))
+		lo := b * planBlock
+		env.planSlots(p, sc, lo, min(lo+planBlock, n))
 		planScratches.Put(sc)
 		return nil
 	})
 	return p
 }
 
-// planSlots plans slots [lo, hi) into p, slot-major. Per tracker, one pass
-// over the window counts each slot's memberships at the steps it was present
-// at, and the mode rule picks j* (§V-C): the cluster the slot belonged to most
-// often, ties broken toward the newest present membership when it takes part
-// in the tie and otherwise toward the smaller cluster index. A dead slot, or
-// one with no counted membership under some tracker, is undefined in every
-// tracker. Then one more pass per tracker sums eq. (12) straight into the
-// plan's offset rows: per present step the α-scaled deviation from j*'s
-// centroid — α is 1 when the slot belonged to j*, otherwise the largest
-// shrink that keeps centroid + α·deviation in j*'s cell — averaged over the
-// present steps. Each slot's sum runs newest step first, as the per-slot
+// planSlots plans slots [lo, hi) into p, slot-major. One pass over the
+// window counts the steps each slot was present at into the fill column;
+// before training that is all. Per tracker, one more pass counts each slot's
+// memberships at the steps it was present at, and the mode rule picks j*
+// (§V-C): the cluster the slot belonged to most often, ties broken toward
+// the newest present membership when it takes part in the tie and otherwise
+// toward the smaller cluster index. A dead slot, or one with no counted
+// membership under some tracker, is undefined in every tracker. Then one
+// more pass per tracker sums eq. (12) straight into the plan's offset rows:
+// per present step the α-scaled deviation from j*'s centroid — α is 1 when
+// the slot belonged to j*, otherwise the largest shrink that keeps
+// centroid + α·deviation in j*'s cell — averaged over the present steps. Each slot's sum runs newest step first, as the per-slot
 // reconstruction kept in reference_test.go does, so the result is the same to
 // the bit.
 func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 	n, k, nT, dims, res := hi-lo, env.k, env.nTracker, env.dims, env.resources
+	mode := p.mode[lo*nT : hi*nT]
+	offset := p.offset[lo*res : hi*res]
+	fill := p.fill[lo:hi]
+	for _, slot := range env.slots {
+		for b, present := range slot.present[lo:hi] {
+			if present {
+				fill[b]++
+			}
+		}
+	}
+	if p.centF == nil {
+		for i := range mode {
+			mode[i] = -1
+		}
+		return
+	}
+
 	sc.counts = slices.Grow(sc.counts[:0], n*k)[:n*k]
 	sc.newest = slices.Grow(sc.newest[:0], n)[:n]
-	sc.seen = slices.Grow(sc.seen[:0], n)[:n]
 	sc.delta = slices.Grow(sc.delta[:0], dims)[:dims]
-	counts, newest, seen := sc.counts, sc.newest, sc.seen
-	mode := p.mode[(lo-p.first)*nT : (hi-p.first)*nT]
-	offset := p.offset[(lo-p.first)*res : (hi-p.first)*res]
-
+	counts, newest := sc.counts, sc.newest
 	for tr := 0; tr < nT; tr++ {
 		clear(counts)
-		clear(seen)
 		for b := range newest {
 			newest[b] = -1
 		}
 		for _, slot := range env.slots {
-			// Slots beyond a step's recorded fleet size (the fleet grew
-			// since) were absent at it.
-			present, end := slot.present, min(hi, len(slot.present))
-			assign := slot.assignments[tr]
-			for i := lo; i < end; i++ {
-				if !present[i] {
+			present, assign := slot.present[lo:hi], slot.assignments[tr][lo:hi]
+			assign = assign[:len(present)]
+			for b, p := range present {
+				if !p {
 					continue
 				}
-				b := i - lo
-				seen[b]++
-				if a := assign[i]; a >= 0 {
+				if a := assign[b]; a >= 0 {
 					counts[b*k+a]++
 					if newest[b] < 0 {
 						newest[b] = int32(a)
@@ -159,7 +156,7 @@ func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 	}
 	for b := 0; b < n; b++ {
 		m := mode[b*nT : (b+1)*nT]
-		if i := lo + b; i >= len(env.alive) || !env.alive[i] || slices.Contains(m, -1) {
+		if !env.alive[lo+b] || slices.Contains(m, -1) {
 			for tr := range m {
 				m[tr] = -1
 			}
@@ -168,20 +165,20 @@ func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 
 	for tr := 0; tr < nT; tr++ {
 		for _, slot := range env.slots {
-			present, end := slot.present, min(hi, len(slot.present))
-			assign := slot.assignments[tr]
+			present, assign := slot.present[lo:hi], slot.assignments[tr][lo:hi]
+			assign = assign[:len(present)]
 			cents := slot.centroids(tr)
 			z := slot.z.points(tr)
-			for i := lo; i < end; i++ {
-				b := i - lo
+			for b, p := range present {
 				j := int(mode[b*nT+tr])
-				if !present[i] || j < 0 {
+				if !p || j < 0 {
 					continue
 				}
+				i := lo + b
 				c := cents[j*dims : (j+1)*dims]
 				zi := z[i*dims : (i+1)*dims]
 				alpha := 1.0
-				if !env.disableAlphaClamp && assign[i] != j {
+				if !env.disableAlphaClamp && assign[b] != j {
 					alpha = maxAlphaInCell(zi, j, cents, sc.delta)
 				}
 				out := offset[b*res+tr*dims : b*res+(tr+1)*dims]
@@ -191,11 +188,11 @@ func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 			}
 		}
 	}
-	for b, s := range seen {
+	for b, f := range fill {
 		if mode[b*nT] < 0 {
 			continue
 		}
-		inv := 1 / float64(s)
+		inv := 1 / float64(f)
 		out := offset[b*res : (b+1)*res]
 		for d := range out {
 			out[d] *= inv
@@ -206,29 +203,27 @@ func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 // At returns the forecast of one slot's resource at horizon hi+1: the
 // forecasted centroid of the slot's mode cluster plus its eq. (12) offset,
 // clamped to [0, 1] unless the clamp ablation is on. It is NaN when the
-// slot's forecast is undefined. slot must lie in the planned range, resource
-// in [0, Resources) and hi in [0, MaxHorizon) of the snapshot the plan came
+// slot's forecast is undefined. slot must lie in [0, Nodes), resource in
+// [0, Resources) and hi in [0, MaxHorizon) of the snapshot the plan came
 // from.
 func (p *ForecastPlan) At(slot, resource, hi int) float64 {
-	k := slot - p.first
 	tr, dim := resource, 0
 	if p.joint {
 		tr, dim = 0, resource
 	}
-	j := p.mode[k*p.nTracker+tr]
+	j := p.mode[slot*p.nTracker+tr]
 	if j < 0 {
 		return math.NaN()
 	}
-	return p.clamp(p.centF[tr][j][dim][hi] + p.offset[k*p.resources+resource])
+	return p.clamp(p.centF[tr][j][dim][hi] + p.offset[slot*p.resources+resource])
 }
 
 // Row writes At(slot, r, hi) for every resource r into dst, which must have
 // room for Resources values, and returns dst[:Resources]: one slot's row of
 // a horizon with the slot's plan entries looked up once.
 func (p *ForecastPlan) Row(slot, hi int, dst []float64) []float64 {
-	k := slot - p.first
-	mode := p.mode[k*p.nTracker : (k+1)*p.nTracker]
-	offset := p.offset[k*p.resources : (k+1)*p.resources]
+	mode := p.mode[slot*p.nTracker : (slot+1)*p.nTracker]
+	offset := p.offset[slot*p.resources : (slot+1)*p.resources]
 	dst = dst[:p.resources]
 	if mode[0] < 0 {
 		for r := range dst {
@@ -263,12 +258,12 @@ func (p *ForecastPlan) clamp(v float64) float64 {
 	return v
 }
 
-// tensor evaluates the plan at every (horizon ≤ h, planned slot, resource)
+// tensor evaluates the plan at every (horizon ≤ h, slot, resource)
 // into the result[hIdx][slot][resource] shape of System.Forecast. The
 // h×N×d result shares one flat backing and one row-header array instead of
 // h·N small slices; slots fan out on the worker pool.
 func (p *ForecastPlan) tensor(h, workers int) [][][]float64 {
-	n, d := p.count, p.resources
+	n, d := len(p.fill), p.resources
 	flat := make([]float64, h*n*d)
 	rows := make([][]float64, h*n)
 	out := make([][][]float64, h)
@@ -281,7 +276,7 @@ func (p *ForecastPlan) tensor(h, workers int) [][][]float64 {
 	}
 	_ = parallel.ForEach(workers, n, func(i int) error {
 		for hi := 0; hi < h; hi++ {
-			p.Row(p.first+i, hi, out[hi][i])
+			p.Row(i, hi, out[hi][i])
 		}
 		return nil
 	})
@@ -289,14 +284,13 @@ func (p *ForecastPlan) tensor(h, workers int) [][][]float64 {
 }
 
 // reconEnv bundles everything the §V-C per-node reconstruction reads: the
-// look-back window (newest first), which slots are live, and the shape and
-// ablation parameters. Both the live System (over its mutable ring) and a
-// published Snapshot (over its immutable slot window) reconstruct through
-// the same env, which is what keeps served forecasts bit-identical to
-// System.Forecast.
+// look-back ring (newest first), which slots are live, and the shape and
+// ablation parameters. System.Forecast and the snapshot publish both plan
+// through the System's env, which is what keeps served forecasts
+// bit-identical to System.Forecast.
 type reconEnv struct {
 	slots             []*ringSlot // the valid look-back slots, newest first
-	alive             []bool      // slots past its end are dead
+	alive             []bool
 	nodes, resources  int
 	k, dims, nTracker int
 	joint             bool
@@ -331,7 +325,7 @@ func (s *System) reconEnv() *reconEnv {
 // centF is indexed [tracker][cluster][dim][hi] and must cover hi < h. The
 // result is identical for any worker count.
 func reconstruct(env *reconEnv, centF [][][][]float64, h, workers int) [][][]float64 {
-	return env.plan(centF, 0, env.nodes, workers).tensor(h, workers)
+	return env.plan(centF, workers).tensor(h, workers)
 }
 
 // MaxAlphaInCell returns the largest α ∈ [0,1] such that c_j + α(z−c_j)

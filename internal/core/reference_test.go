@@ -8,7 +8,6 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,6 +96,13 @@ type fcScratch struct {
 	counts []int     // membership counts, len K
 	offset []float64 // eq. (12) accumulator, len dims
 	delta  []float64 // MaxAlphaInCell scratch, len dims
+}
+
+// presentAt reports slot i's presence, treating slots beyond the recorded
+// fleet size as absent: the published windows the references read could be
+// shorter than the fleet.
+func (slot *ringSlot) presentAt(i int) bool {
+	return i < len(slot.present) && slot.present[i]
 }
 
 // referenceModeCluster is the per-node modeCluster the slot-major plan
@@ -191,11 +197,10 @@ func referenceNanRow(out [][][]float64, i, h, d int) {
 }
 
 // oracleFleet drives a churning fleet to a state that exercises every branch
-// of the reconstruction: recycled slots (nodes 1 and 3 removed, their slots handed to joiners 103
-// and 104, which forces the pubWinStale window rebuild), a joiner still
-// warming up (104 is silent for its first steps) and a tombstoned slot (node
-// 5 removed, slot left empty). visit is called after every step once the models
-// are trained.
+// of the reconstruction: recycled slots (nodes 1 and 3 removed, their slots
+// handed to joiners 103 and 104), a joiner still warming up (104 is silent
+// for its first steps) and a tombstoned slot (node 5 removed, slot left
+// empty). visit is called after every step, before and after training.
 func oracleFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 	t.Helper()
 	sys, err := NewSystem(cfg)
@@ -213,9 +218,6 @@ func oracleFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 			if err := sys.AddNodes(103); err != nil {
 				t.Fatal(err)
 			}
-			if cfg.SnapshotHorizon > 0 && !sys.pubWinStale {
-				t.Fatal("recycling a slot did not mark the published window stale")
-			}
 		case 30:
 			if err := sys.AddNodes(104); err != nil {
 				t.Fatal(err)
@@ -225,9 +227,7 @@ func oracleFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 			delete(silent, 104)
 		}
 		stepFleet(t, sys, step, silent)
-		if sys.Ready() {
-			visit(step, sys)
-		}
+		visit(step, sys)
 	}
 	roster := sys.Roster()
 	if slot, ok := roster.SlotOf(103); !ok || slot != 1 {
@@ -242,7 +242,8 @@ func oracleFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 // slot planBlock carries both special cases: node planBlock-1 and node
 // planBlock are removed, joiner 9000 recycles slot planBlock-1 (the last of
 // the first block) and stays silent, so it is still warming at the end, and
-// slot planBlock (the first of the second block) stays a tombstone.
+// slot planBlock (the first of the second block) stays a tombstone. visit is
+// called after every step, before and after training.
 func blockEdgeFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 	t.Helper()
 	cfg.Nodes = 3*planBlock + 17
@@ -263,9 +264,7 @@ func blockEdgeFleet(t *testing.T, cfg Config, visit func(step int, sys *System))
 			}
 		}
 		stepFleet(t, sys, step, silent)
-		if sys.Ready() {
-			visit(step, sys)
-		}
+		visit(step, sys)
 	}
 	roster := sys.Roster()
 	if slot, ok := roster.SlotOf(9000); !ok || slot != planBlock-1 {
@@ -278,10 +277,10 @@ func blockEdgeFleet(t *testing.T, cfg Config, visit func(step int, sys *System))
 
 // grownFleet drives a fleet that grows across the first block edge after
 // older window slots were written: five joiners take the new slots
-// planBlock-2 … planBlock+2, so every published slot from before the join
-// records fewer slots than the snapshot has (the presentAt clamp), and the
-// second block starts beyond all of them. The joiners stay silent for their
-// first steps.
+// planBlock-2 … planBlock+2, so every ring slot from before the join is
+// grown in place, and the second block starts with slots no step before
+// the join knew of. The joiners stay silent for their first steps. visit is
+// called after every step, before and after training.
 func grownFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 	t.Helper()
 	cfg.Nodes = planBlock - 2
@@ -304,9 +303,7 @@ func grownFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 			clear(silent)
 		}
 		stepFleet(t, sys, step, silent)
-		if sys.Ready() {
-			visit(step, sys)
-		}
+		visit(step, sys)
 	}
 	if slot, ok := sys.Roster().SlotOf(joiners[4]); !ok || slot != planBlock+2 {
 		t.Fatalf("joiner %d at slot %d (ok=%v), want appended slot %d", joiners[4], slot, ok, planBlock+2)
@@ -315,8 +312,9 @@ func grownFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 
 // TestPlanMatchesReferenceReconstruct is the differential oracle of the
 // plan/fill split: for every horizon, clustering mode, ablation and worker
-// count, System.Forecast, Snapshot.Forecast and the per-node plan of every
-// slot produce the float bits of the pre-split reconstruct — on a small
+// count, the plan a snapshot was published with (through Snapshot.Forecast
+// and ForecastPlan.At) and System.Forecast produce the float bits of the
+// pre-split reconstruct over the System's ring after the step — on a small
 // fleet with a tombstone, a recycled slot and a warming joiner, on one whose
 // tombstone and warming joiner sit on a plan block edge, and on one that grew
 // across a block edge after older window slots were written.
@@ -344,18 +342,18 @@ func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 							cfg.DisableAlphaClamp = noAlpha
 							cfg.Workers = workers
 							cfg.SnapshotHorizon = maxH
-							sawNaN, sawShort := false, false
+							sawNaN := false
 							fleet.drive(t, cfg, func(step int, sys *System) {
-								snap := sys.Snapshot()
-								for _, slot := range snap.slots {
-									sawShort = sawShort || len(slot.present) < snap.Nodes()
+								if !sys.Ready() {
+									return
 								}
+								snap := sys.Snapshot()
 								full, err := snap.Forecast(maxH)
 								if err != nil {
 									t.Fatalf("step %d: %v", step, err)
 								}
 								for h := 1; h <= maxH; h++ {
-									want, err := referenceReconstruct(snap.reconEnv(), snap.centF, h, workers)
+									want, err := referenceReconstruct(sys.reconEnv(), snap.centF, h, workers)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -372,13 +370,13 @@ func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 									}
 									forecastBits(t, live, want, "system vs reference", step)
 								}
+								p := snap.Plan()
 								for slot := 0; slot < snap.Nodes(); slot++ {
-									p := snap.PlanNode(slot)
 									for hi := 0; hi < maxH; hi++ {
 										for r := 0; r < snap.Resources(); r++ {
 											got, want := p.At(slot, r, hi), full[hi][slot][r]
 											if math.Float64bits(got) != math.Float64bits(want) {
-												t.Fatalf("step %d: PlanNode(%d).At(r%d, h%d) = %v, fleet row has %v",
+												t.Fatalf("step %d: Plan().At(%d, r%d, h%d) = %v, fleet row has %v",
 													step, slot, r, hi, got, want)
 											}
 											sawNaN = sawNaN || math.IsNaN(want)
@@ -389,56 +387,11 @@ func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 							if !sawNaN {
 								t.Fatal("scenario lost coverage: no NaN row was ever compared")
 							}
-							if fleet.name == "grown" && !sawShort {
-								t.Fatal("scenario lost coverage: no window slot was shorter than the fleet")
-							}
 						})
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestPlanBuiltOncePerSnapshot pins the single-flight contract of the lazily
-// built fleet plan: any number of concurrent first readers get the same plan
-// and exactly one of them is told it built it.
-func TestPlanBuiltOncePerSnapshot(t *testing.T) {
-	t.Parallel()
-	cfg := churnConfig(8)
-	cfg.SnapshotHorizon = 3
-	var snap *Snapshot
-	oracleFleet(t, cfg, func(_ int, sys *System) { snap = sys.Snapshot() })
-
-	const readers = 64
-	var builds atomic.Int64
-	plans := make([]*ForecastPlan, readers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			p, built := snap.Plan()
-			if built {
-				builds.Add(1)
-			}
-			plans[g] = p
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	if got := builds.Load(); got != 1 {
-		t.Fatalf("%d readers reported building the plan, want exactly 1", got)
-	}
-	for g, p := range plans {
-		if p == nil || p != plans[0] {
-			t.Fatalf("reader %d got plan %p, reader 0 got %p", g, p, plans[0])
-		}
-	}
-	if _, built := snap.Plan(); built {
-		t.Fatal("a later Plan call rebuilt the plan")
 	}
 }
 
@@ -457,13 +410,13 @@ func TestPlanBeforeTraining(t *testing.T) {
 	if snap.Ready() {
 		t.Fatal("ready after one step")
 	}
-	fleet, _ := snap.Plan()
+	fleet := snap.Plan()
 	for slot := 0; slot < snap.Nodes(); slot++ {
 		if v := fleet.At(slot, 0, 0); !math.IsNaN(v) {
 			t.Fatalf("fleet plan slot %d = %v before training, want NaN", slot, v)
 		}
-		if v := snap.PlanNode(slot).At(slot, 1, 1); !math.IsNaN(v) {
-			t.Fatalf("node plan slot %d = %v before training, want NaN", slot, v)
+		if v := fleet.At(slot, 1, 1); !math.IsNaN(v) {
+			t.Fatalf("fleet plan slot %d resource 1 = %v before training, want NaN", slot, v)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"orcf/internal/forecast"
@@ -11,22 +10,19 @@ import (
 
 // Snapshot is an immutable, point-in-time view of the pipeline published at
 // the end of a successful Step when Config.SnapshotHorizon > 0. It carries
-// everything a query needs — the eq. (12) look-back window, the latest
-// stored measurements z_t, cluster memberships and centroids, realized
-// transmit frequencies, and per-tracker centroid forecasts precomputed up to
-// the snapshot horizon — so readers never touch the System's mutable state:
-// thousands of concurrent queries proceed lock-free while the ingest loop
-// keeps stepping.
+// everything a query needs — the latest stored measurements z_t, cluster
+// memberships and centroids, realized transmit frequencies, per-tracker
+// centroid forecasts precomputed up to the snapshot horizon, and the fleet
+// ForecastPlan that turns them into per-node forecasts (§V-C) — so readers
+// never touch the System's mutable state: thousands of concurrent queries
+// proceed lock-free while the ingest loop keeps stepping.
 //
-// Forecasts are pure functions of a Snapshot: two calls with the same
-// horizon on the same Snapshot return identical values, and they are
-// bit-identical to calling System.Forecast(h) at the step the Snapshot was
-// published (both run the same reconstruction over the same window). That
-// purity covers the fleet ForecastPlan too: it is built lazily, at most
-// once, behind a sync.Once — the one write to a Snapshot after publication —
-// with the publishing System's worker budget, and is a function of the
-// published fields alone, so every reader sees the same plan whichever of
-// them happened to build it.
+// Nothing in a Snapshot is written after publication, and nothing in it is
+// shared with the System: two calls with the same horizon on the same
+// Snapshot return identical values however many steps have run since, and
+// they are bit-identical to calling System.Forecast(h) at the step the
+// Snapshot was published (both run the same plan kernel over the same
+// look-back ring).
 type Snapshot struct {
 	gen        uint64
 	t          int
@@ -34,14 +30,18 @@ type Snapshot struct {
 	maxHorizon int
 	workers    int
 
-	// slots is the look-back window, newest first. Slots are immutable and
-	// shared across consecutive Snapshots: each publish deep-copies only the
-	// current step's slot and re-references the previous window's tail.
-	slots []*ringSlot
+	// newest is a deep copy of the ring slot the step committed: the stored
+	// measurements, memberships and centroids the per-node accessors read.
+	newest ringSlot
 
 	// centF holds per-tracker centroid forecasts [tracker][cluster][dim][hi]
 	// for hi < maxHorizon; nil until the models finish initial training.
 	centF [][][][]float64
+
+	// plan is the h-independent half of §V-C for every slot, built over the
+	// System's look-back ring when the snapshot was published. Its fill
+	// column is WindowFill.
+	plan *ForecastPlan
 
 	freq      []float64
 	meanFreq  float64
@@ -58,14 +58,6 @@ type Snapshot struct {
 
 	nodes, resources  int
 	k, dims, nTracker int
-	joint             bool
-	disableClamp      bool
-	disableAlphaClamp bool
-
-	// fleetPlan is the h-independent half of §V-C for every slot, written
-	// once by buildPlan under planOnce on the first Plan call.
-	planOnce  sync.Once
-	fleetPlan *ForecastPlan
 }
 
 // Snapshot returns the most recently published read-only view, or nil when
@@ -74,71 +66,26 @@ type Snapshot struct {
 // never changes after publication.
 func (s *System) Snapshot() *Snapshot { return s.snap.Load() }
 
-// stepWindow builds the look-back window of the Snapshot a Step is about to
-// publish, newest first, from the staged (not yet committed) step state: a
-// deep copy of the staged slot in front of the previous publication's shared
-// tail. It is called before the ring commit so a failed centroid-forecast
-// pass leaves both the ring and the published view untouched. Deep copies
-// come from the slot arena: with SnapshotKeep > 0 the slots dropped from the
-// published window are recycled once their retention expires, so
-// steady-state publishing allocates no new windows.
-func (s *System) stepWindow() []*ringSlot {
-	s.dropPending = s.dropPending[:0]
-	slot := s.arenaSlot()
-	slot.copyFrom(&s.stage)
-
-	window := min(s.ringLen+1, len(s.ring))
-	slots := make([]*ringSlot, 0, window)
-	slots = append(slots, slot)
-	if s.pubWinStale {
-		// A tombstoned slot was recycled since the last publish: the shared
-		// tail still shows the previous occupant as present, so rebuild the
-		// window from immutable copies of the live ring (whose presence was
-		// masked at eviction). snapAt(k-1) is the state k steps before the
-		// staged one, because the ring has not committed this step yet. The
-		// entire previous window drops from publication.
-		for k := 1; k < window; k++ {
-			cp := s.arenaSlot()
-			cp.copyFrom(s.snapAt(k - 1))
-			slots = append(slots, cp)
-		}
-		if s.cfg.SnapshotKeep > 0 {
-			s.dropPending = append(s.dropPending, s.pubWin...)
-		}
-	} else if prev := s.pubWin; len(prev) > 0 {
-		kept := min(len(prev), window-1)
-		slots = append(slots, prev[:kept]...)
-		if s.cfg.SnapshotKeep > 0 {
-			s.dropPending = append(s.dropPending, prev[kept:]...)
-		}
-	}
-	return slots
-}
-
-// assembleSnapshot builds everything in generation gen's Snapshot except the
-// centroid forecasts — frequencies, roster, training and selection state,
-// dimensions — around the given look-back window. Step hands it stepWindow
-// and the next generation, restore the window rebuilt from the recovered ring
-// and the recorded generation; forecastSnapshot completes either.
-func (s *System) assembleSnapshot(gen uint64, slots []*ringSlot) *Snapshot {
+// assembleSnapshot builds everything in generation gen's Snapshot that does
+// not read the look-back ring — frequencies, roster, training and selection
+// state, dimensions. Step hands it the next generation, restore the recorded
+// one; forecastSnapshot adds the centroid forecasts, and publish the rest
+// once the ring holds the step.
+func (s *System) assembleSnapshot(gen uint64) *Snapshot {
 	snap := &Snapshot{
-		gen:               gen,
-		t:                 s.t,
-		ready:             s.Ready(),
-		maxHorizon:        s.cfg.SnapshotHorizon,
-		workers:           s.cfg.Workers,
-		slots:             slots,
-		freq:              make([]float64, len(s.ids)),
-		roster:            s.roster(),
-		evictions:         s.evictions,
-		nodes:             len(s.ids),
-		resources:         s.cfg.Resources,
-		k:                 s.cfg.K,
-		dims:              s.dims,
-		nTracker:          s.nTrackers,
-		joint:             s.cfg.JointClustering,
-		disableClamp:      s.cfg.DisableClamp,
-		disableAlphaClamp: s.cfg.DisableAlphaClamp,
+		gen:        gen,
+		t:          s.t,
+		ready:      s.Ready(),
+		maxHorizon: s.cfg.SnapshotHorizon,
+		workers:    s.cfg.Workers,
+		freq:       make([]float64, len(s.ids)),
+		roster:     s.roster(),
+		evictions:  s.evictions,
+		nodes:      len(s.ids),
+		resources:  s.cfg.Resources,
+		k:          s.cfg.K,
+		dims:       s.dims,
+		nTracker:   s.nTrackers,
 	}
 	var sum float64
 	live := 0
@@ -163,27 +110,18 @@ func (s *System) assembleSnapshot(gen uint64, slots []*ringSlot) *Snapshot {
 	return snap
 }
 
-// arenaSlot returns a window slot to deep-copy the next snapshot entry into:
-// the oldest retiree whose retention has expired — grown in place to the
-// current fleet size — or a fresh allocation when the arena is empty, still
-// retained, or disabled (SnapshotKeep == 0). Retirement stamps are monotone,
-// so checking the FIFO front suffices. The publish being assembled is
-// generation s.gen+1; a slot dropped at generation r is safe to overwrite
-// once s.gen+1 − r > SnapshotKeep, i.e. every reader entitled to a snapshot
-// still sharing it has expired.
-func (s *System) arenaSlot() *ringSlot {
-	if keep := s.cfg.SnapshotKeep; keep > 0 && len(s.retired) > 0 {
-		r := s.retired[0]
-		if s.gen+1-r.gen > uint64(keep) {
-			// Dequeue by shifting in place: the list stays ~SnapshotKeep
-			// entries long, so this never reallocates in steady state.
-			s.retired = s.retired[:copy(s.retired, s.retired[1:])]
-			growSlot(r.slot, len(s.ids))
-			return r.slot
-		}
-	}
-	slot := s.newRingSlot()
-	return &slot
+// publish completes a snapshot from the committed ring — a deep copy of the
+// newest slot and the fleet plan over the whole look-back, built by the same
+// code System.Forecast runs — and makes it the one readers load. It cannot
+// fail, so it runs after the ring commit, where a failed centroid-forecast
+// pass can no longer reach; Step's commit and restore's republish both end in
+// it.
+func (s *System) publish(snap *Snapshot) {
+	snap.newest = s.newRingSlot()
+	snap.newest.copyFrom(s.snapAt(0))
+	snap.plan = s.reconEnv().plan(snap.centF, s.cfg.Workers)
+	s.gen = snap.gen
+	s.snap.Store(snap)
 }
 
 // forecastSnapshot precomputes the per-tracker centroid forecasts up to the
@@ -242,20 +180,18 @@ func (sn *Snapshot) Present(slot int) bool {
 	if slot < 0 || slot >= sn.nodes {
 		return false
 	}
-	return sn.slots[0].presentAt(slot)
+	return sn.newest.present[slot]
 }
 
-// WindowFill returns how many of the snapshot's look-back slots the member
-// was present at — eq. (12) forecasts become available at 1 and use the
-// full window once it reaches the window length (len of the look-back).
+// WindowFill returns how many steps of the snapshot's look-back window the
+// member was present at — eq. (12) forecasts become available at 1 and use
+// the full window once it reaches the window length M′+1 — or 0 when the
+// slot is out of range.
 func (sn *Snapshot) WindowFill(slot int) int {
-	n := 0
-	for _, s := range sn.slots {
-		if s.presentAt(slot) {
-			n++
-		}
+	if slot < 0 || slot >= sn.nodes {
+		return 0
 	}
-	return n
+	return int(sn.plan.fill[slot])
 }
 
 // Resources returns the measurement dimensionality d.
@@ -272,20 +208,20 @@ func (sn *Snapshot) Clusters() int { return sn.k }
 // row), or nil when the slot is out of range or held no stored measurement
 // at the snapshot's step.
 func (sn *Snapshot) Latest(node int) []float64 {
-	if node < 0 || node >= sn.nodes || !sn.slots[0].presentAt(node) {
+	if node < 0 || node >= sn.nodes || !sn.newest.present[node] {
 		return nil
 	}
-	return sn.slots[0].z.row(node, make([]float64, sn.resources))
+	return sn.newest.z.row(node, make([]float64, sn.resources))
 }
 
 // Assignment returns the slot's cluster index under a tracker at the
 // snapshot's step, or -1 when out of range or absent from clustering.
 func (sn *Snapshot) Assignment(tracker, node int) int {
 	if tracker < 0 || tracker >= sn.nTracker || node < 0 || node >= sn.nodes ||
-		!sn.slots[0].presentAt(node) {
+		!sn.newest.present[node] {
 		return -1
 	}
-	return sn.slots[0].assignments[tracker][node]
+	return sn.newest.assignments[tracker][node]
 }
 
 // Frequency returns the node's realized transmission frequency (eq. 5), or
@@ -306,7 +242,7 @@ func (sn *Snapshot) Centroids(tracker int) [][]float64 {
 	if tracker < 0 || tracker >= sn.nTracker {
 		return nil
 	}
-	return rowViews(append([]float64(nil), sn.slots[0].centroids(tracker)...), sn.dims)
+	return rowViews(append([]float64(nil), sn.newest.centroids(tracker)...), sn.dims)
 }
 
 // CentroidForecastAt returns one value of a tracker's centroid forecasts at
@@ -375,8 +311,8 @@ func (sn *Snapshot) ModelSwitchesTotal() int {
 // ingest loop. The per-node fan-out is bounded by Workers; the result is
 // identical for any value, and Forecast(h) is a prefix of Forecast(h') for
 // h < h'. It fails with ErrNotReady before initial training and ErrBadInput
-// when h exceeds MaxHorizon. Readers that need only some of the values use
-// Plan or PlanNode and skip the tensor.
+// when h exceeds MaxHorizon. Readers that need only some of the values read
+// Plan and skip the tensor.
 func (sn *Snapshot) Forecast(h int) ([][][]float64, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("core: horizon %d < 1: %w", h, ErrBadInput)
@@ -388,47 +324,10 @@ func (sn *Snapshot) Forecast(h int) ([][][]float64, error) {
 	if !sn.ready {
 		return nil, ErrNotReady
 	}
-	p, _ := sn.Plan()
-	return p.tensor(h, sn.workers), nil
+	return sn.plan.tensor(h, sn.workers), nil
 }
 
-// Plan returns the snapshot's fleet ForecastPlan, covering every slot. The
-// first call builds it — fanning the slots out over Workers — and concurrent
-// first calls wait for that one build; built reports whether this call was
-// the one that did the work. Before initial training every slot's forecast
-// is undefined.
-func (sn *Snapshot) Plan() (p *ForecastPlan, built bool) {
-	sn.planOnce.Do(func() {
-		sn.buildPlan()
-		built = true
-	})
-	return sn.fleetPlan, built
-}
-
-// buildPlan is the one sanctioned write to a published Snapshot; only Plan
-// calls it, under planOnce.
-func (sn *Snapshot) buildPlan() {
-	sn.fleetPlan = sn.reconEnv().plan(sn.centF, 0, sn.nodes, sn.workers)
-}
-
-// PlanNode returns a ForecastPlan covering the one slot, computed from that
-// slot's look-back alone: O((M′+h)·d) for a node's whole forecast, without
-// building or touching the fleet plan. slot must be in [0, Nodes).
-func (sn *Snapshot) PlanNode(slot int) *ForecastPlan {
-	return sn.reconEnv().plan(sn.centF, slot, 1, 1)
-}
-
-func (sn *Snapshot) reconEnv() *reconEnv {
-	return &reconEnv{
-		slots:             sn.slots,
-		alive:             sn.roster.alive,
-		nodes:             sn.nodes,
-		resources:         sn.resources,
-		k:                 sn.k,
-		dims:              sn.dims,
-		nTracker:          sn.nTracker,
-		joint:             sn.joint,
-		disableClamp:      sn.disableClamp,
-		disableAlphaClamp: sn.disableAlphaClamp,
-	}
-}
+// Plan returns the snapshot's fleet ForecastPlan, covering every slot, built
+// when the snapshot was published. Before initial training every slot's
+// forecast is undefined.
+func (sn *Snapshot) Plan() *ForecastPlan { return sn.plan }

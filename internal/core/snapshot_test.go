@@ -97,7 +97,7 @@ func TestSnapshotForecastMatchesSystemForecast(t *testing.T) {
 			// snapshot's own count is the config's (0).
 			for _, workers := range []int{0, 1, 4} {
 				if workers > 0 {
-					served = snap.reconEnv().plan(snap.centF, 0, snap.nodes, workers).tensor(h, workers)
+					served = s.reconEnv().plan(snap.centF, workers).tensor(h, workers)
 				}
 				for hi := range direct {
 					for i := range direct[hi] {
@@ -267,6 +267,15 @@ func TestSnapshotErrorsAndAccessors(t *testing.T) {
 	if snap.Latest(99) != nil || snap.Latest(-1) != nil {
 		t.Fatal("out-of-range Latest must be nil")
 	}
+	for _, slot := range []int{-1, math.MinInt, 12, 99} {
+		if snap.Present(slot) || snap.WindowFill(slot) != 0 {
+			t.Fatalf("out-of-range slot %d: Present %v, WindowFill %d, want false and 0",
+				slot, snap.Present(slot), snap.WindowFill(slot))
+		}
+	}
+	if fill := snap.WindowFill(3); fill != 4 {
+		t.Fatalf("WindowFill(3) = %d after %d steps of an always-reporting fleet, want the window length 4", fill, s.Steps())
+	}
 	if len(snap.Latest(3)) != 2 {
 		t.Fatal("Latest must return the d-dimensional stored row")
 	}
@@ -341,10 +350,10 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 }
 
 // TestFleetPlanAllocations pins what a fleet plan build allocates: the plan
-// and its mode/offset arrays plus the fan-out's constant — the block scratch
+// and its mode/offset/fill arrays plus the fan-out's constant — the block scratch
 // comes back from planScratches — so the object count is the same at N = 256
 // (two blocks) as at N = 4096, and the bytes beyond the two arrays stay under
-// 1 KiB. The plan is built on every step that feeds the alert rules, where
+// 1 KiB. The plan is built on every step that publishes a snapshot, where
 // scratch allocated per build, even per worker, shows up at once. GC is off
 // while measuring, since a collection empties the pool.
 func TestFleetPlanAllocations(t *testing.T) {
@@ -363,8 +372,8 @@ func TestFleetPlanAllocations(t *testing.T) {
 			stepFleet(t, sys, step, nil)
 		}
 		snap := sys.Snapshot()
-		env := snap.reconEnv()
-		run := func() { env.plan(snap.centF, 0, snap.nodes, workers) }
+		env := sys.reconEnv()
+		run := func() { env.plan(snap.centF, workers) }
 		objects = testing.AllocsPerRun(50, run)
 		const runs = 50
 		var before, after runtime.MemStats
@@ -373,7 +382,7 @@ func TestFleetPlanAllocations(t *testing.T) {
 			run()
 		}
 		runtime.ReadMemStats(&after)
-		arrays := n * (4*snap.nTracker + 8*snap.resources)
+		arrays := n * (4*snap.nTracker + 8*snap.resources + 4)
 		return objects, float64(after.TotalAlloc-before.TotalAlloc)/runs - float64(arrays)
 	}
 	for _, workers := range []int{1, 2} {
@@ -385,7 +394,7 @@ func TestFleetPlanAllocations(t *testing.T) {
 			t.Fatalf("workers=%d: a fleet plan build allocates %v objects at N=256, %v at N=4096", workers, small, large)
 		}
 		if smallExtra > 1024 || largeExtra > 1024 {
-			t.Fatalf("workers=%d: a fleet plan build allocates %v bytes at N=256 and %v at N=4096 beyond its mode/offset arrays, want < 1 KiB",
+			t.Fatalf("workers=%d: a fleet plan build allocates %v bytes at N=256 and %v at N=4096 beyond its mode/offset/fill arrays, want < 1 KiB",
 				workers, smallExtra, largeExtra)
 		}
 	}

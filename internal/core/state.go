@@ -104,8 +104,7 @@ type MeterState struct {
 // fleet size is deliberately absent — the State records the membership
 // roster itself, so a restore reconciles membership instead of demanding an
 // exactly-matching Nodes value. Runtime-only knobs (Workers,
-// SnapshotHorizon, SnapshotKeep, AbsenceTimeout) and the Policy/Model
-// factories are also
+// SnapshotHorizon, AbsenceTimeout) and the Policy/Model factories are also
 // excluded — the factories cannot be hashed, so restoring under a different
 // policy or model family is the caller's responsibility to avoid (the
 // policy state bytes and the refit-from-series reconstruction will
@@ -458,28 +457,18 @@ func restoreSlot(dst *ringSlot, src *SlotState) {
 	}
 }
 
-// republish rebuilds the snapshot plane after a restore: the previous
-// publication window is reconstructed from the restored ring (immutable
-// deep copies, newest first) so the next Step's publish shares slots
-// exactly as an uninterrupted run would, and — when a generation had been
-// published — the Snapshot for it is rebuilt and stored so readers see the
-// pre-crash view immediately.
+// republish rebuilds the snapshot plane after a restore: when a generation
+// had been published, the Snapshot for it is rebuilt from the restored ring
+// — the same publish a Step ends in — so readers see the pre-crash view
+// immediately.
 func (s *System) republish() error {
-	win := make([]*ringSlot, s.ringLen)
-	for ago := 0; ago < s.ringLen; ago++ {
-		slot := s.newRingSlot()
-		slot.copyFrom(s.snapAt(ago))
-		win[ago] = &slot
-	}
-	s.pubWin = win
 	if s.gen == 0 {
 		return nil
 	}
-
-	snap := s.assembleSnapshot(s.gen, win)
+	snap := s.assembleSnapshot(s.gen)
 	if err := s.forecastSnapshot(snap); err != nil {
 		return err
 	}
-	s.snap.Store(snap)
+	s.publish(snap)
 	return nil
 }

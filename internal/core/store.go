@@ -99,10 +99,9 @@ func rowViews(flat []float64, d int) [][]float64 {
 
 // ringSlot is one slot of the look-back ring used by eq. (12). All backing
 // arrays are allocated in NewSystem and overwritten in place; they grow in
-// place when the fleet grows. (The immutable per-step copies published for
-// concurrent readers reuse the same layout but may be shorter than the
-// current fleet if it grew after their publication — see Snapshot and the
-// *At accessors.)
+// place when the fleet grows, so every ring slot spans the whole fleet. (The
+// immutable copy of the newest slot a Snapshot carries has the same layout,
+// at the fleet size of its publication.)
 type ringSlot struct {
 	z           zFrame    // stored measurements of the step
 	assignments [][]int   // [tracker][slot]; -1 = absent
@@ -114,20 +113,6 @@ type ringSlot struct {
 // centroids returns tracker tr's K centroids of the step, K×dims row-major.
 func (slot *ringSlot) centroids(tr int) []float64 {
 	return slot.cents[tr*slot.kd : (tr+1)*slot.kd]
-}
-
-// retiredSlot is one arena entry of the snapshot slot free list: a window
-// slot that dropped out of the published window, stamped with the generation
-// whose publish dropped it (see Config.SnapshotKeep).
-type retiredSlot struct {
-	gen  uint64
-	slot *ringSlot
-}
-
-// presentAt reports slot i's presence, treating slots beyond the recorded
-// fleet size (the fleet grew after this slot was written) as absent.
-func (slot *ringSlot) presentAt(i int) bool {
-	return i < len(slot.present) && slot.present[i]
 }
 
 // newRingSlot allocates one empty look-back slot shaped for the current
@@ -161,9 +146,8 @@ func maskSlot(slot *ringSlot, i int) {
 }
 
 // growSlot extends a slot's per-node arrays to n entries in place (new
-// entries are absent). Never called on slots inside a published snapshot
-// window, which stay immutable at the size they were written (a retiree
-// recycled through the arena is grown here after its retention expires).
+// entries are absent). Never called on a snapshot's copy, which stays
+// immutable at the size it was written.
 func growSlot(slot *ringSlot, n int) {
 	slot.z.grow(n)
 	for len(slot.present) < n {

@@ -17,16 +17,15 @@ func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d *discardWriter) WriteHeader(int)             {}
 
 // BenchmarkServeForecast measures /v1/forecast through ServeHTTP at the
-// ingest_serve fleet size: "node" is one ?node=I request (that node's
-// look-back scan, whatever N is), "fleet-first" the first fleet request of a
-// generation (builds the snapshot's forecast plan, then streams the body),
-// "fleet-repeat" every later one (streams from the built plan).
+// ingest_serve fleet size: "node" is one ?node=I request (a row lookup on
+// the published plan, whatever N is), "fleet" one fleet request (the body
+// streamed from the published plan).
 func BenchmarkServeForecast(b *testing.B) {
 	const (
 		nodes   = 4096
 		horizon = 12
 	)
-	sys, rng := readySystem(b, nodes, horizon, 25)
+	sys, _ := readySystem(b, nodes, horizon, 25)
 	srv, err := New(Config{Source: sys})
 	if err != nil {
 		b.Fatal(err)
@@ -41,21 +40,8 @@ func BenchmarkServeForecast(b *testing.B) {
 			srv.ServeHTTP(w, nodeReq)
 		}
 	})
-	b.Run("fleet-first", func(b *testing.B) {
+	b.Run("fleet", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			if _, err := sys.Step(testStep(rng, nodes)); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			srv.ServeHTTP(w, fleetReq)
-		}
-	})
-	b.Run("fleet-repeat", func(b *testing.B) {
-		b.ReportAllocs()
-		srv.ServeHTTP(w, fleetReq)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			srv.ServeHTTP(w, fleetReq)
 		}

@@ -2,27 +2,20 @@ package serve
 
 import "sync/atomic"
 
-// planCounter accounts for the one piece of forecast work that is shared
-// between requests: the fleet ForecastPlan a snapshot builds lazily, at most
-// once (core.Snapshot.Plan is the single-flight point — concurrent first
-// readers wait for one build). A fleet request that built its generation's
-// plan is a miss; one that found it built (or waited for the build) is a hit.
-// ?node= requests never touch the fleet plan and are not counted.
+// planCounter counts the fleet forecast requests. Each one is served from
+// the plan its snapshot was published with, so each is a hit: no request
+// builds a plan, and there is nothing to miss. ?node= requests are not
+// counted.
 type planCounter struct {
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits atomic.Int64
 }
 
-func (c *planCounter) observe(built bool) {
-	if built {
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-}
+func (c *planCounter) observe() { c.hits.Add(1) }
 
-// CacheStats reports how often fleet forecast requests reused their
-// generation's forecast plan (hit) rather than building it (miss).
+// CacheStats reports how many fleet forecast requests reused their
+// generation's forecast plan (hit). The plan is built when the snapshot is
+// published, so Misses is always 0 and HitRatio 1 once a fleet request has
+// been served.
 type CacheStats struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
@@ -30,9 +23,9 @@ type CacheStats struct {
 }
 
 func (c *planCounter) stats() CacheStats {
-	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-	if total := s.Hits + s.Misses; total > 0 {
-		s.HitRatio = Finite64(float64(s.Hits) / float64(total))
+	s := CacheStats{Hits: c.hits.Load()}
+	if s.Hits > 0 {
+		s.HitRatio = 1
 	}
 	return s
 }

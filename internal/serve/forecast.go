@@ -61,16 +61,17 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	plan := snap.Plan()
 	if node >= 0 {
-		// One node costs that node's look-back scan, whatever the fleet size.
-		writeForecast(w, snap, snap.PlanNode(slot), h, node, nil, []int{slot}, 1)
+		// One node is a row lookup in the published plan, whatever the
+		// fleet size.
+		writeForecast(w, snap, plan, h, node, nil, []int{slot}, 1)
 		return
 	}
 	// Full-fleet response: include the live members whose forecasts are
 	// defined (NaN rows — warming joiners — are omitted; tombstoned slots
 	// always are), keyed by the Nodes list of stable IDs.
-	plan, built := snap.Plan()
-	s.cache.observe(built)
+	s.cache.observe()
 	roster := snap.Roster()
 	ids := make([]int, 0, roster.Live())
 	slots := make([]int, 0, roster.Live())

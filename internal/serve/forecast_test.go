@@ -349,9 +349,68 @@ func TestNodeForecastAllocsIndependentOfFleetSize(t *testing.T) {
 	t.Logf("?node= request: %v allocations at either fleet size", small)
 }
 
-// TestPlanCounter pins what /v1/stats' cache block counts now: a fleet
-// request that built its generation's plan is a miss, one that reused it a
-// hit, and ?node= requests (which never touch the fleet plan) are neither.
+// TestNodeBodyIsFleetRows checks that a ?node= body is that node's rows of
+// the fleet body, byte for byte, at every horizon: both are read from the
+// one plan the snapshot was published with. The churned fleet adds a
+// recycled slot, a tombstone and a warming joiner the fleet body omits.
+func TestNodeBodyIsFleetRows(t *testing.T) {
+	t.Parallel()
+	type body struct {
+		Generation uint64              `json:"generation"`
+		Horizon    int                 `json:"horizon"`
+		Node       *int                `json:"node"`
+		Nodes      []int               `json:"nodes"`
+		Forecast   [][]json.RawMessage `json:"forecast"`
+	}
+	systems := map[string]func(t *testing.T) *core.System{
+		"plain": func(t *testing.T) *core.System {
+			sys, _ := readySystem(t, 10, 6, 30)
+			return sys
+		},
+		"churned": churnedSystem,
+	}
+	for name, build := range systems {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			sys := build(t)
+			srv, err := New(Config{Source: sys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := sys.Snapshot()
+			compared := 0
+			for h := 1; h <= snap.MaxHorizon(); h++ {
+				var fleet body
+				get(t, srv, fmt.Sprintf("/v1/forecast?h=%d", h), http.StatusOK, &fleet)
+				if len(fleet.Forecast) != h {
+					t.Fatalf("h=%d: fleet body has %d horizons", h, len(fleet.Forecast))
+				}
+				for e, id := range fleet.Nodes {
+					var node body
+					get(t, srv, fmt.Sprintf("/v1/forecast?h=%d&node=%d", h, id), http.StatusOK, &node)
+					if node.Generation != fleet.Generation || node.Horizon != h || node.Node == nil || *node.Node != id || node.Nodes != nil {
+						t.Fatalf("h=%d node %d: header %+v, fleet generation %d", h, id, node, fleet.Generation)
+					}
+					for hi := range fleet.Forecast {
+						if len(node.Forecast[hi]) != 1 || !bytes.Equal(node.Forecast[hi][0], fleet.Forecast[hi][e]) {
+							t.Fatalf("h=%d node %d horizon %d: node body %s, fleet row %s",
+								h, id, hi+1, node.Forecast[hi], fleet.Forecast[hi][e])
+						}
+					}
+					compared++
+				}
+			}
+			if compared == 0 {
+				t.Fatal("no node was compared")
+			}
+		})
+	}
+}
+
+// TestPlanCounter pins what /v1/stats' cache block counts: every fleet
+// request is served from the plan its snapshot was published with, so each
+// is a hit — the first of a generation too — and misses stay 0; ?node=
+// requests are not counted.
 func TestPlanCounter(t *testing.T) {
 	t.Parallel()
 	sys, rng := readySystem(t, 8, 6, 30)
@@ -367,16 +426,22 @@ func TestPlanCounter(t *testing.T) {
 	}
 	get(t, srv, "/v1/forecast?h=2&node=3", http.StatusOK, nil)
 	expect("after a node request", 0, 0)
+	if st := srv.Stats().Cache; st.HitRatio != 0 {
+		t.Fatalf("hit ratio %v before any fleet request, want 0", st.HitRatio)
+	}
 	get(t, srv, "/v1/forecast?h=2", http.StatusOK, nil)
-	expect("after the first fleet request", 0, 1)
+	expect("after the first fleet request", 1, 0)
 	get(t, srv, "/v1/forecast?h=5", http.StatusOK, nil)
 	get(t, srv, "/v1/forecast?h=2&node=3", http.StatusOK, nil)
-	expect("after another horizon of the same generation", 1, 1)
+	expect("after another horizon of the same generation", 2, 0)
 	if _, err := sys.Step(testStep(rng, 8)); err != nil {
 		t.Fatal(err)
 	}
 	get(t, srv, "/v1/forecast?h=5", http.StatusOK, nil)
-	expect("after a new generation", 1, 2)
+	expect("after a new generation", 3, 0)
+	if st := srv.Stats().Cache; st.HitRatio != 1 {
+		t.Fatalf("hit ratio %v, want 1", st.HitRatio)
+	}
 }
 
 // FuzzAppendJSONFloat holds the hand-rolled float encoder to encoding/json

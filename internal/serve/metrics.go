@@ -54,8 +54,6 @@ func (s *Server) registerMetrics() {
 		stat(func(st *StatsResponse) float64 { return st.TrainingSeconds }))
 	s.reg.CounterFunc("orcf_forecast_cache_hits_total", "Fleet forecast requests that reused their generation's forecast plan.",
 		stat(func(st *StatsResponse) float64 { return float64(st.Cache.Hits) }))
-	s.reg.CounterFunc("orcf_forecast_cache_misses_total", "Fleet forecast requests that built their generation's forecast plan.",
-		stat(func(st *StatsResponse) float64 { return float64(st.Cache.Misses) }))
 	s.reg.CounterFunc("orcf_http_requests_total", "HTTP requests received.",
 		stat(func(st *StatsResponse) float64 { return float64(st.Requests.Total) }))
 	s.reg.CounterFunc("orcf_http_requests_rejected_total", "Requests rejected at the concurrency limit.",

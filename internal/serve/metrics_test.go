@@ -28,7 +28,6 @@ var pinnedSeries = []struct{ name, kind string }{
 	{"orcf_training_runs_total", "counter"},
 	{"orcf_training_seconds_total", "counter"},
 	{"orcf_forecast_cache_hits_total", "counter"},
-	{"orcf_forecast_cache_misses_total", "counter"},
 	{"orcf_http_requests_total", "counter"},
 	{"orcf_http_requests_rejected_total", "counter"},
 

@@ -221,8 +221,8 @@ func TestClustersAndStatsAndMetrics(t *testing.T) {
 	if st.Step != 30 || st.Generation != 30 {
 		t.Fatalf("stats step/gen %+v", st)
 	}
-	if st.Cache.Misses != 1 || st.Cache.Hits != 1 {
-		t.Fatalf("cache stats %+v after repeat query", st.Cache)
+	if st.Cache.Hits != 2 || st.Cache.Misses != 0 || st.Cache.HitRatio != 1 {
+		t.Fatalf("cache stats %+v after two fleet queries", st.Cache)
 	}
 	if st.MeanFrequency <= 0 || st.TrainingRuns < 1 {
 		t.Fatalf("pipeline stats %+v", st)
@@ -233,7 +233,7 @@ func TestClustersAndStatsAndMetrics(t *testing.T) {
 	body := rec.Body.String()
 	for _, name := range []string{
 		"orcf_steps_total 30", "orcf_ready 1", "orcf_nodes 8",
-		"orcf_forecast_cache_hits_total", "orcf_forecast_cache_misses_total",
+		"orcf_forecast_cache_hits_total 2",
 		"orcf_http_requests_total", "orcf_mean_transmit_frequency",
 	} {
 		if !strings.Contains(body, name) {
@@ -275,8 +275,8 @@ func TestConcurrencyLimitRejects(t *testing.T) {
 // TestConcurrentQueriesWhileStepping is the acceptance scenario: ≥64 reader
 // goroutines hammer every endpoint while the ingest loop keeps stepping the
 // system. Run under -race this proves snapshot isolation (and that the
-// lazily built plan is safely shared); afterwards the plan counter must show
-// reuse: repeat fleet queries of a generation did not rebuild its plan.
+// published plan is safely shared); afterwards the plan counter must show
+// every fleet query served from its generation's published plan.
 func TestConcurrentQueriesWhileStepping(t *testing.T) {
 	t.Parallel()
 	const nodes = 16
@@ -336,10 +336,7 @@ func TestConcurrentQueriesWhileStepping(t *testing.T) {
 	stepWG.Wait()
 
 	st := srv.Stats()
-	if st.Cache.Hits == 0 {
-		t.Fatalf("expected plan reuse under concurrent fleet queries, stats %+v", st.Cache)
-	}
-	if st.Cache.HitRatio <= 0 || st.Cache.HitRatio >= 1 {
-		t.Fatalf("hit ratio %v not in (0,1)", st.Cache.HitRatio)
+	if st.Cache.Hits == 0 || st.Cache.Misses != 0 || st.Cache.HitRatio != 1 {
+		t.Fatalf("cache stats %+v under concurrent fleet queries, want hits only", st.Cache)
 	}
 }

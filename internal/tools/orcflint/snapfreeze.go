@@ -26,14 +26,14 @@ var frozenTypes = map[[2]string]bool{
 }
 
 // snapPublishers may write frozen fields, and only inside internal/core: the
-// snapshot builders, the roster constructor, and buildPlan — the one write
-// after publication, which Snapshot.Plan runs at most once under a sync.Once
-// and which stores a pure function of the published fields.
+// snapshot builders — assembleSnapshot and forecastSnapshot before the ring
+// commit, publish after it, which copies the newest ring slot and writes the
+// plan before storing the snapshot for readers — and the roster constructor.
 var snapPublishers = map[string]bool{
 	"assembleSnapshot": true,
 	"forecastSnapshot": true,
+	"publish":          true,
 	"roster":           true,
-	"buildPlan":        true,
 }
 
 func runSnapFreeze(pass *Pass) error {

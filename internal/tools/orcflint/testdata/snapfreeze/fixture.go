@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 type ringSlot struct {
 	tail int
 }
@@ -9,17 +7,21 @@ type ringSlot struct {
 // Snapshot mimics the published, reader-shared core.Snapshot: once built it
 // is served lock-free and must never be written again.
 type Snapshot struct {
-	gen   int
-	freq  []float64
-	slots []*ringSlot
-
-	planOnce sync.Once
-	plan     []int32
+	gen    int
+	freq   []float64
+	newest ringSlot
+	plan   []int32
 }
 
 // Roster mimics core.Roster, the frozen membership view.
 type Roster struct {
 	byID map[int]int
+}
+
+// System stands in for the publishing core.System.
+type System struct {
+	ring []ringSlot
+	snap *Snapshot
 }
 
 // assembleSnapshot is an allow-listed publisher: it may write fields freely.
@@ -32,30 +34,26 @@ func assembleSnapshot(n int) *Snapshot {
 	return snap
 }
 
-// forecastSnapshot is the other allow-listed publisher.
+// forecastSnapshot is another allow-listed publisher.
 func forecastSnapshot(snap *Snapshot) {
 	snap.gen++
 }
 
-// buildPlan is the allow-listed lazy builder: the one sanctioned write after
-// publication, reached only through the snapshot's sync.Once.
-func (snap *Snapshot) buildPlan() {
+// publish is the allow-listed publisher that runs after the ring commit: it
+// copies the newest ring slot and writes the plan before the snapshot is
+// stored for readers.
+func (s *System) publish(snap *Snapshot) {
+	snap.newest = s.ring[0]
 	snap.plan = make([]int32, len(snap.freq))
+	s.snap = snap
 }
 
-// lazyPlan runs the builder under the Once and only reads the field itself.
-func (snap *Snapshot) lazyPlan() []int32 {
-	snap.planOnce.Do(snap.buildPlan)
-	return snap.plan
-}
-
-// inlinePlan writes the field from its own closure: a Once does not make an
-// arbitrary function a publisher.
-func (snap *Snapshot) inlinePlan() []int32 {
-	snap.planOnce.Do(func() {
-		snap.plan = make([]int32, len(snap.freq)) // want "write through frozen Snapshot field"
-	})
-	return snap.plan
+// replan writes the plan of a snapshot that is already published: only the
+// publishers may write it.
+func (s *System) replan() {
+	s.snap.plan = nil // want "write through frozen Snapshot field"
+	plan := s.snap.plan
+	plan[0] = -1 // want "write through frozen Snapshot-aliased"
 }
 
 // mutate reintroduces the PR 5 stale-tail class: post-publication writes

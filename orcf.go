@@ -451,9 +451,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithSnapshotHorizon enables the concurrent read plane: after every
-// successful Step the system publishes an immutable Snapshot (look-back
-// window, latest measurements, memberships, transmit frequencies, and
-// centroid forecasts up to horizon h) that any number of readers may query
+// successful Step the system publishes an immutable Snapshot (latest
+// measurements, memberships, transmit frequencies, centroid forecasts up to
+// horizon h and the fleet forecast plan) that any number of readers may query
 // lock-free while stepping continues — the substrate of the internal/serve
 // query plane and cmd/forecastd. Zero (the default) disables publishing and
 // keeps the ingest path allocation-free.
@@ -486,23 +486,6 @@ func WithIncrementalRefit(churn float64) Option {
 		}
 		c.IncrementalRefit = true
 		c.IncrementalChurn = churn
-		return nil
-	}
-}
-
-// WithSnapshotKeep bounds snapshot retention so the per-step published deep
-// copies can be recycled through an arena: a look-back slot that drops out
-// of the published window is reused once more than keep further generations
-// have been published. Readers must finish with a Snapshot of generation g
-// before generation g+keep is published. Zero (the default) never recycles —
-// every Snapshot stays valid forever — at the cost of one window-slot
-// allocation per step. Requires WithSnapshotHorizon.
-func WithSnapshotKeep(keep int) Option {
-	return func(c *config) error {
-		if keep < 0 {
-			return fmt.Errorf("orcf: snapshot keep %d: %w", keep, ErrBadOption)
-		}
-		c.SnapshotKeep = keep
 		return nil
 	}
 }
