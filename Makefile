@@ -77,10 +77,11 @@ repro-golden:
 # `bash bench/run.sh` (see bench/README.md).
 bench:
 	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleRetrain|EnsembleSelect' -benchmem .
-	$(GO) test -run xxx -bench '^BenchmarkIngest$$' -benchmem ./internal/core
+	$(GO) test -run xxx -bench '^Benchmark(Ingest|PlanBuild)$$' -benchmem ./internal/core
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem -cpu 1,2 ./internal/serve
 	$(GO) test -run xxx -bench AppendJSONFloat ./internal/serve
+	$(GO) test -run xxx -bench AlertEvaluate -benchmem ./internal/alert
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
 	$(GO) test -run xxx -bench 'RunFlat|AssignFlat' -benchmem ./internal/kmeans
 	$(GO) test -run xxx -bench '^Benchmark(AutoARIMAFit|CSSResiduals)$$' -benchmem ./internal/forecast
@@ -92,14 +93,14 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the fifteen native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the sixteen native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
-# nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel, ARIMA-fit,
-# two-lane CSS kernel, JSON-float and collector-store reference differentials —
-# the K-means one twice, on a coordinate grid and on raw float64 bits, and the
-# JSON-float one twice, over all float64 bits and over the served range
-# [1e-6, 1)) from its committed seed corpus. go test allows one -fuzz pattern per invocation,
-# hence one line each.
+# nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel,
+# plan-kernel, ARIMA-fit, two-lane CSS kernel, JSON-float and collector-store
+# reference differentials — the K-means one twice, on a coordinate grid and
+# on raw float64 bits, and the JSON-float one twice, over all float64 bits and
+# over the served range [1e-6, 1)) from its committed seed corpus. go test
+# allows one -fuzz pattern per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
@@ -112,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzNearestKernelsMatchReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideKernelMatchesPolicy$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzCSSLanesMatchSolo$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)

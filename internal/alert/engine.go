@@ -174,12 +174,17 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Rules() *RuleSet { return e.rules }
 
 // Evaluate runs every rule against one published snapshot and delivers the
-// resulting transition events to the sinks, in deterministic order (rule
-// order, then ascending target). It is a no-op for a nil snapshot, a
-// generation at or below the newest one already evaluated, or a snapshot
-// whose models are not trained yet. The returned events are the caller's to
-// keep. Reading forecasts off a published snapshot cannot fail, so the error
-// is always nil; it stays in the signature for the callers that check it.
+// resulting transition events to the sinks, in this deterministic order:
+// the rules in rule-set order, a cluster-scope rule's events by ascending
+// cluster index and a node-scope rule's by ascending slot — which is not
+// ascending node ID once churn has handed a recycled slot to a newer member
+// — and after all of them the resolves of departed members (reason
+// "departed"), by rule name, then node ID. It is a no-op for a nil
+// snapshot, a generation at or below the newest one already evaluated, or
+// a snapshot whose models are not trained yet. The returned events are the
+// caller's to keep. Reading forecasts off a published snapshot cannot fail,
+// so the error is always nil; it stays in the signature for the callers
+// that check it.
 func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 	if snap == nil {
 		return nil, nil
@@ -308,8 +313,9 @@ func (e *Engine) observe(snap *core.Snapshot, r *Rule, cluster, node int, v floa
 	return events
 }
 
-// dropDeparted retires instances whose node left the fleet, resolving any
-// that were firing (reason "departed") in deterministic order.
+// dropDeparted retires the instances whose node is not a member of the
+// snapshot's roster, resolving any that were firing (reason "departed") by
+// rule name, then node ID.
 func (e *Engine) dropDeparted(snap *core.Snapshot) []Event {
 	roster := snap.Roster()
 	var gone []instanceKey

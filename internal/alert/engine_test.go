@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"slices"
 	"testing"
 
 	"orcf/internal/core"
@@ -311,5 +312,81 @@ func TestEngineTrendRuleFiresOnRamp(t *testing.T) {
 	}
 	if !resolved {
 		t.Fatal("trend rule never resolved on the plateau")
+	}
+}
+
+// TestEvaluateEventOrder pins the order Evaluate documents on a case where
+// each part of it differs from "by target ID": rule "z-high" comes before
+// "a-high" in the rule set but after it by name, and member 100 joins into
+// the recycled slot 1 ahead of member 2 in slot 2. The forecast events come
+// rule by rule in rule-set order and, within a node-scope rule, by slot —
+// 100 before 2 — and the departure resolves of members 1 and 3 come after
+// all of them, by rule name, then node ID.
+func TestEvaluateEventOrder(t *testing.T) {
+	t.Parallel()
+	sys := newTestSystem(t, 4, nil)
+	rule := func(name string) Rule {
+		return Rule{Name: name, Kind: KindThreshold, Scope: ScopeNode, Horizon: 1,
+			Above: true, Threshold: 0.5, FireStreak: 1, ClearStreak: 1}
+	}
+	engine, err := New(Config{
+		Rules:      &RuleSet{StepsPerHour: 1, Rules: []Rule{rule("z-high"), rule("a-high")}},
+		MaxHorizon: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// step reports 0.9 for the members in high and 0.2 for the others.
+	step := func(high ...int) {
+		roster := sys.Roster()
+		x := make([][]float64, roster.Slots())
+		for slot := range x {
+			if id, live := roster.IDAt(slot); live {
+				x[slot] = []float64{0.2}
+				if slices.Contains(high, id) {
+					x[slot][0] = 0.9
+				}
+			}
+		}
+		if _, err := sys.Step(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		step(1, 3)
+		mustEvaluate(t, engine, sys)
+	}
+	if got := engine.Stats().Firing; got != 4 {
+		t.Fatalf("%d instances firing after the warm-up, want members 1 and 3 under both rules", got)
+	}
+	if err := sys.RemoveNodes(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddNodes(100); err != nil {
+		t.Fatal(err)
+	}
+	if slot, _ := sys.Roster().SlotOf(100); slot != 1 {
+		t.Fatalf("member 100 joined into slot %d, want the recycled slot 1", slot)
+	}
+	for range 5 {
+		step(2, 100)
+	}
+	type key struct {
+		rule, state string
+		node        int
+		reason      string
+	}
+	want := []key{
+		{"z-high", StateFiring, 100, ""}, {"z-high", StateFiring, 2, ""},
+		{"a-high", StateFiring, 100, ""}, {"a-high", StateFiring, 2, ""},
+		{"a-high", StateResolved, 1, "departed"}, {"a-high", StateResolved, 3, "departed"},
+		{"z-high", StateResolved, 1, "departed"}, {"z-high", StateResolved, 3, "departed"},
+	}
+	var got []key
+	for _, ev := range mustEvaluate(t, engine, sys) {
+		got = append(got, key{ev.Rule, ev.State, ev.Node, ev.Reason})
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("events\n got %v\nwant %v", got, want)
 	}
 }

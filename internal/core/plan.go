@@ -20,9 +20,12 @@ import (
 // Snapshot carries the one built when it was published (Snapshot.Plan);
 // System.Forecast builds one per call.
 type ForecastPlan struct {
-	// centF is indexed [tracker][cluster][dim][hi]; nil before the models
+	// cent holds the centroid forecasts flat, [hi][tracker][cluster·dims]:
+	// cluster j's forecast of dimension dim under tracker tr at horizon hi+1
+	// is cent[hi*stride + tr*kd + j*dims + dim]. nil before the models
 	// finish initial training, in which case every mode entry is -1.
-	centF [][][][]float64
+	cent             []float64
+	stride, kd, dims int
 	// mode holds j* at [slot*nTracker + tracker]; -1 in every
 	// tracker of a slot whose forecast is undefined (tombstone, or a joiner
 	// with no presence in the look-back window yet).
@@ -41,37 +44,53 @@ type ForecastPlan struct {
 }
 
 // planBlock is the number of slots one pass of the plan kernel covers. A
-// block's counters — K+2 int32 per slot — stay in L1 while the window's
-// presence, membership and z rows for those slots stream past.
+// block's counters and sums — K+1 int32 per slot·tracker and a float64 per
+// slot·resource — stay in L1 while the window's presence, membership and z
+// rows for those slots stream past.
 const planBlock = 128
 
-// planScratch is the plan kernel's per-block working set: membership counts
-// [slot][cluster], the newest present membership per slot, and
-// maxAlphaInCell's δ. Blocks take it from planScratches and give it back, so
-// a plan build allocates only the plan.
+// planScratch is the plan kernel's per-block working set: one tracker's
+// membership counts [slot][cluster], j* per [tracker][slot], one window
+// step's list of slots that left j* (sumOffsets), the eq. (12) sums per
+// [tracker][slot][dim], and maxAlphaInCell's δ. Blocks take it from
+// planScratches and give it back, so a plan build allocates only the plan.
 type planScratch struct {
-	counts, newest []int32
-	delta          []float64
+	counts, modes, moved []int32
+	sums, delta          []float64
 }
 
 var planScratches = sync.Pool{New: func() any { return new(planScratch) }}
 
 // plan builds the h-independent half of §V-C for every slot of the env's
-// look-back window. Blocks of planBlock slots fan out on the worker pool;
-// each writes only its own entries, so the plan is identical for any worker
-// count. A nil centF (models not trained yet) plans every slot as undefined
-// and only counts the window fill.
+// look-back window, and lays centF out as the plan's flat centroid table.
+// Blocks of planBlock slots fan out on the worker pool; each writes only its
+// own entries, so the plan is identical for any worker count. A nil centF
+// (models not trained yet) plans every slot as undefined and only counts the
+// window fill.
 func (env *reconEnv) plan(centF [][][][]float64, workers int) *ForecastPlan {
-	n := env.nodes
+	n, nT, k, dims := env.nodes, env.nTracker, env.k, env.dims
 	p := &ForecastPlan{
-		centF:        centF,
-		mode:         make([]int32, n*env.nTracker),
+		mode:         make([]int32, n*nT),
 		offset:       make([]float64, n*env.resources),
 		fill:         make([]int32, n),
-		nTracker:     env.nTracker,
+		nTracker:     nT,
 		resources:    env.resources,
 		joint:        env.joint,
 		disableClamp: env.disableClamp,
+	}
+	if centF != nil {
+		p.kd, p.dims = k*dims, dims
+		p.stride = nT * p.kd
+		p.cent = make([]float64, len(centF[0][0][0])*p.stride)
+		for tr, clusters := range centF {
+			for j, series := range clusters {
+				for d, s := range series {
+					for hi, v := range s {
+						p.cent[hi*p.stride+tr*p.kd+j*dims+d] = v
+					}
+				}
+			}
+		}
 	}
 	// The block kernel cannot fail, so neither can the fan-out.
 	_ = parallel.ForEach(workers, (n+planBlock-1)/planBlock, func(b int) error {
@@ -84,33 +103,34 @@ func (env *reconEnv) plan(centF [][][][]float64, workers int) *ForecastPlan {
 	return p
 }
 
-// planSlots plans slots [lo, hi) into p, slot-major. One pass over the
-// window counts the steps each slot was present at into the fill column;
-// before training that is all. Per tracker, one more pass counts each slot's
-// memberships at the steps it was present at, and the mode rule picks j*
-// (§V-C): the cluster the slot belonged to most often, ties broken toward
-// the newest present membership when it takes part in the tie and otherwise
-// toward the smaller cluster index. A dead slot, or one with no counted
-// membership under some tracker, is undefined in every tracker. Then one
-// more pass per tracker sums eq. (12) straight into the plan's offset rows:
-// per present step the α-scaled deviation from j*'s centroid — α is 1 when
-// the slot belonged to j*, otherwise the largest shrink that keeps
-// centroid + α·deviation in j*'s cell — averaged over the present steps. Each slot's sum runs newest step first, as the per-slot
-// reconstruction kept in reference_test.go does, so the result is the same to
-// the bit.
+// planSlots plans slots [lo, hi) into p. One pass over the window counts the
+// steps each slot was present at into the fill column; before training that
+// is all. Per tracker, one more pass counts each slot's memberships at the
+// steps it was present at, and the mode rule picks j* (§V-C): the cluster
+// the slot belonged to most often, ties broken toward the newest present
+// membership when it takes part in the tie and otherwise toward the smaller
+// cluster index. A dead slot, or one with no counted membership under some
+// tracker, is undefined in every tracker. Then, per tracker, one pass per
+// window step sums eq. (12): per present step the α-scaled deviation from
+// j*'s centroid — α is 1 when the slot belonged to j*, otherwise the largest
+// shrink that keeps centroid + α·deviation in j*'s cell — and the sums,
+// averaged over the present steps, become the plan's offset rows. Each
+// slot's sum runs newest step first, as the per-slot reconstruction kept in
+// reference_test.go does, so the result is the same to the bit.
 func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 	n, k, nT, dims, res := hi-lo, env.k, env.nTracker, env.dims, env.resources
 	mode := p.mode[lo*nT : hi*nT]
-	offset := p.offset[lo*res : hi*res]
 	fill := p.fill[lo:hi]
 	for _, slot := range env.slots {
-		for b, present := range slot.present[lo:hi] {
-			if present {
+		present := slot.present[lo:hi]
+		fill := fill[:len(present)]
+		for b, pr := range present {
+			if pr {
 				fill[b]++
 			}
 		}
 	}
-	if p.centF == nil {
+	if p.cent == nil {
 		for i := range mode {
 			mode[i] = -1
 		}
@@ -118,86 +138,146 @@ func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 	}
 
 	sc.counts = slices.Grow(sc.counts[:0], n*k)[:n*k]
-	sc.newest = slices.Grow(sc.newest[:0], n)[:n]
+	sc.modes = slices.Grow(sc.modes[:0], nT*n)[:nT*n]
+	sc.moved = slices.Grow(sc.moved[:0], n)[:n]
+	sc.sums = slices.Grow(sc.sums[:0], n*res)[:n*res]
 	sc.delta = slices.Grow(sc.delta[:0], dims)[:dims]
-	counts, newest := sc.counts, sc.newest
+	modes, sums := sc.modes, sc.sums
 	for tr := 0; tr < nT; tr++ {
-		clear(counts)
-		for b := range newest {
-			newest[b] = -1
-		}
-		for _, slot := range env.slots {
-			present, assign := slot.present[lo:hi], slot.assignments[tr][lo:hi]
-			assign = assign[:len(present)]
-			for b, p := range present {
-				if !p {
-					continue
-				}
-				if a := assign[b]; a >= 0 {
-					counts[b*k+a]++
-					if newest[b] < 0 {
-						newest[b] = int32(a)
-					}
-				}
-			}
-		}
-		for b, best := range newest {
-			if best >= 0 {
-				c := counts[b*k : (b+1)*k]
-				bestCount := c[best]
-				for j, cj := range c {
-					if cj > bestCount {
-						best, bestCount = int32(j), cj
-					}
-				}
-			}
-			mode[b*nT+tr] = best
-		}
+		env.modeColumn(sc.counts, modes[tr*n:(tr+1)*n], tr, lo)
 	}
-	for b := 0; b < n; b++ {
-		m := mode[b*nT : (b+1)*nT]
-		if !env.alive[lo+b] || slices.Contains(m, -1) {
-			for tr := range m {
-				m[tr] = -1
+	for b, alive := range env.alive[lo:hi] {
+		defined := alive
+		for tr := 0; tr < nT; tr++ {
+			defined = defined && modes[tr*n+b] >= 0
+		}
+		for tr := 0; tr < nT; tr++ {
+			if !defined {
+				modes[tr*n+b] = -1
 			}
+			mode[b*nT+tr] = modes[tr*n+b]
 		}
 	}
 
+	clear(sums)
 	for tr := 0; tr < nT; tr++ {
+		col, s := modes[tr*n:(tr+1)*n], sums[tr*n*dims:(tr+1)*n*dims]
 		for _, slot := range env.slots {
-			present, assign := slot.present[lo:hi], slot.assignments[tr][lo:hi]
-			assign = assign[:len(present)]
-			cents := slot.centroids(tr)
-			z := slot.z.points(tr)
-			for b, p := range present {
-				j := int(mode[b*nT+tr])
-				if !p || j < 0 {
-					continue
-				}
-				i := lo + b
-				c := cents[j*dims : (j+1)*dims]
-				zi := z[i*dims : (i+1)*dims]
-				alpha := 1.0
-				if !env.disableAlphaClamp && assign[b] != j {
-					alpha = maxAlphaInCell(zi, j, cents, sc.delta)
-				}
-				out := offset[b*res+tr*dims : b*res+(tr+1)*dims]
-				for d := range out {
-					out[d] += alpha * (zi[d] - c[d])
-				}
-			}
+			env.sumOffsets(s, col, sc.moved, slot, tr, lo, sc.delta)
 		}
 	}
+	offset := p.offset[lo*res : hi*res]
 	for b, f := range fill {
 		if mode[b*nT] < 0 {
 			continue
 		}
 		inv := 1 / float64(f)
-		out := offset[b*res : (b+1)*res]
-		for d := range out {
-			out[d] *= inv
+		for tr := 0; tr < nT; tr++ {
+			s := sums[(tr*n+b)*dims : (tr*n+b+1)*dims]
+			out := offset[b*res+tr*dims : b*res+(tr+1)*dims]
+			for d := range out {
+				out[d] = s[d] * inv
+			}
 		}
 	}
+}
+
+// modeColumn writes j* under tracker tr for the len(col) slots from lo into
+// col, -1 where a slot has no counted membership, counting the memberships
+// into counts [slot][cluster]. The window is walked oldest step first, so the
+// membership a slot's entry of col holds when the walk ends is its newest
+// present one, the mode rule's tie-break.
+func (env *reconEnv) modeColumn(counts, col []int32, tr, lo int) {
+	k := env.k
+	clear(counts)
+	for b := range col {
+		col[b] = -1
+	}
+	for ago := len(env.slots) - 1; ago >= 0; ago-- {
+		slot := env.slots[ago]
+		present := slot.present[lo : lo+len(col)]
+		assign := slot.assignments[tr][lo : lo+len(present)]
+		for b, p := range present {
+			if a := assign[b]; p && a >= 0 {
+				counts[b*k+a]++
+				col[b] = int32(a)
+			}
+		}
+	}
+	for b, best := range col {
+		if best < 0 {
+			continue
+		}
+		c := counts[b*k : (b+1)*k]
+		bestCount := c[best]
+		for j, cj := range c {
+			if cj > bestCount {
+				best, bestCount = int32(j), cj
+			}
+		}
+		col[b] = best
+	}
+}
+
+// sumOffsets adds one window step's eq. (12) terms under tracker tr to sums
+// ([slot][dim] for the len(col) slots from lo) for every slot present at the
+// step whose j* in col is defined: α·(z − c_j*), where α is 1 when the slot
+// belonged to j* at the step. Per-resource clustering (width 1) runs in two
+// passes: addUnit1 adds the α = 1 terms and lists the other slots in moved,
+// then the listed slots get their α-scaled terms; every slot still gets the
+// one add per step of the general loop that wider points run.
+func (env *reconEnv) sumOffsets(sums []float64, col, moved []int32, slot *ringSlot, tr, lo int, delta []float64) {
+	dims, clampAlpha := env.dims, !env.disableAlphaClamp
+	present := slot.present[lo : lo+len(col)]
+	assign := slot.assignments[tr][lo : lo+len(present)]
+	cents := slot.centroids(tr)
+	z := slot.z.points(tr)[lo*dims : (lo+len(present))*dims]
+	if dims == 1 {
+		m := addUnit1(sums, z, cents, col, moved, present, assign, clampAlpha)
+		for _, b := range moved[:m] {
+			j := int(col[b])
+			sums[b] += maxAlphaInCell(z[b:b+1], j, cents, delta) * (z[b] - cents[j])
+		}
+		return
+	}
+	for b, p := range present {
+		j := int(col[b])
+		if !p || j < 0 {
+			continue
+		}
+		c := cents[j*dims : (j+1)*dims]
+		zi := z[b*dims : (b+1)*dims]
+		alpha := 1.0
+		if clampAlpha && assign[b] != j {
+			alpha = maxAlphaInCell(zi, j, cents, delta)
+		}
+		out := sums[b*dims : (b+1)*dims]
+		for d := range out {
+			out[d] += alpha * (zi[d] - c[d])
+		}
+	}
+}
+
+// addUnit1 is the first pass of sumOffsets at width 1: for every present
+// slot with a defined j*, it adds z − c_j* (1·x is x), the term at α = 1, to
+// the slot's sum, except that a slot that left j* at the step while the α
+// clamp is on goes on the moved list instead. The slices are cut once, so
+// only the data-dependent indices are bounds-checked, and the α search
+// stays out of the loop. It returns the length of the list.
+func addUnit1(sums, z, cents []float64, col, moved []int32, present []bool, assign []int, clampAlpha bool) int {
+	sums, z, col, moved, assign = sums[:len(present)], z[:len(present)], col[:len(present)], moved[:len(present)], assign[:len(present)]
+	m := 0
+	for b, p := range present {
+		if j := int(col[b]); p && j >= 0 {
+			if clampAlpha && assign[b] != j {
+				moved[m] = int32(b)
+				m++
+				continue
+			}
+			sums[b] += z[b] - cents[j]
+		}
+	}
+	return m
 }
 
 // At returns the forecast of one slot's resource at horizon hi+1: the
@@ -207,24 +287,28 @@ func (env *reconEnv) planSlots(p *ForecastPlan, sc *planScratch, lo, hi int) {
 // [0, Resources) and hi in [0, MaxHorizon) of the snapshot the plan came
 // from.
 func (p *ForecastPlan) At(slot, resource, hi int) float64 {
-	tr, dim := resource, 0
+	var j int32
+	var i int
 	if p.joint {
-		tr, dim = 0, resource
+		j = p.mode[slot]
+		i = hi*p.stride + int(j)*p.dims + resource
+	} else {
+		j = p.mode[slot*p.nTracker+resource]
+		i = hi*p.stride + resource*p.kd + int(j)
 	}
-	j := p.mode[slot*p.nTracker+tr]
 	if j < 0 {
 		return math.NaN()
 	}
-	return p.clamp(p.centF[tr][j][dim][hi] + p.offset[slot*p.resources+resource])
+	return p.clamp(p.cent[i] + p.offset[slot*p.resources+resource])
 }
 
 // Row writes At(slot, r, hi) for every resource r into dst, which must have
 // room for Resources values, and returns dst[:Resources]: one slot's row of
 // a horizon with the slot's plan entries looked up once.
 func (p *ForecastPlan) Row(slot, hi int, dst []float64) []float64 {
-	mode := p.mode[slot*p.nTracker : (slot+1)*p.nTracker]
 	offset := p.offset[slot*p.resources : (slot+1)*p.resources]
-	dst = dst[:p.resources]
+	dst = dst[:len(offset)]
+	mode := p.mode[slot*p.nTracker : (slot+1)*p.nTracker]
 	if mode[0] < 0 {
 		for r := range dst {
 			dst[r] = math.NaN()
@@ -232,14 +316,15 @@ func (p *ForecastPlan) Row(slot, hi int, dst []float64) []float64 {
 		return dst
 	}
 	if p.joint {
-		cf := p.centF[0][mode[0]]
+		cent := p.cent[hi*p.stride+int(mode[0])*p.dims:][:len(dst)]
 		for r := range dst {
-			dst[r] = p.clamp(cf[r][hi] + offset[r])
+			dst[r] = p.clamp(cent[r] + offset[r])
 		}
 		return dst
 	}
-	for r := range dst {
-		dst[r] = p.clamp(p.centF[r][mode[r]][0][hi] + offset[r])
+	cent := p.cent[hi*p.stride : (hi+1)*p.stride]
+	for r, j := range mode[:len(dst)] {
+		dst[r] = p.clamp(cent[r*p.kd+int(j)] + offset[r])
 	}
 	return dst
 }

@@ -48,32 +48,45 @@ func BenchmarkServeForecast(b *testing.B) {
 	})
 }
 
-// BenchmarkAppendJSONFloat formats the values of one ingest_serve fleet body
-// (N = 4096, h = 5, d = 2: 40 960 utilisations, seeded uniform in [0.1, 0.9))
-// with the generic strconv path the writer bypasses for served values and
-// with appendJSONFloat, and reports ns/value.
+// BenchmarkAppendJSONFloat formats the values of one ingest_serve-sized
+// fleet body (N = 4096, h = 5, d = 2: 40 960 utilisations) with the generic
+// strconv path the writer bypasses for served values and with
+// appendJSONFloat, and reports ns/value. The plain cases format values
+// seeded uniform in [0.1, 0.9); the plan- cases format the rows a published
+// plan serves, whose digit counts and clamped 0s and 1s are the body's own.
 func BenchmarkAppendJSONFloat(b *testing.B) {
 	rng := rand.New(rand.NewPCG(4096, 5))
-	vals := make([]float64, 40960)
-	for i := range vals {
-		vals[i] = 0.1 + 0.8*rng.Float64()
+	uniform := make([]float64, 40960)
+	for i := range uniform {
+		uniform[i] = 0.1 + 0.8*rng.Float64()
 	}
-	buf := make([]byte, 0, 32*len(vals))
+	sys, _ := readySystem(b, 4096, 5, 25)
+	plan := sys.Snapshot().Plan()
+	served, row := make([]float64, 0, 40960), make([]float64, 2)
+	for hi := 0; hi < 5; hi++ {
+		for slot := 0; slot < 4096; slot++ {
+			served = append(served, plan.Row(slot, hi, row)...)
+		}
+	}
+	buf := make([]byte, 0, 32*len(uniform))
 	for _, bc := range []struct {
 		name   string
+		vals   []float64
 		append func([]byte, float64) []byte
 	}{
-		{"strconv", func(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'f', -1, 64) }},
-		{"writer", appendJSONFloat},
+		{"strconv", uniform, func(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'f', -1, 64) }},
+		{"writer", uniform, appendJSONFloat},
+		{"plan-strconv", served, func(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'f', -1, 64) }},
+		{"plan-writer", served, appendJSONFloat},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for b.Loop() {
 				buf = buf[:0]
-				for _, v := range vals {
+				for _, v := range bc.vals {
 					buf = bc.append(buf, v)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.vals)), "ns/value")
 		})
 	}
 }

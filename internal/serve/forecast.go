@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -61,36 +62,36 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	plan := snap.Plan()
 	if node >= 0 {
 		// One node is a row lookup in the published plan, whatever the
 		// fleet size.
-		writeForecast(w, snap, plan, h, node, nil, []int{slot}, 1)
+		writeNodeForecast(w, snap, h, node, slot)
 		return
 	}
 	// Full-fleet response: include the live members whose forecasts are
 	// defined (NaN rows — warming joiners — are omitted; tombstoned slots
 	// always are), keyed by the Nodes list of stable IDs.
 	s.cache.observe()
-	roster := snap.Roster()
-	ids := make([]int, 0, roster.Live())
-	slots := make([]int, 0, roster.Live())
-	for i := 0; i < snap.Nodes(); i++ {
-		id, live := roster.IDAt(i)
-		if !live || math.IsNaN(plan.At(i, 0, 0)) {
-			continue
-		}
-		ids = append(ids, id)
-		slots = append(slots, i)
+	plan, roster := snap.Plan(), snap.Roster()
+	body := forecastBody{
+		plan: plan, roster: roster, h: h,
+		resources: snap.Resources(), perTask: max(1, taskValues/snap.Resources()),
+		slots: make([]int, 0, roster.Live()),
 	}
-	writeForecast(w, snap, plan, h, -1, ids, slots, snap.Workers())
+	for i := 0; i < snap.Nodes(); i++ {
+		if _, live := roster.IDAt(i); live && !math.IsNaN(plan.At(i, 0, 0)) {
+			body.slots = append(body.slots, i)
+		}
+	}
+	body.write(w, snap, snap.Workers())
 }
 
 // bufSize is the capacity the pooled body buffers start with, and
 // taskValues how many forecast values one formatting task covers: at up to
-// ~21 bytes a value a task's output stays under bufSize — large enough to
-// amortise the hand-off and the Write call, small enough that a fleet
-// response holds at most two such buffers per worker (see streamTasks).
+// jsonFloatRoom+1 bytes a value a task's output stays under bufSize — large
+// enough to amortise the hand-off and the Write call, small enough that a
+// fleet response holds at most two such buffers per worker (see
+// streamTasks).
 const (
 	bufSize    = 64 << 10
 	taskValues = 2048
@@ -102,80 +103,115 @@ var bodyBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// writeForecast streams a ForecastResponse for horizons 1..h straight from
-// the plan — entry e of every horizon is slots[e] — with the bytes
-// json.NewEncoder(w).Encode would produce for the equivalent struct (Node
-// set when node ≥ 0, Nodes = ids, non-finite values fenced to 0), without
-// building the [h][entry][resource] tensor or a whole-body buffer. A failed
-// Write means the client went away; the rest of the body is dropped.
-func writeForecast(w http.ResponseWriter, snap *core.Snapshot, plan *core.ForecastPlan, h, node int, ids, slots []int, workers int) {
-	w.Header().Set("Content-Type", "application/json")
-	resources := snap.Resources()
-	rows := h * len(slots)
-	perTask := max(1, taskValues/resources)
-
-	buf := bodyBufs.Get().(*[]byte)
-	b := (*buf)[:0]
+// appendHead appends the fields every ForecastResponse starts with.
+func appendHead(b []byte, snap *core.Snapshot, h int) []byte {
 	b = append(b, `{"generation":`...)
 	b = strconv.AppendUint(b, snap.Generation(), 10)
 	b = append(b, `,"step":`...)
 	b = strconv.AppendInt(b, int64(snap.Steps()), 10)
 	b = append(b, `,"horizon":`...)
-	b = strconv.AppendInt(b, int64(h), 10)
-	if node >= 0 {
-		b = append(b, `,"node":`...)
-		b = strconv.AppendInt(b, int64(node), 10)
+	return strconv.AppendInt(b, int64(h), 10)
+}
+
+// writeNodeForecast writes a ?node= ForecastResponse for horizons 1..h —
+// Node set, one entry per horizon, read off the published plan at slot —
+// with the bytes json.NewEncoder(w).Encode would produce for the equivalent
+// struct (non-finite values fenced to 0), in one buffer and one Write.
+func writeNodeForecast(w http.ResponseWriter, snap *core.Snapshot, h, node, slot int) {
+	w.Header().Set("Content-Type", "application/json")
+	plan, resources := snap.Plan(), snap.Resources()
+	buf := bodyBufs.Get().(*[]byte)
+	b := appendHead((*buf)[:0], snap, h)
+	b = append(b, `,"node":`...)
+	b = strconv.AppendInt(b, int64(node), 10)
+	b = append(b, `,"forecast":[`...)
+	var row [4]float64 // d ≤ 4 rows stay on the stack
+	vals := row[:]
+	if resources > len(row) {
+		vals = make([]float64, resources)
 	}
-	var err error
-	if len(ids) > 0 {
-		b = append(b, `,"nodes":[`...)
-		for e, id := range ids {
-			if e > 0 {
+	b, pos := room(b, h*(rowRoom(resources)+3)+3)
+	for hi := 0; hi < h; hi++ {
+		if hi > 0 {
+			b[pos] = ','
+			pos++
+		}
+		b[pos] = '['
+		pos = putRow(b, pos+1, plan.Row(slot, hi, vals))
+		b[pos] = ']'
+		pos++
+	}
+	pos += copy(b[pos:], "]}\n")
+	b = b[:pos]
+	_, _ = w.Write(b) // a failed Write means the client went away
+	*buf = b
+	bodyBufs.Put(buf)
+}
+
+// forecastBody is one full-fleet ForecastResponse for horizons 1..h being
+// written straight from the plan, with the bytes json.NewEncoder(w).Encode
+// would produce for the equivalent struct (Nodes = the entries' IDs,
+// non-finite values fenced to 0), without building the [h][entry][resource]
+// tensor or a whole-body buffer. Its entries are slots: the fleet's live
+// slots whose forecast is defined, in slot order, cut into chunks of
+// perTask.
+type forecastBody struct {
+	plan                  *core.ForecastPlan
+	roster                *core.Roster
+	slots                 []int
+	h, resources, perTask int
+	lists, chunks         int
+}
+
+// write streams the body. Its tasks are the Nodes list, a chunk of IDs
+// each, then the forecast, a chunk of one horizon's rows each. A small body
+// is one buffer and one Write; a large one is its head, then the tasks
+// through streamTasks. A failed Write means the client went away; the rest
+// of the body is dropped.
+func (fb *forecastBody) write(w http.ResponseWriter, snap *core.Snapshot, workers int) {
+	w.Header().Set("Content-Type", "application/json")
+	buf := bodyBufs.Get().(*[]byte)
+	b := appendHead((*buf)[:0], snap, fb.h)
+	fb.chunks = (len(fb.slots) + fb.perTask - 1) / fb.perTask
+	fb.lists = (fb.chunks + fb.resources - 1) / fb.resources
+	if len(fb.slots) == 0 {
+		// No entry has a forecast: no list and h empty horizon arrays.
+		b = append(b, `,"forecast":[`...)
+		for hi := 0; hi < fb.h; hi++ {
+			if hi > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(b, int64(id), 10)
-			if len(b) >= bufSize-32 && err == nil {
-				_, err = w.Write(b)
-				b = b[:0]
-			}
+			b = append(b, "[]"...)
 		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"forecast":[`...)
-	small := rows <= perTask
-	if small {
-		// A small body (every ?node= response) is one buffer and one Write.
-		if rows == 0 {
-			// No entry has a forecast: h empty horizon arrays.
-			for hi := 0; hi < h; hi++ {
-				if hi > 0 {
-					b = append(b, ',')
-				}
-				b = append(b, "[]"...)
-			}
-		}
-		b = appendRows(b, plan, slots, resources, 0, rows)
 		b = append(b, "]}\n"...)
 	}
-	if err == nil {
-		_, err = w.Write(b)
+	tasks := fb.lists + fb.h*fb.chunks
+	small := fb.h*len(fb.slots) <= fb.perTask
+	if small {
+		for t := 0; t < tasks; t++ {
+			b = fb.task(b, t)
+		}
 	}
+	_, err := w.Write(b)
 	*buf = b
 	bodyBufs.Put(buf)
 	if small || err != nil {
 		return
 	}
-	// A large body's rows, and its closing "]}\n", go out in tasks of
-	// perTask rows.
-	tasks := (rows + perTask - 1) / perTask
-	streamTasks(w, tasks, workers, func(b []byte, t int) []byte {
-		lo := t * perTask
-		b = appendRows(b, plan, slots, resources, lo, min(lo+perTask, rows))
-		if t == tasks-1 {
-			b = append(b, "]}\n"...)
-		}
-		return b
-	})
+	// The workers get a copy, so a small body's stays on the stack.
+	shared := *fb
+	streamTasks(w, tasks, workers, shared.task)
+}
+
+// task appends task t of the body: chunk t of the Nodes list while t <
+// lists, then chunk (t − lists) mod chunks of horizon (t − lists) div
+// chunks's rows.
+func (fb *forecastBody) task(b []byte, t int) []byte {
+	if t < fb.lists {
+		return fb.appendIDs(b, t)
+	}
+	t -= fb.lists
+	return fb.appendRows(b, t/fb.chunks, t%fb.chunks)
 }
 
 // streamTasks writes tasks 0…tasks−1 to w in order, task t being what
@@ -246,72 +282,133 @@ func streamTasks(w io.Writer, tasks, workers int, format func(b []byte, t int) [
 	}
 }
 
-// appendRows appends rows [lo, end) of the h·len(slots) row sequence —
-// row i is entry i mod len(slots) of horizon i div len(slots), written
-// [v,…] — with the separators and horizon brackets that fall between them.
-func appendRows(b []byte, plan *core.ForecastPlan, slots []int, resources, lo, end int) []byte {
-	var row [4]float64 // d ≤ 4 rows stay on the stack
-	vals := row[:]
-	if resources > len(row) {
-		vals = make([]float64, resources)
-	}
-	n := len(slots)
-	for i := lo; i < end; i++ {
-		hi, e := i/n, i%n
-		switch {
-		case e > 0:
-			b = append(b, ',')
-		case hi > 0:
-			b = append(b, ",["...)
-		default:
-			b = append(b, '[')
-		}
-		b = append(b, '[')
-		for r, v := range plan.Row(slots[e], hi, vals) {
-			if r > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONFloat(b, v)
-		}
-		b = append(b, ']')
-		if e == n-1 {
-			b = append(b, ']')
-		}
-	}
-	return b
+// room extends b by n bytes to write into by index and returns it with the
+// index the room starts at.
+func room(b []byte, n int) ([]byte, int) {
+	pos := len(b)
+	return slices.Grow(b, n)[:pos+n], pos
 }
 
-// appendJSONFloat appends v as encoding/json writes a float64 — shortest
-// round-trip digits, ES6 style: plain decimals except below 1e-6 or from
-// 1e21, where the exponent form is used with its exponent unpadded — after
-// fencing NaN/±Inf to 0 (see Finite64), which encoding/json would refuse.
-// +0, 1 and [1e-6, 1) — what a clamped plan emits, bar the rare value in
-// (0, 1e-6) — are written directly, the last through the Ryū specialised to
-// that range in appendUnitFloat; everything else, including the negatives
-// and values above 1 that only the clamp ablation serves, goes through
-// strconv.
-func appendJSONFloat(b []byte, v float64) []byte {
+// appendIDs appends chunk c of the Nodes list — the IDs of resources row
+// chunks' entries, about as many numbers as a row chunk holds — opened by
+// `,"nodes":[` in the first chunk and closed by `],"forecast":[` in the last.
+func (fb *forecastBody) appendIDs(b []byte, c int) []byte {
+	per := fb.perTask * fb.resources
+	lo, end := c*per, min((c+1)*per, len(fb.slots))
+	b, pos := room(b, (end-lo)*21+32)
+	if c == 0 {
+		pos += copy(b[pos:], `,"nodes":[`)
+	}
+	for e, slot := range fb.slots[lo:end] {
+		if lo+e > 0 {
+			b[pos] = ','
+			pos++
+		}
+		id, _ := fb.roster.IDAt(slot)
+		pos += len(strconv.AppendInt(b[pos:pos], int64(id), 10))
+	}
+	if end == len(fb.slots) {
+		pos += copy(b[pos:], `],"forecast":[`)
+	}
+	return b[:pos]
+}
+
+// appendRows appends chunk c of horizon hi's rows, each written [v,…], with
+// the separators and the horizon's brackets that fall among them, and the
+// closing "]}\n" after the last horizon's last row. The room for the whole
+// chunk is reserved once and the rows are written into it by index.
+func (fb *forecastBody) appendRows(b []byte, hi, c int) []byte {
+	lo, end := c*fb.perTask, min((c+1)*fb.perTask, len(fb.slots))
+	b, pos := room(b, (end-lo)*(rowRoom(fb.resources)+2)+6)
+	var row [4]float64 // d ≤ 4 rows stay on the stack
+	vals := row[:]
+	if fb.resources > len(row) {
+		vals = make([]float64, fb.resources)
+	}
+	for e, slot := range fb.slots[lo:end] {
+		switch {
+		case lo+e > 0:
+			b[pos] = ','
+			pos++
+		case hi > 0:
+			b[pos], b[pos+1] = ',', '['
+			pos += 2
+		default:
+			b[pos] = '['
+			pos++
+		}
+		pos = putRow(b, pos, fb.plan.Row(slot, hi, vals))
+	}
+	if end == len(fb.slots) {
+		b[pos] = ']'
+		pos++
+		if hi == fb.h-1 {
+			pos += copy(b[pos:], "]}\n")
+		}
+	}
+	return b[:pos]
+}
+
+// rowRoom is the room putRow needs for a row of n values.
+func rowRoom(n int) int { return n*(jsonFloatRoom+1) + 1 }
+
+// putRow writes vals into b at pos as the JSON array [v,…] and returns the
+// index after it. b must have rowRoom(len(vals)) bytes of room at pos.
+func putRow(b []byte, pos int, vals []float64) int {
+	b[pos] = '['
+	pos++
+	for r, v := range vals {
+		if r > 0 {
+			b[pos] = ','
+			pos++
+		}
+		pos = putJSONFloat(b, pos, v)
+	}
+	b[pos] = ']'
+	return pos + 1
+}
+
+// jsonFloatRoom is the room putJSONFloat needs at its index: the longest
+// value strconv writes is 25 bytes ("-0.0000012345678901234567"), and
+// putUnitFloat writes into unitFloatRoom.
+const jsonFloatRoom = max(25, unitFloatRoom)
+
+// putJSONFloat writes v into b at pos as encoding/json writes a float64 —
+// shortest round-trip digits, ES6 style: plain decimals except below 1e-6
+// or from 1e21, where the exponent form is used with its exponent unpadded —
+// after fencing NaN/±Inf to 0 (see Finite64), which encoding/json would
+// refuse, and returns the index after it. b must have jsonFloatRoom bytes of
+// room at pos. +0, 1 and [1e-6, 1) — what a clamped plan emits, bar the rare
+// value in (0, 1e-6) — are written directly, the last through the Ryū
+// specialised to that range in putUnitFloat; everything else, including the
+// negatives and values above 1 that only the clamp ablation serves, goes
+// through strconv.
+func putJSONFloat(b []byte, pos int, v float64) int {
 	f := Finite64(v)
 	if 1e-6 <= f && f < 1 {
-		return appendUnitFloat(b, math.Float64bits(f))
+		return putUnitFloat(b, pos, math.Float64bits(f))
 	}
 	if f == 1 {
-		return append(b, '1')
+		b[pos] = '1'
+		return pos + 1
 	}
 	if math.Float64bits(f) == 0 { // +0 only: -0 is written "-0"
-		return append(b, '0')
+		b[pos] = '0'
+		return pos + 1
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
+	// The room makes strconv append in place.
+	s := strconv.AppendFloat(b[pos:pos], f, format, -1, 64)
+	n := len(s)
 	if format == 'e' {
 		// clean up e-09 to e-9
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+		if n >= 4 && s[n-4] == 'e' && s[n-3] == '-' && s[n-2] == '0' {
+			s[n-2] = s[n-1]
+			n--
 		}
 	}
-	return b
+	return pos + n
 }

@@ -444,6 +444,13 @@ func TestPlanCounter(t *testing.T) {
 	}
 }
 
+// appendJSONFloat appends v as putJSONFloat writes it: the tests and
+// benchmarks of the float writer call it one value at a time.
+func appendJSONFloat(b []byte, v float64) []byte {
+	b, pos := room(b, jsonFloatRoom)
+	return b[:putJSONFloat(b, pos, v)]
+}
+
 // FuzzAppendJSONFloat holds the hand-rolled float encoder to encoding/json
 // on every float64 bit pattern (non-finite values go through the same fence
 // on both sides).

@@ -33,11 +33,11 @@
 package serve
 
 import (
+	"encoding/binary"
 	"math/bits"
-	"slices"
 )
 
-// pow5 holds 5^q for the q ∈ [17, 23] that appendUnitFloat meets. 10^q = 5^q·2^q
+// pow5 holds 5^q for the q ∈ [17, 23] that putUnitFloat meets. 10^q = 5^q·2^q
 // and 5^23 < 2^54, so scaling a bound by 10^q is one exact 64×64 → 128-bit
 // product and a shift, where strconv needs a 128-bit table entry and
 // exactness checks (divisibleByPower5 is for q < 0, which never occurs here).
@@ -46,14 +46,15 @@ var pow5 = [...]uint64{
 	476837158203125, 2384185791015625, 11920928955078125,
 }
 
-// pow10 holds 10^k for the digit count of a scaled bound (< 2^59).
+// pow10 holds 10^k for the digit count of a scaled bound (< 2^59) and for
+// scaling it to 18 digits.
 var pow10 = [...]uint64{
 	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18,
 }
 
-// digitPairs is "00", "01", …, "99": the two-digit groups the digits are
-// written in.
+// digitPairs is "00", "01", …, "99": the lead pair of the digits is written
+// from it.
 const digitPairs = "00010203040506070809" +
 	"10111213141516171819" +
 	"20212223242526272829" +
@@ -65,13 +66,16 @@ const digitPairs = "00010203040506070809" +
 	"80818283848586878889" +
 	"90919293949596979899"
 
-// appendUnitFloat appends the float64 with bit pattern fbits, which must lie
-// in [2^-20, 1), as strconv.AppendFloat(b, v, 'f', -1, 64) would: "0.", the
-// zeros after the point, then the shortest round-trip digits. Those are
-// Ryū's, computed as strconv computes them for these inputs: the binary
-// exponent is fixed to [−72, −53], so the decimal scale q is in [17, 23] and
-// every scaled bound fits in 64 bits, trimmed on uint64 with no 32-bit split.
-func appendUnitFloat(b []byte, fbits uint64) []byte {
+// putUnitFloat writes the float64 with bit pattern fbits, which must lie in
+// [2^-20, 1), into b at pos as strconv.AppendFloat(nil, v, 'f', -1, 64)
+// would, and returns the index after it: "0.", the zeros after the point,
+// then the shortest round-trip digits. Those are Ryū's, computed as strconv
+// computes them for these inputs: the binary exponent is fixed to
+// [−72, −53], so the decimal scale q is in [17, 23] and every scaled bound
+// fits in 64 bits, trimmed on uint64 with no 32-bit split. b must have
+// unitFloatRoom bytes of room at pos: the digits are stored at fixed
+// offsets, and the bytes past the returned index are scratch.
+func putUnitFloat(b []byte, pos int, fbits uint64) int {
 	mant := fbits&(1<<52-1) | 1<<52
 	exp := int(fbits>>52) - 1075 // v = mant·2^exp
 
@@ -141,44 +145,41 @@ func appendUnitFloat(b []byte, fbits uint64) []byte {
 	}
 
 	// The value is dc·10^(trimmed−q) and v < 1: "0.", then −dp ≥ 0 zeros,
-	// then dc's nd digits, written in place from the right — whole groups of
-	// eight first, whose four pairs come from independent 32-bit divisions,
-	// then the lead.
+	// then dc's nd ≤ 18 digits. One 8-byte store writes "0.000000" (no value
+	// has more than six zeros after the point); dc scaled to exactly 18
+	// digits is stored from the first digit's offset as one digit pair and
+	// two groups of eight, and the body keeps its first nd.
 	nd := bits.Len64(dc) * 1233 >> 12 // ⌊log10 2^len⌋: nd or nd−1
 	if dc >= pow10[nd] {
 		nd++
 	}
-	dp := nd + trimmed - q
-	n := len(b)
-	b = slices.Grow(b, 2-dp+nd)[:n+2-dp+nd]
-	out := b[n:]
-	out[0], out[1] = '0', '.'
-	for k := 2; k < 2-dp; k++ {
-		out[k] = '0'
-	}
-	i := len(out)
-	for dc >= 1e8 {
-		r := uint32(dc % 1e8)
-		dc /= 1e8
-		i -= 8
-		hi, lo := r/10000, r%10000
-		g := (*[8]byte)(out[i:])
-		g[0], g[1] = digitPairs[2*(hi/100)], digitPairs[2*(hi/100)+1]
-		g[2], g[3] = digitPairs[2*(hi%100)], digitPairs[2*(hi%100)+1]
-		g[4], g[5] = digitPairs[2*(lo/100)], digitPairs[2*(lo/100)+1]
-		g[6], g[7] = digitPairs[2*(lo%100)], digitPairs[2*(lo%100)+1]
-	}
-	r := uint32(dc)
-	for r >= 100 {
-		p := r % 100
-		r /= 100
-		i -= 2
-		out[i], out[i+1] = digitPairs[2*p], digitPairs[2*p+1]
-	}
-	if r >= 10 {
-		out[i-2], out[i-1] = digitPairs[2*r], digitPairs[2*r+1]
-	} else {
-		out[i-1] = byte('0' + r)
-	}
-	return b
+	first := 2 - (nd + trimmed - q)
+	out := (*[unitFloatRoom]byte)(b[pos:])
+	binary.LittleEndian.PutUint64(out[:8], 0x3030303030302e30) // "0.000000"
+	d18 := dc * pow10[18-nd]
+	top, rest := d18/1e16, d18%1e16
+	g := (*[18]byte)(out[first:])
+	g[0], g[1] = digitPairs[2*top], digitPairs[2*top+1]
+	binary.LittleEndian.PutUint64(g[2:], digits8(uint32(rest/1e8)))
+	binary.LittleEndian.PutUint64(g[10:], digits8(uint32(rest%1e8)))
+	return pos + first + nd
+}
+
+// unitFloatRoom is the room putUnitFloat writes into: at most eight bytes of
+// "0." and zeros for a value in [2^-20, 1), then 18 digits.
+const unitFloatRoom = 26
+
+// digits8 returns the eight decimal digits of x < 10^8, most significant
+// first, as ASCII in a little-endian word: x splits into two 4-digit halves
+// in 32-bit lanes, each lane into two 2-digit quarters in 16-bit lanes, each
+// of those into two digits in bytes, every split a multiply-and-shift that
+// divides exactly in its lane (⌊n·5243/2^19⌋ = ⌊n/100⌋ for n < 10^4,
+// ⌊n·103/2^10⌋ = ⌊n/10⌋ for n < 100) with no carry between lanes.
+func digits8(x uint32) uint64 {
+	v := uint64(x/10000) | uint64(x%10000)<<32
+	q := v * 5243 >> 19 & 0x0000007f0000007f
+	v = q | (v-q*100)<<16
+	q = v * 103 >> 10 & 0x000f000f000f000f
+	v = q | (v-q*10)<<8
+	return v | 0x3030303030303030
 }
