@@ -11,6 +11,7 @@ package orcf
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"orcf/internal/exp"
@@ -199,6 +200,22 @@ func benchPipelineStepD(b *testing.B, nodes, resources, steps, workers, churnEve
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	reportRetainedPerSlot(b, sys, nodes)
+}
+
+// reportRetainedPerSlot reports the heap a stepped system keeps alive per
+// fleet slot as B/slot: the live heap after a collection with the system,
+// less the live heap after a collection without it.
+func reportRetainedPerSlot(b *testing.B, sys *System, slots int) {
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	runtime.KeepAlive(sys)
+	sys = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	b.ReportMetric(float64(int64(with.HeapAlloc)-int64(without.HeapAlloc))/float64(slots), "B/slot")
 }
 
 // BenchmarkPipelineStep is the online-step family of the perf trajectory:

@@ -70,8 +70,10 @@ type Config struct {
 	// Similarity selects the matching measure. Zero means SimilarityProposed.
 	Similarity Similarity
 	// HistoryDepth is how many past assignment vectors the tracker retains
-	// (≥ M). The membership-forecast window M′ of §V-C reads from this
-	// history, so it must cover max(M, M′+1). Zero means max(M, 8).
+	// (≥ M; a smaller positive value means M). The eq. (10) matching reads
+	// only the newest M, so deeper rows serve AssignmentsAgo alone, and
+	// RestoreState keeps the newest HistoryDepth rows of a deeper recorded
+	// history. Zero means max(M, 8).
 	HistoryDepth int
 	// KMeansIterations bounds Lloyd iterations per step. Zero means 50;
 	// negative is rejected.

@@ -537,6 +537,91 @@ func TestIncrementalRestoreResumesExactly(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsNewestHistoryRows pins that a tracker keeping M assignment
+// rows restores a history recorded six rows deep: restored at depth M it
+// continues bit-identically to the same state restored at depth 6 —
+// assignments, centroids, warm/full decisions and RNG draws — through churn,
+// because the eq. (10) matching reads only the newest M rows.
+func TestRestoreKeepsNewestHistoryRows(t *testing.T) {
+	t.Parallel()
+	const recorded = 6
+	for _, m := range []int{1, 3} {
+		for ci, cfg := range trackerConfigs(Config{K: 3, M: m, HistoryDepth: m, Incremental: true}) {
+			tag := fmt.Sprintf("M=%d cfg=%d", m, ci)
+			deep := cfg
+			deep.HistoryDepth = recorded
+			src := rand.NewPCG(uint64(m), 17)
+			tr, err := NewTracker(deep, rand.New(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := newChurnSim(rand.New(rand.NewPCG(uint64(m), 71)), cfg.K, 2, 20)
+			for step := 0; step < 20; step++ {
+				points, present, forget := sim.next(0.3)
+				for _, slot := range forget {
+					tr.ForgetSlot(slot)
+				}
+				if _, err := tr.UpdateMasked(points, present); err != nil {
+					t.Fatalf("%s step %d: %v", tag, step, err)
+				}
+			}
+			st := tr.ExportState()
+			if len(st.Hist) != recorded {
+				t.Fatalf("%s: exported %d history rows, want %d", tag, len(st.Hist), recorded)
+			}
+			rngBytes, err := src.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restore := func(c Config) *Tracker {
+				pcg := rand.NewPCG(0, 0)
+				if err := pcg.UnmarshalBinary(rngBytes); err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewTracker(c, rand.New(pcg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.RestoreState(st); err != nil {
+					t.Fatalf("%s: restore at depth %d: %v", tag, r.cfg.HistoryDepth, err)
+				}
+				return r
+			}
+			shallow, full := restore(cfg), restore(deep)
+			if shallow.HistoryLen() != m {
+				t.Fatalf("%s: restored %d history rows at depth %d", tag, shallow.HistoryLen(), m)
+			}
+			for step := 0; step < 30; step++ {
+				points, present, forget := sim.next(0.3)
+				for _, slot := range forget {
+					shallow.ForgetSlot(slot)
+					full.ForgetSlot(slot)
+				}
+				want, err := full.UpdateMasked(points, present)
+				if err != nil {
+					t.Fatalf("%s tail %d: %v", tag, step, err)
+				}
+				got, err := shallow.UpdateMasked(points, present)
+				if err != nil {
+					t.Fatalf("%s tail %d at depth M: %v", tag, step, err)
+				}
+				sameStep(t, fmt.Sprintf("%s tail %d", tag, step), got, want)
+				gw, gf := shallow.RefitStats()
+				ww, wf := full.RefitStats()
+				if gw != ww || gf != wf {
+					t.Fatalf("%s tail %d: RefitStats (%d,%d) at depth M, (%d,%d) at depth %d", tag, step, gw, gf, ww, wf, recorded)
+				}
+			}
+			if w, f := full.RefitStats(); w == 0 || f == 0 {
+				t.Fatalf("%s: the tail ran %d warm and %d full steps, want both", tag, w, f)
+			}
+			if a, b := shallow.rng.Uint64(), full.rng.Uint64(); a != b {
+				t.Fatalf("%s: RNG streams diverged", tag)
+			}
+		}
+	}
+}
+
 // TestTrackerSteadyStateAllocs pins the scratch hoisting: once warmed up, an
 // UpdateMasked step must allocate only its returned Step (plus the small
 // K×K matching solve), independent of N.

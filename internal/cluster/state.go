@@ -45,8 +45,9 @@ func (tr *Tracker) ExportState() *State {
 
 // RestoreState replaces a freshly constructed tracker's state with an
 // exported one. The tracker must not have processed any update yet, and the
-// state must match the tracker's configuration (K, history depth bounds,
-// assignment ranges). The State is deep-copied; the caller keeps ownership.
+// state must match the tracker's configuration (K, assignment ranges); of a
+// history deeper than HistoryDepth only the newest HistoryDepth rows are
+// kept. The State is deep-copied; the caller keeps ownership.
 func (tr *Tracker) RestoreState(st *State) error {
 	if tr.t != 0 {
 		return fmt.Errorf("cluster: restore into tracker with %d steps: %w", tr.t, ErrBadInput)
@@ -63,9 +64,8 @@ func (tr *Tracker) RestoreState(st *State) error {
 		}
 		return nil
 	}
-	if len(st.Hist) == 0 || len(st.Hist) > tr.cfg.HistoryDepth || len(st.Hist) > st.T {
-		return fmt.Errorf("cluster: history length %d (depth %d, %d steps): %w",
-			len(st.Hist), tr.cfg.HistoryDepth, st.T, ErrBadInput)
+	if len(st.Hist) == 0 || len(st.Hist) > st.T {
+		return fmt.Errorf("cluster: history length %d (%d steps): %w", len(st.Hist), st.T, ErrBadInput)
 	}
 	for _, h := range st.Hist {
 		// Vectors recorded before the fleet grew are shorter than the current
@@ -99,11 +99,13 @@ func (tr *Tracker) RestoreState(st *State) error {
 	tr.dim = st.Dim
 	tr.n = st.N
 	// The wire format stores history most-recent-first; rebuild the ring so
-	// hist[histHead] is the newest row.
+	// hist[histHead] is the newest row. A history recorded deeper than this
+	// tracker keeps (by a configuration that retained more rows) loses its
+	// oldest rows: the eq. (10) counters read only the newest M.
 	tr.hist = make([][]int, tr.cfg.HistoryDepth)
-	tr.histLen = len(st.Hist)
+	tr.histLen = min(len(st.Hist), tr.cfg.HistoryDepth)
 	tr.histHead = tr.histLen - 1
-	for i, h := range st.Hist {
+	for i, h := range st.Hist[:tr.histLen] {
 		tr.hist[tr.histLen-1-i] = append([]int(nil), h...)
 	}
 	tr.rebuildStreaks()

@@ -237,16 +237,12 @@ type System struct {
 	pcgs      []*rand.PCG // per-tracker K-means RNG sources (for state export)
 	ensembles []*forecast.Ensemble
 
-	// The central store z_t: store holds slot i's last transmitted
-	// measurement once stored[i] is set (rows of slots that hold none are
-	// zero). zrow is the scratch row a slot's measurement is gathered into
+	// zrow is the scratch row a slot's stored measurement is gathered into
 	// for a policy ingest does not decide inline (Adaptive policies read the
 	// store in place), transmitted the per-step transmit flags that
 	// StepResult.Transmitted views, centRows the K row views per tracker
 	// into the in-flight step's centroids that the ensembles observe and
 	// ResourceStep.Centroids returns.
-	store       zFrame
-	stored      []bool
 	zrow        []float64
 	transmitted []bool
 	centRows    [][]float64
@@ -268,9 +264,12 @@ type System struct {
 
 	// ring is the eq. (12) look-back of depth M′+1; ring[head] is the
 	// current step, ringLen the number of valid slots. stage is the spare
-	// slot the in-flight step writes into; it is swapped with the oldest
-	// ring slot only when the whole step succeeds, so an errored step never
-	// leaves a half-written slot inside the look-back window.
+	// slot the in-flight step writes into, and between steps it is the
+	// central store z_t: stage.z holds slot i's last transmitted measurement
+	// once stage.present[i] is set (rows of slots that hold none are zero).
+	// It is swapped with the oldest ring slot only when the whole step
+	// succeeds, so an errored step never leaves a half-written slot inside
+	// the look-back window, and then re-seeded from the slot it became.
 	ring    []ringSlot
 	stage   ringSlot
 	head    int
@@ -316,7 +315,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s.ids = make([]int, cfg.Nodes)
 	s.alive = make([]bool, cfg.Nodes)
 	s.absentFor = make([]int, cfg.Nodes)
-	s.stored = make([]bool, cfg.Nodes)
 	s.transmitted = make([]bool, cfg.Nodes)
 	for i := range s.policies {
 		p, err := cfg.Policy(i)
@@ -338,10 +336,8 @@ func NewSystem(cfg Config) (*System, error) {
 		s.nTrackers = 1
 		s.dims = cfg.Resources
 	}
-	s.store = newZFrame(cfg.Nodes, s.nTrackers, s.dims)
 	s.zrow = make([]float64, cfg.Resources)
 	s.centRows = make([][]float64, s.nTrackers*cfg.K)
-	histDepth := max(cfg.M, cfg.MPrime+1)
 	// The per-tracker fan-out in Step/Forecast nests the ensembles' model
 	// fan-out, so the worker budget is split across trackers to keep total
 	// concurrency bounded by Workers instead of multiplying with it.
@@ -349,11 +345,13 @@ func NewSystem(cfg Config) (*System, error) {
 	for tr := 0; tr < s.nTrackers; tr++ {
 		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
 		s.pcgs = append(s.pcgs, pcg)
+		// The eq. (10) matching reads M assignment rows back; the §V-C
+		// membership window is the look-back ring's.
 		tracker, err := cluster.NewTracker(cluster.Config{
 			K:                cfg.K,
 			M:                cfg.M,
 			Similarity:       cfg.Similarity,
-			HistoryDepth:     histDepth,
+			HistoryDepth:     cfg.M,
 			DisableMatching:  cfg.DisableMatching,
 			Incremental:      cfg.IncrementalRefit,
 			IncrementalChurn: cfg.IncrementalChurn,
@@ -598,12 +596,10 @@ func (s *System) addSlotAt(i, id int) error {
 		s.ids = append(s.ids, 0)
 		s.alive = append(s.alive, false)
 		s.absentFor = append(s.absentFor, 0)
-		s.stored = append(s.stored, false)
 		s.transmitted = append(s.transmitted, false)
 		s.policies = append(s.policies, nil)
 		s.meters = append(s.meters, transmit.Meter{})
 		n := len(s.ids)
-		s.store.grow(n)
 		for si := range s.ring {
 			growSlot(&s.ring[si], n)
 		}
@@ -654,14 +650,13 @@ func (s *System) evictSlot(i int) {
 	delete(s.byID, s.ids[i])
 	s.alive[i] = false
 	s.absentFor[i] = 0
-	s.stored[i] = false
-	s.store.clearRow(i)
 	s.policies[i] = nil
 	s.meters[i] = transmit.Meter{}
 	for si := range s.ring {
 		maskSlot(&s.ring[si], i)
 	}
-	maskSlot(&s.stage, i)
+	maskSlot(&s.stage, i) // drops the stored measurement too
+	s.stage.z.clearRow(i)
 	for _, tr := range s.trackers {
 		tr.ForgetSlot(i)
 	}
@@ -723,10 +718,10 @@ func (s *System) MeanFrequency() float64 {
 // Stored returns a copy of the measurements currently held at the central
 // node (z_t). Entries are nil for nodes that never transmitted.
 func (s *System) Stored() [][]float64 {
-	out := make([][]float64, len(s.stored))
-	for i, set := range s.stored {
+	out := make([][]float64, len(s.stage.present))
+	for i, set := range s.stage.present {
 		if set {
-			out[i] = s.store.row(i, make([]float64, s.cfg.Resources))
+			out[i] = s.stage.z.row(i, make([]float64, s.cfg.Resources))
 		}
 	}
 	return out
@@ -795,10 +790,10 @@ func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
 // it further.
 //
 // Step is the one place rows-of-slices enter the pipeline, and a sequence of
-// per-phase calls: checkStep, then ingest (layer 1: decide, write the store,
-// stage it), clusterAndRefit (layers 2+3, one cluster and one refit call per
+// per-phase calls: checkStep, then ingest (layer 1: decide and write the
+// store), clusterAndRefit (layers 2+3, one cluster and one refit call per
 // tracker), and — with publishing on — assembleSnapshot and
-// forecastSnapshot, then commit, which publishes. Each call runs under the
+// centroidForecasts, then commit, which publishes. Each call runs under the
 // phase timer, so the PhaseObserver sees calls, not regions of this function.
 func (s *System) Step(x [][]float64) (*StepResult, error) {
 	if err := s.checkStep(x); err != nil {
@@ -830,12 +825,16 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 	// view untouched. Assembly and the publish in commit count toward the
 	// publish phase, the centroid-forecast precompute is the forecast phase.
 	var pub *Snapshot
+	var cent []float64
 	if s.cfg.SnapshotHorizon > 0 {
 		_ = pt.run(PhasePublish, func() error {
 			pub = s.assembleSnapshot(s.gen + 1)
 			return nil
 		})
-		if err := pt.run(PhaseForecast, func() error { return s.forecastSnapshot(pub) }); err != nil {
+		if err := pt.run(PhaseForecast, func() (err error) {
+			cent, err = s.centroidForecasts(s.cfg.SnapshotHorizon)
+			return err
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -843,7 +842,7 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 
 	var res *StepResult
 	_ = pt.run(PhasePublish, func() error {
-		res = s.commit(pub, evicted)
+		res = s.commit(pub, cent, evicted)
 		return nil
 	})
 	pt.report(PhasePublish)
@@ -888,15 +887,14 @@ func (s *System) checkStep(x [][]float64) error {
 
 // ingest is layer 1 of a step: one walk over the slots makes the
 // transmission decisions, writes accepted measurements into the central
-// store, accrues absence for silent members and derives the presence mask —
-// live members with a stored measurement take part in clustering; joiners
-// whose policies have not transmitted yet stay masked (warm-up), as do
-// members departing this step. It then applies the absence-timeout
-// evictions and stages the store into the spare look-back slot with one
-// copy; that slot only enters the eq. (12) ring when the whole step
-// succeeds. It returns the clustering mask — nil when every slot takes part,
-// which lets the trackers cluster their block of the store in place — and
-// the stable IDs evicted this step.
+// store — the staged look-back slot, which only enters the eq. (12) ring
+// when the whole step succeeds — and accrues absence for silent members. The
+// store's presence column is the clustering mask: live members with a
+// stored measurement take part in clustering; joiners whose policies have
+// not transmitted yet stay masked (warm-up), as do members departing this
+// step, whose absence-timeout evictions ingest applies last. It returns the
+// mask — nil when every slot takes part, which lets the trackers cluster
+// their block of the store in place — and the stable IDs evicted this step.
 //
 // The decision is the walk's only polymorphic step. An Adaptive policy is
 // decided inline: its eq. 7 penalty is taken straight off x[i] and the store
@@ -910,10 +908,11 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 	n := len(x)
 	// Everything the walk indexes by slot, cut to n once so that the loop
 	// body carries no bounds checks for them.
-	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stored[:n], s.transmitted[:n]
+	store := &s.stage.z
+	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stage.present[:n], s.transmitted[:n]
 	policies, meters := s.policies[:n], s.meters[:n]
 	// Resource r of slot i is data[i*si+r*sr] in either layout of the store.
-	data, si, sr := s.store.strided()
+	data, si, sr := store.strided()
 	fd := float64(s.cfg.Resources)
 	// (t+1)^γ of the run of Adaptive policies the walk is in; NaN equals no
 	// γ, so the first one takes it.
@@ -980,12 +979,12 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 			default:
 				var zi []float64
 				if stored[i] {
-					zi = s.store.row(i, s.zrow)
+					zi = store.row(i, s.zrow)
 				}
 				send = p.Decide(s.t, xi, zi)
 			}
 			if send {
-				s.store.set(i, xi)
+				store.set(i, xi)
 				stored[i] = true
 			}
 			meters[i].Observe(send)
@@ -997,8 +996,6 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 	}
 	// Live members with a stored measurement take part in clustering;
 	// tombstones are never stored (evictSlot clears the flag).
-	present := s.stage.present
-	copy(present, stored)
 	if nPresent < s.cfg.K {
 		// No eviction has happened yet, so the roster is untouched by a
 		// step that fails here (candidates are simply retried later).
@@ -1012,18 +1009,17 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 	// forecasts instead of failing. Deferral is by slot order
 	// (deterministic, so WAL replay reproduces it).
 	for _, i := range evict {
-		if present[i] {
+		if stored[i] {
 			if nPresent <= s.cfg.K {
 				continue // deferred: absentFor stays past the timeout
 			}
 			nPresent--
 		}
 		evicted = append(evicted, s.ids[i])
-		s.evictSlot(i) // masks the staged slot too
+		s.evictSlot(i)
 	}
-	s.stage.z.copyFrom(&s.store)
 	if nPresent < len(x) {
-		mask = present
+		mask = stored
 	}
 	return mask, evicted, nil
 }
@@ -1043,9 +1039,9 @@ func (s *System) clusterAndRefit(mask []bool) error {
 }
 
 // cluster is layer 2 for one tracker: update the tracker on its block of the
-// store and move the outcome into the staged look-back slot.
+// store and move the outcome into the staged look-back slot that holds it.
 func (s *System) cluster(tr int, mask []bool) error {
-	assign, cents, err := s.trackers[tr].UpdateFlat(s.store.points(tr), len(s.ids), s.dims, mask)
+	assign, cents, err := s.trackers[tr].UpdateFlat(s.stage.z.points(tr), len(s.ids), s.dims, mask)
 	if err != nil {
 		return fmt.Errorf("core: tracker %d: %w", tr, err)
 	}
@@ -1074,22 +1070,26 @@ func (s *System) trackerCentroids(tr int) [][]float64 {
 }
 
 // commit makes the step visible: the staged slot is swapped with the oldest
-// ring slot (slice headers only — no copying), becoming the current
-// look-back entry, the assembled snapshot (if any) is completed from the
-// ring and published, and the step's result is built as views of the slot
-// just committed.
-func (s *System) commit(pub *Snapshot, evicted []int) *StepResult {
+// ring slot (slice headers only), becoming the current look-back entry, and
+// the slot swapped out becomes the stage, re-seeded with the store the step
+// left — its measurements and presence column; clustering overwrites the
+// rest. The assembled snapshot (if any) is completed from the ring and the
+// step's centroid forecasts and published, and the step's result is built
+// as views of the slot just committed.
+func (s *System) commit(pub *Snapshot, cent []float64, evicted []int) *StepResult {
 	s.head = (s.head + 1) % len(s.ring)
 	if s.ringLen < len(s.ring) {
 		s.ringLen++
 	}
 	s.ring[s.head], s.stage = s.stage, s.ring[s.head]
+	cur := &s.ring[s.head]
+	s.stage.z.copyFrom(&cur.z)
+	copy(s.stage.present, cur.present)
 
 	if pub != nil {
-		s.publish(pub)
+		s.publish(pub, cent)
 	}
 
-	cur := &s.ring[s.head]
 	res := &StepResult{
 		T:           s.t,
 		Transmitted: s.transmitted,
@@ -1115,9 +1115,10 @@ func (s *System) snapAt(ago int) *ringSlot {
 
 // Forecast produces per-node forecasts for horizons 1..h:
 // result[hIdx][node][resource]. It applies §V-C: forecasted centroid of the
-// node's mode cluster plus the α-scaled offset of eq. (12). Nodes are
-// reconstructed on the worker pool; each node writes only its own output
-// rows, so the result is identical for any worker count.
+// node's mode cluster plus the α-scaled offset of eq. (12), planned over the
+// look-back ring by the kernel a snapshot publish runs. Slots fan out on the
+// worker pool and each writes only its own output rows, so the result is
+// identical for any worker count.
 func (s *System) Forecast(h int) ([][][]float64, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("core: horizon %d < 1: %w", h, ErrBadInput)
@@ -1125,20 +1126,42 @@ func (s *System) Forecast(h int) ([][][]float64, error) {
 	if !s.Ready() {
 		return nil, ErrNotReady
 	}
+	cent, err := s.centroidForecasts(h)
+	if err != nil {
+		return nil, err
+	}
+	return s.reconEnv().plan(cent, s.cfg.Workers).tensor(h, s.cfg.Workers), nil
+}
 
-	// Per-tracker centroid forecasts (the ensembles fan the K×dims models
-	// out on their own pool).
-	centF := make([][][][]float64, s.nTrackers)
-	if err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+// centroidForecasts forecasts every tracker's K×dims centroid series up to
+// horizon h — one ensemble per tracker on the worker pool, each fanning its
+// models out on its own — into the plan's flat centroid table,
+// [hi][tracker][cluster·dims]. Each tracker writes only its own entries, so
+// the table is identical for any worker count. It returns nil before the
+// models finish initial training, which plans every slot as undefined.
+func (s *System) centroidForecasts(h int) ([]float64, error) {
+	if !s.Ready() {
+		return nil, nil
+	}
+	kd := s.cfg.K * s.dims
+	stride := s.nTrackers * kd
+	cent := make([]float64, h*stride)
+	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
 		f, err := s.ensembles[tr].Forecast(h)
 		if err != nil {
 			return fmt.Errorf("core: tracker %d forecast: %w", tr, err)
 		}
-		centF[tr] = f
+		for j, byDim := range f {
+			for d, series := range byDim {
+				for hi, v := range series {
+					cent[hi*stride+tr*kd+j*s.dims+d] = v
+				}
+			}
+		}
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	return reconstruct(s.reconEnv(), centF, h, s.cfg.Workers), nil
+	return cent, nil
 }

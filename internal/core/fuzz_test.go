@@ -84,8 +84,8 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 		t.Fatal(err)
 	}
 	if z != nil {
-		sys.store.set(slot, z)
-		sys.stored[slot] = true
+		sys.stage.z.set(slot, z)
+		sys.stage.present[slot] = true
 	}
 	sys.t = step
 	rows := make([][]float64, 3)
@@ -102,17 +102,17 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 		t.Fatalf("d=%d joint=%v t=%d cfg=%+v queue=%v x=%v z=%v: kernel sent=%v queue=%v, Decide sent=%v queue=%v",
 			d, joint, step, cfg, queue, x, z, got, gotQ, want, twin.Queue())
 	}
-	if wantStored := z != nil || want; sys.stored[slot] != wantStored {
-		t.Fatalf("stored flag %v after the walk, want %v", sys.stored[slot], wantStored)
+	if wantStored := z != nil || want; sys.stage.present[slot] != wantStored {
+		t.Fatalf("stored flag %v after the walk, want %v", sys.stage.present[slot], wantStored)
 	}
 	held := z
 	if want {
 		held = x
 	}
 	if held != nil {
-		for r, v := range sys.store.row(slot, make([]float64, d)) {
+		for r, v := range sys.stage.z.row(slot, make([]float64, d)) {
 			if math.Float64bits(v) != math.Float64bits(held[r]) {
-				t.Fatalf("store holds %v after sent=%v of %v over %v", sys.store.row(slot, make([]float64, d)), want, x, z)
+				t.Fatalf("store holds %v after sent=%v of %v over %v", sys.stage.z.row(slot, make([]float64, d)), want, x, z)
 			}
 		}
 	}

@@ -13,8 +13,8 @@ type StepPhase uint8
 
 // The sub-phases of one Step, in execution order.
 const (
-	// PhaseIngest covers transmission decisions, absence accounting,
-	// eviction, and staging the store state.
+	// PhaseIngest covers transmission decisions, the store writes, absence
+	// accounting and eviction.
 	PhaseIngest StepPhase = iota
 	// PhaseCluster covers per-tracker online cluster updates (§V-B), summed
 	// across trackers.
@@ -25,8 +25,8 @@ const (
 	// PhaseForecast covers the snapshot's centroid-forecast precompute (zero
 	// when snapshot publishing is disabled).
 	PhaseForecast
-	// PhasePublish covers snapshot assembly, the ring commit, and the
-	// lock-free publication.
+	// PhasePublish covers snapshot assembly, the ring commit (which
+	// re-seeds the store for the next step), and the lock-free publication.
 	PhasePublish
 
 	// NumStepPhases is the number of step sub-phases.

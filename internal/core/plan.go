@@ -62,14 +62,18 @@ type planScratch struct {
 var planScratches = sync.Pool{New: func() any { return new(planScratch) }}
 
 // plan builds the h-independent half of §V-C for every slot of the env's
-// look-back window, and lays centF out as the plan's flat centroid table.
-// Blocks of planBlock slots fan out on the worker pool; each writes only its
-// own entries, so the plan is identical for any worker count. A nil centF
-// (models not trained yet) plans every slot as undefined and only counts the
-// window fill.
-func (env *reconEnv) plan(centF [][][][]float64, workers int) *ForecastPlan {
-	n, nT, k, dims := env.nodes, env.nTracker, env.k, env.dims
+// look-back window around cent, the flat centroid table the plan keeps
+// (System.centroidForecasts). Blocks of planBlock slots fan out on the worker
+// pool; each writes only its own entries, so the plan is identical for any
+// worker count. A nil cent (models not trained yet) plans every slot as
+// undefined and only counts the window fill.
+func (env *reconEnv) plan(cent []float64, workers int) *ForecastPlan {
+	n, nT, kd := env.nodes, env.nTracker, env.k*env.dims
 	p := &ForecastPlan{
+		cent:         cent,
+		stride:       nT * kd,
+		kd:           kd,
+		dims:         env.dims,
 		mode:         make([]int32, n*nT),
 		offset:       make([]float64, n*env.resources),
 		fill:         make([]int32, n),
@@ -77,20 +81,6 @@ func (env *reconEnv) plan(centF [][][][]float64, workers int) *ForecastPlan {
 		resources:    env.resources,
 		joint:        env.joint,
 		disableClamp: env.disableClamp,
-	}
-	if centF != nil {
-		p.kd, p.dims = k*dims, dims
-		p.stride = nT * p.kd
-		p.cent = make([]float64, len(centF[0][0][0])*p.stride)
-		for tr, clusters := range centF {
-			for j, series := range clusters {
-				for d, s := range series {
-					for hi, v := range s {
-						p.cent[hi*p.stride+tr*p.kd+j*dims+d] = v
-					}
-				}
-			}
-		}
 	}
 	// The block kernel cannot fail, so neither can the fan-out.
 	_ = parallel.ForEach(workers, (n+planBlock-1)/planBlock, func(b int) error {
@@ -400,17 +390,6 @@ func (s *System) reconEnv() *reconEnv {
 		disableClamp:      s.cfg.DisableClamp,
 		disableAlphaClamp: s.cfg.DisableAlphaClamp,
 	}
-}
-
-// reconstruct applies §V-C over an env's look-back window in its two halves:
-// plan the h-independent part (mode cluster and eq. (12) offset per slot, over
-// the steps the node was present at), then evaluate it against the centroid
-// forecasts at every horizon. Slots that are dead, or whose member has no
-// presence in the window yet (a joiner still warming up), forecast as NaN.
-// centF is indexed [tracker][cluster][dim][hi] and must cover hi < h. The
-// result is identical for any worker count.
-func reconstruct(env *reconEnv, centF [][][][]float64, h, workers int) [][][]float64 {
-	return env.plan(centF, workers).tensor(h, workers)
 }
 
 // MaxAlphaInCell returns the largest α ∈ [0,1] such that c_j + α(z−c_j)

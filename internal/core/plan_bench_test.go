@@ -49,7 +49,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 				}
 				env := sys.reconEnv()
 				for b.Loop() {
-					env.plan(snap.centF, 1)
+					env.plan(snap.plan.cent, 1)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/slot")
 			})

@@ -34,12 +34,12 @@ import (
 // across a block edge.
 func FuzzPlanMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint32, seed uint64, vals []byte) {
-		env, centF, h, workers := fuzzPlanEnv(shape, seed, vals)
-		want, err := referenceReconstruct(env, centF, h, 1)
+		env, cent, h, workers := fuzzPlanEnv(shape, seed, vals)
+		want, err := referenceReconstruct(env, cent, h, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := env.plan(centF, workers)
+		p := env.plan(cent, workers)
 		forecastBits(t, p.tensor(h, workers), want, "plan tensor vs reference", 0)
 		row := make([]float64, env.resources)
 		for slot := 0; slot < env.nodes; slot++ {
@@ -68,9 +68,9 @@ func FuzzPlanMatchesReference(f *testing.F) {
 }
 
 // fuzzPlanEnv decodes one FuzzPlanMatchesReference input into a look-back
-// window, its centroid forecasts [tracker][cluster][dim][hi], the horizon and
-// the worker count.
-func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, [][][][]float64, int, int) {
+// window, its centroid forecasts as the plan's flat table (drawn in
+// [tracker][cluster][dim][hi] order), the horizon and the worker count.
+func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, []float64, int, int) {
 	bits := func(lo, width uint) int { return int(shape >> lo & (1<<width - 1)) }
 	d, joint := 1+bits(0, 3)%5, bits(3, 1) == 1
 	depth, k, n, h := 1+bits(4, 3)%6, 1+bits(7, 2), 1+bits(9, 9)%260, 1+bits(18, 2)
@@ -142,18 +142,16 @@ func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, [][][][]flo
 			}
 		}
 	}
-	centF := make([][][][]float64, nT)
-	for tr := range centF {
-		centF[tr] = make([][][]float64, k)
-		for j := range centF[tr] {
-			centF[tr][j] = make([][]float64, dims)
-			for dim := range centF[tr][j] {
-				centF[tr][j][dim] = make([]float64, h)
-				for hi := range centF[tr][j][dim] {
-					centF[tr][j][dim][hi] = next()
+	kd := k * dims
+	cent := make([]float64, h*nT*kd)
+	for tr := 0; tr < nT; tr++ {
+		for j := 0; j < k; j++ {
+			for dim := 0; dim < dims; dim++ {
+				for hi := 0; hi < h; hi++ {
+					cent[hi*nT*kd+tr*kd+j*dims+dim] = next()
 				}
 			}
 		}
 	}
-	return env, centF, h, workers
+	return env, cent, h, workers
 }

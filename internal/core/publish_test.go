@@ -228,6 +228,60 @@ func TestSnapshotRetainedHeapIndependentOfWindow(t *testing.T) {
 	}
 }
 
+// TestSystemRetainedHeapPerWindowStep pins what a stepped System holds per
+// step of the eq. (12) window at N = 4096 with the ring full, under scalar
+// and joint clustering: going from M′ = 5 to M′ = 40 adds 35 look-back slots
+// of the heap and nothing more, within 5 %. The store is the staged slot and
+// the trackers keep M assignment rows, so no other per-slot array grows with
+// M′. It runs serially, so no other test's garbage lands between readings.
+func TestSystemRetainedHeapPerWindowStep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap readings")
+	}
+	const nodes, steps = 4096, 48
+	for _, joint := range []bool{false, true} {
+		var slotBytes uint64
+		retained := func(mPrime int) uint64 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			sys, err := NewSystem(Config{
+				Nodes: nodes, Resources: 2, K: 3, MPrime: mPrime, InitialCollection: 10,
+				RetrainEvery: 1000, Policy: alwaysPolicy, Seed: 1, JointClustering: joint,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(3, uint64(mPrime)))
+			for step := 0; step < steps; step++ {
+				if _, err := sys.Step(noisyStep(rng, nodes)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sys.ringLen != mPrime+1 {
+				t.Fatalf("M′=%d: ring holds %d steps, want a full window", mPrime, sys.ringLen)
+			}
+			slot := sys.snapAt(0)
+			slotBytes = uint64(8*len(slot.z.f.Data()) + 8*len(slot.cents) + len(slot.present))
+			for _, a := range slot.assignments {
+				slotBytes += uint64(8 * len(a))
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(sys)
+			return after.HeapAlloc - before.HeapAlloc
+		}
+		short, long := retained(5), retained(40)
+		perStep := float64(long-short) / 35
+		t.Logf("joint=%v: a stepped System retains %d B at M′=5, %d B at M′=40: %.0f B per window step, a look-back slot is %d B",
+			joint, short, long, perStep, slotBytes)
+		if ratio := perStep / float64(slotBytes); ratio < 0.95 || ratio > 1.05 {
+			t.Fatalf("joint=%v: each window step adds %.0f B of heap, %.2f× a look-back slot's %d B",
+				joint, perStep, ratio, slotBytes)
+		}
+	}
+}
+
 // failingModel is sample-and-hold whose Forecast fails while fail is set.
 type failingModel struct {
 	*forecast.SampleAndHold
@@ -285,7 +339,7 @@ func TestFailedSnapshotForecastPublishesNothing(t *testing.T) {
 	if d := viewOf(t, held).diff(want); len(d) > 0 {
 		t.Fatalf("a failed step changed the published snapshot: %v", d)
 	}
-	replanned := sys.reconEnv().plan(held.centF, 1).tensor(held.MaxHorizon(), 1)
+	replanned := sys.reconEnv().plan(held.plan.cent, 1).tensor(held.MaxHorizon(), 1)
 	published, err := held.Forecast(held.MaxHorizon())
 	if err != nil {
 		t.Fatal(err)

@@ -25,13 +25,16 @@ import (
 // both computed over the steps the node was present at (the per-node
 // presence mask of an elastic fleet). Slots that are dead, or whose member
 // has no presence in the window yet (a joiner still warming up), forecast
-// as NaN. centF is indexed [tracker][cluster][dim][hi] and must cover
-// hi < h. The h×N×d result shares one flat backing and one row-header array
-// instead of h·N small slices; nodes fan out on the worker pool and each
-// node writes only its own output rows, so the result is identical for any
-// worker count.
-func referenceReconstruct(env *reconEnv, centF [][][][]float64, h, workers int) ([][][]float64, error) {
+// as NaN. cent is the plan's flat centroid table [hi][tracker][cluster·dims]
+// (the one change: it was a [tracker][cluster][dim][hi] tensor) and must
+// cover hi < h. The h×N×d result shares one flat backing and one row-header
+// array instead of h·N small slices; nodes fan out on the worker pool and
+// each node writes only its own output rows, so the result is identical for
+// any worker count.
+func referenceReconstruct(env *reconEnv, cent []float64, h, workers int) ([][][]float64, error) {
 	n, d := env.nodes, env.resources
+	kd := env.k * env.dims
+	stride := env.nTracker * kd
 	flat := make([]float64, h*n*d)
 	rows := make([][]float64, h*n)
 	out := make([][][]float64, h)
@@ -69,7 +72,7 @@ func referenceReconstruct(env *reconEnv, centF [][][][]float64, h, workers int) 
 					resIdx = d
 				}
 				for hi := 0; hi < h; hi++ {
-					v := centF[tr][jStar][d][hi] + offset[d]
+					v := cent[hi*stride+tr*kd+jStar*env.dims+d] + offset[d]
 					if !env.disableClamp {
 						if v < 0 {
 							v = 0
@@ -353,7 +356,7 @@ func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 									t.Fatalf("step %d: %v", step, err)
 								}
 								for h := 1; h <= maxH; h++ {
-									want, err := referenceReconstruct(sys.reconEnv(), snap.centF, h, workers)
+									want, err := referenceReconstruct(sys.reconEnv(), snap.plan.cent, h, workers)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -490,7 +493,6 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 		s.nTrackers = 1
 		s.dims = cfg.Resources
 	}
-	histDepth := max(cfg.M, cfg.MPrime+1)
 	ensembleWorkers := max(1, parallel.Workers(cfg.Workers)/s.nTrackers)
 	for tr := 0; tr < s.nTrackers; tr++ {
 		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
@@ -499,7 +501,7 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 			K:                cfg.K,
 			M:                cfg.M,
 			Similarity:       cfg.Similarity,
-			HistoryDepth:     histDepth,
+			HistoryDepth:     cfg.M,
 			DisableMatching:  cfg.DisableMatching,
 			Incremental:      cfg.IncrementalRefit,
 			IncrementalChurn: cfg.IncrementalChurn,

@@ -5,15 +5,14 @@ import (
 	"time"
 
 	"orcf/internal/forecast"
-	"orcf/internal/parallel"
 )
 
 // Snapshot is an immutable, point-in-time view of the pipeline published at
 // the end of a successful Step when Config.SnapshotHorizon > 0. It carries
 // everything a query needs — the latest stored measurements z_t, cluster
-// memberships and centroids, realized transmit frequencies, per-tracker
-// centroid forecasts precomputed up to the snapshot horizon, and the fleet
-// ForecastPlan that turns them into per-node forecasts (§V-C) — so readers
+// memberships and centroids, realized transmit frequencies, and the fleet
+// ForecastPlan: the centroid forecasts precomputed up to the snapshot horizon
+// and what turns them into per-node forecasts (§V-C) — so readers
 // never touch the System's mutable state: thousands of concurrent queries
 // proceed lock-free while the ingest loop keeps stepping.
 //
@@ -34,13 +33,10 @@ type Snapshot struct {
 	// measurements, memberships and centroids the per-node accessors read.
 	newest ringSlot
 
-	// centF holds per-tracker centroid forecasts [tracker][cluster][dim][hi]
-	// for hi < maxHorizon; nil until the models finish initial training.
-	centF [][][][]float64
-
 	// plan is the h-independent half of §V-C for every slot, built over the
-	// System's look-back ring when the snapshot was published. Its fill
-	// column is WindowFill.
+	// System's look-back ring when the snapshot was published, around the
+	// centroid forecasts for horizons up to maxHorizon (none until the models
+	// finish initial training). Its fill column is WindowFill.
 	plan *ForecastPlan
 
 	freq      []float64
@@ -69,8 +65,7 @@ func (s *System) Snapshot() *Snapshot { return s.snap.Load() }
 // assembleSnapshot builds everything in generation gen's Snapshot that does
 // not read the look-back ring — frequencies, roster, training and selection
 // state, dimensions. Step hands it the next generation, restore the recorded
-// one; forecastSnapshot adds the centroid forecasts, and publish the rest
-// once the ring holds the step.
+// one; publish adds the rest once the ring holds the step.
 func (s *System) assembleSnapshot(gen uint64) *Snapshot {
 	snap := &Snapshot{
 		gen:        gen,
@@ -111,34 +106,17 @@ func (s *System) assembleSnapshot(gen uint64) *Snapshot {
 }
 
 // publish completes a snapshot from the committed ring — a deep copy of the
-// newest slot and the fleet plan over the whole look-back, built by the same
-// code System.Forecast runs — and makes it the one readers load. It cannot
-// fail, so it runs after the ring commit, where a failed centroid-forecast
-// pass can no longer reach; Step's commit and restore's republish both end in
-// it.
-func (s *System) publish(snap *Snapshot) {
+// newest slot and the fleet plan over the whole look-back around cent, the
+// centroid forecasts up to the snapshot horizon, built by the same code
+// System.Forecast runs — and makes it the one readers load. It cannot fail,
+// so it runs after the ring commit, where a failed centroid forecast can no
+// longer reach; Step's commit and restore's republish both end in it.
+func (s *System) publish(snap *Snapshot, cent []float64) {
 	snap.newest = s.newRingSlot()
 	snap.newest.copyFrom(s.snapAt(0))
-	snap.plan = s.reconEnv().plan(snap.centF, s.cfg.Workers)
+	snap.plan = s.reconEnv().plan(cent, s.cfg.Workers)
 	s.gen = snap.gen
 	s.snap.Store(snap)
-}
-
-// forecastSnapshot precomputes the per-tracker centroid forecasts up to the
-// snapshot horizon (a no-op before the models finish initial training).
-func (s *System) forecastSnapshot(snap *Snapshot) error {
-	if !snap.ready {
-		return nil
-	}
-	snap.centF = make([][][][]float64, s.nTrackers)
-	return parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
-		f, err := s.ensembles[tr].Forecast(s.cfg.SnapshotHorizon)
-		if err != nil {
-			return fmt.Errorf("core: tracker %d snapshot forecast: %w", tr, err)
-		}
-		snap.centF[tr] = f
-		return nil
-	})
 }
 
 // Generation is the snapshot's monotonically increasing publication counter
@@ -250,13 +228,12 @@ func (sn *Snapshot) Centroids(tracker int) [][]float64 {
 // (hi = horizon−1). ok is false when the system has not completed initial
 // training or an index is out of range. Cluster-scope alert rules read it.
 func (sn *Snapshot) CentroidForecastAt(tracker, cluster, dim, hi int) (v float64, ok bool) {
-	if !sn.ready || tracker < 0 || tracker >= len(sn.centF) ||
-		cluster < 0 || cluster >= len(sn.centF[tracker]) ||
-		dim < 0 || dim >= len(sn.centF[tracker][cluster]) ||
-		hi < 0 || hi >= len(sn.centF[tracker][cluster][dim]) {
+	if !sn.ready || tracker < 0 || tracker >= sn.nTracker || cluster < 0 || cluster >= sn.k ||
+		dim < 0 || dim >= sn.dims || hi < 0 || hi >= sn.maxHorizon {
 		return 0, false
 	}
-	return sn.centF[tracker][cluster][dim][hi], true
+	p := sn.plan
+	return p.cent[hi*p.stride+tracker*p.kd+cluster*p.dims+dim], true
 }
 
 // ClusterSizes returns how many present slots each of a tracker's K clusters

@@ -97,7 +97,7 @@ func TestSnapshotForecastMatchesSystemForecast(t *testing.T) {
 			// snapshot's own count is the config's (0).
 			for _, workers := range []int{0, 1, 4} {
 				if workers > 0 {
-					served = s.reconEnv().plan(snap.centF, workers).tensor(h, workers)
+					served = s.reconEnv().plan(snap.plan.cent, workers).tensor(h, workers)
 				}
 				for hi := range direct {
 					for i := range direct[hi] {
@@ -373,7 +373,7 @@ func TestFleetPlanAllocations(t *testing.T) {
 		}
 		snap := sys.Snapshot()
 		env := sys.reconEnv()
-		run := func() { env.plan(snap.centF, workers) }
+		run := func() { env.plan(snap.plan.cent, workers) }
 		objects = testing.AllocsPerRun(50, run)
 		const runs = 50
 		var before, after runtime.MemStats

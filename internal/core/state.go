@@ -184,13 +184,8 @@ func (s *System) ExportState() (*State, error) {
 		st.Meters[i] = MeterState{Steps: s.meters[i].Steps(), Transmits: s.meters[i].Transmits()}
 	}
 
-	st.ZSet = append([]bool(nil), s.stored...)
-	st.Z = make([][]float64, len(s.stored))
-	for i, set := range s.stored {
-		if set {
-			st.Z[i] = s.store.row(i, make([]float64, s.cfg.Resources))
-		}
-	}
+	st.ZSet = append([]bool(nil), s.stage.present...)
+	st.Z = s.Stored()
 
 	st.Window = make([]SlotState, s.ringLen)
 	for ago := 0; ago < s.ringLen; ago++ {
@@ -294,18 +289,16 @@ func (s *System) RestoreState(st *State) error {
 		}
 	}
 
-	s.store = newZFrame(n, s.nTrackers, s.dims)
-	s.stored = append([]bool(nil), st.ZSet...)
-	for i, set := range st.ZSet {
-		if set {
-			s.store.set(i, st.Z[i])
-		}
-	}
-
 	for si := range s.ring {
 		s.ring[si] = s.newRingSlot()
 	}
 	s.stage = s.newRingSlot()
+	copy(s.stage.present, st.ZSet)
+	for i, set := range st.ZSet {
+		if set {
+			s.stage.z.set(i, st.Z[i])
+		}
+	}
 	s.ringLen = len(st.Window)
 	if s.ringLen > 0 {
 		s.head = s.ringLen - 1
@@ -465,10 +458,10 @@ func (s *System) republish() error {
 	if s.gen == 0 {
 		return nil
 	}
-	snap := s.assembleSnapshot(s.gen)
-	if err := s.forecastSnapshot(snap); err != nil {
+	cent, err := s.centroidForecasts(s.cfg.SnapshotHorizon)
+	if err != nil {
 		return err
 	}
-	s.publish(snap)
+	s.publish(s.assembleSnapshot(s.gen), cent)
 	return nil
 }

@@ -97,17 +97,18 @@ func rowViews(flat []float64, d int) [][]float64 {
 	return rows
 }
 
-// ringSlot is one slot of the look-back ring used by eq. (12). All backing
-// arrays are allocated in NewSystem and overwritten in place; they grow in
-// place when the fleet grows, so every ring slot spans the whole fleet. (The
-// immutable copy of the newest slot a Snapshot carries has the same layout,
-// at the fleet size of its publication.)
+// ringSlot is one slot of the look-back ring used by eq. (12), and the
+// System's stage, which is also the central store. All backing arrays are
+// allocated in NewSystem and overwritten in place; they grow in place when
+// the fleet grows, so every ring slot spans the whole fleet. (The immutable
+// copy of the newest slot a Snapshot carries has the same layout, at the
+// fleet size of its publication.)
 type ringSlot struct {
 	z           zFrame    // stored measurements of the step
 	assignments [][]int   // [tracker][slot]; -1 = absent
 	cents       []float64 // [tracker][cluster][dim], flat
 	kd          int       // K·dims: one tracker's share of cents
-	present     []bool    // slots clustered at this step
+	present     []bool    // slots clustered at this step: those holding a stored measurement
 }
 
 // centroids returns tracker tr's K centroids of the step, K×dims row-major.

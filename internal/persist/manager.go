@@ -397,12 +397,14 @@ func (m *Manager) maybeCheckpoint() {
 // background goroutine. It returns a nil job when the state is already
 // checkpointed. Must run on the stepping goroutine with ckptBusy held.
 func (m *Manager) prepareCheckpoint() (func() error, error) {
+	// Checked before the export: the deep copy is the expensive part, and a
+	// shutdown checkpoint often follows a periodic one at the same step.
+	if int64(m.sys.Steps()) == m.lastCkptStep.Load() {
+		return nil, nil
+	}
 	st, err := m.sys.ExportState()
 	if err != nil {
 		return nil, err
-	}
-	if int64(st.T) == m.lastCkptStep.Load() {
-		return nil, nil
 	}
 	// Rotate first: records after step T belong to the new epoch whether or
 	// not the checkpoint write below succeeds (recovery chains across

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"orcf/internal/core"
 	"orcf/internal/forecast"
+	"orcf/internal/transmit"
 )
 
 // testInput is the deterministic waveform shared by all persistence tests:
@@ -197,6 +199,63 @@ func TestRecoverAfterCleanShutdown(t *testing.T) {
 	mustForecastEqualReference(t, re, 3)
 	if err := re.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// countingPolicy is the adaptive policy counting its MarshalState calls:
+// ExportState marshals every live member's policy once.
+type countingPolicy struct {
+	*transmit.Adaptive
+	marshals *atomic.Int64
+}
+
+func (p countingPolicy) MarshalState() ([]byte, error) {
+	p.marshals.Add(1)
+	return p.Adaptive.MarshalState()
+}
+
+// TestCheckpointAtCheckpointedStepExportsNothing pins that a checkpoint at
+// the step the last one was written at — a shutdown checkpoint right after a
+// periodic one — returns before the state export, the deep copy on the
+// stepping goroutine: no policy is marshalled the second time.
+func TestCheckpointAtCheckpointedStepExportsNothing(t *testing.T) {
+	t.Parallel()
+	var marshals atomic.Int64
+	cfg := testConfig()
+	cfg.Policy = func(int) (transmit.Policy, error) {
+		p, err := transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: 0.5})
+		return countingPolicy{p, &marshals}, err
+	}
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(sys, cfg, Options{Dir: t.TempDir(), CheckpointEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, m, 10) // the periodic checkpoint at step 10
+	if got := marshals.Load(); got != int64(cfg.Nodes) {
+		t.Fatalf("periodic checkpoint marshalled %d policies, want %d", got, cfg.Nodes)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := marshals.Load(); got != int64(cfg.Nodes) {
+		t.Fatalf("a second checkpoint at step 10 marshalled %d more policies, want 0", got-int64(cfg.Nodes))
+	}
+	runTo(t, m, 11)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := marshals.Load(); got != int64(2*cfg.Nodes) {
+		t.Fatalf("a checkpoint at step 11 brought the marshal count to %d, want %d", got, 2*cfg.Nodes)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

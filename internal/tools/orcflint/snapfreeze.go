@@ -26,12 +26,11 @@ var frozenTypes = map[[2]string]bool{
 }
 
 // snapPublishers may write frozen fields, and only inside internal/core: the
-// snapshot builders — assembleSnapshot and forecastSnapshot before the ring
-// commit, publish after it, which copies the newest ring slot and writes the
-// plan before storing the snapshot for readers — and the roster constructor.
+// snapshot builders — assembleSnapshot before the ring commit, publish after
+// it, which copies the newest ring slot and writes the plan before storing
+// the snapshot for readers — and the roster constructor.
 var snapPublishers = map[string]bool{
 	"assembleSnapshot": true,
-	"forecastSnapshot": true,
 	"publish":          true,
 	"roster":           true,
 }

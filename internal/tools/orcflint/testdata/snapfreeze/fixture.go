@@ -34,11 +34,6 @@ func assembleSnapshot(n int) *Snapshot {
 	return snap
 }
 
-// forecastSnapshot is another allow-listed publisher.
-func forecastSnapshot(snap *Snapshot) {
-	snap.gen++
-}
-
 // publish is the allow-listed publisher that runs after the ring commit: it
 // copies the newest ring slot and writes the plan before the snapshot is
 // stored for readers.
