@@ -62,16 +62,18 @@ docs:
 churn-smoke:
 	$(GO) run ./cmd/loadgen -nodes 64 -conns 4 -steps 40 -churn 1.5
 
-# Reproduction goldens: `repro` output for Fig. 9 and Fig. 10 at a small
+# Reproduction goldens: `repro` output for Figs. 8, 9 and 10 at a small
 # scale, minus its wall-time line, must equal the committed files byte for
-# byte (it does not depend on -workers). Every column of both figures runs
-# through core.Config.Model. The goldens are linux/amd64 output, the platform
-# CI runs on; regenerate them with the same commands only in a change meant
-# to move them, and say so.
+# byte (it does not depend on -workers). Every column of Figs. 9 and 10 runs
+# a one-candidate core.Config.Zoo; Fig. 8 drives a one-cell forecast.Ensemble
+# per centroid series. The goldens are linux/amd64 output, the platform CI
+# runs on; regenerate them with the same commands only in a change meant to
+# move them, and say so.
 REPRO_STRIP = sed '/^(.* completed in .*)$$/d'
 repro-golden:
 	$(GO) run ./cmd/repro -exp fig10 -nodes 40 -steps 800 -warmup 300 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig10.golden -
 	$(GO) run ./cmd/repro -exp fig9 -nodes 24 -steps 600 -warmup 300 -lstm-epochs 2 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig9.golden -
+	$(GO) run ./cmd/repro -exp fig8 -nodes 24 -steps 600 -warmup 300 -lstm-epochs 2 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig8.golden -
 
 # Micro-benchmarks to work with; performance claims are measured with
 # `bash bench/run.sh` (see bench/README.md).

@@ -42,7 +42,8 @@ func experiments() map[string]runner {
 		"fig12": exp.Fig12,
 		"tab4":  exp.Table4,
 		// Beyond the paper: ablations of this implementation's design
-		// choices (see DESIGN.md).
+		// choices (see the paper-equation-to-package map in
+		// docs/ARCHITECTURE.md).
 		"ablation": exp.Ablations,
 	}
 }

@@ -268,13 +268,13 @@ func TestEngineTrendRuleFiresOnRamp(t *testing.T) {
 	sys := newTestSystem(t, 3, func(c *core.Config) {
 		// Holt smoothing projects the ramp forward; sample-and-hold would
 		// forecast flat and a trend rule could never see a slope.
-		c.Model = func() forecast.Model {
+		c.Zoo = forecast.Pinned(func() forecast.Model {
 			m, err := forecast.NewHolt(0, 0, 0)
 			if err != nil {
 				panic(err)
 			}
 			return m
-		}
+		})
 	})
 	engine, err := New(Config{Rules: &RuleSet{StepsPerHour: 100, Rules: []Rule{{
 		Name: "ramping", Kind: KindTrend, Scope: ScopeCluster, Cluster: -1,

@@ -376,13 +376,13 @@ func driveAgainstReference(t *testing.T, seed uint64, cov *oracleCoverage) {
 		InitialCollection: 6, RetrainEvery: 10, MPrime: 2, SnapshotHorizon: 6,
 		AbsenceTimeout: 3, Seed: seed,
 		Policy: func(int) (transmit.Policy, error) { return transmit.Always{}, nil },
-		Model: func() forecast.Model {
+		Zoo: forecast.Pinned(func() forecast.Model {
 			m, err := forecast.NewHolt(0.5, 0.3, 1)
 			if err != nil {
 				panic(err)
 			}
 			return m
-		},
+		}),
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestDisableMatchingDegradesForecasts(t *testing.T) {
 	base := Config{
 		Nodes: 16, K: 2, InitialCollection: 40, RetrainEvery: 500,
 		Policy: alwaysPolicy, Seed: 2,
-		Model: func() forecast.Model { return forecast.NewSampleAndHold() },
+		Zoo: forecast.Pinned(func() forecast.Model { return forecast.NewSampleAndHold() }),
 	}
 	withMatching := runRMSE(t, base, steps, 3)
 	noMatching := base

@@ -20,13 +20,13 @@ func churnConfig(nodes int) Config {
 		InitialCollection: 12,
 		RetrainEvery:      8,
 		Seed:              11,
-		Model: func() forecast.Model {
+		Zoo: forecast.Pinned(func() forecast.Model {
 			m, err := forecast.NewSES(0.3)
 			if err != nil {
 				panic(err)
 			}
 			return m
-		},
+		}),
 	}
 }
 

@@ -79,18 +79,13 @@ type Config struct {
 	// Policy builds each node's transmission policy. Nil means the adaptive
 	// policy with B=0.3 and paper defaults.
 	Policy PolicyFactory
-	// Model builds each (cluster, resource) forecasting model. Nil means
-	// sample-and-hold. It is a one-family Zoo spelled differently: NewSystem
-	// runs it as the single candidate named Model().Name(). Mutually
-	// exclusive with Zoo.
-	Model forecast.Builder
 	// Zoo lists the model families to run (resolve names via forecast.Zoo):
 	// every candidate trains on each (cluster, resource) centroid series.
-	// With two or more, the per-(cluster, resource) champion — chosen online
-	// by rolling forecast accuracy with hysteresis (see Selection) — serves
-	// the forecasts. A one-family Zoo has nothing to select and runs exactly
-	// like Model; only its Fingerprint differs, because it names the family.
-	// Model must be nil when Zoo is set.
+	// Empty means sample-and-hold. One candidate pins that family: there is
+	// nothing to select, so it neither scores forecasts nor keeps selection
+	// state. With two or more, the per-(cluster, resource) champion — chosen
+	// online by rolling forecast accuracy with hysteresis (see Selection) —
+	// serves the forecasts.
 	Zoo []forecast.Candidate
 	// Selection tunes the champion/challenger selector of a Zoo of two or
 	// more families; ignored otherwise. Zero values select the forecast
@@ -174,9 +169,6 @@ func (c Config) withDefaults() Config {
 		c.Policy = func(int) (transmit.Policy, error) {
 			return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: 0.3})
 		}
-	}
-	if c.Model == nil && len(c.Zoo) == 0 {
-		c.Model = func() forecast.Model { return forecast.NewSampleAndHold() }
 	}
 	if len(c.Zoo) > 0 {
 		c.Selection = c.Selection.WithDefaults()
@@ -301,12 +293,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.SnapshotHorizon < 0 {
 		return nil, fmt.Errorf("core: snapshot horizon %d < 0: %w", cfg.SnapshotHorizon, ErrBadConfig)
 	}
-	if cfg.Model != nil && len(cfg.Zoo) > 0 {
-		return nil, fmt.Errorf("core: both Model and Zoo set: %w", ErrBadConfig)
-	}
+	// An empty zoo runs sample-and-hold. It is resolved here rather than in
+	// withDefaults so that Fingerprint keeps hashing it as no zoo at all.
 	candidates := cfg.Zoo
 	if len(candidates) == 0 {
-		candidates = []forecast.Candidate{{Name: cfg.Model().Name(), Builder: cfg.Model}}
+		candidates = forecast.Pinned(func() forecast.Model { return forecast.NewSampleAndHold() })
 	}
 	s := &System{cfg: cfg, byID: make(map[int]int)}
 	s.phases.ob = cfg.PhaseObserver
@@ -510,7 +501,6 @@ func (s *System) AddNodes(ids ...int) error {
 			return err
 		}
 	}
-	s.rosterGen++
 	return nil
 }
 
@@ -545,11 +535,9 @@ func (s *System) ReconcileRoster(ids []int, alive []bool) error {
 	if len(ids) < len(s.ids) {
 		return fmt.Errorf("core: roster shrank %d → %d slots: %w", len(s.ids), len(ids), ErrBadInput)
 	}
-	changed := false
 	for i := 0; i < len(s.ids); i++ {
 		if !alive[i] && s.alive[i] {
 			s.evictSlot(i)
-			changed = true
 		}
 	}
 	for i, id := range ids {
@@ -569,10 +557,6 @@ func (s *System) ReconcileRoster(ids []int, alive []bool) error {
 		if err := s.addSlotAt(i, id); err != nil {
 			return err
 		}
-		changed = true
-	}
-	if changed {
-		s.rosterGen++
 	}
 	return nil
 }
@@ -589,10 +573,30 @@ func (s *System) addSlot(id int) error {
 
 // addSlotAt binds a new member to a specific slot — a tombstoned one or the
 // next append position (used by addSlot and by roster reconciliation during
-// WAL replay, which must reproduce the original slot layout exactly).
+// WAL replay, which must reproduce the original slot layout exactly). The
+// slot is checked and the member's policy built before anything changes, so
+// a failure leaves the fleet as it was.
 func (s *System) addSlotAt(i, id int) error {
-	switch {
-	case i == len(s.ids):
+	at := -1
+	if i != len(s.ids) {
+		for fi, f := range s.free {
+			if f == i {
+				at = fi
+				break
+			}
+		}
+		if at < 0 {
+			return fmt.Errorf("core: slot %d is not free: %w", i, ErrBadConfig)
+		}
+	}
+	p, err := s.cfg.Policy(i)
+	if err != nil {
+		return fmt.Errorf("core: policy for node %d (slot %d): %w", id, i, err)
+	}
+	if p == nil {
+		return fmt.Errorf("core: nil policy for node %d: %w", id, ErrBadConfig)
+	}
+	if at < 0 {
 		s.ids = append(s.ids, 0)
 		s.alive = append(s.alive, false)
 		s.absentFor = append(s.absentFor, 0)
@@ -604,17 +608,7 @@ func (s *System) addSlotAt(i, id int) error {
 			growSlot(&s.ring[si], n)
 		}
 		growSlot(&s.stage, n)
-	default:
-		at := -1
-		for fi, f := range s.free {
-			if f == i {
-				at = fi
-				break
-			}
-		}
-		if at < 0 {
-			return fmt.Errorf("core: slot %d is not free: %w", i, ErrBadConfig)
-		}
+	} else {
 		s.free = append(s.free[:at], s.free[at+1:]...)
 		// The slot's ring history was masked at eviction; mask again
 		// defensively.
@@ -626,19 +620,13 @@ func (s *System) addSlotAt(i, id int) error {
 			tr.ForgetSlot(i)
 		}
 	}
-	p, err := s.cfg.Policy(i)
-	if err != nil {
-		return fmt.Errorf("core: policy for node %d (slot %d): %w", id, i, err)
-	}
-	if p == nil {
-		return fmt.Errorf("core: nil policy for node %d: %w", id, ErrBadConfig)
-	}
 	s.policies[i] = p
 	s.meters[i] = transmit.Meter{}
 	s.ids[i] = id
 	s.alive[i] = true
 	s.absentFor[i] = 0
 	s.byID[id] = i
+	s.rosterGen++
 	return nil
 }
 
@@ -759,7 +747,7 @@ func (s *System) TrainingTime() (time.Duration, int) {
 // ModelSelection returns a deep-copied view of a tracker ensemble's zoo
 // selection state — per-(cluster, dim) champions, rolling accuracies, and
 // switch counts — or nil for an out-of-range tracker or a system running
-// one model family (Config.Model or a one-family Zoo).
+// one model family (a Zoo of at most one candidate).
 func (s *System) ModelSelection(tracker int) *forecast.SelectionInfo {
 	if tracker < 0 || tracker >= len(s.ensembles) {
 		return nil
@@ -850,16 +838,24 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 }
 
 // checkStep validates a step's input against the fleet layout without
-// changing anything.
+// changing anything. It also rejects a step that would leave fewer than K
+// members to cluster, counting the members with a stored measurement plus
+// the reporting ones that have none: every built-in policy transmits when
+// nothing is stored, so for them this is ingest's present count exactly.
 func (s *System) checkStep(x [][]float64) error {
 	if len(x) != len(s.ids) {
 		return fmt.Errorf("core: %d rows in step, want %d fleet slots: %w", len(x), len(s.ids), ErrBadInput)
 	}
-	d, alive := s.cfg.Resources, s.alive[:len(x)]
+	d, alive, stored := s.cfg.Resources, s.alive[:len(x)], s.stage.present[:len(x)]
+	present := 0
 	for i, xi := range x {
 		if xi == nil {
+			if stored[i] {
+				present++
+			}
 			continue
 		}
+		present++
 		if !alive[i] {
 			return fmt.Errorf("core: slot %d holds no live member but got a report: %w", i, ErrBadInput)
 		}
@@ -882,7 +878,17 @@ func (s *System) checkStep(x [][]float64) error {
 			}
 		}
 	}
+	if present < s.cfg.K {
+		return errTooFewPresent(present, s.cfg.K)
+	}
 	return nil
+}
+
+// errTooFewPresent is the rejection of a step that would cluster fewer than K
+// members.
+func errTooFewPresent(present, k int) error {
+	return fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
+		"or wait for first transmissions before stepping: %w", present, k, ErrBadInput)
 }
 
 // ingest is layer 1 of a step: one walk over the slots makes the
@@ -995,12 +1001,13 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 		}
 	}
 	// Live members with a stored measurement take part in clustering;
-	// tombstones are never stored (evictSlot clears the flag).
+	// tombstones are never stored (evictSlot clears the flag). checkStep has
+	// made this count already for every policy that transmits a member's
+	// first report; only a custom policy that declines one can fail here,
+	// after the walk moved policies and meters. No eviction has happened
+	// yet, so the roster is untouched (candidates are simply retried later).
 	if nPresent < s.cfg.K {
-		// No eviction has happened yet, so the roster is untouched by a
-		// step that fails here (candidates are simply retried later).
-		return nil, nil, fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
-			"or wait for first transmissions before stepping: %w", nPresent, s.cfg.K, ErrBadInput)
+		return nil, nil, errTooFewPresent(nPresent, s.cfg.K)
 	}
 	// Evictions never shrink the clustered set below K: when a mass outage
 	// would (e.g. every agent silent after a collector restart), the excess

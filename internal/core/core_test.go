@@ -345,13 +345,13 @@ func TestTrainingTimeAccounting(t *testing.T) {
 	s, err := NewSystem(Config{
 		Nodes: 4, K: 2, InitialCollection: 5, RetrainEvery: 4,
 		Policy: alwaysPolicy,
-		Model: func() forecast.Model {
+		Zoo: forecast.Pinned(func() forecast.Model {
 			m, err := forecast.NewAR(1)
 			if err != nil {
 				panic(err)
 			}
 			return m
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,13 +404,13 @@ func TestForecastClamping(t *testing.T) {
 	s, err := NewSystem(Config{
 		Nodes: 2, K: 1, InitialCollection: 30, MPrime: -1,
 		Policy: alwaysPolicy,
-		Model: func() forecast.Model {
+		Zoo: forecast.Pinned(func() forecast.Model {
 			m, err := forecast.NewARIMA(forecast.Order{P: 1, D: 1})
 			if err != nil {
 				panic(err)
 			}
 			return m
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -307,7 +307,7 @@ func TestFailedSnapshotForecastPublishesNothing(t *testing.T) {
 	var fail atomic.Bool
 	cfg := churnConfig(8)
 	cfg.SnapshotHorizon = 3
-	cfg.Model = func() forecast.Model { return failingModel{forecast.NewSampleAndHold(), &fail} }
+	cfg.Zoo = forecast.Pinned(func() forecast.Model { return failingModel{forecast.NewSampleAndHold(), &fail} })
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

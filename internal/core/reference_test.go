@@ -512,7 +512,7 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 		s.trackers = append(s.trackers, tracker)
 		candidates := cfg.Zoo
 		if len(candidates) == 0 {
-			candidates = []forecast.Candidate{{Name: cfg.Model().Name(), Builder: cfg.Model}}
+			candidates = forecast.Pinned(func() forecast.Model { return forecast.NewSampleAndHold() })
 		}
 		ens, err := forecast.NewEnsemble(forecast.EnsembleConfig{
 			Clusters:          cfg.K,

@@ -104,11 +104,12 @@ type MeterState struct {
 // fleet size is deliberately absent — the State records the membership
 // roster itself, so a restore reconciles membership instead of demanding an
 // exactly-matching Nodes value. Runtime-only knobs (Workers,
-// SnapshotHorizon, AbsenceTimeout) and the Policy/Model factories are also
-// excluded — the factories cannot be hashed, so restoring under a different
-// policy or model family is the caller's responsibility to avoid (the
-// policy state bytes and the refit-from-series reconstruction will
-// generally fail loudly, but not provably always).
+// SnapshotHorizon, AbsenceTimeout) and the Policy factory are also excluded.
+// A non-empty Zoo is hashed by its candidate names, never by its builders:
+// the factories cannot be hashed, so restoring under a different policy, or
+// a differently parameterized family of the same name, is the caller's
+// responsibility to avoid (the policy state bytes and the refit-from-series
+// reconstruction will generally fail loudly, but not provably always).
 func (c Config) Fingerprint() uint64 {
 	c = c.withDefaults()
 	if c.Similarity == 0 {
@@ -129,7 +130,8 @@ func (c Config) Fingerprint() uint64 {
 	if len(c.Zoo) > 0 {
 		// A zoo's selection state is part of the persisted format, so the
 		// candidate roster and selection tuning must match on restore. The
-		// conditional append keeps single-family fingerprints stable.
+		// conditional append keeps the empty zoo's (sample-and-hold)
+		// fingerprint what it was before zoos existed.
 		fmt.Fprintf(h, "|zoo=")
 		for i, cand := range c.Zoo {
 			if i > 0 {

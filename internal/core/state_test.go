@@ -40,13 +40,13 @@ func stateTestConfig() Config {
 		RetrainEvery:      15,
 		Seed:              7,
 		SnapshotHorizon:   6,
-		Model: func() forecast.Model {
+		Zoo: forecast.Pinned(func() forecast.Model {
 			m, err := forecast.NewSES(0.3)
 			if err != nil {
 				panic(err)
 			}
 			return m
-		},
+		}),
 	}
 }
 
@@ -136,7 +136,6 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 		}(),
 		"zoo": func() Config {
 			cfg := stateTestConfig()
-			cfg.Model = nil
 			zoo, err := forecast.Zoo("ses", "holt", "sample-and-hold")
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"orcf/internal/transmit"
 )
 
 // warmStepSystem builds a step_scalar-shaped system (d = 2, per-resource
@@ -173,4 +175,96 @@ func TestStepRejectsMalformedInputUnchanged(t *testing.T) {
 		t.Fatalf("step after rejected input differs: T %d/%d", got.T, want.T)
 	}
 	sameClusterings(t, got.T, got, want)
+}
+
+// TestStepRejectsTooFewPresentUnchanged pins that a step which would cluster
+// fewer than K members is rejected before anything moves: no step is
+// counted, no meter observes, no policy decides. Two joiners of an empty
+// fleet at the default K = 3 are such a step; after a third joins, the next
+// step is step 1.
+func TestStepRejectsTooFewPresentUnchanged(t *testing.T) {
+	sys, err := NewSystem(Config{Resources: 2, InitialCollection: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddNodes(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	row := []float64{0.5, 0.25}
+	before, err := sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Step([][]float64{row, row}); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("two members at K=3: want ErrBadInput, got %v", err)
+	}
+	after, err := sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coreStateDigest(before) != coreStateDigest(after) || sys.Steps() != 0 {
+		t.Fatalf("rejected step changed the system (Steps %d)", sys.Steps())
+	}
+	if f := sys.Frequency(0); f != 0 {
+		t.Fatalf("a meter observed the rejected step: frequency %v", f)
+	}
+	if err := sys.AddNodes(3); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Step([][]float64{row, row, row})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.T != 1 {
+		t.Fatalf("first accepted step has T = %d, want 1", res.T)
+	}
+}
+
+// TestAddNodesFailingPolicyLeavesFleet pins that a joiner whose policy
+// factory fails changes no slot: the slot count and the free list stay as
+// they were, both when the joiner would have appended a slot and when it
+// would have reused a tombstone, and the next successful join takes the slot
+// the failed one would have. When a later joiner of the same call fails, the
+// ones before it are members, and the roster shows them.
+func TestAddNodesFailingPolicyLeavesFleet(t *testing.T) {
+	var refuse func(slot int) bool // nil accepts every slot
+	sys, err := NewSystem(Config{Nodes: 4, K: 2, Policy: func(slot int) (transmit.Policy, error) {
+		if refuse != nil && refuse(slot) {
+			return nil, errors.New("policy refused")
+		}
+		return transmit.Always{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse = func(int) bool { return true }
+	if err := sys.AddNodes(10); err == nil {
+		t.Fatal("failing policy factory: AddNodes succeeded")
+	}
+	if sys.Slots() != 4 || len(sys.free) != 0 || sys.HasNode(10) {
+		t.Fatalf("failed append join left %d slots, free %v", sys.Slots(), sys.free)
+	}
+	if err := sys.RemoveNodes(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddNodes(10); err == nil {
+		t.Fatal("failing policy factory: AddNodes succeeded")
+	}
+	if sys.Slots() != 4 || !slices.Equal(sys.free, []int{1}) || sys.HasNode(10) {
+		t.Fatalf("failed reuse join left %d slots, free %v", sys.Slots(), sys.free)
+	}
+	refuse = func(slot int) bool { return slot == 5 }
+	if err := sys.AddNodes(10); err != nil {
+		t.Fatal(err)
+	}
+	if slot, ok := sys.SlotOf(10); !ok || slot != 1 || len(sys.free) != 0 {
+		t.Fatalf("join after the failures: slot %d ok %v, free %v", slot, ok, sys.free)
+	}
+	_ = sys.Roster() // cache the roster the partial join below must replace
+	if err := sys.AddNodes(20, 21); err == nil {
+		t.Fatal("AddNodes succeeded with a refused second joiner")
+	}
+	if slot, ok := sys.Roster().SlotOf(20); !ok || slot != 4 || sys.Slots() != 5 || sys.HasNode(21) {
+		t.Fatalf("partial join: roster slot of 20 = %d (%v), %d slots", slot, ok, sys.Slots())
+	}
 }

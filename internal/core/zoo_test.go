@@ -2,19 +2,18 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
 	"orcf/internal/forecast"
 )
 
-// TestZooSingleCandidateMatchesLegacy is the Config.Model ≡ one-family
-// Config.Zoo differential: both spellings must run bit for bit alike —
+// TestZooEmptyMatchesPinnedSampleAndHold pins what an empty Config.Zoo
+// runs: sample-and-hold, bit for bit like a one-family Zoo naming it —
 // per-step results, forecasts, K-means RNG streams, and persisted ensemble
-// series — across model families and both clustering modes, and neither
-// keeps selection state.
-func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
+// series — in both clustering modes, with no selection state on either side.
+// Only the fingerprints differ: the empty zoo hashes as before zoos existed.
+func TestZooEmptyMatchesPinnedSampleAndHold(t *testing.T) {
 	t.Parallel()
 	const (
 		nodes     = 16
@@ -24,102 +23,94 @@ func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
 		retrain   = 15
 		horizon   = 5
 	)
-	families := []string{"ses", "arima", "lstm"}
-	modes := []struct {
-		name  string
-		joint bool
-	}{{"scalar", false}, {"joint", true}}
-	for _, family := range families {
-		for _, mode := range modes {
-			family, mode := family, mode
-			t.Run(family+"/"+mode.name, func(t *testing.T) {
-				t.Parallel()
-				data := detTrace(steps, nodes, resources, 21)
-				builder, ok := forecast.Lookup(family)
-				if !ok {
-					t.Fatalf("family %q not registered", family)
-				}
-				base := Config{
-					Nodes: nodes, Resources: resources, K: 3,
-					InitialCollection: warmup, RetrainEvery: retrain,
-					JointClustering: mode.joint, Seed: 5, Workers: 2,
-				}
-				legacyCfg := base
-				legacyCfg.Model = builder
-				legacy, err := NewSystem(legacyCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				zooCfg := base
-				zooCfg.Zoo, err = forecast.Zoo(family)
-				if err != nil {
-					t.Fatal(err)
-				}
-				zoo, err := NewSystem(zooCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				for step := 0; step < steps; step++ {
-					rl, err := legacy.Step(data[step])
-					if err != nil {
-						t.Fatalf("legacy step %d: %v", step, err)
-					}
-					rz, err := zoo.Step(data[step])
-					if err != nil {
-						t.Fatalf("zoo step %d: %v", step, err)
-					}
-					compareStepResults(t, step, rl, rz)
-					if !legacy.Ready() {
-						continue
-					}
-					fl, err := legacy.Forecast(horizon)
-					if err != nil {
-						t.Fatalf("legacy forecast at %d: %v", step, err)
-					}
-					fz, err := zoo.Forecast(horizon)
-					if err != nil {
-						t.Fatalf("zoo forecast at %d: %v", step, err)
-					}
-					if !reflect.DeepEqual(fl, fz) {
-						t.Fatalf("step %d: forecasts diverge", step)
-					}
-				}
-				if !legacy.Ready() {
-					t.Fatal("systems never became ready")
-				}
-
-				// The K-means RNG streams and the persisted ensemble series
-				// must be identical: the zoo consumed no extra randomness and
-				// observed the same centroids.
-				sl, err := legacy.ExportState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sz, err := zoo.ExportState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for tr := range sl.TrackerRNGs {
-					if !bytes.Equal(sl.TrackerRNGs[tr], sz.TrackerRNGs[tr]) {
-						t.Fatalf("tracker %d RNG streams diverged", tr)
-					}
-				}
-				for tr := range sl.Ensembles {
-					el, ez := sl.Ensembles[tr], sz.Ensembles[tr]
-					if el.T != ez.T || el.Ready != ez.Ready || el.LastRefit != ez.LastRefit ||
-						el.TrainRuns != ez.TrainRuns || el.SeriesStart != ez.SeriesStart {
-						t.Fatalf("tracker %d ensemble counters diverge: %+v vs %+v", tr, el, ez)
-					}
-					if !reflect.DeepEqual(el.Series, ez.Series) {
-						t.Fatalf("tracker %d ensemble series diverge", tr)
-					}
-					if len(ez.Families) != 0 || zoo.ModelSelection(tr) != nil {
-						t.Fatalf("tracker %d: one-family zoo keeps selection state", tr)
-					}
-				}
-			})
+	for _, joint := range []bool{false, true} {
+		name := "scalar"
+		if joint {
+			name = "joint"
 		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			data := detTrace(steps, nodes, resources, 21)
+			emptyCfg := Config{
+				Nodes: nodes, Resources: resources, K: 3,
+				InitialCollection: warmup, RetrainEvery: retrain,
+				JointClustering: joint, Seed: 5, Workers: 2,
+			}
+			pinnedCfg := emptyCfg
+			var err error
+			pinnedCfg.Zoo, err = forecast.Zoo("sample-and-hold")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if emptyCfg.Fingerprint() == pinnedCfg.Fingerprint() {
+				t.Fatal("a one-family zoo hashes like the empty zoo")
+			}
+			empty, err := NewSystem(emptyCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned, err := NewSystem(pinnedCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for step := 0; step < steps; step++ {
+				re, err := empty.Step(data[step])
+				if err != nil {
+					t.Fatalf("empty zoo step %d: %v", step, err)
+				}
+				rp, err := pinned.Step(data[step])
+				if err != nil {
+					t.Fatalf("pinned zoo step %d: %v", step, err)
+				}
+				compareStepResults(t, step, re, rp)
+				if !empty.Ready() {
+					continue
+				}
+				fe, err := empty.Forecast(horizon)
+				if err != nil {
+					t.Fatalf("empty zoo forecast at %d: %v", step, err)
+				}
+				fp, err := pinned.Forecast(horizon)
+				if err != nil {
+					t.Fatalf("pinned zoo forecast at %d: %v", step, err)
+				}
+				if !reflect.DeepEqual(fe, fp) {
+					t.Fatalf("step %d: forecasts diverge", step)
+				}
+			}
+			if !empty.Ready() {
+				t.Fatal("systems never became ready")
+			}
+
+			se, err := empty.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := pinned.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tr := range se.TrackerRNGs {
+				if !bytes.Equal(se.TrackerRNGs[tr], sp.TrackerRNGs[tr]) {
+					t.Fatalf("tracker %d RNG streams diverged", tr)
+				}
+			}
+			for tr := range se.Ensembles {
+				ee, ep := se.Ensembles[tr], sp.Ensembles[tr]
+				if ee.T != ep.T || ee.Ready != ep.Ready || ee.LastRefit != ep.LastRefit ||
+					ee.TrainRuns != ep.TrainRuns || ee.SeriesStart != ep.SeriesStart {
+					t.Fatalf("tracker %d ensemble counters diverge: %+v vs %+v", tr, ee, ep)
+				}
+				if !reflect.DeepEqual(ee.Series, ep.Series) {
+					t.Fatalf("tracker %d ensemble series diverge", tr)
+				}
+				if len(ee.Families) != 0 || len(ep.Families) != 0 ||
+					empty.ModelSelection(tr) != nil || pinned.ModelSelection(tr) != nil {
+					t.Fatalf("tracker %d: a one-family system keeps selection state", tr)
+				}
+			}
+		})
 	}
 }
 
@@ -336,23 +327,10 @@ func TestZooSelectionSurvivesChurn(t *testing.T) {
 	}
 }
 
-func TestZooRejectsModelAndZoo(t *testing.T) {
-	t.Parallel()
-	cands, _ := forecast.Zoo("ses")
-	_, err := NewSystem(Config{
-		Nodes: 4, K: 2,
-		Model: func() forecast.Model { return forecast.NewSampleAndHold() },
-		Zoo:   cands,
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("Model+Zoo: %v, want ErrBadConfig", err)
-	}
-}
-
 // TestFingerprintsPinned pins Config.Fingerprint to literal values computed
-// at commit a7a1d79, before Config.Model became a one-candidate zoo: every
-// state directory written under one of these configurations must keep
-// restoring, so no change to how a Model or Zoo is run may move a hash.
+// at commit a7a1d79: every state directory written under one of these
+// configurations must keep restoring, so no change to how a Zoo is run may
+// move a hash.
 func TestFingerprintsPinned(t *testing.T) {
 	t.Parallel()
 	zoo := func(names ...string) []forecast.Candidate {
@@ -362,14 +340,12 @@ func TestFingerprintsPinned(t *testing.T) {
 		}
 		return c
 	}
-	ses, _ := forecast.Lookup("ses")
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want uint64
 	}{
 		{"default", Config{}, 0x786b26d1a1ef9c7e},
-		{"model=ses", Config{Model: ses}, 0x786b26d1a1ef9c7e},
 		{"zoo=ses", Config{Zoo: zoo("ses")}, 0xb680e4599a68f2fb},
 		{"zoo=ses,ar/selection", Config{Zoo: zoo("ses", "ar"),
 			Selection: forecast.SelectionConfig{Window: 16, Margin: 0.01, Streak: 5, Metric: "rmse"}}, 0x00fdf80d95ffd640},

@@ -10,9 +10,10 @@ import (
 	"orcf/internal/transmit"
 )
 
-// Ablations quantifies the design choices DESIGN.md calls out by switching
-// them off one at a time on the Google-like dataset (sample-and-hold
-// forecaster, CPU+memory averaged per horizon):
+// Ablations quantifies design choices from the eq. 7–12 rows of the
+// paper-equation-to-package map in docs/ARCHITECTURE.md by switching them off
+// one at a time on the Google-like dataset (sample-and-hold forecaster,
+// CPU+memory averaged per horizon):
 //
 //   - no re-indexing: skip the Hungarian matching of §V-B, so forecasting
 //     models train on label-scrambled centroid series;

@@ -44,7 +44,7 @@ func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder,
 		InitialCollection: o.Warmup,
 		RetrainEvery:      retrainEvery,
 		FitWindow:         o.FitWindow,
-		Model:             builder,
+		Zoo:               forecast.Pinned(builder),
 		Seed:              o.Seed,
 		Workers:           workers,
 	})
@@ -78,7 +78,7 @@ func Fig8(o Options) (*Table, error) {
 	for _, name := range names {
 		row := []string{name}
 		for j := 0; j < 3; j++ {
-			rmse, err := trackCentroid(series[j], builders[name](), o, 5)
+			rmse, err := centroidRMSE(series[j], builders[name](), o, 5)
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig8 %s centroid %d: %w", name, j, err)
 			}
@@ -112,41 +112,38 @@ func centroidSeries(ds *trace.Dataset, r, k int, seed uint64) ([][]float64, erro
 	return out, nil
 }
 
-// trackCentroid walks a centroid series with the paper's training schedule,
-// forecasting h steps ahead at every step after warmup, and returns the RMSE
-// between forecasts and realized values.
-func trackCentroid(series []float64, model forecast.Model, o Options, h int) (float64, error) {
+// centroidRMSE drives model through a one-cell forecast.Ensemble over a
+// centroid series, on the paper's schedule (§VI-A3): initial training after
+// the warmup, then a retrain every retrainEvery steps. Every fifth step once
+// trained it scores the h-step forecast against the realized value, and it
+// returns the RMSE of those forecasts.
+func centroidRMSE(series []float64, model forecast.Model, o Options, h int) (float64, error) {
 	if len(series) <= o.Warmup+h {
 		return 0, fmt.Errorf("exp: series length %d too short for warmup %d: %w",
 			len(series), o.Warmup, trace.ErrBadConfig)
 	}
+	ens, err := forecast.NewEnsemble(forecast.EnsembleConfig{
+		Clusters:          1,
+		Dims:              1,
+		InitialCollection: o.Warmup,
+		RetrainEvery:      retrainEvery,
+		FitWindow:         o.FitWindow,
+		Candidates:        forecast.Pinned(func() forecast.Model { return model }),
+	})
+	if err != nil {
+		return 0, fmt.Errorf("exp: centroid ensemble: %w", err)
+	}
 	var acc metrics.Accumulator
-	lastFit := 0
 	for t := 1; t <= len(series); t++ {
-		y := series[t-1]
-		switch {
-		case t < o.Warmup:
-			// still collecting
-		case t == o.Warmup || (lastFit > 0 && t-lastFit >= retrainEvery):
-			fitSlice := series[:t]
-			if o.FitWindow > 0 && len(fitSlice) > o.FitWindow {
-				fitSlice = fitSlice[len(fitSlice)-o.FitWindow:]
-			}
-			if err := model.Fit(fitSlice); err != nil {
-				return 0, fmt.Errorf("exp: fit at %d: %w", t, err)
-			}
-			lastFit = t
-		default:
-			if lastFit > 0 {
-				model.Update(y)
-			}
+		if err := ens.Observe([][]float64{{series[t-1]}}); err != nil {
+			return 0, fmt.Errorf("exp: step %d: %w", t, err)
 		}
-		if lastFit > 0 && t%5 == 0 && t+h <= len(series) {
-			f, err := model.Forecast(h)
+		if ens.Ready() && t%5 == 0 && t+h <= len(series) {
+			f, err := ens.Forecast(h)
 			if err != nil {
 				return 0, fmt.Errorf("exp: forecast at %d: %w", t, err)
 			}
-			diff := f[h-1] - series[t+h-1]
+			diff := f[0][0][h-1] - series[t+h-1]
 			acc.AddSquared(diff * diff)
 		}
 	}
@@ -286,14 +283,16 @@ func Table2(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The ensembles fit these very instances, so each FitDuration sums
+		// every training round.
 		arima := forecast.NewAutoARIMA(o.Grid)
-		if _, err := trackCentroid(series[0], arima, o, 1); err != nil {
+		if _, err := centroidRMSE(series[0], arima, o, 1); err != nil {
 			return nil, fmt.Errorf("exp: tab2 arima: %w", err)
 		}
 		lstm := forecast.NewLSTM(forecast.LSTMConfig{
 			Epochs: o.LSTMEpochs, FitWindow: o.FitWindow, Seed: o.Seed,
 		})
-		if _, err := trackCentroid(series[0], lstm, o, 1); err != nil {
+		if _, err := centroidRMSE(series[0], lstm, o, 1); err != nil {
 			return nil, fmt.Errorf("exp: tab2 lstm: %w", err)
 		}
 		tab.AddRow(p.Name, itoa(len(series[0])),

@@ -241,21 +241,7 @@ func (e *Ensemble) refreshPred() error {
 // round.
 func (e *Ensemble) refit() error {
 	start := time.Now()
-	dims := e.cfg.Dims
-	cells := e.cfg.Clusters * dims
-	err := parallel.ForEach(e.cfg.Workers, len(e.models)*cells, func(i int) error {
-		c, r := i/cells, i%cells
-		j, d := r/dims, r%dims
-		s := e.series[j][d]
-		if e.cfg.FitWindow > 0 && len(s) > e.cfg.FitWindow {
-			s = s[len(s)-e.cfg.FitWindow:]
-		}
-		if err := e.models[c][j][d].Fit(s); err != nil {
-			return fmt.Errorf("forecast: fitting %s cluster %d dim %d: %w", e.names[c], j, d, err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.fitCells(e.t-e.start, "fitting"); err != nil {
 		return err
 	}
 	e.trainTime += time.Since(start)
@@ -264,6 +250,32 @@ func (e *Ensemble) refit() error {
 	e.ready = true
 	e.trim()
 	return nil
+}
+
+// fitCells fits every (candidate, cluster, dim) model on the pool: on the
+// FitWindow-suffix of the first n retained values of its series, then
+// Update with the values after them. A refit passes the whole retained
+// series, so nothing follows; a restore passes the length at the last
+// training step and replays the rest.
+func (e *Ensemble) fitCells(n int, verb string) error {
+	dims := e.cfg.Dims
+	cells := e.cfg.Clusters * dims
+	return parallel.ForEach(e.cfg.Workers, len(e.models)*cells, func(i int) error {
+		c, r := i/cells, i%cells
+		j, d := r/dims, r%dims
+		m, s := e.models[c][j][d], e.series[j][d]
+		fit := s[:n]
+		if e.cfg.FitWindow > 0 && len(fit) > e.cfg.FitWindow {
+			fit = fit[len(fit)-e.cfg.FitWindow:]
+		}
+		if err := m.Fit(fit); err != nil {
+			return fmt.Errorf("forecast: %s %s cluster %d dim %d: %w", verb, e.names[c], j, d, err)
+		}
+		for _, v := range s[n:] {
+			m.Update(v)
+		}
+		return nil
+	})
 }
 
 // trim drops the series prefix no future fit can read: after a refit at step

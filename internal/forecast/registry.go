@@ -72,6 +72,10 @@ func Lookup(name string) (Builder, bool) {
 	return b, ok
 }
 
+// Pinned returns the one-candidate zoo that pins the family b builds, named
+// by the Name of a model it returns (b runs once for that).
+func Pinned(b Builder) []Candidate { return []Candidate{{Name: b().Name(), Builder: b}} }
+
 // Families returns the registered family names in sorted order.
 func Families() []string {
 	out := make([]string, 0, len(registry))

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"time"
-
-	"orcf/internal/parallel"
 )
 
 // EnsembleState is the serializable state of an Ensemble. It deliberately
@@ -195,25 +193,7 @@ func (e *Ensemble) RestoreState(st *EnsembleState) error {
 	if !st.Ready {
 		return nil
 	}
-	dims := e.cfg.Dims
-	cells := e.cfg.Clusters * dims
-	refitLen := st.LastRefit - st.SeriesStart
-	err := parallel.ForEach(e.cfg.Workers, len(e.models)*cells, func(i int) error {
-		c, r := i/cells, i%cells
-		j, d := r/dims, r%dims
-		s := e.series[j][d][:refitLen]
-		if e.cfg.FitWindow > 0 && len(s) > e.cfg.FitWindow {
-			s = s[len(s)-e.cfg.FitWindow:]
-		}
-		if err := e.models[c][j][d].Fit(s); err != nil {
-			return fmt.Errorf("forecast: restoring %s cluster %d dim %d: %w", e.names[c], j, d, err)
-		}
-		for _, v := range e.series[j][d][refitLen:] {
-			e.models[c][j][d].Update(v)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.fitCells(st.LastRefit-st.SeriesStart, "restoring"); err != nil {
 		return err
 	}
 	if e.sel != nil {

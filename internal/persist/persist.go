@@ -22,7 +22,7 @@
 // stall the ingest loop.
 //
 // The Manager ties it together for a live system; the blob helpers
-// (WriteBlobAtomic, ReadBlob) also stand alone for small auxiliary files.
+// (WriteBlobAtomic, ReadBlob) frame its checkpoint files.
 package persist
 
 import (
@@ -47,9 +47,6 @@ const (
 	KindCheckpoint uint8 = 1
 	// KindWAL marks a write-ahead-log file.
 	KindWAL uint8 = 2
-	// KindAux marks auxiliary blobs that are neither checkpoint nor WAL
-	// (examples/crashrecover stores its result in one).
-	KindAux uint8 = 3
 )
 
 var magic = [4]byte{'O', 'R', 'C', 'F'}

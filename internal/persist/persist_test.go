@@ -41,13 +41,13 @@ func testConfig() core.Config {
 		RetrainEvery:      10,
 		Seed:              5,
 		SnapshotHorizon:   4,
-		Model: func() forecast.Model {
+		Zoo: forecast.Pinned(func() forecast.Model {
 			m, err := forecast.NewSES(0.3)
 			if err != nil {
 				panic(err)
 			}
 			return m
-		},
+		}),
 	}
 }
 
@@ -467,17 +467,17 @@ func TestBlobRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "blob")
 	payload := []byte("the quick brown fox")
-	if err := WriteBlobAtomic(path, KindAux, payload); err != nil {
+	if err := WriteBlobAtomic(path, KindCheckpoint, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := ReadBlob(path, KindAux)
+	got, err := ReadBlob(path, KindCheckpoint)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if string(got) != string(payload) {
 		t.Fatalf("payload = %q", got)
 	}
-	if _, err := ReadBlob(path, KindCheckpoint); !errors.Is(err, ErrMismatch) {
+	if _, err := ReadBlob(path, KindWAL); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("wrong kind: %v, want ErrMismatch", err)
 	}
 	data, err := os.ReadFile(path)
@@ -488,7 +488,7 @@ func TestBlobRoundTripAndCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatalf("raw write: %v", err)
 	}
-	if _, err := ReadBlob(path, KindAux); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadBlob(path, KindCheckpoint); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted payload: %v, want ErrCorrupt", err)
 	}
 }

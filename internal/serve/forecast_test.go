@@ -87,7 +87,7 @@ func seriesSystem(t *testing.T, series []float64, disableClamp bool) *core.Syste
 		Nodes: 9, Resources: 2, K: 3, MPrime: 3, InitialCollection: 10,
 		Policy: alwaysPolicy, Seed: 7, SnapshotHorizon: len(series),
 		DisableClamp: disableClamp,
-		Model:        func() forecast.Model { return seriesModel{series} },
+		Zoo:          forecast.Pinned(func() forecast.Model { return seriesModel{series} }),
 	})
 	if err != nil {
 		t.Fatal(err)

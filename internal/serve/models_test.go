@@ -143,8 +143,8 @@ func TestModelsEndpointRegimeChange(t *testing.T) {
 
 // TestModelsEndpointSingleFamily checks the single-family read shape — mode
 // "single", no roster, zero-valued zoo metrics, no stats models block — for
-// a pinned core.Config.Model and for a one-family zoo, which has nothing to
-// select and reads the same.
+// the empty zoo's sample-and-hold and for a one-family zoo, which has nothing
+// to select and reads the same.
 func TestModelsEndpointSingleFamily(t *testing.T) {
 	t.Parallel()
 	pinned, _ := readySystem(t, 8, 6, 25)
@@ -166,7 +166,7 @@ func TestModelsEndpointSingleFamily(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		sys  *core.System
-	}{{"model", pinned}, {"one-family zoo", oneFamily}} {
+	}{{"default", pinned}, {"one-family zoo", oneFamily}} {
 		name := tc.name
 		srv, err := New(Config{Source: tc.sys})
 		if err != nil {

@@ -270,9 +270,9 @@ type TrackerModels struct {
 
 // ModelsResponse is the /v1/models payload. Mode is "zoo" when the pipeline
 // runs a model zoo of two or more families with online champion/challenger
-// selection, else "single" (one family, pinned by core.Config.Model or a
-// one-family zoo; Families, selection tuning, and Trackers are then empty —
-// the snapshot does not record the family's name).
+// selection, else "single" (one family: a one-candidate core.Config.Zoo, or
+// the empty zoo's sample-and-hold; Families, selection tuning, and Trackers
+// are then empty — the snapshot does not record the family's name).
 type ModelsResponse struct {
 	Generation    uint64          `json:"generation"`
 	Step          int             `json:"step"`

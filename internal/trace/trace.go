@@ -4,7 +4,8 @@
 // 2018, Bitbrains GWA-T-12 Rnd, Google cluster-usage v2) plus the Intel
 // Berkeley sensor dataset for its motivational figure. None of these can be
 // bundled, so this package generates synthetic traces that reproduce the
-// statistical properties the paper's algorithms exploit (see DESIGN.md §2):
+// statistical properties the paper's algorithms exploit (see the §VI-A1 row
+// of the paper-equation-to-package map in docs/ARCHITECTURE.md):
 //
 //   - per-machine utilization in [0,1] with diurnal cycles and job bursts;
 //   - latent workload profiles shared by machine groups, producing

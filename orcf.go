@@ -135,15 +135,26 @@ func WithClusters(k int) Option {
 	}
 }
 
+// withPolicy installs the policy build returns on every node. build runs
+// once here, so invalid parameters fail New with ErrBadOption even for a
+// fleet that starts empty; it is deterministic, so every node's call
+// succeeds too.
+func withPolicy(build func() (transmit.Policy, error)) Option {
+	return func(c *config) error {
+		if _, err := build(); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadOption, err)
+		}
+		c.Policy = func(int) (transmit.Policy, error) { return build() }
+		return nil
+	}
+}
+
 // WithBudget installs the paper's adaptive transmission policy with
 // long-run frequency budget b ∈ [0,1] on every node (paper default 0.3).
 func WithBudget(b float64) Option {
-	return func(c *config) error {
-		c.Policy = func(int) (transmit.Policy, error) {
-			return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: b})
-		}
-		return nil
-	}
+	return withPolicy(func() (transmit.Policy, error) {
+		return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: b})
+	})
 }
 
 // WithAdaptivePolicy installs the adaptive policy with explicit Lyapunov
@@ -154,22 +165,14 @@ func WithBudget(b float64) Option {
 // gamma the paper's 0.65. Negative or non-finite values, and gamma ≥ 1, make
 // New fail.
 func WithAdaptivePolicy(budget, v0, gamma float64) Option {
-	return func(c *config) error {
-		c.Policy = func(int) (transmit.Policy, error) {
-			return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: budget, V0: v0, Gamma: gamma})
-		}
-		return nil
-	}
+	return withPolicy(func() (transmit.Policy, error) {
+		return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: budget, V0: v0, Gamma: gamma})
+	})
 }
 
 // WithUniformSampling installs the uniform-sampling baseline at frequency b.
 func WithUniformSampling(b float64) Option {
-	return func(c *config) error {
-		c.Policy = func(int) (transmit.Policy, error) {
-			return transmit.NewUniform(b)
-		}
-		return nil
-	}
+	return withPolicy(func() (transmit.Policy, error) { return transmit.NewUniform(b) })
 }
 
 // WithAlwaysTransmit disables collection filtering (B = 1).
@@ -191,99 +194,66 @@ func WithPolicyFactory(f core.PolicyFactory) Option {
 	}
 }
 
+// withModel pins one model family: a one-candidate zoo named after the
+// model build returns. build runs once here, so a family with invalid
+// parameters fails New with ErrBadOption; it is deterministic, so the
+// ensembles' calls succeed too.
+func withModel(build func() (forecast.Model, error)) Option {
+	return func(c *config) error {
+		m, err := build()
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrBadOption, err)
+		}
+		if m == nil {
+			return fmt.Errorf("orcf: model builder returned nil: %w", ErrBadOption)
+		}
+		c.Zoo = []forecast.Candidate{{Name: m.Name(), Builder: func() forecast.Model {
+			m, _ := build()
+			return m
+		}}}
+		return nil
+	}
+}
+
 // WithSampleAndHold uses the sample-and-hold forecaster (default).
 func WithSampleAndHold() Option {
 	return func(c *config) error {
-		c.Model = func() forecast.Model { return forecast.NewSampleAndHold() }
+		c.Zoo = nil
 		return nil
 	}
 }
 
 // WithARIMA uses AICc-selected ARIMA models over the given grid.
 func WithARIMA(grid ARIMAGrid) Option {
-	return func(c *config) error {
-		c.Model = func() forecast.Model { return forecast.NewAutoARIMA(grid) }
-		return nil
-	}
+	return withModel(func() (forecast.Model, error) { return forecast.NewAutoARIMA(grid), nil })
 }
 
 // WithAR uses a fixed-order AR(p) forecaster.
 func WithAR(p int) Option {
-	return func(c *config) error {
-		if p < 1 {
-			return fmt.Errorf("orcf: AR order %d: %w", p, ErrBadOption)
-		}
-		c.Model = func() forecast.Model {
-			m, err := forecast.NewAR(p)
-			if err != nil {
-				panic(err) // unreachable: p validated above
-			}
-			return m
-		}
-		return nil
-	}
+	return withModel(func() (forecast.Model, error) { return forecast.NewAR(p) })
 }
 
 // WithLSTM uses the two-layer LSTM forecaster.
 func WithLSTM(cfg LSTMConfig) Option {
-	return func(c *config) error {
-		c.Model = func() forecast.Model { return forecast.NewLSTM(cfg) }
-		return nil
-	}
+	return withModel(func() (forecast.Model, error) { return forecast.NewLSTM(cfg), nil })
 }
 
 // WithSES uses simple exponential smoothing with the given alpha
 // (0 selects the default 0.3) — the cheapest level-adaptive forecaster.
 func WithSES(alpha float64) Option {
-	return func(c *config) error {
-		if _, err := forecast.NewSES(alpha); err != nil {
-			return fmt.Errorf("orcf: %w", err)
-		}
-		c.Model = func() forecast.Model {
-			m, err := forecast.NewSES(alpha)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return m
-		}
-		return nil
-	}
+	return withModel(func() (forecast.Model, error) { return forecast.NewSES(alpha) })
 }
 
 // WithHolt uses damped Holt linear-trend smoothing (zeros select the
 // defaults α=0.3, β=0.1, φ=0.98).
 func WithHolt(alpha, beta, phi float64) Option {
-	return func(c *config) error {
-		if _, err := forecast.NewHolt(alpha, beta, phi); err != nil {
-			return fmt.Errorf("orcf: %w", err)
-		}
-		c.Model = func() forecast.Model {
-			m, err := forecast.NewHolt(alpha, beta, phi)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return m
-		}
-		return nil
-	}
+	return withModel(func() (forecast.Model, error) { return forecast.NewHolt(alpha, beta, phi) })
 }
 
 // WithHoltWinters uses additive Holt-Winters smoothing with the given
 // seasonal period (e.g. 288 for daily cycles at 5-minute sampling).
 func WithHoltWinters(period int) Option {
-	return func(c *config) error {
-		if _, err := forecast.NewHoltWinters(period, 0, 0, 0); err != nil {
-			return fmt.Errorf("orcf: %w", err)
-		}
-		c.Model = func() forecast.Model {
-			m, err := forecast.NewHoltWinters(period, 0, 0, 0)
-			if err != nil {
-				panic(err) // unreachable: validated above
-			}
-			return m
-		}
-		return nil
-	}
+	return withModel(func() (forecast.Model, error) { return forecast.NewHoltWinters(period, 0, 0, 0) })
 }
 
 // WithModelZoo runs a model zoo instead of a single pinned family: one model
@@ -293,8 +263,9 @@ func WithHoltWinters(period int) Option {
 // challenger dethrones only after beating it by a margin for a sustained
 // streak of evaluations (hysteresis; tune with WithSelection). One name has
 // nothing to select: it pins that family. Names must be registered families
-// (see ModelFamilies). Mutually exclusive with the single-model options
-// (WithSES, WithARIMA, WithModelBuilder, ...).
+// (see ModelFamilies). The single-model options (WithSES, WithARIMA,
+// WithModelBuilder, ...) set a one-family zoo, so of these options the last
+// one given wins.
 func WithModelZoo(names ...string) Option {
 	return func(c *config) error {
 		zoo, err := forecast.Zoo(names...)
@@ -324,22 +295,21 @@ func WithSelection(cfg SelectionConfig) Option {
 func ModelFamilies() []string { return forecast.Families() }
 
 // ModelSelection returns a deep copy of one tracker's champion/challenger
-// state, or nil when the system runs one pinned family (a one-family zoo
-// included) or the tracker index is out of range. Call it between Steps (for lock-free concurrent
-// reads use Snapshot.ModelSelection).
+// state, or nil when the system runs one family (the default, a
+// single-model option, or WithModelZoo with one name) or the tracker index is
+// out of range. Call it between Steps (for lock-free concurrent reads use
+// Snapshot.ModelSelection).
 func (s *System) ModelSelection(tracker int) *SelectionInfo {
 	return s.inner.ModelSelection(tracker)
 }
 
-// WithModelBuilder installs a custom forecasting model factory.
+// WithModelBuilder installs a custom forecasting model factory, named by
+// the Name of the model it builds.
 func WithModelBuilder(b forecast.Builder) Option {
-	return func(c *config) error {
-		if b == nil {
-			return fmt.Errorf("orcf: nil model builder: %w", ErrBadOption)
-		}
-		c.Model = b
-		return nil
+	if b == nil {
+		return func(*config) error { return fmt.Errorf("orcf: nil model builder: %w", ErrBadOption) }
 	}
+	return withModel(func() (forecast.Model, error) { return b(), nil })
 }
 
 // WithSimilarityLookback sets M, the cluster-matching look-back of eq. (10)

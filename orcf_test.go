@@ -38,13 +38,25 @@ func TestOptionValidation(t *testing.T) {
 		{"empty zoo", WithModelZoo()},
 		{"bad selection metric", WithSelection(SelectionConfig{Metric: "mape"})},
 		{"negative selection margin", WithSelection(SelectionConfig{Margin: -1})},
+		{"bad SES alpha", WithSES(2)},
+		{"bad Holt alpha", WithHolt(2, 0, 0)},
+		{"bad Holt-Winters period", WithHoltWinters(1)},
+		{"negative budget", WithBudget(-0.1)},
+		{"budget above 1", WithBudget(1.5)},
+		{"negative V0", WithAdaptivePolicy(0.3, -1, 0)},
+		{"gamma 1", WithAdaptivePolicy(0.3, 0, 1)},
+		{"NaN uniform budget", WithUniformSampling(math.NaN())},
 	}
 	for _, tt := range tests {
 		tt := tt
 		t.Run(tt.name, func(t *testing.T) {
 			t.Parallel()
-			if _, err := New(10, 1, tt.opt); !errors.Is(err, ErrBadOption) {
-				t.Fatalf("want ErrBadOption, got %v", err)
+			// An empty fleet builds no policy and fits no model, so the
+			// option itself must be what fails.
+			for _, nodes := range []int{10, 0} {
+				if _, err := New(nodes, 1, tt.opt); !errors.Is(err, ErrBadOption) {
+					t.Fatalf("New(%d, …): want ErrBadOption, got %v", nodes, err)
+				}
 			}
 		})
 	}
