@@ -95,14 +95,15 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the sixteen native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the seventeen native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
 # nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel,
-# plan-kernel, ARIMA-fit, two-lane CSS kernel, JSON-float and collector-store
-# reference differentials — the K-means one twice, on a coordinate grid and
-# on raw float64 bits, and the JSON-float one twice, over all float64 bits and
-# over the served range [1e-6, 1)) from its committed seed corpus. go test
-# allows one -fuzz pattern per invocation, hence one line each.
+# plan-kernel, ARIMA-fit, two-lane CSS kernel, JSON-float, collector-store
+# and alert-engine reference differentials — the K-means one twice, on a
+# coordinate grid and on raw float64 bits, and the JSON-float one twice, over
+# all float64 bits and over the served range [1e-6, 1)) from its committed
+# seed corpus. go test allows one -fuzz pattern per invocation, hence one
+# line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
@@ -110,6 +111,7 @@ fuzz-smoke:
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadWAL$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadBlob$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatRawMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzNearestKernelsMatchReference$$' -fuzztime $(FUZZTIME)

@@ -113,20 +113,13 @@ type Config struct {
 	MaxHorizon int
 }
 
-// instanceKey addresses one (rule, target) automaton. Rule names are unique
-// and each rule has a fixed scope, so (name, target) cannot collide across
-// scopes.
-type instanceKey struct {
-	rule   string
-	target int
-}
-
-// instance is one live automaton plus its display state.
+// instance is one (rule, target) automaton, stored by value in its rule's
+// table: at the cluster index for a cluster-scope rule, at the member's
+// roster slot for a node-scope rule. An entry whose target has not yet had
+// a non-NaN value is the zero instance, whose state machine has no rule.
 type instance struct {
-	rule      *Rule
-	cluster   int // -1 for node scope
-	node      int // -1 for cluster scope
-	m         *StateMachine
+	m         StateMachine
+	node      int // the member's stable ID (-1 for cluster scope)
 	sinceStep int
 	sinceGen  uint64
 }
@@ -140,8 +133,15 @@ type Engine struct {
 	cfg   Config
 	rules *RuleSet
 
-	mu        sync.Mutex
-	instances map[instanceKey]*instance
+	mu sync.Mutex
+	// tables holds each rule's instances, in rule-set order: indexed by
+	// cluster for a cluster-scope rule, by slot of roster for a node-scope
+	// rule.
+	tables [][]instance
+	// roster is the membership the node-scope tables are keyed to. A Roster
+	// is immutable and snapshots share it until the membership changes, so
+	// while the pointer holds, no member can have departed.
+	roster    *core.Roster
 	lastGen   uint64
 	firing    int
 	fires     int64
@@ -164,9 +164,9 @@ func New(cfg Config) (*Engine, error) {
 			cfg.Rules.MaxHorizon(), cfg.MaxHorizon, ErrBadRule)
 	}
 	return &Engine{
-		cfg:       cfg,
-		rules:     cfg.Rules,
-		instances: make(map[instanceKey]*instance),
+		cfg:    cfg,
+		rules:  cfg.Rules,
+		tables: make([][]instance, len(cfg.Rules.Rules)),
 	}, nil
 }
 
@@ -199,6 +199,10 @@ func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 		return nil, nil
 	}
 
+	var departed []Event
+	if roster := snap.Roster(); roster != e.roster {
+		departed = e.rekey(snap, roster)
+	}
 	var events []Event
 	for i := range e.rules.Rules {
 		r := &e.rules.Rules[i]
@@ -208,12 +212,12 @@ func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 		}
 		switch r.Scope {
 		case ScopeCluster:
-			events = e.evalClusterRule(snap, r, events)
+			events = e.evalClusterRule(snap, i, events)
 		case ScopeNode:
-			events = e.evalNodeRule(snap, r, events)
+			events = e.evalNodeRule(snap, i, events)
 		}
 	}
-	events = append(events, e.dropDeparted(snap)...)
+	events = append(events, departed...)
 
 	for _, ev := range events {
 		for _, s := range e.cfg.Sinks {
@@ -223,9 +227,50 @@ func (e *Engine) Evaluate(snap *core.Snapshot) ([]Event, error) {
 	return events, nil
 }
 
-// evalClusterRule evaluates one cluster-scope rule against the snapshot's
+// rekey rebuilds the node-scope tables on a new roster: each instance whose
+// member is still live moves to the member's slot there (a restore's roster
+// is a new object with the same members, and nothing is lost), and every
+// other instance is dropped. It returns the departure resolves of the
+// dropped instances that were firing, by rule name, then node ID.
+func (e *Engine) rekey(snap *core.Snapshot, roster *core.Roster) []Event {
+	var departed []Event
+	for i := range e.rules.Rules {
+		r := &e.rules.Rules[i]
+		if r.Scope != ScopeNode {
+			continue
+		}
+		old := e.tables[i]
+		next := make([]instance, roster.Slots())
+		for slot := range old {
+			inst := &old[slot]
+			if inst.m.rule == nil {
+				continue
+			}
+			if to, ok := roster.SlotOf(inst.node); ok {
+				next[to] = *inst
+			} else if inst.m.Firing() {
+				e.resolves++
+				e.firing--
+				last, _ := inst.m.Last()
+				departed = append(departed, e.event(snap, r, inst, -1, StateResolved, last, "departed"))
+			}
+		}
+		e.tables[i] = next
+	}
+	e.roster = roster
+	sort.Slice(departed, func(i, j int) bool {
+		if departed[i].Rule != departed[j].Rule {
+			return departed[i].Rule < departed[j].Rule
+		}
+		return departed[i].Node < departed[j].Node
+	})
+	return departed
+}
+
+// evalClusterRule evaluates cluster-scope rule i against the snapshot's
 // precomputed centroid forecasts.
-func (e *Engine) evalClusterRule(snap *core.Snapshot, r *Rule, events []Event) []Event {
+func (e *Engine) evalClusterRule(snap *core.Snapshot, i int, events []Event) []Event {
+	r := &e.rules.Rules[i]
 	lo, hi := 0, snap.Clusters()
 	if r.Cluster >= 0 {
 		if r.Cluster >= snap.Clusters() {
@@ -234,6 +279,10 @@ func (e *Engine) evalClusterRule(snap *core.Snapshot, r *Rule, events []Event) [
 		}
 		lo, hi = r.Cluster, r.Cluster+1
 	}
+	if hi > len(e.tables[i]) {
+		e.tables[i] = append(e.tables[i], make([]instance, hi-len(e.tables[i]))...)
+	}
+	table := e.tables[i]
 	for j := lo; j < hi; j++ {
 		first, okFirst := snap.CentroidForecastAt(r.Tracker, j, r.Dim, 0)
 		at, okAt := snap.CentroidForecastAt(r.Tracker, j, r.Dim, r.Horizon-1)
@@ -241,30 +290,37 @@ func (e *Engine) evalClusterRule(snap *core.Snapshot, r *Rule, events []Event) [
 			e.targetErr++
 			continue
 		}
-		events = e.observe(snap, r, j, -1, e.ruleValue(r, first, at), events)
+		events = e.observe(snap, r, &table[j], j, -1, e.ruleValue(r, first, at), events)
 	}
 	return events
 }
 
-// evalNodeRule evaluates one node-scope rule against the per-node forecasts:
+// evalNodeRule evaluates node-scope rule i against the per-node forecasts:
 // eq. (12) makes each the centroid forecast plus the node's offset, read
 // through the snapshot's forecast plan (built when the snapshot was
 // published, shared with the serving plane) at the one or two horizons the
-// rule needs.
-func (e *Engine) evalNodeRule(snap *core.Snapshot, r *Rule, events []Event) []Event {
+// rule needs. The rule's table is keyed to the snapshot's roster, so each
+// live slot's instance is the table entry at that slot.
+func (e *Engine) evalNodeRule(snap *core.Snapshot, i int, events []Event) []Event {
+	r := &e.rules.Rules[i]
 	if r.Dim >= snap.Resources() {
 		e.targetErr++
 		return events
 	}
 	plan := snap.Plan()
-	roster := snap.Roster()
-	for slot := 0; slot < snap.Nodes(); slot++ {
+	roster := e.roster
+	table := e.tables[i]
+	for slot := range table {
 		id, live := roster.IDAt(slot)
 		if !live {
 			continue
 		}
-		v := e.ruleValue(r, plan.At(slot, r.Dim, 0), plan.At(slot, r.Dim, r.Horizon-1))
-		events = e.observe(snap, r, -1, id, v, events)
+		at := plan.At(slot, r.Dim, r.Horizon-1)
+		first := at // a threshold rule reads only the value at its horizon
+		if r.Kind == KindTrend {
+			first = plan.At(slot, r.Dim, 0)
+		}
+		events = e.observe(snap, r, &table[slot], -1, id, e.ruleValue(r, first, at), events)
 	}
 	return events
 }
@@ -280,22 +336,15 @@ func (e *Engine) ruleValue(r *Rule, first, at float64) float64 {
 	return (at - first) / float64(r.Horizon-1) * float64(e.rules.StepsPerHour)
 }
 
-// observe feeds one evaluated value to the (rule, target) instance, creating
-// it on first contact, and appends any transition event.
-func (e *Engine) observe(snap *core.Snapshot, r *Rule, cluster, node int, v float64, events []Event) []Event {
+// observe feeds one evaluated value to a (rule, target) instance, creating
+// it on its first non-NaN value, and appends any transition event.
+func (e *Engine) observe(snap *core.Snapshot, r *Rule, inst *instance, cluster, node int, v float64, events []Event) []Event {
 	if math.IsNaN(v) {
 		e.nanSkips++
 		return events
 	}
-	target := cluster
-	if r.Scope == ScopeNode {
-		target = node
-	}
-	key := instanceKey{rule: r.Name, target: target}
-	inst := e.instances[key]
-	if inst == nil {
-		inst = &instance{rule: r, cluster: cluster, node: node, m: NewStateMachine(r)}
-		e.instances[key] = inst
+	if inst.m.rule == nil {
+		*inst = instance{m: *NewStateMachine(r), node: node}
 	}
 	e.evals++
 	switch inst.m.Observe(v) {
@@ -304,62 +353,29 @@ func (e *Engine) observe(snap *core.Snapshot, r *Rule, cluster, node int, v floa
 		e.firing++
 		inst.sinceStep = snap.Steps()
 		inst.sinceGen = snap.Generation()
-		events = append(events, e.event(snap, inst, StateFiring, v, ""))
+		events = append(events, e.event(snap, r, inst, cluster, StateFiring, v, ""))
 	case TransitionResolve:
 		e.resolves++
 		e.firing--
-		events = append(events, e.event(snap, inst, StateResolved, v, ""))
+		events = append(events, e.event(snap, r, inst, cluster, StateResolved, v, ""))
 	}
 	return events
 }
 
-// dropDeparted retires the instances whose node is not a member of the
-// snapshot's roster, resolving any that were firing (reason "departed") by
-// rule name, then node ID.
-func (e *Engine) dropDeparted(snap *core.Snapshot) []Event {
-	roster := snap.Roster()
-	var gone []instanceKey
-	for key, inst := range e.instances {
-		if inst.node < 0 {
-			continue
-		}
-		if _, ok := roster.SlotOf(inst.node); !ok {
-			gone = append(gone, key)
-		}
-	}
-	sort.Slice(gone, func(i, j int) bool {
-		if gone[i].rule != gone[j].rule {
-			return gone[i].rule < gone[j].rule
-		}
-		return gone[i].target < gone[j].target
-	})
-	var events []Event
-	for _, key := range gone {
-		inst := e.instances[key]
-		delete(e.instances, key)
-		if inst.m.Firing() {
-			e.resolves++
-			e.firing--
-			last, _ := inst.m.Last()
-			events = append(events, e.event(snap, inst, StateResolved, last, "departed"))
-		}
-	}
-	return events
-}
-
-// event assembles one transition event from an instance.
-func (e *Engine) event(snap *core.Snapshot, inst *instance, state string, v float64, reason string) Event {
+// event assembles one transition event of rule r's instance on cluster
+// (-1 for node scope).
+func (e *Engine) event(snap *core.Snapshot, r *Rule, inst *instance, cluster int, state string, v float64, reason string) Event {
 	return Event{
-		Rule:       inst.rule.Name,
-		Kind:       inst.rule.Kind,
-		Scope:      inst.rule.Scope,
+		Rule:       r.Name,
+		Kind:       r.Kind,
+		Scope:      r.Scope,
 		State:      state,
-		Tracker:    inst.rule.Tracker,
-		Cluster:    inst.cluster,
+		Tracker:    r.Tracker,
+		Cluster:    cluster,
 		Node:       inst.node,
 		Value:      v,
-		Threshold:  inst.rule.Threshold,
-		Horizon:    inst.rule.Horizon,
+		Threshold:  r.Threshold,
+		Horizon:    r.Horizon,
 		Generation: snap.Generation(),
 		Step:       snap.Steps(),
 		Reason:     reason,
@@ -371,24 +387,55 @@ func (e *Engine) event(snap *core.Snapshot, inst *instance, state string, v floa
 func (e *Engine) Active() []Active {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.active()
+}
+
+// Stats returns the engine's cumulative accounting, including aggregated
+// sink delivery stats.
+func (e *Engine) Stats() Stats {
+	e.mu.Lock()
+	st := e.stats()
+	e.mu.Unlock()
+	return e.withSinks(st)
+}
+
+// View returns Active and Stats read under one lock, so they describe the
+// same evaluation: len(active) == stats.Firing.
+func (e *Engine) View() ([]Active, Stats) {
+	e.mu.Lock()
+	active, st := e.active(), e.stats()
+	e.mu.Unlock()
+	return active, e.withSinks(st)
+}
+
+// active lists the firing instances; e.mu must be held.
+func (e *Engine) active() []Active {
 	var out []Active
-	for _, inst := range e.instances {
-		if !inst.m.Firing() {
-			continue
+	for i, table := range e.tables {
+		r := &e.rules.Rules[i]
+		for j := range table {
+			inst := &table[j]
+			if !inst.m.Firing() {
+				continue
+			}
+			cluster := -1
+			if r.Scope == ScopeCluster {
+				cluster = j
+			}
+			last, _ := inst.m.Last()
+			out = append(out, Active{
+				Rule:            r.Name,
+				Kind:            r.Kind,
+				Scope:           r.Scope,
+				Tracker:         r.Tracker,
+				Cluster:         cluster,
+				Node:            inst.node,
+				Value:           last,
+				Threshold:       r.Threshold,
+				SinceStep:       inst.sinceStep,
+				SinceGeneration: inst.sinceGen,
+			})
 		}
-		last, _ := inst.m.Last()
-		out = append(out, Active{
-			Rule:            inst.rule.Name,
-			Kind:            inst.rule.Kind,
-			Scope:           inst.rule.Scope,
-			Tracker:         inst.rule.Tracker,
-			Cluster:         inst.cluster,
-			Node:            inst.node,
-			Value:           last,
-			Threshold:       inst.rule.Threshold,
-			SinceStep:       inst.sinceStep,
-			SinceGeneration: inst.sinceGen,
-		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Rule != out[j].Rule {
@@ -402,11 +449,9 @@ func (e *Engine) Active() []Active {
 	return out
 }
 
-// Stats returns the engine's cumulative accounting, including aggregated
-// sink delivery stats.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	st := Stats{
+// stats reads the engine's own counters; e.mu must be held.
+func (e *Engine) stats() Stats {
+	return Stats{
 		Rules:          len(e.rules.Rules),
 		Firing:         e.firing,
 		Fires:          e.fires,
@@ -416,7 +461,10 @@ func (e *Engine) Stats() Stats {
 		TargetErrors:   e.targetErr,
 		LastGeneration: e.lastGen,
 	}
-	e.mu.Unlock()
+}
+
+// withSinks adds the attached sinks' delivery accounting to st.
+func (e *Engine) withSinks(st Stats) Stats {
 	for _, s := range e.cfg.Sinks {
 		if sr, ok := s.(StatsReporter); ok {
 			ss := sr.SinkStats()

@@ -390,3 +390,69 @@ func TestEvaluateEventOrder(t *testing.T) {
 		t.Fatalf("events\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestEvaluateSteadyStateAllocs pins what an evaluation allocates. On a new
+// generation with an unchanged roster and no transitions it allocates
+// nothing: the instances are values in slot-indexed tables. A roster change
+// allocates at most the rebuilt tables, never one object per instance. Not
+// parallel: testing.AllocsPerRun counts every goroutine's allocations.
+func TestEvaluateSteadyStateAllocs(t *testing.T) {
+	sys := newTestSystem(t, 64, nil)
+	quiet := func(name string, kind Kind, scope Scope, threshold float64) Rule {
+		return Rule{Name: name, Kind: kind, Scope: scope, Cluster: -1, Horizon: 4,
+			Above: true, Threshold: threshold, FireStreak: 1, ClearStreak: 1}
+	}
+	engine, err := New(Config{
+		Rules: &RuleSet{StepsPerHour: 1, Rules: []Rule{
+			quiet("cluster-high", KindThreshold, ScopeCluster, 2),
+			quiet("node-high", KindThreshold, ScopeNode, 2),
+			quiet("node-ramp", KindTrend, ScopeNode, 100),
+		}},
+		MaxHorizon: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodeRules = 2
+	var steady []*core.Snapshot
+	for step := range 12 {
+		stepValue(t, sys, 0.4+0.01*float64(step%3))
+		if step >= 8 {
+			steady = append(steady, sys.Snapshot())
+		}
+	}
+	evaluate := func(snap *core.Snapshot) {
+		engine.lastGen = 0
+		if events, _ := engine.Evaluate(snap); len(events) != 0 {
+			t.Fatalf("quiet rules raised %v", events)
+		}
+	}
+	evaluate(steady[0])
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		evaluate(steady[i%len(steady)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("steady-state Evaluate allocates %v times, want 0", allocs)
+	}
+	if st := engine.Stats(); st.Evaluations < 100*(1+2*64) {
+		t.Fatalf("only %d evaluations: the walk did not reach the instances", st.Evaluations)
+	}
+
+	// A join and a departure: every evaluation below re-keys both node-scope
+	// tables, 128 instances each way.
+	if err := sys.AddNodes(1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RemoveNodes(5); err != nil {
+		t.Fatal(err)
+	}
+	stepValue(t, sys, 0.4)
+	churned := sys.Snapshot()
+	if allocs := testing.AllocsPerRun(100, func() {
+		evaluate(churned)
+		evaluate(steady[0])
+	}); allocs > 2*nodeRules {
+		t.Fatalf("two re-keys allocate %v times, want at most the %d rebuilt tables", allocs, 2*nodeRules)
+	}
+}

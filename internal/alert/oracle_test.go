@@ -341,7 +341,7 @@ const oracleRules = `{"steps_per_hour": 12, "rules": [
 // oracleCoverage counts what the differential's schedules reached, so a
 // scenario change that stops reaching a path fails the test.
 type oracleCoverage struct {
-	events, departed, recycled, restores, skipped, nanSkips int
+	events, departed, recycled, moved, restores, skipped, nanSkips int
 }
 
 // TestEngineMatchesReference drives the Engine and the map-keyed
@@ -368,8 +368,23 @@ func TestEngineMatchesReference(t *testing.T) {
 	t.Logf("coverage over %d seeds: %+v", seeds, cov)
 }
 
+// schedule is where a differential run draws its choices from: a seeded
+// generator (driveAgainstReference) or a fuzzer's bytes (byteSchedule).
+type schedule interface {
+	IntN(n int) int
+	Float64() float64
+}
+
+// driveAgainstReference runs one differential schedule drawn from seed.
 func driveAgainstReference(t *testing.T, seed uint64, cov *oracleCoverage) {
-	rng := rand.New(rand.NewPCG(seed, 28))
+	driveSchedule(t, seed, rand.New(rand.NewPCG(seed, 28)), cov)
+}
+
+// driveSchedule steps one fleet for 90 steps, with its size, clustering,
+// membership changes, silences, restores and evaluation counts drawn from
+// rng and its measurements from seed, and evaluates the Engine and the
+// referenceEngine side by side.
+func driveSchedule(t *testing.T, seed uint64, rng schedule, cov *oracleCoverage) {
 	joint := rng.IntN(3) == 0
 	cfg := core.Config{
 		Nodes: 4 + rng.IntN(8), Resources: 2, K: 2 + rng.IntN(2), JointClustering: joint,
@@ -416,8 +431,8 @@ func driveAgainstReference(t *testing.T, seed uint64, cov *oracleCoverage) {
 	next := 1000
 	var lastIDs []int
 	for step := 1; step <= 90; step++ {
-		roster := sys.Roster()
-		members := roster.Members()
+		prev := sys.Roster()
+		members := prev.Members()
 		switch p := rng.Float64(); {
 		case p < 0.15:
 			if err := sys.AddNodes(next); err != nil {
@@ -443,8 +458,25 @@ func driveAgainstReference(t *testing.T, seed uint64, cov *oracleCoverage) {
 				t.Fatal(err)
 			}
 			cov.restores++
+		case p < 0.42 && len(members) > cfg.K+2:
+			// A member leaves and rejoins within the step: it stays live,
+			// in the lowest free slot, which may not be its old one.
+			id := members[rng.IntN(len(members))]
+			if err := sys.RemoveNodes(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.AddNodes(id); err != nil {
+				t.Fatal(err)
+			}
 		}
-		roster = sys.Roster()
+		roster := sys.Roster()
+		for slot := range prev.Slots() {
+			if id, live := prev.IDAt(slot); live {
+				if now, ok := roster.SlotOf(id); ok && now != slot {
+					cov.moved++
+				}
+			}
+		}
 		for slot, id := range lastIDs {
 			if now, live := roster.IDAt(slot); live && now != id {
 				cov.recycled++

@@ -36,11 +36,11 @@ const (
 //     resolves, resets both streaks, and consumes the observation.
 type StateMachine struct {
 	rule   *Rule
-	firing bool
 	breach int
 	clear  int
 	last   float64 // latest non-NaN observation
-	seen   bool    // whether last is meaningful
+	firing bool
+	seen   bool // whether last is meaningful
 }
 
 // NewStateMachine builds the automaton for one rule instance. The rule must

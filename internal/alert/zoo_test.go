@@ -205,36 +205,62 @@ var (
 // BenchmarkAlertEvaluate times Engine.Evaluate with zoo_durable's four rules
 // on a trained fleet of N members and reports ns per slot. The fleet steps
 // through 16 generations once; the timed loop then replays them in turn, with
-// the generation guard reset, so every evaluation walks the whole fleet with
-// the instances in steady state, as a tick does when the membership holds.
+// the generation guard reset, so every evaluation walks the whole fleet. In
+// the steady cases the membership holds, as it does on most ticks, and the
+// instances stay where they are. In the churn cases one member leaves and a
+// new one takes its slot before each of the 16 steps, so every evaluation
+// hands the engine a new roster and re-keys its node-scope tables.
 func BenchmarkAlertEvaluate(b *testing.B) {
-	for _, n := range []int{512, 4096} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			sys, err := core.NewSystem(core.Config{
-				Nodes: n, Resources: 2, K: 3, InitialCollection: 20, SnapshotHorizon: 12, Seed: 1, Workers: 1,
+	for _, n := range []int{512, 4096, 32768} {
+		for _, churn := range []bool{false, true} {
+			name := fmt.Sprintf("N=%d", n)
+			if churn {
+				name += "-churn"
+			}
+			b.Run(name, func(b *testing.B) {
+				snaps := benchSnapshots(b, n, churn)
+				engine := zooEngine(b)
+				i := 0
+				for b.Loop() {
+					engine.lastGen = 0
+					if _, err := engine.Evaluate(snaps[i%len(snaps)]); err != nil {
+						b.Fatal(err)
+					}
+					i++
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/slot")
 			})
-			if err != nil {
+		}
+	}
+}
+
+// benchSnapshots steps a fleet of n members through 40 steps of zooTrace and
+// returns the snapshots of the last 16. With churn, before each of those 16
+// steps one member is removed and a new member joins into its slot.
+func benchSnapshots(b *testing.B, n int, churn bool) []*core.Snapshot {
+	sys, err := core.NewSystem(core.Config{
+		Nodes: n, Resources: 2, K: 3, InitialCollection: 20, SnapshotHorizon: 12, Seed: 1, Workers: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snaps []*core.Snapshot
+	for step, x := range zooTrace(b, n, 40) {
+		if step >= 24 && churn {
+			id, _ := sys.Roster().IDAt(step * 37 % n)
+			if err := sys.RemoveNodes(id); err != nil {
 				b.Fatal(err)
 			}
-			var snaps []*core.Snapshot
-			for step, x := range zooTrace(b, n, 40) {
-				if _, err := sys.Step(x); err != nil {
-					b.Fatal(err)
-				}
-				if step >= 24 {
-					snaps = append(snaps, sys.Snapshot())
-				}
+			if err := sys.AddNodes(n + step); err != nil {
+				b.Fatal(err)
 			}
-			engine := zooEngine(b)
-			i := 0
-			for b.Loop() {
-				engine.lastGen = 0
-				if _, err := engine.Evaluate(snaps[i%len(snaps)]); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/slot")
-		})
+		}
+		if _, err := sys.Step(x); err != nil {
+			b.Fatal(err)
+		}
+		if step >= 24 {
+			snaps = append(snaps, sys.Snapshot())
+		}
 	}
+	return snaps
 }

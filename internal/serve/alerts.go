@@ -40,7 +40,9 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	firing := s.cfg.Alerts.Active()
+	// One read of the engine: an evaluation between two would leave
+	// len(Firing) != Stats.Firing in the response.
+	firing, stats := s.cfg.Alerts.View()
 	if firing == nil {
 		firing = []alert.Active{}
 	}
@@ -48,7 +50,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		Generation: snap.Generation(),
 		Step:       snap.Steps(),
 		Firing:     firing,
-		Stats:      s.cfg.Alerts.Stats(),
+		Stats:      stats,
 	})
 }
 
