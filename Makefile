@@ -78,7 +78,8 @@ repro-golden:
 # Micro-benchmarks to work with; performance claims are measured with
 # `bash bench/run.sh` (see bench/README.md).
 bench:
-	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleRetrain|EnsembleSelect' -benchmem .
+	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleSelect' -benchmem .
+	$(GO) test -run xxx -bench '^BenchmarkRefitRound$$' -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench '^Benchmark(Ingest|PlanBuild)$$' -benchmem ./internal/core
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem -cpu 1,2 ./internal/serve

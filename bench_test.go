@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"orcf/internal/core"
 	"orcf/internal/exp"
 	"orcf/internal/forecast"
 )
@@ -291,63 +292,73 @@ func benchForecastQuery(b *testing.B, workers int) {
 func BenchmarkForecastQuery(b *testing.B)       { benchForecastQuery(b, 0) }
 func BenchmarkForecastQuerySerial(b *testing.B) { benchForecastQuery(b, 1) }
 
-// benchEnsembleRetrain measures one full retraining round of the K×Dims
-// ARIMA models of a single tracker's ensemble — the grid search dominates
-// the system's periodic maintenance cost and is embarrassingly parallel
-// across the independent (cluster, dim) models.
-func benchEnsembleRetrain(b *testing.B, workers int) {
-	b.Helper()
-	const warm = 192
-	arima := func() forecast.Model { return forecast.NewAutoARIMA(DefaultARIMAGrid()) }
-	ens, err := forecast.NewEnsemble(forecast.EnsembleConfig{
-		Clusters: 3, Dims: 2,
-		InitialCollection: warm,
-		RetrainEvery:      1, // every post-warmup Observe retrains all models
-		Candidates:        []forecast.Candidate{{Name: "arima", Builder: arima}},
-		Workers:           workers,
+// BenchmarkRefitRound measures one retraining step of a core.System with
+// the repository benchmark's zoo_durable model schedule: five families, K = 3,
+// two resources clustered one by one, a 200-step fit window and a retrain
+// every 25 steps. ns/op is the whole step, and the round's 30 model fits —
+// 15 per tracker, all on one list — dominate it. The 24 steps between two
+// rounds run outside the timer. Run it with -cpu 1,2 to see how the list
+// spreads over the worker pool; the models are identical for any count.
+func BenchmarkRefitRound(b *testing.B) {
+	const (
+		nodes        = 64
+		fitWindow    = 200
+		retrainEvery = 25
+	)
+	ds, err := GenerateTrace(GeneratorConfig{Name: "bench", Nodes: nodes, Steps: 1152, Resources: 2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	zoo, err := forecast.Zoo("sample-and-hold", "ses", "holt", "ar", "arima")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := core.NewSystem(core.Config{
+		Nodes: nodes, Resources: 2, K: 3,
+		InitialCollection: fitWindow,
+		RetrainEvery:      retrainEvery,
+		FitWindow:         fitWindow,
+		Zoo:               zoo,
+		Seed:              1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	centroids := func(t int) [][]float64 {
-		out := make([][]float64, 3)
-		for j := range out {
-			phase := float64(j) * 2.1
-			out[j] = []float64{
-				0.4 + 0.2*math.Sin(float64(t)/12+phase),
-				0.5 + 0.1*math.Cos(float64(t)/9+phase),
-			}
-		}
-		return out
-	}
-	for t := 0; t < warm; t++ {
-		if err := ens.Observe(centroids(t)); err != nil {
+	t := 0
+	step := func() {
+		if _, err := sys.Step(ds.Data[t%ds.Steps()]); err != nil {
 			b.Fatal(err)
 		}
+		t++
 	}
+	// The initial training, then up to the step before the next round.
+	for t < fitWindow+retrainEvery-1 {
+		step()
+	}
+	_, before := sys.TrainingTime()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ens.Observe(centroids(warm + i)); err != nil {
-			b.Fatal(err)
+		step()
+		b.StopTimer()
+		for j := 1; j < retrainEvery; j++ {
+			step()
 		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if _, after := sys.TrainingTime(); after-before != b.N {
+		b.Fatalf("%d rounds in %d retraining steps", after-before, b.N)
 	}
 }
 
-// BenchmarkEnsembleRetrain measures the periodic model-retraining round with
-// the default worker pool; the Serial variant pins it to one worker. ns/op
-// is one complete 3×2-model ARIMA refit.
-func BenchmarkEnsembleRetrain(b *testing.B)       { benchEnsembleRetrain(b, 0) }
-func BenchmarkEnsembleRetrainSerial(b *testing.B) { benchEnsembleRetrain(b, 1) }
-
-// benchEnsembleSelect measures the steady-state per-step overhead the model
+// BenchmarkEnsembleSelect measures the steady-state per-step overhead the model
 // zoo adds on top of a single family: updating every candidate, scoring the
 // cached 1-step forecasts against the new centroids, running the
 // champion/challenger selector, and refreshing the forecast cache. Refits are
 // pushed out of the timed loop (RetrainEvery is huge), so ns/op is pure
 // selection-plane cost for a 4-family, 3×2-cell zoo.
-func benchEnsembleSelect(b *testing.B, workers int) {
-	b.Helper()
+func BenchmarkEnsembleSelect(b *testing.B) {
 	const warm = 192
 	zoo, err := forecast.Zoo("sample-and-hold", "ses", "holt", "ar")
 	if err != nil {
@@ -358,7 +369,6 @@ func benchEnsembleSelect(b *testing.B, workers int) {
 		InitialCollection: warm,
 		RetrainEvery:      1 << 30,
 		Candidates:        zoo,
-		Workers:           workers,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -387,8 +397,3 @@ func benchEnsembleSelect(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkEnsembleSelect tracks the online selection overhead of the model
-// zoo; the Serial variant pins the worker pool to one worker.
-func BenchmarkEnsembleSelect(b *testing.B)       { benchEnsembleSelect(b, 0) }
-func BenchmarkEnsembleSelectSerial(b *testing.B) { benchEnsembleSelect(b, 1) }

@@ -97,9 +97,9 @@ type Config struct {
 	JointClustering bool
 	// Seed drives K-means seeding.
 	Seed uint64
-	// Workers bounds the total concurrency of per-tracker clustering, model
-	// (re)training, and per-node forecast reconstruction (the nested
-	// ensemble pools split this budget across trackers). Zero means
+	// Workers bounds the concurrency of each of a step's pools: per-tracker
+	// clustering, the (re)training round — every model fit of every tracker
+	// on one list — and per-node forecast reconstruction. Zero means
 	// GOMAXPROCS; 1 forces the serial path. Output is identical for any
 	// value as long as every Step succeeds; after a Step error, how far the
 	// other trackers progressed depends on scheduling, so the System must
@@ -232,12 +232,12 @@ type System struct {
 	// zrow is the scratch row a slot's stored measurement is gathered into
 	// for a policy ingest does not decide inline (Adaptive policies read the
 	// store in place), transmitted the per-step transmit flags that
-	// StepResult.Transmitted views, centRows the K row views per tracker
+	// StepResult.Transmitted views, centRows[tr] tracker tr's K row views
 	// into the in-flight step's centroids that the ensembles observe and
 	// ResourceStep.Centroids returns.
 	zrow        []float64
 	transmitted []bool
-	centRows    [][]float64
+	centRows    [][][]float64
 
 	// Fleet roster: ids[i] is the stable ID bound to slot i, alive[i]
 	// whether the slot holds a live member, absentFor[i] the member's
@@ -328,11 +328,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.dims = cfg.Resources
 	}
 	s.zrow = make([]float64, cfg.Resources)
-	s.centRows = make([][]float64, s.nTrackers*cfg.K)
-	// The per-tracker fan-out in Step/Forecast nests the ensembles' model
-	// fan-out, so the worker budget is split across trackers to keep total
-	// concurrency bounded by Workers instead of multiplying with it.
-	ensembleWorkers := max(1, parallel.Workers(cfg.Workers)/s.nTrackers)
+	s.centRows = make([][][]float64, s.nTrackers)
 	for tr := 0; tr < s.nTrackers; tr++ {
 		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
 		s.pcgs = append(s.pcgs, pcg)
@@ -359,12 +355,12 @@ func NewSystem(cfg Config) (*System, error) {
 			FitWindow:         cfg.FitWindow,
 			Candidates:        candidates,
 			Selection:         cfg.Selection,
-			Workers:           ensembleWorkers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: ensemble %d: %w", tr, err)
 		}
 		s.ensembles = append(s.ensembles, ens)
+		s.centRows[tr] = make([][]float64, cfg.K)
 	}
 
 	s.ring = make([]ringSlot, cfg.MPrime+1)
@@ -727,21 +723,13 @@ func (s *System) RefitStats() (warm, full int) {
 	return warm, full
 }
 
-// TrainingTime aggregates the wall-clock time and count of (re)training
-// rounds across all trackers. Each tracker's ensemble fits its models on
-// Workers / trackers goroutines (at least one) while the trackers run side
-// by side, so the duration is per-tracker stall time summed over trackers,
-// and more Workers shorten it only once there are more Workers than
-// trackers.
+// TrainingTime returns the cumulative wall-clock time and count of the
+// (re)training rounds. A round fits every tracker's models on one list of
+// Workers goroutines, and every tracker's ensemble takes part in every round
+// and records the list's wall time, so one ensemble's accounting is the
+// System's.
 func (s *System) TrainingTime() (time.Duration, int) {
-	var total time.Duration
-	var runs int
-	for _, e := range s.ensembles {
-		d, r := e.TrainingTime()
-		total += d
-		runs += r
-	}
-	return total, runs
+	return s.ensembles[0].TrainingTime()
 }
 
 // ModelSelection returns a deep-copied view of a tracker ensemble's zoo
@@ -779,9 +767,9 @@ func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
 //
 // Step is the one place rows-of-slices enter the pipeline, and a sequence of
 // per-phase calls: checkStep, then ingest (layer 1: decide and write the
-// store), clusterAndRefit (layers 2+3, one cluster and one refit call per
-// tracker), and — with publishing on — assembleSnapshot and
-// centroidForecasts, then commit, which publishes. Each call runs under the
+// store), clusterAndRefit (layers 2+3, one cluster call per tracker and one
+// refit call for all of them), and — with publishing on — assembleSnapshot
+// and centroidForecasts, then commit, which publishes. Each call runs under the
 // phase timer, so the PhaseObserver sees calls, not regions of this function.
 func (s *System) Step(x [][]float64) (*StepResult, error) {
 	if err := s.checkStep(x); err != nil {
@@ -1031,17 +1019,26 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 	return mask, evicted, nil
 }
 
-// clusterAndRefit runs layers 2+3 for every tracker on the worker pool.
+// clusterAndRefit runs layer 2 for every tracker on the worker pool, then
+// layer 3 as one call: every tracker's ensemble observes its centroids, and
+// a due (re)training fits all their models on one list (forecast.ObserveAll).
 // Trackers are independent — each owns its RNG, its ensemble, its block of
-// the store and the tr-indexed parts of the staged slot — so the fan-out is
-// deterministic. The two phases' times are CPU time summed across trackers
-// (integer adds commute, so the worker schedule cannot perturb the total).
+// the store and the tr-indexed parts of the staged slot — so both fan-outs
+// are deterministic. The cluster phase's time is CPU time summed across
+// trackers (integer adds commute, so the worker schedule cannot perturb the
+// total); the refit phase's is the wall time of the one call.
 func (s *System) clusterAndRefit(mask []bool) error {
-	return parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
-		if err := s.phases.run(PhaseCluster, func() error { return s.cluster(tr, mask) }); err != nil {
-			return err
+	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+		return s.phases.run(PhaseCluster, func() error { return s.cluster(tr, mask) })
+	})
+	if err != nil {
+		return err
+	}
+	return s.phases.run(PhaseRefit, func() error {
+		if err := forecast.ObserveAll(s.cfg.Workers, s.ensembles, s.centRows); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
-		return s.phases.run(PhaseRefit, func() error { return s.refit(tr) })
+		return nil
 	})
 }
 
@@ -1055,25 +1052,10 @@ func (s *System) cluster(tr int, mask []bool) error {
 	copy(s.stage.assignments[tr], assign)
 	staged := s.stage.centroids(tr)
 	copy(staged, cents)
-	for j := 0; j < s.cfg.K; j++ {
-		s.centRows[tr*s.cfg.K+j] = staged[j*s.dims : (j+1)*s.dims : (j+1)*s.dims]
+	for j := range s.centRows[tr] {
+		s.centRows[tr][j] = staged[j*s.dims : (j+1)*s.dims : (j+1)*s.dims]
 	}
 	return nil
-}
-
-// refit is layer 3 for one tracker: its ensemble observes the step's
-// centroids, (re)training models when due.
-func (s *System) refit(tr int) error {
-	if err := s.ensembles[tr].Observe(s.trackerCentroids(tr)); err != nil {
-		return fmt.Errorf("core: ensemble %d: %w", tr, err)
-	}
-	return nil
-}
-
-// trackerCentroids returns the row views of tracker tr's centroids of the
-// latest (in-flight or committed) step.
-func (s *System) trackerCentroids(tr int) [][]float64 {
-	return s.centRows[tr*s.cfg.K : (tr+1)*s.cfg.K]
 }
 
 // commit makes the step visible: the staged slot is swapped with the oldest
@@ -1107,7 +1089,7 @@ func (s *System) commit(pub *Snapshot, cent []float64, evicted []int) *StepResul
 	for tr := range res.PerResource {
 		res.PerResource[tr] = ResourceStep{
 			Assignments: cur.assignments[tr],
-			Centroids:   s.trackerCentroids(tr),
+			Centroids:   s.centRows[tr],
 		}
 	}
 	return res
@@ -1141,11 +1123,11 @@ func (s *System) Forecast(h int) ([][][]float64, error) {
 }
 
 // centroidForecasts forecasts every tracker's K×dims centroid series up to
-// horizon h — one ensemble per tracker on the worker pool, each fanning its
-// models out on its own — into the plan's flat centroid table,
-// [hi][tracker][cluster·dims]. Each tracker writes only its own entries, so
-// the table is identical for any worker count. It returns nil before the
-// models finish initial training, which plans every slot as undefined.
+// horizon h — one ensemble per tracker on the worker pool — into the plan's
+// flat centroid table, [hi][tracker][cluster·dims]. Each tracker writes only
+// its own entries, so the table is identical for any worker count. It
+// returns nil before the models finish initial training, which plans every
+// slot as undefined.
 func (s *System) centroidForecasts(h int) ([]float64, error) {
 	if !s.Ready() {
 		return nil, nil

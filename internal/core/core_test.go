@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"orcf/internal/forecast"
 	"orcf/internal/transmit"
@@ -340,40 +341,53 @@ func TestForecastHorizonValidation(t *testing.T) {
 	}
 }
 
+// TestTrainingTimeAccounting counts rounds, not ensembles: with two
+// resources both trackers' ensembles fit in each round, and it still counts
+// once.
 func TestTrainingTimeAccounting(t *testing.T) {
 	t.Parallel()
-	s, err := NewSystem(Config{
-		Nodes: 4, K: 2, InitialCollection: 5, RetrainEvery: 4,
-		Policy: alwaysPolicy,
-		Zoo: forecast.Pinned(func() forecast.Model {
-			m, err := forecast.NewAR(1)
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(9, 9))
-	for step := 0; step < 14; step++ {
-		x := make([][]float64, 4)
-		for i := range x {
-			base := 0.3
-			if i >= 2 {
-				base = 0.7
-			}
-			x[i] = []float64{base + 0.05*rng.Float64()}
-		}
-		if _, err := s.Step(x); err != nil {
+	for _, resources := range []int{1, 2} {
+		s, err := NewSystem(Config{
+			Nodes: 4, Resources: resources, K: 2, InitialCollection: 5, RetrainEvery: 4,
+			Policy: alwaysPolicy,
+			Zoo: forecast.Pinned(func() forecast.Model {
+				m, err := forecast.NewAR(1)
+				if err != nil {
+					panic(err)
+				}
+				return m
+			}),
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Initial fit at t=5, retrains at t=9, 13 → 3 rounds, 1 tracker.
-	_, runs := s.TrainingTime()
-	if runs != 3 {
-		t.Fatalf("training rounds = %d, want 3", runs)
+		rng := rand.New(rand.NewPCG(9, 9))
+		start := time.Now()
+		for step := 0; step < 14; step++ {
+			x := make([][]float64, 4)
+			for i := range x {
+				base := 0.3
+				if i >= 2 {
+					base = 0.7
+				}
+				x[i] = make([]float64, resources)
+				for r := range x[i] {
+					x[i][r] = base + 0.05*rng.Float64()
+				}
+			}
+			if _, err := s.Step(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wall := time.Since(start)
+		// Initial fit at t=5, retrains at t=9, 13 → 3 rounds.
+		d, runs := s.TrainingTime()
+		if runs != 3 {
+			t.Fatalf("resources %d: training rounds = %d, want 3", resources, runs)
+		}
+		if d > wall {
+			t.Fatalf("resources %d: training time %v exceeds the %v the steps took", resources, d, wall)
+		}
 	}
 }
 

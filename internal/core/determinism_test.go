@@ -12,7 +12,10 @@ package core
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
+
+	"orcf/internal/forecast"
 )
 
 // detTrace builds a deterministic synthetic measurement tensor with enough
@@ -46,6 +49,13 @@ func detTrace(steps, nodes, resources int, seed uint64) [][][]float64 {
 	return out
 }
 
+// TestParallelMatchesSerialExactly steps a Workers: 1 and a Workers: 8
+// system side by side, with the default sample-and-hold model and with a
+// four-family zoo whose rounds put every tracker's fits on one list. After a
+// refit the wide system is replaced by a Workers: 8 restore of its exported
+// state, so the restore's fit list is covered too. Step results, forecasts
+// and the final exported states must be bit-identical; training time is wall
+// clock and left out.
 func TestParallelMatchesSerialExactly(t *testing.T) {
 	t.Parallel()
 	const (
@@ -54,13 +64,23 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 		steps     = 90
 		warmup    = 40
 		horizon   = 7
+		restoreAt = 70 // after the round at step 65
 	)
+	zoo := func(c *Config) {
+		cands, err := forecast.Zoo("ses", "holt", "ar", "arima")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Zoo = cands
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Config)
 	}{
 		{"scalar clustering", func(*Config) {}},
 		{"joint clustering", func(c *Config) { c.JointClustering = true }},
+		{"zoo scalar clustering", zoo},
+		{"zoo joint clustering", func(c *Config) { zoo(c); c.JointClustering = true }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -84,6 +104,16 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 			wide := build(8) // oversubscribes the pool on any machine
 
 			for step := 0; step < steps; step++ {
+				if step == restoreAt {
+					st, err := wide.ExportState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wide = build(8)
+					if err := wide.RestoreState(st); err != nil {
+						t.Fatalf("restore at %d: %v", step, err)
+					}
+				}
 				rs, err := serial.Step(data[step])
 				if err != nil {
 					t.Fatalf("serial step %d: %v", step, err)
@@ -118,6 +148,20 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 			}
 			if !serial.Ready() || !wide.Ready() {
 				t.Fatal("systems never became ready; forecast path untested")
+			}
+			var states [2]*State
+			for i, sys := range []*System{serial, wide} {
+				st, err := sys.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range st.Ensembles {
+					e.TrainTime = 0 // wall clock
+				}
+				states[i] = st
+			}
+			if !reflect.DeepEqual(states[0], states[1]) {
+				t.Fatal("exported states differ between Workers 1 and 8")
 			}
 		})
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // StepPhase identifies one sub-phase of System.Step for instrumentation.
-// Phases partition a step's wall-clock work; the two fan-out phases
-// (PhaseCluster, PhaseRefit) report CPU time summed across trackers, so
-// under parallel stepping they can exceed the step's wall-clock span.
+// Phases partition a step's wall-clock work; the per-tracker fan-out phase
+// (PhaseCluster) reports CPU time summed across trackers, so under parallel
+// stepping it can exceed its wall-clock span. Every other phase, PhaseRefit
+// included, is wall clock.
 type StepPhase uint8
 
 // The sub-phases of one Step, in execution order.
@@ -19,8 +20,9 @@ const (
 	// PhaseCluster covers per-tracker online cluster updates (§V-B), summed
 	// across trackers.
 	PhaseCluster
-	// PhaseRefit covers per-tracker ensemble maintenance — observing the new
-	// centroids and any (re)training they trigger — summed across trackers.
+	// PhaseRefit covers ensemble maintenance — every tracker's ensemble
+	// observing its new centroids, and any (re)training round they trigger,
+	// whose model fits run on one list — timed as the one call it is.
 	PhaseRefit
 	// PhaseForecast covers the snapshot's centroid-forecast precompute (zero
 	// when snapshot publishing is disabled).
@@ -64,7 +66,7 @@ type PhaseObserver interface {
 // phaseTimer attributes the time of Step's per-phase calls to the
 // PhaseObserver: run times one call and adds it to its phase's total, report
 // hands a finished phase's total to the observer. Totals are atomics because
-// the cluster and refit calls of different trackers run concurrently. With
+// the cluster calls of different trackers run concurrently. With
 // no observer attached nothing reads the clock.
 type phaseTimer struct {
 	ob    PhaseObserver

@@ -493,7 +493,6 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 		s.nTrackers = 1
 		s.dims = cfg.Resources
 	}
-	ensembleWorkers := max(1, parallel.Workers(cfg.Workers)/s.nTrackers)
 	for tr := 0; tr < s.nTrackers; tr++ {
 		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
 		s.pcgs = append(s.pcgs, pcg)
@@ -522,7 +521,6 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 			FitWindow:         cfg.FitWindow,
 			Candidates:        candidates,
 			Selection:         cfg.Selection,
-			Workers:           ensembleWorkers,
 		})
 		if err != nil {
 			t.Fatal(err)

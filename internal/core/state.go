@@ -316,13 +316,13 @@ func (s *System) RestoreState(st *State) error {
 		if err := s.pcgs[tr].UnmarshalBinary(st.TrackerRNGs[tr]); err != nil {
 			return fmt.Errorf("core: tracker %d rng: %w", tr, err)
 		}
-		if err := s.ensembles[tr].RestoreState(st.Ensembles[tr]); err != nil {
-			return fmt.Errorf("core: ensemble %d: %w", tr, err)
-		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	if err := forecast.RestoreAll(s.cfg.Workers, s.ensembles, st.Ensembles); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 
 	s.t = st.T
@@ -394,6 +394,19 @@ func (s *System) validateState(st *State) error {
 		len(st.TrackerRNGs) != s.nTrackers {
 		return fmt.Errorf("core: state sized for %d/%d/%d trackers, want %d: %w",
 			len(st.Trackers), len(st.Ensembles), len(st.TrackerRNGs), s.nTrackers, ErrBadState)
+	}
+	// Every tracker's ensemble observes every step and takes part in every
+	// round, so their step counts, rounds and retained series agree;
+	// TrainingTime reports tracker 0's accounting for all of them.
+	e0 := st.Ensembles[0]
+	for tr, e := range st.Ensembles {
+		if e == nil || e0 == nil {
+			return fmt.Errorf("core: ensemble %d: nil state: %w", tr, ErrBadState)
+		}
+		if e.T != e0.T || e.Ready != e0.Ready || e.LastRefit != e0.LastRefit ||
+			e.SeriesStart != e0.SeriesStart || e.TrainRuns != e0.TrainRuns {
+			return fmt.Errorf("core: ensemble %d out of step with ensemble 0: %w", tr, ErrBadState)
+		}
 	}
 	return nil
 }

@@ -353,6 +353,17 @@ func TestRestoreStateValidation(t *testing.T) {
 	if err := fresh.RestoreState(&bad); !errors.Is(err, ErrBadState) {
 		t.Fatalf("short meters: %v, want ErrBadState", err)
 	}
+
+	// Ensembles out of step with each other must be rejected: the trackers
+	// observe every step and train in the same rounds.
+	bad = *st
+	bad.Ensembles = append([]*forecast.EnsembleState(nil), st.Ensembles...)
+	skewed := *st.Ensembles[1]
+	skewed.LastRefit++
+	bad.Ensembles[1] = &skewed
+	if err := fresh.RestoreState(&bad); !errors.Is(err, ErrBadState) {
+		t.Fatalf("ensembles out of step: %v, want ErrBadState", err)
+	}
 	if err := fresh.RestoreState(st); err != nil {
 		t.Fatalf("valid restore after rejected ones: %v", err)
 	}

@@ -3,8 +3,6 @@ package forecast
 import (
 	"fmt"
 	"time"
-
-	"orcf/internal/parallel"
 )
 
 // EnsembleConfig controls the per-cluster model management of §VI-A3.
@@ -37,11 +35,6 @@ type EnsembleConfig struct {
 	// than two Candidates. Zero values select the defaults (window 64,
 	// margin 0, streak 3, metric "mae").
 	Selection SelectionConfig
-	// Workers bounds the concurrency of per-model fitting and forecasting
-	// across the candidates×K×Dims independent models. Zero means GOMAXPROCS;
-	// 1 forces the serial path. Results are identical for any value because
-	// every model owns its state outright.
-	Workers int
 }
 
 func (c EnsembleConfig) withDefaults() EnsembleConfig {
@@ -83,6 +76,10 @@ type Ensemble struct {
 	trainTime  time.Duration
 	trainRuns  int
 	lastrefits int
+
+	// fitN is the series prefix the pending fit reads (0 when none is
+	// pending).
+	fitN int
 }
 
 // NewEnsemble validates the configuration and returns an empty ensemble.
@@ -139,8 +136,14 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 // one champion/challenger evaluation per (cluster, dim), then recomputes the
 // 1-step forecasts for the next scoring round; Forecast is pure for every
 // model family, so the scoring never perturbs the models themselves. With one
-// candidate it makes no Forecast call.
+// candidate it makes no Forecast call. It is ObserveAll for this ensemble
+// alone, fitting on the calling goroutine.
 func (e *Ensemble) Observe(centroids [][]float64) error {
+	return ObserveAll(1, []*Ensemble{e}, [][][]float64{centroids})
+}
+
+// check rejects centroids that are not Clusters × Dims.
+func (e *Ensemble) check(centroids [][]float64) error {
 	if len(centroids) != e.cfg.Clusters {
 		return fmt.Errorf("forecast: %d centroids, want %d: %w",
 			len(centroids), e.cfg.Clusters, ErrBadInput)
@@ -151,6 +154,13 @@ func (e *Ensemble) Observe(centroids [][]float64) error {
 				j, len(c), e.cfg.Dims, ErrBadInput)
 		}
 	}
+	return nil
+}
+
+// advance is the bookkeeping of one step: it scores the cached forecasts,
+// appends the checked centroids to the series and feeds them to trained
+// models, and reports whether a (re)training is due, setting fitN for it.
+func (e *Ensemble) advance(centroids [][]float64) bool {
 	if e.predOK {
 		e.score(centroids)
 	}
@@ -165,20 +175,11 @@ func (e *Ensemble) Observe(centroids [][]float64) error {
 		}
 	}
 	e.t++
-	switch {
-	case !e.ready && e.t >= e.cfg.InitialCollection:
-		if err := e.refit(); err != nil {
-			return err
-		}
-	case e.ready && (e.t-e.lastrefits) >= e.cfg.RetrainEvery:
-		if err := e.refit(); err != nil {
-			return err
-		}
+	e.fitN = 0
+	if e.ready && e.t-e.lastrefits >= e.cfg.RetrainEvery || !e.ready && e.t >= e.cfg.InitialCollection {
+		e.fitN = e.t - e.start
 	}
-	if e.sel != nil && e.ready {
-		return e.refreshPred()
-	}
-	return nil
+	return e.fitN > 0
 }
 
 // score records each candidate's signed 1-step forecast error against the
@@ -215,7 +216,7 @@ func (e *Ensemble) refreshPred() error {
 	if e.pred == nil {
 		e.pred = make([]float64, len(e.models)*cells)
 	}
-	err := parallel.ForEach(e.cfg.Workers, len(e.models)*cells, func(i int) error {
+	for i := range e.pred {
 		c, r := i/cells, i%cells
 		j, d := r/dims, r%dims
 		f, err := e.models[c][j][d].Forecast(1)
@@ -223,59 +224,44 @@ func (e *Ensemble) refreshPred() error {
 			return fmt.Errorf("forecast: scoring %s cluster %d dim %d: %w", e.names[c], j, d, err)
 		}
 		e.pred[i] = f[0]
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	e.predOK = true
 	return nil
 }
 
-// refit trains every model on the accumulated series, tracking wall time.
-// The candidates×K×Dims fits are independent (each model owns its state and
-// reads its own series), so they run on a pool of Workers goroutines. Under
-// core.System that budget is the System's Workers split across its trackers
-// (at least 1 each), so with as many trackers as cores an ensemble fits its
-// cells one after another; ARIMA grid searches and LSTM epochs dominate the
-// round.
-func (e *Ensemble) refit() error {
-	start := time.Now()
-	if err := e.fitCells(e.t-e.start, "fitting"); err != nil {
-		return err
-	}
-	e.trainTime += time.Since(start)
+// finishRound closes a (re)training round whose fit list took the given wall
+// time: the models are trained on the series up to this step.
+func (e *Ensemble) finishRound(took time.Duration) {
+	e.trainTime += took
 	e.trainRuns++
 	e.lastrefits = e.t
 	e.ready = true
+	e.fitN = 0
 	e.trim()
-	return nil
 }
 
-// fitCells fits every (candidate, cluster, dim) model on the pool: on the
-// FitWindow-suffix of the first n retained values of its series, then
-// Update with the values after them. A refit passes the whole retained
-// series, so nothing follows; a restore passes the length at the last
-// training step and replays the rest.
-func (e *Ensemble) fitCells(n int, verb string) error {
+// fitCell fits model i (indexed like pred) on the FitWindow-suffix of the
+// first fitN retained values of its series, then Updates it with the values
+// after them. A round fits on the whole retained series, so nothing follows;
+// a restore fits on the series up to the last training step and replays the
+// rest.
+func (e *Ensemble) fitCell(i int, verb string) error {
 	dims := e.cfg.Dims
 	cells := e.cfg.Clusters * dims
-	return parallel.ForEach(e.cfg.Workers, len(e.models)*cells, func(i int) error {
-		c, r := i/cells, i%cells
-		j, d := r/dims, r%dims
-		m, s := e.models[c][j][d], e.series[j][d]
-		fit := s[:n]
-		if e.cfg.FitWindow > 0 && len(fit) > e.cfg.FitWindow {
-			fit = fit[len(fit)-e.cfg.FitWindow:]
-		}
-		if err := m.Fit(fit); err != nil {
-			return fmt.Errorf("forecast: %s %s cluster %d dim %d: %w", verb, e.names[c], j, d, err)
-		}
-		for _, v := range s[n:] {
-			m.Update(v)
-		}
-		return nil
-	})
+	c, r := i/cells, i%cells
+	j, d := r/dims, r%dims
+	m, s := e.models[c][j][d], e.series[j][d]
+	fit := s[:e.fitN]
+	if e.cfg.FitWindow > 0 && len(fit) > e.cfg.FitWindow {
+		fit = fit[len(fit)-e.cfg.FitWindow:]
+	}
+	if err := m.Fit(fit); err != nil {
+		return fmt.Errorf("forecast: %s %s cluster %d dim %d: %w", verb, e.names[c], j, d, err)
+	}
+	for _, v := range s[e.fitN:] {
+		m.Update(v)
+	}
+	return nil
 }
 
 // trim drops the series prefix no future fit can read: after a refit at step
@@ -330,18 +316,13 @@ func (e *Ensemble) Forecast(h int) ([][][]float64, error) {
 	out := make([][][]float64, e.cfg.Clusters)
 	for j := range out {
 		out[j] = make([][]float64, dims)
-	}
-	err := parallel.ForEach(e.cfg.Workers, e.cfg.Clusters*dims, func(i int) error {
-		j, d := i/dims, i%dims
-		f, err := e.models[e.championIdx(j, d)][j][d].Forecast(h)
-		if err != nil {
-			return fmt.Errorf("forecast: cluster %d dim %d: %w", j, d, err)
+		for d := range out[j] {
+			f, err := e.models[e.championIdx(j, d)][j][d].Forecast(h)
+			if err != nil {
+				return nil, fmt.Errorf("forecast: cluster %d dim %d: %w", j, d, err)
+			}
+			out[j][d] = f
 		}
-		out[j][d] = f
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -361,10 +342,10 @@ func (e *Ensemble) Series(j, d int) []float64 {
 func (e *Ensemble) SeriesStart() int { return e.start }
 
 // TrainingTime returns the cumulative wall-clock time of the (re)training
-// rounds and their count. Rounds fit their models on the ensemble's Workers
-// budget (see refit), so the duration is what the ensemble stalls on
-// maintenance with that budget, not summed per-model CPU time (for a single
-// model's fitting cost, see e.g. the ARIMA/LSTM FitDuration accessors).
+// rounds and their count. A round's time is the wall time of the fit list it
+// ran on (see ObserveAll) — shared with the ensembles fitted beside it, and
+// serial for Observe — not summed per-model CPU time (for a single model's
+// fitting cost, see e.g. the ARIMA/LSTM FitDuration accessors).
 func (e *Ensemble) TrainingTime() (time.Duration, int) { return e.trainTime, e.trainRuns }
 
 // CandidateAccuracy is one candidate's rolling accuracy inside a

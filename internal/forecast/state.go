@@ -111,9 +111,16 @@ func (e *Ensemble) ExportState() *EnsembleState {
 // state (champions, streaks, switch counts, accuracy windows) is restored
 // verbatim and the 1-step scoring forecasts are recomputed, so selection
 // resumes bit-identically mid-streak. The ensemble must not have observed
-// any step yet. Fits run on the configured worker pool; the refit does not
-// count toward the restored TrainTime/TrainRuns accounting.
+// any step yet. It is RestoreAll for this ensemble alone, fitting on the
+// calling goroutine; the refit does not count toward the restored
+// TrainTime/TrainRuns accounting.
 func (e *Ensemble) RestoreState(st *EnsembleState) error {
+	return RestoreAll(1, []*Ensemble{e}, []*EnsembleState{st})
+}
+
+// validateState checks an exported state against the ensemble before any
+// mutation.
+func (e *Ensemble) validateState(st *EnsembleState) error {
 	if e.t != 0 {
 		return fmt.Errorf("forecast: restore into ensemble with %d steps: %w", e.t, ErrBadInput)
 	}
@@ -157,10 +164,12 @@ func (e *Ensemble) RestoreState(st *EnsembleState) error {
 			}
 		}
 	}
-	if err := e.validateSelectionState(st); err != nil {
-		return err
-	}
+	return e.validateSelectionState(st)
+}
 
+// adopt copies a validated state into the ensemble and, for a trained one,
+// sets fitN to the series prefix its models are rebuilt on.
+func (e *Ensemble) adopt(st *EnsembleState) error {
 	for j, byDim := range st.Series {
 		for d, series := range byDim {
 			e.series[j][d] = append([]float64(nil), series...)
@@ -190,14 +199,8 @@ func (e *Ensemble) RestoreState(st *EnsembleState) error {
 		}
 	}
 
-	if !st.Ready {
-		return nil
-	}
-	if err := e.fitCells(st.LastRefit-st.SeriesStart, "restoring"); err != nil {
-		return err
-	}
-	if e.sel != nil {
-		return e.refreshPred()
+	if st.Ready {
+		e.fitN = st.LastRefit - st.SeriesStart
 	}
 	return nil
 }

@@ -383,7 +383,7 @@ func zooEnsemble(t *testing.T, names []string, sel SelectionConfig, clusters, di
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: clusters, Dims: dims,
 		InitialCollection: initial, RetrainEvery: retrain,
-		Candidates: cands, Selection: sel, Workers: 1,
+		Candidates: cands, Selection: sel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +485,7 @@ func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
 		e, err := NewEnsemble(EnsembleConfig{
 			Clusters: clusters, Dims: dims, InitialCollection: initial,
 			RetrainEvery: retrain, FitWindow: fitWindow,
-			Candidates: []Candidate{{Name: name, Builder: builder}}, Workers: 1,
+			Candidates: []Candidate{{Name: name, Builder: builder}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -707,7 +707,7 @@ func TestZooRestoreRejectsFamilyMismatch(t *testing.T) {
 func TestTrimBoundsRetainedSeries(t *testing.T) {
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: 1, InitialCollection: 10, RetrainEvery: 5, FitWindow: 8,
-		Candidates: only(sahBuilder), Workers: 1,
+		Candidates: only(sahBuilder),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -739,7 +739,7 @@ func TestTrimBoundsRetainedSeries(t *testing.T) {
 func TestTrimSteadyStateAllocs(t *testing.T) {
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: 2, Dims: 2, InitialCollection: 10, RetrainEvery: 4, FitWindow: 16,
-		Candidates: only(sahBuilder), Workers: 1,
+		Candidates: only(sahBuilder),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -770,7 +770,7 @@ func TestTrimExportRestoreBitIdentical(t *testing.T) {
 	mk := func() *Ensemble {
 		m, err := NewEnsemble(EnsembleConfig{
 			Clusters: 1, InitialCollection: 12, RetrainEvery: 6, FitWindow: 10,
-			Candidates: only(func() Model { m, _ := NewSES(0.4); return m }), Workers: 1,
+			Candidates: only(func() Model { m, _ := NewSES(0.4); return m }),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,10 @@
 // Package parallel is the shared bounded worker pool used by the hot paths
-// of this repository: per-tracker clustering in core.System.Step, model
-// (re)training in forecast.Ensemble, per-node forecast reconstruction, and
-// the independent pipeline configurations of the experiment harness.
+// of this repository: per-tracker clustering in core.System.Step, the
+// (re)training round's one list of model fits across every tracker
+// (forecast.ObserveAll and RestoreAll), per-node forecast reconstruction,
+// and the independent pipeline configurations of the experiment harness.
+// None of these pools runs inside another, so each is bounded by the one
+// worker count its caller was given.
 //
 // The contract every caller relies on: work items are independent, each item
 // writes only to its own output slot, and no cross-item floating-point
