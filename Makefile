@@ -88,6 +88,7 @@ bench:
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
 	$(GO) test -run xxx -bench 'RunFlat|AssignFlat' -benchmem ./internal/kmeans
 	$(GO) test -run xxx -bench '^Benchmark(AutoARIMAFit|CSSResiduals)$$' -benchmem ./internal/forecast
+	$(GO) test -run xxx -bench '^BenchmarkGenerate$$' -benchmem ./internal/trace
 
 # Repository benchmark check: bench/ is a module of its own (orcf/bench,
 # `replace orcf => ../`) that imports orcf/internal/..., so the root
@@ -96,15 +97,15 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the seventeen native fuzz
+# Fuzz smoke: a short coverage-guided run of each of the eighteen native fuzz
 # targets (wire decoders, recovery readers, alert rules, and the K-means,
 # nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel,
-# plan-kernel, ARIMA-fit, two-lane CSS kernel, JSON-float, collector-store
-# and alert-engine reference differentials — the K-means one twice, on a
-# coordinate grid and on raw float64 bits, and the JSON-float one twice, over
-# all float64 bits and over the served range [1e-6, 1)) from its committed
-# seed corpus. go test allows one -fuzz pattern per invocation, hence one
-# line each.
+# plan-kernel, ARIMA-fit, two-lane CSS kernel, JSON-float, collector-store,
+# alert-engine and trace-generator reference differentials — the K-means one
+# twice, on a coordinate grid and on raw float64 bits, and the JSON-float one
+# twice, over all float64 bits and over the served range [1e-6, 1)) from its
+# committed seed corpus. go test allows one -fuzz pattern per invocation,
+# hence one line each.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
@@ -124,3 +125,4 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloatServedRange$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzStoreStepperMatchesOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGenerateMatchesReference$$' -fuzztime $(FUZZTIME)

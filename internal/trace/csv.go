@@ -59,11 +59,10 @@ func LoadCSV(r io.Reader, name string) (*Dataset, error) {
 	resources := append([]string(nil), header[2:]...)
 	nRes := len(resources)
 
-	type cell struct {
-		t, node int
-		vals    []float64
-	}
-	var cells []cell
+	// Rows are parsed in arrival order, values into one flat array and
+	// their (time, node) pairs beside it, then scattered into place.
+	var vals []float64
+	var cells [][2]int
 	maxT, maxNode := -1, -1
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
@@ -88,35 +87,34 @@ func LoadCSV(r io.Reader, name string) (*Dataset, error) {
 		if t < 0 || node < 0 {
 			return nil, fmt.Errorf("trace: line %d negative index: %w", line, ErrBadCSV)
 		}
-		vals := make([]float64, nRes)
 		for i := 0; i < nRes; i++ {
 			v, err := strconv.ParseFloat(rec[2+i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("trace: line %d value %q: %w", line, rec[2+i], ErrBadCSV)
 			}
-			vals[i] = v
+			vals = append(vals, v)
 		}
-		cells = append(cells, cell{t: t, node: node, vals: vals})
+		cells = append(cells, [2]int{t, node})
 		maxT = max(maxT, t)
 		maxNode = max(maxNode, node)
 	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("trace: no data rows: %w", ErrBadCSV)
 	}
-	steps, nodes := maxT+1, maxNode+1
-	if len(cells) != steps*nodes {
+	steps, nodes, n := maxT+1, maxNode+1, len(cells)
+	// Compared by division first, so a huge index cannot overflow steps·nodes.
+	if nodes > n || steps > n/nodes || steps*nodes != n {
 		return nil, fmt.Errorf("trace: %d rows do not fill %d×%d grid: %w",
-			len(cells), steps, nodes, ErrBadCSV)
+			n, steps, nodes, ErrBadCSV)
 	}
-	data := make([][][]float64, steps)
-	for t := range data {
-		data[t] = make([][]float64, nodes)
-	}
-	for _, c := range cells {
-		if data[c.t][c.node] != nil {
-			return nil, fmt.Errorf("trace: duplicate cell t=%d node=%d: %w", c.t, c.node, ErrBadCSV)
+	data := newFrame(steps, nodes, nRes)
+	seen := make([]bool, n)
+	for k, c := range cells {
+		if seen[c[0]*nodes+c[1]] {
+			return nil, fmt.Errorf("trace: duplicate cell t=%d node=%d: %w", c[0], c[1], ErrBadCSV)
 		}
-		data[c.t][c.node] = c.vals
+		seen[c[0]*nodes+c[1]] = true
+		copy(data[c[0]][c[1]], vals[k*nRes:])
 	}
 	return &Dataset{Name: name, Resources: resources, Data: data}, nil
 }

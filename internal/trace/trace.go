@@ -219,14 +219,25 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 }
 
 func (c GeneratorConfig) validate() error {
-	if c.Nodes < 1 || c.Steps < 1 {
-		return fmt.Errorf("trace: %d nodes × %d steps: %w", c.Nodes, c.Steps, ErrBadConfig)
+	if c.Nodes < 1 || c.Steps < 1 || c.Resources < 1 {
+		return fmt.Errorf("trace: %d nodes × %d steps × %d resources: %w",
+			c.Nodes, c.Steps, c.Resources, ErrBadConfig)
+	}
+	if c.Nodes > math.MaxInt/c.Steps/c.Resources {
+		return fmt.Errorf("trace: %d nodes × %d steps × %d resources overflows: %w",
+			c.Nodes, c.Steps, c.Resources, ErrBadConfig)
 	}
 	if c.ChurnProb < 0 || c.ChurnProb > 1 || c.BurstProb < 0 || c.BurstProb > 1 {
 		return fmt.Errorf("trace: probabilities outside [0,1]: %w", ErrBadConfig)
 	}
 	if c.Profiles < 1 {
 		return fmt.Errorf("trace: %d profiles: %w", c.Profiles, ErrBadConfig)
+	}
+	// A burst lasts 1 + IntN(2·len) steps, so 2·len must be a positive int.
+	if c.BurstLen < 1 || c.BurstLen > math.MaxInt/2 ||
+		c.NodeBurstLen < 1 || c.NodeBurstLen > math.MaxInt/2 {
+		return fmt.Errorf("trace: burst lengths %d and %d outside [1, MaxInt/2]: %w",
+			c.BurstLen, c.NodeBurstLen, ErrBadConfig)
 	}
 	return nil
 }
@@ -241,15 +252,42 @@ type profileState struct {
 	burstMag  float64
 }
 
-// Generate produces a synthetic dataset.
+// nodeState is one node's generator state for one resource: its static
+// offset, slow AR(1) wander and transient task burst.
+type nodeState struct {
+	offset    float64
+	wander    float64
+	burstMag  float64
+	burstLeft int
+}
+
+// newFrame returns a zeroed steps × nodes × width Dataset.Data backed by one
+// array. Every row is a capacity-capped view into it, and so is every step,
+// so appending to a row or a step never writes into its neighbour.
+func newFrame(steps, nodes, width int) [][][]float64 {
+	frame := make([]float64, steps*nodes*width)
+	rows := make([][]float64, steps*nodes)
+	for k := range rows {
+		rows[k] = frame[k*width : (k+1)*width : (k+1)*width]
+	}
+	data := make([][][]float64, steps)
+	for t := range data {
+		data[t] = rows[t*nodes : (t+1)*nodes : (t+1)*nodes]
+	}
+	return data
+}
+
+// Generate produces a synthetic dataset, written into one frame (see
+// newFrame): it allocates nothing per step or per row.
 func Generate(cfg GeneratorConfig) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x51a5_cafe_f00d_beef))
+	nodes, nRes := cfg.Nodes, cfg.Resources
 
-	resources := make([]string, cfg.Resources)
+	resources := make([]string, nRes)
 	for r := range resources {
 		switch r {
 		case 0:
@@ -261,19 +299,19 @@ func Generate(cfg GeneratorConfig) (*Dataset, error) {
 		}
 	}
 
-	// Initialize profiles: base levels spread across [0.15, 0.15+spread].
-	profiles := make([][]profileState, cfg.Profiles) // [profile][resource]
-	for g := range profiles {
-		profiles[g] = make([]profileState, cfg.Resources)
+	// Initialize profiles, indexed [profile·R + resource]: base levels
+	// spread across [0.15, 0.15+spread].
+	profiles := make([]profileState, cfg.Profiles*nRes)
+	for g := 0; g < cfg.Profiles; g++ {
 		baseCPU := 0.15 + cfg.ProfileSpread*float64(g)/float64(max(cfg.Profiles-1, 1))
-		for r := range profiles[g] {
+		for r := 0; r < nRes; r++ {
 			base := baseCPU
 			if r > 0 {
 				// Other resources: partially independent level.
 				base = 0.15 + cfg.ProfileSpread*rng.Float64()
 				base = cfg.CrossResourceCorr*baseCPU + (1-cfg.CrossResourceCorr)*base
 			}
-			profiles[g][r] = profileState{
+			profiles[g*nRes+r] = profileState{
 				base:  base,
 				amp:   cfg.DiurnalAmp * (0.5 + rng.Float64()),
 				phase: 2 * math.Pi * rng.Float64(),
@@ -281,23 +319,17 @@ func Generate(cfg GeneratorConfig) (*Dataset, error) {
 		}
 	}
 
-	// Node state: profile membership, static offset, slow AR(1) wander, and
-	// transient per-node task bursts. Idle machines replace the profile
-	// signal with a constant low level and rare activity.
-	membership := make([]int, cfg.Nodes)
-	offsets := make([][]float64, cfg.Nodes)
-	nodeWander := make([][]float64, cfg.Nodes)
-	nodeBurstLeft := make([][]int, cfg.Nodes)
-	nodeBurstMag := make([][]float64, cfg.Nodes)
-	idleLevel := make([]float64, cfg.Nodes) // negative = active machine
+	// Node state: profile membership, and per resource (indexed
+	// [node·R + resource]) a static offset, slow AR(1) wander and transient
+	// task bursts. Idle machines replace the profile signal with a constant
+	// low level and rare activity.
+	membership := make([]int, nodes)
+	state := make([]nodeState, nodes*nRes)
+	idleLevel := make([]float64, nodes) // negative = active machine
 	for i := range membership {
 		membership[i] = rng.IntN(cfg.Profiles)
-		offsets[i] = make([]float64, cfg.Resources)
-		nodeWander[i] = make([]float64, cfg.Resources)
-		nodeBurstLeft[i] = make([]int, cfg.Resources)
-		nodeBurstMag[i] = make([]float64, cfg.Resources)
-		for r := range offsets[i] {
-			offsets[i][r] = cfg.OffsetStd * rng.NormFloat64()
+		for r := 0; r < nRes; r++ {
+			state[i*nRes+r].offset = cfg.OffsetStd * rng.NormFloat64()
 		}
 		idleLevel[i] = -1
 		if rng.Float64() < cfg.IdleProb {
@@ -305,7 +337,7 @@ func Generate(cfg GeneratorConfig) (*Dataset, error) {
 		}
 	}
 	// Twin machines mirror an earlier machine's pre-quantization signal.
-	twinOf := make([]int, cfg.Nodes)
+	twinOf := make([]int, nodes)
 	for i := range twinOf {
 		twinOf[i] = -1
 		if i > 0 && rng.Float64() < cfg.TwinProb {
@@ -313,40 +345,35 @@ func Generate(cfg GeneratorConfig) (*Dataset, error) {
 		}
 	}
 
-	data := make([][][]float64, cfg.Steps)
-	values := make([][]float64, cfg.Profiles) // per-step profile values
-	for g := range values {
-		values[g] = make([]float64, cfg.Resources)
-	}
+	data := newFrame(cfg.Steps, nodes, nRes)
+	values := make([]float64, cfg.Profiles*nRes) // this step's profile values
+	// pre holds this step's pre-quantization values, [node·R + resource], so
+	// twin machines can mirror their target.
+	pre := make([]float64, nodes*nRes)
 	for t := 0; t < cfg.Steps; t++ {
 		// Advance profiles.
-		for g := range profiles {
-			for r := range profiles[g] {
-				ps := &profiles[g][r]
-				ps.wander = 0.995*ps.wander + 0.004*rng.NormFloat64()
-				if ps.burstLeft > 0 {
-					ps.burstLeft--
-				} else if rng.Float64() < cfg.BurstProb {
-					ps.burstLeft = 1 + rng.IntN(2*cfg.BurstLen)
-					ps.burstMag = 0.1 + 0.2*rng.Float64()
-					if rng.Float64() < 0.4 {
-						ps.burstMag = -ps.burstMag
-					}
+		for k := range profiles {
+			ps := &profiles[k]
+			ps.wander = 0.995*ps.wander + 0.004*rng.NormFloat64()
+			if ps.burstLeft > 0 {
+				ps.burstLeft--
+			} else if rng.Float64() < cfg.BurstProb {
+				ps.burstLeft = 1 + rng.IntN(2*cfg.BurstLen)
+				ps.burstMag = 0.1 + 0.2*rng.Float64()
+				if rng.Float64() < 0.4 {
+					ps.burstMag = -ps.burstMag
 				}
-				v := ps.base +
-					ps.amp*math.Sin(2*math.Pi*float64(t)/float64(cfg.DiurnalPeriod)+ps.phase) +
-					ps.wander
-				if ps.burstLeft > 0 {
-					v += ps.burstMag
-				}
-				values[g][r] = v
 			}
+			v := ps.base +
+				ps.amp*math.Sin(2*math.Pi*float64(t)/float64(cfg.DiurnalPeriod)+ps.phase) +
+				ps.wander
+			if ps.burstLeft > 0 {
+				v += ps.burstMag
+			}
+			values[k] = v
 		}
-		// Node churn and measurement. pre holds the pre-quantization values
-		// of this step so twin machines can mirror their target.
-		row := make([][]float64, cfg.Nodes)
-		pre := make([][]float64, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
+		// Node churn and measurement.
+		for i, vals := range data[t] {
 			if cfg.Profiles > 1 && rng.Float64() < cfg.ChurnProb {
 				next := rng.IntN(cfg.Profiles - 1)
 				if next >= membership[i] {
@@ -354,54 +381,60 @@ func Generate(cfg GeneratorConfig) (*Dataset, error) {
 				}
 				membership[i] = next
 			}
-			vals := make([]float64, cfg.Resources)
-			pre[i] = make([]float64, cfg.Resources)
-			for r := range vals {
-				var v float64
-				switch {
-				case twinOf[i] >= 0:
-					// Replica machine: mirrors its target's signal with only
-					// tiny divergence — the multicollinearity case.
-					v = pre[twinOf[i]][r] + 0.002*rng.NormFloat64()
-				case idleLevel[i] >= 0:
-					// Idle machine: constant level, rare short activity
-					// spikes (e.g. cron jobs), no profile signal. After
-					// quantization the reported value is exactly constant
-					// most of the time.
-					v = idleLevel[i]
-					if nodeBurstLeft[i][r] > 0 {
-						nodeBurstLeft[i][r]--
-						v += nodeBurstMag[i][r]
+			lo, hi := i*nRes, (i+1)*nRes
+			p, ns := pre[lo:hi:hi], state[lo:hi:hi]
+			switch {
+			case twinOf[i] >= 0:
+				// Replica machine: mirrors its target's signal with only
+				// tiny divergence — the multicollinearity case.
+				src := pre[twinOf[i]*nRes:]
+				for r := range p {
+					p[r] = src[r] + 0.002*rng.NormFloat64()
+				}
+			case idleLevel[i] >= 0:
+				// Idle machine: constant level, rare short activity spikes
+				// (e.g. cron jobs), no profile signal. After quantization
+				// the reported value is exactly constant most of the time.
+				for r := range p {
+					s := &ns[r]
+					v := idleLevel[i]
+					if s.burstLeft > 0 {
+						s.burstLeft--
+						v += s.burstMag
 					} else if rng.Float64() < cfg.NodeBurstProb/5 {
-						nodeBurstLeft[i][r] = 1 + rng.IntN(2*cfg.NodeBurstLen)
-						nodeBurstMag[i][r] = 0.1 + 0.3*rng.Float64()
+						s.burstLeft = 1 + rng.IntN(2*cfg.NodeBurstLen)
+						s.burstMag = 0.1 + 0.3*rng.Float64()
 					}
-				default:
-					nodeWander[i][r] = 0.995*nodeWander[i][r] + cfg.NodeWanderStd*rng.NormFloat64()
-					if nodeBurstLeft[i][r] > 0 {
-						nodeBurstLeft[i][r]--
+					p[r] = v
+				}
+			default:
+				prof := values[membership[i]*nRes:]
+				for r := range p {
+					s := &ns[r]
+					s.wander = 0.995*s.wander + cfg.NodeWanderStd*rng.NormFloat64()
+					if s.burstLeft > 0 {
+						s.burstLeft--
 					} else if rng.Float64() < cfg.NodeBurstProb {
-						nodeBurstLeft[i][r] = 1 + rng.IntN(2*cfg.NodeBurstLen)
-						nodeBurstMag[i][r] = 0.15 + 0.3*rng.Float64()
+						s.burstLeft = 1 + rng.IntN(2*cfg.NodeBurstLen)
+						s.burstMag = 0.15 + 0.3*rng.Float64()
 						if rng.Float64() < 0.4 {
-							nodeBurstMag[i][r] = -nodeBurstMag[i][r]
+							s.burstMag = -s.burstMag
 						}
 					}
-					v = values[membership[i]][r] + offsets[i][r] + nodeWander[i][r] +
-						cfg.NoiseStd*rng.NormFloat64()
-					if nodeBurstLeft[i][r] > 0 {
-						v += nodeBurstMag[i][r]
+					v := prof[r] + s.offset + s.wander + cfg.NoiseStd*rng.NormFloat64()
+					if s.burstLeft > 0 {
+						v += s.burstMag
 					}
+					p[r] = v
 				}
-				pre[i][r] = v
+			}
+			for r, v := range p {
 				if cfg.Quantum > 0 {
 					v = math.Round(v/cfg.Quantum) * cfg.Quantum
 				}
 				vals[r] = clamp01(v)
 			}
-			row[i] = vals
 		}
-		data[t] = row
 	}
 	return &Dataset{Name: cfg.Name, Resources: resources, Data: data}, nil
 }

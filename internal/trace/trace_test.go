@@ -12,14 +12,24 @@ import (
 
 func TestGenerateValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := Generate(GeneratorConfig{Nodes: 0, Steps: 10}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("0 nodes: want ErrBadConfig, got %v", err)
+	tests := []struct {
+		name string
+		cfg  GeneratorConfig
+	}{
+		{"0 nodes", GeneratorConfig{Nodes: 0, Steps: 10}},
+		{"0 steps", GeneratorConfig{Nodes: 10, Steps: 0}},
+		{"bad churn", GeneratorConfig{Nodes: 1, Steps: 1, ChurnProb: 2}},
+		// These three used to panic inside Generate (makeslice, IntN).
+		{"negative resources", GeneratorConfig{Nodes: 2, Steps: 2, Resources: -1}},
+		{"negative burst length", GeneratorConfig{Nodes: 2, Steps: 2, BurstProb: 1, BurstLen: -1}},
+		{"negative node burst length", GeneratorConfig{Nodes: 2, Steps: 2, NodeBurstProb: 1, NodeBurstLen: -3}},
+		{"burst length overflows", GeneratorConfig{Nodes: 2, Steps: 2, BurstProb: 1, BurstLen: math.MaxInt/2 + 1}},
+		{"tensor overflows", GeneratorConfig{Nodes: math.MaxInt / 4, Steps: 3}},
 	}
-	if _, err := Generate(GeneratorConfig{Nodes: 10, Steps: 0}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("0 steps: want ErrBadConfig, got %v", err)
-	}
-	if _, err := Generate(GeneratorConfig{Nodes: 1, Steps: 1, ChurnProb: 2}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("bad churn: want ErrBadConfig, got %v", err)
+	for _, tt := range tests {
+		if _, err := Generate(tt.cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: want ErrBadConfig, got %v", tt.name, err)
+		}
 	}
 }
 
@@ -269,6 +279,9 @@ func TestLoadCSVErrors(t *testing.T) {
 		{"negative index", "time,node,cpu\n-1,0,0.5\n"},
 		{"sparse grid", "time,node,cpu\n0,0,0.5\n2,0,0.5\n"},
 		{"duplicate cell", "time,node,cpu\n0,0,0.5\n0,0,0.6\n"},
+		{"duplicate cell in a full count", "time,node,cpu\n0,0,0.1\n0,0,0.2\n0,1,0.3\n1,1,0.4\n"},
+		// 2^62+1 steps × 4 nodes wraps to 4 cells in int arithmetic.
+		{"overflowing grid", "time,node,cpu\n4611686018427387904,0,0.5\n0,1,0.5\n0,2,0.5\n0,3,0.5\n"},
 	}
 	for _, tt := range tests {
 		tt := tt
