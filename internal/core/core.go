@@ -76,8 +76,8 @@ type Config struct {
 	RetrainEvery int
 	// FitWindow caps per-fit history (0 = all).
 	FitWindow int
-	// Policy builds each node's transmission policy. Nil means the adaptive
-	// policy with B=0.3 and paper defaults.
+	// Policy builds each node's transmission policy (NewCentral ignores it).
+	// Nil means the adaptive policy with B=0.3 and paper defaults.
 	Policy PolicyFactory
 	// Zoo lists the model families to run (resolve names via forecast.Zoo):
 	// every candidate trains on each (cluster, resource) centroid series.
@@ -194,13 +194,13 @@ type ResourceStep struct {
 // PerResource entries' Assignments and Centroids are views of buffers the
 // System owns — the look-back slot the step committed and a transmit-flag
 // buffer reused every step — so a step of a large fleet allocates nothing
-// fleet-sized. They are valid until the next call to Step, AddNodes,
-// RemoveNodes, ReconcileRoster or RestoreState on the same System, and must
-// not be written to; copy what has to outlive that.
+// fleet-sized. They are valid until the next call to Step, StepArrivals,
+// AddNodes, RemoveNodes, ReconcileRoster or RestoreState on the same System,
+// and must not be written to; copy what has to outlive that.
 type StepResult struct {
 	// T is the 1-based step index.
 	T int
-	// Transmitted flags which slots uploaded this step.
+	// Transmitted flags which slots uploaded (under StepArrivals: stored).
 	Transmitted []bool
 	// Present flags the slots that participated in clustering this step
 	// (live members with a stored measurement).
@@ -230,8 +230,8 @@ type System struct {
 	ensembles []*forecast.Ensemble
 
 	// zrow is the scratch row a slot's stored measurement is gathered into
-	// for a policy ingest does not decide inline (Adaptive policies read the
-	// store in place), transmitted the per-step transmit flags that
+	// for a policy decide does not decide inline (Adaptive policies read the
+	// store in place), transmitted the flags of the rows a step stores, which
 	// StepResult.Transmitted views, centRows[tr] tracker tr's K row views
 	// into the in-flight step's centroids that the ensembles observe and
 	// ResourceStep.Centroids returns.
@@ -279,8 +279,18 @@ type System struct {
 }
 
 // NewSystem validates the configuration and builds the pipeline.
-func NewSystem(cfg Config) (*System, error) {
+func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, true) }
+
+// NewCentral builds an edge-less System, the central node alone, stepped by
+// StepArrivals. It runs no policy (cfg.Policy is ignored): Step returns
+// ErrBadConfig, and its State records no policy state and restores none.
+func NewCentral(cfg Config) (*System, error) { return newSystem(cfg, false) }
+
+func newSystem(cfg Config, edge bool) (*System, error) {
 	cfg = cfg.withDefaults()
+	if !edge {
+		cfg.Policy = nil // the edge-less mark newPolicy and Step read
+	}
 	if cfg.Nodes < 0 {
 		return nil, fmt.Errorf("core: %d nodes: %w", cfg.Nodes, ErrBadConfig)
 	}
@@ -308,12 +318,9 @@ func NewSystem(cfg Config) (*System, error) {
 	s.absentFor = make([]int, cfg.Nodes)
 	s.transmitted = make([]bool, cfg.Nodes)
 	for i := range s.policies {
-		p, err := cfg.Policy(i)
+		p, err := s.newPolicy(i)
 		if err != nil {
-			return nil, fmt.Errorf("core: policy for node %d: %w", i, err)
-		}
-		if p == nil {
-			return nil, fmt.Errorf("core: nil policy for node %d: %w", i, ErrBadConfig)
+			return nil, err
 		}
 		s.policies[i] = p
 		s.ids[i] = i
@@ -585,12 +592,9 @@ func (s *System) addSlotAt(i, id int) error {
 			return fmt.Errorf("core: slot %d is not free: %w", i, ErrBadConfig)
 		}
 	}
-	p, err := s.cfg.Policy(i)
+	p, err := s.newPolicy(i)
 	if err != nil {
-		return fmt.Errorf("core: policy for node %d (slot %d): %w", id, i, err)
-	}
-	if p == nil {
-		return fmt.Errorf("core: nil policy for node %d: %w", id, ErrBadConfig)
+		return fmt.Errorf("core: joining node %d: %w", id, err)
 	}
 	if at < 0 {
 		s.ids = append(s.ids, 0)
@@ -624,6 +628,20 @@ func (s *System) addSlotAt(i, id int) error {
 	s.byID[id] = i
 	s.rosterGen++
 	return nil
+}
+
+// newPolicy builds the transmission policy of the member taking slot i: nil
+// on an edge-less System, which runs none.
+func (s *System) newPolicy(i int) (p transmit.Policy, err error) {
+	if s.cfg.Policy != nil {
+		if p, err = s.cfg.Policy(i); err == nil && p == nil {
+			err = ErrBadConfig
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: policy for slot %d: %w", i, err)
+	}
+	return p, nil
 }
 
 // evictSlot departs the member occupying slot i: the stable ID is retired,
@@ -757,22 +775,41 @@ func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
 // live members a silent step that counts toward the absence timeout (the
 // member's last stored value keeps representing it in clustering until it
 // is evicted; evictions that would shrink the clustered set below K are
-// deferred, in slot order, until replacements report). It runs transmission
-// decisions, clustering, and model maintenance, and returns the step
-// outcome (see StepResult for the lifetime of its slices). Malformed input
-// is rejected before anything changes. On a later error the look-back ring
-// is untouched, but trackers/ensembles may have advanced unevenly (how far
-// depends on the worker schedule) — discard the System instead of stepping
-// it further.
-//
-// Step is the one place rows-of-slices enter the pipeline, and a sequence of
-// per-phase calls: checkStep, then ingest (layer 1: decide and write the
-// store), clusterAndRefit (layers 2+3, one cluster call per tracker and one
-// refit call for all of them), and — with publishing on — assembleSnapshot
-// and centroidForecasts, then commit, which publishes. Each call runs under the
-// phase timer, so the PhaseObserver sees calls, not regions of this function.
+// deferred, in slot order, until replacements report). The members'
+// policies decide which rows are transmitted, and the central node takes
+// those as StepArrivals takes arrivals. Malformed input is rejected before
+// anything changes. On a later error the look-back ring is untouched, but
+// trackers/ensembles may have advanced unevenly (how far depends on the
+// worker schedule) — discard the System instead of stepping it further. An
+// edge-less System's Step returns ErrBadConfig.
 func (s *System) Step(x [][]float64) (*StepResult, error) {
-	if err := s.checkStep(x); err != nil {
+	if s.cfg.Policy == nil {
+		return nil, fmt.Errorf("core: an edge-less system runs no policy; step it with StepArrivals: %w", ErrBadConfig)
+	}
+	return s.step(x, nil)
+}
+
+// StepArrivals steps the central node alone, on what the nodes sent: x as
+// for Step (a non-nil row means the member was contacted) and arrived[i],
+// one flag per slot, that x[i] is news and is stored; so is the row of a
+// contacted member with nothing stored. No policy runs (a NewSystem's are
+// bypassed), and the eq. (5) meters count what is stored. An arrival flag on
+// a nil row is malformed input. Results and errors are Step's.
+func (s *System) StepArrivals(x [][]float64, arrived []bool) (*StepResult, error) {
+	if len(arrived) != len(s.ids) {
+		return nil, fmt.Errorf("core: %d arrival flags in step, want %d fleet slots: %w", len(arrived), len(s.ids), ErrBadInput)
+	}
+	return s.step(x, arrived)
+}
+
+// step is Step (arrived nil) and StepArrivals, a sequence of per-phase
+// calls: checkStep, then layer 1 (decide or arrivals, then ingest), then
+// clusterAndRefit (layers 2+3, one cluster call per tracker and one refit
+// call for all of them), and — with publishing on — assembleSnapshot and
+// centroidForecasts, then commit, which publishes. Each call runs under the
+// phase timer, so the PhaseObserver sees calls, not regions of a function.
+func (s *System) step(x [][]float64, arrived []bool) (*StepResult, error) {
+	if err := s.checkStep(x, arrived); err != nil {
 		return nil, err
 	}
 	s.t++
@@ -782,6 +819,11 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 	var mask []bool
 	var evicted []int
 	err := pt.run(PhaseIngest, func() (err error) {
+		if arrived == nil {
+			s.decide(x)
+		} else {
+			s.arrivals(x, arrived)
+		}
 		mask, evicted, err = s.ingest(x)
 		return err
 	})
@@ -825,12 +867,12 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 	return res, nil
 }
 
-// checkStep validates a step's input against the fleet layout without
-// changing anything. It also rejects a step that would leave fewer than K
-// members to cluster, counting the members with a stored measurement plus
-// the reporting ones that have none: every built-in policy transmits when
-// nothing is stored, so for them this is ingest's present count exactly.
-func (s *System) checkStep(x [][]float64) error {
+// checkStep validates a step's input (x, and arrived unless nil) against the
+// fleet layout without changing anything. It also rejects a step that would
+// leave fewer than K members to cluster, counting the stored members plus
+// the reporting ones that have none: StepArrivals and every built-in policy
+// store those, so for them this is ingest's present count exactly.
+func (s *System) checkStep(x [][]float64, arrived []bool) error {
 	if len(x) != len(s.ids) {
 		return fmt.Errorf("core: %d rows in step, want %d fleet slots: %w", len(x), len(s.ids), ErrBadInput)
 	}
@@ -838,6 +880,9 @@ func (s *System) checkStep(x [][]float64) error {
 	present := 0
 	for i, xi := range x {
 		if xi == nil {
+			if arrived != nil && arrived[i] {
+				return fmt.Errorf("core: slot %d flagged as arrived without a row: %w", i, ErrBadInput)
+			}
 			if stored[i] {
 				present++
 			}
@@ -879,55 +924,30 @@ func errTooFewPresent(present, k int) error {
 		"or wait for first transmissions before stepping: %w", present, k, ErrBadInput)
 }
 
-// ingest is layer 1 of a step: one walk over the slots makes the
-// transmission decisions, writes accepted measurements into the central
-// store — the staged look-back slot, which only enters the eq. (12) ring
-// when the whole step succeeds — and accrues absence for silent members. The
-// store's presence column is the clustering mask: live members with a
-// stored measurement take part in clustering; joiners whose policies have
-// not transmitted yet stay masked (warm-up), as do members departing this
-// step, whose absence-timeout evictions ingest applies last. It returns the
-// mask — nil when every slot takes part, which lets the trackers cluster
-// their block of the store in place — and the stable IDs evicted this step.
-//
-// The decision is the walk's only polymorphic step. An Adaptive policy is
-// decided inline: its eq. 7 penalty is taken straight off x[i] and the store
-// and handed to DecidePenalty, the same eq. 8–9 code Adaptive.Decide runs.
+// decide is the edge of Step: each reporting member's policy decides, into
+// s.transmitted, whether its row is sent. An Adaptive policy is decided
+// inline: its eq. 7 penalty is taken straight off x[i] and the store and
+// handed to DecidePenalty, the same eq. 8–9 code Adaptive.Decide runs.
 // Every other policy gets Decide(t, x[i], z) through the interface, with z
 // the stored row gathered into zrow (nil before the first store), in slot
 // order on the calling goroutine. The walk stays serial: it is bound by the
 // memory it streams, so a fan-out adds CPU time and no speed, and policies
 // may share state.
-func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
+func (s *System) decide(x [][]float64) {
 	n := len(x)
 	// Everything the walk indexes by slot, cut to n once so that the loop
 	// body carries no bounds checks for them.
 	store := &s.stage.z
-	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stage.present[:n], s.transmitted[:n]
-	policies, meters := s.policies[:n], s.meters[:n]
+	stored, transmitted, policies := s.stage.present[:n], s.transmitted[:n], s.policies[:n]
 	// Resource r of slot i is data[i*si+r*sr] in either layout of the store.
 	data, si, sr := store.strided()
 	fd := float64(s.cfg.Resources)
 	// (t+1)^γ of the run of Adaptive policies the walk is in; NaN equals no
 	// γ, so the first one takes it.
 	gamma, pow := math.NaN(), 0.0
-	nPresent := 0
-	// Members at the timeout are only marked for eviction in the walk — the
-	// roster mutation happens after the present-count check below, so a step
-	// that fails it has not half-departed anyone (and never loses its
-	// Evicted report).
-	var evict []int
 	for i, xi := range x {
 		send := false
-		switch {
-		case !alive[i]:
-		case xi == nil:
-			absentFor[i]++
-			if timeout := s.cfg.AbsenceTimeout; timeout > 0 && absentFor[i] >= timeout {
-				evict = append(evict, i)
-			}
-		default:
-			absentFor[i] = 0
+		if xi != nil {
 			off := i * si
 			switch p := policies[i].(type) {
 			case *transmit.Adaptive:
@@ -977,22 +997,64 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 				}
 				send = p.Decide(s.t, xi, zi)
 			}
-			if send {
+		}
+		transmitted[i] = send
+	}
+}
+
+// arrivals is the edge of StepArrivals: a contacted member's row is
+// transmitted when it arrived, or when nothing is stored for it yet.
+func (s *System) arrivals(x [][]float64, arrived []bool) {
+	for i, xi := range x {
+		s.transmitted[i] = xi != nil && (arrived[i] || !s.stage.present[i])
+	}
+}
+
+// ingest is the central walk of layer 1: it writes the rows s.transmitted
+// flags into the central store — the staged look-back slot, which only
+// enters the eq. (12) ring when the whole step succeeds — meters them, and
+// accrues absence for silent members. The store's presence column is the
+// clustering mask: live members with a stored measurement take part in
+// clustering; joiners that have not transmitted yet stay masked (warm-up),
+// as do members departing this step, whose absence-timeout evictions ingest
+// applies last. It returns the mask — nil when every slot takes part, which
+// lets the trackers cluster their block of the store in place — and the
+// stable IDs evicted this step.
+func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
+	n := len(x)
+	store := &s.stage.z
+	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stage.present[:n], s.transmitted[:n]
+	meters, nPresent := s.meters[:n], 0
+	// Members at the timeout are only marked for eviction in the walk — the
+	// roster mutation happens after the present-count check below, so a step
+	// that fails it has not half-departed anyone (and never loses its
+	// Evicted report).
+	var evict []int
+	for i, xi := range x {
+		switch {
+		case !alive[i]:
+		case xi == nil:
+			absentFor[i]++
+			if timeout := s.cfg.AbsenceTimeout; timeout > 0 && absentFor[i] >= timeout {
+				evict = append(evict, i)
+			}
+		default:
+			absentFor[i] = 0
+			if transmitted[i] {
 				store.set(i, xi)
 				stored[i] = true
 			}
-			meters[i].Observe(send)
+			meters[i].Observe(transmitted[i])
 		}
-		transmitted[i] = send
 		if stored[i] {
 			nPresent++
 		}
 	}
 	// Live members with a stored measurement take part in clustering;
 	// tombstones are never stored (evictSlot clears the flag). checkStep has
-	// made this count already for every policy that transmits a member's
+	// made this count already for every edge that transmits a member's
 	// first report; only a custom policy that declines one can fail here,
-	// after the walk moved policies and meters. No eviction has happened
+	// after the walks moved policies and meters. No eviction has happened
 	// yet, so the roster is untouched (candidates are simply retried later).
 	if nPresent < s.cfg.K {
 		return nil, nil, errTooFewPresent(nPresent, s.cfg.K)

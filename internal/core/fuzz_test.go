@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzDecideKernelMatchesPolicy is the differential of the inline arm of the
-// ingest walk against Adaptive.Decide under raw float64 bit patterns. Every
+// edge walk against Adaptive.Decide under raw float64 bit patterns. Every
 // eight input bytes are one value verbatim: the virtual queue, then B, V0 and
 // γ (folded into their valid ranges; what NewAdaptive still rejects is
 // skipped), then the d values of x and the d values of the stored row z. The
@@ -55,7 +55,7 @@ func FuzzDecideKernelMatchesPolicy(f *testing.F) {
 	})
 }
 
-// checkKernelDecision asks the inline arm of the ingest walk and, on a twin
+// checkKernelDecision asks the inline arm of the edge walk and, on a twin
 // policy, Adaptive.Decide for the decision of a node with configuration cfg
 // and virtual queue `queue` that reports x at step t while the central node
 // holds z (nil: nothing stored). The node is the middle slot of a three-slot
@@ -90,8 +90,9 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 	sys.t = step
 	rows := make([][]float64, 3)
 	rows[slot] = x
-	// Only the walk is under test: a fleet that still stores nothing fails
-	// ingest's present-count check after it.
+	// Only the walks are under test: a fleet that still stores nothing fails
+	// ingest's present-count check after them.
+	sys.decide(rows)
 	_, _, _ = sys.ingest(rows)
 
 	twin := build()

@@ -66,7 +66,7 @@ type State struct {
 	// Meters carries the per-slot eq. (5) frequency counters.
 	Meters []MeterState
 	// Policies holds each live member policy's opaque mutable state (nil
-	// for tombstoned slots).
+	// for tombstoned slots, and for every slot of an edge-less System).
 	Policies [][]byte
 	// TrackerRNGs holds each tracker's marshaled K-means PCG source.
 	TrackerRNGs [][]byte
@@ -168,7 +168,7 @@ func (s *System) ExportState() (*State, error) {
 	st.Policies = make([][]byte, len(s.policies))
 	for i, p := range s.policies {
 		if p == nil {
-			continue // tombstoned slot
+			continue // tombstoned slot, or an edge-less System
 		}
 		pp, ok := p.(transmit.Persistent)
 		if !ok {
@@ -271,19 +271,16 @@ func (s *System) RestoreState(st *State) error {
 			continue
 		}
 		s.byID[st.IDs[i]] = i
-		p, err := s.cfg.Policy(i)
+		p, err := s.newPolicy(i)
 		if err != nil {
-			return fmt.Errorf("core: policy for slot %d: %w", i, err)
+			return err
 		}
-		if p == nil {
-			return fmt.Errorf("core: nil policy for slot %d: %w", i, ErrBadConfig)
-		}
-		pp, ok := p.(transmit.Persistent)
-		if !ok {
+		if pp, ok := p.(transmit.Persistent); ok {
+			if err := pp.UnmarshalState(st.Policies[i]); err != nil {
+				return fmt.Errorf("core: node %d policy state: %w", i, err)
+			}
+		} else if p != nil {
 			return fmt.Errorf("core: slot %d policy %T: %w", i, p, ErrNotPersistent)
-		}
-		if err := pp.UnmarshalState(st.Policies[i]); err != nil {
-			return fmt.Errorf("core: node %d policy state: %w", i, err)
 		}
 		s.policies[i] = p
 		if err := s.meters[i].Restore(st.Meters[i].Steps, st.Meters[i].Transmits); err != nil {
@@ -370,6 +367,9 @@ func (s *System) validateState(st *State) error {
 		}
 		if id < 0 || seen[id] {
 			return fmt.Errorf("core: roster slot %d: bad or duplicate live ID %d: %w", i, id, ErrBadState)
+		}
+		if s.cfg.Policy == nil && len(st.Policies[i]) != 0 {
+			return fmt.Errorf("core: slot %d carries policy state, but the system is edge-less: %w", i, ErrBadState)
 		}
 		seen[id] = true
 	}

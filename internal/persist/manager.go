@@ -71,11 +71,10 @@ type RecoveryInfo struct {
 // at Step entry (reconcile it into the system with
 // core.System.ReconcileRoster before stepping, so membership changes replay
 // at the exact steps they originally happened); x the measurement tensor
-// fed to the original Step; arrived the per-slot fresh-arrival flags
-// recorded with it (serve.StoreStepper needs them to mirror the original
-// transmission decisions — plain systems can ignore them and let their
-// restored policies re-decide, which reproduces the original decisions
-// exactly).
+// fed to the original step; arrived the per-slot flags recorded with it:
+// the arrivals an edge-less System took (serve.StoreStepper replays them
+// through core.System.StepArrivals), or a plain System's Transmitted flags,
+// which its restored policies re-decide exactly.
 type ReplayFunc func(step int, ids []int, alive []bool, x [][]float64, arrived []bool) error
 
 // Manager gives one core.System durable state: it logs every step's

@@ -1,6 +1,6 @@
 package serve
 
-// The StoreStepper's arrival-mirroring (central eq. 5 accounting) must be
+// The StoreStepper's arrival flags (central eq. 5 accounting) must be
 // insensitive to HOW measurements reached the store — applied one at a time,
 // or coalesced into batches over TCP. Identical store states at each tick
 // must produce a bit-identical pipeline.
@@ -69,7 +69,7 @@ func TestStoreStepperBatchedDeliveryBitIdentical(t *testing.T) {
 		for n := 0; n < nodes; n++ {
 			v := []float64{val(step, n, 0), val(step, n, 1)}
 			// A node transmits on a per-node cadence so some ticks see
-			// fresh arrivals and others do not (the arrival mirror's job);
+			// fresh arrivals and others do not (the arrival flags' job);
 			// everyone reports at step 1 so the steppers can start.
 			if step == 1 || step%(n+1) == 0 {
 				direct.Apply(transport.Measurement{Node: n, Step: step, Values: append([]float64(nil), v...)})

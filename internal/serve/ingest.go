@@ -8,15 +8,14 @@ import (
 	"orcf/internal/core"
 	"orcf/internal/mat"
 	"orcf/internal/obs"
-	"orcf/internal/transmit"
 	"orcf/internal/transport"
 )
 
 // StoreStepper bridges the TCP collection plane into the pipeline: it drives
-// a core.System from a transport.Store. Agents make the transmission
-// decisions on their side (§V-A runs at the edge), so the central system
-// must not re-filter — each Tick feeds the store's latest values through a
-// policy that mirrors actual arrivals: a node "transmitted" in a tick iff a
+// an edge-less core.System (core.NewCentral) from a transport.Store. Agents
+// make the transmission decisions on their side (§V-A runs at the edge), so
+// the central node runs no policy — each Tick hands the store's latest
+// values to System.StepArrivals with a node's row flagged as arrived iff a
 // new measurement arrived since the previous tick. That keeps the system's
 // z_t and per-node frequency accounting (eq. 5) faithful to what the network
 // actually delivered.
@@ -49,10 +48,7 @@ type StoreStepper struct {
 	sys     *core.System
 	store   *transport.Store
 	log     StepLog
-	dims    int
-	k       int
 	absence int // cfg.AbsenceTimeout: 0 = no liveness tracking
-	started bool
 
 	marks    []watermark  // per store entry, grown as the store grows
 	roster   *core.Roster // the membership cached slots were looked up in
@@ -86,43 +82,26 @@ type joiner struct {
 
 // StepLog records completed steps for durability. persist.Manager satisfies
 // it; the stepper calls LogStep after every successful Tick with the fleet
-// roster at step entry, the measurements it fed to Step, and the
-// fresh-arrival flags — exactly what a replay needs to reproduce the step,
+// roster at step entry and the measurements and fresh-arrival flags it fed
+// to StepArrivals — exactly what a replay needs to reproduce the step,
 // membership changes included (see SetLog and Replay).
 type StepLog interface {
 	// LogStep records one completed step.
 	LogStep(step int, roster *core.Roster, x [][]float64, arrived []bool) error
 }
 
-// NewStoreStepper builds the system with an arrival-mirroring transmission
-// policy and wires it to the store. cfg.Policy must be unset — the stepper
-// owns the policy layer.
+// NewStoreStepper builds an edge-less system (core.NewCentral, which ignores
+// cfg.Policy) and wires it to the store.
 func NewStoreStepper(store *transport.Store, cfg core.Config) (*StoreStepper, error) {
 	if store == nil {
 		return nil, fmt.Errorf("serve: nil store: %w", ErrBadConfig)
 	}
-	if cfg.Policy != nil {
-		return nil, fmt.Errorf("serve: store stepper owns the policy layer: %w", ErrBadConfig)
-	}
-	dims := cfg.Resources
-	if dims == 0 {
-		dims = 1
-	}
-	st := &StoreStepper{
-		store:   store,
-		dims:    dims,
-		absence: cfg.AbsenceTimeout,
-		frame:   mat.NewFrame(0, dims),
-	}
-	cfg.Policy = func(node int) (transmit.Policy, error) {
-		return arrivalMirror{stepper: st, node: node}, nil
-	}
-	sys, err := core.NewSystem(cfg)
+	sys, err := core.NewCentral(cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.sys = sys
-	st.k = sys.Clusters() // resolved K, not the raw zero-defaulted config
+	// One frame row per slot, as wide as core resolves Resources (0 means 1).
+	st := &StoreStepper{sys: sys, store: store, absence: cfg.AbsenceTimeout, frame: mat.NewFrame(0, max(cfg.Resources, 1))}
 	st.grow(sys.Slots())
 	return st, nil
 }
@@ -142,32 +121,6 @@ func (st *StoreStepper) grow(n int) {
 	st.rows = st.frame.RowViews(st.rows)
 }
 
-// arrivalMirror reports a node as transmitting exactly when the stepper saw
-// a new measurement for it this tick.
-type arrivalMirror struct {
-	stepper *StoreStepper
-	node    int
-}
-
-// Decide implements transmit.Policy.
-func (p arrivalMirror) Decide(t int, x, z []float64) bool {
-	return p.stepper.arrived[p.node] || z == nil
-}
-
-// MarshalState implements transmit.Persistent. The mirror itself carries no
-// state — the arrival flags it reads are recorded per step in the WAL and
-// fed back through Replay during recovery.
-func (p arrivalMirror) MarshalState() ([]byte, error) { return nil, nil }
-
-// UnmarshalState implements transmit.Persistent.
-func (p arrivalMirror) UnmarshalState(data []byte) error {
-	if len(data) != 0 {
-		return fmt.Errorf("serve: %d state bytes for arrival mirror, want 0: %w",
-			len(data), ErrBadConfig)
-	}
-	return nil
-}
-
 // System returns the driven pipeline (hand it to serve.Config.Source).
 func (st *StoreStepper) System() *core.System { return st.sys }
 
@@ -178,22 +131,13 @@ func (st *StoreStepper) SetLog(log StepLog) { st.log = log }
 
 // Replay re-applies one recovered step: it reconciles the logged fleet
 // roster (so joins and departures land at the exact steps they originally
-// happened), installs the logged arrival flags (so the arrival-mirroring
-// policies decide exactly as they did originally), and steps the system
-// with the logged measurements. It has the persist.ReplayFunc shape — hand
-// it to persist.Manager.Recover.
+// happened) and hands StepArrivals the logged rows and arrival flags. It has
+// the persist.ReplayFunc shape — hand it to persist.Manager.Recover.
 func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64, arrived []bool) error {
 	if err := st.sys.ReconcileRoster(ids, alive); err != nil {
 		return err
 	}
-	st.grow(st.sys.Slots())
-	if len(x) != st.sys.Slots() || len(arrived) != st.sys.Slots() {
-		return fmt.Errorf("serve: replay record for %d/%d slots, want %d: %w",
-			len(x), len(arrived), st.sys.Slots(), core.ErrBadInput)
-	}
-	copy(st.arrived, arrived)
-	st.started = true
-	_, err := st.sys.Step(x)
+	_, err := st.sys.StepArrivals(x, arrived)
 	return err
 }
 
@@ -218,15 +162,11 @@ func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64,
 // no map lookup for a node whose entry and roster slot the stepper already
 // knows.
 func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
-	// The system may have been restored (roster and all) by a recovery that
-	// replayed zero WAL records, bypassing Replay: resync the dense buffers
-	// and the bootstrap flag with the recovered fleet.
+	// A recovery that replayed no WAL record restored the fleet without a
+	// Replay: size the dense buffers to it.
 	st.grow(st.sys.Slots())
-	if !st.started && st.sys.Steps() > 0 {
-		st.started = true
-	}
 	st.syncRoster()
-	if !st.started && !st.gateOpen() {
+	if st.sys.Steps() == 0 && !st.gateOpen() {
 		return nil, false, nil
 	}
 
@@ -261,7 +201,7 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 			ids[j] = jn.stat.Latest.Node
 		}
 		if err := st.sys.AddNodes(ids...); err != nil {
-			return nil, st.started, fmt.Errorf("serve: joining nodes: %w", err)
+			return nil, st.sys.Steps() > 0, fmt.Errorf("serve: joining nodes: %w", err)
 		}
 		st.grow(st.sys.Slots())
 		for _, jn := range st.joiners {
@@ -271,11 +211,10 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	}
 
 	roster := st.sys.Roster()
-	res, err := st.sys.Step(st.x[:roster.Slots()])
+	res, err := st.sys.StepArrivals(st.x[:roster.Slots()], st.arrived[:roster.Slots()])
 	if err != nil {
 		return nil, true, err
 	}
-	st.started = true
 	// Release evicted members' store entries so the store does not grow
 	// without bound under churn. Their watermarks go with them: the next
 	// tenant of a freed entry (a rejoining node whose restarted agent may
@@ -345,7 +284,7 @@ func (st *StoreStepper) gateOpen() bool {
 			newcomers++
 		}
 	})
-	return members >= st.sys.LiveNodes() && members+newcomers >= st.k
+	return members >= st.sys.LiveNodes() && members+newcomers >= st.sys.Clusters()
 }
 
 // admit reports whether a node's latest record may enter the pipeline: it
@@ -357,7 +296,7 @@ func (st *StoreStepper) admit(w *watermark, m transport.Measurement) bool {
 	if m.Node < 0 {
 		return false
 	}
-	ok := len(m.Values) == st.dims
+	ok := len(m.Values) == st.frame.Cols()
 	// A NaN admitted here poisons every window mean, centroid, and forecast
 	// it touches, and encoding/json cannot marshal it on the way back out.
 	// This is the primary defense; the Finite* guards on response assembly
@@ -389,7 +328,7 @@ func (st *StoreStepper) feed(slot int, w *watermark, stat transport.NodeStat) {
 	// and no heartbeats — agents heartbeat through suppressed steps)
 	// takes an absence tick instead.
 	fresh := stat.Latest.Step > w.step
-	contacted := fresh || stat.LocalStep > w.clock || !st.started || st.absence == 0
+	contacted := fresh || stat.LocalStep > w.clock || st.sys.Steps() == 0 || st.absence == 0
 	if fresh {
 		w.step = stat.Latest.Step
 	}

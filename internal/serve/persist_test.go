@@ -90,7 +90,7 @@ func (e *stepperEnv) tick(t *testing.T, tick int) {
 
 // TestStoreStepperPersistRecovery proves the distributed path round-trips:
 // arrival patterns (which drive eq. 5 frequency accounting) are recorded in
-// the WAL and replayed through the arrival mirror, so a collector that
+// the WAL and replayed through System.StepArrivals, so a collector that
 // crashes without a final checkpoint recovers bit-identical frequencies,
 // memberships, and forecasts at the crash point. (Continuation equality
 // past the crash is the core.System property — the transport store itself
@@ -123,7 +123,7 @@ func TestStoreStepperPersistRecovery(t *testing.T) {
 		crashed.tick(t, i)
 	}
 	// Crash: no checkpoint, no close. Recovery replays the WAL through
-	// StoreStepper.Replay, re-driving the arrival mirror.
+	// StoreStepper.Replay, re-feeding the arrival flags.
 	rec := newStepperEnv(t, dir)
 	sys := rec.stepper.System()
 	if got := sys.Steps(); got != crash {

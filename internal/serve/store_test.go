@@ -605,7 +605,7 @@ func TestStoreManyWriters(t *testing.T) {
 // warm ticks, at N = 8192 less N = 4096, over 4096 — and, beside it, that of
 // the core.System alone stepped with the same rows, so the difference is
 // what the collection plane adds: store entries, the ID index, the records'
-// values, watermarks, the step frame and the arrival policies. Snapshots are
+// values, watermarks, the step frame and the arrival flags. Snapshots are
 // off (SnapshotHorizon 0): this is the state that stepping keeps.
 func TestCollectorBytesPerNode(t *testing.T) {
 	const (

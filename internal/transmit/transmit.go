@@ -49,14 +49,14 @@ type Persistent interface {
 // to keep. Implementations may keep internal state and are not safe for
 // concurrent use; each node owns its own Policy instance.
 //
-// What core.System.Step guarantees a policy it does not know: exactly one
-// Decide per step in which the node reports (none for a silent step), called
-// on the stepping goroutine in ascending slot order, with x the reported row
-// and z the row stored for the node, nil until its first transmission. A
-// *Adaptive is the one policy Step decides without this call — it computes
-// the eq. 7 penalty from its store in place and calls DecidePenalty — so a
-// type that wraps or embeds an Adaptive is decided through Decide, with the
-// same result.
+// What the edge walk of core.System.Step guarantees a policy it does not
+// know: one Decide per step in which the node reports (none when silent), in
+// ascending slot order on the stepping goroutine, with x the reported row
+// and z the row stored for the node (nil until its first transmission); x
+// is stored iff Decide returns true. A *Adaptive is the one policy the walk
+// decides without this call — it computes the eq. 7 penalty from the store
+// in place and calls DecidePenalty — so a type that wraps or embeds an
+// Adaptive is decided through Decide, with the same result.
 type Policy interface {
 	// Decide returns true when the node should transmit at step t.
 	Decide(t int, x, z []float64) bool
