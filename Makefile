@@ -81,6 +81,7 @@ bench:
 	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleSelect' -benchmem .
 	$(GO) test -run xxx -bench '^BenchmarkRefitRound$$' -benchmem -cpu 1,2 .
 	$(GO) test -run xxx -bench '^Benchmark(Ingest|PlanBuild)$$' -benchmem ./internal/core
+	$(GO) test -run xxx -bench '^BenchmarkAdaptiveDecide$$' -benchmem ./internal/transmit
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem -cpu 1,2 ./internal/serve
 	$(GO) test -run xxx -bench AppendJSONFloat ./internal/serve

@@ -294,6 +294,9 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 	if cfg.Nodes < 0 {
 		return nil, fmt.Errorf("core: %d nodes: %w", cfg.Nodes, ErrBadConfig)
 	}
+	if cfg.Resources < 0 {
+		return nil, fmt.Errorf("core: %d resources: %w", cfg.Resources, ErrBadConfig)
+	}
 	if cfg.Nodes > 0 && cfg.K > cfg.Nodes {
 		return nil, fmt.Errorf("core: K=%d > %d nodes: %w", cfg.K, cfg.Nodes, ErrBadConfig)
 	}

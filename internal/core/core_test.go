@@ -49,6 +49,17 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(Config{Nodes: 4, Policy: func(int) (transmit.Policy, error) { return nil, bad }}); !errors.Is(err, bad) {
 		t.Fatalf("policy error not wrapped: %v", err)
 	}
+	for _, tt := range []struct {
+		name  string
+		build func(Config) (*System, error)
+	}{{"NewSystem", NewSystem}, {"NewCentral", NewCentral}} {
+		if _, err := tt.build(Config{Nodes: 4, Resources: -1}); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%s with -1 resources: want ErrBadConfig, got %v", tt.name, err)
+		}
+		if _, err := tt.build(Config{Nodes: 4, Resources: -3, JointClustering: true}); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%s with -3 joint resources: want ErrBadConfig, got %v", tt.name, err)
+		}
+	}
 }
 
 func TestStepValidation(t *testing.T) {

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -123,30 +125,121 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	return &Adaptive{budget: cfg.Budget, v0: cfg.V0, gamma: cfg.Gamma}, nil
 }
 
-// vtMemo caches one (t, γ) → (t+1)^γ evaluation. Every node in a fleet runs
-// the same γ and is asked about the same step t, so the first Decide of a
-// step pays the math.Pow and the other N−1 nodes reuse it. The memo is a
-// pure function cache: a hit returns exactly what recomputing would, so
-// decisions are bit-identical with or without it (and regardless of how
-// many differently-configured fleets thrash it).
-type vtMemo struct {
-	t     int
+// The factor (t+1)^γ of V_t is served from per-γ tables: one table per
+// distinct γ a process decides with, holding (t+1)^γ for t ∈ [0, len) as
+// float64 bits, each entry computed on first use as math.Pow(float64(t)+1, γ)
+// (0 bits mark an entry not computed yet, so a value of +0, which only a γ
+// below −67 reaches, is computed on every use). The set of tables and each
+// table's length are published immutably through vtTables, so a hit is one
+// atomic load, a scan of at most vtMaxGammas γ values and one index, with no
+// math.Pow, no allocation and no lock, whatever order steps are asked in.
+//
+// A table starts at vtMinSteps entries and doubles to cover a t past it only
+// once such a t is asked again (t ≤ vtMissed): a caller that only moves
+// forward, as core's walk of a uniform fleet does with one call per step,
+// keeps the first table and pays its math.Pow per step, while one that
+// revisits steps (node-major replays, skewed goroutines, mixed-γ fleets)
+// grows the table on its second pass. Memory is bounded at vtMaxGammas
+// tables of at most vtMaxSteps entries, 8 × 2^16 × 8 B = 4 MiB per process.
+// Outside the tables — t < 0, t ≥ vtMaxSteps, γ = NaN, or a γ past the
+// first vtMaxGammas — StepPow is a plain math.Pow with no allocation.
+const (
+	vtMinSteps  = 256
+	vtMaxSteps  = 1 << 16
+	vtMaxGammas = 8
+)
+
+type vtTable struct {
 	gamma float64
-	pow   float64
+	pow   []atomic.Uint64
 }
 
-var lastVt atomic.Pointer[vtMemo]
+var (
+	vtTables atomic.Pointer[[]vtTable]
+	vtMu     sync.Mutex       // guards growing and adding tables, and vtMissed
+	vtMissed [vtMaxGammas]int // per table index, the largest t that missed it
+)
 
 // StepPow returns (t+1)^γ, the time-varying factor of the penalty weight
-// V_t = V0·(t+1)^γ, serving repeats of the previous (t, γ) from a memo. It is
-// what DecidePenalty takes as pow; a caller deciding many policies at one
-// step takes it once per run of equal γ.
+// V_t = V0·(t+1)^γ. It is exactly math.Pow(float64(t)+1, γ), served from a
+// per-γ table (see vtTables) so that a caller may decide at any step in any
+// order for at most one math.Pow per call, and none once the entry is
+// computed. It is what DecidePenalty takes as pow; a caller deciding many
+// policies at one step takes it once per run of equal γ.
 func StepPow(t int, gamma float64) float64 {
-	if m := lastVt.Load(); m != nil && m.t == t && m.gamma == gamma {
-		return m.pow
+	if tabs := vtTables.Load(); tabs != nil {
+		if i := vtIndex(*tabs, gamma); i >= 0 && uint(t) < uint(len((*tabs)[i].pow)) {
+			e := &(*tabs)[i].pow[t]
+			if b := e.Load(); b != 0 {
+				return math.Float64frombits(b)
+			}
+			p := math.Pow(float64(t)+1, gamma)
+			e.Store(math.Float64bits(p))
+			return p
+		}
 	}
+	return stepPowMiss(t, gamma)
+}
+
+// vtIndex returns the index of γ's table in tabs, or -1.
+func vtIndex(tabs []vtTable, gamma float64) int {
+	for i := range tabs {
+		if tabs[i].gamma == gamma {
+			return i
+		}
+	}
+	return -1
+}
+
+// stepPowMiss serves a t past γ's table or a γ without one: it adds a table
+// for γ, or grows γ's table to cover a t asked past it before, and publishes
+// the new set, unless t or γ lies outside the tables' bounds. Entries are
+// copied into a grown table as they stand; one computed concurrently into the
+// old table is computed again on its next use.
+func stepPowMiss(t int, gamma float64) float64 {
 	p := math.Pow(float64(t)+1, gamma)
-	lastVt.Store(&vtMemo{t: t, gamma: gamma, pow: p})
+	if t < 0 || t >= vtMaxSteps || gamma != gamma {
+		return p
+	}
+	vtMu.Lock()
+	defer vtMu.Unlock()
+	var tabs []vtTable
+	if cur := vtTables.Load(); cur != nil {
+		tabs = *cur
+	}
+	n, i := vtMinSteps, vtIndex(tabs, gamma)
+	var old []atomic.Uint64
+	switch {
+	case i < 0 && len(tabs) == vtMaxGammas:
+		return p // a γ past the set
+	case i < 0:
+		i = len(tabs)
+		vtMissed[i] = t
+	case t < len(tabs[i].pow):
+		return p // grown since the miss
+	case t > vtMissed[i]:
+		vtMissed[i] = t // not asked before: grow on a second ask
+		return p
+	default:
+		old, n = tabs[i].pow, len(tabs[i].pow)
+		for n <= t {
+			n *= 2
+		}
+	}
+	pow := make([]atomic.Uint64, n)
+	for j := range old {
+		pow[j].Store(old[j].Load())
+	}
+	if t < n {
+		pow[t].Store(math.Float64bits(p))
+	}
+	next := slices.Clone(tabs)
+	if i == len(tabs) {
+		next = append(next, vtTable{gamma: gamma, pow: pow})
+	} else {
+		next[i].pow = pow
+	}
+	vtTables.Store(&next)
 	return p
 }
 
