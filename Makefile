@@ -98,8 +98,9 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the eighteen native fuzz
-# targets (wire decoders, recovery readers, alert rules, and the K-means,
+# Fuzz smoke: a short coverage-guided run of each of the nineteen native fuzz
+# targets (wire decoders, recovery readers, alert rules, the query-string
+# lookup against net/url, and the K-means,
 # nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel,
 # plan-kernel, ARIMA-fit, two-lane CSS kernel, JSON-float, collector-store,
 # alert-engine and trace-generator reference differentials — the K-means one
@@ -126,4 +127,5 @@ fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloatServedRange$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzStoreStepperMatchesOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzQueryGet$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGenerateMatchesReference$$' -fuzztime $(FUZZTIME)

@@ -224,12 +224,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	collector.SetIdleTimeout(*idleTmo)
 	collector.RegisterMetrics(reg)
 	store.RegisterMetrics(reg)
-	ingestAddr, err := collector.Listen(*ingest)
-	if err != nil {
-		log.Error("ingest listen", "err", err)
-		return 1
-	}
-	defer collector.Close()
 
 	cfg := core.Config{
 		Nodes:             *nodes,
@@ -260,11 +254,19 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		}
 		log.Info("model zoo enabled", "families", *models)
 	}
+	// The pipeline is built before the collector listens, so a
+	// configuration it rejects ends the daemon before any agent connects.
 	stepper, err := serve.NewStoreStepper(store, cfg)
 	if err != nil {
 		log.Error("pipeline construction", "err", err)
 		return 1
 	}
+	ingestAddr, err := collector.Listen(*ingest)
+	if err != nil {
+		log.Error("ingest listen", "err", err)
+		return 1
+	}
+	defer collector.Close()
 	stepper.RegisterMetrics(reg)
 	sys := stepper.System()
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -200,6 +201,35 @@ func TestSelectionFlagsRequireZoo(t *testing.T) {
 		lines := strings.Count(log.String(), "\n")
 		if (tc.want == 2 && (len(rejected) != 1 || lines != 1)) || (tc.want == 0 && len(rejected) != 0) {
 			t.Fatalf("%q: %d rejection lines:\n%s", tc.args, len(rejected), log)
+		}
+	}
+}
+
+// TestUnfittableZooExitsBeforeListening pins that a model family the first
+// fit cannot serve — holt-winters, season 288, needs 576 values and the
+// warm-up is 50 — ends forecastd with the pipeline's configuration error
+// before the collector listens: the ingest address is held by the test, so a
+// daemon that listened first would fail on it instead.
+func TestUnfittableZooExitsBeforeListening(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, models := range []string{"holt-winters", "ses,holt-winters"} {
+		log := new(logBuf)
+		stop := make(chan os.Signal, 1)
+		stop <- os.Interrupt
+		args := []string{"-ingest", held.Addr().String(), "-http", "", "-interval", "1h", "-models", models}
+		if got := run(args, stop, log); got != 1 {
+			t.Fatalf("-models %s: exit %d, want 1:\n%s", models, got, log)
+		}
+		out := log.String()
+		if !strings.Contains(out, `msg="pipeline construction"`) ||
+			!strings.Contains(out, "needs ≥ 576 observations, the first fit has 50") ||
+			!strings.Contains(out, "invalid configuration") ||
+			strings.Contains(out, "ingest listen") || strings.Contains(out, "msg=listening") {
+			t.Fatalf("-models %s: want the pipeline's configuration error and no listen:\n%s", models, out)
 		}
 	}
 }

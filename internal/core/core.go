@@ -367,7 +367,7 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 			Selection:         cfg.Selection,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: ensemble %d: %w", tr, err)
+			return nil, fmt.Errorf("core: ensemble %d: %w: %w", tr, err, ErrBadConfig)
 		}
 		s.ensembles = append(s.ensembles, ens)
 		s.centRows[tr] = make([][]float64, cfg.K)

@@ -59,6 +59,33 @@ func TestNewSystemValidation(t *testing.T) {
 		if _, err := tt.build(Config{Nodes: 4, Resources: -3, JointClustering: true}); !errors.Is(err, ErrBadConfig) {
 			t.Fatalf("%s with -3 joint resources: want ErrBadConfig, got %v", tt.name, err)
 		}
+		// holt-winters (season 288) fits no series shorter than 576 values:
+		// the first fit's series — the warm-up, cut to FitWindow — must hold
+		// that many, alone or in a zoo.
+		for _, z := range []struct {
+			families        []string
+			initial, window int
+			wantErr         bool
+		}{
+			{[]string{"holt-winters"}, 50, 0, true},
+			{[]string{"ses", "holt-winters"}, 50, 0, true},
+			{[]string{"holt-winters"}, 1000, 200, true},
+			{[]string{"holt-winters"}, 575, 0, true},
+			{[]string{"holt-winters"}, 576, 0, false},
+			{[]string{"ses", "holt-winters"}, 1000, 576, false},
+			{[]string{"ar"}, 5, 0, true},
+			{[]string{"ar"}, 6, 0, false},
+		} {
+			zoo, err := forecast.Zoo(z.families...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = tt.build(Config{Nodes: 4, K: 2, InitialCollection: z.initial, FitWindow: z.window, Zoo: zoo})
+			if got := errors.Is(err, ErrBadConfig); got != z.wantErr {
+				t.Fatalf("%s with zoo %v, warm-up %d, FitWindow %d: err %v, want ErrBadConfig %v",
+					tt.name, z.families, z.initial, z.window, err, z.wantErr)
+			}
+		}
 	}
 }
 

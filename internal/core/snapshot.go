@@ -29,9 +29,9 @@ type Snapshot struct {
 	maxHorizon int
 	workers    int
 
-	// newest is a deep copy of the ring slot the step committed: the stored
+	// newest is a copy of the ring slot the step committed: the stored
 	// measurements, memberships and centroids the per-node accessors read.
-	newest ringSlot
+	newest slotCopy
 
 	// plan is the h-independent half of §V-C for every slot, built over the
 	// System's look-back ring when the snapshot was published, around the
@@ -54,6 +54,17 @@ type Snapshot struct {
 
 	nodes, resources  int
 	k, dims, nTracker int
+}
+
+// slotCopy is a Snapshot's copy of one committed ring slot: z and presence
+// as the ring holds them, the assignments as one flat int32 column per
+// tracker — cluster indices are below K — and the centroids.
+type slotCopy struct {
+	z       zFrame
+	present []bool
+	assign  []int32   // [tracker·nodes + slot]; -1 = absent
+	cents   []float64 // [tracker][cluster][dim], flat
+	kd      int       // K·dims: one tracker's share of cents
 }
 
 // Snapshot returns the most recently published read-only view, or nil when
@@ -112,8 +123,22 @@ func (s *System) assembleSnapshot(gen uint64) *Snapshot {
 // so it runs after the ring commit, where a failed centroid forecast can no
 // longer reach; Step's commit and restore's republish both end in it.
 func (s *System) publish(snap *Snapshot, cent []float64) {
-	snap.newest = s.newRingSlot()
-	snap.newest.copyFrom(s.snapAt(0))
+	src, n := s.snapAt(0), len(s.ids)
+	snap.newest = slotCopy{
+		z:       newZFrame(n, s.nTrackers, s.dims),
+		present: make([]bool, n),
+		assign:  make([]int32, s.nTrackers*n),
+		cents:   append([]float64(nil), src.cents...),
+		kd:      src.kd,
+	}
+	snap.newest.z.copyFrom(&src.z)
+	copy(snap.newest.present, src.present)
+	for tr, row := range src.assignments {
+		col := snap.newest.assign[tr*n : (tr+1)*n]
+		for i, a := range row[:n] {
+			col[i] = int32(a)
+		}
+	}
 	snap.plan = s.reconEnv().plan(cent, s.cfg.Workers)
 	s.gen = snap.gen
 	s.snap.Store(snap)
@@ -199,7 +224,7 @@ func (sn *Snapshot) Assignment(tracker, node int) int {
 		!sn.newest.present[node] {
 		return -1
 	}
-	return sn.newest.assignments[tracker][node]
+	return int(sn.newest.assign[tracker*sn.nodes+node])
 }
 
 // Frequency returns the node's realized transmission frequency (eq. 5), or
@@ -220,7 +245,8 @@ func (sn *Snapshot) Centroids(tracker int) [][]float64 {
 	if tracker < 0 || tracker >= sn.nTracker {
 		return nil
 	}
-	return rowViews(append([]float64(nil), sn.newest.centroids(tracker)...), sn.dims)
+	kd := sn.newest.kd
+	return rowViews(append([]float64(nil), sn.newest.cents[tracker*kd:(tracker+1)*kd]...), sn.dims)
 }
 
 // CentroidForecastAt returns one value of a tracker's centroid forecasts at

@@ -101,8 +101,8 @@ func rowViews(flat []float64, d int) [][]float64 {
 // System's stage, which is also the central store. All backing arrays are
 // allocated in NewSystem and overwritten in place; they grow in place when
 // the fleet grows, so every ring slot spans the whole fleet. (The immutable
-// copy of the newest slot a Snapshot carries has the same layout, at the
-// fleet size of its publication.)
+// copy of the newest slot a Snapshot carries, a slotCopy, has the same z
+// layout at the fleet size of its publication.)
 type ringSlot struct {
 	z           zFrame    // stored measurements of the step
 	assignments [][]int   // [tracker][slot]; -1 = absent
@@ -158,16 +158,5 @@ func growSlot(slot *ringSlot, n int) {
 		for len(slot.assignments[tr]) < n {
 			slot.assignments[tr] = append(slot.assignments[tr], -1)
 		}
-	}
-}
-
-// copyFrom overwrites the slot's contents with src's. Both slots must be
-// shaped by the same system (newRingSlot) at the same fleet size.
-func (slot *ringSlot) copyFrom(src *ringSlot) {
-	slot.z.copyFrom(&src.z)
-	copy(slot.present, src.present)
-	copy(slot.cents, src.cents)
-	for tr := range src.assignments {
-		copy(slot.assignments[tr], src.assignments[tr])
 	}
 }

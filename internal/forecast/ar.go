@@ -26,13 +26,16 @@ func NewAR(p int) (*AR, error) {
 	return &AR{p: p}, nil
 }
 
+// MinObservations is the shortest series Fit accepts.
+func (a *AR) MinObservations() int { return a.p + 2 }
+
 // Fit implements Model by solving the least-squares normal equations
 // (XᵀX)β = Xᵀy with a small ridge term for numerical robustness on
 // near-constant series.
 func (a *AR) Fit(series []float64) error {
-	if len(series) < a.p+2 {
+	if len(series) < a.MinObservations() {
 		return fmt.Errorf("forecast: AR(%d) needs ≥ %d observations, got %d: %w",
-			a.p, a.p+2, len(series), ErrBadInput)
+			a.p, a.MinObservations(), len(series), ErrBadInput)
 	}
 	n := len(series) - a.p
 	cols := a.p + 1

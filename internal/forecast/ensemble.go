@@ -82,7 +82,14 @@ type Ensemble struct {
 	fitN int
 }
 
-// NewEnsemble validates the configuration and returns an empty ensemble.
+// minObserver is a Model that cannot fit a series shorter than
+// MinObservations values.
+type minObserver interface{ MinObservations() int }
+
+// NewEnsemble validates the configuration and returns an empty ensemble. A
+// candidate whose models declare a minimum (a MinObservations() int method)
+// longer than the first fit's series — InitialCollection, cut to FitWindow
+// when that is set — is rejected here rather than failing that fit.
 func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Clusters < 1 {
@@ -92,6 +99,12 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 		return nil, fmt.Errorf("forecast: no model candidates: %w", ErrBadInput)
 	}
 	e := &Ensemble{cfg: cfg, models: make([][][]Model, len(cfg.Candidates))}
+	// The first fit sees the warm-up's series, cut to FitWindow; every later
+	// one is at least as long.
+	first := cfg.InitialCollection
+	if cfg.FitWindow > 0 {
+		first = min(first, cfg.FitWindow)
+	}
 	seen := make(map[string]bool, len(cfg.Candidates))
 	for c, cand := range cfg.Candidates {
 		if cand.Name == "" || cand.Builder == nil {
@@ -109,6 +122,10 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 			for d := range e.models[c][j] {
 				e.models[c][j][d] = cand.Builder()
 			}
+		}
+		if mo, ok := e.models[c][0][0].(minObserver); ok && mo.MinObservations() > first {
+			return nil, fmt.Errorf("forecast: candidate %q needs ≥ %d observations, the first fit has %d: %w",
+				cand.Name, mo.MinObservations(), first, ErrBadInput)
 		}
 	}
 	if len(e.names) > 1 {

@@ -99,10 +99,13 @@ func (l *LSTM) unscale(v float64) float64 {
 	return l.lo + (v-0.1)/0.8*span
 }
 
+// MinObservations is the shortest series Fit accepts.
+func (l *LSTM) MinObservations() int { return l.cfg.Window + 2 }
+
 // Fit implements Model: rebuild the network from the seed and train on
 // sliding windows of the (optionally truncated) series.
 func (l *LSTM) Fit(series []float64) error {
-	minLen := l.cfg.Window + 2
+	minLen := l.MinObservations()
 	if len(series) < minLen {
 		return fmt.Errorf("forecast: lstm needs ≥ %d observations, got %d: %w",
 			minLen, len(series), ErrBadInput)

@@ -66,13 +66,16 @@ func (m *LaggedRidge) features(hist []float64, f []float64) {
 	f[m.lags+1] = sum / float64(m.win)
 }
 
+// MinObservations is the shortest series Fit accepts.
+func (m *LaggedRidge) MinObservations() int { return m.context() + 2 }
+
 // Fit implements Model by solving the ridge-regularized normal equations
 // (XᵀX + λI)β = Xᵀy.
 func (m *LaggedRidge) Fit(series []float64) error {
 	ctx := m.context()
-	if len(series) < ctx+2 {
+	if len(series) < m.MinObservations() {
 		return fmt.Errorf("forecast: lagged-ridge needs ≥ %d observations, got %d: %w",
-			ctx+2, len(series), ErrBadInput)
+			m.MinObservations(), len(series), ErrBadInput)
 	}
 	n := len(series) - ctx
 	cols := m.lags + 2

@@ -51,12 +51,16 @@ func NewSeasonalTrend(maxPeriod int, alpha float64) (*SeasonalTrend, error) {
 	return &SeasonalTrend{maxPeriod: maxPeriod, alpha: alpha}, nil
 }
 
-// Fit implements Model. It needs at least 8 observations (two repetitions of
-// the smallest detectable period, plus slack for the trend fit).
+// MinObservations is the shortest series Fit accepts: two repetitions of
+// the smallest detectable period, plus slack for the trend fit.
+func (m *SeasonalTrend) MinObservations() int { return 8 }
+
+// Fit implements Model.
 func (m *SeasonalTrend) Fit(series []float64) error {
 	n := len(series)
-	if n < 8 {
-		return fmt.Errorf("forecast: seasonal-trend needs ≥ 8 observations, got %d: %w", n, ErrBadInput)
+	if n < m.MinObservations() {
+		return fmt.Errorf("forecast: seasonal-trend needs ≥ %d observations, got %d: %w",
+			m.MinObservations(), n, ErrBadInput)
 	}
 
 	// OLS trend line y ≈ a + b·t over the whole series.

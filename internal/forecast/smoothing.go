@@ -101,11 +101,14 @@ func NewHolt(alpha, beta, phi float64) (*Holt, error) {
 	return &Holt{alpha: alpha, beta: beta, phi: phi}, nil
 }
 
+// MinObservations is the shortest series Fit accepts.
+func (m *Holt) MinObservations() int { return 2 }
+
 // Fit implements Model.
 func (m *Holt) Fit(series []float64) error {
-	if len(series) < 2 {
-		return fmt.Errorf("forecast: holt needs ≥ 2 observations, got %d: %w",
-			len(series), ErrBadInput)
+	if len(series) < m.MinObservations() {
+		return fmt.Errorf("forecast: holt needs ≥ %d observations, got %d: %w",
+			m.MinObservations(), len(series), ErrBadInput)
 	}
 	m.level = series[0]
 	m.trend = series[1] - series[0]
@@ -192,11 +195,14 @@ func NewHoltWinters(period int, alpha, beta, gamma float64) (*HoltWinters, error
 	return &HoltWinters{alpha: alpha, beta: beta, gamma: gamma, period: period}, nil
 }
 
-// Fit implements Model. It needs at least two full seasons.
+// MinObservations is the shortest series Fit accepts: two full seasons.
+func (m *HoltWinters) MinObservations() int { return 2 * m.period }
+
+// Fit implements Model.
 func (m *HoltWinters) Fit(series []float64) error {
-	if len(series) < 2*m.period {
+	if len(series) < m.MinObservations() {
 		return fmt.Errorf("forecast: holt-winters needs ≥ %d observations, got %d: %w",
-			2*m.period, len(series), ErrBadInput)
+			m.MinObservations(), len(series), ErrBadInput)
 	}
 	// Initialize from the first two seasons: level = mean of season one,
 	// trend = mean per-step difference between seasons, seasonal indices =

@@ -401,6 +401,8 @@ func TestZooConfigValidation(t *testing.T) {
 			{Name: "x", Builder: sahBuilder}, {Name: "x", Builder: func() Model { return NewHistoricalMean() }}}}, // dup
 		{Clusters: 1, Candidates: cands, Selection: SelectionConfig{Margin: -1}},
 		{Clusters: 1, Candidates: cands, Selection: SelectionConfig{Metric: "mape"}},
+		{Clusters: 1, Candidates: cands, InitialCollection: 5},                // AR(4) fits ≥ 6 values
+		{Clusters: 1, Candidates: cands, InitialCollection: 50, FitWindow: 5}, // the window cuts the first fit
 	}
 	for i, cfg := range bad {
 		if _, err := NewEnsemble(cfg); !errors.Is(err, ErrBadInput) {
@@ -678,8 +680,9 @@ func TestZooExportRestoreMidSelection(t *testing.T) {
 }
 
 func TestZooRestoreRejectsFamilyMismatch(t *testing.T) {
-	st := zooEnsemble(t, []string{"ses", "ar"}, SelectionConfig{}, 1, 1, 5, 10).ExportState()
-	wrongOrder := zooEnsemble(t, []string{"ar", "ses"}, SelectionConfig{}, 1, 1, 5, 10)
+	// A warm-up of 6 values is the shortest AR(4)'s first fit accepts.
+	st := zooEnsemble(t, []string{"ses", "ar"}, SelectionConfig{}, 1, 1, 6, 10).ExportState()
+	wrongOrder := zooEnsemble(t, []string{"ar", "ses"}, SelectionConfig{}, 1, 1, 6, 10)
 	if err := wrongOrder.RestoreState(st); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("family order mismatch accepted: %v", err)
 	}

@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -100,23 +99,34 @@ func (h *Histogram) snapshot() (counts []uint64, sum float64, count uint64) {
 	return counts, h.Sum(), h.count.Load()
 }
 
-// writeProm renders the histogram's cumulative bucket, sum, and count lines.
-func (h *Histogram) writeProm(w io.Writer, name string) error {
-	counts, sum, count := h.snapshot()
+// appendProm appends the histogram's cumulative bucket, sum, and count
+// lines to b. It loads the buckets, then the sum, then the count, as
+// snapshot does.
+func (h *Histogram) appendProm(b []byte, name string) []byte {
 	cum := uint64(0)
-	for i, c := range counts {
-		cum += c
-		le := "+Inf"
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
+		b = append(b, name...)
+		b = append(b, "_bucket{le="...)
+		// A finite bound renders as digits, '.', 'e', '+' and '-', which %q
+		// quotes as they are.
+		b = append(b, '"')
 		if i < len(h.upper) {
-			le = formatValue(h.upper[i])
+			b = appendValue(b, h.upper[i])
+		} else {
+			b = append(b, "+Inf"...)
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum); err != nil {
-			return err
-		}
+		b = append(b, `"} `...)
+		b = strconv.AppendUint(b, cum, 10)
+		b = append(b, '\n')
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatValue(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, count)
-	return err
+	sum, count := h.Sum(), h.count.Load()
+	b = append(b, name...)
+	b = append(b, "_sum "...)
+	b = appendValue(b, sum)
+	b = append(b, '\n')
+	b = append(b, name...)
+	b = append(b, "_count "...)
+	b = strconv.AppendUint(b, count, 10)
+	return append(b, '\n')
 }

@@ -150,8 +150,11 @@ func (r *Registry) register(e entry) {
 		panic(fmt.Sprintf("obs: duplicate series %q", e.name))
 	}
 	r.names[e.name] = struct{}{}
-	r.entries = append(r.entries, e)
-	sort.Slice(r.entries, func(i, j int) bool { return r.entries[i].name < r.entries[j].name })
+	// Copy on write: a collection pass reads the list it loaded without the
+	// lock, so a registration builds a new one.
+	entries := append(r.entries[:len(r.entries):len(r.entries)], e)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
+	r.entries = entries
 }
 
 // Has reports whether a series with the given name is registered.
@@ -214,15 +217,15 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 func (r *Registry) OnCollect(f func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.hooks = append(r.hooks, f)
+	r.hooks = append(r.hooks[:len(r.hooks):len(r.hooks)], f) // copy on write, as in register
 }
 
-// collect snapshots the entry list and runs collection hooks outside the
-// registry lock (hooks may take arbitrary producer locks).
+// collect loads the entry and hook lists, which registration never writes
+// in place, and runs the hooks outside the registry lock (hooks may take
+// arbitrary producer locks).
 func (r *Registry) collect() []entry {
 	r.mu.Lock()
-	entries := append([]entry(nil), r.entries...)
-	hooks := append([]func(){}, r.hooks...)
+	entries, hooks := r.entries, r.hooks
 	r.mu.Unlock()
 	for _, f := range hooks {
 		f()
@@ -242,29 +245,50 @@ func finiteOrZero(v float64) float64 {
 // formatValue renders a float the same way the pre-registry /metrics writer
 // did, so migrated series are byte-identical.
 func formatValue(v float64) string {
-	return strconv.FormatFloat(finiteOrZero(v), 'g', -1, 64)
+	return string(appendValue(nil, v))
 }
+
+// appendValue appends formatValue(v) to b.
+func appendValue(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, finiteOrZero(v), 'g', -1, 64)
+}
+
+// expositionBufs recycles WritePrometheus' output buffers, one per scrape
+// in flight.
+var expositionBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // WritePrometheus renders every registered series in the Prometheus text
 // format, sorted by series name, each preceded by its # HELP and # TYPE
 // headers. Histograms render cumulative _bucket{le="..."} lines plus _sum
-// and _count.
+// and _count. The exposition is built in one pooled buffer and written with
+// one Write.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	buf := expositionBufs.Get().(*[]byte)
+	b := (*buf)[:0]
 	for _, e := range r.collect() {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", e.name, e.help, e.name, e.kind); err != nil {
-			return err
-		}
+		b = append(b, "# HELP "...)
+		b = append(b, e.name...)
+		b = append(b, ' ')
+		b = append(b, e.help...)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, e.name...)
+		b = append(b, ' ')
+		b = append(b, e.kind...)
+		b = append(b, '\n')
 		if e.kind == KindHistogram {
-			if err := e.hist.writeProm(w, e.name); err != nil {
-				return err
-			}
+			b = e.hist.appendProm(b, e.name)
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %s\n", e.name, e.labels, formatValue(e.value())); err != nil {
-			return err
-		}
+		b = append(b, e.name...)
+		b = append(b, e.labels...)
+		b = append(b, ' ')
+		b = appendValue(b, e.value())
+		b = append(b, '\n')
 	}
-	return nil
+	_, err := w.Write(b)
+	*buf = b
+	expositionBufs.Put(buf)
+	return err
 }
 
 // Snapshot returns every registered series as a Point slice sorted by name —

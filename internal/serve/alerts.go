@@ -66,7 +66,7 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := s.cfg.Recommend
-	if q := r.URL.Query().Get("h"); q != "" {
+	if q := queryGet(r.URL.RawQuery, "h"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "h must be an integer")

@@ -18,9 +18,8 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	query := r.URL.Query()
 	h := 1
-	if q := query.Get("h"); q != "" {
+	if q := queryGet(r.URL.RawQuery, "h"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "h must be an integer")
@@ -37,7 +36,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	// malformed, unknown or still-warming node is rejected before the
 	// readiness check, so the answer says what is wrong with the request.
 	node, slot := -1, -1
-	if q := query.Get("node"); q != "" {
+	if q := queryGet(r.URL.RawQuery, "node"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "node must be an integer (stable node ID)")
@@ -73,10 +72,11 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	// always are), keyed by the Nodes list of stable IDs.
 	s.cache.observe()
 	plan, roster := snap.Plan(), snap.Roster()
+	slots := slotLists.Get().(*[]int)
 	body := forecastBody{
 		plan: plan, roster: roster, h: h,
 		resources: snap.Resources(), perTask: max(1, taskValues/snap.Resources()),
-		slots: make([]int, 0, roster.Live()),
+		slots: (*slots)[:0],
 	}
 	for i := 0; i < snap.Nodes(); i++ {
 		if _, live := roster.IDAt(i); live && !math.IsNaN(plan.At(i, 0, 0)) {
@@ -84,7 +84,13 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body.write(w, snap, snap.Workers())
+	*slots = body.slots
+	slotLists.Put(slots)
 }
+
+// slotLists recycles the fleet bodies' slot lists, one per request in
+// flight.
+var slotLists = sync.Pool{New: func() any { return new([]int) }}
 
 // bufSize is the capacity the pooled body buffers start with, and
 // taskValues how many forecast values one formatting task covers: at up to
@@ -240,14 +246,10 @@ func streamTasks(w io.Writer, tasks, workers int, format func(b []byte, t int) [
 
 	// todo carries the handed-out task numbers in increasing order, at most
 	// len(ring) of them, and an entry's done each task formatted into it.
-	type entry struct {
-		buf  *[]byte
-		done chan struct{}
-	}
-	ring := make([]entry, min(2*nw, tasks))
+	fo := fanOuts.Get().(*fanOut)
+	ring := fo.ring(min(2*nw, tasks))
 	todo := make(chan int, len(ring))
 	for k := range ring {
-		ring[k] = entry{bodyBufs.Get().(*[]byte), make(chan struct{}, 1)}
 		todo <- k
 	}
 	var wg sync.WaitGroup
@@ -277,9 +279,36 @@ func streamTasks(w io.Writer, tasks, workers int, format func(b []byte, t int) [
 		// After a failed Write, drop the tasks no worker has taken yet.
 	}
 	wg.Wait()
-	for _, e := range ring {
-		bodyBufs.Put(e.buf)
+	for k := range ring {
+		// A task a worker finished after a failed Write left its signal.
+		select {
+		case <-ring[k].done:
+		default:
+		}
 	}
+	fanOuts.Put(fo)
+}
+
+// fanOut is streamTasks' ring, kept whole between bodies: its entries'
+// buffers and signal channels are reused, not taken and made per body.
+type fanOut struct{ entries []ringEntry }
+
+// ringEntry is one slot of the ring: the buffer a task is formatted into
+// and the signal that it is done.
+type ringEntry struct {
+	buf  *[]byte
+	done chan struct{}
+}
+
+// fanOuts recycles the rings, one per fleet body in flight.
+var fanOuts = sync.Pool{New: func() any { return new(fanOut) }}
+
+// ring returns the first n entries, creating the ones it has never had.
+func (fo *fanOut) ring(n int) []ringEntry {
+	for len(fo.entries) < n {
+		fo.entries = append(fo.entries, ringEntry{bodyBufs.Get().(*[]byte), make(chan struct{}, 1)})
+	}
+	return fo.entries[:n]
 }
 
 // room extends b by n bytes to write into by index and returns it with the

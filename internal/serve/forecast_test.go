@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -347,6 +348,46 @@ func TestNodeForecastAllocsIndependentOfFleetSize(t *testing.T) {
 		t.Fatalf("?node= request: %v allocations at N=256, %v at N=4096", small, large)
 	}
 	t.Logf("?node= request: %v allocations at either fleet size", small)
+}
+
+// TestFleetForecastBytesIndependentOfFleetSize pins a fleet /v1/forecast at
+// the same allocated bytes for N = 256 and N = 4096: the slot list, the
+// formatting ring and its buffers are pooled and the query string is read in
+// place, so the body is streamed from the plan without garbage that grows
+// with the fleet. Both sizes take the streamed path on two workers. It runs
+// serially, so no other test's garbage lands between readings, and on one P:
+// a pool keeps one item per P that other Ps cannot take, so a handler that
+// moves between Ps would fill a second one mid-reading.
+func TestFleetForecastBytesIndependentOfFleetSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perRequest := func(nodes int) float64 {
+		sys, _ := readySystem(t, nodes, 5, 25, withWorkers(2))
+		srv, err := New(Config{Source: sys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &discardWriter{header: make(http.Header)}
+		req := httptest.NewRequest(http.MethodGet, "/v1/forecast?h=5", nil)
+		for range 4 { // fill the pools
+			srv.ServeHTTP(w, req)
+		}
+		const requests = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range requests {
+			srv.ServeHTTP(w, req)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / requests
+	}
+	small, large := perRequest(256), perRequest(4096)
+	t.Logf("fleet request: %.0f B at N = 256, %.0f B at N = 4096", small, large)
+	if math.Abs(large-small) > 256 {
+		t.Fatalf("a fleet request allocates %.0f B at N = 256 and %.0f B at N = 4096, want the same within 256 B", small, large)
+	}
 }
 
 // TestNodeBodyIsFleetRows checks that a ?node= body is that node's rows of

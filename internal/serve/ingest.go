@@ -63,6 +63,9 @@ type StoreStepper struct {
 	frame   *mat.Frame
 	rows    [][]float64
 	joiners []joiner // newly heard nodes of the tick in flight
+	// joinVals holds the joiners' values, back to back: the store's copy
+	// may change once EachReported has released its lock.
+	joinVals []float64
 }
 
 // watermark is the stepper's delivery state for one store entry.
@@ -74,7 +77,8 @@ type watermark struct {
 	slot  int    // the node's roster slot, -1 when it is not a member
 }
 
-// joiner is a newly heard node of the tick in flight and its store entry.
+// joiner is a newly heard node of the tick in flight and its store entry;
+// stat.Latest.Values is cut from StoreStepper.joinVals.
 type joiner struct {
 	entry int
 	stat  transport.NodeStat
@@ -179,7 +183,7 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	n := st.sys.Slots()
 	clear(st.x[:n])
 	clear(st.arrived[:n])
-	st.joiners = st.joiners[:0]
+	st.joiners, st.joinVals = st.joiners[:0], st.joinVals[:0]
 	st.store.EachReported(func(entry int, gen uint32, stat transport.NodeStat) {
 		w := st.mark(entry, gen)
 		if !st.admit(w, stat.Latest) {
@@ -187,9 +191,14 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 		}
 		if slot := st.slotOf(w, stat.Latest.Node); slot >= 0 {
 			st.feed(slot, w, stat)
-		} else {
-			st.joiners = append(st.joiners, joiner{entry: entry, stat: stat})
+			return
 		}
+		// A joiner cut before joinVals moved keeps its values in the array
+		// it was cut from, which nothing writes again.
+		start := len(st.joinVals)
+		st.joinVals = append(st.joinVals, stat.Latest.Values...)
+		stat.Latest.Values = st.joinVals[start:len(st.joinVals):len(st.joinVals)]
+		st.joiners = append(st.joiners, joiner{entry: entry, stat: stat})
 	})
 	if len(st.joiners) > 0 {
 		// Sorted for deterministic slot binding.

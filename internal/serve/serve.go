@@ -29,7 +29,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"orcf/internal/alert"
@@ -506,4 +508,37 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
+// queryGet returns what url.ParseQuery(raw).Get(key) returns — the first
+// well-formed value of key, unescaped, or "" — without building the map.
+// Segments are split at '&'; one containing ';', or whose key or value does
+// not unescape, is skipped as ParseQuery skips it. Only an escaped key or
+// value allocates.
+func queryGet(raw, key string) string {
+	for raw != "" {
+		var seg string
+		seg, raw, _ = strings.Cut(raw, "&")
+		if seg == "" || strings.Contains(seg, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(seg, "=")
+		if k, ok := queryUnescape(k); !ok || k != key {
+			continue
+		}
+		if v, ok := queryUnescape(v); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// queryUnescape is url.QueryUnescape, returning s itself when it holds no
+// escape.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }

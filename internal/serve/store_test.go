@@ -119,7 +119,7 @@ func runStoreScript(tb testing.TB, script []byte) scriptCover {
 		case opApply:
 			m := transport.Measurement{Node: node, Step: scriptStep(agentStep, node, ops[2]), Values: scriptValues(ops[3])}
 			store.Apply(m)
-			ostore.Apply(m) // the same Values slice: DeepEqual compares NaNs by identity
+			ostore.Apply(m)
 		case opAdvance:
 			step := scriptStep(agentStep, node, ops[2])
 			store.Advance(node, step)
@@ -241,10 +241,10 @@ func finiteRecord(values []float64, dims int) bool {
 // view a caller can take.
 func compareStores(tb testing.TB, op int, store *transport.Store, ostore *oracleStore) {
 	tb.Helper()
-	if got, want := store.Stats(), ostore.Stats(); !reflect.DeepEqual(got, want) {
+	if got, want := store.Stats(), ostore.Stats(); !reflect.DeepEqual(statBits(got), statBits(want)) {
 		tb.Fatalf("op %d: Stats\n got %+v\nwant %+v", op, got, want)
 	}
-	if got, want := store.Snapshot(), ostore.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got, want := store.Snapshot(), ostore.Snapshot(); !reflect.DeepEqual(snapshotBits(got), snapshotBits(want)) {
 		tb.Fatalf("op %d: Snapshot\n got %+v\nwant %+v", op, got, want)
 	}
 	if got, want := store.Len(), ostore.Len(); got != want {
@@ -253,10 +253,50 @@ func compareStores(tb testing.TB, op int, store *transport.Store, ostore *oracle
 	for _, id := range scriptNodes {
 		m, ok := store.Latest(id)
 		om, ook := ostore.Latest(id)
-		if ok != ook || !reflect.DeepEqual(m, om) {
+		if ok != ook || !reflect.DeepEqual(measurementBits(m), measurementBits(om)) {
 			tb.Fatalf("op %d: Latest(%d) = %+v %v, want %+v %v", op, id, m, ok, om, ook)
 		}
 	}
+}
+
+// bitsMeasurement is a measurement with its values as IEEE-754 bits, so
+// that reflect.DeepEqual compares a NaN by its bits: the store returns
+// copies, never the slice the oracle holds. A zero-width record reads the
+// same with nil or empty Values, which no caller tells apart.
+type bitsMeasurement struct {
+	Node, Step int
+	Values     []uint64
+}
+
+func measurementBits(m transport.Measurement) bitsMeasurement {
+	out := bitsMeasurement{Node: m.Node, Step: m.Step, Values: make([]uint64, len(m.Values))}
+	for i, v := range m.Values {
+		out.Values[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+func snapshotBits(in map[int]transport.Measurement) map[int]bitsMeasurement {
+	out := make(map[int]bitsMeasurement, len(in))
+	for id, m := range in {
+		out[id] = measurementBits(m)
+	}
+	return out
+}
+
+// bitsStat is a NodeStat with its Latest as a bitsMeasurement.
+type bitsStat struct {
+	Latest             bitsMeasurement
+	Updates, LocalStep int
+	Frequency          float64
+}
+
+func statBits(in map[int]transport.NodeStat) map[int]bitsStat {
+	out := make(map[int]bitsStat, len(in))
+	for id, st := range in {
+		out[id] = bitsStat{measurementBits(st.Latest), st.Updates, st.LocalStep, st.Frequency}
+	}
+	return out
 }
 
 // compareFed fails tb unless both steppers fed Step the same rows, bit for

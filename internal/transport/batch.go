@@ -85,11 +85,15 @@ type BatchClient struct {
 	opts    BatchOptions
 	metrics BatchClientMetrics
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// pending's Values are cut from vals, back to back; a flush takes both
+	// and hands them back as spare and spareVals once written.
 	pending   []Measurement
-	spare     []Measurement // recycled container for the next generation
-	clock     int           // highest local step observed (Send or Advance)
-	clockSent int           // highest local step already on the wire
+	vals      []float64
+	spare     []Measurement // recycled containers for the next generation
+	spareVals []float64
+	clock     int // highest local step observed (Send or Advance)
+	clockSent int // highest local step already on the wire
 	dropped   int64
 	closed    bool
 	err       error // terminal writer error
@@ -166,8 +170,12 @@ func (c *BatchClient) SendNode(node, step int, values []float64) error {
 		c.mu.Unlock()
 		return ErrBacklogged
 	}
+	// A record cut before vals moved keeps its values in the array it was
+	// cut from, which nothing writes again.
+	start := len(c.vals)
+	c.vals = append(c.vals, values...)
 	c.pending = append(c.pending, Measurement{
-		Node: node, Step: step, Values: append([]float64(nil), values...),
+		Node: node, Step: step, Values: c.vals[start:len(c.vals):len(c.vals)],
 	})
 	if !c.opts.Mux && step > c.clock {
 		c.clock = step
@@ -303,9 +311,9 @@ func (c *BatchClient) flush(enc *batchEncoder, all bool) error {
 		c.mu.Unlock()
 		return nil
 	}
-	recs := c.pending
-	c.pending = c.spare[:0]
-	c.spare = nil
+	recs, vals := c.pending, c.vals
+	c.pending, c.vals = c.spare[:0], c.spareVals[:0]
+	c.spare, c.spareVals = nil, nil
 	clock := c.clock
 	c.mu.Unlock()
 
@@ -349,7 +357,7 @@ func (c *BatchClient) flush(enc *batchEncoder, all bool) error {
 		c.clockSent = clock
 	}
 	if c.spare == nil {
-		c.spare = recs[:0]
+		c.spare, c.spareVals = recs[:0], vals[:0]
 	}
 	c.mu.Unlock()
 	return nil
@@ -367,6 +375,6 @@ func (c *BatchClient) fail(err error, inFlight int) error {
 	}
 	c.err = err
 	c.dropped += int64(inFlight + len(c.pending))
-	c.pending = nil
+	c.pending, c.vals = nil, nil
 	return err
 }

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"errors"
+	"math"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -215,5 +218,67 @@ func TestBatchClientWriteTimeout(t *testing.T) {
 	var nerr net.Error
 	if sendErr == nil || !errors.As(sendErr, &nerr) || !nerr.Timeout() {
 		t.Fatalf("want a timeout error surfaced through Send, got %v", sendErr)
+	}
+}
+
+// TestCollectorRoundAllocationsIndependentOfBatch pins a collector round —
+// n SendNode calls on a mux client, one Flush, the server decoding the batch
+// and applying every record — at the same allocated bytes for n = 64 and
+// n = 2048, once the client's and the decoder's value arenas and the store's
+// entries have grown: no record costs a []float64 on either end of the wire.
+// It runs serially, so no other test's garbage lands between readings.
+func TestCollectorRoundAllocationsIndependentOfBatch(t *testing.T) {
+	perRound := func(n int) float64 {
+		store := NewStore()
+		var applied atomic.Int64
+		srv, err := NewServer(store, func(Measurement) { applied.Add(1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := DialBatch(addr, 0, BatchOptions{BatchSize: n + 1, MaxPending: n + 1, Linger: time.Hour, Mux: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		values := make([][]float64, n)
+		for i := range values {
+			values[i] = []float64{float64(i) / float64(n), 1 - float64(i)/float64(n)}
+		}
+		step := 0
+		round := func() {
+			step++
+			for i, v := range values {
+				if err := c.SendNode(i, step, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for applied.Load() < int64(step*n) {
+				runtime.Gosched()
+			}
+		}
+		for range 4 { // grow the arenas, the frame buffers and the store
+			round()
+		}
+		const rounds = 32
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	small, large := perRound(64), perRound(2048)
+	t.Logf("collector round: %.0f B at n = 64, %.0f B at n = 2048", small, large)
+	if math.Abs(large-small) > 256 {
+		t.Fatalf("a round allocates %.0f B at n = 64 and %.0f B at n = 2048, want the same within 256 B", small, large)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // magicV2 is the connection preamble: 0x00, "ORC", protocol version 2.
@@ -238,18 +239,20 @@ func parseHeartbeat(p []byte) (node, localStep int, err error) {
 }
 
 // batchDecoder decodes batch payloads, reusing scratch buffers across
-// frames. The Measurements it yields own freshly-allocated Values slices
-// (the store retains them), but the container slice is reused.
+// frames: the container slice and the values arena the records' Values are
+// cut from. Store.Apply copies what it keeps, so nothing a batch decodes
+// outlives the next one.
 type batchDecoder struct {
 	raw  []byte
 	recs []Measurement
+	vals []float64 // the records' values, back to back
 	// rawBytes is the last payload's uncompressed size (flags byte plus
 	// decompressed body) — the numerator of the ingest compression ratio.
 	rawBytes int
 }
 
 // decode parses one batch payload into (localStep, records). The returned
-// slice is valid until the next call.
+// records, their Values included, are valid until the next call.
 func (d *batchDecoder) decode(p []byte) (localStep int, recs []Measurement, err error) {
 	if len(p) < 1 {
 		return 0, nil, fmt.Errorf("empty batch payload: %w", errMalformed)
@@ -285,7 +288,7 @@ func (d *batchDecoder) decode(p []byte) (localStep int, recs []Measurement, err 
 	if err != nil {
 		return 0, nil, err
 	}
-	d.recs = d.recs[:0]
+	d.recs, d.vals = d.recs[:0], d.vals[:0]
 	for i := 0; i < count; i++ {
 		var m Measurement
 		m.Node, body, err = uvarint(body)
@@ -307,7 +310,11 @@ func (d *batchDecoder) decode(p []byte) (localStep int, recs []Measurement, err 
 		if dims > len(body)/8 {
 			return 0, nil, fmt.Errorf("record truncated: %w", errMalformed)
 		}
-		m.Values = make([]float64, dims)
+		// A record cut before the arena moved keeps its values in the
+		// array it was cut from, which no later record of this batch writes.
+		start := len(d.vals)
+		d.vals = slices.Grow(d.vals, dims)[:start+dims]
+		m.Values = d.vals[start : start+dims : start+dims]
 		for j := range m.Values {
 			m.Values[j] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*j:]))
 		}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +57,12 @@ type Measurement struct {
 // tell a reused entry from the one it saw. A node is known to the store —
 // listed by Stats — from its first measurement or first positive clock
 // advance until Forget.
+//
+// The store owns the values it holds: Apply copies a measurement's Values
+// into the entry's own slice, which later applies to the node overwrite in
+// place under the write lock. Latest, Snapshot and Stats therefore return
+// copies, and the one alias handed out — NodeStat.Latest.Values inside an
+// EachReported callback — is valid only until that callback returns.
 type Store struct {
 	metrics StoreMetrics
 
@@ -103,7 +110,9 @@ func (s *Store) entryLocked(node int) *entry {
 
 // Apply records a measurement, keeping only the newest step per node.
 // Accepted measurements count toward the node's update total; stale
-// duplicates do not. Any measurement advances the node's local clock.
+// duplicates do not. Any measurement advances the node's local clock. The
+// store keeps a copy of m.Values, so the caller may reuse the slice once
+// Apply returns.
 func (s *Store) Apply(m Measurement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -119,7 +128,8 @@ func (s *Store) Apply(m Measurement) {
 		e.reported = true
 		s.reported++
 	}
-	e.latest = m
+	e.latest.Node, e.latest.Step = m.Node, m.Step
+	e.latest.Values = append(e.latest.Values[:0], m.Values...)
 	e.updates++
 	s.metrics.Applied.Inc()
 }
@@ -165,27 +175,34 @@ func (s *Store) Forget(node int) {
 	s.free = append(s.free, i)
 }
 
-// Latest returns the most recent measurement of a node.
+// Latest returns a copy of the most recent measurement of a node.
 func (s *Store) Latest(node int) (Measurement, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if i, ok := s.index[node]; ok && s.entries[i].reported {
-		return s.entries[i].latest, true
+		return s.entries[i].latest.clone(), true
 	}
 	return Measurement{}, false
 }
 
-// Snapshot returns the latest measurement of every node that has reported.
+// Snapshot returns a copy of the latest measurement of every node that has
+// reported.
 func (s *Store) Snapshot() map[int]Measurement {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[int]Measurement, s.reported)
 	for node, i := range s.index {
 		if e := &s.entries[i]; e.reported {
-			out[node] = e.latest
+			out[node] = e.latest.clone()
 		}
 	}
 	return out
+}
+
+// clone returns m with Values copied into a slice of its own.
+func (m Measurement) clone() Measurement {
+	m.Values = slices.Clone(m.Values)
+	return m
 }
 
 // Len returns the number of nodes that have reported at least once.
@@ -197,7 +214,10 @@ func (s *Store) Len() int {
 
 // NodeStat is one node's ingest accounting.
 type NodeStat struct {
-	// Latest is the newest stored measurement.
+	// Latest is the newest stored measurement. From Stats its Values are a
+	// copy the caller owns; inside an EachReported callback they alias the
+	// store's slice, which the next Apply to the node overwrites, and are
+	// valid only until the callback returns.
 	Latest Measurement
 	// Updates counts accepted (newer-step) measurements since the store was
 	// created.
@@ -217,13 +237,16 @@ type NodeStat struct {
 // policy has suppressed every sample so far reports frequency 0 over its
 // local step count, not absence) — including the per-node realized
 // transmit frequency: the central-side view of eq. (5) that the agents'
-// adaptive policies are budgeting against.
+// adaptive policies are budgeting against. Every Latest.Values is a copy, so
+// the result does not change when later measurements arrive.
 func (s *Store) Stats() map[int]NodeStat {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[int]NodeStat, len(s.index))
 	for node, i := range s.index {
-		out[node] = s.entries[i].stat()
+		st := s.entries[i].stat()
+		st.Latest = st.Latest.clone()
+		out[node] = st
 	}
 	return out
 }
@@ -237,8 +260,9 @@ func (s *Store) Stats() map[int]NodeStat {
 // is stale once the generation differs (Forget freed the entry and another
 // node, or the same one afresh, took it). Entries are never moved, so an
 // index stays below the number of entries the store ever held. fn must not
-// call back into the Store; Latest.Values aliases the store's copy, as it
-// does in Stats, and is read-only.
+// call back into the Store. Latest.Values aliases the store's slice: fn
+// reads it and copies whatever it keeps, because the next Apply to the node
+// overwrites it once the walk has released the lock.
 func (s *Store) EachReported(fn func(entry int, gen uint32, stat NodeStat)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -279,6 +303,8 @@ type Server struct {
 // NewServer creates a collector around the store. onUpdate, when non-nil, is
 // invoked after each stored measurement (serialized per connection, but
 // concurrent across connections — the callee must synchronize if needed).
+// The measurement's Values alias the connection's decode buffer and are
+// valid only until onUpdate returns; the store holds its own copy.
 func NewServer(store *Store, onUpdate func(Measurement)) (*Server, error) {
 	if store == nil {
 		return nil, fmt.Errorf("transport: nil store: %w", ErrProtocol)
