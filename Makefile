@@ -98,34 +98,18 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./... && $(GO) run orcf/cmd/orcflint ./...
 
-# Fuzz smoke: a short coverage-guided run of each of the nineteen native fuzz
-# targets (wire decoders, recovery readers, alert rules, the query-string
-# lookup against net/url, and the K-means,
-# nearest-centroid-kernel, cluster-tracker, ingest-decision-kernel,
-# plan-kernel, ARIMA-fit, two-lane CSS kernel, JSON-float, collector-store,
-# alert-engine and trace-generator reference differentials — the K-means one
-# twice, on a coordinate grid and on raw float64 bits, and the JSON-float one
-# twice, over all float64 bits and over the served range [1e-6, 1)) from its
-# committed seed corpus. go test allows one -fuzz pattern per invocation,
-# hence one line each.
+# Fuzz smoke: a short coverage-guided run of every native fuzz target in the
+# module, from its committed seed corpus. The targets are found with
+# `go test -list '^Fuzz'`, so a new one joins without an edit here, and the
+# run fails when none is found. go test allows one -fuzz pattern per
+# invocation, hence one run per target.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzBatchDecode$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadWAL$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzReadBlob$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/alert -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatMatchesReference$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzRunFlatRawMatchesReference$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kmeans -run '^$$' -fuzz '^FuzzNearestKernelsMatchReference$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzTrackerMatchesReference$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecideKernelMatchesPolicy$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPlanMatchesReference$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzARIMAFitMatchesReference$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/forecast -run '^$$' -fuzz '^FuzzCSSLanesMatchSolo$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloat$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendJSONFloatServedRange$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzStoreStepperMatchesOracle$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzQueryGet$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzGenerateMatchesReference$$' -fuzztime $(FUZZTIME)
+	@out=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$out"; exit 1; }; \
+	targets=$$(echo "$$out" | awk '/^Fuzz/ { f[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2 "," f[i]; n = 0 }'); \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: no fuzz targets found"; exit 1; fi; \
+	for t in $$targets; do \
+		pkg=$${t%,*}; fn=$${t#*,}; \
+		echo "fuzz-smoke: $$pkg $$fn"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn"'$$' -fuzztime $(FUZZTIME) || exit 1; \
+	done

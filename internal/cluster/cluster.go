@@ -545,9 +545,9 @@ func (tr *Tracker) match() ([]int, error) {
 // means are bitwise those of the historical per-call path — and advances the
 // run-length counters. It returns the new history row. The sum has the
 // bodies of the K-means update step (kmeans.Runner's recompute): unrolled for
-// dim ≤ 4 with the same adds in the same order, a loop above. It stays fused
-// into the slot walk: a second pass over the slots costs more at dim = 1 than
-// the add it would move.
+// dim = 1 and 4 with the same adds in the same order, a loop otherwise. It
+// stays fused into the slot walk: a second pass over the slots costs more at
+// dim = 1 than the add it would move.
 func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []int) []int {
 	k, m := tr.cfg.K, int32(tr.cfg.M)
 	depth := tr.cfg.HistoryDepth
@@ -583,30 +583,19 @@ func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []i
 		j := mapping[tr.raw[pi]]
 		row[i] = j
 		sizes[j]++
-		if dim == 1 {
+		switch dim {
+		case 1:
 			cents[j] += pts[pi]
-		} else {
-			switch dim {
-			case 2:
-				c, p := cents[2*j:2*j+2], pts[2*pi:2*pi+2]
-				c[0] += p[0]
-				c[1] += p[1]
-			case 3:
-				c, p := cents[3*j:3*j+3], pts[3*pi:3*pi+3]
-				c[0] += p[0]
-				c[1] += p[1]
-				c[2] += p[2]
-			case 4:
-				c, p := cents[4*j:4*j+4], pts[4*pi:4*pi+4]
-				c[0] += p[0]
-				c[1] += p[1]
-				c[2] += p[2]
-				c[3] += p[3]
-			default:
-				cj := cents[j*dim : (j+1)*dim]
-				for t, v := range pts[pi*dim : (pi+1)*dim] {
-					cj[t] += v
-				}
+		case 4:
+			c, p := cents[4*j:4*j+4], pts[4*pi:4*pi+4]
+			c[0] += p[0]
+			c[1] += p[1]
+			c[2] += p[2]
+			c[3] += p[3]
+		default:
+			cj := cents[j*dim : (j+1)*dim]
+			for t, v := range pts[pi*dim : (pi+1)*dim] {
+				cj[t] += v
 			}
 		}
 		pi++

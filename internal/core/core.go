@@ -957,24 +957,17 @@ func (s *System) decide(x [][]float64) {
 				// Eq. 7, bit for bit transmit's staleness(x[i], z): the same
 				// differences summed in the same order (0 + d0² is exact, so
 				// the sum may start at the first square) and divided by d,
-				// unrolled for d ≤ 4 with one statement per term as in the
-				// loop, so that a compiler that fuses s += a·a fuses both.
+				// unrolled for d = 2 and 4 (the widths Step is run at) with
+				// one statement per term as in the loop, so that a compiler
+				// that fuses s += a·a fuses both.
 				penalty := math.Inf(1)
 				if stored[i] {
 					var sum float64
 					switch len(xi) {
-					case 1:
-						d0 := xi[0] - data[off]
-						sum = d0 * d0
 					case 2:
 						d0, d1 := xi[0]-data[off], xi[1]-data[off+sr]
 						sum = d0 * d0
 						sum += d1 * d1
-					case 3:
-						d0, d1, d2 := xi[0]-data[off], xi[1]-data[off+sr], xi[2]-data[off+2*sr]
-						sum = d0 * d0
-						sum += d1 * d1
-						sum += d2 * d2
 					case 4:
 						d0, d1, d2, d3 := xi[0]-data[off], xi[1]-data[off+sr], xi[2]-data[off+2*sr], xi[3]-data[off+3*sr]
 						sum = d0 * d0

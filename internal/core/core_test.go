@@ -61,7 +61,8 @@ func TestNewSystemValidation(t *testing.T) {
 		}
 		// holt-winters (season 288) fits no series shorter than 576 values:
 		// the first fit's series — the warm-up, cut to FitWindow — must hold
-		// that many, alone or in a zoo.
+		// that many, alone or in a zoo. A config accepted at its minimum
+		// must then make its first fit.
 		for _, z := range []struct {
 			families        []string
 			initial, window int
@@ -75,15 +76,30 @@ func TestNewSystemValidation(t *testing.T) {
 			{[]string{"ses", "holt-winters"}, 1000, 576, false},
 			{[]string{"ar"}, 5, 0, true},
 			{[]string{"ar"}, 6, 0, false},
+			{[]string{"arima"}, 5, 0, true},
+			{[]string{"arima"}, 6, 0, false},
 		} {
 			zoo, err := forecast.Zoo(z.families...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = tt.build(Config{Nodes: 4, K: 2, InitialCollection: z.initial, FitWindow: z.window, Zoo: zoo})
+			s, err := tt.build(Config{Nodes: 4, K: 2, InitialCollection: z.initial, FitWindow: z.window, Zoo: zoo})
 			if got := errors.Is(err, ErrBadConfig); got != z.wantErr {
 				t.Fatalf("%s with zoo %v, warm-up %d, FitWindow %d: err %v, want ErrBadConfig %v",
 					tt.name, z.families, z.initial, z.window, err, z.wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			arrived := []bool{true, true, true, true}
+			for step := range z.initial {
+				lo := 0.1 + 0.03*float64(step%4)
+				if _, err := s.StepArrivals(twoGroupStep(4, lo, 0.9-lo), arrived); err != nil {
+					t.Fatalf("%s with zoo %v, warm-up %d: step %d: %v", tt.name, z.families, z.initial, step+1, err)
+				}
+			}
+			if _, err := s.Forecast(1); err != nil {
+				t.Fatalf("%s with zoo %v, warm-up %d: first fit: %v", tt.name, z.families, z.initial, err)
 			}
 		}
 	}

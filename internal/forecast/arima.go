@@ -155,6 +155,9 @@ func NewARIMA(order Order) (*ARIMA, error) {
 // OrderUsed returns the model's order.
 func (m *ARIMA) OrderUsed() Order { return m.order }
 
+// MinObservations is the shortest series Fit accepts.
+func (m *ARIMA) MinObservations() int { return m.order.minObservations() }
+
 // AICc returns the corrected Akaike criterion of the last fit (−Inf for a
 // fit with zero residuals), or +Inf before the first fit.
 func (m *ARIMA) AICc() float64 {
@@ -1017,6 +1020,16 @@ var _ Model = (*AutoARIMAModel)(nil)
 
 // NewAutoARIMA returns a self-selecting ARIMA model over the grid.
 func NewAutoARIMA(grid Grid) *AutoARIMAModel { return &AutoARIMAModel{grid: grid} }
+
+// MinObservations is the shortest series Fit accepts: the smallest minimum
+// over the grid's orders, since the search needs one order to fit.
+func (a *AutoARIMAModel) MinObservations() int {
+	n := math.MaxInt
+	for _, o := range a.grid.orders() {
+		n = min(n, o.minObservations())
+	}
+	return n
+}
 
 // Fit implements Model.
 func (a *AutoARIMAModel) Fit(series []float64) error {

@@ -307,6 +307,36 @@ func TestAutoARIMAErrors(t *testing.T) {
 	}
 }
 
+// TestARIMAMinObservations pins the declared minimum to both sides of the
+// fit boundary: a fixed order fits a series of its MinObservations values
+// and fails on one value less, and so does the DefaultGrid search, whose
+// minimum is that of its smallest order, ARIMA(0,1,0).
+func TestARIMAMinObservations(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewPCG(21, 21))
+	series := arSeries(rng, 64, 0.2, 0.6, 0.05)
+	fixed, err := NewARIMA(Order{P: 1, D: 1, Q: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto := NewAutoARIMA(DefaultGrid())
+	if got := auto.MinObservations(); got != 6 {
+		t.Fatalf("DefaultGrid MinObservations = %d, want 6", got)
+	}
+	for _, m := range []interface {
+		Model
+		MinObservations() int
+	}{fixed, auto} {
+		n := m.MinObservations()
+		if err := m.Fit(series[:n-1]); err == nil {
+			t.Fatalf("%s fitted %d values, below its MinObservations %d", m.Name(), n-1, n)
+		}
+		if err := m.Fit(series[:n]); err != nil {
+			t.Fatalf("%s on its MinObservations %d values: %v", m.Name(), n, err)
+		}
+	}
+}
+
 func TestAutoARIMAModelLifecycle(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(20, 20))

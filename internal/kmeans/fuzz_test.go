@@ -45,9 +45,9 @@ func FuzzRunFlatMatchesReference(f *testing.F) {
 // verbatim, so NaN of both signs, ±Inf, ±0, subnormals and magnitudes whose
 // squares overflow or underflow — which the grid of FuzzRunFlatMatchesReference
 // cannot produce — reach the seeding pass, the bound and scan passes and the
-// update step at every width, d = 1…8 (the unrolled bodies for d ≤ 4 and the
-// generic loop above). The seed corpus holds one file per class of special
-// value.
+// update step at every width, d = 1…8 (the unrolled bodies for d = 1 and 4
+// and the generic loop at the others). The seed corpus holds one file per
+// class of special value.
 func FuzzRunFlatRawMatchesReference(f *testing.F) {
 	ordinary := make([]byte, 0, 8*12)
 	for _, v := range []float64{0, 0.25, 2, 2.25, 0.5, 9, 9.5, 0.1, 2.1, 8.75, 0.3, 1.9} {

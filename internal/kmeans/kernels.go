@@ -2,10 +2,13 @@ package kmeans
 
 import "math"
 
-// The Runner's distance kernels. For d ≤ 4 the coordinate loop of sqDist is
-// unrolled; the accumulation keeps its order, s = d₀², s += d₁², …, so every
-// kernel returns the bits sqDist returns (pinned by TestKernelsMatchSqDist
-// and, end to end, by the reference differential).
+// The Runner's distance kernels. The coordinate loop of sqDist is unrolled
+// only at the widths the benchmark workloads run: d = 1 (the per-resource
+// trackers) and d = 4 (the joint fleet); every other width takes the loop.
+// The unrolled bodies keep the loop's order, s = d₀², s += d₁², …, and start
+// at the first square because 0 + d₀² is exact (a square is never −0), so
+// every kernel returns the bits sqDist returns (pinned by
+// TestKernelsMatchSqDist and, end to end, by the reference differential).
 //
 // The nearest-centroid loops pick their winner without a float compare. "Is
 // this centroid closer than the best so far" is, per point, a coin toss over
@@ -44,19 +47,6 @@ func sqDistFlat(a, b []float64) float64 {
 	case 1:
 		d0 := a[0] - b[0]
 		return d0 * d0
-	case 2:
-		b = b[:2]
-		d0, d1 := a[0]-b[0], a[1]-b[1]
-		s := d0 * d0
-		s += d1 * d1
-		return s
-	case 3:
-		b = b[:3]
-		d0, d1, d2 := a[0]-b[0], a[1]-b[1], a[2]-b[2]
-		s := d0 * d0
-		s += d1 * d1
-		s += d2 * d2
-		return s
 	case 4:
 		b = b[:4]
 		d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
@@ -70,8 +60,8 @@ func sqDistFlat(a, b []float64) float64 {
 }
 
 // sqDistsTo sets out[i] to sqDistFlat(point i, c) for the len(out)
-// d-dimensional row-major points in pts, with the coordinate loop unrolled
-// like sqDistFlat's for d ≤ 4 and no call per point.
+// d-dimensional row-major points in pts, unrolled at sqDistFlat's widths
+// with no call per point.
 func sqDistsTo(pts []float64, d int, c, out []float64) {
 	pts = pts[:len(out)*d]
 	switch d {
@@ -81,25 +71,6 @@ func sqDistsTo(pts []float64, d int, c, out []float64) {
 		for i, x := range pts {
 			d0 := x - c0
 			out[i] = d0 * d0
-		}
-	case 2:
-		c0, c1 := c[0], c[1]
-		for i := range out {
-			p := pts[2*i : 2*i+2 : 2*i+2]
-			d0, d1 := p[0]-c0, p[1]-c1
-			s := d0 * d0
-			s += d1 * d1
-			out[i] = s
-		}
-	case 3:
-		c0, c1, c2 := c[0], c[1], c[2]
-		for i := range out {
-			p := pts[3*i : 3*i+3 : 3*i+3]
-			d0, d1, d2 := p[0]-c0, p[1]-c1, p[2]-c2
-			s := d0 * d0
-			s += d1 * d1
-			s += d2 * d2
-			out[i] = s
 		}
 	case 4:
 		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
@@ -134,35 +105,6 @@ func nearestTwo(p, cents []float64, k int) (best int, bestD, otherD float64) {
 		for j, c := range cents[:k] {
 			d0 := p0 - c
 			dd := d0 * d0
-			b := math.Float64bits(dd)
-			if b < bestB {
-				best = j
-			}
-			otherB = min(otherB, max(b, bestB))
-			bestB = min(bestB, b)
-		}
-	case 2:
-		p0, p1 := p[0], p[1]
-		for j := 0; j < k; j++ {
-			c := cents[2*j : 2*j+2]
-			d0, d1 := p0-c[0], p1-c[1]
-			dd := d0 * d0
-			dd += d1 * d1
-			b := math.Float64bits(dd)
-			if b < bestB {
-				best = j
-			}
-			otherB = min(otherB, max(b, bestB))
-			bestB = min(bestB, b)
-		}
-	case 3:
-		p0, p1, p2 := p[0], p[1], p[2]
-		for j := 0; j < k; j++ {
-			c := cents[3*j : 3*j+3]
-			d0, d1, d2 := p0-c[0], p1-c[1], p2-c[2]
-			dd := d0 * d0
-			dd += d1 * d1
-			dd += d2 * d2
 			b := math.Float64bits(dd)
 			if b < bestB {
 				best = j

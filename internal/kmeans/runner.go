@@ -20,12 +20,12 @@ import (
 // assignment step after the first is two passes (see assignStep): a bound
 // pass over every point that carries the bounds over the update and lists
 // the points it cannot prove, and a scan pass over that list alone. The
-// update step (recompute) is unrolled for d ≤ 4. The pruning is exact: every
-// distance that is evaluated uses the arithmetic order of sqDist, the winner
-// is the strict-<, ascending-index one, the update step sums points in
-// ascending order and the RNG is drawn from at the same places, so RunFlat is
-// bit-identical to the historical slice-of-rows Lloyd on the same inputs and
-// RNG state — assignments, centroids, inertia, iteration count and draw
+// update step (recompute) is unrolled for d = 1 and 4. The pruning is exact:
+// every distance that is evaluated uses the arithmetic order of sqDist, the
+// winner is the strict-<, ascending-index one, the update step sums points in
+// ascending order and the RNG is drawn from at the same places, so RunFlat
+// is bit-identical to the historical slice-of-rows Lloyd on the same inputs
+// and RNG state — assignments, centroids, inertia, iteration count and draw
 // sequence (pinned against the preserved implementation by
 // TestRunnerMatchesReferenceExactly, FuzzRunFlatMatchesReference and
 // FuzzRunFlatRawMatchesReference). A Runner is not safe for concurrent use.
@@ -380,9 +380,10 @@ func (r *Runner) seedPlusPlus(pts []float64, n, d, k int, rng *rand.Rand) {
 
 // recompute is the update step: each centroid becomes the mean of its
 // members, summed in ascending point order from +0 and scaled by 1/count, the
-// arithmetic of the reference. For d ≤ 4 the coordinate loop is unrolled with
-// the same adds in the same order, and the slices are cut once so that only
-// the data-dependent cluster index is bounds-checked; d ≥ 5 keeps the loop.
+// arithmetic of the reference. For d = 1 and 4, the widths the benchmark
+// workloads run, the coordinate loop is unrolled with the same adds in the
+// same order, and the slices are cut once so that only the data-dependent
+// cluster index is bounds-checked; every other width keeps the loop.
 // It leaves the member counts in r.counts and reports whether a cluster came
 // out empty (its centroid is then left for repairEmpty).
 func (r *Runner) recompute(pts []float64, n, d, k int, assign []int) (empty bool) {
@@ -396,25 +397,6 @@ func (r *Runner) recompute(pts []float64, n, d, k int, assign []int) (empty bool
 		for i, j := range assign {
 			counts[j]++
 			cents[j] += pts[i]
-		}
-	case 2:
-		for len(assign) > 0 && len(pts) >= 2 {
-			j := assign[0]
-			counts[j]++
-			c := cents[2*j : 2*j+2]
-			c[0] += pts[0]
-			c[1] += pts[1]
-			pts, assign = pts[2:], assign[1:]
-		}
-	case 3:
-		for len(assign) > 0 && len(pts) >= 3 {
-			j := assign[0]
-			counts[j]++
-			c := cents[3*j : 3*j+3]
-			c[0] += pts[0]
-			c[1] += pts[1]
-			c[2] += pts[2]
-			pts, assign = pts[3:], assign[1:]
 		}
 	case 4:
 		for len(assign) > 0 && len(pts) >= 4 {

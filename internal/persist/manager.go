@@ -26,10 +26,6 @@ type Options struct {
 	// LogStep records a step divisible by it. Zero means 256; negative
 	// disables automatic checkpoints (explicit Checkpoint calls only).
 	CheckpointEvery int
-	// Retain is how many checkpoints (with their WAL epochs) to keep.
-	// Values below 2 mean 2: the newest checkpoint plus one fallback, so a
-	// checkpoint torn by a crash mid-write never leaves recovery empty-handed.
-	Retain int
 	// Fsync makes every WAL append fsync before returning — full
 	// single-step durability at a heavy per-step cost. Off, appends are
 	// flushed to the OS per record (surviving process crashes) and fsynced
@@ -41,9 +37,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 256
-	}
-	if o.Retain < 2 {
-		o.Retain = 2
 	}
 	return o
 }
@@ -442,6 +435,11 @@ func (m *Manager) prepareCheckpoint() (func() error, error) {
 	}, nil
 }
 
+// retain is how many checkpoints (with their WAL epochs) a Manager keeps: the
+// newest plus one fallback, so a checkpoint torn by a crash mid-write never
+// leaves recovery empty-handed.
+const retain = 2
+
 // prune removes checkpoints beyond the retention count and the WAL epochs
 // older than the oldest retained checkpoint (each retained checkpoint keeps
 // its own epoch, so recovery can always chain forward from any of them).
@@ -454,7 +452,7 @@ func (m *Manager) prune(newest int) {
 	oldestKept := newest
 	kept := 0
 	for _, step := range ckpts {
-		if kept < m.opts.Retain {
+		if kept < retain {
 			kept++
 			if step < oldestKept {
 				oldestKept = step

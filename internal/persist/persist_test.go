@@ -363,44 +363,51 @@ func TestTornWrites(t *testing.T) {
 	})
 }
 
+// TestRetention pins the retention bound: after three checkpoints and after
+// six, exactly the newest two checkpoint files remain, each with its own WAL
+// epoch and no other.
 func TestRetention(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	m := newManager(t, dir, Options{CheckpointEvery: 5, Retain: 2})
-	if _, err := m.Recover(nil); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	runTo(t, m, 31)
-	m.wg.Wait()
-	if err := m.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	ckpts, err := listSteps(dir, "ckpt-", ".ckpt")
-	if err != nil {
-		t.Fatalf("list: %v", err)
-	}
-	if !reflect.DeepEqual(ckpts, []int{25, 30}) {
-		t.Fatalf("retained checkpoints = %v, want [25 30]", ckpts)
-	}
-	wals, err := listSteps(dir, "wal-", ".wal")
-	if err != nil {
-		t.Fatalf("list: %v", err)
-	}
-	for _, epoch := range wals {
-		if epoch < 25 {
-			t.Fatalf("stale WAL epoch %d survived pruning (%v)", epoch, wals)
+	for _, tc := range []struct {
+		steps int
+		want  []int
+	}{
+		{15, []int{10, 15}}, // checkpoints at 5, 10 and 15
+		{31, []int{25, 30}},
+	} {
+		dir := t.TempDir()
+		m := newManager(t, dir, Options{CheckpointEvery: 5})
+		if _, err := m.Recover(nil); err != nil {
+			t.Fatalf("recover: %v", err)
 		}
-	}
-	st := m.Stats()
-	if st.Checkpoints < 2 || st.LastCheckpointStep != 30 || st.WALRecords != 31 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.WALAppendTime <= 0 {
-		t.Fatalf("WALAppendTime = %v after %d appends, want > 0", st.WALAppendTime, st.WALRecords)
-	}
-	if st.LastCheckpointDuration <= 0 || st.CheckpointTime < st.LastCheckpointDuration {
-		t.Fatalf("checkpoint durations: last %v, cumulative %v — want 0 < last <= cumulative",
-			st.LastCheckpointDuration, st.CheckpointTime)
+		runTo(t, m, tc.steps)
+		m.wg.Wait()
+		st := m.Stats()
+		if err := m.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		ckpts, err := listSteps(dir, "ckpt-", ".ckpt")
+		if err != nil {
+			t.Fatalf("list: %v", err)
+		}
+		wals, err := listSteps(dir, "wal-", ".wal")
+		if err != nil {
+			t.Fatalf("list: %v", err)
+		}
+		if !reflect.DeepEqual(ckpts, tc.want) || !reflect.DeepEqual(wals, tc.want) {
+			t.Fatalf("after %d steps: checkpoints %v and WAL epochs %v retained, want %v for both",
+				tc.steps, ckpts, wals, tc.want)
+		}
+		if st.Checkpoints != int64(tc.steps/5) || st.LastCheckpointStep != int64(tc.want[1]) || st.WALRecords != int64(tc.steps) {
+			t.Fatalf("stats = %+v", st)
+		}
+		if st.WALAppendTime <= 0 {
+			t.Fatalf("WALAppendTime = %v after %d appends, want > 0", st.WALAppendTime, st.WALRecords)
+		}
+		if st.LastCheckpointDuration <= 0 || st.CheckpointTime < st.LastCheckpointDuration {
+			t.Fatalf("checkpoint durations: last %v, cumulative %v — want 0 < last <= cumulative",
+				st.LastCheckpointDuration, st.CheckpointTime)
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleRecommendations serves GET /v1/recommendations. ?h overrides the
-// configured recommendation horizon for one query.
+// handleRecommendations serves GET /v1/recommendations at horizon ?h
+// (default 1), tracker 0 and the default target band.
 func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Alerts == nil {
 		writeError(w, http.StatusNotFound, "alerting not configured (no rules loaded)")
@@ -65,18 +65,18 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	cfg := s.cfg.Recommend
+	var cfg alert.RecommendConfig
 	if q := queryGet(r.URL.RawQuery, "h"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "h must be an integer")
 			return
 		}
+		if maxH := snap.MaxHorizon(); v < 1 || v > maxH {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("h must be in [1, %d]", maxH))
+			return
+		}
 		cfg.Horizon = v
-	}
-	if maxH := s.horizonCap(snap); cfg.Horizon < 0 || cfg.Horizon > maxH {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("h must be in [1, %d]", maxH))
-		return
 	}
 	recs, err := alert.Recommend(snap, cfg)
 	if err != nil {

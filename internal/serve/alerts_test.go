@@ -96,3 +96,47 @@ func TestAlertsOneEngineView(t *testing.T) {
 		t.Fatalf("%d fires over %d steps, %d responses: the test did not exercise the race", st.Fires, steps, responses.Load())
 	}
 }
+
+// TestRecommendationsValidation pins the ?h bounds of /v1/recommendations to
+// those of /v1/forecast: a given h must lie in [1, the snapshot's horizon],
+// and no h means horizon 1.
+func TestRecommendationsValidation(t *testing.T) {
+	t.Parallel()
+	sys, _ := readySystem(t, 8, 4, 30)
+	engine, err := alert.New(alert.Config{
+		Rules: &alert.RuleSet{StepsPerHour: 1, Rules: []alert.Rule{
+			{Name: "cluster-high", Kind: alert.KindThreshold, Scope: alert.ScopeCluster, Cluster: -1,
+				Horizon: 1, Above: true, Threshold: 0.5, FireStreak: 1, ClearStreak: 1},
+		}},
+		MaxHorizon: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Source: sys, Alerts: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query       string
+		code, horiz int
+	}{
+		{"", http.StatusOK, 1},
+		{"?h=1", http.StatusOK, 1},
+		{"?h=4", http.StatusOK, 4},
+		{"?h=0", http.StatusBadRequest, 0},
+		{"?h=-1", http.StatusBadRequest, 0},
+		{"?h=5", http.StatusBadRequest, 0},
+		{"?h=nope", http.StatusBadRequest, 0},
+	} {
+		var resp RecommendationsResponse
+		var out any
+		if tc.code == http.StatusOK {
+			out = &resp
+		}
+		get(t, srv, "/v1/recommendations"+tc.query, tc.code, out)
+		if tc.code == http.StatusOK && (resp.Horizon != tc.horiz || len(resp.Recommendations) != 3) {
+			t.Fatalf("%s: horizon %d with %d recommendations, want %d with 3", tc.query, resp.Horizon, len(resp.Recommendations), tc.horiz)
+		}
+	}
+}

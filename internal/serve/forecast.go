@@ -27,7 +27,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		}
 		h = v
 	}
-	if maxH := s.horizonCap(snap); h < 1 || h > maxH {
+	if maxH := snap.MaxHorizon(); h < 1 || h > maxH {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("h must be in [1, %d]", maxH))
 		return

@@ -61,9 +61,6 @@ type Config struct {
 	// MaxInFlight caps concurrently served requests; excess requests are
 	// rejected immediately with 503. Zero means 256.
 	MaxInFlight int
-	// MaxHorizon additionally caps the ?h parameter. Zero means the
-	// snapshot's own horizon is the only cap.
-	MaxHorizon int
 	// PersistStats, when non-nil, supplies durability accounting (from
 	// persist.Manager.Stats via an adapter) that /v1/stats and /metrics
 	// report alongside the pipeline statistics. Must be safe for concurrent
@@ -80,10 +77,6 @@ type Config struct {
 	// answering 404. The engine must be evaluated by the caller (cmd/
 	// forecastd's tick loop does); the server only reads.
 	Alerts *alert.Engine
-	// Recommend tunes /v1/recommendations (zero value: horizon 1, tracker 0,
-	// target band [0.3, 0.7]). The ?h query parameter overrides the horizon
-	// per request. Ignored when Alerts is nil.
-	Recommend alert.RecommendConfig
 }
 
 // PersistStats is the durability accounting the server reports when a
@@ -143,7 +136,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("serve: nil source: %w", ErrBadConfig)
 	}
-	if cfg.MaxInFlight < 0 || cfg.MaxHorizon < 0 {
+	if cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("serve: negative limit: %w", ErrBadConfig)
 	}
 	if cfg.MaxInFlight == 0 {
@@ -351,7 +344,7 @@ func (s *Server) Stats() StatsResponse {
 		st.Evictions = snap.Evictions()
 		st.Resources = snap.Resources()
 		st.Clusters = snap.Clusters()
-		st.MaxHorizon = s.horizonCap(snap)
+		st.MaxHorizon = snap.MaxHorizon()
 		st.MeanFrequency = Finite64(snap.MeanFrequency())
 		d, runs := snap.TrainingTime()
 		st.TrainingRuns = runs
@@ -368,15 +361,6 @@ func (s *Server) Stats() StatsResponse {
 		}
 	}
 	return st
-}
-
-// horizonCap is the largest horizon this server accepts for a snapshot.
-func (s *Server) horizonCap(snap *core.Snapshot) int {
-	h := snap.MaxHorizon()
-	if s.cfg.MaxHorizon > 0 && s.cfg.MaxHorizon < h {
-		h = s.cfg.MaxHorizon
-	}
-	return h
 }
 
 // snapshotOr503 fetches the latest snapshot, writing a 503 when none has

@@ -173,13 +173,14 @@ func TestForecastEndpointMatchesSystemForecast(t *testing.T) {
 func TestForecastValidation(t *testing.T) {
 	t.Parallel()
 	sys, _ := readySystem(t, 8, 6, 30)
-	srv, err := New(Config{Source: sys, MaxHorizon: 4})
+	srv, err := New(Config{Source: sys})
 	if err != nil {
 		t.Fatal(err)
 	}
 	get(t, srv, "/v1/forecast?h=nope", http.StatusBadRequest, nil)
 	get(t, srv, "/v1/forecast?h=0", http.StatusBadRequest, nil)
-	get(t, srv, "/v1/forecast?h=5", http.StatusBadRequest, nil) // over server cap 4 < snapshot 6
+	get(t, srv, "/v1/forecast?h=7", http.StatusBadRequest, nil) // over the snapshot's horizon 6
+	get(t, srv, "/v1/forecast?h=6", http.StatusOK, nil)
 	get(t, srv, "/v1/forecast?h=2&node=99", http.StatusNotFound, nil)
 	get(t, srv, "/v1/forecast?h=2&node=x", http.StatusBadRequest, nil)
 	get(t, srv, "/v1/nodes/99", http.StatusNotFound, nil)
