@@ -64,7 +64,9 @@ churn-smoke:
 
 # Reproduction goldens: `repro` output for Figs. 8, 9 and 10 at a small
 # scale, minus its wall-time line, must equal the committed files byte for
-# byte (it does not depend on -workers). Every column of Figs. 9 and 10 runs
+# byte. It does not depend on GOMAXPROCS, the width of every worker pool;
+# Fig. 10 runs again at GOMAXPROCS=1, so every pool's serial path is
+# checked against the same golden. Every column of Figs. 9 and 10 runs
 # a one-candidate core.Config.Zoo; Fig. 8 drives a one-cell forecast.Ensemble
 # per centroid series. The goldens are linux/amd64 output, the platform CI
 # runs on; regenerate them with the same commands only in a change meant to
@@ -72,15 +74,16 @@ churn-smoke:
 REPRO_STRIP = sed '/^(.* completed in .*)$$/d'
 repro-golden:
 	$(GO) run ./cmd/repro -exp fig10 -nodes 40 -steps 800 -warmup 300 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig10.golden -
+	GOMAXPROCS=1 $(GO) run ./cmd/repro -exp fig10 -nodes 40 -steps 800 -warmup 300 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig10.golden -
 	$(GO) run ./cmd/repro -exp fig9 -nodes 24 -steps 600 -warmup 300 -lstm-epochs 2 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig9.golden -
 	$(GO) run ./cmd/repro -exp fig8 -nodes 24 -steps 600 -warmup 300 -lstm-epochs 2 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig8.golden -
 
 # Micro-benchmarks to work with; performance claims are measured with
 # `bash bench/run.sh` (see bench/README.md).
 bench:
-	$(GO) test -run xxx -bench 'PipelineStep|ForecastQuery|EnsembleSelect' -benchmem .
-	$(GO) test -run xxx -bench '^BenchmarkRefitRound$$' -benchmem -cpu 1,2 .
-	$(GO) test -run xxx -bench '^Benchmark(Ingest|PlanBuild)$$' -benchmem ./internal/core
+	$(GO) test -run xxx -bench 'EnsembleSelect' -benchmem .
+	$(GO) test -run xxx -bench '^Benchmark(PipelineStep|ForecastQuery|RefitRound)$$' -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench '^Benchmark(Ingest|PlanBuild)$$' -benchmem -cpu 1 ./internal/core
 	$(GO) test -run xxx -bench '^BenchmarkAdaptiveDecide$$' -benchmem ./internal/transmit
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem -cpu 1,2 ./internal/serve

@@ -149,14 +149,14 @@ func BenchmarkAblations(b *testing.B) {
 // would pay. steps is the trace length cycled through; churnEvery > 0
 // additionally replaces 8 members every churnEvery-th iteration (outside the
 // timer), exercising the membership-change fallback of the incremental path.
-func benchPipelineStep(b *testing.B, nodes, steps, workers, churnEvery int, opts ...Option) {
+func benchPipelineStep(b *testing.B, nodes, steps, churnEvery int, opts ...Option) {
 	b.Helper()
-	benchPipelineStepD(b, nodes, 2, steps, workers, churnEvery, opts...)
+	benchPipelineStepD(b, nodes, 2, steps, churnEvery, opts...)
 }
 
 // benchPipelineStepD is benchPipelineStep with the number of resources d
 // exposed; the resources are clustered one by one unless opts say otherwise.
-func benchPipelineStepD(b *testing.B, nodes, resources, steps, workers, churnEvery int, opts ...Option) {
+func benchPipelineStepD(b *testing.B, nodes, resources, steps, churnEvery int, opts ...Option) {
 	b.Helper()
 	ds, err := GenerateTrace(GeneratorConfig{
 		Name: "bench", Nodes: nodes, Steps: steps, Resources: resources, Seed: 1,
@@ -165,7 +165,7 @@ func benchPipelineStepD(b *testing.B, nodes, resources, steps, workers, churnEve
 		b.Fatal(err)
 	}
 	opts = append([]Option{WithBudget(0.3), WithTrainingSchedule(1_000_000, 1_000_000),
-		WithSeed(1), WithWorkers(workers)}, opts...)
+		WithSeed(1)}, opts...)
 	sys, err := New(nodes, resources, opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -221,7 +221,9 @@ func reportRetainedPerSlot(b *testing.B, sys *System, slots int) {
 
 // BenchmarkPipelineStep is the online-step family of the perf trajectory:
 //
-//   - N=256: the historical default scale (worker pool at GOMAXPROCS).
+//   - N=256: the historical default scale; run with -cpu 1,2 to compare the
+//     serial path with the worker pool (the outputs are bit-identical, see
+//     core.TestParallelMatchesSerialExactly).
 //   - N=10000: the single-core speed-wall headline — incremental eq. (10)
 //     refits warm-start from the previous centroids, so the steady state
 //     skips K-means entirely on most steps.
@@ -233,43 +235,38 @@ func reportRetainedPerSlot(b *testing.B, sys *System, slots int) {
 //   - N=10000-d4 and N=10000-d4-joint: four resources with a full refit per
 //     step, as four scalar clusterings and as one joint 4-dimensional one.
 func BenchmarkPipelineStep(b *testing.B) {
-	b.Run("N=256", func(b *testing.B) { benchPipelineStep(b, 256, 64, 0, 0) })
+	b.Run("N=256", func(b *testing.B) { benchPipelineStep(b, 256, 64, 0) })
 	b.Run("N=10000", func(b *testing.B) {
-		benchPipelineStep(b, 10000, 24, 0, 0, WithIncrementalRefit(0))
+		benchPipelineStep(b, 10000, 24, 0, WithIncrementalRefit(0))
 	})
-	b.Run("N=10000-full", func(b *testing.B) { benchPipelineStep(b, 10000, 24, 0, 0) })
+	b.Run("N=10000-full", func(b *testing.B) { benchPipelineStep(b, 10000, 24, 0) })
 	b.Run("N=10000-churn", func(b *testing.B) {
-		benchPipelineStep(b, 10000, 24, 0, 8, WithIncrementalRefit(0))
+		benchPipelineStep(b, 10000, 24, 8, WithIncrementalRefit(0))
 	})
 	// Four resources, still clustered per resource: four scalar trackers,
 	// each paying a full d=1 K-means refit per step (no incremental refits).
 	b.Run("N=10000-d4", func(b *testing.B) {
-		benchPipelineStepD(b, 10000, 4, 24, 0, 0)
+		benchPipelineStepD(b, 10000, 4, 24, 0)
 	})
 	// The same fleet clustered jointly: one tracker over 4-dimensional
 	// points, a full d=4 K-means refit per step — the vector distance path
 	// and the shape of the repository benchmark's step_joint_d4 workload.
 	b.Run("N=10000-d4-joint", func(b *testing.B) {
-		benchPipelineStepD(b, 10000, 4, 24, 0, 0, WithJointClustering())
+		benchPipelineStepD(b, 10000, 4, 24, 0, WithJointClustering())
 	})
 }
 
-// BenchmarkPipelineStepSerial pins the worker pool to one worker at the
-// historical N=256 scale. The outputs are bit-identical to the pooled run
-// (see core.TestParallelMatchesSerialExactly); comparing the two isolates
-// the multi-core speedup from the allocation reductions, which both share.
-func BenchmarkPipelineStepSerial(b *testing.B) { benchPipelineStep(b, 256, 64, 1, 0) }
-
-// benchForecastQuery measures producing a 50-step forecast for all nodes
-// from a warm system.
-func benchForecastQuery(b *testing.B, workers int) {
+// BenchmarkForecastQuery measures producing a 50-step forecast for all
+// nodes from a warm system; run it with -cpu 1,2 to compare the serial
+// reconstruction with the pooled one.
+func BenchmarkForecastQuery(b *testing.B) {
 	b.Helper()
 	ds, err := GenerateTrace(GeneratorConfig{Name: "bench", Nodes: 128, Steps: 80, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	sys, err := New(128, 2, WithAlwaysTransmit(), WithTrainingSchedule(60, 1000),
-		WithSeed(1), WithWorkers(workers))
+		WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,11 +283,6 @@ func benchForecastQuery(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkForecastQuery / BenchmarkForecastQuerySerial mirror the
-// PipelineStep pair for the per-node forecast reconstruction path.
-func BenchmarkForecastQuery(b *testing.B)       { benchForecastQuery(b, 0) }
-func BenchmarkForecastQuerySerial(b *testing.B) { benchForecastQuery(b, 1) }
 
 // BenchmarkRefitRound measures one retraining step of a core.System with
 // the repository benchmark's zoo_durable model schedule: five families, K = 3,

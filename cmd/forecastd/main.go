@@ -168,7 +168,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		initial     = fs.Int("initial", 50, "initial collection steps before first training")
 		retrain     = fs.Int("retrain", 100, "retraining period in steps")
 		seed        = fs.Uint64("seed", 1, "clustering seed")
-		workers     = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		maxInFlight = fs.Int("max-inflight", 256, "max concurrently served HTTP requests")
 		stateDir    = fs.String("state-dir", "", "directory for durable checkpoints + WAL (empty = in-memory only)")
 		ckptEvery   = fs.Int("checkpoint-every", 64, "steps between background checkpoints (0 = persist default 256, negative = only on shutdown)")
@@ -233,7 +232,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		InitialCollection: *initial,
 		RetrainEvery:      *retrain,
 		Seed:              *seed,
-		Workers:           *workers,
 		PhaseObserver:     serve.NewStepTimings(reg),
 	}
 	// Snapshots are published for their readers, the query plane and the

@@ -70,7 +70,6 @@ func run() int {
 		every   = flag.Int("forecast-every", 0, "forecast scoring stride (0 = default 10)")
 		epochs  = flag.Int("lstm-epochs", 0, "LSTM training epochs per fit (0 = default 10)")
 		fitWin  = flag.Int("fit-window", 0, "history cap per model fit (0 = default 400)")
-		workers = flag.Int("workers", 0, "worker pool bound for independent runs (0 = GOMAXPROCS, 1 = serial; output identical)")
 		listAll = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
@@ -96,7 +95,7 @@ func run() int {
 	opts := exp.Options{
 		Nodes: *nodes, Steps: *steps, Warmup: *warmup, Seed: *seed,
 		Full: *full, ForecastEvery: *every, LSTMEpochs: *epochs,
-		FitWindow: *fitWin, Workers: *workers,
+		FitWindow: *fitWin,
 	}
 
 	ids := []string{*which}

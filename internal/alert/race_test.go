@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,14 +13,13 @@ import (
 // stepping goroutine keeps publishing snapshots and churning fleet
 // membership. Under -race (RACE_PKGS covers this package) it proves the
 // engine's locking composes with the snapshot plane's immutability: readers
-// never need the stepper's cooperation.
+// never need the stepper's cooperation. Not parallel: it runs at GOMAXPROCS
+// 2 at least, so the steps fan out.
 func TestEngineConcurrentWithSteppingAndChurn(t *testing.T) {
-	t.Parallel()
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	const steps = 120
-	sys := newTestSystem(t, 6, func(c *core.Config) {
-		c.InitialCollection = 5
-		c.Workers = 2
-	})
+	sys := newTestSystem(t, 6, func(c *core.Config) { c.InitialCollection = 5 })
 	engine, err := New(Config{
 		Rules: &RuleSet{StepsPerHour: 1, Rules: []Rule{
 			{Name: "cluster-hot", Kind: KindThreshold, Scope: ScopeCluster, Cluster: -1,

@@ -239,7 +239,7 @@ func BenchmarkAlertEvaluate(b *testing.B) {
 // steps one member is removed and a new member joins into its slot.
 func benchSnapshots(b *testing.B, n int, churn bool) []*core.Snapshot {
 	sys, err := core.NewSystem(core.Config{
-		Nodes: n, Resources: 2, K: 3, InitialCollection: 20, SnapshotHorizon: 12, Seed: 1, Workers: 1,
+		Nodes: n, Resources: 2, K: 3, InitialCollection: 20, SnapshotHorizon: 12, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

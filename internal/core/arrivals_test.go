@@ -62,7 +62,6 @@ func TestStepIsEdgeThenCentral(t *testing.T) {
 			cfg.AbsenceTimeout = 3
 			cfg.JointClustering = joint
 			cfg.SnapshotHorizon = 3
-			cfg.Workers = 1
 			cfg.Policy = mixedPolicy
 			full, err := NewSystem(cfg)
 			if err != nil {
@@ -166,7 +165,7 @@ func TestStepIsEdgeThenCentral(t *testing.T) {
 // rejected before anything moves, as is Step on an edge-less System — the
 // next valid step is the one an undisturbed system takes.
 func TestStepArrivalsRejectsMalformedInputUnchanged(t *testing.T) {
-	cfg := Config{Nodes: 12, Resources: 2, K: 3, InitialCollection: 20, Seed: 1, Workers: 1}
+	cfg := Config{Nodes: 12, Resources: 2, K: 3, InitialCollection: 20, Seed: 1}
 	row := func(i, step int) []float64 {
 		v := 0.2 + 0.3*float64(i%3) + 0.05*math.Sin(float64(step+i))
 		return []float64{v, 1 - v}

@@ -14,9 +14,8 @@
 // allows it: the central store and the eq. (12) look-back ring are flat
 // frames with reused backing arrays (see zFrame), each tracker clusters its
 // block of the store in place, and the independent per-resource trackers run
-// on a bounded worker pool (Config.Workers). Results are bit-identical for
-// any worker count because every tracker owns its RNG, ensemble, and output
-// slots outright.
+// on a GOMAXPROCS worker pool. Results are bit-identical for any pool width
+// because every tracker owns its RNG, ensemble, and output slots outright.
 package core
 
 import (
@@ -97,14 +96,6 @@ type Config struct {
 	JointClustering bool
 	// Seed drives K-means seeding.
 	Seed uint64
-	// Workers bounds the concurrency of each of a step's pools: per-tracker
-	// clustering, the (re)training round — every model fit of every tracker
-	// on one list — and per-node forecast reconstruction. Zero means
-	// GOMAXPROCS; 1 forces the serial path. Output is identical for any
-	// value as long as every Step succeeds; after a Step error, how far the
-	// other trackers progressed depends on scheduling, so the System must
-	// be discarded rather than stepped further.
-	Workers int
 	// SnapshotHorizon enables the read-only serving plane: when > 0, every
 	// successful Step publishes an immutable Snapshot (latest z_t,
 	// memberships, transmit frequencies, centroid forecasts up to this
@@ -354,7 +345,7 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 			IncrementalChurn: cfg.IncrementalChurn,
 		}, rand.New(pcg))
 		if err != nil {
-			return nil, fmt.Errorf("core: tracker %d: %w", tr, err)
+			return nil, fmt.Errorf("core: tracker %d: %w: %w", tr, err, ErrBadConfig)
 		}
 		s.trackers = append(s.trackers, tracker)
 		ens, err := forecast.NewEnsemble(forecast.EnsembleConfig{
@@ -745,8 +736,8 @@ func (s *System) RefitStats() (warm, full int) {
 }
 
 // TrainingTime returns the cumulative wall-clock time and count of the
-// (re)training rounds. A round fits every tracker's models on one list of
-// Workers goroutines, and every tracker's ensemble takes part in every round
+// (re)training rounds. A round fits every tracker's models on one list on
+// the worker pool, and every tracker's ensemble takes part in every round
 // and records the list's wall time, so one ensemble's accounting is the
 // System's.
 func (s *System) TrainingTime() (time.Duration, int) {
@@ -1086,14 +1077,14 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 // trackers (integer adds commute, so the worker schedule cannot perturb the
 // total); the refit phase's is the wall time of the one call.
 func (s *System) clusterAndRefit(mask []bool) error {
-	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+	err := parallel.ForEach(s.nTrackers, func(tr int) error {
 		return s.phases.run(PhaseCluster, func() error { return s.cluster(tr, mask) })
 	})
 	if err != nil {
 		return err
 	}
 	return s.phases.run(PhaseRefit, func() error {
-		if err := forecast.ObserveAll(s.cfg.Workers, s.ensembles, s.centRows); err != nil {
+		if err := forecast.ObserveAll(s.ensembles, s.centRows); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 		return nil
@@ -1165,7 +1156,7 @@ func (s *System) snapAt(ago int) *ringSlot {
 // node's mode cluster plus the α-scaled offset of eq. (12), planned over the
 // look-back ring by the kernel a snapshot publish runs. Slots fan out on the
 // worker pool and each writes only its own output rows, so the result is
-// identical for any worker count.
+// identical for any pool width.
 func (s *System) Forecast(h int) ([][][]float64, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("core: horizon %d < 1: %w", h, ErrBadInput)
@@ -1177,13 +1168,13 @@ func (s *System) Forecast(h int) ([][][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reconEnv().plan(cent, s.cfg.Workers).tensor(h, s.cfg.Workers), nil
+	return s.reconEnv().plan(cent).tensor(h), nil
 }
 
 // centroidForecasts forecasts every tracker's K×dims centroid series up to
 // horizon h — one ensemble per tracker on the worker pool — into the plan's
 // flat centroid table, [hi][tracker][cluster·dims]. Each tracker writes only
-// its own entries, so the table is identical for any worker count. It
+// its own entries, so the table is identical for any pool width. It
 // returns nil before the models finish initial training, which plans every
 // slot as undefined.
 func (s *System) centroidForecasts(h int) ([]float64, error) {
@@ -1193,7 +1184,7 @@ func (s *System) centroidForecasts(h int) ([]float64, error) {
 	kd := s.cfg.K * s.dims
 	stride := s.nTrackers * kd
 	cent := make([]float64, h*stride)
-	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+	err := parallel.ForEach(s.nTrackers, func(tr int) error {
 		f, err := s.ensembles[tr].Forecast(h)
 		if err != nil {
 			return fmt.Errorf("core: tracker %d forecast: %w", tr, err)

@@ -53,55 +53,80 @@ func TestNewSystemValidation(t *testing.T) {
 		name  string
 		build func(Config) (*System, error)
 	}{{"NewSystem", NewSystem}, {"NewCentral", NewCentral}} {
-		if _, err := tt.build(Config{Nodes: 4, Resources: -1}); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("%s with -1 resources: want ErrBadConfig, got %v", tt.name, err)
-		}
-		if _, err := tt.build(Config{Nodes: 4, Resources: -3, JointClustering: true}); !errors.Is(err, ErrBadConfig) {
-			t.Fatalf("%s with -3 joint resources: want ErrBadConfig, got %v", tt.name, err)
-		}
-		// holt-winters (season 288) fits no series shorter than 576 values:
-		// the first fit's series — the warm-up, cut to FitWindow — must hold
-		// that many, alone or in a zoo. A config accepted at its minimum
-		// must then make its first fit.
-		for _, z := range []struct {
-			families        []string
-			initial, window int
-			wantErr         bool
-		}{
-			{[]string{"holt-winters"}, 50, 0, true},
-			{[]string{"ses", "holt-winters"}, 50, 0, true},
-			{[]string{"holt-winters"}, 1000, 200, true},
-			{[]string{"holt-winters"}, 575, 0, true},
-			{[]string{"holt-winters"}, 576, 0, false},
-			{[]string{"ses", "holt-winters"}, 1000, 576, false},
-			{[]string{"ar"}, 5, 0, true},
-			{[]string{"ar"}, 6, 0, false},
-			{[]string{"arima"}, 5, 0, true},
-			{[]string{"arima"}, 6, 0, false},
-		} {
-			zoo, err := forecast.Zoo(z.families...)
-			if err != nil {
-				t.Fatal(err)
+		t.Run(tt.name, func(t *testing.T) {
+			t.Parallel()
+			if _, err := tt.build(Config{Nodes: 4, Resources: -1}); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("%s with -1 resources: want ErrBadConfig, got %v", tt.name, err)
 			}
-			s, err := tt.build(Config{Nodes: 4, K: 2, InitialCollection: z.initial, FitWindow: z.window, Zoo: zoo})
-			if got := errors.Is(err, ErrBadConfig); got != z.wantErr {
-				t.Fatalf("%s with zoo %v, warm-up %d, FitWindow %d: err %v, want ErrBadConfig %v",
-					tt.name, z.families, z.initial, z.window, err, z.wantErr)
+			if _, err := tt.build(Config{Nodes: 4, Resources: -3, JointClustering: true}); !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("%s with -3 joint resources: want ErrBadConfig, got %v", tt.name, err)
 			}
-			if err != nil {
-				continue
-			}
-			arrived := []bool{true, true, true, true}
-			for step := range z.initial {
-				lo := 0.1 + 0.03*float64(step%4)
-				if _, err := s.StepArrivals(twoGroupStep(4, lo, 0.9-lo), arrived); err != nil {
-					t.Fatalf("%s with zoo %v, warm-up %d: step %d: %v", tt.name, z.families, z.initial, step+1, err)
+			// Negative schedules, K and M, and an unknown similarity measure are
+			// the ensemble's and the tracker's to reject; core reports them as
+			// its own. A negative M′ means "current step only" and stays valid.
+			for _, c := range []struct {
+				name string
+				cfg  Config
+			}{
+				{"initial collection -3", Config{InitialCollection: -3}},
+				{"retrain every -1", Config{RetrainEvery: -1}},
+				{"fit window -1", Config{FitWindow: -1}},
+				{"K -1", Config{K: -1}},
+				{"M -1", Config{M: -1}},
+				{"similarity 99", Config{Similarity: 99}},
+			} {
+				c.cfg.Nodes = 4
+				if _, err := tt.build(c.cfg); !errors.Is(err, ErrBadConfig) {
+					t.Fatalf("%s with %s: want ErrBadConfig, got %v", tt.name, c.name, err)
 				}
 			}
-			if _, err := s.Forecast(1); err != nil {
-				t.Fatalf("%s with zoo %v, warm-up %d: first fit: %v", tt.name, z.families, z.initial, err)
+			if _, err := tt.build(Config{Nodes: 4, MPrime: -1}); err != nil {
+				t.Fatalf("%s with M' -1: %v", tt.name, err)
 			}
-		}
+			// holt-winters (season 288) fits no series shorter than 576 values:
+			// the first fit's series — the warm-up, cut to FitWindow — must hold
+			// that many, alone or in a zoo. A config accepted at its minimum
+			// must then make its first fit.
+			for _, z := range []struct {
+				families        []string
+				initial, window int
+				wantErr         bool
+			}{
+				{[]string{"holt-winters"}, 50, 0, true},
+				{[]string{"ses", "holt-winters"}, 50, 0, true},
+				{[]string{"holt-winters"}, 1000, 200, true},
+				{[]string{"holt-winters"}, 575, 0, true},
+				{[]string{"holt-winters"}, 576, 0, false},
+				{[]string{"ses", "holt-winters"}, 1000, 576, false},
+				{[]string{"ar"}, 5, 0, true},
+				{[]string{"ar"}, 6, 0, false},
+				{[]string{"arima"}, 5, 0, true},
+				{[]string{"arima"}, 6, 0, false},
+			} {
+				zoo, err := forecast.Zoo(z.families...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := tt.build(Config{Nodes: 4, K: 2, InitialCollection: z.initial, FitWindow: z.window, Zoo: zoo})
+				if got := errors.Is(err, ErrBadConfig); got != z.wantErr {
+					t.Fatalf("%s with zoo %v, warm-up %d, FitWindow %d: err %v, want ErrBadConfig %v",
+						tt.name, z.families, z.initial, z.window, err, z.wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				arrived := []bool{true, true, true, true}
+				for step := range z.initial {
+					lo := 0.1 + 0.03*float64(step%4)
+					if _, err := s.StepArrivals(twoGroupStep(4, lo, 0.9-lo), arrived); err != nil {
+						t.Fatalf("%s with zoo %v, warm-up %d: step %d: %v", tt.name, z.families, z.initial, step+1, err)
+					}
+				}
+				if _, err := s.Forecast(1); err != nil {
+					t.Fatalf("%s with zoo %v, warm-up %d: first fit: %v", tt.name, z.families, z.initial, err)
+				}
+			}
+		})
 	}
 }
 
@@ -333,10 +358,10 @@ func TestTransmissionBudgetRespected(t *testing.T) {
 func TestStoredReflectsTransmissions(t *testing.T) {
 	t.Parallel()
 	n := 4
-	// Never policy: transmits only on the first step.
+	// A once policy: transmits only on the first step.
 	s, err := NewSystem(Config{
 		Nodes: n, K: 2, InitialCollection: 5,
-		Policy: func(int) (transmit.Policy, error) { return &transmit.Never{}, nil },
+		Policy: func(int) (transmit.Policy, error) { return &once{}, nil },
 		Seed:   8,
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ package core
 import (
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"orcf/internal/forecast"
@@ -49,17 +50,24 @@ func detTrace(steps, nodes, resources int, seed uint64) [][][]float64 {
 	return out
 }
 
-// TestParallelMatchesSerialExactly steps a Workers: 1 and a Workers: 8
-// system side by side, with the default sample-and-hold model and with a
+// setMaxProcs sets GOMAXPROCS, and so the width of every worker pool, to n
+// until the test ends. A test that calls it must not be parallel.
+func setMaxProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestParallelMatchesSerialExactly runs a system at GOMAXPROCS 1 and again
+// at GOMAXPROCS 8, with the default sample-and-hold model and with a
 // four-family zoo whose rounds put every tracker's fits on one list. After a
-// refit the wide system is replaced by a Workers: 8 restore of its exported
-// state, so the restore's fit list is covered too. Step results, forecasts
-// and the final exported states must be bit-identical; training time is wall
-// clock and left out.
+// refit the wide system is replaced by a restore of its exported state, so
+// the restore's fit list is covered too. The fleet spans three plan blocks,
+// so the wide plan build fans out. Step results, forecasts and the final
+// exported states must be bit-identical; training time is wall clock and
+// left out. Not parallel: it sets GOMAXPROCS.
 func TestParallelMatchesSerialExactly(t *testing.T) {
-	t.Parallel()
 	const (
-		nodes     = 24
+		nodes     = 3*planBlock - 40
 		resources = 2
 		steps     = 90
 		warmup    = 40
@@ -83,15 +91,12 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 		{"zoo joint clustering", func(c *Config) { zoo(c); c.JointClustering = true }},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
 			data := detTrace(steps, nodes, resources, 7)
-			build := func(workers int) *System {
+			build := func() *System {
 				cfg := Config{
 					Nodes: nodes, Resources: resources, K: 3,
-					InitialCollection: warmup, RetrainEvery: 25,
-					Seed: 11, Workers: workers,
+					InitialCollection: warmup, RetrainEvery: 25, Seed: 11,
 				}
 				tc.mutate(&cfg)
 				sys, err := NewSystem(cfg)
@@ -100,40 +105,59 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 				}
 				return sys
 			}
-			serial := build(1)
-			wide := build(8) // oversubscribes the pool on any machine
-
-			for step := 0; step < steps; step++ {
-				if step == restoreAt {
-					st, err := wide.ExportState()
+			type run struct {
+				steps     []*StepResult
+				forecasts [][][][]float64 // nil before the models are ready
+				state     *State
+			}
+			drive := func(procs int, restore bool) run {
+				setMaxProcs(t, procs)
+				var r run
+				sys := build()
+				for step := 0; step < steps; step++ {
+					if restore && step == restoreAt {
+						st, err := sys.ExportState()
+						if err != nil {
+							t.Fatal(err)
+						}
+						sys = build()
+						if err := sys.RestoreState(st); err != nil {
+							t.Fatalf("restore at %d: %v", step, err)
+						}
+					}
+					res, err := sys.Step(data[step])
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("GOMAXPROCS %d: step %d: %v", procs, step, err)
 					}
-					wide = build(8)
-					if err := wide.RestoreState(st); err != nil {
-						t.Fatalf("restore at %d: %v", step, err)
+					r.steps = append(r.steps, cloneStepResult(res))
+					var f [][][]float64
+					if sys.Ready() {
+						if f, err = sys.Forecast(horizon); err != nil {
+							t.Fatalf("GOMAXPROCS %d: forecast at %d: %v", procs, step, err)
+						}
 					}
+					r.forecasts = append(r.forecasts, f)
 				}
-				rs, err := serial.Step(data[step])
+				if !sys.Ready() {
+					t.Fatal("system never became ready; forecast path untested")
+				}
+				st, err := sys.ExportState()
 				if err != nil {
-					t.Fatalf("serial step %d: %v", step, err)
+					t.Fatal(err)
 				}
-				rw, err := wide.Step(data[step])
-				if err != nil {
-					t.Fatalf("parallel step %d: %v", step, err)
+				for _, e := range st.Ensembles {
+					e.TrainTime = 0 // wall clock
 				}
-				compareStepResults(t, step, rs, rw)
+				r.state = st
+				return r
+			}
+			serial, wide := drive(1, false), drive(8, true) // 8 oversubscribes any machine
 
-				if !serial.Ready() {
-					continue
-				}
-				fs, err := serial.Forecast(horizon)
-				if err != nil {
-					t.Fatalf("serial forecast at %d: %v", step, err)
-				}
-				fw, err := wide.Forecast(horizon)
-				if err != nil {
-					t.Fatalf("parallel forecast at %d: %v", step, err)
+			for step := range serial.steps {
+				compareStepResults(t, step, serial.steps[step], wide.steps[step])
+				fs, fw := serial.forecasts[step], wide.forecasts[step]
+				if len(fs) != len(fw) {
+					t.Fatalf("step %d: serial forecast has %d horizons, parallel %d", step, len(fs), len(fw))
 				}
 				for hi := range fs {
 					for i := range fs[hi] {
@@ -146,22 +170,8 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 					}
 				}
 			}
-			if !serial.Ready() || !wide.Ready() {
-				t.Fatal("systems never became ready; forecast path untested")
-			}
-			var states [2]*State
-			for i, sys := range []*System{serial, wide} {
-				st, err := sys.ExportState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, e := range st.Ensembles {
-					e.TrainTime = 0 // wall clock
-				}
-				states[i] = st
-			}
-			if !reflect.DeepEqual(states[0], states[1]) {
-				t.Fatal("exported states differ between Workers 1 and 8")
+			if !reflect.DeepEqual(serial.state, wide.state) {
+				t.Fatal("exported states differ between GOMAXPROCS 1 and 8")
 			}
 		})
 	}

@@ -77,7 +77,7 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 	const slot = 1
 	d := len(x)
 	sys, err := NewSystem(Config{
-		Nodes: 3, Resources: d, K: 1, JointClustering: joint, Workers: 1,
+		Nodes: 3, Resources: d, K: 1, JointClustering: joint,
 		Policy: func(int) (transmit.Policy, error) { return build(), nil },
 	})
 	if err != nil {

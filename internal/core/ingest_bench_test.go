@@ -40,7 +40,7 @@ func BenchmarkIngest(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := Config{
-				Nodes: n, Resources: c.d, K: 3, JointClustering: c.joint, Workers: 1,
+				Nodes: n, Resources: c.d, K: 3, JointClustering: c.joint,
 				Policy: func(int) (transmit.Policy, error) {
 					p, err := transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: 0.3})
 					if err != nil || !c.foreign {

@@ -44,12 +44,37 @@ func (p *deadband) UnmarshalState(data []byte) error {
 	return nil
 }
 
+// once transmits at its first opportunity only, so the central node holds
+// an initial value and nothing after it: the lower bound of a policy.
+type once struct{ sent bool }
+
+func (p *once) Decide(int, []float64, []float64) bool {
+	first := !p.sent
+	p.sent = true
+	return first
+}
+
+func (p *once) MarshalState() ([]byte, error) {
+	if p.sent {
+		return []byte{1}, nil
+	}
+	return []byte{0}, nil
+}
+
+func (p *once) UnmarshalState(data []byte) error {
+	if len(data) != 1 || data[0] > 1 {
+		return transmit.ErrBadState
+	}
+	p.sent = data[0] == 1
+	return nil
+}
+
 // mixedPolicy builds the heterogeneous fleet of
 // TestIngestKernelMatchesReference by slot: runs of Adaptive policies (slots
 // 0–2, 4, 7–8, 10–12) whose B, V0 and γ differ from slot to slot — γ repeats
 // once inside a run, so the walk both keeps and re-takes (t+1)^γ there, and
 // takes it again after every interruption — separated by one each of Uniform,
-// Always, Never and the foreign deadband.
+// Always, once and the foreign deadband.
 func mixedPolicy(slot int) (transmit.Policy, error) {
 	switch slot % 10 {
 	case 3:
@@ -57,7 +82,7 @@ func mixedPolicy(slot int) (transmit.Policy, error) {
 	case 5:
 		return transmit.Always{}, nil
 	case 6:
-		return &transmit.Never{}, nil
+		return &once{}, nil
 	case 9:
 		return &deadband{width: 0.08}, nil
 	}
@@ -114,7 +139,6 @@ func TestIngestKernelMatchesReference(t *testing.T) {
 					cfg.AbsenceTimeout = 3
 					cfg.JointClustering = joint
 					cfg.IncrementalRefit = d%2 == 0
-					cfg.Workers = 1
 					if mixed {
 						cfg.Policy = mixedPolicy
 					}
@@ -284,7 +308,7 @@ func TestIngestCallsForeignPoliciesInSlotOrder(t *testing.T) {
 			var log []recordedCall
 			inline := func(slot int) bool { return slot == 2 || slot == 5 }
 			sys, err := NewSystem(Config{
-				Nodes: n, Resources: d, K: 2, JointClustering: joint, Workers: 1,
+				Nodes: n, Resources: d, K: 2, JointClustering: joint,
 				Policy: func(slot int) (transmit.Policy, error) {
 					if inline(slot) {
 						return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: 0.5})

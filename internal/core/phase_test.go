@@ -30,7 +30,7 @@ func TestStepPhaseObserver(t *testing.T) {
 	mk := func(observer PhaseObserver) *System {
 		sys, err := NewSystem(Config{
 			Nodes: 6, Resources: 2, K: 2, InitialCollection: 3, RetrainEvery: 4,
-			SnapshotHorizon: 2, Seed: 11, Workers: 2, PhaseObserver: observer,
+			SnapshotHorizon: 2, Seed: 11, PhaseObserver: observer,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -65,9 +65,9 @@ var planScratches = sync.Pool{New: func() any { return new(planScratch) }}
 // look-back window around cent, the flat centroid table the plan keeps
 // (System.centroidForecasts). Blocks of planBlock slots fan out on the worker
 // pool; each writes only its own entries, so the plan is identical for any
-// worker count. A nil cent (models not trained yet) plans every slot as
+// pool width. A nil cent (models not trained yet) plans every slot as
 // undefined and only counts the window fill.
-func (env *reconEnv) plan(cent []float64, workers int) *ForecastPlan {
+func (env *reconEnv) plan(cent []float64) *ForecastPlan {
 	n, nT, kd := env.nodes, env.nTracker, env.k*env.dims
 	p := &ForecastPlan{
 		cent:         cent,
@@ -83,7 +83,7 @@ func (env *reconEnv) plan(cent []float64, workers int) *ForecastPlan {
 		disableClamp: env.disableClamp,
 	}
 	// The block kernel cannot fail, so neither can the fan-out.
-	_ = parallel.ForEach(workers, (n+planBlock-1)/planBlock, func(b int) error {
+	_ = parallel.ForEach((n+planBlock-1)/planBlock, func(b int) error {
 		sc := planScratches.Get().(*planScratch)
 		lo := b * planBlock
 		env.planSlots(p, sc, lo, min(lo+planBlock, n))
@@ -337,7 +337,7 @@ func (p *ForecastPlan) clamp(v float64) float64 {
 // into the result[hIdx][slot][resource] shape of System.Forecast. The
 // h×N×d result shares one flat backing and one row-header array instead of
 // h·N small slices; slots fan out on the worker pool.
-func (p *ForecastPlan) tensor(h, workers int) [][][]float64 {
+func (p *ForecastPlan) tensor(h int) [][][]float64 {
 	n, d := len(p.fill), p.resources
 	flat := make([]float64, h*n*d)
 	rows := make([][]float64, h*n)
@@ -349,7 +349,7 @@ func (p *ForecastPlan) tensor(h, workers int) [][][]float64 {
 			out[hi][i] = flat[off : off+d : off+d]
 		}
 	}
-	_ = parallel.ForEach(workers, n, func(i int) error {
+	_ = parallel.ForEach(n, func(i int) error {
 		for hi := 0; hi < h; hi++ {
 			p.Row(i, hi, out[hi][i])
 		}

@@ -8,10 +8,10 @@ import (
 )
 
 // BenchmarkPlanBuild times one fleet plan build — what every publishing step
-// pays after the ring commit — on one worker and reports ns per slot, at the
-// zoo_durable and ingest_serve fleet sizes, under per-resource clustering at
-// d = 2 (the paper's configuration, one dimension per tracker) and joint
-// clustering at d = 4. The fleet replays the repository benchmark's trace
+// pays after the ring commit — and reports ns per slot (make bench runs it
+// with -cpu 1, on one worker), at the zoo_durable and ingest_serve fleet
+// sizes, under per-resource clustering at d = 2 (the paper's configuration,
+// one dimension per tracker) and joint clustering at d = 4. The fleet replays the repository benchmark's trace
 // generator for a full look-back window past training, so the mode rule, the
 // offset sums and the α clamp of the nodes that changed cluster all run.
 func BenchmarkPlanBuild(b *testing.B) {
@@ -25,7 +25,6 @@ func BenchmarkPlanBuild(b *testing.B) {
 				cfg := churnConfig(n)
 				cfg.Resources = c.d
 				cfg.JointClustering = c.joint
-				cfg.Workers = 1
 				cfg.SnapshotHorizon = 12
 				sys, err := NewSystem(cfg)
 				if err != nil {
@@ -49,7 +48,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 				}
 				env := sys.reconEnv()
 				for b.Loop() {
-					env.plan(snap.plan.cent, 1)
+					env.plan(snap.plan.cent)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/slot")
 			})

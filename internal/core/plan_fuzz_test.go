@@ -34,13 +34,16 @@ import (
 // across a block edge.
 func FuzzPlanMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint32, seed uint64, vals []byte) {
-		env, cent, h, workers := fuzzPlanEnv(shape, seed, vals)
-		want, err := referenceReconstruct(env, cent, h, 1)
+		env, cent, h, serial := fuzzPlanEnv(shape, seed, vals)
+		if serial {
+			setMaxProcs(t, 1)
+		}
+		want, err := referenceReconstruct(env, cent, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := env.plan(cent, workers)
-		forecastBits(t, p.tensor(h, workers), want, "plan tensor vs reference", 0)
+		p := env.plan(cent)
+		forecastBits(t, p.tensor(h), want, "plan tensor vs reference", 0)
 		row := make([]float64, env.resources)
 		for slot := 0; slot < env.nodes; slot++ {
 			fill := 0
@@ -69,16 +72,13 @@ func FuzzPlanMatchesReference(f *testing.F) {
 
 // fuzzPlanEnv decodes one FuzzPlanMatchesReference input into a look-back
 // window, its centroid forecasts as the plan's flat table (drawn in
-// [tracker][cluster][dim][hi] order), the horizon and the worker count.
-func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, []float64, int, int) {
+// [tracker][cluster][dim][hi] order), the horizon and whether to run it at
+// GOMAXPROCS 1.
+func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, []float64, int, bool) {
 	bits := func(lo, width uint) int { return int(shape >> lo & (1<<width - 1)) }
 	d, joint := 1+bits(0, 3)%5, bits(3, 1) == 1
 	depth, k, n, h := 1+bits(4, 3)%6, 1+bits(7, 2), 1+bits(9, 9)%260, 1+bits(18, 2)
-	rotate := bits(23, 1) == 1
-	workers := 0
-	if bits(22, 1) == 1 {
-		workers = 1
-	}
+	rotate, serial := bits(23, 1) == 1, bits(22, 1) == 1
 	nT, dims := d, 1
 	if joint {
 		nT, dims = 1, d
@@ -153,5 +153,5 @@ func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, []float64, 
 			}
 		}
 	}
-	return env, cent, h, workers
+	return env, cent, h, serial
 }

@@ -339,7 +339,7 @@ func TestFailedSnapshotForecastPublishesNothing(t *testing.T) {
 	if d := viewOf(t, held).diff(want); len(d) > 0 {
 		t.Fatalf("a failed step changed the published snapshot: %v", d)
 	}
-	replanned := sys.reconEnv().plan(held.plan.cent, 1).tensor(held.MaxHorizon(), 1)
+	replanned := sys.reconEnv().plan(held.plan.cent).tensor(held.MaxHorizon())
 	published, err := held.Forecast(held.MaxHorizon())
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -30,8 +31,8 @@ import (
 // cover hi < h. The h×N×d result shares one flat backing and one row-header
 // array instead of h·N small slices; nodes fan out on the worker pool and
 // each node writes only its own output rows, so the result is identical for
-// any worker count.
-func referenceReconstruct(env *reconEnv, cent []float64, h, workers int) ([][][]float64, error) {
+// any pool width.
+func referenceReconstruct(env *reconEnv, cent []float64, h int) ([][][]float64, error) {
 	n, d := env.nodes, env.resources
 	kd := env.k * env.dims
 	stride := env.nTracker * kd
@@ -46,8 +47,8 @@ func referenceReconstruct(env *reconEnv, cent []float64, h, workers int) ([][][]
 		}
 	}
 
-	scratches := make([]fcScratch, parallel.Workers(workers))
-	err := parallel.ForEachWorker(workers, n, func(w, i int) error {
+	scratches := make([]fcScratch, runtime.GOMAXPROCS(0))
+	err := parallel.ForEachWorker(n, func(w, i int) error {
 		sc := &scratches[w]
 		if sc.counts == nil {
 			sc.counts = make([]int, env.k)
@@ -314,87 +315,88 @@ func grownFleet(t *testing.T, cfg Config, visit func(step int, sys *System)) {
 }
 
 // TestPlanMatchesReferenceReconstruct is the differential oracle of the
-// plan/fill split: for every horizon, clustering mode, ablation and worker
-// count, the plan a snapshot was published with (through Snapshot.Forecast
+// plan/fill split: for every horizon, clustering mode, ablation and pool
+// width, the plan a snapshot was published with (through Snapshot.Forecast
 // and ForecastPlan.At) and System.Forecast produce the float bits of the
 // pre-split reconstruct over the System's ring after the step — on a small
 // fleet with a tombstone, a recycled slot and a warming joiner, on one whose
 // tombstone and warming joiner sit on a plan block edge, and on one that grew
 // across a block edge after older window slots were written.
 func TestPlanMatchesReferenceReconstruct(t *testing.T) {
-	t.Parallel()
 	const maxH = 6
 	fleets := []struct {
 		name  string
 		drive func(t *testing.T, cfg Config, visit func(step int, sys *System))
 	}{{"churn", oracleFleet}, {"block-edge", blockEdgeFleet}, {"grown", grownFleet}}
-	for _, fleet := range fleets {
-		for _, joint := range []bool{false, true} {
-			for _, noClamp := range []bool{false, true} {
-				for _, noAlpha := range []bool{false, true} {
-					for _, workers := range []int{1, 0} {
-						if testing.Short() && fleet.name != "churn" && (noClamp || noAlpha) {
-							continue // the race pass: the ablations on the small fleet only
-						}
-						name := fmt.Sprintf("%s/joint=%v/noclamp=%v/noalpha=%v/workers=%d", fleet.name, joint, noClamp, noAlpha, workers)
-						t.Run(name, func(t *testing.T) {
-							t.Parallel()
-							cfg := churnConfig(8)
-							cfg.JointClustering = joint
-							cfg.DisableClamp = noClamp
-							cfg.DisableAlphaClamp = noAlpha
-							cfg.Workers = workers
-							cfg.SnapshotHorizon = maxH
-							sawNaN := false
-							fleet.drive(t, cfg, func(step int, sys *System) {
-								if !sys.Ready() {
-									return
-								}
-								snap := sys.Snapshot()
-								full, err := snap.Forecast(maxH)
-								if err != nil {
-									t.Fatalf("step %d: %v", step, err)
-								}
-								for h := 1; h <= maxH; h++ {
-									want, err := referenceReconstruct(sys.reconEnv(), snap.plan.cent, h, workers)
-									if err != nil {
-										t.Fatal(err)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			setMaxProcs(t, procs)
+			for _, fleet := range fleets {
+				for _, joint := range []bool{false, true} {
+					for _, noClamp := range []bool{false, true} {
+						for _, noAlpha := range []bool{false, true} {
+							if testing.Short() && fleet.name != "churn" && (noClamp || noAlpha) {
+								continue // the race pass: the ablations on the small fleet only
+							}
+							name := fmt.Sprintf("%s/joint=%v/noclamp=%v/noalpha=%v", fleet.name, joint, noClamp, noAlpha)
+							t.Run(name, func(t *testing.T) {
+								t.Parallel()
+								cfg := churnConfig(8)
+								cfg.JointClustering = joint
+								cfg.DisableClamp = noClamp
+								cfg.DisableAlphaClamp = noAlpha
+								cfg.SnapshotHorizon = maxH
+								sawNaN := false
+								fleet.drive(t, cfg, func(step int, sys *System) {
+									if !sys.Ready() {
+										return
 									}
-									got, err := snap.Forecast(h)
+									snap := sys.Snapshot()
+									full, err := snap.Forecast(maxH)
 									if err != nil {
-										t.Fatalf("step %d h %d: %v", step, h, err)
+										t.Fatalf("step %d: %v", step, err)
 									}
-									forecastBits(t, got, want, "snapshot vs reference", step)
-									forecastBits(t, got, full[:h], "Forecast(h) vs prefix of Forecast(H)", step)
+									for h := 1; h <= maxH; h++ {
+										want, err := referenceReconstruct(sys.reconEnv(), snap.plan.cent, h)
+										if err != nil {
+											t.Fatal(err)
+										}
+										got, err := snap.Forecast(h)
+										if err != nil {
+											t.Fatalf("step %d h %d: %v", step, h, err)
+										}
+										forecastBits(t, got, want, "snapshot vs reference", step)
+										forecastBits(t, got, full[:h], "Forecast(h) vs prefix of Forecast(H)", step)
 
-									live, err := sys.Forecast(h)
-									if err != nil {
-										t.Fatalf("step %d h %d: %v", step, h, err)
+										live, err := sys.Forecast(h)
+										if err != nil {
+											t.Fatalf("step %d h %d: %v", step, h, err)
+										}
+										forecastBits(t, live, want, "system vs reference", step)
 									}
-									forecastBits(t, live, want, "system vs reference", step)
-								}
-								p := snap.Plan()
-								for slot := 0; slot < snap.Nodes(); slot++ {
-									for hi := 0; hi < maxH; hi++ {
-										for r := 0; r < snap.Resources(); r++ {
-											got, want := p.At(slot, r, hi), full[hi][slot][r]
-											if math.Float64bits(got) != math.Float64bits(want) {
-												t.Fatalf("step %d: Plan().At(%d, r%d, h%d) = %v, fleet row has %v",
-													step, slot, r, hi, got, want)
+									p := snap.Plan()
+									for slot := 0; slot < snap.Nodes(); slot++ {
+										for hi := 0; hi < maxH; hi++ {
+											for r := 0; r < snap.Resources(); r++ {
+												got, want := p.At(slot, r, hi), full[hi][slot][r]
+												if math.Float64bits(got) != math.Float64bits(want) {
+													t.Fatalf("step %d: Plan().At(%d, r%d, h%d) = %v, fleet row has %v",
+														step, slot, r, hi, got, want)
+												}
+												sawNaN = sawNaN || math.IsNaN(want)
 											}
-											sawNaN = sawNaN || math.IsNaN(want)
 										}
 									}
+								})
+								if !sawNaN {
+									t.Fatal("scenario lost coverage: no NaN row was ever compared")
 								}
 							})
-							if !sawNaN {
-								t.Fatal("scenario lost coverage: no NaN row was ever compared")
-							}
-						})
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -930,7 +932,7 @@ func (s *referenceSystem) Step(x [][]float64) (*StepResult, error) {
 	// time across trackers through atomics (integer adds commute, so the
 	// worker schedule cannot perturb the total).
 	var clusterNanos, refitNanos atomic.Int64
-	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+	err := parallel.ForEach(s.nTrackers, func(tr int) error {
 		var t0 time.Time
 		if ob != nil {
 			t0 = time.Now()
@@ -1063,7 +1065,7 @@ func (s *referenceSystem) ExportState() (*State, error) {
 	st.Trackers = make([]*cluster.State, s.nTrackers)
 	st.Ensembles = make([]*forecast.EnsembleState, s.nTrackers)
 	st.TrackerRNGs = make([][]byte, s.nTrackers)
-	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+	err := parallel.ForEach(s.nTrackers, func(tr int) error {
 		st.Trackers[tr] = s.trackers[tr].ExportState()
 		st.Ensembles[tr] = s.ensembles[tr].ExportState()
 		rng, err := s.pcgs[tr].MarshalBinary()
@@ -1265,120 +1267,118 @@ func sameClusterings(t *testing.T, step int, got, want *StepResult) {
 // administrative removal, recycled slots, a tombstone, growth and a joiner
 // that is a member before its first report.
 func TestStepMatchesReferenceExactly(t *testing.T) {
-	t.Parallel()
 	type variant struct {
 		joint    bool
 		inc      bool
 		churn    float64
-		workers  int
 		always   bool
 		snapshot int
 	}
 	var variants []variant
 	for _, joint := range []bool{false, true} {
-		for _, workers := range []int{1, 0} {
-			for _, always := range []bool{false, true} {
-				variants = append(variants,
-					variant{joint, false, 0, workers, always, 0},
-					variant{joint, true, 0, workers, always, 3},
-					variant{joint, true, 0.9, workers, always, 0},
-					variant{joint, true, -1, workers, always, 3})
-			}
+		for _, always := range []bool{false, true} {
+			variants = append(variants,
+				variant{joint, false, 0, always, 0},
+				variant{joint, true, 0, always, 3},
+				variant{joint, true, 0.9, always, 0},
+				variant{joint, true, -1, always, 3})
 		}
 	}
 	var warmSeen, fullSeen, maskedSeen, evictedSeen atomic.Int64
-	t.Run("variants", func(t *testing.T) {
-		for _, v := range variants {
-			t.Run(fmt.Sprintf("%+v", v), func(t *testing.T) {
-				t.Parallel()
-				cfg := churnConfig(10)
-				cfg.AbsenceTimeout = 3
-				cfg.JointClustering = v.joint
-				cfg.IncrementalRefit = v.inc
-				cfg.IncrementalChurn = v.churn
-				cfg.Workers = v.workers
-				if v.always {
-					cfg.Policy = func(int) (transmit.Policy, error) { return transmit.Always{}, nil }
-				}
-				ref := newReferenceSystem(t, cfg)
-				cfg.SnapshotHorizon = v.snapshot
-				sys, err := NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				both := func(op string, fn func(add, remove func(ids ...int) error) error) {
-					t.Helper()
-					if err := fn(ref.AddNodes, ref.RemoveNodes); err != nil {
-						t.Fatalf("%s: reference: %v", op, err)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			setMaxProcs(t, procs)
+			for _, v := range variants {
+				t.Run(fmt.Sprintf("%+v", v), func(t *testing.T) {
+					t.Parallel()
+					cfg := churnConfig(10)
+					cfg.AbsenceTimeout = 3
+					cfg.JointClustering = v.joint
+					cfg.IncrementalRefit = v.inc
+					cfg.IncrementalChurn = v.churn
+					if v.always {
+						cfg.Policy = func(int) (transmit.Policy, error) { return transmit.Always{}, nil }
 					}
-					if err := fn(sys.AddNodes, sys.RemoveNodes); err != nil {
-						t.Fatalf("%s: %v", op, err)
-					}
-				}
-				silent := map[int]bool{}
-				for step := 1; step <= 60; step++ {
-					switch step {
-					case 14:
-						silent[2] = true // evicted by the absence timeout at step 16
-					case 20:
-						both("remove", func(_, remove func(...int) error) error { return remove(5) })
-					case 24: // recycles slot 2
-						both("join", func(add, _ func(...int) error) error { return add(100) })
-					case 28: // 101 recycles slot 5, 102 grows the fleet and reports from step 30
-						both("join", func(add, _ func(...int) error) error { return add(101, 102) })
-						silent[102] = true
-					case 30:
-						delete(silent, 102)
-					case 50: // a tombstone that stays
-						both("remove", func(_, remove func(...int) error) error { return remove(7) })
-					}
-					x := referenceFleetInput(sys.Roster(), step, silent)
-					want, err := ref.Step(x)
-					if err != nil {
-						t.Fatalf("step %d: reference: %v", step, err)
-					}
-					got, err := sys.Step(x)
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					if got.T != want.T || !slices.Equal(got.Transmitted, want.Transmitted) ||
-						!slices.Equal(got.Present, want.Present) || !slices.Equal(got.Evicted, want.Evicted) {
-						t.Fatalf("step %d: result header differs:\n got %+v\nwant %+v", step, got, want)
-					}
-					sameClusterings(t, step, got, want)
-					if !reflect.DeepEqual(sys.Stored(), ref.Stored()) {
-						t.Fatalf("step %d: central stores differ", step)
-					}
-					gw, gf := sys.RefitStats()
-					ww, wf := ref.RefitStats()
-					if gw != ww || gf != wf {
-						t.Fatalf("step %d: RefitStats (%d,%d), reference (%d,%d)", step, gw, gf, ww, wf)
-					}
-					gotState, err := sys.ExportState()
+					ref := newReferenceSystem(t, cfg)
+					cfg.SnapshotHorizon = v.snapshot
+					sys, err := NewSystem(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantState, err := ref.ExportState()
-					if err != nil {
-						t.Fatal(err)
+					both := func(op string, fn func(add, remove func(ids ...int) error) error) {
+						t.Helper()
+						if err := fn(ref.AddNodes, ref.RemoveNodes); err != nil {
+							t.Fatalf("%s: reference: %v", op, err)
+						}
+						if err := fn(sys.AddNodes, sys.RemoveNodes); err != nil {
+							t.Fatalf("%s: %v", op, err)
+						}
 					}
-					if g, w := coreStateDigest(gotState), coreStateDigest(wantState); g != w {
-						t.Fatalf("step %d: ExportState digest %016x, reference %016x", step, g, w)
+					silent := map[int]bool{}
+					for step := 1; step <= 60; step++ {
+						switch step {
+						case 14:
+							silent[2] = true // evicted by the absence timeout at step 16
+						case 20:
+							both("remove", func(_, remove func(...int) error) error { return remove(5) })
+						case 24: // recycles slot 2
+							both("join", func(add, _ func(...int) error) error { return add(100) })
+						case 28: // 101 recycles slot 5, 102 grows the fleet and reports from step 30
+							both("join", func(add, _ func(...int) error) error { return add(101, 102) })
+							silent[102] = true
+						case 30:
+							delete(silent, 102)
+						case 50: // a tombstone that stays
+							both("remove", func(_, remove func(...int) error) error { return remove(7) })
+						}
+						x := referenceFleetInput(sys.Roster(), step, silent)
+						want, err := ref.Step(x)
+						if err != nil {
+							t.Fatalf("step %d: reference: %v", step, err)
+						}
+						got, err := sys.Step(x)
+						if err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						if got.T != want.T || !slices.Equal(got.Transmitted, want.Transmitted) ||
+							!slices.Equal(got.Present, want.Present) || !slices.Equal(got.Evicted, want.Evicted) {
+							t.Fatalf("step %d: result header differs:\n got %+v\nwant %+v", step, got, want)
+						}
+						sameClusterings(t, step, got, want)
+						if !reflect.DeepEqual(sys.Stored(), ref.Stored()) {
+							t.Fatalf("step %d: central stores differ", step)
+						}
+						gw, gf := sys.RefitStats()
+						ww, wf := ref.RefitStats()
+						if gw != ww || gf != wf {
+							t.Fatalf("step %d: RefitStats (%d,%d), reference (%d,%d)", step, gw, gf, ww, wf)
+						}
+						gotState, err := sys.ExportState()
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantState, err := ref.ExportState()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if g, w := coreStateDigest(gotState), coreStateDigest(wantState); g != w {
+							t.Fatalf("step %d: ExportState digest %016x, reference %016x", step, g, w)
+						}
+						if slices.Contains(got.Present, false) {
+							maskedSeen.Add(1)
+						}
+						evictedSeen.Add(int64(len(got.Evicted)))
 					}
-					if slices.Contains(got.Present, false) {
-						maskedSeen.Add(1)
+					warm, full := sys.RefitStats()
+					if accepts := v.inc && v.churn >= 0; (warm > 0) != accepts {
+						t.Fatalf("%d warm tracker steps, incremental accepts=%v", warm, accepts)
 					}
-					evictedSeen.Add(int64(len(got.Evicted)))
-				}
-				warm, full := sys.RefitStats()
-				if accepts := v.inc && v.churn >= 0; (warm > 0) != accepts {
-					t.Fatalf("%d warm tracker steps, incremental accepts=%v", warm, accepts)
-				}
-				warmSeen.Add(int64(warm))
-				fullSeen.Add(int64(full))
-			})
-		}
-	})
+					warmSeen.Add(int64(warm))
+					fullSeen.Add(int64(full))
+				})
+			}
+		})
+	}
 	t.Logf("covered: %d warm and %d full tracker steps, %d masked steps, %d timeout evictions",
 		warmSeen.Load(), fullSeen.Load(), maskedSeen.Load(), evictedSeen.Load())
 	if warmSeen.Load() == 0 || fullSeen.Load() == 0 || maskedSeen.Load() == 0 || evictedSeen.Load() == 0 {

@@ -27,7 +27,6 @@ type Snapshot struct {
 	t          int
 	ready      bool
 	maxHorizon int
-	workers    int
 
 	// newest is a copy of the ring slot the step committed: the stored
 	// measurements, memberships and centroids the per-node accessors read.
@@ -83,7 +82,6 @@ func (s *System) assembleSnapshot(gen uint64) *Snapshot {
 		t:          s.t,
 		ready:      s.Ready(),
 		maxHorizon: s.cfg.SnapshotHorizon,
-		workers:    s.cfg.Workers,
 		freq:       make([]float64, len(s.ids)),
 		roster:     s.roster(),
 		evictions:  s.evictions,
@@ -139,7 +137,7 @@ func (s *System) publish(snap *Snapshot, cent []float64) {
 			col[i] = int32(a)
 		}
 	}
-	snap.plan = s.reconEnv().plan(cent, s.cfg.Workers)
+	snap.plan = s.reconEnv().plan(cent)
 	s.gen = snap.gen
 	s.snap.Store(snap)
 }
@@ -156,10 +154,6 @@ func (sn *Snapshot) Ready() bool { return sn.ready }
 
 // MaxHorizon is the largest horizon this snapshot can serve.
 func (sn *Snapshot) MaxHorizon() int { return sn.maxHorizon }
-
-// Workers is the publishing System's Config.Workers: the bound on every
-// fan-out over this snapshot's slots (0 = GOMAXPROCS, 1 = serial).
-func (sn *Snapshot) Workers() int { return sn.workers }
 
 // Nodes returns the dense slot count N at publication (live members plus
 // tombstones); see Roster for membership.
@@ -311,11 +305,11 @@ func (sn *Snapshot) ModelSwitchesTotal() int {
 // joiners with no presence in the look-back window yet are NaN (use Present
 // / WindowFill to distinguish). It reads only immutable data, so any number
 // of calls may run concurrently with each other and with the System's
-// ingest loop. The per-node fan-out is bounded by Workers; the result is
-// identical for any value, and Forecast(h) is a prefix of Forecast(h') for
-// h < h'. It fails with ErrNotReady before initial training and ErrBadInput
-// when h exceeds MaxHorizon. Readers that need only some of the values read
-// Plan and skip the tensor.
+// ingest loop. The per-node fan-out runs on the worker pool; the result is
+// identical for any pool width, and Forecast(h) is a prefix of Forecast(h')
+// for h < h'. It fails with ErrNotReady before initial training and
+// ErrBadInput when h exceeds MaxHorizon. Readers that need only some of the
+// values read Plan and skip the tensor.
 func (sn *Snapshot) Forecast(h int) ([][][]float64, error) {
 	if h < 1 {
 		return nil, fmt.Errorf("core: horizon %d < 1: %w", h, ErrBadInput)
@@ -327,7 +321,7 @@ func (sn *Snapshot) Forecast(h int) ([][][]float64, error) {
 	if !sn.ready {
 		return nil, ErrNotReady
 	}
-	return sn.plan.tensor(h, sn.workers), nil
+	return sn.plan.tensor(h), nil
 }
 
 // Plan returns the snapshot's fleet ForecastPlan, covering every slot, built

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -66,8 +65,9 @@ func TestSnapshotHorizonValidation(t *testing.T) {
 	}
 }
 
+// TestSnapshotForecastMatchesSystemForecast is not parallel: it sets
+// GOMAXPROCS.
 func TestSnapshotForecastMatchesSystemForecast(t *testing.T) {
-	t.Parallel()
 	s := newSnapshotSystem(t, 8)
 	rng := rand.New(rand.NewPCG(11, 0))
 	for step := 0; step < 40; step++ {
@@ -93,18 +93,20 @@ func TestSnapshotForecastMatchesSystemForecast(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The same plan kernel at explicit worker counts: the published
-			// snapshot's own count is the config's (0).
-			for _, workers := range []int{0, 1, 4} {
-				if workers > 0 {
-					served = s.reconEnv().plan(snap.plan.cent, workers).tensor(h, workers)
+			// The same plan kernel at explicit pool widths: the published
+			// snapshot's own is the default (0).
+			for _, procs := range []int{0, 1, 4} {
+				if procs > 0 {
+					prev := runtime.GOMAXPROCS(procs)
+					served = s.reconEnv().plan(snap.plan.cent).tensor(h)
+					runtime.GOMAXPROCS(prev)
 				}
 				for hi := range direct {
 					for i := range direct[hi] {
 						for d := range direct[hi][i] {
 							if direct[hi][i][d] != served[hi][i][d] {
-								t.Fatalf("step %d h=%d workers=%d: snapshot forecast [%d][%d][%d]=%v, system says %v",
-									step+1, h, workers, hi, i, d, served[hi][i][d], direct[hi][i][d])
+								t.Fatalf("step %d h=%d GOMAXPROCS=%d: snapshot forecast [%d][%d][%d]=%v, system says %v",
+									step+1, h, procs, hi, i, d, served[hi][i][d], direct[hi][i][d])
 							}
 						}
 					}
@@ -114,71 +116,6 @@ func TestSnapshotForecastMatchesSystemForecast(t *testing.T) {
 	}
 	if !s.Ready() {
 		t.Fatal("system never became ready")
-	}
-}
-
-// TestSnapshotFollowsConfigWorkers checks that a published snapshot carries
-// its System's Config.Workers and that the fleet plan its public Forecast
-// builds with that count is bit-identical to the one built at the default.
-func TestSnapshotFollowsConfigWorkers(t *testing.T) {
-	t.Parallel()
-	const steps, h = 35, 8
-	ref := newSnapshotSystem(t, h)
-	rng := rand.New(rand.NewPCG(17, 0))
-	inputs := make([][][]float64, steps)
-	want := make([][][][]float64, steps)
-	for step := range inputs {
-		inputs[step] = noisyStep(rng, 12)
-		if _, err := ref.Step(inputs[step]); err != nil {
-			t.Fatal(err)
-		}
-		if snap := ref.Snapshot(); snap.Ready() {
-			f, err := snap.Forecast(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[step] = f
-		}
-	}
-	if want[steps-1] == nil {
-		t.Fatal("reference system never became ready")
-	}
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			t.Parallel()
-			cfg := snapshotConfig(h)
-			cfg.Workers = workers
-			s, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for step, x := range inputs {
-				if _, err := s.Step(x); err != nil {
-					t.Fatal(err)
-				}
-				snap := s.Snapshot()
-				if snap.Workers() != workers {
-					t.Fatalf("step %d: snapshot has %d workers, want %d", step+1, snap.Workers(), workers)
-				}
-				if want[step] == nil {
-					continue
-				}
-				got, err := snap.Forecast(h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for hi := range want[step] {
-					for i := range want[step][hi] {
-						for d, v := range want[step][hi][i] {
-							if math.Float64bits(got[hi][i][d]) != math.Float64bits(v) {
-								t.Fatalf("step %d: forecast [%d][%d][%d]=%v, workers 0 gives %v",
-									step+1, hi, i, d, got[hi][i][d], v)
-							}
-						}
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -355,13 +292,18 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 // (two blocks) as at N = 4096, and the bytes beyond the two arrays stay under
 // 1 KiB. The plan is built on every step that publishes a snapshot, where
 // scratch allocated per build, even per worker, shows up at once. GC is off
-// while measuring, since a collection empties the pool.
+// while measuring, since a collection empties the pool. Both are measured at
+// GOMAXPROCS 1 (serial) and 2 (the blocks fanned out on two workers). A
+// pool keeps one item per P that other Ps cannot take, so at GOMAXPROCS 2 a
+// build that moves between Ps can miss once mid-reading; each size keeps the
+// cheapest of several windows, while scratch allocated per build would show
+// in every one. Not parallel: it sets GOMAXPROCS.
 func TestFleetPlanAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the block scratch comes from a sync.Pool, which -race makes drop items at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	build := func(n, workers int) (objects, extraBytes float64) {
+	build := func(n int) (objects, extraBytes float64) {
 		cfg := churnConfig(n)
 		cfg.SnapshotHorizon = 4
 		sys, err := NewSystem(cfg)
@@ -373,29 +315,37 @@ func TestFleetPlanAllocations(t *testing.T) {
 		}
 		snap := sys.Snapshot()
 		env := sys.reconEnv()
-		run := func() { env.plan(snap.plan.cent, workers) }
-		objects = testing.AllocsPerRun(50, run)
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			run()
+		for range 4 { // fill the scratch pool on every P
+			env.plan(snap.plan.cent)
 		}
-		runtime.ReadMemStats(&after)
+		const windows, runs = 4, 50
+		objects, extraBytes = math.Inf(1), math.Inf(1)
 		arrays := n * (4*snap.nTracker + 8*snap.resources + 4)
-		return objects, float64(after.TotalAlloc-before.TotalAlloc)/runs - float64(arrays)
+		for range windows {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				env.plan(snap.plan.cent)
+			}
+			runtime.ReadMemStats(&after)
+			// Whole objects per build, as testing.AllocsPerRun counts them.
+			objects = min(objects, float64((after.Mallocs-before.Mallocs)/runs))
+			extraBytes = min(extraBytes, float64(after.TotalAlloc-before.TotalAlloc)/runs-float64(arrays))
+		}
+		return objects, extraBytes
 	}
-	for _, workers := range []int{1, 2} {
-		small, smallExtra := build(256, workers)
-		large, largeExtra := build(4096, workers)
-		t.Logf("workers=%d: %v objects per fleet plan build at either fleet size, %v/%v bytes beyond the plan's arrays",
-			workers, small, smallExtra, largeExtra)
+	for _, procs := range []int{1, 2} {
+		setMaxProcs(t, procs)
+		small, smallExtra := build(256)
+		large, largeExtra := build(4096)
+		t.Logf("GOMAXPROCS=%d: %v objects per fleet plan build at either fleet size, %v/%v bytes beyond the plan's arrays",
+			procs, small, smallExtra, largeExtra)
 		if small != large {
-			t.Fatalf("workers=%d: a fleet plan build allocates %v objects at N=256, %v at N=4096", workers, small, large)
+			t.Fatalf("GOMAXPROCS=%d: a fleet plan build allocates %v objects at N=256, %v at N=4096", procs, small, large)
 		}
 		if smallExtra > 1024 || largeExtra > 1024 {
-			t.Fatalf("workers=%d: a fleet plan build allocates %v bytes at N=256 and %v at N=4096 beyond its mode/offset/fill arrays, want < 1 KiB",
-				workers, smallExtra, largeExtra)
+			t.Fatalf("GOMAXPROCS=%d: a fleet plan build allocates %v bytes at N=256 and %v at N=4096 beyond its mode/offset/fill arrays, want < 1 KiB",
+				procs, smallExtra, largeExtra)
 		}
 	}
 }

@@ -103,8 +103,8 @@ type MeterState struct {
 // similarity measure, the clustering seed, and the ablation switches. The
 // fleet size is deliberately absent — the State records the membership
 // roster itself, so a restore reconciles membership instead of demanding an
-// exactly-matching Nodes value. Runtime-only knobs (Workers,
-// SnapshotHorizon, AbsenceTimeout) and the Policy factory are also excluded.
+// exactly-matching Nodes value. Runtime-only knobs (SnapshotHorizon,
+// AbsenceTimeout) and the Policy factory are also excluded.
 // A non-empty Zoo is hashed by its candidate names, never by its builders:
 // the factories cannot be hashed, so restoring under a different policy, or
 // a differently parameterized family of the same name, is the caller's
@@ -197,7 +197,7 @@ func (s *System) ExportState() (*State, error) {
 	st.Trackers = make([]*cluster.State, s.nTrackers)
 	st.Ensembles = make([]*forecast.EnsembleState, s.nTrackers)
 	st.TrackerRNGs = make([][]byte, s.nTrackers)
-	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+	err := parallel.ForEach(s.nTrackers, func(tr int) error {
 		st.Trackers[tr] = s.trackers[tr].ExportState()
 		st.Ensembles[tr] = s.ensembles[tr].ExportState()
 		rng, err := s.pcgs[tr].MarshalBinary()
@@ -235,7 +235,7 @@ func (s *System) exportSlot(slot *ringSlot) SlotState {
 
 // RestoreState loads an exported State into a freshly constructed System
 // (no steps processed). The system must have been built from the same
-// Config that produced the State (checked via Fingerprint; Nodes, Workers,
+// Config that produced the State (checked via Fingerprint; Nodes,
 // SnapshotHorizon, and AbsenceTimeout may differ) — the recorded membership
 // roster replaces the construction-time fleet wholesale, so a restore never
 // requires knowing the fleet size in advance. After a successful restore
@@ -306,7 +306,7 @@ func (s *System) RestoreState(st *State) error {
 		}
 	}
 
-	err := parallel.ForEach(s.cfg.Workers, s.nTrackers, func(tr int) error {
+	err := parallel.ForEach(s.nTrackers, func(tr int) error {
 		if err := s.trackers[tr].RestoreState(st.Trackers[tr]); err != nil {
 			return fmt.Errorf("core: tracker %d: %w", tr, err)
 		}
@@ -318,7 +318,7 @@ func (s *System) RestoreState(st *State) error {
 	if err != nil {
 		return err
 	}
-	if err := forecast.RestoreAll(s.cfg.Workers, s.ensembles, st.Ensembles); err != nil {
+	if err := forecast.RestoreAll(s.ensembles, st.Ensembles); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 

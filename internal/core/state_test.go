@@ -187,12 +187,7 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 				}
 				st = gobRoundTrip(t, st)
 
-				// Workers is a runtime knob outside the fingerprint: the
-				// restoring process may pick another, and its republished
-				// snapshot follows it.
-				rcfg := cfg
-				rcfg.Workers = 3
-				restored, err := NewSystem(rcfg)
+				restored, err := NewSystem(cfg)
 				if err != nil {
 					t.Fatalf("restored system: %v", err)
 				}
@@ -206,9 +201,6 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 					t.Fatalf("crash %d: snapshot presence diverged (pre %v, post %v)", c, pre != nil, post != nil)
 				} else if pre != nil {
 					comparePublished(t, c, pre, post)
-					if post.Workers() != rcfg.Workers {
-						t.Fatalf("crash %d: republished snapshot has %d workers, want %d", c, post.Workers(), rcfg.Workers)
-					}
 				}
 				for step := c + 1; step <= total; step++ {
 					got := observeStep(t, restored, stateTestInput(cfg.Nodes, cfg.Resources, step))

@@ -16,7 +16,7 @@ func warmStepSystem(t testing.TB, n int) (*System, [][][]float64) {
 	t.Helper()
 	sys, err := NewSystem(Config{
 		Nodes: n, Resources: 2, K: 3, InitialCollection: 1 << 20,
-		IncrementalRefit: true, Seed: 1, Workers: 1,
+		IncrementalRefit: true, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestZooEmptyMatchesPinnedSampleAndHold(t *testing.T) {
 			emptyCfg := Config{
 				Nodes: nodes, Resources: resources, K: 3,
 				InitialCollection: warmup, RetrainEvery: retrain,
-				JointClustering: joint, Seed: 5, Workers: 2,
+				JointClustering: joint, Seed: 5,
 			}
 			pinnedCfg := emptyCfg
 			var err error

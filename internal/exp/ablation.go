@@ -44,14 +44,13 @@ func Ablations(o Options) (*Table, error) {
 		}},
 	}
 	// The variants are independent full-pipeline runs over the shared
-	// read-only dataset; fan them out (each system serial), emit rows in
-	// declaration order after.
-	results, err := parallel.Map(o.Workers, len(variants), func(vi int) (*sim.Result, error) {
+	// read-only dataset; fan them out, emit rows in declaration order after.
+	results, err := parallel.Map(len(variants), func(vi int) (*sim.Result, error) {
 		v := variants[vi]
 		cfg := core.Config{
 			Nodes: ds.Nodes(), Resources: ds.NumResources(), K: 3,
 			InitialCollection: o.Warmup, RetrainEvery: retrainEvery,
-			Seed: o.Seed, Workers: 1,
+			Seed: o.Seed,
 		}
 		v.mutate(&cfg)
 		sys, err := core.NewSystem(cfg)

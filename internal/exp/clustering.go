@@ -156,7 +156,7 @@ func Fig5(o Options) (*Table, error) {
 			}
 		}
 	}
-	vals, err := parallel.Map(o.Workers, len(specs), func(i int) (float64, error) {
+	vals, err := parallel.Map(len(specs), func(i int) (float64, error) {
 		sp := specs[i]
 		d := &data[sp.pi]
 		return windowedIntermediate(d.zs, d.ds, sp.r, sp.w, 3, o.Seed)
@@ -212,7 +212,7 @@ func Table1(o Options) (*Table, error) {
 	}
 	// The three presets are independent (collection + scalar trackers +
 	// joint tracker each); run them concurrently, emit rows in order after.
-	results, err := parallel.Map(o.Workers, len(presets), func(pi int) (tab1Preset, error) {
+	results, err := parallel.Map(len(presets), func(pi int) (tab1Preset, error) {
 		ds, err := o.dataset(presets[pi])
 		if err != nil {
 			return tab1Preset{}, fmt.Errorf("exp: tab1 %s: %w", presets[pi].Name, err)
@@ -300,7 +300,7 @@ func Fig6(o Options) (*Table, error) {
 	// the three clustering methods with their own seeded RNGs — fully
 	// independent, so the whole sweep fans out on the worker pool.
 	// cells[pi*len(budgets)+bi][resource] = {prop, md, st}.
-	cells, err := parallel.Map(o.Workers, len(presets)*len(budgets), func(idx int) ([][3]float64, error) {
+	cells, err := parallel.Map(len(presets)*len(budgets), func(idx int) ([][3]float64, error) {
 		pi, bi := idx/len(budgets), idx%len(budgets)
 		ds := datasets[pi]
 		zs, err := collectZ(ds, budgets[bi])
@@ -376,7 +376,7 @@ func Fig7(o Options) (*Table, error) {
 	}
 	// The K sweep cells share only read-only collected data; each runs the
 	// three clustering methods with its own seeded RNGs.
-	vals, err := parallel.Map(o.Workers, len(specs), func(i int) ([][3]float64, error) {
+	vals, err := parallel.Map(len(specs), func(i int) ([][3]float64, error) {
 		sp := specs[i]
 		perRes := make([][3]float64, sp.ds.NumResources())
 		for r := 0; r < sp.ds.NumResources(); r++ {

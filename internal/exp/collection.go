@@ -162,7 +162,7 @@ func Fig4(o Options) (*Table, error) {
 			}
 		}
 	}
-	vals, err := parallel.Map(o.Workers, len(specs), func(i int) ([2]float64, error) {
+	vals, err := parallel.Map(len(specs), func(i int) ([2]float64, error) {
 		sp := specs[i]
 		_, adaptive, err := collectRun(sp.mono, func() (transmit.Policy, error) {
 			return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: sp.b})

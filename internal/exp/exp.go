@@ -45,15 +45,6 @@ type Options struct {
 	// Grid is the ARIMA search space (zero → reduced DefaultGrid; Full →
 	// the paper's full grid).
 	Grid forecast.Grid
-	// Workers bounds the total concurrency of each experiment's independent
-	// pipeline configurations (datasets, budgets, K values, model variants,
-	// LSTM seeds). Systems under test inside a sweep fan-out run their
-	// serial path so the sweep level alone owns this budget; only top-level
-	// single-pipeline runs (e.g. Fig10's proposed run) parallelize
-	// internally. Zero means GOMAXPROCS; 1 forces the fully serial path.
-	// Every run owns its seeded RNGs and result slot, so regenerated tables
-	// are identical for any value.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {

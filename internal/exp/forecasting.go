@@ -32,11 +32,8 @@ func (o Options) modelBuilders() map[string]forecast.Builder {
 }
 
 // runPipeline evaluates the full proposed pipeline on a dataset with the
-// given model and K, scoring the paper horizons. workers bounds the system
-// under test's own pool: call sites inside a sweep fan-out pass 1 so the
-// sweep level alone owns the concurrency budget; top-level call sites pass
-// o.Workers.
-func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder, simCfg sim.Config, workers int) (*sim.Result, error) {
+// given model and K, scoring the paper horizons.
+func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder, simCfg sim.Config) (*sim.Result, error) {
 	sys, err := core.NewSystem(core.Config{
 		Nodes:             ds.Nodes(),
 		Resources:         ds.NumResources(),
@@ -46,7 +43,6 @@ func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder,
 		FitWindow:         o.FitWindow,
 		Zoo:               forecast.Pinned(builder),
 		Seed:              o.Seed,
-		Workers:           workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: pipeline: %w", err)
@@ -173,8 +169,7 @@ func Fig9(o Options) (*Table, error) {
 	}
 
 	// Phase 1: the deterministic per-preset runs fan out over the preset ×
-	// variant grid, each system running serially so the sweep level owns
-	// the whole worker budget. k == 0 selects K = N for that dataset.
+	// variant grid. k == 0 selects K = N for that dataset.
 	variants := []struct {
 		name string
 		k    int
@@ -185,14 +180,14 @@ func Fig9(o Options) (*Table, error) {
 		{"S&H K=N", 0, builders["Sample-and-hold"]},
 	}
 	jobs := len(variants)
-	named, err := parallel.Map(o.Workers, len(presets)*jobs, func(idx int) (*sim.Result, error) {
+	named, err := parallel.Map(len(presets)*jobs, func(idx int) (*sim.Result, error) {
 		pi, v := idx/jobs, variants[idx%jobs]
 		ds := datasets[pi]
 		k := v.k
 		if k == 0 {
 			k = ds.Nodes()
 		}
-		res, err := o.runPipeline(ds, k, v.b, simCfg, 1)
+		res, err := o.runPipeline(ds, k, v.b, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig9 %s %s: %w", presets[pi].Name, v.name, err)
 		}
@@ -202,9 +197,8 @@ func Fig9(o Options) (*Table, error) {
 		return nil, err
 	}
 
-	// Phase 2: the LSTM seed averages, one preset at a time — each fans out
-	// over its LSTMRuns seeds internally, so running the presets serially
-	// here keeps total concurrency at the Workers bound instead of nesting.
+	// Phase 2: the LSTM seed averages, one preset at a time, each fanning out
+	// over its LSTMRuns seeds.
 	lstm := make([]map[int]map[int]float64, len(presets))
 	for pi, p := range presets {
 		mean, err := o.lstmAveragedRMSE(datasets[pi], simCfg)
@@ -239,14 +233,14 @@ func Fig9(o Options) (*Table, error) {
 // to the serial path.
 func (o Options) lstmAveragedRMSE(ds *trace.Dataset, simCfg sim.Config) (map[int]map[int]float64, error) {
 	runs := max(o.LSTMRuns, 1)
-	perRun, err := parallel.Map(o.Workers, runs, func(run int) (*sim.Result, error) {
+	perRun, err := parallel.Map(runs, func(run int) (*sim.Result, error) {
 		seed := o.Seed + uint64(run)*1009
 		builder := func() forecast.Model {
 			return forecast.NewLSTM(forecast.LSTMConfig{
 				Epochs: o.LSTMEpochs, FitWindow: o.FitWindow, Seed: seed,
 			})
 		}
-		return o.runPipeline(ds, 3, builder, simCfg, 1)
+		return o.runPipeline(ds, 3, builder, simCfg)
 	})
 	if err != nil {
 		return nil, err
@@ -318,7 +312,7 @@ func Fig10(o Options) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig10 %s: %w", p.Name, err)
 		}
-		prop, err := o.runPipeline(ds, 3, func() forecast.Model { return forecast.NewSampleAndHold() }, simCfg, o.Workers)
+		prop, err := o.runPipeline(ds, 3, func() forecast.Model { return forecast.NewSampleAndHold() }, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig10 proposed: %w", err)
 		}
@@ -485,15 +479,14 @@ func Table3(o Options) (*Table, error) {
 		Header: []string{"h", "M", "M'=1", "M'=5", "M'=12", "M'=100"},
 	}
 	// The M × M′ grid cells are independent full-pipeline runs sharing only
-	// the read-only dataset; fan them out (each system serial) and emit rows
-	// in grid order after.
-	grid, err := parallel.Map(o.Workers, len(values)*len(values), func(idx int) (*sim.Result, error) {
+	// the read-only dataset; fan them out and emit rows in grid order after.
+	grid, err := parallel.Map(len(values)*len(values), func(idx int) (*sim.Result, error) {
 		m, mp := values[idx/len(values)], values[idx%len(values)]
 		sys, err := core.NewSystem(core.Config{
 			Nodes: cpu.Nodes(), Resources: 1, K: 3,
 			M: m, MPrime: mp,
 			InitialCollection: o.Warmup, RetrainEvery: retrainEvery,
-			Seed: o.Seed, Workers: 1,
+			Seed: o.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("exp: tab3 M=%d M'=%d: %w", m, mp, err)
@@ -537,17 +530,16 @@ func Fig11(o Options) (*Table, error) {
 		}
 		datasets[pi] = ds
 	}
-	// One independent pipeline run per (preset, similarity measure), each
-	// system serial so the sweep level owns the worker budget.
+	// One independent pipeline run per (preset, similarity measure).
 	similarities := []cluster.Similarity{cluster.SimilarityProposed, cluster.SimilarityJaccard}
-	results, err := parallel.Map(o.Workers, len(presets)*len(similarities), func(idx int) (*sim.Result, error) {
+	results, err := parallel.Map(len(presets)*len(similarities), func(idx int) (*sim.Result, error) {
 		pi, si := idx/len(similarities), idx%len(similarities)
 		ds := datasets[pi]
 		sys, err := core.NewSystem(core.Config{
 			Nodes: ds.Nodes(), Resources: ds.NumResources(), K: 3,
 			Similarity:        similarities[si],
 			InitialCollection: o.Warmup, RetrainEvery: retrainEvery,
-			Seed: o.Seed, Workers: 1,
+			Seed: o.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig11 %s %v: %w", presets[pi].Name, similarities[si], err)

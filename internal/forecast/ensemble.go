@@ -98,6 +98,10 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 	if len(cfg.Candidates) == 0 {
 		return nil, fmt.Errorf("forecast: no model candidates: %w", ErrBadInput)
 	}
+	if cfg.InitialCollection < 0 || cfg.RetrainEvery < 0 || cfg.FitWindow < 0 {
+		return nil, fmt.Errorf("forecast: schedule %d/%d, fit window %d: %w",
+			cfg.InitialCollection, cfg.RetrainEvery, cfg.FitWindow, ErrBadInput)
+	}
 	e := &Ensemble{cfg: cfg, models: make([][][]Model, len(cfg.Candidates))}
 	// The first fit sees the warm-up's series, cut to FitWindow; every later
 	// one is at least as long.
@@ -154,9 +158,9 @@ func NewEnsemble(cfg EnsembleConfig) (*Ensemble, error) {
 // 1-step forecasts for the next scoring round; Forecast is pure for every
 // model family, so the scoring never perturbs the models themselves. With one
 // candidate it makes no Forecast call. It is ObserveAll for this ensemble
-// alone, fitting on the calling goroutine.
+// alone.
 func (e *Ensemble) Observe(centroids [][]float64) error {
-	return ObserveAll(1, []*Ensemble{e}, [][][]float64{centroids})
+	return ObserveAll([]*Ensemble{e}, [][][]float64{centroids})
 }
 
 // check rejects centroids that are not Clusters × Dims.
@@ -360,9 +364,9 @@ func (e *Ensemble) SeriesStart() int { return e.start }
 
 // TrainingTime returns the cumulative wall-clock time of the (re)training
 // rounds and their count. A round's time is the wall time of the fit list it
-// ran on (see ObserveAll) — shared with the ensembles fitted beside it, and
-// serial for Observe — not summed per-model CPU time (for a single model's
-// fitting cost, see e.g. the ARIMA/LSTM FitDuration accessors).
+// ran on (see ObserveAll) — shared with the ensembles fitted beside it — not
+// summed per-model CPU time (for a single model's fitting cost, see e.g. the
+// ARIMA/LSTM FitDuration accessors).
 func (e *Ensemble) TrainingTime() (time.Duration, int) { return e.trainTime, e.trainRuns }
 
 // CandidateAccuracy is one candidate's rolling accuracy inside a

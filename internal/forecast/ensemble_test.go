@@ -14,6 +14,13 @@ func TestNewEnsembleValidation(t *testing.T) {
 	if _, err := NewEnsemble(EnsembleConfig{Clusters: 2}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("no candidates: want ErrBadInput, got %v", err)
 	}
+	for _, cfg := range []EnsembleConfig{{InitialCollection: -3}, {RetrainEvery: -1}, {FitWindow: -1}} {
+		cfg.Clusters, cfg.Candidates = 2, only(sahBuilder)
+		if _, err := NewEnsemble(cfg); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("schedule %d/%d, fit window %d: want ErrBadInput, got %v",
+				cfg.InitialCollection, cfg.RetrainEvery, cfg.FitWindow, err)
+		}
+	}
 }
 
 func TestEnsembleInitialCollectionGate(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 // centroids (centroids[i] for ens[i], shaped as Observe's argument). The
 // per-step bookkeeping — scoring, series append, Update — runs ensemble by
 // ensemble on the calling goroutine. When a (re)training is due, every due
-// model fit of every ensemble goes on one list that runs on a pool of workers
-// goroutines (zero means GOMAXPROCS), and each ensemble that took part records
-// the list's wall time as its round's duration. Every model owns its state and
-// reads only its own series, so the result is identical for any worker count.
-// Observe is the one-ensemble, serial case.
-func ObserveAll(workers int, ens []*Ensemble, centroids [][][]float64) error {
+// model fit of every ensemble goes on one list that runs on the GOMAXPROCS
+// pool, and each ensemble that took part records the list's wall time as its
+// round's duration. Every model owns its state and reads only its own series,
+// so the result is identical for any pool width. Observe is the one-ensemble
+// case.
+func ObserveAll(ens []*Ensemble, centroids [][][]float64) error {
 	if len(centroids) != len(ens) {
 		return fmt.Errorf("forecast: centroids for %d ensembles, want %d: %w",
 			len(centroids), len(ens), ErrBadInput)
@@ -34,7 +34,7 @@ func ObserveAll(workers int, ens []*Ensemble, centroids [][][]float64) error {
 	}
 	if due {
 		start := time.Now()
-		if err := fitAll(workers, ens, "fitting"); err != nil {
+		if err := fitAll(ens, "fitting"); err != nil {
 			return err
 		}
 		took := time.Since(start)
@@ -49,11 +49,11 @@ func ObserveAll(workers int, ens []*Ensemble, centroids [][][]float64) error {
 
 // RestoreAll is RestoreState for several ensembles (states[i] into ens[i]).
 // It validates every state, then copies every state, then rebuilds the models
-// of every trained ensemble on one list of workers goroutines, as ObserveAll's
-// round does, and finally recomputes the selection forecasts. The rebuild does
-// not count toward the restored training accounting. RestoreState is the
-// one-ensemble, serial case.
-func RestoreAll(workers int, ens []*Ensemble, states []*EnsembleState) error {
+// of every trained ensemble on one list, as ObserveAll's round does, and
+// finally recomputes the selection forecasts. The rebuild does not count
+// toward the restored training accounting. RestoreState is the one-ensemble
+// case.
+func RestoreAll(ens []*Ensemble, states []*EnsembleState) error {
 	if len(states) != len(ens) {
 		return fmt.Errorf("forecast: %d ensemble states, want %d: %w", len(states), len(ens), ErrBadInput)
 	}
@@ -67,7 +67,7 @@ func RestoreAll(workers int, ens []*Ensemble, states []*EnsembleState) error {
 			return at(i, err)
 		}
 	}
-	if err := fitAll(workers, ens, "restoring"); err != nil {
+	if err := fitAll(ens, "restoring"); err != nil {
 		return err
 	}
 	for _, e := range ens {
@@ -79,9 +79,9 @@ func RestoreAll(workers int, ens []*Ensemble, states []*EnsembleState) error {
 // fitAll fits every model of every ensemble with a pending fit (fitN > 0) as
 // one list: a cell per (ensemble, candidate, cluster, dim) model, in ensemble
 // and zoo order. A cell writes only its own model, and ForEach reports the
-// lowest-index error — the first in ensemble and zoo order — so the worker
-// count cannot change the outcome.
-func fitAll(workers int, ens []*Ensemble, verb string) error {
+// lowest-index error — the first in ensemble and zoo order — so the pool
+// width cannot change the outcome.
+func fitAll(ens []*Ensemble, verb string) error {
 	type cell struct{ ens, model int }
 	var cells []cell
 	for ei, e := range ens {
@@ -91,7 +91,7 @@ func fitAll(workers int, ens []*Ensemble, verb string) error {
 			}
 		}
 	}
-	return parallel.ForEach(workers, len(cells), func(k int) error {
+	return parallel.ForEach(len(cells), func(k int) error {
 		c := cells[k]
 		if err := ens[c.ens].fitCell(c.model, verb); err != nil {
 			return at(c.ens, err)

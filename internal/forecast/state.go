@@ -111,11 +111,10 @@ func (e *Ensemble) ExportState() *EnsembleState {
 // state (champions, streaks, switch counts, accuracy windows) is restored
 // verbatim and the 1-step scoring forecasts are recomputed, so selection
 // resumes bit-identically mid-streak. The ensemble must not have observed
-// any step yet. It is RestoreAll for this ensemble alone, fitting on the
-// calling goroutine; the refit does not count toward the restored
-// TrainTime/TrainRuns accounting.
+// any step yet. It is RestoreAll for this ensemble alone; the refit does not
+// count toward the restored TrainTime/TrainRuns accounting.
 func (e *Ensemble) RestoreState(st *EnsembleState) error {
-	return RestoreAll(1, []*Ensemble{e}, []*EnsembleState{st})
+	return RestoreAll([]*Ensemble{e}, []*EnsembleState{st})
 }
 
 // validateState checks an exported state against the ensemble before any

@@ -3,15 +3,15 @@
 // (re)training round's one list of model fits across every tracker
 // (forecast.ObserveAll and RestoreAll), per-node forecast reconstruction,
 // and the independent pipeline configurations of the experiment harness.
-// None of these pools runs inside another, so each is bounded by the one
-// worker count its caller was given.
+// Every pool is sized from runtime.GOMAXPROCS(0) when it starts. The
+// experiment harness runs Systems inside its pools, so their pools nest and
+// share the GOMAXPROCS threads.
 //
 // The contract every caller relies on: work items are independent, each item
 // writes only to its own output slot, and no cross-item floating-point
 // reduction happens inside the pool. Under that contract results are
-// bit-identical for any worker count, so "parallel" is purely a wall-clock
-// knob — Workers(1) is the serial escape hatch and 0 selects a
-// GOMAXPROCS-bounded default.
+// bit-identical for any pool width, so parallelism is purely a wall-clock
+// setting — GOMAXPROCS=1 is the serial escape hatch.
 package parallel
 
 import (
@@ -20,32 +20,23 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a configured worker count: values < 1 select
-// runtime.GOMAXPROCS(0), anything else is returned unchanged.
-func Workers(configured int) int {
-	if configured < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return configured
-}
-
-// ForEach runs fn(i) for every i in [0, n) on at most Workers(workers)
+// ForEach runs fn(i) for every i in [0, n) on at most runtime.GOMAXPROCS(0)
 // goroutines and returns the error of the lowest index that failed (nil when
 // all succeed). Remaining items are skipped once a failure is observed, but
-// items already started are allowed to finish. With workers == 1 or n == 1
+// items already started are allowed to finish. With GOMAXPROCS 1 or n == 1
 // everything runs inline on the calling goroutine.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachWorker(workers, n, func(_, i int) error { return fn(i) })
+func ForEach(n int, fn func(i int) error) error {
+	return ForEachWorker(n, func(_, i int) error { return fn(i) })
 }
 
 // Map runs fn(i) for every i in [0, n) on the pool and returns the results
 // in index order, or the error of the lowest index that failed. It is the
 // ordered fan-out/gather used by the experiment harness: claim order, result
 // order, and the returned error are all index-deterministic, so output is
-// identical for any worker count.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+// identical for any pool width.
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(workers, n, func(i int) error {
+	err := ForEach(n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err
@@ -59,19 +50,19 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEachWorker is ForEach with the worker id (in [0, Workers(workers)))
-// passed through, so callers can reuse per-worker scratch buffers without
-// synchronization. The calling goroutine is worker 0 and takes its share of
-// the items itself; only the other w−1 workers are spawned, so a two-item
-// fan-out costs one goroutine, not two and a parked caller.
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
+// ForEachWorker is ForEach with the worker id passed through, so callers can
+// reuse per-worker scratch buffers without synchronization. GOMAXPROCS is
+// read once, when the call starts, and ids are in [0, that value): a caller
+// that sizes its scratch from its own read must not change GOMAXPROCS in
+// between. The calling goroutine is worker 0
+// and takes its share of the items itself; only the other w−1 workers are
+// spawned, so a two-item fan-out costs one goroutine, not two and a parked
+// caller.
+func ForEachWorker(n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(0, i); err != nil {

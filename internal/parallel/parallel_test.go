@@ -12,25 +12,19 @@ import (
 	"testing"
 )
 
-func TestWorkersResolvesDefault(t *testing.T) {
-	t.Parallel()
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(-3) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Workers(7); got != 7 {
-		t.Fatalf("Workers(7) = %d", got)
-	}
+// setMaxProcs sets GOMAXPROCS, and so the width of every pool, to n until
+// the test ends. A test that calls it must not be parallel.
+func setMaxProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func TestForEachVisitsEveryIndexOnce(t *testing.T) {
-	t.Parallel()
-	for _, workers := range []int{0, 1, 2, 16} {
+	for _, workers := range []int{1, 2, 16} {
+		setMaxProcs(t, workers)
 		const n = 257
 		var visits [n]atomic.Int32
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEach(n, func(i int) error {
 			visits[i].Add(1)
 			return nil
 		})
@@ -48,10 +42,10 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 func TestForEachZeroAndNegativeN(t *testing.T) {
 	t.Parallel()
 	called := false
-	if err := ForEach(4, 0, func(int) error { called = true; return nil }); err != nil {
+	if err := ForEach(0, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEach(4, -1, func(int) error { called = true; return nil }); err != nil {
+	if err := ForEach(-1, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -60,12 +54,12 @@ func TestForEachZeroAndNegativeN(t *testing.T) {
 }
 
 func TestForEachReturnsLowestIndexError(t *testing.T) {
-	t.Parallel()
 	// Indices 3 and 9 fail; the serial path and every parallel width must
 	// report index 3 (items are claimed in order, so a lower failing index
 	// is always started before a higher one records).
 	for _, workers := range []int{1, 2, 8} {
-		err := ForEach(workers, 12, func(i int) error {
+		setMaxProcs(t, workers)
+		err := ForEach(12, func(i int) error {
 			if i == 3 || i == 9 {
 				return fmt.Errorf("boom %d", i)
 			}
@@ -78,10 +72,10 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestForEachStopsAfterFailure(t *testing.T) {
-	t.Parallel()
+	setMaxProcs(t, 1)
 	sentinel := errors.New("stop")
 	var ran atomic.Int32
-	err := ForEach(1, 1000, func(i int) error {
+	err := ForEach(1000, func(i int) error {
 		ran.Add(1)
 		if i == 4 {
 			return sentinel
@@ -97,9 +91,9 @@ func TestForEachStopsAfterFailure(t *testing.T) {
 }
 
 func TestMapReturnsOrderedResults(t *testing.T) {
-	t.Parallel()
 	for _, workers := range []int{1, 4} {
-		got, err := Map(workers, 100, func(i int) (int, error) { return i * i, nil })
+		setMaxProcs(t, workers)
+		got, err := Map(100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -109,7 +103,7 @@ func TestMapReturnsOrderedResults(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Map(4, 10, func(i int) (int, error) {
+	if _, err := Map(10, func(i int) (int, error) {
 		if i >= 2 {
 			return 0, fmt.Errorf("fail %d", i)
 		}
@@ -120,8 +114,8 @@ func TestMapReturnsOrderedResults(t *testing.T) {
 }
 
 func TestForEachWorkerIDsAreDistinctScratchSlots(t *testing.T) {
-	t.Parallel()
 	const workers = 4
+	setMaxProcs(t, workers)
 	// Per-worker scratch: each slot must only ever be touched by one
 	// goroutine at a time; -race verifies the absence of sharing.
 	scratch := make([][]int, workers)
@@ -129,7 +123,7 @@ func TestForEachWorkerIDsAreDistinctScratchSlots(t *testing.T) {
 		scratch[i] = make([]int, 1)
 	}
 	var total atomic.Int64
-	err := ForEachWorker(workers, 500, func(w, i int) error {
+	err := ForEachWorker(500, func(w, i int) error {
 		if w < 0 || w >= workers {
 			return fmt.Errorf("worker id %d out of range", w)
 		}
@@ -150,11 +144,12 @@ func TestForEachWorkerIDsAreDistinctScratchSlots(t *testing.T) {
 // mean exactly w−1 spawned goroutines. Not parallel: it counts goroutines.
 func TestForEachWorkerCallerTakesAShare(t *testing.T) {
 	for _, workers := range []int{2, 4} {
+		setMaxProcs(t, workers)
 		base := runtime.NumGoroutine()
 		var started atomic.Int32
 		release := make(chan struct{})
 		var extra atomic.Int32
-		err := ForEachWorker(workers, workers, func(w, _ int) error {
+		err := ForEachWorker(workers, func(w, _ int) error {
 			// Every worker holds one item until all of them have one, so
 			// the pool is at full width when the goroutines are counted.
 			if int(started.Add(1)) == workers {
@@ -178,11 +173,11 @@ func TestForEachWorkerCallerTakesAShare(t *testing.T) {
 // (the caller included) sees strictly increasing indices, and together they
 // see each index once.
 func TestForEachWorkerClaimsInIncreasingOrder(t *testing.T) {
-	t.Parallel()
 	for _, workers := range []int{2, 3, 8} {
+		setMaxProcs(t, workers)
 		const n = 2000
 		seen := make([][]int, workers)
-		err := ForEachWorker(workers, n, func(w, i int) error {
+		err := ForEachWorker(n, func(w, i int) error {
 			if w < 0 || w >= workers {
 				return fmt.Errorf("worker id %d outside [0,%d)", w, workers)
 			}
@@ -216,10 +211,10 @@ func TestForEachWorkerClaimsInIncreasingOrder(t *testing.T) {
 // index property with the failures spread so that either the caller or a
 // spawned worker may hit the first one.
 func TestForEachWorkerLowestErrorUnderContention(t *testing.T) {
-	t.Parallel()
+	setMaxProcs(t, 4)
 	for rep := 0; rep < 200; rep++ {
 		first := rep % 7
-		err := ForEachWorker(4, 64, func(_, i int) error {
+		err := ForEachWorker(64, func(_, i int) error {
 			if i >= first && (i-first)%5 == 0 {
 				return fmt.Errorf("boom %d", i)
 			}

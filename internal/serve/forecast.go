@@ -5,12 +5,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
 
 	"orcf/internal/core"
-	"orcf/internal/parallel"
 )
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
@@ -83,7 +83,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 			body.slots = append(body.slots, i)
 		}
 	}
-	body.write(w, snap, snap.Workers())
+	body.write(w, snap)
 	*slots = body.slots
 	slotLists.Put(slots)
 }
@@ -174,7 +174,7 @@ type forecastBody struct {
 // is one buffer and one Write; a large one is its head, then the tasks
 // through streamTasks. A failed Write means the client went away; the rest
 // of the body is dropped.
-func (fb *forecastBody) write(w http.ResponseWriter, snap *core.Snapshot, workers int) {
+func (fb *forecastBody) write(w http.ResponseWriter, snap *core.Snapshot) {
 	w.Header().Set("Content-Type", "application/json")
 	buf := bodyBufs.Get().(*[]byte)
 	b := appendHead((*buf)[:0], snap, fb.h)
@@ -206,7 +206,7 @@ func (fb *forecastBody) write(w http.ResponseWriter, snap *core.Snapshot, worker
 	}
 	// The workers get a copy, so a small body's stays on the stack.
 	shared := *fb
-	streamTasks(w, tasks, workers, shared.task)
+	streamTasks(w, tasks, shared.task)
 }
 
 // task appends task t of the body: chunk t of the Nodes list while t <
@@ -221,17 +221,17 @@ func (fb *forecastBody) task(b []byte, t int) []byte {
 }
 
 // streamTasks writes tasks 0…tasks−1 to w in order, task t being what
-// format appends for it to an empty pooled buffer. With one worker the
-// caller formats and writes each task inline with one pooled buffer, so
-// Workers = 1 stays the serial escape hatch. Otherwise there is one fan-out
-// for the whole body: up to workers goroutines format into a ring of
-// 2·workers pooled buffers, task t into entry t mod len(ring), while the
-// caller writes the finished tasks in order. The caller hands out the task
-// numbers, and hands out t+len(ring) only after writing t, so an entry
-// holds one task at a time and no task overtakes the one it follows in its
-// entry. A failed Write stops the writing and the hand-out.
-func streamTasks(w io.Writer, tasks, workers int, format func(b []byte, t int) []byte) {
-	nw := min(parallel.Workers(workers), tasks)
+// format appends for it to an empty pooled buffer. At GOMAXPROCS 1 the
+// caller formats and writes each task inline with one pooled buffer.
+// Otherwise there is one fan-out for the whole body: up to GOMAXPROCS
+// goroutines format into a ring of two pooled buffers per goroutine, task t
+// into entry t mod len(ring), while the caller writes the finished tasks in
+// order. The caller hands out the task numbers, and hands out t+len(ring)
+// only after writing t, so an entry holds one task at a time and no task
+// overtakes the one it follows in its entry. A failed Write stops the
+// writing and the hand-out.
+func streamTasks(w io.Writer, tasks int, format func(b []byte, t int) []byte) {
+	nw := min(runtime.GOMAXPROCS(0), tasks)
 	if nw == 1 {
 		buf := bodyBufs.Get().(*[]byte)
 		for t := 0; t < tasks; t++ {

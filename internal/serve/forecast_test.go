@@ -222,16 +222,16 @@ func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
 // TestForecastBodySpansTasks streams a fleet body nine formatting tasks long,
 // serially and with buffer rings of 4, 6 and 8 entries that it wraps, so the
 // task boundaries, the ring reuse and the write order are under the
-// byte-identity check.
+// byte-identity check. Not parallel: it sets GOMAXPROCS.
 func TestForecastBodySpansTasks(t *testing.T) {
-	t.Parallel()
-	sys, _ := readySystem(t, 1500, 6, 25, withWorkers(1))
+	sys, _ := readySystem(t, 1500, 6, 25)
 	want := referenceForecastBody(t, sys.Snapshot(), 6, -1)
 	if tasks := 6 * 1500 * 2 / taskValues; tasks < 8 {
 		t.Fatalf("body is only %d tasks long", tasks)
 	}
-	for _, workers := range []int{1, 2, 3, 4, 0} {
-		sys, _ := readySystem(t, 1500, 6, 25, withWorkers(workers))
+	for _, procs := range []int{1, 2, 3, 4} {
+		setMaxProcs(t, procs)
+		sys, _ := readySystem(t, 1500, 6, 25)
 		srv, err := New(Config{Source: sys})
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +239,7 @@ func TestForecastBodySpansTasks(t *testing.T) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=6", nil))
 		if !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("workers=%d: streamed fleet body differs from the encoding/json body", workers)
+			t.Fatalf("GOMAXPROCS=%d: streamed fleet body differs from the encoding/json body", procs)
 		}
 	}
 }
@@ -247,21 +247,22 @@ func TestForecastBodySpansTasks(t *testing.T) {
 // TestStreamTasksPastStalledWorker holds the worker of one task until the
 // others have formatted the len(ring)−1 tasks after it — as far ahead as
 // the fan-out lets them run — with more workers than CPUs, and checks that
-// the tasks still come out whole and in order.
+// the tasks still come out whole and in order. Not parallel: it sets
+// GOMAXPROCS.
 func TestStreamTasksPastStalledWorker(t *testing.T) {
-	t.Parallel()
 	const tasks = 200
 	var want bytes.Buffer
 	for task := 0; task < tasks; task++ {
 		fmt.Fprintf(&want, "<%d>", task)
 	}
 	for _, workers := range []int{2, 3, 8} {
+		setMaxProcs(t, workers)
 		ringLen := 2 * workers
 		stalled := ringLen + 1
 		var ahead sync.WaitGroup
 		ahead.Add(ringLen - 1)
 		var got bytes.Buffer
-		streamTasks(&got, tasks, workers, func(b []byte, task int) []byte {
+		streamTasks(&got, tasks, func(b []byte, task int) []byte {
 			switch {
 			case task == stalled:
 				ahead.Wait()
@@ -311,10 +312,11 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestForecastStopsAfterFailedWrite: once the client is gone the handler
-// stops formatting and writing instead of pushing the rest of the body at it.
+// stops formatting and writing instead of pushing the rest of the body at it,
+// on a fan-out of two. Not parallel: it sets GOMAXPROCS.
 func TestForecastStopsAfterFailedWrite(t *testing.T) {
-	t.Parallel()
-	sys, _ := readySystem(t, 1500, 6, 25, withWorkers(2))
+	setMaxProcs(t, 2)
+	sys, _ := readySystem(t, 1500, 6, 25)
 	srv, err := New(Config{Source: sys})
 	if err != nil {
 		t.Fatal(err)
@@ -354,39 +356,50 @@ func TestNodeForecastAllocsIndependentOfFleetSize(t *testing.T) {
 // the same allocated bytes for N = 256 and N = 4096: the slot list, the
 // formatting ring and its buffers are pooled and the query string is read in
 // place, so the body is streamed from the plan without garbage that grows
-// with the fleet. Both sizes take the streamed path on two workers. It runs
-// serially, so no other test's garbage lands between readings, and on one P:
-// a pool keeps one item per P that other Ps cannot take, so a handler that
-// moves between Ps would fill a second one mid-reading.
+// with the fleet. Both sizes take the streamed path: at GOMAXPROCS 1 the body
+// is formatted inline, at GOMAXPROCS 2 on the formatting ring, as forecastd
+// serves it on any multi-core host. It runs serially, so no other test's
+// garbage lands between readings. A pool keeps one item per P that other Ps
+// cannot take, so at GOMAXPROCS 2 a handler that moves between Ps can miss
+// once mid-reading, and a window can catch a GC emptying the pools; each
+// size keeps the cheapest of several windows, while garbage that grows with
+// the fleet would show in every one.
 func TestFleetForecastBytesIndependentOfFleetSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	perRequest := func(nodes int) float64 {
-		sys, _ := readySystem(t, nodes, 5, 25, withWorkers(2))
+		sys, _ := readySystem(t, nodes, 5, 25)
 		srv, err := New(Config{Source: sys})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := &discardWriter{header: make(http.Header)}
 		req := httptest.NewRequest(http.MethodGet, "/v1/forecast?h=5", nil)
-		for range 4 { // fill the pools
+		for range 8 { // fill the pools on every P
 			srv.ServeHTTP(w, req)
 		}
-		const requests = 64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range requests {
-			srv.ServeHTTP(w, req)
+		const windows, requests = 4, 64
+		least := math.Inf(1)
+		for range windows {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range requests {
+				srv.ServeHTTP(w, req)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/requests)
 		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / requests
+		return least
 	}
-	small, large := perRequest(256), perRequest(4096)
-	t.Logf("fleet request: %.0f B at N = 256, %.0f B at N = 4096", small, large)
-	if math.Abs(large-small) > 256 {
-		t.Fatalf("a fleet request allocates %.0f B at N = 256 and %.0f B at N = 4096, want the same within 256 B", small, large)
+	for _, procs := range []int{1, 2} {
+		setMaxProcs(t, procs)
+		small, large := perRequest(256), perRequest(4096)
+		t.Logf("GOMAXPROCS=%d: fleet request %.0f B at N = 256, %.0f B at N = 4096", procs, small, large)
+		if math.Abs(large-small) > 256 {
+			t.Fatalf("GOMAXPROCS=%d: a fleet request allocates %.0f B at N = 256 and %.0f B at N = 4096, want the same within 256 B",
+				procs, small, large)
+		}
 	}
 }
 

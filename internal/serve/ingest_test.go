@@ -59,7 +59,6 @@ func TestTickAllocationsIndependentOfFleetSize(t *testing.T) {
 		cfg := tickCfg(n)
 		cfg.SnapshotHorizon = 0 // publishing deep-copies a window slot per step
 		cfg.InitialCollection = 1 << 20
-		cfg.Workers = 1
 		stepper, err := NewStoreStepper(store, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -38,14 +39,11 @@ func testStep(rng *rand.Rand, n int) [][]float64 {
 
 // readySystem builds a snapshot-publishing system stepped past its initial
 // collection phase.
-func readySystem(t testing.TB, nodes, horizon, steps int, opts ...func(*core.Config)) (*core.System, *rand.Rand) {
+func readySystem(t testing.TB, nodes, horizon, steps int) (*core.System, *rand.Rand) {
 	t.Helper()
 	cfg := core.Config{
 		Nodes: nodes, Resources: 2, K: 3, InitialCollection: 20, RetrainEvery: 25,
 		MPrime: 3, Policy: alwaysPolicy, Seed: 42, SnapshotHorizon: horizon,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	s, err := core.NewSystem(cfg)
 	if err != nil {
@@ -60,10 +58,12 @@ func readySystem(t testing.TB, nodes, horizon, steps int, opts ...func(*core.Con
 	return s, rng
 }
 
-// withWorkers sets the System's worker budget, which its snapshots' fleet
-// plan build and the server's body formatting follow.
-func withWorkers(n int) func(*core.Config) {
-	return func(c *core.Config) { c.Workers = n }
+// setMaxProcs sets GOMAXPROCS — the width of the snapshots' fleet plan
+// build, of the server's body formatting and of every other pool — to n
+// until the test ends. A test that calls it must not be parallel.
+func setMaxProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func get(t *testing.T, srv *Server, path string, wantCode int, out any) {
@@ -127,7 +127,7 @@ func TestServerNotReadyYet(t *testing.T) {
 
 func TestForecastEndpointMatchesSystemForecast(t *testing.T) {
 	t.Parallel()
-	sys, _ := readySystem(t, 10, 6, 30, withWorkers(2))
+	sys, _ := readySystem(t, 10, 6, 30)
 	srv, err := New(Config{Source: sys})
 	if err != nil {
 		t.Fatal(err)
@@ -277,11 +277,12 @@ func TestConcurrencyLimitRejects(t *testing.T) {
 // goroutines hammer every endpoint while the ingest loop keeps stepping the
 // system. Run under -race this proves snapshot isolation (and that the
 // published plan is safely shared); afterwards the plan counter must show
-// every fleet query served from its generation's published plan.
+// every fleet query served from its generation's published plan. Not
+// parallel: it runs at GOMAXPROCS 2 at least, so the steps fan out.
 func TestConcurrentQueriesWhileStepping(t *testing.T) {
-	t.Parallel()
+	setMaxProcs(t, max(2, runtime.GOMAXPROCS(0)))
 	const nodes = 16
-	sys, rng := readySystem(t, nodes, 6, 25, withWorkers(2))
+	sys, rng := readySystem(t, nodes, 6, 25)
 	srv, err := New(Config{Source: sys, MaxInFlight: 1024})
 	if err != nil {
 		t.Fatal(err)

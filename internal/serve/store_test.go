@@ -47,7 +47,7 @@ var scriptNodes = [...]int{0, 1, 2, 3, 4, 5, 6, 7, -1}
 func scriptConfig(b byte) core.Config {
 	cfg := core.Config{
 		Resources: 2, K: 2, MPrime: 2, InitialCollection: 6, RetrainEvery: 5,
-		Seed: 7, Workers: 1,
+		Seed: 7,
 	}
 	if b&1 != 0 {
 		cfg.AbsenceTimeout = 2
@@ -533,7 +533,7 @@ func TestStoreManyWriters(t *testing.T) {
 		steps   = 60
 	)
 	store := transport.NewStore()
-	cfg := core.Config{Resources: 2, K: 2, MPrime: 2, InitialCollection: 1 << 20, Seed: 3, Workers: 1}
+	cfg := core.Config{Resources: 2, K: 2, MPrime: 2, InitialCollection: 1 << 20, Seed: 3}
 	stepper, err := NewStoreStepper(store, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -653,7 +653,7 @@ func TestCollectorBytesPerNode(t *testing.T) {
 		collectorCeiling = 330  // bytes per node the collection plane adds to core
 	)
 	cfg := func(n int) core.Config {
-		return core.Config{Nodes: n, Resources: 2, K: 3, InitialCollection: 20, Seed: 1, Workers: 1}
+		return core.Config{Nodes: n, Resources: 2, K: 3, InitialCollection: 20, Seed: 1}
 	}
 	value := func(id, step int) []float64 {
 		v := float64((id*13+step)%97) / 97

@@ -390,40 +390,6 @@ func (Always) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// Never transmits only once, at the first opportunity, so the central node at
-// least holds an initial value; afterwards it never transmits again. It is a
-// lower-bound policy for ablations.
-type Never struct{ sent bool }
-
-var _ Policy = (*Never)(nil)
-
-// Decide implements Policy.
-func (n *Never) Decide(_ int, _, z []float64) bool {
-	if n.sent {
-		return false
-	}
-	n.sent = true
-	return true
-}
-
-// MarshalState implements Persistent: whether the single transmission has
-// been spent.
-func (n *Never) MarshalState() ([]byte, error) {
-	if n.sent {
-		return []byte{1}, nil
-	}
-	return []byte{0}, nil
-}
-
-// UnmarshalState implements Persistent.
-func (n *Never) UnmarshalState(data []byte) error {
-	if len(data) != 1 || data[0] > 1 {
-		return fmt.Errorf("transmit: bad Never state: %w", ErrBadState)
-	}
-	n.sent = data[0] == 1
-	return nil
-}
-
 // Meter tracks the realized transmission frequency of a node, used to produce
 // Fig. 3 (requested vs actual frequency) and to verify the B-constraint.
 type Meter struct {

@@ -30,8 +30,9 @@ func torn(m Measurement) bool {
 // each entry's values are overwritten in place from both — while one reader
 // walks EachReported and another takes Stats. No read may see a torn row,
 // and a Stats result taken mid-run must read the same after every later
-// apply: the store owns its values and Stats returns copies. Run it with
-// -race.
+// apply: the store owns its values and Stats returns copies. The writers
+// pause halfway until both readers have seen every node, so the readers
+// overlap them however the goroutines are scheduled. Run it with -race.
 func TestStoreConcurrentApplyAndRead(t *testing.T) {
 	t.Parallel()
 	const (
@@ -54,20 +55,27 @@ func TestStoreConcurrentApplyAndRead(t *testing.T) {
 	var readers sync.WaitGroup
 	readers.Add(2)
 	var walks, statsTaken atomic.Int64
+	walkedAll, heldAll := make(chan struct{}), make(chan struct{})
 	go func() { // EachReported, reading the store's own values under its lock
 		defer readers.Done()
-		for {
+		for signalled := false; ; {
 			select {
 			case <-stop:
 				return
 			default:
 			}
+			seen := 0
 			store.EachReported(func(_ int, _ uint32, st NodeStat) {
 				if torn(st.Latest) {
 					t.Errorf("EachReported: torn row %+v", st.Latest)
 				}
+				seen++
 			})
 			walks.Add(1)
+			if seen == nodes && !signalled {
+				close(walkedAll)
+				signalled = true
+			}
 		}
 	}()
 	var held, heldCopy map[int]NodeStat
@@ -92,11 +100,23 @@ func TestStoreConcurrentApplyAndRead(t *testing.T) {
 					st.Latest.Values = append([]float64(nil), st.Latest.Values...)
 					heldCopy[id] = st
 				}
+				close(heldAll)
 			}
 			statsTaken.Add(1)
 		}
 	}()
 
+	awaitReaders := func() bool {
+		timeout := time.After(10 * time.Second)
+		for _, ch := range []chan struct{}{walkedAll, heldAll} {
+			select {
+			case <-ch:
+			case <-timeout:
+				return false
+			}
+		}
+		return true
+	}
 	var writers sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		cl, err := DialBatch(addr, c, BatchOptions{BatchSize: nodes + 1, MaxPending: nodes + 1, Linger: time.Hour, Mux: true})
@@ -108,6 +128,12 @@ func TestStoreConcurrentApplyAndRead(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for step := 1 + c; step <= steps; step += 2 {
+				if step == steps/2+1+c {
+					if !awaitReaders() {
+						t.Errorf("connection %d: readers never saw all %d nodes", c, nodes)
+						return
+					}
+				}
 				for node := 0; node < nodes; node++ {
 					if err := cl.SendNode(node, step, raceValues(node, step)); err != nil {
 						t.Errorf("connection %d: send: %v", c, err)

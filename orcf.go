@@ -405,21 +405,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithWorkers bounds the worker pool used for per-resource clustering, model
-// (re)training, and per-node forecast reconstruction. Zero (the default)
-// means GOMAXPROCS; 1 forces the fully serial path. Forecasts, clusterings,
-// and every other output are bit-identical for any worker count — the knob
-// only trades wall-clock time for cores.
-func WithWorkers(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("orcf: workers %d: %w", n, ErrBadOption)
-		}
-		c.Workers = n
-		return nil
-	}
-}
-
 // WithSnapshotHorizon enables the concurrent read plane: after every
 // successful Step the system publishes an immutable Snapshot (latest
 // measurements, memberships, transmit frequencies, centroid forecasts up to
