@@ -11,7 +11,7 @@ GO ?= go
 # just without the race detector's ~10x slowdown.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet lint build test race flake docs churn-smoke repro-golden bench bench-check fuzz-smoke
+.PHONY: ci fmt vet lint build test race flake docs churn-smoke repro-golden bench bench-check fuzz-smoke tally
 
 ci: fmt vet lint build test race docs churn-smoke repro-golden bench-check fuzz-smoke
 
@@ -116,3 +116,13 @@ fuzz-smoke:
 		echo "fuzz-smoke: $$pkg $$fn"; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn"'$$' -fuzztime $(FUZZTIME) || exit 1; \
 	done
+
+# Code-size tally: lines added and deleted in the module's non-test Go files
+# (bench/ and *_test.go excluded) between BASE and the working tree — the
+# count ROADMAP item 5 asks every change to report. Lines moved from program
+# files into test files count as deleted here; subtract them by hand.
+# Untracked files are not counted until they are added to the index.
+BASE ?= HEAD
+tally:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | \
+		awk '{ a += $$1; d += $$2 } END { printf "non-test Go since %s: %d added, %d deleted, net %+d\n", "$(BASE)", a, d, a - d }'

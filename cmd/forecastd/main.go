@@ -192,8 +192,21 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	// Correlation fields are passed in a fixed order (step, generation first)
 	// so log lines diff cleanly across runs.
 	log := slog.New(slog.NewTextHandler(logw, nil)).With("component", "forecastd")
+	// Every flag is checked, and the rules file parsed, before the collector
+	// listens: a bad one ends the daemon before any agent connects.
 	if *nodes < 0 {
 		log.Error("-nodes must be ≥ 0")
+		return 2
+	}
+	if *interval <= 0 {
+		log.Error("-interval must be > 0")
+		return 2
+	}
+	// Only the query plane and the alert engine read snapshots (see below);
+	// the snapshot horizon is the longest forecast they can ask for.
+	publish := *httpAddr != "" || *rulesPath != ""
+	if publish && *horizon < 1 {
+		log.Error("-horizon must be ≥ 1 with -http or -rules")
 		return 2
 	}
 	// The selection flags tune the champion selector, which exists only for
@@ -210,63 +223,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 			return 2
 		}
 	}
-
-	reg := obs.NewRegistry()
-	obs.RegisterBuildInfo(reg)
-
-	store := transport.NewStore()
-	collector, err := transport.NewServer(store, nil)
-	if err != nil {
-		log.Error("ingest server", "err", err)
-		return 1
-	}
-	collector.SetIdleTimeout(*idleTmo)
-	collector.RegisterMetrics(reg)
-	store.RegisterMetrics(reg)
-
-	cfg := core.Config{
-		Nodes:             *nodes,
-		AbsenceTimeout:    *absence,
-		Resources:         *resources,
-		K:                 *k,
-		InitialCollection: *initial,
-		RetrainEvery:      *retrain,
-		Seed:              *seed,
-		PhaseObserver:     serve.NewStepTimings(reg),
-	}
-	// Snapshots are published for their readers, the query plane and the
-	// alert engine; a collector without either steps without assembling one.
-	if *httpAddr != "" || *rulesPath != "" {
-		cfg.SnapshotHorizon = *horizon
-	}
-	if *models != "" {
-		zoo, err := forecast.Zoo(strings.Split(*models, ",")...)
-		if err != nil {
-			log.Error("-models", "err", err)
-			return 2
-		}
-		cfg.Zoo = zoo
-		cfg.Selection = forecast.SelectionConfig{
-			Window: *selWindow, Margin: *selMargin,
-			Streak: *selStreak, Metric: *selMetric,
-		}
-		log.Info("model zoo enabled", "families", *models)
-	}
-	// The pipeline is built before the collector listens, so a
-	// configuration it rejects ends the daemon before any agent connects.
-	stepper, err := serve.NewStoreStepper(store, cfg)
-	if err != nil {
-		log.Error("pipeline construction", "err", err)
-		return 1
-	}
-	ingestAddr, err := collector.Listen(*ingest)
-	if err != nil {
-		log.Error("ingest listen", "err", err)
-		return 1
-	}
-	defer collector.Close()
-	stepper.RegisterMetrics(reg)
-	sys := stepper.System()
 
 	// Alerting: parse the rules file, attach sinks (structured log always,
 	// webhook when configured), and evaluate every published snapshot from
@@ -307,6 +263,63 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		}
 		log.Info("alerting enabled", "rules", len(rs.Rules), "webhook", *webhook != "")
 	}
+
+	reg := obs.NewRegistry()
+	obs.RegisterBuildInfo(reg)
+
+	store := transport.NewStore()
+	collector, err := transport.NewServer(store, nil)
+	if err != nil {
+		log.Error("ingest server", "err", err)
+		return 1
+	}
+	collector.SetIdleTimeout(*idleTmo)
+	collector.RegisterMetrics(reg)
+	store.RegisterMetrics(reg)
+
+	cfg := core.Config{
+		Nodes:             *nodes,
+		AbsenceTimeout:    *absence,
+		Resources:         *resources,
+		K:                 *k,
+		InitialCollection: *initial,
+		RetrainEvery:      *retrain,
+		Seed:              *seed,
+		PhaseObserver:     serve.NewStepTimings(reg),
+	}
+	// Snapshots are published for their readers, the query plane and the
+	// alert engine; a collector without either steps without assembling one.
+	if publish {
+		cfg.SnapshotHorizon = *horizon
+	}
+	if *models != "" {
+		zoo, err := forecast.Zoo(strings.Split(*models, ",")...)
+		if err != nil {
+			log.Error("-models", "err", err)
+			return 2
+		}
+		cfg.Zoo = zoo
+		cfg.Selection = forecast.SelectionConfig{
+			Window: *selWindow, Margin: *selMargin,
+			Streak: *selStreak, Metric: *selMetric,
+		}
+		log.Info("model zoo enabled", "families", *models)
+	}
+	// The pipeline is built before the collector listens, so a
+	// configuration it rejects ends the daemon before any agent connects.
+	stepper, err := serve.NewStoreStepper(store, cfg)
+	if err != nil {
+		log.Error("pipeline construction", "err", err)
+		return 1
+	}
+	ingestAddr, err := collector.Listen(*ingest)
+	if err != nil {
+		log.Error("ingest listen", "err", err)
+		return 1
+	}
+	defer collector.Close()
+	stepper.RegisterMetrics(reg)
+	sys := stepper.System()
 
 	// Durable state: recover checkpoint + WAL tail before the first tick,
 	// then log every step through the stepper.

@@ -234,6 +234,55 @@ func TestUnfittableZooExitsBeforeListening(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExitBeforeListening pins that every flag, the rules file
+// included, is checked before the collector listens: each bad value exits 2
+// with its one error line. The ingest address is held by the test, so a
+// daemon that listened first would fail on it instead. A -horizon of 0 is
+// fine for a collector without rules, which publishes no snapshot.
+func TestBadFlagsExitBeforeListening(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	dir := t.TempDir()
+	badRules := dir + "/bad.json"
+	if err := os.WriteFile(badRules, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		msg  string // the error line's msg; "" for a daemon that starts
+	}{
+		{[]string{"-interval", "0"}, `"-interval must be > 0"`},
+		{[]string{"-interval", "-1s"}, `"-interval must be > 0"`},
+		{[]string{"-horizon", "0", "-http", "127.0.0.1:0"}, `"-horizon must be ≥ 1 with -http or -rules"`},
+		{[]string{"-horizon", "0", "-rules", badRules}, `"-horizon must be ≥ 1 with -http or -rules"`},
+		{[]string{"-webhook", "http://127.0.0.1:1/hook"}, `"-webhook requires -rules"`},
+		{[]string{"-rules", dir + "/missing.json"}, `-rules`},
+		{[]string{"-rules", badRules}, `-rules`},
+		{[]string{"-horizon", "0"}, ""},
+	} {
+		t.Run(strings.ReplaceAll(strings.Join(tc.args, " "), dir+"/", ""), func(t *testing.T) {
+			log := new(logBuf)
+			stop := make(chan os.Signal, 1)
+			stop <- os.Interrupt // a daemon that starts stops at once
+			ingest, want := held.Addr().String(), 2
+			if tc.msg == "" {
+				ingest, want = "127.0.0.1:0", 0
+			}
+			args := append([]string{"-ingest", ingest, "-http", "", "-interval", "1h"}, tc.args...)
+			if got := run(args, stop, log); got != want {
+				t.Fatalf("exit %d, want %d:\n%s", got, want, log)
+			}
+			out := log.String()
+			if tc.msg != "" && (!strings.Contains(out, "level=ERROR msg="+tc.msg) || strings.Count(out, "\n") != 1 || strings.Contains(out, "listen")) {
+				t.Fatalf("want one error line msg=%s and no listen:\n%s", tc.msg, out)
+			}
+		})
+	}
+}
+
 // TestChurnThenRestartRecoversRoster drives a real forecastd, as a collector
 // only and with the query plane: K+2 agents join, one goes silent until the
 // absence timeout evicts it and then rejoins, the daemon is stopped and

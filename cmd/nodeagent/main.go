@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sync"
@@ -34,27 +36,36 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is main with its arguments and output streams injected. It exits 2 on
+// a flag that no policy or agent can be built with.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nodeagent", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		collector = flag.String("collector", "127.0.0.1:7777", "forecastd ingest address")
-		firstNode = flag.Int("node", 0, "first node id")
-		count     = flag.Int("count", 1, "number of agents to run")
-		budget    = flag.Float64("budget", 0.3, "transmission frequency budget B")
-		tick      = flag.Duration("tick", 100*time.Millisecond, "measurement period")
-		steps     = flag.Int("steps", 0, "stop after this many steps (0 = run forever)")
-		seed      = flag.Uint64("seed", 1, "trace seed (shared across agents)")
-		batch     = flag.Int("batch", transport.DefaultBatchSize, "records per batch flush")
-		linger    = flag.Duration("linger", transport.DefaultLinger, "max batching delay (also the heartbeat cadence)")
-		queue     = flag.Int("queue", transport.DefaultMaxPending, "bounded send queue (backpressure past it)")
-		compress  = flag.Bool("compress", false, "DEFLATE-compress batch bodies")
-		writeTmo  = flag.Duration("write-deadline", transport.DefaultWriteTimeout, "per-write network deadline (also bounds each dial)")
+		collector = fs.String("collector", "127.0.0.1:7777", "forecastd ingest address")
+		firstNode = fs.Int("node", 0, "first node id")
+		count     = fs.Int("count", 1, "number of agents to run")
+		budget    = fs.Float64("budget", 0.3, "transmission frequency budget B")
+		tick      = fs.Duration("tick", 100*time.Millisecond, "measurement period")
+		steps     = fs.Int("steps", 0, "stop after this many steps (0 = run forever)")
+		seed      = fs.Uint64("seed", 1, "trace seed (shared across agents)")
+		batch     = fs.Int("batch", transport.DefaultBatchSize, "records per batch flush")
+		linger    = fs.Duration("linger", transport.DefaultLinger, "max batching delay (also the heartbeat cadence)")
+		queue     = fs.Int("queue", transport.DefaultMaxPending, "bounded send queue (backpressure past it)")
+		compress  = fs.Bool("compress", false, "DEFLATE-compress batch bodies")
+		writeTmo  = fs.Duration("write-deadline", transport.DefaultWriteTimeout, "per-write network deadline (also bounds each dial)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *count < 1 {
-		fmt.Fprintln(os.Stderr, "nodeagent: -count must be ≥ 1")
+		fmt.Fprintln(stderr, "nodeagent: -count must be ≥ 1")
 		return 2
 	}
 
@@ -66,7 +77,7 @@ func run() int {
 	}
 	ds, err := trace.GoogleLike().Generate(*firstNode+*count, genSteps, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nodeagent:", err)
+		fmt.Fprintln(stderr, "nodeagent:", err)
 		return 1
 	}
 
@@ -74,8 +85,12 @@ func run() int {
 	defer cancel()
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-stop
+	defer signal.Stop(stop)
+	go func() { // ends with run: the deferred cancel closes ctx.Done
+		select {
+		case <-stop:
+		case <-ctx.Done():
+		}
 		cancel()
 	}()
 
@@ -89,34 +104,33 @@ func run() int {
 		Compress:     *compress,
 	}
 
+	code := 0
 	for i := 0; i < *count; i++ {
 		node := *firstNode + i
 		// Lazily dialed: a collector that is not up yet is an outage to ride
 		// out like any other, not a start-up failure.
 		client := transport.NewReconnectingClient(*collector, node, opts)
 		policy, err := transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: *budget})
+		var a *agent.Agent
+		if err == nil {
+			rows := make([][]float64, ds.Steps())
+			for s := 0; s < ds.Steps(); s++ {
+				rows[s] = ds.At(s, node)
+			}
+			a, err = agent.New(agent.Config{
+				Node:     node,
+				Policy:   policy,
+				Source:   agent.LoopSource(rows),
+				Sender:   client,
+				Interval: *tick,
+				MaxSteps: *steps,
+			})
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nodeagent: node %d: %v\n", node, err)
+			fmt.Fprintf(stderr, "nodeagent: node %d: %v\n", node, err)
 			_ = client.Close()
 			cancel()
-			break
-		}
-		rows := make([][]float64, ds.Steps())
-		for s := 0; s < ds.Steps(); s++ {
-			rows[s] = ds.At(s, node)
-		}
-		a, err := agent.New(agent.Config{
-			Node:     node,
-			Policy:   policy,
-			Source:   agent.LoopSource(rows),
-			Sender:   client,
-			Interval: *tick,
-			MaxSteps: *steps,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nodeagent: node %d: %v\n", node, err)
-			_ = client.Close()
-			cancel()
+			code = 2
 			break
 		}
 		wg.Add(1)
@@ -133,15 +147,15 @@ func run() int {
 				cancel()
 				return
 			}
-			fmt.Printf("node %d: done after %d steps, frequency %.3f (budget %.2f, %d backpressure/outage drops, %d reconnects)\n",
+			fmt.Fprintf(stdout, "node %d: done after %d steps, frequency %.3f (budget %.2f, %d backpressure/outage drops, %d reconnects)\n",
 				node, a.Steps(), a.Frequency(), *budget, a.Dropped(), client.Reconnects())
 		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		fmt.Fprintln(os.Stderr, "nodeagent:", err)
+		fmt.Fprintln(stderr, "nodeagent:", err)
 		return 1
 	}
-	return 0
+	return code
 }

@@ -65,10 +65,11 @@ type Config struct {
 	// Sender ships measurements; required.
 	Sender Sender
 	// Interval is the sampling period. Zero means no pacing (run as fast
-	// as the source allows) — useful for replay and tests.
+	// as the source allows) — useful for replay and tests. Negative is
+	// rejected.
 	Interval time.Duration
 	// MaxSteps stops after this many steps (0 = until the source ends or
-	// the context is cancelled).
+	// the context is cancelled). Negative is rejected.
 	MaxSteps int
 }
 
@@ -94,6 +95,12 @@ func New(cfg Config) (*Agent, error) {
 	}
 	if cfg.Node < 0 {
 		return nil, fmt.Errorf("agent: node %d: %w", cfg.Node, ErrBadConfig)
+	}
+	if cfg.Interval < 0 {
+		return nil, fmt.Errorf("agent: interval %v < 0: %w", cfg.Interval, ErrBadConfig)
+	}
+	if cfg.MaxSteps < 0 {
+		return nil, fmt.Errorf("agent: max steps %d < 0: %w", cfg.MaxSteps, ErrBadConfig)
 	}
 	a := &Agent{cfg: cfg}
 	a.clock, _ = cfg.Sender.(Clock)

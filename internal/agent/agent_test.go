@@ -64,6 +64,8 @@ func TestNewValidation(t *testing.T) {
 		{"nil source", Config{Policy: policy, Sender: snd}},
 		{"nil sender", Config{Policy: policy, Source: src}},
 		{"negative node", Config{Node: -1, Policy: policy, Source: src, Sender: snd}},
+		{"negative interval", Config{Policy: policy, Source: src, Sender: snd, Interval: -time.Millisecond}},
+		{"negative max steps", Config{Policy: policy, Source: src, Sender: snd, MaxSteps: -1}},
 	}
 	for _, tt := range tests {
 		tt := tt

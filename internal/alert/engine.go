@@ -170,9 +170,6 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Rules returns the engine's rule set (shared, treat as immutable).
-func (e *Engine) Rules() *RuleSet { return e.rules }
-
 // Evaluate runs every rule against one published snapshot and delivers the
 // resulting transition events to the sinks, in this deterministic order:
 // the rules in rule-set order, a cluster-scope rule's events by ascending

@@ -71,7 +71,7 @@ type Config struct {
 	Similarity Similarity
 	// HistoryDepth is how many past assignment vectors the tracker retains
 	// (≥ M; a smaller positive value means M). The eq. (10) matching reads
-	// only the newest M, so deeper rows serve AssignmentsAgo alone, and
+	// only the newest M, so deeper rows are read only by ExportState, and
 	// RestoreState keeps the newest HistoryDepth rows of a deeper recorded
 	// history. Zero means max(M, 8).
 	HistoryDepth int
@@ -228,12 +228,6 @@ func NewTracker(cfg Config, rng *rand.Rand) (*Tracker, error) {
 	}
 	return &Tracker{cfg: cfg, rng: rng}, nil
 }
-
-// K returns the configured number of clusters.
-func (tr *Tracker) K() int { return tr.cfg.K }
-
-// Steps returns the number of updates processed so far.
-func (tr *Tracker) Steps() int { return tr.t }
 
 // Update ingests the N current stored measurements (N×d, d ≥ 1) and returns
 // the re-indexed clustering for this step. It is UpdateMasked with every
@@ -684,23 +678,8 @@ func (tr *Tracker) CentroidSeries(j, d int) []float64 {
 	return out
 }
 
-// AssignmentsAgo returns the stable assignment vector from `ago` steps back
-// (0 = most recent). It returns nil when the history does not reach that far.
-func (tr *Tracker) AssignmentsAgo(ago int) []int {
-	if ago < 0 || ago >= tr.histLen {
-		return nil
-	}
-	h := tr.hist[(tr.histHead-ago+len(tr.hist))%len(tr.hist)]
-	out := make([]int, len(h))
-	copy(out, h)
-	return out
-}
-
-// HistoryLen returns the number of retained assignment vectors.
-func (tr *Tracker) HistoryLen() int { return tr.histLen }
-
 // RefitStats reports how many steps were warm-started incrementally and how
-// many ran a full K-means refit; warm+full == Steps(). Without
+// many ran a full K-means refit; warm+full is the number of updates. Without
 // Config.Incremental every step is a full refit.
 func (tr *Tracker) RefitStats() (warm, full int) { return tr.warmSteps, tr.fullSteps }
 

@@ -150,8 +150,8 @@ func TestTrackerCentroidSeriesContinuity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Steps() != steps {
-		t.Fatalf("Steps = %d, want %d", tr.Steps(), steps)
+	if tr.t != steps {
+		t.Fatalf("%d steps counted, want %d", tr.t, steps)
 	}
 	for j := 0; j < 2; j++ {
 		series := tr.CentroidSeries(j, 0)
@@ -251,14 +251,14 @@ func TestTrackerHistoryDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tr.HistoryLen(); got != 3 {
-		t.Fatalf("HistoryLen = %d, want 3", got)
+	hist := tr.ExportState().Hist
+	if got := len(hist); got != 3 {
+		t.Fatalf("%d history rows, want 3", got)
 	}
-	if tr.AssignmentsAgo(0) == nil || tr.AssignmentsAgo(2) == nil {
-		t.Fatal("recent history should be available")
-	}
-	if tr.AssignmentsAgo(3) != nil || tr.AssignmentsAgo(-1) != nil {
-		t.Fatal("out-of-range history should be nil")
+	for ago, h := range hist {
+		if len(h) != 10 {
+			t.Fatalf("history row %d steps back has %d slots, want 10", ago, len(h))
+		}
 	}
 }
 

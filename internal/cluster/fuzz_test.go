@@ -86,7 +86,7 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
-			got := &Step{T: tr.Steps(), Assignments: assign, Centroids: make([][]float64, cfg.K)}
+			got := &Step{T: tr.t, Assignments: assign, Centroids: make([][]float64, cfg.K)}
 			for j := range got.Centroids {
 				got.Centroids[j] = cents[j*dim : (j+1)*dim]
 			}

@@ -375,9 +375,9 @@ func TestIncrementalMatchesOracleExactly(t *testing.T) {
 					if warm {
 						warmSeen++
 					}
-					if w != warmSeen || w+f != tr.Steps() {
+					if w != warmSeen || w+f != tr.t {
 						t.Fatalf("%s step %d: RefitStats=(%d,%d), oracle warm=%d steps=%d",
-							tag, step, w, f, warmSeen, tr.Steps())
+							tag, step, w, f, warmSeen, tr.t)
 					}
 				}
 				if a, b := tr.rng.Uint64(), or.rng.Uint64(); a != b {
@@ -426,8 +426,8 @@ func TestForcedFallbackMatchesPlainTracker(t *testing.T) {
 			}
 			sameStep(t, fmt.Sprintf("cfg %d step %d", ci, step), a, b)
 		}
-		if w, f := trInc.RefitStats(); w != 0 || f != trInc.Steps() {
-			t.Fatalf("cfg %d: forced fallback RefitStats=(%d,%d), want (0,%d)", ci, w, f, trInc.Steps())
+		if w, f := trInc.RefitStats(); w != 0 || f != trInc.t {
+			t.Fatalf("cfg %d: forced fallback RefitStats=(%d,%d), want (0,%d)", ci, w, f, trInc.t)
 		}
 		if trInc.rng.Uint64() != trRef.rng.Uint64() {
 			t.Fatalf("cfg %d: RNG streams diverged", ci)
@@ -588,8 +588,8 @@ func TestRestoreKeepsNewestHistoryRows(t *testing.T) {
 				return r
 			}
 			shallow, full := restore(cfg), restore(deep)
-			if shallow.HistoryLen() != m {
-				t.Fatalf("%s: restored %d history rows at depth %d", tag, shallow.HistoryLen(), m)
+			if shallow.histLen != m {
+				t.Fatalf("%s: restored %d history rows at depth %d", tag, shallow.histLen, m)
 			}
 			for step := 0; step < 30; step++ {
 				points, present, forget := sim.next(0.3)

@@ -602,11 +602,12 @@ func stateDigest(st *State) uint64 {
 // the exported state.
 func sameTrackerState(t testing.TB, tag string, tr *Tracker, ref *referenceTracker) {
 	t.Helper()
-	if tr.HistoryLen() != ref.HistoryLen() {
-		t.Fatalf("%s: history length %d, reference %d", tag, tr.HistoryLen(), ref.HistoryLen())
+	st := tr.ExportState()
+	if len(st.Hist) != ref.HistoryLen() {
+		t.Fatalf("%s: history length %d, reference %d", tag, len(st.Hist), ref.HistoryLen())
 	}
-	for ago := 0; ago < ref.HistoryLen(); ago++ {
-		if got, want := tr.AssignmentsAgo(ago), ref.AssignmentsAgo(ago); !slices.Equal(got, want) {
+	for ago, got := range st.Hist {
+		if want := ref.AssignmentsAgo(ago); !slices.Equal(got, want) {
 			t.Fatalf("%s: history %d steps back = %v, reference %v", tag, ago, got, want)
 		}
 	}
@@ -624,7 +625,7 @@ func sameTrackerState(t testing.TB, tag string, tr *Tracker, ref *referenceTrack
 	if gw != ww || gf != wf {
 		t.Fatalf("%s: RefitStats (%d,%d), reference (%d,%d)", tag, gw, gf, ww, wf)
 	}
-	if got, want := stateDigest(tr.ExportState()), stateDigest(ref.ExportState()); got != want {
+	if got, want := stateDigest(st), stateDigest(ref.ExportState()); got != want {
 		t.Fatalf("%s: ExportState digest %016x, reference %016x", tag, got, want)
 	}
 }
@@ -707,7 +708,7 @@ func referenceScenario(t *testing.T, cfg Config, dim int, seed uint64) (warm, fu
 		if err != nil {
 			t.Fatalf("%s step %d: %v", tag, step, err)
 		}
-		flat := &Step{T: viaFlat.Steps(), Assignments: assign, Centroids: make([][]float64, cfg.K)}
+		flat := &Step{T: viaFlat.t, Assignments: assign, Centroids: make([][]float64, cfg.K)}
 		for j := range flat.Centroids {
 			flat.Centroids[j] = cents[j*dim : (j+1)*dim]
 		}

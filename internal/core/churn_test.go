@@ -11,6 +11,12 @@ import (
 
 // churnConfig is the shared elastic-fleet test configuration: small fleet,
 // short schedules, deterministic SES models.
+// isMember reports whether a stable ID is currently a live member of s.
+func isMember(s *System, id int) bool {
+	_, ok := s.byID[id]
+	return ok
+}
+
 func churnConfig(nodes int) Config {
 	return Config{
 		Nodes:             nodes,
@@ -188,7 +194,7 @@ func TestEvictRejoinStartsFresh(t *testing.T) {
 	evictStep := silentFrom + timeout - 1
 	feed := func(sys *System, step int, comeback int) *StepResult {
 		silent := map[int]bool{}
-		if step >= silentFrom && step < rejoinAt && sys.HasNode(victim) {
+		if step >= silentFrom && step < rejoinAt && isMember(sys, victim) {
 			silent[victim] = true
 		}
 		if step == rejoinAt {
@@ -233,7 +239,7 @@ func TestEvictRejoinStartsFresh(t *testing.T) {
 			t.Fatalf("step %d: unexpected evictions %v / %v", step, resR.Evicted, resC.Evicted)
 		}
 		if step > evictStep && step < rejoinAt {
-			if rejoin.HasNode(victim) {
+			if isMember(rejoin, victim) {
 				t.Fatalf("step %d: victim still a member after eviction", step)
 			}
 		}
@@ -338,7 +344,7 @@ func TestChurnRestoreContinuesBitIdentically(t *testing.T) {
 				}
 			}
 			silent := map[int]bool{}
-			if step >= silentFrom && sys.HasNode(1) {
+			if step >= silentFrom && isMember(sys, 1) {
 				silent[1] = true
 			}
 			stepFleet(t, sys, step, silent)

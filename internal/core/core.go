@@ -455,12 +455,6 @@ func (s *System) Slots() int { return len(s.ids) }
 // LiveNodes returns the number of live fleet members.
 func (s *System) LiveNodes() int { return len(s.byID) }
 
-// HasNode reports whether a stable ID is currently a live member.
-func (s *System) HasNode(id int) bool {
-	_, ok := s.byID[id]
-	return ok
-}
-
 // SlotOf returns the dense slot a live member occupies.
 func (s *System) SlotOf(id int) (slot int, ok bool) {
 	slot, ok = s.byID[id]

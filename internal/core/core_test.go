@@ -498,11 +498,7 @@ func TestForecastClamping(t *testing.T) {
 		Nodes: 2, K: 1, InitialCollection: 30, MPrime: -1,
 		Policy: alwaysPolicy,
 		Zoo: forecast.Pinned(func() forecast.Model {
-			m, err := forecast.NewARIMA(forecast.Order{P: 1, D: 1})
-			if err != nil {
-				panic(err)
-			}
-			return m
+			return forecast.NewAutoARIMA(forecast.Grid{MaxP: 1, MaxD: 1}) // selects ARIMA(1,1,0)
 		}),
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -98,10 +99,18 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 	twin := build()
 	want := twin.Decide(step, x, z)
 	got := sys.transmitted[slot]
-	gotQ := sys.policies[slot].(*transmit.Adaptive).Queue()
-	if got != want || math.Float64bits(gotQ) != math.Float64bits(twin.Queue()) {
-		t.Fatalf("d=%d joint=%v t=%d cfg=%+v queue=%v x=%v z=%v: kernel sent=%v queue=%v, Decide sent=%v queue=%v",
-			d, joint, step, cfg, queue, x, z, got, gotQ, want, twin.Queue())
+	// The virtual queue is all of an Adaptive policy's state.
+	gotQ, err := sys.policies[slot].(*transmit.Adaptive).MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQ, err := twin.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || !bytes.Equal(gotQ, wantQ) {
+		t.Fatalf("d=%d joint=%v t=%d cfg=%+v queue=%v x=%v z=%v: kernel sent=%v queue=%x, Decide sent=%v queue=%x",
+			d, joint, step, cfg, queue, x, z, got, gotQ, want, wantQ)
 	}
 	if wantStored := z != nil || want; sys.stage.present[slot] != wantStored {
 		t.Fatalf("stored flag %v after the walk, want %v", sys.stage.present[slot], wantStored)

@@ -330,7 +330,7 @@ func TestIngestCallsForeignPoliciesInSlotOrder(t *testing.T) {
 				x := make([][]float64, n)
 				var want []recordedCall
 				for i := range x {
-					if !sys.HasNode(i) || (step+2*i)%5 == 0 { // tombstone, or silent this step
+					if !isMember(sys, i) || (step+2*i)%5 == 0 { // tombstone, or silent this step
 						continue
 					}
 					x[i] = churnRow(i, step, d)

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -27,11 +26,10 @@ import (
 // presence mask of an elastic fleet). Slots that are dead, or whose member
 // has no presence in the window yet (a joiner still warming up), forecast
 // as NaN. cent is the plan's flat centroid table [hi][tracker][cluster·dims]
-// (the one change: it was a [tracker][cluster][dim][hi] tensor) and must
-// cover hi < h. The h×N×d result shares one flat backing and one row-header
-// array instead of h·N small slices; nodes fan out on the worker pool and
-// each node writes only its own output rows, so the result is identical for
-// any pool width.
+// (it was a [tracker][cluster][dim][hi] tensor) and must cover hi < h. The
+// h×N×d result shares one flat backing and one row-header array instead of
+// h·N small slices. Nodes run one after another on one scratch; the oracle
+// once fanned them out on the worker pool, which changes no result.
 func referenceReconstruct(env *reconEnv, cent []float64, h int) ([][][]float64, error) {
 	n, d := env.nodes, env.resources
 	kd := env.k * env.dims
@@ -47,24 +45,22 @@ func referenceReconstruct(env *reconEnv, cent []float64, h int) ([][][]float64, 
 		}
 	}
 
-	scratches := make([]fcScratch, runtime.GOMAXPROCS(0))
-	err := parallel.ForEachWorker(n, func(w, i int) error {
-		sc := &scratches[w]
-		if sc.counts == nil {
-			sc.counts = make([]int, env.k)
-			sc.offset = make([]float64, env.dims)
-			sc.delta = make([]float64, env.dims)
-		}
+	sc := &fcScratch{
+		counts: make([]int, env.k),
+		offset: make([]float64, env.dims),
+		delta:  make([]float64, env.dims),
+	}
+	node := func(i int) {
 		if i >= len(env.alive) || !env.alive[i] {
 			referenceNanRow(out, i, h, d)
-			return nil
+			return
 		}
 		for tr := 0; tr < env.nTracker; tr++ {
 			jStar := referenceModeCluster(env, sc, tr, i)
 			if jStar < 0 {
 				// No presence in the window yet: NaN-masked warm-up.
 				referenceNanRow(out, i, h, d)
-				return nil
+				return
 			}
 			offset := referenceOffset(env, sc, tr, i, jStar)
 			for d := 0; d < env.dims; d++ {
@@ -86,16 +82,15 @@ func referenceReconstruct(env *reconEnv, cent []float64, h int) ([][][]float64, 
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		node(i)
 	}
 	return out, nil
 }
 
-// fcScratch is the per-worker scratch of referenceReconstruct: reused across
-// the nodes one worker processes so the per-node path allocates nothing.
+// fcScratch is the scratch of referenceReconstruct: reused across the nodes
+// so the per-node path allocates nothing.
 type fcScratch struct {
 	counts []int     // membership counts, len K
 	offset []float64 // eq. (12) accumulator, len dims
@@ -611,7 +606,7 @@ func referenceMaskSlot(slot *referenceSlot, i int) {
 // window, which stay immutable at the size they were written (a retiree
 // recycled through the arena is grown here after its retention expires).
 func referenceGrowSlot(slot *referenceSlot, n, nTrackers int) {
-	if slot.zf.Rows() < n {
+	if len(slot.z) < n {
 		slot.zf.Grow(n)
 		slot.z = slot.zf.RowViews(slot.z)
 	}

@@ -328,7 +328,7 @@ func TestZooSelectionSurvivesChurn(t *testing.T) {
 }
 
 // TestFingerprintsPinned pins Config.Fingerprint to literal values computed
-// at commit a7a1d79: every state directory written under one of these
+// at commit a7a1d79 (each later row names its own): every state directory written under one of these
 // configurations must keep restoring, so no change to how a Zoo is run may
 // move a hash.
 func TestFingerprintsPinned(t *testing.T) {
@@ -352,6 +352,10 @@ func TestFingerprintsPinned(t *testing.T) {
 		{"incremental", Config{IncrementalRefit: true}, 0xce000bc95b0920bb},
 		{"incremental/churn", Config{IncrementalRefit: true, IncrementalChurn: 0.1}, 0x24c2720aed8439fa},
 		{"joint", Config{Resources: 4, JointClustering: true}, 0x66abc32e866d3848},
+		// The configuration of the benchmark's zoo_durable workload, whose
+		// setup recovers a state directory: value computed at df11330.
+		{"zoo_durable", Config{Resources: 2, K: 3, InitialCollection: 200, RetrainEvery: 25, FitWindow: 200, Seed: 1,
+			Zoo: zoo("sample-and-hold", "ses", "holt", "ar", "arima")}, 0x3b7d2b0900be4155},
 	} {
 		if got := tc.cfg.Fingerprint(); got != tc.want {
 			t.Errorf("%s: fingerprint %#x, want %#x", tc.name, got, tc.want)

@@ -107,12 +107,3 @@ func (a *AR) Forecast(h int) ([]float64, error) {
 
 // Name implements Model.
 func (a *AR) Name() string { return fmt.Sprintf("ar(%d)", a.p) }
-
-// Coefficients returns the fitted parameters: intercept followed by lag
-// coefficients. It returns nil before Fit.
-func (a *AR) Coefficients() []float64 {
-	if !a.fitted {
-		return nil
-	}
-	return append([]float64(nil), a.coef...)
-}

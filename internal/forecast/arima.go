@@ -144,28 +144,8 @@ type diffLevel struct {
 
 var _ Model = (*ARIMA)(nil)
 
-// NewARIMA creates a model with a fixed order (no grid search).
-func NewARIMA(order Order) (*ARIMA, error) {
-	if !order.valid() {
-		return nil, fmt.Errorf("forecast: invalid order %v: %w", order, ErrBadInput)
-	}
-	return &ARIMA{order: order}, nil
-}
-
-// OrderUsed returns the model's order.
-func (m *ARIMA) OrderUsed() Order { return m.order }
-
 // MinObservations is the shortest series Fit accepts.
 func (m *ARIMA) MinObservations() int { return m.order.minObservations() }
-
-// AICc returns the corrected Akaike criterion of the last fit (−Inf for a
-// fit with zero residuals), or +Inf before the first fit.
-func (m *ARIMA) AICc() float64 {
-	if !m.fitted {
-		return math.Inf(1)
-	}
-	return m.aicc
-}
 
 // minObservations is the shortest series the order can be fitted on. It
 // leaves the differenced series longer than every recursion lag.

@@ -140,10 +140,7 @@ func fitPair(t *testing.T, label string, o Order, series []float64) (*refARIMA, 
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	got, err := NewARIMA(o)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
+	got := &ARIMA{order: o}
 	refErr, gotErr := ref.Fit(series), got.Fit(series)
 	if refErr != nil || gotErr != nil {
 		if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() ||
@@ -355,8 +352,8 @@ func autoPair(t *testing.T, label string, series []float64, grid Grid) {
 		}
 		return
 	}
-	if got.OrderUsed() != want.order {
-		t.Fatalf("%s: selected %v, want %v", label, got.OrderUsed(), want.order)
+	if got.order != want.order {
+		t.Fatalf("%s: selected %v, want %v", label, got.order, want.order)
 	}
 	compareModels(t, label, want, got)
 }
@@ -377,11 +374,11 @@ func TestAutoARIMAFlatSeries(t *testing.T) {
 			t.Fatalf("level %v: %v", level, err)
 		}
 		// Every order is perfect, so the first one enumerated wins.
-		if want := DefaultGrid().orders()[0]; m.OrderUsed() != want {
-			t.Fatalf("level %v: selected %v, want %v", level, m.OrderUsed(), want)
+		if want := DefaultGrid().orders()[0]; m.order != want {
+			t.Fatalf("level %v: selected %v, want %v", level, m.order, want)
 		}
-		if !math.IsInf(m.AICc(), -1) {
-			t.Fatalf("level %v: AICc of a perfect fit = %v, want -Inf", level, m.AICc())
+		if !math.IsInf(m.aicc, -1) {
+			t.Fatalf("level %v: AICc of a perfect fit = %v, want -Inf", level, m.aicc)
 		}
 		f, err := m.Forecast(6)
 		if err != nil {

@@ -27,20 +27,20 @@ func TestOrderString(t *testing.T) {
 	}
 }
 
-func TestNewARIMAValidation(t *testing.T) {
+func TestOrderValid(t *testing.T) {
 	t.Parallel()
-	if _, err := NewARIMA(Order{}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("all-zero order: want ErrBadInput, got %v", err)
+	if (Order{}).valid() {
+		t.Fatal("all-zero order accepted")
 	}
-	if _, err := NewARIMA(Order{P: -1}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("negative order: want ErrBadInput, got %v", err)
+	if (Order{P: -1}).valid() {
+		t.Fatal("negative order accepted")
 	}
 	// Seasonal terms without a season length are invalid.
-	if _, err := NewARIMA(Order{SP: 1}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("seasonal without period: want ErrBadInput, got %v", err)
+	if (Order{SP: 1}).valid() {
+		t.Fatal("seasonal without period accepted")
 	}
-	if _, err := NewARIMA(Order{P: 1}); err != nil {
-		t.Fatalf("AR(1): unexpected error %v", err)
+	if !(Order{P: 1}).valid() {
+		t.Fatal("AR(1) rejected")
 	}
 }
 
@@ -48,10 +48,7 @@ func TestARIMARecoversAR1(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(10, 10))
 	series := arSeries(rng, 3000, 0.2, 0.7, 0.02)
-	m, err := NewARIMA(Order{P: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := &ARIMA{order: Order{P: 1}}
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func TestARIMAAgreesWithARLeastSquares(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(11, 11))
 	series := arSeries(rng, 2000, 0.1, 0.5, 0.05)
-	arima, _ := NewARIMA(Order{P: 1})
+	arima := &ARIMA{order: Order{P: 1}}
 	if err := arima.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +95,7 @@ func TestARIMARandomWalkForecastIsLastValue(t *testing.T) {
 	for i := 1; i < len(series); i++ {
 		series[i] = series[i-1] + 0.1*rng.NormFloat64()
 	}
-	m, _ := NewARIMA(Order{D: 1})
+	m := &ARIMA{order: Order{D: 1}}
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestARIMATrendContinuation(t *testing.T) {
 	for i := range series {
 		series[i] = 0.01*float64(i) + 0.005*rng.NormFloat64()
 	}
-	m, _ := NewARIMA(Order{P: 1, D: 1})
+	m := &ARIMA{order: Order{P: 1, D: 1}}
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +188,7 @@ func TestARIMASeasonalFitsSeasonalSeries(t *testing.T) {
 	for i := range series {
 		series[i] = 0.5 + 0.3*math.Sin(2*math.Pi*float64(i)/12) + 0.01*rng.NormFloat64()
 	}
-	m, err := NewARIMA(Order{SP: 1, SD: 1, Season: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := &ARIMA{order: Order{SP: 1, SD: 1, Season: 12}}
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +212,7 @@ func TestARIMAUpdateExtendsState(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(16, 16))
 	series := arSeries(rng, 1000, 0.1, 0.8, 0.02)
-	m, _ := NewARIMA(Order{P: 1})
+	m := &ARIMA{order: Order{P: 1}}
 	if err := m.Fit(series[:900]); err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +234,14 @@ func TestARIMAUpdateExtendsState(t *testing.T) {
 
 func TestARIMAFitErrors(t *testing.T) {
 	t.Parallel()
-	m, _ := NewARIMA(Order{P: 2, D: 1, Q: 2})
+	m := &ARIMA{order: Order{P: 2, D: 1, Q: 2}}
 	if err := m.Fit([]float64{1, 2, 3}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("short series: want ErrBadInput, got %v", err)
 	}
 	if _, err := m.Forecast(5); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("want ErrNotFitted, got %v", err)
 	}
-	m2, _ := NewARIMA(Order{P: 1})
+	m2 := &ARIMA{order: Order{P: 1}}
 	rng := rand.New(rand.NewPCG(17, 17))
 	if err := m2.Fit(arSeries(rng, 100, 0, 0.5, 0.1)); err != nil {
 		t.Fatal(err)
@@ -269,7 +263,7 @@ func TestAutoARIMAPrefersParsimony(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := m.OrderUsed()
+	o := m.order
 	if o.P+o.Q > 2 || o.D > 0 {
 		t.Fatalf("white noise selected %v; expected a small non-differenced model", o)
 	}
@@ -292,7 +286,7 @@ func TestAutoARIMASelectsARForARData(t *testing.T) {
 	last := series[len(series)-1]
 	want := 0.1 + 0.8*last
 	if math.Abs(f[0]-want) > 0.05 {
-		t.Fatalf("AutoARIMA one-step %v, want ≈ %v (order %v)", f[0], want, m.OrderUsed())
+		t.Fatalf("AutoARIMA one-step %v, want ≈ %v (order %v)", f[0], want, m.order)
 	}
 }
 
@@ -315,10 +309,7 @@ func TestARIMAMinObservations(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(21, 21))
 	series := arSeries(rng, 64, 0.2, 0.6, 0.05)
-	fixed, err := NewARIMA(Order{P: 1, D: 1, Q: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixed := &ARIMA{order: Order{P: 1, D: 1, Q: 1}}
 	auto := NewAutoARIMA(DefaultGrid())
 	if got := auto.MinObservations(); got != 6 {
 		t.Fatalf("DefaultGrid MinObservations = %d, want 6", got)

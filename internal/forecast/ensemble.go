@@ -315,9 +315,6 @@ func (e *Ensemble) trim() {
 // models are trained.
 func (e *Ensemble) Ready() bool { return e.ready }
 
-// Steps returns the number of observed time steps.
-func (e *Ensemble) Steps() int { return e.t }
-
 // championIdx returns the candidate index serving (cluster j, dim d).
 func (e *Ensemble) championIdx(j, d int) int {
 	if e.sel == nil {
@@ -347,20 +344,6 @@ func (e *Ensemble) Forecast(h int) ([][][]float64, error) {
 	}
 	return out, nil
 }
-
-// Series returns a copy of the retained centroid series for one
-// (cluster, dim) pair — the full history without a FitWindow, and the
-// still-needed suffix (see SeriesStart) once trimming has engaged.
-func (e *Ensemble) Series(j, d int) []float64 {
-	if j < 0 || j >= e.cfg.Clusters || d < 0 || d >= e.cfg.Dims {
-		return nil
-	}
-	return append([]float64(nil), e.series[j][d]...)
-}
-
-// SeriesStart returns the logical step index of the first retained series
-// value (0 until FitWindow-based trimming discards a prefix).
-func (e *Ensemble) SeriesStart() int { return e.start }
 
 // TrainingTime returns the cumulative wall-clock time of the (re)training
 // rounds and their count. A round's time is the wall time of the fit list it

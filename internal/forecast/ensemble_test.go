@@ -135,7 +135,7 @@ func TestEnsembleUpdatePathBetweenRetrains(t *testing.T) {
 	}
 }
 
-func TestEnsembleSeriesAccessors(t *testing.T) {
+func TestEnsembleRecordsSeries(t *testing.T) {
 	t.Parallel()
 	e, err := NewEnsemble(EnsembleConfig{
 		Clusters: 2, InitialCollection: 3,
@@ -149,15 +149,12 @@ func TestEnsembleSeriesAccessors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := e.Series(1, 0)
+	s := e.series[1][0]
 	if len(s) != 4 || s[3] != -3 {
 		t.Fatalf("series = %v", s)
 	}
-	if e.Series(5, 0) != nil || e.Series(0, 2) != nil {
-		t.Fatal("out-of-range series should be nil")
-	}
-	if e.Steps() != 4 {
-		t.Fatalf("steps = %d, want 4", e.Steps())
+	if e.t != 4 {
+		t.Fatalf("steps = %d, want 4", e.t)
 	}
 }
 
@@ -168,11 +165,7 @@ func TestEnsembleWithARIMAForecastsTrend(t *testing.T) {
 		InitialCollection: 120,
 		RetrainEvery:      1000,
 		Candidates: only(func() Model {
-			m, err := NewARIMA(Order{P: 1, D: 1})
-			if err != nil {
-				panic(err)
-			}
-			return m
+			return &ARIMA{order: Order{P: 1, D: 1}}
 		}),
 	})
 	if err != nil {

@@ -12,7 +12,6 @@ package forecast
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrNotFitted is returned by Forecast before a successful Fit.
@@ -96,9 +95,8 @@ func (s *SampleAndHold) Name() string { return "sample-and-hold" }
 // realizes the paper's "long-term statistics only" reference mechanism, whose
 // error is upper-bounded by the standard deviation of the data (§VI-D1).
 type HistoricalMean struct {
-	sum   float64
-	sumSq float64
-	n     int
+	sum float64
+	n   int
 }
 
 var _ Model = (*HistoricalMean)(nil)
@@ -111,7 +109,7 @@ func (m *HistoricalMean) Fit(series []float64) error {
 	if len(series) == 0 {
 		return fmt.Errorf("forecast: empty series: %w", ErrBadInput)
 	}
-	m.sum, m.sumSq, m.n = 0, 0, 0
+	m.sum, m.n = 0, 0
 	for _, y := range series {
 		m.Update(y)
 	}
@@ -121,7 +119,6 @@ func (m *HistoricalMean) Fit(series []float64) error {
 // Update implements Model.
 func (m *HistoricalMean) Update(y float64) {
 	m.sum += y
-	m.sumSq += y * y
 	m.n++
 }
 
@@ -143,17 +140,3 @@ func (m *HistoricalMean) Forecast(h int) ([]float64, error) {
 
 // Name implements Model.
 func (m *HistoricalMean) Name() string { return "historical-mean" }
-
-// StdDev returns the population standard deviation of all observations,
-// the error upper bound plotted as "Standard deviation" in Figs. 9–10.
-func (m *HistoricalMean) StdDev() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	mean := m.sum / float64(m.n)
-	v := m.sumSq/float64(m.n) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}

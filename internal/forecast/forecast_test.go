@@ -62,10 +62,6 @@ func TestHistoricalMean(t *testing.T) {
 	if f[0] != 5 {
 		t.Fatalf("running mean forecast %v, want 5", f[0])
 	}
-	// StdDev of {2,4,6,8} is sqrt(5).
-	if got, want := m.StdDev(), math.Sqrt(5); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", got, want)
-	}
 }
 
 func TestARRecoverCoefficients(t *testing.T) {
@@ -85,7 +81,7 @@ func TestARRecoverCoefficients(t *testing.T) {
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
-	c := m.Coefficients()
+	c := m.coef
 	if math.Abs(c[0]-0.5) > 0.05 || math.Abs(c[1]-0.6) > 0.05 || math.Abs(c[2]+0.2) > 0.05 {
 		t.Fatalf("recovered %v, want ≈ [0.5 0.6 -0.2]", c)
 	}
@@ -126,8 +122,8 @@ func TestARValidation(t *testing.T) {
 	if _, err := m.Forecast(1); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("want ErrNotFitted, got %v", err)
 	}
-	if m.Coefficients() != nil {
-		t.Fatal("coefficients before fit should be nil")
+	if m.fitted {
+		t.Fatal("fitted before Fit")
 	}
 }
 

@@ -435,7 +435,7 @@ func refWithDefaults(o optimize.Options, dim int) optimize.Options {
 // refNelderMead minimizes f starting from x0 using the standard simplex method
 // with reflection, expansion, contraction and shrink steps (coefficients
 // 1, 2, 0.5, 0.5).
-func refNelderMead(f optimize.Objective, x0 []float64, opts optimize.Options) (*optimize.Result, error) {
+func refNelderMead(f func([]float64) float64, x0 []float64, opts optimize.Options) (*optimize.Result, error) {
 	if len(x0) == 0 {
 		return nil, fmt.Errorf("optimize: empty start point: %w", optimize.ErrBadInput)
 	}

@@ -66,12 +66,6 @@ func init() {
 	mustRegister("lagged-ridge", func() Model { m, _ := NewLaggedRidge(0, 0, 0); return m })
 }
 
-// Lookup returns the builder registered under a family name.
-func Lookup(name string) (Builder, bool) {
-	b, ok := registry[name]
-	return b, ok
-}
-
 // Pinned returns the one-candidate zoo that pins the family b builds, named
 // by the Name of a model it returns (b runs once for that).
 func Pinned(b Builder) []Candidate { return []Candidate{{Name: b().Name(), Builder: b}} }

@@ -150,12 +150,3 @@ func (m *LaggedRidge) Forecast(h int) ([]float64, error) {
 
 // Name implements Model.
 func (m *LaggedRidge) Name() string { return "lagged-ridge" }
-
-// Coefficients returns the fitted parameters (intercept, lag coefficients,
-// rolling-mean coefficient), or nil before Fit.
-func (m *LaggedRidge) Coefficients() []float64 {
-	if !m.fitted {
-		return nil
-	}
-	return append([]float64(nil), m.coef...)
-}

@@ -47,12 +47,20 @@ func ObserveAll(ens []*Ensemble, centroids [][][]float64) error {
 	return refreshAll(ens)
 }
 
-// RestoreAll is RestoreState for several ensembles (states[i] into ens[i]).
-// It validates every state, then copies every state, then rebuilds the models
-// of every trained ensemble on one list, as ObserveAll's round does, and
-// finally recomputes the selection forecasts. The rebuild does not count
-// toward the restored training accounting. RestoreState is the one-ensemble
-// case.
+// RestoreAll replaces the state of freshly constructed ensembles with
+// exported ones (states[i] into ens[i]) and reconstructs every model
+// deterministically: each model is refit on its series truncated to the last
+// training step (honoring FitWindow exactly as the live refit did), then fed
+// the observations that arrived after it via Update. With two or more
+// candidates the selection state (champions, streaks, switch counts, accuracy
+// windows) is restored verbatim and the 1-step scoring forecasts are
+// recomputed, so selection resumes bit-identically mid-streak. No ensemble
+// may have observed any step yet.
+//
+// It validates every state, then copies every state, then rebuilds the
+// models of every trained ensemble on one list, as ObserveAll's round does,
+// and finally recomputes the selection forecasts. The rebuild does not count
+// toward the restored TrainTime/TrainRuns accounting.
 func RestoreAll(ens []*Ensemble, states []*EnsembleState) error {
 	if len(states) != len(ens) {
 		return fmt.Errorf("forecast: %d ensemble states, want %d: %w", len(states), len(ens), ErrBadInput)

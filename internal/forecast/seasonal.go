@@ -174,7 +174,3 @@ func (m *SeasonalTrend) Forecast(h int) ([]float64, error) {
 
 // Name implements Model.
 func (m *SeasonalTrend) Name() string { return "seasonal-trend" }
-
-// Period returns the detected season length (0 when the last Fit found no
-// meaningful seasonality), for experiment introspection.
-func (m *SeasonalTrend) Period() int { return m.period }

@@ -103,20 +103,6 @@ func (e *Ensemble) ExportState() *EnsembleState {
 	return st
 }
 
-// RestoreState replaces a freshly constructed ensemble's state with an
-// exported one and reconstructs every model deterministically: each model is
-// refit on its series truncated to the last training step (honoring
-// FitWindow exactly as the live refit did), then fed the observations that
-// arrived after it via Update. With two or more candidates the selection
-// state (champions, streaks, switch counts, accuracy windows) is restored
-// verbatim and the 1-step scoring forecasts are recomputed, so selection
-// resumes bit-identically mid-streak. The ensemble must not have observed
-// any step yet. It is RestoreAll for this ensemble alone; the refit does not
-// count toward the restored TrainTime/TrainRuns accounting.
-func (e *Ensemble) RestoreState(st *EnsembleState) error {
-	return RestoreAll([]*Ensemble{e}, []*EnsembleState{st})
-}
-
 // validateState checks an exported state against the ensemble before any
 // mutation.
 func (e *Ensemble) validateState(st *EnsembleState) error {

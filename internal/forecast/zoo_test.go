@@ -16,6 +16,11 @@ var sahBuilder = func() Model { return NewSampleAndHold() }
 // only is the Candidates of a one-candidate ensemble running b.
 func only(b Builder) []Candidate { return []Candidate{{Name: b().Name(), Builder: b}} }
 
+// restoreOne restores a single ensemble through RestoreAll.
+func restoreOne(e *Ensemble, st *EnsembleState) error {
+	return RestoreAll([]*Ensemble{e}, []*EnsembleState{st})
+}
+
 // --- registry ---
 
 func TestRegistryFamilies(t *testing.T) {
@@ -29,16 +34,16 @@ func TestRegistryFamilies(t *testing.T) {
 		t.Fatalf("Families() = %v, want %v", fams, want)
 	}
 	for _, name := range fams {
-		b, ok := Lookup(name)
-		if !ok || b == nil {
-			t.Fatalf("Lookup(%q) missing", name)
+		b := registry[name]
+		if b == nil {
+			t.Fatalf("family %q has no builder", name)
 		}
 		if m := b(); m == nil {
 			t.Fatalf("builder %q returned nil model", name)
 		}
 	}
-	if _, ok := Lookup("no-such-family"); ok {
-		t.Fatal("Lookup of unknown family succeeded")
+	if _, ok := registry["no-such-family"]; ok {
+		t.Fatal("unknown family registered")
 	}
 }
 
@@ -85,8 +90,8 @@ func TestSeasonalTrendRecoversSeasonality(t *testing.T) {
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
-	if m.Period() != 6 {
-		t.Fatalf("detected period %d, want 6", m.Period())
+	if m.period != 6 {
+		t.Fatalf("detected period %d, want 6", m.period)
 	}
 	f, err := m.Forecast(6)
 	if err != nil {
@@ -112,8 +117,8 @@ func TestSeasonalTrendNonSeasonalFallback(t *testing.T) {
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
-	if m.Period() != 0 {
-		t.Fatalf("linear series detected period %d", m.Period())
+	if m.period != 0 {
+		t.Fatalf("linear series detected period %d", m.period)
 	}
 	f, err := m.Forecast(3)
 	if err != nil {
@@ -153,7 +158,7 @@ func TestLaggedRidgeTracksAR1(t *testing.T) {
 		}
 		prev = want
 	}
-	if got := len(m.Coefficients()); got != 4 {
+	if got := len(m.coef); got != 4 {
 		t.Fatalf("coefficient count %d, want 4", got)
 	}
 }
@@ -480,7 +485,7 @@ func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
 		fitWindow      = 24
 	)
 	for _, name := range []string{"ses", "ar", "lagged-ridge"} {
-		builder, ok := Lookup(name)
+		builder, ok := registry[name]
 		if !ok {
 			t.Fatalf("missing family %q", name)
 		}
@@ -563,7 +568,7 @@ func TestZooSingleCandidateMatchesLegacy(t *testing.T) {
 		}
 		for j := range series {
 			for d, s := range series[j] {
-				if !reflect.DeepEqual(e.Series(j, d), s[e.SeriesStart():]) {
+				if !reflect.DeepEqual(e.series[j][d], s[e.start:]) {
 					t.Fatalf("%s: series (%d,%d) diverge", name, j, d)
 				}
 			}
@@ -650,7 +655,7 @@ func TestZooExportRestoreMidSelection(t *testing.T) {
 		t.Fatalf("export shape: families %d, accErrs %d", len(st.Families), len(st.AccErrs))
 	}
 	restored := mk()
-	if err := restored.RestoreState(st); err != nil {
+	if err := restoreOne(restored, st); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(live.Selection(), restored.Selection()) {
@@ -683,7 +688,7 @@ func TestZooRestoreRejectsFamilyMismatch(t *testing.T) {
 	// A warm-up of 6 values is the shortest AR(4)'s first fit accepts.
 	st := zooEnsemble(t, []string{"ses", "ar"}, SelectionConfig{}, 1, 1, 6, 10).ExportState()
 	wrongOrder := zooEnsemble(t, []string{"ar", "ses"}, SelectionConfig{}, 1, 1, 6, 10)
-	if err := wrongOrder.RestoreState(st); !errors.Is(err, ErrBadInput) {
+	if err := restoreOne(wrongOrder, st); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("family order mismatch accepted: %v", err)
 	}
 	// A one-candidate ensemble takes a state naming no family or its own
@@ -692,7 +697,7 @@ func TestZooRestoreRejectsFamilyMismatch(t *testing.T) {
 	for _, fams := range [][]string{{"ar"}, {"ses", "ses"}, nil, {"ses"}} {
 		one := ses().ExportState()
 		one.Families = fams
-		err := ses().RestoreState(one)
+		err := restoreOne(ses(), one)
 		if ok := len(fams) == 0 || slices.Equal(fams, []string{"ses"}); ok != (err == nil) {
 			t.Fatalf("families %q into a one-candidate ses ensemble: %v", fams, err)
 		}
@@ -700,7 +705,7 @@ func TestZooRestoreRejectsFamilyMismatch(t *testing.T) {
 			t.Fatalf("families %q: %v, want ErrBadInput", fams, err)
 		}
 	}
-	if err := ses().RestoreState(st); !errors.Is(err, ErrBadInput) {
+	if err := restoreOne(ses(), st); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("two-family zoo state accepted by one-candidate ensemble: %v", err)
 	}
 }
@@ -719,18 +724,18 @@ func TestTrimBoundsRetainedSeries(t *testing.T) {
 		if err := e.Observe([][]float64{{float64(i)}}); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(e.Series(0, 0)); got > 8+5 {
+		if got := len(e.series[0][0]); got > 8+5 {
 			t.Fatalf("step %d: retained %d values, bound is FitWindow+RetrainEvery = 13", i, got)
 		}
-		if e.SeriesStart()+len(e.Series(0, 0)) != e.Steps() {
+		if e.start+len(e.series[0][0]) != e.t {
 			t.Fatalf("step %d: start %d + len %d != t %d",
-				i, e.SeriesStart(), len(e.Series(0, 0)), e.Steps())
+				i, e.start, len(e.series[0][0]), e.t)
 		}
 		// The retained suffix must hold the true latest values.
-		s := e.Series(0, 0)
+		s := e.series[0][0]
 		for k, v := range s {
-			if v != float64(e.SeriesStart()+k) {
-				t.Fatalf("step %d: series[%d] = %v, want %v", i, k, v, float64(e.SeriesStart()+k))
+			if v != float64(e.start+k) {
+				t.Fatalf("step %d: series[%d] = %v, want %v", i, k, v, float64(e.start+k))
 			}
 		}
 	}
@@ -794,7 +799,7 @@ func TestTrimExportRestoreBitIdentical(t *testing.T) {
 		t.Fatalf("exported %d values, want %d", len(st.Series[0][0]), st.T-st.SeriesStart)
 	}
 	restored := mk()
-	if err := restored.RestoreState(st); err != nil {
+	if err := restoreOne(restored, st); err != nil {
 		t.Fatal(err)
 	}
 	for i := 50; i < 90; i++ {
@@ -815,7 +820,7 @@ func TestTrimExportRestoreBitIdentical(t *testing.T) {
 	bad := live.ExportState()
 	bad.SeriesStart = bad.LastRefit - 2
 	bad.Series[0][0] = bad.Series[0][0][:bad.T-bad.SeriesStart]
-	if err := mk().RestoreState(bad); !errors.Is(err, ErrBadInput) {
+	if err := restoreOne(mk(), bad); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("over-trimmed state accepted: %v", err)
 	}
 }
@@ -854,7 +859,7 @@ func TestZooARIMAFlatClusterRefitAndRestore(t *testing.T) {
 		}
 	}
 	restored := mk()
-	if err := restored.RestoreState(live.ExportState()); err != nil {
+	if err := restoreOne(restored, live.ExportState()); err != nil {
 		t.Fatal(err)
 	}
 	for step := 95; step < 130; step++ {

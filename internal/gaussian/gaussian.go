@@ -107,9 +107,6 @@ func Train(samples [][]float64) (*Model, error) {
 	return &Model{n: n, mean: mean, cov: cov}, nil
 }
 
-// N returns the number of nodes the model covers.
-func (m *Model) N() int { return m.n }
-
 // Mean returns a copy of the estimated mean vector.
 func (m *Model) Mean() []float64 { return append([]float64(nil), m.mean...) }
 

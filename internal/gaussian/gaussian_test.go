@@ -56,8 +56,8 @@ func TestTrainMoments(t *testing.T) {
 	if got := m.cov.At(0, 1); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("cov(0,1) = %v, want 2", got)
 	}
-	if m.N() != 2 {
-		t.Fatalf("N = %d", m.N())
+	if m.n != 2 {
+		t.Fatalf("model covers %d nodes, want 2", m.n)
 	}
 }
 

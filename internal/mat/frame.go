@@ -9,9 +9,9 @@ import "fmt"
 // innermost distance and copy loops walk contiguous memory instead of
 // chasing [][]float64 row pointers.
 //
-// Unlike Dense (whose Row returns a copy), Frame.Row returns a view:
-// mutations through a row view are visible in Data and vice versa. A Frame
-// is not safe for concurrent mutation.
+// Frame.Row returns a view, not a copy: mutations through a row view are
+// visible in Data and vice versa. A Frame is not safe for concurrent
+// mutation.
 type Frame struct {
 	rows, cols int
 	data       []float64
@@ -25,13 +25,10 @@ func NewFrame(rows, cols int) *Frame {
 	return &Frame{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// Rows returns the number of rows.
-func (f *Frame) Rows() int { return f.rows }
-
 // Cols returns the number of columns.
 func (f *Frame) Cols() int { return f.cols }
 
-// Data returns the flat row-major backing array (length Rows·Cols). Writes
+// Data returns the flat row-major backing array (length rows × Cols). Writes
 // through it are visible to row views and vice versa.
 func (f *Frame) Data() []float64 { return f.data }
 
@@ -66,7 +63,8 @@ func (f *Frame) RowViews(dst [][]float64) [][]float64 {
 // Grow extends the frame to at least rows rows in place, preserving existing
 // values and zeroing the new rows. Growing may reallocate the backing array,
 // which invalidates previously taken Data slices and row views — callers
-// must re-take them. Shrinking is not supported (rows below Rows is a no-op).
+// must re-take them. Shrinking is not supported (fewer rows than the frame
+// has is a no-op).
 func (f *Frame) Grow(rows int) {
 	if rows <= f.rows {
 		return

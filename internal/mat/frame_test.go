@@ -30,8 +30,8 @@ func TestFrameGrowPreservesAndZeroes(t *testing.T) {
 	f.SetRow(0, []float64{1, 2, 3})
 	f.SetRow(1, []float64{4, 5, 6})
 	f.Grow(4)
-	if f.Rows() != 4 || f.Cols() != 3 || len(f.Data()) != 12 {
-		t.Fatalf("after grow: %d×%d data %d", f.Rows(), f.Cols(), len(f.Data()))
+	if f.rows != 4 || f.Cols() != 3 || len(f.Data()) != 12 {
+		t.Fatalf("after grow: %d×%d data %d", f.rows, f.Cols(), len(f.Data()))
 	}
 	want := []float64{1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 0, 0}
 	for i, v := range f.Data() {

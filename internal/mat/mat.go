@@ -36,12 +36,6 @@ func New(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// Rows returns the number of rows.
-func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
-
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
 	m.checkIndex(i, j)
@@ -65,24 +59,6 @@ func (m *Dense) Clone() *Dense {
 	c := New(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of bounds for %d×%d", i, m.rows, m.cols))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d != cols %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
 }
 
 // T returns the transpose of m as a new matrix.
@@ -131,18 +107,6 @@ func MulVec(a *Dense, x []float64) ([]float64, error) {
 			s += v * x[j]
 		}
 		out[i] = s
-	}
-	return out, nil
-}
-
-// Add returns a+b.
-func Add(a, b *Dense) (*Dense, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("mat: add %d×%d to %d×%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
-	}
-	out := a.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
 	}
 	return out, nil
 }
@@ -264,21 +228,6 @@ func RegularizeSPD(a *Dense, jitter float64) *Dense {
 		out.data[i*out.cols+i] += jitter
 	}
 	return out
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between a
-// and b. It panics if the shapes differ; it is intended for tests.
-func MaxAbsDiff(a, b *Dense) float64 {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic("mat: MaxAbsDiff shape mismatch")
-	}
-	var m float64
-	for i := range a.data {
-		if d := math.Abs(a.data[i] - b.data[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // String renders the matrix for debugging.

@@ -1,6 +1,6 @@
-// Package metrics implements the paper's evaluation aggregates: the
+// Package metrics implements the paper's evaluation aggregate: the
 // time-averaged RMSE over T steps (eq. 4) of per-step RMSE(t,h) values
-// (eq. 3) and the combined objective over horizons of eq. 5.
+// (eq. 3), one per forecast horizon.
 package metrics
 
 import (
@@ -39,11 +39,7 @@ func (a *Accumulator) Value() float64 {
 	return math.Sqrt(a.sumSq / float64(a.n))
 }
 
-// Count returns the number of accumulated steps.
-func (a *Accumulator) Count() int { return a.n }
-
-// HorizonSet tracks one Accumulator per forecast horizon h ∈ [0, H] and
-// combines them into the objective of eq. (5).
+// HorizonSet tracks one Accumulator per forecast horizon h ∈ [0, H].
 type HorizonSet struct {
 	accs []Accumulator
 }
@@ -71,24 +67,4 @@ func (s *HorizonSet) At(h int) float64 {
 		return math.NaN()
 	}
 	return s.accs[h].Value()
-}
-
-// Objective combines all horizons into eq. (5): the root of the mean (over
-// h ∈ [0,H]) squared time-averaged RMSE. Horizons with no observations are
-// skipped.
-func (s *HorizonSet) Objective() float64 {
-	var sum float64
-	var n int
-	for h := range s.accs {
-		v := s.accs[h].Value()
-		if math.IsNaN(v) {
-			continue
-		}
-		sum += v * v
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(sum / float64(n))
 }

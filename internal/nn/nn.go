@@ -144,9 +144,6 @@ func xavierInit(w []float64, fan int, rng *rand.Rand) {
 // Params returns the layer's learnable tensors.
 func (c *LSTMCell) Params() []*Param { return []*Param{c.wx, c.wh, c.b} }
 
-// Hidden returns the hidden-state width H.
-func (c *LSTMCell) Hidden() int { return c.hidden }
-
 // forwardStep computes one timestep given input x and previous (h, c) and
 // returns the cache holding every intermediate needed for the backward pass.
 func (c *LSTMCell) forwardStep(x, hPrev, cPrev []float64) *lstmCache {

@@ -70,7 +70,7 @@ func TestWritePrometheusMatchesReference(t *testing.T) {
 	var c Counter
 	c.Add(1 << 40)
 	var g Gauge
-	g.Set(-2.5e-9)
+	g.Add(-2.5e-9)
 	r.Counter("orcf_c_total", "A counter.", &c)
 	r.Gauge("orcf_g", "A gauge with \"quotes\" and a \\ in its help.", &g)
 	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324,

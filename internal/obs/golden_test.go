@@ -19,7 +19,7 @@ func TestExpositionGolden(t *testing.T) {
 	var c obs.Counter
 	c.Add(42)
 	var g obs.Gauge
-	g.Set(0.25)
+	g.Add(0.25)
 	r.Counter("orcf_z_total", "last by name", &c)
 	r.Gauge("orcf_a_ratio", "first by name", &g)
 	h := r.NewHistogram("orcf_m_seconds", "middle by name", []float64{0.1, 1})

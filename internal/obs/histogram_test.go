@@ -88,8 +88,8 @@ func TestHistogramRejectsNonFinite(t *testing.T) {
 	h.Observe(math.Inf(1))
 	h.Observe(math.Inf(-1))
 	h.Observe(0.5)
-	if h.Count() != 1 || h.Sum() != 0.5 {
-		t.Fatalf("non-finite observations leaked: count=%d sum=%v", h.Count(), h.Sum())
+	if h.count.Load() != 1 || h.Sum() != 0.5 {
+		t.Fatalf("non-finite observations leaked: count=%d sum=%v", h.count.Load(), h.Sum())
 	}
 	var sb strings.Builder
 	r := NewRegistry()

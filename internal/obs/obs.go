@@ -54,14 +54,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v. Non-finite values are dropped so exposition never leaks NaN.
-func (g *Gauge) Set(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
 // Add increases the gauge by delta (negative delta decreases it).
 func (g *Gauge) Add(delta float64) {
 	if math.IsNaN(delta) || math.IsInf(delta, 0) {
@@ -155,14 +147,6 @@ func (r *Registry) register(e entry) {
 	entries := append(r.entries[:len(r.entries):len(r.entries)], e)
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	r.entries = entries
-}
-
-// Has reports whether a series with the given name is registered.
-func (r *Registry) Has(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.names[name]
-	return ok
 }
 
 // Counter registers an existing Counter under name.

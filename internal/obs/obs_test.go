@@ -19,14 +19,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	var g Gauge
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)
 	}
-	g.Set(nan())
+	g.Add(nan())
 	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge after NaN Set = %v, want 1.5 (NaN dropped)", got)
+		t.Fatalf("gauge after NaN Add = %v, want 1.5 (NaN dropped)", got)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestConcurrentWritersVsExposition(t *testing.T) {
 	if got := c.Value(); got != writers*perWriter {
 		t.Fatalf("counter = %d, want %d", got, writers*perWriter)
 	}
-	if got := h.Count(); got != writers*perWriter {
+	if got := h.count.Load(); got != writers*perWriter {
 		t.Fatalf("histogram count = %d, want %d", got, writers*perWriter)
 	}
 }
@@ -131,7 +131,9 @@ func TestRegisterBuildInfo(t *testing.T) {
 	r := NewRegistry()
 	RegisterBuildInfo(r)
 	RegisterBuildInfo(r) // second call must be a no-op, not a dup panic
-	if !r.Has("orcf_build_info") || !r.Has("orcf_uptime_seconds") {
+	_, info := r.names["orcf_build_info"]
+	_, uptime := r.names["orcf_uptime_seconds"]
+	if !info || !uptime {
 		t.Fatal("build info series missing")
 	}
 	var sb strings.Builder

@@ -13,10 +13,9 @@
 // implementation this replaced as the oracle that pins evaluation points,
 // their order and the result bits.
 //
-// A run can also be driven from outside (Workspace.Start, then Run.Next and
+// A run is driven from outside (Workspace.Start, then Run.Next and
 // Run.Tell), so that a caller can advance several runs in lockstep and
-// evaluate their points together; Workspace.NelderMead is that loop with the
-// objective called in place.
+// evaluate their points together.
 package optimize
 
 import (
@@ -27,10 +26,6 @@ import (
 
 // ErrBadInput is returned for invalid starting points or options.
 var ErrBadInput = errors.New("optimize: invalid input")
-
-// Objective is a function to minimize. It must be deterministic. Returning
-// +Inf (or NaN, which is treated as +Inf) marks a point as infeasible.
-type Objective func(x []float64) float64
 
 // Options tunes the Nelder–Mead run. The zero value selects sensible
 // defaults; a negative budget, a negative or NaN tolerance and a non-finite
@@ -91,18 +86,6 @@ type Result struct {
 	Converged bool
 }
 
-// NelderMead minimizes f starting from x0 using the standard simplex method
-// with reflection, expansion, contraction and shrink steps (coefficients
-// 1, 2, 0.5, 0.5). It is Workspace.NelderMead on a fresh workspace.
-func NelderMead(f Objective, x0 []float64, opts Options) (*Result, error) {
-	var ws Workspace
-	res, err := ws.NelderMead(f, x0, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
 // Workspace holds the vertex storage of a Nelder–Mead run so that a caller
 // minimizing many objectives in a row (the ARIMA grid search fits one per
 // order) pays for the simplex once. The zero value is ready to use and grows
@@ -133,32 +116,11 @@ func (ws *Workspace) reserve(dim int) {
 	}
 }
 
-// NelderMead is the package-level NelderMead running in the workspace's
-// storage: apart from growing the workspace it allocates nothing, however
-// many evaluations it takes. Result.X aliases the workspace and is
-// overwritten by the next run.
-//
-// The run is a pure function of (f, x0, opts): vertices are combined with
-// the same a·x + b·y arithmetic and evaluated in the same order whatever
-// the workspace held before, so results do not depend on its history.
-func (ws *Workspace) NelderMead(f Objective, x0 []float64, opts Options) (Result, error) {
-	r, err := ws.Start(x0, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if f == nil {
-		return Result{}, fmt.Errorf("optimize: nil objective: %w", ErrBadInput)
-	}
-	for x, ok := r.Next(); ok; x, ok = r.Next() {
-		r.Tell(f(x))
-	}
-	return r.Result(), nil
-}
-
-// Run is one Nelder–Mead minimization driven from outside: Next hands out
-// the point to evaluate and Tell takes its objective value, until Next
-// reports false and Result holds the outcome. Workspace.NelderMead drives a
-// Run too, so the points, their order, the evaluation count and the result
+// Run is one Nelder–Mead minimization — the standard simplex method with
+// reflection, expansion, contraction and shrink steps (coefficients 1, 2,
+// 0.5, 0.5) — driven from outside: Next hands out the point to evaluate and
+// Tell takes its objective value, until Next reports false and Result holds
+// the outcome. The points, their order, the evaluation count and the result
 // do not depend on who drives it or what it is interleaved with. A Run lives
 // in its Workspace and is invalidated by the workspace's next Start.
 type Run struct {
@@ -200,7 +162,14 @@ const (
 
 // Start begins a run from x0 with the initial simplex x0 plus a step along
 // each axis; x0 is copied, not retained. It allocates nothing once the
-// workspace has been sized for len(x0) coordinates.
+// workspace has been sized for len(x0) coordinates, however many
+// evaluations the run takes; Result.X aliases the workspace and is
+// overwritten by the next run.
+//
+// The run is a pure function of x0, opts and the values it is told: vertices
+// are combined with the same a·x + b·y arithmetic and handed out in the same
+// order whatever the workspace held before, so results do not depend on its
+// history.
 func (ws *Workspace) Start(x0 []float64, opts Options) (*Run, error) {
 	if len(x0) == 0 {
 		return nil, fmt.Errorf("optimize: empty start point: %w", ErrBadInput)

@@ -11,7 +11,7 @@ func TestNelderMeadQuadratic(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-3)*(x[0]-3) + (x[1]+2)*(x[1]+2)
 	}
-	res, err := NelderMead(f, []float64{0, 0}, Options{})
+	res, err := minimize(new(Workspace), f, []float64{0, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 		b := x[1] - x[0]*x[0]
 		return a*a + 100*b*b
 	}
-	res, err := NelderMead(f, []float64{-1.2, 1}, Options{MaxEvaluations: 5000, Tolerance: 1e-12})
+	res, err := minimize(new(Workspace), f, []float64{-1.2, 1}, Options{MaxEvaluations: 5000, Tolerance: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 func TestNelderMeadOneDimensional(t *testing.T) {
 	t.Parallel()
 	f := func(x []float64) float64 { return math.Abs(x[0] - 0.5) }
-	res, err := NelderMead(f, []float64{-4}, Options{MaxEvaluations: 2000})
+	res, err := minimize(new(Workspace), f, []float64{-4}, Options{MaxEvaluations: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestNelderMeadInfeasibleRegion(t *testing.T) {
 		}
 		return (x[0] - 2) * (x[0] - 2)
 	}
-	res, err := NelderMead(f, []float64{1}, Options{})
+	res, err := minimize(new(Workspace), f, []float64{1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestNelderMeadNaNTreatedAsInf(t *testing.T) {
 		}
 		return x[0] * x[0]
 	}
-	res, err := NelderMead(f, []float64{5}, Options{})
+	res, err := minimize(new(Workspace), f, []float64{5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestNelderMeadBudget(t *testing.T) {
 		calls++
 		return x[0] * x[0]
 	}
-	res, err := NelderMead(f, []float64{100}, Options{MaxEvaluations: 10})
+	res, err := minimize(new(Workspace), f, []float64{100}, Options{MaxEvaluations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,7 @@ func TestNelderMeadBudget(t *testing.T) {
 
 func TestNelderMeadErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := NelderMead(nil, []float64{1}, Options{}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("nil objective: want ErrBadInput, got %v", err)
-	}
-	if _, err := NelderMead(func([]float64) float64 { return 0 }, nil, Options{}); !errors.Is(err, ErrBadInput) {
+	if _, err := minimize(new(Workspace), func([]float64) float64 { return 0 }, nil, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty start: want ErrBadInput, got %v", err)
 	}
 }
@@ -119,7 +116,7 @@ func TestNelderMeadErrors(t *testing.T) {
 // TestNelderMeadRejectsBadOptions pins the option checks: zeros select the
 // defaults, but a negative budget (which returned the initial simplex
 // unconverged), a negative or NaN tolerance (which ran to the budget) and a
-// non-finite initial step are errors, from Start and from NelderMead alike.
+// non-finite initial step are errors from Start.
 func TestNelderMeadRejectsBadOptions(t *testing.T) {
 	t.Parallel()
 	f := func(x []float64) float64 { return x[0] * x[0] }
@@ -140,9 +137,6 @@ func TestNelderMeadRejectsBadOptions(t *testing.T) {
 		if r, err := ws.Start([]float64{1}, opts); !errors.Is(err, ErrBadInput) || r != nil {
 			t.Fatalf("Start(%+v): want ErrBadInput and no run, got %v", opts, err)
 		}
-		if _, err := NelderMead(f, []float64{1}, opts); !errors.Is(err, ErrBadInput) {
-			t.Fatalf("NelderMead(%+v): want ErrBadInput, got %v", opts, err)
-		}
 	}
 	// Values that mean something stay accepted: +Inf tolerances stop at the
 	// first check, a negative step builds the simplex the other way.
@@ -151,8 +145,8 @@ func TestNelderMeadRejectsBadOptions(t *testing.T) {
 		{InitialStep: -0.5},
 		{MaxEvaluations: 1},
 	} {
-		if _, err := NelderMead(f, []float64{1}, opts); err != nil {
-			t.Fatalf("NelderMead(%+v): %v", opts, err)
+		if _, err := minimize(new(Workspace), f, []float64{1}, opts); err != nil {
+			t.Fatalf("minimize(%+v): %v", opts, err)
 		}
 	}
 }
@@ -160,7 +154,7 @@ func TestNelderMeadRejectsBadOptions(t *testing.T) {
 func TestNelderMeadAllInfeasibleStops(t *testing.T) {
 	t.Parallel()
 	f := func([]float64) float64 { return math.Inf(1) }
-	res, err := NelderMead(f, []float64{0, 0}, Options{MaxEvaluations: 100})
+	res, err := minimize(new(Workspace), f, []float64{0, 0}, Options{MaxEvaluations: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +167,7 @@ func TestNelderMeadAllInfeasibleStops(t *testing.T) {
 // tests.
 type nmCase struct {
 	name string
-	f    Objective
+	f    func([]float64) float64
 	x0   []float64
 	opts Options
 }
@@ -236,7 +230,7 @@ func TestNelderMeadMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
-		got, err := ws.NelderMead(traced(tc.f, &gotTrace), tc.x0, tc.opts)
+		got, err := minimize(ws, traced(tc.f, &gotTrace), tc.x0, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -260,18 +254,31 @@ func TestNelderMeadMatchesReference(t *testing.T) {
 				t.Fatalf("%s: evaluation point coordinate %d = %v, want %v", tc.name, i, gotTrace[i], wantTrace[i])
 			}
 		}
-		fresh, err := NelderMead(tc.f, tc.x0, tc.opts)
+		fresh, err := minimize(new(Workspace), tc.f, tc.x0, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: fresh workspace: %v", tc.name, err)
 		}
 		if fresh.Evaluations != want.Evaluations || !sameBits(fresh.F, want.F) {
-			t.Fatalf("%s: package-level NelderMead diverges from the reference", tc.name)
+			t.Fatalf("%s: a fresh workspace diverges from the reference", tc.name)
 		}
 	}
 }
 
+// minimize runs Nelder–Mead on f from x0 in ws to the end, calling f on every
+// point the run hands out.
+func minimize(ws *Workspace, f func([]float64) float64, x0 []float64, opts Options) (Result, error) {
+	r, err := ws.Start(x0, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	for x, ok := r.Next(); ok; x, ok = r.Next() {
+		r.Tell(f(x))
+	}
+	return r.Result(), nil
+}
+
 // traced wraps f so that every evaluation point is appended to *trace.
-func traced(f Objective, trace *[]float64) Objective {
+func traced(f func([]float64) float64, trace *[]float64) func([]float64) float64 {
 	return func(x []float64) float64 {
 		*trace = append(*trace, x...)
 		return f(x)
@@ -291,7 +298,7 @@ func TestNelderMeadRunsInLockstep(t *testing.T) {
 	type lane struct {
 		tc    nmCase
 		run   *Run
-		f     Objective
+		f     func([]float64) float64
 		trace []float64
 	}
 	lanes := make([]lane, len(cases))
@@ -350,10 +357,10 @@ func TestNelderMeadRunsInLockstep(t *testing.T) {
 	}
 }
 
-// TestNelderMeadAllocations pins the allocation contract: a run on a sized
-// workspace allocates nothing, whether NelderMead calls the objective or the
-// caller drives Start/Next/Tell, and the package-level convenience allocates
-// a constant handful of objects however many evaluations the run takes.
+// TestNelderMeadAllocations pins the allocation contract: a run driven
+// through Start/Next/Tell on a sized workspace allocates nothing, and a run
+// on a fresh workspace allocates a constant handful of objects however many
+// evaluations it takes.
 func TestNelderMeadAllocations(t *testing.T) {
 	f := func(x []float64) float64 {
 		a := 1 - x[0]
@@ -362,13 +369,6 @@ func TestNelderMeadAllocations(t *testing.T) {
 	}
 	x0 := []float64{-1.2, 1}
 	ws := NewWorkspace(2)
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ws.NelderMead(f, x0, Options{MaxEvaluations: 5000, Tolerance: 1e-12}); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("Workspace.NelderMead allocates %v objects per run, want 0", n)
-	}
 	if n := testing.AllocsPerRun(20, func() {
 		r, err := ws.Start(x0, Options{MaxEvaluations: 5000, Tolerance: 1e-12})
 		if err != nil {
@@ -385,7 +385,7 @@ func TestNelderMeadAllocations(t *testing.T) {
 	}
 	perRun := func(budget int) (allocs float64, evals int) {
 		allocs = testing.AllocsPerRun(20, func() {
-			res, err := NelderMead(f, x0, Options{MaxEvaluations: budget, Tolerance: 1e-300, ToleranceX: 1e-300})
+			res, err := minimize(new(Workspace), f, x0, Options{MaxEvaluations: budget, Tolerance: 1e-300, ToleranceX: 1e-300})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,6 +399,6 @@ func TestNelderMeadAllocations(t *testing.T) {
 		t.Fatalf("long run used %d evaluations against %d: the comparison needs them far apart", longEvals, shortEvals)
 	}
 	if short != long || long > 6 {
-		t.Fatalf("NelderMead allocates %v objects over %d evaluations and %v over %d, want the same small constant", short, shortEvals, long, longEvals)
+		t.Fatalf("a fresh workspace allocates %v objects over %d evaluations and %v over %d, want the same small constant", short, shortEvals, long, longEvals)
 	}
 }

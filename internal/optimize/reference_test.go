@@ -31,7 +31,7 @@ func refWithDefaults(o Options, dim int) Options {
 // refNelderMead minimizes f starting from x0 using the standard simplex method
 // with reflection, expansion, contraction and shrink steps (coefficients
 // 1, 2, 0.5, 0.5).
-func refNelderMead(f Objective, x0 []float64, opts Options) (*Result, error) {
+func refNelderMead(f func([]float64) float64, x0 []float64, opts Options) (*Result, error) {
 	if len(x0) == 0 {
 		return nil, fmt.Errorf("optimize: empty start point: %w", ErrBadInput)
 	}

@@ -3,9 +3,10 @@
 // (re)training round's one list of model fits across every tracker
 // (forecast.ObserveAll and RestoreAll), per-node forecast reconstruction,
 // and the independent pipeline configurations of the experiment harness.
-// Every pool is sized from runtime.GOMAXPROCS(0) when it starts. The
-// experiment harness runs Systems inside its pools, so their pools nest and
-// share the GOMAXPROCS threads.
+// It has two entry points: ForEach runs independent items, and Map gathers
+// their results in index order. Every pool is sized from
+// runtime.GOMAXPROCS(0) when it starts. The experiment harness runs Systems
+// inside its pools, so their pools nest and share the GOMAXPROCS threads.
 //
 // The contract every caller relies on: work items are independent, each item
 // writes only to its own output slot, and no cross-item floating-point
@@ -24,9 +25,67 @@ import (
 // goroutines and returns the error of the lowest index that failed (nil when
 // all succeed). Remaining items are skipped once a failure is observed, but
 // items already started are allowed to finish. With GOMAXPROCS 1 or n == 1
-// everything runs inline on the calling goroutine.
+// everything runs inline on the calling goroutine. GOMAXPROCS is read once,
+// when the call starts. The calling goroutine is one of the w workers and
+// takes its share of the items itself; only the other w−1 are spawned, so a
+// two-item fan-out costs one goroutine, not two and a parked caller.
 func ForEach(n int, fn func(i int) error) error {
-	return ForEachWorker(n, func(_, i int) error { return fn(i) })
+	if n <= 0 {
+		return nil
+	}
+	w := min(runtime.GOMAXPROCS(0), n)
+	if w == 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	var (
+		next   atomic.Int64 // next unclaimed item
+		failed atomic.Bool  // fast-path stop flag
+		mu     sync.Mutex
+		errIdx int = n
+		firstE error
+	)
+	work := func() {
+		for {
+			// Check the stop flag before claiming so every claimed index
+			// runs: claims are issued in increasing order, which is what
+			// guarantees the lowest failing index always executes and
+			// records its error (a post-claim check could skip it).
+			if failed.Load() {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				failed.Store(true)
+				mu.Lock()
+				if i < errIdx {
+					errIdx, firstE = i, err
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(w - 1)
+	for range w - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return firstE
 }
 
 // Map runs fn(i) for every i in [0, n) on the pool and returns the results
@@ -48,71 +107,4 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEachWorker is ForEach with the worker id passed through, so callers can
-// reuse per-worker scratch buffers without synchronization. GOMAXPROCS is
-// read once, when the call starts, and ids are in [0, that value): a caller
-// that sizes its scratch from its own read must not change GOMAXPROCS in
-// between. The calling goroutine is worker 0
-// and takes its share of the items itself; only the other w−1 workers are
-// spawned, so a two-item fan-out costs one goroutine, not two and a parked
-// caller.
-func ForEachWorker(n int, fn func(worker, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	w := min(runtime.GOMAXPROCS(0), n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next   atomic.Int64 // next unclaimed item
-		failed atomic.Bool  // fast-path stop flag
-		mu     sync.Mutex
-		errIdx int = n
-		firstE error
-	)
-	work := func(worker int) {
-		for {
-			// Check the stop flag before claiming so every claimed index
-			// runs: claims are issued in increasing order, which is what
-			// guarantees the lowest failing index always executes and
-			// records its error (a post-claim check could skip it).
-			if failed.Load() {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(worker, i); err != nil {
-				failed.Store(true)
-				mu.Lock()
-				if i < errIdx {
-					errIdx, firstE = i, err
-				}
-				mu.Unlock()
-				return
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for worker := 1; worker < w; worker++ {
-		go func(worker int) {
-			defer wg.Done()
-			work(worker)
-		}(worker)
-	}
-	work(0)
-	wg.Wait()
-	return firstE
 }

@@ -8,6 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -113,43 +116,17 @@ func TestMapReturnsOrderedResults(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerIDsAreDistinctScratchSlots(t *testing.T) {
-	const workers = 4
-	setMaxProcs(t, workers)
-	// Per-worker scratch: each slot must only ever be touched by one
-	// goroutine at a time; -race verifies the absence of sharing.
-	scratch := make([][]int, workers)
-	for i := range scratch {
-		scratch[i] = make([]int, 1)
-	}
-	var total atomic.Int64
-	err := ForEachWorker(500, func(w, i int) error {
-		if w < 0 || w >= workers {
-			return fmt.Errorf("worker id %d out of range", w)
-		}
-		scratch[w][0] = i // would race if worker ids were shared
-		total.Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Load() != 500 {
-		t.Fatalf("ran %d items, want 500", total.Load())
-	}
-}
-
-// TestForEachWorkerCallerTakesAShare pins the fan-out's cost model: the
-// calling goroutine is one of the w workers, so w concurrently running items
-// mean exactly w−1 spawned goroutines. Not parallel: it counts goroutines.
-func TestForEachWorkerCallerTakesAShare(t *testing.T) {
+// TestForEachCallerTakesAShare pins the fan-out's cost model: the calling
+// goroutine is one of the w workers, so w concurrently running items mean
+// exactly w−1 spawned goroutines. Not parallel: it counts goroutines.
+func TestForEachCallerTakesAShare(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		setMaxProcs(t, workers)
 		base := runtime.NumGoroutine()
 		var started atomic.Int32
 		release := make(chan struct{})
 		var extra atomic.Int32
-		err := ForEachWorker(workers, func(w, _ int) error {
+		err := ForEach(workers, func(int) error {
 			// Every worker holds one item until all of them have one, so
 			// the pool is at full width when the goroutines are counted.
 			if int(started.Add(1)) == workers {
@@ -168,30 +145,43 @@ func TestForEachWorkerCallerTakesAShare(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerClaimsInIncreasingOrder pins the claim order the
-// lowest-failing-index guarantee rests on: ids stay in [0, w), every worker
-// (the caller included) sees strictly increasing indices, and together they
-// see each index once.
-func TestForEachWorkerClaimsInIncreasingOrder(t *testing.T) {
+// goroutineID parses the calling goroutine's id from its stack header
+// ("goroutine 42 [running]:"), so a test can tell the pool's workers apart.
+func goroutineID() int {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, _ := strconv.Atoi(f[1])
+	return id
+}
+
+// TestForEachClaimsInIncreasingOrder pins the claim order the
+// lowest-failing-index guarantee rests on: at most w goroutines run items,
+// every one of them sees strictly increasing indices, and together they see
+// each index once.
+func TestForEachClaimsInIncreasingOrder(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		setMaxProcs(t, workers)
 		const n = 2000
-		seen := make([][]int, workers)
-		err := ForEachWorker(n, func(w, i int) error {
-			if w < 0 || w >= workers {
-				return fmt.Errorf("worker id %d outside [0,%d)", w, workers)
-			}
-			seen[w] = append(seen[w], i) // exclusive per worker id; -race checks
+		var mu sync.Mutex
+		seen := map[int][]int{}
+		err := ForEach(n, func(i int) error {
+			g := goroutineID()
+			mu.Lock()
+			seen[g] = append(seen[g], i)
+			mu.Unlock()
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(seen) > workers {
+			t.Fatalf("workers=%d: %d goroutines ran items", workers, len(seen))
+		}
 		var visited [n]bool
-		for w, idx := range seen {
+		for g, idx := range seen {
 			for k, i := range idx {
 				if k > 0 && i <= idx[k-1] {
-					t.Fatalf("workers=%d: worker %d claimed %d after %d", workers, w, i, idx[k-1])
+					t.Fatalf("workers=%d: goroutine %d claimed %d after %d", workers, g, i, idx[k-1])
 				}
 				if visited[i] {
 					t.Fatalf("workers=%d: index %d claimed twice", workers, i)
@@ -207,14 +197,14 @@ func TestForEachWorkerClaimsInIncreasingOrder(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerLowestErrorUnderContention repeats the lowest-failing-
+// TestForEachLowestErrorUnderContention repeats the lowest-failing-
 // index property with the failures spread so that either the caller or a
 // spawned worker may hit the first one.
-func TestForEachWorkerLowestErrorUnderContention(t *testing.T) {
+func TestForEachLowestErrorUnderContention(t *testing.T) {
 	setMaxProcs(t, 4)
 	for rep := 0; rep < 200; rep++ {
 		first := rep % 7
-		err := ForEachWorker(64, func(_, i int) error {
+		err := ForEach(64, func(i int) error {
 			if i >= first && (i-first)%5 == 0 {
 				return fmt.Errorf("boom %d", i)
 			}

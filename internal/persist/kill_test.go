@@ -115,7 +115,7 @@ func TestRecoverAfterSIGKILL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := m.System().ExportState()
+	got, err := m.sys.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +178,13 @@ func TestRecoverAfterRejectedStep(t *testing.T) {
 		return m, info
 	}
 	m, _ := open()
-	if err := m.System().AddNodes(0, 1); err != nil {
+	if err := m.sys.AddNodes(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Step(testInput(2, cfg.Resources, 1)); !errors.Is(err, core.ErrBadInput) {
 		t.Fatalf("two members at K=3: want ErrBadInput, got %v", err)
 	}
-	if err := m.System().AddNodes(2, 3); err != nil {
+	if err := m.sys.AddNodes(2, 3); err != nil {
 		t.Fatal(err)
 	}
 	const steps = 12
@@ -193,7 +193,7 @@ func TestRecoverAfterRejectedStep(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	want, err := m.System().ExportState()
+	want, err := m.sys.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRecoverAfterRejectedStep(t *testing.T) {
 	if info.Steps != steps || info.ReplayedSteps != steps || info.TornTail {
 		t.Fatalf("recovery %+v, want all %d logged steps replayed", info, steps)
 	}
-	got, err := re.System().ExportState()
+	got, err := re.sys.ExportState()
 	if err != nil {
 		t.Fatal(err)
 	}

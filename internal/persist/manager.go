@@ -169,9 +169,6 @@ func New(sys *core.System, cfg core.Config, opts Options) (*Manager, error) {
 	}, nil
 }
 
-// System returns the managed pipeline.
-func (m *Manager) System() *core.System { return m.sys }
-
 // Recover restores the newest valid checkpoint (if any) into the system and
 // replays the WAL tail through replay (nil means feed records straight to
 // System.Step). It must be called exactly once, before any stepping, and

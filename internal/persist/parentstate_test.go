@@ -174,13 +174,13 @@ func TestRecoverParentWrittenState(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: results diverge", step)
 				}
-				gf, err1 := m.System().Forecast(4)
+				gf, err1 := m.sys.Forecast(4)
 				wf, err2 := fresh.Forecast(4)
 				if err1 != nil || err2 != nil || !sameBits(gf, wf) {
 					t.Fatalf("step %d: forecasts diverge (%v, %v)", step, err1, err2)
 				}
 			}
-			got, err := m.System().ExportState()
+			got, err := m.sys.ExportState()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func newManager(t *testing.T, dir string, opts Options) *Manager {
 func runTo(t *testing.T, m *Manager, to int) {
 	t.Helper()
 	cfg := testConfig()
-	for step := m.System().Steps() + 1; step <= to; step++ {
+	for step := m.sys.Steps() + 1; step <= to; step++ {
 		if _, err := m.Step(testInput(cfg.Nodes, cfg.Resources, step)); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -106,13 +106,13 @@ func referenceForecast(t *testing.T, to, h int) [][][]float64 {
 // forecasts bit-identically to an uninterrupted run of the same length.
 func mustForecastEqualReference(t *testing.T, m *Manager, h int) {
 	t.Helper()
-	got, err := m.System().Forecast(h)
+	got, err := m.sys.Forecast(h)
 	if err != nil {
-		t.Fatalf("forecast at step %d: %v", m.System().Steps(), err)
+		t.Fatalf("forecast at step %d: %v", m.sys.Steps(), err)
 	}
-	want := referenceForecast(t, m.System().Steps(), h)
+	want := referenceForecast(t, m.sys.Steps(), h)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("step %d: recovered forecast diverges from uninterrupted run", m.System().Steps())
+		t.Fatalf("step %d: recovered forecast diverges from uninterrupted run", m.sys.Steps())
 	}
 }
 
@@ -431,7 +431,7 @@ func TestCheckpointDoesNotBlockStepping(t *testing.T) {
 				return
 			default:
 			}
-			if snap := m.System().Snapshot(); snap != nil && snap.Ready() {
+			if snap := m.sys.Snapshot(); snap != nil && snap.Ready() {
 				if _, err := snap.Forecast(2); err != nil {
 					t.Errorf("concurrent snapshot forecast: %v", err)
 					return
@@ -464,7 +464,7 @@ func TestLogStepBeforeRecover(t *testing.T) {
 	t.Parallel()
 	m := newManager(t, t.TempDir(), Options{})
 	cfg := testConfig()
-	if err := m.LogStep(1, m.System().Roster(), testInput(cfg.Nodes, cfg.Resources, 1), make([]bool, cfg.Nodes)); !errors.Is(err, ErrBadConfig) {
+	if err := m.LogStep(1, m.sys.Roster(), testInput(cfg.Nodes, cfg.Resources, 1), make([]bool, cfg.Nodes)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("LogStep before Recover: %v, want ErrBadConfig", err)
 	}
 }
@@ -618,7 +618,7 @@ func TestRecoverZooMidSelection(t *testing.T) {
 			}
 			re.wg.Wait()
 		}
-		got, err := re.System().Forecast(3)
+		got, err := re.sys.Forecast(3)
 		if err != nil {
 			t.Fatalf("crash %d: forecast: %v", crash, err)
 		}
@@ -626,9 +626,9 @@ func TestRecoverZooMidSelection(t *testing.T) {
 			t.Fatalf("crash %d: recovered forecast diverges from uninterrupted run", crash)
 		}
 		for tr := range wantSel {
-			if !reflect.DeepEqual(re.System().ModelSelection(tr), wantSel[tr]) {
+			if !reflect.DeepEqual(re.sys.ModelSelection(tr), wantSel[tr]) {
 				t.Fatalf("crash %d: tracker %d selection state diverges:\n%+v\nvs\n%+v",
-					crash, tr, re.System().ModelSelection(tr), wantSel[tr])
+					crash, tr, re.sys.ModelSelection(tr), wantSel[tr])
 			}
 		}
 		if err := re.Close(); err != nil {

@@ -47,6 +47,12 @@ const (
 // forecastsBitEqual compares forecast tensors bit-for-bit, treating NaN
 // (the warm-up/tombstone mask) as equal to NaN — reflect.DeepEqual would
 // report any masked row as a mismatch.
+// isMember reports whether a stable ID is currently a live member of sys.
+func isMember(sys *core.System, id int) bool {
+	_, ok := sys.SlotOf(id)
+	return ok
+}
+
 func forecastsBitEqual(a, b [][][]float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -147,7 +153,7 @@ func TestStoreStepperChurnLifecycle(t *testing.T) {
 				t.Fatalf("tick %d: unjoined node served %d, want 404", tick, code)
 			}
 		case churnJoinTick:
-			if !sys.HasNode(9) {
+			if !isMember(sys, 9) {
 				t.Fatalf("tick %d: node 9 did not join", tick)
 			}
 			if code, resp := getNode("9"); code != 200 || resp.Status == "" {
@@ -161,7 +167,7 @@ func TestStoreStepperChurnLifecycle(t *testing.T) {
 			if !reflect.DeepEqual(res.Evicted, []int{1}) {
 				t.Fatalf("tick %d: evicted %v, want [1]", tick, res.Evicted)
 			}
-			if sys.HasNode(1) {
+			if isMember(sys, 1) {
 				t.Fatal("node 1 still a member after eviction")
 			}
 			if _, ok := env.store.Latest(1); ok {
@@ -172,7 +178,7 @@ func TestStoreStepperChurnLifecycle(t *testing.T) {
 				t.Fatalf("tick %d: evicted node served %d, want 404", tick, code)
 			}
 		case churnRejoinTick:
-			if !sys.HasNode(1) {
+			if !isMember(sys, 1) {
 				t.Fatalf("tick %d: node 1 did not rejoin", tick)
 			}
 			if slot, _ := sys.SlotOf(1); slot != 1 {
@@ -269,7 +275,7 @@ func TestStoreStepperZeroReplayRecovery(t *testing.T) {
 			if res.Evicted[0] != 3 || deadTicks < churnStepperConfig().AbsenceTimeout {
 				t.Fatalf("tick %d: evicted %v after %d ticks", tick, res.Evicted, deadTicks)
 			}
-			if sys.HasNode(3) {
+			if isMember(sys, 3) {
 				t.Fatal("node 3 still live after eviction")
 			}
 			return
@@ -317,7 +323,7 @@ func TestStoreStepperChurnRecovery(t *testing.T) {
 	if sys.Steps() != crash {
 		t.Fatalf("recovered to step %d, want %d", sys.Steps(), crash)
 	}
-	if sys.HasNode(1) || !sys.HasNode(9) || sys.LiveNodes() != 4 {
+	if isMember(sys, 1) || !isMember(sys, 9) || sys.LiveNodes() != 4 {
 		t.Fatalf("recovered roster wrong: members %v", sys.Members())
 	}
 	got, err := sys.Forecast(3)

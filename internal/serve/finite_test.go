@@ -77,7 +77,7 @@ func TestTickRejectsMalformedMeasurement(t *testing.T) {
 				if tick >= badFrom && tick < badUntil && stepper.x[badNode] != nil {
 					t.Fatalf("%s: malformed=%v tick %d: node %d was fed a row", name, malformed, tick, badNode)
 				}
-				if tick < joinTick && stepper.System().HasNode(newNode) {
+				if tick < joinTick && isMember(stepper.System(), newNode) {
 					t.Fatalf("%s: malformed=%v tick %d: node %d joined without a well-formed record", name, malformed, tick, newNode)
 				}
 				o := tickOut{res: fmt.Sprintf("%+v", *res)}
@@ -101,7 +101,7 @@ func TestTickRejectsMalformedMeasurement(t *testing.T) {
 				t.Fatalf("%s: tick %d: forecast differs from the silent run", name, i+1)
 			}
 		}
-		if !stepper.System().HasNode(newNode) {
+		if !isMember(stepper.System(), newNode) {
 			t.Errorf("%s: node %d did not join on its well-formed record", name, newNode)
 		}
 		if n := stepper.rejected.Value(); n != wantCount {

@@ -243,7 +243,7 @@ func (st *oracleStepper) gateOpen() bool {
 	st.store.EachReported(func(stat transport.NodeStat) {
 		switch {
 		case !st.admit(stat):
-		case st.sys.HasNode(stat.Latest.Node):
+		case isMember(st.sys, stat.Latest.Node):
 			members++
 		default:
 			newcomers++

@@ -128,7 +128,7 @@ func TestWriteParentState(t *testing.T) {
 		}
 		switch tick {
 		case 22:
-			if !sys.HasNode(8) {
+			if !isMember(sys, 8) {
 				t.Fatal("node 8 did not join at tick 22")
 			}
 		case 23:

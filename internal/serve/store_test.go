@@ -130,7 +130,7 @@ func runStoreScript(tb testing.TB, script []byte) scriptCover {
 		case opTick:
 			before := oracle.sys.Members()
 			for id, m := range ostore.latest {
-				if !oracle.sys.HasNode(id) && id >= 0 && !finiteRecord(m.Values, 2) {
+				if !isMember(oracle.sys, id) && id >= 0 && !finiteRecord(m.Values, 2) {
 					cover.malformedFirst++
 				}
 				if m.Step <= 0 {

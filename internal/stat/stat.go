@@ -1,6 +1,6 @@
 // Package stat provides the statistical primitives shared across the
 // repository: moments, covariance and correlation, empirical CDFs,
-// information criteria, normalization and differencing, and RMSE.
+// information criteria and differencing.
 //
 // All functions are pure and operate on float64 slices. Functions that are
 // undefined on empty input return NaN rather than panicking, mirroring the
@@ -24,21 +24,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs (divides by n), or NaN for
-// empty input.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
 // SampleVariance returns the unbiased sample variance of xs (divides by n−1),
 // or NaN when fewer than two observations are given.
 func SampleVariance(xs []float64) float64 {
@@ -53,9 +38,6 @@ func SampleVariance(xs []float64) float64 {
 	}
 	return s / float64(len(xs)-1)
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Covariance returns the sample covariance between xs and ys (divides by
 // n−1), or NaN when the lengths differ or fewer than two pairs are given.
@@ -127,23 +109,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Len returns the number of samples backing the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// RMSE returns the root mean square error between predictions and truth. It
-// returns NaN when lengths differ or the input is empty.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
 // AICc returns the corrected Akaike information criterion for a Gaussian
 // model with n observations, k estimated parameters, and residual sum of
 // squares rss. When the correction term denominator n−k−1 is non-positive the
@@ -161,21 +126,6 @@ func AICc(n, k int, rss float64) float64 {
 	}
 	aic := float64(n)*math.Log(rss/float64(n)) + 2*float64(k)
 	return aic + 2*float64(k)*float64(k+1)/denom
-}
-
-// Normalize returns (xs − mean)/std along with the mean and std used. When
-// the series is constant the std returned is 1 so the transform is invertible.
-func Normalize(xs []float64) (normalized []float64, mean, std float64) {
-	mean = Mean(xs)
-	std = StdDev(xs)
-	if std == 0 || math.IsNaN(std) {
-		std = 1
-	}
-	normalized = make([]float64, len(xs))
-	for i, x := range xs {
-		normalized[i] = (x - mean) / std
-	}
-	return normalized, mean, std
 }
 
 // Diff returns the lag-k difference of xs: out[i] = xs[i+k] − xs[i], with

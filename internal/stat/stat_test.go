@@ -38,20 +38,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	t.Parallel()
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Fatalf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-	if !math.IsNaN(Variance(nil)) {
-		t.Fatal("Variance(nil) should be NaN")
-	}
-}
-
 func TestSampleVariance(t *testing.T) {
 	t.Parallel()
 	xs := []float64{1, 2, 3}
@@ -117,8 +103,8 @@ func TestECDF(t *testing.T) {
 			t.Errorf("F(%v) = %v, want %v", tt.x, got, tt.want)
 		}
 	}
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", e.Len())
+	if len(e.sorted) != 4 {
+		t.Fatalf("%d samples, want 4", len(e.sorted))
 	}
 	if got := NewECDF(nil).At(1); !math.IsNaN(got) {
 		t.Fatalf("empty ECDF At = %v, want NaN", got)
@@ -151,22 +137,6 @@ func TestECDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	t.Parallel()
-	pred := []float64{1, 2, 3}
-	truth := []float64{1, 2, 3}
-	if got := RMSE(pred, truth); got != 0 {
-		t.Fatalf("RMSE identical = %v, want 0", got)
-	}
-	pred2 := []float64{2, 3, 4}
-	if got := RMSE(pred2, truth); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("RMSE = %v, want 1", got)
-	}
-	if got := RMSE(pred, truth[:2]); !math.IsNaN(got) {
-		t.Fatalf("RMSE mismatched lengths = %v, want NaN", got)
-	}
-}
-
 func TestAICc(t *testing.T) {
 	t.Parallel()
 	// More parameters with the same fit must be penalized.
@@ -191,29 +161,6 @@ func TestAICc(t *testing.T) {
 	}
 	if got := AICc(100, 2, -1); !math.IsInf(got, 1) {
 		t.Fatalf("AICc rss<0 = %v, want +Inf", got)
-	}
-}
-
-func TestNormalizeRoundTrip(t *testing.T) {
-	t.Parallel()
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	norm, mean, std := Normalize(xs)
-	if !almostEqual(Mean(norm), 0, 1e-12) {
-		t.Fatalf("normalized mean = %v, want 0", Mean(norm))
-	}
-	for i := range xs {
-		if got := norm[i]*std + mean; !almostEqual(got, xs[i], 1e-9) {
-			t.Fatalf("round trip at %d: %v vs %v", i, got, xs[i])
-		}
-	}
-	// Constant series: std forced to 1, transform still invertible.
-	cs := []float64{2, 2, 2}
-	norm2, m2, s2 := Normalize(cs)
-	if s2 != 1 {
-		t.Fatalf("constant series std = %v, want 1", s2)
-	}
-	if got := norm2[0]*s2 + m2; !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("constant round trip = %v, want 2", got)
 	}
 }
 

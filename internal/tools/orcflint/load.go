@@ -88,14 +88,10 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadFiles parses and type-checks an explicit file list as one package
-// under the given import path. The analyzer tests use it to load fixture
-// packages from testdata under the import path of the package whose
-// invariants they exercise.
-func (l *Loader) LoadFiles(path string, files []string) (*Package, error) {
-	return l.load(path, files)
-}
-
+// load parses and type-checks an explicit file list as one package under the
+// given import path. The analyzer tests use it to load fixture packages from
+// testdata under the import path of the package whose invariants they
+// exercise.
 func (l *Loader) load(path string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {

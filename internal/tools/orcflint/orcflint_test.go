@@ -81,7 +81,7 @@ func runFixture(t *testing.T, a *Analyzer, importPath, dir string) {
 	if len(files) == 0 {
 		t.Fatalf("no fixture files in %s", dir)
 	}
-	pkg, err := testLoader().LoadFiles(importPath, files)
+	pkg, err := testLoader().load(importPath, files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestScopedOut(t *testing.T) {
 			files = append(files, filepath.Join(dir, e.Name()))
 		}
 	}
-	pkg, err := testLoader().LoadFiles("example.com/external/transport", files)
+	pkg, err := testLoader().load("example.com/external/transport", files)
 	if err != nil {
 		t.Fatal(err)
 	}

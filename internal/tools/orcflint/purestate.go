@@ -9,11 +9,11 @@ import (
 // PureState flags nondeterminism inside the state export/restore plane:
 // time.Now/Since/Until, package-level math/rand calls (a seeded local
 // *rand.Rand is fine), and order-sensitive map iteration, anywhere in the
-// transitive same-package call closure of the ExportState/RestoreState/WAL
-// replay entry points. Crash/restore promises bit-identical state — a wall
-// clock read or a map-ordered loop in that path makes two replays of the
-// same WAL diverge. Pure map-to-map copies are exempt: they are
-// order-insensitive.
+// transitive same-package call closure of the ExportState/RestoreState/
+// RestoreAll/WAL replay entry points. Crash/restore promises bit-identical
+// state — a wall clock read or a map-ordered loop in that path makes two
+// replays of the same WAL diverge. Pure map-to-map copies are exempt: they
+// are order-insensitive.
 var PureState = &Analyzer{
 	Name: "purestate",
 	Doc:  "wall clock, global rand, or map iteration in deterministic state paths",
@@ -32,7 +32,7 @@ var pureStatePaths = []string{
 
 // pureStateRoots are the entry points of the deterministic plane.
 var pureStateRoots = map[string]bool{
-	"ExportState": true, "RestoreState": true,
+	"ExportState": true, "RestoreState": true, "RestoreAll": true,
 	"MarshalState": true, "UnmarshalState": true,
 	"Replay": true, "Recover": true,
 	"republish": true, "readWAL": true, "readCheckpoint": true,

@@ -274,13 +274,6 @@ func (a *Adaptive) DecidePenalty(pow, penalty float64) bool {
 // Gamma returns the exponent γ of V_t = V0·(t+1)^γ (defaults applied).
 func (a *Adaptive) Gamma() float64 { return a.gamma }
 
-// Queue exposes the current virtual queue length, used by tests and the
-// experiment harness to verify queue stability (Q(t)/t → 0).
-func (a *Adaptive) Queue() float64 { return a.queue }
-
-// Budget returns the configured frequency budget B.
-func (a *Adaptive) Budget() float64 { return a.budget }
-
 // MarshalState implements Persistent: the only state that evolves across
 // decisions is the virtual queue Q.
 func (a *Adaptive) MarshalState() ([]byte, error) { return marshalFloat(a.queue), nil }

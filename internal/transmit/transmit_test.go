@@ -134,7 +134,7 @@ func TestAdaptiveQueueStability(t *testing.T) {
 		}
 	}
 	// Lyapunov guarantee: Q(t)/t → 0.
-	if ratio := math.Abs(p.Queue()) / float64(len(signal)); ratio > 0.01 {
+	if ratio := math.Abs(p.queue) / float64(len(signal)); ratio > 0.01 {
 		t.Fatalf("queue not stable: |Q|/t = %v", ratio)
 	}
 }
@@ -276,7 +276,7 @@ func TestAdaptiveBudgetProperty(t *testing.T) {
 		signal := randomWalkSignal(rng, steps, 1, 0.1)
 		freq, _ := runPolicy(p, signal, steps)
 		// Drift identity: Σβ − B·T = Q(T) (queue starts at zero).
-		drift := p.Queue() / float64(steps)
+		drift := p.queue / float64(steps)
 		if math.Abs(freq-(b+drift)) > 1.0/float64(steps)+1e-9 {
 			return false
 		}
