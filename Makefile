@@ -62,27 +62,16 @@ docs:
 churn-smoke:
 	$(GO) run ./cmd/loadgen -nodes 64 -conns 4 -steps 40 -churn 1.5
 
-# Reproduction goldens: `repro` output at a small scale, minus its wall-time
-# line, must equal the committed files byte for byte. It does not depend on
-# GOMAXPROCS, the width of every worker pool; Fig. 10 runs again at
-# GOMAXPROCS=1, so every pool's serial path is checked against the same
-# golden. Every column of Figs. 9 and 10 runs a one-candidate
-# core.Config.Zoo; Fig. 8 drives a one-cell forecast.Ensemble per centroid
-# series. REPRO_GOLDEN lists the experiments pinned at Fig. 10's scale;
-# tab2 and tab4 print timings and stay unpinned. The goldens are
-# linux/amd64 output, the platform CI runs on; regenerate them with the same
-# commands only in a change meant to move them, and say so.
-REPRO_STRIP = sed '/^(.* completed in .*)$$/d'
-REPRO_SMALL = -nodes 40 -steps 800 -warmup 300
-REPRO_GOLDEN = fig1 fig3 fig4 fig5 tab1 fig6 fig7 tab3 fig10 fig11 fig12 ablation
+# Reproduction goldens: cmd/repro's TestGoldens reruns every experiment but
+# the timing tables tab2 and tab4 at a small scale, once at GOMAXPROCS=1 (every
+# pool's serial path) and once at the process's width, and compares each table
+# byte for byte with cmd/repro/testdata/<exp>.golden. Its list holds each
+# experiment's scale and the command that regenerates a golden; regenerate
+# one only in a change meant to move it, and say so. The goldens are
+# linux/amd64 output, the platform CI runs on. `go test ./...` runs it too;
+# -short, and so the race pass, skips it.
 repro-golden:
-	@for e in $(REPRO_GOLDEN); do \
-		echo "repro-golden: $$e"; \
-		$(GO) run ./cmd/repro -exp $$e $(REPRO_SMALL) | $(REPRO_STRIP) | diff cmd/repro/testdata/$$e.golden - || exit 1; \
-	done
-	GOMAXPROCS=1 $(GO) run ./cmd/repro -exp fig10 $(REPRO_SMALL) | $(REPRO_STRIP) | diff cmd/repro/testdata/fig10.golden -
-	$(GO) run ./cmd/repro -exp fig9 -nodes 24 -steps 600 -warmup 300 -lstm-epochs 2 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig9.golden -
-	$(GO) run ./cmd/repro -exp fig8 -nodes 24 -steps 600 -warmup 300 -lstm-epochs 2 | $(REPRO_STRIP) | diff cmd/repro/testdata/fig8.golden -
+	$(GO) test -count=1 -run '^TestGoldens$$' ./cmd/repro
 
 # Micro-benchmarks to work with; performance claims are measured with
 # `bash bench/run.sh` (see bench/README.md).

@@ -193,21 +193,27 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	// so log lines diff cleanly across runs.
 	log := slog.New(slog.NewTextHandler(logw, nil)).With("component", "forecastd")
 	// Every flag is checked, and the rules file parsed, before the collector
-	// listens: a bad one ends the daemon before any agent connects.
-	if *nodes < 0 {
-		log.Error("-nodes must be ≥ 0")
-		return 2
-	}
-	if *interval <= 0 {
-		log.Error("-interval must be > 0")
-		return 2
-	}
-	// Only the query plane and the alert engine read snapshots (see below);
-	// the snapshot horizon is the longest forecast they can ask for.
+	// listens: a bad one ends the daemon before any agent connects. Only the
+	// query plane and the alert engine read snapshots (see below); the
+	// snapshot horizon is the longest forecast they can ask for.
 	publish := *httpAddr != "" || *rulesPath != ""
-	if publish && *horizon < 1 {
-		log.Error("-horizon must be ≥ 1 with -http or -rules")
-		return 2
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*nodes < 0, "-nodes must be ≥ 0"},
+		{*resources < 1, "-resources must be ≥ 1"},
+		{*k < 1, "-k must be ≥ 1"},
+		{*interval <= 0, "-interval must be > 0"},
+		{publish && *horizon < 1, "-horizon must be ≥ 1 with -http or -rules"},
+		{*maxInFlight < 0, "-max-inflight must be ≥ 0"},
+		{*idleTmo < 0, "-idle-timeout must be ≥ 0"},
+		{*webhook != "" && *rulesPath == "", "-webhook requires -rules"},
+	} {
+		if c.bad {
+			log.Error(c.msg)
+			return 2
+		}
 	}
 	// The selection flags tune the champion selector, which exists only for
 	// a zoo of two or more families; anywhere else they would do nothing.
@@ -229,10 +235,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 	// the tick loop below.
 	var engine *alert.Engine
 	var hook *alert.WebhookSink
-	if *webhook != "" && *rulesPath == "" {
-		log.Error("-webhook requires -rules")
-		return 2
-	}
 	if *rulesPath != "" {
 		data, err := os.ReadFile(*rulesPath)
 		if err != nil {

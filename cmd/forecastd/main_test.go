@@ -259,6 +259,12 @@ func TestBadFlagsExitBeforeListening(t *testing.T) {
 		{[]string{"-horizon", "0", "-http", "127.0.0.1:0"}, `"-horizon must be ≥ 1 with -http or -rules"`},
 		{[]string{"-horizon", "0", "-rules", badRules}, `"-horizon must be ≥ 1 with -http or -rules"`},
 		{[]string{"-webhook", "http://127.0.0.1:1/hook"}, `"-webhook requires -rules"`},
+		{[]string{"-max-inflight", "-1", "-http", "127.0.0.1:0"}, `"-max-inflight must be ≥ 0"`},
+		{[]string{"-idle-timeout", "-1s"}, `"-idle-timeout must be ≥ 0"`},
+		{[]string{"-k", "0"}, `"-k must be ≥ 1"`},
+		{[]string{"-k", "-1"}, `"-k must be ≥ 1"`},
+		{[]string{"-resources", "0"}, `"-resources must be ≥ 1"`},
+		{[]string{"-nodes", "-1"}, `"-nodes must be ≥ 0"`},
 		{[]string{"-rules", dir + "/missing.json"}, `-rules`},
 		{[]string{"-rules", badRules}, `-rules`},
 		{[]string{"-horizon", "0"}, ""},

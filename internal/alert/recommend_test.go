@@ -2,9 +2,11 @@ package alert
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"orcf/internal/core"
+	"orcf/internal/forecast"
 )
 
 func TestRecommendLifecycle(t *testing.T) {
@@ -13,7 +15,7 @@ func TestRecommendLifecycle(t *testing.T) {
 
 	// Before initial training there is nothing to recommend from.
 	stepValue(t, sys, 0.5)
-	if _, err := Recommend(sys.Snapshot(), RecommendConfig{}); !errors.Is(err, core.ErrNotReady) {
+	if _, err := Recommend(sys.Snapshot(), 1); !errors.Is(err, core.ErrNotReady) {
 		t.Fatalf("pre-training err = %v, want ErrNotReady", err)
 	}
 
@@ -21,7 +23,7 @@ func TestRecommendLifecycle(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			stepValue(t, sys, v)
 		}
-		recs, err := Recommend(sys.Snapshot(), RecommendConfig{})
+		recs, err := Recommend(sys.Snapshot(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,23 +79,76 @@ func TestRecommendLifecycle(t *testing.T) {
 	}
 }
 
-func TestRecommendRejectsBadConfig(t *testing.T) {
+func TestRecommendRejectsBadHorizon(t *testing.T) {
 	t.Parallel()
 	sys := newTestSystem(t, 3, nil)
 	for i := 0; i < 8; i++ {
 		stepValue(t, sys, 0.5)
 	}
 	snap := sys.Snapshot()
-	cases := []RecommendConfig{
-		{Horizon: -1},
-		{Horizon: 99},                     // beyond the snapshot horizon
-		{Tracker: 7},                      // beyond the tracker count
-		{Dim: 3},                          // beyond the tracker dims
-		{TargetLow: 0.7, TargetHigh: 0.3}, // inverted band
-	}
-	for i, cfg := range cases {
-		if _, err := Recommend(snap, cfg); !errors.Is(err, ErrBadRule) {
-			t.Errorf("case %d (%+v): err = %v, want ErrBadRule", i, cfg, err)
+	for _, h := range []int{-1, 0, 99} { // 99: beyond the snapshot horizon
+		if _, err := Recommend(snap, h); !errors.Is(err, ErrBadRule) {
+			t.Errorf("h=%d: err = %v, want ErrBadRule", h, err)
 		}
+	}
+}
+
+// constModel forecasts v at every horizon, whatever it was fitted on.
+type constModel struct{ v float64 }
+
+func (m constModel) Fit([]float64) error { return nil }
+func (m constModel) Update(float64)      {}
+func (m constModel) Name() string        { return "const" }
+func (m constModel) Forecast(h int) ([]float64, error) {
+	out := make([]float64, h)
+	for i := range out {
+		out[i] = m.v
+	}
+	return out, nil
+}
+
+// TestRecommendBand pins the rule at and around the band [TargetLow,
+// TargetHigh] = [0.3, 0.7] on one cluster of four nodes whose centroid is
+// forecast at a chosen value: the band's edges hold, one ulp outside them
+// resizes, a resize conserves nodes × forecast at the midpoint 0.5 and never
+// goes below one node, and a non-finite forecast holds and is reported as 0.
+func TestRecommendBand(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name     string
+		forecast float64
+		delta    int
+		action   string
+	}{
+		{"at TargetHigh", 0.7, 0, ActionHold},
+		{"above TargetHigh", math.Nextafter(0.7, 1), 2, ActionScaleUp}, // ⌈4·0.7⁺/0.5⌉ = 6 nodes
+		{"hot", 0.9, 4, ActionScaleUp},                                 // ⌈4·0.9/0.5⌉ = 8 nodes
+		{"at TargetLow", 0.3, 0, ActionHold},
+		{"below TargetLow", math.Nextafter(0.3, 0), -1, ActionScaleDown}, // ⌈4·0.3⁻/0.5⌉ = 3 nodes
+		{"idle", 0, -3, ActionScaleDown},                                 // never below one node
+		{"NaN", math.NaN(), 0, ActionHold},
+		{"+Inf", math.Inf(1), 0, ActionHold},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			sys := newTestSystem(t, 4, func(c *core.Config) {
+				c.K = 1
+				c.Zoo = forecast.Pinned(func() forecast.Model { return constModel{tc.forecast} })
+			})
+			for range 8 {
+				stepValue(t, sys, 0.5)
+			}
+			recs, err := Recommend(sys.Snapshot(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := recs[0]
+			if rec.Nodes != 4 || rec.Delta != tc.delta || rec.Action != tc.action {
+				t.Fatalf("forecast %v: %+v, want delta %d %s", tc.forecast, rec, tc.delta, tc.action)
+			}
+			if want := finite(tc.forecast); math.Float64bits(rec.Forecast) != math.Float64bits(want) {
+				t.Fatalf("reported forecast %v, want %v", rec.Forecast, want)
+			}
+		})
 	}
 }

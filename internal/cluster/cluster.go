@@ -75,9 +75,6 @@ type Config struct {
 	// RestoreState keeps the newest HistoryDepth rows of a deeper recorded
 	// history. Zero means max(M, 8).
 	HistoryDepth int
-	// KMeansIterations bounds Lloyd iterations per step. Zero means 50;
-	// negative is rejected.
-	KMeansIterations int
 	// DisableMatching skips the Hungarian re-indexing step, leaving the raw
 	// (arbitrary) K-means cluster order of each step. Only for ablation:
 	// without matching the centroid "series" mix different clusters over
@@ -129,9 +126,6 @@ func (c Config) validate() error {
 	}
 	if math.IsNaN(c.IncrementalChurn) {
 		return fmt.Errorf("cluster: NaN incremental churn threshold: %w", ErrBadConfig)
-	}
-	if c.KMeansIterations < 0 {
-		return fmt.Errorf("cluster: KMeansIterations = %d: %w", c.KMeansIterations, ErrBadConfig)
 	}
 	return nil
 }
@@ -431,10 +425,7 @@ func (tr *Tracker) fullRefit(pts []float64, n, pn, dim int, present []bool) (map
 	if tr.runner == nil {
 		tr.runner = kmeans.NewRunner()
 	}
-	err = tr.runner.RunFlat(pts, pn, dim, kmeans.Config{
-		K:             tr.cfg.K,
-		MaxIterations: tr.cfg.KMeansIterations,
-	}, tr.rng, tr.raw)
+	err = tr.runner.RunFlat(pts, pn, dim, kmeans.Config{K: tr.cfg.K}, tr.rng, tr.raw)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: kmeans failed: %w", err)
 	}

@@ -40,31 +40,6 @@ func TestNewTrackerValidation(t *testing.T) {
 	}
 }
 
-// TestNewTrackerRejectsBadKMeansIterations pins that a negative
-// KMeansIterations is refused up front: it used to reach kmeans unchecked,
-// run no Lloyd iteration and commit the k-means++ seeds as the clustering.
-func TestNewTrackerRejectsBadKMeansIterations(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct {
-		iters int
-		ok    bool
-	}{
-		{-1, false},
-		{math.MinInt, false},
-		{0, true},
-		{1, true},
-		{50, true},
-	} {
-		_, err := NewTracker(Config{K: 2, KMeansIterations: tc.iters}, testRNG(1))
-		if tc.ok && err != nil {
-			t.Errorf("KMeansIterations=%d: %v", tc.iters, err)
-		}
-		if !tc.ok && !errors.Is(err, ErrBadConfig) {
-			t.Errorf("KMeansIterations=%d: want ErrBadConfig, got %v", tc.iters, err)
-		}
-	}
-}
-
 func TestTrackerStableIndicesAcrossSteps(t *testing.T) {
 	t.Parallel()
 	tr, err := NewTracker(Config{K: 2, M: 1}, testRNG(2))

@@ -187,10 +187,7 @@ func (o *oracleTracker) update(points [][]float64, present []bool) (*Step, bool)
 		}
 	}
 	if !warm {
-		res, err := kmeans.Run(packed, kmeans.Config{
-			K:             o.cfg.K,
-			MaxIterations: o.cfg.KMeansIterations,
-		}, o.rng)
+		res, err := kmeans.Run(packed, kmeans.Config{K: o.cfg.K}, o.rng)
 		if err != nil {
 			panic(err)
 		}

@@ -143,10 +143,7 @@ func (tr *referenceTracker) fullRefit(nSlots, pn int) error {
 		tr.runner = kmeans.NewRunner()
 	}
 	tr.packAssign = referenceGrowInts(tr.packAssign, pn)
-	err := tr.runner.RunFlat(tr.packF.Data()[:pn*tr.dim], pn, tr.dim, kmeans.Config{
-		K:             tr.cfg.K,
-		MaxIterations: tr.cfg.KMeansIterations,
-	}, tr.rng, tr.packAssign)
+	err := tr.runner.RunFlat(tr.packF.Data()[:pn*tr.dim], pn, tr.dim, kmeans.Config{K: tr.cfg.K}, tr.rng, tr.packAssign)
 	if err != nil {
 		return fmt.Errorf("cluster: kmeans failed: %w", err)
 	}

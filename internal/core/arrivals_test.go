@@ -29,7 +29,7 @@ func samePlanBits(t *testing.T, step int, got, want *ForecastPlan) {
 	if !slices.Equal(floatBits(got.cent), floatBits(want.cent)) || !slices.Equal(floatBits(got.offset), floatBits(want.offset)) ||
 		!slices.Equal(got.mode, want.mode) || !slices.Equal(got.fill, want.fill) ||
 		got.stride != want.stride || got.kd != want.kd || got.dims != want.dims || got.nTracker != want.nTracker ||
-		got.resources != want.resources || got.joint != want.joint || got.disableClamp != want.disableClamp {
+		got.resources != want.resources || got.joint != want.joint {
 		t.Fatalf("step %d: published plans differ", step)
 	}
 }

@@ -119,9 +119,6 @@ type Config struct {
 	// being off (the differential-testing boundary). Ignored unless
 	// IncrementalRefit is set.
 	IncrementalChurn float64
-	// DisableClamp turns off the [0,1] clamp applied to forecasts of
-	// normalized utilizations.
-	DisableClamp bool
 	// DisableAlphaClamp uses raw offsets z−c in eq. (12) instead of the
 	// α-scaled ones (ablation of §V-C's cell-containment rule).
 	DisableAlphaClamp bool
@@ -915,7 +912,8 @@ func errTooFewPresent(present, k int) error {
 // decide is the edge of Step: each reporting member's policy decides, into
 // s.transmitted, whether its row is sent. An Adaptive policy is decided
 // inline: its eq. 7 penalty is taken straight off x[i] and the store and
-// handed to DecidePenalty, the same eq. 8–9 code Adaptive.Decide runs.
+// handed, with the step's (t+1)^γ taken once for the whole walk, to
+// DecidePenalty, the same eq. 8–9 code Adaptive.Decide runs.
 // Every other policy gets Decide(t, x[i], z) through the interface, with z
 // the stored row gathered into zrow (nil before the first store), in slot
 // order on the calling goroutine. The walk stays serial: it is bound by the
@@ -930,9 +928,8 @@ func (s *System) decide(x [][]float64) {
 	// Resource r of slot i is data[i*si+r*sr] in either layout of the store.
 	data, si, sr := store.strided()
 	fd := float64(s.cfg.Resources)
-	// (t+1)^γ of the run of Adaptive policies the walk is in; NaN equals no
-	// γ, so the first one takes it.
-	gamma, pow := math.NaN(), 0.0
+	// (t+1)^γ of eq. (9), the same for every Adaptive policy at this step.
+	pow := transmit.StepPow(s.t)
 	for i, xi := range x {
 		send := false
 		if xi != nil {
@@ -966,9 +963,6 @@ func (s *System) decide(x [][]float64) {
 						}
 					}
 					penalty = sum / fd
-				}
-				if g := p.Gamma(); g != gamma {
-					gamma, pow = g, transmit.StepPow(s.t, g)
 				}
 				send = p.DecidePenalty(pow, penalty)
 			default:

@@ -11,15 +11,16 @@ import (
 
 // FuzzDecideKernelMatchesPolicy is the differential of the inline arm of the
 // edge walk against Adaptive.Decide under raw float64 bit patterns. Every
-// eight input bytes are one value verbatim: the virtual queue, then B, V0 and
-// γ (folded into their valid ranges; what NewAdaptive still rejects is
-// skipped), then the d values of x and the d values of the stored row z. The
-// policy under test sits in the middle slot of a three-slot fleet whose other
-// members are silent, so both strides of either store layout are exercised.
-// The decision and the queue afterwards must equal, bit for bit, those of a
-// twin policy asked through Decide(t, x, z). The seed corpus holds a penalty
-// that overflows to +Inf, an exact-zero penalty, subnormal differences, a
-// deeply banked queue and a node that has never stored.
+// eight input bytes are one value verbatim: the virtual queue, then B (folded
+// into [0, 1]; what NewAdaptive still rejects is skipped), then two values the
+// target ignores (once V0 and γ of eq. 9, kept so that the committed corpus
+// keeps its layout), then the d values of x and the d values of the stored
+// row z. The policy under test sits in the middle slot of a three-slot fleet
+// whose other members are silent, so both strides of either store layout are
+// exercised. The decision and the queue afterwards must equal, bit for bit,
+// those of a twin policy asked through Decide(t, x, z). The seed corpus holds
+// a penalty that overflows to +Inf, an exact-zero penalty, subnormal
+// differences, a deeply banked queue and a node that has never stored.
 func FuzzDecideKernelMatchesPolicy(f *testing.F) {
 	ordinary := make([]byte, 0, 8*8)
 	for _, v := range []float64{-0.4, 0.3, 0.5, 0.65, 0.52, 0.31, 0.5, 0.3} {
@@ -42,10 +43,7 @@ func FuzzDecideKernelMatchesPolicy(f *testing.F) {
 			return v
 		}
 		queue, x, z := vals[0], vals[4:4+d], vals[4+d:]
-		cfg := transmit.AdaptiveConfig{Budget: fold(vals[1]), V0: math.Abs(vals[2]), Gamma: fold(vals[3])}
-		if cfg.Gamma == 1 {
-			cfg.Gamma = 0
-		}
+		cfg := transmit.AdaptiveConfig{Budget: fold(vals[1])}
 		if _, err := transmit.NewAdaptive(cfg); err != nil {
 			t.Skip(err)
 		}

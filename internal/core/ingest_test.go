@@ -71,10 +71,8 @@ func (p *once) UnmarshalState(data []byte) error {
 
 // mixedPolicy builds the heterogeneous fleet of
 // TestIngestKernelMatchesReference by slot: runs of Adaptive policies (slots
-// 0–2, 4, 7–8, 10–12) whose B, V0 and γ differ from slot to slot — γ repeats
-// once inside a run, so the walk both keeps and re-takes (t+1)^γ there, and
-// takes it again after every interruption — separated by one each of Uniform,
-// Always, once and the foreign deadband.
+// 0–2, 4, 7–8, 10–12) whose budget B differs from slot to slot, separated by
+// one each of Uniform, Always, once and the foreign deadband.
 func mixedPolicy(slot int) (transmit.Policy, error) {
 	switch slot % 10 {
 	case 3:
@@ -86,11 +84,7 @@ func mixedPolicy(slot int) (transmit.Policy, error) {
 	case 9:
 		return &deadband{width: 0.08}, nil
 	}
-	return transmit.NewAdaptive(transmit.AdaptiveConfig{
-		Budget: 0.15 + 0.1*float64(slot%4),
-		V0:     0.25 + 0.5*float64(slot%3),
-		Gamma:  []float64{0.5, 0.65, 0.65, 0.8}[slot%4],
-	})
+	return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: 0.15 + 0.1*float64(slot%4)})
 }
 
 // kernelFleetInput is one step's rows at dimension d: smooth per-node
@@ -256,7 +250,7 @@ func TestIngestKernelMatchesReference(t *testing.T) {
 func TestIngestKernelDecidesAtTheThreshold(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewPCG(19, 7))
-	cfg := transmit.AdaptiveConfig{Budget: 0.3, V0: 0.5, Gamma: 0.65}
+	cfg := transmit.AdaptiveConfig{Budget: 0.3}
 	for trial := 0; trial < 400; trial++ {
 		d, step := 1+trial%8, 1+rng.IntN(5000)
 		x, z := make([]float64, d), make([]float64, d)
@@ -266,8 +260,9 @@ func TestIngestKernelDecidesAtTheThreshold(t *testing.T) {
 			sum += (x[r] - z[r]) * (x[r] - z[r])
 		}
 		// Near enough: an ulp beside the true threshold is still within two
-		// of it, and Decide on the twin is the oracle either way.
-		at := cfg.V0 * transmit.StepPow(step, cfg.Gamma) * (sum / float64(d))
+		// of it, and Decide on the twin is the oracle either way. V0 = 0.5
+		// and γ = 0.65 are written out: eq. 9's weight at the paper's γ.
+		at := 0.5 * math.Pow(float64(step)+1, 0.65) * (sum / float64(d))
 		for _, queue := range []float64{math.Nextafter(at, math.Inf(-1)), at, math.Nextafter(at, math.Inf(1))} {
 			checkKernelDecision(t, cfg, queue, step, trial%16 >= 8, x, z)
 		}

@@ -40,7 +40,7 @@ type ForecastPlan struct {
 	fill []int32
 
 	nTracker, resources int
-	joint, disableClamp bool
+	joint               bool
 }
 
 // planBlock is the number of slots one pass of the plan kernel covers. A
@@ -70,17 +70,16 @@ var planScratches = sync.Pool{New: func() any { return new(planScratch) }}
 func (env *reconEnv) plan(cent []float64) *ForecastPlan {
 	n, nT, kd := env.nodes, env.nTracker, env.k*env.dims
 	p := &ForecastPlan{
-		cent:         cent,
-		stride:       nT * kd,
-		kd:           kd,
-		dims:         env.dims,
-		mode:         make([]int32, n*nT),
-		offset:       make([]float64, n*env.resources),
-		fill:         make([]int32, n),
-		nTracker:     nT,
-		resources:    env.resources,
-		joint:        env.joint,
-		disableClamp: env.disableClamp,
+		cent:      cent,
+		stride:    nT * kd,
+		kd:        kd,
+		dims:      env.dims,
+		mode:      make([]int32, n*nT),
+		offset:    make([]float64, n*env.resources),
+		fill:      make([]int32, n),
+		nTracker:  nT,
+		resources: env.resources,
+		joint:     env.joint,
 	}
 	// The block kernel cannot fail, so neither can the fan-out.
 	_ = parallel.ForEach((n+planBlock-1)/planBlock, func(b int) error {
@@ -272,10 +271,9 @@ func addUnit1(sums, z, cents []float64, col, moved []int32, present []bool, assi
 
 // At returns the forecast of one slot's resource at horizon hi+1: the
 // forecasted centroid of the slot's mode cluster plus its eq. (12) offset,
-// clamped to [0, 1] unless the clamp ablation is on. It is NaN when the
-// slot's forecast is undefined. slot must lie in [0, Nodes), resource in
-// [0, Resources) and hi in [0, MaxHorizon) of the snapshot the plan came
-// from.
+// clamped to [0, 1]. It is NaN when the slot's forecast is undefined. slot
+// must lie in [0, Nodes), resource in [0, Resources) and hi in
+// [0, MaxHorizon) of the snapshot the plan came from.
 func (p *ForecastPlan) At(slot, resource, hi int) float64 {
 	var j int32
 	var i int
@@ -289,7 +287,7 @@ func (p *ForecastPlan) At(slot, resource, hi int) float64 {
 	if j < 0 {
 		return math.NaN()
 	}
-	return p.clamp(p.cent[i] + p.offset[slot*p.resources+resource])
+	return clamp(p.cent[i] + p.offset[slot*p.resources+resource])
 }
 
 // Row writes At(slot, r, hi) for every resource r into dst, which must have
@@ -308,27 +306,24 @@ func (p *ForecastPlan) Row(slot, hi int, dst []float64) []float64 {
 	if p.joint {
 		cent := p.cent[hi*p.stride+int(mode[0])*p.dims:][:len(dst)]
 		for r := range dst {
-			dst[r] = p.clamp(cent[r] + offset[r])
+			dst[r] = clamp(cent[r] + offset[r])
 		}
 		return dst
 	}
 	cent := p.cent[hi*p.stride : (hi+1)*p.stride]
 	for r, j := range mode[:len(dst)] {
-		dst[r] = p.clamp(cent[r*p.kd+int(j)] + offset[r])
+		dst[r] = clamp(cent[r*p.kd+int(j)] + offset[r])
 	}
 	return dst
 }
 
-// clamp fences a reconstructed value to [0, 1] unless the clamp ablation is
-// on.
-func (p *ForecastPlan) clamp(v float64) float64 {
-	if !p.disableClamp {
-		if v < 0 {
-			v = 0
-		}
-		if v > 1 {
-			v = 1
-		}
+// clamp fences a reconstructed value to [0, 1]; NaN and -0 pass unchanged.
+func clamp(v float64) float64 {
+	if v < 0 {
+		v = 0
+	}
+	if v > 1 {
+		v = 1
 	}
 	return v
 }
@@ -369,7 +364,6 @@ type reconEnv struct {
 	nodes, resources  int
 	k, dims, nTracker int
 	joint             bool
-	disableClamp      bool
 	disableAlphaClamp bool
 }
 
@@ -387,7 +381,6 @@ func (s *System) reconEnv() *reconEnv {
 		dims:              s.dims,
 		nTracker:          s.nTrackers,
 		joint:             s.cfg.JointClustering,
-		disableClamp:      s.cfg.DisableClamp,
 		disableAlphaClamp: s.cfg.DisableAlphaClamp,
 	}
 }

@@ -19,7 +19,8 @@ import (
 //	bits 7–8   K = 1 + v
 //	bits 9–17  N = 1 + v%260 slots (up to three plan blocks)
 //	bits 18–19 h = 1 + v
-//	bit 20     clamp ablation, bit 21 α-clamp ablation, bit 22 one worker
+//	bit 20     unused (the retired clamp ablation), bit 21 α-clamp
+//	           ablation, bit 22 one worker
 //	bit 23     every slot present and alive, moving to the next cluster at
 //	           every step, so the α clamp runs for all of them
 //
@@ -103,7 +104,7 @@ func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, []float64, 
 	env := &reconEnv{
 		slots: make([]*ringSlot, depth), alive: make([]bool, n),
 		nodes: n, resources: d, k: k, dims: dims, nTracker: nT, joint: joint,
-		disableClamp: bits(20, 1) == 1, disableAlphaClamp: bits(21, 1) == 1,
+		disableAlphaClamp: bits(21, 1) == 1,
 	}
 	for i := range env.alive {
 		env.alive[i] = rotate || rng.IntN(8) != 0

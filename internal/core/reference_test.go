@@ -70,13 +70,11 @@ func referenceReconstruct(env *reconEnv, cent []float64, h int) ([][][]float64, 
 				}
 				for hi := 0; hi < h; hi++ {
 					v := cent[hi*stride+tr*kd+jStar*env.dims+d] + offset[d]
-					if !env.disableClamp {
-						if v < 0 {
-							v = 0
-						}
-						if v > 1 {
-							v = 1
-						}
+					if v < 0 {
+						v = 0
+					}
+					if v > 1 {
+						v = 1
 					}
 					out[hi][i][resIdx] = v
 				}
@@ -328,66 +326,63 @@ func TestPlanMatchesReferenceReconstruct(t *testing.T) {
 			setMaxProcs(t, procs)
 			for _, fleet := range fleets {
 				for _, joint := range []bool{false, true} {
-					for _, noClamp := range []bool{false, true} {
-						for _, noAlpha := range []bool{false, true} {
-							if testing.Short() && fleet.name != "churn" && (noClamp || noAlpha) {
-								continue // the race pass: the ablations on the small fleet only
-							}
-							name := fmt.Sprintf("%s/joint=%v/noclamp=%v/noalpha=%v", fleet.name, joint, noClamp, noAlpha)
-							t.Run(name, func(t *testing.T) {
-								t.Parallel()
-								cfg := churnConfig(8)
-								cfg.JointClustering = joint
-								cfg.DisableClamp = noClamp
-								cfg.DisableAlphaClamp = noAlpha
-								cfg.SnapshotHorizon = maxH
-								sawNaN := false
-								fleet.drive(t, cfg, func(step int, sys *System) {
-									if !sys.Ready() {
-										return
-									}
-									snap := sys.Snapshot()
-									full, err := snap.Forecast(maxH)
+					for _, noAlpha := range []bool{false, true} {
+						if testing.Short() && fleet.name != "churn" && noAlpha {
+							continue // the race pass: the ablation on the small fleet only
+						}
+						name := fmt.Sprintf("%s/joint=%v/noalpha=%v", fleet.name, joint, noAlpha)
+						t.Run(name, func(t *testing.T) {
+							t.Parallel()
+							cfg := churnConfig(8)
+							cfg.JointClustering = joint
+							cfg.DisableAlphaClamp = noAlpha
+							cfg.SnapshotHorizon = maxH
+							sawNaN := false
+							fleet.drive(t, cfg, func(step int, sys *System) {
+								if !sys.Ready() {
+									return
+								}
+								snap := sys.Snapshot()
+								full, err := snap.Forecast(maxH)
+								if err != nil {
+									t.Fatalf("step %d: %v", step, err)
+								}
+								for h := 1; h <= maxH; h++ {
+									want, err := referenceReconstruct(sys.reconEnv(), snap.plan.cent, h)
 									if err != nil {
-										t.Fatalf("step %d: %v", step, err)
+										t.Fatal(err)
 									}
-									for h := 1; h <= maxH; h++ {
-										want, err := referenceReconstruct(sys.reconEnv(), snap.plan.cent, h)
-										if err != nil {
-											t.Fatal(err)
-										}
-										got, err := snap.Forecast(h)
-										if err != nil {
-											t.Fatalf("step %d h %d: %v", step, h, err)
-										}
-										forecastBits(t, got, want, "snapshot vs reference", step)
-										forecastBits(t, got, full[:h], "Forecast(h) vs prefix of Forecast(H)", step)
+									got, err := snap.Forecast(h)
+									if err != nil {
+										t.Fatalf("step %d h %d: %v", step, h, err)
+									}
+									forecastBits(t, got, want, "snapshot vs reference", step)
+									forecastBits(t, got, full[:h], "Forecast(h) vs prefix of Forecast(H)", step)
 
-										live, err := sys.Forecast(h)
-										if err != nil {
-											t.Fatalf("step %d h %d: %v", step, h, err)
-										}
-										forecastBits(t, live, want, "system vs reference", step)
+									live, err := sys.Forecast(h)
+									if err != nil {
+										t.Fatalf("step %d h %d: %v", step, h, err)
 									}
-									p := snap.Plan()
-									for slot := 0; slot < snap.Nodes(); slot++ {
-										for hi := 0; hi < maxH; hi++ {
-											for r := 0; r < snap.Resources(); r++ {
-												got, want := p.At(slot, r, hi), full[hi][slot][r]
-												if math.Float64bits(got) != math.Float64bits(want) {
-													t.Fatalf("step %d: Plan().At(%d, r%d, h%d) = %v, fleet row has %v",
-														step, slot, r, hi, got, want)
-												}
-												sawNaN = sawNaN || math.IsNaN(want)
+									forecastBits(t, live, want, "system vs reference", step)
+								}
+								p := snap.Plan()
+								for slot := 0; slot < snap.Nodes(); slot++ {
+									for hi := 0; hi < maxH; hi++ {
+										for r := 0; r < snap.Resources(); r++ {
+											got, want := p.At(slot, r, hi), full[hi][slot][r]
+											if math.Float64bits(got) != math.Float64bits(want) {
+												t.Fatalf("step %d: Plan().At(%d, r%d, h%d) = %v, fleet row has %v",
+													step, slot, r, hi, got, want)
 											}
+											sawNaN = sawNaN || math.IsNaN(want)
 										}
 									}
-								})
-								if !sawNaN {
-									t.Fatal("scenario lost coverage: no NaN row was ever compared")
 								}
 							})
-						}
+							if !sawNaN {
+								t.Fatal("scenario lost coverage: no NaN row was ever compared")
+							}
+						})
 					}
 				}
 			}

@@ -116,10 +116,12 @@ func (c Config) Fingerprint() uint64 {
 		c.Similarity = cluster.SimilarityProposed
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "orcf-state-v%d|d=%d|K=%d|M=%d|Mp=%d|sim=%d|init=%d|retrain=%d|fitw=%d|joint=%t|seed=%d|noclamp=%t|noalpha=%t|nomatch=%t",
+	// noclamp is the forecast clamp's retired ablation switch, written as
+	// the literal it always was so that no fingerprint moves.
+	fmt.Fprintf(h, "orcf-state-v%d|d=%d|K=%d|M=%d|Mp=%d|sim=%d|init=%d|retrain=%d|fitw=%d|joint=%t|seed=%d|noclamp=false|noalpha=%t|nomatch=%t",
 		StateVersion, c.Resources, c.K, c.M, c.MPrime, int(c.Similarity),
 		c.InitialCollection, c.RetrainEvery, c.FitWindow, c.JointClustering,
-		c.Seed, c.DisableClamp, c.DisableAlphaClamp, c.DisableMatching)
+		c.Seed, c.DisableAlphaClamp, c.DisableMatching)
 	if c.IncrementalRefit {
 		// Warm-started steps skip the K-means RNG draws, so incremental runs
 		// are not bit-interchangeable with full-refit runs (nor with a

@@ -37,14 +37,26 @@ type Options struct {
 	ForecastEvery int
 	// LSTMEpochs per fit (0 → 10; Full → 40).
 	LSTMEpochs int
-	// LSTMRuns averages the LSTM pipeline over this many seeds, as the
-	// paper does with 10 simulation runs (0 → 1; Full → 10).
-	LSTMRuns int
 	// FitWindow caps per-fit history (0 → 400; Full → 0 = all).
 	FitWindow int
-	// Grid is the ARIMA search space (zero → reduced DefaultGrid; Full →
-	// the paper's full grid).
-	Grid forecast.Grid
+}
+
+// lstmRuns is how many seeds the LSTM pipeline is averaged over: the
+// paper's 10 simulation runs at paper scale, one otherwise.
+func (o Options) lstmRuns() int {
+	if o.Full {
+		return 10
+	}
+	return 1
+}
+
+// grid is the ARIMA search space: the paper's full grid at paper scale, a
+// reduced one otherwise.
+func (o Options) grid() forecast.Grid {
+	if o.Full {
+		return forecast.PaperGrid(0)
+	}
+	return forecast.Grid{MaxP: 2, MaxD: 1, MaxQ: 1}
 }
 
 func (o Options) withDefaults() Options {
@@ -61,16 +73,7 @@ func (o Options) withDefaults() Options {
 		if o.LSTMEpochs == 0 {
 			o.LSTMEpochs = 40
 		}
-		if o.LSTMRuns == 0 {
-			o.LSTMRuns = 10
-		}
-		if o.Grid == (forecast.Grid{}) {
-			o.Grid = forecast.PaperGrid(0)
-		}
 		return o
-	}
-	if o.LSTMRuns == 0 {
-		o.LSTMRuns = 1
 	}
 	if o.Nodes == 0 {
 		o.Nodes = 80
@@ -89,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FitWindow == 0 {
 		o.FitWindow = 400
-	}
-	if o.Grid == (forecast.Grid{}) {
-		o.Grid = forecast.Grid{MaxP: 2, MaxD: 1, MaxQ: 1}
 	}
 	return o
 }

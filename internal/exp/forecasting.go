@@ -21,7 +21,7 @@ var paperHorizons = []int{1, 5, 10, 25, 50}
 // the forecasting experiments.
 func (o Options) modelBuilders() map[string]forecast.Builder {
 	return map[string]forecast.Builder{
-		"ARIMA": func() forecast.Model { return forecast.NewAutoARIMA(o.Grid) },
+		"ARIMA": func() forecast.Model { return forecast.NewAutoARIMA(o.grid()) },
 		"LSTM": func() forecast.Model {
 			return forecast.NewLSTM(forecast.LSTMConfig{
 				Epochs: o.LSTMEpochs, FitWindow: o.FitWindow, Seed: o.Seed,
@@ -198,7 +198,7 @@ func Fig9(o Options) (*Table, error) {
 	}
 
 	// Phase 2: the LSTM seed averages, one preset at a time, each fanning out
-	// over its LSTMRuns seeds.
+	// over its lstmRuns seeds.
 	lstm := make([]map[int]map[int]float64, len(presets))
 	for pi, p := range presets {
 		mean, err := o.lstmAveragedRMSE(datasets[pi], simCfg)
@@ -226,13 +226,13 @@ func Fig9(o Options) (*Table, error) {
 	return tab, nil
 }
 
-// lstmAveragedRMSE runs the LSTM pipeline over LSTMRuns seeds and returns
+// lstmAveragedRMSE runs the LSTM pipeline over lstmRuns seeds and returns
 // the mean RMSE indexed [resource][horizon]. The runs are independent (each
 // seeds its own LSTM initializer) and execute on the worker pool; the mean
 // is reduced in run order afterwards so the floating-point sum is identical
 // to the serial path.
 func (o Options) lstmAveragedRMSE(ds *trace.Dataset, simCfg sim.Config) (map[int]map[int]float64, error) {
-	runs := max(o.LSTMRuns, 1)
+	runs := o.lstmRuns()
 	perRun, err := parallel.Map(runs, func(run int) (*sim.Result, error) {
 		seed := o.Seed + uint64(run)*1009
 		builder := func() forecast.Model {
@@ -279,7 +279,7 @@ func Table2(o Options) (*Table, error) {
 		}
 		// The ensembles fit these very instances, so each FitDuration sums
 		// every training round.
-		arima := forecast.NewAutoARIMA(o.Grid)
+		arima := forecast.NewAutoARIMA(o.grid())
 		if _, err := centroidRMSE(series[0], arima, o, 1); err != nil {
 			return nil, fmt.Errorf("exp: tab2 arima: %w", err)
 		}

@@ -11,14 +11,15 @@ import (
 // coverage-guided inputs. Every byte becomes one coordinate on an eight-level
 // grid, so duplicate points, coincident seeds and exact distance ties — the
 // inputs on which a wrong skip or a reordered comparison shows — are the
-// common case rather than the rare one.
+// common case rather than the rare one. The last argument, once a tolerance
+// switch, is ignored, so that the committed corpus keeps its layout.
 func FuzzRunFlatMatchesReference(f *testing.F) {
 	// From the seeds (0, 1) point ¾ joins centroid 1; the update step moves
 	// the centroids to ¼ and 1¼ and the carried bounds meet in an exact tie.
 	f.Add([]byte{0, 2, 4, 3, 6, 7}, uint64(112), uint8(1), uint8(0), uint8(0), false)
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint64(7), uint8(2), uint8(3), uint8(0), true)
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, uint64(3), uint8(3), uint8(1), uint8(2), false)
-	f.Fuzz(func(t *testing.T, data []byte, seed uint64, kSel, dSel, iterSel uint8, tol bool) {
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, kSel, dSel, iterSel uint8, _ bool) {
 		d := 1 + int(dSel%8)
 		n := min(len(data)/d, 256)
 		if n == 0 {
@@ -32,10 +33,7 @@ func FuzzRunFlatMatchesReference(f *testing.F) {
 			}
 		}
 		cfg := Config{K: 1 + int(kSel)%min(n, 12), MaxIterations: int(iterSel % 6)}
-		if tol {
-			cfg.Tolerance = 1e-3
-		}
-		tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d tol=%g", n, d, cfg.K, cfg.MaxIterations, cfg.Tolerance)
+		tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d", n, d, cfg.K, cfg.MaxIterations)
 		diffAgainstReference(t, tag, pts, cfg, seed)
 	})
 }
@@ -47,14 +45,15 @@ func FuzzRunFlatMatchesReference(f *testing.F) {
 // cannot produce — reach the seeding pass, the bound and scan passes and the
 // update step at every width, d = 1…8 (the unrolled bodies for d = 1 and 4
 // and the generic loop at the others). The seed corpus holds one file per
-// class of special value.
+// class of special value. The last argument is ignored, as in
+// FuzzRunFlatMatchesReference.
 func FuzzRunFlatRawMatchesReference(f *testing.F) {
 	ordinary := make([]byte, 0, 8*12)
 	for _, v := range []float64{0, 0.25, 2, 2.25, 0.5, 9, 9.5, 0.1, 2.1, 8.75, 0.3, 1.9} {
 		ordinary = binary.LittleEndian.AppendUint64(ordinary, math.Float64bits(v))
 	}
 	f.Add(ordinary, uint64(5), uint8(2), uint8(0), uint8(0), false)
-	f.Fuzz(func(t *testing.T, data []byte, seed uint64, kSel, dSel, iterSel uint8, tol bool) {
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, kSel, dSel, iterSel uint8, _ bool) {
 		d := 1 + int(dSel%8)
 		n := min(len(data)/(8*d), 256)
 		if n == 0 {
@@ -68,10 +67,7 @@ func FuzzRunFlatRawMatchesReference(f *testing.F) {
 			}
 		}
 		cfg := Config{K: 1 + int(kSel)%min(n, 12), MaxIterations: int(iterSel % 6)}
-		if tol {
-			cfg.Tolerance = 1e-3
-		}
-		tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d tol=%g", n, d, cfg.K, cfg.MaxIterations, cfg.Tolerance)
+		tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d", n, d, cfg.K, cfg.MaxIterations)
 		diffAgainstReference(t, tag, pts, cfg, seed)
 	})
 }

@@ -39,10 +39,6 @@ type Config struct {
 	// MaxIterations bounds Lloyd iterations. Zero means the default of 50;
 	// negative is rejected.
 	MaxIterations int
-	// Tolerance stops iteration when no centroid moves more than this
-	// (squared Euclidean). Zero means exact convergence required; negative
-	// and NaN are rejected.
-	Tolerance float64
 }
 
 func (c Config) withDefaults() Config {

@@ -48,7 +48,7 @@ func refRun(points [][]float64, cfg Config, rng *rand.Rand) (*Result, error) {
 		for j := range centroids {
 			moved = math.Max(moved, sqDist(centroids[j], prev[j]))
 		}
-		if moved <= cfg.Tolerance {
+		if moved <= 0 {
 			break
 		}
 	}

@@ -55,16 +55,16 @@ func NewRunner() *Runner { return &Runner{} }
 // assign (length n). When K ≥ n every point becomes its own centroid with
 // zero inertia, consuming no randomness (the trivial case of Run). The
 // resulting centroids, inertia, and iteration count stay readable on the
-// Runner until the next run. A negative MaxIterations, or a Tolerance that is
-// negative or NaN, is rejected with ErrBadInput.
+// Runner until the next run. A negative MaxIterations is rejected with
+// ErrBadInput. Iteration stops once no centroid moves.
 func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, assign []int) error {
 	cfg = cfg.withDefaults()
 	if cfg.K < 1 || n < 1 || d < 1 || len(pts) < n*d || len(assign) != n {
 		return fmt.Errorf("kmeans: flat run n=%d d=%d K=%d with %d values, %d assign slots: %w",
 			n, d, cfg.K, len(pts), len(assign), ErrBadInput)
 	}
-	if cfg.MaxIterations < 0 || !(cfg.Tolerance >= 0) {
-		return fmt.Errorf("kmeans: MaxIterations %d, Tolerance %g: %w", cfg.MaxIterations, cfg.Tolerance, ErrBadInput)
+	if cfg.MaxIterations < 0 {
+		return fmt.Errorf("kmeans: MaxIterations %d: %w", cfg.MaxIterations, ErrBadInput)
 	}
 	k := cfg.K
 	r.scans = 0
@@ -100,7 +100,7 @@ func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, as
 		// mean of these same assignments, this update step would return the
 		// same bits. A finite last movement means finite centroids, each at
 		// computed distance 0 from itself, so the convergence check below
-		// would find moved = 0 ≤ Tolerance and equal centroids: settled.
+		// would find moved = 0 and equal centroids: settled.
 		if !changed && !repaired && moved <= math.MaxFloat64 {
 			settled = true
 			break
@@ -113,11 +113,11 @@ func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, as
 		}
 		// Convergence check.
 		moved = r.movements(k, d)
-		if moved <= cfg.Tolerance {
-			// moved == 0 alone does not make the centroids equal (a squared
+		if moved <= 0 {
+			// moved = 0 alone does not make the centroids equal (a squared
 			// difference can underflow), and a repair rewrites assign after
 			// the assignment step.
-			settled = moved == 0 && !repaired && slices.Equal(r.cents, r.prev)
+			settled = !repaired && slices.Equal(r.cents, r.prev)
 			break
 		}
 	}

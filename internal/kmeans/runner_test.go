@@ -126,7 +126,7 @@ func TestRunnerMatchesReferenceExactly(t *testing.T) {
 			if mode == 3 {
 				d = 1
 			}
-			cfg := Config{K: k, MaxIterations: shapes.IntN(8), Tolerance: float64(shapes.IntN(2)) * 1e-9}
+			cfg := Config{K: k, MaxIterations: shapes.IntN(8)}
 			seed := shapes.Uint64()
 			pts := genPoints(rand.New(rand.NewPCG(seed, 1)), n, d, mode)
 			diffAgainstReference(t, fmt.Sprintf("trial %d", trial), pts, cfg, seed)
@@ -134,22 +134,20 @@ func TestRunnerMatchesReferenceExactly(t *testing.T) {
 	})
 	// The shapes a wrong skip would show on: exact distance ties, duplicates,
 	// coincident seeds, empty-cluster repairs, K = n−1, every kernel width,
-	// early stops by iteration cap and by tolerance, and coordinates whose
+	// early stops by iteration cap, and coordinates whose
 	// squared differences overflow, underflow or are not numbers.
 	for _, kind := range adversarialKinds {
 		t.Run(kind, func(t *testing.T) {
 			shapes := rand.New(rand.NewPCG(13, 130))
 			for _, d := range []int{1, 2, 3, 4, 5, 8} {
 				for _, maxIter := range []int{1, 2, 50} {
-					for _, tol := range []float64{0, 1e-3} {
-						n := 24 + shapes.IntN(200)
-						for _, k := range []int{2, 3, 7, n - 1} {
-							seed := shapes.Uint64()
-							pts := adversarialPoints(rand.New(rand.NewPCG(seed, 1)), n, d, kind)
-							cfg := Config{K: k, MaxIterations: maxIter, Tolerance: tol}
-							tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d tol=%g", n, d, k, maxIter, tol)
-							diffAgainstReference(t, tag, pts, cfg, seed)
-						}
+					n := 24 + shapes.IntN(200)
+					for _, k := range []int{2, 3, 7, n - 1} {
+						seed := shapes.Uint64()
+						pts := adversarialPoints(rand.New(rand.NewPCG(seed, 1)), n, d, kind)
+						cfg := Config{K: k, MaxIterations: maxIter}
+						tag := fmt.Sprintf("n=%d d=%d K=%d iters=%d", n, d, k, maxIter)
+						diffAgainstReference(t, tag, pts, cfg, seed)
 					}
 				}
 			}
@@ -466,11 +464,11 @@ func TestRunFlatRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestRunFlatRejectsBadConfig pins the iteration and tolerance values that
-// used to change behaviour without an error: a negative MaxIterations ran no
-// Lloyd iteration and returned the k-means++ seeds as the clustering, and a
-// negative or NaN Tolerance meant "never converge". RunFlat and Run (which
-// delegates to it) reject them with ErrBadInput before writing anything.
+// TestRunFlatRejectsBadConfig pins the iteration values that used to change
+// behaviour without an error: a negative MaxIterations ran no Lloyd
+// iteration and returned the k-means++ seeds as the clustering. RunFlat and
+// Run (which delegates to it) reject them with ErrBadInput before writing
+// anything.
 func TestRunFlatRejectsBadConfig(t *testing.T) {
 	pts := [][]float64{{0}, {1}, {5}, {6}, {9}}
 	for _, tc := range []struct {
@@ -480,11 +478,6 @@ func TestRunFlatRejectsBadConfig(t *testing.T) {
 	}{
 		{"MaxIterations=-1", Config{K: 2, MaxIterations: -1}, false},
 		{"MaxIterations=minint", Config{K: 2, MaxIterations: math.MinInt}, false},
-		{"Tolerance=-1e-9", Config{K: 2, Tolerance: -1e-9}, false},
-		{"Tolerance=-Inf", Config{K: 2, Tolerance: math.Inf(-1)}, false},
-		{"Tolerance=NaN", Config{K: 2, Tolerance: math.NaN()}, false},
-		{"Tolerance=-0", Config{K: 2, Tolerance: math.Copysign(0, -1)}, true},
-		{"Tolerance=+Inf", Config{K: 2, Tolerance: math.Inf(1)}, true},
 		{"defaults", Config{K: 2}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -27,6 +27,11 @@ import (
 // ErrBadInput is returned for invalid starting points or options.
 var ErrBadInput = errors.New("optimize: invalid input")
 
+// toleranceX is the simplex diameter (L∞) a run must also fall below before
+// it terminates on Options.Tolerance, which prevents premature convergence
+// on simplexes straddling a symmetric minimum.
+const toleranceX = 1e-6
+
 // Options tunes the Nelder–Mead run. The zero value selects sensible
 // defaults; a negative budget, a negative or NaN tolerance and a non-finite
 // initial step are rejected with ErrBadInput.
@@ -34,12 +39,8 @@ type Options struct {
 	// MaxEvaluations bounds objective calls. Zero means 200·dim.
 	MaxEvaluations int
 	// Tolerance terminates when the simplex function-value spread falls
-	// below it. Zero means 1e-8.
+	// below it and its diameter below toleranceX. Zero means 1e-8.
 	Tolerance float64
-	// ToleranceX additionally requires the simplex diameter (L∞) to fall
-	// below it before terminating, which prevents premature convergence on
-	// simplexes straddling a symmetric minimum. Zero means 1e-6.
-	ToleranceX float64
 	// InitialStep is the size of the initial simplex along each axis.
 	// Zero means 0.1.
 	InitialStep float64
@@ -53,8 +54,6 @@ func (o Options) resolve(dim int) (Options, error) {
 		return o, fmt.Errorf("optimize: MaxEvaluations %d < 0: %w", o.MaxEvaluations, ErrBadInput)
 	case o.Tolerance < 0 || math.IsNaN(o.Tolerance):
 		return o, fmt.Errorf("optimize: Tolerance %v is negative or NaN: %w", o.Tolerance, ErrBadInput)
-	case o.ToleranceX < 0 || math.IsNaN(o.ToleranceX):
-		return o, fmt.Errorf("optimize: ToleranceX %v is negative or NaN: %w", o.ToleranceX, ErrBadInput)
 	case math.IsNaN(o.InitialStep) || math.IsInf(o.InitialStep, 0):
 		return o, fmt.Errorf("optimize: InitialStep %v is not finite: %w", o.InitialStep, ErrBadInput)
 	}
@@ -63,9 +62,6 @@ func (o Options) resolve(dim int) (Options, error) {
 	}
 	if o.Tolerance == 0 {
 		o.Tolerance = 1e-8
-	}
-	if o.ToleranceX == 0 {
-		o.ToleranceX = 1e-6
 	}
 	if o.InitialStep == 0 {
 		o.InitialStep = 0.1
@@ -306,7 +302,7 @@ func (r *Run) iterate() {
 			// Entire simplex infeasible: no progress possible.
 		// The simplex is sorted and its best value is not +Inf, so its
 		// function-value spread is last minus first.
-		case r.fvals[dim]-r.fvals[0] < r.opts.Tolerance && diameter(r.simplex) < r.opts.ToleranceX:
+		case r.fvals[dim]-r.fvals[0] < r.opts.Tolerance && diameter(r.simplex) < toleranceX:
 			r.converged = true
 		default:
 			// Centroid of all but the worst vertex.

@@ -127,8 +127,6 @@ func TestNelderMeadRejectsBadOptions(t *testing.T) {
 		{Tolerance: -1e-8},
 		{Tolerance: nan},
 		{Tolerance: math.Copysign(nan, -1)},
-		{ToleranceX: -1e-6},
-		{ToleranceX: nan},
 		{InitialStep: nan},
 		{InitialStep: inf},
 		{InitialStep: -inf},
@@ -138,10 +136,11 @@ func TestNelderMeadRejectsBadOptions(t *testing.T) {
 			t.Fatalf("Start(%+v): want ErrBadInput and no run, got %v", opts, err)
 		}
 	}
-	// Values that mean something stay accepted: +Inf tolerances stop at the
-	// first check, a negative step builds the simplex the other way.
+	// Values that mean something stay accepted: an +Inf tolerance leaves
+	// only the diameter to converge on, a negative step builds the simplex
+	// the other way.
 	for _, opts := range []Options{
-		{Tolerance: inf, ToleranceX: inf},
+		{Tolerance: inf},
 		{InitialStep: -0.5},
 		{MaxEvaluations: 1},
 	} {
@@ -385,7 +384,7 @@ func TestNelderMeadAllocations(t *testing.T) {
 	}
 	perRun := func(budget int) (allocs float64, evals int) {
 		allocs = testing.AllocsPerRun(20, func() {
-			res, err := minimize(new(Workspace), f, x0, Options{MaxEvaluations: budget, Tolerance: 1e-300, ToleranceX: 1e-300})
+			res, err := minimize(new(Workspace), f, x0, Options{MaxEvaluations: budget, Tolerance: 1e-300})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,9 +19,6 @@ func refWithDefaults(o Options, dim int) Options {
 	if o.Tolerance == 0 {
 		o.Tolerance = 1e-8
 	}
-	if o.ToleranceX == 0 {
-		o.ToleranceX = 1e-6
-	}
 	if o.InitialStep == 0 {
 		o.InitialStep = 0.1
 	}
@@ -80,7 +77,7 @@ func refNelderMead(f func([]float64) float64, x0 []float64, opts Options) (*Resu
 		if math.IsInf(fvals[0], 1) {
 			break // entire simplex infeasible: no progress possible
 		}
-		if refSpread(fvals) < opts.Tolerance && refDiameter(simplex) < opts.ToleranceX {
+		if refSpread(fvals) < opts.Tolerance && refDiameter(simplex) < toleranceX {
 			converged = true
 			break
 		}

@@ -55,7 +55,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRecommendations serves GET /v1/recommendations at horizon ?h
-// (default 1), tracker 0 and the default target band.
+// (default 1), tracker 0 and alert's fixed target band.
 func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Alerts == nil {
 		writeError(w, http.StatusNotFound, "alerting not configured (no rules loaded)")
@@ -65,7 +65,7 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 	if snap == nil {
 		return
 	}
-	var cfg alert.RecommendConfig
+	h := 1
 	if q := queryGet(r.URL.RawQuery, "h"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil {
@@ -76,9 +76,9 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("h must be in [1, %d]", maxH))
 			return
 		}
-		cfg.Horizon = v
+		h = v
 	}
-	recs, err := alert.Recommend(snap, cfg)
+	recs, err := alert.Recommend(snap, h)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if !snap.Ready() {
@@ -87,16 +87,14 @@ func (s *Server) handleRecommendations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err.Error())
 		return
 	}
-	// Echo the effective (defaulted) config back so callers see the band the
-	// deltas were computed against.
-	eff := cfg.WithDefaults()
+	// Echo the horizon and band back (and tracker 0, the zero value) so
+	// callers see what the deltas were computed against.
 	writeJSON(w, RecommendationsResponse{
 		Generation:      snap.Generation(),
 		Step:            snap.Steps(),
-		Horizon:         eff.Horizon,
-		Tracker:         eff.Tracker,
-		TargetLow:       Finite64(eff.TargetLow),
-		TargetHigh:      Finite64(eff.TargetHigh),
+		Horizon:         h,
+		TargetLow:       alert.TargetLow,
+		TargetHigh:      alert.TargetHigh,
 		Recommendations: recs,
 	})
 }

@@ -409,9 +409,9 @@ const jsonFloatRoom = max(25, unitFloatRoom)
 // refuse, and returns the index after it. b must have jsonFloatRoom bytes of
 // room at pos. +0, 1 and [1e-6, 1) — what a clamped plan emits, bar the rare
 // value in (0, 1e-6) — are written directly, the last through the Ryū
-// specialised to that range in putUnitFloat; everything else, including the
-// negatives and values above 1 that only the clamp ablation serves, goes
-// through strconv.
+// specialised to that range in putUnitFloat; everything else, including -0
+// and the negatives and values above 1 that no plan serves, goes through
+// strconv.
 func putJSONFloat(b []byte, pos int, v float64) int {
 	f := Finite64(v)
 	if 1e-6 <= f && f < 1 {

@@ -81,14 +81,13 @@ func (m seriesModel) Forecast(h int) ([]float64, error) {
 // seriesSystem builds a ready nine-node fleet of three tight groups whose
 // every centroid forecast is series. Each node sits exactly on its centroid
 // (dyadic levels, so the means are exact), which makes every eq. (12) offset
-// zero and every node forecast the series itself, clamped or not.
-func seriesSystem(t *testing.T, series []float64, disableClamp bool) *core.System {
+// zero and every node forecast the series itself, clamped to [0, 1].
+func seriesSystem(t *testing.T, series []float64) *core.System {
 	t.Helper()
 	sys, err := core.NewSystem(core.Config{
 		Nodes: 9, Resources: 2, K: 3, MPrime: 3, InitialCollection: 10,
 		Policy: alwaysPolicy, Seed: 7, SnapshotHorizon: len(series),
-		DisableClamp: disableClamp,
-		Zoo:          forecast.Pinned(func() forecast.Model { return seriesModel{series} }),
+		Zoo: forecast.Pinned(func() forecast.Model { return seriesModel{series} }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +161,13 @@ func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
 		}},
 		{name: "tombstone and warming joiner", sys: churnedSystem, want: []string{`"nodes":[0,1,2,4,6,7,8,9]`}},
 		{name: "clamped to exactly 0 and 1, exponent form", sys: func(t *testing.T) *core.System {
-			return seriesSystem(t, []float64{0.5, -3, 7, 1e-7, 0, 1}, false)
+			return seriesSystem(t, []float64{0.5, -3, 7, 1e-7, 0, 1})
 		}, want: []string{`[0.5,0.5]`, `[0,0]`, `[1,1]`, `[1e-7,1e-7]`}},
-		{name: "unclamped negatives, >1, huge and non-finite", sys: func(t *testing.T) *core.System {
-			return seriesSystem(t, []float64{0.5, -0.5, 1.5, inf, -inf, math.NaN(), 2.5e-9, 1e21, 123456789012345680000}, true)
-		}, want: []string{`[-0.5,-0.5]`, `[1.5,1.5]`, `[0,0]`, `[2.5e-9,2.5e-9]`, `[1e+21,1e+21]`, `[123456789012345680000,123456789012345680000]`}},
+		{name: "clamped negatives, >1, huge and non-finite", sys: func(t *testing.T) *core.System {
+			return seriesSystem(t, []float64{0.5, -0.5, 1.5, inf, -inf, math.NaN(), 2.5e-9, 1e21, 123456789012345680000})
+		}, want: []string{`[0.5,0.5]`, `[0,0]`, `[1,1]`, `[2.5e-9,2.5e-9]`}},
 		{name: "every node undefined at horizon 1", sys: func(t *testing.T) *core.System {
-			return seriesSystem(t, []float64{math.NaN(), 0.5, 0.25}, true)
+			return seriesSystem(t, []float64{math.NaN(), 0.5, 0.25})
 		}, want: []string{`"horizon":3,"forecast":[[],[],[]]}`}},
 	}
 	for _, tc := range cases {

@@ -28,8 +28,6 @@ type Config struct {
 	ForecastEvery int
 	// ScoreIntermediate enables the §VI-C intermediate clustering RMSE.
 	ScoreIntermediate bool
-	// MaxSteps truncates the run (0 = whole dataset).
-	MaxSteps int
 }
 
 func (c Config) withDefaults() Config {
@@ -86,9 +84,6 @@ func Run(sys *core.System, ds *trace.Dataset, cfg Config) (*Result, error) {
 		}
 	}
 	steps := ds.Steps()
-	if cfg.MaxSteps > 0 && cfg.MaxSteps < steps {
-		steps = cfg.MaxSteps
-	}
 	nRes := ds.NumResources()
 
 	res := &Result{PerResource: make([]ResourceResult, nRes)}

@@ -109,11 +109,14 @@ func TestRunForecastScoring(t *testing.T) {
 	}
 }
 
-func TestRunMaxStepsTruncates(t *testing.T) {
+func TestRunSlicedDataset(t *testing.T) {
 	t.Parallel()
-	ds := makeDataset(t, 10, 100, 4)
+	ds, err := makeDataset(t, 10, 100, 4).Slice(25, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys := makeSystem(t, 10, 2, 10)
-	res, err := Run(sys, ds, Config{MaxSteps: 25})
+	res, err := Run(sys, ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

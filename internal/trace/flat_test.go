@@ -95,26 +95,25 @@ func FuzzGenerateMatchesReference(f *testing.F) {
 		// range for a probability.
 		frac := func(k int) float64 { return float64(at(k)-32) / 160 }
 		cfg := GeneratorConfig{
-			Nodes:             1 + at(0)%32,
-			Steps:             1 + at(1)%64,
-			Resources:         at(2)%7 - 1,
-			Profiles:          at(3)%9 - 1,
-			ChurnProb:         frac(4),
-			DiurnalPeriod:     at(5) - 8,
-			DiurnalAmp:        frac(6),
-			BurstProb:         frac(7),
-			BurstLen:          at(8)%12 - 1,
-			NodeBurstProb:     frac(9),
-			NodeBurstLen:      at(10)%12 - 1,
-			NodeWanderStd:     frac(11) / 10,
-			NoiseStd:          frac(12) / 10,
-			OffsetStd:         frac(13) / 5,
-			Quantum:           frac(14) / 10,
-			IdleProb:          frac(15),
-			TwinProb:          frac(16),
-			ProfileSpread:     frac(17),
-			CrossResourceCorr: frac(18),
-			Seed:              seed,
+			Nodes:         1 + at(0)%32,
+			Steps:         1 + at(1)%64,
+			Resources:     at(2)%7 - 1,
+			Profiles:      at(3)%9 - 1,
+			ChurnProb:     frac(4),
+			DiurnalPeriod: at(5) - 8,
+			DiurnalAmp:    frac(6),
+			BurstProb:     frac(7),
+			BurstLen:      at(8)%12 - 1,
+			NodeBurstProb: frac(9),
+			NodeBurstLen:  at(10)%12 - 1,
+			NodeWanderStd: frac(11) / 10,
+			NoiseStd:      frac(12) / 10,
+			OffsetStd:     frac(13) / 5,
+			Quantum:       frac(14) / 10,
+			IdleProb:      frac(15),
+			TwinProb:      frac(16),
+			ProfileSpread: frac(17),
+			Seed:          seed,
 		}
 		if cfg.withDefaults().validate() != nil {
 			return

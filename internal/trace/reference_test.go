@@ -42,7 +42,7 @@ func referenceGenerate(cfg GeneratorConfig) (*Dataset, error) {
 			if r > 0 {
 				// Other resources: partially independent level.
 				base = 0.15 + cfg.ProfileSpread*rng.Float64()
-				base = cfg.CrossResourceCorr*baseCPU + (1-cfg.CrossResourceCorr)*base
+				base = crossResourceCorr*baseCPU + (1-crossResourceCorr)*base
 			}
 			profiles[g][r] = profileState{
 				base:  base,

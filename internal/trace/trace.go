@@ -80,6 +80,10 @@ func (d *Dataset) Slice(steps, nodes int) (*Dataset, error) {
 	return &Dataset{Name: d.Name, Resources: d.Resources, Data: data}, nil
 }
 
+// crossResourceCorr couples resource 1.. to resource 0 per profile; the
+// paper finds this coupling weak.
+const crossResourceCorr = 0.2
+
 // GeneratorConfig controls the synthetic workload generator.
 type GeneratorConfig struct {
 	// Name labels the resulting dataset.
@@ -146,9 +150,6 @@ type GeneratorConfig struct {
 	// ProfileSpread widens the gap between profile base levels (0..1
 	// scale). Zero means 0.5.
 	ProfileSpread float64
-	// CrossResourceCorr couples resource 1.. to resource 0 per profile;
-	// the paper finds this weak, so the default is 0.2.
-	CrossResourceCorr float64
 	// Seed makes generation reproducible.
 	Seed uint64
 }
@@ -203,9 +204,6 @@ func (c GeneratorConfig) withDefaults() GeneratorConfig {
 	}
 	if c.ProfileSpread == 0 {
 		c.ProfileSpread = 0.5
-	}
-	if c.CrossResourceCorr == 0 {
-		c.CrossResourceCorr = 0.2
 	}
 	// Negative sentinels mean "exactly zero".
 	for _, p := range []*float64{&c.ChurnProb, &c.BurstProb, &c.NodeBurstProb,
@@ -309,7 +307,7 @@ func Generate(cfg GeneratorConfig) (*Dataset, error) {
 			if r > 0 {
 				// Other resources: partially independent level.
 				base = 0.15 + cfg.ProfileSpread*rng.Float64()
-				base = cfg.CrossResourceCorr*baseCPU + (1-cfg.CrossResourceCorr)*base
+				base = crossResourceCorr*baseCPU + (1-crossResourceCorr)*base
 			}
 			profiles[g*nRes+r] = profileState{
 				base:  base,

@@ -7,13 +7,11 @@ import (
 )
 
 // BenchmarkAdaptiveDecide times Adaptive.Decide over a fleet of N = 4096
-// nodes and 820 steps, d = 2, and reports ns per decision, in the four
+// nodes and 820 steps, d = 2, and reports ns per decision, in the three
 // orders callers decide in:
 //   - step-major: every node at one step, then the next, as core's walk asks;
 //   - node-major: every step of one node, then the next, as a set-up
 //     replaying a trace asks;
-//   - two-gammas: step-major with γ alternating 0.65 / 0.5 from node to
-//     node, a mixed fleet;
 //   - 8-goroutines-skewed: eight goroutines, each deciding its eighth of the
 //     fleet step-major from a step an eighth of the run past the previous
 //     one's, as agents, load-generator shards and parallel sweeps do.
@@ -24,32 +22,24 @@ func BenchmarkAdaptiveDecide(b *testing.B) {
 		rows[k] = []float64{0.5 + 0.4*math.Sin(float64(k)*0.37), 0.5 + 0.4*math.Cos(float64(k)*0.11)}
 	}
 	cases := []struct {
-		name   string
-		gammas []float64
-		sweep  func(decide func(i, s int))
+		name  string
+		sweep func(decide func(i, s int))
 	}{
-		{"step-major", []float64{0.65}, func(decide func(i, s int)) {
+		{"step-major", func(decide func(i, s int)) {
 			for s := 1; s <= steps; s++ {
 				for i := range n {
 					decide(i, s)
 				}
 			}
 		}},
-		{"node-major", []float64{0.65}, func(decide func(i, s int)) {
+		{"node-major", func(decide func(i, s int)) {
 			for i := range n {
 				for s := 1; s <= steps; s++ {
 					decide(i, s)
 				}
 			}
 		}},
-		{"two-gammas", []float64{0.65, 0.5}, func(decide func(i, s int)) {
-			for s := 1; s <= steps; s++ {
-				for i := range n {
-					decide(i, s)
-				}
-			}
-		}},
-		{"8-goroutines-skewed", []float64{0.65}, func(decide func(i, s int)) {
+		{"8-goroutines-skewed", func(decide func(i, s int)) {
 			var wg sync.WaitGroup
 			for w := range workers {
 				wg.Add(1)
@@ -70,7 +60,7 @@ func BenchmarkAdaptiveDecide(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			policies := make([]*Adaptive, n)
 			for i := range policies {
-				p, err := NewAdaptive(AdaptiveConfig{Budget: 0.3, Gamma: c.gammas[i%len(c.gammas)]})
+				p, err := NewAdaptive(AdaptiveConfig{Budget: 0.3})
 				if err != nil {
 					b.Fatal(err)
 				}

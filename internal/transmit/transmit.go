@@ -2,7 +2,7 @@
 // the proposed Lyapunov drift-plus-penalty adaptive policy that decides, per
 // time step, whether a local node uploads its latest measurement subject to a
 // long-run transmission-frequency budget, plus the uniform-sampling baseline
-// and two degenerate policies (always/never) used in tests and ablations.
+// and the degenerate always-transmit policy used in tests and ablations.
 //
 // A policy sees the node's current true measurement x and the stale value z
 // that the central node currently holds for this node (the last transmitted
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -67,41 +66,39 @@ type Policy interface {
 // Adaptive is the paper's drift-plus-penalty policy (§V-A).
 //
 // At each step it chooses β minimizing V_t·F_t(β) + Q(t)·Y(β) with
-// F_t(0) = (1/d)‖z−x‖², F_t(1) = 0, Y(β) = β − B, and V_t = V0·(t+1)^γ.
+// F_t(0) = (1/d)‖z−x‖², F_t(1) = 0, Y(β) = β − B, and V_t = v0·(t+1)^γ.
 // The virtual queue Q tracks cumulative budget violation:
 // Q(t+1) = Q(t) + Y(β_t). The queue may go negative: a node whose data is
 // static banks transmission budget it can spend in bursts when its
 // measurements start changing.
 type Adaptive struct {
 	budget float64 // B, maximum long-run transmission frequency
-	v0     float64
-	gamma  float64
 	queue  float64
 }
 
 var _ Policy = (*Adaptive)(nil)
 
-// AdaptiveConfig parameterizes the Lyapunov policy.
+// The penalty weight V_t = v0·(t+1)^γ of eq. (9). γ is the paper's 0.65.
 //
-// On the scale of V0: the paper reports V0 = 1e-12, which only produces a
+// On the scale of v0: the paper reports V0 = 1e-12, which only produces a
 // meaningful penalty term when F is computed on raw-scale measurements
 // (memory in bytes squares to ~1e18). This repository normalizes all
 // measurements to [0,1], where F ≤ 1 and V0 = 1e-12 would make V_t·F
 // vanish against the virtual queue — the decision would degenerate to a
-// fixed near-uniform schedule with no error sensitivity. The default here
-// is therefore V0 = 0.5, the equivalent operating point for normalized
-// data: V_t·F is comparable to the queue's per-step movement, so large
-// staleness errors trigger transmissions promptly while the queue drift
-// still enforces the long-run budget (Q(t)/t → 0). Set V0 explicitly to
-// reproduce the paper's literal constant.
+// fixed near-uniform schedule with no error sensitivity. v0 is therefore
+// 0.5, the equivalent operating point for normalized data: V_t·F is
+// comparable to the queue's per-step movement, so large staleness errors
+// trigger transmissions promptly while the queue drift still enforces the
+// long-run budget (Q(t)/t → 0).
+const (
+	v0    = 0.5
+	gamma = 0.65
+)
+
+// AdaptiveConfig parameterizes the Lyapunov policy.
 type AdaptiveConfig struct {
 	// Budget is B ∈ [0,1], the maximum long-run transmission frequency.
 	Budget float64
-	// V0 scales the penalty weight V_t. Zero means 0.5 (see above).
-	V0 float64
-	// Gamma is the exponent in V_t = V0·(t+1)^γ. Zero means the paper
-	// default 0.65.
-	Gamma float64
 }
 
 // NewAdaptive builds the adaptive policy, validating the configuration.
@@ -109,119 +106,81 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.Budget < 0 || cfg.Budget > 1 || math.IsNaN(cfg.Budget) {
 		return nil, fmt.Errorf("transmit: budget %v outside [0,1]: %w", cfg.Budget, ErrBadConfig)
 	}
-	if cfg.V0 == 0 {
-		cfg.V0 = 0.5
-	}
-	if cfg.Gamma == 0 {
-		cfg.Gamma = 0.65
-	}
-	// Written so that NaN fails: a NaN or infinite weight silences the node
-	// for good (queue < NaN is never true; Inf·0 on an unchanged measurement
-	// is NaN).
-	if !(cfg.V0 > 0 && cfg.V0 <= math.MaxFloat64 && cfg.Gamma > 0 && cfg.Gamma < 1) {
-		return nil, fmt.Errorf("transmit: V0 %v / gamma %v invalid (need finite V0 > 0, 0 < gamma < 1): %w",
-			cfg.V0, cfg.Gamma, ErrBadConfig)
-	}
-	return &Adaptive{budget: cfg.Budget, v0: cfg.V0, gamma: cfg.Gamma}, nil
+	return &Adaptive{budget: cfg.Budget}, nil
 }
 
-// The factor (t+1)^γ of V_t is served from per-γ tables: one table per
-// distinct γ a process decides with, holding (t+1)^γ for t ∈ [0, len) as
-// float64 bits, each entry computed on first use as math.Pow(float64(t)+1, γ)
-// (0 bits mark an entry not computed yet, so a value of +0, which only a γ
-// below −67 reaches, is computed on every use). The set of tables and each
-// table's length are published immutably through vtTables, so a hit is one
-// atomic load, a scan of at most vtMaxGammas γ values and one index, with no
-// math.Pow, no allocation and no lock, whatever order steps are asked in.
+// The factor (t+1)^γ of V_t is served from one table holding (t+1)^γ for
+// t ∈ [0, len) as float64 bits, each entry computed on first use as
+// math.Pow(float64(t)+1, γ) (0 bits mark an entry not computed yet). The
+// table is published immutably through vtTable, so a hit is one atomic load
+// and one index, with no math.Pow, no allocation and no lock, whatever order
+// steps are asked in.
 //
-// A table starts at vtMinSteps entries and doubles to cover a t past it only
-// once such a t is asked again (t ≤ vtMissed): a caller that only moves
-// forward, as core's walk of a uniform fleet does with one call per step,
-// keeps the first table and pays its math.Pow per step, while one that
-// revisits steps (node-major replays, skewed goroutines, mixed-γ fleets)
-// grows the table on its second pass. Memory is bounded at vtMaxGammas
-// tables of at most vtMaxSteps entries, 8 × 2^16 × 8 B = 4 MiB per process.
-// Outside the tables — t < 0, t ≥ vtMaxSteps, γ = NaN, or a γ past the
-// first vtMaxGammas — StepPow is a plain math.Pow with no allocation.
+// The table starts at vtMinSteps entries and doubles to cover a t past it
+// only once such a t is asked again (t ≤ vtMissed): a caller that only moves
+// forward, as core's walk does with one call per step, keeps the first table
+// and pays its math.Pow per step, while one that revisits steps (node-major
+// replays, skewed goroutines) grows the table on its second pass. Memory is
+// bounded at vtMaxSteps entries, 2^16 × 8 B = 512 KiB per process. Outside
+// the table — t < 0 or t ≥ vtMaxSteps — StepPow is a plain math.Pow with no
+// allocation.
 const (
-	vtMinSteps  = 256
-	vtMaxSteps  = 1 << 16
-	vtMaxGammas = 8
+	vtMinSteps = 256
+	vtMaxSteps = 1 << 16
 )
 
-type vtTable struct {
-	gamma float64
-	pow   []atomic.Uint64
-}
-
 var (
-	vtTables atomic.Pointer[[]vtTable]
-	vtMu     sync.Mutex       // guards growing and adding tables, and vtMissed
-	vtMissed [vtMaxGammas]int // per table index, the largest t that missed it
+	vtTable  atomic.Pointer[[]atomic.Uint64]
+	vtMu     sync.Mutex // guards growing the table, and vtMissed
+	vtMissed int        // the largest t that missed the table
 )
 
 // StepPow returns (t+1)^γ, the time-varying factor of the penalty weight
-// V_t = V0·(t+1)^γ. It is exactly math.Pow(float64(t)+1, γ), served from a
-// per-γ table (see vtTables) so that a caller may decide at any step in any
-// order for at most one math.Pow per call, and none once the entry is
-// computed. It is what DecidePenalty takes as pow; a caller deciding many
-// policies at one step takes it once per run of equal γ.
-func StepPow(t int, gamma float64) float64 {
-	if tabs := vtTables.Load(); tabs != nil {
-		if i := vtIndex(*tabs, gamma); i >= 0 && uint(t) < uint(len((*tabs)[i].pow)) {
-			e := &(*tabs)[i].pow[t]
-			if b := e.Load(); b != 0 {
-				return math.Float64frombits(b)
-			}
-			p := math.Pow(float64(t)+1, gamma)
-			e.Store(math.Float64bits(p))
-			return p
+// V_t = v0·(t+1)^γ. It is exactly math.Pow(float64(t)+1, γ), served from a
+// table (see vtTable) so that a caller may decide at any step in any order
+// for at most one math.Pow per call, and none once the entry is computed. It
+// is what DecidePenalty takes as pow; a caller deciding many policies at one
+// step takes it once.
+func StepPow(t int) float64 {
+	if tab := vtTable.Load(); tab != nil && uint(t) < uint(len(*tab)) {
+		e := &(*tab)[t]
+		if b := e.Load(); b != 0 {
+			return math.Float64frombits(b)
 		}
+		p := math.Pow(float64(t)+1, gamma)
+		e.Store(math.Float64bits(p))
+		return p
 	}
-	return stepPowMiss(t, gamma)
+	return stepPowMiss(t)
 }
 
-// vtIndex returns the index of γ's table in tabs, or -1.
-func vtIndex(tabs []vtTable, gamma float64) int {
-	for i := range tabs {
-		if tabs[i].gamma == gamma {
-			return i
-		}
-	}
-	return -1
-}
-
-// stepPowMiss serves a t past γ's table or a γ without one: it adds a table
-// for γ, or grows γ's table to cover a t asked past it before, and publishes
-// the new set, unless t or γ lies outside the tables' bounds. Entries are
-// copied into a grown table as they stand; one computed concurrently into the
-// old table is computed again on its next use.
-func stepPowMiss(t int, gamma float64) float64 {
+// stepPowMiss serves a t past the table: it makes the first table, or grows
+// the table to cover a t asked past it before, and publishes it, unless t
+// lies outside the table's bounds. Entries are copied into a grown table as
+// they stand; one computed concurrently into the old table is computed again
+// on its next use.
+func stepPowMiss(t int) float64 {
 	p := math.Pow(float64(t)+1, gamma)
-	if t < 0 || t >= vtMaxSteps || gamma != gamma {
+	if t < 0 || t >= vtMaxSteps {
 		return p
 	}
 	vtMu.Lock()
 	defer vtMu.Unlock()
-	var tabs []vtTable
-	if cur := vtTables.Load(); cur != nil {
-		tabs = *cur
-	}
-	n, i := vtMinSteps, vtIndex(tabs, gamma)
 	var old []atomic.Uint64
+	if cur := vtTable.Load(); cur != nil {
+		old = *cur
+	}
+	n := vtMinSteps
 	switch {
-	case i < 0 && len(tabs) == vtMaxGammas:
-		return p // a γ past the set
-	case i < 0:
-		i = len(tabs)
-		vtMissed[i] = t
-	case t < len(tabs[i].pow):
+	case old == nil:
+		vtMissed = t
+	case t < len(old):
 		return p // grown since the miss
-	case t > vtMissed[i]:
-		vtMissed[i] = t // not asked before: grow on a second ask
+	case t > vtMissed:
+		vtMissed = t // not asked before: grow on a second ask
 		return p
 	default:
-		old, n = tabs[i].pow, len(tabs[i].pow)
+		n = len(old)
 		for n <= t {
 			n *= 2
 		}
@@ -233,13 +192,7 @@ func stepPowMiss(t int, gamma float64) float64 {
 	if t < n {
 		pow[t].Store(math.Float64bits(p))
 	}
-	next := slices.Clone(tabs)
-	if i == len(tabs) {
-		next = append(next, vtTable{gamma: gamma, pow: pow})
-	} else {
-		next[i].pow = pow
-	}
-	vtTables.Store(&next)
+	vtTable.Store(&pow)
 	return p
 }
 
@@ -247,20 +200,21 @@ func stepPowMiss(t int, gamma float64) float64 {
 // drift-plus-penalty rule of eq. (8)-(9) in DecidePenalty.
 func (a *Adaptive) Decide(t int, x, z []float64) bool {
 	penalty := staleness(x, z)
-	return a.DecidePenalty(StepPow(t, a.gamma), penalty)
+	return a.DecidePenalty(StepPow(t), penalty)
 }
 
 // DecidePenalty is the drift-plus-penalty rule of eq. (8)-(9) — the one
 // place a decision is taken and the virtual queue moves — given the
 // staleness penalty F_t(0) = (1/d)‖z−x‖² of eq. (7) (+Inf while the central
-// node holds nothing; F_t(1) is 0 by definition) and pow = StepPow(t,
-// Gamma()). Decide computes both and calls it; core's ingest walk calls it
-// directly with the penalty it takes straight off its store, so the two
-// routes cannot drift apart. Small enough to inline into either.
+// node holds nothing; F_t(1) is 0 by definition) and pow = StepPow(t).
+// Decide computes both and calls it; core's ingest walk takes pow once per
+// step and calls it directly with the penalty it takes straight off its
+// store, so the two routes cannot drift apart. Small enough to inline into
+// either.
 func (a *Adaptive) DecidePenalty(pow, penalty float64) bool {
 	// Cost(β=0) = V_t·F − Q·B ; Cost(β=1) = Q·(1−B).
 	// Transmitting wins iff Q(1−B) < V_t·F − Q·B ⇔ Q < V_t·F.
-	transmit := a.queue < a.v0*pow*penalty
+	transmit := a.queue < v0*pow*penalty
 
 	// Virtual queue update Q ← Q + (β − B).
 	if transmit {
@@ -270,9 +224,6 @@ func (a *Adaptive) DecidePenalty(pow, penalty float64) bool {
 	}
 	return transmit
 }
-
-// Gamma returns the exponent γ of V_t = V0·(t+1)^γ (defaults applied).
-func (a *Adaptive) Gamma() float64 { return a.gamma }
 
 // MarshalState implements Persistent: the only state that evolves across
 // decisions is the virtual queue Q.

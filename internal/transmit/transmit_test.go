@@ -2,6 +2,7 @@ package transmit
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	mrand "math/rand"
 	"math/rand/v2"
@@ -17,19 +18,11 @@ func TestNewAdaptiveValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"paper defaults", AdaptiveConfig{Budget: 0.3}, true},
-		{"explicit", AdaptiveConfig{Budget: 0.5, V0: 1e-10, Gamma: 0.5}, true},
 		{"zero budget", AdaptiveConfig{Budget: 0}, true},
 		{"full budget", AdaptiveConfig{Budget: 1}, true},
 		{"negative budget", AdaptiveConfig{Budget: -0.1}, false},
 		{"over budget", AdaptiveConfig{Budget: 1.1}, false},
 		{"NaN budget", AdaptiveConfig{Budget: math.NaN()}, false},
-		{"gamma too big", AdaptiveConfig{Budget: 0.3, Gamma: 1.0}, false},
-		{"negative V0", AdaptiveConfig{Budget: 0.3, V0: -1}, false},
-		{"negative gamma", AdaptiveConfig{Budget: 0.3, Gamma: -0.5}, false},
-		{"NaN V0", AdaptiveConfig{Budget: 0.3, V0: math.NaN()}, false},
-		{"infinite V0", AdaptiveConfig{Budget: 0.3, V0: math.Inf(1)}, false},
-		{"NaN gamma", AdaptiveConfig{Budget: 0.3, Gamma: math.NaN()}, false},
-		{"largest finite V0", AdaptiveConfig{Budget: 0.3, V0: math.MaxFloat64}, true},
 	}
 	for _, tt := range tests {
 		tt := tt
@@ -286,5 +279,36 @@ func TestAdaptiveBudgetProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: mrand.New(mrand.NewSource(21))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdaptiveWeightIsThePapers pins eq. 9's weight V_t = 0.5·(t+1)^0.65:
+// with the virtual queue one ulp below V_t·F the policy transmits, with it
+// at V_t·F it stays silent (Q < V_t·F is strict), at steps inside the
+// StepPow table, on its growth edge and past its bound.
+func TestAdaptiveWeightIsThePapers(t *testing.T) {
+	t.Parallel()
+	x, z := []float64{0.9, 0.2}, []float64{0.4, 0.6}
+	penalty := staleness(x, z) // eq. 7, F = 0.205
+	for _, step := range []int{1, 40, vtMinSteps, 5000, vtMaxSteps + 3} {
+		t.Run(fmt.Sprintf("t=%d", step), func(t *testing.T) {
+			t.Parallel()
+			at := 0.5 * math.Pow(float64(step)+1, 0.65) * penalty
+			for _, tc := range []struct {
+				queue float64
+				send  bool
+			}{{math.Nextafter(at, 0), true}, {at, false}} {
+				p, err := NewAdaptive(AdaptiveConfig{Budget: 0.3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.UnmarshalState(marshalFloat(tc.queue)); err != nil {
+					t.Fatal(err)
+				}
+				if got := p.Decide(step, x, z); got != tc.send {
+					t.Fatalf("queue %v against V_t·F = %v: sent %v, want %v", tc.queue, at, got, tc.send)
+				}
+			}
+		})
 	}
 }

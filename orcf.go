@@ -104,9 +104,6 @@ type (
 	// Recommendation is one per-cluster autoscaling proposal
 	// (see System.Recommend).
 	Recommendation = alert.Recommendation
-	// RecommendConfig parameterizes System.Recommend (zero value: horizon 1,
-	// target utilization band [0.3, 0.7]).
-	RecommendConfig = alert.RecommendConfig
 )
 
 // ErrBadOption reports an invalid option combination.
@@ -154,19 +151,6 @@ func withPolicy(build func() (transmit.Policy, error)) Option {
 func WithBudget(b float64) Option {
 	return withPolicy(func() (transmit.Policy, error) {
 		return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: b})
-	})
-}
-
-// WithAdaptivePolicy installs the adaptive policy with explicit Lyapunov
-// control parameters V0 and γ of the penalty weight V_t = V0·(t+1)^γ. A zero
-// v0 selects 0.5, the operating point for measurements normalized to [0,1]
-// (the paper's literal 1e-12 is for raw-scale data and has to be passed
-// explicitly; AdaptiveConfig in internal/transmit has the argument), a zero
-// gamma the paper's 0.65. Negative or non-finite values, and gamma ≥ 1, make
-// New fail.
-func WithAdaptivePolicy(budget, v0, gamma float64) Option {
-	return withPolicy(func() (transmit.Policy, error) {
-		return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: budget, V0: v0, Gamma: gamma})
 	})
 }
 
@@ -562,14 +546,16 @@ func (s *System) AlertStats() (stats AlertStats, ok bool) {
 }
 
 // Recommend proposes per-cluster scale-up/scale-down node deltas from the
-// latest snapshot's centroid forecasts (see RecommendConfig). It requires
-// WithSnapshotHorizon and a completed initial training.
-func (s *System) Recommend(cfg RecommendConfig) ([]Recommendation, error) {
+// latest snapshot's horizon-h centroid forecasts of tracker 0 (the first
+// resource under scalar clustering), against the target utilization band
+// [0.3, 0.7]. It requires WithSnapshotHorizon ≥ h and a completed initial
+// training.
+func (s *System) Recommend(h int) ([]Recommendation, error) {
 	snap := s.inner.Snapshot()
 	if snap == nil {
 		return nil, core.ErrNotReady
 	}
-	return alert.Recommend(snap, cfg)
+	return alert.Recommend(snap, h)
 }
 
 // AddNodes joins new fleet members under the given stable IDs: each gets a

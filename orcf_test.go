@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"orcf/internal/alert"
+	"orcf/internal/core"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -43,8 +46,7 @@ func TestOptionValidation(t *testing.T) {
 		{"bad Holt-Winters period", WithHoltWinters(1)},
 		{"negative budget", WithBudget(-0.1)},
 		{"budget above 1", WithBudget(1.5)},
-		{"negative V0", WithAdaptivePolicy(0.3, -1, 0)},
-		{"gamma 1", WithAdaptivePolicy(0.3, 0, 1)},
+		{"NaN budget", WithBudget(math.NaN())},
 		{"NaN uniform budget", WithUniformSampling(math.NaN())},
 	}
 	for _, tt := range tests {
@@ -270,5 +272,91 @@ func TestSmoothingOptions(t *testing.T) {
 	// Holt extrapolates the opposing trends.
 	if !(f[4][0][0] > f[0][0][0]) || !(f[4][5][0] < f[0][5][0]) {
 		t.Fatalf("trend extrapolation wrong: %v vs %v", f[0][0][0], f[4][0][0])
+	}
+}
+
+// TestAlertPlanePublicAPI drives the facade's alert plane: a threshold rule
+// at 0 fires on every cluster of a ready fleet and reaches the sink,
+// Alerts and AlertStats report the engine (and nothing without rules),
+// Recommend answers one row per cluster, and the option combinations New
+// refuses fail with ErrBadOption.
+func TestAlertPlanePublicAPI(t *testing.T) {
+	t.Parallel()
+	rules, err := ParseAlertRules([]byte(`{"rules": [{"name": "busy", "kind": "threshold", "scope": "cluster", "cluster": -1, "above": true, "threshold": 0}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := new(alert.CollectorSink)
+	build := func(opts ...Option) (*System, error) {
+		base := []Option{WithAlwaysTransmit(), WithClusters(2), WithTrainingSchedule(10, 50), WithSeed(3)}
+		return New(6, 1, append(base, opts...)...)
+	}
+	sys, err := build(WithSnapshotHorizon(2), WithAlertRules(rules), WithAlertSink(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Recommend(1); !errors.Is(err, core.ErrNotReady) {
+		t.Fatalf("Recommend before any step: %v, want ErrNotReady", err)
+	}
+	for range 12 {
+		x := make([][]float64, 6)
+		for n := range x {
+			x[n] = []float64{0.2 + 0.6*float64(n/3)}
+		}
+		for _, s := range []*System{sys, plain} {
+			if _, err := s.Step(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !sys.Ready() {
+		t.Fatal("system should be ready")
+	}
+
+	events := sink.Events()
+	if len(events) != 2 {
+		t.Fatalf("sink got %d events, want one fire per cluster: %+v", len(events), events)
+	}
+	for _, ev := range events {
+		if ev.Rule != "busy" || ev.State != "firing" {
+			t.Fatalf("event %+v, want rule busy firing", ev)
+		}
+	}
+	if firing := sys.Alerts(); len(firing) != 2 {
+		t.Fatalf("%d alerts firing, want 2: %+v", len(firing), firing)
+	}
+	stats, ok := sys.AlertStats()
+	if !ok || stats.Rules != 1 || stats.Firing != 2 || stats.Fires != 2 || stats.Sinks.Delivered != 2 {
+		t.Fatalf("AlertStats = %+v, %v", stats, ok)
+	}
+	if _, ok := plain.AlertStats(); ok || plain.Alerts() != nil {
+		t.Fatal("a system without rules reports an alert engine")
+	}
+
+	recs, err := sys.Recommend(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("%d recommendations, want one per cluster: %+v", len(recs), recs)
+	}
+	for j, rec := range recs {
+		if rec.Cluster != j || rec.Nodes != 3 {
+			t.Fatalf("recommendation %d = %+v, want cluster %d of 3 nodes", j, rec, j)
+		}
+	}
+	if _, err := sys.Recommend(3); !errors.Is(err, alert.ErrBadRule) {
+		t.Fatalf("Recommend past the snapshot horizon: %v, want ErrBadRule", err)
+	}
+
+	if _, err := build(WithAlertRules(rules)); !errors.Is(err, ErrBadOption) {
+		t.Errorf("rules without a snapshot horizon: %v, want ErrBadOption", err)
+	}
+	if _, err := build(WithSnapshotHorizon(2), WithAlertSink(sink)); !errors.Is(err, ErrBadOption) {
+		t.Errorf("sink without rules: %v, want ErrBadOption", err)
 	}
 }
