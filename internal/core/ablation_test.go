@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -132,10 +133,18 @@ func TestStepRejectsNaNAndInf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Step([][]float64{{math.NaN()}, {0.5}}); err == nil {
-		t.Fatal("NaN measurement must be rejected")
+	for _, v := range []float64{math.NaN(), math.Inf(1), 1e160, 1e6, math.Nextafter(-100, math.Inf(-1))} {
+		if InRange(v) {
+			t.Errorf("InRange(%v) = true", v)
+		}
+		if _, err := sys.Step([][]float64{{v}, {0.5}}); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("measurement %v: want ErrBadInput, got %v", v, err)
+		}
 	}
-	if _, err := sys.Step([][]float64{{math.Inf(1)}, {0.5}}); err == nil {
-		t.Fatal("Inf measurement must be rejected")
+	// The bound itself is in range.
+	for _, v := range []float64{100, -100, 0, 0.5} {
+		if _, err := sys.Step([][]float64{{v}, {0.5}}); err != nil {
+			t.Fatalf("measurement %v: %v", v, err)
+		}
 	}
 }

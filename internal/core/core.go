@@ -38,6 +38,19 @@ var ErrBadConfig = errors.New("core: invalid configuration")
 // ErrBadInput reports invalid step input.
 var ErrBadInput = errors.New("core: invalid input")
 
+// maxMagnitude is the largest magnitude InRange accepts.
+const maxMagnitude = 100
+
+// InRange reports whether v may enter the pipeline as a measurement value:
+// finite and within [-100, 100], a band around the [0, 1] that forecasts are
+// served in. It admits utilisations reported as fractions or as percentages.
+// Beyond it a value means nothing to the served forecast, which is clamped
+// to [0, 1], yet it can fail a model fit and so the step: 1e160 overflows
+// the normal equations of an AR fit, and from about 1e6 the fixed ridge
+// penalty of lagged-ridge is lost in its normal equations, which then fail
+// to factor. An overflow guard would not cover the second.
+func InRange(v float64) bool { return math.Abs(v) <= maxMagnitude }
+
 // ErrNotReady is returned by Forecast during the initial collection phase.
 var ErrNotReady = errors.New("core: forecasting models not trained yet")
 
@@ -881,18 +894,10 @@ func (s *System) checkStep(x [][]float64, arrived []bool) error {
 			return fmt.Errorf("core: node %d has dim %d, want %d: %w",
 				i, len(xi), d, ErrBadInput)
 		}
-		// One test per row: v−v is 0 for a finite v and NaN for NaN or ±Inf,
-		// and a NaN stays in the sum.
-		var acc float64
-		for _, v := range xi {
-			acc += v - v
-		}
-		if acc != 0 {
-			for r, v := range xi {
-				if v-v != 0 {
-					return fmt.Errorf("core: node %d resource %d is %v: %w",
-						i, r, v, ErrBadInput)
-				}
+		for r, v := range xi {
+			if !InRange(v) {
+				return fmt.Errorf("core: node %d resource %d is %v, outside [-%v, %v]: %w",
+					i, r, v, maxMagnitude, maxMagnitude, ErrBadInput)
 			}
 		}
 	}

@@ -317,6 +317,25 @@ func (p *ForecastPlan) Row(slot, hi int, dst []float64) []float64 {
 	return dst
 }
 
+// RepeatsPrevious reports whether horizon hi's centroid forecasts equal
+// horizon hi−1's bit for bit. Row and At read nothing else that depends on
+// the horizon, so then Row(slot, hi) equals Row(slot, hi−1) for every slot:
+// a family that forecasts one level for every horizon (sample-and-hold,
+// ses, historical-mean) repeats horizon 1 at every later one. It is false
+// at hi = 0 and before training.
+func (p *ForecastPlan) RepeatsPrevious(hi int) bool {
+	if p.cent == nil || hi <= 0 {
+		return false
+	}
+	cur, prev := p.cent[hi*p.stride:(hi+1)*p.stride], p.cent[(hi-1)*p.stride:hi*p.stride]
+	for i, v := range cur {
+		if math.Float64bits(v) != math.Float64bits(prev[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // clamp fences a reconstructed value to [0, 1]; NaN and -0 pass unchanged.
 func clamp(v float64) float64 {
 	if v < 0 {

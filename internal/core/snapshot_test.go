@@ -6,8 +6,11 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
+
+	"orcf/internal/forecast"
 )
 
 // noisyStep returns N two-resource measurements wandering around two group
@@ -346,6 +349,85 @@ func TestFleetPlanAllocations(t *testing.T) {
 		if smallExtra > 1024 || largeExtra > 1024 {
 			t.Fatalf("GOMAXPROCS=%d: a fleet plan build allocates %v bytes at N=256 and %v at N=4096 beyond its mode/offset/fill arrays, want < 1 KiB",
 				procs, smallExtra, largeExtra)
+		}
+	}
+}
+
+// TestPlanRepeatsPrevious pins what the served bodies rely on when they
+// write a repeated horizon from the bytes of the one before: wherever
+// RepeatsPrevious(hi) holds, Row(slot, hi) equals Row(slot, hi−1) bit for bit
+// for every slot, and it never holds at hi = 0 or before training. The
+// level families repeat every horizon after the first and holt none, so
+// both sides of the predicate are reached, scalar and joint.
+func TestPlanRepeatsPrevious(t *testing.T) {
+	t.Parallel()
+	const horizon = 6
+	for _, tc := range []struct {
+		family  string
+		repeats bool
+	}{
+		{"sample-and-hold", true}, {"ses", true}, {"historical-mean", true}, {"holt", false},
+	} {
+		for _, joint := range []bool{false, true} {
+			zoo, err := forecast.Zoo(tc.family)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := snapshotConfig(horizon)
+			cfg.Zoo, cfg.JointClustering = zoo, joint
+			s, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(5, 0))
+			a, b := make([]float64, cfg.Resources), make([]float64, cfg.Resources)
+			for step := 0; step < 30; step++ {
+				if _, err := s.Step(noisyStep(rng, cfg.Nodes)); err != nil {
+					t.Fatal(err)
+				}
+				plan := s.Snapshot().Plan()
+				for hi := 0; hi < horizon; hi++ {
+					got := plan.RepeatsPrevious(hi)
+					if got && (hi == 0 || !s.Ready()) {
+						t.Fatalf("%s joint=%v step %d: RepeatsPrevious(%d) with ready=%v", tc.family, joint, step+1, hi, s.Ready())
+					}
+					if s.Ready() && hi > 0 && got != tc.repeats {
+						t.Fatalf("%s joint=%v step %d: RepeatsPrevious(%d) = %v, want %v", tc.family, joint, step+1, hi, got, tc.repeats)
+					}
+					if !got {
+						continue
+					}
+					for slot := 0; slot < cfg.Nodes; slot++ {
+						plan.Row(slot, hi, a)
+						plan.Row(slot, hi-1, b)
+						for r := range a {
+							if math.Float64bits(a[r]) != math.Float64bits(b[r]) {
+								t.Fatalf("%s joint=%v step %d slot %d: horizon %d repeats the one before, yet its row is %v against %v",
+									tc.family, joint, step+1, slot, hi, a, b)
+							}
+						}
+					}
+				}
+			}
+			if !s.Ready() {
+				t.Fatalf("%s joint=%v: never ready", tc.family, joint)
+			}
+			if !tc.repeats {
+				continue
+			}
+			// One flipped bit of any centroid forecast of a horizon breaks
+			// its repeat.
+			plan := *s.Snapshot().Plan()
+			for hi := 1; hi < horizon; hi++ {
+				for i := hi * plan.stride; i < (hi+1)*plan.stride; i++ {
+					flipped := plan
+					flipped.cent = slices.Clone(plan.cent)
+					flipped.cent[i] = math.Float64frombits(math.Float64bits(plan.cent[i]) ^ 1)
+					if flipped.RepeatsPrevious(hi) {
+						t.Fatalf("%s joint=%v: horizon %d repeats the one before with entry %d flipped", tc.family, joint, hi, i)
+					}
+				}
+			}
 		}
 	}
 }

@@ -141,11 +141,15 @@ func TestStepRejectsMalformedInputUnchanged(t *testing.T) {
 		"ragged":     slices.Clone(good),
 		"NaN":        slices.Clone(good),
 		"minus Inf":  slices.Clone(good),
+		"past 100":   slices.Clone(good),
+		"-1e160":     slices.Clone(good),
 		"after good": slices.Clone(good),
 	}
 	bad["ragged"][7] = []float64{0.5}
 	bad["NaN"][11] = []float64{0.5, math.NaN()}
 	bad["minus Inf"][0] = []float64{math.Inf(-1), 0.5}
+	bad["past 100"][5] = []float64{0.5, math.Nextafter(100, math.Inf(1))}
+	bad["-1e160"][2] = []float64{-1e160, 0.5}
 	bad["after good"][11] = []float64{0.5, 0.5, 0.5}
 	before, err := sys.ExportState()
 	if err != nil {

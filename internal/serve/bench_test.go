@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+
+	"orcf/internal/forecast"
 )
 
 // discardWriter is a ResponseWriter that counts nothing and keeps nothing,
@@ -19,33 +21,38 @@ func (d *discardWriter) WriteHeader(int)             {}
 // BenchmarkServeForecast measures /v1/forecast through ServeHTTP at the
 // ingest_serve fleet size: "node" is one ?node=I request (a row lookup on
 // the published plan, whatever N is), "fleet" one fleet request (the body
-// streamed from the published plan).
+// streamed from the published plan) under sample-and-hold, whose horizons
+// after the first repeat it, and "fleet-holt" the same under holt, where no
+// horizon repeats and every value is formatted.
 func BenchmarkServeForecast(b *testing.B) {
 	const (
 		nodes   = 4096
 		horizon = 12
 	)
-	sys, _ := readySystem(b, nodes, horizon, 25)
-	srv, err := New(Config{Source: sys})
-	if err != nil {
-		b.Fatal(err)
-	}
 	w := &discardWriter{header: make(http.Header)}
 	nodeReq := httptest.NewRequest(http.MethodGet, "/v1/forecast?h=12&node=2048", nil)
 	fleetReq := httptest.NewRequest(http.MethodGet, "/v1/forecast?h=5", nil)
-
-	b.Run("node", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			srv.ServeHTTP(w, nodeReq)
+	for _, bc := range []struct {
+		name string
+		zoo  []forecast.Candidate
+		req  *http.Request
+	}{
+		{"node", nil, nodeReq},
+		{"fleet", nil, fleetReq},
+		{"fleet-holt", holtZoo, fleetReq},
+	} {
+		sys, _ := zooSystem(b, bc.zoo, nodes, horizon, 25)
+		srv, err := New(Config{Source: sys})
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("fleet", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			srv.ServeHTTP(w, fleetReq)
-		}
-	})
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				srv.ServeHTTP(w, bc.req)
+			}
+		})
+	}
 }
 
 // BenchmarkAppendJSONFloat formats the values of one ingest_serve-sized

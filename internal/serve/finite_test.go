@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"orcf/internal/core"
+	"orcf/internal/forecast"
 	"orcf/internal/obs"
 	"orcf/internal/transport"
 )
@@ -34,6 +36,8 @@ func TestTickRejectsMalformedMeasurement(t *testing.T) {
 		"NaN":        {0.3, math.NaN()},
 		"+Inf":       {math.Inf(1), 0.3},
 		"-Inf":       {0.3, math.Inf(-1)},
+		"1e160":      {0.3, 1e160},
+		"past -100":  {math.Nextafter(-100, math.Inf(-1)), 0.3},
 		"dims short": {0.3},
 		"dims long":  {0.3, 0.3, 0.3},
 		"dims zero":  {},
@@ -113,6 +117,61 @@ func TestTickRejectsMalformedMeasurement(t *testing.T) {
 		}
 		if line := fmt.Sprintf("orcf_ingest_rejected_records_total %d\n", wantCount); !strings.Contains(prom.String(), line) {
 			t.Errorf("%s: /metrics lacks %q", name, line)
+		}
+	}
+}
+
+// TestTickSurvivesHugeFiniteRecord: one node sending a finite value that a
+// model fit cannot take is kept out like a NaN — 1e160, whose square
+// overflows an AR fit's normal equations, and 1e7, which swamps
+// lagged-ridge's fixed ridge penalty so its normal equations fail to factor.
+// Every tick succeeds, through the first fit and two retrains, each such
+// record is counted once, and a node at the bound, 100, is admitted.
+func TestTickSurvivesHugeFiniteRecord(t *testing.T) {
+	t.Parallel()
+	const (
+		nodes    = 8
+		hugeFrom = 5
+		lastTick = 45
+	)
+	for _, tc := range []struct {
+		zoo  []string
+		huge float64
+	}{
+		{[]string{"sample-and-hold", "ar"}, 1e160},
+		{[]string{"lagged-ridge"}, 1e7},
+	} {
+		zoo, err := forecast.Zoo(tc.zoo...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.Config{Nodes: nodes, Resources: 1, K: 2, InitialCollection: 20, RetrainEvery: 10, Seed: 3, Zoo: zoo}
+		store := transport.NewStore()
+		stepper, err := NewStoreStepper(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := 1; tick <= lastTick; tick++ {
+			for id := 0; id < nodes; id++ {
+				v := 0.2 + 0.5*float64(id%2) + 0.01*float64((tick+id)%7)
+				switch {
+				case tick < hugeFrom:
+				case id == 0:
+					v = tc.huge
+				case id == 1:
+					v = 100
+				}
+				store.Apply(transport.Measurement{Node: id, Step: tick, Values: []float64{v}})
+			}
+			if _, ok, err := stepper.Tick(); err != nil || !ok {
+				t.Fatalf("%v, node 0 at %g: tick %d: ok=%v err=%v", tc.zoo, tc.huge, tick, ok, err)
+			}
+		}
+		if !stepper.System().Ready() {
+			t.Fatalf("%v: never trained", tc.zoo)
+		}
+		if n, want := stepper.rejected.Value(), int64(lastTick-hugeFrom+1); n != want {
+			t.Errorf("%v: %d rejected records counted, want %d (node 0's from tick %d on)", tc.zoo, n, want, hugeFrom)
 		}
 	}
 }

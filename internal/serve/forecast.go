@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -71,26 +72,26 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	// defined (NaN rows — warming joiners — are omitted; tombstoned slots
 	// always are), keyed by the Nodes list of stable IDs.
 	s.cache.observe()
-	plan, roster := snap.Plan(), snap.Roster()
-	slots := slotLists.Get().(*[]int)
-	body := forecastBody{
-		plan: plan, roster: roster, h: h,
+	fb := fleetBodies.Get().(*forecastBody)
+	*fb = forecastBody{
+		plan: snap.Plan(), roster: snap.Roster(), h: h,
 		resources: snap.Resources(), perTask: max(1, taskValues/snap.Resources()),
-		slots: (*slots)[:0],
+		slots: fb.slots[:0], starts: fb.starts[:0], held: fb.held[:0],
 	}
 	for i := 0; i < snap.Nodes(); i++ {
-		if _, live := roster.IDAt(i); live && !math.IsNaN(plan.At(i, 0, 0)) {
-			body.slots = append(body.slots, i)
+		if _, live := fb.roster.IDAt(i); live && !math.IsNaN(fb.plan.At(i, 0, 0)) {
+			fb.slots = append(fb.slots, i)
 		}
 	}
-	body.write(w, snap)
-	*slots = body.slots
-	slotLists.Put(slots)
+	fb.write(w, snap)
+	// The pooled body keeps its lists, not the snapshot or the writer.
+	*fb = forecastBody{slots: fb.slots, starts: fb.starts, held: fb.held}
+	fleetBodies.Put(fb)
 }
 
-// slotLists recycles the fleet bodies' slot lists, one per request in
+// fleetBodies recycles the fleet bodies with their lists, one per request in
 // flight.
-var slotLists = sync.Pool{New: func() any { return new([]int) }}
+var fleetBodies = sync.Pool{New: func() any { return new(forecastBody) }}
 
 // bufSize is the capacity the pooled body buffers start with, and
 // taskValues how many forecast values one formatting task covers: at up to
@@ -122,7 +123,9 @@ func appendHead(b []byte, snap *core.Snapshot, h int) []byte {
 // writeNodeForecast writes a ?node= ForecastResponse for horizons 1..h —
 // Node set, one entry per horizon, read off the published plan at slot —
 // with the bytes json.NewEncoder(w).Encode would produce for the equivalent
-// struct (non-finite values fenced to 0), in one buffer and one Write.
+// struct (non-finite values fenced to 0), in one buffer and one Write. A
+// horizon that repeats the one before (ForecastPlan.RepeatsPrevious) copies
+// the row bytes just written instead of formatting them again.
 func writeNodeForecast(w http.ResponseWriter, snap *core.Snapshot, h, node, slot int) {
 	w.Header().Set("Content-Type", "application/json")
 	plan, resources := snap.Plan(), snap.Resources()
@@ -137,13 +140,21 @@ func writeNodeForecast(w http.ResponseWriter, snap *core.Snapshot, h, node, slot
 		vals = make([]float64, resources)
 	}
 	b, pos := room(b, h*(rowRoom(resources)+3)+3)
+	var prev []byte // the previous horizon's row
 	for hi := 0; hi < h; hi++ {
 		if hi > 0 {
 			b[pos] = ','
 			pos++
 		}
 		b[pos] = '['
-		pos = putRow(b, pos+1, plan.Row(slot, hi, vals))
+		pos++
+		start := pos
+		if plan.RepeatsPrevious(hi) {
+			pos += copy(b[pos:], prev)
+		} else {
+			pos = putRow(b, pos, plan.Row(slot, hi, vals))
+		}
+		prev = b[start:pos]
 		b[pos] = ']'
 		pos++
 	}
@@ -160,26 +171,45 @@ func writeNodeForecast(w http.ResponseWriter, snap *core.Snapshot, h, node, slot
 // non-finite values fenced to 0), without building the [h][entry][resource]
 // tensor or a whole-body buffer. Its entries are slots: the fleet's live
 // slots whose forecast is defined, in slot order, cut into chunks of
-// perTask.
+// perTask. Its horizons fall into runs of equal ones: a horizon that
+// repeats the one before (ForecastPlan.RepeatsPrevious) has the same rows,
+// so a run's rows are formatted once, for its first horizon, and written
+// again for the others.
 type forecastBody struct {
-	plan                  *core.ForecastPlan
-	roster                *core.Roster
-	slots                 []int
+	plan   *core.ForecastPlan
+	roster *core.Roster
+	w      io.Writer
+	slots  []int
+	// starts holds the first horizon of every run, then h.
+	starts []int
+	// held keeps the current run's row chunks, when it is longer than one
+	// horizon, from their first Write to the run's last horizon.
+	held []*[]byte
+	// out holds the head's buffer, which a small body's tasks are written
+	// into.
+	out                   bytes.Buffer
 	h, resources, perTask int
 	lists, chunks         int
 }
 
 // write streams the body. Its tasks are the Nodes list, a chunk of IDs
-// each, then the forecast, a chunk of one horizon's rows each. A small body
-// is one buffer and one Write; a large one is its head, then the tasks
-// through streamTasks. A failed Write means the client went away; the rest
-// of the body is dropped.
+// each, then per run a chunk of the run's rows each, which emit writes once
+// per horizon of the run. A small body is one buffer and one Write: its
+// tasks are written into the head's buffer on this goroutine. A large one is
+// its head, then the tasks through streamTasks, one Write per chunk. A
+// failed Write means the client went away; the rest of the body is dropped.
 func (fb *forecastBody) write(w http.ResponseWriter, snap *core.Snapshot) {
 	w.Header().Set("Content-Type", "application/json")
 	buf := bodyBufs.Get().(*[]byte)
 	b := appendHead((*buf)[:0], snap, fb.h)
 	fb.chunks = (len(fb.slots) + fb.perTask - 1) / fb.perTask
 	fb.lists = (fb.chunks + fb.resources - 1) / fb.resources
+	for hi := 0; hi < fb.h; hi++ {
+		if !fb.plan.RepeatsPrevious(hi) {
+			fb.starts = append(fb.starts, hi)
+		}
+	}
+	fb.starts = append(fb.starts, fb.h)
 	if len(fb.slots) == 0 {
 		// No entry has a forecast: no list and h empty horizon arrays.
 		b = append(b, `,"forecast":[`...)
@@ -191,52 +221,104 @@ func (fb *forecastBody) write(w http.ResponseWriter, snap *core.Snapshot) {
 		}
 		b = append(b, "]}\n"...)
 	}
-	tasks := fb.lists + fb.h*fb.chunks
+	tasks := fb.lists + (len(fb.starts)-1)*fb.chunks
 	small := fb.h*len(fb.slots) <= fb.perTask
 	if small {
-		for t := 0; t < tasks; t++ {
-			b = fb.task(b, t)
-		}
+		fb.out, fb.w = *bytes.NewBuffer(b), &fb.out
+		streamTasks(tasks, 1, fb.task, fb.emit)
+		b = fb.out.Bytes()
 	}
 	_, err := w.Write(b)
 	*buf = b
 	bodyBufs.Put(buf)
-	if small || err != nil {
-		return
+	if !small && err == nil {
+		fb.w = w
+		streamTasks(tasks, runtime.GOMAXPROCS(0), fb.task, fb.emit)
 	}
-	// The workers get a copy, so a small body's stays on the stack.
-	shared := *fb
-	streamTasks(w, tasks, shared.task)
+	fb.release() // a failed Write can leave a run's chunks held
 }
 
-// task appends task t of the body: chunk t of the Nodes list while t <
-// lists, then chunk (t − lists) mod chunks of horizon (t − lists) div
+// task appends task t of the body to the empty b: chunk t of the Nodes list
+// while t < lists, then chunk (t − lists) mod chunks of run (t − lists) div
 // chunks's rows.
 func (fb *forecastBody) task(b []byte, t int) []byte {
 	if t < fb.lists {
 		return fb.appendIDs(b, t)
 	}
 	t -= fb.lists
-	return fb.appendRows(b, t/fb.chunks, t%fb.chunks)
+	return fb.appendRows(b, fb.starts[t/fb.chunks], t%fb.chunks)
 }
 
-// streamTasks writes tasks 0…tasks−1 to w in order, task t being what
-// format appends for it to an empty pooled buffer. At GOMAXPROCS 1 the
-// caller formats and writes each task inline with one pooled buffer.
-// Otherwise there is one fan-out for the whole body: up to GOMAXPROCS
+// emit writes task t, formatted into buf. A chunk of a run's rows is
+// written framed for the run's first horizon. In a longer run it is then
+// kept in held, its bytes swapped into a buffer from bodyBufs, and after the
+// run's last chunk the kept chunks are written again, framed for each of
+// the run's other horizons, and go back to the pool. It reports whether
+// every Write succeeded.
+func (fb *forecastBody) emit(buf *[]byte, t int) bool {
+	if t < fb.lists {
+		return fb.put(*buf)
+	}
+	t -= fb.lists
+	run, c := t/fb.chunks, t%fb.chunks
+	first, end := fb.starts[run], fb.starts[run+1]
+	if !fb.put(fb.framed(*buf, first, c)) {
+		return false
+	}
+	if end-first == 1 {
+		return true
+	}
+	kept := bodyBufs.Get().(*[]byte)
+	*kept, *buf = *buf, *kept
+	fb.held = append(fb.held, kept)
+	if c < fb.chunks-1 {
+		return true
+	}
+	ok := true
+	for hi := first + 1; ok && hi < end; hi++ {
+		for c, kept := range fb.held {
+			if ok = fb.put(fb.framed(*kept, hi, c)); !ok {
+				break
+			}
+		}
+	}
+	fb.release()
+	return ok
+}
+
+// put writes p and reports whether the Write succeeded.
+func (fb *forecastBody) put(p []byte) bool {
+	_, err := fb.w.Write(p)
+	return err == nil
+}
+
+// release gives the kept chunks back to the pool.
+func (fb *forecastBody) release() {
+	for _, kept := range fb.held {
+		bodyBufs.Put(kept)
+	}
+	clear(fb.held)
+	fb.held = fb.held[:0]
+}
+
+// streamTasks runs tasks 0…tasks−1 in order: format appends task t to an
+// empty pooled buffer, and write writes it out and reports whether to go on.
+// write may keep the bytes, leaving another pooled buffer in their place. With
+// one worker the caller formats and writes each task inline with one pooled
+// buffer. Otherwise there is one fan-out for the whole body: up to workers
 // goroutines format into a ring of two pooled buffers per goroutine, task t
 // into entry t mod len(ring), while the caller writes the finished tasks in
 // order. The caller hands out the task numbers, and hands out t+len(ring)
 // only after writing t, so an entry holds one task at a time and no task
-// overtakes the one it follows in its entry. A failed Write stops the
+// overtakes the one it follows in its entry. A failed write stops the
 // writing and the hand-out.
-func streamTasks(w io.Writer, tasks int, format func(b []byte, t int) []byte) {
-	nw := min(runtime.GOMAXPROCS(0), tasks)
-	if nw == 1 {
+func streamTasks(tasks, workers int, format func(b []byte, t int) []byte, write func(buf *[]byte, t int) bool) {
+	nw := min(workers, tasks)
+	if nw <= 1 {
 		buf := bodyBufs.Get().(*[]byte)
 		for t := 0; t < tasks; t++ {
 			*buf = format((*buf)[:0], t)
-			if _, err := w.Write(*buf); err != nil {
+			if !write(buf, t) {
 				break
 			}
 		}
@@ -267,7 +349,7 @@ func streamTasks(w io.Writer, tasks int, format func(b []byte, t int) []byte) {
 	for t := 0; t < tasks; t++ {
 		e := &ring[t%len(ring)]
 		<-e.done
-		if _, err := w.Write(*e.buf); err != nil {
+		if !write(e.buf, t) {
 			break
 		}
 		if next := t + len(ring); next < tasks {
@@ -276,11 +358,11 @@ func streamTasks(w io.Writer, tasks int, format func(b []byte, t int) []byte) {
 	}
 	close(todo)
 	for range todo {
-		// After a failed Write, drop the tasks no worker has taken yet.
+		// After a failed write, drop the tasks no worker has taken yet.
 	}
 	wg.Wait()
 	for k := range ring {
-		// A task a worker finished after a failed Write left its signal.
+		// A task a worker finished after a failed write left its signal.
 		select {
 		case <-ring[k].done:
 		default:
@@ -342,40 +424,58 @@ func (fb *forecastBody) appendIDs(b []byte, c int) []byte {
 	return b[:pos]
 }
 
-// appendRows appends chunk c of horizon hi's rows, each written [v,…], with
-// the separators and the horizon's brackets that fall among them, and the
-// closing "]}\n" after the last horizon's last row. The room for the whole
-// chunk is reserved once and the rows are written into it by index.
+// rowsAt is where appendRows starts a chunk's rows: before them, framed
+// writes the `,[` that opens a horizon after the one before.
+const rowsAt = 2
+
+// appendRows appends chunk c of horizon hi's rows to the empty b from
+// rowsAt, each written [v,…], a comma before every row but the horizon's
+// first, and leaves room after them for the `]]}\n` framed may close them
+// with. The room for the whole chunk is reserved once and the rows are
+// written into it by index.
 func (fb *forecastBody) appendRows(b []byte, hi, c int) []byte {
 	lo, end := c*fb.perTask, min((c+1)*fb.perTask, len(fb.slots))
-	b, pos := room(b, (end-lo)*(rowRoom(fb.resources)+2)+6)
+	b, pos := room(b, (end-lo)*(rowRoom(fb.resources)+1)+rowsAt+4)
+	pos += rowsAt
 	var row [4]float64 // d ≤ 4 rows stay on the stack
 	vals := row[:]
 	if fb.resources > len(row) {
 		vals = make([]float64, fb.resources)
 	}
 	for e, slot := range fb.slots[lo:end] {
-		switch {
-		case lo+e > 0:
+		if lo+e > 0 {
 			b[pos] = ','
-			pos++
-		case hi > 0:
-			b[pos], b[pos+1] = ',', '['
-			pos += 2
-		default:
-			b[pos] = '['
 			pos++
 		}
 		pos = putRow(b, pos, fb.plan.Row(slot, hi, vals))
 	}
-	if end == len(fb.slots) {
-		b[pos] = ']'
-		pos++
-		if hi == fb.h-1 {
-			pos += copy(b[pos:], "]}\n")
+	return b[:pos]
+}
+
+// framed returns what writes chunk c of horizon hi: the rows appendRows
+// formatted into b, with the brackets and the body's end that fall on the
+// chunk written around them in place — `[` opening the horizon, after the
+// `,` that follows the one before, on its first chunk, and on its last `]`
+// closing it, then `]}\n` after the last horizon.
+func (fb *forecastBody) framed(b []byte, hi, c int) []byte {
+	lo, end := rowsAt, len(b)
+	if c == 0 {
+		lo--
+		b[lo] = '['
+		if hi > 0 {
+			lo--
+			b[lo] = ','
 		}
 	}
-	return b[:pos]
+	if c == fb.chunks-1 {
+		b = b[:end+4]
+		b[end] = ']'
+		end++
+		if hi == fb.h-1 {
+			end += copy(b[end:], "]}\n")
+		}
+	}
+	return b[lo:end]
 }
 
 // rowRoom is the room putRow needs for a row of n values.

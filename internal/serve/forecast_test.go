@@ -78,6 +78,46 @@ func (m seriesModel) Forecast(h int) ([]float64, error) {
 	return append([]float64(nil), m.series[:h]...), nil
 }
 
+// stairModel forecasts the last value it saw raised by stairSteps[i]·0.01 at
+// horizon i+1 — [a, a, b, b, b, c] — so its horizons fall into runs of two,
+// three and one equal ones.
+type stairModel struct{ last float64 }
+
+var stairSteps = []float64{0, 0, 1, 1, 1, 2}
+
+func (m *stairModel) Fit(series []float64) error { m.last = series[len(series)-1]; return nil }
+func (m *stairModel) Update(y float64)           { m.last = y }
+func (m *stairModel) Name() string               { return "stair" }
+func (m *stairModel) Forecast(h int) ([]float64, error) {
+	out := make([]float64, h)
+	for i := range out {
+		out[i] = m.last + 0.01*stairSteps[min(i, len(stairSteps)-1)]
+	}
+	return out, nil
+}
+
+// Zoos whose horizons differ: holt's at every horizon, the stair's in runs.
+var (
+	holtZoo  = []forecast.Candidate{{Name: "holt", Builder: func() forecast.Model { m, _ := forecast.NewHolt(0, 0, 0); return m }}}
+	stairZoo = forecast.Pinned(func() forecast.Model { return new(stairModel) })
+)
+
+// checkRepeats fails the test unless the horizons of sys's published plan
+// that repeat the one before are exactly the ones listed.
+func checkRepeats(t *testing.T, sys *core.System, want ...int) {
+	t.Helper()
+	plan := sys.Snapshot().Plan()
+	var got []int
+	for hi := 0; hi < sys.Snapshot().MaxHorizon(); hi++ {
+		if plan.RepeatsPrevious(hi) {
+			got = append(got, hi)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("repeated horizons %v, want %v", got, want)
+	}
+}
+
 // seriesSystem builds a ready nine-node fleet of three tight groups whose
 // every centroid forecast is series. Each node sits exactly on its centroid
 // (dyadic levels, so the means are exact), which makes every eq. (12) offset
@@ -157,6 +197,17 @@ func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
 	}{
 		{name: "plain", sys: func(t *testing.T) *core.System {
 			sys, _ := readySystem(t, 10, 6, 30)
+			checkRepeats(t, sys, 1, 2, 3, 4, 5)
+			return sys
+		}},
+		{name: "holt, no horizon repeats", sys: func(t *testing.T) *core.System {
+			sys, _ := zooSystem(t, holtZoo, 10, 6, 30)
+			checkRepeats(t, sys)
+			return sys
+		}},
+		{name: "stair, runs of 2, 3 and 1 horizons", sys: func(t *testing.T) *core.System {
+			sys, _ := zooSystem(t, stairZoo, 10, 6, 30)
+			checkRepeats(t, sys, 1, 3, 4)
 			return sys
 		}},
 		{name: "tombstone and warming joiner", sys: churnedSystem, want: []string{`"nodes":[0,1,2,4,6,7,8,9]`}},
@@ -218,27 +269,39 @@ func TestForecastBodyMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestForecastBodySpansTasks streams a fleet body nine formatting tasks long,
-// serially and with buffer rings of 4, 6 and 8 entries that it wraps, so the
-// task boundaries, the ring reuse and the write order are under the
-// byte-identity check. Not parallel: it sets GOMAXPROCS.
+// TestForecastBodySpansTasks streams fleet bodies up to thirteen formatting
+// tasks long, serially and with buffer rings of 4, 6 and 8 entries that they
+// wrap, so the task boundaries, the ring reuse and the write order are under
+// the byte-identity check: under sample-and-hold (every horizon after the
+// first written again from the first's chunks), holt (no horizon repeats)
+// and the stair (runs of 2, 3 and 1 horizons), on fleets on both sides of a
+// chunk edge and across it. Not parallel: it sets GOMAXPROCS.
 func TestForecastBodySpansTasks(t *testing.T) {
-	sys, _ := readySystem(t, 1500, 6, 25)
-	want := referenceForecastBody(t, sys.Snapshot(), 6, -1)
-	if tasks := 6 * 1500 * 2 / taskValues; tasks < 8 {
-		t.Fatalf("body is only %d tasks long", tasks)
-	}
-	for _, procs := range []int{1, 2, 3, 4} {
-		setMaxProcs(t, procs)
-		sys, _ := readySystem(t, 1500, 6, 25)
-		srv, err := New(Config{Source: sys})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=6", nil))
-		if !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("GOMAXPROCS=%d: streamed fleet body differs from the encoding/json body", procs)
+	const perTask = taskValues / 2
+	zoos := []struct {
+		name string
+		zoo  []forecast.Candidate
+	}{{"sample-and-hold", nil}, {"holt", holtZoo}, {"stair", stairZoo}}
+	for _, z := range zoos {
+		for _, nodes := range []int{perTask - 1, perTask, perTask + 1, 1500} {
+			sys, _ := zooSystem(t, z.zoo, nodes, 6, 25)
+			want := referenceForecastBody(t, sys.Snapshot(), 6, -1)
+			if got := bytes.Count(want, []byte("],[")) + 1; got != 6*nodes {
+				t.Fatalf("%s N=%d: %d rows in the body, want every node at every horizon", z.name, nodes, got)
+			}
+			for _, procs := range []int{1, 2, 3, 4} {
+				setMaxProcs(t, procs)
+				sys, _ := zooSystem(t, z.zoo, nodes, 6, 25)
+				srv, err := New(Config{Source: sys})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=6", nil))
+				if !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Fatalf("%s N=%d GOMAXPROCS=%d: streamed fleet body differs from the encoding/json body", z.name, nodes, procs)
+				}
+			}
 		}
 	}
 }
@@ -261,7 +324,7 @@ func TestStreamTasksPastStalledWorker(t *testing.T) {
 		var ahead sync.WaitGroup
 		ahead.Add(ringLen - 1)
 		var got bytes.Buffer
-		streamTasks(&got, tasks, func(b []byte, task int) []byte {
+		streamTasks(tasks, workers, func(b []byte, task int) []byte {
 			switch {
 			case task == stalled:
 				ahead.Wait()
@@ -269,6 +332,9 @@ func TestStreamTasksPastStalledWorker(t *testing.T) {
 				defer ahead.Done()
 			}
 			return fmt.Appendf(b, "<%d>", task)
+		}, func(buf *[]byte, _ int) bool {
+			got.Write(*buf)
+			return true
 		})
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("workers=%d: tasks written out of order:\n%s", workers, got.Bytes())
@@ -312,7 +378,10 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 
 // TestForecastStopsAfterFailedWrite: once the client is gone the handler
 // stops formatting and writing instead of pushing the rest of the body at it,
-// on a fan-out of two. Not parallel: it sets GOMAXPROCS.
+// on a fan-out of two, also when the Write fails inside a horizon written
+// again from the first one's chunks. A body that is let through takes one
+// Write per chunk of every horizon, repeated or not. Not parallel: it sets
+// GOMAXPROCS.
 func TestForecastStopsAfterFailedWrite(t *testing.T) {
 	setMaxProcs(t, 2)
 	sys, _ := readySystem(t, 1500, 6, 25)
@@ -320,12 +389,14 @@ func TestForecastStopsAfterFailedWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, okWrites := range []int{0, 1, 3} {
-		// Write 1 is the header, the later ones are formatting tasks.
+	// Write 1 is the header, 2 the nodes list, 3 and 4 horizon 1's two
+	// chunks, and 5–14 the five horizons that repeat it.
+	const writes = 2 + 6*2
+	for _, okWrites := range []int{0, 1, 3, 4, 5, 8, 13, writes} {
 		w := &failingWriter{discardWriter: discardWriter{header: make(http.Header)}, okWrites: okWrites}
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/forecast?h=6", nil))
-		if w.writes != okWrites+1 {
-			t.Fatalf("%d Writes after allowing %d, want the failed one to be the last", w.writes, okWrites)
+		if want := min(okWrites+1, writes); w.writes != want {
+			t.Fatalf("%d Writes after allowing %d, want %d", w.writes, okWrites, want)
 		}
 	}
 }

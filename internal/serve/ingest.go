@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"orcf/internal/core"
@@ -297,23 +296,21 @@ func (st *StoreStepper) gateOpen() bool {
 }
 
 // admit reports whether a node's latest record may enter the pipeline: it
-// must come from a real node ID and carry dims finite values. A record that
-// does not — a zero-width one included — is counted the first time it is met
-// (the store keeps it as the node's latest until a newer one arrives, and the
-// watermark remembers it).
+// must come from a real node ID and carry dims values that core.InRange
+// accepts. A record that does not — a zero-width one included — is counted
+// the first time it is met (the store keeps it as the node's latest until a
+// newer one arrives, and the watermark remembers it).
 func (st *StoreStepper) admit(w *watermark, m transport.Measurement) bool {
 	if m.Node < 0 {
 		return false
 	}
 	ok := len(m.Values) == st.frame.Cols()
-	// A NaN admitted here poisons every window mean, centroid, and forecast
-	// it touches, and encoding/json cannot marshal it on the way back out.
-	// This is the primary defense; the Finite* guards on response assembly
-	// are the belt-and-braces fence.
+	// A record admitted here that core's checkStep rejects would fail the
+	// whole step. A NaN would also poison every window mean, centroid and
+	// forecast it touched: the Finite* guards on response assembly are the
+	// belt-and-braces fence.
 	for _, v := range m.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			ok = false
-		}
+		ok = ok && core.InRange(v)
 	}
 	if !ok && m.Step > w.step {
 		w.step = m.Step
@@ -325,7 +322,7 @@ func (st *StoreStepper) admit(w *watermark, m transport.Measurement) bool {
 // RegisterMetrics exposes the stepper's rejected-record counter on reg.
 func (st *StoreStepper) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("orcf_ingest_rejected_records_total",
-		"Malformed measurements (wrong dimensionality, NaN, ±Inf) kept out of the pipeline.", &st.rejected)
+		"Malformed measurements (wrong dimensionality, NaN, ±Inf, beyond ±100) kept out of the pipeline.", &st.rejected)
 }
 
 // feed copies the member in slot's admitted latest measurement into the

@@ -13,7 +13,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -257,12 +256,7 @@ func (st *oracleStepper) admit(stat transport.NodeStat) bool {
 	if id < 0 {
 		return false
 	}
-	ok := len(values) == st.dims
-	for _, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			ok = false
-		}
-	}
+	ok := wellFormed(values, st.dims)
 	if !ok && stat.Latest.Step > st.lastStep[id] {
 		st.lastStep[id] = stat.Latest.Step
 		st.rejected++

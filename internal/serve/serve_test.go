@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"orcf/internal/core"
+	"orcf/internal/forecast"
 	"orcf/internal/transmit"
 )
 
@@ -41,9 +42,16 @@ func testStep(rng *rand.Rand, n int) [][]float64 {
 // collection phase.
 func readySystem(t testing.TB, nodes, horizon, steps int) (*core.System, *rand.Rand) {
 	t.Helper()
+	return zooSystem(t, nil, nodes, horizon, steps)
+}
+
+// zooSystem is readySystem forecasting with zoo (nil: the sample-and-hold
+// default).
+func zooSystem(t testing.TB, zoo []forecast.Candidate, nodes, horizon, steps int) (*core.System, *rand.Rand) {
+	t.Helper()
 	cfg := core.Config{
 		Nodes: nodes, Resources: 2, K: 3, InitialCollection: 20, RetrainEvery: 25,
-		MPrime: 3, Policy: alwaysPolicy, Seed: 42, SnapshotHorizon: horizon,
+		MPrime: 3, Policy: alwaysPolicy, Seed: 42, SnapshotHorizon: horizon, Zoo: zoo,
 	}
 	s, err := core.NewSystem(cfg)
 	if err != nil {

@@ -130,7 +130,7 @@ func runStoreScript(tb testing.TB, script []byte) scriptCover {
 		case opTick:
 			before := oracle.sys.Members()
 			for id, m := range ostore.latest {
-				if !isMember(oracle.sys, id) && id >= 0 && !finiteRecord(m.Values, 2) {
+				if !isMember(oracle.sys, id) && id >= 0 && !wellFormed(m.Values, 2) {
 					cover.malformedFirst++
 				}
 				if m.Step <= 0 {
@@ -216,7 +216,7 @@ func scriptValues(b byte) []float64 {
 	case 4:
 		return []float64{math.NaN(), a}
 	case 5:
-		return []float64{a, math.Inf(1 - 2*(arg%2))}
+		return []float64{a, [...]float64{math.Inf(1), math.Inf(-1), 1e160, -1e160}[arg%4]}
 	case 6:
 		return make([]float64, 1+2*(arg%2))
 	case 7:
@@ -225,12 +225,15 @@ func scriptValues(b byte) []float64 {
 	return []float64{a, 1 - a}
 }
 
-func finiteRecord(values []float64, dims int) bool {
+// wellFormed reports whether a record of values may enter a pipeline of
+// dims resources: that many values, each within ±100 (NaN and ±Inf are
+// not).
+func wellFormed(values []float64, dims int) bool {
 	if len(values) != dims {
 		return false
 	}
 	for _, v := range values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !(math.Abs(v) <= 100) {
 			return false
 		}
 	}
