@@ -46,17 +46,16 @@ type daemon struct {
 }
 
 // start runs forecastd on the state directory; httpAddr "" makes it a
-// collector only.
-func start(t *testing.T, stateDir, httpAddr string, interval time.Duration) *daemon {
+// collector only. extra flags follow the defaults, so they override them.
+func start(t *testing.T, stateDir, httpAddr string, interval time.Duration, extra ...string) *daemon {
 	t.Helper()
 	d := &daemon{log: new(logBuf), stop: make(chan os.Signal, 1), exit: make(chan int, 1)}
-	go func() {
-		d.exit <- run([]string{
-			"-ingest", "127.0.0.1:0", "-http", httpAddr, "-k", "3", "-resources", "2",
-			"-interval", interval.String(), "-initial", "20", "-retrain", "50", "-horizon", "8",
-			"-state-dir", stateDir, "-absence-ticks", "10",
-		}, d.stop, d.log)
-	}()
+	args := append([]string{
+		"-ingest", "127.0.0.1:0", "-http", httpAddr, "-k", "3", "-resources", "2",
+		"-interval", interval.String(), "-initial", "20", "-retrain", "50", "-horizon", "8",
+		"-state-dir", stateDir, "-absence-ticks", "10",
+	}, extra...)
+	go func() { d.exit <- run(args, d.stop, d.log) }()
 	t.Cleanup(func() { // a failed test must not leave the daemon ticking
 		select {
 		case d.stop <- os.Interrupt:
@@ -134,6 +133,29 @@ func (d *daemon) get(t *testing.T, path string) (body []byte, generation uint64,
 		t.Fatalf("GET %s: %v: %s", path, err, body)
 	}
 	return body, at.Generation, strconv.Itoa(at.Step)
+}
+
+// metric reads one unlabelled series from the query plane's /metrics.
+func (d *daemon) metric(t *testing.T, name string) float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + d.http + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindSubmatch(body)
+	if m == nil {
+		t.Fatalf("/metrics has no %s:\n%s", name, body)
+	}
+	v, err := strconv.ParseFloat(string(m[1]), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // rosterFromLog replays the joined/evicted lines into the slot → node
@@ -415,4 +437,50 @@ func churnThenRestart(t *testing.T, httpAddr string) {
 		t.Fatalf("/v1/stats persist block %+v, want recovered_step %s:\n%s", st.Persist, stopped, stats)
 	}
 	d3.shutdown(t)
+}
+
+// TestHugeFiniteRecordKeepsDaemonServing is the daemon-level reproducer of a
+// remote record that used to stop the collector: under a zoo with ar, one
+// member of a three-node fleet, all sent by one in-process agent, reports
+// 1e160 from the first trained step on. Squared, that value overflows an AR
+// fit's normal equations, and a failed fit used to end the daemon with exit
+// 1 at the next retrain. The record must instead be rejected and counted in
+// orcf_ingest_rejected_records_total, the daemon must keep ticking and
+// serving forecasts through several retrains, and it must exit 0 on stop.
+func TestHugeFiniteRecordKeepsDaemonServing(t *testing.T) {
+	const rejected = "orcf_ingest_rejected_records_total"
+	d := start(t, t.TempDir(), "127.0.0.1:0", 10*time.Millisecond,
+		"-k", "2", "-models", "sample-and-hold,ar", "-initial", "10", "-retrain", "5")
+	agent, err := transport.DialBatch(d.ingest, 0, transport.BatchOptions{Linger: time.Millisecond, Mux: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	huge := false
+	step := 0
+	pump := func() { // the agent samples and transmits for all three nodes
+		step++
+		for node := 0; node < 3; node++ {
+			v := 0.2 + 0.3*float64(node) + 0.05*float64(step%7)/7
+			if node == 2 && huge {
+				v = 1e160
+			}
+			if err := agent.SendNode(node, step, []float64{v, 0.5}); err != nil {
+				t.Fatalf("node %d: %v", node, err)
+			}
+		}
+	}
+	d.await(t, pump, `msg="models trained"`)
+	if got := d.metric(t, rejected); got != 0 {
+		t.Fatalf("%s = %v before any out-of-range record", rejected, got)
+	}
+	huge = true
+	ticks := strings.Count(d.log.String(), `msg="pipeline step"`)
+	// The periodic line comes every 25 ticks: 50 ticks span ten retrains.
+	d.await(t, pump, fmt.Sprintf(`(?s)(msg="pipeline step" [^\n]*ready=true.*){%d}`, ticks+2))
+	if got := d.metric(t, rejected); got == 0 {
+		t.Fatalf("%s did not rise while a member sent 1e160", rejected)
+	}
+	d.get(t, "/v1/forecast?h=2")
+	d.shutdown(t)
 }

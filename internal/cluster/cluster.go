@@ -70,10 +70,10 @@ type Config struct {
 	// Similarity selects the matching measure. Zero means SimilarityProposed.
 	Similarity Similarity
 	// HistoryDepth is how many past assignment vectors the tracker retains
-	// (≥ M; a smaller positive value means M). The eq. (10) matching reads
+	// (≥ M; zero or a smaller value means M). The eq. (10) matching reads
 	// only the newest M, so deeper rows are read only by ExportState, and
 	// RestoreState keeps the newest HistoryDepth rows of a deeper recorded
-	// history. Zero means max(M, 8).
+	// history.
 	HistoryDepth int
 	// DisableMatching skips the Hungarian re-indexing step, leaving the raw
 	// (arbitrary) K-means cluster order of each step. Only for ablation:
@@ -104,13 +104,7 @@ func (c Config) withDefaults() Config {
 	if c.Similarity == 0 {
 		c.Similarity = SimilarityProposed
 	}
-	if c.HistoryDepth < c.M {
-		if c.HistoryDepth == 0 {
-			c.HistoryDepth = max(c.M, 8)
-		} else {
-			c.HistoryDepth = c.M
-		}
-	}
+	c.HistoryDepth = max(c.HistoryDepth, c.M)
 	return c
 }
 
@@ -179,10 +173,6 @@ type Tracker struct {
 
 	// Per-slot run-length counters realizing eq. (10) incrementally; see run.
 	runs []run
-
-	// centroidSeries[j][dim] is the full centroid history for stable
-	// cluster j and one dimension; indexed [j][d][t].
-	centroidSeries [][][]float64
 
 	// cents holds the latest step's stable centroids (K×dim row-major): the
 	// result of that step and the seed of the next warm start.
@@ -320,7 +310,6 @@ func (tr *Tracker) UpdateFlat(data []float64, n, dim int, present []bool) (assig
 	tr.dim, tr.n = dim, n
 	assign = tr.commit(pts, n, dim, present, mapping)
 	tr.t++
-	tr.appendCentroids()
 	return assign, tr.cents, nil
 }
 
@@ -641,32 +630,6 @@ func (tr *Tracker) ForgetSlot(slot int) {
 	if slot < len(tr.runs) {
 		tr.runs[slot] = run{val: -1}
 	}
-}
-
-func (tr *Tracker) appendCentroids() {
-	if tr.centroidSeries == nil {
-		tr.centroidSeries = make([][][]float64, tr.cfg.K)
-		for j := range tr.centroidSeries {
-			tr.centroidSeries[j] = make([][]float64, tr.dim)
-		}
-	}
-	for j := 0; j < tr.cfg.K; j++ {
-		for d := 0; d < tr.dim; d++ {
-			tr.centroidSeries[j][d] = append(tr.centroidSeries[j][d], tr.cents[j*tr.dim+d])
-		}
-	}
-}
-
-// CentroidSeries returns the historical centroid values of stable cluster j
-// along dimension d, one value per processed step. The returned slice is a
-// copy.
-func (tr *Tracker) CentroidSeries(j, d int) []float64 {
-	if j < 0 || j >= tr.cfg.K || d < 0 || d >= tr.dim || tr.centroidSeries == nil {
-		return nil
-	}
-	out := make([]float64, len(tr.centroidSeries[j][d]))
-	copy(out, tr.centroidSeries[j][d])
-	return out
 }
 
 // RefitStats reports how many steps were warm-started incrementally and how

@@ -118,21 +118,22 @@ func TestTrackerCentroidSeriesContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := 50
+	series := make([][]float64, 2)
 	for step := 0; step < steps; step++ {
 		lo := 0.2 + 0.1*math.Sin(float64(step)/5)
 		hi := 0.8 + 0.1*math.Cos(float64(step)/5)
-		if _, err := tr.Update(twoGroupPoints(16, lo, hi, false)); err != nil {
+		s, err := tr.Update(twoGroupPoints(16, lo, hi, false))
+		if err != nil {
 			t.Fatal(err)
+		}
+		for j, c := range s.Centroids {
+			series[j] = append(series[j], c[0])
 		}
 	}
 	if tr.t != steps {
 		t.Fatalf("%d steps counted, want %d", tr.t, steps)
 	}
-	for j := 0; j < 2; j++ {
-		series := tr.CentroidSeries(j, 0)
-		if len(series) != steps {
-			t.Fatalf("cluster %d series length %d, want %d", j, len(series), steps)
-		}
+	for j, series := range series {
 		// A coherent centroid series of a smooth signal has small step-to-
 		// step jumps; an index mix-up would show |Δ| ≈ 0.6 jumps.
 		for i := 1; i < len(series); i++ {
@@ -141,9 +142,6 @@ func TestTrackerCentroidSeriesContinuity(t *testing.T) {
 					j, i, series[i-1], series[i])
 			}
 		}
-	}
-	if tr.CentroidSeries(5, 0) != nil || tr.CentroidSeries(0, 3) != nil {
-		t.Fatal("out-of-range CentroidSeries should be nil")
 	}
 }
 
@@ -233,6 +231,22 @@ func TestTrackerHistoryDepth(t *testing.T) {
 	for ago, h := range hist {
 		if len(h) != 10 {
 			t.Fatalf("history row %d steps back has %d slots, want 10", ago, len(h))
+		}
+	}
+
+	// A zero depth keeps the M rows the eq. (10) matching reads, and no more.
+	for _, m := range []int{1, 3} {
+		tr, err := NewTracker(Config{K: 2, M: m}, testRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 1; step <= 6; step++ {
+			if _, err := tr.Update(twoGroupPoints(10, 0.1, 0.9, false)); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(tr.ExportState().Hist); got != min(m, step) {
+				t.Fatalf("M=%d, step %d: %d history rows at zero depth, want %d", m, step, got, min(m, step))
+			}
 		}
 	}
 }

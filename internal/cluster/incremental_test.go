@@ -8,9 +8,11 @@ package cluster
 // requiring bit-identical steps and RNG streams throughout.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"orcf/internal/hungarian"
@@ -485,13 +487,14 @@ func TestIncrementalRestoreResumesExactly(t *testing.T) {
 	}
 	sim := newChurnSim(rand.New(rand.NewPCG(3, 33)), cfg.K, 2, 20)
 
-	// Warm the tracker, then snapshot its state and RNG.
+	// Warm the tracker, then snapshot its state, RNG and last centroids.
+	var last *Step
 	for step := 0; step < 20; step++ {
 		points, present, forget := sim.next(0.2)
 		for _, slot := range forget {
 			tr.ForgetSlot(slot)
 		}
-		if _, err := tr.UpdateMasked(points, present); err != nil {
+		if last, err = tr.UpdateMasked(points, present); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
@@ -508,7 +511,29 @@ func TestIncrementalRestoreResumesExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr2.RestoreState(st); err != nil {
+	seed := slices.Concat(last.Centroids...)
+
+	// A malformed seed or state is rejected and leaves tr2 unrestored; the
+	// bit-identical tail below then also shows that nothing of it stuck.
+	dimless := *st
+	dimless.Dim = 0
+	for _, bad := range []struct {
+		name string
+		st   *State
+		seed []float64
+	}{
+		{"seed one value short", st, seed[:len(seed)-1]},
+		{"seed with a zero-step state", &State{}, seed},
+		{"dim 0 after steps", &dimless, nil},
+	} {
+		if err := tr2.RestoreState(bad.st, bad.seed); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%s: restore returned %v, want ErrBadInput", bad.name, err)
+		}
+		if tr2.t != 0 {
+			t.Fatalf("%s: rejected restore left the tracker at t=%d", bad.name, tr2.t)
+		}
+	}
+	if err := tr2.RestoreState(st, seed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -553,12 +578,13 @@ func TestRestoreKeepsNewestHistoryRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim := newChurnSim(rand.New(rand.NewPCG(uint64(m), 71)), cfg.K, 2, 20)
+			var last *Step
 			for step := 0; step < 20; step++ {
 				points, present, forget := sim.next(0.3)
 				for _, slot := range forget {
 					tr.ForgetSlot(slot)
 				}
-				if _, err := tr.UpdateMasked(points, present); err != nil {
+				if last, err = tr.UpdateMasked(points, present); err != nil {
 					t.Fatalf("%s step %d: %v", tag, step, err)
 				}
 			}
@@ -579,7 +605,7 @@ func TestRestoreKeepsNewestHistoryRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := r.RestoreState(st); err != nil {
+				if err := r.RestoreState(st, slices.Concat(last.Centroids...)); err != nil {
 					t.Fatalf("%s: restore at depth %d: %v", tag, r.cfg.HistoryDepth, err)
 				}
 				return r

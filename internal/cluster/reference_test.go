@@ -52,10 +52,6 @@ type referenceTracker struct {
 	streak    []int
 	streakVal []int
 
-	// centroidSeries[j][dim] is the full centroid history for stable
-	// cluster j and one dimension; indexed [j][d][t].
-	centroidSeries [][][]float64
-
 	// Previous step's stable centroids (K×dim row-major), seeding
 	// warm-started incremental refits.
 	prevCents []float64
@@ -118,7 +114,6 @@ func (tr *referenceTracker) UpdateMasked(points [][]float64, present []bool) (*S
 	tr.centroidsInto(pn)
 	tr.t++
 	tr.pushHistory(tr.stable)
-	tr.appendCentroids()
 	if cap(tr.prevCents) < k*dim {
 		tr.prevCents = make([]float64, k*dim)
 	}
@@ -499,32 +494,6 @@ func (tr *referenceTracker) pushHistory(assign []int) {
 	}
 }
 
-func (tr *referenceTracker) appendCentroids() {
-	if tr.centroidSeries == nil {
-		tr.centroidSeries = make([][][]float64, tr.cfg.K)
-		for j := range tr.centroidSeries {
-			tr.centroidSeries[j] = make([][]float64, tr.dim)
-		}
-	}
-	for j := 0; j < tr.cfg.K; j++ {
-		for d := 0; d < tr.dim; d++ {
-			tr.centroidSeries[j][d] = append(tr.centroidSeries[j][d], tr.centsFlat[j*tr.dim+d])
-		}
-	}
-}
-
-// CentroidSeries returns the historical centroid values of stable cluster j
-// along dimension d, one value per processed step. The returned slice is a
-// copy.
-func (tr *referenceTracker) CentroidSeries(j, d int) []float64 {
-	if j < 0 || j >= tr.cfg.K || d < 0 || d >= tr.dim || tr.centroidSeries == nil {
-		return nil
-	}
-	out := make([]float64, len(tr.centroidSeries[j][d]))
-	copy(out, tr.centroidSeries[j][d])
-	return out
-}
-
 // AssignmentsAgo returns the stable assignment vector from `ago` steps back
 // (0 = most recent). It returns nil when the history does not reach that far.
 func (tr *referenceTracker) AssignmentsAgo(ago int) []int {
@@ -555,15 +524,6 @@ func (tr *referenceTracker) ExportState() *State {
 		h := tr.hist[(tr.histHead-i+len(tr.hist))%len(tr.hist)]
 		st.Hist[i] = append([]int(nil), h...)
 	}
-	if tr.centroidSeries != nil {
-		st.CentroidSeries = make([][][]float64, len(tr.centroidSeries))
-		for j, byDim := range tr.centroidSeries {
-			st.CentroidSeries[j] = make([][]float64, len(byDim))
-			for d, series := range byDim {
-				st.CentroidSeries[j][d] = append([]float64(nil), series...)
-			}
-		}
-	}
 	return st
 }
 
@@ -582,13 +542,6 @@ func stateDigest(st *State) uint64 {
 		u64(uint64(len(row)))
 		for _, v := range row {
 			u64(uint64(int64(v)))
-		}
-	}
-	for _, byDim := range st.CentroidSeries {
-		for _, series := range byDim {
-			for _, v := range series {
-				u64(math.Float64bits(v))
-			}
 		}
 	}
 	return h.Sum64()

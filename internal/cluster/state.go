@@ -2,11 +2,13 @@ package cluster
 
 import "fmt"
 
-// State is the complete serializable state of a Tracker (everything that
-// evolves across Update calls). It does not include the K-means RNG: the
-// Tracker borrows its *rand.Rand from the caller, so the caller that wants
-// deterministic resumption must capture and restore the underlying source
-// alongside this State (core.System does exactly that for its trackers).
+// State is the serializable state of a Tracker (everything that evolves
+// across Update calls) but two things the caller keeps anyway: the K-means
+// RNG, which the Tracker borrows from the caller, and the last returned
+// centroids, the warm start of the next update, which the caller stores as
+// that step's result. A caller that wants deterministic resumption captures
+// both alongside this State and hands them back to RestoreState (core.System
+// keeps the RNG source and the newest look-back slot's centroids).
 type State struct {
 	// T is the number of processed updates.
 	T int
@@ -17,7 +19,10 @@ type State struct {
 	// was absent at that step; vectors recorded before the fleet grew may be
 	// shorter than N, with missing entries reading as absent.
 	Hist [][]int
-	// CentroidSeries is the full centroid history, indexed [cluster][dim][t].
+	// CentroidSeries is the centroid history, indexed [cluster][dim][t],
+	// that trackers kept before the forecasting ensemble's series became the
+	// only one. ExportState leaves it nil; RestoreState ignores it in
+	// checkpoints written by earlier builds.
 	CentroidSeries [][][]float64
 }
 
@@ -31,24 +36,18 @@ func (tr *Tracker) ExportState() *State {
 		h := tr.hist[(tr.histHead-i+len(tr.hist))%len(tr.hist)]
 		st.Hist[i] = append([]int(nil), h...)
 	}
-	if tr.centroidSeries != nil {
-		st.CentroidSeries = make([][][]float64, len(tr.centroidSeries))
-		for j, byDim := range tr.centroidSeries {
-			st.CentroidSeries[j] = make([][]float64, len(byDim))
-			for d, series := range byDim {
-				st.CentroidSeries[j][d] = append([]float64(nil), series...)
-			}
-		}
-	}
 	return st
 }
 
 // RestoreState replaces a freshly constructed tracker's state with an
-// exported one. The tracker must not have processed any update yet, and the
-// state must match the tracker's configuration (K, assignment ranges); of a
-// history deeper than HistoryDepth only the newest HistoryDepth rows are
-// kept. The State is deep-copied; the caller keeps ownership.
-func (tr *Tracker) RestoreState(st *State) error {
+// exported one. cents are the K stable centroids (K×Dim row-major) the
+// exporting tracker returned from its last update, the seed of the next warm
+// start; a zero-step state takes none. The tracker must not have processed
+// any update yet, and the state must match the tracker's configuration (K,
+// assignment ranges); of a history deeper than HistoryDepth only the newest
+// HistoryDepth rows are kept. The State and cents are copied; the caller
+// keeps ownership.
+func (tr *Tracker) RestoreState(st *State, cents []float64) error {
 	if tr.t != 0 {
 		return fmt.Errorf("cluster: restore into tracker with %d steps: %w", tr.t, ErrBadInput)
 	}
@@ -59,7 +58,7 @@ func (tr *Tracker) RestoreState(st *State) error {
 		return fmt.Errorf("cluster: negative state counters: %w", ErrBadInput)
 	}
 	if st.T == 0 {
-		if len(st.Hist) != 0 || st.CentroidSeries != nil {
+		if len(st.Hist) != 0 || len(cents) != 0 {
 			return fmt.Errorf("cluster: zero-step state carries history: %w", ErrBadInput)
 		}
 		return nil
@@ -79,20 +78,9 @@ func (tr *Tracker) RestoreState(st *State) error {
 			}
 		}
 	}
-	if len(st.CentroidSeries) != tr.cfg.K {
-		return fmt.Errorf("cluster: %d centroid series, want K=%d: %w",
-			len(st.CentroidSeries), tr.cfg.K, ErrBadInput)
-	}
-	for j, byDim := range st.CentroidSeries {
-		if len(byDim) != st.Dim {
-			return fmt.Errorf("cluster: cluster %d has %d dims, want %d: %w", j, len(byDim), st.Dim, ErrBadInput)
-		}
-		for d, series := range byDim {
-			if len(series) != st.T {
-				return fmt.Errorf("cluster: series (%d,%d) has %d values, want %d: %w",
-					j, d, len(series), st.T, ErrBadInput)
-			}
-		}
+	if st.Dim < 1 || len(cents) != tr.cfg.K*st.Dim {
+		return fmt.Errorf("cluster: %d seed centroid values for K=%d, dim %d: %w",
+			len(cents), tr.cfg.K, st.Dim, ErrBadInput)
 	}
 
 	tr.t = st.T
@@ -109,20 +97,7 @@ func (tr *Tracker) RestoreState(st *State) error {
 		tr.hist[tr.histLen-1-i] = append([]int(nil), h...)
 	}
 	tr.rebuildStreaks()
-	tr.centroidSeries = make([][][]float64, len(st.CentroidSeries))
-	for j, byDim := range st.CentroidSeries {
-		tr.centroidSeries[j] = make([][]float64, len(byDim))
-		for d, series := range byDim {
-			tr.centroidSeries[j][d] = append([]float64(nil), series...)
-		}
-	}
-	// Re-seed warm incremental refits from the last recorded centroids.
-	tr.cents = make([]float64, tr.cfg.K*tr.dim)
-	for j, byDim := range st.CentroidSeries {
-		for d, series := range byDim {
-			tr.cents[j*tr.dim+d] = series[st.T-1]
-		}
-	}
+	tr.cents = append([]float64(nil), cents...)
 	return nil
 }
 

@@ -86,7 +86,11 @@ type Config struct {
 	InitialCollection int
 	// RetrainEvery is the model retraining period. Zero means 288.
 	RetrainEvery int
-	// FitWindow caps per-fit history (0 = all).
+	// FitWindow caps the centroid history a model fit reads, most recent
+	// values first; the ensembles keep at most FitWindow + RetrainEvery
+	// values per (cluster, resource), so state and refit cost stay bounded
+	// however long the system runs. Zero means the default window,
+	// max(InitialCollection, 2·RetrainEvery): 1000 at the paper's schedule.
 	FitWindow int
 	// Policy builds each node's transmission policy (NewCentral ignores it).
 	// Nil means the adaptive policy with B=0.3 and paper defaults.
@@ -175,6 +179,16 @@ func (c Config) withDefaults() Config {
 		c.Selection = c.Selection.WithDefaults()
 	}
 	return c
+}
+
+// fitWindow resolves FitWindow for the ensembles. It is not a withDefaults
+// default, so that Fingerprint keeps hashing the configured value and no
+// fingerprint of a FitWindow-0 configuration moves.
+func (c Config) fitWindow() int {
+	if c.FitWindow != 0 {
+		return c.FitWindow
+	}
+	return max(c.InitialCollection, 2*c.RetrainEvery)
 }
 
 // ResourceStep is the per-tracker clustering outcome of one step. Both
@@ -343,13 +357,12 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 	for tr := 0; tr < s.nTrackers; tr++ {
 		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
 		s.pcgs = append(s.pcgs, pcg)
-		// The eq. (10) matching reads M assignment rows back; the §V-C
-		// membership window is the look-back ring's.
+		// The tracker keeps the M assignment rows the eq. (10) matching
+		// reads; the §V-C membership window is the look-back ring's.
 		tracker, err := cluster.NewTracker(cluster.Config{
 			K:                cfg.K,
 			M:                cfg.M,
 			Similarity:       cfg.Similarity,
-			HistoryDepth:     cfg.M,
 			DisableMatching:  cfg.DisableMatching,
 			Incremental:      cfg.IncrementalRefit,
 			IncrementalChurn: cfg.IncrementalChurn,
@@ -363,7 +376,7 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 			Dims:              s.dims,
 			InitialCollection: cfg.InitialCollection,
 			RetrainEvery:      cfg.RetrainEvery,
-			FitWindow:         cfg.FitWindow,
+			FitWindow:         cfg.fitWindow(),
 			Candidates:        candidates,
 			Selection:         cfg.Selection,
 		})
@@ -759,12 +772,15 @@ func (s *System) ModelSelection(tracker int) *forecast.SelectionInfo {
 	return s.ensembles[tracker].Selection()
 }
 
-// CentroidSeries returns the centroid history for (tracker, cluster, dim).
+// CentroidSeries returns a copy of the centroid series of (tracker, cluster,
+// dim) that the forecasting models fit on: the retained suffix, oldest
+// first, at most FitWindow + RetrainEvery values (see Config.FitWindow). It
+// returns nil for an out-of-range cell.
 func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
-	if tracker < 0 || tracker >= len(s.trackers) {
+	if tracker < 0 || tracker >= len(s.ensembles) {
 		return nil
 	}
-	return s.trackers[tracker].CentroidSeries(clusterIdx, dim)
+	return s.ensembles[tracker].Series(clusterIdx, dim)
 }
 
 // Step ingests the measurements of the fleet for one time step: x has one

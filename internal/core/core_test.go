@@ -485,8 +485,8 @@ func TestCentroidSeriesExposure(t *testing.T) {
 	if len(series) != 6 {
 		t.Fatalf("centroid series length %d, want 6", len(series))
 	}
-	if s.CentroidSeries(5, 0, 0) != nil {
-		t.Fatal("out-of-range tracker should give nil")
+	if s.CentroidSeries(5, 0, 0) != nil || s.CentroidSeries(0, 5, 0) != nil || s.CentroidSeries(0, 0, 3) != nil {
+		t.Fatal("out-of-range tracker, cluster or dim should give nil")
 	}
 }
 

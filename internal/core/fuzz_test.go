@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"orcf/internal/forecast"
 	"orcf/internal/transmit"
 )
 
@@ -124,4 +128,117 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 			}
 		}
 	}
+}
+
+// FuzzStepArrivalsWholeFloatRange drives an edge-less central node (N ≤ 8,
+// d = 2, K = 2, zoo sample-and-hold and ar, a schedule short enough that
+// fits run) through 24 StepArrivals calls whose values span the whole
+// float64 range. Each row starts with a selector byte: 255 leaves the member
+// silent; below 128 it is an in-range value in [0, 1]; otherwise NaN, ±Inf,
+// ±0, ±100, one ulp past ±100, a subnormal of random sign, or eight raw bytes
+// (a random sign, exponent and mantissa). Once the data runs out the members
+// report a slow in-range signal. Every call must succeed or return
+// ErrBadInput with Steps() and the ExportState digest unchanged; no other
+// error may occur.
+func FuzzStepArrivalsWholeFloatRange(f *testing.F) {
+	f.Add(uint8(6), []byte{})
+	f.Fuzz(func(t *testing.T, nSel uint8, data []byte) {
+		n := 2 + int(nSel%7)
+		zoo, err := forecast.Zoo("sample-and-hold", "ar")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewCentral(Config{
+			Nodes: n, Resources: 2, K: 2, InitialCollection: 8, RetrainEvery: 4, Zoo: zoo, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := func() (byte, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			b := data[0]
+			data = data[1:]
+			return b, true
+		}
+		raw := func() uint64 {
+			var b [8]byte
+			data = data[copy(b[:], data):]
+			return binary.LittleEndian.Uint64(b[:])
+		}
+		value := func(sel byte) float64 {
+			switch {
+			case sel < 128:
+				return float64(sel) / 127
+			case sel == 128:
+				return math.NaN()
+			case sel == 129:
+				return math.Inf(1)
+			case sel == 130:
+				return math.Inf(-1)
+			case sel == 131:
+				return 0
+			case sel == 132:
+				return math.Copysign(0, -1)
+			case sel == 133:
+				return 100
+			case sel == 134:
+				return -100
+			case sel == 135:
+				return math.Nextafter(100, math.Inf(1))
+			case sel == 136:
+				return math.Nextafter(-100, math.Inf(-1))
+			case sel == 137:
+				bits := raw()
+				return math.Float64frombits(bits&(1<<63|1<<52-1) | 1) // sign and mantissa, exponent 0
+			default:
+				return math.Float64frombits(raw())
+			}
+		}
+		digest := func() uint64 {
+			st, err := sys.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range st.Ensembles {
+				e.TrainTime = 0
+			}
+			h := fnv.New64a()
+			if err := gob.NewEncoder(h).Encode(st); err != nil {
+				t.Fatal(err)
+			}
+			return h.Sum64()
+		}
+		x := make([][]float64, n)
+		arrived := make([]bool, n)
+		for step := 1; step <= 24; step++ {
+			for i := range x {
+				x[i], arrived[i] = nil, false
+				sel, ok := next()
+				if !ok {
+					base := 0.2 + 0.6*float64(i%2)
+					x[i], arrived[i] = []float64{base + 0.01*float64(step%7), 1 - base}, true
+					continue
+				}
+				if sel == 255 {
+					continue
+				}
+				v0 := value(sel)
+				sel1, _ := next()
+				x[i], arrived[i] = []float64{v0, value(sel1)}, true
+			}
+			steps, before := sys.Steps(), digest()
+			_, err := sys.StepArrivals(x, arrived)
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, ErrBadInput) {
+				t.Fatalf("step %d, rows %v: %v", step, x, err)
+			}
+			if sys.Steps() != steps || digest() != before {
+				t.Fatalf("step %d, rows %v: rejected (%v), but the system moved", step, x, err)
+			}
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -94,7 +95,11 @@ func TestIncrementalRefitForcedFallbackMatchesPlain(t *testing.T) {
 
 // TestIncrementalRefitWarmStartsEndToEnd drives the real incremental path
 // through the full pipeline: on a stable workload warm refits must dominate,
-// and export/restore must resume the warm stream bit-identically.
+// and a state exported once the warm path runs must restore into a fresh
+// system that continues bit for bit — step results, forecasts, warm/full
+// refit counts and the final exported state — over the next 50 steps. The
+// warm start's seed is not in the trackers' state: restore takes it from the
+// newest look-back slot, and a restore without it runs a full refit first.
 func TestIncrementalRefitWarmStartsEndToEnd(t *testing.T) {
 	t.Parallel()
 	cfg := Config{
@@ -128,32 +133,42 @@ func TestIncrementalRefitWarmStartsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreState(st); err != nil {
+	if err := restored.RestoreState(gobRoundTrip(t, st)); err != nil {
 		t.Fatal(err)
 	}
-	for step := 0; step < 15; step++ {
+	before, _ := s.RefitStats()
+	for step := 0; step < 50; step++ {
 		x := noisyStep(rng, 12)
-		ra, err := s.Step(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := restored.Step(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tr := range ra.PerResource {
-			for j, c := range ra.PerResource[tr].Centroids {
-				for d := range c {
-					if math.Float64bits(c[d]) != math.Float64bits(rb.PerResource[tr].Centroids[j][d]) {
-						t.Fatalf("restored step %d: centroid (%d,%d,%d) diverged", step, tr, j, d)
-					}
-				}
-			}
+		want := observeStep(t, s, x)
+		got := observeStep(t, restored, x)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored step %d diverged from the uninterrupted run:\n got %+v\nwant %+v", step, got, want)
 		}
 	}
-	w2, _ := restored.RefitStats()
-	if w2 == 0 {
-		t.Fatal("restored system never warm-started; prevCents restore vacuous")
+	if w, _ := s.RefitStats(); w == before {
+		t.Fatal("no warm refits after the export; restore property vacuous")
+	}
+	gw, gf := restored.RefitStats()
+	ww, wf := s.RefitStats()
+	if gw != ww-warm || gf != wf-full {
+		t.Fatalf("restored run refit (%d warm, %d full), uninterrupted (%d, %d) since the export",
+			gw, gf, ww-warm, wf-full)
+	}
+	got, err := restored.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*State{got, want} {
+		for _, e := range st.Ensembles {
+			e.TrainTime = 0 // wall clock
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("state after 50 restored steps diverges from the uninterrupted run")
 	}
 }
 

@@ -510,7 +510,7 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 			Dims:              s.dims,
 			InitialCollection: cfg.InitialCollection,
 			RetrainEvery:      cfg.RetrainEvery,
-			FitWindow:         cfg.FitWindow,
+			FitWindow:         cfg.fitWindow(),
 			Candidates:        candidates,
 			Selection:         cfg.Selection,
 		})
@@ -1173,11 +1173,6 @@ func coreStateDigest(st *State) uint64 {
 		u64(uint64(tr.N))
 		for _, row := range tr.Hist {
 			ints(row)
-		}
-		for _, cl := range tr.CentroidSeries {
-			for _, series := range cl {
-				floats(series)
-			}
 		}
 	}
 	for _, e := range st.Ensembles {

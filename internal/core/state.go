@@ -117,7 +117,8 @@ func (c Config) Fingerprint() uint64 {
 	}
 	h := fnv.New64a()
 	// noclamp is the forecast clamp's retired ablation switch, written as
-	// the literal it always was so that no fingerprint moves.
+	// the literal it always was so that no fingerprint moves. fitw is the
+	// configured FitWindow, 0 for the default window, for the same reason.
 	fmt.Fprintf(h, "orcf-state-v%d|d=%d|K=%d|M=%d|Mp=%d|sim=%d|init=%d|retrain=%d|fitw=%d|joint=%t|seed=%d|noclamp=false|noalpha=%t|nomatch=%t",
 		StateVersion, c.Resources, c.K, c.M, c.MPrime, int(c.Similarity),
 		c.InitialCollection, c.RetrainEvery, c.FitWindow, c.JointClustering,
@@ -309,7 +310,13 @@ func (s *System) RestoreState(st *State) error {
 	}
 
 	err := parallel.ForEach(s.nTrackers, func(tr int) error {
-		if err := s.trackers[tr].RestoreState(st.Trackers[tr]); err != nil {
+		// The newest look-back slot holds the centroids the tracker
+		// returned last, the seed of its next warm start.
+		var seed []float64
+		if s.ringLen > 0 {
+			seed = s.snapAt(0).centroids(tr)
+		}
+		if err := s.trackers[tr].RestoreState(st.Trackers[tr], seed); err != nil {
 			return fmt.Errorf("core: tracker %d: %w", tr, err)
 		}
 		if err := s.pcgs[tr].UnmarshalBinary(st.TrackerRNGs[tr]); err != nil {

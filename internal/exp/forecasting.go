@@ -34,13 +34,19 @@ func (o Options) modelBuilders() map[string]forecast.Builder {
 // runPipeline evaluates the full proposed pipeline on a dataset with the
 // given model and K, scoring the paper horizons.
 func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder, simCfg sim.Config) (*sim.Result, error) {
+	// Paper scale fits on all history; core bounds every window, so that
+	// one is as long as the run.
+	fitWindow := o.FitWindow
+	if fitWindow == 0 {
+		fitWindow = ds.Steps()
+	}
 	sys, err := core.NewSystem(core.Config{
 		Nodes:             ds.Nodes(),
 		Resources:         ds.NumResources(),
 		K:                 k,
 		InitialCollection: o.Warmup,
 		RetrainEvery:      retrainEvery,
-		FitWindow:         o.FitWindow,
+		FitWindow:         fitWindow,
 		Zoo:               forecast.Pinned(builder),
 		Seed:              o.Seed,
 	})
@@ -96,14 +102,15 @@ func centroidSeries(ds *trace.Dataset, r, k int, seed uint64) ([][]float64, erro
 	if err != nil {
 		return nil, fmt.Errorf("exp: centroid series: %w", err)
 	}
+	out := make([][]float64, k)
 	for t := range zs {
-		if _, err := tr.Update(scalarPoints(zs[t], r)); err != nil {
+		step, err := tr.Update(scalarPoints(zs[t], r))
+		if err != nil {
 			return nil, fmt.Errorf("exp: centroid series step %d: %w", t, err)
 		}
-	}
-	out := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		out[j] = tr.CentroidSeries(j, 0)
+		for j, c := range step.Centroids {
+			out[j] = append(out[j], c[0])
+		}
 	}
 	return out, nil
 }

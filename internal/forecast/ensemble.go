@@ -315,6 +315,17 @@ func (e *Ensemble) trim() {
 // models are trained.
 func (e *Ensemble) Ready() bool { return e.ready }
 
+// Series returns a copy of the retained centroid series of (cluster j,
+// dim d): the values observed since the trimmed prefix, oldest first, at
+// most FitWindow + RetrainEvery of them once a FitWindow is set. It returns
+// nil for an out-of-range cell.
+func (e *Ensemble) Series(j, d int) []float64 {
+	if j < 0 || j >= e.cfg.Clusters || d < 0 || d >= e.cfg.Dims {
+		return nil
+	}
+	return append([]float64(nil), e.series[j][d]...)
+}
+
 // championIdx returns the candidate index serving (cluster j, dim d).
 func (e *Ensemble) championIdx(j, d int) int {
 	if e.sel == nil {

@@ -23,8 +23,10 @@ import (
 //
 //	go test ./internal/serve -run TestWriteParentState -write-parentstate
 //
-// was run there. testdata/parentstate.digest holds the digest of the state
-// that run ended in.
+// was run there. testdata/parentstate.digest holds the digest (stateDigest)
+// of the state that run ended in, taken in the form a build that keeps one
+// bounded centroid series holds it (boundedSeriesForm); the projection was
+// run the same way at that commit, over the same fixture, to write it.
 var writeParentState = flag.Bool("write-parentstate", false,
 	"rewrite testdata/parentstate (run in a checkout of the commit whose state it should hold)")
 
@@ -87,6 +89,31 @@ func parentStateRecords(store *transport.Store, tick int) {
 	}
 }
 
+// parentStateFitWindow is core's default fit window at the fixture's
+// schedule: max(InitialCollection, 2·RetrainEvery) = max(15, 20).
+const parentStateFitWindow = 20
+
+// boundedSeriesForm projects a state exported by a build that kept every
+// step's centroids twice onto what a build with one bounded centroid series
+// holds: no tracker centroid series, and each ensemble series cut to the
+// values from parentStateFitWindow steps before its last refit on. Only the
+// writer applies it; a recovered state is digested as exported.
+func boundedSeriesForm(st *core.State) {
+	for _, tr := range st.Trackers {
+		tr.CentroidSeries = nil
+	}
+	for _, e := range st.Ensembles {
+		if keep := e.LastRefit - parentStateFitWindow; keep > e.SeriesStart {
+			for _, byDim := range e.Series {
+				for d, series := range byDim {
+					byDim[d] = series[keep-e.SeriesStart:]
+				}
+			}
+			e.SeriesStart = keep
+		}
+	}
+}
+
 // stateDigest fingerprints an exported state by its gob encoding, with the
 // ensembles' wall-clock training time left out.
 func stateDigest(t *testing.T, st *core.State) string {
@@ -106,7 +133,8 @@ func stateDigest(t *testing.T, st *core.State) string {
 // TestWriteParentState writes the fixture: a checkpoint at tick 20 and the
 // WAL of ticks 21–30, which hold the join of 8, the absence tick of 3 and the
 // not-fresh first store of 9. It checks that the run reached each of them and
-// writes the final state's digest beside the directory.
+// writes the digest of the final state's bounded-series form beside the
+// directory.
 func TestWriteParentState(t *testing.T) {
 	if !*writeParentState {
 		t.Skip("rewrites committed fixtures; run with -write-parentstate")
@@ -151,6 +179,7 @@ func TestWriteParentState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	boundedSeriesForm(st)
 	if err := os.WriteFile(parentStateDigest, []byte(stateDigest(t, st)+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +189,8 @@ func TestWriteParentState(t *testing.T) {
 // wrote while every member ran an arrival-mirroring policy — a checkpoint
 // whose live slots carry that policy's empty state bytes, and a WAL tail with
 // a join, an absence tick and a member stored without a fresh record —
-// through StoreStepper.Replay, and requires the recovered state to be the one
-// that run ended in.
+// through StoreStepper.Replay, and requires the recovered state, as exported,
+// to be the bounded-series form of the one that run ended in.
 func TestRecoverParentWrittenState(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

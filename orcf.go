@@ -355,7 +355,10 @@ func WithTrainingSchedule(initialCollection, retrainEvery int) Option {
 	}
 }
 
-// WithFitWindow caps the history used per model fit (0 = all history).
+// WithFitWindow caps the centroid history a model fit reads. 0 means the
+// default window, max(initial collection, 2 × retraining period): 1000 at the
+// paper's schedule. The system keeps at most the window plus one retraining
+// period of centroid history, however long it runs.
 func WithFitWindow(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -597,7 +600,10 @@ func (s *System) Frequency(node int) float64 { return s.inner.Frequency(node) }
 // MeanFrequency returns the average realized transmission frequency.
 func (s *System) MeanFrequency() float64 { return s.inner.MeanFrequency() }
 
-// CentroidSeries returns the centroid history of (tracker, cluster, dim).
+// CentroidSeries returns a copy of the centroid series of (tracker,
+// cluster, dim) that the models fit on: the retained suffix, oldest first, at
+// most the fit window plus one retraining period of values (see
+// WithFitWindow).
 func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
 	return s.inner.CentroidSeries(tracker, clusterIdx, dim)
 }
