@@ -1,0 +1,106 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"orcf/internal/forecast"
+)
+
+// configFamilies are the registered model families FuzzConfig draws zoos
+// from: all but lstm, whose fits are too slow for a fuzz iteration.
+var configFamilies = slices.DeleteFunc(forecast.Families(), func(name string) bool { return name == "lstm" })
+
+// decodeConfig reads a Config from data, one byte per field, each folded into
+// the field's range; a byte past the end reads as 0. It returns a
+// description of the decoded fields for failure messages.
+func decodeConfig(data []byte) (Config, string) {
+	next := func(lo, hi int) int {
+		var b byte
+		if len(data) > 0 {
+			b, data = data[0], data[1:]
+		}
+		return lo + int(b)%(hi-lo+1)
+	}
+	cfg := Config{
+		Nodes:             next(1, 12),
+		Resources:         next(-1, 4),
+		K:                 next(-1, 5),
+		M:                 next(-1, 3),
+		MPrime:            next(-2, 6),
+		InitialCollection: next(-1, 30),
+		RetrainEvery:      next(-1, 15),
+		FitWindow:         next(-1, 40),
+		AbsenceTimeout:    next(-1, 5),
+		SnapshotHorizon:   next(-1, 4),
+		JointClustering:   next(0, 1) == 1,
+		Seed:              uint64(next(0, 255)),
+	}
+	if next(0, 1) == 1 {
+		cfg.IncrementalRefit = true
+		cfg.IncrementalChurn = []float64{-1, 0, 0.1, math.NaN()}[next(0, 3)]
+	}
+	var names []string
+	for range next(0, 3) {
+		names = append(names, configFamilies[next(0, len(configFamilies)-1)])
+	}
+	desc := fmt.Sprintf("%+v zoo %v", cfg, names)
+	for _, name := range names {
+		zoo, err := forecast.Zoo(name)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Zoo = append(cfg.Zoo, zoo[0]) // duplicates kept: NewSystem must reject them
+	}
+	return cfg, desc
+}
+
+// FuzzConfig is the configuration validator's contract: NewSystem either
+// rejects a Config with an error wrapping ErrBadConfig (no panic, no other
+// error), or the System it builds takes 3·(InitialCollection + RetrainEvery)
+// steps of in-range rows, every member reporting, and then forecasts
+// max(1, SnapshotHorizon) steps ahead — the schedule's defaults applied.
+// Bytes decode one field each: Nodes 1…12, Resources −1…4, K −1…5, M −1…3,
+// MPrime −2…6, InitialCollection −1…30, RetrainEvery −1…15, FitWindow
+// −1…40, AbsenceTimeout −1…5, SnapshotHorizon −1…4, joint or scalar
+// clustering, the seed, IncrementalRefit with a churn of −1, 0, 0.1 or NaN,
+// and a zoo of up to three registered families other than lstm (duplicates
+// included).
+func FuzzConfig(f *testing.F) {
+	f.Add([]byte{})
+	// N 4, d 2, K 2, M 1, M′ 4, warm-up 10, retrain every 4, default fit
+	// window, horizon 3, churn 0.1, zoo ses and ar.
+	f.Add([]byte{3, 3, 3, 2, 6, 11, 5, 1, 1, 4, 0, 7, 1, 2, 2, 8, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, desc := decodeConfig(data)
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("%s: NewSystem: %v, want an ErrBadConfig", desc, err)
+			}
+			return
+		}
+		resolved := cfg.withDefaults()
+		steps := 3 * (resolved.InitialCollection + resolved.RetrainEvery)
+		x := make([][]float64, cfg.Nodes)
+		for i := range x {
+			x[i] = make([]float64, resolved.Resources)
+		}
+		for step := 1; step <= steps; step++ {
+			for i, row := range x {
+				for r := range row {
+					row[r] = 0.1 + 0.8*float64((i*7+r*3+step)%11)/10
+				}
+			}
+			if _, err := sys.Step(x); err != nil {
+				t.Fatalf("%s: step %d of %d: %v", desc, step, steps, err)
+			}
+		}
+		if _, err := sys.Forecast(max(1, cfg.SnapshotHorizon)); err != nil {
+			t.Fatalf("%s: Forecast after %d steps: %v", desc, steps, err)
+		}
+	})
+}

@@ -196,7 +196,9 @@ func (c Config) fitWindow() int {
 // stay valid.
 type ResourceStep struct {
 	// Assignments maps slot → stable cluster index, or -1 for slots that
-	// were absent from clustering (dead, or alive but not yet stored).
+	// were absent from clustering (dead, or alive but not yet stored). It
+	// views the tracker's newest assignment history row, which holds the
+	// values the look-back ring stores as int32.
 	Assignments []int
 	// Centroids holds the K centroids (dim 1 for scalar clustering, d for
 	// joint clustering).
@@ -207,11 +209,12 @@ type ResourceStep struct {
 //
 // Lifetime: T and Evicted belong to the caller. Transmitted, Present and the
 // PerResource entries' Assignments and Centroids are views of buffers the
-// System owns — the look-back slot the step committed and a transmit-flag
-// buffer reused every step — so a step of a large fleet allocates nothing
-// fleet-sized. They are valid until the next call to Step, StepArrivals,
-// AddNodes, RemoveNodes, ReconcileRoster or RestoreState on the same System,
-// and must not be written to; copy what has to outlive that.
+// System owns — the look-back slot the step committed, the trackers' newest
+// assignment history rows and a transmit-flag buffer reused every step — so
+// a step of a large fleet allocates nothing fleet-sized. They are valid
+// until the next call to Step, StepArrivals, AddNodes, RemoveNodes,
+// ReconcileRoster or RestoreState on the same System, and must not be
+// written to; copy what has to outlive that.
 type StepResult struct {
 	// T is the 1-based step index.
 	T int
@@ -249,10 +252,13 @@ type System struct {
 	// store in place), transmitted the flags of the rows a step stores, which
 	// StepResult.Transmitted views, centRows[tr] tracker tr's K row views
 	// into the in-flight step's centroids that the ensembles observe and
-	// ResourceStep.Centroids returns.
+	// ResourceStep.Centroids returns, and assignRows[tr] the assignment row
+	// tracker tr's update returned — its newest history row, which
+	// ResourceStep.Assignments returns.
 	zrow        []float64
 	transmitted []bool
 	centRows    [][][]float64
+	assignRows  [][]int
 
 	// Fleet roster: ids[i] is the stable ID bound to slot i, alive[i]
 	// whether the slot holds a live member, absentFor[i] the member's
@@ -315,6 +321,9 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 	if cfg.Nodes > 0 && cfg.K > cfg.Nodes {
 		return nil, fmt.Errorf("core: K=%d > %d nodes: %w", cfg.K, cfg.Nodes, ErrBadConfig)
 	}
+	if cfg.K > math.MaxInt32 { // the ring, snapshot and plan hold memberships as int32
+		return nil, fmt.Errorf("core: K=%d > %d: %w", cfg.K, math.MaxInt32, ErrBadConfig)
+	}
 	if cfg.AbsenceTimeout < 0 {
 		return nil, fmt.Errorf("core: absence timeout %d < 0: %w", cfg.AbsenceTimeout, ErrBadConfig)
 	}
@@ -354,6 +363,7 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 	}
 	s.zrow = make([]float64, cfg.Resources)
 	s.centRows = make([][][]float64, s.nTrackers)
+	s.assignRows = make([][]int, s.nTrackers)
 	for tr := 0; tr < s.nTrackers; tr++ {
 		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
 		s.pcgs = append(s.pcgs, pcg)
@@ -1101,13 +1111,18 @@ func (s *System) clusterAndRefit(mask []bool) error {
 }
 
 // cluster is layer 2 for one tracker: update the tracker on its block of the
-// store and move the outcome into the staged look-back slot that holds it.
+// store and move the outcome into the staged look-back slot that holds it,
+// narrowing the assignments to the ring's int32 (NewSystem bounds K).
 func (s *System) cluster(tr int, mask []bool) error {
 	assign, cents, err := s.trackers[tr].UpdateFlat(s.stage.z.points(tr), len(s.ids), s.dims, mask)
 	if err != nil {
 		return fmt.Errorf("core: tracker %d: %w", tr, err)
 	}
-	copy(s.stage.assignments[tr], assign)
+	s.assignRows[tr] = assign
+	row := s.stage.assignments[tr][:len(assign)]
+	for i, a := range assign {
+		row[i] = int32(a)
+	}
 	staged := s.stage.centroids(tr)
 	copy(staged, cents)
 	for j := range s.centRows[tr] {
@@ -1122,7 +1137,7 @@ func (s *System) cluster(tr int, mask []bool) error {
 // left — its measurements and presence column; clustering overwrites the
 // rest. The assembled snapshot (if any) is completed from the ring and the
 // step's centroid forecasts and published, and the step's result is built
-// as views of the slot just committed.
+// as views of the slot just committed and of the trackers' newest rows.
 func (s *System) commit(pub *Snapshot, cent []float64, evicted []int) *StepResult {
 	s.head = (s.head + 1) % len(s.ring)
 	if s.ringLen < len(s.ring) {
@@ -1146,7 +1161,7 @@ func (s *System) commit(pub *Snapshot, cent []float64, evicted []int) *StepResul
 	}
 	for tr := range res.PerResource {
 		res.PerResource[tr] = ResourceStep{
-			Assignments: cur.assignments[tr],
+			Assignments: s.assignRows[tr],
 			Centroids:   s.centRows[tr],
 		}
 	}

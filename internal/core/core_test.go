@@ -42,6 +42,11 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(Config{Nodes: 2, K: 5}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("K>N: want ErrBadConfig, got %v", err)
 	}
+	// Memberships are int32 in the ring, the snapshot and the plan. An
+	// elastic start skips the K ≤ N check, so the bound is its own.
+	if _, err := NewSystem(Config{Nodes: 0, K: math.MaxInt32 + 1}); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("K>MaxInt32: want ErrBadConfig, got %v", err)
+	}
 	if _, err := NewSystem(Config{Nodes: 4, Policy: func(int) (transmit.Policy, error) { return nil, nil }}); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil policy: want ErrBadConfig, got %v", err)
 	}

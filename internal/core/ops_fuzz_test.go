@@ -1,0 +1,380 @@
+package core
+
+import (
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"slices"
+	"testing"
+)
+
+// stateDigest fingerprints the System's exported state: the gob encoding of
+// ExportState with the ensembles' wall-clock training times zeroed.
+func stateDigest(t *testing.T, sys *System) uint64 {
+	t.Helper()
+	st, err := sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range st.Ensembles {
+		e.TrainTime = 0
+	}
+	h := fnv.New64a()
+	if err := gob.NewEncoder(h).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum64()
+}
+
+// opsView is what a rejected call must leave as it was.
+type opsView struct {
+	steps  int
+	digest uint64
+	ids    []int
+	alive  []bool
+	gen    uint64
+}
+
+func opsViewOf(t *testing.T, sys *System) opsView {
+	t.Helper()
+	v := opsView{steps: sys.Steps(), digest: stateDigest(t, sys)}
+	r := sys.Roster()
+	for i := range r.Slots() {
+		id, ok := r.IDAt(i)
+		v.ids, v.alive = append(v.ids, id), append(v.alive, ok)
+	}
+	if snap := sys.Snapshot(); snap != nil {
+		v.gen = snap.Generation()
+	}
+	return v
+}
+
+func (v opsView) equal(w opsView) bool {
+	return v.steps == w.steps && v.digest == w.digest && v.gen == w.gen &&
+		slices.Equal(v.ids, w.ids) && slices.Equal(v.alive, w.alive)
+}
+
+// checkRoster requires the roster to be an ID ⇄ slot bijection over the live
+// members, agreeing with the System's own lookups.
+func checkRoster(t *testing.T, sys *System) {
+	t.Helper()
+	r := sys.Roster()
+	live := 0
+	for i := range r.Slots() {
+		id, ok := r.IDAt(i)
+		if !ok {
+			continue
+		}
+		live++
+		if slot, found := r.SlotOf(id); !found || slot != i {
+			t.Fatalf("slot %d holds node %d, but SlotOf(%d) = %d, %v", i, id, id, slot, found)
+		}
+		if slot, found := sys.SlotOf(id); !found || slot != i {
+			t.Fatalf("slot %d holds node %d, but System.SlotOf(%d) = %d, %v", i, id, id, slot, found)
+		}
+	}
+	members := r.Members()
+	if live != r.Live() || live != len(members) || live != sys.LiveNodes() || r.Slots() != sys.Slots() {
+		t.Fatalf("roster: %d live slots, Live %d, %d members, LiveNodes %d, %d/%d slots",
+			live, r.Live(), len(members), sys.LiveNodes(), r.Slots(), sys.Slots())
+	}
+	for _, id := range members {
+		if slot, ok := r.SlotOf(id); !ok {
+			t.Fatalf("member %d has no slot", id)
+		} else if got, alive := r.IDAt(slot); !alive || got != id {
+			t.Fatalf("member %d maps to slot %d, which holds %d (live %v)", id, slot, got, alive)
+		}
+	}
+}
+
+// checkStepResult requires a step's assignments to equal the snapshot it
+// published and, once the models are trained, the snapshot's forecasts to
+// equal System.Forecast bit for bit.
+func checkStepResult(t *testing.T, sys *System, res *StepResult, gen uint64) {
+	t.Helper()
+	snap := sys.Snapshot()
+	if snap == nil || snap.Generation() != gen+1 || snap.Steps() != sys.Steps() || res.T != sys.Steps() {
+		t.Fatalf("step %d (result T %d) published %+v after generation %d", sys.Steps(), res.T, snap, gen)
+	}
+	for tr, pr := range res.PerResource {
+		if len(pr.Assignments) != sys.Slots() {
+			t.Fatalf("tracker %d: %d assignments for %d slots", tr, len(pr.Assignments), sys.Slots())
+		}
+		for i, a := range pr.Assignments {
+			if got := snap.Assignment(tr, i); got != a {
+				t.Fatalf("step %d tracker %d slot %d: StepResult says %d, snapshot %d", sys.Steps(), tr, i, a, got)
+			}
+		}
+	}
+	if !sys.Ready() {
+		return
+	}
+	h := snap.MaxHorizon()
+	want, err := sys.Forecast(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := snap.Forecast(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTensor(got, want) {
+		t.Fatalf("step %d: snapshot forecast %v, System.Forecast %v", sys.Steps(), got, want)
+	}
+}
+
+// sameTensor compares two forecast tensors bit for bit.
+func sameTensor(a, b [][][]float64) bool {
+	return slices.EqualFunc(a, b, func(x, y [][]float64) bool {
+		return slices.EqualFunc(x, y, func(u, v []float64) bool {
+			return slices.EqualFunc(u, v, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+		})
+	})
+}
+
+// sameResult compares two step results field by field, floats by bit.
+func sameResult(a, b *StepResult) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.T != b.T || !slices.Equal(a.Transmitted, b.Transmitted) || !slices.Equal(a.Present, b.Present) ||
+		!slices.Equal(a.Evicted, b.Evicted) || len(a.PerResource) != len(b.PerResource) {
+		return false
+	}
+	for tr := range a.PerResource {
+		if !slices.Equal(a.PerResource[tr].Assignments, b.PerResource[tr].Assignments) ||
+			!sameTensor([][][]float64{a.PerResource[tr].Centroids}, [][][]float64{b.PerResource[tr].Centroids}) {
+			return false
+		}
+	}
+	return true
+}
+
+// opsInput hands out the fuzz bytes; a byte past the end reads as 0.
+type opsInput struct{ data []byte }
+
+func (in *opsInput) next() byte {
+	if len(in.data) == 0 {
+		return 0
+	}
+	b := in.data[0]
+	in.data = in.data[1:]
+	return b
+}
+
+func (in *opsInput) intn(n int) int { return int(in.next()) % n }
+
+// FuzzSystemOps drives a small System (N ≤ 12, K ≤ 3, one or two resources,
+// scalar or joint clustering, sample-and-hold, SnapshotHorizon 3, a warm-up
+// of 2–6 steps) through up to 64 operations decoded from the bytes: Step and
+// StepArrivals with in-range rows; the same with one malformed row or flag
+// (NaN, ±Inf, beyond ±100, wrong width, a report for a dead slot, an arrival
+// without a row, the wrong number of rows or flags), which must be rejected;
+// AddNodes of fresh IDs and of departed ones, which land in tombstoned slots
+// while any are free; RemoveNodes; roster calls that must be rejected
+// (duplicate, negative or unknown IDs); and ExportState → RestoreState into
+// a fresh System, a twin that from then on receives every operation too.
+//
+// After each operation: a rejected call has left Steps, the state digest,
+// the roster and the published generation as they were; a step's
+// assignments equal its snapshot's, and once the models are trained the
+// snapshot forecasts equal System.Forecast bit for bit; the twin answers
+// every call as the original does, with the same result and the same state
+// digest; the roster is an ID ⇄ slot bijection.
+func FuzzSystemOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &opsInput{data: data}
+		nodes := 1 + in.intn(12)
+		cfg := Config{
+			Nodes:             nodes,
+			K:                 1 + in.intn(min(3, nodes)),
+			Resources:         1 + in.intn(2),
+			JointClustering:   in.intn(2) == 1,
+			MPrime:            -1 + in.intn(5),
+			InitialCollection: 2 + in.intn(5),
+			RetrainEvery:      1 + in.intn(4),
+			AbsenceTimeout:    in.intn(3),
+			IncrementalRefit:  in.intn(2) == 1,
+			SnapshotHorizon:   3,
+			Seed:              uint64(in.next()),
+		}
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		var twin *System
+		nextID := nodes
+		d := cfg.Resources
+
+		// rows builds one in-range step: silent members and dead slots nil.
+		rows := func(s *System) ([][]float64, []bool) {
+			x, arrived := make([][]float64, s.Slots()), make([]bool, s.Slots())
+			r := s.Roster()
+			for i := range x {
+				b := in.next()
+				if _, ok := r.IDAt(i); !ok || b%4 == 0 {
+					continue
+				}
+				x[i] = []float64{float64(b) / 255, float64(b*37) / 255}[:d]
+				arrived[i] = b%3 != 0
+			}
+			return x, arrived
+		}
+		departed := func() []int {
+			var out []int
+			for id := range nextID {
+				if _, ok := sys.SlotOf(id); !ok {
+					out = append(out, id)
+				}
+			}
+			return out
+		}
+
+		for op := 0; op < 64 && len(in.data) > 0; op++ {
+			kind := in.intn(9)
+			before := opsViewOf(t, sys)
+			var desc string
+			var call func(s *System) (*StepResult, error)
+			mustReject := false
+			switch kind {
+			case 0, 1, 2: // a step of in-range rows
+				x, arrived := rows(sys)
+				if kind == 2 {
+					desc = fmt.Sprintf("StepArrivals(%v, %v)", x, arrived)
+					call = func(s *System) (*StepResult, error) { return s.StepArrivals(x, arrived) }
+				} else {
+					desc = fmt.Sprintf("Step(%v)", x)
+					call = func(s *System) (*StepResult, error) { return s.Step(x) }
+				}
+			case 3: // a step with one malformed row or flag
+				x, arrived := rows(sys)
+				fault, slot := in.intn(8), in.intn(len(x)) // slots never shrink below the initial N ≥ 1
+				arrivals := in.intn(2) == 1
+				switch {
+				case fault == 0:
+					x = append(x, make([]float64, d))
+					arrived = append(arrived, true)
+				case fault == 1:
+					arrived = arrived[:len(arrived)-1]
+					arrivals = true
+				case fault == 2 && x[slot] == nil:
+					arrived[slot] = true
+					arrivals = true
+				default:
+					if _, ok := sys.Roster().IDAt(slot); !ok && fault == 3 {
+						x[slot] = make([]float64, d) // a report for a dead slot
+						break
+					}
+					row := make([]float64, d)
+					switch fault {
+					case 4:
+						row = append(row, 0.5)
+					case 5:
+						row[d-1] = math.NaN()
+					case 6:
+						row[0] = math.Inf(1 - 2*in.intn(2))
+					default:
+						row[0] = math.Nextafter(100, 200) * float64(1-2*in.intn(2))
+					}
+					x[slot] = row
+				}
+				mustReject = true
+				if arrivals {
+					desc = fmt.Sprintf("StepArrivals(%v, %v)", x, arrived)
+					call = func(s *System) (*StepResult, error) { return s.StepArrivals(x, arrived) }
+				} else {
+					desc = fmt.Sprintf("Step(%v)", x)
+					call = func(s *System) (*StepResult, error) { return s.Step(x) }
+				}
+			case 4, 5: // joiners: fresh IDs, or departed ones rejoining
+				ids := []int{nextID}
+				if gone := departed(); kind == 5 && len(gone) > 0 {
+					ids[0] = gone[in.intn(len(gone))]
+				} else {
+					nextID++
+				}
+				desc = fmt.Sprintf("AddNodes(%v)", ids)
+				call = func(s *System) (*StepResult, error) { return nil, s.AddNodes(ids...) }
+			case 6: // a live member departs
+				members := sys.Members()
+				if len(members) == 0 {
+					continue
+				}
+				id := members[in.intn(len(members))]
+				desc = fmt.Sprintf("RemoveNodes(%d)", id)
+				call = func(s *System) (*StepResult, error) { return nil, s.RemoveNodes(id) }
+			case 7: // roster calls that must fail
+				members := sys.Members()
+				var ids []int
+				add := true
+				switch sel := in.intn(4); {
+				case sel == 0 && len(members) > 0:
+					ids = []int{nextID, members[in.intn(len(members))]}
+				case sel == 1:
+					ids = []int{nextID, nextID}
+				case sel == 2:
+					ids = []int{-1 - in.intn(3)}
+				default:
+					ids, add = []int{nextID + 1 + in.intn(4)}, false
+				}
+				mustReject = true
+				if add {
+					desc = fmt.Sprintf("AddNodes(%v)", ids)
+					call = func(s *System) (*StepResult, error) { return nil, s.AddNodes(ids...) }
+				} else {
+					desc = fmt.Sprintf("RemoveNodes(%v)", ids)
+					call = func(s *System) (*StepResult, error) { return nil, s.RemoveNodes(ids...) }
+				}
+			default: // restore a twin from the original's state
+				st, err := sys.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if twin, err = NewSystem(cfg); err != nil {
+					t.Fatal(err)
+				}
+				if err := twin.RestoreState(st); err != nil {
+					t.Fatalf("op %d: restore at step %d: %v", op, sys.Steps(), err)
+				}
+				if got := opsViewOf(t, twin); !got.equal(before) {
+					t.Fatalf("op %d: restored twin %+v, original %+v", op, got, before)
+				}
+				checkRoster(t, twin)
+				continue
+			}
+
+			res, err := call(sys)
+			switch {
+			case err != nil:
+				if !errors.Is(err, ErrBadInput) && !errors.Is(err, ErrBadConfig) {
+					t.Fatalf("op %d %s: %v", op, desc, err)
+				}
+				if after := opsViewOf(t, sys); !after.equal(before) {
+					t.Fatalf("op %d %s: rejected (%v), but the system moved: %+v → %+v", op, desc, err, before, after)
+				}
+			case mustReject:
+				t.Fatalf("op %d %s: accepted", op, desc)
+			case res != nil:
+				checkStepResult(t, sys, res, before.gen)
+			}
+			checkRoster(t, sys)
+			if twin == nil {
+				continue
+			}
+			twinGen := opsViewOf(t, twin).gen
+			twinRes, twinErr := call(twin)
+			if (err == nil) != (twinErr == nil) || !sameResult(res, twinRes) {
+				t.Fatalf("op %d %s: original %v %+v, restored twin %v %+v", op, desc, err, res, twinErr, twinRes)
+			}
+			if twinRes != nil {
+				checkStepResult(t, twin, twinRes, twinGen)
+			}
+			if a, b := stateDigest(t, sys), stateDigest(t, twin); a != b {
+				t.Fatalf("op %d %s: state digest %x, restored twin %x", op, desc, a, b)
+			}
+		}
+	})
+}

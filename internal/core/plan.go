@@ -188,8 +188,8 @@ func (env *reconEnv) modeColumn(counts, col []int32, tr, lo int) {
 		assign := slot.assignments[tr][lo : lo+len(present)]
 		for b, p := range present {
 			if a := assign[b]; p && a >= 0 {
-				counts[b*k+a]++
-				col[b] = int32(a)
+				counts[b*k+int(a)]++
+				col[b] = a
 			}
 		}
 	}
@@ -237,7 +237,7 @@ func (env *reconEnv) sumOffsets(sums []float64, col, moved []int32, slot *ringSl
 		c := cents[j*dims : (j+1)*dims]
 		zi := z[b*dims : (b+1)*dims]
 		alpha := 1.0
-		if clampAlpha && assign[b] != j {
+		if clampAlpha && int(assign[b]) != j {
 			alpha = maxAlphaInCell(zi, j, cents, delta)
 		}
 		out := sums[b*dims : (b+1)*dims]
@@ -253,11 +253,11 @@ func (env *reconEnv) sumOffsets(sums []float64, col, moved []int32, slot *ringSl
 // clamp is on goes on the moved list instead. The slices are cut once, so
 // only the data-dependent indices are bounds-checked, and the α search
 // stays out of the loop. It returns the length of the list.
-func addUnit1(sums, z, cents []float64, col, moved []int32, present []bool, assign []int, clampAlpha bool) int {
+func addUnit1(sums, z, cents []float64, col, moved []int32, present []bool, assign []int32, clampAlpha bool) int {
 	sums, z, col, moved, assign = sums[:len(present)], z[:len(present)], col[:len(present)], moved[:len(present)], assign[:len(present)]
 	m := 0
 	for b, p := range present {
-		if j := int(col[b]); p && j >= 0 {
+		if j := col[b]; p && j >= 0 {
 			if clampAlpha && assign[b] != j {
 				moved[m] = int32(b)
 				m++

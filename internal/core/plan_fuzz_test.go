@@ -111,7 +111,7 @@ func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, []float64, 
 	}
 	for ago := range env.slots {
 		s := &ringSlot{
-			z: newZFrame(n, nT, dims), assignments: make([][]int, nT),
+			z: newZFrame(n, nT, dims), assignments: make([][]int32, nT),
 			cents: make([]float64, nT*k*dims), kd: k * dims, present: make([]bool, n),
 		}
 		for i := range s.cents {
@@ -121,15 +121,15 @@ func fuzzPlanEnv(shape uint32, seed uint64, vals []byte) (*reconEnv, []float64, 
 			s.present[i] = rotate || rng.IntN(4) != 0
 		}
 		for tr := range s.assignments {
-			s.assignments[tr] = make([]int, n)
+			s.assignments[tr] = make([]int32, n)
 			for i := range s.assignments[tr] {
 				switch {
 				case rotate:
-					s.assignments[tr][i] = (i + depth - ago) % k
+					s.assignments[tr][i] = int32((i + depth - ago) % k)
 				case rng.IntN(6) == 0:
 					s.assignments[tr][i] = -1
 				default:
-					s.assignments[tr][i] = rng.IntN(k)
+					s.assignments[tr][i] = rng.Int32N(int32(k))
 				}
 			}
 		}

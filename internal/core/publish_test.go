@@ -264,7 +264,7 @@ func TestSystemRetainedHeapPerWindowStep(t *testing.T) {
 			slot := sys.snapAt(0)
 			slotBytes = uint64(8*len(slot.z.f.Data()) + 8*len(slot.cents) + len(slot.present))
 			for _, a := range slot.assignments {
-				slotBytes += uint64(8 * len(a))
+				slotBytes += uint64(4 * len(a))
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)

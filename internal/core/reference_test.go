@@ -121,7 +121,7 @@ func referenceModeCluster(env *reconEnv, sc *fcScratch, tr, node int) int {
 		if !slot.presentAt(node) {
 			continue
 		}
-		a := slot.assignments[tr][node]
+		a := int(slot.assignments[tr][node])
 		if a < 0 {
 			continue
 		}
@@ -166,7 +166,7 @@ func referenceOffset(env *reconEnv, sc *fcScratch, tr, node, jStar int) []float6
 		c := cents[jStar*env.dims : (jStar+1)*env.dims]
 		zi := slot.z.vec(tr, node)
 		alpha := 1.0
-		if !env.disableAlphaClamp && slot.assignments[tr][node] != jStar {
+		if !env.disableAlphaClamp && int(slot.assignments[tr][node]) != jStar {
 			alpha = maxAlphaInCell(zi, jStar, cents, sc.delta)
 		}
 		for d := 0; d < env.dims; d++ {

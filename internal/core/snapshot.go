@@ -55,9 +55,9 @@ type Snapshot struct {
 	k, dims, nTracker int
 }
 
-// slotCopy is a Snapshot's copy of one committed ring slot: z and presence
-// as the ring holds them, the assignments as one flat int32 column per
-// tracker — cluster indices are below K — and the centroids.
+// slotCopy is a Snapshot's copy of one committed ring slot: z, presence and
+// the int32 assignments as the ring holds them, the assignments in one flat
+// column per tracker, and the centroids.
 type slotCopy struct {
 	z       zFrame
 	present []bool
@@ -132,10 +132,7 @@ func (s *System) publish(snap *Snapshot, cent []float64) {
 	snap.newest.z.copyFrom(&src.z)
 	copy(snap.newest.present, src.present)
 	for tr, row := range src.assignments {
-		col := snap.newest.assign[tr*n : (tr+1)*n]
-		for i, a := range row[:n] {
-			col[i] = int32(a)
-		}
+		copy(snap.newest.assign[tr*n:(tr+1)*n], row[:n])
 	}
 	snap.plan = s.reconEnv().plan(cent)
 	s.gen = snap.gen

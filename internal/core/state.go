@@ -230,7 +230,11 @@ func (s *System) exportSlot(slot *ringSlot) SlotState {
 		out.Z[i] = slot.z.row(i, flat[i*d:(i+1)*d:(i+1)*d])
 	}
 	for tr := range out.Assignments {
-		out.Assignments[tr] = append([]int(nil), slot.assignments[tr]...)
+		row := make([]int, len(slot.assignments[tr]))
+		for i, a := range slot.assignments[tr] {
+			row[i] = int(a)
+		}
+		out.Assignments[tr] = row
 		out.Centroids[tr] = rowViews(append([]float64(nil), slot.centroids(tr)...), s.dims)
 	}
 	return out
@@ -465,8 +469,10 @@ func restoreSlot(dst *ringSlot, src *SlotState) {
 		dst.z.set(i, zi)
 	}
 	copy(dst.present, src.Present)
-	for tr := range src.Assignments {
-		copy(dst.assignments[tr], src.Assignments[tr])
+	for tr, row := range src.Assignments {
+		for i, a := range row {
+			dst.assignments[tr][i] = int32(a) // validateSlot bounds a by K
+		}
 		cents := dst.centroids(tr)
 		for j, c := range src.Centroids[tr] {
 			copy(cents[j*len(c):], c)

@@ -105,7 +105,7 @@ func rowViews(flat []float64, d int) [][]float64 {
 // layout at the fleet size of its publication.)
 type ringSlot struct {
 	z           zFrame    // stored measurements of the step
-	assignments [][]int   // [tracker][slot]; -1 = absent
+	assignments [][]int32 // [tracker][slot]; -1 = absent; cluster indices are below K
 	cents       []float64 // [tracker][cluster][dim], flat
 	kd          int       // K·dims: one tracker's share of cents
 	present     []bool    // slots clustered at this step: those holding a stored measurement
@@ -122,13 +122,13 @@ func (s *System) newRingSlot() ringSlot {
 	n := len(s.ids)
 	slot := ringSlot{
 		z:           newZFrame(n, s.nTrackers, s.dims),
-		assignments: make([][]int, s.nTrackers),
+		assignments: make([][]int32, s.nTrackers),
 		cents:       make([]float64, s.nTrackers*s.cfg.K*s.dims),
 		kd:          s.cfg.K * s.dims,
 		present:     make([]bool, n),
 	}
 	for tr := range slot.assignments {
-		slot.assignments[tr] = make([]int, n)
+		slot.assignments[tr] = make([]int32, n)
 		for i := range slot.assignments[tr] {
 			slot.assignments[tr][i] = -1
 		}

@@ -26,8 +26,6 @@ type Result struct {
 	Assignments []int
 	// Centroids holds the K cluster centers.
 	Centroids [][]float64
-	// Inertia is the sum of squared distances of points to their centroid.
-	Inertia float64
 	// Iterations is the number of Lloyd iterations executed.
 	Iterations int
 }
@@ -49,8 +47,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Run clusters points into cfg.K clusters. When K ≥ len(points) every point
-// becomes (or shares) its own centroid and the inertia is zero. The rng is
-// used for k-means++ seeding and empty-cluster repair.
+// becomes (or shares) its own centroid. The rng is used for k-means++
+// seeding and empty-cluster repair.
 //
 // Run packs the points into a flat struct-of-arrays frame and delegates to a
 // fresh Runner; callers on a hot path should hold a Runner directly to reuse
@@ -78,7 +76,6 @@ func Run(points [][]float64, cfg Config, rng *rand.Rand) (*Result, error) {
 	return &Result{
 		Assignments: assign,
 		Centroids:   centroids,
-		Inertia:     r.Inertia(),
 		Iterations:  r.Iterations(),
 	}, nil
 }

@@ -2,10 +2,11 @@ package kmeans
 
 // This file preserves the pre-SoA slice-of-rows K-means implementation,
 // verbatim, as the reference oracle for the differential tests that pin the
-// flat Runner bit-identical (same assignments, centroids, inertia, iteration
-// count, and RNG draw sequence). Do not "fix" or optimize it: its exact
-// arithmetic order is the contract. The one edit since is the iteration
-// counter, which used to report MaxIterations+1 when Lloyd hit the cap.
+// flat Runner bit-identical (same assignments, centroids, iteration count,
+// and RNG draw sequence). Do not "fix" or optimize it: its exact arithmetic
+// order is the contract. The edits since are the iteration counter, which
+// used to report MaxIterations+1 when Lloyd hit the cap, and the inertia sum
+// of the final assignment, dropped with the Runner's.
 //
 // refNearestTwo, at the end, is the float-compare centroid scan the kernels
 // ran before they compared distances as integers: the oracle for AssignFlat
@@ -53,21 +54,18 @@ func refRun(points [][]float64, cfg Config, rng *rand.Rand) (*Result, error) {
 		}
 	}
 	// Final assignment against the converged centroids.
-	inertia := 0.0
 	for i, p := range points {
 		assign[i] = nearest(p, centroids)
-		inertia += sqDist(p, centroids[assign[i]])
 	}
 	return &Result{
 		Assignments: assign,
 		Centroids:   centroids,
-		Inertia:     inertia,
 		Iterations:  iter,
 	}, nil
 }
 
 // refTrivialResult handles K ≥ n: each point becomes its own cluster, so the
-// result has n centroids (one per point) and zero inertia.
+// result has n centroids (one per point).
 func refTrivialResult(points [][]float64) *Result {
 	n := len(points)
 	centroids := make([][]float64, n)

@@ -25,24 +25,23 @@ import (
 // winner is the strict-<, ascending-index one, the update step sums points in
 // ascending order and the RNG is drawn from at the same places, so RunFlat
 // is bit-identical to the historical slice-of-rows Lloyd on the same inputs
-// and RNG state — assignments, centroids, inertia, iteration count and draw
+// and RNG state — assignments, centroids, iteration count and draw
 // sequence (pinned against the preserved implementation by
 // TestRunnerMatchesReferenceExactly, FuzzRunFlatMatchesReference and
 // FuzzRunFlatRawMatchesReference). A Runner is not safe for concurrent use.
 type Runner struct {
-	cents   []float64 // k×d row-major centroids of the last run
-	prev    []float64 // k×d previous-iteration centroids (convergence check)
-	d2      []float64 // per point: squared distance to nearest seed, then the upper bound
-	lower   []float64 // per point: seeding scratch, then a lower bound on the distance to every other centroid
-	scan    []int32   // the points the last bound pass could not prove, ascending
-	counts  []int     // per-cluster member counts
-	shift   []float64 // per centroid: upper bound on its movement in the last update step
-	others  []float64 // per centroid: the largest entry of shift among the other centroids
-	half    []float64 // per centroid: lower bound on half the distance to the nearest other
-	k, d    int
-	inertia float64
-	iters   int
-	scans   int // full K-way scans of the last run; n·(iterations+1) without pruning
+	cents  []float64 // k×d row-major centroids of the last run
+	prev   []float64 // k×d previous-iteration centroids (convergence check)
+	d2     []float64 // per point: squared distance to nearest seed, then the upper bound
+	lower  []float64 // per point: seeding scratch, then a lower bound on the distance to every other centroid
+	scan   []int32   // the points the last bound pass could not prove, ascending
+	counts []int     // per-cluster member counts
+	shift  []float64 // per centroid: upper bound on its movement in the last update step
+	others []float64 // per centroid: the largest entry of shift among the other centroids
+	half   []float64 // per centroid: lower bound on half the distance to the nearest other
+	k, d   int
+	iters  int
+	scans  int // full K-way scans of the last run; n·(iterations+1) without pruning
 
 	up, down float64 // outward-rounding factors of the bounds, 1 ± a few ulps
 }
@@ -52,10 +51,9 @@ func NewRunner() *Runner { return &Runner{} }
 
 // RunFlat clusters the n d-dimensional points stored row-major in pts
 // (length ≥ n·d) into cfg.K clusters, writing the final assignment into
-// assign (length n). When K ≥ n every point becomes its own centroid with
-// zero inertia, consuming no randomness (the trivial case of Run). The
-// resulting centroids, inertia, and iteration count stay readable on the
-// Runner until the next run. A negative MaxIterations is rejected with
+// assign (length n). When K ≥ n every point becomes its own centroid,
+// consuming no randomness (the trivial case of Run). The resulting centroids
+// and iteration count stay readable on the Runner until the next run. A negative MaxIterations is rejected with
 // ErrBadInput. Iteration stops once no centroid moves.
 func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, assign []int) error {
 	cfg = cfg.withDefaults()
@@ -74,7 +72,7 @@ func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, as
 		for i := range assign {
 			assign[i] = i
 		}
-		r.inertia, r.iters = 0, 0
+		r.iters = 0
 		return nil
 	}
 
@@ -121,16 +119,11 @@ func (r *Runner) RunFlat(pts []float64, n, d int, cfg Config, rng *rand.Rand, as
 			break
 		}
 	}
-	// Final assignment against the converged centroids. The inertia sum runs
-	// over points in ascending order, exactly like the historical fused loop.
+	// Final assignment against the converged centroids.
 	if !settled {
 		r.assignStep(pts, n, d, k, assign, iters > 0)
 	}
-	inertia := 0.0
-	for i := 0; i < n; i++ {
-		inertia += sqDistFlat(pts[i*d:(i+1)*d], r.cents[assign[i]*d:(assign[i]+1)*d])
-	}
-	r.inertia, r.iters = inertia, iters
+	r.iters = iters
 	return nil
 }
 
@@ -143,9 +136,6 @@ func (r *Runner) NumCentroids() int { return r.k }
 func (r *Runner) Centroid(j int) []float64 {
 	return r.cents[j*r.d : (j+1)*r.d : (j+1)*r.d]
 }
-
-// Inertia returns the last run's sum of squared point-to-centroid distances.
-func (r *Runner) Inertia() float64 { return r.inertia }
 
 // Iterations returns the number of Lloyd iterations the last run executed.
 func (r *Runner) Iterations() int { return r.iters }

@@ -651,9 +651,12 @@ func TestStoreManyWriters(t *testing.T) {
 // values, watermarks, the step frame and the arrival flags. Snapshots are
 // off (SnapshotHorizon 0): this is the state that stepping keeps.
 func TestCollectorBytesPerNode(t *testing.T) {
+	// Measured on linux/amd64 with go1.24: 588 B in all, 350 B of it core's.
+	// The 32 B margin is below the 56 B per node that the look-back ring's
+	// seven slots of two trackers' memberships add back at int width.
 	const (
-		ceiling          = 1000 // bytes per node, store + stepper + core
-		collectorCeiling = 330  // bytes per node the collection plane adds to core
+		ceiling          = 620 // bytes per node, store + stepper + core
+		collectorCeiling = 330 // bytes per node the collection plane adds to core
 	)
 	cfg := func(n int) core.Config {
 		return core.Config{Nodes: n, Resources: 2, K: 3, InitialCollection: 20, Seed: 1}
