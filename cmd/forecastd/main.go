@@ -201,7 +201,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		bad bool
 		msg string
 	}{
-		{*nodes < 0, "-nodes must be ≥ 0"},
 		{*resources < 1, "-resources must be ≥ 1"},
 		{*k < 1, "-k must be ≥ 1"},
 		{*interval <= 0, "-interval must be > 0"},
@@ -215,21 +214,6 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 			return 2
 		}
 	}
-	// The selection flags tune the champion selector, which exists only for
-	// a zoo of two or more families; anywhere else they would do nothing.
-	if len(strings.Split(*models, ",")) < 2 {
-		var set []string
-		fs.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "select-") {
-				set = append(set, "-"+f.Name)
-			}
-		})
-		if len(set) > 0 {
-			log.Error("selection flags require -models with two or more families", "flags", strings.Join(set, " "))
-			return 2
-		}
-	}
-
 	// Alerting: parse the rules file, attach sinks (structured log always,
 	// webhook when configured), and evaluate every published snapshot from
 	// the tick loop below.
@@ -287,7 +271,11 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		InitialCollection: *initial,
 		RetrainEvery:      *retrain,
 		Seed:              *seed,
-		PhaseObserver:     serve.NewStepTimings(reg),
+		Selection: forecast.SelectionConfig{
+			Window: *selWindow, Margin: *selMargin,
+			Streak: *selStreak, Metric: *selMetric,
+		},
+		PhaseObserver: serve.NewStepTimings(reg),
 	}
 	// Snapshots are published for their readers, the query plane and the
 	// alert engine; a collector without either steps without assembling one.
@@ -301,18 +289,20 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 			return 2
 		}
 		cfg.Zoo = zoo
-		cfg.Selection = forecast.SelectionConfig{
-			Window: *selWindow, Margin: *selMargin,
-			Streak: *selStreak, Metric: *selMetric,
-		}
-		log.Info("model zoo enabled", "families", *models)
 	}
 	// The pipeline is built before the collector listens, so a
-	// configuration it rejects ends the daemon before any agent connects.
+	// configuration it rejects (core validates the fleet, the schedule and
+	// the -select-* tuning) exits 2 before any agent connects.
 	stepper, err := serve.NewStoreStepper(store, cfg)
 	if err != nil {
 		log.Error("pipeline construction", "err", err)
+		if errors.Is(err, core.ErrBadConfig) {
+			return 2
+		}
 		return 1
+	}
+	if *models != "" {
+		log.Info("model zoo enabled", "families", *models)
 	}
 	ingestAddr, err := collector.Listen(*ingest)
 	if err != nil {

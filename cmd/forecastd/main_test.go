@@ -196,9 +196,10 @@ func rosterFromLog(t *testing.T, log string) string {
 const summaryOf5 = `msg="pipeline step" [^\n]* clustered=5 centroids="\[\[\S+ \S+ \S+\] \[\S+ \S+ \S+\]\]" tx_mean=\S+ tx_min=\S+ tx_max=\S+`
 
 // TestSelectionFlagsRequireZoo pins that the -select-* flags, which tune the
-// champion selector of a zoo of two or more families, exit 2 with one log
-// line anywhere else instead of being silently ignored — and that their
-// defaults, or an explicit value under a real zoo, never trip the check.
+// champion selector of a zoo of two or more families, exit 2 with the
+// pipeline's one rejection line anywhere else instead of being silently
+// ignored — and that their defaults, given explicitly or not, or an
+// explicit value under a real zoo, never trip the check.
 func TestSelectionFlagsRequireZoo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -207,6 +208,7 @@ func TestSelectionFlagsRequireZoo(t *testing.T) {
 		{[]string{"-select-window", "16"}, 2},
 		{[]string{"-models", "ses", "-select-metric", "rmse"}, 2},
 		{[]string{"-models", "ses", "-select-margin", "0", "-select-streak", "3"}, 2},
+		{[]string{"-select-margin", "0"}, 0},
 		{[]string{"-models", "ses,ar", "-select-streak", "5"}, 0},
 		{[]string{"-models", "ses"}, 0},
 		{nil, 0},
@@ -218,7 +220,7 @@ func TestSelectionFlagsRequireZoo(t *testing.T) {
 		if got := run(args, stop, log); got != tc.want {
 			t.Fatalf("%q: exit %d, want %d:\n%s", tc.args, got, tc.want, log)
 		}
-		rejected := regexp.MustCompile(`level=ERROR msg="selection flags require -models with two or more families"`).
+		rejected := regexp.MustCompile(`level=ERROR msg="pipeline construction" [^\n]*without a zoo of two or more families`).
 			FindAllString(log.String(), -1)
 		lines := strings.Count(log.String(), "\n")
 		if (tc.want == 2 && (len(rejected) != 1 || lines != 1)) || (tc.want == 0 && len(rejected) != 0) {
@@ -229,9 +231,9 @@ func TestSelectionFlagsRequireZoo(t *testing.T) {
 
 // TestUnfittableZooExitsBeforeListening pins that a model family the first
 // fit cannot serve — holt-winters, season 288, needs 576 values and the
-// warm-up is 50 — ends forecastd with the pipeline's configuration error
-// before the collector listens: the ingest address is held by the test, so a
-// daemon that listened first would fail on it instead.
+// warm-up is 50 — ends forecastd with the pipeline's configuration error,
+// exit 2, before the collector listens: the ingest address is held by the
+// test, so a daemon that listened first would fail on it instead.
 func TestUnfittableZooExitsBeforeListening(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -243,8 +245,8 @@ func TestUnfittableZooExitsBeforeListening(t *testing.T) {
 		stop := make(chan os.Signal, 1)
 		stop <- os.Interrupt
 		args := []string{"-ingest", held.Addr().String(), "-http", "", "-interval", "1h", "-models", models}
-		if got := run(args, stop, log); got != 1 {
-			t.Fatalf("-models %s: exit %d, want 1:\n%s", models, got, log)
+		if got := run(args, stop, log); got != 2 {
+			t.Fatalf("-models %s: exit %d, want 2:\n%s", models, got, log)
 		}
 		out := log.String()
 		if !strings.Contains(out, `msg="pipeline construction"`) ||
@@ -258,7 +260,7 @@ func TestUnfittableZooExitsBeforeListening(t *testing.T) {
 
 // TestBadFlagsExitBeforeListening pins that every flag, the rules file
 // included, is checked before the collector listens: each bad value exits 2
-// with its one error line. The ingest address is held by the test, so a
+// with its one error line, a configuration the pipeline rejects included. The ingest address is held by the test, so a
 // daemon that listened first would fail on it instead. A -horizon of 0 is
 // fine for a collector without rules, which publishes no snapshot.
 func TestBadFlagsExitBeforeListening(t *testing.T) {
@@ -286,7 +288,11 @@ func TestBadFlagsExitBeforeListening(t *testing.T) {
 		{[]string{"-k", "0"}, `"-k must be ≥ 1"`},
 		{[]string{"-k", "-1"}, `"-k must be ≥ 1"`},
 		{[]string{"-resources", "0"}, `"-resources must be ≥ 1"`},
-		{[]string{"-nodes", "-1"}, `"-nodes must be ≥ 0"`},
+		{[]string{"-nodes", "-1"}, `"pipeline construction"`},
+		{[]string{"-initial", "-1"}, `"pipeline construction"`},
+		{[]string{"-retrain", "-1"}, `"pipeline construction"`},
+		{[]string{"-absence-ticks", "-1"}, `"pipeline construction"`},
+		{[]string{"-models", "ses,ar", "-select-metric", "mape"}, `"pipeline construction"`},
 		{[]string{"-rules", dir + "/missing.json"}, `-rules`},
 		{[]string{"-rules", badRules}, `-rules`},
 		{[]string{"-horizon", "0"}, ""},

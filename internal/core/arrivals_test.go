@@ -289,11 +289,13 @@ func TestStepArrivalsStoresFirstContact(t *testing.T) {
 	}
 }
 
-// TestStepKeepsDeclinedFirstReportUnstored pins the other side of that rule:
-// through Step, a policy decides even a member's first report, and one that
-// declines it leaves the member unstored and out of clustering.
-func TestStepKeepsDeclinedFirstReportUnstored(t *testing.T) {
-	sys, err := NewSystem(Config{Nodes: 4, Resources: 1, K: 2, InitialCollection: 5,
+// TestStepStoresDeclinedFirstReport pins the first-contact rule on Step's
+// side: a member whose policy declines every report still has its first one
+// stored, metered and flagged in Transmitted, so a fleet of N = K = 3 with
+// one such member steps; its later reports stay declined and the store
+// keeps the first.
+func TestStepStoresDeclinedFirstReport(t *testing.T) {
+	sys, err := NewSystem(Config{Nodes: 3, Resources: 1, K: 3, InitialCollection: 5,
 		Policy: func(slot int) (transmit.Policy, error) {
 			if slot == 2 {
 				return declineAll{}, nil
@@ -303,15 +305,28 @@ func TestStepKeepsDeclinedFirstReportUnstored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for step := 1; step <= 3; step++ {
-		res, err := sys.Step([][]float64{{0.1}, {0.2}, {0.3}, {0.4}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Transmitted[2] || res.Present[2] || sys.Stored()[2] != nil {
-			t.Fatalf("step %d: declined member transmitted %v, present %v, stored %v",
-				step, res.Transmitted[2], res.Present[2], sys.Stored()[2])
-		}
+	res, err := sys.Step([][]float64{{0.1}, {0.2}, {0.3}})
+	if err != nil || sys.Steps() != 1 {
+		t.Fatalf("first step: %v, Steps %d", err, sys.Steps())
+	}
+	if !slices.Equal(res.Transmitted, []bool{true, true, true}) || !slices.Equal(res.Present, []bool{true, true, true}) {
+		t.Fatalf("first step transmitted %v, present %v", res.Transmitted, res.Present)
+	}
+	if f := sys.Frequency(2); f != 1 {
+		t.Fatalf("declining member's frequency %v after its first report, want 1", f)
+	}
+	res, err = sys.Step([][]float64{{0.4}, {0.5}, {0.6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Transmitted, []bool{true, true, false}) || !res.Present[2] {
+		t.Fatalf("second step transmitted %v, present %v", res.Transmitted, res.Present)
+	}
+	if z := sys.Stored()[2]; !slices.Equal(z, []float64{0.3}) {
+		t.Fatalf("declining member stores %v, want its first report [0.3]", z)
+	}
+	if f := sys.Frequency(2); f != 0.5 {
+		t.Fatalf("declining member's frequency %v after two reports, want 0.5", f)
 	}
 }
 

@@ -14,6 +14,16 @@ import (
 // from: all but lstm, whose fits are too slow for a fuzz iteration.
 var configFamilies = slices.DeleteFunc(forecast.Families(), func(name string) bool { return name == "lstm" })
 
+// configSelections are the selector tunings FuzzConfig draws: none, a valid
+// one, and two that a zoo's selector rejects — NewSystem must also reject
+// every non-zero one without a zoo of two or more families.
+var configSelections = []forecast.SelectionConfig{
+	{},
+	{Window: 8, Margin: 0.01, Streak: 2, Metric: "rmse"},
+	{Metric: "mape"},
+	{Margin: -1},
+}
+
 // decodeConfig reads a Config from data, one byte per field, each folded into
 // the field's range; a byte past the end reads as 0. It returns a
 // description of the decoded fields for failure messages.
@@ -47,6 +57,7 @@ func decodeConfig(data []byte) (Config, string) {
 	for range next(0, 3) {
 		names = append(names, configFamilies[next(0, len(configFamilies)-1)])
 	}
+	cfg.Selection = configSelections[next(0, len(configSelections)-1)]
 	desc := fmt.Sprintf("%+v zoo %v", cfg, names)
 	for _, name := range names {
 		zoo, err := forecast.Zoo(name)
@@ -60,20 +71,32 @@ func decodeConfig(data []byte) (Config, string) {
 
 // FuzzConfig is the configuration validator's contract: NewSystem either
 // rejects a Config with an error wrapping ErrBadConfig (no panic, no other
-// error), or the System it builds takes 3·(InitialCollection + RetrainEvery)
-// steps of in-range rows, every member reporting, and then forecasts
-// max(1, SnapshotHorizon) steps ahead — the schedule's defaults applied.
+// error), or the System it builds steps through its first fit and two
+// retraining rounds — InitialCollection + 2·RetrainEvery steps of in-range
+// rows, every member reporting, the schedule's defaults applied — and then
+// forecasts max(1, SnapshotHorizon) steps ahead. A fit round is what a step
+// can fail on, and a third costs as much as the second without reaching
+// new state: at the default warm-up of 1000 an arima zoo runs thousands of
+// fits per input.
 // Bytes decode one field each: Nodes 1…12, Resources −1…4, K −1…5, M −1…3,
 // MPrime −2…6, InitialCollection −1…30, RetrainEvery −1…15, FitWindow
 // −1…40, AbsenceTimeout −1…5, SnapshotHorizon −1…4, joint or scalar
 // clustering, the seed, IncrementalRefit with a churn of −1, 0, 0.1 or NaN,
-// and a zoo of up to three registered families other than lstm (duplicates
-// included).
+// a zoo of up to three registered families other than lstm (duplicates
+// included), and one of configSelections.
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
 	// N 4, d 2, K 2, M 1, M′ 4, warm-up 10, retrain every 4, default fit
 	// window, horizon 3, churn 0.1, zoo ses and ar.
 	f.Add([]byte{3, 3, 3, 2, 6, 11, 5, 1, 1, 4, 0, 7, 1, 2, 2, 8, 0})
+	// The same with a valid selector tuning, and with metric "mape".
+	f.Add([]byte{3, 3, 3, 2, 6, 11, 5, 1, 1, 4, 0, 7, 1, 2, 2, 8, 0, 1})
+	f.Add([]byte{3, 3, 3, 2, 6, 11, 5, 1, 1, 4, 0, 7, 1, 2, 2, 8, 0, 2})
+	// A selector tuning without a zoo.
+	f.Add([]byte{3, 3, 3, 2, 6, 11, 5, 1, 1, 4, 0, 7, 0, 0, 1})
+	// N 6, d 4, K 5, M′ current step only, the default warm-up of 1000,
+	// retrain every 13, fit window 37, horizon 3, zoo arima: 1026 steps.
+	f.Add([]byte{5, 5, 6, 2, 0, 1, 14, 38, 1, 4, 0, 0, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, desc := decodeConfig(data)
 		sys, err := NewSystem(cfg)
@@ -84,7 +107,7 @@ func FuzzConfig(f *testing.F) {
 			return
 		}
 		resolved := cfg.withDefaults()
-		steps := 3 * (resolved.InitialCollection + resolved.RetrainEvery)
+		steps := resolved.InitialCollection + 2*resolved.RetrainEvery
 		x := make([][]float64, cfg.Nodes)
 		for i := range x {
 			x[i] = make([]float64, resolved.Resources)

@@ -104,8 +104,8 @@ type Config struct {
 	// serves the forecasts.
 	Zoo []forecast.Candidate
 	// Selection tunes the champion/challenger selector of a Zoo of two or
-	// more families; ignored otherwise. Zero values select the forecast
-	// package defaults.
+	// more families; NewSystem rejects a non-zero Selection with any other
+	// Zoo. Zero values select the forecast package defaults.
 	Selection forecast.SelectionConfig
 	// JointClustering clusters full d-dimensional vectors instead of
 	// per-resource scalars (the Table I ablation). Default false — the
@@ -218,7 +218,8 @@ type ResourceStep struct {
 type StepResult struct {
 	// T is the 1-based step index.
 	T int
-	// Transmitted flags which slots uploaded (under StepArrivals: stored).
+	// Transmitted flags the slots whose row was stored: what the policies
+	// sent (under StepArrivals: what arrived) and every first report (Step).
 	Transmitted []bool
 	// Present flags the slots that participated in clustering this step
 	// (live members with a stored measurement).
@@ -308,6 +309,9 @@ func NewSystem(cfg Config) (*System, error) { return newSystem(cfg, true) }
 func NewCentral(cfg Config) (*System, error) { return newSystem(cfg, false) }
 
 func newSystem(cfg Config, edge bool) (*System, error) {
+	if cfg.Selection != (forecast.SelectionConfig{}) && len(cfg.Zoo) < 2 {
+		return nil, fmt.Errorf("core: selection tuning %+v without a zoo of two or more families: %w", cfg.Selection, ErrBadConfig)
+	}
 	cfg = cfg.withDefaults()
 	if !edge {
 		cfg.Policy = nil // the edge-less mark newPolicy and Step read
@@ -801,7 +805,10 @@ func (s *System) CentroidSeries(tracker, clusterIdx, dim int) []float64 {
 // is evicted; evictions that would shrink the clustered set below K are
 // deferred, in slot order, until replacements report). The members'
 // policies decide which rows are transmitted, and the central node takes
-// those as StepArrivals takes arrivals. Malformed input is rejected before
+// those as StepArrivals takes arrivals, with one first-contact rule: a
+// reporting member with nothing stored is stored whatever its policy said,
+// since eqs. (1), (10) and (12) place a member by its stored value (§IV).
+// Malformed input, or fewer than K members to cluster, is rejected before
 // anything changes. On a later error the look-back ring is untouched, but
 // trackers/ensembles may have advanced unevenly (how far depends on the
 // worker schedule) — discard the System instead of stepping it further. An
@@ -815,9 +822,10 @@ func (s *System) Step(x [][]float64) (*StepResult, error) {
 
 // StepArrivals steps the central node alone, on what the nodes sent: x as
 // for Step (a non-nil row means the member was contacted) and arrived[i],
-// one flag per slot, that x[i] is news and is stored; so is the row of a
-// contacted member with nothing stored. No policy runs (a NewSystem's are
-// bypassed), and the eq. (5) meters count what is stored. An arrival flag on
+// one flag per slot, that x[i] is news and is stored; so is, by Step's
+// first-contact rule, a contacted member's row with nothing stored. No
+// policy runs (a NewSystem's are bypassed), and the eq. (5) meters count
+// what is stored. An arrival flag on
 // a nil row is malformed input. Results and errors are Step's.
 func (s *System) StepArrivals(x [][]float64, arrived []bool) (*StepResult, error) {
 	if len(arrived) != len(s.ids) {
@@ -827,8 +835,8 @@ func (s *System) StepArrivals(x [][]float64, arrived []bool) (*StepResult, error
 }
 
 // step is Step (arrived nil) and StepArrivals, a sequence of per-phase
-// calls: checkStep, then layer 1 (decide or arrivals, then ingest), then
-// clusterAndRefit (layers 2+3, one cluster call per tracker and one refit
+// calls: checkStep, then layer 1 (decide or the arrival flags, then ingest),
+// then clusterAndRefit (layers 2+3, one cluster call per tracker and one refit
 // call for all of them), and — with publishing on — assembleSnapshot and
 // centroidForecasts, then commit, which publishes. Each call runs under the
 // phase timer, so the PhaseObserver sees calls, not regions of a function.
@@ -842,18 +850,15 @@ func (s *System) step(x [][]float64, arrived []bool) (*StepResult, error) {
 
 	var mask []bool
 	var evicted []int
-	err := pt.run(PhaseIngest, func() (err error) {
+	_ = pt.run(PhaseIngest, func() error {
 		if arrived == nil {
 			s.decide(x)
 		} else {
-			s.arrivals(x, arrived)
+			copy(s.transmitted, arrived) // checkStep rejected a flag on a nil row
 		}
-		mask, evicted, err = s.ingest(x)
-		return err
+		mask, evicted = s.ingest(x)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	pt.report(PhaseIngest)
 
 	if err := s.clusterAndRefit(mask); err != nil {
@@ -894,8 +899,8 @@ func (s *System) step(x [][]float64, arrived []bool) (*StepResult, error) {
 // checkStep validates a step's input (x, and arrived unless nil) against the
 // fleet layout without changing anything. It also rejects a step that would
 // leave fewer than K members to cluster, counting the stored members plus
-// the reporting ones that have none: StepArrivals and every built-in policy
-// store those, so for them this is ingest's present count exactly.
+// the reporting ones that have none, which ingest stores: this is ingest's
+// present count exactly, so no step that passes here fails there.
 func (s *System) checkStep(x [][]float64, arrived []bool) error {
 	if len(x) != len(s.ids) {
 		return fmt.Errorf("core: %d rows in step, want %d fleet slots: %w", len(x), len(s.ids), ErrBadInput)
@@ -928,16 +933,10 @@ func (s *System) checkStep(x [][]float64, arrived []bool) error {
 		}
 	}
 	if present < s.cfg.K {
-		return errTooFewPresent(present, s.cfg.K)
+		return fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
+			"or wait for first transmissions before stepping: %w", present, s.cfg.K, ErrBadInput)
 	}
 	return nil
-}
-
-// errTooFewPresent is the rejection of a step that would cluster fewer than K
-// members.
-func errTooFewPresent(present, k int) error {
-	return fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
-		"or wait for first transmissions before stepping: %w", present, k, ErrBadInput)
 }
 
 // decide is the edge of Step: each reporting member's policy decides, into
@@ -1008,33 +1007,24 @@ func (s *System) decide(x [][]float64) {
 	}
 }
 
-// arrivals is the edge of StepArrivals: a contacted member's row is
-// transmitted when it arrived, or when nothing is stored for it yet.
-func (s *System) arrivals(x [][]float64, arrived []bool) {
-	for i, xi := range x {
-		s.transmitted[i] = xi != nil && (arrived[i] || !s.stage.present[i])
-	}
-}
-
-// ingest is the central walk of layer 1: it writes the rows s.transmitted
-// flags into the central store — the staged look-back slot, which only
-// enters the eq. (12) ring when the whole step succeeds — meters them, and
-// accrues absence for silent members. The store's presence column is the
+// ingest is the central walk of layer 1 that both edges share: it writes the
+// rows s.transmitted flags, and every first report (flagged too: see Step),
+// into the central store — the staged look-back slot, which only enters the
+// eq. (12) ring when the whole step succeeds — meters them, and accrues
+// absence for silent members. The store's presence column is the
 // clustering mask: live members with a stored measurement take part in
-// clustering; joiners that have not transmitted yet stay masked (warm-up),
+// clustering; joiners that have not reported yet stay masked (warm-up),
 // as do members departing this step, whose absence-timeout evictions ingest
 // applies last. It returns the mask — nil when every slot takes part, which
 // lets the trackers cluster their block of the store in place — and the
 // stable IDs evicted this step.
-func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
+func (s *System) ingest(x [][]float64) (mask []bool, evicted []int) {
 	n := len(x)
 	store := &s.stage.z
 	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stage.present[:n], s.transmitted[:n]
 	meters, nPresent := s.meters[:n], 0
-	// Members at the timeout are only marked for eviction in the walk — the
-	// roster mutation happens after the present-count check below, so a step
-	// that fails it has not half-departed anyone (and never loses its
-	// Evicted report).
+	// Members at the timeout are only marked for eviction in the walk; the
+	// deferral below needs the walk's present count.
 	var evict []int
 	for i, xi := range x {
 		switch {
@@ -1046,6 +1036,7 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 			}
 		default:
 			absentFor[i] = 0
+			transmitted[i] = transmitted[i] || !stored[i] // first contact
 			if transmitted[i] {
 				store.set(i, xi)
 				stored[i] = true
@@ -1057,15 +1048,8 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 		}
 	}
 	// Live members with a stored measurement take part in clustering;
-	// tombstones are never stored (evictSlot clears the flag). checkStep has
-	// made this count already for every edge that transmits a member's
-	// first report; only a custom policy that declines one can fail here,
-	// after the walks moved policies and meters. No eviction has happened
-	// yet, so the roster is untouched (candidates are simply retried later).
-	if nPresent < s.cfg.K {
-		return nil, nil, errTooFewPresent(nPresent, s.cfg.K)
-	}
-	// Evictions never shrink the clustered set below K: when a mass outage
+	// tombstones are never stored (evictSlot clears the flag). checkStep made
+	// this count, nPresent ≥ K, before anything moved. Evictions never shrink the clustered set below K: when a mass outage
 	// would (e.g. every agent silent after a collector restart), the excess
 	// members are retained — still present with their last-known values —
 	// and retried next step, so the pipeline degrades to serving stale
@@ -1084,7 +1068,7 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int, err error) {
 	if nPresent < len(x) {
 		mask = stored
 	}
-	return mask, evicted, nil
+	return mask, evicted
 }
 
 // clusterAndRefit runs layer 2 for every tracker on the worker pool, then

@@ -93,14 +93,14 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 	sys.t = step
 	rows := make([][]float64, 3)
 	rows[slot] = x
-	// Only the walks are under test: a fleet that still stores nothing fails
-	// ingest's present-count check after them.
+	// Only the walks are under test; ingest stores a first report whatever
+	// was decided, so the decision is read before it.
 	sys.decide(rows)
-	_, _, _ = sys.ingest(rows)
+	got := sys.transmitted[slot]
+	sys.ingest(rows)
 
 	twin := build()
 	want := twin.Decide(step, x, z)
-	got := sys.transmitted[slot]
 	// The virtual queue is all of an Adaptive policy's state.
 	gotQ, err := sys.policies[slot].(*transmit.Adaptive).MarshalState()
 	if err != nil {
@@ -114,18 +114,16 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 		t.Fatalf("d=%d joint=%v t=%d cfg=%+v queue=%v x=%v z=%v: kernel sent=%v queue=%x, Decide sent=%v queue=%x",
 			d, joint, step, cfg, queue, x, z, got, gotQ, want, wantQ)
 	}
-	if wantStored := z != nil || want; sys.stage.present[slot] != wantStored {
-		t.Fatalf("stored flag %v after the walk, want %v", sys.stage.present[slot], wantStored)
+	if !sys.stage.present[slot] {
+		t.Fatal("a reporting member is unstored after the walk")
 	}
 	held := z
-	if want {
+	if want || z == nil {
 		held = x
 	}
-	if held != nil {
-		for r, v := range sys.stage.z.row(slot, make([]float64, d)) {
-			if math.Float64bits(v) != math.Float64bits(held[r]) {
-				t.Fatalf("store holds %v after sent=%v of %v over %v", sys.stage.z.row(slot, make([]float64, d)), want, x, z)
-			}
+	for r, v := range sys.stage.z.row(slot, make([]float64, d)) {
+		if math.Float64bits(v) != math.Float64bits(held[r]) {
+			t.Fatalf("store holds %v after sent=%v of %v over %v", sys.stage.z.row(slot, make([]float64, d)), want, x, z)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"orcf/internal/transmit"
 )
 
 // stateDigest fingerprints the System's exported state: the gob encoding of
@@ -152,6 +154,27 @@ func sameResult(a, b *StepResult) bool {
 	return true
 }
 
+// coinPolicy is a custom policy that declines at random, a member's first
+// report included: each decision is a hash of the salt, the step and the
+// reported value, so a restored twin decides as the original does, and the
+// policy carries no state.
+type coinPolicy struct{ salt uint64 }
+
+func (p coinPolicy) Decide(t int, x, _ []float64) bool {
+	h := p.salt + uint64(t)*0x9e3779b97f4a7c15 + math.Float64bits(x[0])
+	h = (h ^ h>>31) * 0xbf58476d1ce4e5b9
+	return (h^h>>29)&1 == 0
+}
+
+func (coinPolicy) MarshalState() ([]byte, error) { return nil, nil }
+
+func (coinPolicy) UnmarshalState(data []byte) error {
+	if len(data) != 0 {
+		return transmit.ErrBadState
+	}
+	return nil
+}
+
 // opsInput hands out the fuzz bytes; a byte past the end reads as 0.
 type opsInput struct{ data []byte }
 
@@ -168,21 +191,24 @@ func (in *opsInput) intn(n int) int { return int(in.next()) % n }
 
 // FuzzSystemOps drives a small System (N ≤ 12, K ≤ 3, one or two resources,
 // scalar or joint clustering, sample-and-hold, SnapshotHorizon 3, a warm-up
-// of 2–6 steps) through up to 64 operations decoded from the bytes: Step and
-// StepArrivals with in-range rows; the same with one malformed row or flag
-// (NaN, ±Inf, beyond ±100, wrong width, a report for a dead slot, an arrival
-// without a row, the wrong number of rows or flags), which must be rejected;
-// AddNodes of fresh IDs and of departed ones, which land in tombstoned slots
-// while any are free; RemoveNodes; roster calls that must be rejected
-// (duplicate, negative or unknown IDs); and ExportState → RestoreState into
-// a fresh System, a twin that from then on receives every operation too.
+// of 2–6 steps, the default Adaptive policy or coinPolicy, which declines
+// first reports too) through up to 64 operations decoded from the bytes:
+// Step and StepArrivals with in-range rows; the same with one malformed row
+// or flag (NaN, ±Inf, beyond ±100, wrong width, a report for a dead slot,
+// an arrival without a row, the wrong number of rows or flags), which must
+// be rejected; AddNodes of fresh IDs and of departed ones, which land in
+// tombstoned slots while any are free; RemoveNodes; roster calls that must
+// be rejected (duplicate, negative or unknown IDs); and ExportState →
+// RestoreState into a fresh System, a twin that from then on receives
+// every operation too.
 //
-// After each operation: a rejected call has left Steps, the state digest,
-// the roster and the published generation as they were; a step's
-// assignments equal its snapshot's, and once the models are trained the
-// snapshot forecasts equal System.Forecast bit for bit; the twin answers
-// every call as the original does, with the same result and the same state
-// digest; the roster is an ID ⇄ slot bijection.
+// After each operation: a step of in-range rows that checkStep accepts has
+// succeeded; a rejected call has left Steps, the state digest, the roster
+// and the published generation as they were; a step's assignments equal
+// its snapshot's, and once the models are trained the snapshot forecasts
+// equal System.Forecast bit for bit; the twin answers every call as the
+// original does, with the same result and the same state digest; the
+// roster is an ID ⇄ slot bijection.
 func FuzzSystemOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -200,6 +226,11 @@ func FuzzSystemOps(f *testing.F) {
 			IncrementalRefit:  in.intn(2) == 1,
 			SnapshotHorizon:   3,
 			Seed:              uint64(in.next()),
+		}
+		if in.intn(2) == 1 {
+			cfg.Policy = func(slot int) (transmit.Policy, error) {
+				return coinPolicy{salt: uint64(slot)<<8 | cfg.Seed}, nil
+			}
 		}
 		sys, err := NewSystem(cfg)
 		if err != nil {
@@ -238,10 +269,14 @@ func FuzzSystemOps(f *testing.F) {
 			before := opsViewOf(t, sys)
 			var desc string
 			var call func(s *System) (*StepResult, error)
-			mustReject := false
+			mustReject, checked := false, false
 			switch kind {
 			case 0, 1, 2: // a step of in-range rows
 				x, arrived := rows(sys)
+				if kind != 2 {
+					arrived = nil
+				}
+				checked = sys.checkStep(x, arrived) == nil
 				if kind == 2 {
 					desc = fmt.Sprintf("StepArrivals(%v, %v)", x, arrived)
 					call = func(s *System) (*StepResult, error) { return s.StepArrivals(x, arrived) }
@@ -348,6 +383,8 @@ func FuzzSystemOps(f *testing.F) {
 
 			res, err := call(sys)
 			switch {
+			case checked && err != nil:
+				t.Fatalf("op %d %s: checkStep accepted it, the step failed: %v", op, desc, err)
 			case err != nil:
 				if !errors.Is(err, ErrBadInput) && !errors.Is(err, ErrBadConfig) {
 					t.Fatalf("op %d %s: %v", op, desc, err)

@@ -825,6 +825,18 @@ func (s *referenceSystem) Step(x [][]float64) (*StepResult, error) {
 			}
 		}
 	}
+	// The members clustered this step: the stored ones and the reporting
+	// ones that have nothing stored, whose first report the walk stores.
+	nPresent := 0
+	for i, xi := range x {
+		if s.alive[i] && (s.z[i] != nil || xi != nil) {
+			nPresent++
+		}
+	}
+	if nPresent < s.cfg.K {
+		return nil, fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
+			"or wait for first transmissions before stepping: %w", nPresent, s.cfg.K, ErrBadInput)
+	}
 	s.t++
 	res := &StepResult{
 		T:           s.t,
@@ -838,11 +850,10 @@ func (s *referenceSystem) Step(x [][]float64) (*StepResult, error) {
 		tIngest = time.Now()
 	}
 
-	// Layer 1: transmission decisions update the central store in place;
+	// Layer 1: transmission decisions update the central store in place,
+	// and a member's first report is stored whatever its policy decided;
 	// silent live members accrue absence. Members at the timeout are only
-	// marked for eviction here — the roster mutation happens after the
-	// present-count check below, so a step that fails it has not half-
-	// departed anyone (and never loses its Evicted report).
+	// marked for eviction here, and evicted after the presence mask.
 	var evict []int
 	for i, xi := range x {
 		if !s.alive[i] {
@@ -856,7 +867,7 @@ func (s *referenceSystem) Step(x [][]float64) (*StepResult, error) {
 			continue
 		}
 		s.absentFor[i] = 0
-		if s.policies[i].Decide(s.t, xi, s.z[i]) {
+		if s.policies[i].Decide(s.t, xi, s.z[i]) || s.z[i] == nil {
 			if s.z[i] == nil {
 				s.z[i] = s.zf.Row(i)
 			}
@@ -867,21 +878,11 @@ func (s *referenceSystem) Step(x [][]float64) (*StepResult, error) {
 	}
 
 	// Presence mask: live members with a stored measurement take part in
-	// clustering; joiners whose policies have not transmitted yet stay
-	// masked (warm-up), as do members departing this step.
+	// clustering; joiners that have not reported yet stay masked (warm-up),
+	// as do members departing this step.
 	present := s.presentBuf
-	nPresent := 0
 	for i := range present {
 		present[i] = s.alive[i] && s.z[i] != nil
-		if present[i] {
-			nPresent++
-		}
-	}
-	if nPresent < s.cfg.K {
-		// No eviction has happened yet, so the roster is untouched by a
-		// step that fails here (candidates are simply retried later).
-		return nil, fmt.Errorf("core: %d present members < K=%d — grow the fleet (AddNodes) "+
-			"or wait for first transmissions before stepping: %w", nPresent, s.cfg.K, ErrBadInput)
 	}
 	// Evictions never shrink the clustered set below K: when a mass outage
 	// would (e.g. every agent silent after a collector restart), the excess

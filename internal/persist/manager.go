@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -171,21 +172,26 @@ func New(sys *core.System, cfg core.Config, opts Options) (*Manager, error) {
 
 // Recover restores the newest valid checkpoint (if any) into the system and
 // replays the WAL tail through replay (nil means feed records straight to
-// System.Step). It must be called exactly once, before any stepping, and
-// finishes by starting a fresh WAL epoch at the recovered step. Unusable
-// files — torn checkpoints, WAL records beyond a gap — are skipped or
-// removed, never fatal; only I/O failures and replay errors are.
+// System.Step, and stop with ErrMismatch where its policies transmit other
+// rows than the log: the fingerprint cannot tell policy factories apart).
+// It must be called exactly once, before any stepping, and finishes by
+// starting a fresh WAL epoch at the recovered step. Unusable files — torn
+// checkpoints, WAL records beyond a gap — are skipped or removed, never
+// fatal; only I/O failures and replay errors are.
 func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 	if m.recovered {
 		return nil, fmt.Errorf("persist: Recover called twice: %w", ErrBadConfig)
 	}
 	m.recovered = true
 	if replay == nil {
-		replay = func(_ int, ids []int, alive []bool, x [][]float64, _ []bool) error {
+		replay = func(_ int, ids []int, alive []bool, x [][]float64, arrived []bool) error {
 			if err := m.sys.ReconcileRoster(ids, alive); err != nil {
 				return err
 			}
-			_, err := m.sys.Step(x)
+			res, err := m.sys.Step(x)
+			if err == nil && !slices.Equal(res.Transmitted, arrived) {
+				err = fmt.Errorf("persist: the policies transmit other rows than the log: %w", ErrMismatch)
+			}
 			return err
 		}
 	}

@@ -170,6 +170,46 @@ func TestRecoverCheckpointPlusWAL(t *testing.T) {
 	}
 }
 
+// TestRecoverStopsWhenReplayDiverges pins the default replay's check: a WAL
+// written under the default Adaptive policies, replayed whole (no
+// checkpoint) into a System whose factory builds Uniform policies, has the
+// same fingerprint, since policy factories are not hashed, but re-decides
+// other transmissions, so Recover stops with ErrMismatch. The same WAL
+// replays cleanly under the factory that wrote it.
+func TestRecoverStopsWhenReplayDiverges(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	m := newManager(t, dir, Options{CheckpointEvery: -1})
+	if _, err := m.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, m, 30)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recoverWith := func(policy core.PolicyFactory) (*RecoveryInfo, error) {
+		cfg := testConfig()
+		cfg.Policy = policy
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := New(sys, cfg, Options{Dir: dir, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		return re.Recover(nil)
+	}
+	uniform := func(int) (transmit.Policy, error) { return transmit.NewUniform(0.3) }
+	if info, err := recoverWith(uniform); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("replay under Uniform policies: %+v, %v; want ErrMismatch", info, err)
+	}
+	if info, err := recoverWith(nil); err != nil || info.ReplayedSteps != 30 {
+		t.Fatalf("replay under the writing policies: %+v, %v; want 30 replayed steps", info, err)
+	}
+}
+
 // TestRecoverAfterCleanShutdown exercises the SIGTERM path: Checkpoint +
 // Close, then reopen with zero replay.
 func TestRecoverAfterCleanShutdown(t *testing.T) {

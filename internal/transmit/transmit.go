@@ -54,7 +54,8 @@ type Persistent interface {
 // know: one Decide per step in which the node reports (none when silent), in
 // ascending slot order on the stepping goroutine, with x the reported row
 // and z the row stored for the node (nil until its first transmission); x
-// is stored iff Decide returns true. A *Adaptive is the one policy the walk
+// is stored when Decide returns true, and always while z is nil (the
+// central node stores every member's first report). A *Adaptive is the one policy the walk
 // decides without this call — it computes the eq. 7 penalty from the store
 // in place and calls DecidePenalty — so a type that wraps or embeds an
 // Adaptive is decided through Decide, with the same result.

@@ -33,7 +33,6 @@ package orcf
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"orcf/internal/alert"
 	"orcf/internal/cluster"
@@ -106,7 +105,10 @@ type (
 	Recommendation = alert.Recommendation
 )
 
-// ErrBadOption reports an invalid option combination.
+// ErrBadOption reports an invalid option or option combination. New wraps
+// every error of the pipeline's and the alert engine's constructors in it,
+// so errors.Is(err, ErrBadOption) holds for every configuration New rejects,
+// and the constructors' own errors stay reachable through it.
 var ErrBadOption = errors.New("orcf: invalid option")
 
 // config aggregates everything New assembles: the core pipeline
@@ -263,12 +265,10 @@ func WithModelZoo(names ...string) Option {
 
 // WithSelection tunes the champion/challenger selector used by WithModelZoo
 // (zero fields select the defaults: window 64, margin 0, streak 3, metric
-// "mae"). Ignored unless WithModelZoo names two or more families.
+// "mae"). New rejects a non-zero tuning unless WithModelZoo names two or
+// more families, the only zoo that runs a selector.
 func WithSelection(cfg SelectionConfig) Option {
 	return func(c *config) error {
-		if err := cfg.WithDefaults().Validate(); err != nil {
-			return fmt.Errorf("%w: %w", ErrBadOption, err)
-		}
 		c.Selection = cfg
 		return nil
 	}
@@ -361,9 +361,6 @@ func WithTrainingSchedule(initialCollection, retrainEvery int) Option {
 // period of centroid history, however long it runs.
 func WithFitWindow(n int) Option {
 	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("orcf: fit window %d: %w", n, ErrBadOption)
-		}
 		c.FitWindow = n
 		return nil
 	}
@@ -376,9 +373,6 @@ func WithFitWindow(n int) Option {
 // AddNodes/RemoveNodes. See System.AddNodes for the elastic-fleet model.
 func WithAbsenceTimeout(steps int) Option {
 	return func(c *config) error {
-		if steps < 0 {
-			return fmt.Errorf("orcf: absence timeout %d: %w", steps, ErrBadOption)
-		}
 		c.AbsenceTimeout = steps
 		return nil
 	}
@@ -401,9 +395,6 @@ func WithSeed(seed uint64) Option {
 // keeps the ingest path allocation-free.
 func WithSnapshotHorizon(h int) Option {
 	return func(c *config) error {
-		if h < 0 {
-			return fmt.Errorf("orcf: snapshot horizon %d: %w", h, ErrBadOption)
-		}
 		c.SnapshotHorizon = h
 		return nil
 	}
@@ -423,9 +414,6 @@ func WithSnapshotHorizon(h int) Option {
 // full refit every step, which is bit-identical to leaving the option off.
 func WithIncrementalRefit(churn float64) Option {
 	return func(c *config) error {
-		if math.IsNaN(churn) {
-			return fmt.Errorf("orcf: churn threshold NaN: %w", ErrBadOption)
-		}
 		c.IncrementalRefit = true
 		c.IncrementalChurn = churn
 		return nil
@@ -497,14 +485,14 @@ func New(nodes, resources int, opts ...Option) (*System, error) {
 			MaxHorizon: cfg.SnapshotHorizon,
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrBadOption, err)
 		}
 	case len(cfg.sinks) > 0:
 		return nil, fmt.Errorf("orcf: WithAlertSink requires WithAlertRules: %w", ErrBadOption)
 	}
 	inner, err := core.NewSystem(cfg.Config)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadOption, err)
 	}
 	return &System{inner: inner, alerts: engine}, nil
 }

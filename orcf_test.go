@@ -25,6 +25,15 @@ func TestNewDefaults(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	t.Parallel()
+	// zooThen applies opt on top of WithModelZoo(names...).
+	zooThen := func(opt Option, names ...string) Option {
+		return func(c *config) error {
+			if err := WithModelZoo(names...)(c); err != nil {
+				return err
+			}
+			return opt(c)
+		}
+	}
 	tests := []struct {
 		name string
 		opt  Option
@@ -37,10 +46,17 @@ func TestOptionValidation(t *testing.T) {
 		{"nil builder", WithModelBuilder(nil)},
 		{"bad schedule", WithTrainingSchedule(0, 5)},
 		{"bad fit window", WithFitWindow(-1)},
+		{"negative absence timeout", WithAbsenceTimeout(-1)},
+		{"negative snapshot horizon", WithSnapshotHorizon(-1)},
+		{"NaN churn", WithIncrementalRefit(math.NaN())},
 		{"unknown zoo family", WithModelZoo("ses", "no-such-model")},
 		{"empty zoo", WithModelZoo()},
 		{"bad selection metric", WithSelection(SelectionConfig{Metric: "mape"})},
 		{"negative selection margin", WithSelection(SelectionConfig{Margin: -1})},
+		{"selection without a zoo", WithSelection(SelectionConfig{Window: 9})},
+		{"selection of a one-family zoo", zooThen(WithSelection(SelectionConfig{Window: 9}), "ses")},
+		{"bad selection metric in a zoo", zooThen(WithSelection(SelectionConfig{Metric: "mape"}), "ses", "ar")},
+		{"negative selection margin in a zoo", zooThen(WithSelection(SelectionConfig{Margin: -1}), "ses", "ar")},
 		{"bad SES alpha", WithSES(2)},
 		{"bad Holt alpha", WithHolt(2, 0, 0)},
 		{"bad Holt-Winters period", WithHoltWinters(1)},
@@ -358,5 +374,23 @@ func TestAlertPlanePublicAPI(t *testing.T) {
 	}
 	if _, err := build(WithSnapshotHorizon(2), WithAlertSink(sink)); !errors.Is(err, ErrBadOption) {
 		t.Errorf("sink without rules: %v, want ErrBadOption", err)
+	}
+}
+
+// TestNewWrapsConstructorErrors pins that New wraps the errors of the
+// pipeline's and the alert engine's constructors in ErrBadOption, keeping
+// the constructor's own error reachable: K above a non-empty fleet, and an
+// alert rule that forecasts past the snapshot horizon.
+func TestNewWrapsConstructorErrors(t *testing.T) {
+	t.Parallel()
+	if _, err := New(10, 1, WithClusters(11)); !errors.Is(err, ErrBadOption) || !errors.Is(err, core.ErrBadConfig) {
+		t.Errorf("K=11 at 10 nodes: %v, want ErrBadOption wrapping core.ErrBadConfig", err)
+	}
+	rules, err := ParseAlertRules([]byte(`{"rules": [{"name": "soon", "kind": "threshold", "scope": "cluster", "cluster": -1, "above": true, "threshold": 0.9, "horizon": 5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(10, 1, WithSnapshotHorizon(3), WithAlertRules(rules)); !errors.Is(err, ErrBadOption) || !errors.Is(err, alert.ErrBadRule) {
+		t.Errorf("rule horizon 5 beyond snapshot horizon 3: %v, want ErrBadOption wrapping alert.ErrBadRule", err)
 	}
 }
