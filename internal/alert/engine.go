@@ -300,10 +300,15 @@ func (e *Engine) evalClusterRule(snap *core.Snapshot, i int, events []Event) []E
 // live slot's instance is the table entry at that slot.
 func (e *Engine) evalNodeRule(snap *core.Snapshot, i int, events []Event) []Event {
 	r := &e.rules.Rules[i]
-	if r.Dim >= snap.Resources() {
+	// The rule reads dimension Dim of its tracker, one of Trackers that each
+	// cover Resources/Trackers resources: one under scalar clustering, all
+	// under joint.
+	width := snap.Resources() / snap.Trackers()
+	if r.Dim >= width {
 		e.targetErr++
 		return events
 	}
+	res := r.Tracker*width + r.Dim
 	plan := snap.Plan()
 	roster := e.roster
 	table := e.tables[i]
@@ -312,10 +317,10 @@ func (e *Engine) evalNodeRule(snap *core.Snapshot, i int, events []Event) []Even
 		if !live {
 			continue
 		}
-		at := plan.At(slot, r.Dim, r.Horizon-1)
+		at := plan.At(slot, res, r.Horizon-1)
 		first := at // a threshold rule reads only the value at its horizon
 		if r.Kind == KindTrend {
-			first = plan.At(slot, r.Dim, 0)
+			first = plan.At(slot, res, 0)
 		}
 		events = e.observe(snap, r, &table[slot], -1, id, e.ruleValue(r, first, at), events)
 	}

@@ -456,3 +456,48 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("two re-keys allocate %v times, want at most the %d rebuilt tables", allocs, 2*nodeRules)
 	}
 }
+
+// TestNodeRuleReadsItsTrackersResource: under scalar clustering each tracker
+// clusters one resource, so a node-scope rule on tracker 1 reads resource 1.
+// Resource 0 sits near 0.1 and resource 1 near 0.9; a rule above 0.8 on
+// tracker 1 fires for every node, and dim 1 — past a scalar tracker's one
+// resource — is a target error.
+func TestNodeRuleReadsItsTrackersResource(t *testing.T) {
+	t.Parallel()
+	const nodes = 6
+	sys := newTestSystem(t, nodes, func(c *core.Config) { c.Resources = 2 })
+	engine, err := New(Config{
+		Rules: &RuleSet{StepsPerHour: 1, Rules: []Rule{{
+			Name: "mem-high", Kind: KindThreshold, Scope: ScopeNode, Tracker: 1,
+			Above: true, Threshold: 0.8, FireStreak: 1, ClearStreak: 1, Horizon: 1,
+		}, {
+			Name: "past-width", Kind: KindThreshold, Scope: ScopeNode, Tracker: 1, Dim: 1,
+			Above: true, Threshold: 0.8, FireStreak: 1, ClearStreak: 1, Horizon: 1,
+		}}},
+		MaxHorizon: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; !sys.Ready(); step++ {
+		x := make([][]float64, nodes)
+		for i := range x {
+			x[i] = []float64{0.1 + float64(i)*0.001, 0.9 + float64(i)*0.001}
+		}
+		if _, err := sys.Step(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := mustEvaluate(t, engine, sys)
+	if len(events) != nodes {
+		t.Fatalf("%d events, want every node's resource 1 firing: %+v", len(events), events)
+	}
+	for _, ev := range events {
+		if ev.Rule != "mem-high" || ev.State != StateFiring || ev.Value < 0.8 {
+			t.Fatalf("event %+v, want mem-high firing on a value near 0.9", ev)
+		}
+	}
+	if st := engine.Stats(); st.TargetErrors != 1 {
+		t.Fatalf("%d target errors, want 1 (past-width)", st.TargetErrors)
+	}
+}

@@ -146,10 +146,14 @@ func (e *referenceEngine) evalClusterRule(snap *core.Snapshot, r *Rule, events [
 // published, shared with the serving plane) at the one or two horizons the
 // rule needs.
 func (e *referenceEngine) evalNodeRule(snap *core.Snapshot, r *Rule, events []Event) []Event {
-	if r.Dim >= snap.Resources() {
+	// The resource is dimension Dim of the rule's tracker: the tracker's
+	// own resource under scalar clustering, resource Dim under joint.
+	width := snap.Resources() / snap.Trackers()
+	if r.Dim >= width {
 		e.targetErr++
 		return events
 	}
+	res := r.Tracker*width + r.Dim
 	plan := snap.Plan()
 	roster := snap.Roster()
 	for slot := 0; slot < snap.Nodes(); slot++ {
@@ -157,7 +161,7 @@ func (e *referenceEngine) evalNodeRule(snap *core.Snapshot, r *Rule, events []Ev
 		if !live {
 			continue
 		}
-		v := e.ruleValue(r, plan.At(slot, r.Dim, 0), plan.At(slot, r.Dim, r.Horizon-1))
+		v := e.ruleValue(r, plan.At(slot, res, 0), plan.At(slot, res, r.Horizon-1))
 		events = e.observe(snap, r, -1, id, v, events)
 	}
 	return events

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -551,11 +552,15 @@ func (s *System) RemoveNodes(ids ...int) error {
 
 // ReconcileRoster aligns the system's slot → ID layout with a recorded
 // roster (typically a WAL record's, during recovery replay): members dead
-// in the record depart, members live in the record join into the exact
-// recorded slots, and a live slot bound to a different ID is a lineage
-// mismatch error. The slot count may only grow. Reproducing the recorded
-// layout slot-for-slot is what keeps replayed steps bit-identical to the
-// original run.
+// in the record depart, slots past the fleet's end are appended, tombstoned
+// ones recording their last occupant (a member that joined into a new slot
+// and departed before the step), members live in the record join into the
+// exact recorded slots, and a live slot bound to a different ID is a
+// lineage mismatch error. The slot count may only grow. Reproducing the
+// recorded layout slot-for-slot is what keeps replayed steps bit-identical
+// to the original run. The roster is checked whole before anything changes,
+// so a rejected one leaves the fleet as it was (a policy factory failing
+// for a joiner can still stop it part-way).
 func (s *System) ReconcileRoster(ids []int, alive []bool) error {
 	if len(ids) != len(alive) {
 		return fmt.Errorf("core: roster %d ids / %d alive flags: %w", len(ids), len(alive), ErrBadInput)
@@ -563,11 +568,7 @@ func (s *System) ReconcileRoster(ids []int, alive []bool) error {
 	if len(ids) < len(s.ids) {
 		return fmt.Errorf("core: roster shrank %d → %d slots: %w", len(s.ids), len(ids), ErrBadInput)
 	}
-	for i := 0; i < len(s.ids); i++ {
-		if !alive[i] && s.alive[i] {
-			s.evictSlot(i)
-		}
-	}
+	joining := map[int]bool{}
 	for i, id := range ids {
 		if !alive[i] {
 			continue
@@ -579,11 +580,28 @@ func (s *System) ReconcileRoster(ids []int, alive []bool) error {
 			}
 			continue
 		}
-		if _, live := s.byID[id]; live {
+		// A member live in a slot the record kills departs first.
+		if j, live := s.byID[id]; (live && alive[j]) || joining[id] {
 			return fmt.Errorf("core: node %d already live in another slot: %w", id, ErrBadInput)
 		}
-		if err := s.addSlotAt(i, id); err != nil {
-			return err
+		joining[id] = true
+	}
+	for i := range s.ids {
+		if !alive[i] && s.alive[i] {
+			s.evictSlot(i)
+		}
+	}
+	for i, id := range ids { // i ≤ len(s.ids): each i past the end appends
+		switch {
+		case alive[i] && (i == len(s.ids) || !s.alive[i]):
+			if err := s.addSlotAt(i, id); err != nil {
+				return err
+			}
+		case i == len(s.ids): // only a join appends a slot: its member departed
+			s.appendSlot()
+			s.ids[i] = id
+			s.free = append(s.free, i)
+			s.evictions++
 		}
 	}
 	return nil
@@ -600,41 +618,20 @@ func (s *System) addSlot(id int) error {
 }
 
 // addSlotAt binds a new member to a specific slot — a tombstoned one or the
-// next append position (used by addSlot and by roster reconciliation during
-// WAL replay, which must reproduce the original slot layout exactly). The
-// slot is checked and the member's policy built before anything changes, so
+// next append position, as its callers pick it (addSlot, and roster
+// reconciliation during WAL replay, which must reproduce the original slot
+// layout exactly). The member's policy is built before anything changes, so
 // a failure leaves the fleet as it was.
 func (s *System) addSlotAt(i, id int) error {
-	at := -1
-	if i != len(s.ids) {
-		for fi, f := range s.free {
-			if f == i {
-				at = fi
-				break
-			}
-		}
-		if at < 0 {
-			return fmt.Errorf("core: slot %d is not free: %w", i, ErrBadConfig)
-		}
-	}
 	p, err := s.newPolicy(i)
 	if err != nil {
 		return fmt.Errorf("core: joining node %d: %w", id, err)
 	}
-	if at < 0 {
-		s.ids = append(s.ids, 0)
-		s.alive = append(s.alive, false)
-		s.absentFor = append(s.absentFor, 0)
-		s.transmitted = append(s.transmitted, false)
-		s.policies = append(s.policies, nil)
-		s.meters = append(s.meters, transmit.Meter{})
-		n := len(s.ids)
-		for si := range s.ring {
-			growSlot(&s.ring[si], n)
-		}
-		growSlot(&s.stage, n)
+	if i == len(s.ids) {
+		s.appendSlot()
 	} else {
-		s.free = append(s.free[:at], s.free[at+1:]...)
+		at := slices.Index(s.free, i)
+		s.free = slices.Delete(s.free, at, at+1)
 		// The slot's ring history was masked at eviction; mask again
 		// defensively.
 		for si := range s.ring {
@@ -653,6 +650,23 @@ func (s *System) addSlotAt(i, id int) error {
 	s.byID[id] = i
 	s.rosterGen++
 	return nil
+}
+
+// appendSlot grows the fleet by one dead slot, absent from the look-back and
+// the store, that no member holds yet.
+func (s *System) appendSlot() {
+	s.ids = append(s.ids, 0)
+	s.alive = append(s.alive, false)
+	s.absentFor = append(s.absentFor, 0)
+	s.transmitted = append(s.transmitted, false)
+	s.policies = append(s.policies, nil)
+	s.meters = append(s.meters, transmit.Meter{})
+	n := len(s.ids)
+	for si := range s.ring {
+		growSlot(&s.ring[si], n)
+	}
+	growSlot(&s.stage, n)
+	s.rosterGen++
 }
 
 // newPolicy builds the transmission policy of the member taking slot i: nil

@@ -42,15 +42,21 @@ type opsView struct {
 func opsViewOf(t *testing.T, sys *System) opsView {
 	t.Helper()
 	v := opsView{steps: sys.Steps(), digest: stateDigest(t, sys)}
-	r := sys.Roster()
-	for i := range r.Slots() {
-		id, ok := r.IDAt(i)
-		v.ids, v.alive = append(v.ids, id), append(v.alive, ok)
-	}
+	v.ids, v.alive = rosterOf(sys)
 	if snap := sys.Snapshot(); snap != nil {
 		v.gen = snap.Generation()
 	}
 	return v
+}
+
+// rosterOf is the System's slot → ID layout as a WAL record holds it.
+func rosterOf(sys *System) (ids []int, alive []bool) {
+	r := sys.Roster()
+	for i := range r.Slots() {
+		id, ok := r.IDAt(i)
+		ids, alive = append(ids, id), append(alive, ok)
+	}
+	return ids, alive
 }
 
 func (v opsView) equal(w opsView) bool {
@@ -59,14 +65,17 @@ func (v opsView) equal(w opsView) bool {
 }
 
 // checkRoster requires the roster to be an ID ⇄ slot bijection over the live
-// members, agreeing with the System's own lookups.
+// members, agreeing with the System's own lookups, and the free list to hold
+// the tombstoned slots in ascending order, the order AddNodes fills them in.
 func checkRoster(t *testing.T, sys *System) {
 	t.Helper()
 	r := sys.Roster()
 	live := 0
+	var tombstones []int
 	for i := range r.Slots() {
 		id, ok := r.IDAt(i)
 		if !ok {
+			tombstones = append(tombstones, i)
 			continue
 		}
 		live++
@@ -76,6 +85,9 @@ func checkRoster(t *testing.T, sys *System) {
 		if slot, found := sys.SlotOf(id); !found || slot != i {
 			t.Fatalf("slot %d holds node %d, but System.SlotOf(%d) = %d, %v", i, id, id, slot, found)
 		}
+	}
+	if !slices.Equal(sys.free, tombstones) {
+		t.Fatalf("free list %v, tombstoned slots %v", sys.free, tombstones)
 	}
 	members := r.Members()
 	if live != r.Live() || live != len(members) || live != sys.LiveNodes() || r.Slots() != sys.Slots() {
@@ -198,17 +210,23 @@ func (in *opsInput) intn(n int) int { return int(in.next()) % n }
 // an arrival without a row, the wrong number of rows or flags), which must
 // be rejected; AddNodes of fresh IDs and of departed ones, which land in
 // tombstoned slots while any are free; RemoveNodes; roster calls that must
-// be rejected (duplicate, negative or unknown IDs); and ExportState →
-// RestoreState into a fresh System, a twin that from then on receives
-// every operation too.
+// be rejected (duplicate, negative or unknown IDs); ReconcileRoster with
+// the roster of an earlier step, and with a shrunk roster or one that binds
+// a live slot to another ID (and departs a slot besides), which must be
+// rejected; and ExportState → RestoreState into a fresh System, a twin
+// that from then on receives every operation too. A NewCentral twin runs
+// beside it from the start: it takes each accepted step as StepArrivals of
+// the step's rows and transmissions, and every roster call.
 //
 // After each operation: a step of in-range rows that checkStep accepts has
 // succeeded; a rejected call has left Steps, the state digest, the roster
 // and the published generation as they were; a step's assignments equal
 // its snapshot's, and once the models are trained the snapshot forecasts
-// equal System.Forecast bit for bit; the twin answers every call as the
-// original does, with the same result and the same state digest; the
-// roster is an ID ⇄ slot bijection.
+// equal System.Forecast bit for bit; an accepted ReconcileRoster has laid
+// the roster out as the record; the restored twin answers every call as
+// the original does, with the same result and the same state digest; the
+// NewCentral twin does too, its state equal but for the policies'; the
+// roster is an ID ⇄ slot bijection with its free list sorted.
 func FuzzSystemOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -236,7 +254,18 @@ func FuzzSystemOps(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
+		central, err := NewCentral(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var twin *System
+		// rosters holds the roster of every accepted step, as the WAL
+		// records it.
+		type roster struct {
+			ids   []int
+			alive []bool
+		}
+		var rosters []roster
 		nextID := nodes
 		d := cfg.Resources
 
@@ -265,14 +294,17 @@ func FuzzSystemOps(f *testing.F) {
 		}
 
 		for op := 0; op < 64 && len(in.data) > 0; op++ {
-			kind := in.intn(9)
+			kind := in.intn(10)
 			before := opsViewOf(t, sys)
 			var desc string
 			var call func(s *System) (*StepResult, error)
+			var stepX [][]float64 // an accepted step's rows, for the NewCentral twin
+			var record roster     // what ReconcileRoster lays the roster out as
 			mustReject, checked := false, false
 			switch kind {
 			case 0, 1, 2: // a step of in-range rows
 				x, arrived := rows(sys)
+				stepX = x
 				if kind != 2 {
 					arrived = nil
 				}
@@ -363,6 +395,30 @@ func FuzzSystemOps(f *testing.F) {
 					desc = fmt.Sprintf("RemoveNodes(%v)", ids)
 					call = func(s *System) (*StepResult, error) { return nil, s.RemoveNodes(ids...) }
 				}
+			case 9: // a recorded roster replayed, or one that must be rejected
+				ids, alive := rosterOf(sys)
+				switch sel := in.intn(3); {
+				case sel == 0 && len(rosters) > 0:
+					r := rosters[in.intn(len(rosters))]
+					ids, alive = r.ids, r.alive
+				case sel == 1: // a shrink
+					ids, alive = ids[:len(ids)-1], alive[:len(alive)-1]
+					mustReject = true
+				default: // a live slot bound to another ID, another slot departing
+					members := sys.Members()
+					if len(members) == 0 {
+						continue
+					}
+					i, _ := sys.SlotOf(members[in.intn(len(members))])
+					ids[i] = nextID
+					if j := in.intn(len(ids)); j != i {
+						alive[j] = false
+					}
+					mustReject = true
+				}
+				record = roster{ids, alive}
+				desc = fmt.Sprintf("ReconcileRoster(%v, %v)", ids, alive)
+				call = func(s *System) (*StepResult, error) { return nil, s.ReconcileRoster(ids, alive) }
 			default: // restore a twin from the original's state
 				st, err := sys.ExportState()
 				if err != nil {
@@ -396,8 +452,32 @@ func FuzzSystemOps(f *testing.F) {
 				t.Fatalf("op %d %s: accepted", op, desc)
 			case res != nil:
 				checkStepResult(t, sys, res, before.gen)
+				rosters = append(rosters, roster{before.ids, before.alive})
+			case kind == 9:
+				ids, alive := rosterOf(sys)
+				laidOut := slices.Equal(alive, record.alive)
+				for i := range ids {
+					laidOut = laidOut && (!alive[i] || ids[i] == record.ids[i])
+				}
+				if !laidOut {
+					t.Fatalf("op %d %s: accepted, roster now %v %v", op, desc, ids, alive)
+				}
 			}
 			checkRoster(t, sys)
+			switch {
+			case res != nil:
+				cres, cerr := central.StepArrivals(stepX, res.Transmitted)
+				if cerr != nil || !sameResult(res, cres) {
+					t.Fatalf("op %d %s: %+v, NewCentral twin's StepArrivals %v %+v", op, desc, res, cerr, cres)
+				}
+			case kind >= 4:
+				if _, cerr := call(central); (err == nil) != (cerr == nil) {
+					t.Fatalf("op %d %s: %v, NewCentral twin %v", op, desc, err, cerr)
+				}
+			}
+			if a, b := policyFreeDigest(t, sys), policyFreeDigest(t, central); a != b {
+				t.Fatalf("op %d %s: policy-free state digest %x, NewCentral twin's %x", op, desc, a, b)
+			}
 			if twin == nil {
 				continue
 			}

@@ -106,9 +106,10 @@ type MeterState struct {
 // exactly-matching Nodes value. Runtime-only knobs (SnapshotHorizon,
 // AbsenceTimeout) and the Policy factory are also excluded.
 // A non-empty Zoo is hashed by its candidate names, never by its builders:
-// the factories cannot be hashed, so restoring under a different policy, or
-// a differently parameterized family of the same name, is the caller's
-// responsibility to avoid (the policy state bytes and the refit-from-series
+// the factories cannot be hashed. The package's policies tag their state
+// bytes with their type, so one of another type rejects them on restore,
+// but restoring under a differently parameterized policy or family of the
+// same name is the caller's responsibility to avoid (the refit-from-series
 // reconstruction will generally fail loudly, but not provably always).
 func (c Config) Fingerprint() uint64 {
 	c = c.withDefaults()
@@ -247,8 +248,9 @@ func (s *System) exportSlot(slot *ringSlot) SlotState {
 // roster replaces the construction-time fleet wholesale, so a restore never
 // requires knowing the fleet size in advance. After a successful restore
 // the system continues bit-identically to the exporting run; on error the
-// system is unchanged only for validation failures — a mid-restore failure
-// (e.g. a policy rejecting its state bytes) leaves it unusable.
+// system is unchanged only for validation failures, which include a policy
+// rejecting its state bytes (ErrBadState) — a mid-restore failure (e.g. a
+// tracker rejecting its state) leaves it unusable.
 //
 // When snapshot publishing is enabled, restore also republishes the
 // snapshot for generation State.Gen, so the serving plane is warm
@@ -257,9 +259,30 @@ func (s *System) RestoreState(st *State) error {
 	if err := s.validateState(st); err != nil {
 		return err
 	}
+	// The live slots' policies are built and loaded before anything
+	// changes, so state bytes a policy rejects — written by another policy
+	// type, say — leave the system as it was.
+	policies := make([]transmit.Policy, len(st.IDs))
+	for i := range policies {
+		if !st.Alive[i] {
+			continue
+		}
+		p, err := s.newPolicy(i)
+		if err != nil {
+			return err
+		}
+		if pp, ok := p.(transmit.Persistent); ok {
+			if err := pp.UnmarshalState(st.Policies[i]); err != nil {
+				return fmt.Errorf("core: node %d policy state: %w: %w", i, ErrBadState, err)
+			}
+		} else if p != nil {
+			return fmt.Errorf("core: slot %d policy %T: %w", i, p, ErrNotPersistent)
+		}
+		policies[i] = p
+	}
 
 	// Adopt the recorded roster: rebuild every per-slot structure at the
-	// recorded fleet size, constructing fresh policies for the live slots.
+	// recorded fleet size, with the live slots' fresh policies.
 	n := len(st.IDs)
 	s.ids = append([]int(nil), st.IDs...)
 	s.alive = append([]bool(nil), st.Alive...)
@@ -268,7 +291,7 @@ func (s *System) RestoreState(st *State) error {
 	s.byID = make(map[int]int, n)
 	s.free = nil
 	s.transmitted = make([]bool, n)
-	s.policies = make([]transmit.Policy, n)
+	s.policies = policies
 	s.meters = make([]transmit.Meter, n)
 	s.pubRoster = nil
 	s.rosterGen++
@@ -278,18 +301,6 @@ func (s *System) RestoreState(st *State) error {
 			continue
 		}
 		s.byID[st.IDs[i]] = i
-		p, err := s.newPolicy(i)
-		if err != nil {
-			return err
-		}
-		if pp, ok := p.(transmit.Persistent); ok {
-			if err := pp.UnmarshalState(st.Policies[i]); err != nil {
-				return fmt.Errorf("core: node %d policy state: %w", i, err)
-			}
-		} else if p != nil {
-			return fmt.Errorf("core: slot %d policy %T: %w", i, p, ErrNotPersistent)
-		}
-		s.policies[i] = p
 		if err := s.meters[i].Restore(st.Meters[i].Steps, st.Meters[i].Transmits); err != nil {
 			return fmt.Errorf("core: node %d meter: %w", i, err)
 		}

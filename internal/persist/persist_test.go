@@ -210,6 +210,100 @@ func TestRecoverStopsWhenReplayDiverges(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsCheckpointOfOtherPolicyType: the state bytes of the
+// default Adaptive policies carry their type, so a System whose factory
+// builds Uniform policies — same fingerprint, since policy factories are not
+// hashed — does not take them as Uniform credit: Recover skips the
+// checkpoint as it skips one of another configuration. The factory that
+// wrote it restores it.
+func TestRecoverSkipsCheckpointOfOtherPolicyType(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	m := newManager(t, dir, Options{CheckpointEvery: -1})
+	if _, err := m.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, m, 30)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recoverWith := func(policy core.PolicyFactory) (*RecoveryInfo, error) {
+		cfg := testConfig()
+		cfg.Policy = policy
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, err := New(sys, cfg, Options{Dir: dir, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		return re.Recover(nil)
+	}
+	uniform := func(int) (transmit.Policy, error) { return transmit.NewUniform(0.3) }
+	info, err := recoverWith(uniform)
+	if err != nil || info.CheckpointStep != -1 || info.SkippedCheckpoints != 1 || info.Steps != 0 {
+		t.Fatalf("recovery under Uniform policies: %+v, %v; want the checkpoint skipped", info, err)
+	}
+	if info, err := recoverWith(nil); err != nil || info.CheckpointStep != 30 || info.Steps != 30 {
+		t.Fatalf("recovery under the writing policies: %+v, %v; want the checkpoint at 30", info, err)
+	}
+}
+
+// TestRecoverSlotAppendedAndVacatedBetweenSteps: a member that joins into a
+// new slot and departs before the next step leaves a WAL record whose roster
+// ends in a tombstone the recovering system has never had. Replay appends
+// it, so the record's rows fit the fleet, and the recovered state is the
+// crashed run's.
+func TestRecoverSlotAppendedAndVacatedBetweenSteps(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	m := newManager(t, dir, Options{CheckpointEvery: -1})
+	if _, err := m.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, m, 20)
+	if err := m.sys.AddNodes(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.sys.RemoveNodes(100); err != nil {
+		t.Fatal(err)
+	}
+	x := testInput(m.sys.Slots(), testConfig().Resources, 21)
+	x[len(x)-1] = nil
+	if _, err := m.Step(x); err != nil {
+		t.Fatal(err)
+	}
+	m.wg.Wait()
+	want, err := m.sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	re := newManager(t, dir, Options{CheckpointEvery: -1})
+	info, err := re.Recover(nil)
+	if err != nil || info.Steps != 21 {
+		t.Fatalf("recovery: %+v, %v; want 21 steps", info, err)
+	}
+	got, err := re.sys.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*core.State{got, want} {
+		for _, e := range st.Ensembles {
+			e.TrainTime = 0
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered state differs from the crashed run's:\n got IDs %v alive %v\nwant IDs %v alive %v",
+			got.IDs, got.Alive, want.IDs, want.Alive)
+	}
+}
+
 // TestRecoverAfterCleanShutdown exercises the SIGTERM path: Checkpoint +
 // Close, then reopen with zero replay.
 func TestRecoverAfterCleanShutdown(t *testing.T) {

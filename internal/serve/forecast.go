@@ -1,17 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"orcf/internal/core"
+	"orcf/internal/parallel"
 )
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
@@ -72,11 +71,11 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	// defined (NaN rows — warming joiners — are omitted; tombstoned slots
 	// always are), keyed by the Nodes list of stable IDs.
 	s.cache.observe()
-	fb := fleetBodies.Get().(*forecastBody)
-	*fb = forecastBody{
+	fb := fleetBodies.Get().(*fleetBody)
+	*fb = fleetBody{
 		plan: snap.Plan(), roster: snap.Roster(), h: h,
 		resources: snap.Resources(), perTask: max(1, taskValues/snap.Resources()),
-		slots: fb.slots[:0], starts: fb.starts[:0], held: fb.held[:0],
+		slots: fb.slots[:0], bufs: fb.bufs[:0],
 	}
 	for i := 0; i < snap.Nodes(); i++ {
 		if _, live := fb.roster.IDAt(i); live && !math.IsNaN(fb.plan.At(i, 0, 0)) {
@@ -84,21 +83,24 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	fb.write(w, snap)
-	// The pooled body keeps its lists, not the snapshot or the writer.
-	*fb = forecastBody{slots: fb.slots, starts: fb.starts, held: fb.held}
+	// The pooled body keeps its lists, not the snapshot or the buffers.
+	for _, buf := range fb.bufs {
+		bodyBufs.Put(buf)
+	}
+	clear(fb.bufs)
+	*fb = fleetBody{slots: fb.slots, bufs: fb.bufs[:0]}
 	fleetBodies.Put(fb)
 }
 
 // fleetBodies recycles the fleet bodies with their lists, one per request in
 // flight.
-var fleetBodies = sync.Pool{New: func() any { return new(forecastBody) }}
+var fleetBodies = sync.Pool{New: func() any { return new(fleetBody) }}
 
 // bufSize is the capacity the pooled body buffers start with, and
-// taskValues how many forecast values one formatting task covers: at up to
-// jsonFloatRoom+1 bytes a value a task's output stays under bufSize — large
-// enough to amortise the hand-off and the Write call, small enough that a
-// fleet response holds at most two such buffers per worker (see
-// streamTasks).
+// taskValues how many forecast values one row chunk covers: at up to
+// jsonFloatRoom+1 bytes a value a chunk's rows stay under bufSize — large
+// enough to amortise the fan-out and the Write call, small enough that the
+// chunks cut a large fleet's horizon into items for the pool.
 const (
 	bufSize    = 64 << 10
 	taskValues = 2048
@@ -165,232 +167,56 @@ func writeNodeForecast(w http.ResponseWriter, snap *core.Snapshot, h, node, slot
 	bodyBufs.Put(buf)
 }
 
-// forecastBody is one full-fleet ForecastResponse for horizons 1..h being
+// fleetBody is one full-fleet ForecastResponse for horizons 1..h being
 // written straight from the plan, with the bytes json.NewEncoder(w).Encode
 // would produce for the equivalent struct (Nodes = the entries' IDs,
 // non-finite values fenced to 0), without building the [h][entry][resource]
-// tensor or a whole-body buffer. Its entries are slots: the fleet's live
-// slots whose forecast is defined, in slot order, cut into chunks of
-// perTask. Its horizons fall into runs of equal ones: a horizon that
-// repeats the one before (ForecastPlan.RepeatsPrevious) has the same rows,
-// so a run's rows are formatted once, for its first horizon, and written
-// again for the others.
-type forecastBody struct {
-	plan   *core.ForecastPlan
-	roster *core.Roster
-	w      io.Writer
-	slots  []int
-	// starts holds the first horizon of every run, then h.
-	starts []int
-	// held keeps the current run's row chunks, when it is longer than one
-	// horizon, from their first Write to the run's last horizon.
-	held []*[]byte
-	// out holds the head's buffer, which a small body's tasks are written
-	// into.
-	out                   bytes.Buffer
+// tensor. Its entries are slots: the fleet's live slots whose forecast is
+// defined, in slot order, cut into chunks of perTask. bufs holds the head's
+// buffer, then one per row chunk.
+type fleetBody struct {
+	plan                  *core.ForecastPlan
+	roster                *core.Roster
+	slots                 []int
+	bufs                  []*[]byte
 	h, resources, perTask int
-	lists, chunks         int
 }
 
-// write streams the body. Its tasks are the Nodes list, a chunk of IDs
-// each, then per run a chunk of the run's rows each, which emit writes once
-// per horizon of the run. A small body is one buffer and one Write: its
-// tasks are written into the head's buffer on this goroutine. A large one is
-// its head, then the tasks through streamTasks, one Write per chunk. A
-// failed Write means the client went away; the rest of the body is dropped.
-func (fb *forecastBody) write(w http.ResponseWriter, snap *core.Snapshot) {
+// write streams the body: the head with the Nodes list, then every
+// horizon's row chunks in order, one Write each. A horizon that does not
+// repeat the one before (ForecastPlan.RepeatsPrevious) has its chunks
+// formatted on the shared pool first, the first horizon's alongside the
+// head; a repeated one writes the same chunks again, reframed. A failed
+// Write means the client went away; the rest of the body is dropped.
+func (fb *fleetBody) write(w http.ResponseWriter, snap *core.Snapshot) {
 	w.Header().Set("Content-Type", "application/json")
-	buf := bodyBufs.Get().(*[]byte)
-	b := appendHead((*buf)[:0], snap, fb.h)
-	fb.chunks = (len(fb.slots) + fb.perTask - 1) / fb.perTask
-	fb.lists = (fb.chunks + fb.resources - 1) / fb.resources
+	for range 1 + (len(fb.slots)+fb.perTask-1)/fb.perTask {
+		fb.bufs = append(fb.bufs, bodyBufs.Get().(*[]byte))
+	}
 	for hi := 0; hi < fb.h; hi++ {
 		if !fb.plan.RepeatsPrevious(hi) {
-			fb.starts = append(fb.starts, hi)
+			first := min(hi, 1) // the head is formatted once, with horizon 0
+			_ = parallel.ForEach(len(fb.bufs)-first, func(i int) error {
+				k := first + i
+				if buf := fb.bufs[k]; k == 0 {
+					*buf = fb.appendHead((*buf)[:0], snap)
+				} else {
+					*buf = fb.appendRows((*buf)[:0], hi, k-1)
+				}
+				return nil
+			})
 		}
-	}
-	fb.starts = append(fb.starts, fb.h)
-	if len(fb.slots) == 0 {
-		// No entry has a forecast: no list and h empty horizon arrays.
-		b = append(b, `,"forecast":[`...)
-		for hi := 0; hi < fb.h; hi++ {
-			if hi > 0 {
-				b = append(b, ',')
+		if hi == 0 {
+			if _, err := w.Write(*fb.bufs[0]); err != nil {
+				return
 			}
-			b = append(b, "[]"...)
 		}
-		b = append(b, "]}\n"...)
-	}
-	tasks := fb.lists + (len(fb.starts)-1)*fb.chunks
-	small := fb.h*len(fb.slots) <= fb.perTask
-	if small {
-		fb.out, fb.w = *bytes.NewBuffer(b), &fb.out
-		streamTasks(tasks, 1, fb.task, fb.emit)
-		b = fb.out.Bytes()
-	}
-	_, err := w.Write(b)
-	*buf = b
-	bodyBufs.Put(buf)
-	if !small && err == nil {
-		fb.w = w
-		streamTasks(tasks, runtime.GOMAXPROCS(0), fb.task, fb.emit)
-	}
-	fb.release() // a failed Write can leave a run's chunks held
-}
-
-// task appends task t of the body to the empty b: chunk t of the Nodes list
-// while t < lists, then chunk (t − lists) mod chunks of run (t − lists) div
-// chunks's rows.
-func (fb *forecastBody) task(b []byte, t int) []byte {
-	if t < fb.lists {
-		return fb.appendIDs(b, t)
-	}
-	t -= fb.lists
-	return fb.appendRows(b, fb.starts[t/fb.chunks], t%fb.chunks)
-}
-
-// emit writes task t, formatted into buf. A chunk of a run's rows is
-// written framed for the run's first horizon. In a longer run it is then
-// kept in held, its bytes swapped into a buffer from bodyBufs, and after the
-// run's last chunk the kept chunks are written again, framed for each of
-// the run's other horizons, and go back to the pool. It reports whether
-// every Write succeeded.
-func (fb *forecastBody) emit(buf *[]byte, t int) bool {
-	if t < fb.lists {
-		return fb.put(*buf)
-	}
-	t -= fb.lists
-	run, c := t/fb.chunks, t%fb.chunks
-	first, end := fb.starts[run], fb.starts[run+1]
-	if !fb.put(fb.framed(*buf, first, c)) {
-		return false
-	}
-	if end-first == 1 {
-		return true
-	}
-	kept := bodyBufs.Get().(*[]byte)
-	*kept, *buf = *buf, *kept
-	fb.held = append(fb.held, kept)
-	if c < fb.chunks-1 {
-		return true
-	}
-	ok := true
-	for hi := first + 1; ok && hi < end; hi++ {
-		for c, kept := range fb.held {
-			if ok = fb.put(fb.framed(*kept, hi, c)); !ok {
-				break
+		for c, buf := range fb.bufs[1:] {
+			if _, err := w.Write(fb.framed(*buf, hi, c)); err != nil {
+				return
 			}
 		}
 	}
-	fb.release()
-	return ok
-}
-
-// put writes p and reports whether the Write succeeded.
-func (fb *forecastBody) put(p []byte) bool {
-	_, err := fb.w.Write(p)
-	return err == nil
-}
-
-// release gives the kept chunks back to the pool.
-func (fb *forecastBody) release() {
-	for _, kept := range fb.held {
-		bodyBufs.Put(kept)
-	}
-	clear(fb.held)
-	fb.held = fb.held[:0]
-}
-
-// streamTasks runs tasks 0…tasks−1 in order: format appends task t to an
-// empty pooled buffer, and write writes it out and reports whether to go on.
-// write may keep the bytes, leaving another pooled buffer in their place. With
-// one worker the caller formats and writes each task inline with one pooled
-// buffer. Otherwise there is one fan-out for the whole body: up to workers
-// goroutines format into a ring of two pooled buffers per goroutine, task t
-// into entry t mod len(ring), while the caller writes the finished tasks in
-// order. The caller hands out the task numbers, and hands out t+len(ring)
-// only after writing t, so an entry holds one task at a time and no task
-// overtakes the one it follows in its entry. A failed write stops the
-// writing and the hand-out.
-func streamTasks(tasks, workers int, format func(b []byte, t int) []byte, write func(buf *[]byte, t int) bool) {
-	nw := min(workers, tasks)
-	if nw <= 1 {
-		buf := bodyBufs.Get().(*[]byte)
-		for t := 0; t < tasks; t++ {
-			*buf = format((*buf)[:0], t)
-			if !write(buf, t) {
-				break
-			}
-		}
-		bodyBufs.Put(buf)
-		return
-	}
-
-	// todo carries the handed-out task numbers in increasing order, at most
-	// len(ring) of them, and an entry's done each task formatted into it.
-	fo := fanOuts.Get().(*fanOut)
-	ring := fo.ring(min(2*nw, tasks))
-	todo := make(chan int, len(ring))
-	for k := range ring {
-		todo <- k
-	}
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for range nw {
-		go func() {
-			defer wg.Done()
-			for t := range todo {
-				e := &ring[t%len(ring)]
-				*e.buf = format((*e.buf)[:0], t)
-				e.done <- struct{}{}
-			}
-		}()
-	}
-	for t := 0; t < tasks; t++ {
-		e := &ring[t%len(ring)]
-		<-e.done
-		if !write(e.buf, t) {
-			break
-		}
-		if next := t + len(ring); next < tasks {
-			todo <- next
-		}
-	}
-	close(todo)
-	for range todo {
-		// After a failed write, drop the tasks no worker has taken yet.
-	}
-	wg.Wait()
-	for k := range ring {
-		// A task a worker finished after a failed write left its signal.
-		select {
-		case <-ring[k].done:
-		default:
-		}
-	}
-	fanOuts.Put(fo)
-}
-
-// fanOut is streamTasks' ring, kept whole between bodies: its entries'
-// buffers and signal channels are reused, not taken and made per body.
-type fanOut struct{ entries []ringEntry }
-
-// ringEntry is one slot of the ring: the buffer a task is formatted into
-// and the signal that it is done.
-type ringEntry struct {
-	buf  *[]byte
-	done chan struct{}
-}
-
-// fanOuts recycles the rings, one per fleet body in flight.
-var fanOuts = sync.Pool{New: func() any { return new(fanOut) }}
-
-// ring returns the first n entries, creating the ones it has never had.
-func (fo *fanOut) ring(n int) []ringEntry {
-	for len(fo.entries) < n {
-		fo.entries = append(fo.entries, ringEntry{bodyBufs.Get().(*[]byte), make(chan struct{}, 1)})
-	}
-	return fo.entries[:n]
 }
 
 // room extends b by n bytes to write into by index and returns it with the
@@ -400,28 +226,25 @@ func room(b []byte, n int) ([]byte, int) {
 	return slices.Grow(b, n)[:pos+n], pos
 }
 
-// appendIDs appends chunk c of the Nodes list — the IDs of resources row
-// chunks' entries, about as many numbers as a row chunk holds — opened by
-// `,"nodes":[` in the first chunk and closed by `],"forecast":[` in the last.
-func (fb *forecastBody) appendIDs(b []byte, c int) []byte {
-	per := fb.perTask * fb.resources
-	lo, end := c*per, min((c+1)*per, len(fb.slots))
-	b, pos := room(b, (end-lo)*21+32)
-	if c == 0 {
-		pos += copy(b[pos:], `,"nodes":[`)
+// appendHead appends the body's head to the empty b: the fields every
+// ForecastResponse starts with, then the Nodes list and the opening of the
+// forecast array — or, when no entry has a forecast, no list and the h empty
+// horizon arrays that end the body.
+func (fb *fleetBody) appendHead(b []byte, snap *core.Snapshot) []byte {
+	b = appendHead(b, snap, fb.h)
+	if len(fb.slots) == 0 {
+		b = append(append(b, `,"forecast":[[]`...), strings.Repeat(",[]", fb.h-1)...)
+		return append(b, "]}\n"...)
 	}
-	for e, slot := range fb.slots[lo:end] {
-		if lo+e > 0 {
-			b[pos] = ','
-			pos++
+	b = append(b, `,"nodes":[`...)
+	for e, slot := range fb.slots {
+		if e > 0 {
+			b = append(b, ',')
 		}
 		id, _ := fb.roster.IDAt(slot)
-		pos += len(strconv.AppendInt(b[pos:pos], int64(id), 10))
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	if end == len(fb.slots) {
-		pos += copy(b[pos:], `],"forecast":[`)
-	}
-	return b[:pos]
+	return append(b, `],"forecast":[`...)
 }
 
 // rowsAt is where appendRows starts a chunk's rows: before them, framed
@@ -433,7 +256,7 @@ const rowsAt = 2
 // first, and leaves room after them for the `]]}\n` framed may close them
 // with. The room for the whole chunk is reserved once and the rows are
 // written into it by index.
-func (fb *forecastBody) appendRows(b []byte, hi, c int) []byte {
+func (fb *fleetBody) appendRows(b []byte, hi, c int) []byte {
 	lo, end := c*fb.perTask, min((c+1)*fb.perTask, len(fb.slots))
 	b, pos := room(b, (end-lo)*(rowRoom(fb.resources)+1)+rowsAt+4)
 	pos += rowsAt
@@ -457,7 +280,7 @@ func (fb *forecastBody) appendRows(b []byte, hi, c int) []byte {
 // chunk written around them in place — `[` opening the horizon, after the
 // `,` that follows the one before, on its first chunk, and on its last `]`
 // closing it, then `]}\n` after the last horizon.
-func (fb *forecastBody) framed(b []byte, hi, c int) []byte {
+func (fb *fleetBody) framed(b []byte, hi, c int) []byte {
 	lo, end := rowsAt, len(b)
 	if c == 0 {
 		lo--
@@ -467,7 +290,7 @@ func (fb *forecastBody) framed(b []byte, hi, c int) []byte {
 			b[lo] = ','
 		}
 	}
-	if c == fb.chunks-1 {
+	if c == len(fb.bufs)-2 { // the last chunk: bufs[0] is the head's
 		b = b[:end+4]
 		b[end] = ']'
 		end++

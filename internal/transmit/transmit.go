@@ -31,7 +31,9 @@ var ErrBadConfig = errors.New("transmit: invalid configuration")
 // its budget from scratch. MarshalState captures only the state that evolves
 // across Decide calls (configuration is reconstructed by the caller);
 // UnmarshalState replaces it. Restoring bytes produced by the same policy
-// type and configuration yields bit-identical future decisions.
+// type and configuration yields bit-identical future decisions; bytes
+// another policy type wrote should be rejected with ErrBadState, which is
+// why this package's policies lead their state with a type tag.
 type Persistent interface {
 	Policy
 	// MarshalState returns the policy's mutable decision state.
@@ -228,11 +230,11 @@ func (a *Adaptive) DecidePenalty(pow, penalty float64) bool {
 
 // MarshalState implements Persistent: the only state that evolves across
 // decisions is the virtual queue Q.
-func (a *Adaptive) MarshalState() ([]byte, error) { return marshalFloat(a.queue), nil }
+func (a *Adaptive) MarshalState() ([]byte, error) { return marshalFloat('A', a.queue), nil }
 
 // UnmarshalState implements Persistent.
 func (a *Adaptive) UnmarshalState(data []byte) error {
-	q, err := unmarshalFloat(data)
+	q, err := unmarshalFloat('A', data)
 	if err != nil {
 		return err
 	}
@@ -240,16 +242,22 @@ func (a *Adaptive) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// marshalFloat encodes one float64 as 8 little-endian IEEE-754 bytes.
-func marshalFloat(v float64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	return buf[:]
+// marshalFloat encodes one float64 as the policy's type tag, then 8
+// little-endian IEEE-754 bytes. Adaptive's tag is 'A' and Uniform's 'U':
+// both hold one float64, so without the tag either would take the other's
+// state.
+func marshalFloat(tag byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(make([]byte, 0, 9), tag), math.Float64bits(v))
 }
 
-func unmarshalFloat(data []byte) (float64, error) {
+// unmarshalFloat decodes marshalFloat's bytes under the given tag. It also
+// takes the 8 untagged bytes of states written before the tag.
+func unmarshalFloat(tag byte, data []byte) (float64, error) {
+	if len(data) == 9 && data[0] == tag {
+		data = data[1:]
+	}
 	if len(data) != 8 {
-		return 0, fmt.Errorf("transmit: %d state bytes, want 8: %w", len(data), ErrBadState)
+		return 0, fmt.Errorf("transmit: state %x is no %q-tagged float64: %w", data, tag, ErrBadState)
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(data)), nil
 }
@@ -304,11 +312,11 @@ func (u *Uniform) Decide(int, []float64, []float64) bool {
 }
 
 // MarshalState implements Persistent: the accumulated credit.
-func (u *Uniform) MarshalState() ([]byte, error) { return marshalFloat(u.credit), nil }
+func (u *Uniform) MarshalState() ([]byte, error) { return marshalFloat('U', u.credit), nil }
 
 // UnmarshalState implements Persistent.
 func (u *Uniform) UnmarshalState(data []byte) error {
-	c, err := unmarshalFloat(data)
+	c, err := unmarshalFloat('U', data)
 	if err != nil {
 		return err
 	}

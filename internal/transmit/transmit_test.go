@@ -302,7 +302,7 @@ func TestAdaptiveWeightIsThePapers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := p.UnmarshalState(marshalFloat(tc.queue)); err != nil {
+				if err := p.UnmarshalState(marshalFloat('A', tc.queue)); err != nil {
 					t.Fatal(err)
 				}
 				if got := p.Decide(step, x, z); got != tc.send {
@@ -310,5 +310,40 @@ func TestAdaptiveWeightIsThePapers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStateRestoresOnlyIntoItsType: Adaptive and Uniform both keep one
+// float64, so their state bytes carry a type tag: each restores its own,
+// rejects the other's with ErrBadState, and still takes the 8 untagged
+// bytes of a state written before the tag.
+func TestStateRestoresOnlyIntoItsType(t *testing.T) {
+	t.Parallel()
+	adaptive, err := NewAdaptive(AdaptiveConfig{Budget: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := NewUniform(0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive.queue, uniform.credit = 2.5, 0.75
+	for _, tc := range []struct {
+		from, into Persistent
+		ok         bool
+	}{{adaptive, adaptive, true}, {uniform, uniform, true}, {adaptive, uniform, false}, {uniform, adaptive, false}} {
+		b, err := tc.from.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.into.UnmarshalState(b); (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrBadState)) {
+			t.Fatalf("%T state into %T: %v, want ok=%v or ErrBadState", tc.from, tc.into, err, tc.ok)
+		}
+		if legacy := b[1:]; tc.ok && tc.into.UnmarshalState(legacy) != nil {
+			t.Fatalf("%T: untagged state %x rejected", tc.into, legacy)
+		}
+	}
+	if adaptive.queue != 2.5 || uniform.credit != 0.75 {
+		t.Fatalf("restored queue %v, credit %v, want 2.5 and 0.75", adaptive.queue, uniform.credit)
 	}
 }
