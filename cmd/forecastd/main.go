@@ -329,6 +329,9 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 		info, err := mgr.Recover(stepper.Replay)
 		if err != nil {
 			log.Error("recovery", "err", err)
+			if errors.Is(err, persist.ErrMismatch) {
+				return 2 // the state dir was written under other flags
+			}
 			return 1
 		}
 		defer mgr.Close()

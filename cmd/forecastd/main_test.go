@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -489,4 +490,48 @@ func TestHugeFiniteRecordKeepsDaemonServing(t *testing.T) {
 	}
 	d.get(t, "/v1/forecast?h=2")
 	d.shutdown(t)
+}
+
+// TestStateDirOfOtherFlagsExits2 pins that a restart under flags whose state
+// the directory does not hold — here -k 2 over a directory a -k 3 daemon
+// wrote — ends forecastd with exit 2 and one recovery error, and leaves the
+// directory as it found it, where starting fresh would delete the other
+// configuration's WAL.
+func TestStateDirOfOtherFlagsExits2(t *testing.T) {
+	dir := t.TempDir()
+	start := func(extra ...string) (int, string) {
+		log := new(logBuf)
+		stop := make(chan os.Signal, 1)
+		stop <- os.Interrupt // a daemon that starts stops at once
+		args := append([]string{"-ingest", "127.0.0.1:0", "-http", "", "-interval", "1h", "-state-dir", dir}, extra...)
+		return run(args, stop, log), log.String()
+	}
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	if got, out := start("-k", "3"); got != 0 {
+		t.Fatalf("first start: exit %d:\n%s", got, out)
+	}
+	written := listing()
+	if len(written) == 0 {
+		t.Fatal("the first start wrote no state")
+	}
+	got, out := start("-k", "2")
+	if got != 2 || !strings.Contains(out, `level=ERROR msg=recovery`) || !strings.Contains(out, "another configuration's state") {
+		t.Fatalf("restart under -k 2: exit %d, want 2 and the recovery error:\n%s", got, out)
+	}
+	if after := listing(); !slices.Equal(after, written) {
+		t.Fatalf("restart under -k 2 left %v, want %v untouched", after, written)
+	}
+	if got, out := start("-k", "3"); got != 0 {
+		t.Fatalf("restart under the writing flags: exit %d:\n%s", got, out)
+	}
 }

@@ -519,7 +519,9 @@ func (tr *Tracker) match() ([]int, error) {
 // means are bitwise those of the historical per-call path — and advances the
 // run-length counters. It returns the new history row. The sum has the
 // bodies of the K-means update step (kmeans.Runner's recompute): unrolled for
-// dim = 1 and 4 with the same adds in the same order, a loop otherwise. It
+// dim = 1 and 4 with the same adds in the same order, a loop otherwise. An
+// all-present dim = 1 update, the warm per-resource step, takes a walk of
+// its own with the width switch and the mask test hoisted out of it. The sum
 // stays fused into the slot walk: a second pass over the slots costs more at
 // dim = 1 than the add it would move.
 func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []int) []int {
@@ -546,6 +548,24 @@ func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []i
 	tr.sizes = sizes
 	clear(sizes)
 
+	if present == nil && dim == 1 {
+		// The warm per-resource step: every slot present, one scalar each, so
+		// slot i is point i and the adds are the loop's below, in its order.
+		pts, raw, runs := pts[:len(row)], tr.raw[:len(row)], tr.runs[:len(row)]
+		for i, kk := range raw {
+			j := mapping[kk]
+			row[i] = j
+			sizes[j]++
+			cents[j] += pts[i]
+			if r := &runs[i]; r.val != int32(j) {
+				*r = run{val: int32(j), n: 1}
+			} else if r.n < m {
+				r.n++
+			}
+		}
+		scaleMeans(cents, sizes, dim)
+		return row
+	}
 	pi := 0
 	for i := range row {
 		r := &tr.runs[i]
@@ -579,6 +599,13 @@ func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []i
 			r.n++
 		}
 	}
+	scaleMeans(cents, sizes, dim)
+	return row
+}
+
+// scaleMeans turns commit's per-cluster sums into means; an empty cluster
+// keeps its zero sum.
+func scaleMeans(cents []float64, sizes []int, dim int) {
 	for j, c := range sizes {
 		if c == 0 {
 			continue
@@ -589,7 +616,6 @@ func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []i
 			cj[t] *= inv
 		}
 	}
-	return row
 }
 
 // growInts returns buf resized to n, reallocating only when capacity is

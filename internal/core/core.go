@@ -14,8 +14,9 @@
 // allows it: the central store and the eq. (12) look-back ring are flat
 // frames with reused backing arrays (see zFrame), each tracker clusters its
 // block of the store in place, and the independent per-resource trackers run
-// on a GOMAXPROCS worker pool. Results are bit-identical for any pool width
-// because every tracker owns its RNG, ensemble, and output slots outright.
+// on a GOMAXPROCS worker pool when they refit (warm steps run them inline).
+// Results are bit-identical for any pool width and either schedule because
+// every tracker owns its RNG, ensemble, and output slots outright.
 package core
 
 import (
@@ -250,7 +251,7 @@ type System struct {
 	ensembles []*forecast.Ensemble
 
 	// zrow is the scratch row a slot's stored measurement is gathered into
-	// for a policy decide does not decide inline (Adaptive policies read the
+	// for a policy ingest does not decide inline (Adaptive policies read the
 	// store in place), transmitted the flags of the rows a step stores, which
 	// StepResult.Transmitted views, centRows[tr] tracker tr's K row views
 	// into the in-flight step's centroids that the ensembles observe and
@@ -297,6 +298,12 @@ type System struct {
 	snap atomic.Pointer[Snapshot]
 
 	phases phaseTimer
+
+	// warmSum is the trackers' summed warm-start count (RefitStats) after
+	// the last clustering phase, and allWarm whether that phase warm-started
+	// every tracker: the next one then runs its trackers inline.
+	warmSum int
+	allWarm bool
 
 	t int
 }
@@ -849,7 +856,8 @@ func (s *System) StepArrivals(x [][]float64, arrived []bool) (*StepResult, error
 }
 
 // step is Step (arrived nil) and StepArrivals, a sequence of per-phase
-// calls: checkStep, then layer 1 (decide or the arrival flags, then ingest),
+// calls: checkStep, then layer 1 (ingest: the policies' decisions or the
+// arrival flags, and the store writes, in one walk),
 // then clusterAndRefit (layers 2+3, one cluster call per tracker and one refit
 // call for all of them), and — with publishing on — assembleSnapshot and
 // centroidForecasts, then commit, which publishes. Each call runs under the
@@ -865,12 +873,7 @@ func (s *System) step(x [][]float64, arrived []bool) (*StepResult, error) {
 	var mask []bool
 	var evicted []int
 	_ = pt.run(PhaseIngest, func() error {
-		if arrived == nil {
-			s.decide(x)
-		} else {
-			copy(s.transmitted, arrived) // checkStep rejected a flag on a nil row
-		}
-		mask, evicted = s.ingest(x)
+		mask, evicted = s.ingest(x, arrived)
 		return nil
 	})
 	pt.report(PhaseIngest)
@@ -953,112 +956,140 @@ func (s *System) checkStep(x [][]float64, arrived []bool) error {
 	return nil
 }
 
-// decide is the edge of Step: each reporting member's policy decides, into
-// s.transmitted, whether its row is sent. An Adaptive policy is decided
-// inline: its eq. 7 penalty is taken straight off x[i] and the store and
-// handed, with the step's (t+1)^γ taken once for the whole walk, to
-// DecidePenalty, the same eq. 8–9 code Adaptive.Decide runs.
-// Every other policy gets Decide(t, x[i], z) through the interface, with z
-// the stored row gathered into zrow (nil before the first store), in slot
-// order on the calling goroutine. The walk stays serial: it is bound by the
-// memory it streams, so a fan-out adds CPU time and no speed, and policies
-// may share state.
-func (s *System) decide(x [][]float64) {
+// ingest is layer 1, one walk over the step's rows in slot order. Under Step
+// (arrived nil) each reporting member's policy decides, into s.transmitted,
+// whether its row is sent, just before that slot's store write; under
+// StepArrivals the flags are the arrival flags. An Adaptive policy is
+// decided inline: its eq. 7 penalty is taken straight off x[i] and the store
+// and handed, with the step's (t+1)^γ taken once for the whole walk, to
+// DecidePenalty, the same eq. 8–9 code Adaptive.Decide runs. Every other
+// policy gets Decide(t, x[i], z) through the interface (decideForeign), in
+// slot order on the calling goroutine. A decision reads only its own slot's stored row, so
+// deciding slot by slot between the writes decides what a whole edge pass
+// before them would. The walk stays serial: it is bound by the memory it
+// streams, so a fan-out adds CPU time and no speed, and policies may share
+// state.
+//
+// The walk then writes the flagged rows, and every first report (flagged
+// too: see Step), into the central store — the staged look-back slot, which
+// only enters the eq. (12) ring when the whole step succeeds — meters them,
+// and accrues absence for silent members. The store's presence column is the
+// clustering mask: live members with a stored measurement take part in
+// clustering; joiners that have not reported yet stay masked (warm-up), as
+// do members departing this step, whose absence-timeout evictions ingest
+// applies last. It returns the mask — nil when every slot takes part, which
+// lets the trackers cluster their block of the store in place — and the
+// stable IDs evicted this step. It cannot fail: checkStep validated the
+// step.
+func (s *System) ingest(x [][]float64, arrived []bool) (mask []bool, evicted []int) {
 	n := len(x)
 	// Everything the walk indexes by slot, cut to n once so that the loop
 	// body carries no bounds checks for them.
 	store := &s.stage.z
-	stored, transmitted, policies := s.stage.present[:n], s.transmitted[:n], s.policies[:n]
+	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stage.present[:n], s.transmitted[:n]
+	meters, policies, nPresent := s.meters[:n], s.policies[:n], 0
 	// Resource r of slot i is data[i*si+r*sr] in either layout of the store.
 	data, si, sr := store.strided()
 	fd := float64(s.cfg.Resources)
 	// (t+1)^γ of eq. (9), the same for every Adaptive policy at this step.
-	pow := transmit.StepPow(s.t)
-	for i, xi := range x {
-		send := false
-		if xi != nil {
-			off := i * si
-			switch p := policies[i].(type) {
-			case *transmit.Adaptive:
-				// Eq. 7, bit for bit transmit's staleness(x[i], z): the same
-				// differences summed in the same order (0 + d0² is exact, so
-				// the sum may start at the first square) and divided by d,
-				// unrolled for d = 2 and 4 (the widths Step is run at) with
-				// one statement per term as in the loop, so that a compiler
-				// that fuses s += a·a fuses both.
-				penalty := math.Inf(1)
-				if stored[i] {
-					var sum float64
-					switch len(xi) {
-					case 2:
-						d0, d1 := xi[0]-data[off], xi[1]-data[off+sr]
-						sum = d0 * d0
-						sum += d1 * d1
-					case 4:
-						d0, d1, d2, d3 := xi[0]-data[off], xi[1]-data[off+sr], xi[2]-data[off+2*sr], xi[3]-data[off+3*sr]
-						sum = d0 * d0
-						sum += d1 * d1
-						sum += d2 * d2
-						sum += d3 * d3
-					default:
-						for r, v := range xi {
-							dr := v - data[off+r*sr]
-							sum += dr * dr
-						}
-					}
-					penalty = sum / fd
-				}
-				send = p.DecidePenalty(pow, penalty)
-			default:
-				var zi []float64
-				if stored[i] {
-					zi = store.row(i, s.zrow)
-				}
-				send = p.Decide(s.t, xi, zi)
-			}
-		}
-		transmitted[i] = send
+	var pow float64
+	if arrived == nil {
+		pow = transmit.StepPow(s.t)
 	}
-}
-
-// ingest is the central walk of layer 1 that both edges share: it writes the
-// rows s.transmitted flags, and every first report (flagged too: see Step),
-// into the central store — the staged look-back slot, which only enters the
-// eq. (12) ring when the whole step succeeds — meters them, and accrues
-// absence for silent members. The store's presence column is the
-// clustering mask: live members with a stored measurement take part in
-// clustering; joiners that have not reported yet stay masked (warm-up),
-// as do members departing this step, whose absence-timeout evictions ingest
-// applies last. It returns the mask — nil when every slot takes part, which
-// lets the trackers cluster their block of the store in place — and the
-// stable IDs evicted this step.
-func (s *System) ingest(x [][]float64) (mask []bool, evicted []int) {
-	n := len(x)
-	store := &s.stage.z
-	alive, absentFor, stored, transmitted := s.alive[:n], s.absentFor[:n], s.stage.present[:n], s.transmitted[:n]
-	meters, nPresent := s.meters[:n], 0
 	// Members at the timeout are only marked for eviction in the walk; the
 	// deferral below needs the walk's present count.
 	var evict []int
-	for i, xi := range x {
-		switch {
-		case !alive[i]:
-		case xi == nil:
-			absentFor[i]++
-			if timeout := s.cfg.AbsenceTimeout; timeout > 0 && absentFor[i] >= timeout {
-				evict = append(evict, i)
-			}
-		default:
-			absentFor[i] = 0
-			transmitted[i] = transmitted[i] || !stored[i] // first contact
-			if transmitted[i] {
-				store.set(i, xi)
-				stored[i] = true
-			}
-			meters[i].Observe(transmitted[i])
+	// Step and StepArrivals get a loop each, so that neither carries the
+	// other's arm (one loop with both measured ≈ 15–25 % slower per slot in
+	// BenchmarkIngest); what the loops share is in these two closures, which
+	// inline. absent accrues a silent member's absence.
+	absent := func(i int) {
+		absentFor[i]++
+		if timeout := s.cfg.AbsenceTimeout; timeout > 0 && absentFor[i] >= timeout {
+			evict = append(evict, i)
 		}
-		if stored[i] {
-			nPresent++
+	}
+	// admit takes a reporting member's row: the first-contact rule, the
+	// store write (store.set with the strides taken once) and the meter.
+	admit := func(i int, xi []float64, send bool) bool {
+		absentFor[i] = 0
+		send = send || !stored[i] // first contact
+		if send {
+			off := i * si
+			for r, v := range xi {
+				data[off+r*sr] = v
+			}
+			stored[i] = true
+		}
+		meters[i].Observe(send)
+		return send
+	}
+	if arrived != nil {
+		arrived = arrived[:n]
+		for i, xi := range x {
+			send := false
+			switch {
+			case !alive[i]: // checkStep admitted no row for it
+			case xi == nil:
+				absent(i)
+			default:
+				send = admit(i, xi, arrived[i])
+			}
+			transmitted[i] = send
+			if stored[i] {
+				nPresent++
+			}
+		}
+	} else {
+		for i, xi := range x {
+			send := false
+			switch {
+			case !alive[i]:
+			case xi == nil:
+				absent(i)
+			default:
+				switch p := policies[i].(type) {
+				case *transmit.Adaptive:
+					// Eq. 7, bit for bit transmit's staleness(x[i], z):
+					// the same differences summed in the same order
+					// (0 + d0² is exact, so the sum may start at the first
+					// square) and divided by d, unrolled for d = 2 and 4
+					// (the widths Step is run at) with one statement per
+					// term as in the loop, so that a compiler that fuses
+					// s += a·a fuses both.
+					penalty := math.Inf(1)
+					if stored[i] {
+						off := i * si
+						var sum float64
+						switch len(xi) {
+						case 2:
+							d0, d1 := xi[0]-data[off], xi[1]-data[off+sr]
+							sum = d0 * d0
+							sum += d1 * d1
+						case 4:
+							d0, d1, d2, d3 := xi[0]-data[off], xi[1]-data[off+sr], xi[2]-data[off+2*sr], xi[3]-data[off+3*sr]
+							sum = d0 * d0
+							sum += d1 * d1
+							sum += d2 * d2
+							sum += d3 * d3
+						default:
+							for r, v := range xi {
+								dr := v - data[off+r*sr]
+								sum += dr * dr
+							}
+						}
+						penalty = sum / fd
+					}
+					send = p.DecidePenalty(pow, penalty)
+				default:
+					send = s.decideForeign(p, i, xi)
+				}
+				send = admit(i, xi, send)
+			}
+			transmitted[i] = send
+			if stored[i] {
+				nPresent++
+			}
 		}
 	}
 	// Live members with a stored measurement take part in clustering;
@@ -1085,21 +1116,48 @@ func (s *System) ingest(x [][]float64) (mask []bool, evicted []int) {
 	return mask, evicted
 }
 
-// clusterAndRefit runs layer 2 for every tracker on the worker pool, then
-// layer 3 as one call: every tracker's ensemble observes its centroids, and
-// a due (re)training fits all their models on one list (forecast.ObserveAll).
-// Trackers are independent — each owns its RNG, its ensemble, its block of
-// the store and the tr-indexed parts of the staged slot — so both fan-outs
-// are deterministic. The cluster phase's time is CPU time summed across
-// trackers (integer adds commute, so the worker schedule cannot perturb the
-// total); the refit phase's is the wall time of the one call.
+// decideForeign asks a policy that ingest does not decide inline, through
+// the interface, with z the stored row gathered into zrow (nil before the
+// first store).
+func (s *System) decideForeign(p transmit.Policy, i int, xi []float64) bool {
+	var zi []float64
+	if s.stage.present[i] {
+		zi = s.stage.z.row(i, s.zrow)
+	}
+	return p.Decide(s.t, xi, zi)
+}
+
+// clusterAndRefit runs layer 2 for every tracker, then layer 3 as one call:
+// every tracker's ensemble observes its centroids, and a due (re)training
+// fits all their models on one list (forecast.ObserveAll). Trackers are
+// independent — each owns its RNG, its ensemble, its block of the store and
+// the tr-indexed parts of the staged slot — so any schedule of them gives
+// the same bits. When the last phase warm-started every tracker, this one
+// runs them inline on the stepping goroutine, because a warm update (about
+// 0.1 ms at N = 10 000) takes not much longer than a pool worker takes to
+// start (see package parallel); otherwise a full refit is likely and they
+// fan out on the worker pool. The cluster
+// phase's time is CPU time summed across trackers (integer adds commute, so
+// the worker schedule cannot perturb the total); the refit phase's is the
+// wall time of the one call.
 func (s *System) clusterAndRefit(mask []bool) error {
-	err := parallel.ForEach(s.nTrackers, func(tr int) error {
+	update := func(tr int) error {
 		return s.phases.run(PhaseCluster, func() error { return s.cluster(tr, mask) })
-	})
+	}
+	var err error
+	if s.allWarm {
+		for tr := 0; tr < s.nTrackers && err == nil; tr++ {
+			err = update(tr)
+		}
+	} else {
+		err = parallel.ForEach(s.nTrackers, update)
+	}
 	if err != nil {
 		return err
 	}
+	warm, _ := s.RefitStats()
+	s.allWarm = warm-s.warmSum == s.nTrackers
+	s.warmSum = warm
 	return s.phases.run(PhaseRefit, func() error {
 		if err := forecast.ObserveAll(s.ensembles, s.centRows); err != nil {
 			return fmt.Errorf("core: %w", err)
@@ -1194,11 +1252,11 @@ func (s *System) Forecast(h int) ([][][]float64, error) {
 }
 
 // centroidForecasts forecasts every tracker's K×dims centroid series up to
-// horizon h — one ensemble per tracker on the worker pool — into the plan's
-// flat centroid table, [hi][tracker][cluster·dims]. Each tracker writes only
-// its own entries, so the table is identical for any pool width. It
-// returns nil before the models finish initial training, which plans every
-// slot as undefined.
+// horizon h — one ensemble per tracker, in tracker order on the calling
+// goroutine — into the plan's flat centroid table, [hi][tracker][cluster·dims],
+// and returns the first tracker's error. A tracker's forecast takes
+// microseconds, less than a pool worker takes to start. It returns nil before
+// the models finish initial training, which plans every slot as undefined.
 func (s *System) centroidForecasts(h int) ([]float64, error) {
 	if !s.Ready() {
 		return nil, nil
@@ -1206,10 +1264,10 @@ func (s *System) centroidForecasts(h int) ([]float64, error) {
 	kd := s.cfg.K * s.dims
 	stride := s.nTrackers * kd
 	cent := make([]float64, h*stride)
-	err := parallel.ForEach(s.nTrackers, func(tr int) error {
-		f, err := s.ensembles[tr].Forecast(h)
+	for tr, ens := range s.ensembles {
+		f, err := ens.Forecast(h)
 		if err != nil {
-			return fmt.Errorf("core: tracker %d forecast: %w", tr, err)
+			return nil, fmt.Errorf("core: tracker %d forecast: %w", tr, err)
 		}
 		for j, byDim := range f {
 			for d, series := range byDim {
@@ -1218,10 +1276,6 @@ func (s *System) centroidForecasts(h int) ([]float64, error) {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return cent, nil
 }

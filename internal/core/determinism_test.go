@@ -11,6 +11,7 @@ package core
 // (CI runs the same invocation; see the ci target in the Makefile.)
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -64,7 +65,11 @@ func setMaxProcs(t testing.TB, n int) {
 // the restore's fit list is covered too. The fleet spans three plan blocks,
 // so the wide plan build fans out. Step results, forecasts and the final
 // exported states must be bit-identical; training time is wall clock and
-// left out. Not parallel: it sets GOMAXPROCS.
+// left out. The incremental case warm-starts its trackers, and a member
+// leaving at churnAt and another joining its slot at rejoinAt force full
+// refits between warm runs, so the trackers run inline (after a step that
+// warm-started them all) and on the pool (after one that did not) under
+// both widths. Not parallel: it sets GOMAXPROCS.
 func TestParallelMatchesSerialExactly(t *testing.T) {
 	const (
 		nodes     = 3*planBlock - 40
@@ -73,6 +78,9 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 		warmup    = 40
 		horizon   = 7
 		restoreAt = 70 // after the round at step 65
+		churnAt   = 50 // incremental case: slot churnSlot's member leaves
+		rejoinAt  = 53 // and a new member joins into the slot
+		churnSlot = 5
 	)
 	zoo := func(c *Config) {
 		cands, err := forecast.Zoo("ses", "holt", "ar", "arima")
@@ -84,11 +92,13 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		churn  bool
 	}{
-		{"scalar clustering", func(*Config) {}},
-		{"joint clustering", func(c *Config) { c.JointClustering = true }},
-		{"zoo scalar clustering", zoo},
-		{"zoo joint clustering", func(c *Config) { zoo(c); c.JointClustering = true }},
+		{"scalar clustering", func(*Config) {}, false},
+		{"joint clustering", func(c *Config) { c.JointClustering = true }, false},
+		{"zoo scalar clustering", zoo, false},
+		{"zoo joint clustering", func(c *Config) { zoo(c); c.JointClustering = true }, false},
+		{"incremental scalar clustering with churn", func(c *Config) { c.IncrementalRefit = true }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,6 +119,7 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 				steps     []*StepResult
 				forecasts [][][][]float64 // nil before the models are ready
 				state     *State
+				inline    int // steps whose trackers ran inline
 			}
 			drive := func(procs int, restore bool) run {
 				setMaxProcs(t, procs)
@@ -125,7 +136,27 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 							t.Fatalf("restore at %d: %v", step, err)
 						}
 					}
-					res, err := sys.Step(data[step])
+					x := data[step]
+					if tc.churn {
+						switch step {
+						case churnAt:
+							if err := sys.RemoveNodes(churnSlot); err != nil {
+								t.Fatal(err)
+							}
+						case rejoinAt:
+							if err := sys.AddNodes(nodes); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if step >= churnAt && step < rejoinAt {
+							x = append([][]float64(nil), x...)
+							x[churnSlot] = nil
+						}
+					}
+					if sys.allWarm {
+						r.inline++
+					}
+					res, err := sys.Step(x)
 					if err != nil {
 						t.Fatalf("GOMAXPROCS %d: step %d: %v", procs, step, err)
 					}
@@ -152,6 +183,16 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 				return r
 			}
 			serial, wide := drive(1, false), drive(8, true) // 8 oversubscribes any machine
+			if tc.churn {
+				// The pool takes step 0 and the steps after the leave and
+				// the join, each a full refit; the wide run's restore adds
+				// one.
+				for _, r := range []run{serial, wide} {
+					if pool := steps - r.inline; pool < 3 || r.inline < steps/2 {
+						t.Fatalf("trackers ran inline at %d of %d steps; want them on the pool after every full refit and inline otherwise", r.inline, steps)
+					}
+				}
+			}
 
 			for step := range serial.steps {
 				compareStepResults(t, step, serial.steps[step], wide.steps[step])
@@ -162,7 +203,7 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 				for hi := range fs {
 					for i := range fs[hi] {
 						for r := range fs[hi][i] {
-							if fs[hi][i][r] != fw[hi][i][r] {
+							if math.Float64bits(fs[hi][i][r]) != math.Float64bits(fw[hi][i][r]) {
 								t.Fatalf("step %d h=%d node %d res %d: serial %v != parallel %v",
 									step, hi+1, i, r, fs[hi][i][r], fw[hi][i][r])
 							}

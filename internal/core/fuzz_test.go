@@ -14,7 +14,7 @@ import (
 )
 
 // FuzzDecideKernelMatchesPolicy is the differential of the inline arm of the
-// edge walk against Adaptive.Decide under raw float64 bit patterns. Every
+// ingest walk against Adaptive.Decide under raw float64 bit patterns. Every
 // eight input bytes are one value verbatim: the virtual queue, then B (folded
 // into [0, 1]; what NewAdaptive still rejects is skipped), then two values the
 // target ignores (once V0 and γ of eq. 9, kept so that the committed corpus
@@ -58,13 +58,13 @@ func FuzzDecideKernelMatchesPolicy(f *testing.F) {
 	})
 }
 
-// checkKernelDecision asks the inline arm of the edge walk and, on a twin
+// checkKernelDecision asks the inline arm of the ingest walk and, on a twin
 // policy, Adaptive.Decide for the decision of a node with configuration cfg
 // and virtual queue `queue` that reports x at step t while the central node
 // holds z (nil: nothing stored). The node is the middle slot of a three-slot
 // fleet whose other members are silent, so both strides of either store
-// layout count. Decision, queue afterwards and the store must agree bit for
-// bit.
+// layout count. Decision (with the first-contact rule applied), queue
+// afterwards and the store must agree bit for bit.
 func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float64, step int, joint bool, x, z []float64) {
 	t.Helper()
 	build := func() *transmit.Adaptive {
@@ -93,14 +93,13 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 	sys.t = step
 	rows := make([][]float64, 3)
 	rows[slot] = x
-	// Only the walks are under test; ingest stores a first report whatever
-	// was decided, so the decision is read before it.
-	sys.decide(rows)
+	// Only the walk is under test. It stores a first report whatever was
+	// decided, so with nothing stored the decision shows in the queue alone.
+	sys.ingest(rows, nil)
 	got := sys.transmitted[slot]
-	sys.ingest(rows)
 
 	twin := build()
-	want := twin.Decide(step, x, z)
+	want := twin.Decide(step, x, z) || z == nil
 	// The virtual queue is all of an Adaptive policy's state.
 	gotQ, err := sys.policies[slot].(*transmit.Adaptive).MarshalState()
 	if err != nil {

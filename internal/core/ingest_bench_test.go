@@ -12,15 +12,15 @@ import (
 // through the interface) with the same decisions as the policy it embeds.
 type foreignAdaptive struct{ *transmit.Adaptive }
 
-// BenchmarkIngest times layer 1 of a step alone — checkStep, the edge walk and
-// ingest, the store staged but nothing clustered — at N = 10 000 and reports
-// ns per node, so a regression of the walks (a gather, a per-node loop, a
-// dispatch coming back) shows without the repository benchmark. The foreign
-// case is the edge walk's generic arm; the silent case leaves 30 % of the
-// rows nil, a different 30 % each step. The arrivals case is the central
-// node alone: an edge-less System taking StepArrivals' pass instead of the
-// edge walk, every row contacted and a different 30 % of them arrived each
-// step.
+// BenchmarkIngest times layer 1 of a step alone — checkStep and the ingest
+// walk, whose policies decide slot by slot, the store staged but nothing
+// clustered — at N = 10 000 and reports ns per node, so a regression of the
+// walk (a gather, a per-node loop, a dispatch coming back) shows without the
+// repository benchmark. The foreign case is the walk's generic policy arm;
+// the silent case leaves 30 % of the rows nil, a different 30 % each step.
+// The arrivals case is the central node alone: an edge-less System whose
+// walk takes StepArrivals' flags instead of deciding, every row contacted and
+// a different 30 % of them arrived each step.
 func BenchmarkIngest(b *testing.B) {
 	const n = 10000
 	cases := []struct {
@@ -29,7 +29,7 @@ func BenchmarkIngest(b *testing.B) {
 		joint   bool
 		foreign bool
 		silent  int // rows out of 10 that are nil
-		arrived int // rows out of 10 that arrived; 0 runs the edge walk
+		arrived int // rows out of 10 that arrived; 0: the policies decide
 	}{
 		{name: "d2-scalar-adaptive", d: 2},
 		{name: "d4-joint-adaptive", d: 4, joint: true},
@@ -85,12 +85,7 @@ func BenchmarkIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				sys.t++
-				if arrived != nil {
-					copy(sys.transmitted, arrived)
-				} else {
-					sys.decide(x)
-				}
-				sys.ingest(x)
+				sys.ingest(x, arrived)
 			}
 			for range 64 {
 				ingest()

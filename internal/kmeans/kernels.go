@@ -5,6 +5,8 @@ import "math"
 // The Runner's distance kernels. The coordinate loop of sqDist is unrolled
 // only at the widths the benchmark workloads run: d = 1 (the per-resource
 // trackers) and d = 4 (the joint fleet); every other width takes the loop.
+// Likewise the scalar assignment (AssignFlat at d = 1) is unrolled at the K
+// the workloads run, 3, and loops over the centroids at every other K.
 // The unrolled bodies keep the loop's order, s = d₀², s += d₁², …, and start
 // at the first square because 0 + d₀² is exact (a square is never −0), so
 // every kernel returns the bits sqDist returns (pinned by

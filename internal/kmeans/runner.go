@@ -482,6 +482,28 @@ func AssignFlat(pts []float64, n, d int, cents []float64, k int, assign []int) {
 	// arithmetic. Same subtraction and square in the same index order as
 	// nearestTwo, and the same integer select (see kernels.go).
 	assign = assign[:len(pts)]
+	if k == 3 {
+		// The K every workload runs, with the centroids in registers. The
+		// running minimum still starts at infBits, so that centroid 0 wins
+		// only with a distance below it: a NaN or +Inf distance to every
+		// centroid leaves the point at 0 with the loop's minimum. The last
+		// compare needs no min after it.
+		c0, c1, c2 := cents[0], cents[1], cents[2]
+		for i, x := range pts {
+			d0, d1, d2 := x-c0, x-c1, x-c2
+			b0, b1, b2 := math.Float64bits(d0*d0), math.Float64bits(d1*d1), math.Float64bits(d2*d2)
+			best, bestB := 0, min(uint64(infBits), b0)
+			if b1 < bestB {
+				best = 1
+			}
+			bestB = min(bestB, b1)
+			if b2 < bestB {
+				best = 2
+			}
+			assign[i] = best
+		}
+		return
+	}
 	for i, x := range pts {
 		best, bestB := 0, uint64(infBits)
 		for j, c := range cents {

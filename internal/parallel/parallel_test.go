@@ -216,3 +216,20 @@ func TestForEachLowestErrorUnderContention(t *testing.T) {
 		}
 	}
 }
+
+// TestForEachAllocations pins what a fan-out costs the heap: the caller's
+// closure, the call's one shared state and one closure per spawned worker,
+// so three allocations for two items at GOMAXPROCS 2. Not parallel: it sets
+// GOMAXPROCS.
+func TestForEachAllocations(t *testing.T) {
+	setMaxProcs(t, 2)
+	var out [2]int
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := ForEach(len(out), func(i int) error { out[i]++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("a two-item ForEach made %v allocations, want at most 3", allocs)
+	}
+}

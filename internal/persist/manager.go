@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -177,7 +178,11 @@ func New(sys *core.System, cfg core.Config, opts Options) (*Manager, error) {
 // It must be called exactly once, before any stepping, and finishes by
 // starting a fresh WAL epoch at the recovered step. Unusable files — torn
 // checkpoints, WAL records beyond a gap — are skipped or removed, never
-// fatal; only I/O failures and replay errors are.
+// fatal; only I/O failures and replay errors are, and a directory whose
+// state belongs to another configuration: when a checkpoint or WAL epoch
+// was passed over for its fingerprint, format or policy state and nothing
+// was restored, Recover returns ErrMismatch before it removes or creates
+// any file.
 func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 	if m.recovered {
 		return nil, fmt.Errorf("persist: Recover called twice: %w", ErrBadConfig)
@@ -197,6 +202,9 @@ func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 	}
 
 	info := &RecoveryInfo{CheckpointStep: -1}
+	// foreign is the first file passed over because another configuration
+	// wrote it (as opposed to a torn or corrupt one), nil while none was.
+	var foreign error
 	ckpts, err := listSteps(m.opts.Dir, "ckpt-", ".ckpt")
 	if err != nil {
 		return nil, err
@@ -206,6 +214,9 @@ func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 		st, err := m.readCheckpoint(step)
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrMismatch) || errors.Is(err, core.ErrBadState) {
+				if errors.Is(err, ErrMismatch) {
+					foreign = cmp.Or(foreign, err)
+				}
 				info.SkippedCheckpoints++
 				continue
 			}
@@ -213,7 +224,10 @@ func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 		}
 		if err := m.sys.RestoreState(st); err != nil {
 			// Validation failures leave the system untouched; try older.
+			// They are another configuration's state: a policy of another
+			// type, say, rejecting the recorded policy bytes.
 			if errors.Is(err, core.ErrBadState) && m.sys.Steps() == 0 {
+				foreign = cmp.Or(foreign, fmt.Errorf("persist: %s: %w: %w", checkpointName(step), ErrMismatch, err))
 				info.SkippedCheckpoints++
 				continue
 			}
@@ -236,6 +250,9 @@ func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrMismatch) {
 				info.TornTail = info.TornTail || errors.Is(err, ErrCorrupt)
+				if errors.Is(err, ErrMismatch) {
+					foreign = cmp.Or(foreign, err)
+				}
 				break
 			}
 			return nil, err
@@ -258,6 +275,12 @@ func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 			info.TornTail = info.TornTail || torn
 			break
 		}
+	}
+	if foreign != nil && info.CheckpointStep < 0 && info.ReplayedSteps == 0 {
+		// Starting fresh would delete the other configuration's WAL tail
+		// below.
+		return nil, fmt.Errorf("persist: %s holds only another configuration's state; restart with "+
+			"the flags that wrote it, or move it aside to start fresh: %w", m.opts.Dir, foreign)
 	}
 	info.Steps = m.sys.Steps()
 	m.recoveredStep.Store(int64(info.Steps))

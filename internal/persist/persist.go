@@ -38,8 +38,8 @@ import (
 // Format constants: every file starts with magic, a format version, and a
 // kind byte so checkpoint and WAL files are never confused for one another.
 // Format version 2 made WAL records variable-size roster carriers (fleet
-// membership changes online); version-1 files are rejected as ErrMismatch
-// and recovery starts fresh.
+// membership changes online); version-1 files are rejected as ErrMismatch,
+// and recovery over a directory of them refuses to start (Manager.Recover).
 const (
 	formatVersion = 2
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -214,8 +215,12 @@ func TestRecoverStopsWhenReplayDiverges(t *testing.T) {
 // default Adaptive policies carry their type, so a System whose factory
 // builds Uniform policies — same fingerprint, since policy factories are not
 // hashed — does not take them as Uniform credit: Recover skips the
-// checkpoint as it skips one of another configuration. The factory that
-// wrote it restores it.
+// checkpoint as it skips one of another configuration. With nothing of its
+// own configuration left in the directory, Recover then refuses with
+// ErrMismatch rather than start fresh, which would delete the WAL tail past
+// the checkpoint; so does a recovery under another K, whose fingerprint
+// differs. Neither may remove or create a file: the configuration that wrote
+// the directory recovers the checkpoint and the whole tail afterwards.
 func TestRecoverSkipsCheckpointOfOtherPolicyType(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -227,12 +232,23 @@ func TestRecoverSkipsCheckpointOfOtherPolicyType(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	runTo(t, m, 35)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recoverWith := func(policy core.PolicyFactory) (*RecoveryInfo, error) {
-		cfg := testConfig()
-		cfg.Policy = policy
+	listing := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	written := listing()
+	recoverWith := func(cfg core.Config) (*RecoveryInfo, error) {
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -244,13 +260,24 @@ func TestRecoverSkipsCheckpointOfOtherPolicyType(t *testing.T) {
 		defer re.Close()
 		return re.Recover(nil)
 	}
-	uniform := func(int) (transmit.Policy, error) { return transmit.NewUniform(0.3) }
-	info, err := recoverWith(uniform)
-	if err != nil || info.CheckpointStep != -1 || info.SkippedCheckpoints != 1 || info.Steps != 0 {
-		t.Fatalf("recovery under Uniform policies: %+v, %v; want the checkpoint skipped", info, err)
+	uniform := testConfig()
+	uniform.Policy = func(int) (transmit.Policy, error) { return transmit.NewUniform(0.3) }
+	otherK := testConfig()
+	otherK.K = 2
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"Uniform policies", uniform}, {"K=2", otherK}} {
+		if info, err := recoverWith(c.cfg); !errors.Is(err, ErrMismatch) {
+			t.Fatalf("recovery under %s: %+v, %v; want ErrMismatch", c.name, info, err)
+		}
+		if got := listing(); !slices.Equal(got, written) {
+			t.Fatalf("recovery under %s left %v, want %v untouched", c.name, got, written)
+		}
 	}
-	if info, err := recoverWith(nil); err != nil || info.CheckpointStep != 30 || info.Steps != 30 {
-		t.Fatalf("recovery under the writing policies: %+v, %v; want the checkpoint at 30", info, err)
+	info, err := recoverWith(testConfig())
+	if err != nil || info.CheckpointStep != 30 || info.Steps != 35 || info.ReplayedSteps != 5 {
+		t.Fatalf("recovery under the writing configuration: %+v, %v; want the checkpoint at 30 and steps 31–35 replayed", info, err)
 	}
 }
 
