@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"orcf/internal/hungarian"
 	"orcf/internal/kmeans"
@@ -726,23 +727,35 @@ func NewStatic(series [][]float64, k int, rng *rand.Rand) (*Static, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: static kmeans failed: %w", err)
 	}
-	assign := make([]int, len(res.Assignments))
-	copy(assign, res.Assignments)
-	return &Static{k: k, assign: assign}, nil
+	return &Static{k: k, assign: append([]int(nil), res.Assignments...)}, nil
 }
 
-// Assignments returns the fixed node→cluster mapping.
-func (s *Static) Assignments() []int {
-	out := make([]int, len(s.assign))
-	copy(out, s.assign)
-	return out
+// UpdateFlat evaluates the static clustering against the current points,
+// under Tracker.UpdateFlat's contract with every one of the n series'
+// slots present: the assignment is fixed, and the centroids are the member
+// means, summed in slot order and scaled as CentroidsFor does. The
+// assignment is a view the caller must not write to.
+func (s *Static) UpdateFlat(data []float64, n, dim int, present []bool) (assign []int, cents []float64, err error) {
+	if err := checkBaseline(data, n, dim, s.k, present); err != nil {
+		return nil, nil, err
+	}
+	if n != len(s.assign) {
+		return nil, nil, fmt.Errorf("cluster: %d points for %d static series: %w", n, len(s.assign), ErrBadInput)
+	}
+	cents, sizes := make([]float64, s.k*dim), make([]int, s.k)
+	for i, j := range s.assign {
+		sizes[j]++
+		cj := cents[j*dim : (j+1)*dim]
+		for t, v := range data[i*dim : (i+1)*dim] {
+			cj[t] += v
+		}
+	}
+	scaleMeans(cents, sizes, dim)
+	return s.assign, cents, nil
 }
 
-// Step evaluates the static clustering against the current points: the
-// assignment is fixed, the centroids are the current member means.
-func (s *Static) Step(points [][]float64) *Step {
-	return &Step{Assignments: s.Assignments(), Centroids: CentroidsFor(s.assign, s.k, points)}
-}
+// ForgetSlot is a no-op: the grouping is fixed.
+func (s *Static) ForgetSlot(int) {}
 
 // MinimumDistance is the baseline representing random-monitor approaches
 // [6]–[10]: each step K distinct random nodes become "centroids" and every
@@ -763,25 +776,37 @@ func NewMinimumDistance(k int, rng *rand.Rand) (*MinimumDistance, error) {
 	return &MinimumDistance{k: k, rng: rng}, nil
 }
 
-// Step draws K fresh random monitor nodes and assigns every node to the
-// closest monitor. The "centroid" of a cluster is the monitor's measurement
-// itself, matching §VI-C2.
-func (md *MinimumDistance) Step(points [][]float64) (*Step, error) {
-	if len(points) < md.k {
-		return nil, fmt.Errorf("cluster: %d points < K=%d: %w", len(points), md.k, ErrBadInput)
+// UpdateFlat draws K fresh random monitor slots (the first K of
+// rng.Perm(n)) and assigns every slot to the closest monitor with
+// kmeans.AssignFlat, under Tracker.UpdateFlat's contract with every slot
+// present. The "centroid" of a cluster is the monitor's measurement itself,
+// matching §VI-C2.
+func (md *MinimumDistance) UpdateFlat(data []float64, n, dim int, present []bool) (assign []int, cents []float64, err error) {
+	if err := checkBaseline(data, n, dim, md.k, present); err != nil {
+		return nil, nil, err
 	}
-	monitors := md.rng.Perm(len(points))[:md.k]
-	cents := make([][]float64, md.k)
-	for j, m := range monitors {
-		c := make([]float64, len(points[m]))
-		copy(c, points[m])
-		cents[j] = c
+	cents, assign = make([]float64, md.k*dim), make([]int, n)
+	for j, m := range md.rng.Perm(n)[:md.k] {
+		copy(cents[j*dim:(j+1)*dim], data[m*dim:(m+1)*dim])
 	}
-	assign := make([]int, len(points))
-	for i, p := range points {
-		assign[i] = kmeans.Nearest(p, cents)
+	kmeans.AssignFlat(data, n, dim, cents, md.k, assign)
+	return assign, cents, nil
+}
+
+// ForgetSlot is a no-op: the baseline keeps no per-slot history.
+func (md *MinimumDistance) ForgetSlot(int) {}
+
+// checkBaseline validates a baseline update's shape: at least K points of
+// dim ≥ 1 in data, and no absent slot, since the baselines cluster every
+// slot (a nil mask means all are present).
+func checkBaseline(data []float64, n, dim, k int, present []bool) error {
+	if n < k || dim < 1 || len(data) < n*dim {
+		return fmt.Errorf("cluster: %d points of dim %d in %d values for K=%d: %w", n, dim, len(data), k, ErrBadInput)
 	}
-	return &Step{Assignments: assign, Centroids: cents}, nil
+	if present != nil && (len(present) != n || slices.Contains(present, false)) {
+		return fmt.Errorf("cluster: a baseline needs all %d slots present: %w", n, ErrBadInput)
+	}
+	return nil
 }
 
 // WindowBuffer accumulates the last w point-sets and exposes the concatenated

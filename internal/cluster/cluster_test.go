@@ -4,7 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"orcf/internal/kmeans"
 )
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, seed^0xabcdef)) }
@@ -335,6 +338,29 @@ func TestTrackerMeansMatchCentroidsFor(t *testing.T) {
 	}
 }
 
+// baselinePoints is a few steps of n points of width dim on a grid of 9
+// levels, so that ties between monitors and members come up, as flat rows
+// and as the slice-of-rows form the baselines' old Step methods took.
+func baselinePoints(rng *rand.Rand, steps, n, dim int) (flat [][]float64, rows [][][]float64) {
+	for range steps {
+		f := make([]float64, n*dim)
+		r := make([][]float64, n)
+		for i := range r {
+			for d := range dim {
+				f[i*dim+d] = float64(rng.IntN(9)) / 8
+			}
+			r[i] = f[i*dim : (i+1)*dim]
+		}
+		flat, rows = append(flat, f), append(rows, r)
+	}
+	return flat, rows
+}
+
+// equalBits reports whether two float slices hold the same bits.
+func equalBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 func TestStaticBaseline(t *testing.T) {
 	t.Parallel()
 	// Whole-series clustering: nodes 0-4 flat low, nodes 5-9 flat high.
@@ -354,7 +380,16 @@ func TestStaticBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := st.Assignments()
+	// Centroids are the current member means.
+	pts := twoGroupPoints(10, 0.2, 0.8, false)
+	flat := make([]float64, len(pts))
+	for i, p := range pts {
+		flat[i] = p[0]
+	}
+	a, cents, err := st.UpdateFlat(flat, 10, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < 5; i++ {
 		if a[i] != a[0] {
 			t.Fatalf("low nodes split: %v", a)
@@ -363,12 +398,45 @@ func TestStaticBaseline(t *testing.T) {
 	if a[5] == a[0] {
 		t.Fatalf("groups merged: %v", a)
 	}
-	// Step centroids are current means.
-	pts := twoGroupPoints(10, 0.2, 0.8, false)
-	s := st.Step(pts)
-	lowC := s.Centroids[a[0]][0]
-	if math.Abs(lowC-0.201) > 0.005 {
+	if lowC := cents[a[0]]; math.Abs(lowC-0.201) > 0.005 {
 		t.Fatalf("static low centroid %v, want ≈ 0.2", lowC)
+	}
+	// The old Step's centroids were CentroidsFor over the fixed grouping.
+	fixed := slices.Clone(a)
+	for _, dim := range []int{1, 2, 4} {
+		flats, rows := baselinePoints(testRNG(uint64(dim)), 5, 10, dim)
+		for step := range flats {
+			got, cents, err := st.UpdateFlat(flats[step], 10, dim, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, fixed) {
+				t.Fatalf("dim=%d step %d: assignments %v, want the fixed %v", dim, step, got, fixed)
+			}
+			if want := slices.Concat(CentroidsFor(fixed, 2, rows[step])...); !equalBits(cents, want) {
+				t.Fatalf("dim=%d step %d: centroids %v, CentroidsFor %v", dim, step, cents, want)
+			}
+		}
+	}
+	mask := slices.Repeat([]bool{true}, 10)
+	if _, _, err := st.UpdateFlat(flat, 10, 1, mask); err != nil {
+		t.Fatalf("all-present mask: %v", err)
+	}
+	mask[3] = false
+	for _, bad := range []struct {
+		name    string
+		data    []float64
+		n       int
+		present []bool
+	}{
+		{"absent slot", flat, 10, mask},
+		{"short mask", flat, 10, mask[:9]},
+		{"other node count", flat[:9], 9, nil},
+		{"short data", flat[:9], 10, nil},
+	} {
+		if _, _, err := st.UpdateFlat(bad.data, bad.n, 1, bad.present); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%s: want ErrBadInput, got %v", bad.name, err)
+		}
 	}
 	if _, err := NewStatic(series, 0, testRNG(9)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("K=0: want ErrBadConfig, got %v", err)
@@ -380,31 +448,63 @@ func TestStaticBaseline(t *testing.T) {
 
 func TestMinimumDistanceBaseline(t *testing.T) {
 	t.Parallel()
+	// The old Step: K monitors from rng.Perm, each point to the nearest
+	// monitor by the strict-<, ascending-index float compare.
+	oldStep := func(rng *rand.Rand, k int, points [][]float64) ([]int, []float64) {
+		monitors := rng.Perm(len(points))[:k]
+		cents := make([][]float64, k)
+		for j, m := range monitors {
+			cents[j] = slices.Clone(points[m])
+		}
+		assign := make([]int, len(points))
+		for i, p := range points {
+			best, bestD := 0, math.Inf(1)
+			for j, c := range cents {
+				if d := kmeans.SqDist(p, c); d < bestD {
+					best, bestD = j, d
+				}
+			}
+			assign[i] = best
+		}
+		return assign, slices.Concat(cents...)
+	}
+	for _, k := range []int{1, 2, 3, 5} {
+		for _, dim := range []int{1, 2, 4} {
+			md, err := NewMinimumDistance(k, testRNG(10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := testRNG(10)
+			flats, rows := baselinePoints(testRNG(uint64(k*8+dim)), 6, 12, dim)
+			for step := range flats {
+				assign, cents, err := md.UpdateFlat(flats[step], 12, dim, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantA, wantC := oldStep(ref, k, rows[step])
+				if !slices.Equal(assign, wantA) || !equalBits(cents, wantC) {
+					t.Fatalf("K=%d dim=%d step %d: got %v %v, old Step %v %v", k, dim, step, assign, cents, wantA, wantC)
+				}
+			}
+		}
+	}
 	md, err := NewMinimumDistance(2, testRNG(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := twoGroupPoints(10, 0.1, 0.9, false)
-	s, err := md.Step(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Centroids) != 2 {
-		t.Fatalf("got %d centroids, want 2", len(s.Centroids))
-	}
-	// Every node must be assigned to its nearest monitor.
-	for i, p := range pts {
-		j := s.Assignments[i]
-		for jj, c := range s.Centroids {
-			di := (p[0] - s.Centroids[j][0]) * (p[0] - s.Centroids[j][0])
-			dj := (p[0] - c[0]) * (p[0] - c[0])
-			if dj < di-1e-12 {
-				t.Fatalf("node %d assigned to %d but %d is closer", i, j, jj)
-			}
+	flat := []float64{0.1, 0.9, 0.2}
+	for _, bad := range []struct {
+		name    string
+		n       int
+		present []bool
+	}{
+		{"absent slot", 3, []bool{true, false, true}},
+		{"short mask", 3, []bool{true, true}},
+		{"too few points", 1, nil},
+	} {
+		if _, _, err := md.UpdateFlat(flat, bad.n, 1, bad.present); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%s: want ErrBadInput, got %v", bad.name, err)
 		}
-	}
-	if _, err := md.Step(pts[:1]); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("too few points: want ErrBadInput, got %v", err)
 	}
 	if _, err := NewMinimumDistance(0, testRNG(1)); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("K=0: want ErrBadConfig, got %v", err)

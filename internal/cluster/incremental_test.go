@@ -21,7 +21,7 @@ import (
 
 // oracleTracker is the slow reference. Its full-refit path is the historical
 // implementation verbatim; its warm path mirrors the documented decision
-// procedure using kmeans.Nearest per point.
+// procedure using oracleNearest per point.
 type oracleTracker struct {
 	cfg       Config
 	rng       *rand.Rand
@@ -31,6 +31,18 @@ type oracleTracker struct {
 	hist      [][]int
 	prevCents [][]float64
 	series    [][][]float64
+}
+
+// oracleNearest is the slice-of-rows nearest-centroid scan: the strict-<,
+// ascending-index float compare.
+func oracleNearest(p []float64, centroids [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for j, c := range centroids {
+		if d := kmeans.SqDist(p, c); d < bestD {
+			best, bestD = j, d
+		}
+	}
+	return best
 }
 
 func newOracle(cfg Config, rng *rand.Rand) *oracleTracker {
@@ -161,7 +173,7 @@ func (o *oracleTracker) update(points [][]float64, present []bool) (*Step, bool)
 			warmAssign := make([]int, pn)
 			counts := make([]int, o.cfg.K)
 			for pi, p := range packed {
-				warmAssign[pi] = kmeans.Nearest(p, o.prevCents)
+				warmAssign[pi] = oracleNearest(p, o.prevCents)
 				counts[warmAssign[pi]]++
 			}
 			empty := false

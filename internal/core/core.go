@@ -59,6 +59,18 @@ var ErrNotReady = errors.New("core: forecasting models not trained yet")
 // PolicyFactory builds the transmission policy of one node.
 type PolicyFactory func(node int) (transmit.Policy, error)
 
+// Clusterer is the per-tracker clustering a step runs (§V-B): an update over
+// the tracker's block of the store and the erasure of a departed member's
+// slot, with cluster.Tracker's UpdateFlat and ForgetSlot contracts.
+// cluster.MinimumDistance and cluster.Static implement it too.
+type Clusterer interface {
+	UpdateFlat(data []float64, n, dim int, present []bool) (assign []int, cents []float64, err error)
+	ForgetSlot(slot int)
+}
+
+// ClustererFactory builds the clusterer of one tracker.
+type ClustererFactory func(tracker int) (Clusterer, error)
+
 // Config assembles a System. Zero values select the paper's defaults from
 // §VI-A2 where one exists.
 type Config struct {
@@ -115,6 +127,13 @@ type Config struct {
 	JointClustering bool
 	// Seed drives K-means seeding.
 	Seed uint64
+	// Clusterer builds each tracker's clustering in place of the §V-B
+	// tracker (a baseline of §VI-C, say). Nil means a cluster.Tracker built
+	// from K, M, Similarity, DisableMatching, IncrementalRefit,
+	// IncrementalChurn and Seed. A System built with a factory does not own
+	// its clusterers' state, so ExportState and RestoreState return
+	// ErrNotPersistent; RefitStats counts the cluster.Trackers among them.
+	Clusterer ClustererFactory
 	// SnapshotHorizon enables the read-only serving plane: when > 0, every
 	// successful Step publishes an immutable Snapshot (latest z_t,
 	// memberships, transmit frequencies, centroid forecasts up to this
@@ -246,7 +265,7 @@ type System struct {
 	dims      int // point dimensionality per tracker (1, or d for joint)
 	policies  []transmit.Policy
 	meters    []transmit.Meter
-	trackers  []*cluster.Tracker
+	trackers  []Clusterer // *cluster.Tracker unless cfg.Clusterer is set
 	pcgs      []*rand.PCG // per-tracker K-means RNG sources (for state export)
 	ensembles []*forecast.Ensemble
 
@@ -377,18 +396,26 @@ func newSystem(cfg Config, edge bool) (*System, error) {
 	s.centRows = make([][][]float64, s.nTrackers)
 	s.assignRows = make([][]int, s.nTrackers)
 	for tr := 0; tr < s.nTrackers; tr++ {
-		pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
-		s.pcgs = append(s.pcgs, pcg)
-		// The tracker keeps the M assignment rows the eq. (10) matching
-		// reads; the §V-C membership window is the look-back ring's.
-		tracker, err := cluster.NewTracker(cluster.Config{
-			K:                cfg.K,
-			M:                cfg.M,
-			Similarity:       cfg.Similarity,
-			DisableMatching:  cfg.DisableMatching,
-			Incremental:      cfg.IncrementalRefit,
-			IncrementalChurn: cfg.IncrementalChurn,
-		}, rand.New(pcg))
+		var tracker Clusterer
+		var err error
+		if cfg.Clusterer != nil {
+			if tracker, err = cfg.Clusterer(tr); err == nil && tracker == nil {
+				err = errors.New("nil clusterer")
+			}
+		} else {
+			pcg := rand.NewPCG(cfg.Seed, uint64(tr)+0x1234)
+			s.pcgs = append(s.pcgs, pcg)
+			// The tracker keeps the M assignment rows the eq. (10) matching
+			// reads; the §V-C membership window is the look-back ring's.
+			tracker, err = cluster.NewTracker(cluster.Config{
+				K:                cfg.K,
+				M:                cfg.M,
+				Similarity:       cfg.Similarity,
+				DisableMatching:  cfg.DisableMatching,
+				Incremental:      cfg.IncrementalRefit,
+				IncrementalChurn: cfg.IncrementalChurn,
+			}, rand.New(pcg))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: tracker %d: %w: %w", tr, err, ErrBadConfig)
 		}
@@ -777,12 +804,15 @@ func (s *System) Stored() [][]float64 {
 
 // RefitStats reports how many per-tracker clustering steps were warm-started
 // versus fully refit, summed across trackers (warm is always 0 unless
-// Config.IncrementalRefit is set; warm+full = Steps × trackers).
+// Config.IncrementalRefit is set; warm+full = Steps × trackers). A
+// Config.Clusterer's clusterers count only if they are cluster.Trackers.
 func (s *System) RefitStats() (warm, full int) {
-	for _, tr := range s.trackers {
-		w, f := tr.RefitStats()
-		warm += w
-		full += f
+	for _, c := range s.trackers {
+		if tr, ok := c.(*cluster.Tracker); ok {
+			w, f := tr.RefitStats()
+			warm += w
+			full += f
+		}
 	}
 	return warm, full
 }

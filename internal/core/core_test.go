@@ -389,22 +389,22 @@ func TestModeClusterAndAlphaScaling(t *testing.T) {
 	t.Parallel()
 	// α-scaling: a node that hops clusters briefly must not get an offset
 	// that drags its forecast into the other cluster.
-	centroids := [][]float64{{0.2}, {0.8}}
-	alpha := MaxAlphaInCell([]float64{0.9}, 0, centroids)
+	centroids, delta := []float64{0.2, 0.8}, make([]float64, 1)
+	alpha := maxAlphaInCell([]float64{0.9}, 0, centroids, delta)
 	// δ = 0.7, boundary at midpoint 0.5: α·0.7 ≤ 0.3 → α ≤ 3/7.
 	if math.Abs(alpha-0.3/0.7) > 1e-12 {
 		t.Fatalf("alpha = %v, want %v", alpha, 0.3/0.7)
 	}
 	// z inside the cell: full offset allowed.
-	if a := MaxAlphaInCell([]float64{0.3}, 0, centroids); a != 1 {
+	if a := maxAlphaInCell([]float64{0.3}, 0, centroids, delta); a != 1 {
 		t.Fatalf("alpha inside cell = %v, want 1", a)
 	}
 	// z at the centroid: α=1 by convention.
-	if a := MaxAlphaInCell([]float64{0.2}, 0, centroids); a != 1 {
+	if a := maxAlphaInCell([]float64{0.2}, 0, centroids, delta); a != 1 {
 		t.Fatalf("alpha at centroid = %v, want 1", a)
 	}
 	// Moving away from the only other centroid: unconstrained.
-	if a := MaxAlphaInCell([]float64{0.05}, 0, centroids); a != 1 {
+	if a := maxAlphaInCell([]float64{0.05}, 0, centroids, delta); a != 1 {
 		t.Fatalf("alpha moving away = %v, want 1", a)
 	}
 }

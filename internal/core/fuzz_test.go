@@ -127,16 +127,17 @@ func checkKernelDecision(t *testing.T, cfg transmit.AdaptiveConfig, queue float6
 	}
 }
 
-// FuzzStepArrivalsWholeFloatRange drives an edge-less central node (N ≤ 8,
-// d = 2, K = 2, zoo sample-and-hold and ar, a schedule short enough that
-// fits run) through 24 StepArrivals calls whose values span the whole
-// float64 range. Each row starts with a selector byte: 255 leaves the member
-// silent; below 128 it is an in-range value in [0, 1]; otherwise NaN, ±Inf,
-// ±0, ±100, one ulp past ±100, a subnormal of random sign, or eight raw bytes
-// (a random sign, exponent and mantissa). Once the data runs out the members
-// report a slow in-range signal. Every call must succeed or return
-// ErrBadInput with Steps() and the ExportState digest unchanged; no other
-// error may occur.
+// FuzzStepArrivalsWholeFloatRange drives three Systems (N ≤ 8, d = 2,
+// K = 2, zoo sample-and-hold and ar, a schedule short enough that fits run)
+// through 24 steps whose values span the whole float64 range: an edge-less
+// central node by StepArrivals, and by Step a NewSystem under the Adaptive
+// policy and one under the Uniform policy. Each row starts with a selector
+// byte: 255 leaves the member silent; below 128 it is an in-range value in
+// [0, 1]; otherwise NaN, ±Inf, ±0, ±100, one ulp past ±100, a subnormal of
+// random sign, or eight raw bytes (a random sign, exponent and mantissa).
+// Once the data runs out the members report a slow in-range signal. Every
+// call must succeed or return ErrBadInput with Steps() and the ExportState
+// digest unchanged; no other error may occur.
 func FuzzStepArrivalsWholeFloatRange(f *testing.F) {
 	f.Add(uint8(6), []byte{})
 	f.Fuzz(func(t *testing.T, nSel uint8, data []byte) {
@@ -145,12 +146,27 @@ func FuzzStepArrivalsWholeFloatRange(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := NewCentral(Config{
+		cfg := Config{
 			Nodes: n, Resources: 2, K: 2, InitialCollection: 8, RetrainEvery: 4, Zoo: zoo, Seed: 1,
-		})
+		}
+		central, err := NewCentral(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		adaptive, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Policy = func(int) (transmit.Policy, error) { return transmit.NewUniform(0.5) }
+		uniform, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := []struct {
+			name string
+			sys  *System
+			edge bool // stepped by Step, else by StepArrivals
+		}{{"StepArrivals", central, false}, {"adaptive Step", adaptive, true}, {"uniform Step", uniform, true}}
 		next := func() (byte, bool) {
 			if len(data) == 0 {
 				return 0, false
@@ -193,7 +209,7 @@ func FuzzStepArrivalsWholeFloatRange(f *testing.F) {
 				return math.Float64frombits(raw())
 			}
 		}
-		digest := func() uint64 {
+		digest := func(sys *System) uint64 {
 			st, err := sys.ExportState()
 			if err != nil {
 				t.Fatal(err)
@@ -225,16 +241,23 @@ func FuzzStepArrivalsWholeFloatRange(f *testing.F) {
 				sel1, _ := next()
 				x[i], arrived[i] = []float64{v0, value(sel1)}, true
 			}
-			steps, before := sys.Steps(), digest()
-			_, err := sys.StepArrivals(x, arrived)
-			if err == nil {
-				continue
-			}
-			if !errors.Is(err, ErrBadInput) {
-				t.Fatalf("step %d, rows %v: %v", step, x, err)
-			}
-			if sys.Steps() != steps || digest() != before {
-				t.Fatalf("step %d, rows %v: rejected (%v), but the system moved", step, x, err)
+			for _, run := range runs {
+				steps, before := run.sys.Steps(), digest(run.sys)
+				var err error
+				if run.edge {
+					_, err = run.sys.Step(x)
+				} else {
+					_, err = run.sys.StepArrivals(x, arrived)
+				}
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, ErrBadInput) {
+					t.Fatalf("%s step %d, rows %v: %v", run.name, step, x, err)
+				}
+				if run.sys.Steps() != steps || digest(run.sys) != before {
+					t.Fatalf("%s step %d, rows %v: rejected (%v), but the system moved", run.name, step, x, err)
+				}
 			}
 		}
 	})

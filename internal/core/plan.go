@@ -404,21 +404,13 @@ func (s *System) reconEnv() *reconEnv {
 	}
 }
 
-// MaxAlphaInCell returns the largest α ∈ [0,1] such that c_j + α(z−c_j)
+// maxAlphaInCell returns the largest α ∈ [0,1] such that c_j + α(z−c_j)
 // remains closest to centroid j among all centroids (i.e. stays inside
 // cluster j's Voronoi cell). For each other centroid j′ with u = c_j′ − c_j
-// and δ = z − c_j, the boundary constraint is α·(2δ·u) ≤ ‖u‖².
-func MaxAlphaInCell(z []float64, j int, centroids [][]float64) float64 {
-	flat := make([]float64, 0, len(centroids)*len(z))
-	for _, c := range centroids {
-		flat = append(flat, c...)
-	}
-	return maxAlphaInCell(z, j, flat, make([]float64, len(z)))
-}
-
-// maxAlphaInCell is MaxAlphaInCell over row-major centroids (len(z) values
-// each) with a caller-provided δ scratch of length ≥ len(z), so the Forecast
-// hot path runs allocation-free.
+// and δ = z − c_j, the boundary constraint is α·(2δ·u) ≤ ‖u‖². The
+// centroids are row-major (len(z) values each) and delta is a caller's δ
+// scratch of length ≥ len(z), so the Forecast hot path runs
+// allocation-free.
 func maxAlphaInCell(z []float64, j int, cents []float64, delta []float64) float64 {
 	dim := len(z)
 	cj := cents[j*dim : (j+1)*dim]

@@ -92,7 +92,7 @@ func referenceReconstruct(env *reconEnv, cent []float64, h int) ([][][]float64, 
 type fcScratch struct {
 	counts []int     // membership counts, len K
 	offset []float64 // eq. (12) accumulator, len dims
-	delta  []float64 // MaxAlphaInCell scratch, len dims
+	delta  []float64 // maxAlphaInCell scratch, len dims
 }
 
 // presentAt reports slot i's presence, treating slots beyond the recorded

@@ -19,8 +19,13 @@ import (
 const StateVersion = 2
 
 // ErrNotPersistent reports a transmission policy that does not implement
-// transmit.Persistent, so the system's state cannot be exported.
-var ErrNotPersistent = errors.New("core: policy does not support state export")
+// transmit.Persistent, or clusterers built by Config.Clusterer, so the
+// system's state cannot be exported.
+var ErrNotPersistent = errors.New("core: state export not supported")
+
+// errForeignClusterers is ErrNotPersistent for a System whose clusterers
+// Config.Clusterer built: core holds neither their state nor their RNG.
+var errForeignClusterers = fmt.Errorf("core: clusterers built by Config.Clusterer: %w", ErrNotPersistent)
 
 // ErrBadState reports a State that cannot restore this system (version,
 // fingerprint, or shape mismatch).
@@ -104,7 +109,7 @@ type MeterState struct {
 // fleet size is deliberately absent — the State records the membership
 // roster itself, so a restore reconciles membership instead of demanding an
 // exactly-matching Nodes value. Runtime-only knobs (SnapshotHorizon,
-// AbsenceTimeout) and the Policy factory are also excluded.
+// AbsenceTimeout) and the Policy and Clusterer factories are also excluded.
 // A non-empty Zoo is hashed by its candidate names, never by its builders:
 // the factories cannot be hashed. The package's policies tag their state
 // bytes with their type, so one of another type rejects them on restore,
@@ -156,8 +161,11 @@ func (c Config) Fingerprint() uint64 {
 // itself must be called from the stepping goroutine (between Steps); the
 // per-tracker copies fan out on the worker pool. It fails with
 // ErrNotPersistent when any node's policy does not implement
-// transmit.Persistent.
+// transmit.Persistent, or when Config.Clusterer built the clusterers.
 func (s *System) ExportState() (*State, error) {
+	if s.cfg.Clusterer != nil {
+		return nil, errForeignClusterers
+	}
 	st := &State{
 		Version:     StateVersion,
 		Fingerprint: s.cfg.Fingerprint(),
@@ -202,7 +210,7 @@ func (s *System) ExportState() (*State, error) {
 	st.Ensembles = make([]*forecast.EnsembleState, s.nTrackers)
 	st.TrackerRNGs = make([][]byte, s.nTrackers)
 	err := parallel.ForEach(s.nTrackers, func(tr int) error {
-		st.Trackers[tr] = s.trackers[tr].ExportState()
+		st.Trackers[tr] = s.trackers[tr].(*cluster.Tracker).ExportState()
 		st.Ensembles[tr] = s.ensembles[tr].ExportState()
 		rng, err := s.pcgs[tr].MarshalBinary()
 		if err != nil {
@@ -250,12 +258,16 @@ func (s *System) exportSlot(slot *ringSlot) SlotState {
 // the system continues bit-identically to the exporting run; on error the
 // system is unchanged only for validation failures, which include a policy
 // rejecting its state bytes (ErrBadState) — a mid-restore failure (e.g. a
-// tracker rejecting its state) leaves it unusable.
+// tracker rejecting its state) leaves it unusable. A System built with
+// Config.Clusterer restores nothing and returns ErrNotPersistent.
 //
 // When snapshot publishing is enabled, restore also republishes the
 // snapshot for generation State.Gen, so the serving plane is warm
 // immediately after recovery instead of waiting for the next step.
 func (s *System) RestoreState(st *State) error {
+	if s.cfg.Clusterer != nil {
+		return errForeignClusterers
+	}
 	if err := s.validateState(st); err != nil {
 		return err
 	}
@@ -331,7 +343,7 @@ func (s *System) RestoreState(st *State) error {
 		if s.ringLen > 0 {
 			seed = s.snapAt(0).centroids(tr)
 		}
-		if err := s.trackers[tr].RestoreState(st.Trackers[tr], seed); err != nil {
+		if err := s.trackers[tr].(*cluster.Tracker).RestoreState(st.Trackers[tr], seed); err != nil {
 			return fmt.Errorf("core: tracker %d: %w", tr, err)
 		}
 		if err := s.pcgs[tr].UnmarshalBinary(st.TrackerRNGs[tr]); err != nil {

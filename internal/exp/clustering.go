@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"orcf/internal/cluster"
+	"orcf/internal/core"
 	"orcf/internal/kmeans"
 	"orcf/internal/metrics"
 	"orcf/internal/parallel"
@@ -52,67 +54,77 @@ func scalarPoints(row [][]float64, r int) [][]float64 {
 	return out
 }
 
-// intermediateProposed runs the dynamic tracker over zs (one resource) and
-// returns the time-averaged intermediate RMSE against the true values.
-func intermediateProposed(zs [][][]float64, ds *trace.Dataset, r, k, m int, seed uint64) (float64, error) {
-	tr, err := cluster.NewTracker(cluster.Config{K: k, M: m}, rand.New(rand.NewPCG(seed, 17)))
-	if err != nil {
-		return 0, fmt.Errorf("exp: tracker: %w", err)
-	}
+// intermediateRMSE drives one clusterer over resource r of zs — a flat
+// column of the stored values per step, every node present — and returns
+// the time-averaged intermediate RMSE against the true values.
+func intermediateRMSE(c core.Clusterer, zs [][][]float64, ds *trace.Dataset, r int) (float64, error) {
+	n := ds.Nodes()
+	col := make([]float64, n)
 	var acc metrics.Accumulator
 	for t := range zs {
-		step, err := tr.Update(scalarPoints(zs[t], r))
-		if err != nil {
-			return 0, fmt.Errorf("exp: tracker step %d: %w", t, err)
+		for i, zi := range zs[t] {
+			col[i] = zi[r]
 		}
-		addIntermediate(&acc, step.Assignments, step.Centroids, ds, t, r)
+		assign, cents, err := c.UpdateFlat(col, n, 1, nil)
+		if err != nil {
+			return 0, fmt.Errorf("exp: clustering step %d: %w", t, err)
+		}
+		addIntermediate(&acc, assign, cents, ds, t, r)
 	}
 	return acc.Value(), nil
 }
 
-// intermediateMinDistance runs the random-monitor baseline.
-func intermediateMinDistance(zs [][][]float64, ds *trace.Dataset, r, k int, seed uint64) (float64, error) {
-	md, err := cluster.NewMinimumDistance(k, rand.New(rand.NewPCG(seed, 29)))
-	if err != nil {
-		return 0, fmt.Errorf("exp: min-distance: %w", err)
-	}
-	var acc metrics.Accumulator
-	for t := range zs {
-		step, err := md.Step(scalarPoints(zs[t], r))
-		if err != nil {
-			return 0, fmt.Errorf("exp: min-distance step %d: %w", t, err)
-		}
-		addIntermediate(&acc, step.Assignments, step.Centroids, ds, t, r)
-	}
-	return acc.Value(), nil
+// proposedTracker is the dynamic §V-B tracker of the intermediate-RMSE
+// experiments: K = k, M = 1.
+func proposedTracker(k int, seed uint64) (*cluster.Tracker, error) {
+	return cluster.NewTracker(cluster.Config{K: k, M: 1}, rand.New(rand.NewPCG(seed, 17)))
 }
 
-// intermediateStatic runs the offline whole-series baseline: clusters are
-// fixed from the true series; per-step centroids are member means of z.
-func intermediateStatic(zs [][][]float64, ds *trace.Dataset, r, k int, seed uint64) (float64, error) {
+// nodeSeries returns every node's whole true series of resource r, the
+// input of the offline static baseline.
+func nodeSeries(ds *trace.Dataset, r int) [][]float64 {
 	series := make([][]float64, ds.Nodes())
 	for i := range series {
 		series[i] = ds.NodeSeries(i, r)
 	}
-	st, err := cluster.NewStatic(series, k, rand.New(rand.NewPCG(seed, 31)))
-	if err != nil {
-		return 0, fmt.Errorf("exp: static: %w", err)
+	return series
+}
+
+// threeMethods scores the proposed tracker, the minimum-distance baseline
+// and the offline static baseline at K = k on every resource of zs, each
+// method with its own seeded RNG: perRes[r] = {proposed, min-distance,
+// static}. It is the per-cell body of Figs. 6 and 7.
+func threeMethods(zs [][][]float64, ds *trace.Dataset, k int, seed uint64) ([][3]float64, error) {
+	perRes := make([][3]float64, ds.NumResources())
+	for r := range perRes {
+		prop, err := proposedTracker(k, seed)
+		if err != nil {
+			return nil, fmt.Errorf("exp: tracker: %w", err)
+		}
+		md, err := cluster.NewMinimumDistance(k, rand.New(rand.NewPCG(seed, 29)))
+		if err != nil {
+			return nil, fmt.Errorf("exp: min-distance: %w", err)
+		}
+		st, err := cluster.NewStatic(nodeSeries(ds, r), k, rand.New(rand.NewPCG(seed, 31)))
+		if err != nil {
+			return nil, fmt.Errorf("exp: static: %w", err)
+		}
+		for mi, c := range []core.Clusterer{prop, md, st} {
+			if perRes[r][mi], err = intermediateRMSE(c, zs, ds, r); err != nil {
+				return nil, err
+			}
+		}
 	}
-	var acc metrics.Accumulator
-	for t := range zs {
-		step := st.Step(scalarPoints(zs[t], r))
-		addIntermediate(&acc, step.Assignments, step.Centroids, ds, t, r)
-	}
-	return acc.Value(), nil
+	return perRes, nil
 }
 
 // addIntermediate accumulates one step of intermediate squared error
-// (centroid of assigned cluster vs TRUE value).
-func addIntermediate(acc *metrics.Accumulator, assign []int, cents [][]float64, ds *trace.Dataset, t, r int) {
+// (centroid of assigned cluster vs TRUE value), over scalar centroids.
+func addIntermediate(acc *metrics.Accumulator, assign []int, cents []float64, ds *trace.Dataset, t, r int) {
 	var sq float64
 	n := ds.Nodes()
 	for i := 0; i < n; i++ {
-		diff := cents[assign[i]][0] - ds.At(t, i)[r]
+		diff := cents[assign[i]] - ds.At(t, i)[r]
 		sq += diff * diff
 	}
 	acc.AddSquared(sq / float64(n))
@@ -191,7 +203,7 @@ func windowedIntermediate(zs [][][]float64, ds *trace.Dataset, r, w, k int, seed
 		// Centroid for the error metric is the mean of *current* values of
 		// the cluster members (the window features only drive grouping).
 		cents := cluster.CentroidsFor(res.Assignments, len(res.Centroids), pts)
-		addIntermediate(&acc, res.Assignments, cents, ds, t, r)
+		addIntermediate(&acc, res.Assignments, slices.Concat(cents...), ds, t, r)
 	}
 	return acc.Value(), nil
 }
@@ -223,11 +235,13 @@ func Table1(o Options) (*Table, error) {
 		}
 		scalarR := make([]float64, ds.NumResources())
 		for r := range scalarR {
-			v, err := intermediateProposed(zs, ds, r, 3, 1, o.Seed)
+			tr, err := proposedTracker(3, o.Seed)
 			if err != nil {
+				return tab1Preset{}, fmt.Errorf("exp: tracker: %w", err)
+			}
+			if scalarR[r], err = intermediateRMSE(tr, zs, ds, r); err != nil {
 				return tab1Preset{}, err
 			}
-			scalarR[r] = v
 		}
 		fullR, err := jointIntermediate(zs, ds, 3, 1, o.Seed)
 		if err != nil {
@@ -307,23 +321,7 @@ func Fig6(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		perRes := make([][3]float64, ds.NumResources())
-		for r := 0; r < ds.NumResources(); r++ {
-			prop, err := intermediateProposed(zs, ds, r, 3, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			md, err := intermediateMinDistance(zs, ds, r, 3, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			st, err := intermediateStatic(zs, ds, r, 3, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			perRes[r] = [3]float64{prop, md, st}
-		}
-		return perRes, nil
+		return threeMethods(zs, ds, 3, o.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -378,23 +376,7 @@ func Fig7(o Options) (*Table, error) {
 	// three clustering methods with its own seeded RNGs.
 	vals, err := parallel.Map(len(specs), func(i int) ([][3]float64, error) {
 		sp := specs[i]
-		perRes := make([][3]float64, sp.ds.NumResources())
-		for r := 0; r < sp.ds.NumResources(); r++ {
-			prop, err := intermediateProposed(sp.zs, sp.ds, r, sp.k, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			md, err := intermediateMinDistance(sp.zs, sp.ds, r, sp.k, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			st, err := intermediateStatic(sp.zs, sp.ds, r, sp.k, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			perRes[r] = [3]float64{prop, md, st}
-		}
-		return perRes, nil
+		return threeMethods(sp.zs, sp.ds, sp.k, o.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -408,7 +390,8 @@ func Fig7(o Options) (*Table, error) {
 	return tab, nil
 }
 
-// meanStd is a tiny helper for the stddev baseline used in figures 9–10.
+// datasetStdDev is the standard deviation of resource r over every node and
+// step, the StdDev column of Figs. 9 and 10.
 func datasetStdDev(ds *trace.Dataset, r int) float64 {
 	var sum, sumSq float64
 	var n int

@@ -1,9 +1,14 @@
 package exp
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"orcf/internal/gaussian"
+	"orcf/internal/trace"
 )
 
 // tinyOptions keeps every experiment fast enough for the regular test suite
@@ -360,28 +365,63 @@ func TestFig12ProposedWinsAndZeroAtKN(t *testing.T) {
 	}
 }
 
+// TestTable4TopWUpdateSlowest pins Table IV's two orderings on the parts
+// that make them, each timed as the fastest of five runs: host load only
+// ever adds time, so it cannot invert an ordering of minima whose gap is
+// the whole cost of the larger side. Top-W and Top-W-Update share the
+// training and test-phase inference their totals include and differ only
+// in monitor selection, so their selections are compared (≈ 70 µs against
+// ≈ 20 ms at 100 nodes, K = 50); the Min-distance total (≈ 3 ms) is
+// compared with Top-W-Update's selection alone, a part of its total.
 func TestTable4TopWUpdateSlowest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs the paper's 100-node scale; the -short race pass skips it")
-	}
 	t.Parallel()
-	// Timing separation needs the paper's 100-node setting; smaller
-	// instances drown in timer noise.
-	o := Options{Nodes: 100, Steps: 1100, Warmup: 300, Seed: 3, ForecastEvery: 50}
-	tab, err := Table4(o)
+	tab, err := Table4(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := map[string]float64{}
-	for r := range tab.Rows {
-		times[tab.Rows[r][0]] = cell(t, tab, r, 1)
+	if len(tab.Rows) != 5 || len(tab.Rows[0]) != 4 {
+		t.Fatalf("table IV is %d rows of %d cells, want 5 of 4", len(tab.Rows), len(tab.Rows[0]))
 	}
-	if !(times["Top-W-Update"] >= times["Top-W"]) {
-		t.Fatalf("Top-W-Update (%v) should not be faster than Top-W (%v)",
-			times["Top-W-Update"], times["Top-W"])
+	if testing.Short() {
+		t.Skip("the timing orderings need the paper's 100-node scale; the -short race pass skips them")
 	}
-	if !(times["Min-distance"] <= times["Top-W-Update"]) {
-		t.Fatalf("Min-distance (%v) should be cheaper than Top-W-Update (%v)",
-			times["Min-distance"], times["Top-W-Update"])
+	// The orderings need the paper's 100-node setting; smaller instances
+	// drown in timer noise.
+	o := Options{Nodes: 100, Steps: 1100, Seed: 3}
+	ds, err := o.dataset(trace.AlibabaLike())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := newGaussianSetup(ds, 0, 100, 500, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := gaussian.Train(setup.train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 50
+	fastest := func(run func() error) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	selection := func(strat gaussian.Strategy) func() error {
+		return func() error { _, err := model.SelectMonitors(k, strat); return err }
+	}
+	topW, update := fastest(selection(gaussian.TopW)), fastest(selection(gaussian.TopWUpdate))
+	minDistance := fastest(func() error { _, err := setup.runMinDistanceMonitors(k, o.Seed); return err })
+	t.Logf("fastest of five: Top-W selection %v, Top-W-Update selection %v, Min-distance total %v", topW, update, minDistance)
+	if update < topW {
+		t.Fatalf("Top-W-Update selects monitors in %v, faster than Top-W's %v", update, topW)
+	}
+	if minDistance > update {
+		t.Fatalf("Min-distance takes %v in all, more than Top-W-Update's selection alone (%v)", minDistance, update)
 	}
 }

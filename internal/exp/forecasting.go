@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"orcf/internal/cluster"
@@ -31,9 +30,10 @@ func (o Options) modelBuilders() map[string]forecast.Builder {
 	}
 }
 
-// runPipeline evaluates the full proposed pipeline on a dataset with the
-// given model and K, scoring the paper horizons.
-func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder, simCfg sim.Config) (*sim.Result, error) {
+// runPipeline evaluates the full pipeline on a dataset with the given
+// model, K and clustering (nil: the proposed tracker), scoring the paper
+// horizons.
+func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder, clusterer core.ClustererFactory, simCfg sim.Config) (*sim.Result, error) {
 	// Paper scale fits on all history; core bounds every window, so that
 	// one is as long as the run.
 	fitWindow := o.FitWindow
@@ -49,6 +49,7 @@ func (o Options) runPipeline(ds *trace.Dataset, k int, builder forecast.Builder,
 		FitWindow:         fitWindow,
 		Zoo:               forecast.Pinned(builder),
 		Seed:              o.Seed,
+		Clusterer:         clusterer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: pipeline: %w", err)
@@ -194,7 +195,7 @@ func Fig9(o Options) (*Table, error) {
 		if k == 0 {
 			k = ds.Nodes()
 		}
-		res, err := o.runPipeline(ds, k, v.b, simCfg)
+		res, err := o.runPipeline(ds, k, v.b, nil, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig9 %s %s: %w", presets[pi].Name, v.name, err)
 		}
@@ -247,7 +248,7 @@ func (o Options) lstmAveragedRMSE(ds *trace.Dataset, simCfg sim.Config) (map[int
 				Epochs: o.LSTMEpochs, FitWindow: o.FitWindow, Seed: seed,
 			})
 		}
-		return o.runPipeline(ds, 3, builder, simCfg)
+		return o.runPipeline(ds, 3, builder, nil, simCfg)
 	})
 	if err != nil {
 		return nil, err
@@ -305,7 +306,9 @@ func Table2(o Options) (*Table, error) {
 // Fig10 combines the clustering methods with sample-and-hold temporal
 // forecasting and per-node offsets: RMSE vs h for the proposed dynamic
 // clustering, the minimum-distance baseline, and offline static clustering,
-// against the standard-deviation bound.
+// against the standard-deviation bound. All three columns run the same
+// pipeline (core.System under sim.Run) and differ only in the clusterer of
+// each per-resource tracker.
 func Fig10(o Options) (*Table, error) {
 	o = o.withDefaults()
 	tab := &Table{
@@ -314,157 +317,53 @@ func Fig10(o Options) (*Table, error) {
 			"static (offline)", "StdDev"},
 	}
 	simCfg := sim.Config{Horizons: paperHorizons, ForecastEvery: o.ForecastEvery}
-	for _, p := range clusterPresets() {
+	presets := clusterPresets()
+	datasets := make([]*trace.Dataset, len(presets))
+	for pi, p := range presets {
 		ds, err := o.dataset(p)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig10 %s: %w", p.Name, err)
 		}
-		prop, err := o.runPipeline(ds, 3, func() forecast.Model { return forecast.NewSampleAndHold() }, simCfg)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig10 proposed: %w", err)
+		datasets[pi] = ds
+	}
+	// One run per (preset, column); the column picks each tracker's
+	// clusterer, and a baseline seeds every resource's RNG alike.
+	const methods = 3
+	sh := func() forecast.Model { return forecast.NewSampleAndHold() }
+	results, err := parallel.Map(len(presets)*methods, func(idx int) (*sim.Result, error) {
+		ds, mi := datasets[idx/methods], idx%methods
+		var clusterer core.ClustererFactory // nil: the proposed tracker
+		switch mi {
+		case 1:
+			clusterer = func(int) (core.Clusterer, error) {
+				return cluster.NewMinimumDistance(3, rand.New(rand.NewPCG(o.Seed, 61)))
+			}
+		case 2:
+			clusterer = func(r int) (core.Clusterer, error) {
+				return cluster.NewStatic(nodeSeries(ds, r), 3, rand.New(rand.NewPCG(o.Seed, 67)))
+			}
 		}
-		zs, err := collectZ(ds, 0.3)
+		res, err := o.runPipeline(ds, 3, sh, clusterer, simCfg)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: fig10 %s %s: %w", presets[idx/methods].Name, tab.Header[3+mi], err)
 		}
-		md, err := baselineForecastRMSE(zs, ds, o, "min-distance")
-		if err != nil {
-			return nil, err
-		}
-		st, err := baselineForecastRMSE(zs, ds, o, "static")
-		if err != nil {
-			return nil, err
-		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range presets {
+		ds := datasets[pi]
+		prop, md, st := results[pi*methods], results[pi*methods+1], results[pi*methods+2]
 		for r := 0; r < ds.NumResources(); r++ {
 			std := datasetStdDev(ds, r)
 			for _, h := range paperHorizons {
 				tab.AddRow(p.Name, resourceLabel(ds, r), itoa(h),
-					f4(prop.RMSEAt(r, h)), f4(md[r].At(h)), f4(st[r].At(h)), f4(std))
+					f4(prop.RMSEAt(r, h)), f4(md.RMSEAt(r, h)), f4(st.RMSEAt(r, h)), f4(std))
 			}
 		}
 	}
 	return tab, nil
-}
-
-// stepper abstracts the per-step clustering of the Fig. 10 baselines.
-type stepper interface {
-	step(points [][]float64) (*cluster.Step, error)
-}
-
-type mdStepper struct{ md *cluster.MinimumDistance }
-
-func (s mdStepper) step(points [][]float64) (*cluster.Step, error) { return s.md.Step(points) }
-
-type staticStepper struct{ st *cluster.Static }
-
-func (s staticStepper) step(points [][]float64) (*cluster.Step, error) {
-	return s.st.Step(points), nil
-}
-
-// baselineForecastRMSE runs the §V-C machinery (mode membership over M′,
-// eq. 12 offsets, sample-and-hold centroid forecast) on top of a baseline
-// clustering method and scores RMSE per horizon and resource.
-func baselineForecastRMSE(zs [][][]float64, ds *trace.Dataset, o Options, method string) ([]*metrics.HorizonSet, error) {
-	const mPrime = 5
-	nRes := ds.NumResources()
-	maxH := paperHorizons[len(paperHorizons)-1]
-	out := make([]*metrics.HorizonSet, nRes)
-	for r := range out {
-		hs, err := metrics.NewHorizonSet(maxH)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = hs
-	}
-	for r := 0; r < nRes; r++ {
-		var st stepper
-		switch method {
-		case "min-distance":
-			md, err := cluster.NewMinimumDistance(3, rand.New(rand.NewPCG(o.Seed, 61)))
-			if err != nil {
-				return nil, err
-			}
-			st = mdStepper{md: md}
-		case "static":
-			series := make([][]float64, ds.Nodes())
-			for i := range series {
-				series[i] = ds.NodeSeries(i, r)
-			}
-			sc, err := cluster.NewStatic(series, 3, rand.New(rand.NewPCG(o.Seed, 67)))
-			if err != nil {
-				return nil, err
-			}
-			st = staticStepper{st: sc}
-		default:
-			return nil, fmt.Errorf("exp: unknown method %q: %w", method, trace.ErrBadConfig)
-		}
-		var hist []blSnap
-		n := ds.Nodes()
-		for t := 1; t <= ds.Steps(); t++ {
-			pts := scalarPoints(zs[t-1], r)
-			step, err := st.step(pts)
-			if err != nil {
-				return nil, fmt.Errorf("exp: baseline %s step %d: %w", method, t, err)
-			}
-			hist = append([]blSnap{{assign: step.Assignments, cents: step.Centroids, z: pts}}, hist...)
-			if len(hist) > mPrime+1 {
-				hist = hist[:mPrime+1]
-			}
-			if t < o.Warmup || t%o.ForecastEvery != 0 {
-				continue
-			}
-			// Forecast every node: mode cluster + eq. (12) offset; S&H holds
-			// the current centroid for every h.
-			k := len(step.Centroids)
-			for _, h := range paperHorizons {
-				if t+h > ds.Steps() {
-					continue
-				}
-				var sq float64
-				for i := 0; i < n; i++ {
-					jStar := modeOf(hist, i, k)
-					var off float64
-					for _, s := range hist {
-						alpha := 1.0
-						if s.assign[i] != jStar {
-							alpha = core.MaxAlphaInCell(s.z[i], jStar, s.cents)
-						}
-						off += alpha * (s.z[i][0] - s.cents[jStar][0])
-					}
-					off /= float64(len(hist))
-					pred := clamp01(hist[0].cents[jStar][0] + off)
-					diff := pred - ds.At(t+h-1, i)[r]
-					sq += diff * diff
-				}
-				if err := out[r].Add(h, sqrtOf(sq/float64(n))); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// blSnap is one look-back entry of the baseline pipeline-lite.
-type blSnap struct {
-	assign []int
-	cents  [][]float64
-	z      [][]float64
-}
-
-func modeOf(hist []blSnap, node, k int) int {
-	counts := make([]int, k)
-	for _, s := range hist {
-		counts[s.assign[node]]++
-	}
-	best := hist[0].assign[node]
-	bestCount := counts[best]
-	for j, c := range counts {
-		if c > bestCount {
-			best, bestCount = j, c
-		}
-	}
-	return best
 }
 
 // Table3 sweeps M and M′ on the Google dataset (CPU) at h ∈ {1,5,10} with
@@ -572,21 +471,4 @@ func Fig11(o Options) (*Table, error) {
 		}
 	}
 	return tab, nil
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-func sqrtOf(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
 }

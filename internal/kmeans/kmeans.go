@@ -11,7 +11,6 @@ package kmeans
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"orcf/internal/mat"
@@ -99,16 +98,6 @@ func validate(points [][]float64, cfg Config) error {
 	return nil
 }
 
-func nearest(p []float64, centroids [][]float64) int {
-	best, bestD := 0, math.Inf(1)
-	for j, c := range centroids {
-		if d := sqDist(p, c); d < bestD {
-			best, bestD = j, d
-		}
-	}
-	return best
-}
-
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -123,10 +112,6 @@ func cloneVec(v []float64) []float64 {
 	copy(out, v)
 	return out
 }
-
-// Nearest exposes the nearest-centroid lookup for callers that map new
-// points onto an existing clustering (e.g. offset α-scaling in §V-C).
-func Nearest(p []float64, centroids [][]float64) int { return nearest(p, centroids) }
 
 // SqDist exposes squared Euclidean distance for reuse by callers.
 func SqDist(a, b []float64) float64 { return sqDist(a, b) }

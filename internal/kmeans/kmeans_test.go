@@ -197,7 +197,7 @@ func TestAssignmentsAreNearest(t *testing.T) {
 			return false
 		}
 		for i, p := range points {
-			best := Nearest(p, res.Centroids)
+			best := nearest(p, res.Centroids)
 			if SqDist(p, res.Centroids[best]) < SqDist(p, res.Centroids[res.Assignments[i]])-1e-12 {
 				return false
 			}
@@ -246,8 +246,8 @@ func sse(points [][]float64, res *Result) float64 {
 func TestNearestAndSqDist(t *testing.T) {
 	t.Parallel()
 	cents := [][]float64{{0}, {1}, {2}}
-	if got := Nearest([]float64{1.4}, cents); got != 1 {
-		t.Fatalf("Nearest = %d, want 1", got)
+	if got := nearest([]float64{1.4}, cents); got != 1 {
+		t.Fatalf("nearest = %d, want 1", got)
 	}
 	if got := SqDist([]float64{0, 3}, []float64{4, 0}); got != 25 {
 		t.Fatalf("SqDist = %v, want 25", got)

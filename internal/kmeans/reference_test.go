@@ -64,6 +64,18 @@ func refRun(points [][]float64, cfg Config, rng *rand.Rand) (*Result, error) {
 	}, nil
 }
 
+// nearest is the slice-of-rows nearest-centroid scan: the strict-<,
+// ascending-index float compare.
+func nearest(p []float64, centroids [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for j, c := range centroids {
+		if d := sqDist(p, c); d < bestD {
+			best, bestD = j, d
+		}
+	}
+	return best
+}
+
 // refTrivialResult handles K ≥ n: each point becomes its own cluster, so the
 // result has n centroids (one per point).
 func refTrivialResult(points [][]float64) *Result {

@@ -636,7 +636,7 @@ func TestAssignFlatMatchesNearest(t *testing.T) {
 		assign := make([]int, n)
 		AssignFlat(flatten(pts), n, d, flatten(cents), k, assign)
 		for i, p := range pts {
-			if want := Nearest(p, cents); assign[i] != want {
+			if want := nearest(p, cents); assign[i] != want {
 				t.Fatalf("trial %d: assign[%d] = %d, want %d", trial, i, assign[i], want)
 			}
 		}
