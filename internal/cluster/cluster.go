@@ -214,20 +214,14 @@ func NewTracker(cfg Config, rng *rand.Rand) (*Tracker, error) {
 	return &Tracker{cfg: cfg, rng: rng}, nil
 }
 
-// Update ingests the N current stored measurements (N×d, d ≥ 1) and returns
-// the re-indexed clustering for this step. It is UpdateMasked with every
-// slot present: the slot count and dimension must stay constant across
-// updates, and N must be ≥ K.
-func (tr *Tracker) Update(points [][]float64) (*Step, error) {
-	return tr.UpdateMasked(points, nil)
-}
-
-// UpdateMasked is Update for an elastic fleet: present[i] marks the slots
-// that currently hold a live, stored measurement. Absent slots (and their
-// points, which may be nil) are excluded from K-means, the eq. (10)
-// matching, and the centroid means; they come back with assignment -1. The
-// present count must be ≥ K. A nil mask means all slots are present. The
-// slot count may grow between calls (joiners append) but never shrink.
+// UpdateMasked ingests the N current stored measurements (N×d, d ≥ 1) and
+// returns the re-indexed clustering for this step; the dimension must stay
+// constant across updates. present[i] marks the slots that currently hold a
+// live, stored measurement. Absent slots (and their points, which may be
+// nil) are excluded from K-means, the eq. (10) matching, and the centroid
+// means; they come back with assignment -1. The present count must be ≥ K.
+// A nil mask means all slots are present. The slot count may grow between
+// calls (joiners append) but never shrink.
 //
 // It is the rows-of-slices adapter of UpdateFlat: the rows are copied into
 // one flat frame and the result out of the tracker's buffers, so the

@@ -51,7 +51,7 @@ func TestTrackerStableIndicesAcrossSteps(t *testing.T) {
 	}
 	// Step 1 establishes indices; later steps move the group levels but keep
 	// memberships: stable indices must follow the groups, not the levels.
-	s1, err := tr.Update(twoGroupPoints(20, 0.1, 0.9, false))
+	s1, err := tr.UpdateMasked(twoGroupPoints(20, 0.1, 0.9, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestTrackerStableIndicesAcrossSteps(t *testing.T) {
 	for step := 0; step < 10; step++ {
 		lo := 0.1 + 0.05*float64(step)
 		hi := 0.9 - 0.02*float64(step)
-		s, err := tr.Update(twoGroupPoints(20, lo, hi, false))
+		s, err := tr.UpdateMasked(twoGroupPoints(20, lo, hi, false), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,12 +96,12 @@ func TestTrackerReindexAgainstLabelPermutation(t *testing.T) {
 		}
 		return pts
 	}
-	first, err := tr.Update(mkPoints())
+	first, err := tr.UpdateMasked(mkPoints(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 25; step++ {
-		s, err := tr.Update(mkPoints())
+		s, err := tr.UpdateMasked(mkPoints(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestTrackerCentroidSeriesContinuity(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		lo := 0.2 + 0.1*math.Sin(float64(step)/5)
 		hi := 0.8 + 0.1*math.Cos(float64(step)/5)
-		s, err := tr.Update(twoGroupPoints(16, lo, hi, false))
+		s, err := tr.UpdateMasked(twoGroupPoints(16, lo, hi, false), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +172,13 @@ func TestTrackerMembershipChurn(t *testing.T) {
 		}
 		return pts
 	}
-	s0, err := tr.Update(mk(0))
+	s0, err := tr.UpdateMasked(mk(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lowJ := s0.Assignments[n/2-1]
 	highJ := s0.Assignments[n-1]
-	s1, err := tr.Update(mk(3))
+	s1, err := tr.UpdateMasked(mk(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,21 +197,21 @@ func TestTrackerInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Update(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := tr.UpdateMasked(nil, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("empty: want ErrBadInput, got %v", err)
 	}
-	if _, err := tr.Update([][]float64{{1}, {2}}); !errors.Is(err, ErrBadInput) {
+	if _, err := tr.UpdateMasked([][]float64{{1}, {2}}, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("n<K: want ErrBadInput, got %v", err)
 	}
-	if _, err := tr.Update([][]float64{{1}, {2}, {3}, {4}}); err != nil {
+	if _, err := tr.UpdateMasked([][]float64{{1}, {2}, {3}, {4}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Node count change rejected.
-	if _, err := tr.Update([][]float64{{1}, {2}, {3}}); !errors.Is(err, ErrBadInput) {
+	if _, err := tr.UpdateMasked([][]float64{{1}, {2}, {3}}, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("node count change: want ErrBadInput, got %v", err)
 	}
 	// Dimension change rejected.
-	if _, err := tr.Update([][]float64{{1, 2}, {2, 3}, {3, 4}, {4, 5}}); !errors.Is(err, ErrBadInput) {
+	if _, err := tr.UpdateMasked([][]float64{{1, 2}, {2, 3}, {3, 4}, {4, 5}}, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("dim change: want ErrBadInput, got %v", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestTrackerHistoryDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := tr.Update(twoGroupPoints(10, 0.1, 0.9, false)); err != nil {
+		if _, err := tr.UpdateMasked(twoGroupPoints(10, 0.1, 0.9, false), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestTrackerHistoryDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 		for step := 1; step <= 6; step++ {
-			if _, err := tr.Update(twoGroupPoints(10, 0.1, 0.9, false)); err != nil {
+			if _, err := tr.UpdateMasked(twoGroupPoints(10, 0.1, 0.9, false), nil); err != nil {
 				t.Fatal(err)
 			}
 			if got := len(tr.ExportState().Hist); got != min(m, step) {
@@ -260,12 +260,12 @@ func TestJaccardSimilarityTracksToo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, err := tr.Update(twoGroupPoints(20, 0.1, 0.9, false))
+	s0, err := tr.UpdateMasked(twoGroupPoints(20, 0.1, 0.9, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		s, err := tr.Update(twoGroupPoints(20, 0.15, 0.85, false))
+		s, err := tr.UpdateMasked(twoGroupPoints(20, 0.15, 0.85, false), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,12 +584,12 @@ func TestProposedLookbackM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, err := tr.Update(twoGroupPoints(12, 0.1, 0.9, false))
+	s0, err := tr.UpdateMasked(twoGroupPoints(12, 0.1, 0.9, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		s, err := tr.Update(twoGroupPoints(12, 0.1, 0.9, false))
+		s, err := tr.UpdateMasked(twoGroupPoints(12, 0.1, 0.9, false), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

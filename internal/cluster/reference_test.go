@@ -717,7 +717,7 @@ func TestRejectedUpdateLeavesTrackerUnchanged(t *testing.T) {
 	}
 	before := stateDigest(tr.ExportState())
 	// A later row of a different length.
-	if _, err := tr.Update([][]float64{{1, 2}, {3, 4}, {5}}); !errors.Is(err, ErrBadInput) {
+	if _, err := tr.UpdateMasked([][]float64{{1, 2}, {3, 4}, {5}}, nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("ragged rows: want ErrBadInput, got %v", err)
 	}
 	// Fewer than K present points, over more slots than the next update has.
@@ -727,7 +727,7 @@ func TestRejectedUpdateLeavesTrackerUnchanged(t *testing.T) {
 	if after := stateDigest(tr.ExportState()); after != before {
 		t.Fatalf("rejected first updates changed the exported state: %016x → %016x", before, after)
 	}
-	step, err := tr.Update([][]float64{{1, 1, 1}, {9, 9, 9}, {1, 1, 2}})
+	step, err := tr.UpdateMasked([][]float64{{1, 1, 1}, {9, 9, 9}, {1, 1, 2}}, nil)
 	if err != nil {
 		t.Fatalf("valid update of another dimension after rejected ones: %v", err)
 	}
@@ -743,7 +743,7 @@ func TestRejectedUpdateLeavesTrackerUnchanged(t *testing.T) {
 		"shrunk":          {{1, 1, 1}, {9, 9, 9}},
 		"ragged":          {{1, 1, 1}, {9, 9, 9}, {1, 1}},
 	} {
-		if _, err := tr.Update(bad); !errors.Is(err, ErrBadInput) {
+		if _, err := tr.UpdateMasked(bad, nil); !errors.Is(err, ErrBadInput) {
 			t.Fatalf("%s: want ErrBadInput, got %v", name, err)
 		}
 	}
@@ -753,7 +753,7 @@ func TestRejectedUpdateLeavesTrackerUnchanged(t *testing.T) {
 	if after := stateDigest(tr.ExportState()); after != before {
 		t.Fatalf("rejected updates changed the exported state: %016x → %016x", before, after)
 	}
-	if _, err := tr.Update([][]float64{{1, 1, 1}, {9, 9, 9}, {1, 1, 2}, {9, 9, 8}}); err != nil {
+	if _, err := tr.UpdateMasked([][]float64{{1, 1, 1}, {9, 9, 9}, {1, 1, 2}, {9, 9, 8}}, nil); err != nil {
 		t.Fatalf("valid grown update after rejected ones: %v", err)
 	}
 }

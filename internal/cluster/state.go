@@ -3,7 +3,7 @@ package cluster
 import "fmt"
 
 // State is the serializable state of a Tracker (everything that evolves
-// across Update calls) but two things the caller keeps anyway: the K-means
+// across updates) but two things the caller keeps anyway: the K-means
 // RNG, which the Tracker borrows from the caller, and the last returned
 // centroids, the warm start of the next update, which the caller stores as
 // that step's result. A caller that wants deterministic resumption captures

@@ -105,7 +105,9 @@ func checkRoster(t *testing.T, sys *System) {
 
 // checkStepResult requires a step's assignments to equal the snapshot it
 // published and, once the models are trained, the snapshot's forecasts to
-// equal System.Forecast bit for bit.
+// equal System.Forecast and the pre-plan reconstruction (the oracle
+// referenceReconstruct over the published centroid table) bit for bit, NaN
+// rows included.
 func checkStepResult(t *testing.T, sys *System, res *StepResult, gen uint64) {
 	t.Helper()
 	snap := sys.Snapshot()
@@ -136,6 +138,13 @@ func checkStepResult(t *testing.T, sys *System, res *StepResult, gen uint64) {
 	}
 	if !sameTensor(got, want) {
 		t.Fatalf("step %d: snapshot forecast %v, System.Forecast %v", sys.Steps(), got, want)
+	}
+	ref, err := referenceReconstruct(sys.reconEnv(), snap.plan.cent, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTensor(got, ref) {
+		t.Fatalf("step %d: snapshot forecast %v, reference reconstruction %v", sys.Steps(), got, ref)
 	}
 }
 
@@ -222,7 +231,7 @@ func (in *opsInput) intn(n int) int { return int(in.next()) % n }
 // succeeded; a rejected call has left Steps, the state digest, the roster
 // and the published generation as they were; a step's assignments equal
 // its snapshot's, and once the models are trained the snapshot forecasts
-// equal System.Forecast bit for bit; an accepted ReconcileRoster has laid
+// equal System.Forecast and referenceReconstruct bit for bit; an accepted ReconcileRoster has laid
 // the roster out as the record; the restored twin answers every call as
 // the original does, with the same result and the same state digest; the
 // NewCentral twin does too, its state equal but for the policies'; the

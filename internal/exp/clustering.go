@@ -11,73 +11,39 @@ import (
 	"orcf/internal/kmeans"
 	"orcf/internal/metrics"
 	"orcf/internal/parallel"
+	"orcf/internal/sim"
 	"orcf/internal/trace"
-	"orcf/internal/transmit"
 )
 
-// collectZ runs the adaptive policy at budget b over the dataset and returns
-// the per-step central-store contents zs[t][node][resource].
-func collectZ(ds *trace.Dataset, b float64) ([][][]float64, error) {
-	n, d := ds.Nodes(), ds.NumResources()
-	policies := make([]transmit.Policy, n)
-	for i := range policies {
-		p, err := transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: b})
-		if err != nil {
-			return nil, fmt.Errorf("exp: collectZ: %w", err)
-		}
-		policies[i] = p
+// edge builds the pipeline the collection and clustering experiments step:
+// a core.System over ds's fleet and resources with cfg's K, policy and
+// clusterers (nil: the adaptive policy at B = 0.3 and core's tracker).
+func edge(ds *trace.Dataset, cfg core.Config) (*core.System, error) {
+	cfg.Nodes, cfg.Resources = ds.Nodes(), ds.NumResources()
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
 	}
-	z := make([][]float64, n)
-	zs := make([][][]float64, ds.Steps())
-	for t := 1; t <= ds.Steps(); t++ {
-		row := make([][]float64, n)
-		for i := 0; i < n; i++ {
-			x := ds.At(t-1, i)
-			if policies[i].Decide(t, x, z[i]) {
-				z[i] = append([]float64(nil), x...)
-			}
-			cp := make([]float64, d)
-			copy(cp, z[i])
-			row[i] = cp
-		}
-		zs[t-1] = row
-	}
-	return zs, nil
+	return sys, nil
 }
 
-// scalarPoints projects zs[t] to 1-dim points of resource r.
-func scalarPoints(row [][]float64, r int) [][]float64 {
-	out := make([][]float64, len(row))
-	for i, zi := range row {
-		out[i] = []float64{zi[r]}
+// scoreEdge runs edge(ds, cfg) over the whole dataset under sim.Run, which
+// scores every step: the realized frequency, the h = 0 error and the
+// intermediate RMSE per resource.
+func scoreEdge(ds *trace.Dataset, cfg core.Config) (*sim.Result, error) {
+	sys, err := edge(ds, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return sim.Run(sys, ds, sim.Config{ScoreIntermediate: true})
 }
 
-// intermediateRMSE drives one clusterer over resource r of zs — a flat
-// column of the stored values per step, every node present — and returns
-// the time-averaged intermediate RMSE against the true values.
-func intermediateRMSE(c core.Clusterer, zs [][][]float64, ds *trace.Dataset, r int) (float64, error) {
-	n := ds.Nodes()
-	col := make([]float64, n)
-	var acc metrics.Accumulator
-	for t := range zs {
-		for i, zi := range zs[t] {
-			col[i] = zi[r]
-		}
-		assign, cents, err := c.UpdateFlat(col, n, 1, nil)
-		if err != nil {
-			return 0, fmt.Errorf("exp: clustering step %d: %w", t, err)
-		}
-		addIntermediate(&acc, assign, cents, ds, t, r)
+// tracker builds the dynamic §V-B tracker of the clustering experiments,
+// K = k and M = 1, for every tracker of a System, each seeded PCG(seed, stream).
+func tracker(k int, seed, stream uint64) core.ClustererFactory {
+	return func(int) (core.Clusterer, error) {
+		return cluster.NewTracker(cluster.Config{K: k, M: 1}, rand.New(rand.NewPCG(seed, stream)))
 	}
-	return acc.Value(), nil
-}
-
-// proposedTracker is the dynamic §V-B tracker of the intermediate-RMSE
-// experiments: K = k, M = 1.
-func proposedTracker(k int, seed uint64) (*cluster.Tracker, error) {
-	return cluster.NewTracker(cluster.Config{K: k, M: 1}, rand.New(rand.NewPCG(seed, 17)))
 }
 
 // nodeSeries returns every node's whole true series of resource r, the
@@ -90,49 +56,79 @@ func nodeSeries(ds *trace.Dataset, r int) [][]float64 {
 	return series
 }
 
-// threeMethods scores the proposed tracker, the minimum-distance baseline
-// and the offline static baseline at K = k on every resource of zs, each
-// method with its own seeded RNG: perRes[r] = {proposed, min-distance,
-// static}. It is the per-cell body of Figs. 6 and 7.
-func threeMethods(zs [][][]float64, ds *trace.Dataset, k int, seed uint64) ([][3]float64, error) {
-	perRes := make([][3]float64, ds.NumResources())
-	for r := range perRes {
-		prop, err := proposedTracker(k, seed)
-		if err != nil {
-			return nil, fmt.Errorf("exp: tracker: %w", err)
-		}
-		md, err := cluster.NewMinimumDistance(k, rand.New(rand.NewPCG(seed, 29)))
-		if err != nil {
-			return nil, fmt.Errorf("exp: min-distance: %w", err)
-		}
-		st, err := cluster.NewStatic(nodeSeries(ds, r), k, rand.New(rand.NewPCG(seed, 31)))
-		if err != nil {
-			return nil, fmt.Errorf("exp: static: %w", err)
-		}
-		for mi, c := range []core.Clusterer{prop, md, st} {
-			if perRes[r][mi], err = intermediateRMSE(c, zs, ds, r); err != nil {
-				return nil, err
-			}
-		}
+// threeMethods are the clusterings Figs. 6 and 7 compare at K = k, in column
+// order: the proposed tracker, the minimum-distance baseline and the offline
+// static baseline, each with its own seeded RNG, tracker index = resource.
+func threeMethods(ds *trace.Dataset, k int, seed uint64) [3]core.ClustererFactory {
+	return [3]core.ClustererFactory{
+		tracker(k, seed, 17),
+		func(int) (core.Clusterer, error) {
+			return cluster.NewMinimumDistance(k, rand.New(rand.NewPCG(seed, 29)))
+		},
+		func(r int) (core.Clusterer, error) {
+			return cluster.NewStatic(nodeSeries(ds, r), k, rand.New(rand.NewPCG(seed, 31)))
+		},
 	}
-	return perRes, nil
 }
 
-// addIntermediate accumulates one step of intermediate squared error
-// (centroid of assigned cluster vs TRUE value), over scalar centroids.
-func addIntermediate(acc *metrics.Accumulator, assign []int, cents []float64, ds *trace.Dataset, t, r int) {
-	var sq float64
-	n := ds.Nodes()
-	for i := 0; i < n; i++ {
-		diff := cents[assign[i]] - ds.At(t, i)[r]
-		sq += diff * diff
+// intermediate returns every resource's intermediate RMSE of one run.
+func intermediate(res *sim.Result) []float64 {
+	out := make([]float64, len(res.PerResource))
+	for r := range out {
+		out[r] = res.PerResource[r].Intermediate.Value()
 	}
-	acc.AddSquared(sq / float64(n))
+	return out
 }
+
+// windowed is Fig. 5's clustering: K-means over each slot's last w points
+// concatenated (cluster.WindowBuffer), with centroids the members' means of
+// their current points (eq. 1; the window only drives the grouping). Until
+// the window fills it draws nothing from its RNG and puts every slot in
+// cluster 0. Like the baselines it clusters every slot, so a mask with an
+// absent slot is an error.
+type windowed struct {
+	k   int
+	buf *cluster.WindowBuffer
+	rng *rand.Rand
+}
+
+func newWindowed(w, k int, rng *rand.Rand) (*windowed, error) {
+	buf, err := cluster.NewWindowBuffer(w)
+	if err != nil {
+		return nil, fmt.Errorf("exp: window buffer: %w", err)
+	}
+	return &windowed{k: k, buf: buf, rng: rng}, nil
+}
+
+func (c *windowed) UpdateFlat(data []float64, n, dim int, present []bool) (assign []int, cents []float64, err error) {
+	if n < c.k || dim < 1 || len(data) < n*dim {
+		return nil, nil, fmt.Errorf("exp: %d points of dim %d in %d values for K=%d: %w", n, dim, len(data), c.k, cluster.ErrBadInput)
+	}
+	if present != nil && (len(present) != n || slices.Contains(present, false)) {
+		return nil, nil, fmt.Errorf("exp: windowed clustering needs all %d slots present: %w", n, cluster.ErrBadInput)
+	}
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = data[i*dim : (i+1)*dim]
+	}
+	c.buf.Push(pts)
+	assign = make([]int, n)
+	if c.buf.Ready() {
+		res, err := kmeans.Run(c.buf.Features(), kmeans.Config{K: c.k}, c.rng)
+		if err != nil {
+			return nil, nil, fmt.Errorf("exp: windowed kmeans: %w", err)
+		}
+		assign = res.Assignments
+	}
+	return assign, slices.Concat(cluster.CentroidsFor(assign, c.k, pts)...), nil
+}
+
+// ForgetSlot is a no-op: the experiments' fleets do not churn.
+func (c *windowed) ForgetSlot(int) {}
 
 // Fig5 varies the temporal clustering dimension (window length): clustering
-// on concatenated windows of w measurements, intermediate RMSE vs the truth.
-// The paper finds w=1 optimal.
+// on concatenated windows of w measurements, intermediate RMSE vs the truth
+// from step w on. The paper finds w=1 optimal.
 func Fig5(o Options) (*Table, error) {
 	o = o.withDefaults()
 	windows := []int{1, 5, 10, 20, 30}
@@ -140,72 +136,57 @@ func Fig5(o Options) (*Table, error) {
 		Title:  "Fig. 5 — Intermediate RMSE vs temporal clustering dimension (B=0.3, K=3)",
 		Header: []string{"dataset", "resource", "window", "intermediate RMSE"},
 	}
-	presets := clusterPresets()
-	type fig5Dataset struct {
-		ds *trace.Dataset
-		zs [][][]float64
+	presets, datasets, err := o.clusterDatasets("fig5")
+	if err != nil {
+		return nil, err
 	}
-	data := make([]fig5Dataset, len(presets))
-	for pi, p := range presets {
-		ds, err := o.dataset(p)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig5 %s: %w", p.Name, err)
-		}
-		zs, err := collectZ(ds, 0.3)
+	// One run per (preset, window); each resource's tracker is a windowed
+	// clustering with its own seeded RNG. vals[pi*len(windows)+wi][r].
+	vals, err := parallel.Map(len(presets)*len(windows), func(idx int) ([]float64, error) {
+		ds, w := datasets[idx/len(windows)], windows[idx%len(windows)]
+		sys, err := edge(ds, core.Config{K: 3, Clusterer: func(r int) (core.Clusterer, error) {
+			return newWindowed(w, 3, rand.New(rand.NewPCG(o.Seed, uint64(w)*97+uint64(r))))
+		}})
 		if err != nil {
 			return nil, err
 		}
-		data[pi] = fig5Dataset{ds: ds, zs: zs}
-	}
-	// Every (preset, resource, window) sweep cell is an independent
-	// clustering run over the shared read-only zs with its own seeded RNG.
-	type fig5Spec struct{ pi, r, w int }
-	var specs []fig5Spec
-	for pi := range data {
-		for r := 0; r < data[pi].ds.NumResources(); r++ {
-			for _, w := range windows {
-				specs = append(specs, fig5Spec{pi, r, w})
+		accs := make([]metrics.Accumulator, ds.NumResources())
+		for t := 1; t <= ds.Steps(); t++ {
+			x := ds.Data[t-1]
+			step, err := sys.Step(x)
+			if err != nil {
+				return nil, fmt.Errorf("exp: fig5 step %d: %w", t, err)
+			}
+			if t < w {
+				continue
+			}
+			for r, ps := range step.PerResource {
+				var sq float64
+				for i := range x {
+					diff := ps.Centroids[ps.Assignments[i]][0] - x[i][r]
+					sq += diff * diff
+				}
+				accs[r].AddSquared(sq / float64(len(x)))
 			}
 		}
-	}
-	vals, err := parallel.Map(len(specs), func(i int) (float64, error) {
-		sp := specs[i]
-		d := &data[sp.pi]
-		return windowedIntermediate(d.zs, d.ds, sp.r, sp.w, 3, o.Seed)
+		out := make([]float64, len(accs))
+		for r := range accs {
+			out[r] = accs[r].Value()
+		}
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, sp := range specs {
-		tab.AddRow(presets[sp.pi].Name, resourceLabel(data[sp.pi].ds, sp.r), itoa(sp.w), f4(vals[i]))
+	for pi, p := range presets {
+		ds := datasets[pi]
+		for r := 0; r < ds.NumResources(); r++ {
+			for wi, w := range windows {
+				tab.AddRow(p.Name, resourceLabel(ds, r), itoa(w), f4(vals[pi*len(windows)+wi][r]))
+			}
+		}
 	}
 	return tab, nil
-}
-
-// windowedIntermediate clusters on w-step window features each step.
-func windowedIntermediate(zs [][][]float64, ds *trace.Dataset, r, w, k int, seed uint64) (float64, error) {
-	buf, err := cluster.NewWindowBuffer(w)
-	if err != nil {
-		return 0, fmt.Errorf("exp: window buffer: %w", err)
-	}
-	rng := rand.New(rand.NewPCG(seed, uint64(w)*97+uint64(r)))
-	var acc metrics.Accumulator
-	for t := range zs {
-		pts := scalarPoints(zs[t], r)
-		buf.Push(pts)
-		if !buf.Ready() {
-			continue
-		}
-		res, err := kmeans.Run(buf.Features(), kmeans.Config{K: k}, rng)
-		if err != nil {
-			return 0, fmt.Errorf("exp: windowed kmeans: %w", err)
-		}
-		// Centroid for the error metric is the mean of *current* values of
-		// the cluster members (the window features only drive grouping).
-		cents := cluster.CentroidsFor(res.Assignments, len(res.Centroids), pts)
-		addIntermediate(&acc, res.Assignments, slices.Concat(cents...), ds, t, r)
-	}
-	return acc.Value(), nil
 }
 
 // Table1 compares independent scalar clustering against joint full-vector
@@ -216,79 +197,32 @@ func Table1(o Options) (*Table, error) {
 		Title:  "Table I — Intermediate RMSE: independent scalars vs full vectors (B=0.3, K=3)",
 		Header: []string{"resource & dataset", "Scalar", "Full"},
 	}
-	presets := clusterPresets()
-	type tab1Preset struct {
-		ds      *trace.Dataset
-		scalarR []float64
-		fullR   []float64
+	presets, datasets, err := o.clusterDatasets("tab1")
+	if err != nil {
+		return nil, err
 	}
-	// The three presets are independent (collection + scalar trackers +
-	// joint tracker each); run them concurrently, emit rows in order after.
-	results, err := parallel.Map(len(presets), func(pi int) (tab1Preset, error) {
-		ds, err := o.dataset(presets[pi])
+	// One run per (preset, mode): scalar trackers, then one joint tracker.
+	results, err := parallel.Map(len(presets)*2, func(idx int) ([]float64, error) {
+		cfg := core.Config{K: 3, Clusterer: tracker(3, o.Seed, 17)}
+		if idx%2 == 1 {
+			cfg = core.Config{K: 3, Clusterer: tracker(3, o.Seed, 41), JointClustering: true}
+		}
+		res, err := scoreEdge(datasets[idx/2], cfg)
 		if err != nil {
-			return tab1Preset{}, fmt.Errorf("exp: tab1 %s: %w", presets[pi].Name, err)
+			return nil, fmt.Errorf("exp: tab1 %s: %w", presets[idx/2].Name, err)
 		}
-		zs, err := collectZ(ds, 0.3)
-		if err != nil {
-			return tab1Preset{}, err
-		}
-		scalarR := make([]float64, ds.NumResources())
-		for r := range scalarR {
-			tr, err := proposedTracker(3, o.Seed)
-			if err != nil {
-				return tab1Preset{}, fmt.Errorf("exp: tracker: %w", err)
-			}
-			if scalarR[r], err = intermediateRMSE(tr, zs, ds, r); err != nil {
-				return tab1Preset{}, err
-			}
-		}
-		fullR, err := jointIntermediate(zs, ds, 3, 1, o.Seed)
-		if err != nil {
-			return tab1Preset{}, err
-		}
-		return tab1Preset{ds: ds, scalarR: scalarR, fullR: fullR}, nil
+		return intermediate(res), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for pi, p := range presets {
-		res := &results[pi]
-		for r := 0; r < res.ds.NumResources(); r++ {
-			tab.AddRow(fmt.Sprintf("%s %s", resourceLabel(res.ds, r), p.Name), f4(res.scalarR[r]), f4(res.fullR[r]))
+		ds := datasets[pi]
+		for r := 0; r < ds.NumResources(); r++ {
+			tab.AddRow(fmt.Sprintf("%s %s", resourceLabel(ds, r), p.Name), f4(results[2*pi][r]), f4(results[2*pi+1][r]))
 		}
 	}
 	return tab, nil
-}
-
-// jointIntermediate clusters full vectors and reports per-resource error.
-func jointIntermediate(zs [][][]float64, ds *trace.Dataset, k, m int, seed uint64) ([]float64, error) {
-	tr, err := cluster.NewTracker(cluster.Config{K: k, M: m}, rand.New(rand.NewPCG(seed, 41)))
-	if err != nil {
-		return nil, fmt.Errorf("exp: joint tracker: %w", err)
-	}
-	d := ds.NumResources()
-	accs := make([]metrics.Accumulator, d)
-	n := ds.Nodes()
-	for t := range zs {
-		step, err := tr.Update(zs[t])
-		if err != nil {
-			return nil, fmt.Errorf("exp: joint step %d: %w", t, err)
-		}
-		for r := 0; r < d; r++ {
-			var sq float64
-			for i := 0; i < n; i++ {
-				diff := step.Centroids[step.Assignments[i]][r] - ds.At(t, i)[r]
-				sq += diff * diff
-			}
-			accs[r].AddSquared(sq / float64(n))
-		}
-	}
-	out := make([]float64, d)
-	for r := range accs {
-		out[r] = accs[r].Value()
-	}
-	return out, nil
 }
 
 // Fig6 sweeps the transmission budget B at fixed K=3 and compares the
@@ -301,27 +235,21 @@ func Fig6(o Options) (*Table, error) {
 		Title:  "Fig. 6 — Intermediate RMSE vs transmission frequency B (K=3)",
 		Header: []string{"dataset", "resource", "B", "proposed", "min-distance", "static (offline)"},
 	}
-	presets := clusterPresets()
-	datasets := make([]*trace.Dataset, len(presets))
-	for pi, p := range presets {
-		ds, err := o.dataset(p)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig6 %s: %w", p.Name, err)
-		}
-		datasets[pi] = ds
+	presets, datasets, err := o.clusterDatasets("fig6")
+	if err != nil {
+		return nil, err
 	}
-	// Each (preset, budget) cell re-collects under its own budget and runs
-	// the three clustering methods with their own seeded RNGs — fully
-	// independent, so the whole sweep fans out on the worker pool.
-	// cells[pi*len(budgets)+bi][resource] = {prop, md, st}.
-	cells, err := parallel.Map(len(presets)*len(budgets), func(idx int) ([][3]float64, error) {
-		pi, bi := idx/len(budgets), idx%len(budgets)
-		ds := datasets[pi]
-		zs, err := collectZ(ds, budgets[bi])
+	// One run per (preset, budget, method): each collects under its own
+	// budget and clusters with its own seeded RNGs, so the whole sweep fans
+	// out. vals[(pi*len(budgets)+bi)*3+method][resource].
+	vals, err := parallel.Map(len(presets)*len(budgets)*3, func(idx int) ([]float64, error) {
+		cell, mi := idx/3, idx%3
+		ds, b := datasets[cell/len(budgets)], budgets[cell%len(budgets)]
+		res, err := scoreEdge(ds, core.Config{K: 3, Policy: adaptive(b), Clusterer: threeMethods(ds, 3, o.Seed)[mi]})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: fig6 %s B=%v %s: %w", presets[cell/len(budgets)].Name, b, tab.Header[3+mi], err)
 		}
-		return threeMethods(zs, ds, 3, o.Seed)
+		return intermediate(res), nil
 	})
 	if err != nil {
 		return nil, err
@@ -329,9 +257,9 @@ func Fig6(o Options) (*Table, error) {
 	for pi, p := range presets {
 		ds := datasets[pi]
 		for bi, b := range budgets {
+			v := vals[(pi*len(budgets)+bi)*3:]
 			for r := 0; r < ds.NumResources(); r++ {
-				v := cells[pi*len(budgets)+bi][r]
-				tab.AddRow(p.Name, resourceLabel(ds, r), f2(b), f4(v[0]), f4(v[1]), f4(v[2]))
+				tab.AddRow(p.Name, resourceLabel(ds, r), f2(b), f4(v[0][r]), f4(v[1][r]), f4(v[2][r]))
 			}
 		}
 	}
@@ -349,7 +277,6 @@ func Fig7(o Options) (*Table, error) {
 	type fig7Spec struct {
 		pi, k int
 		ds    *trace.Dataset
-		zs    [][][]float64
 	}
 	var specs []fig7Spec
 	for pi, p := range presets {
@@ -361,30 +288,30 @@ func Fig7(o Options) (*Table, error) {
 		if ds.Nodes() > 40 {
 			ks = append(ks, ds.Nodes())
 		}
-		zs, err := collectZ(ds, 0.3)
-		if err != nil {
-			return nil, err
-		}
 		for _, k := range ks {
 			if k > ds.Nodes() {
 				continue
 			}
-			specs = append(specs, fig7Spec{pi: pi, k: k, ds: ds, zs: zs})
+			specs = append(specs, fig7Spec{pi: pi, k: k, ds: ds})
 		}
 	}
-	// The K sweep cells share only read-only collected data; each runs the
-	// three clustering methods with its own seeded RNGs.
-	vals, err := parallel.Map(len(specs), func(i int) ([][3]float64, error) {
-		sp := specs[i]
-		return threeMethods(sp.zs, sp.ds, sp.k, o.Seed)
+	// One run per (K cell, method), each with its own seeded RNGs.
+	// vals[spec*3+method][resource].
+	vals, err := parallel.Map(len(specs)*3, func(idx int) ([]float64, error) {
+		sp, mi := specs[idx/3], idx%3
+		res, err := scoreEdge(sp.ds, core.Config{K: sp.k, Clusterer: threeMethods(sp.ds, sp.k, o.Seed)[mi]})
+		if err != nil {
+			return nil, fmt.Errorf("exp: fig7 %s K=%d %s: %w", presets[sp.pi].Name, sp.k, tab.Header[3+mi], err)
+		}
+		return intermediate(res), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, sp := range specs {
+		v := vals[i*3:]
 		for r := 0; r < sp.ds.NumResources(); r++ {
-			tab.AddRow(presets[sp.pi].Name, resourceLabel(sp.ds, r), itoa(sp.k),
-				f4(vals[i][r][0]), f4(vals[i][r][1]), f4(vals[i][r][2]))
+			tab.AddRow(presets[sp.pi].Name, resourceLabel(sp.ds, r), itoa(sp.k), f4(v[0][r]), f4(v[1][r]), f4(v[2][r]))
 		}
 	}
 	return tab, nil

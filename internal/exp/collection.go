@@ -2,8 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
+	"orcf/internal/core"
 	"orcf/internal/parallel"
 	"orcf/internal/stat"
 	"orcf/internal/trace"
@@ -60,42 +60,15 @@ func pairwiseCorrs(d *trace.Dataset, resource int) []float64 {
 	return stat.PairwiseCorrelations(series)
 }
 
-// collectRun drives one transmission policy over a dataset without any
-// clustering, returning the realized frequency and the h=0 time-averaged
-// RMSE (eq. 4 with the stored-measurement estimate).
-func collectRun(ds *trace.Dataset, mkPolicy func() (transmit.Policy, error)) (freq, rmse float64, err error) {
-	n := ds.Nodes()
-	d := ds.NumResources()
-	policies := make([]transmit.Policy, n)
-	for i := range policies {
-		p, err := mkPolicy()
-		if err != nil {
-			return 0, 0, fmt.Errorf("exp: policy: %w", err)
-		}
-		policies[i] = p
+// adaptive and uniform build every node's policy at budget b.
+func adaptive(b float64) core.PolicyFactory {
+	return func(int) (transmit.Policy, error) {
+		return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: b})
 	}
-	z := make([][]float64, n)
-	var meter transmit.Meter
-	var sumSq float64
-	steps := ds.Steps()
-	for t := 1; t <= steps; t++ {
-		var stepSq float64
-		for i := 0; i < n; i++ {
-			x := ds.At(t-1, i)
-			if policies[i].Decide(t, x, z[i]) {
-				z[i] = append(z[i][:0], x...)
-				meter.Observe(true)
-			} else {
-				meter.Observe(false)
-			}
-			for r := 0; r < d; r++ {
-				diff := z[i][r] - x[r]
-				stepSq += diff * diff
-			}
-		}
-		sumSq += stepSq / float64(n*d)
-	}
-	return meter.Frequency(), math.Sqrt(sumSq / float64(steps)), nil
+}
+
+func uniform(b float64) core.PolicyFactory {
+	return func(int) (transmit.Policy, error) { return transmit.NewUniform(b) }
 }
 
 // Fig3 reproduces the requested-vs-actual transmission frequency behaviour
@@ -107,20 +80,24 @@ func Fig3(o Options) (*Table, error) {
 		Title:  "Fig. 3 — Requested vs actual transmission frequency (adaptive algorithm)",
 		Header: []string{"dataset", "requested B", "actual freq"},
 	}
-	for _, p := range clusterPresets() {
-		ds, err := o.dataset(p)
+	presets, datasets, err := o.clusterDatasets("fig3")
+	if err != nil {
+		return nil, err
+	}
+	// One K = 1 run per (preset, budget); the runs are independent.
+	freqs, err := parallel.Map(len(presets)*len(budgets), func(idx int) (float64, error) {
+		res, err := scoreEdge(datasets[idx/len(budgets)], core.Config{K: 1, Policy: adaptive(budgets[idx%len(budgets)])})
 		if err != nil {
-			return nil, fmt.Errorf("exp: fig3 %s: %w", p.Name, err)
+			return 0, fmt.Errorf("exp: fig3 %s: %w", presets[idx/len(budgets)].Name, err)
 		}
-		for _, b := range budgets {
-			b := b
-			freq, _, err := collectRun(ds, func() (transmit.Policy, error) {
-				return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: b})
-			})
-			if err != nil {
-				return nil, err
-			}
-			tab.AddRow(p.Name, f3(b), f3(freq))
+		return res.MeanFrequency, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range presets {
+		for bi, b := range budgets {
+			tab.AddRow(p.Name, f3(b), f3(freqs[pi*len(budgets)+bi]))
 		}
 	}
 	return tab, nil
@@ -136,7 +113,7 @@ func Fig4(o Options) (*Table, error) {
 		Title:  "Fig. 4 — RMSE (h=0): adaptive vs uniform sampling",
 		Header: []string{"dataset", "resource", "B", "proposed", "uniform"},
 	}
-	// One sweep cell per (preset, resource, budget): two policy runs over a
+	// One sweep cell per (preset, resource, budget): two K = 1 runs over a
 	// read-only single-resource projection — independent, so they fan out.
 	presets := clusterPresets()
 	type fig4Spec struct {
@@ -164,19 +141,15 @@ func Fig4(o Options) (*Table, error) {
 	}
 	vals, err := parallel.Map(len(specs), func(i int) ([2]float64, error) {
 		sp := specs[i]
-		_, adaptive, err := collectRun(sp.mono, func() (transmit.Policy, error) {
-			return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: sp.b})
-		})
-		if err != nil {
-			return [2]float64{}, err
+		var out [2]float64
+		for side, policy := range []core.PolicyFactory{adaptive(sp.b), uniform(sp.b)} {
+			res, err := scoreEdge(sp.mono, core.Config{K: 1, Policy: policy})
+			if err != nil {
+				return out, fmt.Errorf("exp: fig4 %s: %w", sp.mono.Name, err)
+			}
+			out[side] = res.PerResource[0].Horizon.At(0)
 		}
-		_, uniform, err := collectRun(sp.mono, func() (transmit.Policy, error) {
-			return transmit.NewUniform(sp.b)
-		})
-		if err != nil {
-			return [2]float64{}, err
-		}
-		return [2]float64{adaptive, uniform}, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err

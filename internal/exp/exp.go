@@ -113,6 +113,21 @@ func clusterPresets() []trace.Preset {
 	return []trace.Preset{trace.AlibabaLike(), trace.BitbrainsLike(), trace.GoogleLike()}
 }
 
+// clusterDatasets materializes the three computing-cluster presets at the
+// option scale, in paper order; exp names the experiment in errors.
+func (o Options) clusterDatasets(exp string) ([]trace.Preset, []*trace.Dataset, error) {
+	presets := clusterPresets()
+	datasets := make([]*trace.Dataset, len(presets))
+	for pi, p := range presets {
+		ds, err := o.dataset(p)
+		if err != nil {
+			return nil, nil, fmt.Errorf("exp: %s %s: %w", exp, p.Name, err)
+		}
+		datasets[pi] = ds
+	}
+	return presets, datasets, nil
+}
+
 // Table is a printable experiment result.
 type Table struct {
 	// Title echoes the paper's table/figure identifier.

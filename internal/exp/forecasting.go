@@ -92,24 +92,21 @@ func Fig8(o Options) (*Table, error) {
 	return tab, nil
 }
 
-// centroidSeries runs collection (B=0.3) + dynamic clustering and returns
-// the K centroid series for one resource.
+// centroidSeries steps the B = 0.3 pipeline over ds, every tracker the
+// K = k §V-B tracker seeded PCG(seed, 53), and returns tracker r's K
+// centroid series.
 func centroidSeries(ds *trace.Dataset, r, k int, seed uint64) ([][]float64, error) {
-	zs, err := collectZ(ds, 0.3)
+	sys, err := edge(ds, core.Config{K: k, Clusterer: tracker(k, seed, 53)})
 	if err != nil {
 		return nil, err
 	}
-	tr, err := cluster.NewTracker(cluster.Config{K: k, M: 1}, rand.New(rand.NewPCG(seed, 53)))
-	if err != nil {
-		return nil, fmt.Errorf("exp: centroid series: %w", err)
-	}
 	out := make([][]float64, k)
-	for t := range zs {
-		step, err := tr.Update(scalarPoints(zs[t], r))
+	for t := 1; t <= ds.Steps(); t++ {
+		step, err := sys.Step(ds.Data[t-1])
 		if err != nil {
 			return nil, fmt.Errorf("exp: centroid series step %d: %w", t, err)
 		}
-		for j, c := range step.Centroids {
+		for j, c := range step.PerResource[r].Centroids {
 			out[j] = append(out[j], c[0])
 		}
 	}
@@ -166,14 +163,9 @@ func Fig9(o Options) (*Table, error) {
 	}
 	simCfg := sim.Config{Horizons: paperHorizons, ForecastEvery: o.ForecastEvery}
 	builders := o.modelBuilders()
-	presets := clusterPresets()
-	datasets := make([]*trace.Dataset, len(presets))
-	for pi, p := range presets {
-		ds, err := o.dataset(p)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig9 %s: %w", p.Name, err)
-		}
-		datasets[pi] = ds
+	presets, datasets, err := o.clusterDatasets("fig9")
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 1: the deterministic per-preset runs fan out over the preset ×
@@ -317,14 +309,9 @@ func Fig10(o Options) (*Table, error) {
 			"static (offline)", "StdDev"},
 	}
 	simCfg := sim.Config{Horizons: paperHorizons, ForecastEvery: o.ForecastEvery}
-	presets := clusterPresets()
-	datasets := make([]*trace.Dataset, len(presets))
-	for pi, p := range presets {
-		ds, err := o.dataset(p)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig10 %s: %w", p.Name, err)
-		}
-		datasets[pi] = ds
+	presets, datasets, err := o.clusterDatasets("fig10")
+	if err != nil {
+		return nil, err
 	}
 	// One run per (preset, column); the column picks each tracker's
 	// clusterer, and a baseline seeds every resource's RNG alike.
@@ -427,14 +414,9 @@ func Fig11(o Options) (*Table, error) {
 		Header: []string{"dataset", "resource", "h", "proposed", "jaccard"},
 	}
 	simCfg := sim.Config{Horizons: paperHorizons, ForecastEvery: o.ForecastEvery}
-	presets := clusterPresets()
-	datasets := make([]*trace.Dataset, len(presets))
-	for pi, p := range presets {
-		ds, err := o.dataset(p)
-		if err != nil {
-			return nil, fmt.Errorf("exp: fig11 %s: %w", p.Name, err)
-		}
-		datasets[pi] = ds
+	presets, datasets, err := o.clusterDatasets("fig11")
+	if err != nil {
+		return nil, err
 	}
 	// One independent pipeline run per (preset, similarity measure).
 	similarities := []cluster.Similarity{cluster.SimilarityProposed, cluster.SimilarityJaccard}

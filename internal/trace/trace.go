@@ -156,6 +156,8 @@ type GeneratorConfig struct {
 
 // Probability and scale fields follow a zero-means-default convention; pass
 // a negative value to select "exactly zero" (e.g. no churn, no bursts).
+// Generate rejects a probability above 1, a scale of magnitude above 1, and
+// NaN or an infinity in any of them.
 func (c GeneratorConfig) withDefaults() GeneratorConfig {
 	if c.Resources == 0 {
 		c.Resources = 2
@@ -225,8 +227,20 @@ func (c GeneratorConfig) validate() error {
 		return fmt.Errorf("trace: %d nodes × %d steps × %d resources overflows: %w",
 			c.Nodes, c.Steps, c.Resources, ErrBadConfig)
 	}
-	if c.ChurnProb < 0 || c.ChurnProb > 1 || c.BurstProb < 0 || c.BurstProb > 1 {
-		return fmt.Errorf("trace: probabilities outside [0,1]: %w", ErrBadConfig)
+	// NaN fails every comparison, so each bound is written to reject it.
+	for _, p := range []float64{c.ChurnProb, c.BurstProb, c.NodeBurstProb, c.IdleProb, c.TwinProb} {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("trace: probability %v outside [0,1]: %w", p, ErrBadConfig)
+		}
+	}
+	// Scales are on the [0, 1] utilization axis; bounding them keeps every
+	// sum the generator forms finite (1e308 offsets and noise overflow to
+	// opposite infinities, whose sum is NaN), and a +Inf quantum would
+	// quantize every value to 0·Inf.
+	for _, v := range []float64{c.DiurnalAmp, c.NodeWanderStd, c.NoiseStd, c.OffsetStd, c.Quantum, c.ProfileSpread} {
+		if !(math.Abs(v) <= 1) {
+			return fmt.Errorf("trace: scale %v outside [-1, 1]: %w", v, ErrBadConfig)
+		}
 	}
 	if c.Profiles < 1 {
 		return fmt.Errorf("trace: %d profiles: %w", c.Profiles, ErrBadConfig)

@@ -25,6 +25,11 @@ func TestGenerateValidation(t *testing.T) {
 		{"negative node burst length", GeneratorConfig{Nodes: 2, Steps: 2, NodeBurstProb: 1, NodeBurstLen: -3}},
 		{"burst length overflows", GeneratorConfig{Nodes: 2, Steps: 2, BurstProb: 1, BurstLen: math.MaxInt/2 + 1}},
 		{"tensor overflows", GeneratorConfig{Nodes: math.MaxInt / 4, Steps: 3}},
+		// These three generated NaN values (FuzzGeneratorConfig's seeds).
+		{"infinite quantum", GeneratorConfig{Nodes: 8, Steps: 16, Quantum: math.Inf(1)}},
+		{"NaN amplitude", GeneratorConfig{Nodes: 8, Steps: 16, DiurnalAmp: math.NaN()}},
+		{"overflowing scales", GeneratorConfig{Nodes: 40, Steps: 16, NoiseStd: 1e308, OffsetStd: 1e308}},
+		{"idle probability above 1", GeneratorConfig{Nodes: 2, Steps: 2, IdleProb: 1.5}},
 	}
 	for _, tt := range tests {
 		if _, err := Generate(tt.cfg); !errors.Is(err, ErrBadConfig) {
