@@ -27,16 +27,36 @@ func benchFleet(n, dim int, masked bool) (flat []float64, rows [][]float64, pres
 	return flat, rows, present
 }
 
+// benchMovers is the other frame of the drifting case: a copy of flat in
+// which one slot in 34 (≈ 3 %, the share that changes stable cluster in a
+// step_scalar step) sits at the next group's level. Alternating the two
+// frames moves those slots across a cluster boundary every step.
+func benchMovers(flat []float64, dim int) (moved []float64, rows [][]float64) {
+	moved = append([]float64(nil), flat...)
+	rows = make([][]float64, len(flat)/dim)
+	for i := range rows {
+		rows[i] = moved[i*dim : (i+1)*dim]
+		if i%34 == 0 {
+			for d := range rows[i] {
+				rows[i][d] += float64((i+1)%3-i%3) * 0.3
+			}
+		}
+	}
+	return moved, rows
+}
+
 // benchCases are the shapes of the step workloads' trackers: the warm path
-// (Incremental) at d = 1 and 4, all present and with 1 % masked, and the full
-// K-means refit every step at d = 1 (ingest_serve's per-resource trackers)
-// and d = 4 (step_joint_d4's joint tracker).
-func benchCases(b *testing.B, run func(b *testing.B, n, dim int, masked bool, cfg Config)) {
+// (Incremental) at d = 1 and 4, all present (static, and with ≈ 3 % movers
+// a step) and with 1 % masked, and the full K-means refit every step at
+// d = 1 (ingest_serve's per-resource trackers) and d = 4 (step_joint_d4's
+// joint tracker).
+func benchCases(b *testing.B, run func(b *testing.B, n, dim int, masked, movers bool, cfg Config)) {
 	for _, dim := range []int{1, 4} {
 		warm := Config{K: 3, Incremental: true}
-		b.Run(fmt.Sprintf("n10000/d%d/all-present", dim), func(b *testing.B) { run(b, 10000, dim, false, warm) })
-		b.Run(fmt.Sprintf("n10000/d%d/masked-1pct", dim), func(b *testing.B) { run(b, 10000, dim, true, warm) })
-		b.Run(fmt.Sprintf("n10000/d%d/full-refit", dim), func(b *testing.B) { run(b, 10000, dim, false, Config{K: 3}) })
+		b.Run(fmt.Sprintf("n10000/d%d/all-present", dim), func(b *testing.B) { run(b, 10000, dim, false, false, warm) })
+		b.Run(fmt.Sprintf("n10000/d%d/all-present-movers", dim), func(b *testing.B) { run(b, 10000, dim, false, true, warm) })
+		b.Run(fmt.Sprintf("n10000/d%d/masked-1pct", dim), func(b *testing.B) { run(b, 10000, dim, true, false, warm) })
+		b.Run(fmt.Sprintf("n10000/d%d/full-refit", dim), func(b *testing.B) { run(b, 10000, dim, false, false, Config{K: 3}) })
 	}
 }
 
@@ -44,8 +64,13 @@ func benchCases(b *testing.B, run func(b *testing.B, n, dim int, masked bool, cf
 // makes per tracker — warm-started or, in the full-refit cases, with a
 // K-means refit and the eq. (1) means of its clusters.
 func BenchmarkTrackerUpdate(b *testing.B) {
-	benchCases(b, func(b *testing.B, n, dim int, masked bool, cfg Config) {
+	benchCases(b, func(b *testing.B, n, dim int, masked, movers bool, cfg Config) {
 		flat, _, present := benchFleet(n, dim, masked)
+		frames := [][]float64{flat}
+		if movers {
+			moved, _ := benchMovers(flat, dim)
+			frames = append(frames, moved)
+		}
 		tr, err := NewTracker(cfg, testRNG(1))
 		if err != nil {
 			b.Fatal(err)
@@ -55,7 +80,7 @@ func BenchmarkTrackerUpdate(b *testing.B) {
 			if i == 0 {
 				b.ResetTimer()
 			}
-			if _, _, err := tr.UpdateFlat(flat, n, dim, present); err != nil {
+			if _, _, err := tr.UpdateFlat(frames[(i+3)%len(frames)], n, dim, present); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,8 +93,13 @@ func BenchmarkTrackerUpdate(b *testing.B) {
 // BenchmarkReferenceTrackerUpdate is the same step through the preserved
 // pre-change tracker, so one command prints before and after.
 func BenchmarkReferenceTrackerUpdate(b *testing.B) {
-	benchCases(b, func(b *testing.B, n, dim int, masked bool, cfg Config) {
-		_, rows, present := benchFleet(n, dim, masked)
+	benchCases(b, func(b *testing.B, n, dim int, masked, movers bool, cfg Config) {
+		flat, rows, present := benchFleet(n, dim, masked)
+		frames := [][][]float64{rows}
+		if movers {
+			_, moved := benchMovers(flat, dim)
+			frames = append(frames, moved)
+		}
 		tr, err := newReferenceTracker(cfg, testRNG(1))
 		if err != nil {
 			b.Fatal(err)
@@ -79,7 +109,7 @@ func BenchmarkReferenceTrackerUpdate(b *testing.B) {
 			if i == 0 {
 				b.ResetTimer()
 			}
-			if _, err := tr.UpdateMasked(rows, present); err != nil {
+			if _, err := tr.UpdateMasked(frames[(i+3)%len(frames)], present); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -109,6 +109,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// churn is the warm-step churn threshold, IncrementalChurn or its default.
+func (c Config) churn() float64 {
+	if c.IncrementalChurn == 0 {
+		return DefaultIncrementalChurn
+	}
+	return c.IncrementalChurn
+}
+
 func (c Config) validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("cluster: K = %d: %w", c.K, ErrBadConfig)
@@ -157,6 +165,15 @@ type Step struct {
 // ascending slot order and advances the run-length counters. Nothing the
 // tracker keeps is written before pass B, so an update that fails leaves it
 // as it was.
+//
+// A warm scalar update of the configuration core.System runs (M = 1,
+// HistoryDepth = 1), with every slot present now and at the last commit,
+// walks the slots twice: the assignment, then one pass (tallyMovers) that
+// sums eq. (1) per fresh cluster and lists the movers, the slots whose fresh
+// cluster differs from their stable one. The K×K tables follow from the
+// movers and the last commit's cluster sizes, and a step accepted with the
+// identity mapping writes only the movers' history entries and run counters
+// (commitMovers); another mapping takes pass B, a rejection the full refit.
 type Tracker struct {
 	cfg Config
 	rng *rand.Rand
@@ -192,7 +209,16 @@ type Tracker struct {
 	weights []float64      // K×K similarity handed to the matching
 	wRows   [][]float64    // row views of weights
 	ident   []int          // identity mapping (first step, matching disabled)
-	sizes   []int          // per-cluster member counts of pass B
+	sizes   []int          // per-cluster member counts of the last commit
+
+	// settled holds while the last commit had every one of its n slots
+	// present and no ForgetSlot or RestoreState came since: every run then
+	// carries a cluster and sizes counts each cluster's runs, which the
+	// movers pass derives its tables from.
+	settled    bool
+	sums       []float64 // the movers pass's eq. (1) sums per fresh cluster
+	movers     []int32   // the movers pass's slots that change cluster
+	moverSteps int       // updates committed by commitMovers
 }
 
 // run is one slot's run-length counter: the slot has held stable cluster val
@@ -293,7 +319,9 @@ func (tr *Tracker) UpdateFlat(data []float64, n, dim int, present []bool) (assig
 	}
 	tr.raw = growInts(tr.raw, pn)
 
-	mapping, warm := tr.warmStart(pts, n, pn, dim, present)
+	moversPass := tr.settled && present == nil && n == tr.n && dim == 1 &&
+		tr.cfg.M == 1 && tr.cfg.HistoryDepth == 1
+	mapping, warm := tr.warmStart(pts, n, pn, dim, present, moversPass)
 	if warm {
 		tr.warmSteps++
 	} else {
@@ -301,11 +329,26 @@ func (tr *Tracker) UpdateFlat(data []float64, n, dim int, present []bool) (assig
 			return nil, nil, err
 		}
 		tr.fullSteps++
+		moversPass = false
 	}
 	tr.dim, tr.n = dim, n
-	assign = tr.commit(pts, n, dim, present, mapping)
+	if moversPass && isIdentity(mapping) {
+		assign = tr.commitMovers()
+	} else {
+		assign = tr.commit(pts, n, dim, present, mapping)
+	}
 	tr.t++
 	return assign, tr.cents, nil
+}
+
+// isIdentity reports whether mapping[k] == k for every k.
+func isIdentity(mapping []int) bool {
+	for kk, j := range mapping {
+		if kk != j {
+			return false
+		}
+	}
+	return true
 }
 
 // checkUpdate validates an update's shape without touching the tracker and
@@ -371,15 +414,18 @@ func (tr *Tracker) pack(data []float64, n, dim int, present []bool, pn int) []fl
 // always forces a full refit), no cluster went empty and the fraction of
 // slots that changed stable cluster stays within the churn threshold. It
 // returns the eq. (11) mapping of the accepted step, or false to demand a
-// full refit.
-func (tr *Tracker) warmStart(pts []float64, n, pn, dim int, present []bool) (mapping []int, ok bool) {
+// full refit. With moversPass set the tables come from tallyMovers, which
+// the caller allows only where it yields tally's.
+func (tr *Tracker) warmStart(pts []float64, n, pn, dim int, present []bool, moversPass bool) (mapping []int, ok bool) {
 	k := tr.cfg.K
 	if !tr.cfg.Incremental || tr.t == 0 || tr.cfg.IncrementalChurn < 0 ||
 		pn <= k || len(tr.cents) != k*dim {
 		return nil, false
 	}
 	kmeans.AssignFlat(pts, pn, dim, tr.cents, k, tr.raw)
-	if !tr.tally(n, present) {
+	if moversPass {
+		tr.tallyMovers(pts[:n])
+	} else if !tr.tally(n, present) {
 		return nil, false
 	}
 	prev, rawSize := tr.tallies[k*k:2*k*k], tr.tallies[2*k*k:]
@@ -392,15 +438,11 @@ func (tr *Tracker) warmStart(pts []float64, n, pn, dim int, present []bool) (map
 	if err != nil {
 		return nil, false
 	}
-	thr := tr.cfg.IncrementalChurn
-	if thr == 0 {
-		thr = DefaultIncrementalChurn
-	}
 	changed := pn
 	for kk, j := range mapping {
 		changed -= prev[kk*k+j]
 	}
-	return mapping, float64(changed) <= thr*float64(pn)
+	return mapping, float64(changed) <= tr.cfg.churn()*float64(pn)
 }
 
 // fullRefit runs the K-means refit over the present points, the reference
@@ -461,6 +503,64 @@ func (tr *Tracker) tally(n int, present []bool) (sameMembers bool) {
 		}
 	}
 	return sameMembers
+}
+
+// tallyMovers is pass A's counting half for a settled all-present scalar
+// update at M = 1: one walk sums eq. (1) per fresh cluster in ascending slot
+// order, commit's adds in commit's order, counts the movers — the slots
+// whose fresh cluster differs from their stable one — into prev, and lists
+// them. It fills tr.tallies as tally would. Only movers leave the diagonal
+// of prev, so prev[j][j] is the last commit's size of j less the movers out
+// of j; every slot was present with a run of length M = 1, so inter equals
+// prev. The list holds at most the churn threshold's worth of movers: a step
+// with more is accepted only with a mapping other than the identity (its
+// churn is then its mover count), which commit writes. Nothing the tracker
+// keeps is written.
+func (tr *Tracker) tallyMovers(pts []float64) {
+	k := tr.cfg.K
+	tr.tallies = growInts(tr.tallies, 2*k*k+k)
+	clear(tr.tallies)
+	inter, prev, rawSize := tr.tallies[:k*k], tr.tallies[k*k:2*k*k], tr.tallies[2*k*k:]
+	if cap(tr.sums) < k {
+		tr.sums = make([]float64, k)
+	}
+	sums := tr.sums[:k]
+	clear(sums)
+	n := len(pts)
+	limit := n
+	if f := tr.cfg.churn() * float64(n); f < float64(n) {
+		limit = int(f)
+	}
+	if cap(tr.movers) < limit {
+		tr.movers = make([]int32, limit)
+	}
+	movers := tr.movers[:limit]
+	raw, runs := tr.raw[:n], tr.runs[:n]
+	nm := 0
+	for i, kk := range raw {
+		sums[kk] += pts[i]
+		if v := runs[i].val; int32(kk) != v {
+			prev[kk*k+int(v)]++
+			if nm < limit {
+				movers[nm] = int32(i)
+			}
+			nm++
+		}
+	}
+	tr.movers = movers[:min(nm, limit)]
+
+	for j, size := range tr.sizes[:k] {
+		for kk := 0; kk < k; kk++ {
+			size -= prev[kk*k+j]
+		}
+		prev[j*k+j] = size
+	}
+	copy(inter, prev)
+	for kk := 0; kk < k; kk++ {
+		for j := 0; j < k; j++ {
+			rawSize[kk] += prev[kk*k+j]
+		}
+	}
 }
 
 // match solves eq. (11) on the tallied similarity by maximum-weight matching
@@ -542,6 +642,7 @@ func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []i
 	sizes := growInts(tr.sizes, k)
 	tr.sizes = sizes
 	clear(sizes)
+	tr.settled = present == nil
 
 	if present == nil && dim == 1 {
 		// The warm per-resource step: every slot present, one scalar each, so
@@ -598,6 +699,26 @@ func (tr *Tracker) commit(pts []float64, n, dim int, present []bool, mapping []i
 	return row
 }
 
+// commitMovers is pass B of a step tallyMovers decided and the identity
+// mapping accepted: the stable index of a slot is its fresh cluster, so the
+// one history row and the run counters change only at the movers, the
+// sizes are the fresh-cluster sizes and the centroids the scaled sums. It
+// writes what commit would and returns the history row.
+func (tr *Tracker) commitMovers() []int {
+	k := tr.cfg.K
+	row := tr.hist[tr.histHead]
+	for _, i := range tr.movers {
+		kk := tr.raw[i]
+		row[i] = kk
+		tr.runs[i] = run{val: int32(kk), n: 1}
+	}
+	copy(tr.sizes, tr.tallies[2*k*k:])
+	copy(tr.cents, tr.sums)
+	scaleMeans(tr.cents, tr.sizes, 1)
+	tr.moverSteps++
+	return row
+}
+
 // scaleMeans turns commit's per-cluster sums into means; an empty cluster
 // keeps its zero sum.
 func scaleMeans(cents []float64, sizes []int, dim int) {
@@ -650,6 +771,7 @@ func (tr *Tracker) ForgetSlot(slot int) {
 	}
 	if slot < len(tr.runs) {
 		tr.runs[slot] = run{val: -1}
+		tr.settled = false
 	}
 }
 

@@ -19,11 +19,32 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 			steady = append(steady, byte(i%3*40+step))
 		}
 	}
-	f.Add(steady, uint64(1), uint8(0), uint8(1), uint8(4))
+	f.Add(steady, uint64(1), uint8(0), uint8(1), uint8(5))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over; and once more for luck"),
 		uint64(7), uint8(1), uint8(3), uint8(0))
 	f.Add([]byte{0, 1, 1, 9, 9, 5, 5, 1, 1, 1, 9, 9, 5, 5, 0, 2, 2, 8, 8, 4, 4, 0, 2, 2, 8, 8, 4, 4},
 		uint64(3), uint8(0), uint8(9), uint8(2))
+	// Nine scalar slots at M = 1 whose slot 0 crosses to the next group every
+	// other step, then leaves and is recycled: the movers pass and the steps
+	// that must leave it. cfgSel 5 runs it at IncrementalChurn 0.9.
+	movers := make([]byte, 0, 256)
+	for step := 0; step < 14; step++ {
+		op := byte(7)
+		switch step {
+		case 8, 10:
+			op = 0 // slot 0 leaves, then is recycled
+		}
+		movers = append(movers, op)
+		for i := 0; i < 9; i++ {
+			v := byte(i%3*40 + i)
+			if i == 0 && step%2 == 1 {
+				v += 40
+			}
+			movers = append(movers, v)
+		}
+	}
+	f.Add(movers, uint64(2), uint8(0), uint8(1), uint8(5))
+	f.Add(movers, uint64(2), uint8(0), uint8(5), uint8(5))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64, dimSel, cfgSel, nSel uint8) {
 		dim := 1 + int(dimSel%3)
 		cfg := Config{K: 3, M: 1 + int(cfgSel>>5)%3, Incremental: cfgSel&1 != 0,

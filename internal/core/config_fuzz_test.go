@@ -11,8 +11,16 @@ import (
 )
 
 // configFamilies are the registered model families FuzzConfig draws zoos
-// from: all but lstm, whose fits are too slow for a fuzz iteration.
+// from: all but lstm, whose fits at the registered budget are too slow for a
+// fuzz iteration. FuzzConfig draws lstm as tinyLSTM instead.
 var configFamilies = slices.DeleteFunc(forecast.Families(), func(name string) bool { return name == "lstm" })
+
+// tinyLSTM is the lstm family at a budget a fuzz iteration affords: one
+// layer of two cells over a window of 4, one epoch a fit. Its
+// MinObservations is 6.
+var tinyLSTM = forecast.Candidate{Name: "lstm", Builder: func() forecast.Model {
+	return forecast.NewLSTM(forecast.LSTMConfig{Window: 4, Hidden: 2, Layers: 1, Epochs: 1})
+}}
 
 // configSelections are the selector tunings FuzzConfig draws: none, a valid
 // one, and two that a zoo's selector rejects — NewSystem must also reject
@@ -58,13 +66,17 @@ func decodeConfig(data []byte) (Config, string) {
 		names = append(names, configFamilies[next(0, len(configFamilies)-1)])
 	}
 	cfg.Selection = configSelections[next(0, len(configSelections)-1)]
-	desc := fmt.Sprintf("%+v zoo %v", cfg, names)
+	lstm := next(0, 1) == 1
+	desc := fmt.Sprintf("%+v zoo %v lstm %v", cfg, names, lstm)
 	for _, name := range names {
 		zoo, err := forecast.Zoo(name)
 		if err != nil {
 			panic(err)
 		}
 		cfg.Zoo = append(cfg.Zoo, zoo[0]) // duplicates kept: NewSystem must reject them
+	}
+	if lstm {
+		cfg.Zoo = append(cfg.Zoo, tinyLSTM)
 	}
 	return cfg, desc
 }
@@ -83,7 +95,7 @@ func decodeConfig(data []byte) (Config, string) {
 // −1…40, AbsenceTimeout −1…5, SnapshotHorizon −1…4, joint or scalar
 // clustering, the seed, IncrementalRefit with a churn of −1, 0, 0.1 or NaN,
 // a zoo of up to three registered families other than lstm (duplicates
-// included), and one of configSelections.
+// included), one of configSelections, and whether tinyLSTM joins the zoo.
 func FuzzConfig(f *testing.F) {
 	f.Add([]byte{})
 	// N 4, d 2, K 2, M 1, M′ 4, warm-up 10, retrain every 4, default fit
@@ -97,6 +109,13 @@ func FuzzConfig(f *testing.F) {
 	// N 6, d 4, K 5, M′ current step only, the default warm-up of 1000,
 	// retrain every 13, fit window 37, horizon 3, zoo arima: 1026 steps.
 	f.Add([]byte{5, 5, 6, 2, 0, 1, 14, 38, 1, 4, 0, 0, 0, 1, 1})
+	// The ses-and-ar zoo with tinyLSTM: three candidates, 18 steps.
+	f.Add([]byte{3, 3, 3, 2, 6, 11, 5, 1, 1, 4, 0, 7, 1, 2, 2, 8, 0, 0, 1})
+	// tinyLSTM alone, under a warm-up of 4 < its MinObservations: rejected.
+	f.Add([]byte{3, 3, 3, 2, 6, 5, 5, 1, 1, 4, 0, 7, 0, 0, 0, 1})
+	// tinyLSTM alone at N 2, K 1, d 1, the default warm-up of 1000 and
+	// retrain every 3: 1006 steps, three rounds of fits on long series.
+	f.Add([]byte{1, 2, 2, 2, 2, 1, 4, 1, 1, 2, 0, 3, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, desc := decodeConfig(data)
 		sys, err := NewSystem(cfg)

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"orcf/internal/forecast"
 	"orcf/internal/transmit"
 )
 
@@ -196,6 +197,20 @@ func (coinPolicy) UnmarshalState(data []byte) error {
 	return nil
 }
 
+// refusingModel is sample-and-hold with a Fit that fails on a
+// data-dependent condition: it refuses a series whose newest value is above
+// 0.8, as a black-box family may refuse data it cannot fit.
+type refusingModel struct{ *forecast.SampleAndHold }
+
+var errFitRefused = errors.New("fit refused: newest value above 0.8")
+
+func (m refusingModel) Fit(series []float64) error {
+	if len(series) > 0 && series[len(series)-1] > 0.8 {
+		return errFitRefused
+	}
+	return m.SampleAndHold.Fit(series)
+}
+
 // opsInput hands out the fuzz bytes; a byte past the end reads as 0.
 type opsInput struct{ data []byte }
 
@@ -211,9 +226,10 @@ func (in *opsInput) next() byte {
 func (in *opsInput) intn(n int) int { return int(in.next()) % n }
 
 // FuzzSystemOps drives a small System (N ≤ 12, K ≤ 3, one or two resources,
-// scalar or joint clustering, sample-and-hold, SnapshotHorizon 3, a warm-up
-// of 2–6 steps, the default Adaptive policy or coinPolicy, which declines
-// first reports too) through up to 64 operations decoded from the bytes:
+// scalar or joint clustering, sample-and-hold or refusingModel,
+// SnapshotHorizon 3, a warm-up of 2–6 steps, the default Adaptive policy or
+// coinPolicy, which declines first reports too) through up to 64
+// operations decoded from the bytes:
 // Step and StepArrivals with in-range rows; the same with one malformed row
 // or flag (NaN, ±Inf, beyond ±100, wrong width, a report for a dead slot,
 // an arrival without a row, the wrong number of rows or flags), which must
@@ -236,6 +252,11 @@ func (in *opsInput) intn(n int) int { return int(in.next()) % n }
 // the original does, with the same result and the same state digest; the
 // NewCentral twin does too, its state equal but for the policies'; the
 // roster is an ID ⇄ slot bijection with its free list sorted.
+//
+// One exception is known (ROADMAP item 3): a step that refusingModel's Fit
+// fails returns errFitRefused after the trackers have committed, so the
+// System is discarded, as Step's doc says, and the input ends there. Once a
+// failed fit no longer fails the step, that case becomes a failure.
 func FuzzSystemOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -254,10 +275,16 @@ func FuzzSystemOps(f *testing.F) {
 			SnapshotHorizon:   3,
 			Seed:              uint64(in.next()),
 		}
-		if in.intn(2) == 1 {
+		// Bit 0 picks the policy and bit 3 the zoo.
+		ext := in.next()
+		if ext&1 == 1 {
 			cfg.Policy = func(slot int) (transmit.Policy, error) {
 				return coinPolicy{salt: uint64(slot)<<8 | cfg.Seed}, nil
 			}
+		}
+		refusing := ext&8 != 0
+		if refusing {
+			cfg.Zoo = forecast.Pinned(func() forecast.Model { return refusingModel{forecast.NewSampleAndHold()} })
 		}
 		sys, err := NewSystem(cfg)
 		if err != nil {
@@ -448,6 +475,8 @@ func FuzzSystemOps(f *testing.F) {
 
 			res, err := call(sys)
 			switch {
+			case refusing && errors.Is(err, errFitRefused):
+				return // the known exception: the System is discarded
 			case checked && err != nil:
 				t.Fatalf("op %d %s: checkStep accepted it, the step failed: %v", op, desc, err)
 			case err != nil:
