@@ -1,6 +1,7 @@
-# Tier-1 gate plus the race-mode pass over the concurrency-bearing packages.
-# CI (.github/workflows/ci.yml) runs these same targets as individual steps;
-# a target added to `ci:` below must also be added there to run in CI.
+# Tier-1 gate plus the race-mode pass and the repository's other gates.
+# CI (.github/workflows/ci.yml) runs the prerequisites of `ci:` below as
+# individual `make <target>` steps; the docs gate fails when the two lists
+# differ.
 
 GO ?= go
 
@@ -51,9 +52,13 @@ FLAKE_PKGS = ./internal/serve ./internal/persist ./internal/transport ./internal
 flake:
 	$(GO) test -race -short -count=20 $(FLAKE_PKGS)
 
-# Docs gate: markdown links in README/docs must resolve, exported
-# identifiers in the gated packages must carry doc comments, and every
-# cmd/* flag must stay documented in docs/OPERATIONS.md (and vice versa).
+# Docs gate (internal/tools/docscheck, whose package comment lists the
+# rules): markdown links in README/docs resolve, exported identifiers in the
+# gated packages carry doc comments, and the cmd/* flags, orcf_* series,
+# lint analyzers, model families, alert rule kinds and the `ci:` targets
+# stay two-way in sync with docs/OPERATIONS.md, docs/ARCHITECTURE.md and the
+# CI workflow; OPERATIONS.md documents `make lint`, `orcflint:ignore` and
+# the flapping-alert runbook.
 docs:
 	$(GO) run ./internal/tools/docscheck
 

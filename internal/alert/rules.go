@@ -30,8 +30,8 @@ var ErrBadRule = errors.New("alert: invalid rule")
 type Kind string
 
 // The registered rule kinds. docs/OPERATIONS.md's "Alerting" section carries
-// a two-way-checked table of these (docscheck gate 7), so adding a kind here
-// without documenting it fails CI.
+// a two-way-checked table of these (a docscheck reference), so adding a kind
+// here without documenting it fails CI.
 const (
 	// KindThreshold compares the forecast value at the rule's horizon
 	// against Threshold.

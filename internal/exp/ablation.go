@@ -7,7 +7,6 @@ import (
 	"orcf/internal/parallel"
 	"orcf/internal/sim"
 	"orcf/internal/trace"
-	"orcf/internal/transmit"
 )
 
 // Ablations quantifies design choices from the eq. 7–12 rows of the
@@ -40,7 +39,7 @@ func Ablations(o Options) (*Table, error) {
 		{"no α-clamp (eq. 12)", func(c *core.Config) { c.DisableAlphaClamp = true }},
 		{"M′ = 0 (current step only)", func(c *core.Config) { c.MPrime = -1 }},
 		{"uniform sampling (§V-A off)", func(c *core.Config) {
-			c.Policy = uniformPolicyFactory(0.3)
+			c.Policy = uniform(0.3)
 		}},
 	}
 	// The variants are independent full-pipeline runs over the shared
@@ -78,9 +77,4 @@ func Ablations(o Options) (*Table, error) {
 		tab.AddRow(row...)
 	}
 	return tab, nil
-}
-
-// uniformPolicyFactory builds the uniform-sampling policy for every node.
-func uniformPolicyFactory(b float64) core.PolicyFactory {
-	return func(int) (transmit.Policy, error) { return transmit.NewUniform(b) }
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,6 +292,20 @@ func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 	for _, epoch := range wals {
 		if epoch > m.sys.Steps() {
 			if err := os.Remove(filepath.Join(m.opts.Dir, walName(epoch))); err != nil {
+				return nil, fmt.Errorf("persist: %w", err)
+			}
+		}
+	}
+	// A checkpoint cut short before its rename leaves WriteBlobAtomic's
+	// temporary file, which nothing else reads or removes. None of this
+	// Manager's can be in flight before Recover returns.
+	entries, err := os.ReadDir(m.opts.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), "tmp-") {
+			if err := os.Remove(filepath.Join(m.opts.Dir, e.Name())); err != nil {
 				return nil, fmt.Errorf("persist: %w", err)
 			}
 		}

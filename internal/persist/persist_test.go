@@ -281,6 +281,40 @@ func TestRecoverSkipsCheckpointOfOtherPolicyType(t *testing.T) {
 	}
 }
 
+// TestRecoverRemovesCheckpointTempFiles: a crash inside WriteBlobAtomic
+// leaves its tmp- file behind; the next Recover removes it and still
+// restores the checkpoint and the WAL tail.
+func TestRecoverRemovesCheckpointTempFiles(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	m := newManager(t, dir, Options{CheckpointEvery: -1})
+	if _, err := m.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, m, 20)
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runTo(t, m, 25)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(dir, "tmp-4242")
+	if err := os.WriteFile(torn, []byte("half a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re := newManager(t, dir, Options{CheckpointEvery: -1})
+	defer re.Close()
+	info, err := re.Recover(nil)
+	if err != nil || info.CheckpointStep != 20 || info.Steps != 25 {
+		t.Fatalf("recovery: %+v, %v; want the checkpoint at 20 and steps to 25", info, err)
+	}
+	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the interrupted checkpoint's temporary file survived recovery: %v", err)
+	}
+}
+
 // TestRecoverSlotAppendedAndVacatedBetweenSteps: a member that joins into a
 // new slot and departs before the next step leaves a WAL record whose roster
 // ends in a tombstone the recovering system has never had. Replay appends

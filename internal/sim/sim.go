@@ -95,15 +95,24 @@ func Run(sys *core.System, ds *trace.Dataset, cfg Config) (*Result, error) {
 		res.PerResource[r] = ResourceResult{Resource: ds.Resources[r], Horizon: hs}
 	}
 
+	// z mirrors the store: a step changes only the rows it flags
+	// Transmitted (first reports included), so one copy before the loop
+	// and the dataset's own rows after keep it current without a per-step
+	// copy of the fleet. The dataset rows are only read.
+	z := sys.Stored()
 	for t := 1; t <= steps; t++ {
 		x := ds.Data[t-1]
 		stepRes, err := sys.Step(x)
 		if err != nil {
 			return nil, fmt.Errorf("sim: step %d: %w", t, err)
 		}
+		for i, sent := range stepRes.Transmitted {
+			if sent {
+				z[i] = x[i]
+			}
+		}
 
 		// h=0 error: stored vs true, per resource.
-		z := sys.Stored()
 		for r := 0; r < nRes; r++ {
 			var sq float64
 			for i := range x {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"orcf/internal/core"
+	"orcf/internal/metrics"
 	"orcf/internal/trace"
 	"orcf/internal/transmit"
 )
@@ -157,5 +158,61 @@ func TestRunLowerBudgetRaisesStalenessError(t *testing.T) {
 	}
 	if !(low.MeanFrequency < 0.1 && high.MeanFrequency > 0.7) {
 		t.Fatalf("frequencies %v / %v not tracking budgets", low.MeanFrequency, high.MeanFrequency)
+	}
+}
+
+// TestRunH0MatchesStore: Run scores h = 0 from the rows each step
+// transmits; that must equal scoring the store itself, read after every
+// step, also for a system stepped before Run.
+func TestRunH0MatchesStore(t *testing.T) {
+	t.Parallel()
+	ds := makeDataset(t, 16, 120, 6)
+	newSys := func() *core.System {
+		s, err := core.NewSystem(core.Config{
+			Nodes: 16, Resources: 2, K: 3, InitialCollection: 1000,
+			Policy: func(int) (transmit.Policy, error) {
+				return transmit.NewAdaptive(transmit.AdaptiveConfig{Budget: 0.3})
+			},
+			Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Step(ds.Data[len(ds.Data)-1]); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	res, err := Run(newSys(), ds, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newSys()
+	want := make([]*metrics.HorizonSet, ds.NumResources())
+	for r := range want {
+		if want[r], err = metrics.NewHorizonSet(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range ds.Data {
+		if _, err := ref.Step(x); err != nil {
+			t.Fatal(err)
+		}
+		z := ref.Stored()
+		for r := range want {
+			var sq float64
+			for i := range x {
+				d := z[i][r] - x[i][r]
+				sq += d * d
+			}
+			if err := want[r].Add(0, sqrtMean(sq, len(x))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for r := range want {
+		if got, w := res.RMSEAt(r, 0), want[r].At(0); math.Float64bits(got) != math.Float64bits(w) || w == 0 {
+			t.Fatalf("resource %d: h=0 RMSE %v, the store's %v", r, got, w)
+		}
 	}
 }

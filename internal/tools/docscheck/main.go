@@ -1,45 +1,31 @@
 // Command docscheck is the CI docs gate: it fails when documentation has
 // drifted from the code.
 //
-// It enforces seven invariants:
+// It enforces:
 //
 //  1. Markdown hygiene — every relative link in README.md and docs/*.md
 //     resolves to an existing file or directory in the repository.
 //  2. Godoc coverage — every exported identifier (top-level consts, vars,
-//     types, funcs, and methods on exported types) in the gated packages
-//     (the root orcf package, internal/core, internal/serve,
-//     internal/persist, internal/transmit, internal/cluster) carries a doc
-//     comment.
-//  3. Flag reference — every command-line flag registered by a cmd/*
-//     binary appears (as an inline `-flag` code span) in
-//     docs/OPERATIONS.md, and every `-flag` span in OPERATIONS.md is still
-//     registered by some binary, so the operational flag reference can
-//     never drift from the code in either direction. Fenced code blocks
-//     are ignored: an example invocation is not documentation.
-//  4. Lint reference — every analyzer registered in internal/tools/orcflint
-//     has a row in the "Enforced invariants" table of docs/ARCHITECTURE.md,
-//     every table row names a registered analyzer (two-way, like the flag
-//     gate), and docs/OPERATIONS.md documents the `make lint` target and
-//     the `orcflint:ignore` suppression convention.
-//  5. Metric reference — every `orcf_*` series name appearing as a string
-//     literal in non-test Go code is documented (as an inline code span) in
-//     docs/OPERATIONS.md, and every `orcf_*` name OPERATIONS.md mentions is
-//     still registered somewhere in the code, so the metrics reference can
-//     never drift in either direction. Series names must therefore be
-//     spelled as full literals at registration sites (no runtime
-//     concatenation) — serve.stepPhaseSeries is the pattern.
-//  6. Model-family reference — every forecasting family registered via
-//     mustRegister in internal/forecast/registry.go has a row in the
-//     "Model families" table of docs/OPERATIONS.md, and every table row
-//     names a registered family (two-way, like the flag gate), so the
-//     operator-facing roster for -models / WithModelZoo can never drift.
-//  7. Alert reference — every alert rule kind declared in
-//     internal/alert/rules.go (the Kind* string constants) has a row in the
-//     rule-kind table of the "Alerting" section of docs/OPERATIONS.md, and
-//     every table row names a declared kind (two-way, like the flag gate);
-//     the section must also carry the flapping-alert runbook. Together with
-//     gate 5 (which covers the orcf_alert_* series) the alerting reference
-//     can never drift from the engine.
+//     types, funcs, and methods on exported types) in the gatedDirs
+//     packages (the root orcf package, internal/core, internal/serve,
+//     internal/persist, internal/transmit, internal/cluster,
+//     internal/tools/orcflint, internal/obs and internal/alert) carries a
+//     doc comment.
+//  3. Two-way references — for each row of the references table, every
+//     name the code declares is listed in its document and every listed
+//     name is still declared: the flags of the cmd/* binaries and the
+//     orcf_* series (inline code spans of docs/OPERATIONS.md outside fenced
+//     blocks; a histogram's _bucket/_sum/_count form lists the histogram),
+//     the orcflint analyzers (the "Enforced invariants" table of
+//     docs/ARCHITECTURE.md), the forecasting families registered in
+//     internal/forecast/registry.go and the alert rule kinds of
+//     internal/alert/rules.go (the "Model families" and "Alerting" tables of
+//     OPERATIONS.md), and the prerequisites of the Makefile's ci: target
+//     (the make steps of .github/workflows/ci.yml). Names must be literals
+//     where they are declared: one built at runtime is invisible here.
+//  4. Requirements — OPERATIONS.md documents `make lint` and the
+//     `orcflint:ignore` suppression convention, and its Alerting section
+//     carries the flapping-alert runbook.
 //
 // Run from the repository root: go run ./internal/tools/docscheck
 // (make ci and .github/workflows/ci.yml do). Exit status 1 lists every
@@ -54,7 +40,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -69,14 +57,7 @@ var gatedDirs = []string{".", "internal/core", "internal/serve", "internal/persi
 var markdownFiles = []string{"README.md"}
 
 func main() {
-	var problems []string
-	problems = append(problems, checkMarkdown()...)
-	problems = append(problems, checkGodoc()...)
-	problems = append(problems, checkFlags()...)
-	problems = append(problems, checkLintDocs()...)
-	problems = append(problems, checkMetrics()...)
-	problems = append(problems, checkModelRegistry()...)
-	problems = append(problems, checkAlertDocs()...)
+	problems := check()
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -85,6 +66,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("docscheck: ok")
+}
+
+// check runs every gate over the working directory and returns the
+// violations.
+func check() []string {
+	var problems []string
+	problems = append(problems, checkMarkdown()...)
+	problems = append(problems, checkGodoc()...)
+	problems = append(problems, checkReferences()...)
+	problems = append(problems, checkRequirements()...)
+	return problems
 }
 
 // linkRe matches inline markdown links [text](target).
@@ -203,8 +195,68 @@ func checkFile(fset *token.FileSet, file string, f *ast.File) []string {
 	return problems
 }
 
-// operationsDoc is the file carrying the operational flag reference.
+// operationsDoc is the operator reference most references are listed in.
 const operationsDoc = "docs/OPERATIONS.md"
+
+// alertingHeading opens the OPERATIONS.md section holding the rule-kind
+// table and the flapping runbook.
+const alertingHeading = "## Alerting"
+
+// A reference is one two-way name list: the names the code declares and
+// the names a document lists must be the same set.
+type reference struct {
+	kind string // what a name is, for messages
+	// code is where the names are declared: a path prefix of the non-test
+	// Go files whose AST nodes goNames reads ("" for every file), or the
+	// one text file textNames reads.
+	code      string
+	goNames   func(ast.Node) []string
+	textNames func(string) []string
+	// doc lists the names: as the first column of the table rows under the
+	// section heading, or, without one, as docNames reads them.
+	doc      string
+	section  string
+	docNames func(string) []string
+	// alias maps a listed name that derives from a declared one onto it.
+	alias func(string) string
+}
+
+// references are the two-way invariants between the code and its docs.
+var references = []reference{
+	{kind: "flag", code: "cmd/", goNames: flagName, doc: operationsDoc, docNames: inSpans(flagSpanRe)},
+	{kind: "metric", goNames: metricLiteral, doc: operationsDoc, docNames: inSpans(metricSpanRe),
+		alias: histogramBase},
+	{kind: "analyzer", code: "internal/tools/orcflint/", goNames: analyzerName,
+		doc: "docs/ARCHITECTURE.md", section: "## Enforced invariants"},
+	{kind: "model family", code: "internal/forecast/registry.go", goNames: familyName,
+		doc: operationsDoc, section: "## Model families"},
+	{kind: "rule kind", code: "internal/alert/rules.go", goNames: ruleKinds,
+		doc: operationsDoc, section: alertingHeading},
+	{kind: "CI target", code: "Makefile", textNames: ciPrerequisites,
+		doc: ".github/workflows/ci.yml", docNames: func(text string) []string { return matches(makeStepRe, text) }},
+}
+
+var (
+	// inlineCodeRe matches an inline code span.
+	inlineCodeRe = regexp.MustCompile("`([^`]+)`")
+	// flagSpanRe matches a -flag token at the start (or after a space) of a
+	// code span.
+	flagSpanRe = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	// metricNameRe matches a complete orcf_* series name: underscore-separated
+	// lowercase/digit words. A concatenation prefix like "orcf_step_" does
+	// not match, so series names must be full literals at registration sites
+	// (serve.stepPhaseSeries is the pattern).
+	metricNameRe      = regexp.MustCompile(`^orcf_[a-z0-9]+(?:_[a-z0-9]+)*$`)
+	metricSpanRe      = regexp.MustCompile(`\borcf_[a-z0-9]+(?:_[a-z0-9]+)*\b`)
+	histogramSuffixRe = regexp.MustCompile(`_(bucket|sum|count)$`)
+	// rowRe matches a table row whose first column is one code span:
+	// | `lockio` | ... |
+	rowRe = regexp.MustCompile("^\\|\\s*`([a-z][a-z0-9-]*)`\\s*\\|")
+	// ciRuleRe and makeStepRe read the Makefile's ci: prerequisites and the
+	// workflow's make steps.
+	ciRuleRe   = regexp.MustCompile(`(?m)^ci:(.*)$`)
+	makeStepRe = regexp.MustCompile(`(?m)^\s*run:\s*make\s+([a-z][a-z0-9-]*)`)
+)
 
 // flagFuncs are the flag-package constructors whose first argument is the
 // flag name.
@@ -213,327 +265,102 @@ var flagFuncs = map[string]bool{
 	"Float64": true, "String": true, "Duration": true,
 }
 
-// checkFlags enforces the two-way flag-reference invariant between the
-// cmd/* binaries and docs/OPERATIONS.md.
-func checkFlags() []string {
-	registered, problems := registeredFlags()
-	documented, docProblems := documentedFlags()
-	problems = append(problems, docProblems...)
-
-	var missing []string
-	for name, cmds := range registered {
-		if !documented[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: flag `-%s` (registered by %s) is not documented", operationsDoc, name,
-				strings.Join(cmds, ", ")))
+// checkReferences compares the two sides of every reference and reports
+// each name one side has and the other lacks.
+func checkReferences() []string {
+	declared, problems := declarations()
+	var drift []string
+	for i, r := range references {
+		where := r.code
+		if where == "" {
+			where = "the Go code"
 		}
-	}
-	for name := range documented {
-		if _, ok := registered[name]; !ok {
-			missing = append(missing, fmt.Sprintf(
-				"%s: documents flag `-%s`, which no cmd/* binary registers", operationsDoc, name))
+		if len(declared[i]) == 0 {
+			problems = append(problems, fmt.Sprintf("docscheck: no %s declarations found in %s", r.kind, where))
 		}
-	}
-	sort.Strings(missing)
-	return append(problems, missing...)
-}
-
-// registeredFlags parses every cmd/* package and returns flag name →
-// registering commands.
-func registeredFlags() (map[string][]string, []string) {
-	var problems []string
-	flags := make(map[string][]string)
-	dirs, err := filepath.Glob("cmd/*")
-	if err != nil || len(dirs) == 0 {
-		return flags, []string{"docscheck: no cmd/* directories found"}
-	}
-	for _, dir := range dirs {
-		fi, err := os.Stat(dir)
-		if err != nil || !fi.IsDir() {
-			continue
-		}
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, 0)
+		listed, err := r.listed()
 		if err != nil {
-			problems = append(problems, fmt.Sprintf("docscheck: parsing %s: %v", dir, err))
+			problems = append(problems, err.Error())
 			continue
 		}
-		cmd := filepath.Base(dir)
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || !flagFuncs[sel.Sel.Name] || len(call.Args) == 0 {
-						return true
-					}
-					// The flag package itself, or a FlagSet named fs (cmd/forecastd's
-					// run takes its arguments as a parameter).
-					if recv, ok := sel.X.(*ast.Ident); !ok || (recv.Name != "flag" && recv.Name != "fs") {
-						return true
-					}
-					lit, ok := call.Args[0].(*ast.BasicLit)
-					if !ok || lit.Kind != token.STRING {
-						return true
-					}
-					name := strings.Trim(lit.Value, `"`)
-					if !contains(flags[name], cmd) {
-						flags[name] = append(flags[name], cmd)
-					}
-					return true
-				})
+		for name, file := range declared[i] {
+			if !listed[name] {
+				drift = append(drift, fmt.Sprintf("%s: %s `%s` (declared in %s) is not listed",
+					r.doc, r.kind, name, file))
+			}
+		}
+		for name := range listed {
+			_, ok := declared[i][name]
+			if !ok && r.alias != nil {
+				_, ok = declared[i][r.alias(name)]
+			}
+			if !ok {
+				drift = append(drift, fmt.Sprintf("%s: lists %s `%s`, which %s does not declare",
+					r.doc, r.kind, name, where))
 			}
 		}
 	}
-	return flags, problems
+	sort.Strings(drift)
+	return append(problems, drift...)
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// flagSpanRe matches a -flag token at the start (or after a space) of an
-// inline code span's content.
-var (
-	inlineCodeRe = regexp.MustCompile("`([^`]+)`")
-	flagSpanRe   = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
-)
-
-// documentedFlags extracts the flags OPERATIONS.md mentions in inline code
-// spans, skipping fenced code blocks.
-func documentedFlags() (map[string]bool, []string) {
-	data, err := os.ReadFile(operationsDoc)
+// listed reads the names r's document lists.
+func (r reference) listed() (map[string]bool, error) {
+	data, err := os.ReadFile(r.doc)
 	if err != nil {
-		return nil, []string{fmt.Sprintf("docscheck: %v", err)}
+		return nil, fmt.Errorf("docscheck: %w", err)
 	}
-	out := make(map[string]bool)
-	inFence := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			inFence = !inFence
-			continue
+	var names []string
+	if r.section != "" {
+		lines, found := section(string(data), r.section)
+		if !found {
+			return nil, fmt.Errorf("%s: missing %q section (%s table)", r.doc, r.section, r.kind)
 		}
-		if inFence {
-			continue
+		for _, line := range lines {
+			if m := rowRe.FindStringSubmatch(line); m != nil {
+				names = append(names, m[1])
+			}
 		}
-		for _, span := range inlineCodeRe.FindAllStringSubmatch(line, -1) {
-			for _, m := range flagSpanRe.FindAllStringSubmatch(span[1], -1) {
-				out[m[1]] = true
+	} else {
+		names = r.docNames(string(data))
+	}
+	set := make(map[string]bool, len(names))
+	for _, name := range names {
+		set[name] = true
+	}
+	return set, nil
+}
+
+// declarations reads the text file of every text reference and walks the
+// repository's non-test Go files once for the rest, returning each
+// reference's declared names with the first file declaring each.
+func declarations() ([]map[string]string, []string) {
+	declared := make([]map[string]string, len(references))
+	add := func(i int, file string, names []string) {
+		for _, name := range names {
+			if _, seen := declared[i][name]; !seen {
+				declared[i][name] = file
 			}
 		}
 	}
-	return out, nil
-}
-
-// architectureDoc carries the "Enforced invariants" analyzer table.
-const architectureDoc = "docs/ARCHITECTURE.md"
-
-// lintDir is the analyzer suite package.
-const lintDir = "internal/tools/orcflint"
-
-// invariantsHeading opens the section holding the analyzer table.
-const invariantsHeading = "## Enforced invariants"
-
-// analyzerRowRe matches a table row whose first column is an inline-code
-// analyzer name: | `lockio` | ... |
-var analyzerRowRe = regexp.MustCompile("^\\|\\s*`([a-z][a-z0-9]*)`\\s*\\|")
-
-// checkLintDocs enforces the two-way analyzer-reference invariant between
-// internal/tools/orcflint and the docs, mirroring the flag gate: each
-// registered analyzer needs a table row in ARCHITECTURE.md's "Enforced
-// invariants" section, each row must name a registered analyzer, and
-// OPERATIONS.md must document the lint entry point and the suppression
-// convention.
-func checkLintDocs() []string {
-	registered, problems := registeredAnalyzers()
-	if len(registered) == 0 {
-		problems = append(problems,
-			fmt.Sprintf("docscheck: no Analyzer literals with Name fields found in %s", lintDir))
-	}
-
-	documented, sectionFound, err := documentedAnalyzers()
-	if err != nil {
-		return append(problems, fmt.Sprintf("docscheck: %v", err))
-	}
-	if !sectionFound {
-		problems = append(problems, fmt.Sprintf(
-			"%s: missing %q section (analyzer table)", architectureDoc, invariantsHeading))
-	}
-	var missing []string
-	for name := range registered {
-		if !documented[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: analyzer `%s` (registered in %s) has no row in the %q table",
-				architectureDoc, name, lintDir, invariantsHeading))
-		}
-	}
-	for name := range documented {
-		if !registered[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: documents analyzer `%s`, which %s does not register",
-				architectureDoc, name, lintDir))
-		}
-	}
-	sort.Strings(missing)
-	problems = append(problems, missing...)
-
-	ops, err := os.ReadFile(operationsDoc)
-	if err != nil {
-		return append(problems, fmt.Sprintf("docscheck: %v", err))
-	}
-	for _, needle := range []string{"make lint", "orcflint:ignore"} {
-		if !strings.Contains(string(ops), needle) {
-			problems = append(problems, fmt.Sprintf(
-				"%s: must document %q (lint entry point / suppression convention)",
-				operationsDoc, needle))
-		}
-	}
-	return problems
-}
-
-// registeredAnalyzers parses the orcflint package and collects the Name
-// fields of Analyzer composite literals.
-func registeredAnalyzers() (map[string]bool, []string) {
-	names := make(map[string]bool)
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, lintDir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		return names, []string{fmt.Sprintf("docscheck: parsing %s: %v", lintDir, err)}
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				cl, ok := n.(*ast.CompositeLit)
-				if !ok {
-					return true
-				}
-				if id, ok := cl.Type.(*ast.Ident); !ok || id.Name != "Analyzer" {
-					return true
-				}
-				for _, elt := range cl.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
-					if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Name" {
-						continue
-					}
-					if lit, ok := kv.Value.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						names[strings.Trim(lit.Value, `"`)] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	return names, nil
-}
-
-// documentedAnalyzers scans ARCHITECTURE.md's "Enforced invariants" section
-// for analyzer table rows.
-func documentedAnalyzers() (map[string]bool, bool, error) {
-	data, err := os.ReadFile(architectureDoc)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make(map[string]bool)
-	inSection, found := false, false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "## ") {
-			inSection = strings.HasPrefix(line, invariantsHeading)
-			if inSection {
-				found = true
-			}
-			continue
-		}
-		if !inSection {
-			continue
-		}
-		if m := analyzerRowRe.FindStringSubmatch(line); m != nil {
-			out[m[1]] = true
-		}
-	}
-	return out, found, nil
-}
-
-// metricNameRe matches a complete orcf_* series name: underscore-separated
-// lowercase/digit words. A trailing underscore (a concatenation prefix like
-// "orcf_step_") deliberately does not match — full names must be literal.
-var metricNameRe = regexp.MustCompile(`^orcf_[a-z0-9]+(?:_[a-z0-9]+)*$`)
-
-// metricSpanRe extracts orcf_* tokens from inline code span content.
-var metricSpanRe = regexp.MustCompile(`\borcf_[a-z0-9_]*[a-z0-9]\b`)
-
-// histogramSuffixes are the per-series forms the Prometheus text exposition
-// derives from one registered histogram; docs mentioning a derived form
-// count as documenting the base series.
-var histogramSuffixes = []string{"_bucket", "_sum", "_count"}
-
-// checkMetrics enforces the two-way metric-reference invariant between the
-// registered orcf_* series and docs/OPERATIONS.md, mirroring the flag gate.
-// The registered side is collected statically: every string literal in
-// non-test Go code matching metricNameRe. That is exactly why registration
-// sites spell series names as full literals — a name built by concatenation
-// at runtime would be invisible here and flagged as documented-but-missing.
-func checkMetrics() []string {
-	registered, problems := registeredMetrics()
-	if len(registered) == 0 {
-		problems = append(problems, "docscheck: no orcf_* metric literals found in non-test Go code")
-	}
-	documented, docProblems := documentedMetrics()
-	problems = append(problems, docProblems...)
-
-	var missing []string
-	for name, file := range registered {
-		if !documented[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: metric `%s` (registered in %s) is not documented", operationsDoc, name, file))
-		}
-	}
-	for name := range documented {
-		if _, ok := registered[name]; ok {
-			continue
-		}
-		base := name
-		for _, suf := range histogramSuffixes {
-			if s, ok := strings.CutSuffix(name, suf); ok {
-				base = s
-				break
-			}
-		}
-		if _, ok := registered[base]; !ok {
-			missing = append(missing, fmt.Sprintf(
-				"%s: documents metric `%s`, which no Go file registers", operationsDoc, name))
-		}
-	}
-	sort.Strings(missing)
-	return append(problems, missing...)
-}
-
-// registeredMetrics walks the repository's non-test Go files and returns
-// metric name → one file registering it.
-func registeredMetrics() (map[string]string, []string) {
 	var problems []string
-	names := make(map[string]string)
+	for i, r := range references {
+		declared[i] = make(map[string]string)
+		if r.textNames != nil {
+			data, err := os.ReadFile(r.code)
+			if err != nil {
+				problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+				continue
+			}
+			add(i, r.code, r.textNames(string(data)))
+		}
+	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			base := d.Name()
-			if base == ".git" || base == "testdata" {
+			if d.Name() == ".git" || d.Name() == "testdata" {
 				return filepath.SkipDir
 			}
 			return nil
@@ -541,22 +368,20 @@ func registeredMetrics() (map[string]string, []string) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		var refs []int
+		for i, r := range references {
+			if r.goNames != nil && strings.HasPrefix(filepath.ToSlash(path), r.code) {
+				refs = append(refs, i)
+			}
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("docscheck: parsing %s: %v", path, err))
 			return nil
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			name := strings.Trim(lit.Value, "`\"")
-			if metricNameRe.MatchString(name) {
-				if _, seen := names[name]; !seen {
-					names[name] = path
-				}
+			for _, i := range refs {
+				add(i, path, references[i].goNames(n))
 			}
 			return true
 		})
@@ -565,245 +390,185 @@ func registeredMetrics() (map[string]string, []string) {
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("docscheck: %v", err))
 	}
-	return names, problems
+	return declared, problems
 }
 
-// documentedMetrics extracts the orcf_* names OPERATIONS.md mentions in
-// inline code spans, skipping fenced code blocks (same rules as flags).
-func documentedMetrics() (map[string]bool, []string) {
-	data, err := os.ReadFile(operationsDoc)
-	if err != nil {
-		return nil, []string{fmt.Sprintf("docscheck: %v", err)}
+// stringLit returns the value of a string literal node as a one-name list,
+// and nil for any other node.
+func stringLit(n ast.Node) []string {
+	lit, ok := n.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return nil
 	}
-	out := make(map[string]bool)
-	inFence := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			inFence = !inFence
-			continue
-		}
-		if inFence {
-			continue
-		}
-		for _, span := range inlineCodeRe.FindAllStringSubmatch(line, -1) {
-			for _, m := range metricSpanRe.FindAllString(span[1], -1) {
-				if metricNameRe.MatchString(m) {
-					out[m] = true
-				}
+	s, err := strconv.Unquote(lit.Value)
+	if err != nil {
+		return nil
+	}
+	return []string{s}
+}
+
+// flagName reads the first argument of flag.X("name", …) or
+// fs.X("name", …): the flag package itself, or a FlagSet named fs.
+func flagName(n ast.Node) []string {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !flagFuncs[sel.Sel.Name] {
+		return nil
+	}
+	if recv, ok := sel.X.(*ast.Ident); !ok || (recv.Name != "flag" && recv.Name != "fs") {
+		return nil
+	}
+	return stringLit(call.Args[0])
+}
+
+// metricLiteral reads a string literal that is a whole orcf_* series name.
+func metricLiteral(n ast.Node) []string {
+	if s := stringLit(n); s != nil && metricNameRe.MatchString(s[0]) {
+		return s
+	}
+	return nil
+}
+
+// analyzerName reads the Name field of an Analyzer composite literal.
+func analyzerName(n ast.Node) []string {
+	cl, ok := n.(*ast.CompositeLit)
+	if !ok {
+		return nil
+	}
+	if id, ok := cl.Type.(*ast.Ident); !ok || id.Name != "Analyzer" {
+		return nil
+	}
+	for _, elt := range cl.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Name" {
+				return stringLit(kv.Value)
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// forecastRegistryFile is the model-zoo registry whose mustRegister calls
-// define the forecasting family names (the -models / WithModelZoo roster).
-const forecastRegistryFile = "internal/forecast/registry.go"
-
-// familiesHeading opens the OPERATIONS.md section holding the family table.
-const familiesHeading = "## Model families"
-
-// familyRowRe matches a table row whose first column is an inline-code
-// family name: | `sample-and-hold` | ... |
-var familyRowRe = regexp.MustCompile("^\\|\\s*`([a-z][a-z0-9-]*)`\\s*\\|")
-
-// checkModelRegistry enforces the two-way model-family invariant between
-// internal/forecast/registry.go and docs/OPERATIONS.md, mirroring the
-// analyzer gate: every mustRegister'd family needs a table row in the
-// "Model families" section, and every row must name a registered family.
-// Family names must therefore be spelled as string literals at the
-// mustRegister call sites — a name built at runtime would be invisible here.
-func checkModelRegistry() []string {
-	registered, problems := registeredFamilies()
-	if len(registered) == 0 {
-		problems = append(problems, fmt.Sprintf(
-			"docscheck: no mustRegister string literals found in %s", forecastRegistryFile))
+// familyName reads the first argument of a mustRegister call.
+func familyName(n ast.Node) []string {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return nil
 	}
-	documented, sectionFound, err := documentedFamilies()
-	if err != nil {
-		return append(problems, fmt.Sprintf("docscheck: %v", err))
+	if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "mustRegister" {
+		return nil
 	}
-	if !sectionFound {
-		problems = append(problems, fmt.Sprintf(
-			"%s: missing %q section (model-family table)", operationsDoc, familiesHeading))
-	}
-	var missing []string
-	for name := range registered {
-		if !documented[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: model family `%s` (registered in %s) has no row in the %q table",
-				operationsDoc, name, forecastRegistryFile, familiesHeading))
-		}
-	}
-	for name := range documented {
-		if !registered[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: documents model family `%s`, which %s does not register",
-				operationsDoc, name, forecastRegistryFile))
-		}
-	}
-	sort.Strings(missing)
-	return append(problems, missing...)
+	return stringLit(call.Args[0])
 }
 
-// registeredFamilies parses the forecast registry and collects the first-arg
-// string literal of every mustRegister call.
-func registeredFamilies() (map[string]bool, []string) {
-	names := make(map[string]bool)
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, forecastRegistryFile, nil, 0)
-	if err != nil {
-		return names, []string{fmt.Sprintf("docscheck: parsing %s: %v", forecastRegistryFile, err)}
+// ruleKinds reads the string values of the Kind* constants of a const
+// declaration.
+func ruleKinds(n ast.Node) []string {
+	gd, ok := n.(*ast.GenDecl)
+	if !ok || gd.Tok != token.CONST {
+		return nil
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+	var kinds []string
+	for _, spec := range gd.Specs {
+		vs := spec.(*ast.ValueSpec)
+		for i, id := range vs.Names {
+			if i < len(vs.Values) && strings.HasPrefix(id.Name, "Kind") {
+				kinds = append(kinds, stringLit(vs.Values[i])...)
+			}
 		}
-		if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "mustRegister" || len(call.Args) == 0 {
-			return true
-		}
-		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			names[strings.Trim(lit.Value, `"`)] = true
-		}
-		return true
-	})
-	return names, nil
+	}
+	return kinds
 }
 
-// documentedFamilies scans OPERATIONS.md's "Model families" section for
-// family table rows.
-func documentedFamilies() (map[string]bool, bool, error) {
-	data, err := os.ReadFile(operationsDoc)
-	if err != nil {
-		return nil, false, err
+// ciPrerequisites reads the prerequisites of a Makefile's ci: rule.
+func ciPrerequisites(text string) []string {
+	if m := ciRuleRe.FindStringSubmatch(text); m != nil {
+		return strings.Fields(m[1])
 	}
-	out := make(map[string]bool)
-	inSection, found := false, false
-	for _, line := range strings.Split(string(data), "\n") {
+	return nil
+}
+
+// histogramBase maps a series the Prometheus text exposition derives from a
+// histogram onto the histogram's name.
+func histogramBase(name string) string {
+	return histogramSuffixRe.ReplaceAllString(name, "")
+}
+
+// matches returns what re finds in text: its first group, or the whole
+// match when re has none.
+func matches(re *regexp.Regexp, text string) []string {
+	var out []string
+	for _, m := range re.FindAllStringSubmatch(text, -1) {
+		out = append(out, m[len(m)-1])
+	}
+	return out
+}
+
+// inSpans reads the names re finds in a markdown document's inline code
+// spans, skipping fenced code blocks: an example invocation is not
+// documentation.
+func inSpans(re *regexp.Regexp) func(string) []string {
+	return func(text string) []string {
+		var names []string
+		inFence := false
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inFence = !inFence
+				continue
+			}
+			if inFence {
+				continue
+			}
+			for _, span := range inlineCodeRe.FindAllStringSubmatch(line, -1) {
+				names = append(names, matches(re, span[1])...)
+			}
+		}
+		return names
+	}
+}
+
+// section returns the lines under a "## " heading, up to the next one, and
+// whether the heading was found.
+func section(text, heading string) (lines []string, found bool) {
+	in := false
+	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "## ") {
-			inSection = strings.HasPrefix(line, familiesHeading)
-			if inSection {
-				found = true
-			}
+			in = strings.HasPrefix(line, heading)
+			found = found || in
 			continue
 		}
-		if !inSection {
-			continue
-		}
-		if m := familyRowRe.FindStringSubmatch(line); m != nil {
-			out[m[1]] = true
+		if in {
+			lines = append(lines, line)
 		}
 	}
-	return out, found, nil
+	return lines, found
 }
 
-// alertRulesFile declares the rule-kind constants the alerting gate reads.
-const alertRulesFile = "internal/alert/rules.go"
-
-// alertingHeading opens the OPERATIONS.md section holding the rule-kind
-// table and the flapping runbook.
-const alertingHeading = "## Alerting"
-
-// checkAlertDocs enforces the two-way rule-kind invariant between
-// internal/alert/rules.go and the "Alerting" section of docs/OPERATIONS.md,
-// and requires that section to carry the flapping-alert runbook.
-func checkAlertDocs() []string {
-	declared, problems := declaredRuleKinds()
-	if len(declared) == 0 {
-		problems = append(problems, fmt.Sprintf(
-			"docscheck: no Kind* string constants found in %s", alertRulesFile))
-	}
-	documented, sectionFound, runbookFound, err := documentedRuleKinds()
+// checkRequirements checks what OPERATIONS.md must say that is not a name
+// list: the lint entry point, the suppression convention and the
+// flapping-alert runbook.
+func checkRequirements() []string {
+	data, err := os.ReadFile(operationsDoc)
 	if err != nil {
-		return append(problems, fmt.Sprintf("docscheck: %v", err))
+		return []string{fmt.Sprintf("docscheck: %v", err)}
 	}
-	if !sectionFound {
-		problems = append(problems, fmt.Sprintf(
-			"%s: missing %q section (rule-kind table)", operationsDoc, alertingHeading))
-	} else if !runbookFound {
+	var problems []string
+	for _, needle := range []string{"make lint", "orcflint:ignore"} {
+		if !strings.Contains(string(data), needle) {
+			problems = append(problems, fmt.Sprintf(
+				"%s: must document %q (lint entry point / suppression convention)", operationsDoc, needle))
+		}
+	}
+	lines, found := section(string(data), alertingHeading)
+	if found && !slices.ContainsFunc(lines, func(line string) bool {
+		return strings.HasPrefix(line, "### ") && strings.Contains(strings.ToLower(line), "flapping")
+	}) {
 		problems = append(problems, fmt.Sprintf(
 			"%s: %q section has no flapping-alert runbook subsection", operationsDoc, alertingHeading))
 	}
-	var missing []string
-	for name := range declared {
-		if !documented[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: rule kind `%s` (declared in %s) has no row in the %q table",
-				operationsDoc, name, alertRulesFile, alertingHeading))
-		}
-	}
-	for name := range documented {
-		if !declared[name] {
-			missing = append(missing, fmt.Sprintf(
-				"%s: documents rule kind `%s`, which %s does not declare",
-				operationsDoc, name, alertRulesFile))
-		}
-	}
-	sort.Strings(missing)
-	return append(problems, missing...)
-}
-
-// declaredRuleKinds parses the alert rules file and collects the string
-// value of every top-level Kind* constant.
-func declaredRuleKinds() (map[string]bool, []string) {
-	names := make(map[string]bool)
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, alertRulesFile, nil, 0)
-	if err != nil {
-		return names, []string{fmt.Sprintf("docscheck: parsing %s: %v", alertRulesFile, err)}
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, id := range vs.Names {
-				if !strings.HasPrefix(id.Name, "Kind") || i >= len(vs.Values) {
-					continue
-				}
-				if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					names[strings.Trim(lit.Value, `"`)] = true
-				}
-			}
-		}
-	}
-	return names, nil
-}
-
-// documentedRuleKinds scans OPERATIONS.md's "Alerting" section for rule-kind
-// table rows and a flapping-runbook subsection heading.
-func documentedRuleKinds() (kinds map[string]bool, sectionFound, runbookFound bool, err error) {
-	data, err := os.ReadFile(operationsDoc)
-	if err != nil {
-		return nil, false, false, err
-	}
-	kinds = make(map[string]bool)
-	inSection := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "## ") {
-			inSection = strings.HasPrefix(line, alertingHeading)
-			if inSection {
-				sectionFound = true
-			}
-			continue
-		}
-		if !inSection {
-			continue
-		}
-		if strings.HasPrefix(line, "### ") && strings.Contains(strings.ToLower(line), "flapping") {
-			runbookFound = true
-		}
-		if m := familyRowRe.FindStringSubmatch(line); m != nil {
-			kinds[m[1]] = true
-		}
-	}
-	return kinds, sectionFound, runbookFound, nil
+	return problems
 }
 
 // receiverName unwraps a method receiver type expression to its type name.
