@@ -88,6 +88,7 @@ bench:
 	$(GO) test -run xxx -bench '^BenchmarkTrackerUpdate$$' -benchmem ./internal/cluster
 	$(GO) test -run xxx -bench ServeForecast -benchmem -cpu 1,2 ./internal/serve
 	$(GO) test -run xxx -bench AppendJSONFloat ./internal/serve
+	$(GO) test -run xxx -bench '^BenchmarkStoreStepperTick$$' -benchmem ./internal/serve
 	$(GO) test -run xxx -bench AlertEvaluate -benchmem ./internal/alert
 	$(GO) test -run xxx -bench TransportIngest -benchmem ./internal/transport
 	$(GO) test -run xxx -bench 'RunFlat|AssignFlat' -benchmem ./internal/kmeans

@@ -529,7 +529,7 @@ func newReferenceSystem(t *testing.T, cfg Config) *referenceSystem {
 		s.pts = make([][][]float64, s.nTrackers)
 		for tr := range s.pts {
 			s.ptsF[tr] = mat.NewFrame(cfg.Nodes, 1)
-			s.pts[tr] = s.ptsF[tr].RowViews(nil)
+			s.pts[tr] = frameRows(s.ptsF[tr], nil)
 		}
 	}
 	return s
@@ -572,7 +572,7 @@ func (s *referenceSystem) newRingSlot() referenceSlot {
 	var slot referenceSlot
 	n := len(s.ids)
 	slot.zf = mat.NewFrame(n, s.cfg.Resources)
-	slot.z = slot.zf.RowViews(nil)
+	slot.z = frameRows(slot.zf, nil)
 	slot.assignments = make([][]int, s.nTrackers)
 	slot.centroids = make([][][]float64, s.nTrackers)
 	slot.present = make([]bool, n)
@@ -603,7 +603,7 @@ func referenceMaskSlot(slot *referenceSlot, i int) {
 func referenceGrowSlot(slot *referenceSlot, n, nTrackers int) {
 	if len(slot.z) < n {
 		slot.zf.Grow(n)
-		slot.z = slot.zf.RowViews(slot.z)
+		slot.z = frameRows(slot.zf, slot.z)
 	}
 	for len(slot.present) < n {
 		slot.present = append(slot.present, false)
@@ -756,7 +756,7 @@ func (s *referenceSystem) growBacking() {
 	if !s.cfg.JointClustering {
 		for tr := range s.pts {
 			s.ptsF[tr].Grow(n)
-			s.pts[tr] = s.ptsF[tr].RowViews(s.pts[tr])
+			s.pts[tr] = frameRows(s.ptsF[tr], s.pts[tr])
 		}
 	}
 }
@@ -1371,4 +1371,15 @@ func TestStepMatchesReferenceExactly(t *testing.T) {
 		t.Fatalf("scenario lost coverage: warm=%d full=%d masked steps=%d evictions=%d",
 			warmSeen.Load(), fullSeen.Load(), maskedSeen.Load(), evictedSeen.Load())
 	}
+}
+
+// frameRows appends a view of every row of f to dst[:0] and returns it,
+// reusing dst's backing array when it is large enough: the slice-of-rows
+// layout the reference pipeline keeps over its flat frames.
+func frameRows(f *mat.Frame, dst [][]float64) [][]float64 {
+	dst = dst[:0]
+	for i := 0; i < len(f.Data())/f.Cols(); i++ {
+		dst = append(dst, f.Row(i))
+	}
+	return dst
 }

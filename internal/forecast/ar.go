@@ -32,6 +32,15 @@ func (a *AR) MinObservations() int { return a.p + 2 }
 // Fit implements Model by solving the least-squares normal equations
 // (XᵀX)β = Xᵀy with a small ridge term for numerical robustness on
 // near-constant series.
+//
+// Value range. The series is a centroid series of core.InRange values
+// (|v| ≤ 100), so every entry of XᵀX and Xᵀy is at most n·10⁴ in magnitude
+// for n = len(series) − p rows: finite for any n (overflow needs |v| near
+// 10¹⁵⁴). The 1e-9 ridge term is absolute, so it only helps while XᵀX's
+// diagonal, about n·v², stays under 1e-9·2⁵² ≈ 4.5·10⁶ (below that it is at
+// least one ulp): for fractions (|v| ≤ 1) that is any fit window, but for a
+// series near 100 it is only n ≲ 450 rows. A constant series of 2000 values
+// at 100 fails to factor (leading minor non-positive).
 func (a *AR) Fit(series []float64) error {
 	if len(series) < a.MinObservations() {
 		return fmt.Errorf("forecast: AR(%d) needs ≥ %d observations, got %d: %w",

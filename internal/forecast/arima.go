@@ -685,6 +685,17 @@ func densePoly(dst, coefs []float64, step int, sign float64) []float64 {
 // The subtraction order (AR lags ascending, then MA lags ascending, i.e. each
 // window walked backwards) and the sequential sum are part of the contract:
 // fits must reproduce bit for bit.
+//
+// Value range. w is a centroid series of core.InRange values (|v| ≤ 100)
+// after D regular and seasonal differences, so |w_t| ≤ 2ᴰ·100, and the
+// optimizer evaluates only points that pass stableParams (Σ|coef| < 0.995
+// per polynomial; others score +Inf without a recursion). The residuals are
+// then bounded inputs through a stable AR and an invertible MA filter: finite
+// for any series length, and the rss, at most n times the largest residual
+// squared, stays far below float64 overflow. Only series far outside the
+// range could overflow the sum to +Inf, which the search scores as an
+// infeasible point. cssSmall and cssSmall2 compute the same recursion and
+// assume the same range.
 func cssResiduals(w []float64, constant float64, arWin, maWin, resid []float64) (rss float64) {
 	p, q := len(arWin), len(maWin)
 	head := max(p, q)

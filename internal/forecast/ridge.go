@@ -71,6 +71,17 @@ func (m *LaggedRidge) MinObservations() int { return m.context() + 2 }
 
 // Fit implements Model by solving the ridge-regularized normal equations
 // (XᵀX + λI)β = Xᵀy.
+//
+// Value range. The series is a centroid series of core.InRange values
+// (|v| ≤ 100), so XᵀX's entries are at most n·10⁴ for n fit rows, finite for
+// any n. λ is absolute: it is added to diagonal entries of about n·v², and
+// it holds — stays at least one ulp of them — only while n·v² is under
+// λ·2⁵² ≈ 4.5·10¹² at the default λ = 1e-3. At |v| = 100 that is
+// n ≲ 4.5·10⁸ rows, beyond any fit window; at |v| = 1 any n. From about
+// |v| = 10⁶ (which core.InRange now keeps out) it is lost from a handful of
+// rows, and a near-constant series no longer factors. Scaling λ with XᵀX's
+// diagonal would hold everywhere, at a digest change wherever the family
+// runs.
 func (m *LaggedRidge) Fit(series []float64) error {
 	ctx := m.context()
 	if len(series) < m.MinObservations() {

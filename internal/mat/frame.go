@@ -49,17 +49,6 @@ func (f *Frame) SetRow(i int, v []float64) {
 	copy(f.data[i*f.cols:(i+1)*f.cols], v)
 }
 
-// RowViews appends a view of every row to dst[:0] and returns it, reusing
-// dst's backing array when it is large enough. The views alias the frame's
-// data; they are invalidated by Grow.
-func (f *Frame) RowViews(dst [][]float64) [][]float64 {
-	dst = dst[:0]
-	for i := 0; i < f.rows; i++ {
-		dst = append(dst, f.Row(i))
-	}
-	return dst
-}
-
 // Grow extends the frame to at least rows rows in place, preserving existing
 // values and zeroing the new rows. Growing may reallocate the backing array,
 // which invalidates previously taken Data slices and row views — callers

@@ -53,33 +53,6 @@ func TestFrameGrowPreservesAndZeroes(t *testing.T) {
 	}
 }
 
-func TestFrameRowViewsList(t *testing.T) {
-	f := NewFrame(3, 1)
-	for i := 0; i < 3; i++ {
-		f.SetRow(i, []float64{float64(i + 1)})
-	}
-	var buf [][]float64
-	rows := f.RowViews(buf)
-	if len(rows) != 3 {
-		t.Fatalf("RowViews returned %d rows", len(rows))
-	}
-	for i, r := range rows {
-		if len(r) != 1 || r[0] != float64(i+1) {
-			t.Fatalf("row %d = %v", i, r)
-		}
-	}
-	rows[2][0] = 42
-	if f.Data()[2] != 42 {
-		t.Fatal("RowViews rows do not alias the backing")
-	}
-	// Reuse: passing the previous slice back must not allocate a new header
-	// array when capacity suffices.
-	again := f.RowViews(rows)
-	if &again[0][0] != &f.Data()[0] {
-		t.Fatal("reused RowViews lost aliasing")
-	}
-}
-
 func TestFramePanicsOnBadIndex(t *testing.T) {
 	f := NewFrame(2, 2)
 	mustPanic := func(name string, fn func()) {

@@ -7,7 +7,9 @@ import (
 	"strconv"
 	"testing"
 
+	"orcf/internal/core"
 	"orcf/internal/forecast"
+	"orcf/internal/transport"
 )
 
 // discardWriter is a ResponseWriter that counts nothing and keeps nothing,
@@ -94,6 +96,53 @@ func BenchmarkAppendJSONFloat(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.vals)), "ns/value")
+		})
+	}
+}
+
+// BenchmarkStoreStepperTick measures one warm StoreStepper.Tick — the store
+// read, the step's rows and flags, and core's StepArrivals on them — at
+// d = 2, K = 3 with 30 % of the fleet's entries written between ticks (the
+// agents' budget B = 0.3), and reports ns/node. The writes run with the
+// timer stopped: they are the ingest side's cost, not the tick's.
+func BenchmarkStoreStepperTick(b *testing.B) {
+	for _, nodes := range []int{4096, 32768} {
+		b.Run("N="+strconv.Itoa(nodes), func(b *testing.B) {
+			store := transport.NewStore()
+			stepper, err := NewStoreStepper(store, core.Config{
+				Nodes: nodes, Resources: 2, K: 3, InitialCollection: 20, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			step := 0
+			write := func() {
+				step++
+				for id := 0; id < nodes; id++ {
+					if step == 1 || (id*7+step)%10 < 3 {
+						v := 0.1 + 0.8*float64((id*13+step)%97)/97
+						store.Apply(transport.Measurement{Node: id, Step: step, Values: []float64{v, 1 - v}})
+					}
+				}
+			}
+			tick := func() {
+				if _, ok, err := stepper.Tick(); err != nil || !ok {
+					b.Fatalf("tick %d: ok=%v err=%v", step, ok, err)
+				}
+			}
+			for step < 25 {
+				write()
+				tick()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				write()
+				b.StartTimer()
+				tick()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
 		})
 	}
 }

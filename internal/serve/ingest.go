@@ -37,12 +37,16 @@ import (
 //
 // The stepper keeps no map. What it remembers per node between ticks is a
 // watermark column indexed by the store's entries (see
-// transport.Store.EachReported): the newest measurement step consumed or
+// transport.Store.EachWritten): the newest measurement step consumed or
 // rejected, the newest local clock seen, and the node's roster slot, each
 // tagged with the entry generation it belongs to — a changed generation
 // resets the watermark, so eviction only has to Forget the store entry —
 // and the slot also with the roster it was looked up in, so SlotOf runs only
 // for a node first seen or after a membership change.
+//
+// A tick reads only the store entries written since the previous tick: the
+// rows and flags of the last tick stand for every other member. It is the
+// stepper's single consumer of the store's written set.
 type StoreStepper struct {
 	sys     *core.System
 	store   *transport.Store
@@ -55,15 +59,16 @@ type StoreStepper struct {
 	rejected obs.Counter  // malformed records kept out of the pipeline
 
 	// Dense per-slot buffers, regrown as the fleet grows: x[i] is nil or
-	// rows[i], the view of slot i's row in the one frame every tick reads
-	// the store into.
+	// the view of slot i's row in the one frame every tick reads the store
+	// into, and src[i] the store entry that row was read from. They persist
+	// between ticks: a tick rewrites the rows of written entries.
 	arrived []bool
 	x       [][]float64
+	src     []int32
 	frame   *mat.Frame
-	rows    [][]float64
 	joiners []joiner // newly heard nodes of the tick in flight
 	// joinVals holds the joiners' values, back to back: the store's copy
-	// may change once EachReported has released its lock.
+	// may change once EachWritten has released its lock.
 	joinVals []float64
 }
 
@@ -117,11 +122,11 @@ func (st *StoreStepper) grow(n int) {
 	for len(st.x) < n {
 		st.arrived = append(st.arrived, false)
 		st.x = append(st.x, nil)
+		st.src = append(st.src, -1)
 	}
-	// Growing may move the frame's backing; every row fed to Step is written
-	// afresh each tick, so only the views need re-taking.
+	// Growing may move the frame's backing. The membership grew with it, so
+	// the next tick walks every entry and takes every row it feeds afresh.
 	st.frame.Grow(n)
-	st.rows = st.frame.RowViews(st.rows)
 }
 
 // System returns the driven pipeline (hand it to serve.Config.Source).
@@ -161,14 +166,17 @@ func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64,
 // Tick fails only when the step itself or its logging does.
 //
 // The store is read in place, under its lock, straight into the stepper's
-// frame: one walk over the store's entries, no per-tick copy of the store and
-// no map lookup for a node whose entry and roster slot the stepper already
-// knows.
+// frame, and only where it was written since the previous tick
+// (transport.Store.EachWritten): a member whose entry nobody wrote keeps the
+// previous tick's row, not arrived — or, with an AbsenceTimeout, takes an
+// absence tick, since its clock did not move. Only the bootstrap ticks and
+// the first tick after a membership change (or a failed join) walk every
+// entry.
 func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	// A recovery that replayed no WAL record restored the fleet without a
 	// Replay: size the dense buffers to it.
 	st.grow(st.sys.Slots())
-	st.syncRoster()
+	all := st.syncRoster() || st.sys.Steps() == 0
 	if st.sys.Steps() == 0 && !st.gateOpen() {
 		return nil, false, nil
 	}
@@ -180,16 +188,25 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 	// eviction releases the member's store entry — only genuinely new data
 	// re-registers an ID.
 	n := st.sys.Slots()
-	clear(st.x[:n])
+	if all || st.absence > 0 {
+		clear(st.x[:n])
+	}
 	clear(st.arrived[:n])
 	st.joiners, st.joinVals = st.joiners[:0], st.joinVals[:0]
-	st.store.EachReported(func(entry int, gen uint32, stat transport.NodeStat) {
-		w := st.mark(entry, gen)
+	st.store.EachWritten(all, func(entry int, gen uint32, stat transport.NodeStat) {
+		w := st.mark(entry, gen, stat)
+		if w == nil {
+			return // released, or known only through heartbeats
+		}
 		if !st.admit(w, stat.Latest) {
+			// The record replaced one the member may have been fed.
+			if slot := st.slotOf(w, stat.Latest.Node); slot >= 0 {
+				st.x[slot] = nil
+			}
 			return
 		}
 		if slot := st.slotOf(w, stat.Latest.Node); slot >= 0 {
-			st.feed(slot, w, stat)
+			st.feed(slot, entry, w, stat)
 			return
 		}
 		// A joiner cut before joinVals moved keeps its values in the array
@@ -209,12 +226,15 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 			ids[j] = jn.stat.Latest.Node
 		}
 		if err := st.sys.AddNodes(ids...); err != nil {
+			// The joiners' entries are not written again: forget the
+			// roster, so the next tick walks every entry.
+			st.roster = nil
 			return nil, st.sys.Steps() > 0, fmt.Errorf("serve: joining nodes: %w", err)
 		}
 		st.grow(st.sys.Slots())
 		for _, jn := range st.joiners {
 			slot, _ := st.sys.SlotOf(jn.stat.Latest.Node)
-			st.feed(slot, &st.marks[jn.entry], jn.stat)
+			st.feed(slot, jn.entry, &st.marks[jn.entry], jn.stat)
 		}
 	}
 
@@ -240,25 +260,40 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 }
 
 // syncRoster starts a new slot-cache epoch when the membership changed since
-// the last walk. A roster is immutable and the system hands out the same one
-// until its membership changes, so pointer identity is the test; holding the
-// pointer keeps it from being recycled into a false match.
-func (st *StoreStepper) syncRoster() {
-	if r := st.sys.Roster(); r != st.roster {
-		st.roster = r
-		st.epoch++
+// the last walk, and reports whether it did. A roster is immutable and the
+// system hands out the same one until its membership changes, so pointer
+// identity is the test; holding the pointer keeps it from being recycled
+// into a false match.
+func (st *StoreStepper) syncRoster() bool {
+	r := st.sys.Roster()
+	if r == st.roster {
+		return false
 	}
+	st.roster = r
+	st.epoch++
+	return true
 }
 
 // mark returns the watermark of a store entry, reset when the entry has
-// changed hands since the stepper last saw it.
-func (st *StoreStepper) mark(entry int, gen uint32) *watermark {
+// changed hands since the stepper last saw it, or nil when the entry holds
+// no measurement. A tenancy that ended — the entry released, or taken again
+// — first takes back the row it fed, unless that row is another entry's by
+// now (the node's new entry, met earlier in the walk).
+func (st *StoreStepper) mark(entry int, gen uint32, stat transport.NodeStat) *watermark {
 	if entry >= len(st.marks) {
 		st.marks = append(st.marks, make([]watermark, entry+1-len(st.marks))...)
 	}
 	w := &st.marks[entry]
-	if w.gen != gen {
-		*w = watermark{gen: gen}
+	if w.gen != gen || stat.Updates == 0 {
+		if slot := w.slot; w.epoch == st.epoch && slot >= 0 && st.src[slot] == int32(entry) {
+			st.x[slot] = nil
+		}
+		if w.gen != gen {
+			*w = watermark{gen: gen}
+		}
+		if stat.Updates == 0 {
+			return nil
+		}
 	}
 	return w
 }
@@ -283,7 +318,7 @@ func (st *StoreStepper) slotOf(w *watermark, id int) int {
 func (st *StoreStepper) gateOpen() bool {
 	members, newcomers := 0, 0
 	st.store.EachReported(func(entry int, gen uint32, stat transport.NodeStat) {
-		w := st.mark(entry, gen)
+		w := st.mark(entry, gen, stat)
 		switch {
 		case !st.admit(w, stat.Latest):
 		case st.slotOf(w, stat.Latest.Node) >= 0:
@@ -325,9 +360,10 @@ func (st *StoreStepper) RegisterMetrics(reg *obs.Registry) {
 		"Malformed measurements (wrong dimensionality, NaN, ±Inf, beyond ±100) kept out of the pipeline.", &st.rejected)
 }
 
-// feed copies the member in slot's admitted latest measurement into the
-// slot's frame row for the step, unless the member takes an absence tick.
-func (st *StoreStepper) feed(slot int, w *watermark, stat transport.NodeStat) {
+// feed copies the member in slot's admitted latest measurement, read from
+// the store entry, into the slot's frame row for the step, unless the member
+// takes an absence tick.
+func (st *StoreStepper) feed(slot, entry int, w *watermark, stat transport.NodeStat) {
 	// With liveness tracking off (no AbsenceTimeout), a quiet member
 	// keeps being fed its last stored values — the pre-churn behavior.
 	// With it on, a member whose local clock stalled (no measurements
@@ -345,6 +381,7 @@ func (st *StoreStepper) feed(slot int, w *watermark, stat transport.NodeStat) {
 		return // clock stalled: absence tick for this member
 	}
 	st.arrived[slot] = fresh
-	copy(st.rows[slot], stat.Latest.Values)
-	st.x[slot] = st.rows[slot]
+	st.x[slot] = st.frame.Row(slot)
+	copy(st.x[slot], stat.Latest.Values)
+	st.src[slot] = int32(entry)
 }

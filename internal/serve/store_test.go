@@ -67,6 +67,11 @@ type scriptCover struct {
 	joins, evictions, rejoins, restartedRejoins int
 	malformedFirst, heartbeatOnly, nonPositive  int
 	reusedByOther                               int
+	// The cases a tick that reads only written entries must get right: a
+	// member fed the tick before whose latest record is now malformed, or
+	// whose entry was forgotten from outside; a stale duplicate Apply, and
+	// a clock-only Advance, to a member under an AbsenceTimeout.
+	malformedFed, forgottenFed, staleMember, heartbeatMember int
 }
 
 func (c *scriptCover) add(o scriptCover) {
@@ -78,6 +83,10 @@ func (c *scriptCover) add(o scriptCover) {
 	c.heartbeatOnly += o.heartbeatOnly
 	c.nonPositive += o.nonPositive
 	c.reusedByOther += o.reusedByOther
+	c.malformedFed += o.malformedFed
+	c.forgottenFed += o.forgottenFed
+	c.staleMember += o.staleMember
+	c.heartbeatMember += o.heartbeatMember
 }
 
 // tenant is who held a store entry when the script last looked.
@@ -112,19 +121,29 @@ func runStoreScript(tb testing.TB, script []byte) scriptCover {
 	maxFed := make(map[int]int)     // per node: its newest step as a member, up to its first eviction
 	evicted := make(map[int]bool)   // nodes evicted so far
 	tenants := make(map[int]tenant) // store entry → last tenant seen
+	fed := make(map[int]bool)       // members fed a row by the last tick
 	ops := script[1:]
 	for n := 0; len(ops) >= 4 && n < maxScriptOps; n, ops = n+1, ops[4:] {
 		kind, node := ops[0]%4, scriptNodes[int(ops[1])%len(scriptNodes)]
 		switch kind {
 		case opApply:
 			m := transport.Measurement{Node: node, Step: scriptStep(agentStep, node, ops[2]), Values: scriptValues(ops[3])}
+			if prev, ok := ostore.Latest(node); ok && prev.Step >= m.Step && cfg.AbsenceTimeout > 0 && isMember(oracle.sys, node) {
+				cover.staleMember++
+			}
 			store.Apply(m)
 			ostore.Apply(m)
 		case opAdvance:
 			step := scriptStep(agentStep, node, ops[2])
+			if step > ostore.clock[node] && cfg.AbsenceTimeout > 0 && isMember(oracle.sys, node) {
+				cover.heartbeatMember++
+			}
 			store.Advance(node, step)
 			ostore.Advance(node, step)
 		case opForget:
+			if _, known := ostore.clock[node]; known && fed[node] {
+				cover.forgottenFed++
+			}
 			store.Forget(node)
 			oracle.forget(node)
 		case opTick:
@@ -142,6 +161,11 @@ func runStoreScript(tb testing.TB, script []byte) scriptCover {
 					cover.heartbeatOnly++
 				}
 			}
+			for id := range fed {
+				if m, ok := ostore.latest[id]; ok && !wellFormed(m.Values, 2) {
+					cover.malformedFed++
+				}
+			}
 			res, ok, err := stepper.Tick()
 			ores, ook, oerr := oracle.Tick()
 			if ok != ook || (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
@@ -155,6 +179,12 @@ func runStoreScript(tb testing.TB, script []byte) scriptCover {
 			}
 			if ok {
 				compareFed(tb, n, stepper, oracle)
+				clear(fed)
+				for slot, row := range oracle.x[:oracle.sys.Slots()] {
+					if id, live := oracle.sys.Roster().IDAt(slot); live && row != nil {
+						fed[id] = true
+					}
+				}
 				for _, id := range res.Evicted {
 					cover.evictions++
 					evicted[id] = true
@@ -446,6 +476,43 @@ func handScripts() []struct {
 				repeat(3, round(0, 3, 6, 7))),
 			reaches: func(c scriptCover) bool { return c.reusedByOther >= 2 && c.evictions > 0 },
 		},
+		{
+			// Without liveness tracking a member nobody wrote keeps last
+			// tick's row, so a malformed record replacing the one member 1
+			// was fed must take its row away, for as long as it stands.
+			name: "malformed-after-fed",
+			script: script(2, repeat(3, round(0, 1, 2)), apply(1, stepNext, valNaN), round(0, 2), round(0, 2),
+				round(0, 1, 2), apply(1, stepNext, valShort), round(0, 2), repeat(2, round(0, 1, 2))),
+			reaches: func(c scriptCover) bool { return c.malformedFed >= 2 },
+		},
+		{
+			// Member 1, fed the tick before, is forgotten from outside and
+			// takes its row back until it reports again. Then 2 and 1 are
+			// forgotten and 2 comes back first, into 1's lower entry: 2's old
+			// entry must not take back the row its new one just fed.
+			name: "forget-fed-member",
+			script: script(2, repeat(3, round(0, 1, 2)), forget(1), round(0, 2), tick(), repeat(2, round(0, 1, 2)),
+				forget(2), forget(1), apply(2, stepRestart, valGood), apply(0, stepNext, valGood), tick(), tick(),
+				repeat(2, round(0, 1, 2))),
+			reaches: func(c scriptCover) bool { return c.forgottenFed >= 3 && c.reusedByOther > 0 },
+		},
+		{
+			// Under an AbsenceTimeout a stale duplicate writes member 1's
+			// entry but moves neither its step nor its clock: an absence
+			// tick, not a contact.
+			name: "stale-duplicate-member",
+			script: script(1|2, repeat(3, round(0, 1, 2)), apply(1, stepSame, valGood), round(0, 2),
+				apply(1, stepSame, valGood), apply(1, stepZero, valGood), round(0, 2), repeat(2, round(0, 1, 2))),
+			reaches: func(c scriptCover) bool { return c.staleMember >= 3 },
+		},
+		{
+			// Under an AbsenceTimeout a heartbeat alone keeps member 1
+			// contacted: it is fed its stored row, not arrived.
+			name: "heartbeat-member",
+			script: script(1|2, repeat(3, round(0, 1, 2)), advance(1, stepNext), round(0, 2), advance(1, stepNext),
+				round(0, 2), round(0, 2), repeat(2, round(0, 1, 2))),
+			reaches: func(c scriptCover) bool { return c.heartbeatMember >= 2 },
+		},
 	}
 }
 
@@ -485,8 +552,11 @@ func randomScript(rng *rand.Rand, ops int) []byte {
 // TestStoreStepperMatchesOracle drives the one store and its stepper against
 // the map-based pair they replaced, on hand-written scripts for join,
 // eviction through AbsenceTimeout, a rejoin with a restarted step counter, a
-// malformed first record, a heartbeat-only node, non-positive steps and a
-// freed entry reused by another ID, then on random scripts — every step
+// malformed first record, a heartbeat-only node, non-positive steps, a
+// freed entry reused by another ID, and the traps of a tick that reads only
+// written entries — a malformed record or an outside Forget for a member fed
+// the tick before, a stale duplicate and a lone heartbeat for a member under
+// an AbsenceTimeout — then on random scripts — every step
 // result bit-identical, and every store view equal after every operation.
 func TestStoreStepperMatchesOracle(t *testing.T) {
 	t.Parallel()
@@ -523,10 +593,12 @@ func FuzzStoreStepperMatchesOracle(f *testing.F) {
 }
 
 // TestStoreManyWriters is the store's race test: writers Apply and Advance
-// overlapping node IDs while a stepper ticks over the store, a forgetter
-// churns a range of IDs the writers also fill, and readers take every view.
-// Once the writers stop and the churned range is forgotten, the store must
-// equal one fed the same records serially.
+// overlapping node IDs — half of them a record at a time, half a whole
+// frame per step through ApplyFrame, as the server does — while a stepper
+// ticks over the store reading the entries written since its last tick, a
+// forgetter churns a range of IDs the writers also fill, and readers take
+// every view. Once the writers stop and the churned range is forgotten, the
+// store must equal one fed the same records serially.
 func TestStoreManyWriters(t *testing.T) {
 	t.Parallel()
 	const (
@@ -562,9 +634,20 @@ func TestStoreManyWriters(t *testing.T) {
 				for ticks.Load() < int64(step/2) {
 					runtime.Gosched()
 				}
+				var frame []transport.Measurement
 				for id := w; id < nodes+churned; id += writers {
 					if step%(1+id%3) == 0 || step == 1 {
-						store.Apply(transport.Measurement{Node: id, Step: step, Values: value(id, step)})
+						m := transport.Measurement{Node: id, Step: step, Values: value(id, step)}
+						if w%2 == 0 {
+							frame = append(frame, m)
+						} else {
+							store.Apply(m)
+						}
+					}
+				}
+				if w%2 == 0 {
+					if n := store.ApplyFrame(frame, -1, 0); n != len(frame) {
+						t.Errorf("writer %d step %d: %d of %d records applied", w, step, n, len(frame))
 					}
 				}
 				for id := 0; id < nodes; id++ {

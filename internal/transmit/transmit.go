@@ -214,6 +214,14 @@ func (a *Adaptive) Decide(t int, x, z []float64) bool {
 // step and calls it directly with the penalty it takes straight off its
 // store, so the two routes cannot drift apart. Small enough to inline into
 // either.
+//
+// Value range. With x and z core.InRange values (finite, |v| ≤ 100) the
+// penalty is at most (2·100)² = 4·10⁴, and V_t·F stays finite for every t:
+// (t+1)^γ < 2.3·10¹² even at t = 2⁶³, so the product is below 10¹⁷. The only
+// infinite penalty is the nothing-stored +Inf, which a finite queue always
+// transmits on (pow ≥ 1, so v0·pow·(+Inf) is +Inf, never NaN). Outside the
+// range a NaN penalty would make every compare false: the node would never
+// transmit and its queue would only drain.
 func (a *Adaptive) DecidePenalty(pow, penalty float64) bool {
 	// Cost(β=0) = V_t·F − Q·B ; Cost(β=1) = Q·(1−B).
 	// Transmitting wins iff Q(1−B) < V_t·F − Q·B ⇔ Q < V_t·F.

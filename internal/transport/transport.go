@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"slices"
 	"sync"
@@ -62,15 +63,22 @@ type Measurement struct {
 // into the entry's own slice, which later applies to the node overwrite in
 // place under the write lock. Latest, Snapshot and Stats therefore return
 // copies, and the one alias handed out — NodeStat.Latest.Values inside an
-// EachReported callback — is valid only until that callback returns.
+// EachReported or EachWritten callback — is valid only until that callback
+// returns.
+//
+// Every write (Apply, a clock-moving Advance, Forget) also marks its entry
+// in a bitmap, one bit per entry, that EachWritten walks in ascending entry
+// order and empties: the stepping loop's per-tick read costs what arrived
+// since the last tick, not the fleet size.
 type Store struct {
 	metrics StoreMetrics
 
 	mu       sync.RWMutex
 	index    map[int]int // node ID → entry
 	entries  []entry
-	free     []int // entries released by Forget, reused last in first out
-	reported int   // entries holding a measurement
+	free     []int    // entries released by Forget, reused last in first out
+	reported int      // entries holding a measurement
+	written  []uint64 // bit i%64 of word i/64: entry i written since the last EachWritten
 }
 
 // entry is one node's slot in the store. A freed entry is zero but for its
@@ -91,9 +99,9 @@ func NewStore() *Store {
 	return &Store{index: make(map[int]int)}
 }
 
-// entryLocked returns the node's entry, taking a fresh or freed one for a
-// node the store does not know; the caller holds the write lock.
-func (s *Store) entryLocked(node int) *entry {
+// entryLocked returns the node's entry index, taking a fresh or freed entry
+// for a node the store does not know; the caller holds the write lock.
+func (s *Store) entryLocked(node int) int {
 	i, ok := s.index[node]
 	if !ok {
 		if n := len(s.free); n > 0 {
@@ -105,7 +113,17 @@ func (s *Store) entryLocked(node int) *entry {
 		}
 		s.index[node] = i
 	}
-	return &s.entries[i]
+	return i
+}
+
+// markLocked adds entry i to the written set; the caller holds the write
+// lock.
+func (s *Store) markLocked(i int) {
+	w := i >> 6
+	if w >= len(s.written) {
+		s.written = append(s.written, make([]uint64, w+1-len(s.written))...)
+	}
+	s.written[w] |= 1 << (i & 63)
 }
 
 // Apply records a measurement, keeping only the newest step per node.
@@ -116,13 +134,24 @@ func (s *Store) entryLocked(node int) *entry {
 func (s *Store) Apply(m Measurement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entryLocked(m.Node)
+	if s.applyLocked(m) {
+		s.metrics.Applied.Inc()
+	} else {
+		s.metrics.Stale.Inc()
+	}
+}
+
+// applyLocked is Apply under the caller's write lock; it reports whether m
+// was accepted (false: a stale duplicate). Either way the entry is marked.
+func (s *Store) applyLocked(m Measurement) bool {
+	i := s.entryLocked(m.Node)
+	s.markLocked(i)
+	e := &s.entries[i]
 	if m.Step > e.clock {
 		e.clock = m.Step
 	}
 	if e.reported && e.latest.Step >= m.Step {
-		s.metrics.Stale.Inc()
-		return
+		return false
 	}
 	if !e.reported {
 		e.reported = true
@@ -131,7 +160,36 @@ func (s *Store) Apply(m Measurement) {
 	e.latest.Node, e.latest.Step = m.Node, m.Step
 	e.latest.Values = append(e.latest.Values[:0], m.Values...)
 	e.updates++
-	s.metrics.Applied.Inc()
+	return true
+}
+
+// ApplyFrame applies one decoded batch frame under a single write-lock
+// acquisition: its records in order, each as Apply would, then — for a frame
+// of a connection bound to one node, owner ≥ 0 — the frame's local step as
+// Advance(owner, localStep). A negative owner (a multiplexed connection)
+// takes records of any node and advances no clock. A bound frame stops at
+// the first record of another node: the records before it are applied, the
+// clock is not advanced, and the server drops the connection. It returns the
+// number of records applied; the Applied, Stale and Advances counters are
+// added once per frame.
+func (s *Store) ApplyFrame(recs []Measurement, owner, localStep int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, applied := 0, 0
+	for ; n < len(recs); n++ {
+		if owner >= 0 && recs[n].Node != owner {
+			break
+		}
+		if s.applyLocked(recs[n]) {
+			applied++
+		}
+	}
+	s.metrics.Applied.Add(int64(applied))
+	s.metrics.Stale.Add(int64(n - applied))
+	if n == len(recs) && owner >= 0 && s.advanceLocked(owner, localStep) {
+		s.metrics.Advances.Inc()
+	}
+	return n
 }
 
 // Advance moves a node's local clock forward without recording a
@@ -141,16 +199,25 @@ func (s *Store) Apply(m Measurement) {
 func (s *Store) Advance(node, step int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.advanceLocked(node, step) {
+		s.metrics.Advances.Inc()
+	}
+}
+
+// advanceLocked is Advance under the caller's write lock; it reports whether
+// the clock moved, and marks the entry when it did.
+func (s *Store) advanceLocked(node, step int) bool {
 	i, ok := s.index[node]
 	switch {
 	case ok && step > s.entries[i].clock:
-		s.entries[i].clock = step
 	case !ok && step > 0:
-		s.entryLocked(node).clock = step
+		i = s.entryLocked(node)
 	default:
-		return
+		return false
 	}
-	s.metrics.Advances.Inc()
+	s.entries[i].clock = step
+	s.markLocked(i)
+	return true
 }
 
 // Forget drops everything the store holds for a node — its latest
@@ -173,6 +240,7 @@ func (s *Store) Forget(node int) {
 	*e = entry{gen: e.gen}
 	delete(s.index, node)
 	s.free = append(s.free, i)
+	s.markLocked(i)
 }
 
 // Latest returns a copy of the most recent measurement of a node.
@@ -273,6 +341,39 @@ func (s *Store) EachReported(fn func(entry int, gen uint32, stat NodeStat)) {
 	}
 }
 
+// EachWritten is the stepping loop's per-tick read: it calls fn, as
+// EachReported does, for every entry written since the previous call — by
+// Apply (a stale duplicate included), by an Advance that moved a clock, or
+// by Forget — in ascending entry order, and empties the written set. With
+// all set it calls fn for every entry holding a measurement instead, and
+// empties the set just the same. An entry that holds no measurement (one
+// Forget released, or one known only through clock advances) reaches fn
+// with Updates == 0. The set has one consumer: EachWritten holds the write
+// lock, and two callers would each see only part of what was written.
+func (s *Store) EachWritten(all bool, fn func(entry int, gen uint32, stat NodeStat)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if all {
+		clear(s.written)
+		for i := range s.entries {
+			if e := &s.entries[i]; e.reported {
+				fn(i, e.gen, e.stat())
+			}
+		}
+		return
+	}
+	for w, word := range s.written {
+		if word == 0 {
+			continue
+		}
+		s.written[w] = 0
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			fn(i, s.entries[i].gen, s.entries[i].stat())
+		}
+	}
+}
+
 // stat assembles the entry's accounting; the caller holds the lock. A node
 // known only through clock advances has a zero Latest.
 func (e *entry) stat() NodeStat {
@@ -301,7 +402,8 @@ type Server struct {
 }
 
 // NewServer creates a collector around the store. onUpdate, when non-nil, is
-// invoked after each stored measurement (serialized per connection, but
+// invoked for each stored measurement, in frame order once the batch frame
+// carrying it is stored (serialized per connection, but
 // concurrent across connections — the callee must synchronize if needed).
 // The measurement's Values alias the connection's decode buffer and are
 // valid only until onUpdate returns; the store holds its own copy.
@@ -439,7 +541,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	s.metrics.FramesIn.Inc() // the hello frame
 	s.noteHello(node)
+	// A connection bound to one node speaks only for it; a multiplexed one
+	// (owner -1) for any node.
 	mux := flags&helloFlagMux != 0
+	owner := node
+	if mux {
+		owner = -1
+	}
 	var dec batchDecoder
 	for {
 		s.armRead(conn)
@@ -464,19 +572,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			if len(payload) > 0 && payload[0]&batchFlagCompressed != 0 {
 				s.metrics.CompressedBatches.Inc()
 			}
-			for _, m := range recs {
-				if !mux && m.Node != node {
-					s.protoErrs.Add(1)
-					return // spoofed node id
-				}
-				s.metrics.RecordsIn.Inc()
-				s.store.Apply(m)
-				if s.onUpdate != nil {
+			n := s.store.ApplyFrame(recs, owner, localStep)
+			s.metrics.RecordsIn.Add(int64(n))
+			if s.onUpdate != nil {
+				for _, m := range recs[:n] {
 					s.onUpdate(m)
 				}
 			}
-			if !mux && localStep > 0 {
-				s.store.Advance(node, localStep)
+			if n < len(recs) {
+				s.protoErrs.Add(1)
+				return // spoofed node id
 			}
 		case frameHeartbeat:
 			hbNode, localStep, err := parseHeartbeat(payload)
