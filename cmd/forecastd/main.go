@@ -326,7 +326,7 @@ func run(args []string, stop <-chan os.Signal, logw io.Writer) int {
 			log.Error("persistence setup", "err", err)
 			return 1
 		}
-		info, err := mgr.Recover(stepper.Replay)
+		info, err := mgr.Recover(nil)
 		if err != nil {
 			log.Error("recovery", "err", err)
 			if errors.Is(err, persist.ErrMismatch) {

@@ -233,8 +233,8 @@ type ResourceStep struct {
 // System owns — the look-back slot the step committed, the trackers' newest
 // assignment history rows and a transmit-flag buffer reused every step — so
 // a step of a large fleet allocates nothing fleet-sized. They are valid
-// until the next call to Step, StepArrivals, AddNodes, RemoveNodes,
-// ReconcileRoster or RestoreState on the same System, and must not be
+// until the next call to Step, StepArrivals, Reapply, AddNodes,
+// RemoveNodes or RestoreState on the same System, and must not be
 // written to; copy what has to outlive that.
 type StepResult struct {
 	// T is the 1-based step index.
@@ -584,18 +584,67 @@ func (s *System) RemoveNodes(ids ...int) error {
 	return nil
 }
 
-// ReconcileRoster aligns the system's slot → ID layout with a recorded
-// roster (typically a WAL record's, during recovery replay): members dead
-// in the record depart, slots past the fleet's end are appended, tombstoned
-// ones recording their last occupant (a member that joined into a new slot
-// and departed before the step), members live in the record join into the
-// exact recorded slots, and a live slot bound to a different ID is a
-// lineage mismatch error. The slot count may only grow. Reproducing the
-// recorded layout slot-for-slot is what keeps replayed steps bit-identical
-// to the original run. The roster is checked whole before anything changes,
-// so a rejected one leaves the fleet as it was (a policy factory failing
-// for a joiner can still stop it part-way).
-func (s *System) ReconcileRoster(ids []int, alive []bool) error {
+// StepRecord is what one step consumed, the unit the WAL stores and Reapply
+// takes back. A live step's record (Roster.Record) views the roster's and
+// the step's buffers: it must not be written to, and lives as they do (see
+// StepResult).
+type StepRecord struct {
+	// T is the 1-based step index.
+	T int
+	// IDs and Alive are the roster at Step entry: slot i's stable ID (a
+	// tombstone's last occupant) and whether it held a live member.
+	IDs   []int
+	Alive []bool
+	// X holds one row per slot, nil for a silent slot.
+	X [][]float64
+	// Arrived holds one flag per slot: StepResult.Transmitted under Step,
+	// the arrival flags under StepArrivals.
+	Arrived []bool
+}
+
+// Record returns the record of step t taken on this roster with rows x and
+// per-slot flags arrived, viewing all three.
+func (r *Roster) Record(t int, x [][]float64, arrived []bool) StepRecord {
+	return StepRecord{T: t, IDs: r.ids, Alive: r.alive, X: x, Arrived: arrived}
+}
+
+// Reapply re-takes a recorded step, the next one (rec.T = Steps()+1): it
+// lays the fleet out as the record's roster, so membership changes land at
+// the steps they happened, then steps an edge-less System (NewCentral)
+// through StepArrivals and any other through Step. Where Step's policies
+// store other rows than the record, it belongs to another lineage (policy
+// factories are not part of Fingerprint): Reapply returns ErrBadState, the
+// step taken — discard the System.
+func (s *System) Reapply(rec *StepRecord) error {
+	if rec.T != s.t+1 {
+		return fmt.Errorf("core: record of step %d, want step %d: %w", rec.T, s.t+1, ErrBadInput)
+	}
+	if err := s.reconcileRoster(rec.IDs, rec.Alive); err != nil {
+		return err
+	}
+	if s.cfg.Policy == nil {
+		_, err := s.StepArrivals(rec.X, rec.Arrived)
+		return err
+	}
+	res, err := s.Step(rec.X)
+	if err == nil && !slices.Equal(res.Transmitted, rec.Arrived) {
+		err = fmt.Errorf("core: step %d: the policies store other rows than the record: %w", rec.T, ErrBadState)
+	}
+	return err
+}
+
+// reconcileRoster aligns the system's slot → ID layout with a recorded
+// roster (a StepRecord's, see Reapply): members dead in the record depart,
+// slots past the fleet's end are appended, tombstoned ones recording their
+// last occupant (a member that joined into a new slot and departed before
+// the step), members live in the record join into the exact recorded
+// slots, and a live slot bound to a different ID is a lineage mismatch
+// error. The slot count may only grow. Reproducing the recorded layout
+// slot-for-slot is what keeps replayed steps bit-identical to the original
+// run. The roster is checked whole before anything changes, so a rejected
+// one leaves the fleet as it was (a policy factory failing for a joiner can
+// still stop it part-way).
+func (s *System) reconcileRoster(ids []int, alive []bool) error {
 	if len(ids) != len(alive) {
 		return fmt.Errorf("core: roster %d ids / %d alive flags: %w", len(ids), len(alive), ErrBadInput)
 	}

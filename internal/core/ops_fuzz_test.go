@@ -235,7 +235,7 @@ func (in *opsInput) intn(n int) int { return int(in.next()) % n }
 // an arrival without a row, the wrong number of rows or flags), which must
 // be rejected; AddNodes of fresh IDs and of departed ones, which land in
 // tombstoned slots while any are free; RemoveNodes; roster calls that must
-// be rejected (duplicate, negative or unknown IDs); ReconcileRoster with
+// be rejected (duplicate, negative or unknown IDs); reconcileRoster with
 // the roster of an earlier step, and with a shrunk roster or one that binds
 // a live slot to another ID (and departs a slot besides), which must be
 // rejected; and ExportState → RestoreState into a fresh System, a twin
@@ -247,7 +247,7 @@ func (in *opsInput) intn(n int) int { return int(in.next()) % n }
 // succeeded; a rejected call has left Steps, the state digest, the roster
 // and the published generation as they were; a step's assignments equal
 // its snapshot's, and once the models are trained the snapshot forecasts
-// equal System.Forecast and referenceReconstruct bit for bit; an accepted ReconcileRoster has laid
+// equal System.Forecast and referenceReconstruct bit for bit; an accepted reconcileRoster has laid
 // the roster out as the record; the restored twin answers every call as
 // the original does, with the same result and the same state digest; the
 // NewCentral twin does too, its state equal but for the policies'; the
@@ -335,7 +335,7 @@ func FuzzSystemOps(f *testing.F) {
 			var desc string
 			var call func(s *System) (*StepResult, error)
 			var stepX [][]float64 // an accepted step's rows, for the NewCentral twin
-			var record roster     // what ReconcileRoster lays the roster out as
+			var record roster     // what reconcileRoster lays the roster out as
 			mustReject, checked := false, false
 			switch kind {
 			case 0, 1, 2: // a step of in-range rows
@@ -453,8 +453,8 @@ func FuzzSystemOps(f *testing.F) {
 					mustReject = true
 				}
 				record = roster{ids, alive}
-				desc = fmt.Sprintf("ReconcileRoster(%v, %v)", ids, alive)
-				call = func(s *System) (*StepResult, error) { return nil, s.ReconcileRoster(ids, alive) }
+				desc = fmt.Sprintf("reconcileRoster(%v, %v)", ids, alive)
+				call = func(s *System) (*StepResult, error) { return nil, s.reconcileRoster(ids, alive) }
 			default: // restore a twin from the original's state
 				st, err := sys.ExportState()
 				if err != nil {

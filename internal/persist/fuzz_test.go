@@ -11,8 +11,10 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -44,15 +46,16 @@ func walSeedBytes(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	roster := sys.Roster()
-	x := testInput(cfg.Nodes, cfg.Resources, 1)
 	arrived := make([]bool, cfg.Nodes)
 	arrived[0] = true
-	if _, err := w.append(1, roster, x, arrived); err != nil {
+	rec := roster.Record(1, testInput(cfg.Nodes, cfg.Resources, 1), arrived)
+	if _, err := w.append(&rec); err != nil {
 		tb.Fatal(err)
 	}
 	x2 := testInput(cfg.Nodes, cfg.Resources, 2)
 	x2[3] = nil // silent slot: row bitset differs from alive bitset
-	if _, err := w.append(2, roster, x2, arrived); err != nil {
+	rec = roster.Record(2, x2, arrived)
+	if _, err := w.append(&rec); err != nil {
 		tb.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -65,35 +68,83 @@ func walSeedBytes(tb testing.TB) []byte {
 	return data
 }
 
+// strayBitSeed is a WAL of one three-slot record whose alive bitset carries
+// a bit past the last slot under a valid CRC: bytes no append writes, so the
+// reader must stop there rather than decode a record that re-encodes
+// otherwise.
+func strayBitSeed(tb testing.TB) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "stray.wal")
+	w, err := createWAL(path, fuzzFingerprint, fuzzDims, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := core.StepRecord{T: 1, IDs: []int{0, 1, 2}, Alive: []bool{true, true, true},
+		X: [][]float64{{0.1, 0.2}, nil, nil}, Arrived: []bool{true, false, false}}
+	if _, err := w.append(&rec); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data[walHeaderSize+walPreludeSize+3*8] |= 1 << 3 // slot 3 of three
+	end := len(data) - 4
+	binary.LittleEndian.PutUint32(data[end:], crc32.Checksum(data[walHeaderSize:end], crcTable))
+	return data
+}
+
 // FuzzReadWAL feeds arbitrary bytes to the WAL reader through a scratch
-// file. Accepted records must be shape-consistent; corruption must stop the
-// scan at a torn tail or a header error.
+// file. Accepted records must be shape-consistent, and re-encode through the
+// writer to the bytes they were read from: the header and every record up to
+// where the scan stopped, the whole file unless it stopped at a torn tail.
+// Corruption must stop the scan at a torn tail or a header error.
 func FuzzReadWAL(f *testing.F) {
 	seed := walSeedBytes(f)
 	f.Add(seed)
 	f.Add(seed[:walHeaderSize])                       // header only: zero records, clean EOF
 	f.Add(seed[:walHeaderSize+10])                    // torn mid-prelude
 	f.Add(append([]byte(nil), seed[:len(seed)-1]...)) // torn final CRC
+	f.Add(strayBitSeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		dir := t.TempDir()
+		path := filepath.Join(dir, "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recs, _, err := readWAL(path, fuzzFingerprint, fuzzDims)
+		recs, torn, err := readWAL(path, fuzzFingerprint, fuzzDims)
 		if err != nil {
 			return
 		}
-		for _, rec := range recs {
-			n := len(rec.ids)
-			if len(rec.alive) != n || len(rec.x) != n || len(rec.arrived) != n {
+		again := filepath.Join(dir, "again.wal")
+		w, err := createWAL(again, fuzzFingerprint, fuzzDims, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			rec := &recs[i]
+			n := len(rec.IDs)
+			if len(rec.Alive) != n || len(rec.X) != n || len(rec.Arrived) != n {
 				t.Fatalf("record shape torn: %d ids, %d alive, %d rows, %d arrived",
-					n, len(rec.alive), len(rec.x), len(rec.arrived))
+					n, len(rec.Alive), len(rec.X), len(rec.Arrived))
 			}
-			for i, row := range rec.x {
-				if row != nil && len(row) != fuzzDims {
-					t.Fatalf("row %d has dim %d, want %d", i, len(row), fuzzDims)
-				}
+			if _, err := w.append(rec); err != nil {
+				t.Fatalf("record %d does not re-encode: %v", i, err)
 			}
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out) || (!torn && len(out) != len(data)) {
+			t.Fatalf("%d records (torn=%v) re-encode to %d bytes that are not the %d read",
+				len(recs), torn, len(out), len(data))
 		}
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -61,17 +60,6 @@ type RecoveryInfo struct {
 	// were passed over for an older one.
 	SkippedCheckpoints int
 }
-
-// ReplayFunc applies one recovered WAL record to the system during Recover.
-// step is the 1-based step index; ids and alive the fleet roster recorded
-// at Step entry (reconcile it into the system with
-// core.System.ReconcileRoster before stepping, so membership changes replay
-// at the exact steps they originally happened); x the measurement tensor
-// fed to the original step; arrived the per-slot flags recorded with it:
-// the arrivals an edge-less System took (serve.StoreStepper replays them
-// through core.System.StepArrivals), or a plain System's Transmitted flags,
-// which its restored policies re-decide exactly.
-type ReplayFunc func(step int, ids []int, alive []bool, x [][]float64, arrived []bool) error
 
 // Manager gives one core.System durable state: it logs every step's
 // measurements to the WAL, periodically checkpoints the full system state in
@@ -173,34 +161,22 @@ func New(sys *core.System, cfg core.Config, opts Options) (*Manager, error) {
 }
 
 // Recover restores the newest valid checkpoint (if any) into the system and
-// replays the WAL tail through replay (nil means feed records straight to
-// System.Step, and stop with ErrMismatch where its policies transmit other
-// rows than the log: the fingerprint cannot tell policy factories apart).
-// It must be called exactly once, before any stepping, and finishes by
-// starting a fresh WAL epoch at the recovered step. Unusable files — torn
-// checkpoints, WAL records beyond a gap — are skipped or removed, never
-// fatal; only I/O failures and replay errors are, and a directory whose
-// state belongs to another configuration: when a checkpoint or WAL epoch
-// was passed over for its fingerprint, format or policy state and nothing
-// was restored, Recover returns ErrMismatch before it removes or creates
-// any file.
-func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
+// re-takes the WAL tail's records through core.System.Reapply, stopping with
+// ErrMismatch where a plain System's policies store other rows than a record
+// (the fingerprint cannot tell policy factories apart). Its argument is
+// ignored: it goes once the benchmark stops passing nil. Call it exactly
+// once, before any stepping; it finishes by starting a fresh WAL epoch at
+// the recovered step. Unusable files — torn checkpoints, WAL records beyond
+// a gap — are skipped or removed, never fatal; only I/O failures and replay
+// errors are, and a directory whose state belongs to another configuration:
+// when a checkpoint or WAL epoch was passed over for its fingerprint, format
+// or policy state and nothing was restored, Recover returns ErrMismatch
+// before it removes or creates any file.
+func (m *Manager) Recover(_ any) (*RecoveryInfo, error) {
 	if m.recovered {
 		return nil, fmt.Errorf("persist: Recover called twice: %w", ErrBadConfig)
 	}
 	m.recovered = true
-	if replay == nil {
-		replay = func(_ int, ids []int, alive []bool, x [][]float64, arrived []bool) error {
-			if err := m.sys.ReconcileRoster(ids, alive); err != nil {
-				return err
-			}
-			res, err := m.sys.Step(x)
-			if err == nil && !slices.Equal(res.Transmitted, arrived) {
-				err = fmt.Errorf("persist: the policies transmit other rows than the log: %w", ErrMismatch)
-			}
-			return err
-		}
-	}
 
 	info := &RecoveryInfo{CheckpointStep: -1}
 	// foreign is the first file passed over because another configuration
@@ -260,15 +236,18 @@ func (m *Manager) Recover(replay ReplayFunc) (*RecoveryInfo, error) {
 		}
 		stop := false
 		for _, rec := range recs {
-			if rec.step <= m.sys.Steps() {
+			if rec.T <= m.sys.Steps() {
 				continue
 			}
-			if rec.step != m.sys.Steps()+1 {
+			if rec.T != m.sys.Steps()+1 {
 				stop = true // gap: later records belong to a lost lineage
 				break
 			}
-			if err := replay(rec.step, rec.ids, rec.alive, rec.x, rec.arrived); err != nil {
-				return nil, fmt.Errorf("persist: replaying step %d: %w", rec.step, err)
+			if err := m.sys.Reapply(&rec); err != nil {
+				if errors.Is(err, core.ErrBadState) { // another lineage's record
+					err = fmt.Errorf("%w: %w", ErrMismatch, err)
+				}
+				return nil, fmt.Errorf("persist: replaying step %d: %w", rec.T, err)
 			}
 			info.ReplayedSteps++
 		}
@@ -335,25 +314,26 @@ func (m *Manager) readCheckpoint(step int) (*core.State, error) {
 	return st, nil
 }
 
-// LogStep appends one completed step to the WAL and, when the step count
-// hits the checkpoint interval, kicks off a background checkpoint. Call it
-// after a successful System.Step with the fleet roster at Step entry and
-// the measurements that step consumed (the Manager's Step method does this
-// for plain systems). Logging after the step means a crash between the two
-// loses at most that single step — recovery resumes from the previous one.
-func (m *Manager) LogStep(step int, roster *core.Roster, x [][]float64, arrived []bool) error {
+// LogStep appends one completed step's record to the WAL and, when the step
+// count hits the checkpoint interval, kicks off a background checkpoint.
+// Call it after a successful System.Step or StepArrivals with the record of
+// what that step consumed (core.Roster.Record of the roster at Step entry; the
+// Manager's Step method does this for plain systems). Logging after the step
+// means a crash between the two loses at most that single step — recovery
+// resumes from the previous one.
+func (m *Manager) LogStep(rec *core.StepRecord) error {
 	if !m.recovered || m.closed {
 		return fmt.Errorf("persist: LogStep before Recover or after Close: %w", ErrBadConfig)
 	}
 	t0 := time.Now()
-	n, err := m.wal.append(step, roster, x, arrived)
+	n, err := m.wal.append(rec)
 	m.walAppendNanos.Add(int64(time.Since(t0)))
 	if err != nil {
 		return err
 	}
 	m.walRecords.Add(1)
 	m.walBytes.Add(int64(n))
-	if m.opts.CheckpointEvery > 0 && step%m.opts.CheckpointEvery == 0 {
+	if m.opts.CheckpointEvery > 0 && rec.T%m.opts.CheckpointEvery == 0 {
 		m.maybeCheckpoint()
 	}
 	return nil
@@ -369,7 +349,8 @@ func (m *Manager) Step(x [][]float64) (*core.StepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.LogStep(res.T, roster, x, res.Transmitted); err != nil {
+	rec := roster.Record(res.T, x, res.Transmitted)
+	if err := m.LogStep(&rec); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,14 +1,14 @@
 // Package persist makes the pipeline's state durable: CRC-framed checkpoint
 // files written with atomic rename plus an append-only measurement
 // write-ahead log (WAL), so that a crashed collector recovers to exactly the
-// state it held — load the newest valid checkpoint, then replay the WAL tail
-// through core.System.Step (restore is bit-identical, see core.State, so the
-// replayed steps reproduce the lost ones exactly).
+// state it held — load the newest valid checkpoint, then hand the WAL tail's
+// core.StepRecords back to core.System.Reapply (restore is bit-identical, see
+// core.State, so the re-taken steps reproduce the lost ones exactly).
 //
 // Layout of a state directory:
 //
 //	ckpt-<step>.ckpt   full core.State at <step> (gob, length- and CRC-framed)
-//	wal-<step>.wal     measurement records for steps <step>+1, <step>+2, …
+//	wal-<step>.wal     step records for steps <step>+1, <step>+2, …
 //
 // Every checkpoint at step S rotates the WAL to a fresh wal-S file, so the
 // files chain: recovery restores the newest checkpoint that validates and

@@ -659,7 +659,8 @@ func TestLogStepBeforeRecover(t *testing.T) {
 	t.Parallel()
 	m := newManager(t, t.TempDir(), Options{})
 	cfg := testConfig()
-	if err := m.LogStep(1, m.sys.Roster(), testInput(cfg.Nodes, cfg.Resources, 1), make([]bool, cfg.Nodes)); !errors.Is(err, ErrBadConfig) {
+	rec := m.sys.Roster().Record(1, testInput(cfg.Nodes, cfg.Resources, 1), make([]bool, cfg.Nodes))
+	if err := m.LogStep(&rec); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("LogStep before Recover: %v, want ErrBadConfig", err)
 	}
 }

@@ -23,18 +23,10 @@ const walPreludeSize = 8 + 4
 // field cannot drive a huge allocation during recovery.
 const maxWALSlots = 1 << 24
 
-// walRecordSize returns the on-disk size of one record for a fleet of n
-// slots (r of which carry a measurement row) at dimensionality d: the
-// prelude, n stable IDs, three n-bit bitsets (alive, row-present, arrived),
-// r·d float64 values, and a CRC.
-func walRecordSize(n, rows, dims int) int {
-	return walPreludeSize + n*8 + 3*((n+7)/8) + rows*dims*8 + 4
-}
-
-// walWriter appends roster-carrying measurement records to one WAL epoch
-// file. Records are variable-size: each carries the fleet's slot → ID
-// binding and liveness at that step, so recovery can reconcile membership
-// before replaying the step (see core.System.ReconcileRoster).
+// walWriter appends core.StepRecords to one WAL epoch file. Records are
+// variable-size: each carries the fleet's slot → ID binding and liveness at
+// that step, so recovery can reconcile membership before replaying the step
+// (see core.System.Reapply).
 type walWriter struct {
 	f     *os.File
 	w     *bufio.Writer
@@ -71,20 +63,19 @@ func createWAL(path string, fingerprint uint64, dims int, fsync bool) (*walWrite
 	return w, nil
 }
 
-// append writes one record. roster is the fleet layout at Step entry; x is
-// positional over its slots (nil rows for tombstones and silent members);
-// arrived flags which slots delivered a fresh measurement this step. The
+// append writes one record: the roster of rec at Step entry, its rows
+// (nil for tombstones and silent members) and its per-slot flags. The
 // record is flushed to the OS before append returns (and fsynced when the
 // writer was opened with fsync), so after a crash at any point the file
 // ends in whole records plus at most one torn one.
-func (w *walWriter) append(step int, roster *core.Roster, x [][]float64, arrived []bool) (int, error) {
-	n := roster.Slots()
-	if len(x) != n || len(arrived) != n {
-		return 0, fmt.Errorf("persist: record for %d/%d slots, want %d: %w",
-			len(x), len(arrived), n, ErrMismatch)
+func (w *walWriter) append(rec *core.StepRecord) (int, error) {
+	n := len(rec.IDs)
+	if len(rec.Alive) != n || len(rec.X) != n || len(rec.Arrived) != n {
+		return 0, fmt.Errorf("persist: record for %d/%d/%d slots, want %d: %w",
+			len(rec.Alive), len(rec.X), len(rec.Arrived), n, ErrMismatch)
 	}
 	rows := 0
-	for _, xi := range x {
+	for _, xi := range rec.X {
 		if xi == nil {
 			continue
 		}
@@ -93,38 +84,38 @@ func (w *walWriter) append(step int, roster *core.Roster, x [][]float64, arrived
 		}
 		rows++
 	}
-	size := walRecordSize(n, rows, w.dims)
+	// The prelude, n stable IDs, three n-bit bitsets (alive, row present,
+	// arrived), the rows' values and a CRC.
+	bits := (n + 7) / 8
+	size := walPreludeSize + n*8 + 3*bits + rows*w.dims*8 + 4
 	if cap(w.buf) < size {
 		w.buf = make([]byte, size)
 	}
 	buf := w.buf[:size]
-	binary.LittleEndian.PutUint64(buf, uint64(step))
+	binary.LittleEndian.PutUint64(buf, uint64(rec.T))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(n))
 	off := walPreludeSize
-	for i := 0; i < n; i++ {
-		id, _ := roster.IDAt(i)
+	for _, id := range rec.IDs {
 		binary.LittleEndian.PutUint64(buf[off:], uint64(int64(id)))
 		off += 8
 	}
-	bits := (n + 7) / 8
-	aliveSet := buf[off : off+bits]
-	rowSet := buf[off+bits : off+2*bits]
-	arrivedSet := buf[off+2*bits : off+3*bits]
-	clear(buf[off : off+3*bits])
+	sets := buf[off : off+3*bits]
+	clear(sets)
 	off += 3 * bits
 	for i := 0; i < n; i++ {
-		if _, ok := roster.IDAt(i); ok {
-			aliveSet[i/8] |= 1 << (i % 8)
+		at, mask := i/8, byte(1)<<(i%8)
+		if rec.Alive[i] {
+			sets[at] |= mask
 		}
-		if x[i] != nil {
-			rowSet[i/8] |= 1 << (i % 8)
-			for _, v := range x[i] {
+		if rec.X[i] != nil {
+			sets[bits+at] |= mask
+			for _, v := range rec.X[i] {
 				binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
 				off += 8
 			}
 		}
-		if arrived[i] {
-			arrivedSet[i/8] |= 1 << (i % 8)
+		if rec.Arrived[i] {
+			sets[2*bits+at] |= mask
 		}
 	}
 	binary.LittleEndian.PutUint32(buf[off:], crc32.Checksum(buf[:off], crcTable))
@@ -157,20 +148,11 @@ func (w *walWriter) close() error {
 	return nil
 }
 
-// walRecord is one decoded WAL entry.
-type walRecord struct {
-	step    int
-	ids     []int
-	alive   []bool
-	x       [][]float64
-	arrived []bool
-}
-
 // readWAL decodes one WAL file, stopping cleanly at the first torn or
 // corrupt record: it returns the intact prefix and torn=true when a partial
 // or checksum-failing suffix was discarded. Header-level corruption returns
 // ErrCorrupt; a fingerprint or dimensionality mismatch returns ErrMismatch.
-func readWAL(path string, fingerprint uint64, dims int) (recs []walRecord, torn bool, err error) {
+func readWAL(path string, fingerprint uint64, dims int) (recs []core.StepRecord, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, fmt.Errorf("persist: %w", err)
@@ -208,7 +190,8 @@ func readWAL(path string, fingerprint uint64, dims int) (recs []walRecord, torn 
 		}
 		// Read the roster + bitsets first; the row count (and so the full
 		// record size) depends on the row bitset.
-		fixed := n*8 + 3*((n+7)/8)
+		bits := (n + 7) / 8
+		fixed := n*8 + 3*bits
 		if cap(buf) < fixed {
 			buf = make([]byte, fixed)
 		}
@@ -216,11 +199,16 @@ func readWAL(path string, fingerprint uint64, dims int) (recs []walRecord, torn 
 		if _, err := io.ReadFull(r, head); err != nil {
 			return recs, true, nil
 		}
-		bits := (n + 7) / 8
-		rowSet := head[n*8+bits : n*8+2*bits]
+		// bit reports slot i's flag in bitset set: 0 alive, 1 row, 2 arrived.
+		bit := func(set, i int) bool { return head[n*8+set*bits+i/8]&(1<<(i%8)) != 0 }
+		for i := n; i < bits*8; i++ { // bits past the last slot: no record append writes
+			if bit(0, i) || bit(1, i) || bit(2, i) {
+				return recs, true, nil
+			}
+		}
 		rows := 0
 		for i := 0; i < n; i++ {
-			if rowSet[i/8]&(1<<(i%8)) != 0 {
+			if bit(1, i) {
 				rows++
 			}
 		}
@@ -235,23 +223,18 @@ func readWAL(path string, fingerprint uint64, dims int) (recs []walRecord, torn 
 			return recs, true, nil
 		}
 
-		rec := walRecord{
-			step:    int(binary.LittleEndian.Uint64(prelude)),
-			ids:     make([]int, n),
-			alive:   make([]bool, n),
-			x:       make([][]float64, n),
-			arrived: make([]bool, n),
+		rec := core.StepRecord{
+			T:       int(binary.LittleEndian.Uint64(prelude)),
+			IDs:     make([]int, n),
+			Alive:   make([]bool, n),
+			X:       make([][]float64, n),
+			Arrived: make([]bool, n),
 		}
-		for i := 0; i < n; i++ {
-			rec.ids[i] = int(int64(binary.LittleEndian.Uint64(head[i*8:])))
-		}
-		aliveSet := head[n*8 : n*8+bits]
-		arrivedSet := head[n*8+2*bits : n*8+3*bits]
 		off := 0
 		for i := 0; i < n; i++ {
-			rec.alive[i] = aliveSet[i/8]&(1<<(i%8)) != 0
-			rec.arrived[i] = arrivedSet[i/8]&(1<<(i%8)) != 0
-			if rowSet[i/8]&(1<<(i%8)) == 0 {
+			rec.IDs[i] = int(int64(binary.LittleEndian.Uint64(head[i*8:])))
+			rec.Alive[i], rec.Arrived[i] = bit(0, i), bit(2, i)
+			if !bit(1, i) {
 				continue
 			}
 			row := make([]float64, dims)
@@ -259,7 +242,7 @@ func readWAL(path string, fingerprint uint64, dims int) (recs []walRecord, torn 
 				row[d] = math.Float64frombits(binary.LittleEndian.Uint64(tail[off:]))
 				off += 8
 			}
-			rec.x[i] = row
+			rec.X[i] = row
 		}
 		recs = append(recs, rec)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"orcf/internal/core"
 	"orcf/internal/forecast"
+	"orcf/internal/persist"
 	"orcf/internal/transport"
 )
 
@@ -100,49 +101,72 @@ func BenchmarkAppendJSONFloat(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreStepperTick measures one warm StoreStepper.Tick — the store
+// BenchmarkStoreStepperTick measures one StoreStepper.Tick — the store
 // read, the step's rows and flags, and core's StepArrivals on them — at
 // d = 2, K = 3 with 30 % of the fleet's entries written between ticks (the
-// agents' budget B = 0.3), and reports ns/node. The writes run with the
-// timer stopped: they are the ingest side's cost, not the tick's.
+// agents' budget B = 0.3), and reports ns/node. "warm" is a steady tick,
+// which reads only the written entries; "full" has a node join every tick,
+// so each tick follows a membership change and walks every entry; "logged"
+// is the warm tick with a persist.Manager attached (SetLog; no
+// checkpoints), so it includes the WAL append. The writes run with the timer
+// stopped: they are the ingest side's cost, not the tick's.
 func BenchmarkStoreStepperTick(b *testing.B) {
-	for _, nodes := range []int{4096, 32768} {
-		b.Run("N="+strconv.Itoa(nodes), func(b *testing.B) {
-			store := transport.NewStore()
-			stepper, err := NewStoreStepper(store, core.Config{
-				Nodes: nodes, Resources: 2, K: 3, InitialCollection: 20, Seed: 1,
+	for _, nodes := range []int{4096, 32768, 131072} {
+		for _, kind := range []string{"warm", "full", "logged"} {
+			b.Run("N="+strconv.Itoa(nodes)+"/"+kind, func(b *testing.B) {
+				benchStoreStepperTick(b, nodes, kind)
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			step := 0
-			write := func() {
-				step++
-				for id := 0; id < nodes; id++ {
-					if step == 1 || (id*7+step)%10 < 3 {
-						v := 0.1 + 0.8*float64((id*13+step)%97)/97
-						store.Apply(transport.Measurement{Node: id, Step: step, Values: []float64{v, 1 - v}})
-					}
-				}
-			}
-			tick := func() {
-				if _, ok, err := stepper.Tick(); err != nil || !ok {
-					b.Fatalf("tick %d: ok=%v err=%v", step, ok, err)
-				}
-			}
-			for step < 25 {
-				write()
-				tick()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				write()
-				b.StartTimer()
-				tick()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
-		})
+		}
 	}
+}
+
+func benchStoreStepperTick(b *testing.B, nodes int, kind string) {
+	store := transport.NewStore()
+	cfg := core.Config{Nodes: nodes, Resources: 2, K: 3, InitialCollection: 20, Seed: 1}
+	stepper, err := NewStoreStepper(store, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if kind == "logged" {
+		mgr, err := persist.New(stepper.System(), cfg, persist.Options{Dir: b.TempDir(), CheckpointEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mgr.Recover(nil); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = mgr.Close() })
+		stepper.SetLog(mgr)
+	}
+	step := 0
+	write := func() {
+		step++
+		for id := 0; id < nodes; id++ {
+			if step == 1 || (id*7+step)%10 < 3 {
+				v := 0.1 + 0.8*float64((id*13+step)%97)/97
+				store.Apply(transport.Measurement{Node: id, Step: step, Values: []float64{v, 1 - v}})
+			}
+		}
+		if kind == "full" && step > 1 {
+			store.Apply(transport.Measurement{Node: nodes + step, Step: step, Values: []float64{0.5, 0.5}})
+		}
+	}
+	tick := func() {
+		if _, ok, err := stepper.Tick(); err != nil || !ok {
+			b.Fatalf("tick %d: ok=%v err=%v", step, ok, err)
+		}
+	}
+	for step < 25 {
+		write()
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		write()
+		b.StartTimer()
+		tick()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
 }

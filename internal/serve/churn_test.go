@@ -87,7 +87,7 @@ func newChurnEnv(t *testing.T, dir string) *churnEnv {
 	if err != nil {
 		t.Fatalf("manager: %v", err)
 	}
-	if _, err := mgr.Recover(stepper.Replay); err != nil {
+	if _, err := mgr.Recover(nil); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	// Stop the background checkpointer before TempDir removes dir under it
@@ -232,8 +232,8 @@ func TestStoreStepperChurnLifecycle(t *testing.T) {
 
 // TestStoreStepperZeroReplayRecovery pins the clean-shutdown path of an
 // elastic fleet: a checkpoint taken after the fleet grew rotates the WAL,
-// so recovery restores the roster with zero replayed records (bypassing
-// Replay entirely). The restarted stepper must resize its buffers to the
+// so recovery restores the roster with zero replayed records (no
+// Reapply at all). The restarted stepper must resize its buffers to the
 // recovered fleet (not panic), skip the bootstrap gate (the pipeline is
 // mid-run, not booting), and still evict a member that never reports again
 // instead of waiting for it forever.

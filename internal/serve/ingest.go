@@ -7,6 +7,7 @@ import (
 	"orcf/internal/core"
 	"orcf/internal/mat"
 	"orcf/internal/obs"
+	"orcf/internal/persist"
 	"orcf/internal/transport"
 )
 
@@ -50,7 +51,7 @@ import (
 type StoreStepper struct {
 	sys     *core.System
 	store   *transport.Store
-	log     StepLog
+	log     *persist.Manager
 	absence int // cfg.AbsenceTimeout: 0 = no liveness tracking
 
 	marks    []watermark  // per store entry, grown as the store grows
@@ -88,16 +89,6 @@ type joiner struct {
 	stat  transport.NodeStat
 }
 
-// StepLog records completed steps for durability. persist.Manager satisfies
-// it; the stepper calls LogStep after every successful Tick with the fleet
-// roster at step entry and the measurements and fresh-arrival flags it fed
-// to StepArrivals — exactly what a replay needs to reproduce the step,
-// membership changes included (see SetLog and Replay).
-type StepLog interface {
-	// LogStep records one completed step.
-	LogStep(step int, roster *core.Roster, x [][]float64, arrived []bool) error
-}
-
 // NewStoreStepper builds an edge-less system (core.NewCentral, which ignores
 // cfg.Policy) and wires it to the store.
 func NewStoreStepper(store *transport.Store, cfg core.Config) (*StoreStepper, error) {
@@ -132,22 +123,12 @@ func (st *StoreStepper) grow(n int) {
 // System returns the driven pipeline (hand it to serve.Config.Source).
 func (st *StoreStepper) System() *core.System { return st.sys }
 
-// SetLog attaches a step log (typically a persist.Manager): every
-// subsequent successful Tick is recorded with its roster and arrival flags.
-// Attach it after recovery, before the first Tick.
-func (st *StoreStepper) SetLog(log StepLog) { st.log = log }
-
-// Replay re-applies one recovered step: it reconciles the logged fleet
-// roster (so joins and departures land at the exact steps they originally
-// happened) and hands StepArrivals the logged rows and arrival flags. It has
-// the persist.ReplayFunc shape — hand it to persist.Manager.Recover.
-func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64, arrived []bool) error {
-	if err := st.sys.ReconcileRoster(ids, alive); err != nil {
-		return err
-	}
-	_, err := st.sys.StepArrivals(x, arrived)
-	return err
-}
+// SetLog attaches the durable state's Manager: every subsequent successful
+// Tick logs the record of what it fed StepArrivals — the roster at step
+// entry, the rows and the arrival flags — which recovery (Manager.Recover)
+// re-takes through core.System.Reapply. Attach it after recovery, before the
+// first Tick.
+func (st *StoreStepper) SetLog(log *persist.Manager) { st.log = log }
 
 // Tick ingests the store's current state as one pipeline step. Before the
 // first step it returns ok=false without stepping until the bootstrap gate
@@ -173,8 +154,8 @@ func (st *StoreStepper) Replay(step int, ids []int, alive []bool, x [][]float64,
 // the first tick after a membership change (or a failed join) walk every
 // entry.
 func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
-	// A recovery that replayed no WAL record restored the fleet without a
-	// Replay: size the dense buffers to it.
+	// Recovery steps the System without the stepper: size the dense
+	// buffers to the fleet it restored.
 	st.grow(st.sys.Slots())
 	all := st.syncRoster() || st.sys.Steps() == 0
 	if st.sys.Steps() == 0 && !st.gateOpen() {
@@ -252,7 +233,8 @@ func (st *StoreStepper) Tick() (*core.StepResult, bool, error) {
 		st.store.Forget(id)
 	}
 	if st.log != nil {
-		if err := st.log.LogStep(res.T, roster, st.x[:roster.Slots()], st.arrived[:roster.Slots()]); err != nil {
+		rec := roster.Record(res.T, st.x[:roster.Slots()], st.arrived[:roster.Slots()])
+		if err := st.log.LogStep(&rec); err != nil {
 			return nil, true, fmt.Errorf("serve: logging step %d: %w", res.T, err)
 		}
 	}

@@ -143,7 +143,7 @@ func TestWriteParentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	store, stepper, m := parentStateStepper(t, parentStateDir)
-	if _, err := m.Recover(stepper.Replay); err != nil {
+	if _, err := m.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
 	stepper.SetLog(m)
@@ -189,7 +189,7 @@ func TestWriteParentState(t *testing.T) {
 // wrote while every member ran an arrival-mirroring policy — a checkpoint
 // whose live slots carry that policy's empty state bytes, and a WAL tail with
 // a join, an absence tick and a member stored without a fresh record —
-// through StoreStepper.Replay, and requires the recovered state, as exported,
+// through core.System.Reapply, and requires the recovered state, as exported,
 // to be the bounded-series form of the one that run ended in.
 func TestRecoverParentWrittenState(t *testing.T) {
 	t.Parallel()
@@ -208,7 +208,7 @@ func TestRecoverParentWrittenState(t *testing.T) {
 		}
 	}
 	_, stepper, m := parentStateStepper(t, dir)
-	info, err := m.Recover(stepper.Replay)
+	info, err := m.Recover(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func newStepperEnv(t *testing.T, dir string) *stepperEnv {
 	if err != nil {
 		t.Fatalf("manager: %v", err)
 	}
-	info, err := mgr.Recover(stepper.Replay)
+	info, err := mgr.Recover(nil)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestStoreStepperPersistRecovery(t *testing.T) {
 		crashed.tick(t, i)
 	}
 	// Crash: no checkpoint, no close. Recovery replays the WAL through
-	// StoreStepper.Replay, re-feeding the arrival flags.
+	// core.System.Reapply, re-feeding the arrival flags.
 	rec := newStepperEnv(t, dir)
 	sys := rec.stepper.System()
 	if got := sys.Steps(); got != crash {

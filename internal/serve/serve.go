@@ -80,9 +80,8 @@ type Config struct {
 }
 
 // PersistStats is the durability accounting the server reports when a
-// checkpoint/WAL plane is attached (see Config.PersistStats). It mirrors
-// persist.Stats without importing it, keeping the serving plane decoupled
-// from the storage layer.
+// checkpoint/WAL plane is attached (see Config.PersistStats): the part of
+// persist.Stats that /v1/stats and /metrics show, in their units.
 type PersistStats struct {
 	// LastCheckpointStep is the pipeline step of the newest durable
 	// checkpoint (0 before the first).

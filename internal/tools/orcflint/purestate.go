@@ -30,11 +30,12 @@ var pureStatePaths = []string{
 	"orcf/internal/serve",
 }
 
-// pureStateRoots are the entry points of the deterministic plane.
+// pureStateRoots are the entry points of the deterministic plane (of
+// core.System.Reapply, reconcileRoster: a step's phase timer reads a clock).
 var pureStateRoots = map[string]bool{
 	"ExportState": true, "RestoreState": true, "RestoreAll": true,
 	"MarshalState": true, "UnmarshalState": true,
-	"Replay": true, "Recover": true,
+	"reconcileRoster": true, "Recover": true,
 	"republish": true, "readWAL": true, "readCheckpoint": true,
 	"restoreSlot": true, "exportSlot": true, "validateState": true,
 }
