@@ -48,9 +48,9 @@ const maxMagnitude = 100
 // served in. It admits utilisations reported as fractions or as percentages.
 // Beyond it a value means nothing to the served forecast, which is clamped
 // to [0, 1], yet it can fail a model fit and so the step: 1e160 overflows
-// the normal equations of an AR fit, and from about 1e6 the fixed ridge
-// penalty of lagged-ridge is lost in its normal equations, which then fail
-// to factor. An overflow guard would not cover the second.
+// the normal equations of the lag regressor behind ar and lagged-ridge, and
+// from about 1e6 lagged-ridge's fixed ridge penalty is lost in them, so they
+// fail to factor. An overflow guard would not cover the second.
 func InRange(v float64) bool { return math.Abs(v) <= maxMagnitude }
 
 // ErrNotReady is returned by Forecast during the initial collection phase.

@@ -81,7 +81,7 @@ func TestARRecoverCoefficients(t *testing.T) {
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
-	c := m.coef
+	c := m.(*lagRegressor).coef
 	if math.Abs(c[0]-0.5) > 0.05 || math.Abs(c[1]-0.6) > 0.05 || math.Abs(c[2]+0.2) > 0.05 {
 		t.Fatalf("recovered %v, want ≈ [0.5 0.6 -0.2]", c)
 	}
@@ -122,7 +122,7 @@ func TestARValidation(t *testing.T) {
 	if _, err := m.Forecast(1); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("want ErrNotFitted, got %v", err)
 	}
-	if m.fitted {
+	if m.(*lagRegressor).fitted {
 		t.Fatal("fitted before Fit")
 	}
 }

@@ -2,9 +2,12 @@ package forecast
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
+
+	"orcf/internal/mat"
 )
 
 // FuzzARIMAFitMatchesReference is the reference differential under
@@ -134,6 +137,122 @@ func FuzzCSSLanesMatchSolo(f *testing.F) {
 		if wantB := cssSmall(wb, cb, arB, maB); !sameBits(gotB, wantB) {
 			t.Fatalf("lane B p%dq%d n=%d: cssSmall2 %v (%#x), cssSmall %v (%#x)", len(arB), len(maB), len(wb),
 				gotB, math.Float64bits(gotB), wantB, math.Float64bits(wantB))
+		}
+	})
+}
+
+// inBand folds a raw float64 into core.InRange's band |v| ≤ 100, the values
+// a centroid series can hold: a value inside stays as it is (±0 and
+// subnormals included), ±Inf becomes ±100, NaN a zero of its sign, and any
+// other value 100 times its binary fraction, in ±[50, 100).
+func inBand(v float64) float64 {
+	switch {
+	case math.Abs(v) <= 100:
+		return v
+	case math.IsNaN(v):
+		return math.Copysign(0, v)
+	case math.IsInf(v, 0):
+		return math.Copysign(100, v)
+	}
+	frac, _ := math.Frexp(v)
+	return 100 * frac
+}
+
+// sameFailure reports whether two errors are alike: both nil, or both
+// wrapping the same sentinels.
+func sameFailure(a, b error) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for _, sentinel := range []error{ErrBadInput, ErrNotFitted, mat.ErrNotSPD} {
+		if errors.Is(a, sentinel) != errors.Is(b, sentinel) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzLagRegressorMatchesReference holds the one lag regressor to the two
+// models it replaced, refAR (ar(p), p = 1…8) and refLaggedRidge
+// (lagged-ridge), kept in reference_test.go. The bytes are float64 bit
+// patterns folded into core.InRange's band; the selectors pick the family,
+// how many trailing values go through Update instead of Fit, and the
+// horizon. Name, MinObservations, the fitted coefficients and the forecasts
+// must equal the reference's bit for bit, sign of zero included, and errors
+// must match error for error.
+func FuzzLagRegressorMatchesReference(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	repeat := func(v float64, n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	wave := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = 0.5 + 0.25*math.Sin(float64(i))
+		}
+		return out
+	}
+	const ar3, ar8, ridge = 2, 7, 8 // family selectors
+	f.Add(rawFloats(repeat(negZero, 30)...), uint8(ridge), uint8(4), uint8(3))
+	f.Add(rawFloats(repeat(negZero, 12)...), uint8(ar3), uint8(2), uint8(3))
+	// −0s ending in −5e-324, the subnormal nearest zero: the solve's
+	// intercept underflows to −0, where ar's forecast sum, started at the
+	// intercept, and lagged-ridge's, started at +0, part.
+	f.Add(rawFloats(append(repeat(negZero, 23), -5e-324)...), uint8(ridge), uint8(0), uint8(2))
+	f.Add(rawFloats(append(repeat(negZero, 9), -5e-324)...), uint8(ar3), uint8(0), uint8(2))
+	// Exactly MinObservations long.
+	f.Add(rawFloats(wave(10)...), uint8(ar8), uint8(0), uint8(4))
+	f.Add(rawFloats(wave(18)...), uint8(ridge), uint8(0), uint8(4))
+	// 2000 values at 100: ar's absolute jitter is lost in XᵀX's diagonal and
+	// both sides fail to factor; lagged-ridge's penalty still holds.
+	f.Add(rawFloats(repeat(100, 2000)...), uint8(ar3), uint8(0), uint8(1))
+	f.Add(rawFloats(repeat(100, 2000)...), uint8(ridge), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, family, updates, horizon uint8) {
+		var series []float64
+		for ; len(data) >= 8 && len(series) < 2048; data = data[8:] {
+			series = append(series, inBand(math.Float64frombits(binary.LittleEndian.Uint64(data))))
+		}
+		var ref, got Model
+		var refCoef func() []float64
+		if p := int(family%9) + 1; p <= 8 {
+			a, _ := refNewAR(p)
+			ref, refCoef = a, func() []float64 { return a.coef }
+			got, _ = NewAR(p)
+		} else {
+			m, _ := refNewLaggedRidge(0, 0, 0)
+			ref, refCoef = m, func() []float64 { return m.coef }
+			got = NewLaggedRidge()
+		}
+		fit := len(series) - min(int(updates%32), len(series))
+		h := 1 + int(horizon%16)
+		label := fmt.Sprintf("%s n=%d updates=%d h=%d", ref.Name(), fit, len(series)-fit, h)
+		if got.Name() != ref.Name() {
+			t.Fatalf("%s: Name %q", label, got.Name())
+		}
+		if g, w := got.(minObserver).MinObservations(), ref.(minObserver).MinObservations(); g != w {
+			t.Fatalf("%s: MinObservations %d, reference %d", label, g, w)
+		}
+		if gotErr, refErr := got.Fit(series[:fit]), ref.Fit(series[:fit]); !sameFailure(gotErr, refErr) {
+			t.Fatalf("%s: Fit error %v, reference %v", label, gotErr, refErr)
+		}
+		if g, w := got.(*lagRegressor).coef, refCoef(); !equalBits(g, w) {
+			t.Fatalf("%s: coefficients %v, reference %v", label, g, w)
+		}
+		for _, y := range series[fit:] {
+			got.Update(y)
+			ref.Update(y)
+		}
+		gf, gotErr := got.Forecast(h)
+		rf, refErr := ref.Forecast(h)
+		if !sameFailure(gotErr, refErr) {
+			t.Fatalf("%s: Forecast error %v, reference %v", label, gotErr, refErr)
+		}
+		if !equalBits(gf, rf) {
+			t.Fatalf("%s: forecast %v, reference %v", label, gf, rf)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"orcf/internal/mat"
 	"orcf/internal/optimize"
 	"orcf/internal/stat"
 )
@@ -584,3 +585,274 @@ func refDiameter(simplex [][]float64) float64 {
 	}
 	return d
 }
+
+// The lag-regression references: the two families ar and lagged-ridge
+// exactly as they shipped as separate models, before both became one
+// lagRegressor, kept verbatim with identifiers prefixed ref.
+// FuzzLagRegressorMatchesReference holds the regressor to them bit for bit.
+
+// refAR is an autoregressive model of order p fitted by ordinary least squares.
+// It serves both as a fast standalone forecaster and as a correctness
+// reference for the ARIMA implementation (ARIMA(p,0,0) must agree with it).
+type refAR struct {
+	p      int
+	coef   []float64 // coef[0] is the intercept, coef[i] multiplies y_{t-i}
+	tail   []float64 // last p observations, most recent last
+	fitted bool
+}
+
+var _ Model = (*refAR)(nil)
+
+// refNewAR returns an AR(p) model; p must be ≥ 1.
+func refNewAR(p int) (*refAR, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("forecast: AR order %d < 1: %w", p, ErrBadInput)
+	}
+	return &refAR{p: p}, nil
+}
+
+// MinObservations is the shortest series Fit accepts.
+func (a *refAR) MinObservations() int { return a.p + 2 }
+
+// Fit implements Model by solving the least-squares normal equations
+// (XᵀX)β = Xᵀy with a small ridge term for numerical robustness on
+// near-constant series.
+//
+// Value range. The series is a centroid series of core.InRange values
+// (|v| ≤ 100), so every entry of XᵀX and Xᵀy is at most n·10⁴ in magnitude
+// for n = len(series) − p rows: finite for any n (overflow needs |v| near
+// 10¹⁵⁴). The 1e-9 ridge term is absolute, so it only helps while XᵀX's
+// diagonal, about n·v², stays under 1e-9·2⁵² ≈ 4.5·10⁶ (below that it is at
+// least one ulp): for fractions (|v| ≤ 1) that is any fit window, but for a
+// series near 100 it is only n ≲ 450 rows. A constant series of 2000 values
+// at 100 fails to factor (leading minor non-positive).
+func (a *refAR) Fit(series []float64) error {
+	if len(series) < a.MinObservations() {
+		return fmt.Errorf("forecast: AR(%d) needs ≥ %d observations, got %d: %w",
+			a.p, a.MinObservations(), len(series), ErrBadInput)
+	}
+	n := len(series) - a.p
+	cols := a.p + 1
+	x := mat.New(n, cols)
+	y := make([]float64, n)
+	for t := 0; t < n; t++ {
+		x.Set(t, 0, 1)
+		for i := 1; i <= a.p; i++ {
+			x.Set(t, i, series[a.p+t-i])
+		}
+		y[t] = series[a.p+t]
+	}
+	xt := x.T()
+	xtx, err := mat.Mul(xt, x)
+	if err != nil {
+		return fmt.Errorf("forecast: AR normal equations: %w", err)
+	}
+	xtx = mat.RegularizeSPD(xtx, 1e-9)
+	xty, err := mat.MulVec(xt, y)
+	if err != nil {
+		return fmt.Errorf("forecast: AR normal equations: %w", err)
+	}
+	l, err := mat.Cholesky(xtx)
+	if err != nil {
+		return fmt.Errorf("forecast: AR solve: %w", err)
+	}
+	coef, err := mat.SolveCholesky(l, xty)
+	if err != nil {
+		return fmt.Errorf("forecast: AR solve: %w", err)
+	}
+	a.coef = coef
+	a.tail = append([]float64(nil), series[len(series)-a.p:]...)
+	a.fitted = true
+	return nil
+}
+
+// Update implements Model.
+func (a *refAR) Update(y float64) {
+	if !a.fitted {
+		return
+	}
+	a.tail = append(a.tail, y)
+	if len(a.tail) > a.p {
+		a.tail = a.tail[len(a.tail)-a.p:]
+	}
+}
+
+// Forecast implements Model by iterating the AR recursion with forecasts
+// substituted for unseen values.
+func (a *refAR) Forecast(h int) ([]float64, error) {
+	if !a.fitted {
+		return nil, ErrNotFitted
+	}
+	if h < 1 {
+		return nil, fmt.Errorf("forecast: horizon %d < 1: %w", h, ErrBadInput)
+	}
+	hist := append([]float64(nil), a.tail...)
+	out := make([]float64, h)
+	for s := 0; s < h; s++ {
+		v := a.coef[0]
+		for i := 1; i <= a.p; i++ {
+			v += a.coef[i] * hist[len(hist)-i]
+		}
+		out[s] = v
+		hist = append(hist, v)
+	}
+	return out, nil
+}
+
+// Name implements Model.
+func (a *refAR) Name() string { return fmt.Sprintf("ar(%d)", a.p) }
+
+// refLaggedRidge is a black-box regressor over engineered lag features in the
+// spirit of Witt et al.'s ML resource-usage models (PAPERS.md): ridge
+// regression of y_t on [1, y_{t-1}…y_{t-p}, rolling-mean_w]. The explicit
+// ridge penalty and the rolling-mean feature distinguish it from the plain
+// AR model — the penalty keeps coefficients stable on short, near-constant
+// centroid series, and the rolling mean supplies a slow component the raw
+// lags would need many more parameters to express. Deterministic; no RNG.
+type refLaggedRidge struct {
+	lags   int
+	win    int
+	lambda float64
+
+	coef   []float64 // intercept, p lag coefficients, rolling-mean coefficient
+	tail   []float64 // last max(lags, win) observations, most recent last
+	fitted bool
+}
+
+var _ Model = (*refLaggedRidge)(nil)
+
+// refNewLaggedRidge returns a lagged-feature ridge regressor. Zero values select
+// lags 8, rolling window 16, and ridge penalty 1e-3.
+func refNewLaggedRidge(lags, win int, lambda float64) (*refLaggedRidge, error) {
+	if lags == 0 {
+		lags = 8
+	}
+	if win == 0 {
+		win = 16
+	}
+	if lambda == 0 {
+		lambda = 1e-3
+	}
+	if lags < 1 || win < 1 {
+		return nil, fmt.Errorf("forecast: lagged-ridge lags=%d window=%d < 1: %w", lags, win, ErrBadInput)
+	}
+	if lambda < 0 || math.IsNaN(lambda) {
+		return nil, fmt.Errorf("forecast: lagged-ridge penalty %v < 0: %w", lambda, ErrBadInput)
+	}
+	return &refLaggedRidge{lags: lags, win: win, lambda: lambda}, nil
+}
+
+// context returns the number of trailing observations a prediction needs.
+func (m *refLaggedRidge) context() int { return max(m.lags, m.win) }
+
+// features fills f with the regression features for predicting the value
+// after hist (most recent last): intercept, p lags, rolling mean of the last
+// win values. hist must hold at least context() values.
+func (m *refLaggedRidge) features(hist []float64, f []float64) {
+	f[0] = 1
+	n := len(hist)
+	for i := 1; i <= m.lags; i++ {
+		f[i] = hist[n-i]
+	}
+	var sum float64
+	for _, v := range hist[n-m.win:] {
+		sum += v
+	}
+	f[m.lags+1] = sum / float64(m.win)
+}
+
+// MinObservations is the shortest series Fit accepts.
+func (m *refLaggedRidge) MinObservations() int { return m.context() + 2 }
+
+// Fit implements Model by solving the ridge-regularized normal equations
+// (XᵀX + λI)β = Xᵀy.
+//
+// Value range. The series is a centroid series of core.InRange values
+// (|v| ≤ 100), so XᵀX's entries are at most n·10⁴ for n fit rows, finite for
+// any n. λ is absolute: it is added to diagonal entries of about n·v², and
+// it holds — stays at least one ulp of them — only while n·v² is under
+// λ·2⁵² ≈ 4.5·10¹² at the default λ = 1e-3. At |v| = 100 that is
+// n ≲ 4.5·10⁸ rows, beyond any fit window; at |v| = 1 any n. From about
+// |v| = 10⁶ (which core.InRange now keeps out) it is lost from a handful of
+// rows, and a near-constant series no longer factors. Scaling λ with XᵀX's
+// diagonal would hold everywhere, at a digest change wherever the family
+// runs.
+func (m *refLaggedRidge) Fit(series []float64) error {
+	ctx := m.context()
+	if len(series) < m.MinObservations() {
+		return fmt.Errorf("forecast: lagged-ridge needs ≥ %d observations, got %d: %w",
+			m.MinObservations(), len(series), ErrBadInput)
+	}
+	n := len(series) - ctx
+	cols := m.lags + 2
+	x := mat.New(n, cols)
+	y := make([]float64, n)
+	row := make([]float64, cols)
+	for t := 0; t < n; t++ {
+		m.features(series[:ctx+t], row)
+		for c, v := range row {
+			x.Set(t, c, v)
+		}
+		y[t] = series[ctx+t]
+	}
+	xt := x.T()
+	xtx, err := mat.Mul(xt, x)
+	if err != nil {
+		return fmt.Errorf("forecast: lagged-ridge normal equations: %w", err)
+	}
+	xtx = mat.RegularizeSPD(xtx, m.lambda)
+	xty, err := mat.MulVec(xt, y)
+	if err != nil {
+		return fmt.Errorf("forecast: lagged-ridge normal equations: %w", err)
+	}
+	l, err := mat.Cholesky(xtx)
+	if err != nil {
+		return fmt.Errorf("forecast: lagged-ridge solve: %w", err)
+	}
+	coef, err := mat.SolveCholesky(l, xty)
+	if err != nil {
+		return fmt.Errorf("forecast: lagged-ridge solve: %w", err)
+	}
+	m.coef = coef
+	m.tail = append(m.tail[:0], series[len(series)-ctx:]...)
+	m.fitted = true
+	return nil
+}
+
+// Update implements Model.
+func (m *refLaggedRidge) Update(y float64) {
+	if !m.fitted {
+		return
+	}
+	m.tail = append(m.tail, y)
+	if ctx := m.context(); len(m.tail) > ctx {
+		m.tail = m.tail[len(m.tail)-ctx:]
+	}
+}
+
+// Forecast implements Model by iterating one-step predictions with forecasts
+// substituted for unseen values.
+func (m *refLaggedRidge) Forecast(h int) ([]float64, error) {
+	if !m.fitted {
+		return nil, ErrNotFitted
+	}
+	if h < 1 {
+		return nil, fmt.Errorf("forecast: horizon %d < 1: %w", h, ErrBadInput)
+	}
+	hist := append([]float64(nil), m.tail...)
+	f := make([]float64, m.lags+2)
+	out := make([]float64, h)
+	for s := 0; s < h; s++ {
+		m.features(hist, f)
+		var v float64
+		for c, w := range m.coef {
+			v += w * f[c]
+		}
+		out[s] = v
+		hist = append(hist, v)
+	}
+	return out, nil
+}
+
+// Name implements Model.
+func (m *refLaggedRidge) Name() string { return "lagged-ridge" }

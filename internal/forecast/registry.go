@@ -58,12 +58,12 @@ func init() {
 	mustRegister("historical-mean", func() Model { return NewHistoricalMean() })
 	mustRegister("ses", func() Model { m, _ := NewSES(0); return m })
 	mustRegister("holt", func() Model { m, _ := NewHolt(0, 0, 0); return m })
-	mustRegister("holt-winters", func() Model { m, _ := NewHoltWinters(288, 0, 0, 0); return m })
+	mustRegister("holt-winters", func() Model { m, _ := NewHoltWinters(288); return m })
 	mustRegister("ar", func() Model { m, _ := NewAR(4); return m })
 	mustRegister("arima", func() Model { return NewAutoARIMA(DefaultGrid()) })
 	mustRegister("lstm", func() Model { return NewLSTM(LSTMConfig{}) })
-	mustRegister("seasonal-trend", func() Model { m, _ := NewSeasonalTrend(0, 0); return m })
-	mustRegister("lagged-ridge", func() Model { m, _ := NewLaggedRidge(0, 0, 0); return m })
+	mustRegister("seasonal-trend", func() Model { return NewSeasonalTrend() })
+	mustRegister("lagged-ridge", NewLaggedRidge)
 }
 
 // Pinned returns the one-candidate zoo that pins the family b builds, named

@@ -1,9 +1,6 @@
 package forecast
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SeasonalTrend is a seasonal-decomposition forecaster: Fit detrends the
 // series with an OLS line, detects the dominant period by residual
@@ -31,25 +28,10 @@ var _ Model = (*SeasonalTrend)(nil)
 // treats the series as non-seasonal.
 const minSeasonalACF = 0.25
 
-// NewSeasonalTrend returns a seasonal-decomposition model. maxPeriod bounds
-// the period search (0 selects 96, two days of 30-minute samples at the
-// paper's cadence); alpha is the between-refit level smoothing in (0,1]
-// (0 selects 0.3).
-func NewSeasonalTrend(maxPeriod int, alpha float64) (*SeasonalTrend, error) {
-	if maxPeriod == 0 {
-		maxPeriod = 96
-	}
-	if alpha == 0 {
-		alpha = 0.3
-	}
-	if maxPeriod < 2 {
-		return nil, fmt.Errorf("forecast: seasonal-trend max period %d < 2: %w", maxPeriod, ErrBadInput)
-	}
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("forecast: seasonal-trend alpha %v outside (0,1]: %w", alpha, ErrBadInput)
-	}
-	return &SeasonalTrend{maxPeriod: maxPeriod, alpha: alpha}, nil
-}
+// NewSeasonalTrend returns a seasonal-decomposition model. Its period
+// search stops at 96 (two days of 30-minute samples at the paper's cadence),
+// and between refits it smooths the level with alpha 0.3.
+func NewSeasonalTrend() *SeasonalTrend { return &SeasonalTrend{maxPeriod: 96, alpha: 0.3} }
 
 // MinObservations is the shortest series Fit accepts: two repetitions of
 // the smallest detectable period, plus slack for the trend fit.

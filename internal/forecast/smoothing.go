@@ -174,25 +174,13 @@ type HoltWinters struct {
 var _ Model = (*HoltWinters)(nil)
 
 // NewHoltWinters returns an additive Holt-Winters model with the given
-// season length (e.g. 288 for daily cycles of 5-minute samples). Zero
-// smoothing values select alpha 0.3, beta 0.05, gamma 0.1.
-func NewHoltWinters(period int, alpha, beta, gamma float64) (*HoltWinters, error) {
+// season length (e.g. 288 for daily cycles of 5-minute samples), smoothing
+// with alpha 0.3, beta 0.05 and gamma 0.1.
+func NewHoltWinters(period int) (*HoltWinters, error) {
 	if period < 2 {
 		return nil, fmt.Errorf("forecast: holt-winters period %d < 2: %w", period, ErrBadInput)
 	}
-	if alpha == 0 {
-		alpha = 0.3
-	}
-	if beta == 0 {
-		beta = 0.05
-	}
-	if gamma == 0 {
-		gamma = 0.1
-	}
-	if alpha <= 0 || alpha > 1 || beta <= 0 || beta > 1 || gamma <= 0 || gamma > 1 {
-		return nil, fmt.Errorf("forecast: holt-winters parameters invalid: %w", ErrBadInput)
-	}
-	return &HoltWinters{alpha: alpha, beta: beta, gamma: gamma, period: period}, nil
+	return &HoltWinters{alpha: 0.3, beta: 0.05, gamma: 0.1, period: period}, nil
 }
 
 // MinObservations is the shortest series Fit accepts: two full seasons.

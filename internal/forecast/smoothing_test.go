@@ -142,13 +142,10 @@ func TestHoltDampingBoundsLongHorizon(t *testing.T) {
 
 func TestHoltWintersValidation(t *testing.T) {
 	t.Parallel()
-	if _, err := NewHoltWinters(1, 0, 0, 0); !errors.Is(err, ErrBadInput) {
+	if _, err := NewHoltWinters(1); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("period 1: want ErrBadInput, got %v", err)
 	}
-	if _, err := NewHoltWinters(12, 3, 0, 0); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("alpha > 1: want ErrBadInput, got %v", err)
-	}
-	m, err := NewHoltWinters(12, 0, 0, 0)
+	m, err := NewHoltWinters(12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +170,7 @@ func TestHoltWintersCapturesSeasonality(t *testing.T) {
 	for i := range series {
 		series[i] = 0.5 + 0.25*math.Sin(2*math.Pi*float64(i)/period) + 0.01*rng.NormFloat64()
 	}
-	m, _ := NewHoltWinters(period, 0, 0, 0)
+	m, _ := NewHoltWinters(period)
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +197,7 @@ func TestHoltWintersUpdateAdvancesPhase(t *testing.T) {
 	for i := range series {
 		series[i] = math.Sin(2 * math.Pi * float64(i) / period)
 	}
-	m, _ := NewHoltWinters(period, 0, 0, 0)
+	m, _ := NewHoltWinters(period)
 	if err := m.Fit(series); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +215,7 @@ func TestSmoothingModelNames(t *testing.T) {
 	t.Parallel()
 	s, _ := NewSES(0.3)
 	h, _ := NewHolt(0, 0, 0)
-	hw, _ := NewHoltWinters(288, 0, 0, 0)
+	hw, _ := NewHoltWinters(288)
 	if s.Name() == "" || h.Name() != "holt" || hw.Name() != "holt-winters[288]" {
 		t.Fatalf("names: %q %q %q", s.Name(), h.Name(), hw.Name())
 	}

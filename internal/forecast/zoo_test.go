@@ -77,10 +77,7 @@ func TestZooBuildsCandidates(t *testing.T) {
 // --- new model families ---
 
 func TestSeasonalTrendRecoversSeasonality(t *testing.T) {
-	m, err := NewSeasonalTrend(12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := &SeasonalTrend{maxPeriod: 12, alpha: 0.3}
 	// Pure period-6 seasonal signal on a gentle trend.
 	season := []float64{0.3, 0.1, -0.2, -0.3, -0.1, 0.2}
 	series := make([]float64, 120)
@@ -106,10 +103,7 @@ func TestSeasonalTrendRecoversSeasonality(t *testing.T) {
 }
 
 func TestSeasonalTrendNonSeasonalFallback(t *testing.T) {
-	m, err := NewSeasonalTrend(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewSeasonalTrend()
 	series := make([]float64, 40)
 	for i := range series {
 		series[i] = 2 + 0.5*float64(i)
@@ -133,10 +127,7 @@ func TestSeasonalTrendNonSeasonalFallback(t *testing.T) {
 }
 
 func TestLaggedRidgeTracksAR1(t *testing.T) {
-	m, err := NewLaggedRidge(2, 4, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := &lagRegressor{name: "lagged-ridge", lags: 2, win: 4, lambda: 1e-6}
 	// Deterministic AR(1): y_t = 0.8 y_{t-1} + 1.
 	series := make([]float64, 60)
 	series[0] = 10
@@ -164,26 +155,14 @@ func TestLaggedRidgeTracksAR1(t *testing.T) {
 }
 
 func TestNewModelErrors(t *testing.T) {
-	if _, err := NewSeasonalTrend(1, 0.5); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("maxPeriod 1: %v", err)
-	}
-	if _, err := NewSeasonalTrend(10, 1.5); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("alpha 1.5: %v", err)
-	}
-	if _, err := NewLaggedRidge(-1, 0, 0); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("lags -1: %v", err)
-	}
-	if _, err := NewLaggedRidge(0, 0, -1); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("lambda -1: %v", err)
-	}
-	st, _ := NewSeasonalTrend(0, 0)
+	st := NewSeasonalTrend()
 	if err := st.Fit(make([]float64, 5)); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("short seasonal fit: %v", err)
 	}
 	if _, err := st.Forecast(1); !errors.Is(err, ErrNotFitted) {
 		t.Fatalf("unfitted seasonal forecast: %v", err)
 	}
-	lr, _ := NewLaggedRidge(0, 0, 0)
+	lr := NewLaggedRidge()
 	if err := lr.Fit(make([]float64, 10)); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("short ridge fit: %v", err)
 	}

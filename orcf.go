@@ -237,9 +237,10 @@ func WithHolt(alpha, beta, phi float64) Option {
 }
 
 // WithHoltWinters uses additive Holt-Winters smoothing with the given
-// seasonal period (e.g. 288 for daily cycles at 5-minute sampling).
+// seasonal period (e.g. 288 for daily cycles at 5-minute sampling) and the
+// fixed smoothing α=0.3, β=0.05, γ=0.1.
 func WithHoltWinters(period int) Option {
-	return withModel(func() (forecast.Model, error) { return forecast.NewHoltWinters(period, 0, 0, 0) })
+	return withModel(func() (forecast.Model, error) { return forecast.NewHoltWinters(period) })
 }
 
 // WithModelZoo runs a model zoo instead of a single pinned family: one model
